@@ -30,7 +30,6 @@ fn checkpoint_interval_sweep(c: &mut Criterion) {
             spares: 1,
             checkpoints,
             max_relaunches: 4,
-            imr_policy: None,
             redundancy: None,
             fresh_storage: true,
             telemetry: None,
@@ -59,7 +58,6 @@ fn imr_vs_veloc_commit(c: &mut Criterion) {
                 spares: 1,
                 checkpoints: 6,
                 max_relaunches: 4,
-                imr_policy: None,
                 redundancy: None,
                 fresh_storage: true,
                 telemetry: None,
@@ -88,7 +86,6 @@ fn spare_count_sensitivity(c: &mut Criterion) {
             spares,
             checkpoints: 4,
             max_relaunches: 4,
-            imr_policy: None,
             redundancy: None,
             fresh_storage: true,
             telemetry: None,

@@ -22,7 +22,6 @@ fn cfg(strategy: Strategy) -> ExperimentConfig {
         spares: 1,
         checkpoints: 6,
         max_relaunches: 4,
-        imr_policy: None,
         redundancy: None,
         fresh_storage: true,
         telemetry: None,

@@ -30,7 +30,6 @@ fn fig6_framework_weak_scaling(c: &mut Criterion) {
                 spares: 1,
                 checkpoints: 3,
                 max_relaunches: 4,
-                imr_policy: None,
                 redundancy: None,
                 fresh_storage: true,
                 telemetry: None,

@@ -28,7 +28,6 @@ fn heatdis_cfg(telemetry: Option<Telemetry>) -> ExperimentConfig {
         spares: 1,
         checkpoints: 6,
         max_relaunches: 2,
-        imr_policy: None,
         redundancy: None,
         fresh_storage: true,
         telemetry,

@@ -122,7 +122,6 @@ fn experiment_config(
         spares: sched.spares,
         checkpoints: CHECKPOINTS,
         max_relaunches: 8,
-        imr_policy: sched.imr,
         redundancy: None,
         fresh_storage: true,
         telemetry,
@@ -175,7 +174,6 @@ impl Oracle {
             strategy,
             spares,
             rpn,
-            imr: None,
             events: Vec::new(),
         };
         let digest = match self.launch(&sched, false).0? {
@@ -370,7 +368,6 @@ mod tests {
                 strategy,
                 spares: if strategy.uses_fenix() { 1 } else { 0 },
                 rpn: 1,
-                imr: None,
                 events: Vec::new(),
             };
             match oracle.check(&sched) {

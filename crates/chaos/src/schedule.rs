@@ -6,7 +6,6 @@
 //! back via `--schedule`), so any campaign finding is replayable without
 //! the seed that produced it.
 
-use fenix::ImrPolicy;
 use resilience::Strategy;
 use simmpi::{BackendFault, CorruptKind, CorruptTier, FaultSchedule};
 
@@ -75,10 +74,6 @@ pub struct ChaosSchedule {
     /// Ranks per modeled node of the campaign cluster (1 = the historical
     /// flat layout; 2 co-locates rank pairs so node failures take both).
     pub rpn: usize,
-    /// Buddy-policy override for the IMR strategies (`None` = the
-    /// runner's layout-aware default). Lets a spec pin the naive `pair`
-    /// policy that co-locates buddies at `rpn >= 2`.
-    pub imr: Option<ImrPolicy>,
     pub events: Vec<ChaosEvent>,
 }
 
@@ -100,23 +95,6 @@ fn strategy_name(s: Strategy) -> &'static str {
         Strategy::FenixImr => "FenixImr",
         Strategy::FenixRedstore => "FenixRedstore",
         Strategy::PartialRollback => "PartialRollback",
-    }
-}
-
-fn imr_name(p: ImrPolicy) -> &'static str {
-    match p {
-        ImrPolicy::Pair => "pair",
-        ImrPolicy::Ring => "ring",
-        ImrPolicy::Topology => "topo",
-    }
-}
-
-fn parse_imr(name: &str) -> Result<ImrPolicy, String> {
-    match name {
-        "pair" => Ok(ImrPolicy::Pair),
-        "ring" => Ok(ImrPolicy::Ring),
-        "topo" => Ok(ImrPolicy::Topology),
-        other => Err(format!("unknown imr policy `{other}`")),
     }
 }
 
@@ -336,7 +314,6 @@ impl ChaosSchedule {
             strategy,
             spares,
             rpn,
-            imr: None,
             events,
         }
     }
@@ -350,9 +327,6 @@ impl ChaosSchedule {
         if self.rpn != 1 {
             parts.push(format!("rpn={}", self.rpn));
         }
-        if let Some(p) = self.imr {
-            parts.push(format!("imr={}", imr_name(p)));
-        }
         parts.extend(self.events.iter().map(ChaosEvent::to_spec));
         parts.join(" ")
     }
@@ -362,7 +336,6 @@ impl ChaosSchedule {
         let mut strategy = None;
         let mut spares = 0usize;
         let mut rpn = 1usize;
-        let mut imr = None;
         let mut events = Vec::new();
         for tok in spec.split_whitespace() {
             if let Some(name) = tok.strip_prefix("strategy=") {
@@ -374,8 +347,6 @@ impl ChaosSchedule {
                 if rpn == 0 {
                     return Err("rpn must be at least 1".into());
                 }
-            } else if let Some(v) = tok.strip_prefix("imr=") {
-                imr = Some(parse_imr(v)?);
             } else {
                 events.push(ChaosEvent::parse(tok)?);
             }
@@ -384,7 +355,6 @@ impl ChaosSchedule {
             strategy: strategy.ok_or("spec missing `strategy=`")?,
             spares,
             rpn,
-            imr,
             events,
         })
     }
@@ -513,19 +483,18 @@ mod tests {
     }
 
     #[test]
-    fn rpn_and_imr_fields_round_trip_and_default() {
-        let spec = "strategy=FenixImr spares=2 rpn=2 imr=pair kill(rank=0,site=iter,at=1)";
+    fn rpn_field_round_trips_and_defaults() {
+        let spec = "strategy=FenixImr spares=2 rpn=2 kill(rank=0,site=iter,at=1)";
         let s = ChaosSchedule::parse(spec).expect("spec parses");
         assert_eq!(s.rpn, 2);
-        assert_eq!(s.imr, Some(ImrPolicy::Pair));
         assert_eq!(s.to_spec(), spec);
-        // Absent fields keep historical defaults, and to_spec omits them
-        // so pre-existing golden specs stay byte-identical.
+        // An absent field keeps the historical default, and to_spec omits
+        // it so pre-existing golden specs stay byte-identical.
         let old = ChaosSchedule::parse("strategy=VelocOnly spares=0").expect("parses");
         assert_eq!(old.rpn, 1);
-        assert_eq!(old.imr, None);
         assert_eq!(old.to_spec(), "strategy=VelocOnly spares=0");
         assert!(ChaosSchedule::parse("strategy=VelocOnly rpn=0").is_err());
-        assert!(ChaosSchedule::parse("strategy=VelocOnly imr=frob").is_err());
+        // Unknown `key=value` fields are rejected, not ignored.
+        assert!(ChaosSchedule::parse("strategy=FenixImr imr=pair").is_err());
     }
 }

@@ -14,7 +14,9 @@ use chaos::{ChaosSchedule, Oracle, RunOutcome};
 #[cfg(not(feature = "chaos-mutants"))]
 use cluster::{Cluster, ClusterConfig, RelaunchModel, TimeScale};
 #[cfg(not(feature = "chaos-mutants"))]
-use fenix::{DataGroup, ExhaustPolicy, FenixConfig, ImrPolicy, ImrStore, Role};
+use fenix::{ExhaustPolicy, FenixConfig, Role};
+#[cfg(not(feature = "chaos-mutants"))]
+use redstore::{RedStore, RedundancyGroup, RedundancyMode};
 #[cfg(not(feature = "chaos-mutants"))]
 use simmpi::{
     CorruptKind, CorruptTier, FaultSchedule, MpiError, ReduceOp, Universe, UniverseConfig,
@@ -69,8 +71,8 @@ fn spare_exhaustion_yields_typed_error_and_coherent_timeline() {
     );
 }
 
-/// IMR buddy recovery with a corrupted partner store: the holder's copy of
-/// the dead rank's data is tampered with before the failure, so the
+/// Buddy (k=2 replica) recovery with a corrupted partner store: the holder's
+/// copy of the dead rank's data is tampered with before the failure, so the
 /// replacement receives a blob whose CRC frame no longer matches. Detection
 /// must be positive (unpack returns `None`, not garbage state), and the job
 /// must end in a *consistent* typed abort on every active rank — no hang,
@@ -91,10 +93,13 @@ fn imr_recovery_detects_corrupted_partner_store_and_aborts_cleanly() {
     let plan = Arc::new(FaultSchedule::kill_at(0, "after-store", 0));
     let corruption_detected = Arc::new(AtomicBool::new(false));
     let detected = Arc::clone(&corruption_detected);
+    let buddy_tampered = Arc::new(AtomicBool::new(false));
+    let tampered = Arc::clone(&buddy_tampered);
 
     let report = Universe::launch(&c, UniverseConfig::default(), plan, move |ctx| {
-        let store = ImrStore::new();
+        let store = RedStore::new();
         let detected = Arc::clone(&detected);
+        let tampered = Arc::clone(&tampered);
         fenix::run(
             ctx.world(),
             FenixConfig {
@@ -102,13 +107,15 @@ fn imr_recovery_detects_corrupted_partner_store_and_aborts_cleanly() {
                 on_exhaustion: ExhaustPolicy::Abort,
             },
             |fx, comm, role| {
-                // Pair policy on 4 ranks: rank 1 holds rank 0's data.
-                let group = DataGroup::new(Arc::clone(&store), comm, ImrPolicy::Pair);
+                // Two replicas on 4 ranks: rank 0's buddy holds its data.
+                let mode = Some(RedundancyMode::Replicate { k: 2 });
+                let group = RedundancyGroup::new(Arc::clone(&store), comm, mode);
                 if role == Role::Initial {
                     let payload = serial::pack(&[(0u32, Bytes::from(vec![comm.rank() as u8; 32]))]);
                     group.store(0, 1, payload).map_err(|_| MpiError::Aborted)?;
-                    if comm.rank() == 1 {
-                        assert!(store.tamper_held(0), "holder should have buddy data");
+                    // Whoever holds rank 0's copy rots it; nobody else does.
+                    if store.tamper_held(0, 0) {
+                        tampered.store(true, Ordering::SeqCst);
                     }
                     // Rank 0 dies here; survivors detect it at the finalize
                     // rendezvous and repair.
@@ -139,6 +146,10 @@ fn imr_recovery_detects_corrupted_partner_store_and_aborts_cleanly() {
     });
 
     assert!(
+        buddy_tampered.load(Ordering::SeqCst),
+        "rank 0's buddy should have held its data"
+    );
+    assert!(
         corruption_detected.load(Ordering::SeqCst),
         "the replacement never saw the corrupted blob"
     );
@@ -158,12 +169,13 @@ fn imr_recovery_detects_corrupted_partner_store_and_aborts_cleanly() {
 }
 
 /// Two ranks of the same redundancy placement group die in the same
-/// iteration (ISSUE 6 satellite). Under buddy IMR (auto → Pair on a
-/// one-rank-per-node layout) ranks 0 and 1 are each other's buddies, so
-/// both copies of both payloads vanish at once and the driver must surface
-/// its typed unrecoverable error — while the redundancy store's
-/// erasure-coded groups (auto → RS(4,2) on this shape) absorb both
-/// erasures and finish bitwise-equal to the baseline.
+/// iteration (ISSUE 6 satellite). Under buddy IMR (two replicas; on a
+/// one-rank-per-node layout the width-2 groups are the rank pairs 0↔1,
+/// 2↔3) ranks 0 and 1 are each other's buddies, so both copies of both
+/// payloads vanish at once and the driver must surface its typed
+/// unrecoverable error — while the same store's erasure-coded groups
+/// (auto → RS(4,2) on this shape) absorb both erasures and finish
+/// bitwise-equal to the baseline.
 #[test]
 fn placement_group_double_kill_recovers_via_redstore_but_not_buddy_imr() {
     let oracle = Oracle::new();
@@ -211,34 +223,19 @@ fn placement_group_double_kill_recovers_via_redstore_but_not_buddy_imr() {
 }
 
 /// A whole node dies on a two-ranks-per-node layout (ISSUE 6 satellite).
-/// With the explicitly co-locating `imr=pair` map, ranks 0 and 1 buddy
-/// each other on the dead node — a clean typed error. The default map
-/// (auto → Topology, routed through redstore's interleaving) and the
-/// redundancy store (auto → cross-node k=2 replica groups) both place
-/// every copy off-node, so the same node loss completes bitwise-equal.
+/// Buddy IMR (k=2) and the redundancy dial's own pick for this shape (auto
+/// → k=2 as well) both place every copy off-node by construction — no
+/// placement the store computes can put a rank's copy on its own node — so
+/// the node loss completes bitwise-equal.
 #[test]
-fn node_kill_defeats_colocated_buddies_but_not_topology_aware_placement() {
+fn node_kill_is_survived_by_distinct_node_placement() {
     let oracle = Oracle::new();
-    let colocated = ChaosSchedule::parse(
-        "strategy=FenixImr spares=2 rpn=2 imr=pair nodekill(node=0,site=iter,at=5)",
-    )
-    .expect("spec parses");
-    match &oracle.run(&colocated).verdict {
-        Ok(RunOutcome::TypedError(msg)) => {
-            assert!(
-                msg.contains("unrecoverably"),
-                "expected the driver's RankFailed error, got: {msg}"
-            );
-        }
-        other => panic!("co-located pair buddies cannot survive a node kill: {other:?}"),
-    }
-
     let topo =
         ChaosSchedule::parse("strategy=FenixImr spares=2 rpn=2 nodekill(node=0,site=iter,at=5)")
             .expect("spec parses");
     match &oracle.run(&topo).verdict {
         Ok(RunOutcome::Completed { .. }) => {}
-        other => panic!("topology-aware buddies should survive a node kill: {other:?}"),
+        other => panic!("distinct-node buddies should survive a node kill: {other:?}"),
     }
 
     let red = ChaosSchedule::parse(

@@ -21,15 +21,14 @@
 //! about failures and about normal completion), rebuild the communicator,
 //! and purge stale traffic.
 //!
-//! [`imr`] implements Fenix's In-Memory-Redundancy data interface with the
-//! buddy-rank policy the paper evaluates: each rank keeps a local copy of
-//! its checkpoint and stores a remote copy in a partner rank's memory.
+//! Fenix's In-Memory-Redundancy data interface (the buddy-rank policy the
+//! paper evaluates: each rank keeps a local copy of its checkpoint and
+//! stores a remote copy in a partner rank's memory) is the `redstore` crate
+//! at `Replicate { k: 2 }`; this crate is process recovery only.
 
-pub mod imr;
 pub mod mutant;
 pub mod runtime;
 
-pub use imr::{DataGroup, ImrError, ImrPolicy, ImrStore};
 pub use runtime::{
     run, ExhaustPolicy, Fenix, FenixConfig, RecoveryCallback, RepairInfo, Role, RunSummary,
 };

@@ -258,54 +258,6 @@ fn survivor_state_persists_across_repair() {
 }
 
 #[test]
-fn imr_store_restore_over_fenix() {
-    use bytes::Bytes;
-    use fenix::{DataGroup, ImrPolicy, ImrStore};
-
-    // 5 ranks: 4 active (even, Pair policy), 1 spare. Rank 1 dies after
-    // checkpoint v2 (committed at i=5); the recovered rank must get v2 back
-    // from its buddy.
-    let report = launch(5, FaultPlan::kill_at(1, "iter", 7), |ctx| {
-        let cfg = FenixConfig {
-            spares: 1,
-            on_exhaustion: ExhaustPolicy::Abort,
-        };
-        let store = ImrStore::new();
-        let ctx = &*ctx;
-        fenix::run(ctx.world(), cfg, |fx, comm, role| {
-            let group = DataGroup::new(Arc::clone(&store), comm, ImrPolicy::Pair);
-            let mut start = 0u64;
-            if role != Role::Initial {
-                let (version, data) = group
-                    .restore(0, &fx.recovered_ranks())
-                    .expect("IMR restore");
-                assert_eq!(version, 2);
-                // Payload is the owning comm rank repeated.
-                assert!(data.iter().all(|&b| b == comm.rank() as u8));
-                start = version * 3;
-            }
-            for i in start..8 {
-                ctx.fault_point("iter", i)?;
-                if i % 3 == 2 {
-                    let version = i / 3 + 1;
-                    let payload = Bytes::from(vec![comm.rank() as u8; 64]);
-                    group.store(0, version, payload)?;
-                }
-                comm.barrier()?;
-            }
-            Ok(())
-        })
-        .map(|_| ())
-    });
-    assert_eq!(report.killed_ranks(), vec![1]);
-    for o in &report.outcomes {
-        if o.rank != 1 {
-            assert!(o.result.is_ok(), "rank {}: {:?}", o.rank, o.result);
-        }
-    }
-}
-
-#[test]
 fn recovery_callbacks_fire_with_repair_facts() {
     use fenix::RepairInfo;
     use parking_lot::Mutex as PMutex;

@@ -172,7 +172,6 @@ pub fn run_pair(
         spares: if strategy.uses_fenix() { spares } else { 0 },
         checkpoints,
         max_relaunches: 6,
-        imr_policy: None,
         redundancy: None,
         fresh_storage: true,
         telemetry,
@@ -429,7 +428,6 @@ pub fn partial_rollback_comparison(
         spares: 1,
         checkpoints: 6,
         max_relaunches: 4,
-        imr_policy: None,
         redundancy: None,
         fresh_storage: true,
         telemetry: telemetry.clone(),

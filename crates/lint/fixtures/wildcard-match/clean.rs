@@ -22,3 +22,12 @@ pub fn forward(r: Result<u64, MpiError>) -> Result<u64, MpiError> {
         Err(e) => Err(e),
     }
 }
+
+pub fn red_err(e: RedError) -> MpiError {
+    match e {
+        RedError::Mpi(e) => e,
+        RedError::DataLost { .. } | RedError::Placement(_) | RedError::Codec(_) => {
+            MpiError::Aborted
+        }
+    }
+}

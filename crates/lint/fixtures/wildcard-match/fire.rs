@@ -11,3 +11,13 @@ pub fn classify(e: &MpiError) -> Action {
         _ => Action::Retry,
     }
 }
+
+/// The peer-memory store's error enum is guarded the same way: a new
+/// `RedError` class (the store grew `Placement` and `Codec` after
+/// `DataLost`) must not silently count as recoverable.
+pub fn is_unrecoverable(e: &RedError) -> bool {
+    match e {
+        RedError::DataLost { .. } => true,
+        _ => false,
+    }
+}

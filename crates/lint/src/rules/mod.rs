@@ -35,14 +35,21 @@ use crate::diag::Diagnostic;
 pub const RECOVERY_CRATES: &[&str] = &["fenix", "veloc", "kokkos-resilience"];
 
 /// Crates where failure-enum matches must be exhaustive and `Result`s on
-/// recovery paths must not be silently dropped (the recovery crates plus
-/// the integration layer that routes their errors).
-pub const STRICT_FAILURE_CRATES: &[&str] = &["fenix", "veloc", "kokkos-resilience", "resilience"];
+/// recovery paths must not be silently dropped (the recovery crates, the
+/// integration layer that routes their errors, and the peer-memory store
+/// behind the IMR strategies).
+pub const STRICT_FAILURE_CRATES: &[&str] = &[
+    "fenix",
+    "veloc",
+    "kokkos-resilience",
+    "resilience",
+    "redstore",
+];
 
 /// The workspace's failure enums. The paper's `FenixEvent` maps to
 /// `MpiError` here: Fenix surfaces process failure as ULFM error classes
 /// (`ProcFailed`/`Revoked`), not a separate event enum.
-pub const FAILURE_ENUMS: &[&str] = &["MpiError", "VelocError", "ImrError"];
+pub const FAILURE_ENUMS: &[&str] = &["MpiError", "VelocError", "RedError"];
 
 /// Recovery entry points per crate: the functions a rank executes on the
 /// re-entry path after a failure (paper Fig. 4). `panic-reach` roots its
@@ -50,13 +57,7 @@ pub const FAILURE_ENUMS: &[&str] = &["MpiError", "VelocError", "ImrError"];
 pub const RECOVERY_ENTRY_FNS: &[(&str, &[&str])] = &[
     (
         "fenix",
-        &[
-            "run",
-            "apply_repair",
-            "repair_rendezvous",
-            "fire_callbacks",
-            "restore",
-        ],
+        &["run", "apply_repair", "repair_rendezvous", "fire_callbacks"],
     ),
     (
         "veloc",

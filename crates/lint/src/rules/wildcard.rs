@@ -1,5 +1,5 @@
 //! `wildcard-match`: matches over the failure enums (`MpiError`,
-//! `VelocError`, `ImrError`) in the recovery crates must enumerate every
+//! `VelocError`, `RedError`) in the recovery crates must enumerate every
 //! variant — no `_` wildcard and no bare-binding catch-all arm. When a new
 //! failure class is added (the paper's evolution added `Revoked` on top of
 //! `ProcFailed`), a wildcard silently routes it to whatever the old

@@ -33,5 +33,5 @@ pub mod store;
 
 pub use codec::CodecError;
 pub use mode::RedundancyMode;
-pub use placement::{comm_node_map, node_interleaved_order, Placement, PlacementError};
+pub use placement::{comm_node_map, Placement, PlacementError};
 pub use store::{CommitLayout, RedError, RedStore, RedundancyGroup};

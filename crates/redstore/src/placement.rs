@@ -3,14 +3,14 @@
 //! The store's coverage claims only hold if the replicas/shards of one
 //! group live on distinct modeled nodes — a whole-node failure must never
 //! take out more than one member of any group. [`Placement::compute`]
-//! guarantees that *by construction*: ranks are dealt to groups in
-//! node-interleaved order, so co-located ranks land in different groups
-//! whenever the shape makes it possible, and an impossible shape is a
-//! typed error instead of silent single-node redundancy.
+//! guarantees that *by construction*: ranks are dealt to groups node by
+//! node, so co-located ranks land in different groups whenever the shape
+//! makes it possible, and an impossible shape is a typed error instead of
+//! silent single-node redundancy.
 //!
-//! The same module provides [`node_interleaved_order`], which the Fenix
-//! buddy scheme reuses: a buddy ring walked in this order never pairs two
-//! ranks of one node unless a node hosts more than half the communicator.
+//! At width 2 the groups are the paper's buddy pairs (§V.A): rank
+//! neighbours 0↔1, 2↔3, … when every rank has a node to itself, cross-node
+//! pairs otherwise, and one group of three when the size is odd.
 
 use simmpi::Comm;
 
@@ -61,8 +61,8 @@ pub fn comm_node_map(comm: &Comm) -> Vec<usize> {
 }
 
 /// Node buckets ordered most-loaded first (ties to the lower node id),
-/// each bucket's ranks ascending. The deterministic backbone of both the
-/// group deal and the buddy ordering.
+/// each bucket's ranks ascending. The deterministic backbone of the group
+/// deal.
 fn node_buckets(nodes: &[usize]) -> Vec<Vec<usize>> {
     let mut buckets: Vec<(usize, Vec<usize>)> = Vec::new();
     for (rank, &node) in nodes.iter().enumerate() {
@@ -73,28 +73,6 @@ fn node_buckets(nodes: &[usize]) -> Vec<Vec<usize>> {
     }
     buckets.sort_by(|(an, ab), (bn, bb)| bb.len().cmp(&ab.len()).then(an.cmp(bn)));
     buckets.into_iter().map(|(_, b)| b).collect()
-}
-
-/// Ranks reordered so consecutive entries sit on distinct nodes whenever
-/// the load shape allows: buckets are interleaved round-robin, most-loaded
-/// node first.
-pub fn node_interleaved_order(nodes: &[usize]) -> Vec<usize> {
-    let buckets = node_buckets(nodes);
-    let mut order = Vec::with_capacity(nodes.len());
-    let mut depth = 0;
-    loop {
-        let mut any = false;
-        for b in &buckets {
-            if let Some(&r) = b.get(depth) {
-                order.push(r);
-                any = true;
-            }
-        }
-        if !any {
-            return order;
-        }
-        depth += 1;
-    }
 }
 
 /// A partition of the communicator into redundancy groups.
@@ -113,6 +91,11 @@ impl Placement {
     /// mod `groups` exactly when the node hosts at most `groups` ranks —
     /// checked up front, typed error otherwise. The invariant therefore
     /// holds by construction, not by search.
+    ///
+    /// With one rank per node every partition is distinct-node, so the
+    /// deal is skipped and groups are runs of neighbouring ranks: that
+    /// keeps a group's composition independent of which node a replacement
+    /// spare joined on, and makes width-2 groups the buddy pairs 0↔1, 2↔3.
     pub fn compute(nodes: &[usize], width: usize) -> Result<Placement, PlacementError> {
         let ranks = nodes.len();
         if width < 2 || ranks < width {
@@ -130,11 +113,17 @@ impl Placement {
             });
         }
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
-        for (i, rank) in buckets.into_iter().flatten().enumerate() {
-            groups[i % n_groups].push(rank);
-        }
-        for g in &mut groups {
-            g.sort_unstable();
+        if max_per_node == 1 {
+            for rank in 0..ranks {
+                groups[rank * n_groups / ranks].push(rank);
+            }
+        } else {
+            for (i, rank) in buckets.into_iter().flatten().enumerate() {
+                groups[i % n_groups].push(rank);
+            }
+            for g in &mut groups {
+                g.sort_unstable();
+            }
         }
         Ok(Placement { groups })
     }
@@ -149,6 +138,16 @@ impl Placement {
             .iter()
             .enumerate()
             .find_map(|(gi, g)| g.iter().position(|&r| r == rank).map(|pos| (gi, pos)))
+    }
+
+    /// The ranks holding a full copy of `rank`'s payload under
+    /// `Replicate { k }`: the next `k-1` members of its group, in ring
+    /// order (at `k = 2`, its buddy). Empty when `rank` is not placed.
+    pub fn replica_holders(&self, rank: usize, k: usize) -> impl Iterator<Item = usize> + '_ {
+        self.locate(rank).into_iter().flat_map(move |(gi, pos)| {
+            let group = &self.groups[gi];
+            (1..k).map(move |i| group[(pos + i) % group.len()])
+        })
     }
 
     /// Check the invariant against a node map (tests; construction already
@@ -237,16 +236,76 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn interleaved_order_avoids_adjacent_colocation() {
-        let nodes = [0, 0, 1, 1, 2, 2];
-        let order = node_interleaved_order(&nodes);
-        assert_eq!(order.len(), 6);
-        for w in order.windows(2) {
-            assert_ne!(nodes[w[0]], nodes[w[1]], "adjacent ranks share a node");
+    /// `holder[r]` / `source[r]` of the buddy scheme, read off a width-2
+    /// placement: who keeps `r`'s copy, and whose copy `r` keeps.
+    fn buddy_maps(p: &Placement, n: usize) -> (Vec<usize>, Vec<usize>) {
+        let holder: Vec<usize> = (0..n)
+            .map(|r| {
+                let hs: Vec<usize> = p.replica_holders(r, 2).collect();
+                assert_eq!(hs.len(), 1, "rank {r} has exactly one buddy");
+                hs[0]
+            })
+            .collect();
+        let mut source = vec![usize::MAX; n];
+        for (r, &h) in holder.iter().enumerate() {
+            assert_eq!(source[h], usize::MAX, "rank {h} holds two copies");
+            source[h] = r;
         }
-        // The ring wrap (last, first) also stays cross-node here.
-        assert_ne!(nodes[order[0]], nodes[*order.last().unwrap()]);
+        (holder, source)
+    }
+
+    #[test]
+    fn two_replica_buddies_sit_on_other_nodes_and_form_a_permutation() {
+        // Balanced multi-rank nodes, and one rank per node at even and odd
+        // sizes.
+        let balanced = [(2usize, 2usize), (2, 3), (3, 2), (4, 2), (3, 3)];
+        let flat = [(2usize, 1usize), (4, 1), (8, 1), (3, 1), (5, 1), (7, 1)];
+        for (n_nodes, rpn) in balanced.into_iter().chain(flat) {
+            let nodes: Vec<usize> = (0..n_nodes * rpn).map(|r| r / rpn).collect();
+            let n = nodes.len();
+            let p = Placement::compute(&nodes, 2).unwrap();
+            let (holder, source) = buddy_maps(&p, n);
+            for r in 0..n {
+                assert_ne!(
+                    nodes[r], nodes[holder[r]],
+                    "{n_nodes}x{rpn}: rank {r} → {}",
+                    holder[r]
+                );
+                assert_eq!(source[holder[r]], r, "holder/source maps are inverse");
+                assert_eq!(holder[source[r]], r, "holder/source maps are inverse");
+            }
+        }
+    }
+
+    #[test]
+    fn one_rank_per_node_pairs_rank_neighbours() {
+        // Even sizes: the paper's buddy pairs 0↔1, 2↔3, …
+        let p = Placement::compute(&[0, 1, 2, 3, 4, 5], 2).unwrap();
+        assert_eq!(p.groups(), &[vec![0, 1], vec![2, 3], vec![4, 5]]);
+        // Odd sizes: one group of three, walked as a ring.
+        let p = Placement::compute(&[0, 1, 2, 3, 4], 2).unwrap();
+        assert_eq!(p.groups(), &[vec![0, 1, 2], vec![3, 4]]);
+        assert_eq!(p.replica_holders(2, 2).collect::<Vec<_>>(), vec![0]);
+        // Which node a replacement joined on does not reshuffle the pairs.
+        let p = Placement::compute(&[0, 9, 2, 3], 2).unwrap();
+        assert_eq!(p.groups(), &[vec![0, 1], vec![2, 3]]);
+        // An unplaced rank has no holders (a typed miss upstream, no panic).
+        assert_eq!(p.replica_holders(7, 2).count(), 0);
+    }
+
+    #[test]
+    fn a_node_hosting_most_ranks_is_a_typed_error_at_width_two() {
+        // Some pair would have to share the crowded node and cover nothing
+        // against its loss: refuse rather than co-locate.
+        for nodes in [&[0usize, 0, 0, 1][..], &[0, 0, 0, 0], &[0, 0, 0, 1, 2]] {
+            assert!(
+                matches!(
+                    Placement::compute(nodes, 2),
+                    Err(PlacementError::InsufficientNodes { .. })
+                ),
+                "{nodes:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The redundancy store: collective commit and multi-failure restore.
 //!
-//! [`RedStore`] is per-rank memory that persists across Fenix re-entries
-//! (like [`fenix`]'s IMR store, which it generalizes). A
+//! [`RedStore`] is per-rank memory that persists across Fenix re-entries;
+//! at `Replicate { k: 2 }` it *is* the paper's buddy-rank IMR (§V.A: "ranks
+//! form pairs and store each other's checkpointed data"). A
 //! [`RedundancyGroup`] binds it to the current resilient communicator:
 //!
 //! * [`RedundancyGroup::store`] — compute a topology-aware placement,
@@ -211,11 +212,32 @@ impl RedStore {
         self.held.lock().clear();
         self.layouts.lock().clear();
     }
+
+    /// Chaos hook: silently flip the last byte of the shard this rank
+    /// holds for `owner`'s `member`, as a bit-rotted peer store would.
+    /// Returns `false` when nothing (or an empty shard) is held. A replica
+    /// ships verbatim — integrity is the payload framing's job — so the
+    /// damage must surface at restore-unpack on the recovering rank, never
+    /// as a panic.
+    pub fn tamper_held(&self, member: u32, owner: usize) -> bool {
+        let mut held = self.held.lock();
+        match held.get_mut(&(member, owner)) {
+            Some(h) if !h.data.is_empty() => {
+                let mut out = h.data.to_vec();
+                let last = out.len() - 1;
+                out[last] ^= 0xFF;
+                h.data = Bytes::from(out);
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
 const RED_TAG_BASE: u64 = 0x0200_0000;
 
-/// `[version u64][orig_len u64][index u8][data…]`.
+/// Wire form of a *coded* shard: `[version u64][orig_len u64][index u8][data…]`.
+/// Replicas travel bare (see [`RedundancyGroup::exchange`]).
 fn frame(version: u64, orig_len: u64, index: u8, data: &[u8]) -> Bytes {
     let mut out = Vec::with_capacity(17 + data.len());
     out.extend_from_slice(&version.to_le_bytes());
@@ -297,13 +319,10 @@ impl<'a> RedundancyGroup<'a> {
         mode: RedundancyMode,
         placement: &Placement,
     ) -> Result<(), RedError> {
-        let me = self.comm.rank();
         let recorder = self.comm.router().recorder(self.comm.my_global());
-        let (gi, pos) = placement.locate(me).expect("every rank is placed");
-        let group = &placement.groups()[gi];
 
         // Phase 1: encode + exchange. Nothing is committed yet.
-        let exchange = self.exchange(member, version, &data, mode, group, pos, &recorder);
+        let exchange = self.exchange(member, version, &data, mode, placement, &recorder);
         match &exchange {
             // This rank is going down or the job is aborting: unwind now —
             // the agreement below would never complete.
@@ -311,11 +330,19 @@ impl<'a> RedundancyGroup<'a> {
             Err(RedError::Mpi(MpiError::Aborted)) => return Err(MpiError::Aborted.into()),
             // Everything else reaches the agreement: every survivor must
             // learn whether the commit is off.
-            _ => {}
+            Ok(_)
+            | Err(RedError::Mpi(
+                MpiError::ProcFailed { .. }
+                | MpiError::Revoked
+                | MpiError::RankOutOfRange { .. }
+                | MpiError::TypeMismatch { .. },
+            ))
+            | Err(RedError::DataLost { .. } | RedError::Placement(_) | RedError::Codec(_)) => {}
         }
 
-        // Phase 2: agree on commit (same seq discipline as Fenix IMR: the
-        // member id is mixed in so concurrent members cannot collide).
+        // Phase 2: agree on commit (Fenix's `data_commit` discipline; the
+        // member id is mixed into the sequence number so concurrent
+        // members cannot collide).
         let seq = ((member as u64) << 48) | (version & 0xffff_ffff_ffff);
         let outcome = self.comm.agree(seq, exchange.is_ok() as u64)?;
         if outcome.flags & 1 == 1 && outcome.failed.is_empty() {
@@ -362,40 +389,40 @@ impl<'a> RedundancyGroup<'a> {
     /// sends are buffered first, then the matching receives, so there is
     /// no ordering deadlock. Returns the shards this rank now holds for
     /// its peers.
-    #[allow(clippy::too_many_arguments)]
     fn exchange(
         &self,
         member: u32,
         version: u64,
         data: &Bytes,
         mode: RedundancyMode,
-        group: &[usize],
-        pos: usize,
+        placement: &Placement,
         recorder: &telemetry::Recorder,
     ) -> Result<Vec<(usize, HeldShard)>, RedError> {
         let me = self.comm.rank();
+        // A placement covers every rank of the communicator it was computed
+        // (or committed) for; a miss is a malformed layout, not a panic.
+        let (gi, pos) = placement
+            .locate(me)
+            .ok_or(RedError::DataLost { member, rank: me })?;
+        let group = &placement.groups()[gi];
         let s = group.len();
-        debug_assert_eq!(group[pos], me);
         let orig_len = data.len() as u64;
 
         // Encode.
         // lint: sanction(wall-clock): encode-latency histogram; metrics
         // only, never feeds control flow. audited 2026-08.
         let t0 = Instant::now();
-        // Each entry is `(dst, shard_len, pre-framed wire bytes)` — framing
-        // happens here, once per distinct payload, not per destination in
-        // the send loop below.
+        // Each entry is `(dst, shard_len, wire bytes)`.
         let outgoing: Vec<(usize, usize, Bytes)> = match mode {
-            RedundancyMode::Replicate { k } => {
-                // Every replica carries identical bytes: frame once and
-                // fan the (reference-counted) wire blob out to the k-1
-                // destinations, instead of rebuilding version+len+index
-                // headers and re-copying the payload per peer.
-                let framed = frame(version, orig_len, 0u8, data);
-                (1..k)
-                    .map(|i| (group[(pos + i) % s], data.len(), framed.clone()))
-                    .collect()
-            }
+            // A replica *is* the payload: ship the reference-counted handle
+            // to the k-1 holders, no header and no copy. The version is
+            // this collective's own argument (bound by the agreement `seq`
+            // in `store_with`), the original length is the message's, and
+            // the shard index is 0 — nothing a header would add.
+            RedundancyMode::Replicate { k } => placement
+                .replica_holders(me, k)
+                .map(|dst| (dst, data.len(), data.clone()))
+                .collect(),
             RedundancyMode::XorParity { .. } | RedundancyMode::ReedSolomon { .. } => {
                 if s > 256 {
                     return Err(CodecError::BadGeometry(format!(
@@ -448,30 +475,37 @@ impl<'a> RedundancyGroup<'a> {
         }
 
         let mut held = Vec::new();
-        for (pq, &q) in group.iter().enumerate() {
+        for &q in group {
             if q == me {
                 continue;
             }
-            let delta = (pos + s - pq) % s;
             let expects = match mode {
-                RedundancyMode::Replicate { k } => delta >= 1 && delta < k,
+                RedundancyMode::Replicate { k } => placement.replica_holders(q, k).any(|h| h == me),
                 _ => true,
             };
             if !expects {
                 continue;
             }
             let (payload, _) = self.comm.recv_bytes(Some(q), Self::tag(member, 0))?;
-            let (v, olen, index, shard) = unframe(&payload)?;
-            debug_assert_eq!(v, version, "store exchange version skew");
-            held.push((
-                q,
-                HeldShard {
-                    version: v,
-                    index,
-                    orig_len: olen,
-                    data: shard,
+            let shard = match mode {
+                RedundancyMode::Replicate { .. } => HeldShard {
+                    version,
+                    index: 0,
+                    orig_len: payload.len() as u64,
+                    data: payload,
                 },
-            ));
+                RedundancyMode::XorParity { .. } | RedundancyMode::ReedSolomon { .. } => {
+                    let (v, orig_len, index, data) = unframe(&payload)?;
+                    debug_assert_eq!(v, version, "store exchange version skew");
+                    HeldShard {
+                        version: v,
+                        index,
+                        orig_len,
+                        data,
+                    }
+                }
+            };
+            held.push((q, shard));
         }
         recorder.emit_with(|| Event::Marker {
             label: "redstore.exchange".into(),
@@ -529,14 +563,14 @@ impl<'a> RedundancyGroup<'a> {
         // Deterministic feasibility check — same verdict on every rank —
         // before any rank blocks in a transfer that cannot complete.
         for &q in recovering {
-            let Some((gi, qpos)) = committed.locate(q) else {
+            let Some((gi, _)) = committed.locate(q) else {
                 return Err(RedError::DataLost { member, rank: q });
             };
             let group = &committed.groups()[gi];
             let s = group.len();
             let recoverable = match mode {
-                RedundancyMode::Replicate { k } => (1..k)
-                    .map(|i| group[(qpos + i) % s])
+                RedundancyMode::Replicate { k } => committed
+                    .replica_holders(q, k)
                     .any(|h| !recovering.contains(&h)),
                 _ => {
                     let alive = group.iter().filter(|r| !recovering.contains(r)).count();
@@ -553,18 +587,17 @@ impl<'a> RedundancyGroup<'a> {
         // so the recovering rank knows exactly how many frames to await).
         if !recovering.contains(&me) {
             for &q in recovering {
-                let Some((gi, qpos)) = committed.locate(q) else {
+                let Some((gi, _)) = committed.locate(q) else {
                     continue;
                 };
                 let group = &committed.groups()[gi];
                 if !group.contains(&me) {
                     continue;
                 }
-                let s = group.len();
                 let should_send = match mode {
                     RedundancyMode::Replicate { k } => {
-                        (1..k)
-                            .map(|i| group[(qpos + i) % s])
+                        committed
+                            .replica_holders(q, k)
                             .find(|h| !recovering.contains(h))
                             == Some(me)
                     }
@@ -574,12 +607,19 @@ impl<'a> RedundancyGroup<'a> {
                     continue;
                 }
                 let shard = self.store.held.lock().get(&(member, q)).cloned();
-                let shard = shard.ok_or(RedError::DataLost { member, rank: q })?;
-                self.comm.send_bytes(
-                    q,
-                    Self::tag(member, 1),
-                    frame(shard.version, shard.orig_len, shard.index, &shard.data),
-                )?;
+                // A shard of another version cannot be what the committed
+                // layout describes: the two-phase store swaps shards and
+                // layout together.
+                let shard = shard
+                    .filter(|s| s.version == version)
+                    .ok_or(RedError::DataLost { member, rank: q })?;
+                let wire = match mode {
+                    // Bare replica, as on the store leg: the version came
+                    // with the layout broadcast above.
+                    RedundancyMode::Replicate { .. } => shard.data,
+                    _ => frame(shard.version, shard.orig_len, shard.index, &shard.data),
+                };
+                self.comm.send_bytes(q, Self::tag(member, 1), wire)?;
             }
         }
 
@@ -588,14 +628,14 @@ impl<'a> RedundancyGroup<'a> {
             // lint: sanction(wall-clock): reconstruct-latency histogram;
             // metrics only, never feeds control flow. audited 2026-08.
             let t0 = Instant::now();
-            let (gi, pos) = committed
+            let (gi, _) = committed
                 .locate(me)
                 .ok_or(RedError::DataLost { member, rank: me })?;
             let group = &committed.groups()[gi];
             let s = group.len();
             let senders: Vec<usize> = match mode {
-                RedundancyMode::Replicate { k } => (1..k)
-                    .map(|i| group[(pos + i) % s])
+                RedundancyMode::Replicate { k } => committed
+                    .replica_holders(me, k)
                     .find(|h| !recovering.contains(h))
                     .into_iter()
                     .collect(),
@@ -611,11 +651,7 @@ impl<'a> RedundancyGroup<'a> {
                         .first()
                         .ok_or(RedError::DataLost { member, rank: me })?;
                     let (payload, _) = self.comm.recv_bytes(Some(holder), Self::tag(member, 1))?;
-                    let (v, _, _, data) = unframe(&payload)?;
-                    if v != version {
-                        return Err(RedError::DataLost { member, rank: me });
-                    }
-                    data
+                    payload
                 }
                 _ => {
                     let mut slots: Vec<Option<Vec<u8>>> = vec![None; s];

@@ -2,17 +2,21 @@
 //! re-encode-after-repair coverage restoration, topology-aware placement
 //! invariants, and typed unrecoverable outcomes.
 //!
-//! Recovery is simulated without Fenix: "failed" ranks clear their stores
-//! (a replacement spare starts empty) and the survivors feed them through
-//! [`RedundancyGroup::restore`], exactly the call sequence the resilience
-//! runner makes after a repair.
+//! Recovery is mostly simulated without Fenix: "failed" ranks clear their
+//! stores (a replacement spare starts empty) and the survivors feed them
+//! through [`RedundancyGroup::restore`], exactly the call sequence the
+//! resilience runner makes after a repair. The `k = 2` cases are the
+//! paper's buddy-rank IMR (§V.A); one of them runs under a real Fenix
+//! repair.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use cluster::{Cluster, ClusterConfig, TimeScale};
 use parking_lot::Mutex;
-use redstore::{comm_node_map, RedError, RedStore, RedundancyGroup, RedundancyMode};
+use redstore::{
+    comm_node_map, PlacementError, RedError, RedStore, RedundancyGroup, RedundancyMode,
+};
 use simmpi::{FaultPlan, MpiResult, RankCtx, Universe, UniverseConfig};
 
 fn cluster(nodes: usize, rpn: usize) -> Cluster {
@@ -139,6 +143,188 @@ fn replicate_groups_span_nodes_and_survive_a_node_loss() {
             r.as_ref().expect("recovered"),
             &payload(rank, 256),
             "rank {rank}"
+        );
+    }
+}
+
+const BUDDY: Option<RedundancyMode> = Some(RedundancyMode::Replicate { k: 2 });
+
+#[test]
+fn buddy_pairs_recover_one_loss_per_pair_on_even_and_odd_communicators() {
+    // Even: pairs {0,1},{2,3} — one loss in each pair is recoverable.
+    // Odd: {0,1,2},{3,4} — the group of three is a buddy ring.
+    for (n, dead) in [(4, &[1usize, 2][..]), (5, &[2, 3][..]), (5, &[0][..])] {
+        let out = run_case(n, 1, BUDDY, dead);
+        for (rank, r) in out.iter().enumerate() {
+            assert_eq!(
+                r.as_ref().expect("recovered"),
+                &payload(rank, 256),
+                "{n} ranks, dead {dead:?}: rank {rank}"
+            );
+        }
+    }
+}
+
+#[test]
+fn losing_both_buddies_is_a_typed_error_everywhere() {
+    let out = run_case(4, 1, BUDDY, &[0, 1]);
+    for (rank, r) in out.iter().enumerate() {
+        assert!(
+            matches!(r, Err(RedError::DataLost { .. })),
+            "rank {rank}: {r:?}"
+        );
+    }
+}
+
+#[test]
+fn buddy_store_and_restore_over_a_fenix_repair() {
+    use fenix::{ExhaustPolicy, FenixConfig, Role};
+
+    // 5 ranks: 4 active, 1 spare. Rank 1 dies after checkpoint v2
+    // (committed at i=5); the replacement must get v2 back from its buddy.
+    let plan = Arc::new(FaultPlan::kill_at(1, "iter", 7));
+    let report = Universe::launch(&cluster(5, 1), UniverseConfig::default(), plan, |ctx| {
+        let cfg = FenixConfig {
+            spares: 1,
+            on_exhaustion: ExhaustPolicy::Abort,
+        };
+        let store = RedStore::new();
+        let ctx = &*ctx;
+        fenix::run(ctx.world(), cfg, |fx, comm, role| {
+            let group = RedundancyGroup::new(Arc::clone(&store), comm, BUDDY);
+            let mut start = 0u64;
+            if role != Role::Initial {
+                let (version, data) = group
+                    .restore(0, &fx.recovered_ranks())
+                    .expect("buddy restore");
+                assert_eq!(version, 2);
+                // Payload is the owning comm rank repeated.
+                assert!(data.iter().all(|&b| b == comm.rank() as u8));
+                start = version * 3;
+            }
+            for i in start..8 {
+                ctx.fault_point("iter", i)?;
+                if i % 3 == 2 {
+                    let version = i / 3 + 1;
+                    let payload = Bytes::from(vec![comm.rank() as u8; 64]);
+                    group.store(0, version, payload).expect("store commits");
+                }
+                comm.barrier()?;
+            }
+            Ok(())
+        })
+        .map(|_| ())
+    });
+    assert_eq!(report.killed_ranks(), vec![1]);
+    for o in &report.outcomes {
+        if o.rank != 1 {
+            assert!(o.result.is_ok(), "rank {}: {:?}", o.rank, o.result);
+        }
+    }
+}
+
+#[test]
+fn replica_legs_move_the_handle_not_a_copy() {
+    // Owner → buddy on the store leg, buddy → replacement on the restore
+    // leg: with no header to prepend, the replacement must end up holding
+    // the *same allocation* the owner committed, not a copy of it.
+    let same = Arc::new(Mutex::new(Vec::new()));
+    let s2 = Arc::clone(&same);
+    let report = launch(4, 1, move |ctx| {
+        let store = RedStore::new();
+        let comm = ctx.world().clone();
+        let group = RedundancyGroup::new(Arc::clone(&store), &comm, BUDDY);
+        let me = comm.rank();
+        let mine = payload(me, 4096);
+        group.store(MEMBER, 1, mine.clone()).expect("store");
+        comm.barrier()?;
+        if me == 2 {
+            store.clear();
+        }
+        comm.barrier()?;
+        let (_, blob) = group.restore(MEMBER, &[2]).expect("restore");
+        if me == 2 {
+            s2.lock().push(blob.as_ptr() == mine.as_ptr());
+        }
+        Ok(())
+    });
+    assert!(report.all_ok(), "{:?}", report.outcomes);
+    assert_eq!(*same.lock(), vec![true]);
+}
+
+#[test]
+fn tampered_buddy_copy_reaches_the_replacement_verbatim() {
+    // The chaos hook flips one byte of the copy held for `owner`; the
+    // store ships replicas verbatim, so the replacement sees exactly that
+    // damage (integrity is the payload framing's job, one layer up).
+    let results = Arc::new(Mutex::new(vec![None; 4]));
+    let r2 = Arc::clone(&results);
+    let report = launch(4, 1, move |ctx| {
+        let store = RedStore::new();
+        let comm = ctx.world().clone();
+        let group = RedundancyGroup::new(Arc::clone(&store), &comm, BUDDY);
+        let me = comm.rank();
+        assert!(!store.tamper_held(MEMBER, 0), "nothing held yet");
+        group.store(MEMBER, 3, payload(me, 64)).expect("store");
+        // Rank 0's buddy is rank 1; nobody else holds its copy.
+        assert_eq!(store.tamper_held(MEMBER, 0), me == 1);
+        comm.barrier()?;
+        if me == 0 {
+            store.clear();
+        }
+        comm.barrier()?;
+        let (_, blob) = group.restore(MEMBER, &[0]).expect("restore");
+        r2.lock()[me] = Some(blob);
+        Ok(())
+    });
+    assert!(report.all_ok(), "{:?}", report.outcomes);
+    let results = results.lock();
+    let mut rotted = payload(0, 64).to_vec();
+    *rotted.last_mut().expect("non-empty") ^= 0xFF;
+    assert_eq!(results[0].as_deref(), Some(&rotted[..]));
+    for rank in 1..4 {
+        assert_eq!(
+            results[rank].as_ref(),
+            Some(&payload(rank, 64)),
+            "rank {rank}"
+        );
+    }
+}
+
+#[test]
+fn overloaded_node_is_a_typed_placement_error_not_a_colocated_fallback() {
+    // Ranks 0..4 of a 2-node × 3-rank cluster: three of the four sit on
+    // node 0, so some pair would have to share it and silently cover
+    // nothing against its loss. The store refuses with a typed error on
+    // every rank instead.
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let s2 = Arc::clone(&seen);
+    let report = launch(2, 3, move |ctx| {
+        let world = ctx.world().clone();
+        let me = world.rank();
+        let comm = world.split((me < 4) as u64, me as u64)?;
+        if me >= 4 {
+            return Ok(());
+        }
+        let store = RedStore::new();
+        let group = RedundancyGroup::new(Arc::clone(&store), &comm, BUDDY);
+        s2.lock().push(group.store(MEMBER, 1, payload(me, 32)));
+        Ok(())
+    });
+    assert!(report.all_ok(), "{:?}", report.outcomes);
+    let seen = seen.lock();
+    assert_eq!(seen.len(), 4);
+    for r in seen.iter() {
+        assert!(
+            matches!(
+                r,
+                Err(RedError::Placement(PlacementError::InsufficientNodes {
+                    max_per_node: 3,
+                    groups: 2,
+                    ..
+                }))
+            ),
+            "{r:?}"
         );
     }
 }

@@ -11,7 +11,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cluster::Cluster;
-use fenix::ImrPolicy;
 use redstore::RedundancyMode;
 use simmpi::{Backend, FaultPlan, MpiError, Profile, Universe, UniverseConfig};
 use telemetry::Telemetry;
@@ -31,12 +30,9 @@ pub struct ExperimentConfig {
     pub checkpoints: u64,
     /// Safety bound on whole-job relaunches.
     pub max_relaunches: usize,
-    /// Buddy policy override for Fenix IMR (`None` = topology-aware ring
-    /// when any node hosts several communicator ranks, else Pair when the
-    /// resilient communicator is even-sized, Ring otherwise).
-    pub imr_policy: Option<ImrPolicy>,
     /// Redundancy mode override for Fenix RedStore (`None` = strongest
-    /// topology-feasible mode: RS(4,2) → XOR(3) → 2-replica).
+    /// topology-feasible mode: RS(4,2) → XOR(3) → 2-replica). Fenix IMR is
+    /// the same tier pinned at 2-replica and ignores this.
     pub redundancy: Option<RedundancyMode>,
     /// Wipe checkpoint storage before the run (set false to chain runs).
     pub fresh_storage: bool,
@@ -56,7 +52,6 @@ impl Default for ExperimentConfig {
             spares: 1,
             checkpoints: 6,
             max_relaunches: 8,
-            imr_policy: None,
             redundancy: None,
             fresh_storage: true,
             telemetry: None,
@@ -175,7 +170,6 @@ pub fn try_run_experiment(
                     cfg.strategy,
                     cfg.spares,
                     cfg.checkpoints,
-                    cfg.imr_policy,
                     cfg.redundancy,
                     &shared,
                 )

@@ -13,13 +13,12 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use fenix::{ExhaustPolicy, Fenix, FenixConfig, ImrPolicy, ImrStore, Role, RunSummary};
+use fenix::{ExhaustPolicy, Fenix, FenixConfig, Role, RunSummary};
 use kokkos_resilience::{
     CheckpointFilter, CheckpointOutcome, Context, ContextConfig, RecoveryScope,
 };
 use simmpi::{Comm, MpiResult, Phase, Profile, RankCtx};
 
-use crate::imr_backend::ImrBackend;
 use crate::redstore_backend::RedstoreBackend;
 
 /// Which data layer the integrated runtime drives.
@@ -27,14 +26,10 @@ use crate::redstore_backend::RedstoreBackend;
 pub enum IntegratedBackend {
     /// VeloC in single mode — the paper's published configuration.
     VelocSingle,
-    /// Fenix in-memory redundancy as a KR backend — the future-work
-    /// configuration (`policy = None` picks a topology-aware ring on
-    /// multi-rank-per-node layouts, else Pair/Ring by communicator
-    /// parity).
-    Imr { policy: Option<ImrPolicy> },
-    /// The multi-failure redundancy-store tier as a KR backend: k-replica
-    /// or erasure-coded placement groups (`mode = None` picks the
-    /// strongest topology-feasible mode).
+    /// Peer memory as a KR backend — the future-work configuration: the
+    /// redundancy store's k-replica or erasure-coded placement groups.
+    /// `mode = Some(Replicate { k: 2 })` is Fenix's buddy-rank IMR;
+    /// `mode = None` picks the strongest topology-feasible mode.
     Redstore {
         mode: Option<redstore::RedundancyMode>,
     },
@@ -152,7 +147,6 @@ where
         on_exhaustion: config.on_exhaustion,
     };
     let kr_cell: RefCell<Option<Context>> = RefCell::new(None);
-    let imr_store = ImrStore::new();
     let red_store = redstore::RedStore::new();
     let profile: Arc<Profile> = Arc::clone(ctx.profile());
 
@@ -169,11 +163,6 @@ where
                     IntegratedBackend::VelocSingle => {
                         Context::new(ctx.cluster(), comm.clone(), kr_config)
                     }
-                    IntegratedBackend::Imr { policy } => Context::with_backend(
-                        comm.clone(),
-                        kr_config,
-                        Box::new(ImrBackend::new(Arc::clone(&imr_store), *policy)),
-                    ),
                     IntegratedBackend::Redstore { mode } => Context::with_backend(
                         comm.clone(),
                         kr_config,

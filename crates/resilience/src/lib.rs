@@ -20,12 +20,12 @@
 //! implementing [`app::IterativeApp`] under any of them — including the
 //! relaunch-based recovery of the non-Fenix baselines (whole-job teardown,
 //! modeled `mpirun` restart, recovery from the parallel filesystem) and the
-//! two bonus strategies (Fenix in-memory redundancy, partial rollback).
+//! bonus strategies (Fenix in-memory redundancy and its multi-failure
+//! generalization, both on the `redstore` tier; partial rollback).
 
 pub mod app;
 pub mod bookkeeper;
 pub mod driver;
-pub mod imr_backend;
 pub mod integrated;
 pub mod record;
 pub mod redstore_backend;
@@ -36,7 +36,6 @@ mod runner;
 pub use app::{IterativeApp, RankApp, RunMode};
 pub use bookkeeper::Bookkeeper;
 pub use driver::{run_experiment, try_run_experiment, ExperimentConfig, ExperimentError};
-pub use imr_backend::ImrBackend;
 pub use integrated::{resilient_main, IntegratedBackend, IntegratedConfig, ResilientScope};
 pub use record::{CostBreakdown, RunRecord};
 pub use redstore_backend::RedstoreBackend;

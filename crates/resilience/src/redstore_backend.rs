@@ -1,15 +1,21 @@
-//! Redundancy-store data backend for Kokkos Resilience — the multi-failure
-//! sibling of [`crate::imr_backend`].
+//! Peer-memory data backend for Kokkos Resilience — the paper's Future
+//! Work §VII.A: "Further integration of Fenix and Kokkos Resilience in the
+//! form of a data-resiliency backend."
 //!
-//! Where [`crate::ImrBackend`] commits each rank's blob to exactly one
-//! buddy, this backend hands it to a [`RedundancyGroup`]: k replicas or
-//! erasure-coded shards spread over a topology-aware placement group, so a
-//! checkpoint survives several concurrent rank losses (including a whole
-//! modeled node) with tunable memory overhead.
+//! With this backend a Kokkos Resilience context drives the redundancy
+//! store directly: checkpoint regions detected by automatic capture are
+//! packed into one blob per rank and handed to a [`RedundancyGroup`] — k
+//! replicas (k = 2 is Fenix's buddy-rank IMR) or erasure-coded shards
+//! spread over a topology-aware placement group — with no filesystem
+//! involvement at all.
 //!
-//! The version agreement is the same *max* reduction: committed versions
-//! are consistent across survivors (two-phase store) and replacement
-//! ranks, contributing "nothing", restore from the surviving shards.
+//! The best-version agreement is a *max* reduction: committed versions are
+//! consistent across survivors (two-phase store) and replacement ranks,
+//! contributing "nothing", restore from the surviving shards.
+//!
+//! Requirements: the context must run under Fenix (restores need the
+//! recovered-rank hint, see [`kokkos_resilience::Context::set_recovering_ranks`])
+//! and with `RecoveryScope::All` (store and restore are collective).
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -39,8 +45,7 @@ impl RedstoreBackend {
         &self.store
     }
 
-    /// Stable member id per region name (same hash as [`crate::ImrBackend`]
-    /// so the two backends agree on namespaces).
+    /// Stable member id per region name.
     fn member_of(name: &str) -> u32 {
         let mut h = DefaultHasher::new();
         name.hash(&mut h);
@@ -52,26 +57,32 @@ impl RedstoreBackend {
         veloc::serial::pack(&parts)
     }
 
-    fn unpack(views: &RegionViews, blob: &Bytes) {
-        let parts = veloc::serial::unpack(blob).expect("redundancy blob intact");
+    /// A blob that fails its integrity frame (a bit-rotted peer copy) or
+    /// names a region this context never captured is a data loss: abort
+    /// through the error channel, like every other unrecoverable outcome
+    /// here, instead of panicking one rank under its peers.
+    fn unpack(views: &RegionViews, blob: &Bytes) -> MpiResult<()> {
+        let parts = veloc::serial::unpack(blob).ok_or(MpiError::Aborted)?;
         for (id, payload) in parts {
             let (_, handle) = views
                 .iter()
                 .find(|(vid, _)| *vid == id)
-                .expect("region id present");
+                .ok_or(MpiError::Aborted)?;
             handle.restore(&payload);
         }
+        Ok(())
     }
+}
 
-    fn red_err(e: RedError) -> MpiError {
-        match e {
-            RedError::Mpi(m) => m,
-            // Beyond the code's tolerance (or no feasible placement): no
-            // layer below can recover, so the job aborts — through the
-            // error channel, keeping survivors' collectives matched.
-            RedError::DataLost { .. } | RedError::Placement(_) | RedError::Codec(_) => {
-                MpiError::Aborted
-            }
+/// Route a store error to the layer that can claim it.
+pub(crate) fn red_err(e: RedError) -> MpiError {
+    match e {
+        RedError::Mpi(m) => m,
+        // Beyond the code's tolerance (or no feasible placement): no layer
+        // below can recover, so the job aborts — through the error channel,
+        // keeping survivors' collectives matched.
+        RedError::DataLost { .. } | RedError::Placement(_) | RedError::Codec(_) => {
+            MpiError::Aborted
         }
     }
 }
@@ -91,7 +102,7 @@ impl DataBackend for RedstoreBackend {
         let group = RedundancyGroup::new(Arc::clone(&self.store), comm, self.mode);
         group
             .store(Self::member_of(name), version, Self::pack(views))
-            .map_err(Self::red_err)
+            .map_err(red_err)
     }
 
     fn latest_local(&self, name: &str) -> Option<u64> {
@@ -115,10 +126,9 @@ impl DataBackend for RedstoreBackend {
         let group = RedundancyGroup::new(Arc::clone(&self.store), comm, self.mode);
         let (got, blob) = group
             .restore(Self::member_of(name), recovering_ranks)
-            .map_err(Self::red_err)?;
+            .map_err(red_err)?;
         debug_assert_eq!(got, version, "commit protocol keeps versions consistent");
-        Self::unpack(views, &blob);
-        Ok(())
+        Self::unpack(views, &blob)
     }
 
     fn clear(&self) {
@@ -130,13 +140,14 @@ impl DataBackend for RedstoreBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ImrBackend;
+    use kokkos::capture::Checkpointable;
+    use kokkos::View;
 
     #[test]
-    fn member_ids_match_the_imr_backend_namespace() {
+    fn member_ids_are_stable_and_distinct() {
         assert_eq!(
             RedstoreBackend::member_of("app.loop"),
-            ImrBackend::member_of("app.loop")
+            RedstoreBackend::member_of("app.loop")
         );
         assert_ne!(
             RedstoreBackend::member_of("app.loop"),
@@ -145,13 +156,47 @@ mod tests {
     }
 
     #[test]
+    fn pack_unpack_roundtrip() {
+        let v: View<u64> = View::from_vec("r", vec![1, 2, 3]);
+        let views: Vec<(u32, Arc<dyn Checkpointable>)> = vec![(7, Arc::new(v.clone()))];
+        let blob = RedstoreBackend::pack(&views);
+        v.fill(0);
+        RedstoreBackend::unpack(&views, &blob).expect("intact blob restores");
+        assert_eq!(*v.read_uncaptured(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn damaged_or_foreign_blobs_abort_instead_of_panicking() {
+        let v: View<u64> = View::from_vec("r", vec![1, 2, 3]);
+        let views: Vec<(u32, Arc<dyn Checkpointable>)> = vec![(7, Arc::new(v.clone()))];
+        let blob = RedstoreBackend::pack(&views);
+
+        // A bit-rotted peer copy: the CRC frame rejects it.
+        let mut rotted = blob.to_vec();
+        *rotted.last_mut().expect("non-empty blob") ^= 0xFF;
+        v.fill(0);
+        assert_eq!(
+            RedstoreBackend::unpack(&views, &Bytes::from(rotted)),
+            Err(MpiError::Aborted)
+        );
+        assert_eq!(*v.read_uncaptured(), vec![0, 0, 0], "nothing restored");
+
+        // An intact blob naming a region this context never captured.
+        let other: Vec<(u32, Arc<dyn Checkpointable>)> = vec![(8, Arc::new(v.clone()))];
+        assert_eq!(
+            RedstoreBackend::unpack(&other, &blob),
+            Err(MpiError::Aborted)
+        );
+    }
+
+    #[test]
     fn unrecoverable_losses_abort_through_the_error_channel() {
         assert!(matches!(
-            RedstoreBackend::red_err(RedError::DataLost { member: 1, rank: 2 }),
+            red_err(RedError::DataLost { member: 1, rank: 2 }),
             MpiError::Aborted
         ));
         assert!(matches!(
-            RedstoreBackend::red_err(RedError::Mpi(MpiError::Revoked)),
+            red_err(RedError::Mpi(MpiError::Revoked)),
             MpiError::Revoked
         ));
     }

@@ -16,15 +16,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use fenix::{DataGroup, ExhaustPolicy, Fenix, FenixConfig, ImrError, ImrPolicy, ImrStore, Role};
+use fenix::{ExhaustPolicy, Fenix, FenixConfig, Role};
 use kokkos::capture::Checkpointable;
 use kokkos_resilience::{BackendKind, CheckpointFilter, Context, ContextConfig, RecoveryScope};
-use redstore::{RedError, RedStore, RedundancyGroup, RedundancyMode};
+use redstore::{RedStore, RedundancyGroup, RedundancyMode};
 use simmpi::{Comm, MpiError, MpiResult, Phase, RankCtx, ReduceOp};
 use veloc::{Client, Config as VelocConfig, Mode, Protected, VelocError};
 
 use crate::app::{IterativeApp, RankApp, RunMode};
 use crate::bookkeeper::Bookkeeper;
+use crate::redstore_backend::red_err;
 use crate::strategy::Strategy;
 
 /// Cross-rank experiment state shared between launches.
@@ -42,8 +43,8 @@ pub struct SharedState {
 
 /// Region label used for the single checkpointed loop of every app.
 const LOOP_LABEL: &str = "loop";
-/// IMR member id holding the packed application views.
-const IMR_MEMBER: u32 = 0;
+/// Peer-memory member id holding the packed application views.
+const VIEWS_MEMBER: u32 = 0;
 
 fn veloc_err(e: VelocError) -> MpiError {
     match e {
@@ -55,27 +56,6 @@ fn veloc_err(e: VelocError) -> MpiError {
         | VelocError::UnknownRegion { .. }
         | VelocError::NoCommunicator
         | VelocError::BackendSpawn { .. } => MpiError::Aborted,
-    }
-}
-
-fn imr_err(e: ImrError) -> MpiError {
-    match e {
-        ImrError::Mpi(e) => e,
-        // Both replicas gone: unrecoverable, so the job aborts — through
-        // the error channel, not a panic that strands surviving ranks.
-        ImrError::DataLost { .. } => MpiError::Aborted,
-    }
-}
-
-fn red_err(e: RedError) -> MpiError {
-    match e {
-        RedError::Mpi(e) => e,
-        // More shards lost than the code tolerates, or no feasible
-        // placement: no layer below can recover — abort through the error
-        // channel so the surviving ranks' collectives stay matched.
-        RedError::DataLost { .. } | RedError::Placement(_) | RedError::Codec(_) => {
-            MpiError::Aborted
-        }
     }
 }
 
@@ -120,25 +100,17 @@ fn pack_views(state: &dyn RankApp) -> Bytes {
     veloc::serial::pack(&parts)
 }
 
-/// Restore captured views from an IMR blob. A blob that fails the
+/// Restore captured views from a peer-memory blob. A blob that fails the
 /// integrity frame (a corrupted partner copy) is a data loss, not a panic:
-/// the caller aborts through the error channel like any other DataLost.
-fn unpack_views(state: &dyn RankApp, blob: &Bytes, rank: usize) -> MpiResult<()> {
+/// the caller aborts through the error channel like any other data loss.
+fn unpack_views(state: &dyn RankApp, blob: &Bytes) -> MpiResult<()> {
     let views = state.checkpoint_views();
-    let Some(parts) = veloc::serial::unpack(blob) else {
-        return Err(imr_err(ImrError::DataLost {
-            member: IMR_MEMBER,
-            rank,
-        }));
-    };
+    let parts = veloc::serial::unpack(blob).ok_or(MpiError::Aborted)?;
     for (i, payload) in parts {
-        let Some(view) = views.get(i as usize) else {
-            return Err(imr_err(ImrError::DataLost {
-                member: IMR_MEMBER,
-                rank,
-            }));
-        };
-        view.restore(&payload);
+        views
+            .get(i as usize)
+            .ok_or(MpiError::Aborted)?
+            .restore(&payload);
     }
     Ok(())
 }
@@ -369,7 +341,6 @@ pub fn fenix_rank(
     strategy: Strategy,
     spares: usize,
     checkpoints: u64,
-    imr_policy: Option<ImrPolicy>,
     redundancy: Option<RedundancyMode>,
     shared: &SharedState,
 ) -> MpiResult<()> {
@@ -387,8 +358,13 @@ pub fn fenix_rank(
     let state: RefCell<Option<Box<dyn RankApp>>> = RefCell::new(None);
     let kr: RefCell<Option<Context>> = RefCell::new(None);
     let veloc_client: RefCell<Option<Client>> = RefCell::new(None);
-    let imr_store = ImrStore::new();
     let red_store = RedStore::new();
+    // The paper's buddy-rank IMR is the redundancy store at two replicas;
+    // `FenixRedstore` takes the experiment's dial instead.
+    let redundancy = match strategy {
+        Strategy::FenixImr => Some(RedundancyMode::Replicate { k: 2 }),
+        _ => redundancy,
+    };
     let ctx = &*ctx;
 
     let summary = fenix::run(ctx.world(), fenix_cfg, |fx, comm, role| {
@@ -430,10 +406,7 @@ pub fn fenix_rank(
                 &kr,
                 strategy == Strategy::PartialRollback,
             ),
-            Strategy::FenixImr => fenix_imr_body(
-                ctx, app, comm, role, &bk, &filter, mode, shared, &state, &imr_store, imr_policy,
-            ),
-            Strategy::FenixRedstore => fenix_redstore_body(
+            Strategy::FenixImr | Strategy::FenixRedstore => fenix_peer_memory_body(
                 ctx, app, comm, role, &bk, &filter, mode, shared, &state, &red_store, redundancy,
             ),
             other => panic!("{other:?} is not a Fenix strategy"),
@@ -624,9 +597,14 @@ fn fenix_kr_body(
     finish(comm, st, shared, done)
 }
 
-/// Fenix process recovery + in-memory-redundancy data storage.
+/// Fenix process recovery + checkpoints in peer memory: the one body behind
+/// both `FenixImr` (two replicas — the paper's buddy pairs) and
+/// `FenixRedstore` (any [`RedundancyMode`]). Checkpoints are replicated or
+/// erasure-coded across a topology-aware placement group, so recovery
+/// survives a whole-node loss, and with wider modes several concurrent
+/// rank losses per group.
 #[allow(clippy::too_many_arguments)]
-fn fenix_imr_body(
+fn fenix_peer_memory_body(
     ctx: &RankCtx,
     app: &dyn IterativeApp,
     comm: &Comm,
@@ -636,14 +614,10 @@ fn fenix_imr_body(
     mode: RunMode,
     shared: &SharedState,
     state: &RefCell<Option<Box<dyn RankApp>>>,
-    store: &Arc<ImrStore>,
-    imr_policy: Option<ImrPolicy>,
+    store: &Arc<RedStore>,
+    redundancy: Option<RedundancyMode>,
 ) -> MpiResult<()> {
-    // Default policy is layout-aware: on multi-rank-per-node layouts a
-    // naive Pair/Ring can place a buddy on the owner's own node — a
-    // whole-node failure then takes both copies and IMR covers nothing.
-    let policy = imr_policy.unwrap_or_else(|| ImrPolicy::auto(&redstore::comm_node_map(comm)));
-    let group = DataGroup::new(Arc::clone(store), comm, policy);
+    let group = RedundancyGroup::new(Arc::clone(store), comm, redundancy);
 
     if state.borrow().is_none() {
         *state.borrow_mut() = Some(bk.book(Phase::AppInit, || app.init_rank(ctx, comm)));
@@ -664,7 +638,9 @@ fn fenix_imr_body(
         // across holders (two-phase store), so the max over the gathered
         // locals is the committed version and every rank below it — every
         // replacement, however many repairs ago — is recovering.
-        let local = store.latest_version(IMR_MEMBER).map_or(-1i64, |v| v as i64);
+        let local = store
+            .latest_version(VIEWS_MEMBER)
+            .map_or(-1i64, |v| v as i64);
         let locals = comm.allgather(&[local])?;
         let committed = locals.iter().copied().max().unwrap_or(-1);
         if committed >= 0 {
@@ -676,98 +652,13 @@ fn fenix_imr_body(
                 .collect();
             let (version, blob) = bk
                 .book(Phase::DataRecovery, || {
-                    group.restore(IMR_MEMBER, &recovering)
-                })
-                .map_err(imr_err)?;
-            debug_assert_eq!(version as i64, committed, "commit protocol consistency");
-            let mut sref = state.borrow_mut();
-            let st = sref.as_mut().expect("state initialized");
-            unpack_views(st.as_ref(), &blob, comm.rank())?;
-            st.post_restore(comm, bk)?;
-            version + 1
-        } else {
-            // Failure before the first commit: consistent cold restart.
-            *state.borrow_mut() = Some(bk.book(Phase::AppInit, || app.init_rank(ctx, comm)));
-            0
-        }
-    } else {
-        0
-    };
-
-    let mut state_ref = state.borrow_mut();
-    let st = state_ref.as_mut().expect("state initialized");
-    let done = iteration_loop(
-        ctx,
-        comm,
-        st,
-        bk,
-        mode,
-        start,
-        filter,
-        shared,
-        |_c, comm, st, i, bk| st.step(comm, i, bk),
-        |i, st| {
-            let blob = pack_views(st.as_ref());
-            bk.book(Phase::CheckpointFn, || group.store(IMR_MEMBER, i, blob))
-        },
-    )?;
-    finish(comm, st, shared, done)
-}
-
-/// Fenix process recovery + the multi-failure redundancy-store tier.
-///
-/// Structurally the twin of [`fenix_imr_body`], with [`RedundancyGroup`]
-/// in place of the buddy pair: checkpoints are replicated or erasure-coded
-/// across a topology-aware placement group, so recovery survives several
-/// concurrent rank losses — including every rank of one modeled node —
-/// instead of exactly one per buddy pair.
-#[allow(clippy::too_many_arguments)]
-fn fenix_redstore_body(
-    ctx: &RankCtx,
-    app: &dyn IterativeApp,
-    comm: &Comm,
-    role: Role,
-    bk: &Bookkeeper,
-    filter: &CheckpointFilter,
-    mode: RunMode,
-    shared: &SharedState,
-    state: &RefCell<Option<Box<dyn RankApp>>>,
-    store: &Arc<RedStore>,
-    redundancy: Option<RedundancyMode>,
-) -> MpiResult<()> {
-    let group = RedundancyGroup::new(Arc::clone(store), comm, redundancy);
-
-    if state.borrow().is_none() {
-        *state.borrow_mut() = Some(bk.book(Phase::AppInit, || app.init_rank(ctx, comm)));
-    }
-
-    // Epoch-uniform, as in `fenix_imr_body`: all ranks resume together.
-    let resuming = role != Role::Initial;
-    let start = if resuming {
-        // Possession-based agreement, exactly as in `fenix_imr_body`: the
-        // max over gathered local versions is the committed version (the
-        // two-phase store keeps committed versions consistent), and every
-        // rank below it — every replacement, however many repairs ago — is
-        // recovering.
-        let local = store.latest_version(IMR_MEMBER).map_or(-1i64, |v| v as i64);
-        let locals = comm.allgather(&[local])?;
-        let committed = locals.iter().copied().max().unwrap_or(-1);
-        if committed >= 0 {
-            let recovering: Vec<usize> = locals
-                .iter()
-                .enumerate()
-                .filter(|&(_, &v)| v != committed)
-                .map(|(r, _)| r)
-                .collect();
-            let (version, blob) = bk
-                .book(Phase::DataRecovery, || {
-                    group.restore(IMR_MEMBER, &recovering)
+                    group.restore(VIEWS_MEMBER, &recovering)
                 })
                 .map_err(red_err)?;
             debug_assert_eq!(version as i64, committed, "commit protocol consistency");
             let mut sref = state.borrow_mut();
             let st = sref.as_mut().expect("state initialized");
-            unpack_views(st.as_ref(), &blob, comm.rank())?;
+            unpack_views(st.as_ref(), &blob)?;
             st.post_restore(comm, bk)?;
             version + 1
         } else {
@@ -794,7 +685,7 @@ fn fenix_redstore_body(
         |i, st| {
             let blob = pack_views(st.as_ref());
             bk.book(Phase::CheckpointFn, || {
-                group.store(IMR_MEMBER, i, blob).map_err(red_err)
+                group.store(VIEWS_MEMBER, i, blob).map_err(red_err)
             })
         },
     )?;
@@ -813,22 +704,6 @@ mod tests {
         ));
         assert!(matches!(
             veloc_err(VelocError::NoCommunicator),
-            MpiError::Aborted
-        ));
-        assert!(matches!(
-            imr_err(ImrError::Mpi(MpiError::Killed)),
-            MpiError::Killed
-        ));
-        assert!(matches!(
-            imr_err(ImrError::DataLost { member: 0, rank: 1 }),
-            MpiError::Aborted
-        ));
-        assert!(matches!(
-            red_err(RedError::Mpi(MpiError::Killed)),
-            MpiError::Killed
-        ));
-        assert!(matches!(
-            red_err(RedError::DataLost { member: 0, rank: 1 }),
             MpiError::Aborted
         ));
     }

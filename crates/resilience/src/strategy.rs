@@ -19,7 +19,8 @@ pub enum Strategy {
     /// single mode.
     FenixKokkosResilience,
     /// Fenix process recovery + Fenix In-Memory-Redundancy (buddy-rank)
-    /// data storage.
+    /// data storage: the redundancy-store tier at two replicas, so every
+    /// width-2 placement group is a buddy pair on distinct nodes.
     FenixImr,
     /// Fenix process recovery + the redundancy-store tier: k-replica or
     /// erasure-coded placement groups in peer memory, topology-aware
@@ -71,15 +72,10 @@ impl Strategy {
         self != Strategy::Unprotected
     }
 
-    /// Does this strategy store checkpoints in peer memory rather than the
-    /// filesystem?
+    /// Does this strategy store checkpoints in peer memory (the `redstore`
+    /// tier) rather than the filesystem?
     pub fn uses_imr(self) -> bool {
         matches!(self, Strategy::FenixImr | Strategy::FenixRedstore)
-    }
-
-    /// Does this strategy use the multi-failure redundancy-store tier?
-    pub fn uses_redstore(self) -> bool {
-        self == Strategy::FenixRedstore
     }
 
     /// Does recovery roll back only the failed rank's data?
@@ -124,8 +120,6 @@ mod tests {
         for s in Strategy::ALL.iter().filter(|s| s.uses_imr()) {
             assert!(s.uses_fenix(), "{s:?} stores in peer memory without Fenix");
         }
-        assert!(Strategy::FenixRedstore.uses_redstore());
-        assert!(!Strategy::FenixImr.uses_redstore());
     }
 
     #[test]

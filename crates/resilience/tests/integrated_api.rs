@@ -1,5 +1,6 @@
 //! Tests of the future-work extensions: the single-initialization
-//! integrated entry point and the IMR data backend for Kokkos Resilience.
+//! integrated entry point and the peer-memory (IMR) data backend for Kokkos
+//! Resilience.
 
 use std::sync::Arc;
 
@@ -8,6 +9,14 @@ use kokkos::View;
 use kokkos_resilience::CheckpointFilter;
 use resilience::{resilient_main, IntegratedBackend, IntegratedConfig};
 use simmpi::{FaultPlan, MpiResult, RankCtx, ReduceOp, Universe, UniverseConfig};
+
+/// Fenix's buddy-rank IMR as a KR backend: the redundancy store at two
+/// replicas.
+fn imr_backend() -> IntegratedBackend {
+    IntegratedBackend::Redstore {
+        mode: Some(redstore::RedundancyMode::Replicate { k: 2 }),
+    }
+}
 
 fn cluster(n: usize) -> Cluster {
     let cfg = ClusterConfig {
@@ -99,13 +108,7 @@ fn reference_digest(n: usize, spares: usize, iters: u64) -> u64 {
 #[test]
 fn integrated_api_failure_free_both_backends() {
     let reference = reference_digest(5, 1, 16);
-    let (report, digest) = run_integrated(
-        5,
-        1,
-        FaultPlan::none(),
-        IntegratedBackend::Imr { policy: None },
-        16,
-    );
+    let (report, digest) = run_integrated(5, 1, FaultPlan::none(), imr_backend(), 16);
     assert!(report.all_ok());
     assert_eq!(
         digest.load(std::sync::atomic::Ordering::Relaxed),
@@ -137,13 +140,8 @@ fn integrated_api_recovers_with_imr_backend() {
     // The future-work configuration: KR context driving buddy-rank memory
     // storage, no filesystem at all.
     let reference = reference_digest(5, 1, 16);
-    let (report, digest) = run_integrated(
-        5,
-        1,
-        FaultPlan::kill_at(2, "iter", 11),
-        IntegratedBackend::Imr { policy: None },
-        16,
-    );
+    let (report, digest) =
+        run_integrated(5, 1, FaultPlan::kill_at(2, "iter", 11), imr_backend(), 16);
     assert_eq!(report.killed_ranks(), vec![2]);
     assert_eq!(
         digest.load(std::sync::atomic::Ordering::Relaxed),
@@ -160,7 +158,7 @@ fn integrated_api_imr_multiple_failures() {
         6,
         2,
         FaultPlan::kill_at(0, "iter", 6).and_kill(3, "iter", 14),
-        IntegratedBackend::Imr { policy: None },
+        imr_backend(),
         20,
     );
     let mut killed = report.killed_ranks();
@@ -176,10 +174,7 @@ fn integrated_api_failure_at_checkpoint_iteration() {
     // failure hits, exercising the two-phase commit's abort path. The run
     // must roll back to the previous committed version and still match.
     let reference = reference_digest(5, 1, 16);
-    for backend in [
-        IntegratedBackend::VelocSingle,
-        IntegratedBackend::Imr { policy: None },
-    ] {
+    for backend in [IntegratedBackend::VelocSingle, imr_backend()] {
         let (report, digest) =
             run_integrated(5, 1, FaultPlan::kill_at(3, "iter", 7), backend.clone(), 16);
         assert_eq!(report.killed_ranks(), vec![3]);
@@ -217,10 +212,7 @@ fn integrated_api_simultaneous_failures() {
     // Two ranks die at the same iteration; one repair wave (or two) must
     // absorb both and the result must still match.
     let reference = reference_digest(6, 2, 20);
-    for backend in [
-        IntegratedBackend::VelocSingle,
-        IntegratedBackend::Imr { policy: None },
-    ] {
+    for backend in [IntegratedBackend::VelocSingle, imr_backend()] {
         let (report, digest) = run_integrated(
             6,
             2,
@@ -242,10 +234,7 @@ fn integrated_api_simultaneous_failures() {
 #[test]
 fn integrated_api_failure_before_first_checkpoint() {
     let reference = reference_digest(5, 1, 16);
-    for backend in [
-        IntegratedBackend::VelocSingle,
-        IntegratedBackend::Imr { policy: None },
-    ] {
+    for backend in [IntegratedBackend::VelocSingle, imr_backend()] {
         let (report, digest) = run_integrated(
             5,
             1,

@@ -142,7 +142,6 @@ fn cfg(strategy: Strategy, spares: usize) -> ExperimentConfig {
         spares,
         checkpoints: 6,
         max_relaunches: 4,
-        imr_policy: None,
         redundancy: None,
         fresh_storage: true,
         telemetry: None,
@@ -324,19 +323,23 @@ fn imr_two_failures_with_two_spares() {
     assert_eq!(rec.digest, reference);
 }
 
-/// The acceptance scenario of the redundancy tier: two ranks of one
-/// placement group die *concurrently* (same iteration, before any repair
-/// can interleave). Buddy-rank IMR loses both copies of each other's data
-/// and must fail with a clean typed error; the redundancy store's RS(2,2)
-/// code tolerates two erasures per group and must complete bitwise-equal.
+/// The acceptance scenario of the redundancy tier: both ranks of one
+/// placement group are lost before redundancy can be re-established —
+/// rank 0 mid-iteration, rank 1 as it re-enters for the repair, before the
+/// restore's first collective. (Two kills at the same `iter` are *not*
+/// reliably concurrent: a survivor's revoke can reach rank 1 before its own
+/// fault point does, which makes them two recoverable single failures.)
+/// Buddy-rank IMR has lost both copies of both payloads and must fail with
+/// a clean typed error; the same store's RS(2,2) code tolerates two
+/// erasures per group and must complete bitwise-equal.
 #[test]
-fn concurrent_group_kill_redstore_recovers_where_buddy_imr_cannot() {
+fn buddy_pair_loss_redstore_recovers_where_buddy_imr_cannot() {
     let iters = 30;
     let reference = reference_digest(4, iters);
-    let plan = || Arc::new(FaultPlan::kill_at(0, "iter", 12).and_kill(1, "iter", 12));
+    let plan = || Arc::new(FaultPlan::kill_at(0, "iter", 12).and_kill(1, "recovery", 1));
 
-    // Ranks 0 and 1 are a buddy pair under the default (even-size) Pair
-    // policy: their concurrent loss is unrecoverable for buddy IMR.
+    // Ranks 0 and 1 are a buddy pair: with one rank per node the width-2
+    // groups are rank neighbours.
     let c = cluster(6); // 4 active + 2 spares
     let imr = try_run_experiment(&c, &fixed_app(iters), &cfg(Strategy::FenixImr, 2), plan());
     match imr {
@@ -353,7 +356,7 @@ fn concurrent_group_kill_redstore_recovers_where_buddy_imr_cannot() {
     );
     assert!(rec.repairs >= 1);
     assert_eq!(rec.iterations, iters);
-    assert_eq!(rec.digest, reference, "bitwise recovery after a group kill");
+    assert_eq!(rec.digest, reference, "bitwise recovery after a group loss");
 }
 
 #[test]

@@ -11,6 +11,7 @@ use layered_resilience::cluster::{Cluster, ClusterConfig, TimeScale};
 use layered_resilience::fenix::ExhaustPolicy;
 use layered_resilience::kokkos::View;
 use layered_resilience::kokkos_resilience::CheckpointFilter;
+use layered_resilience::redstore::RedundancyMode;
 use layered_resilience::resilience::{resilient_main, IntegratedBackend, IntegratedConfig};
 use layered_resilience::simmpi::{FaultPlan, MpiResult, ReduceOp, Universe, UniverseConfig};
 
@@ -35,7 +36,10 @@ fn main() {
                 name: "demo".into(),
                 spares: 1,
                 filter: CheckpointFilter::EveryN(4),
-                backend: IntegratedBackend::Imr { policy: None },
+                // Fenix's buddy-rank IMR: two replicas in peer memory.
+                backend: IntegratedBackend::Redstore {
+                    mode: Some(RedundancyMode::Replicate { k: 2 }),
+                },
                 aliases: vec![],
                 on_exhaustion: ExhaustPolicy::Abort,
                 partial_rollback: false,

@@ -28,7 +28,6 @@ fn main() {
         spares: 1,
         checkpoints: 5,
         max_relaunches: 4,
-        imr_policy: None,
         redundancy: None,
         fresh_storage: true,
         telemetry: None,

@@ -150,15 +150,16 @@ begin "redstore: codec proptests + multi-failure chaos smoke"
 cargo test -q -p redstore
 # Seeded multi-failure smoke, replayed through the differential oracle:
 # a two-rank placement-group kill and a whole-node kill must complete
-# bitwise-equal via the redundancy store, and the same node loss under
-# explicitly co-located pair buddies must stay a clean typed error (the
-# exact differential is asserted in crates/chaos/tests/scenarios.rs).
+# bitwise-equal via the redundancy store, and the same node loss must be
+# survived by buddy IMR (the store at two replicas — every pair spans two
+# nodes; the exact differential, including the buddy-pair kill that stays
+# a typed error, is asserted in crates/chaos/tests/scenarios.rs).
 chaos_replay() {
   cargo run -q --release -p harness --bin chaos -- --schedule "$1"
 }
 chaos_replay "strategy=FenixRedstore spares=2 kill(rank=0,site=iter,at=5) kill(rank=1,site=iter,at=5)"
 chaos_replay "strategy=FenixRedstore spares=2 rpn=2 nodekill(node=0,site=iter,at=5)"
-chaos_replay "strategy=FenixImr spares=2 rpn=2 imr=pair nodekill(node=0,site=iter,at=5)"
+chaos_replay "strategy=FenixImr spares=2 rpn=2 nodekill(node=0,site=iter,at=5)"
 end
 
 begin "modelcheck: bounded interleaving exploration"

@@ -8,8 +8,11 @@
 //! plus the integration protocol that is the paper's contribution:
 //!
 //! * [`fenix`] — **process** resilience: spare ranks, a resilient
-//!   communicator that survives rank failures, a single control-flow exit
-//!   point, and in-memory-redundancy (buddy) checkpoint storage.
+//!   communicator that survives rank failures, and a single control-flow
+//!   exit point.
+//! * [`redstore`] — checkpoints in **peer memory**: k-replica (k = 2 is
+//!   Fenix's buddy-rank in-memory redundancy) or erasure-coded placement
+//!   groups on distinct nodes, re-encoded after every repair.
 //! * [`kokkos_resilience`] — **control-flow** resilience: checkpoint regions
 //!   wrapped in closures, automatic detection of the [`kokkos`] views a
 //!   region uses, checkpoint-interval filters, and pluggable data backends.
@@ -41,6 +44,7 @@ pub use cluster;
 pub use fenix;
 pub use kokkos;
 pub use kokkos_resilience;
+pub use redstore;
 pub use resilience;
 pub use simmpi;
 pub use telemetry;

@@ -112,7 +112,6 @@ fn spare_exhaustion_aborts_cleanly() {
                 spares: 1, // one spare, two failures
                 checkpoints: 3,
                 max_relaunches: 2,
-                imr_policy: None,
                 redundancy: None,
                 fresh_storage: true,
                 telemetry: None,
@@ -149,7 +148,6 @@ fn strategy_matrix_shares_a_cluster() {
                 spares: if strategy.uses_fenix() { 2 } else { 0 },
                 checkpoints: 3,
                 max_relaunches: 2,
-                imr_policy: None,
                 redundancy: None,
                 fresh_storage: true,
                 telemetry: None,

@@ -3,10 +3,10 @@
 use bytes::Bytes;
 use layered_resilience::apps::heatdis::jacobi_sweep;
 use layered_resilience::apps::minimd::atoms::{generate_slab_atoms, Slab};
-use layered_resilience::fenix::ImrPolicy;
 use layered_resilience::kokkos::capture::CaptureSession;
 use layered_resilience::kokkos::View;
 use layered_resilience::kokkos_resilience::CheckpointFilter;
+use layered_resilience::redstore::Placement;
 use layered_resilience::simmpi::pod;
 use layered_resilience::simmpi::ReduceOp;
 use layered_resilience::veloc::serial;
@@ -107,18 +107,21 @@ proptest! {
         }
     }
 
-    /// IMR buddy policies are proper matchings: holder/source are inverse
-    /// bijections and never map a rank to itself (for size ≥ 2).
+    /// IMR buddies (two replicas) are a proper matching on even and odd
+    /// communicators alike: every rank has exactly one holder, never
+    /// itself, and no holder keeps two copies (for size ≥ 2).
     #[test]
-    fn imr_policies_are_bijective(size_half in 1usize..32) {
-        let n = size_half * 2; // even, valid for both policies
-        for policy in [ImrPolicy::Pair, ImrPolicy::Ring] {
+    fn imr_buddies_are_bijective(size_half in 1usize..32) {
+        for n in [size_half * 2, size_half * 2 + 1] {
+            let nodes: Vec<usize> = (0..n).collect();
+            let placement = Placement::compute(&nodes, 2).expect("one rank per node always places");
             let mut seen = vec![false; n];
             for r in 0..n {
-                let h = policy.holder_of(r, n);
+                let holders: Vec<usize> = placement.replica_holders(r, 2).collect();
+                prop_assert_eq!(holders.len(), 1);
+                let h = holders[0];
                 prop_assert!(h < n);
                 prop_assert_ne!(h, r);
-                prop_assert_eq!(policy.source_of(h, n), r);
                 prop_assert!(!seen[h], "holder collision");
                 seen[h] = true;
             }
