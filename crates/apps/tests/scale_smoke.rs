@@ -57,13 +57,8 @@ fn heatdis_1k_ranks_with_failure_completes_deterministically() {
             Arc::new(FaultPlan::kill_at(active / 2, "iter", 5)),
         )
     };
+    let t0 = std::time::Instant::now();
     let rec = run();
-    // The EXPERIMENTS.md weak-scaling panel is this line at several
-    // SCALE_RANKS values (run with `--nocapture`).
-    println!(
-        "scale_smoke: ranks={} virtual_wall={:?} repairs={} digest={:#x}",
-        rec.ranks, rec.wall, rec.repairs, rec.digest
-    );
     assert_eq!(rec.ranks, active + spares);
     assert_eq!(rec.failures, 1);
     assert!(
@@ -73,6 +68,17 @@ fn heatdis_1k_ranks_with_failure_completes_deterministically() {
     assert_eq!(rec.iterations, 8, "recovered run must reach the last step");
     // Same seed, same schedule: the recovered digest replays exactly.
     let again = run();
+    // The EXPERIMENTS.md weak-scaling panel is this line at several
+    // SCALE_RANKS values (run with `--nocapture`); `scripts/ci.sh` records
+    // `host_s` — the run and its replay — in `target/ci-summary.json`.
+    println!(
+        "scale_smoke: ranks={} virtual_wall={:?} repairs={} digest={:#x} host_s={:.3}",
+        rec.ranks,
+        rec.wall,
+        rec.repairs,
+        rec.digest,
+        t0.elapsed().as_secs_f64()
+    );
     assert_eq!(rec.digest, again.digest, "digest must replay bit-for-bit");
     assert_eq!(rec.wall, again.wall, "virtual wall time must replay");
 }

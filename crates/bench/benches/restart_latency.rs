@@ -10,7 +10,9 @@
 //! and uses to assert the slice-by-16 CRC is measurably faster than the
 //! bitwise implementation it replaced. The chain8 vs chain8_seq pair is
 //! the multi-core scaling configuration: identical work, worker fan-out 4
-//! vs 1.
+//! vs 1 — the gate asserts the fan-out wins whenever the host has more than
+//! one CPU, and the JSON records `nproc` and the same restart at 1, 2, 4
+//! and 8 workers (`worker_sweep`) so the baseline says what it was taken on.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -226,8 +228,19 @@ fn main() {
             "  {{\"name\":\"{json_name}\",\"median_ns\":{median_ns},\"bytes_hashed\":{CRC_BYTES}}}"
         ));
     }
+    let sweep_scenario = Scenario::new(&cl, "json-chain-sweep", CHAIN_DELTAS);
+    let sweep: Vec<String> = [1usize, 2, 4, 8]
+        .iter()
+        .map(|&workers| {
+            let median_ns = measure_restart(&sweep_scenario, workers).median_ns;
+            println!("chain8 @ {workers} workers  median {median_ns:>10} ns");
+            format!("{{\"workers\":{workers},\"median_ns\":{median_ns}}}")
+        })
+        .collect();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\"bench\":\"restart_latency\",\"regions\":{REGIONS},\"region_bytes\":{REGION_BYTES},\"chain_deltas\":{CHAIN_DELTAS},\"configs\":[\n{}\n]}}\n",
+        "{{\"bench\":\"restart_latency\",\"regions\":{REGIONS},\"region_bytes\":{REGION_BYTES},\"chain_deltas\":{CHAIN_DELTAS},\"nproc\":{nproc},\"worker_sweep\":[{}],\"configs\":[\n{}\n]}}\n",
+        sweep.join(","),
         lines.join(",\n")
     );
     // Benches run with CWD = the package dir; anchor at the workspace root

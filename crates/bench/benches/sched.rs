@@ -9,6 +9,11 @@
 //!   `Universe::launch` on a virtual-time cluster, ring exchange +
 //!   allreduce per iteration. This is what the chaos campaign pays per
 //!   explored schedule, so its inverse is the campaign's schedules/sec.
+//! * `repair_256` / `repair_1024` — what one in-place repair costs the
+//!   host, per rank: the scale-smoke shape (Heatdis + Fenix/KR, 8 ranks per
+//!   node, one spare node, two checkpoints) run without and with one kill,
+//!   the difference divided by the rank count. Per-rank repair work that
+//!   scans all ranks shows as `repair_1024` ≈ 4 × `repair_256`.
 //!
 //! Writes `target/BENCH_sched.json` (median ns per config); the committed
 //! `BENCH_sched.json` at the repo root is the regression baseline enforced
@@ -17,14 +22,21 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use cluster::{Cluster, ClusterConfig};
+use apps::Heatdis;
+use cluster::{Cluster, ClusterConfig, RelaunchModel};
 use criterion::{black_box, Criterion};
+use resilience::{run_experiment, ExperimentConfig, Strategy};
 use simmpi::{
     Backend, FaultPlan, MpiResult, RankCtx, ReduceOp, Scheduler, Universe, UniverseConfig,
 };
 
 const JSON_SAMPLES: usize = 21;
 const JSON_WARMUP: usize = 3;
+/// The repair configs launch a thousand threads twice per sample.
+const REPAIR_SAMPLES: usize = 9;
+const REPAIR_WARMUP: usize = 1;
+/// One spare node of eight ranks.
+const REPAIR_SPARES: usize = 8;
 /// Yield round-trips per baton_handoff sample (amortizes thread spawn).
 const HANDOFF_ROUNDS: u64 = 20_000;
 /// Ring-exchange iterations per schedule.
@@ -88,16 +100,48 @@ fn ring_schedule(n: usize, seed: u64) -> u64 {
     black_box(t.elapsed().as_nanos() as u64)
 }
 
+/// Host ns per rank that one kill and its in-place repair add to a
+/// Heatdis + Fenix/KR run at `active` ranks (fail run − failure-free run).
+fn repair_per_rank(active: usize) -> u64 {
+    let ranks = active + REPAIR_SPARES;
+    let app = Heatdis::fixed(2 * 8 * 16 * 8, 16, 8);
+    let cfg = ExperimentConfig {
+        strategy: Strategy::FenixKokkosResilience,
+        spares: REPAIR_SPARES,
+        checkpoints: 2,
+        backend: Backend::Des { seed: 1024 },
+        ..ExperimentConfig::default()
+    };
+    let run = |plan: FaultPlan| {
+        let cluster = Cluster::new(ClusterConfig {
+            nodes: ranks.div_ceil(8),
+            ranks_per_node: 8,
+            virtual_time: true,
+            relaunch: RelaunchModel::free(),
+            ..ClusterConfig::default()
+        });
+        let t = Instant::now();
+        let rec = run_experiment(&cluster, &app, &cfg, Arc::new(plan));
+        let ns = t.elapsed().as_nanos() as u64;
+        black_box(rec.digest);
+        (ns, rec.repairs)
+    };
+    let (nf, _) = run(FaultPlan::none());
+    let (fail, repairs) = run(FaultPlan::kill_at(active / 2, "iter", 5));
+    assert_eq!(repairs, 1);
+    fail.saturating_sub(nf) / ranks as u64
+}
+
 fn median(mut samples: Vec<u64>) -> u64 {
     samples.sort_unstable();
     samples[samples.len() / 2]
 }
 
-fn measure(f: impl Fn() -> u64) -> u64 {
-    for _ in 0..JSON_WARMUP {
+fn measure(warmup: usize, samples: usize, f: impl Fn() -> u64) -> u64 {
+    for _ in 0..warmup {
         f();
     }
-    median((0..JSON_SAMPLES).map(|_| f()).collect())
+    median((0..samples).map(|_| f()).collect())
 }
 
 fn main() {
@@ -113,15 +157,42 @@ fn main() {
     }
 
     // Machine-readable gate input (median ns per config).
-    type Config<'a> = (&'a str, Box<dyn Fn() -> u64>);
-    let configs: [Config; 3] = [
-        ("baton_handoff", Box::new(baton_handoff)),
-        ("ring_16", Box::new(|| ring_schedule(16, 7))),
-        ("ring_64", Box::new(|| ring_schedule(64, 7))),
+    type Config<'a> = (&'a str, usize, usize, Box<dyn Fn() -> u64>);
+    let configs: [Config; 5] = [
+        (
+            "baton_handoff",
+            JSON_WARMUP,
+            JSON_SAMPLES,
+            Box::new(baton_handoff),
+        ),
+        (
+            "ring_16",
+            JSON_WARMUP,
+            JSON_SAMPLES,
+            Box::new(|| ring_schedule(16, 7)),
+        ),
+        (
+            "ring_64",
+            JSON_WARMUP,
+            JSON_SAMPLES,
+            Box::new(|| ring_schedule(64, 7)),
+        ),
+        (
+            "repair_256",
+            REPAIR_WARMUP,
+            REPAIR_SAMPLES,
+            Box::new(|| repair_per_rank(256)),
+        ),
+        (
+            "repair_1024",
+            REPAIR_WARMUP,
+            REPAIR_SAMPLES,
+            Box::new(|| repair_per_rank(1024)),
+        ),
     ];
     let mut lines = Vec::new();
-    for (name, f) in &configs {
-        let median_ns = measure(f);
+    for (name, warmup, samples, f) in &configs {
+        let median_ns = measure(*warmup, *samples, f);
         let per_sec = 1_000_000_000 / median_ns.max(1);
         println!("{name:<16} median {median_ns:>12} ns  ({per_sec}/sec)");
         lines.push(format!(

@@ -69,7 +69,13 @@ const REQUIRED: &[(&str, &str, &[&str])] = &[
     (
         "sched",
         "median_ns",
-        &["baton_handoff", "ring_16", "ring_64"],
+        &[
+            "baton_handoff",
+            "ring_16",
+            "ring_64",
+            "repair_256",
+            "repair_1024",
+        ],
     ),
     (
         "restart_latency",
@@ -214,8 +220,11 @@ pub fn check_baseline(docs: &[(String, Result<Json, String>)]) -> GateReport {
 }
 
 /// Validate the CI stage summary: `ok` must be boolean true, `stages` a
-/// non-empty array of `{name: string, seconds: non-negative number}`, and
-/// `artifacts` an object mapping names to path strings.
+/// non-empty array of `{name: string, seconds: non-negative number}`,
+/// `artifacts` an object mapping names to path strings, and `scale_smoke`,
+/// when present, an array of `{ranks: positive integer, host_s:
+/// non-negative number}` (recorded for the weak-scaling table, not gated:
+/// host noise).
 pub fn check_summary(doc: &Json) -> GateReport {
     let mut report = GateReport::default();
     match doc.get("ok").and_then(Json::as_bool) {
@@ -238,6 +247,23 @@ pub fn check_summary(doc: &Json) -> GateReport {
             }
             if report.ok() {
                 report.lines.push(format!("{} stages timed", stages.len()));
+            }
+        }
+    }
+    match doc.get("scale_smoke").map(Json::as_array) {
+        None => {}
+        Some(None) => report.fail("\"scale_smoke\" is not an array".into()),
+        Some(Some(runs)) => {
+            for (i, run) in runs.iter().enumerate() {
+                let ranks = run.get("ranks").and_then(Json::as_u64).unwrap_or(0);
+                match run.get("host_s").and_then(Json::as_f64) {
+                    Some(s) if s >= 0.0 && ranks > 0 => report
+                        .lines
+                        .push(format!("scale smoke at {ranks} ranks: {s} s")),
+                    _ => report.fail(format!(
+                        "scale_smoke {i} needs positive \"ranks\" and non-negative \"host_s\""
+                    )),
+                }
             }
         }
     }
@@ -320,7 +346,9 @@ mod tests {
         let text = r#"{"bench":"sched","configs":[
             {"name":"baton_handoff","median_ns":1},
             {"name":"ring_16","median_ns":2},
-            {"name":"ring_64","median_ns":3}
+            {"name":"ring_64","median_ns":3},
+            {"name":"repair_256","median_ns":4},
+            {"name":"repair_1024","median_ns":5}
         ]}"#;
         let r = check_baseline(&[("BENCH_sched.json".into(), Json::parse(text))]);
         assert!(r.ok(), "{:?}", r.failures);
@@ -370,5 +398,18 @@ mod tests {
         let bad_artifact = r#"{"ok":true,"stages":[{"name":"a","seconds":0}],
                               "artifacts":{"x":5}}"#;
         assert!(!check_summary(&Json::parse(bad_artifact).unwrap()).ok());
+        let smoke = |runs: &str| {
+            let text = format!(
+                r#"{{"ok":true,"stages":[{{"name":"a","seconds":0}}],"artifacts":{{}},"scale_smoke":{runs}}}"#
+            );
+            check_summary(&Json::parse(&text).unwrap())
+        };
+        let r = smoke(r#"[{"ranks":1032,"host_s":1.9},{"ranks":2056,"host_s":6.5}]"#);
+        assert!(r.ok(), "{:?}", r.failures);
+        assert!(r.lines.iter().any(|l| l.contains("2056 ranks")));
+        assert!(smoke("[]").ok(), "quick mode may record none");
+        assert!(!smoke(r#"[{"ranks":1032}]"#).ok());
+        assert!(!smoke(r#"[{"ranks":0,"host_s":1}]"#).ok());
+        assert!(!smoke(r#"{"ranks":1032,"host_s":1}"#).ok());
     }
 }

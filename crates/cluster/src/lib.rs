@@ -26,6 +26,7 @@
 //! whole experiments finish in seconds.
 
 pub mod bandwidth;
+mod blobs;
 pub mod clock;
 pub mod inject;
 #[cfg(feature = "lint-mutants")]

@@ -11,23 +11,22 @@
 //! holds the same `ParallelFileSystem` across `Universe` launches.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
 use bytes::Bytes;
-use parking_lot::RwLock;
 
 use std::sync::Arc;
 
 use crate::bandwidth::Governor;
+use crate::blobs::Blobs;
 use crate::clock::Clock;
 use crate::TimeScale;
 
 /// Persistent, bandwidth-limited blob storage.
 pub struct ParallelFileSystem {
     servers: Vec<Governor>,
-    store: RwLock<HashMap<String, Bytes>>,
+    store: Blobs,
     scale: TimeScale,
 }
 
@@ -63,7 +62,7 @@ impl ParallelFileSystem {
             servers: (0..servers)
                 .map(|_| Governor::with_clock(per_server, latency, scale, Arc::clone(clock)))
                 .collect(),
-            store: RwLock::new(HashMap::new()),
+            store: Blobs::default(),
             scale,
         }
     }
@@ -82,7 +81,7 @@ impl ParallelFileSystem {
     /// server. Returns the modeled duration.
     pub fn write(&self, path: &str, data: Bytes) -> Duration {
         let d = self.server_for(path).transfer(data.len());
-        self.store.write().insert(path.to_owned(), data);
+        self.store.insert(path, data);
         d
     }
 
@@ -108,51 +107,54 @@ impl ParallelFileSystem {
             }
         }
         self.scale.sleep(worst);
-        let mut store = self.store.write();
-        for (path, data) in items {
-            store.insert(path, data);
-        }
+        self.store.extend(items);
         worst
     }
 
     /// Read a blob, paying the modeled transfer time.
     pub fn read(&self, path: &str) -> Option<(Bytes, Duration)> {
-        let data = self.store.read().get(path).cloned()?;
+        let data = self.store.get(path)?;
         let d = self.server_for(path).transfer(data.len());
         Some((data, d))
     }
 
     /// Whether a blob exists (metadata query; free).
     pub fn exists(&self, path: &str) -> bool {
-        self.store.read().contains_key(path)
+        self.store.exists(path)
     }
 
     /// Remove a blob. Returns whether it existed.
     pub fn remove(&self, path: &str) -> bool {
-        self.store.write().remove(path).is_some()
+        self.store.remove(path)
     }
 
     /// List stored paths with the given prefix (metadata query; free).
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .store
-            .read()
-            .keys()
-            .filter(|k| k.starts_with(prefix))
-            .cloned()
-            .collect();
-        v.sort();
-        v
+        self.store.list(prefix)
+    }
+
+    /// The names directly under directory `dir` (a prefix ending in `/`),
+    /// ascending — `readdir`: `["v1", "v2"]` for `ck/v1/r0`, `ck/v1/r1`,
+    /// `ck/v2/r0` under `"ck/"`. One seek per name, however many paths each
+    /// holds (metadata query; free).
+    pub fn children(&self, dir: &str) -> Vec<String> {
+        self.store.children(dir)
+    }
+
+    /// Stored keys touched by metadata queries so far (`list`, `children`,
+    /// `exists`) — a work count, for linearity tests and telemetry.
+    pub fn keys_examined(&self) -> u64 {
+        self.store.keys_examined()
     }
 
     /// Total stored bytes (for tests and reporting).
     pub fn stored_bytes(&self) -> usize {
-        self.store.read().values().map(|b| b.len()).sum()
+        self.store.bytes()
     }
 
     /// Drop all contents (between harness experiments).
     pub fn clear(&self) {
-        self.store.write().clear();
+        self.store.clear();
     }
 }
 
@@ -160,7 +162,7 @@ impl std::fmt::Debug for ParallelFileSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ParallelFileSystem")
             .field("servers", &self.servers.len())
-            .field("blobs", &self.store.read().len())
+            .field("blobs", &self.store.len())
             .finish()
     }
 }

@@ -6,15 +6,14 @@
 //! nodes and even a full job relaunch (the node keeps running; only the
 //! processes die), but are lost when their own node fails.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use bytes::Bytes;
-use parking_lot::RwLock;
 
 use std::sync::Arc;
 
 use crate::bandwidth::Governor;
+use crate::blobs::Blobs;
 use crate::clock::Clock;
 use crate::TimeScale;
 
@@ -25,7 +24,7 @@ pub struct NodeScratch {
 
 struct NodeStore {
     gov: Governor,
-    blobs: RwLock<HashMap<String, Bytes>>,
+    blobs: Blobs,
 }
 
 impl NodeScratch {
@@ -40,7 +39,7 @@ impl NodeScratch {
             nodes: (0..nodes)
                 .map(|_| NodeStore {
                     gov: Governor::with_clock(bandwidth, Duration::ZERO, scale, Arc::clone(clock)),
-                    blobs: RwLock::new(HashMap::new()),
+                    blobs: Blobs::default(),
                 })
                 .collect(),
         }
@@ -58,54 +57,56 @@ impl NodeScratch {
     pub fn write(&self, node: usize, path: &str, data: Bytes) -> Duration {
         let n = self.node(node);
         let d = n.gov.transfer(data.len());
-        n.blobs.write().insert(path.to_owned(), data);
+        n.blobs.insert(path, data);
         d
     }
 
     /// Read a blob from `node`.
     pub fn read(&self, node: usize, path: &str) -> Option<(Bytes, Duration)> {
         let n = self.node(node);
-        let data = n.blobs.read().get(path).cloned()?;
+        let data = n.blobs.get(path)?;
         let d = n.gov.transfer(data.len());
         Some((data, d))
     }
 
     pub fn exists(&self, node: usize, path: &str) -> bool {
-        self.node(node).blobs.read().contains_key(path)
+        self.node(node).blobs.exists(path)
     }
 
     pub fn remove(&self, node: usize, path: &str) -> bool {
-        self.node(node).blobs.write().remove(path).is_some()
+        self.node(node).blobs.remove(path)
     }
 
     /// List blobs on `node` with the given prefix.
     pub fn list(&self, node: usize, prefix: &str) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .node(node)
-            .blobs
-            .read()
-            .keys()
-            .filter(|k| k.starts_with(prefix))
-            .cloned()
-            .collect();
-        v.sort();
-        v
+        self.node(node).blobs.list(prefix)
+    }
+
+    /// The names directly under directory `dir` on `node` — see
+    /// [`crate::ParallelFileSystem::children`].
+    pub fn children(&self, node: usize, dir: &str) -> Vec<String> {
+        self.node(node).blobs.children(dir)
+    }
+
+    /// Stored keys touched by metadata queries so far, over all nodes.
+    pub fn keys_examined(&self) -> u64 {
+        self.nodes.iter().map(|n| n.blobs.keys_examined()).sum()
     }
 
     /// Node failure: all scratch contents on `node` vanish.
     pub fn purge_node(&self, node: usize) {
-        self.node(node).blobs.write().clear();
+        self.node(node).blobs.clear();
     }
 
     /// Drop everything (between harness experiments).
     pub fn clear(&self) {
         for n in &self.nodes {
-            n.blobs.write().clear();
+            n.blobs.clear();
         }
     }
 
     pub fn stored_bytes(&self, node: usize) -> usize {
-        self.node(node).blobs.read().values().map(|b| b.len()).sum()
+        self.node(node).blobs.bytes()
     }
 }
 

@@ -5,8 +5,9 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
+use simmpi::comm::Group;
 use simmpi::rendezvous::{purpose, RendezvousKey};
-use simmpi::router::Router;
+use simmpi::router::{CommId, Router};
 use simmpi::{Comm, MpiError, MpiResult};
 use telemetry::{Event, Recorder};
 
@@ -87,8 +88,9 @@ pub struct Fenix {
     world: Comm,
     config: FenixConfig,
     repair_count: Cell<u64>,
-    /// Global ranks currently filling the resilient communicator's slots.
-    active_group: RefCell<Vec<usize>>,
+    /// Global ranks currently filling the resilient communicator's slots:
+    /// the group of the current resilient communicator, shared by all ranks.
+    active_group: RefCell<Arc<Group>>,
     /// Unconsumed spares, lowest first.
     spare_pool: RefCell<VecDeque<usize>>,
     /// Resilient-communicator ranks replaced in the most recent repair
@@ -113,6 +115,11 @@ const VOTE_SPARE: u8 = 2;
 /// Base id for resilient communicators, shared by all ranks.
 const FENIX_COMM_SALT: u64 = 0xFE21;
 
+/// Id of the resilient communicator after `repairs` repairs.
+fn resilient_comm_id(world: &Comm, repairs: u64) -> CommId {
+    Router::derive_comm_id(world.id(), FENIX_COMM_SALT.wrapping_add(repairs))
+}
+
 impl Fenix {
     fn new(world: &Comm, config: FenixConfig) -> Self {
         let n = world.size();
@@ -123,11 +130,16 @@ impl Fenix {
             n
         );
         let n_active = n - config.spares;
+        let active = world.router().share_group(
+            resilient_comm_id(world, 0),
+            0,
+            (0..n_active).map(|r| world.global_of(r)).collect(),
+        );
         Fenix {
             world: world.clone(),
             config,
             repair_count: Cell::new(0),
-            active_group: RefCell::new((0..n_active).map(|r| world.global_of(r)).collect()),
+            active_group: RefCell::new(active),
             spare_pool: RefCell::new((n_active..n).map(|r| world.global_of(r)).collect()),
             last_recovered: RefCell::new(Vec::new()),
             known_dead: RefCell::new(HashSet::new()),
@@ -194,21 +206,20 @@ impl Fenix {
     }
 
     fn build_resilient_comm(&self) -> Comm {
-        let id = Router::derive_comm_id(
-            self.world.id(),
-            FENIX_COMM_SALT.wrapping_add(self.repair_count.get()),
-        );
-        Comm::from_group(
+        Comm::on_group(
             Arc::clone(self.router()),
-            id,
+            resilient_comm_id(&self.world, self.repair_count.get()),
             0,
-            Arc::new(self.active_group.borrow().clone()),
+            Arc::clone(&self.active_group.borrow()),
             self.world.my_global(),
         )
     }
 
     fn is_active(&self) -> bool {
-        self.active_group.borrow().contains(&self.world.my_global())
+        self.active_group
+            .borrow()
+            .rank_of(self.world.my_global())
+            .is_some()
     }
 
     /// Join the repair rendezvous for the current epoch with a vote.
@@ -262,46 +273,53 @@ impl Fenix {
         rec.emit_with(|| Event::RepairBegin {
             epoch: self.repair_count.get(),
         });
-        let old_id = Router::derive_comm_id(
-            self.world.id(),
-            FENIX_COMM_SALT.wrapping_add(self.repair_count.get()),
-        );
+        let old_id = resilient_comm_id(&self.world, self.repair_count.get());
+        let new_id = resilient_comm_id(&self.world, self.repair_count.get() + 1);
 
         {
             let mut spares = self.spare_pool.borrow_mut();
             spares.retain(|g| !dead.contains(g));
-            let mut group = self.active_group.borrow_mut();
-            let mut recovered = Vec::new();
-            for (slot, member) in group.iter_mut().enumerate() {
-                if dead.contains(member) {
-                    if let Some(spare) = spares.pop_front() {
-                        *member = spare;
-                        recovered.push(slot);
-                    }
+            let old = Arc::clone(&self.active_group.borrow());
+            // Slots held by a dead rank, lowest first, each paired with the
+            // spare that takes it (`None` once the pool is dry).
+            let mut dead_slots: Vec<usize> = dead.iter().filter_map(|&g| old.rank_of(g)).collect();
+            dead_slots.sort_unstable();
+            let swaps: Vec<(usize, Option<usize>)> = dead_slots
+                .into_iter()
+                .map(|slot| (slot, spares.pop_front()))
+                .collect();
+            let exhausted = swaps.iter().any(|(_, spare)| spare.is_none());
+            if exhausted && self.config.on_exhaustion == ExhaustPolicy::Abort {
+                self.router().abort();
+                return Err(MpiError::Aborted);
+            }
+            let mut members = old.to_vec();
+            for &(slot, spare) in &swaps {
+                if let (Some(member), Some(spare)) = (members.get_mut(slot), spare) {
+                    *member = spare;
                 }
             }
-            // Any slot still dead means spares ran out.
-            let exhausted = group.iter().any(|g| dead.contains(g));
             if exhausted {
-                match self.config.on_exhaustion {
-                    ExhaustPolicy::Abort => {
-                        self.router().abort();
-                        return Err(MpiError::Aborted);
-                    }
-                    ExhaustPolicy::Shrink => {
-                        group.retain(|g| !dead.contains(g));
-                        // Rank ids shifted; recovered slots are stale.
-                        recovered.clear();
-                    }
-                }
+                // Spares ran out under `Shrink`: drop the slots still dead.
+                members.retain(|g| !dead.contains(g));
             }
-            *self.last_recovered.borrow_mut() = recovered;
+            // Every rank derives the same list from the agreed dead set, so
+            // all of them end up holding the first one's copy.
+            let group = self.router().share_group(new_id, 0, members);
+            *self.last_recovered.borrow_mut() = if exhausted {
+                // Rank ids shifted; recovered slots are stale.
+                Vec::new()
+            } else {
+                swaps.iter().map(|&(slot, _)| slot).collect()
+            };
+            *self.active_group.borrow_mut() = group;
         }
 
         self.known_dead.borrow_mut().extend(dead.iter().copied());
         self.repair_count.set(self.repair_count.get() + 1);
         // Stale traffic on the retired communicator must not accumulate.
-        self.router().purge_comm(old_id, 0);
+        self.router()
+            .purge_mailbox(self.world.my_global(), old_id, 0);
         rec.emit_with(|| Event::RepairEnd {
             epoch: self.repair_count.get(),
             survivors: self.active_group.borrow().len() as u64,

@@ -309,3 +309,45 @@ fn recovery_callbacks_fire_with_repair_facts() {
         assert_eq!(info.spares_remaining, 0);
     }
 }
+
+#[test]
+fn repair_leaves_no_retired_comm_traffic_in_live_mailboxes() {
+    // Every active rank posts a message on the first resilient communicator
+    // that nobody receives, then rank 1 dies. Each survivor purges its own
+    // mailbox during the repair, so afterwards no live rank — survivor,
+    // promoted spare or finalized one — holds an envelope of the retired
+    // communicator.
+    let seen = Arc::new(Mutex::new(None));
+    let seen2 = Arc::clone(&seen);
+    let report = launch(5, FaultPlan::kill_at(1, "iter", 1), move |ctx| {
+        let cfg = FenixConfig {
+            spares: 2,
+            on_exhaustion: ExhaustPolicy::Abort,
+        };
+        fenix::run(ctx.world(), cfg, |_fx, comm, role| {
+            if role == Role::Initial {
+                *seen2.lock() = Some((Arc::clone(ctx.router()), comm.id()));
+                comm.send((comm.rank() + 1) % comm.size(), 99, &[1u8])?;
+                // Everyone's stray message is queued before anyone dies.
+                comm.barrier()?;
+            } else {
+                let (router, retired) = seen2.lock().clone().expect("set on first entry");
+                assert_eq!(router.queued_on(ctx.rank(), retired, 0), 0);
+            }
+            for i in 0..3u64 {
+                ctx.fault_point("iter", i)?;
+                comm.barrier()?;
+            }
+            Ok(())
+        })
+        .map(|_| ())
+    });
+    assert_eq!(report.killed_ranks(), vec![1]);
+    let (router, retired) = seen.lock().clone().expect("body ran");
+    for rank in [0, 2, 3, 4] {
+        assert_eq!(router.queued_on(rank, retired, 0), 0, "rank {rank}");
+    }
+    // The victim's own mailbox is nobody's to purge: its stray is still
+    // there, which is also what shows the purge had something to remove.
+    assert!(router.queued_on(1, retired, 0) >= 1);
+}

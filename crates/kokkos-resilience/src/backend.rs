@@ -271,7 +271,7 @@ mod tests {
         let region = views(&v);
         // A dummy single-rank comm for the API.
         let router = simmpi::router::Router::new(c.clone());
-        let comm = simmpi::Comm::from_group(router, 1, 0, Arc::new(vec![0]), 0);
+        let comm = simmpi::Comm::from_group(router, 1, 0, vec![0], 0);
         backend.checkpoint(&comm, "bk", 3, &region).unwrap();
         backend.wait();
         assert_eq!(backend.latest_local("bk"), Some(3));
@@ -286,7 +286,7 @@ mod tests {
         let c = cluster();
         let backend = VelocBackend::new(&c, 0, Mode::Single);
         let router = simmpi::router::Router::new(c.clone());
-        let comm = simmpi::Comm::from_group(router, 1, 0, Arc::new(vec![0]), 0);
+        let comm = simmpi::Comm::from_group(router, 1, 0, vec![0], 0);
         assert_eq!(backend.latest_agreed(&comm, "none").unwrap(), None);
     }
 }

@@ -187,7 +187,7 @@ fn reset_clears_metadata_and_reranks() {
             Arc::clone(ctx.router()),
             simmpi::router::Router::derive_comm_id(0, 999),
             0,
-            Arc::new(vec![0, 1]),
+            vec![0, 1],
             ctx.rank(),
         );
         kr.reset(new_comm);

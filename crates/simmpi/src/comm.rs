@@ -9,6 +9,7 @@
 //! revoked.
 
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -96,6 +97,43 @@ impl ReduceOp {
     }
 }
 
+/// A communicator's ordered member list — comm rank → global rank — with
+/// the reverse index. Dereferences to the member slice. The world group and
+/// Fenix's resilient group are one instance shared by every member's handle
+/// (see [`Router::share_group`]).
+#[derive(Debug)]
+pub struct Group {
+    members: Vec<usize>,
+    rank_of: HashMap<usize, usize>,
+}
+
+impl Group {
+    pub fn new(members: Vec<usize>) -> Self {
+        let mut rank_of = HashMap::with_capacity(members.len());
+        for (rank, &global) in members.iter().enumerate() {
+            rank_of.entry(global).or_insert(rank);
+        }
+        Group { members, rank_of }
+    }
+
+    pub fn as_slice(&self) -> &[usize] {
+        &self.members
+    }
+
+    /// Communicator rank of a global rank, if it is a member.
+    pub fn rank_of(&self, global: usize) -> Option<usize> {
+        self.rank_of.get(&global).copied()
+    }
+}
+
+impl std::ops::Deref for Group {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        &self.members
+    }
+}
+
 /// A per-rank communicator handle.
 ///
 /// Cloning a `Comm` yields another handle for the *same* rank (useful for
@@ -105,7 +143,7 @@ pub struct Comm {
     id: CommId,
     epoch: u32,
     /// Comm rank → global rank.
-    group: Arc<Vec<usize>>,
+    group: Arc<Group>,
     /// This rank's position in `group`.
     my_rank: usize,
     /// Per-handle collective sequence number. MPI requires all ranks to call
@@ -127,18 +165,30 @@ impl Clone for Comm {
 }
 
 impl Comm {
-    /// Build a communicator handle from an explicit group. `my_global` must
-    /// be a member of `group`.
+    /// Build a communicator handle from an explicit member list. `my_global`
+    /// must be a member.
     pub fn from_group(
         router: Arc<Router>,
         id: CommId,
         epoch: u32,
-        group: Arc<Vec<usize>>,
+        members: Vec<usize>,
+        my_global: usize,
+    ) -> Self {
+        Comm::on_group(router, id, epoch, Arc::new(Group::new(members)), my_global)
+    }
+
+    /// Build a handle on a group several handles share: the world group
+    /// (`Universe::launch` builds it once for all ranks) or one obtained
+    /// from [`Router::share_group`].
+    pub fn on_group(
+        router: Arc<Router>,
+        id: CommId,
+        epoch: u32,
+        group: Arc<Group>,
         my_global: usize,
     ) -> Self {
         let my_rank = group
-            .iter()
-            .position(|&g| g == my_global)
+            .rank_of(my_global)
             .expect("rank not in communicator group");
         Comm {
             router,
@@ -148,13 +198,6 @@ impl Comm {
             my_rank,
             coll_seq: Cell::new(0),
         }
-    }
-
-    /// The world communicator for a freshly launched universe.
-    pub(crate) fn world(router: Arc<Router>, my_global: usize) -> Self {
-        let n = router.ranks();
-        let group = Arc::new((0..n).collect());
-        Comm::from_group(router, 0, 0, group, my_global)
     }
 
     pub fn id(&self) -> CommId {
@@ -186,10 +229,10 @@ impl Comm {
 
     /// Communicator rank of a global rank, if it is a member.
     pub fn rank_of_global(&self, global: usize) -> Option<usize> {
-        self.group.iter().position(|&g| g == global)
+        self.group.rank_of(global)
     }
 
-    pub fn group(&self) -> &Arc<Vec<usize>> {
+    pub fn group(&self) -> &Arc<Group> {
         &self.group
     }
 
@@ -566,7 +609,7 @@ impl Comm {
             Arc::clone(&self.router),
             id,
             0,
-            Arc::new(group),
+            group,
             self.my_global(),
         ))
     }

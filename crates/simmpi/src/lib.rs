@@ -43,5 +43,5 @@ pub use fault::{
 };
 pub use pod::Pod;
 pub use profile::{Phase, Profile};
-pub use sched::Scheduler;
+pub use sched::{SchedStats, Scheduler};
 pub use universe::{Backend, LaunchReport, RankCtx, RankOutcome, Universe, UniverseConfig};

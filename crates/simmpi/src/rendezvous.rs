@@ -14,9 +14,12 @@
 //!   dead at completion time — ULFM's "agree acknowledges failures" flag.
 //!
 //! Entries are garbage collected when the last live participant picks up the
-//! result.
+//! result: publication strikes the dead contributors, every pick-up strikes
+//! its own, a kill strikes the victim's, and whoever empties the set retires
+//! the entry — O(1) per participant, however large the group.
 
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -59,9 +62,10 @@ struct Entry {
 
 #[derive(Default)]
 struct EntryState {
+    /// Before publication: every contribution so far. After: the live
+    /// contributors that have not picked the result up yet.
     contribs: HashMap<usize, Bytes>,
     result: Option<RendezvousOutcome>,
-    picked_up: usize,
 }
 
 /// Table of in-flight agreement operations.
@@ -100,6 +104,27 @@ impl RendezvousTable {
         }
     }
 
+    /// `rank` died and will never pick a result up: strike it from every
+    /// published entry, retiring the entries it was the last holder of.
+    pub(crate) fn forget(&self, rank: usize) {
+        let entries: Vec<(RendezvousKey, Arc<Entry>)> = self
+            .entries
+            .lock()
+            .iter()
+            .map(|(k, e)| (*k, Arc::clone(e)))
+            .collect();
+        for (key, e) in entries {
+            let mut st = e.state.lock();
+            let last = st.result.is_some()
+                && st.contribs.remove(&rank).is_some()
+                && st.contribs.is_empty();
+            drop(st);
+            if last {
+                self.retire(key);
+            }
+        }
+    }
+
     /// Number of in-flight operations (tests).
     pub fn in_flight(&self) -> usize {
         self.entries.lock().len()
@@ -135,13 +160,13 @@ impl Router {
 
         loop {
             if let Some(result) = st.result.clone() {
-                st.picked_up += 1;
-                // The last live participant retires the entry.
-                let live_participants = group
-                    .iter()
-                    .filter(|&&r| st.contribs.contains_key(&r) && !self.is_dead(r))
-                    .count();
-                if st.picked_up >= live_participants {
+                // The last live participant retires the entry. One member
+                // examined per pick-up: its own.
+                self.counts
+                    .rendezvous_scanned
+                    .fetch_add(1, Ordering::Relaxed);
+                st.contribs.remove(&me);
+                if st.contribs.is_empty() {
                     drop(st);
                     self.rendezvous.retire(key);
                 }
@@ -180,6 +205,8 @@ impl Router {
                     value,
                     failures_observed,
                 });
+                // From here on the set holds who still has to pick up.
+                st.contribs.retain(|r, _| !dead.contains(r));
                 entry.cv.notify_all();
                 if let Some(s) = self.sched() {
                     // Publication wakes the whole group; pushes are in
@@ -287,6 +314,7 @@ mod tests {
             assert_eq!(u64::from_le_bytes(out.value[..8].try_into().unwrap()), 20);
             assert_eq!(out.failures_observed, vec![2]);
         }
+        assert_eq!(r.rendezvous.in_flight(), 0, "entry retired");
     }
 
     #[test]
@@ -308,6 +336,7 @@ mod tests {
             let out = h.join().unwrap().unwrap();
             assert_eq!(out.failures_observed, vec![2]);
         }
+        assert_eq!(r.rendezvous.in_flight(), 0, "entry retired");
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! * Revoking a communicator wakes every rank blocked on it with `Revoked`.
 //! * Killing a rank wakes all blocked ranks so they can re-evaluate.
 
-use std::collections::{HashSet, VecDeque};
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, Weak};
 
 // loom facade: std atomics in production, schedule points under modelcheck
 // (crates/modelcheck/tests/rendezvous.rs drives this fabric).
@@ -31,6 +32,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use cluster::Cluster;
 use telemetry::{Event, MpiOp, Recorder};
 
+use crate::comm::Group;
 use crate::error::{MpiError, MpiResult};
 use crate::rendezvous::RendezvousTable;
 use crate::sched::{self, Scheduler};
@@ -79,9 +81,23 @@ impl Mailbox {
     }
 }
 
+/// Work counts of the repair path, in units that do not depend on the host:
+/// plain statistics (`Relaxed`), flushed into the telemetry registry once
+/// per launch by `Universe::launch`.
+#[derive(Default)]
+pub(crate) struct RepairCounts {
+    /// Mailboxes locked and filtered by [`Router::purge_mailbox`].
+    pub(crate) purge_mailboxes: AtomicU64,
+    /// Group members examined by rendezvous pick-ups to settle whether the
+    /// entry can retire (one per pick-up: the caller's own).
+    pub(crate) rendezvous_scanned: AtomicU64,
+}
+
 /// The shared fabric.
 pub struct Router {
     mailboxes: Vec<Mailbox>,
+    /// Groups handed out by [`Router::share_group`], while a handle lives.
+    shared_groups: Mutex<HashMap<(CommId, u32), Weak<Group>>>,
     dead: RwLock<HashSet<usize>>,
     revoked: RwLock<HashSet<(CommId, u32)>>,
     aborted: AtomicBool,
@@ -95,6 +111,7 @@ pub struct Router {
     /// set, blocking waits become scheduler yields and every state change
     /// that can unblock a rank routes a wake through it.
     sched: RwLock<Option<Arc<Scheduler>>>,
+    pub(crate) counts: RepairCounts,
 }
 
 impl Router {
@@ -102,6 +119,7 @@ impl Router {
         let n = cluster.topology().total_ranks();
         Arc::new(Router {
             mailboxes: (0..n).map(|_| Mailbox::new()).collect(),
+            shared_groups: Mutex::new(HashMap::new()),
             dead: RwLock::new(HashSet::new()),
             revoked: RwLock::new(HashSet::new()),
             aborted: AtomicBool::new(false),
@@ -109,7 +127,28 @@ impl Router {
             rendezvous: RendezvousTable::new(),
             recorders: RwLock::new(vec![Recorder::disabled(); n]),
             sched: RwLock::new(None),
+            counts: RepairCounts::default(),
         })
+    }
+
+    /// One [`Group`] for all the ranks that build communicator `(comm,
+    /// epoch)` from the same member list, where each of them derives that
+    /// list on its own (Fenix's resilient communicator): the first caller's
+    /// copy is handed to every later one instead of a copy per rank. A
+    /// caller whose list differs from the one on record — two communicators
+    /// under one id — gets a group of its own, never the other's.
+    pub fn share_group(&self, comm: CommId, epoch: u32, members: Vec<usize>) -> Arc<Group> {
+        let mut shared = self.shared_groups.lock();
+        if let Some(group) = shared.get(&(comm, epoch)).and_then(Weak::upgrade) {
+            return if group.as_slice() == members {
+                group
+            } else {
+                Arc::new(Group::new(members))
+            };
+        }
+        let group = Arc::new(Group::new(members));
+        shared.insert((comm, epoch), Arc::downgrade(&group));
+        group
     }
 
     /// Attach (or detach) the DES scheduler for this launch. Installed by
@@ -184,6 +223,7 @@ impl Router {
         }
         self.recorder(rank).emit(Event::RankKilled);
         self.cluster.fail_node_of(rank);
+        self.rendezvous.forget(rank);
         self.wake_all();
     }
 
@@ -224,14 +264,29 @@ impl Router {
         }
     }
 
-    /// Discard queued envelopes belonging to a retired communicator epoch
-    /// (called after a Fenix repair so stale traffic cannot accumulate).
-    pub fn purge_comm(&self, comm: CommId, epoch: u32) {
-        for mb in &self.mailboxes {
+    /// Discard the envelopes of a retired communicator epoch queued for
+    /// `me` (every rank calls this for itself after a Fenix repair, so stale
+    /// traffic cannot accumulate). Nothing is sent on a retired epoch after
+    /// its repair rendezvous completed, so a rank's own purge is final.
+    pub fn purge_mailbox(&self, me: usize, comm: CommId, epoch: u32) {
+        if let Some(mb) = self.mailboxes.get(me) {
+            self.counts.purge_mailboxes.fetch_add(1, Ordering::Relaxed);
             mb.queue
                 .lock()
                 .retain(|e| !(e.comm == comm && e.epoch == epoch));
         }
+    }
+
+    /// Envelopes of `comm`/`epoch` queued for `rank` (observability for
+    /// tests).
+    pub fn queued_on(&self, rank: usize, comm: CommId, epoch: u32) -> usize {
+        self.mailboxes.get(rank).map_or(0, |mb| {
+            let queue = mb.queue.lock();
+            queue
+                .iter()
+                .filter(|e| e.comm == comm && e.epoch == epoch)
+                .count()
+        })
     }
 
     /// Deterministically derive a child communicator id, identically
@@ -369,13 +424,16 @@ impl Router {
         self.rendezvous.in_flight()
     }
 
-    /// Non-blocking probe: is a matching message queued?
+    /// Non-blocking probe: is a matching message queued? `false` for a
+    /// receiver outside the fabric.
     pub fn probe(&self, spec: MatchSpec<'_>) -> bool {
-        self.mailboxes[spec.me].queue.lock().iter().any(|e| {
-            e.comm == spec.comm
-                && e.epoch == spec.epoch
-                && e.tag == spec.tag
-                && spec.src.is_none_or(|s| e.src == s)
+        self.mailboxes.get(spec.me).is_some_and(|mb| {
+            mb.queue.lock().iter().any(|e| {
+                e.comm == spec.comm
+                    && e.epoch == spec.epoch
+                    && e.tag == spec.tag
+                    && spec.src.is_none_or(|s| e.src == s)
+            })
         })
     }
 }
@@ -439,6 +497,9 @@ mod tests {
             r.recv(spec(9, None, 7, &group)),
             Err(MpiError::RankOutOfRange { rank: 9, size: 2 })
         ));
+        assert!(!r.probe(spec(9, None, 7, &group)));
+        r.purge_mailbox(9, 0, 0);
+        assert_eq!(r.queued_on(9, 0, 0), 0);
     }
 
     #[test]
@@ -561,13 +622,34 @@ mod tests {
     }
 
     #[test]
-    fn purge_comm_drops_only_that_epoch() {
+    fn share_group_shares_equal_lists_and_nothing_else() {
+        let r = router(4);
+        let first = r.share_group(7, 0, vec![0, 1, 2]);
+        let same = r.share_group(7, 0, vec![0, 1, 2]);
+        assert!(Arc::ptr_eq(&first, &same));
+        // The same id with other members is another communicator.
+        let other = r.share_group(7, 0, vec![0, 2, 3]);
+        assert_eq!(*other.as_slice(), [0, 2, 3]);
+        assert_eq!(*first.as_slice(), [0, 1, 2]);
+        assert_eq!(other.rank_of(3), Some(2));
+        // Nothing outlives its handles.
+        drop((first, same));
+        let again = r.share_group(7, 0, vec![0, 2, 3]);
+        assert!(!Arc::ptr_eq(&again, &other));
+        assert_eq!(*again.as_slice(), [0, 2, 3]);
+    }
+
+    #[test]
+    fn purge_mailbox_drops_only_that_epoch_of_that_rank() {
         let r = router(2);
         r.send(1, env(0, 1, b"old")).unwrap();
+        r.send(0, env(1, 1, b"old")).unwrap();
         let mut e2 = env(0, 1, b"new");
         e2.epoch = 1;
         r.send(1, e2).unwrap();
-        r.purge_comm(0, 0);
+        r.purge_mailbox(1, 0, 0);
+        assert_eq!(r.queued_on(1, 0, 0), 0);
+        assert_eq!(r.queued_on(0, 0, 0), 1, "another rank's mailbox is its own");
         let group = [0, 1];
         let s = MatchSpec {
             comm: 0,

@@ -92,7 +92,26 @@ struct TaskSlot {
     cv: Condvar,
 }
 
+/// What a launch's scheduler did, as plain counts kept under the scheduler
+/// lock and read once when the launch ends (`Universe::launch` flushes them
+/// into the telemetry registry when a hub is installed).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SchedStats {
+    /// Dispatches that passed the baton to another task's thread: each is
+    /// a condvar grant plus a park, i.e. a context switch.
+    pub handoffs: u64,
+    /// Dispatches whose next event belonged to the yielding task itself.
+    pub self_dispatches: u64,
+    /// Heap entries skipped because their task had already exited.
+    pub stale_skipped: u64,
+    /// Largest number of pending events.
+    pub peak_heap_depth: u64,
+    /// Kill / revoke / abort fan-outs.
+    pub wake_all_calls: u64,
+}
+
 struct Inner {
+    stats: SchedStats,
     heap: BinaryHeap<Reverse<Event>>,
     state: Vec<TaskState>,
     /// Whether a heap entry exists for the task (dedups wakes).
@@ -148,6 +167,7 @@ impl Scheduler {
     pub fn new(tasks: usize, seed: u64, clock: Arc<Clock>) -> Arc<Self> {
         Arc::new(Scheduler {
             inner: Mutex::new(Inner {
+                stats: SchedStats::default(),
                 heap: BinaryHeap::new(),
                 state: vec![TaskState::NotStarted; tasks],
                 queued: vec![false; tasks],
@@ -181,6 +201,11 @@ impl Scheduler {
         self.seed
     }
 
+    /// The counts so far.
+    pub fn stats(&self) -> SchedStats {
+        self.inner.lock().stats
+    }
+
     /// Install the callback run when the event heap drains while tasks are
     /// still blocked (the universe installs `Router::abort` so deadlock
     /// becomes a typed `MpiError::Aborted` outcome).
@@ -205,7 +230,7 @@ impl Scheduler {
         for task in 0..self.slots.len() {
             self.push_event(&mut inner, task, now);
         }
-        self.dispatch_next(&mut inner);
+        self.dispatch_next(&mut inner, None);
     }
 
     /// Rank-thread entry: park until the scheduler grants this task the
@@ -228,7 +253,7 @@ impl Scheduler {
             let now = self.clock.now_ns();
             self.push_event(&mut inner, task, now);
         }
-        self.hand_off(inner);
+        self.hand_off(inner, task);
         self.park(task);
     }
 
@@ -244,7 +269,7 @@ impl Scheduler {
             .now_ns()
             .saturating_add(modeled.as_nanos().min(u128::from(u64::MAX)) as u64);
         self.push_event(&mut inner, task, t);
-        self.hand_off(inner);
+        self.hand_off(inner, task);
         self.park(task);
     }
 
@@ -270,6 +295,7 @@ impl Scheduler {
     /// wake order deterministically.
     pub fn wake_all(&self) {
         let mut inner = self.inner.lock();
+        inner.stats.wake_all_calls += 1;
         let now = self.clock.now_ns();
         for task in 0..self.slots.len() {
             match inner.state_of(task) {
@@ -287,14 +313,14 @@ impl Scheduler {
         let mut inner = self.inner.lock();
         inner.set_state(task, TaskState::Done);
         inner.take_pending_wake(task);
-        self.hand_off(inner);
+        self.hand_off(inner, task);
     }
 
-    /// Dispatch the next event; if the heap is dry but tasks are still
-    /// blocked, fire the deadlock hook (which wakes them with the abort
-    /// flag set) and dispatch again.
-    fn hand_off(&self, mut inner: MutexGuard<'_, Inner>) {
-        if self.dispatch_next(&mut inner) {
+    /// `from` releases the baton: dispatch the next event; if the heap is dry
+    /// but tasks are still blocked, fire the deadlock hook (which wakes them
+    /// with the abort flag set) and dispatch again.
+    fn hand_off(&self, mut inner: MutexGuard<'_, Inner>, from: usize) {
+        if self.dispatch_next(&mut inner, Some(from)) {
             return;
         }
         let deadlocked = inner.state.iter().any(|s| {
@@ -319,18 +345,25 @@ impl Scheduler {
         }
         // The hook's wakes (router.abort → wake_all) refilled the heap.
         let mut inner = self.inner.lock();
-        self.dispatch_next(&mut inner);
+        self.dispatch_next(&mut inner, Some(from));
     }
 
     /// Pop the earliest event, advance the clock to it, grant its task the
-    /// baton. Returns false when the heap is empty.
-    fn dispatch_next(&self, inner: &mut Inner) -> bool {
+    /// baton (`from` is the task giving it up, if any). Returns false when
+    /// the heap is empty.
+    fn dispatch_next(&self, inner: &mut Inner, from: Option<usize>) -> bool {
         while let Some(Reverse(ev)) = inner.heap.pop() {
             if let Some(q) = inner.queued.get_mut(ev.task) {
                 *q = false;
             }
             if inner.state_of(ev.task) == TaskState::Done {
+                inner.stats.stale_skipped += 1;
                 continue; // stale wake for a task that exited meanwhile
+            }
+            if from == Some(ev.task) {
+                inner.stats.self_dispatches += 1;
+            } else {
+                inner.stats.handoffs += 1;
             }
             let now = self.clock.now_ns();
             if ev.t_ns > now {
@@ -362,6 +395,7 @@ impl Scheduler {
         if let Some(q) = inner.queued.get_mut(task) {
             *q = true;
         }
+        inner.stats.peak_heap_depth = inner.stats.peak_heap_depth.max(inner.heap.len() as u64);
     }
 
     /// Hand the baton to `task`.

@@ -9,10 +9,14 @@
 //!   is propagated to ranks that would otherwise block forever.
 //! * [`Comm::agree`] — fault-tolerant agreement on a bitwise-AND of flags;
 //!   completes despite failures (including failures *during* the call) and
-//!   reports the failed ranks it observed. Works on revoked communicators.
+//!   reports the failed ranks it observed. On a revoked communicator it
+//!   completes everywhere or nowhere: a result published before the
+//!   revocation is delivered to every participant, an unpublished
+//!   agreement fails with [`MpiError::Revoked`] (some participants have
+//!   left for recovery and will never contribute).
 //! * [`Comm::shrink`] — collectively builds a new communicator containing
-//!   the survivors, preserving their relative order. Works on revoked
-//!   communicators.
+//!   the survivors, preserving their relative order. Same revocation rule
+//!   as `agree`: shrink before revoking, or on a fresh epoch.
 //! * [`Comm::failed_ranks`] — local knowledge of failed group members
 //!   (`MPI_Comm_failure_ack` + `get_acked` folded into one query).
 
@@ -73,8 +77,12 @@ impl Comm {
     /// All live members must call with the same `seq` (successive agreements
     /// on one communicator must use increasing sequence numbers — the caller
     /// owns that ordering, which in Fenix is the repair counter). Returns the
-    /// AND of all live contributions plus the failures observed. Completes
-    /// even on a revoked communicator.
+    /// AND of all live contributions plus the failures observed.
+    ///
+    /// Revocation: a result already published when the communicator is
+    /// revoked is still delivered to every participant; an agreement that
+    /// has not completed by then fails with [`MpiError::Revoked`] on all of
+    /// them — never a mix (see the comment in `Router::rendezvous`).
     pub fn agree(&self, seq: u64, flags: u64) -> MpiResult<AgreeOutcome> {
         let key = RendezvousKey {
             comm: self.id(),
@@ -150,7 +158,7 @@ impl Comm {
             Arc::clone(self.router()),
             new_id,
             0,
-            Arc::new(survivors),
+            survivors,
             self.my_global(),
         ))
     }

@@ -9,13 +9,14 @@
 //! an unhandled fault.
 
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cluster::Cluster;
-use telemetry::{Event, Recorder, Telemetry};
+use telemetry::{names, Event, Recorder, Telemetry};
 
-use crate::comm::Comm;
+use crate::comm::{Comm, Group};
 use crate::error::{MpiError, MpiResult};
 use crate::fault::FaultPlan;
 use crate::profile::Profile;
@@ -256,13 +257,18 @@ impl Universe {
 
         let t0 = Instant::now();
         let start_ns = sched.as_ref().map(|s| s.clock().now_ns());
+        let tier_keys = || cluster.pfs().keys_examined() + cluster.scratch().keys_examined();
+        let tier_keys_before = tier_keys();
         let mut outcomes: Vec<Option<RankOutcome>> = Vec::new();
         outcomes.resize_with(n, || None);
 
+        // One world group for all ranks' handles.
+        let world_group = Arc::new(Group::new((0..n).collect()));
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
             for rank in 0..n {
                 let router = Arc::clone(&router);
+                let world_group = Arc::clone(&world_group);
                 let fault = Arc::clone(&fault);
                 let f = &f;
                 let config = &config;
@@ -292,7 +298,7 @@ impl Universe {
                     };
                     let mut ctx = RankCtx {
                         rank,
-                        world: Comm::world(Arc::clone(&router), rank),
+                        world: Comm::on_group(Arc::clone(&router), 0, 0, world_group, rank),
                         router: Arc::clone(&router),
                         fault,
                         profile: Arc::clone(&profile),
@@ -349,6 +355,34 @@ impl Universe {
             }
             _ => t0.elapsed(),
         };
+
+        // The launch's work counts reach the metrics registry here, once:
+        // nothing on the event path knows whether telemetry is on.
+        if let Some(tel) = &config.telemetry {
+            let m = tel.metrics();
+            if let Some(s) = &sched {
+                let st = s.stats();
+                m.counter(names::SCHED_EVENTS_DISPATCHED)
+                    .add(st.handoffs + st.self_dispatches);
+                m.counter(names::SCHED_HANDOFFS).add(st.handoffs);
+                m.counter(names::SCHED_SELF_DISPATCHES)
+                    .add(st.self_dispatches);
+                m.counter(names::SCHED_STALE_SKIPPED).add(st.stale_skipped);
+                m.counter(names::SCHED_WAKE_ALL_CALLS)
+                    .add(st.wake_all_calls);
+                let peak = m.gauge(names::SCHED_PEAK_HEAP_DEPTH);
+                peak.set(peak.get().max(st.peak_heap_depth as i64));
+            }
+            let counts = &router.counts;
+            m.counter(names::SIMMPI_PURGE_MAILBOXES)
+                .add(counts.purge_mailboxes.load(Ordering::Relaxed));
+            m.counter(names::SIMMPI_RENDEZVOUS_SCANNED)
+                .add(counts.rendezvous_scanned.load(Ordering::Relaxed));
+            m.counter(names::SIMMPI_RENDEZVOUS_IN_FLIGHT)
+                .add(router.agreements_in_flight() as u64);
+            m.counter(names::CLUSTER_TIER_KEYS_EXAMINED)
+                .add(tier_keys() - tier_keys_before);
+        }
 
         LaunchReport {
             outcomes: outcomes.into_iter().map(|o| o.expect("joined")).collect(),

@@ -256,3 +256,22 @@ fn comm_split_single_color_is_reordered_dup() {
     });
     assert!(report.all_ok());
 }
+
+#[test]
+fn two_splits_with_the_same_colors_keep_their_own_groups() {
+    // A child id is derived from (parent, color), not from the members:
+    // the second split reuses both colors with other members, and each
+    // handle must still carry the group its own split computed.
+    let report = run(4, |ctx| {
+        let w = ctx.world();
+        let r = w.rank();
+        let parity = w.split((r % 2) as u64, r as u64)?;
+        let halves = w.split((r / 2) as u64, r as u64)?;
+        assert_eq!(*parity.group().as_slice(), [r % 2, r % 2 + 2]);
+        assert_eq!(*halves.group().as_slice(), [r / 2 * 2, r / 2 * 2 + 1]);
+        assert_eq!(parity.rank(), r / 2);
+        assert_eq!(halves.rank(), r % 2);
+        Ok(())
+    });
+    assert!(report.all_ok(), "{:?}", report.outcomes);
+}

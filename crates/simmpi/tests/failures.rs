@@ -333,3 +333,92 @@ fn multiple_failures_shrink_twice() {
     killed.sort_unstable();
     assert_eq!(killed, vec![1, 3]);
 }
+
+/// Three ranks on the DES backend, where one rank runs at a time and gives
+/// the baton up only at a wait: whatever rank 2 does between publishing an
+/// agreement and its next wait lands *between* the publication and the
+/// other ranks' pick-ups, on every run. Returns the router for inspection.
+fn des_launch<F>(f: F) -> (simmpi::LaunchReport, Arc<simmpi::router::Router>)
+where
+    F: Fn(&mut RankCtx) -> MpiResult<()> + Send + Sync,
+{
+    let cluster = Cluster::new(ClusterConfig {
+        nodes: 3,
+        ranks_per_node: 1,
+        virtual_time: true,
+        ..ClusterConfig::default()
+    });
+    let router = parking_lot::Mutex::new(None);
+    let report = Universe::launch(
+        &cluster,
+        UniverseConfig {
+            backend: simmpi::Backend::Des { seed: 3 },
+            ..UniverseConfig::default()
+        },
+        Arc::new(FaultPlan::none()),
+        |ctx| {
+            router
+                .lock()
+                .get_or_insert_with(|| Arc::clone(ctx.router()));
+            if ctx.rank() == 2 {
+                // Arrive last: ranks 0 and 1 are parked in the agreement.
+                ctx.cluster()
+                    .time_scale()
+                    .sleep(std::time::Duration::from_millis(1));
+            }
+            f(ctx)
+        },
+    );
+    let router = router.lock().take().expect("a rank ran");
+    (report, router)
+}
+
+#[test]
+fn agree_delivers_a_published_result_on_a_revoked_communicator() {
+    let (report, router) = des_launch(|ctx| {
+        let w = ctx.world();
+        let out = w.agree(0, 0b11)?;
+        if ctx.rank() == 2 {
+            // Published by this call; nobody else has picked it up yet.
+            w.revoke();
+        }
+        assert_eq!(out.flags, 0b11);
+        assert!(w.is_revoked() || ctx.rank() == 2);
+        Ok(())
+    });
+    assert!(report.all_ok(), "{:?}", report.outcomes);
+    assert_eq!(router.agreements_in_flight(), 0);
+}
+
+#[test]
+fn agree_not_yet_published_fails_with_revoked() {
+    let (report, _router) = des_launch(|ctx| {
+        let w = ctx.world();
+        if ctx.rank() == 2 {
+            // Abandons the agreement for recovery instead of joining it.
+            w.revoke();
+            return Ok(());
+        }
+        assert_eq!(w.agree(0, 0b11), Err(MpiError::Revoked));
+        Ok(())
+    });
+    assert!(report.all_ok(), "{:?}", report.outcomes);
+}
+
+#[test]
+fn agreement_is_retired_when_a_member_dies_after_publication() {
+    let (report, router) = des_launch(|ctx| {
+        let w = ctx.world();
+        let out = w.agree(0, 0b11)?;
+        if ctx.rank() == 2 {
+            // Rank 1 contributed and is owed a pick-up it may never make.
+            ctx.router().kill(1);
+        }
+        assert_eq!(out.flags, 0b11);
+        Ok(())
+    });
+    for o in &report.outcomes {
+        assert!(o.result.is_ok(), "rank {}: {:?}", o.rank, o.result);
+    }
+    assert_eq!(router.agreements_in_flight(), 0);
+}

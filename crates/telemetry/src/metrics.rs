@@ -24,6 +24,31 @@ pub mod names {
     pub const VELOC_BYTES_WRITTEN: &str = "veloc.bytes_written";
     /// Checkpoints emitted as delta frames rather than full frames.
     pub const VELOC_DELTA_FRAMES: &str = "veloc.delta_frames";
+
+    // Flushed by `simmpi::Universe::launch` once per launch, summed over
+    // the launches of a run (the peak gauge keeps the largest).
+    /// DES events dispatched: `SCHED_HANDOFFS` + `SCHED_SELF_DISPATCHES`.
+    pub const SCHED_EVENTS_DISPATCHED: &str = "sched.events_dispatched";
+    /// Dispatches that passed the baton to another rank's thread.
+    pub const SCHED_HANDOFFS: &str = "sched.handoffs";
+    /// Dispatches whose next event belonged to the yielding rank itself.
+    pub const SCHED_SELF_DISPATCHES: &str = "sched.self_dispatches";
+    /// Heap entries skipped because their rank had already exited.
+    pub const SCHED_STALE_SKIPPED: &str = "sched.stale_skipped";
+    /// Kill / revoke / abort wake fan-outs.
+    pub const SCHED_WAKE_ALL_CALLS: &str = "sched.wake_all_calls";
+    /// Gauge: largest number of pending DES events.
+    pub const SCHED_PEAK_HEAP_DEPTH: &str = "sched.peak_heap_depth";
+    /// Mailboxes locked and filtered by post-repair purges.
+    pub const SIMMPI_PURGE_MAILBOXES: &str = "simmpi.purge_mailboxes";
+    /// Group members examined by rendezvous pick-ups (one each: the caller).
+    pub const SIMMPI_RENDEZVOUS_SCANNED: &str = "simmpi.rendezvous_members_scanned";
+    /// Agreement entries still in the rendezvous table when a launch ended
+    /// (an agreement some participant abandoned, or a leak).
+    pub const SIMMPI_RENDEZVOUS_IN_FLIGHT: &str = "simmpi.rendezvous_in_flight";
+    /// Stored keys touched by storage-tier metadata queries (version
+    /// discovery: `children`, `exists`, `list`), scratch and PFS together.
+    pub const CLUSTER_TIER_KEYS_EXAMINED: &str = "cluster.tier_keys_examined";
 }
 
 /// Monotonic event count.

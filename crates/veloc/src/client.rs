@@ -586,30 +586,31 @@ impl Client {
 
     // ---- restart ----------------------------------------------------------
 
+    /// Versions of `name` reachable *by this rank* (scratch or PFS),
+    /// ascending, each once. Reads each tier's `"{name}/"` directory — one
+    /// seek per stored version — and keeps the versions whose
+    /// `"{name}/v{version}/r{rank}"` path exists, so the cost does not depend
+    /// on how many other ranks checkpointed under the same name.
+    fn versions(&self, name: &str) -> Vec<u64> {
+        let dir = format!("{name}/");
+        let mut versions: Vec<u64> = self
+            .cluster
+            .scratch()
+            .children(self.node(), &dir)
+            .into_iter()
+            .chain(self.cluster.pfs().children(&dir))
+            .filter_map(|child| child.strip_prefix('v')?.parse().ok())
+            .collect();
+        versions.sort_unstable();
+        versions.dedup();
+        versions.retain(|&v| self.version_available(name, v));
+        versions
+    }
+
     /// Latest version of `name` reachable *by this rank* (scratch or PFS).
     /// This is the local half of the paper's manual best-version reduction.
     pub fn latest_version(&self, name: &str) -> Option<u64> {
-        let r = self.logical_rank();
-        let suffix = format!("/r{r}");
-        let parse = |p: &str| -> Option<u64> {
-            // "{name}/v{version}/r{rank}"
-            let rest = p.strip_prefix(name)?.strip_prefix("/v")?;
-            let rest = rest.strip_suffix(&suffix)?;
-            rest.parse().ok()
-        };
-        let mut best: Option<u64> = None;
-        for p in self
-            .cluster
-            .scratch()
-            .list(self.node(), &format!("{name}/"))
-            .iter()
-            .chain(self.cluster.pfs().list(&format!("{name}/")).iter())
-        {
-            if let Some(v) = parse(p) {
-                best = Some(best.map_or(v, |b| b.max(v)));
-            }
-        }
-        best
+        self.versions(name).last().copied()
     }
 
     /// Whether checkpoint `name`/`version` is reachable by this rank.
@@ -659,26 +660,10 @@ impl Client {
     /// holds an intact copy. This is the local half of the degraded
     /// agreement: a corrupt newest version must not wedge restart.
     pub fn latest_intact_version(&self, name: &str, bound: u64) -> Option<u64> {
-        let r = self.logical_rank();
-        let suffix = format!("/r{r}");
-        let parse = |p: &str| -> Option<u64> {
-            let rest = p.strip_prefix(name)?.strip_prefix("/v")?;
-            rest.strip_suffix(&suffix)?.parse().ok()
-        };
-        let mut versions: Vec<u64> = self
-            .cluster
-            .scratch()
-            .list(self.node(), &format!("{name}/"))
-            .iter()
-            .chain(self.cluster.pfs().list(&format!("{name}/")).iter())
-            .filter_map(|p| parse(p))
-            .filter(|&v| v <= bound)
-            .collect();
-        versions.sort_unstable();
-        versions.dedup();
-        versions
+        self.versions(name)
             .into_iter()
             .rev()
+            .filter(|&v| v <= bound)
             .find(|&v| self.version_intact(name, v))
     }
 
@@ -988,25 +973,7 @@ impl Client {
     /// a kept version can pin history.
     pub fn prune(&self, name: &str, keep_last: usize) -> usize {
         self.checkpoint_wait();
-        let r = self.logical_rank();
-        let suffix = format!("/r{r}");
-        let parse = |p: &str| -> Option<u64> {
-            p.strip_prefix(name)?
-                .strip_prefix("/v")?
-                .strip_suffix(&suffix)?
-                .parse()
-                .ok()
-        };
-        let mut versions: Vec<u64> = self
-            .cluster
-            .scratch()
-            .list(self.node(), &format!("{name}/"))
-            .iter()
-            .chain(self.cluster.pfs().list(&format!("{name}/")).iter())
-            .filter_map(|p| parse(p))
-            .collect();
-        versions.sort_unstable();
-        versions.dedup();
+        let versions = self.versions(name);
         if versions.len() <= keep_last {
             return 0;
         }
@@ -1421,6 +1388,85 @@ mod tests {
         cl.checkpoint_wait();
         assert_eq!(cl.prune("a", 0), 1);
         assert!(cl.version_available("b", 1));
+    }
+
+    /// The answer `versions` replaced, kept as its oracle: list every rank's
+    /// path under `"{name}/"` on both tiers and keep this rank's by suffix.
+    fn versions_by_listing(cl: &Client, name: &str) -> Vec<u64> {
+        let suffix = format!("/r{}", cl.logical_rank());
+        let prefix = format!("{name}/");
+        let mut versions: Vec<u64> = cl
+            .cluster
+            .scratch()
+            .list(cl.node(), &prefix)
+            .iter()
+            .chain(cl.cluster.pfs().list(&prefix).iter())
+            .filter_map(|p| {
+                p.strip_prefix(name)?
+                    .strip_prefix("/v")?
+                    .strip_suffix(&suffix)?
+                    .parse()
+                    .ok()
+            })
+            .collect();
+        versions.sort_unstable();
+        versions.dedup();
+        versions
+    }
+
+    /// Look-alikes on every path component: one name is a prefix of another,
+    /// `r1` is a suffix-prefix of `r11`, and versions 1 and 11 both occur.
+    const NAMES: [&str; 3] = ["heat", "heat2", "hea"];
+    const RANKS: [usize; 4] = [1, 11, 0, 10];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn versions_equals_list_and_filter(
+            writes in proptest::collection::vec((0usize..3, 0u64..25, 0usize..4, 0usize..4), 0..48),
+            removals in proptest::collection::vec((0usize..3, 0u64..25, 0usize..4, 0usize..5), 0..12),
+        ) {
+            let c = cluster(2);
+            let path = |(name, version, rank): (usize, u64, usize)| {
+                format!("{}/v{version}/r{}", NAMES[name], RANKS[rank])
+            };
+            for (name, version, rank, tier) in writes {
+                let p = path((name, version, rank));
+                match tier {
+                    0 => drop(c.scratch().write(0, &p, Bytes::new())),
+                    // Another node's scratch is not reachable from node 0.
+                    1 => drop(c.scratch().write(1, &p, Bytes::new())),
+                    2 => drop(c.pfs().write(&p, Bytes::new())),
+                    _ => {
+                        c.scratch().write(0, &p, Bytes::new());
+                        c.pfs().write(&p, Bytes::new());
+                    }
+                }
+            }
+            for (name, version, rank, how) in removals {
+                let p = path((name, version, rank));
+                match how {
+                    0 => drop(c.scratch().remove(0, &p)),
+                    1 => drop(c.pfs().remove(&p)),
+                    2 => {
+                        c.scratch().remove(0, &p);
+                        c.pfs().remove(&p);
+                    }
+                    3 => c.scratch().purge_node(0),
+                    _ => c.scratch().purge_node(1),
+                }
+            }
+            let cl = client(&c, 0);
+            for rank in RANKS {
+                cl.set_rank(rank);
+                for name in NAMES {
+                    let expected = versions_by_listing(&cl, name);
+                    proptest::prop_assert_eq!(cl.versions(name), expected.clone(), "{} r{}", name, rank);
+                    proptest::prop_assert_eq!(cl.latest_version(name), expected.last().copied());
+                }
+            }
+        }
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn main() {
                 Arc::clone(ctx.router()),
                 layered_resilience::simmpi::router::Router::derive_comm_id(0, 0x57A7),
                 0,
-                Arc::new(vec![0]),
+                vec![0],
                 0,
             );
             let bk = Bookkeeper::new(Arc::new(Profile::new()));

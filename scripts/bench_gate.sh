@@ -15,7 +15,8 @@
 # Claims asserted beyond regression bounds:
 #   - incremental@1% checkpoint >= MIN_SPEEDUP_X (default 5) faster than full-pack;
 #   - XOR n+1 encode cheaper than RS n+2 (GF(256) must not leak into XOR);
-#   - slice-by-16 CRC faster than the bitwise oracle it replaced.
+#   - slice-by-16 CRC faster than the bitwise oracle it replaced;
+#   - the 4-worker chain restart faster than the sequential one (nproc > 1).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,11 +30,12 @@ BC() { cargo run -q -p bench --bin bench_compare -- "$@"; }
 
 # Run one bench target and compare its fresh JSON against the committed
 # baseline; on the first run (no baseline) commit the fresh numbers instead.
-gate_section() { # title target baseline metric max_pct configs
+gate_section() { # title target baseline metric max_pct configs [launcher...]
   local title="$1" target="$2" baseline="$3" metric="$4" max_pct="$5" configs="$6"
+  shift 6
   local fresh="target/${baseline}"
   echo "== bench: ${title} =="
-  cargo bench -q -p bench --bench "$target"
+  "$@" cargo bench -q -p bench --bench "$target"
   [ -f "$fresh" ] || { echo "bench gate: $fresh was not produced" >&2; exit 1; }
   if [ ! -f "$baseline" ]; then
     cp "$fresh" "$baseline"
@@ -68,10 +70,18 @@ BC assert-faster target/BENCH_redundancy.json encode_xor4 encode_rs4_2 \
 echo "bench gate: OK (redundancy)"
 
 # The ring_* configs time a whole Universe launch (thread spawn +
-# scheduler), hence the wider budget.
+# scheduler), hence the wider budget; repair_256/repair_1024 are the host
+# cost of one in-place repair per rank (fail run - failure-free run of the
+# scale-smoke shape). The DES backend runs one rank at a time, so the bench
+# is pinned to one CPU, like the baseline: left to the kernel, every baton
+# hand-off migrates between CPUs and costs ~4x (benchmark/README.md).
+PIN=()
+if command -v taskset >/dev/null 2>&1; then
+  PIN=(taskset -c "$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//')")
+fi
 gate_section "DES scheduler" sched BENCH_sched.json \
   median_ns "$SCHED_MAX_REGRESSION_PCT" \
-  baton_handoff,ring_16,ring_64
+  baton_handoff,ring_16,ring_64,repair_256,repair_1024 ${PIN[@]+"${PIN[@]}"}
 echo "bench gate: OK (sched)"
 
 # Restart latency: full-frame restore, the 8-frame chain walk in its
@@ -86,6 +96,12 @@ gate_section "restart latency" restart_latency BENCH_restart.json \
 # it replaced (kept in-tree solely as the proptest oracle).
 BC assert-faster target/BENCH_restart.json crc_slice16_1m crc_bitwise_1m \
   --metric median_ns --min-x 1
+# The chain8 par/seq pair do identical work at worker fan-out 4 vs 1: with a
+# second CPU the fan-out must win (the JSON's worker_sweep records 1/2/4/8).
+if [ "$(nproc)" -gt 1 ]; then
+  BC assert-faster target/BENCH_restart.json restart_chain8 restart_chain8_seq \
+    --metric median_ns --min-x 1
+fi
 echo "bench gate: OK (restart)"
 
 echo "bench gate: OK"
