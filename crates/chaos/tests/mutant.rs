@@ -1,7 +1,7 @@
 //! Campaign self-test against the seeded checkpoint-integrity bug.
 //!
-//! The `chaos-mutants` feature makes `veloc::serial::unpack` skip its CRC32
-//! comparison — re-enabling the exact silent-garbage-restore bug the
+//! The `chaos-mutants` feature makes `veloc::serial` skip its CRC32
+//! comparisons — re-enabling the exact silent-garbage-restore bug the
 //! integrity frame was added to close. These tests prove the campaign
 //! machinery would have caught that bug: under the mutant a
 //! corruption-plus-kill schedule completes with a *wrong* digest (the

@@ -8,8 +8,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 #[cfg(not(feature = "chaos-mutants"))]
 use std::sync::Arc;
 
-#[cfg(not(feature = "chaos-mutants"))]
-use bytes::Bytes;
 use chaos::{ChaosSchedule, Oracle, RunOutcome};
 #[cfg(not(feature = "chaos-mutants"))]
 use cluster::{Cluster, ClusterConfig, RelaunchModel, TimeScale};
@@ -22,7 +20,7 @@ use simmpi::{
     CorruptKind, CorruptTier, FaultSchedule, MpiError, ReduceOp, Universe, UniverseConfig,
 };
 #[cfg(not(feature = "chaos-mutants"))]
-use veloc::serial;
+use veloc::{serial, Protected, VecRegion};
 
 /// Exhausting the spare pool must end in the driver's typed error — with a
 /// failure timeline that shows both kills and the one repair that *did*
@@ -111,7 +109,9 @@ fn imr_recovery_detects_corrupted_partner_store_and_aborts_cleanly() {
                 let mode = Some(RedundancyMode::Replicate { k: 2 });
                 let group = RedundancyGroup::new(Arc::clone(&store), comm, mode);
                 if role == Role::Initial {
-                    let payload = serial::pack(&[(0u32, Bytes::from(vec![comm.rank() as u8; 32]))]);
+                    let region: Arc<dyn Protected> =
+                        Arc::new(VecRegion::new(vec![comm.rank() as u8; 32]));
+                    let payload = serial::pack(None, &[(0, region)], &[]);
                     group.store(0, 1, payload).map_err(|_| MpiError::Aborted)?;
                     // Whoever holds rank 0's copy rots it; nobody else does.
                     if store.tamper_held(0, 0) {
@@ -318,7 +318,7 @@ fn corrupted_delta_base_is_never_restored_atop() {
         .scratch()
         .read(0, "chain/v2/r0")
         .expect("v2 blob in scratch");
-    let frame = serial::unpack_any(&v2).expect("v2 parses");
+    let frame = serial::unpack(&v2).expect("v2 parses");
     assert_eq!(
         frame.base_version,
         Some(1),

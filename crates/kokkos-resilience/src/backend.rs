@@ -11,6 +11,7 @@
 
 use std::sync::Arc;
 
+use bytes::Bytes;
 use cluster::Cluster;
 use kokkos::capture::Checkpointable;
 use simmpi::{Comm, MpiError, MpiResult};
@@ -89,11 +90,12 @@ pub trait DataBackend: Send {
     }
 }
 
-/// Adapter: a captured view as a VeloC protected region.
-struct ViewRegion(Arc<dyn Checkpointable>);
+/// Adapter: a captured view as a VeloC protected region — the one place a
+/// [`Checkpointable`] becomes a [`Protected`], for every strategy.
+pub struct ViewRegion(pub Arc<dyn Checkpointable>);
 
 impl Protected for ViewRegion {
-    fn snapshot(&self) -> bytes::Bytes {
+    fn snapshot(&self) -> Bytes {
         self.0.snapshot()
     }
 
@@ -116,6 +118,59 @@ impl Protected for ViewRegion {
         // Forward so the view's direct-copy path (no intermediate `Bytes`)
         // survives the trait-object hop into the zero-copy pack.
         self.0.snapshot_into(out)
+    }
+}
+
+fn protected(views: &RegionViews) -> Vec<(u32, Arc<dyn Protected>)> {
+    views
+        .iter()
+        .map(|(id, view)| {
+            let region: Arc<dyn Protected> = Arc::new(ViewRegion(Arc::clone(view)));
+            (*id, region)
+        })
+        .collect()
+}
+
+/// Pack `views` into one self-contained checkpoint frame — what the
+/// peer-memory tiers store (they keep whole versions, never delta chains).
+pub fn pack_views(views: &RegionViews) -> Bytes {
+    veloc::serial::pack(None, &protected(views), &[])
+}
+
+/// Restore `views` from a peer-memory frame. A blob that fails its
+/// integrity checks (a bit-rotted peer copy), is a delta, or whose region
+/// ids are not exactly the ids of `views` is a data loss: rejected before
+/// any view is touched, and reported through the error channel like every
+/// other unrecoverable outcome instead of panicking one rank under its
+/// peers.
+pub fn unpack_views(views: &RegionViews, blob: &Bytes) -> MpiResult<()> {
+    let frame = veloc::serial::unpack(blob).ok_or(MpiError::Aborted)?;
+    let mut payloads = frame.changed;
+    payloads.sort_unstable_by_key(|(id, _)| *id);
+    let mut targets: Vec<&(u32, Arc<dyn Checkpointable>)> = views.iter().collect();
+    targets.sort_unstable_by_key(|(id, _)| *id);
+    let ids_match = payloads.iter().map(|p| p.0).eq(targets.iter().map(|t| t.0));
+    if frame.base_version.is_some() || !ids_match {
+        return Err(MpiError::Aborted);
+    }
+    for ((_, view), (_, payload)) in targets.iter().zip(&payloads) {
+        view.restore(payload);
+    }
+    Ok(())
+}
+
+/// Route a VeloC error to the layer that can claim it.
+pub fn veloc_err(e: VelocError) -> MpiError {
+    match e {
+        VelocError::Mpi(m) => m,
+        // Local, non-MPI failures: no recovery layer can claim these, so
+        // the job aborts — through the error channel, not a panic that
+        // would strand the surviving ranks in their collectives.
+        VelocError::NotFound { .. }
+        | VelocError::Corrupt { .. }
+        | VelocError::UnknownRegion { .. }
+        | VelocError::NoCommunicator
+        | VelocError::BackendSpawn { .. } => MpiError::Aborted,
     }
 }
 
@@ -142,31 +197,7 @@ impl VelocBackend {
         // Replace the whole protection table atomically; the fresh wrappers
         // still forward each view's allocation stamp, so re-registering the
         // same views keeps their delta chains alive.
-        self.client.protect_exact(
-            views
-                .iter()
-                .map(|(id, handle)| {
-                    (
-                        *id,
-                        Arc::new(ViewRegion(Arc::clone(handle))) as Arc<dyn Protected>,
-                    )
-                })
-                .collect(),
-        );
-    }
-
-    fn unwrap_veloc<T>(r: Result<T, VelocError>) -> MpiResult<T> {
-        r.map_err(|e| match e {
-            VelocError::Mpi(m) => m,
-            // Local, non-MPI failures: no recovery layer can claim these, so
-            // the job aborts — through the error channel, not a panic that
-            // would strand the surviving ranks in their collectives.
-            VelocError::NotFound { .. }
-            | VelocError::Corrupt { .. }
-            | VelocError::UnknownRegion { .. }
-            | VelocError::NoCommunicator
-            | VelocError::BackendSpawn { .. } => MpiError::Aborted,
-        })
+        self.client.protect_exact(protected(views));
     }
 }
 
@@ -183,7 +214,7 @@ impl DataBackend for VelocBackend {
         views: &RegionViews,
     ) -> MpiResult<()> {
         self.protect(views);
-        Self::unwrap_veloc(self.client.checkpoint(name, version))
+        self.client.checkpoint(name, version).map_err(veloc_err)
     }
 
     fn latest_local(&self, name: &str) -> Option<u64> {
@@ -195,10 +226,9 @@ impl DataBackend for VelocBackend {
         // manual min-reduction picks the newest version available
         // everywhere, but an agreed-and-corrupt blob would wedge restart —
         // the hardened agreement degrades to an older verified version.
-        Self::unwrap_veloc(
-            self.client
-                .agree_intact_version_below(name, bound, Some(comm)),
-        )
+        self.client
+            .agree_intact_version_below(name, bound, Some(comm))
+            .map_err(veloc_err)
     }
 
     fn restore(
@@ -210,7 +240,10 @@ impl DataBackend for VelocBackend {
         _recovering_ranks: &[usize],
     ) -> MpiResult<()> {
         self.protect(views);
-        Self::unwrap_veloc(self.client.restart(name, version)).map(|_| ())
+        self.client
+            .restart(name, version)
+            .map(drop)
+            .map_err(veloc_err)
     }
 
     fn wait(&self) {
@@ -250,16 +283,93 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_veloc_forwards_mpi_and_aborts_local_failures() {
-        assert!(matches!(
-            VelocBackend::unwrap_veloc::<()>(Err(VelocError::Mpi(MpiError::Revoked))),
-            Err(MpiError::Revoked)
-        ));
-        assert!(matches!(
-            VelocBackend::unwrap_veloc::<()>(Err(VelocError::Corrupt { path: "p".into() })),
+    fn veloc_err_forwards_mpi_and_aborts_local_failures() {
+        assert_eq!(
+            veloc_err(VelocError::Mpi(MpiError::Revoked)),
+            MpiError::Revoked
+        );
+        assert_eq!(
+            veloc_err(VelocError::Corrupt { path: "p".into() }),
+            MpiError::Aborted
+        );
+        assert_eq!(veloc_err(VelocError::NoCommunicator), MpiError::Aborted);
+    }
+
+    #[test]
+    fn damaged_or_foreign_blobs_abort_instead_of_panicking() {
+        let a: View<u64> = View::from_vec("a", vec![1, 2, 3]);
+        let b: View<u64> = View::from_vec("b", vec![4, 5]);
+        let views: Vec<(u32, Arc<dyn Checkpointable>)> =
+            vec![(7, Arc::new(a.clone())), (9, Arc::new(b.clone()))];
+        let blob = pack_views(&views);
+        a.fill(0);
+        b.fill(0);
+        let nothing_restored = |case: &str| {
+            assert_eq!(*a.read_uncaptured(), vec![0, 0, 0], "{case}");
+            assert_eq!(*b.read_uncaptured(), vec![0, 0], "{case}");
+        };
+
+        // A bit-rotted peer copy: the payload CRC rejects it.
+        let mut rotted = blob.to_vec();
+        *rotted.last_mut().expect("non-empty blob") ^= 0xFF;
+        assert_eq!(
+            unpack_views(&views, &Bytes::from(rotted)),
             Err(MpiError::Aborted)
-        ));
-        assert_eq!(VelocBackend::unwrap_veloc(Ok(1)).unwrap(), 1);
+        );
+        nothing_restored("rotted");
+
+        // An intact delta frame: peer memory holds no chain to resolve it.
+        let delta = veloc::serial::pack(Some(3), &protected(&views[..1]), &[9]);
+        assert_eq!(unpack_views(&views, &delta), Err(MpiError::Aborted));
+        nothing_restored("delta");
+
+        // Intact full frames whose id set is not the views': one region
+        // short, one region foreign (its first id matches — and must still
+        // not be restored).
+        let short = pack_views(&views[..1]);
+        assert_eq!(unpack_views(&views, &short), Err(MpiError::Aborted));
+        let foreign: Vec<(u32, Arc<dyn Checkpointable>)> =
+            vec![(7, Arc::new(a.clone())), (8, Arc::new(b.clone()))];
+        assert_eq!(unpack_views(&foreign, &blob), Err(MpiError::Aborted));
+        nothing_restored("id-set mismatch");
+
+        unpack_views(&views, &blob).expect("the intact blob still restores");
+        assert_eq!(*b.read_uncaptured(), vec![4, 5]);
+    }
+
+    #[test]
+    fn view_adapter_never_takes_an_owned_snapshot() {
+        // The adapter forwards `snapshot_into`, so both writers — the VeloC
+        // client and the peer-memory `pack_views` — copy a view once.
+        struct Counted(View<u64>, std::sync::atomic::AtomicUsize);
+        impl Checkpointable for Counted {
+            fn meta(&self) -> kokkos::ViewMeta {
+                Checkpointable::meta(&self.0)
+            }
+            fn snapshot(&self) -> Bytes {
+                self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.0.snapshot()
+            }
+            fn restore(&self, data: &[u8]) {
+                self.0.restore(data);
+            }
+            fn snapshot_into(&self, out: &mut [u8]) -> bool {
+                self.0.snapshot_into(out)
+            }
+        }
+        let c = cluster();
+        let counted = Arc::new(Counted(View::from_vec("data", vec![5, 6, 7]), 0.into()));
+        let region: Vec<(u32, Arc<dyn Checkpointable>)> = vec![(0, counted.clone())];
+        let backend = VelocBackend::new(&c, 0, Mode::Single);
+        let router = simmpi::router::Router::new(c.clone());
+        let comm = simmpi::Comm::from_group(router, 1, 0, vec![0], 0);
+        backend.checkpoint(&comm, "bk", 1, &region).unwrap();
+        backend.wait();
+        let blob = pack_views(&region);
+        assert_eq!(counted.1.load(std::sync::atomic::Ordering::Relaxed), 0);
+        counted.0.fill(0);
+        unpack_views(&region, &blob).unwrap();
+        assert_eq!(*counted.0.read_uncaptured(), vec![5, 6, 7]);
     }
 
     #[test]

@@ -486,7 +486,7 @@ mod tests {
             Some(("fenix".into(), true))
         );
         assert_eq!(
-            classify("crates/bench/benches/fig5_heatdis.rs"),
+            classify("crates/bench/benches/ablations.rs"),
             Some(("bench".into(), true))
         );
         assert_eq!(

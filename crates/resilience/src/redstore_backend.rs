@@ -21,7 +21,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use bytes::Bytes;
+use kokkos_resilience::backend::{pack_views, unpack_views};
 use kokkos_resilience::{DataBackend, RegionViews};
 use redstore::{RedError, RedStore, RedundancyGroup, RedundancyMode};
 use simmpi::{Comm, MpiError, MpiResult, ReduceOp};
@@ -50,27 +50,6 @@ impl RedstoreBackend {
         let mut h = DefaultHasher::new();
         name.hash(&mut h);
         (h.finish() & 0x7fff_ffff) as u32
-    }
-
-    fn pack(views: &RegionViews) -> Bytes {
-        let parts: Vec<(u32, Bytes)> = views.iter().map(|(id, v)| (*id, v.snapshot())).collect();
-        veloc::serial::pack(&parts)
-    }
-
-    /// A blob that fails its integrity frame (a bit-rotted peer copy) or
-    /// names a region this context never captured is a data loss: abort
-    /// through the error channel, like every other unrecoverable outcome
-    /// here, instead of panicking one rank under its peers.
-    fn unpack(views: &RegionViews, blob: &Bytes) -> MpiResult<()> {
-        let parts = veloc::serial::unpack(blob).ok_or(MpiError::Aborted)?;
-        for (id, payload) in parts {
-            let (_, handle) = views
-                .iter()
-                .find(|(vid, _)| *vid == id)
-                .ok_or(MpiError::Aborted)?;
-            handle.restore(&payload);
-        }
-        Ok(())
     }
 }
 
@@ -101,7 +80,7 @@ impl DataBackend for RedstoreBackend {
     ) -> MpiResult<()> {
         let group = RedundancyGroup::new(Arc::clone(&self.store), comm, self.mode);
         group
-            .store(Self::member_of(name), version, Self::pack(views))
+            .store(Self::member_of(name), version, pack_views(views))
             .map_err(red_err)
     }
 
@@ -128,7 +107,7 @@ impl DataBackend for RedstoreBackend {
             .restore(Self::member_of(name), recovering_ranks)
             .map_err(red_err)?;
         debug_assert_eq!(got, version, "commit protocol keeps versions consistent");
-        Self::unpack(views, &blob)
+        unpack_views(views, &blob)
     }
 
     fn clear(&self) {
@@ -140,8 +119,6 @@ impl DataBackend for RedstoreBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kokkos::capture::Checkpointable;
-    use kokkos::View;
 
     #[test]
     fn member_ids_are_stable_and_distinct() {
@@ -152,40 +129,6 @@ mod tests {
         assert_ne!(
             RedstoreBackend::member_of("app.loop"),
             RedstoreBackend::member_of("app.other")
-        );
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        let v: View<u64> = View::from_vec("r", vec![1, 2, 3]);
-        let views: Vec<(u32, Arc<dyn Checkpointable>)> = vec![(7, Arc::new(v.clone()))];
-        let blob = RedstoreBackend::pack(&views);
-        v.fill(0);
-        RedstoreBackend::unpack(&views, &blob).expect("intact blob restores");
-        assert_eq!(*v.read_uncaptured(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn damaged_or_foreign_blobs_abort_instead_of_panicking() {
-        let v: View<u64> = View::from_vec("r", vec![1, 2, 3]);
-        let views: Vec<(u32, Arc<dyn Checkpointable>)> = vec![(7, Arc::new(v.clone()))];
-        let blob = RedstoreBackend::pack(&views);
-
-        // A bit-rotted peer copy: the CRC frame rejects it.
-        let mut rotted = blob.to_vec();
-        *rotted.last_mut().expect("non-empty blob") ^= 0xFF;
-        v.fill(0);
-        assert_eq!(
-            RedstoreBackend::unpack(&views, &Bytes::from(rotted)),
-            Err(MpiError::Aborted)
-        );
-        assert_eq!(*v.read_uncaptured(), vec![0, 0, 0], "nothing restored");
-
-        // An intact blob naming a region this context never captured.
-        let other: Vec<(u32, Arc<dyn Checkpointable>)> = vec![(8, Arc::new(v.clone()))];
-        assert_eq!(
-            RedstoreBackend::unpack(&other, &blob),
-            Err(MpiError::Aborted)
         );
     }
 

@@ -15,13 +15,13 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use fenix::{ExhaustPolicy, Fenix, FenixConfig, Role};
 use kokkos::capture::Checkpointable;
+use kokkos_resilience::backend::{pack_views, unpack_views, veloc_err, ViewRegion};
 use kokkos_resilience::{BackendKind, CheckpointFilter, Context, ContextConfig, RecoveryScope};
 use redstore::{RedStore, RedundancyGroup, RedundancyMode};
-use simmpi::{Comm, MpiError, MpiResult, Phase, RankCtx, ReduceOp};
-use veloc::{Client, Config as VelocConfig, Mode, Protected, VelocError};
+use simmpi::{Comm, MpiResult, Phase, RankCtx, ReduceOp};
+use veloc::{Client, Config as VelocConfig, Mode};
 
 use crate::app::{IterativeApp, RankApp, RunMode};
 use crate::bookkeeper::Bookkeeper;
@@ -46,38 +46,11 @@ const LOOP_LABEL: &str = "loop";
 /// Peer-memory member id holding the packed application views.
 const VIEWS_MEMBER: u32 = 0;
 
-fn veloc_err(e: VelocError) -> MpiError {
-    match e {
-        VelocError::Mpi(e) => e,
-        // Local data-layer failures have no recovery layer to claim them;
-        // abort via the error channel so collectives stay matched.
-        VelocError::NotFound { .. }
-        | VelocError::Corrupt { .. }
-        | VelocError::UnknownRegion { .. }
-        | VelocError::NoCommunicator
-        | VelocError::BackendSpawn { .. } => MpiError::Aborted,
-    }
-}
-
-/// Adapts a captured view handle to a VeloC protected region.
-struct ViewRegion(Arc<dyn Checkpointable>);
-
-impl Protected for ViewRegion {
-    fn snapshot(&self) -> Bytes {
-        self.0.snapshot()
-    }
-
-    fn restore(&self, data: &[u8]) {
-        self.0.restore(data);
-    }
-
-    fn byte_len(&self) -> usize {
-        self.0.meta().bytes
-    }
-
-    fn generation(&self) -> Option<u64> {
-        self.0.generation()
-    }
+/// The application's checkpointed views under their stable region ids
+/// (position in [`RankApp::checkpoint_views`]).
+fn region_views(state: &dyn RankApp) -> Vec<(u32, Arc<dyn Checkpointable>)> {
+    let views = state.checkpoint_views().into_iter();
+    views.enumerate().map(|(i, v)| (i as u32, v)).collect()
 }
 
 fn protect_views(client: &Client, state: &dyn RankApp) {
@@ -85,34 +58,9 @@ fn protect_views(client: &Client, state: &dyn RankApp) {
     // Called once per body (re)entry: the rank may have just been rolled
     // back or replaced, so any delta base remembered from before is void.
     client.invalidate_deltas();
-    for (i, v) in state.checkpoint_views().into_iter().enumerate() {
-        client.protect(i as u32, Arc::new(ViewRegion(v)));
+    for (id, view) in region_views(state) {
+        client.protect(id, Arc::new(ViewRegion(view)));
     }
-}
-
-fn pack_views(state: &dyn RankApp) -> Bytes {
-    let parts: Vec<(u32, Bytes)> = state
-        .checkpoint_views()
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| (i as u32, v.snapshot()))
-        .collect();
-    veloc::serial::pack(&parts)
-}
-
-/// Restore captured views from a peer-memory blob. A blob that fails the
-/// integrity frame (a corrupted partner copy) is a data loss, not a panic:
-/// the caller aborts through the error channel like any other data loss.
-fn unpack_views(state: &dyn RankApp, blob: &Bytes) -> MpiResult<()> {
-    let views = state.checkpoint_views();
-    let parts = veloc::serial::unpack(blob).ok_or(MpiError::Aborted)?;
-    for (i, payload) in parts {
-        views
-            .get(i as usize)
-            .ok_or(MpiError::Aborted)?
-            .restore(&payload);
-    }
-    Ok(())
 }
 
 /// The shared iteration loop. `checkpoint_hook` runs after iterations the
@@ -658,7 +606,7 @@ fn fenix_peer_memory_body(
             debug_assert_eq!(version as i64, committed, "commit protocol consistency");
             let mut sref = state.borrow_mut();
             let st = sref.as_mut().expect("state initialized");
-            unpack_views(st.as_ref(), &blob)?;
+            unpack_views(&region_views(st.as_ref()), &blob)?;
             st.post_restore(comm, bk)?;
             version + 1
         } else {
@@ -683,28 +631,11 @@ fn fenix_peer_memory_body(
         shared,
         |_c, comm, st, i, bk| st.step(comm, i, bk),
         |i, st| {
-            let blob = pack_views(st.as_ref());
+            let blob = pack_views(&region_views(st.as_ref()));
             bk.book(Phase::CheckpointFn, || {
                 group.store(VIEWS_MEMBER, i, blob).map_err(red_err)
             })
         },
     )?;
     finish(comm, st, shared, done)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn data_layer_failures_abort_through_the_error_channel() {
-        assert!(matches!(
-            veloc_err(VelocError::Mpi(MpiError::Revoked)),
-            MpiError::Revoked
-        ));
-        assert!(matches!(
-            veloc_err(VelocError::NoCommunicator),
-            MpiError::Aborted
-        ));
-    }
 }

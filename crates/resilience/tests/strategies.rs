@@ -2,11 +2,13 @@
 //! failure-free equivalence, recovery correctness per strategy, and
 //! partial-rollback convergence.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use bytes::Bytes;
 use cluster::{Cluster, ClusterConfig, RelaunchModel, TimeScale};
 use kokkos::capture::Checkpointable;
-use kokkos::View;
+use kokkos::{View, ViewMeta};
 use resilience::{
     run_experiment, try_run_experiment, Bookkeeper, ExperimentConfig, ExperimentError,
     IterativeApp, RankApp, RunMode, Strategy,
@@ -190,6 +192,124 @@ fn failure_free_all_strategies_agree() {
         assert_eq!(rec.digest, reference, "digest mismatch under {strategy}");
         assert_eq!(rec.relaunches, 0, "{strategy}");
         assert_eq!(rec.repairs, 0, "{strategy}");
+    }
+}
+
+/// How often the checkpointed views were serialized, by which door.
+#[derive(Default)]
+struct SerializeCounts {
+    /// `snapshot()`: an owned copy, which the pack then copies again.
+    copies: AtomicUsize,
+    /// `snapshot_into()`: straight into the frame's payload slot.
+    direct: AtomicUsize,
+}
+
+struct CountedView {
+    inner: Arc<dyn Checkpointable>,
+    counts: Arc<SerializeCounts>,
+}
+
+impl Checkpointable for CountedView {
+    fn meta(&self) -> ViewMeta {
+        self.inner.meta()
+    }
+    fn snapshot(&self) -> Bytes {
+        self.counts.copies.fetch_add(1, Ordering::Relaxed);
+        self.inner.snapshot()
+    }
+    fn restore(&self, data: &[u8]) {
+        self.inner.restore(data);
+    }
+    fn generation(&self) -> Option<u64> {
+        self.inner.generation()
+    }
+    fn snapshot_into(&self, out: &mut [u8]) -> bool {
+        self.counts.direct.fetch_add(1, Ordering::Relaxed);
+        self.inner.snapshot_into(out)
+    }
+}
+
+/// [`RingDiffusion`] with its checkpointed views wrapped in [`CountedView`].
+struct CountedRing {
+    app: RingDiffusion,
+    counts: Arc<SerializeCounts>,
+}
+
+struct CountedState {
+    state: Box<dyn RankApp>,
+    counts: Arc<SerializeCounts>,
+}
+
+impl IterativeApp for CountedRing {
+    fn name(&self) -> &str {
+        self.app.name()
+    }
+    fn mode(&self) -> RunMode {
+        self.app.mode()
+    }
+    fn init_rank(&self, ctx: &RankCtx, comm: &Comm) -> Box<dyn RankApp> {
+        Box::new(CountedState {
+            state: self.app.init_rank(ctx, comm),
+            counts: Arc::clone(&self.counts),
+        })
+    }
+}
+
+impl RankApp for CountedState {
+    fn step(&mut self, comm: &Comm, iteration: u64, bk: &Bookkeeper) -> MpiResult<()> {
+        self.state.step(comm, iteration, bk)
+    }
+    fn checkpoint_views(&self) -> Vec<Arc<dyn Checkpointable>> {
+        let wrap = |inner| -> Arc<dyn Checkpointable> {
+            Arc::new(CountedView {
+                inner,
+                counts: Arc::clone(&self.counts),
+            })
+        };
+        self.state
+            .checkpoint_views()
+            .into_iter()
+            .map(wrap)
+            .collect()
+    }
+    fn digest(&self) -> u64 {
+        self.state.digest()
+    }
+}
+
+/// Every strategy that checkpoints `checkpoint_views` by hand goes through
+/// the one forwarding view adapter, so a view is copied once — into the
+/// frame — and never via an intermediate owned snapshot.
+#[test]
+fn manual_strategies_serialize_views_straight_into_the_frame() {
+    let iters = 30;
+    let reference = reference_digest(4, iters);
+    for strategy in [
+        Strategy::VelocOnly,
+        Strategy::FenixVeloc,
+        Strategy::FenixImr,
+        Strategy::FenixRedstore,
+    ] {
+        let (nodes, spares) = if strategy.uses_fenix() {
+            (5, 1)
+        } else {
+            (4, 0)
+        };
+        let app = CountedRing {
+            app: fixed_app(iters),
+            counts: Arc::default(),
+        };
+        let rec = run_experiment(
+            &cluster(nodes),
+            &app,
+            &cfg(strategy, spares),
+            Arc::new(FaultPlan::none()),
+        );
+        assert_eq!(rec.digest, reference, "{strategy}");
+        let copies = app.counts.copies.load(Ordering::Relaxed);
+        let direct = app.counts.direct.load(Ordering::Relaxed);
+        assert_eq!(copies, 0, "{strategy} took owned snapshots");
+        assert_eq!(direct, 4 * 6, "{strategy}: 4 ranks x 6 checkpoints");
     }
 }
 

@@ -12,7 +12,8 @@
 //! reports a recoverable [`VelocError::BackendSpawn`] and the client degrades
 //! to synchronous flushing; if the worker disappears mid-run, an enqueued
 //! flush is performed inline on the caller. A checkpoint acknowledged to the
-//! application is flushed eventually in every one of those paths.
+//! application is flushed eventually in every one of those paths — and by
+//! the same routine, [`flush`], whoever calls it.
 //!
 //! Concurrency: thread creation goes through `loom::thread` and the queue /
 //! pending-count / condvar through the model-aware shims, so the whole
@@ -31,12 +32,14 @@ use telemetry::{Event, Recorder};
 
 use crate::client::VelocError;
 
-struct FlushJob {
-    path: String,
-    blob: Bytes,
-    name: String,
-    version: u64,
-    rec: Recorder,
+/// One checkpoint blob on its way scratch→PFS.
+pub(crate) struct FlushJob {
+    pub(crate) path: String,
+    pub(crate) blob: Bytes,
+    pub(crate) name: String,
+    pub(crate) version: u64,
+    /// Stamps the completion ([`Event::FlushDone`]) when the blob lands.
+    pub(crate) rec: Recorder,
 }
 
 enum Job {
@@ -54,27 +57,36 @@ struct PendingCount {
 /// held behind jobs enqueued after it started waiting.
 const MAX_FLUSH_BATCH: usize = 16;
 
-/// Move a backlog of blobs scratch→PFS as one coalesced operation: a single
-/// network egress reservation and a single [`write_batch`] on the PFS, so a
-/// storm of small-region flushes pays the per-operation latencies once per
-/// batch instead of once per blob. Only the injector-free path batches —
-/// chaos schedules (per-job corruption and worker-death hooks) keep the
-/// per-job [`run_flush`] semantics.
+/// Move `jobs` scratch→PFS as one coalesced operation — the only routine
+/// that writes a checkpoint to the PFS, shared by the worker thread, its
+/// inline fallback and the synchronous client, so every flush pays the same
+/// modeled costs and emits the same completion event. Each blob is first
+/// offered to the chaos injector (it may be damaged on its way to the PFS);
+/// then the lot pays a single network egress reservation — the traffic that
+/// congests application MPI — and a single [`write_batch`], so a storm of
+/// small-region flushes pays the per-operation latencies once per batch
+/// instead of once per blob. A batch of one costs exactly what a lone
+/// `egress` + `write` would.
 ///
 /// [`write_batch`]: cluster::ParallelFileSystem::write_batch
-fn run_flush_batch(cluster: &Cluster, rank: usize, jobs: Vec<FlushJob>, pending: &PendingCount) {
+pub(crate) fn flush(cluster: &Cluster, rank: usize, jobs: Vec<FlushJob>) {
     if jobs.is_empty() {
         return;
     }
-    let count = jobs.len();
-    let total: usize = jobs.iter().map(|j| j.blob.len()).sum();
-    cluster.network().egress(rank, total);
-    let mut items = Vec::with_capacity(count);
-    let mut completions = Vec::with_capacity(count);
+    let injector = cluster.injector();
+    let mut total = 0usize;
+    let mut items = Vec::with_capacity(jobs.len());
+    let mut completions = Vec::with_capacity(jobs.len());
     for job in jobs {
+        total += job.blob.len();
         completions.push((job.name, job.version, job.blob.len() as u64, job.rec));
-        items.push((job.path, job.blob));
+        let blob = injector
+            .as_ref()
+            .and_then(|inj| inj.corrupt_write(StorageTier::Pfs, &job.path, &job.blob))
+            .unwrap_or(job.blob);
+        items.push((job.path, blob));
     }
+    cluster.network().egress(rank, total);
     cluster.pfs().write_batch(items);
     for (name, version, bytes, rec) in completions {
         rec.emit(Event::FlushDone {
@@ -83,34 +95,14 @@ fn run_flush_batch(cluster: &Cluster, rank: usize, jobs: Vec<FlushJob>, pending:
             bytes,
         });
     }
-    let mut c = pending.count.lock();
-    *c -= count;
-    pending.cv.notify_all();
 }
 
-/// Move one blob scratch→PFS and retire it from the pending count. Shared
-/// by the worker thread and the synchronous fallback paths so every flush
-/// pays the same modeled costs and emits the same completion event.
-fn run_flush(cluster: &Cluster, rank: usize, job: FlushJob, pending: &PendingCount) {
-    // Egress from the rank's NIC, then filesystem ingest: this is the
-    // traffic that congests application MPI.
-    let bytes = job.blob.len() as u64;
-    cluster.network().egress(rank, job.blob.len());
-    // Chaos corruption hook: the blob may be damaged on its way to the PFS.
-    let blob = match cluster.injector() {
-        Some(inj) => inj
-            .corrupt_write(StorageTier::Pfs, &job.path, &job.blob)
-            .unwrap_or(job.blob),
-        None => job.blob,
-    };
-    cluster.pfs().write(&job.path, blob);
-    job.rec.emit(Event::FlushDone {
-        name: job.name,
-        version: job.version,
-        bytes,
-    });
+/// [`flush`] jobs an [`ActiveBackend`] counted as pending, then retire them.
+fn flush_pending(cluster: &Cluster, rank: usize, jobs: Vec<FlushJob>, pending: &PendingCount) {
+    let count = jobs.len();
+    flush(cluster, rank, jobs);
     let mut c = pending.count.lock();
-    *c -= 1;
+    *c -= count;
     pending.cv.notify_all();
 }
 
@@ -154,53 +146,46 @@ impl ActiveBackend {
             .name(format!("veloc-backend-{rank}"))
             .spawn(move || {
                 let mut completed = 0u64;
-                while let Ok(job) = rx.recv() {
-                    match job {
-                        Job::Flush(job) => {
-                            // Injector-free fast path: coalesce the backlog
-                            // behind this job into one batched PFS write.
-                            // Chaos schedules stay on the per-job path — the
-                            // corruption and worker-death hooks are defined
-                            // per flush, and replays must see them fire at
-                            // the same points.
-                            if cluster2.injector().is_none() {
-                                let mut batch = vec![job];
-                                let mut stopped = false;
-                                while batch.len() < MAX_FLUSH_BATCH {
-                                    match rx.try_recv() {
-                                        Ok(Job::Flush(j)) => batch.push(j),
-                                        Ok(Job::Stop) => {
-                                            stopped = true;
-                                            break;
-                                        }
-                                        Err(_) => break,
-                                    }
-                                }
-                                run_flush_batch(&cluster2, rank, batch, &pending2);
-                                if stopped {
-                                    break;
-                                }
-                                continue;
-                            }
-                            run_flush(&cluster2, rank, job, &pending2);
-                            completed += 1;
-                            // Chaos worker-death hook, consulted between
-                            // jobs only: an acknowledged flush always
-                            // completes. Any backlog is drained first —
-                            // the worker "dies" having lost nothing, and
-                            // later enqueues degrade to inline flushing.
-                            let dies = cluster2
-                                .injector()
-                                .is_some_and(|inj| inj.flush_worker_dies(rank, completed));
-                            if dies {
-                                while let Ok(Job::Flush(job)) = rx.try_recv() {
-                                    run_flush(&cluster2, rank, job, &pending2);
-                                }
-                                died2.store(true, Ordering::Release);
+                let mut stopped = false;
+                while !stopped {
+                    let Ok(Job::Flush(first)) = rx.recv() else {
+                        break;
+                    };
+                    // Coalesce the backlog behind this job into one batch.
+                    let mut batch = vec![first];
+                    while batch.len() < MAX_FLUSH_BATCH {
+                        match rx.try_recv() {
+                            Ok(Job::Flush(job)) => batch.push(job),
+                            Ok(Job::Stop) => {
+                                stopped = true;
                                 break;
                             }
+                            Err(_) => break,
                         }
-                        Job::Stop => break,
+                    }
+                    completed += batch.len() as u64;
+                    flush_pending(&cluster2, rank, batch, &pending2);
+                    // Chaos worker-death hook, consulted between batches
+                    // only: an acknowledged flush always completes. Any
+                    // backlog is drained first and the queue closed in the
+                    // same critical section — the worker "dies" having lost
+                    // nothing, and later enqueues degrade to inline
+                    // flushing.
+                    let dies = cluster2
+                        .injector()
+                        .is_some_and(|inj| inj.flush_worker_dies(rank, completed));
+                    if dies {
+                        let mut backlog = Vec::new();
+                        {
+                            let _enqueuers_excluded = pending2.count.lock();
+                            while let Ok(Job::Flush(job)) = rx.try_recv() {
+                                backlog.push(job);
+                            }
+                            drop(rx);
+                        }
+                        flush_pending(&cluster2, rank, backlog, &pending2);
+                        died2.store(true, Ordering::Release);
+                        return;
                     }
                 }
             })
@@ -232,11 +217,12 @@ impl ActiveBackend {
         version: u64,
         rec: Recorder,
     ) {
-        {
+        let sent = {
+            // Counted and sent under one lock: a dying worker closes its
+            // queue under the same lock, so it either receives this job or
+            // refuses it — never strands it unflushed.
             let mut c = self.pending.count.lock();
             *c += 1;
-        }
-        if let Err(crossbeam::channel::SendError(Job::Flush(job))) =
             self.tx.send(Job::Flush(FlushJob {
                 path,
                 blob,
@@ -244,8 +230,9 @@ impl ActiveBackend {
                 version,
                 rec,
             }))
-        {
-            run_flush(&self.cluster, self.rank, job, &self.pending);
+        };
+        if let Err(crossbeam::channel::SendError(Job::Flush(job))) = sent {
+            flush_pending(&self.cluster, self.rank, vec![job], &self.pending);
         }
     }
 
@@ -290,6 +277,8 @@ impl Drop for ActiveBackend {
 mod tests {
     use super::*;
     use cluster::{ClusterConfig, TimeScale};
+    use simmpi::fault::{BackendFault, CorruptKind, CorruptTier, FaultSchedule};
+    use std::time::Duration;
 
     fn cluster() -> Cluster {
         let cfg = ClusterConfig {
@@ -378,6 +367,110 @@ mod tests {
             );
         }
         assert!(c.pfs().exists("ck/v1/r1"), "drop must drain, not discard");
+    }
+
+    fn job(path: &str, blob: Bytes, version: u64) -> FlushJob {
+        FlushJob {
+            path: path.to_owned(),
+            blob,
+            name: "ck".into(),
+            version,
+            rec: Recorder::disabled(),
+        }
+    }
+
+    #[test]
+    fn one_job_flush_costs_exactly_egress_plus_write() {
+        // The sync path's modelled cost: under a virtual clock a batch of
+        // one advances time by what `egress` then `Pfs::write` advance it,
+        // including the queueing a second flush inherits from the first.
+        let virtual_cluster = || {
+            let c = Cluster::new(ClusterConfig {
+                nodes: 2,
+                virtual_time: true,
+                ..ClusterConfig::default()
+            });
+            let clock = Arc::clone(c.clock());
+            let guard = cluster::install_virtual_sleeper(Arc::new(move |d: Duration| {
+                clock.advance(d.as_nanos() as u64);
+            }));
+            (c, guard)
+        };
+        let blobs = [Bytes::from(vec![1u8; 300_000]), Bytes::from(vec![2u8; 7])];
+        let by_hand = {
+            let (c, _guard) = virtual_cluster();
+            for (v, blob) in blobs.iter().enumerate() {
+                c.network().egress(1, blob.len());
+                c.pfs().write(&format!("ck/v{v}/r1"), blob.clone());
+            }
+            c.clock().now_ns()
+        };
+        let (c, _guard) = virtual_cluster();
+        for (v, blob) in blobs.iter().enumerate() {
+            flush(
+                &c,
+                1,
+                vec![job(&format!("ck/v{v}/r1"), blob.clone(), v as u64)],
+            );
+        }
+        assert!(by_hand > 0);
+        assert_eq!(c.clock().now_ns(), by_hand);
+        assert_eq!(c.pfs().read("ck/v1/r1").unwrap().0, blobs[1]);
+    }
+
+    #[test]
+    fn batch_under_an_injector_corrupts_only_the_matching_job() {
+        let c = cluster();
+        let schedule = FaultSchedule::none().and_corrupt(
+            CorruptTier::Pfs,
+            3,
+            0,
+            CorruptKind::Truncate { keep: 2 },
+        );
+        c.set_injector(Some(Arc::new(schedule)));
+        let jobs = (1..=5u64)
+            .map(|v| job(&format!("ck/v{v}/r0"), Bytes::from(vec![v as u8; 32]), v))
+            .collect();
+        flush(&c, 0, jobs);
+        for v in 1..=5u64 {
+            let (blob, _) = c.pfs().read(&format!("ck/v{v}/r0")).expect("all five land");
+            let expect = if v == 3 { 2 } else { 32 };
+            assert_eq!(&blob[..], &vec![v as u8; expect][..], "version {v}");
+        }
+    }
+
+    #[test]
+    fn worker_death_lands_the_backlog_then_degrades_to_inline() {
+        let c = cluster();
+        let schedule = FaultSchedule::none().and_backend(BackendFault::worker_death(0, 2));
+        c.set_injector(Some(Arc::new(schedule)));
+        let b = ActiveBackend::spawn(c.clone(), 0).unwrap();
+        let enqueue = |v: u64| {
+            b.enqueue_flush(
+                format!("ck/v{v}/r0"),
+                Bytes::from(vec![v as u8; 16]),
+                "ck".into(),
+                v,
+                Recorder::disabled(),
+            )
+        };
+        (1..=5).for_each(enqueue);
+        b.wait();
+        assert_eq!(
+            c.pfs().list("ck/").len(),
+            5,
+            "the dying worker lost nothing"
+        );
+        // However the five were batched, `completed >= 2` held after some
+        // batch with the backlog drained, so the worker has died by now or
+        // is about to; the flag goes up only after its queue closed.
+        while !b.worker_died.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        enqueue(6);
+        assert_eq!(b.outstanding(), 0, "a post-death enqueue flushes inline");
+        assert!(c.pfs().exists("ck/v6/r0"));
+        drop(b); // the teardown invariant accepts the scheduled death
     }
 
     #[test]

@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 use simmpi::{Comm, MpiError, ReduceOp};
 use telemetry::{Event, Recorder};
 
-use crate::backend::ActiveBackend;
+use crate::backend::{self, ActiveBackend, FlushJob};
 use crate::pool;
 use crate::region::Protected;
 use crate::serial;
@@ -32,19 +32,12 @@ use crate::serial;
 /// Bounds both restart's chain walk and the blast radius of a lost base.
 pub const MAX_DELTA_DEPTH: usize = 8;
 
-/// Worker fan-out for the parallel pack (including the calling thread).
-const PACK_WORKERS: usize = 4;
-
-/// Changed-payload volume below which the pack stays on the calling thread
-/// (thread spawn costs more than serializing a few KiB).
-const PARALLEL_PACK_THRESHOLD: usize = 64 * 1024;
-
 /// Worker fan-out for restart's parallel payload verification (including
 /// the calling thread).
 const RESTART_WORKERS: usize = 4;
 
 /// Chain payload volume below which restart verification stays on the
-/// calling thread — same spawn-cost argument as the pack threshold.
+/// calling thread (thread spawn costs more than checksumming a few KiB).
 const PARALLEL_RESTART_THRESHOLD: usize = 64 * 1024;
 
 /// Delta bookkeeping for one checkpoint name: what the last *committed*
@@ -288,20 +281,6 @@ impl Client {
         format!("{name}/v{version}/r{}", self.logical_rank())
     }
 
-    /// Offer a blob about to be written to the installed fault injector
-    /// (chaos corruption hook). Borrows the blob: `Some(damaged)` only when
-    /// an injector actually fires, so the common path never copies.
-    fn offer_to_injector(
-        cluster: &Cluster,
-        tier: cluster::StorageTier,
-        path: &str,
-        blob: &Bytes,
-    ) -> Option<Bytes> {
-        cluster
-            .injector()
-            .and_then(|inj| inj.corrupt_write(tier, path, blob))
-    }
-
     // ---- protection -------------------------------------------------------
 
     /// Register a memory region under `id` (VeloC `mem_protect`). Replaces
@@ -406,7 +385,7 @@ impl Client {
             .filter(|(id, _)| !unchanged_set.contains(id))
             .map(|(id, r)| (*id, Arc::clone(r)))
             .collect();
-        let blob = self.pack_blob(base, &changed, &unchanged);
+        let blob = serial::pack(base, &changed, &unchanged);
         if let Some(metrics) = rec.metrics() {
             let protected: usize = handles.iter().map(|(_, r)| r.byte_len()).sum();
             metrics
@@ -420,9 +399,13 @@ impl Client {
             }
         }
         let path = self.path(name, version);
-        let scratch_blob =
-            Self::offer_to_injector(&self.cluster, cluster::StorageTier::Scratch, &path, &blob)
-                .unwrap_or_else(|| blob.clone());
+        // Chaos corruption hook: the scratch copy may be damaged on its way
+        // down. Borrows the blob, so the common path never copies.
+        let scratch_blob = self
+            .cluster
+            .injector()
+            .and_then(|inj| inj.corrupt_write(cluster::StorageTier::Scratch, &path, &blob))
+            .unwrap_or_else(|| blob.clone());
         self.cluster
             .scratch()
             .write(self.node(), &path, scratch_blob);
@@ -448,91 +431,16 @@ impl Client {
             });
             backend.enqueue_flush(path, blob, name.to_owned(), version, rec);
         } else {
-            self.cluster
-                .network()
-                .egress(self.physical_rank, blob.len());
-            let bytes = blob.len() as u64;
-            let pfs_blob =
-                Self::offer_to_injector(&self.cluster, cluster::StorageTier::Pfs, &path, &blob)
-                    .unwrap_or(blob);
-            self.cluster.pfs().write(&path, pfs_blob);
-            rec.emit_with(|| Event::FlushDone {
+            let job = FlushJob {
+                path,
+                blob,
                 name: name.to_owned(),
                 version,
-                bytes,
-            });
+                rec,
+            };
+            backend::flush(&self.cluster, self.physical_rank, vec![job]);
         }
         Ok(())
-    }
-
-    /// Assemble the frame for `changed` regions (zero-copy pack).
-    ///
-    /// The fast path lays the finished frame out up front and serializes
-    /// each region *straight into its payload slot* — one copy from
-    /// protected memory to the frame, no intermediate `Bytes` snapshots —
-    /// fanning the fill + CRC work out across the pack pool when the
-    /// changed volume warrants it. A region whose byte length drifted
-    /// between planning and serialization (a concurrent resize) invalidates
-    /// the planned layout; the whole frame then falls back to the copying
-    /// [`serial::pack_frame`] path, whose layout follows the snapshots
-    /// themselves.
-    fn pack_blob(
-        &self,
-        base: Option<u64>,
-        changed: &[(u32, Arc<dyn Protected>)],
-        unchanged: &[u32],
-    ) -> Bytes {
-        let plan: Vec<(u32, usize)> = changed.iter().map(|(id, r)| (*id, r.byte_len())).collect();
-        let changed_bytes: usize = plan.iter().map(|&(_, len)| len).sum();
-        let workers = if changed_bytes >= PARALLEL_PACK_THRESHOLD {
-            PACK_WORKERS
-        } else {
-            1
-        };
-        let mut builder = serial::FrameBuilder::new(base, &plan, unchanged);
-        let fills: Vec<Option<Option<u32>>> = {
-            let work: Vec<(&Arc<dyn Protected>, &mut [u8])> = changed
-                .iter()
-                .map(|(_, r)| r)
-                .zip(builder.payloads_mut())
-                .collect();
-            pool::scoped_map(work, workers, |(r, slot)| {
-                if r.snapshot_into(slot) {
-                    Some(serial::crc32(slot))
-                } else {
-                    None
-                }
-            })
-        };
-        let mut drifted = false;
-        for (i, (fill, (_, region))) in fills.iter().zip(changed).enumerate() {
-            match fill {
-                Some(Some(crc)) => builder.set_crc(i, *crc),
-                // The region resized between planning and serialization.
-                Some(None) => {
-                    drifted = true;
-                    break;
-                }
-                // A pool worker died mid-fill: recompute inline.
-                None => {
-                    if region.snapshot_into(builder.payload_mut(i)) {
-                        let crc = serial::crc32(builder.payload(i));
-                        builder.set_crc(i, crc);
-                    } else {
-                        drifted = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if !drifted {
-            return builder.seal();
-        }
-        let packed: Vec<serial::PackedRegion> = changed
-            .iter()
-            .map(|(id, r)| serial::PackedRegion::new(*id, r.snapshot()))
-            .collect();
-        serial::pack_frame(base, &packed, unchanged)
     }
 
     /// Decide the delta plan for the next checkpoint of `name`: the base
@@ -625,12 +533,12 @@ impl Client {
     fn read_frame(&self, name: &str, version: u64) -> Option<serial::Frame> {
         let path = self.path(name, version);
         if let Some((blob, _)) = self.cluster.scratch().read(self.node(), &path) {
-            if let Some(frame) = serial::unpack_any(&blob) {
+            if let Some(frame) = serial::unpack(&blob) {
                 return Some(frame);
             }
         }
         let (blob, _) = self.cluster.pfs().read(&path)?;
-        serial::unpack_any(&blob)
+        serial::unpack(&blob)
     }
 
     /// Whether this rank holds an *intact* (checksum-verified) copy of
@@ -1231,7 +1139,7 @@ mod tests {
             .scratch()
             .read(0, &format!("{name}/v{version}/r0"))
             .expect("scratch blob present");
-        serial::unpack_any(&blob).expect("intact frame")
+        serial::unpack(&blob).expect("intact frame")
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! allows: regions whose generation stamp did not move since the last
 //! committed version are referenced by id in a VCF2 delta frame instead of
 //! re-serialized, so the synchronous phase scales with changed bytes (see
-//! [`serial`] for the frame formats and [`client::MAX_DELTA_DEPTH`] for the
+//! [`serial`] for the frame format and [`client::MAX_DELTA_DEPTH`] for the
 //! forced-full-frame cadence).
 
 pub mod backend;

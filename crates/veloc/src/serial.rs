@@ -1,24 +1,10 @@
-//! Checkpoint blob formats.
+//! The checkpoint frame format, its one writer and its one reader.
 //!
-//! **VCF1** (format version 1): one checkpoint = all protected regions of
-//! one rank, packed into a single integrity-framed blob:
-//!
-//! ```text
-//! [4  bytes magic "VCF1"]
-//! [u32 crc32(body)]            // IEEE 802.3 polynomial, over `body`
-//! body:
-//!   [u32 region_count]
-//!   repeat region_count times:
-//!     [u32 region_id][u64 payload_len][payload bytes]
-//! ```
-//!
-//! **VCF2** (format version 2): an *incremental* frame. Regions whose
-//! dirty-tracking generation did not move since the last committed version
-//! are referenced by id only; their payloads live in the frame of
-//! `base_version` (which may itself be a delta — restart walks the chain).
-//! Payload integrity moves from one whole-blob CRC to per-region CRCs, so a
-//! frame's changed payloads are checkable without the base frames in hand
-//! and the parallel pack pool can compute CRCs region-by-region:
+//! One checkpoint = the protected regions of one rank in a single
+//! integrity-framed blob. Every tier stores the same frame: node-local
+//! scratch and the parallel filesystem (VeloC), and peer memory (the
+//! redundancy store behind `FenixImr`, `FenixRedstore` and the Kokkos
+//! Resilience redstore backend), which only ever writes full frames.
 //!
 //! ```text
 //! [4  bytes magic "VCF2"]
@@ -32,32 +18,44 @@
 //! payloads: changed payloads concatenated, in `changed` order
 //! ```
 //!
-//! Restores match regions by id, so a restart can tolerate registration in
-//! a different order (Kokkos Resilience re-registers views after a context
-//! reset). [`unpack_any`] sniffs the magic, so VCF1 blobs written before
-//! this format existed still restore.
+//! A frame is *incremental* when `base_ref` is set: regions whose
+//! dirty-tracking generation did not move since the last committed version
+//! are referenced by id only; their payloads live in the frame of
+//! `base_version` (which may itself be a delta — restart walks the chain).
+//! Integrity is one CRC over the meta block plus one per payload, so a
+//! frame's changed payloads are checkable without the base frames in hand,
+//! the pack pool computes CRCs region-by-region, and restart can walk a
+//! chain by meta alone ([`parse_meta`]) before paying for the payload
+//! checksums ([`FrameMeta::verify_payloads`]).
 //!
-//! The CRC frames exist because the structural checks alone cannot catch a
+//! [`pack`] is the only writer: it lays the frame out up front and
+//! serializes each region straight into its payload slot
+//! ([`FrameBuilder`], [`crate::Protected::snapshot_into`]). [`unpack`] is
+//! the only reader of whole frames. Restores match regions by id, so a
+//! restart can tolerate registration in a different order (Kokkos
+//! Resilience re-registers views after a context reset).
+//!
+//! The CRCs exist because the structural checks alone cannot catch a
 //! flipped byte *inside* a region payload — without them, a corrupted blob
-//! would silently restore garbage application state. [`unpack`] and
-//! [`unpack_any`] reject any blob whose checksums do not match, turning
-//! silent corruption into the typed [`crate::VelocError::Corrupt`] the
-//! restart path degrades on.
+//! would silently restore garbage application state. [`unpack`] rejects
+//! any blob whose checksums do not match, turning silent corruption into
+//! the typed [`crate::VelocError::Corrupt`] the restart path degrades on.
 //!
 //! The `chaos-mutants` feature re-enables the garbage-restore bug by
-//! skipping every checksum comparison in both formats (structure is still
-//! parsed). It exists only so the chaos campaign can prove it catches
-//! exactly this class of bug (`crates/chaos/tests/mutant.rs`); never enable
-//! it in normal builds.
+//! skipping both checksum comparisons (structure is still parsed). It
+//! exists only so the chaos campaign can prove it catches exactly this
+//! class of bug (`crates/chaos/tests/mutant.rs`); never enable it in
+//! normal builds.
+
+use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-/// Leading magic of a full, self-contained checkpoint blob (format
-/// version 1).
-pub const MAGIC: [u8; 4] = *b"VCF1";
+use crate::pool;
+use crate::region::Protected;
 
-/// Leading magic of an incremental checkpoint frame (format version 2).
-pub const MAGIC2: [u8; 4] = *b"VCF2";
+/// Leading magic of a checkpoint frame.
+pub const MAGIC: [u8; 4] = *b"VCF2";
 
 /// Lookup tables for the slice-by-16 [`crc32`], built at compile time from
 /// the bitwise recurrence. `CRC_TABLES[0]` is the classic one-byte-at-a-time
@@ -159,92 +157,7 @@ pub fn crc32_bitwise(data: &[u8]) -> u32 {
     crc ^ 0xFFFF_FFFF
 }
 
-/// Pack `(id, payload)` pairs into one checkpoint blob.
-pub fn pack(regions: &[(u32, Bytes)]) -> Bytes {
-    let body_len: usize = 4 + regions.iter().map(|(_, b)| 12 + b.len()).sum::<usize>();
-    let mut body = BytesMut::with_capacity(body_len);
-    body.put_u32_le(regions.len() as u32);
-    for (id, payload) in regions {
-        body.put_u32_le(*id);
-        body.put_u64_le(payload.len() as u64);
-        body.put_slice(payload);
-    }
-    let body = body.freeze();
-    let mut buf = BytesMut::with_capacity(8 + body.len());
-    buf.put_slice(&MAGIC);
-    buf.put_u32_le(crc32(&body));
-    buf.put_slice(&body);
-    buf.freeze()
-}
-
-/// Unpack a checkpoint blob into `(id, payload)` pairs.
-///
-/// Returns `None` on a malformed blob — wrong magic, checksum mismatch,
-/// truncation, bad counts — a restart from a corrupt checkpoint must fail
-/// cleanly, not panic, and must never silently return wrong data.
-pub fn unpack(blob: &Bytes) -> Option<Vec<(u32, Bytes)>> {
-    if blob.len() < 8 || blob[..4] != MAGIC {
-        return None;
-    }
-    let stored_crc = u32::from_le_bytes(blob[4..8].try_into().ok()?);
-    let body = blob.slice(8..);
-    // The seeded chaos mutant: skipping this verification re-enables the
-    // garbage-restore path the CRC frame exists to close.
-    #[cfg(not(feature = "chaos-mutants"))]
-    if crc32(&body) != stored_crc {
-        return None;
-    }
-    #[cfg(feature = "chaos-mutants")]
-    let _ = stored_crc;
-
-    let mut off = 0usize;
-    let take = |off: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = body.get(*off..*off + n)?;
-        *off += n;
-        Some(s)
-    };
-    let count = u32::from_le_bytes(take(&mut off, 4)?.try_into().ok()?) as usize;
-    // Guard against absurd counts from corrupt headers.
-    if count > body.len() {
-        return None;
-    }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let id = u32::from_le_bytes(take(&mut off, 4)?.try_into().ok()?);
-        let len = u64::from_le_bytes(take(&mut off, 8)?.try_into().ok()?) as usize;
-        if off + len > body.len() {
-            return None;
-        }
-        out.push((id, body.slice(off..off + len)));
-        off += len;
-    }
-    if off != body.len() {
-        return None; // trailing garbage
-    }
-    Some(out)
-}
-
-/// One changed region as it enters a VCF2 frame: payload plus its CRC,
-/// precomputed so the parallel pack pool can fan the checksum work out and
-/// [`pack_frame`] only assembles bytes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PackedRegion {
-    pub id: u32,
-    pub payload: Bytes,
-    pub crc: u32,
-}
-
-impl PackedRegion {
-    pub fn new(id: u32, payload: Bytes) -> Self {
-        let crc = crc32(&payload);
-        PackedRegion { id, payload, crc }
-    }
-}
-
-/// A decoded checkpoint frame, either format version.
-///
-/// A VCF1 blob decodes as a full frame: `base_version: None`, everything in
-/// `changed`, `unchanged` empty.
+/// A decoded checkpoint frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Frame {
     /// `None` for a self-contained full frame; `Some(v)` for a delta whose
@@ -263,18 +176,82 @@ impl Frame {
     }
 }
 
-/// Pack a VCF2 frame. A full frame passes `base_version: None` and an empty
+/// Worker fan-out for the parallel pack (including the calling thread).
+const PACK_WORKERS: usize = 4;
+
+/// Changed-payload volume below which the pack stays on the calling thread
+/// (thread spawn costs more than serializing a few KiB).
+const PARALLEL_PACK_THRESHOLD: usize = 64 * 1024;
+
+/// Pack one checkpoint frame from live regions — the only writer of the
+/// format. A full frame passes `base_version: None` and an empty
 /// `unchanged` list; a delta frame references the committed version its
 /// unchanged regions live under.
-pub fn pack_frame(base_version: Option<u64>, changed: &[PackedRegion], unchanged: &[u32]) -> Bytes {
-    debug_assert!(
-        base_version.is_some() || unchanged.is_empty(),
-        "a full frame cannot reference unchanged regions"
-    );
+///
+/// The frame is laid out up front from each region's `byte_len` and every
+/// region serializes *straight into its payload slot* — one copy from
+/// protected memory to the frame — with the fill + CRC work fanned out
+/// across the pack pool when the changed volume warrants it. A region whose
+/// byte length drifted between planning and serialization (a concurrent
+/// resize) invalidates the planned layout; the frame is then planned again
+/// from owned snapshots, whose lengths cannot move.
+pub fn pack(
+    base_version: Option<u64>,
+    changed: &[(u32, Arc<dyn Protected>)],
+    unchanged: &[u32],
+) -> Bytes {
+    let plan: Vec<(u32, usize)> = changed.iter().map(|(id, r)| (*id, r.byte_len())).collect();
+    let changed_bytes: usize = plan.iter().map(|&(_, len)| len).sum();
+    let workers = if changed_bytes >= PARALLEL_PACK_THRESHOLD {
+        PACK_WORKERS
+    } else {
+        1
+    };
+    let fill = |r: &Arc<dyn Protected>, slot: &mut [u8]| r.snapshot_into(slot).then(|| crc32(slot));
+    let mut builder = FrameBuilder::new(base_version, &plan, unchanged);
+    let fills: Vec<Option<Option<u32>>> = {
+        let work: Vec<(&Arc<dyn Protected>, &mut [u8])> = changed
+            .iter()
+            .map(|(_, r)| r)
+            .zip(builder.payloads_mut())
+            .collect();
+        pool::scoped_map(work, workers, |(r, slot)| fill(r, slot))
+    };
+    let crcs: Option<Vec<u32>> = fills
+        .into_iter()
+        .zip(changed)
+        .enumerate()
+        // A `None` fill means the pool worker died mid-slot: redo it inline.
+        .map(|(i, (done, (_, r)))| done.unwrap_or_else(|| fill(r, builder.payload_mut(i))))
+        .collect();
+    if let Some(crcs) = crcs {
+        for (i, crc) in crcs.into_iter().enumerate() {
+            builder.set_crc(i, crc);
+        }
+        return builder.seal();
+    }
+    let snaps: Vec<Bytes> = changed.iter().map(|(_, r)| r.snapshot()).collect();
+    let plan: Vec<(u32, usize)> = changed
+        .iter()
+        .zip(&snaps)
+        .map(|((id, _), snap)| (*id, snap.len()))
+        .collect();
+    let mut builder = FrameBuilder::new(base_version, &plan, unchanged);
+    for (i, snap) in snaps.iter().enumerate() {
+        builder.payload_mut(i).copy_from_slice(snap);
+        builder.set_crc(i, crc32(snap));
+    }
+    builder.seal()
+}
+
+/// The copying packer: the format written the obvious way, payload by
+/// payload into a growing buffer. Kept solely as the byte-identity oracle
+/// [`FrameBuilder`] is property-tested against
+/// (`frame_builder_matches_pack_frame` in `tests/serial_props.rs`), like
+/// [`crc32_bitwise`] for [`crc32`]; no production path calls it.
+pub fn pack_frame(base_version: Option<u64>, changed: &[(u32, Bytes)], unchanged: &[u32]) -> Bytes {
     let meta_len = 16 + 4 * unchanged.len() + 16 * changed.len();
     let mut meta = BytesMut::with_capacity(meta_len);
-    // `base_version + 1` so 0 can mean "full"; versions are iteration
-    // numbers, nowhere near u64::MAX (saturating keeps this panic-free).
     meta.put_u64_le(match base_version {
         None => 0,
         Some(v) => v.saturating_add(1),
@@ -284,19 +261,19 @@ pub fn pack_frame(base_version: Option<u64>, changed: &[PackedRegion], unchanged
     for id in unchanged {
         meta.put_u32_le(*id);
     }
-    for r in changed {
-        meta.put_u32_le(r.id);
-        meta.put_u64_le(r.payload.len() as u64);
-        meta.put_u32_le(r.crc);
+    for (id, payload) in changed {
+        meta.put_u32_le(*id);
+        meta.put_u64_le(payload.len() as u64);
+        meta.put_u32_le(crc32(payload));
     }
     let meta = meta.freeze();
-    let payload_len: usize = changed.iter().map(|r| r.payload.len()).sum();
+    let payload_len: usize = changed.iter().map(|(_, p)| p.len()).sum();
     let mut buf = BytesMut::with_capacity(8 + meta.len() + payload_len);
-    buf.put_slice(&MAGIC2);
+    buf.put_slice(&MAGIC);
     buf.put_u32_le(crc32(&meta));
     buf.put_slice(&meta);
-    for r in changed {
-        buf.put_slice(&r.payload);
+    for (_, payload) in changed {
+        buf.put_slice(payload);
     }
     buf.freeze()
 }
@@ -309,17 +286,16 @@ fn put_u64_at(buf: &mut [u8], at: usize, v: u64) {
     buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
 }
 
-/// Zero-copy VCF2 frame assembler.
+/// Zero-copy frame assembler — what [`pack`] writes through.
 ///
-/// [`pack_frame`] touches every payload twice: once serializing protected
-/// memory into a `Bytes` snapshot, once copying the snapshot into the
-/// frame. `FrameBuilder` allocates the finished frame up front from the
-/// planned layout and hands out disjoint `&mut [u8]` payload slots, so
-/// regions serialize *straight into their final location*
-/// ([`crate::Protected::snapshot_into`]) and the intermediate copy
-/// disappears. [`FrameBuilder::seal`] stamps the meta CRC and freezes; the
-/// output is byte-identical to `pack_frame` on the same content
-/// (`builder_output_matches_pack_frame` below holds the two together).
+/// `FrameBuilder` allocates the finished frame up front from the planned
+/// layout and hands out disjoint `&mut [u8]` payload slots, so regions
+/// serialize *straight into their final location*
+/// ([`crate::Protected::snapshot_into`]) with no intermediate `Bytes`
+/// snapshot. [`FrameBuilder::seal`] stamps the meta CRC and freezes; the
+/// output is byte-identical to the copying [`pack_frame`] on the same
+/// content (`builder_output_matches_pack_frame` below holds the two
+/// together).
 pub struct FrameBuilder {
     buf: Vec<u8>,
     /// Per changed region: offset of its CRC field in the meta table.
@@ -342,9 +318,10 @@ impl FrameBuilder {
         let meta_len = 16 + 4 * unchanged.len() + 16 * changed.len();
         let payload_len: usize = changed.iter().map(|&(_, len)| len).sum();
         let mut buf = vec![0u8; 8 + meta_len + payload_len];
-        buf[..4].copy_from_slice(&MAGIC2);
+        buf[..4].copy_from_slice(&MAGIC);
         let mut w = 8usize;
-        // Same saturating base_ref encoding as `pack_frame`.
+        // `base_version + 1` so 0 can mean "full"; versions are iteration
+        // numbers, nowhere near u64::MAX (saturating keeps this panic-free).
         put_u64_at(
             &mut buf,
             w,
@@ -410,12 +387,6 @@ impl FrameBuilder {
         self.buf.get_mut(off..off + len).unwrap_or(&mut [])
     }
 
-    /// Payload slot `i`, read-only (CRC of an inline-filled slot).
-    pub fn payload(&self, i: usize) -> &[u8] {
-        let (off, len) = self.payload_slots.get(i).copied().unwrap_or((0, 0));
-        self.buf.get(off..off + len).unwrap_or(&[])
-    }
-
     /// Record the CRC of payload slot `i` in the meta table.
     pub fn set_crc(&mut self, i: usize, crc: u32) {
         if let Some(&off) = self.crc_offsets.get(i) {
@@ -448,51 +419,38 @@ pub struct FrameMeta {
     pub base_version: Option<u64>,
     /// Regions unchanged since `base_version` (ids only).
     pub unchanged: Vec<u32>,
-    /// Changed regions in frame order: `(id, payload offset in blob, len)`.
-    entries: Vec<(u32, usize, usize)>,
-    integrity: Integrity,
-}
-
-#[derive(Clone, Debug)]
-enum Integrity {
-    /// VCF2: one stored CRC per changed payload, in `entries` order.
-    PerRegion(Vec<u32>),
-    /// VCF1: one stored CRC over the whole body (`blob[8..]`).
-    WholeBody(u32),
+    /// Changed regions in frame order: `(id, payload offset in blob, len,
+    /// stored payload CRC)`.
+    entries: Vec<(u32, usize, usize, u32)>,
 }
 
 impl FrameMeta {
     /// Total changed-payload bytes this frame carries — the work
     /// [`Self::verify_payloads`] will checksum.
     pub fn payload_bytes(&self) -> usize {
-        self.entries.iter().map(|&(_, _, len)| len).sum()
+        self.entries.iter().map(|&(_, _, len, _)| len).sum()
     }
 
     /// Verify the payload checksums against `blob` — which must be the
     /// blob this meta was parsed from. This is the expensive half of
     /// decode, the part restart runs concurrently per frame.
     pub fn verify_payloads(&self, blob: &Bytes) -> bool {
-        // The seeded chaos mutant skips payload verification here exactly
-        // as it does in `unpack`, re-enabling the garbage-restore path.
+        // The seeded chaos mutant skips payload verification here and the
+        // meta check in `parse_meta`, re-enabling the garbage-restore path.
         #[cfg(feature = "chaos-mutants")]
         {
             let _ = blob;
             true
         }
         #[cfg(not(feature = "chaos-mutants"))]
-        match &self.integrity {
-            Integrity::WholeBody(stored) => blob.get(8..).is_some_and(|b| crc32(b) == *stored),
-            Integrity::PerRegion(crcs) => {
-                self.entries.iter().zip(crcs).all(|(&(_, off, len), &crc)| {
-                    blob.get(off..off + len).is_some_and(|p| crc32(p) == crc)
-                })
-            }
-        }
+        self.entries
+            .iter()
+            .all(|&(_, off, len, crc)| blob.get(off..off + len).is_some_and(|p| crc32(p) == crc))
     }
 
     /// Ids of the changed regions, in frame order.
     pub fn changed_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.entries.iter().map(|&(id, _, _)| id)
+        self.entries.iter().map(|&(id, ..)| id)
     }
 
     /// Zero-copy payload views `(id, bytes)` in frame order. Slices of the
@@ -501,67 +459,22 @@ impl FrameMeta {
     pub fn payloads(&self, blob: &Bytes) -> Vec<(u32, Bytes)> {
         self.entries
             .iter()
-            .map(|&(id, off, len)| (id, blob.slice(off..off + len)))
+            .map(|&(id, off, len, _)| (id, blob.slice(off..off + len)))
             .collect()
     }
 }
 
-/// Parse a blob of either format into a [`FrameMeta`] without touching the
-/// payload bytes. All structural checks run here — magic, counts, payload
-/// extents, trailing garbage, and (VCF2) the meta CRC — so a `Some` return
-/// means the frame's *shape* and chain reference are trustworthy; only the
-/// payload checksums remain. Returns `None` on anything malformed.
+/// Parse a blob into a [`FrameMeta`] without touching the payload bytes.
+/// All structural checks run here — magic, counts, payload extents,
+/// trailing garbage, and the meta CRC — so a `Some` return means the
+/// frame's *shape* and chain reference are trustworthy; only the payload
+/// checksums remain. Returns `None` on anything malformed.
 pub fn parse_meta(blob: &Bytes) -> Option<FrameMeta> {
-    if blob.len() < 8 {
+    if blob.get(..4)? != MAGIC.as_slice() {
         return None;
     }
-    if blob[..4] == MAGIC {
-        return parse_meta_v1(blob);
-    }
-    if blob[..4] == MAGIC2 {
-        return parse_meta_v2(blob);
-    }
-    None
-}
-
-fn parse_meta_v1(blob: &Bytes) -> Option<FrameMeta> {
     let stored_crc = u32::from_le_bytes(blob.get(4..8)?.try_into().ok()?);
-    let body = &blob[8..];
-    let mut off = 0usize;
-    let take = |off: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = body.get(*off..*off + n)?;
-        *off += n;
-        Some(s)
-    };
-    let count = u32::from_le_bytes(take(&mut off, 4)?.try_into().ok()?) as usize;
-    // Guard against absurd counts from corrupt headers.
-    if count > body.len() {
-        return None;
-    }
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let id = u32::from_le_bytes(take(&mut off, 4)?.try_into().ok()?);
-        let len = u64::from_le_bytes(take(&mut off, 8)?.try_into().ok()?) as usize;
-        if off.checked_add(len)? > body.len() {
-            return None;
-        }
-        entries.push((id, 8 + off, len));
-        off += len;
-    }
-    if off != body.len() {
-        return None; // trailing garbage
-    }
-    Some(FrameMeta {
-        base_version: None,
-        unchanged: Vec::new(),
-        entries,
-        integrity: Integrity::WholeBody(stored_crc),
-    })
-}
-
-fn parse_meta_v2(blob: &Bytes) -> Option<FrameMeta> {
-    let stored_crc = u32::from_le_bytes(blob.get(4..8)?.try_into().ok()?);
-    let body = &blob[8..];
+    let body = blob.get(8..)?;
     let mut off = 0usize;
     let take = |off: &mut usize, n: usize| -> Option<&[u8]> {
         let s = body.get(*off..*off + n)?;
@@ -591,7 +504,7 @@ fn parse_meta_v2(blob: &Bytes) -> Option<FrameMeta> {
     }
     // The seeded chaos mutant skips the meta check here and the payload
     // checks in `FrameMeta::verify_payloads`, re-enabling the
-    // garbage-restore path the CRC frames exist to close.
+    // garbage-restore path the CRCs exist to close.
     #[cfg(not(feature = "chaos-mutants"))]
     if crc32(body.get(..off)?) != stored_crc {
         return None;
@@ -600,13 +513,11 @@ fn parse_meta_v2(blob: &Bytes) -> Option<FrameMeta> {
     let _ = stored_crc;
 
     let mut entries = Vec::with_capacity(changed_count);
-    let mut crcs = Vec::with_capacity(changed_count);
     for (id, len, crc) in raw_entries {
         if len > body.len() || off.checked_add(len)? > body.len() {
             return None;
         }
-        entries.push((id, 8 + off, len));
-        crcs.push(crc);
+        entries.push((id, 8 + off, len, crc));
         off += len;
     }
     if off != body.len() {
@@ -620,14 +531,18 @@ fn parse_meta_v2(blob: &Bytes) -> Option<FrameMeta> {
         base_version,
         unchanged,
         entries,
-        integrity: Integrity::PerRegion(crcs),
     })
 }
 
-/// Unpack a VCF2 blob (magic already sniffed by [`unpack_any`]): the
-/// sequential composition of the two decode halves.
-fn unpack_v2(blob: &Bytes) -> Option<Frame> {
-    let meta = parse_meta_v2(blob)?;
+/// Unpack a checkpoint blob into a [`Frame`]: the sequential composition of
+/// the two decode halves. Returns `None` on any malformed blob — wrong
+/// magic, checksum mismatch, truncation, bad counts — a restart from a
+/// corrupt checkpoint must fail cleanly, not panic, and must never silently
+/// return wrong data. For a delta this checks *the frame itself* (meta +
+/// carried payloads); whether its base chain is intact is the client's
+/// chain walk to decide.
+pub fn unpack(blob: &Bytes) -> Option<Frame> {
+    let meta = parse_meta(blob)?;
     if !meta.verify_payloads(blob) {
         return None;
     }
@@ -638,54 +553,16 @@ fn unpack_v2(blob: &Bytes) -> Option<Frame> {
     })
 }
 
-/// Unpack a checkpoint blob of *either* format version into a [`Frame`],
-/// sniffing the magic. Returns `None` on any malformed blob — a restart
-/// from a corrupt checkpoint must fail cleanly, not panic.
-pub fn unpack_any(blob: &Bytes) -> Option<Frame> {
-    if blob.len() < 8 {
-        return None;
-    }
-    if blob[..4] == MAGIC {
-        return Some(Frame {
-            base_version: None,
-            changed: unpack(blob)?,
-            unchanged: Vec::new(),
-        });
-    }
-    if blob[..4] == MAGIC2 {
-        return unpack_v2(blob);
-    }
-    None
-}
-
-/// Whether `blob` is a well-formed, checksum-intact checkpoint blob of
-/// either format version. For a VCF2 delta this checks *the frame itself*
-/// (meta + carried payloads); whether its base chain is intact is the
-/// client's chain walk to decide.
-pub fn verify(blob: &Bytes) -> bool {
-    unpack_any(blob).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrip_multiple_regions() {
-        let regions = vec![
-            (1u32, Bytes::from_static(b"alpha")),
-            (7u32, Bytes::from_static(b"")),
-            (3u32, Bytes::from_static(b"gamma-data")),
-        ];
-        let blob = pack(&regions);
-        assert_eq!(unpack(&blob).unwrap(), regions);
-        assert!(verify(&blob));
-    }
+    use crate::region::VecRegion;
 
     #[test]
     fn roundtrip_empty() {
-        let blob = pack(&[]);
-        assert_eq!(unpack(&blob).unwrap(), vec![]);
+        let frame = unpack(&pack_frame(None, &[], &[])).unwrap();
+        assert!(frame.is_full());
+        assert!(frame.changed.is_empty() && frame.unchanged.is_empty());
     }
 
     #[test]
@@ -712,8 +589,7 @@ mod tests {
     #[test]
     fn builder_output_matches_pack_frame() {
         // The zero-copy assembler must be byte-identical to the copying
-        // packer on the same content — restart cannot tell which wrote a
-        // frame, and the committed-baseline CRCs must agree.
+        // oracle on the same content.
         let payloads: Vec<(u32, Bytes)> = vec![
             (2, Bytes::from_static(b"changed-two")),
             (5, Bytes::from_static(b"")),
@@ -722,11 +598,7 @@ mod tests {
         let unchanged = [1u32, 3];
         for base in [None, Some(0u64), Some(7)] {
             let unchanged: &[u32] = if base.is_none() { &[] } else { &unchanged };
-            let packed: Vec<PackedRegion> = payloads
-                .iter()
-                .map(|(id, p)| PackedRegion::new(*id, p.clone()))
-                .collect();
-            let reference = pack_frame(base, &packed, unchanged);
+            let reference = pack_frame(base, &payloads, unchanged);
 
             let plan: Vec<(u32, usize)> = payloads.iter().map(|(id, p)| (*id, p.len())).collect();
             let mut b = FrameBuilder::new(base, &plan, unchanged);
@@ -735,29 +607,73 @@ mod tests {
             for (slot, (_, p)) in slots.into_iter().zip(&payloads) {
                 slot.copy_from_slice(p);
             }
-            for i in 0..payloads.len() {
-                let crc = crc32(b.payload(i));
-                b.set_crc(i, crc);
+            for (i, (_, p)) in payloads.iter().enumerate() {
+                b.set_crc(i, crc32(p));
             }
             assert_eq!(&b.seal()[..], &reference[..], "base {base:?}");
         }
     }
 
     #[test]
-    fn parse_meta_then_verify_equals_unpack_any() {
+    fn pack_of_live_regions_matches_the_oracle() {
+        // Below and above the pool threshold: the inline and the fanned-out
+        // fill must both produce the oracle's bytes.
+        for len in [16usize, PARALLEL_PACK_THRESHOLD] {
+            let regions: Vec<(u32, Arc<dyn Protected>)> = (0..3u32)
+                .map(|i| {
+                    let r: Arc<dyn Protected> = Arc::new(VecRegion::new(vec![i as u8 + 1; len]));
+                    (i * 2, r)
+                })
+                .collect();
+            let snaps: Vec<(u32, Bytes)> =
+                regions.iter().map(|(id, r)| (*id, r.snapshot())).collect();
+            assert_eq!(pack(None, &regions, &[]), pack_frame(None, &snaps, &[]));
+            assert_eq!(
+                pack(Some(4), &regions, &[9]),
+                pack_frame(Some(4), &snaps, &[9])
+            );
+        }
+    }
+
+    /// A region that resized after planning: `byte_len` still reports the
+    /// old length, every serialization sees the new one.
+    struct Resized(Vec<u8>);
+
+    impl Protected for Resized {
+        fn snapshot(&self) -> Bytes {
+            Bytes::from(self.0.clone())
+        }
+        fn restore(&self, _data: &[u8]) {}
+        fn byte_len(&self) -> usize {
+            self.0.len() - 1
+        }
+    }
+
+    #[test]
+    fn length_drift_replans_from_the_snapshots() {
+        let steady: Arc<dyn Protected> = Arc::new(VecRegion::new(vec![7u8; 5]));
+        let moved: Arc<dyn Protected> = Arc::new(Resized(b"grown".to_vec()));
+        let blob = pack(None, &[(1, steady), (2, moved)], &[]);
+        let frame = unpack(&blob).expect("the re-planned frame is well-formed");
+        assert_eq!(
+            frame.changed,
+            vec![
+                (1, Bytes::from(vec![7u8; 5])),
+                (2, Bytes::from_static(b"grown"))
+            ]
+        );
+    }
+
+    #[test]
+    fn parse_meta_then_verify_equals_unpack() {
         let blobs = [
             delta_frame(),
-            pack_frame(
-                None,
-                &[PackedRegion::new(1, Bytes::from_static(b"alpha"))],
-                &[],
-            ),
-            pack(&[(1, Bytes::from_static(b"legacy")), (2, Bytes::new())]),
+            pack_frame(None, &[(1, Bytes::from_static(b"alpha"))], &[]),
         ];
         for blob in &blobs {
             let meta = parse_meta(blob).expect("intact blob parses");
             assert!(meta.verify_payloads(blob));
-            let frame = unpack_any(blob).unwrap();
+            let frame = unpack(blob).unwrap();
             assert_eq!(meta.base_version, frame.base_version);
             assert_eq!(meta.unchanged, frame.unchanged);
             assert_eq!(meta.payloads(blob), frame.changed);
@@ -784,72 +700,14 @@ mod tests {
         let mut meta_flip = blob.to_vec();
         meta_flip[24] ^= 0xFF; // first unchanged id (8 header + 16 fixed meta)
         assert!(parse_meta(&Bytes::from(meta_flip)).is_none());
-
-        // Same split for VCF1: body flip parses, fails whole-body verify.
-        let v1 = pack(&[(1, Bytes::from_static(b"payload"))]);
-        let mut v1_flip = v1.to_vec();
-        let last = v1_flip.len() - 1;
-        v1_flip[last] ^= 0xFF;
-        let corrupted = Bytes::from(v1_flip);
-        let meta = parse_meta(&corrupted).expect("v1 structure is untouched");
-        assert!(!meta.verify_payloads(&corrupted));
-    }
-
-    #[test]
-    fn truncated_blob_fails_cleanly() {
-        let blob = pack(&[(1, Bytes::from_static(b"payload"))]);
-        for cut in [0, 3, 5, 9, blob.len() - 1] {
-            let truncated = blob.slice(0..cut);
-            assert!(unpack(&truncated).is_none(), "cut at {cut} should fail");
-            assert!(!verify(&truncated));
-        }
-    }
-
-    #[test]
-    fn trailing_garbage_fails() {
-        let mut raw = pack(&[(1, Bytes::from_static(b"x"))]).to_vec();
-        raw.push(0xFF);
-        assert!(unpack(&Bytes::from(raw)).is_none());
-    }
-
-    #[test]
-    fn bad_magic_fails() {
-        let mut raw = pack(&[(1, Bytes::from_static(b"x"))]).to_vec();
-        raw[0] = b'X';
-        assert!(unpack(&Bytes::from(raw)).is_none());
-    }
-
-    #[cfg(not(feature = "chaos-mutants"))]
-    #[test]
-    fn payload_byte_flip_is_detected() {
-        // A flip inside a region payload passes every structural check —
-        // only the CRC catches it. This is the exact bug class the chaos
-        // mutant re-introduces.
-        let blob = pack(&[(1, Bytes::from_static(b"payload"))]);
-        let mut raw = blob.to_vec();
-        let last = raw.len() - 1;
-        raw[last] ^= 0xFF;
-        assert!(unpack(&Bytes::from(raw)).is_none());
-    }
-
-    #[cfg(not(feature = "chaos-mutants"))]
-    #[test]
-    fn corrupt_count_fails() {
-        let mut raw = pack(&[]).to_vec();
-        // Body starts at offset 8; blow up the region count.
-        raw[8] = 0xFF;
-        raw[9] = 0xFF;
-        raw[10] = 0xFF;
-        raw[11] = 0x7F;
-        assert!(unpack(&Bytes::from(raw)).is_none());
     }
 
     fn delta_frame() -> Bytes {
         pack_frame(
             Some(7),
             &[
-                PackedRegion::new(2, Bytes::from_static(b"changed-two")),
-                PackedRegion::new(5, Bytes::from_static(b"")),
+                (2, Bytes::from_static(b"changed-two")),
+                (5, Bytes::from_static(b"")),
             ],
             &[1, 3],
         )
@@ -857,27 +715,19 @@ mod tests {
 
     #[test]
     fn vcf2_full_frame_roundtrip() {
-        let regions = [
-            PackedRegion::new(1, Bytes::from_static(b"alpha")),
-            PackedRegion::new(7, Bytes::from_static(b"")),
+        let regions = vec![
+            (1, Bytes::from_static(b"alpha")),
+            (7, Bytes::from_static(b"")),
         ];
-        let blob = pack_frame(None, &regions, &[]);
-        let frame = unpack_any(&blob).unwrap();
+        let frame = unpack(&pack_frame(None, &regions, &[])).unwrap();
         assert!(frame.is_full());
-        assert_eq!(
-            frame.changed,
-            vec![
-                (1, Bytes::from_static(b"alpha")),
-                (7, Bytes::from_static(b""))
-            ]
-        );
+        assert_eq!(frame.changed, regions);
         assert!(frame.unchanged.is_empty());
-        assert!(verify(&blob));
     }
 
     #[test]
     fn vcf2_delta_frame_roundtrip() {
-        let frame = unpack_any(&delta_frame()).unwrap();
+        let frame = unpack(&delta_frame()).unwrap();
         assert_eq!(frame.base_version, Some(7));
         assert_eq!(frame.unchanged, vec![1, 3]);
         assert_eq!(
@@ -891,30 +741,23 @@ mod tests {
 
     #[test]
     fn vcf2_base_version_zero_is_representable() {
-        let blob = pack_frame(
-            Some(0),
-            &[PackedRegion::new(1, Bytes::from_static(b"x"))],
-            &[2],
-        );
-        let frame = unpack_any(&blob).unwrap();
+        let blob = pack_frame(Some(0), &[(1, Bytes::from_static(b"x"))], &[2]);
+        let frame = unpack(&blob).unwrap();
         assert_eq!(frame.base_version, Some(0));
         assert!(!frame.is_full());
     }
 
     #[test]
-    fn unpack_any_sniffs_vcf1() {
-        let regions = vec![(1u32, Bytes::from_static(b"legacy"))];
-        let frame = unpack_any(&pack(&regions)).unwrap();
-        assert!(frame.is_full());
-        assert_eq!(frame.changed, regions);
-        assert!(frame.unchanged.is_empty());
-    }
-
-    #[test]
-    fn unpack_any_rejects_unknown_magic() {
-        let mut raw = delta_frame().to_vec();
-        raw[3] = b'9';
-        assert!(unpack_any(&Bytes::from(raw)).is_none());
+    fn retired_and_unknown_magics_are_rejected() {
+        // '1' is the retired whole-body-CRC format's version digit: nothing
+        // writes it any more and nothing may accept it.
+        for digit in [b'1', b'9'] {
+            let mut raw = delta_frame().to_vec();
+            raw[3] = digit;
+            let blob = Bytes::from(raw);
+            assert!(parse_meta(&blob).is_none());
+            assert!(unpack(&blob).is_none());
+        }
     }
 
     #[test]
@@ -922,8 +765,7 @@ mod tests {
         let blob = delta_frame();
         for cut in [0, 3, 7, 9, 20, blob.len() - 1] {
             let truncated = blob.slice(0..cut);
-            assert!(unpack_any(&truncated).is_none(), "cut at {cut} should fail");
-            assert!(!verify(&truncated));
+            assert!(unpack(&truncated).is_none(), "cut at {cut} should fail");
         }
     }
 
@@ -931,18 +773,19 @@ mod tests {
     fn vcf2_trailing_garbage_fails() {
         let mut raw = delta_frame().to_vec();
         raw.push(0xFF);
-        assert!(unpack_any(&Bytes::from(raw)).is_none());
+        assert!(unpack(&Bytes::from(raw)).is_none());
     }
 
     #[cfg(not(feature = "chaos-mutants"))]
     #[test]
     fn vcf2_payload_byte_flip_is_detected() {
         // A flip in the last payload byte passes every structural check —
-        // only the per-region CRC catches it.
+        // only the per-region CRC catches it. This is the exact bug class
+        // the chaos mutant re-introduces.
         let mut raw = delta_frame().to_vec();
         let last = raw.len() - 1;
         raw[last] ^= 0xFF;
-        assert!(unpack_any(&Bytes::from(raw)).is_none());
+        assert!(unpack(&Bytes::from(raw)).is_none());
     }
 
     #[cfg(not(feature = "chaos-mutants"))]
@@ -953,7 +796,7 @@ mod tests {
         let blob = delta_frame();
         let mut raw = blob.to_vec();
         raw[24] ^= 0xFF; // first unchanged id (8 header + 16 fixed meta)
-        assert!(unpack_any(&Bytes::from(raw)).is_none());
+        assert!(unpack(&Bytes::from(raw)).is_none());
     }
 
     #[test]
@@ -968,10 +811,10 @@ mod tests {
         meta.put_u32_le(42);
         let meta = meta.freeze();
         let mut buf = BytesMut::new();
-        buf.put_slice(&MAGIC2);
+        buf.put_slice(&MAGIC);
         buf.put_u32_le(crc32(&meta));
         buf.put_slice(&meta);
-        assert!(unpack_any(&buf.freeze()).is_none());
+        assert!(unpack(&buf.freeze()).is_none());
     }
 
     #[cfg(not(feature = "chaos-mutants"))]
@@ -983,6 +826,6 @@ mod tests {
         raw[17] = 0xFF;
         raw[18] = 0xFF;
         raw[19] = 0x7F;
-        assert!(unpack_any(&Bytes::from(raw)).is_none());
+        assert!(unpack(&Bytes::from(raw)).is_none());
     }
 }

@@ -123,8 +123,17 @@ begin "chaos: smoke campaign + seeded integrity mutant"
 #   CHAOS_SCHEDULES=200 CHAOS_SEED=7 scripts/ci.sh
 cargo run -q --release -p harness --bin chaos -- \
   --schedules "${CHAOS_SCHEDULES:-30}" ${CHAOS_SEED:+--seed "$CHAOS_SEED"}
+chaos_replay() {
+  cargo run -q --release -p harness --bin chaos -- --schedule "$1"
+}
+# The one flush routine under an installed injector, on the threaded engine
+# (the one where the flush worker runs; DES flushes inline): rank 1's worker
+# writes a corrupted v7 to the PFS, rank 0's worker dies after its first
+# flush and flushes inline from then on, and rank 1's replacement must
+# degrade past the corrupt PFS copy to the baseline digest.
+chaos_replay "strategy=FenixVeloc spares=1 corrupt(tier=pfs,version=7,rank=1,flip=0) workerdeath(rank=0,after=1) kill(rank=1,site=iter,at=9)"
 # The campaign must also catch the seeded checkpoint-integrity bug
-# (chaos-mutants skips the CRC check) and shrink it to <=2 events:
+# (chaos-mutants skips the CRC checks) and shrink it to <=2 events:
 cargo test -q -p chaos --features chaos-mutants
 end
 
@@ -169,9 +178,6 @@ cargo test -q -p redstore
 # survived by buddy IMR (the store at two replicas — every pair spans two
 # nodes; the exact differential, including the buddy-pair kill that stays
 # a typed error, is asserted in crates/chaos/tests/scenarios.rs).
-chaos_replay() {
-  cargo run -q --release -p harness --bin chaos -- --schedule "$1"
-}
 chaos_replay "strategy=FenixRedstore spares=2 kill(rank=0,site=iter,at=5) kill(rank=1,site=iter,at=5)"
 chaos_replay "strategy=FenixRedstore spares=2 rpn=2 nodekill(node=0,site=iter,at=5)"
 chaos_replay "strategy=FenixImr spares=2 rpn=2 nodekill(node=0,site=iter,at=5)"

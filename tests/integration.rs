@@ -28,8 +28,13 @@ fn cluster(n: usize) -> Cluster {
 /// surviving two failures with two spares.
 #[test]
 fn figure4_pattern_survives_two_failures() {
-    let c = cluster(6); // 4 active + 2 spares
-    let plan = Arc::new(FaultPlan::kill_at(1, "iter", 7).and_kill(2, "iter", 13));
+    // 4 active + 2 spares
+    let c = cluster(6);
+    // Both kills land after a checkpoint call has drained the victim's
+    // previous flush (`checkpoint` begins with `checkpoint_wait`), so an
+    // older version is on the PFS for the replacement however late the
+    // victim's flush worker is scheduled.
+    let plan = Arc::new(FaultPlan::kill_at(1, "iter", 8).and_kill(2, "iter", 13));
     let report = Universe::launch(
         &c,
         UniverseConfig::default(),

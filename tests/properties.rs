@@ -1,6 +1,5 @@
 //! Property-based tests (proptest) on core data structures and invariants.
 
-use bytes::Bytes;
 use layered_resilience::apps::heatdis::jacobi_sweep;
 use layered_resilience::apps::minimd::atoms::{generate_slab_atoms, Slab};
 use layered_resilience::kokkos::capture::CaptureSession;
@@ -9,8 +8,20 @@ use layered_resilience::kokkos_resilience::CheckpointFilter;
 use layered_resilience::redstore::Placement;
 use layered_resilience::simmpi::pod;
 use layered_resilience::simmpi::ReduceOp;
-use layered_resilience::veloc::serial;
+use layered_resilience::veloc::{serial, Protected, VecRegion};
 use proptest::prelude::*;
+use std::sync::Arc;
+
+/// Arbitrary payloads as live protected regions, ids kept.
+fn live(regions: &[(u32, Vec<u8>)]) -> Vec<(u32, Arc<dyn Protected>)> {
+    regions
+        .iter()
+        .map(|(id, data)| {
+            let region: Arc<dyn Protected> = Arc::new(VecRegion::new(data.clone()));
+            (*id, region)
+        })
+        .collect()
+}
 
 proptest! {
     /// POD slice ↔ bytes is an exact roundtrip for arbitrary f64 bit
@@ -26,8 +37,8 @@ proptest! {
         }
     }
 
-    /// Checkpoint blob pack/unpack is an exact roundtrip for arbitrary
-    /// region sets.
+    /// Packing live regions into a checkpoint frame and unpacking it is an
+    /// exact roundtrip for arbitrary region sets.
     #[test]
     fn checkpoint_blob_roundtrip(
         regions in proptest::collection::vec(
@@ -35,12 +46,12 @@ proptest! {
             0..16
         )
     ) {
-        let regions: Vec<(u32, Bytes)> = regions
-            .into_iter()
-            .map(|(id, data)| (id, Bytes::from(data)))
-            .collect();
-        let blob = serial::pack(&regions);
-        prop_assert_eq!(serial::unpack(&blob), Some(regions));
+        let frame = serial::unpack(&serial::pack(None, &live(&regions), &[]))
+            .expect("intact frame unpacks");
+        prop_assert!(frame.is_full());
+        let got: Vec<(u32, Vec<u8>)> =
+            frame.changed.into_iter().map(|(id, p)| (id, p.to_vec())).collect();
+        prop_assert_eq!(got, regions);
     }
 
     /// Truncating a packed blob anywhere must fail cleanly, never panic.
@@ -52,11 +63,7 @@ proptest! {
         ),
         cut_fraction in 0.0f64..1.0
     ) {
-        let regions: Vec<(u32, Bytes)> = regions
-            .into_iter()
-            .map(|(id, data)| (id, Bytes::from(data)))
-            .collect();
-        let blob = serial::pack(&regions);
+        let blob = serial::pack(None, &live(&regions), &[]);
         let cut = ((blob.len() as f64) * cut_fraction) as usize;
         if cut < blob.len() {
             prop_assert_eq!(serial::unpack(&blob.slice(0..cut)), None);
