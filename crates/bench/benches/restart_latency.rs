@@ -1,6 +1,6 @@
 //! Restart-latency budget: full-frame restore vs an 8-frame delta-chain
-//! walk (parallel and sequential payload verification), plus the CRC
-//! kernel itself (slice-by-16 vs the bitwise oracle).
+//! walk, plus the CRC kernels themselves (what `serial::crc32` dispatches to on this host vs
+//! the portable slice-by-16 vs the bitwise oracle).
 //!
 //! Beyond the criterion console table, this bench writes
 //! `target/BENCH_restart.json` — median nanoseconds, bytes restored, and
@@ -8,11 +8,9 @@
 //! which `scripts/bench_gate.sh` compares against the committed baseline
 //! (`BENCH_restart.json` at the repo root, knob `RESTART_MAX_REGRESSION_PCT`)
 //! and uses to assert the slice-by-16 CRC is measurably faster than the
-//! bitwise implementation it replaced. The chain8 vs chain8_seq pair is
-//! the multi-core scaling configuration: identical work, worker fan-out 4
-//! vs 1 — the gate asserts the fan-out wins whenever the host has more than
-//! one CPU, and the JSON records `nproc` and the same restart at 1, 2, 4
-//! and 8 workers (`worker_sweep`) so the baseline says what it was taken on.
+//! bitwise implementation it replaced and, where the JSON's `crc_kernel`
+//! says `serial::crc32` runs the carry-less-multiply kernel, that the
+//! dispatch beats slice-by-16.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -21,8 +19,7 @@ use cluster::{Cluster, ClusterConfig, TimeScale};
 use criterion::{black_box, Criterion};
 use veloc::{serial, Client, Config, Mode, VecRegion};
 
-/// Protected state: enough payload that chain verification clears the
-/// parallel-restart threshold by a wide margin.
+/// Protected state.
 const REGIONS: usize = 32;
 const REGION_BYTES: usize = 128 * 1024;
 /// Delta frames stacked on the full base for the chain configs (8 frames
@@ -89,9 +86,9 @@ impl Scenario {
         }
     }
 
-    fn restart(&self, workers: usize) -> veloc::RestartReport {
+    fn restart(&self) -> veloc::RestartReport {
         self.client
-            .restart_with_workers(&self.name, self.version, workers)
+            .restart_report(&self.name, self.version)
             .expect("restart")
     }
 }
@@ -112,9 +109,9 @@ fn median(samples: &mut [u64]) -> u64 {
 
 /// Median wall time of one restart, plus per-stage medians from the
 /// report itself.
-fn measure_restart(s: &Scenario, workers: usize) -> RestartStats {
+fn measure_restart(s: &Scenario) -> RestartStats {
     for _ in 0..JSON_WARMUP {
-        s.restart(workers);
+        s.restart();
     }
     let mut wall = Vec::with_capacity(JSON_SAMPLES);
     let mut read = Vec::with_capacity(JSON_SAMPLES);
@@ -123,7 +120,7 @@ fn measure_restart(s: &Scenario, workers: usize) -> RestartStats {
     let mut last = veloc::RestartReport::default();
     for _ in 0..JSON_SAMPLES {
         let t = Instant::now();
-        let report = s.restart(workers);
+        let report = s.restart();
         wall.push(black_box(t.elapsed().as_nanos() as u64));
         read.push(report.read_ns);
         verify.push(report.verify_ns);
@@ -166,12 +163,14 @@ fn main() {
             .measurement_time(std::time::Duration::from_millis(800));
         let cl = cluster();
         let full = Scenario::new(&cl, "bench-full", 0);
-        group.bench_function("restart/full", |b| b.iter(|| full.restart(4)));
+        group.bench_function("restart/full", |b| b.iter(|| full.restart()));
         let chain = Scenario::new(&cl, "bench-chain", CHAIN_DELTAS);
-        group.bench_function("restart/chain8-par4", |b| b.iter(|| chain.restart(4)));
-        group.bench_function("restart/chain8-seq", |b| b.iter(|| chain.restart(1)));
+        group.bench_function("restart/chain8", |b| b.iter(|| chain.restart()));
         let data: Vec<u8> = (0..CRC_BYTES).map(|i| (i * 31 + 7) as u8).collect();
-        group.bench_function("crc32/slice16-1m", |b| b.iter(|| serial::crc32(&data)));
+        group.bench_function("crc32/dispatch-1m", |b| b.iter(|| serial::crc32(&data)));
+        group.bench_function("crc32/slice16-1m", |b| {
+            b.iter(|| serial::crc32_slice16(&data))
+        });
         group.bench_function("crc32/bitwise-1m", |b| {
             b.iter(|| serial::crc32_bitwise(&data))
         });
@@ -181,21 +180,15 @@ fn main() {
     // Independent measurement pass for the machine-readable gate input.
     let mut lines = Vec::new();
     let cl = cluster();
-    let configs: [(&str, Scenario, usize); 3] = [
-        ("restart_full", Scenario::new(&cl, "json-full", 0), 4),
+    let configs = [
+        ("restart_full", Scenario::new(&cl, "json-full", 0)),
         (
             "restart_chain8",
             Scenario::new(&cl, "json-chain", CHAIN_DELTAS),
-            4,
-        ),
-        (
-            "restart_chain8_seq",
-            Scenario::new(&cl, "json-chain-seq", CHAIN_DELTAS),
-            1,
         ),
     ];
-    for (json_name, scenario, workers) in &configs {
-        let stats = measure_restart(scenario, *workers);
+    for (json_name, scenario) in &configs {
+        let stats = measure_restart(scenario);
         println!(
             "{json_name:<20} median {:>10} ns ({} frames, {} bytes; read {} / verify {} / apply {} ns)",
             stats.median_ns,
@@ -220,7 +213,8 @@ fn main() {
             "crc_bitwise_1m",
             &serial::crc32_bitwise as &dyn Fn(&[u8]) -> u32,
         ),
-        ("crc_slice16_1m", &serial::crc32),
+        ("crc_slice16_1m", &serial::crc32_slice16),
+        ("crc_dispatch_1m", &serial::crc32),
     ] {
         let median_ns = measure_crc(f);
         println!("{json_name:<20} median {median_ns:>10} ns ({CRC_BYTES} bytes)");
@@ -228,19 +222,9 @@ fn main() {
             "  {{\"name\":\"{json_name}\",\"median_ns\":{median_ns},\"bytes_hashed\":{CRC_BYTES}}}"
         ));
     }
-    let sweep_scenario = Scenario::new(&cl, "json-chain-sweep", CHAIN_DELTAS);
-    let sweep: Vec<String> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&workers| {
-            let median_ns = measure_restart(&sweep_scenario, workers).median_ns;
-            println!("chain8 @ {workers} workers  median {median_ns:>10} ns");
-            format!("{{\"workers\":{workers},\"median_ns\":{median_ns}}}")
-        })
-        .collect();
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\"bench\":\"restart_latency\",\"regions\":{REGIONS},\"region_bytes\":{REGION_BYTES},\"chain_deltas\":{CHAIN_DELTAS},\"nproc\":{nproc},\"worker_sweep\":[{}],\"configs\":[\n{}\n]}}\n",
-        sweep.join(","),
+        "{{\"bench\":\"restart_latency\",\"regions\":{REGIONS},\"region_bytes\":{REGION_BYTES},\"chain_deltas\":{CHAIN_DELTAS},\"crc_kernel\":\"{}\",\"configs\":[\n{}\n]}}\n",
+        serial::crc32_kernel(),
         lines.join(",\n")
     );
     // Benches run with CWD = the package dir; anchor at the workspace root

@@ -83,9 +83,9 @@ const REQUIRED: &[(&str, &str, &[&str])] = &[
         &[
             "restart_full",
             "restart_chain8",
-            "restart_chain8_seq",
             "crc_bitwise_1m",
             "crc_slice16_1m",
+            "crc_dispatch_1m",
         ],
     ),
 ];
@@ -221,10 +221,13 @@ pub fn check_baseline(docs: &[(String, Result<Json, String>)]) -> GateReport {
 
 /// Validate the CI stage summary: `ok` must be boolean true, `stages` a
 /// non-empty array of `{name: string, seconds: non-negative number}`,
-/// `artifacts` an object mapping names to path strings, and `scale_smoke`,
+/// `artifacts` an object mapping names to path strings, `scale_smoke`,
 /// when present, an array of `{ranks: positive integer, host_s:
 /// non-negative number}` (recorded for the weak-scaling table, not gated:
-/// host noise).
+/// host noise), and `crc_kernel`, when present (the restart bench ran), one
+/// of the two kernels `veloc::serial::crc32` dispatches to, with
+/// `crc_dispatch_1m_ns` a positive integer beside it — a number without the
+/// kernel that produced it is not a record.
 pub fn check_summary(doc: &Json) -> GateReport {
     let mut report = GateReport::default();
     match doc.get("ok").and_then(Json::as_bool) {
@@ -266,6 +269,24 @@ pub fn check_summary(doc: &Json) -> GateReport {
                 }
             }
         }
+    }
+    let dispatch_ns = doc.get("crc_dispatch_1m_ns");
+    match doc.get("crc_kernel").map(Json::as_str) {
+        None if dispatch_ns.is_some() => {
+            report.fail("\"crc_dispatch_1m_ns\" without \"crc_kernel\"".into())
+        }
+        None => {}
+        Some(Some(kernel @ ("pclmulqdq" | "slice16"))) => {
+            match dispatch_ns.and_then(Json::as_u64) {
+                Some(ns) if ns > 0 => report
+                    .lines
+                    .push(format!("crc32 dispatches to {kernel}: {ns} ns per MiB")),
+                _ => report.fail(format!(
+                    "\"crc_kernel\":{kernel:?} needs a positive integer \"crc_dispatch_1m_ns\""
+                )),
+            }
+        }
+        Some(_) => report.fail("\"crc_kernel\" must be \"pclmulqdq\" or \"slice16\"".into()),
     }
     match doc.get("artifacts").and_then(Json::as_object) {
         None => report.fail("summary missing \"artifacts\" object".into()),
@@ -411,5 +432,25 @@ mod tests {
         assert!(!smoke(r#"[{"ranks":1032}]"#).ok());
         assert!(!smoke(r#"[{"ranks":0,"host_s":1}]"#).ok());
         assert!(!smoke(r#"{"ranks":1032,"host_s":1}"#).ok());
+    }
+
+    #[test]
+    fn check_summary_validates_the_crc_record() {
+        let crc = |fields: &str| {
+            let text = format!(
+                r#"{{"ok":true,"stages":[{{"name":"a","seconds":0}}],"artifacts":{{}}{fields}}}"#
+            );
+            check_summary(&Json::parse(&text).unwrap())
+        };
+        assert!(crc("").ok(), "quick mode runs no bench and records none");
+        let r = crc(r#","crc_kernel":"pclmulqdq","crc_dispatch_1m_ns":37505"#);
+        assert!(r.ok(), "{:?}", r.failures);
+        assert!(r.lines.iter().any(|l| l.contains("pclmulqdq: 37505 ns")));
+        assert!(crc(r#","crc_kernel":"slice16","crc_dispatch_1m_ns":494892"#).ok());
+        assert!(!crc(r#","crc_kernel":"avx512","crc_dispatch_1m_ns":1"#).ok());
+        assert!(!crc(r#","crc_kernel":7,"crc_dispatch_1m_ns":1"#).ok());
+        assert!(!crc(r#","crc_kernel":"slice16""#).ok());
+        assert!(!crc(r#","crc_kernel":"slice16","crc_dispatch_1m_ns":0"#).ok());
+        assert!(!crc(r#","crc_dispatch_1m_ns":37505"#).ok());
     }
 }

@@ -340,25 +340,33 @@ mod tests {
     #[test]
     fn view_adapter_never_takes_an_owned_snapshot() {
         // The adapter forwards `snapshot_into`, so both writers — the VeloC
-        // client and the peer-memory `pack_views` — copy a view once.
-        struct Counted(View<u64>, std::sync::atomic::AtomicUsize);
+        // client and the peer-memory `pack_views` — copy a view once: into
+        // the frame, which then *is* the blob (the slot the view wrote to
+        // is where the blob's payload lives).
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        struct Counted(View<u64>, AtomicUsize, AtomicUsize);
         impl Checkpointable for Counted {
             fn meta(&self) -> kokkos::ViewMeta {
                 Checkpointable::meta(&self.0)
             }
             fn snapshot(&self) -> Bytes {
-                self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.1.fetch_add(1, Relaxed);
                 self.0.snapshot()
             }
             fn restore(&self, data: &[u8]) {
                 self.0.restore(data);
             }
             fn snapshot_into(&self, out: &mut [u8]) -> bool {
+                self.2.store(out.as_ptr() as usize, Relaxed);
                 self.0.snapshot_into(out)
             }
         }
         let c = cluster();
-        let counted = Arc::new(Counted(View::from_vec("data", vec![5, 6, 7]), 0.into()));
+        let counted = Arc::new(Counted(
+            View::from_vec("data", vec![5, 6, 7]),
+            0.into(),
+            0.into(),
+        ));
         let region: Vec<(u32, Arc<dyn Checkpointable>)> = vec![(0, counted.clone())];
         let backend = VelocBackend::new(&c, 0, Mode::Single);
         let router = simmpi::router::Router::new(c.clone());
@@ -366,7 +374,12 @@ mod tests {
         backend.checkpoint(&comm, "bk", 1, &region).unwrap();
         backend.wait();
         let blob = pack_views(&region);
-        assert_eq!(counted.1.load(std::sync::atomic::Ordering::Relaxed), 0);
+        assert_eq!(counted.1.load(Relaxed), 0);
+        let frame = veloc::serial::unpack(&blob).expect("intact");
+        assert_eq!(
+            frame.changed[0].1.as_ptr() as usize,
+            counted.2.load(Relaxed)
+        );
         counted.0.fill(0);
         unpack_views(&region, &blob).unwrap();
         assert_eq!(*counted.0.read_uncaptured(), vec![5, 6, 7]);

@@ -22,6 +22,11 @@ pub mod names {
     /// checkpoint calls. The gap to `VELOC_BYTES_PROTECTED` is what
     /// incremental (VCF2 delta) checkpointing saved.
     pub const VELOC_BYTES_WRITTEN: &str = "veloc.bytes_written";
+    /// Payload bytes the data layer submitted to checksum verification on
+    /// the read side (intactness checks during agreement, restart's verify
+    /// stage), summed over frames. One recovery should read the agreed
+    /// frame's bytes twice: once to agree, once to apply.
+    pub const VELOC_BYTES_VERIFIED: &str = "veloc.bytes_verified";
     /// Checkpoints emitted as delta frames rather than full frames.
     pub const VELOC_DELTA_FRAMES: &str = "veloc.delta_frames";
 

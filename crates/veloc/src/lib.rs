@@ -32,7 +32,6 @@
 
 pub mod backend;
 pub mod client;
-pub mod pool;
 pub mod region;
 pub mod serial;
 

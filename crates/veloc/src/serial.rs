@@ -24,9 +24,8 @@
 //! `base_version` (which may itself be a delta — restart walks the chain).
 //! Integrity is one CRC over the meta block plus one per payload, so a
 //! frame's changed payloads are checkable without the base frames in hand,
-//! the pack pool computes CRCs region-by-region, and restart can walk a
-//! chain by meta alone ([`parse_meta`]) before paying for the payload
-//! checksums ([`FrameMeta::verify_payloads`]).
+//! and restart can walk a chain by meta alone ([`parse_meta`]) before paying
+//! for the payload checksums ([`FrameMeta::verify_payloads`]).
 //!
 //! [`pack`] is the only writer: it lays the frame out up front and
 //! serializes each region straight into its payload slot
@@ -51,14 +50,13 @@ use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::pool;
 use crate::region::Protected;
 
 /// Leading magic of a checkpoint frame.
 pub const MAGIC: [u8; 4] = *b"VCF2";
 
-/// Lookup tables for the slice-by-16 [`crc32`], built at compile time from
-/// the bitwise recurrence. `CRC_TABLES[0]` is the classic one-byte-at-a-time
+/// Lookup tables for [`crc32_slice16`], built at compile time from the
+/// bitwise recurrence. `CRC_TABLES[0]` is the classic one-byte-at-a-time
 /// table; `CRC_TABLES[k]` carries a byte through `k` further zero bytes, so
 /// one loop iteration folds 16 input bytes at once.
 const CRC_TABLES: [[u32; 256]; 16] = {
@@ -90,15 +88,156 @@ const CRC_TABLES: [[u32; 256]; 16] = {
     t
 };
 
-/// CRC32 (IEEE 802.3, reflected) of `data`.
+/// CRC32 (IEEE 802.3, reflected) of `data` — the checksum every frame
+/// carries and every restart verifies.
 ///
-/// Slice-by-16: sixteen compile-time tables fold 16 bytes per iteration
-/// where the bit loop needed 128 shift-and-mask steps, which is what keeps
-/// whole-chain verification on the restart path memory-bound rather than
-/// compute-bound. Every table index is a single byte, so no corrupted
-/// length can steer a lookup out of bounds. [`crc32_bitwise`] is the
-/// definitional form this implementation is property-tested against.
+/// One function, two kernels, chosen from what the CPU reports (nothing to
+/// configure): on x86-64 with `pclmulqdq` and `sse4.1` a carry-less-multiply
+/// fold ([`clmul`], memory speed); everywhere else, under Miri, and for
+/// inputs shorter than one fold block, the portable [`crc32_slice16`]. Both
+/// compute the same function, so frames and stored CRCs do not depend on
+/// the host. [`crc32_bitwise`] is the definitional form both are
+/// property-tested against; [`crc32_kernel`] names the choice.
 pub fn crc32(data: &[u8]) -> u32 {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if data.len() >= clmul::MIN_LEN && clmul::available() {
+        // SAFETY: `available()` just confirmed at run time that this CPU has
+        // every feature `clmul::fold` is compiled for — its one requirement.
+        let (state, tail) = unsafe { clmul::fold(0xFFFF_FFFF, data) };
+        // The kernel leaves the last `len % 16` bytes to the table.
+        return slice16_update(state, tail) ^ 0xFFFF_FFFF;
+    }
+    crc32_slice16(data)
+}
+
+/// Which kernel [`crc32`] runs on this host for inputs of a fold block or
+/// more: `"pclmulqdq"` or `"slice16"`. Recorded beside benchmark numbers.
+pub fn crc32_kernel() -> &'static str {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if clmul::available() {
+        return "pclmulqdq";
+    }
+    "slice16"
+}
+
+/// The carry-less-multiply CRC kernel (x86-64 only; compiled out under
+/// Miri, which does not model the intrinsics).
+///
+/// The scheme of Intel's "Fast CRC Computation for Generic Polynomials
+/// Using PCLMULQDQ" for the bit-reflected IEEE polynomial. The message is a
+/// polynomial over GF(2); appending bytes multiplies the running remainder
+/// by a power of `x`, and multiplication by a *constant* power of `x`
+/// modulo `P` is one carry-less multiply per 64-bit half. So four 128-bit
+/// accumulators each absorb every fourth 16-byte lane (`x^512` apart), are
+/// folded into one (`x^128` apart), which absorbs the remaining whole
+/// lanes, and a last 128 → 64 → 32-bit reduction (Barrett, with the
+/// precomputed quotient `MU`) yields the raw CRC register.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_setzero_si128, _mm_srli_si128,
+        _mm_xor_si128,
+    };
+
+    /// One fold-by-four block: the least the kernel can start from.
+    pub(super) const MIN_LEN: usize = 64;
+
+    // Bit-reflected `x^n mod P` for the distances folded over (values from
+    // the Intel paper; `tests/serial_props.rs` holds the kernel to the
+    // bitwise definition at every boundary length, so a wrong digit fails).
+    // `x^(512+32)`, `x^(512-32)`: carry a lane four lanes ahead.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    // `x^(128+32)`, `x^(128-32)`: carry a lane one lane ahead.
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    // `x^64`: fold the upper 32 bits of the 96-bit remainder.
+    const K5: i64 = 0x1_63cd_6124;
+    // The polynomial `P` itself and `MU = floor(x^64 / P)`, both reflected.
+    const POLY: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    /// Whether this CPU can run [`fold`]. `is_x86_feature_detected!` caches
+    /// its answer, so this is a load and a mask per call.
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Run the raw CRC register `state` (no inversions) over `data` and
+    /// return the new register together with the bytes *not* consumed: the
+    /// kernel takes whole 16-byte lanes once it has a first 64-byte block,
+    /// so the remainder is under 16 bytes — or all of `data` when there is
+    /// no such block.
+    ///
+    /// # Safety
+    /// The CPU must support `pclmulqdq`, `sse2` and `sse4.1` (ask
+    /// [`available`]). Any `data` is fine.
+    #[target_feature(enable = "pclmulqdq", enable = "sse2", enable = "sse4.1")]
+    pub(super) unsafe fn fold(state: u32, data: &[u8]) -> (u32, &[u8]) {
+        let zero = _mm_setzero_si128();
+        let load = |lane: &[u8]| {
+            debug_assert_eq!(lane.len(), 16);
+            // SAFETY: every lane passed below is a `chunks_exact(16)` item,
+            // so 16 readable bytes, and `_mm_loadu_si128` has no alignment
+            // requirement.
+            unsafe { _mm_loadu_si128(lane.as_ptr().cast::<__m128i>()) }
+        };
+        // `a.lo · keys.lo + a.hi · keys.hi + b`: carry accumulator `a`
+        // forward over the distance `keys` encodes and absorb lane `b`.
+        let fold_into = |a: __m128i, b: __m128i, keys: __m128i| {
+            let lo = _mm_clmulepi64_si128(a, keys, 0x00);
+            let hi = _mm_clmulepi64_si128(a, keys, 0x11);
+            _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+        };
+
+        let mut blocks = data.chunks_exact(MIN_LEN);
+        let Some(first) = blocks.next() else {
+            return (state, data);
+        };
+        // Four accumulators, one per lane of a block; the incoming register
+        // joins the first 32 bits of the message.
+        let mut acc = [_mm_cvtsi32_si128(state as i32), zero, zero, zero];
+        for (a, lane) in acc.iter_mut().zip(first.chunks_exact(16)) {
+            *a = _mm_xor_si128(*a, load(lane));
+        }
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for block in blocks.by_ref() {
+            for (a, lane) in acc.iter_mut().zip(block.chunks_exact(16)) {
+                *a = fold_into(*a, load(lane), k1k2);
+            }
+        }
+        // Four → one, then the whole lanes short of another block.
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let [x0, x1, x2, x3] = acc;
+        let mut x = fold_into(x0, x1, k3k4);
+        x = fold_into(x, x2, k3k4);
+        x = fold_into(x, x3, k3k4);
+        let mut lanes = blocks.remainder().chunks_exact(16);
+        for lane in lanes.by_ref() {
+            x = fold_into(x, load(lane), k3k4);
+        }
+
+        // 128 → 96 → 64 bits.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett, 64 → 32 bits: T1 = (R mod x^32)·MU, T2 = (T1 mod x^32)·P,
+        // register = (R + T2) div x^32.
+        let poly_mu = _mm_set_epi64x(MU, POLY);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), poly_mu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), poly_mu, 0x00);
+        let state = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+        (state, lanes.remainder())
+    }
+}
+
+/// Advance the raw (un-inverted) CRC register over `data`, 16 bytes per
+/// iteration through [`CRC_TABLES`].
+fn slice16_update(mut crc: u32, data: &[u8]) -> u32 {
     // Lookup with the index masked to a byte: infallible by construction,
     // and expressed via `get` (not `[...]`) so the recovery path carries no
     // reachable panic — the mask proves the bound, so the fallback folds
@@ -108,7 +247,6 @@ pub fn crc32(data: &[u8]) -> u32 {
         t.get((i & 0xFF) as usize).copied().unwrap_or(0)
     }
     let [t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15] = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
     let mut bytes = data;
     while let [b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15, rest @ ..] =
         bytes
@@ -135,13 +273,23 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in bytes {
         crc = tab(t0, crc ^ b as u32) ^ (crc >> 8);
     }
-    crc ^ 0xFFFF_FFFF
+    crc
+}
+
+/// CRC32 (IEEE 802.3, reflected) of `data`, portable: sixteen compile-time
+/// tables fold 16 bytes per iteration where the bit loop needed 128
+/// shift-and-mask steps. The kernel [`crc32`] runs where the CPU offers no
+/// carry-less multiply, and the one that finishes every input's tail. Every
+/// table index is a single byte, so no corrupted length can steer a lookup
+/// out of bounds.
+pub fn crc32_slice16(data: &[u8]) -> u32 {
+    slice16_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
 
 /// CRC32 (IEEE 802.3, reflected) of `data`, one bit at a time — the
-/// polynomial's definition. Kept solely as the oracle [`crc32`] is
-/// property-tested against (`tests/serial_props.rs` and the bench's
-/// measured-speedup gate); no production path calls it.
+/// polynomial's definition. Kept solely as the oracle [`crc32`] and
+/// [`crc32_slice16`] are property-tested against (`tests/serial_props.rs`
+/// and the bench's measured-speedup gate); no production path calls it.
 pub fn crc32_bitwise(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in data {
@@ -176,13 +324,6 @@ impl Frame {
     }
 }
 
-/// Worker fan-out for the parallel pack (including the calling thread).
-const PACK_WORKERS: usize = 4;
-
-/// Changed-payload volume below which the pack stays on the calling thread
-/// (thread spawn costs more than serializing a few KiB).
-const PARALLEL_PACK_THRESHOLD: usize = 64 * 1024;
-
 /// Pack one checkpoint frame from live regions — the only writer of the
 /// format. A full frame passes `base_version: None` and an empty
 /// `unchanged` list; a delta frame references the committed version its
@@ -190,8 +331,7 @@ const PARALLEL_PACK_THRESHOLD: usize = 64 * 1024;
 ///
 /// The frame is laid out up front from each region's `byte_len` and every
 /// region serializes *straight into its payload slot* — one copy from
-/// protected memory to the frame — with the fill + CRC work fanned out
-/// across the pack pool when the changed volume warrants it. A region whose
+/// protected memory to the frame — and is checksummed there. A region whose
 /// byte length drifted between planning and serialization (a concurrent
 /// resize) invalidates the planned layout; the frame is then planned again
 /// from owned snapshots, whose lengths cannot move.
@@ -201,33 +341,17 @@ pub fn pack(
     unchanged: &[u32],
 ) -> Bytes {
     let plan: Vec<(u32, usize)> = changed.iter().map(|(id, r)| (*id, r.byte_len())).collect();
-    let changed_bytes: usize = plan.iter().map(|&(_, len)| len).sum();
-    let workers = if changed_bytes >= PARALLEL_PACK_THRESHOLD {
-        PACK_WORKERS
-    } else {
-        1
-    };
-    let fill = |r: &Arc<dyn Protected>, slot: &mut [u8]| r.snapshot_into(slot).then(|| crc32(slot));
     let mut builder = FrameBuilder::new(base_version, &plan, unchanged);
-    let fills: Vec<Option<Option<u32>>> = {
-        let work: Vec<(&Arc<dyn Protected>, &mut [u8])> = changed
-            .iter()
-            .map(|(_, r)| r)
-            .zip(builder.payloads_mut())
-            .collect();
-        pool::scoped_map(work, workers, |(r, slot)| fill(r, slot))
-    };
-    let crcs: Option<Vec<u32>> = fills
-        .into_iter()
-        .zip(changed)
-        .enumerate()
-        // A `None` fill means the pool worker died mid-slot: redo it inline.
-        .map(|(i, (done, (_, r)))| done.unwrap_or_else(|| fill(r, builder.payload_mut(i))))
-        .collect();
-    if let Some(crcs) = crcs {
-        for (i, crc) in crcs.into_iter().enumerate() {
+    let filled = changed.iter().enumerate().all(|(i, (_, r))| {
+        let slot = builder.payload_mut(i);
+        let fits = r.snapshot_into(slot);
+        if fits {
+            let crc = crc32(slot);
             builder.set_crc(i, crc);
         }
+        fits
+    });
+    if filled {
         return builder.seal();
     }
     let snaps: Vec<Bytes> = changed.iter().map(|(_, r)| r.snapshot()).collect();
@@ -289,7 +413,7 @@ fn put_u64_at(buf: &mut [u8], at: usize, v: u64) {
 /// Zero-copy frame assembler — what [`pack`] writes through.
 ///
 /// `FrameBuilder` allocates the finished frame up front from the planned
-/// layout and hands out disjoint `&mut [u8]` payload slots, so regions
+/// layout and hands out its `&mut [u8]` payload slots, so regions
 /// serialize *straight into their final location*
 /// ([`crate::Protected::snapshot_into`]) with no intermediate `Bytes`
 /// snapshot. [`FrameBuilder::seal`] stamps the meta CRC and freezes; the
@@ -365,21 +489,7 @@ impl FrameBuilder {
         self.payload_slots.len()
     }
 
-    /// All payload slots as disjoint mutable slices, in frame order — what
-    /// the pack pool hands its workers.
-    pub fn payloads_mut(&mut self) -> Vec<&mut [u8]> {
-        let (_, mut rest) = self.buf.split_at_mut(self.meta_end);
-        let mut out = Vec::with_capacity(self.payload_slots.len());
-        for &(_, len) in &self.payload_slots {
-            let (slot, tail) = rest.split_at_mut(len);
-            out.push(slot);
-            rest = tail;
-        }
-        out
-    }
-
-    /// Payload slot `i`, mutable (the inline recompute path when a pool
-    /// worker died mid-fill).
+    /// Payload slot `i`, mutable.
     pub fn payload_mut(&mut self, i: usize) -> &mut [u8] {
         // Out-of-range slots yield an empty slice rather than indexing:
         // the pack path runs during recovery, where a panic kills the rank.
@@ -408,11 +518,10 @@ impl FrameBuilder {
 /// the payload bytes, which stay unverified until
 /// [`FrameMeta::verify_payloads`] runs against the same blob.
 ///
-/// Splitting decode in two is what makes the parallel chain-walk restart
-/// possible: walking a delta chain needs only each frame's meta (a few
-/// dozen bytes, verified by the meta CRC), while the expensive half —
-/// checksumming megabytes of payload — fans out across the pack pool once
-/// the whole chain is in hand.
+/// Splitting decode in two lets restart walk a delta chain — and fail on a
+/// missing or malformed base — from each frame's meta alone (a few dozen
+/// bytes, verified by the meta CRC) before it pays for the expensive half,
+/// checksumming megabytes of payload.
 #[derive(Clone, Debug)]
 pub struct FrameMeta {
     /// `None` for a self-contained full frame; `Some(v)` for a delta.
@@ -433,7 +542,7 @@ impl FrameMeta {
 
     /// Verify the payload checksums against `blob` — which must be the
     /// blob this meta was parsed from. This is the expensive half of
-    /// decode, the part restart runs concurrently per frame.
+    /// decode.
     pub fn verify_payloads(&self, blob: &Bytes) -> bool {
         // The seeded chaos mutant skips payload verification here and the
         // meta check in `parse_meta`, re-enabling the garbage-restore path.
@@ -567,22 +676,30 @@ mod tests {
 
     #[test]
     fn crc32_matches_known_vector() {
-        // The classic IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32_bitwise(b""), 0);
+        // The classic IEEE check value, from every implementation.
+        for crc in [crc32, crc32_slice16, crc32_bitwise] {
+            assert_eq!(crc(b"123456789"), 0xCBF4_3926);
+            assert_eq!(crc(b""), 0);
+        }
     }
 
     #[test]
-    fn crc32_slice16_agrees_with_bitwise_at_chunk_boundaries() {
-        // Lengths straddling the 16-byte fold width: 0..=17, 31..=33, and a
-        // large buffer exercising many folded iterations plus a remainder.
-        for len in (0..=17).chain(31..=33).chain([255, 256, 4096 + 5]) {
+    fn crc32_kernels_agree_with_bitwise_at_chunk_boundaries() {
+        // Lengths straddling the table's 16-byte step and the hardware
+        // kernel's 64-byte block, and a large buffer exercising many folded
+        // iterations plus a remainder. (`tests/serial_props.rs` sweeps every
+        // length and alignment.)
+        for len in (0..=17)
+            .chain(31..=33)
+            .chain(63..=65)
+            .chain(127..=129)
+            .chain([255, 256, 4096 + 5])
+        {
             let data: Vec<u8> = (0..len)
                 .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
                 .collect();
             assert_eq!(crc32(&data), crc32_bitwise(&data), "len {len}");
+            assert_eq!(crc32_slice16(&data), crc32_bitwise(&data), "len {len}");
         }
     }
 
@@ -603,11 +720,8 @@ mod tests {
             let plan: Vec<(u32, usize)> = payloads.iter().map(|(id, p)| (*id, p.len())).collect();
             let mut b = FrameBuilder::new(base, &plan, unchanged);
             assert_eq!(b.payload_count(), payloads.len());
-            let slots = b.payloads_mut();
-            for (slot, (_, p)) in slots.into_iter().zip(&payloads) {
-                slot.copy_from_slice(p);
-            }
             for (i, (_, p)) in payloads.iter().enumerate() {
+                b.payload_mut(i).copy_from_slice(p);
                 b.set_crc(i, crc32(p));
             }
             assert_eq!(&b.seal()[..], &reference[..], "base {base:?}");
@@ -615,10 +729,25 @@ mod tests {
     }
 
     #[test]
+    fn seal_hands_over_the_builders_buffer() {
+        // The frame a region serialized into *is* the sealed blob: `seal`
+        // moves the buffer into the `Bytes`, it does not copy it.
+        let mut b = FrameBuilder::new(None, &[(1, 4096), (2, 16)], &[]);
+        let slots: Vec<*const u8> = (0..2).map(|i| b.payload_mut(i).as_ptr()).collect();
+        let blob = b.seal();
+        let meta = parse_meta(&blob).expect("well-formed");
+        let sealed: Vec<*const u8> = meta
+            .payloads(&blob)
+            .iter()
+            .map(|(_, p)| p.as_ptr())
+            .collect();
+        assert_eq!(slots, sealed);
+    }
+
+    #[test]
     fn pack_of_live_regions_matches_the_oracle() {
-        // Below and above the pool threshold: the inline and the fanned-out
-        // fill must both produce the oracle's bytes.
-        for len in [16usize, PARALLEL_PACK_THRESHOLD] {
+        // Payloads below and above the hardware CRC kernel's first block.
+        for len in [16usize, 64 * 1024] {
             let regions: Vec<(u32, Arc<dyn Protected>)> = (0..3u32)
                 .map(|i| {
                     let r: Arc<dyn Protected> = Arc::new(VecRegion::new(vec![i as u8 + 1; len]));

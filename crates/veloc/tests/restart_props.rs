@@ -1,13 +1,8 @@
-//! Equivalence properties for the parallel chain-walk restart.
-//!
-//! Restart's payload verification fans out across the pack pool; the
-//! contract is that worker count is *invisible*: for any delta chain the
-//! parallel restart (workers = 4) and the sequential baseline (workers = 1)
-//! restore bitwise-identical state, report identical accounting, and — when
-//! a frame in the chain is corrupted on both storage tiers — fail with the
-//! identical typed error. Regions here are large enough that the chain's
-//! payload volume clears the parallel threshold, so the 4-worker runs
-//! genuinely exercise the pool.
+//! Properties of the chain-walk restart: for any delta chain, restart of any
+//! version restores exactly the state that version captured and accounts for
+//! every region; when a frame in the chain is corrupted on both storage
+//! tiers, the versions that chain through it fail with the typed error and
+//! apply nothing, and the others restore as before.
 
 use std::sync::Arc;
 
@@ -16,8 +11,6 @@ use proptest::prelude::*;
 use veloc::{Client, Config, Mode, Protected, VecRegion, VelocError};
 
 const CHAIN_REGIONS: usize = 3;
-/// Big enough that a full frame alone (3 × 32 KiB) crosses the 64 KiB
-/// parallel-restart threshold.
 const REGION_BYTES: usize = 32 * 1024;
 const CHAIN_NAME: &str = "restart-prop";
 
@@ -89,33 +82,22 @@ fn steps_strategy() -> impl Strategy<Value = Vec<Vec<bool>>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Parallel decode is bitwise-equal to sequential: same restored
-    /// bytes, same model-state agreement, same per-restart accounting.
+    /// Restart of any version of any chain restores that version's state
+    /// and accounts for every region.
     #[test]
-    fn parallel_restart_equals_sequential(steps in steps_strategy(), pick in 0.0f64..1.0) {
+    fn restart_restores_the_version_it_names(steps in steps_strategy(), pick in 0.0f64..1.0) {
         let c = chain_cluster();
         let (client, regions, model) = run_chain(&c, &steps);
         let v = 1 + ((steps.len() as f64 - 1.0) * pick) as usize; // 1..=n
 
         garble(&regions);
-        let par = client
-            .restart_with_workers(CHAIN_NAME, v as u64, 4)
-            .expect("parallel restart");
-        let par_state = state(&regions);
-
-        garble(&regions);
-        let seq = client
-            .restart_with_workers(CHAIN_NAME, v as u64, 1)
-            .expect("sequential restart");
-        let seq_state = state(&regions);
-
-        prop_assert_eq!(&par_state, &seq_state, "worker count changed restored bytes");
-        prop_assert_eq!(&par_state, &model[v - 1], "version {} state mismatch", v);
-        prop_assert_eq!(par.regions, seq.regions);
-        prop_assert_eq!(par.bytes_restored, seq.bytes_restored);
-        prop_assert_eq!(par.frames_walked, seq.frames_walked);
-        prop_assert_eq!(par.regions, CHAIN_REGIONS);
-        prop_assert_eq!(par.bytes_restored, (CHAIN_REGIONS * REGION_BYTES) as u64);
+        let report = client
+            .restart_report(CHAIN_NAME, v as u64)
+            .expect("restart");
+        prop_assert_eq!(&state(&regions), &model[v - 1], "version {} state mismatch", v);
+        prop_assert_eq!(report.regions, CHAIN_REGIONS);
+        prop_assert_eq!(report.bytes_restored, (CHAIN_REGIONS * REGION_BYTES) as u64);
+        prop_assert!((1..=v).contains(&report.frames_walked));
     }
 }
 
@@ -123,12 +105,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Corrupting one mid-chain frame on *both* tiers degrades the
-    /// parallel and sequential restarts identically: the same versions
-    /// fail with the same typed error, and the versions whose chain avoids
-    /// the victim still restore the same bytes under either worker count.
+    /// Corrupting one mid-chain frame on *both* tiers: the versions whose
+    /// chain hits the victim fail with the typed error and apply nothing,
+    /// the versions whose chain avoids it still restore their exact state.
     #[test]
-    fn corrupted_mid_chain_frame_degrades_identically(
+    fn corrupted_mid_chain_frame_degrades_to_a_typed_error(
         steps in steps_strategy(),
         pick in 0.0f64..1.0,
         pos_frac in 0.0f64..1.0,
@@ -142,7 +123,7 @@ proptest! {
         let (blob, _) = c.scratch().read(0, &path).expect("victim exists");
         // One-byte XOR somewhere in the frame: depending on position this
         // breaks the meta (parse fails) or a payload (verify fails) — both
-        // must surface as the same Corrupt error either way.
+        // must surface as the same Corrupt error.
         let pos = ((blob.len() as f64) * pos_frac) as usize % blob.len();
         let mut raw = blob.to_vec();
         raw[pos] ^= mask;
@@ -152,36 +133,18 @@ proptest! {
 
         for v in 1..=n {
             garble(&regions);
-            let par = client.restart_with_workers(CHAIN_NAME, v, 4);
-            let par_state = state(&regions);
-            garble(&regions);
-            let seq = client.restart_with_workers(CHAIN_NAME, v, 1);
-            let seq_state = state(&regions);
-
-            // Compare the semantic outcome (per-stage timings legitimately
-            // differ between runs): same success/error variant, and on
-            // success the same restore accounting.
-            let semantic = |r: &Result<veloc::RestartReport, VelocError>| match r {
-                Ok(rep) => Ok((rep.regions, rep.bytes_restored, rep.frames_walked)),
-                Err(e) => Err(e.clone()),
-            };
-            prop_assert_eq!(
-                semantic(&par),
-                semantic(&seq),
-                "version {} verdict diverged by worker count",
-                v
-            );
-            prop_assert_eq!(&par_state, &seq_state, "version {} bytes diverged", v);
-            match par {
+            let outcome = client.restart_report(CHAIN_NAME, v);
+            let restored = state(&regions);
+            match outcome {
                 Ok(report) => {
                     // Chain avoided the victim: full restore, exact state.
                     prop_assert_eq!(report.regions, CHAIN_REGIONS);
-                    prop_assert_eq!(&par_state, &model[v as usize - 1]);
+                    prop_assert_eq!(&restored, &model[v as usize - 1]);
                 }
                 Err(VelocError::Corrupt { .. }) => {
                     // Chain hit the victim: typed failure, and the garbled
                     // placeholder state proves no partial apply happened.
-                    prop_assert!(par_state
+                    prop_assert!(restored
                         .iter()
                         .all(|r| r.iter().all(|&b| b == 0xEE)));
                 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use cluster::{Cluster, ClusterConfig, TimeScale};
 use proptest::prelude::*;
-use veloc::serial::{crc32, crc32_bitwise, pack_frame, unpack, FrameBuilder};
+use veloc::serial::{crc32, crc32_bitwise, crc32_slice16, pack_frame, unpack, FrameBuilder};
 use veloc::{Client, Config, Mode, Protected, VecRegion};
 
 proptest! {
@@ -51,11 +51,16 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// CRC slice-by-16 vs the bitwise oracle. The production `crc32` processes
-// 16 bytes per iteration through precomputed tables; `crc32_bitwise` is the
-// direct IEEE 802.3 recurrence kept solely as this oracle. They must agree
-// on every input — in particular across the chunk remainder boundaries
-// (len % 16) where table-folding bugs hide.
+// Both CRC kernels vs the bitwise oracle. `crc32` dispatches on the CPU
+// (carry-less multiply where the host has it, else `crc32_slice16`, which
+// also finishes every tail); `crc32_bitwise` is the direct IEEE 802.3
+// recurrence kept solely as this oracle. All three must agree on every
+// input — in particular at the boundaries where folding bugs hide: the
+// table's 16-byte step, the hardware kernel's 64-byte block and its
+// hand-over to the lane loop and the table tail, and at every alignment of
+// the first byte (the hardware kernel loads unaligned). Naming
+// `crc32_slice16` here is what exercises the portable kernel on hosts where
+// `crc32` never reaches it for long inputs.
 // ---------------------------------------------------------------------------
 
 /// Deterministic splitmix-style fill: `len` and `seed` shrink cheaply while
@@ -73,21 +78,32 @@ fn fill(len: usize, seed: u64) -> Vec<u8> {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
     #[test]
-    fn crc_slice16_equals_bitwise(len in 0usize..70_000, seed in any::<u64>()) {
-        let data = fill(len, seed);
-        prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+    fn crc_kernels_equal_bitwise(seed in any::<u64>(), long in 65_537usize..200_000) {
+        prop_assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        prop_assert_eq!(crc32_slice16(b"123456789"), 0xCBF4_3926);
+        // Every length 0..=1,024 (straddling 16, 64 and 128 many times
+        // over) at every start offset 0..16 of one buffer.
+        let buf = fill(1024 + 16, seed);
+        for off in 0..16 {
+            for len in 0..=1024 {
+                let data = &buf[off..off + len];
+                let want = crc32_bitwise(data);
+                prop_assert_eq!(crc32(data), want, "dispatch, off {} len {}", off, len);
+                prop_assert_eq!(crc32_slice16(data), want, "slice16, off {} len {}", off, len);
+            }
+        }
+        // Past 64 KiB (the size class of the parallel pack and restart
+        // paths): many blocks, then whatever lanes and tail `long` leaves.
+        let big = fill(long, seed ^ 0x5EED);
+        for off in [0, 1, 15] {
+            let data = &big[off..];
+            let want = crc32_bitwise(data);
+            prop_assert_eq!(crc32(data), want, "dispatch, off {} len {}", off, data.len());
+            prop_assert_eq!(crc32_slice16(data), want, "slice16, off {} len {}", off, data.len());
+        }
     }
-}
-
-#[test]
-fn crc_slice16_equals_bitwise_on_empty_and_large() {
-    // The explicit edge cases: the empty buffer (no chunks, no remainder)
-    // and a buffer past 64 KiB (the parallel-path threshold size class).
-    assert_eq!(crc32(&[]), crc32_bitwise(&[]));
-    let big = fill(96 * 1024, 0x5EED);
-    assert_eq!(crc32(&big), crc32_bitwise(&big));
-    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
 }
 
 // ---------------------------------------------------------------------------

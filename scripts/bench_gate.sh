@@ -16,7 +16,9 @@
 #   - incremental@1% checkpoint >= MIN_SPEEDUP_X (default 5) faster than full-pack;
 #   - XOR n+1 encode cheaper than RS n+2 (GF(256) must not leak into XOR);
 #   - slice-by-16 CRC faster than the bitwise oracle it replaced;
-#   - the 4-worker chain restart faster than the sequential one (nproc > 1).
+#   - where serial::crc32 dispatches to the carry-less-multiply kernel
+#     (crc_kernel = pclmulqdq in the fresh JSON), the dispatch faster than
+#     slice-by-16.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -84,22 +86,23 @@ gate_section "DES scheduler" sched BENCH_sched.json \
   baton_handoff,ring_16,ring_64,repair_256,repair_1024 ${PIN[@]+"${PIN[@]}"}
 echo "bench gate: OK (sched)"
 
-# Restart latency: full-frame restore, the 8-frame chain walk in its
-# parallel (4-worker) and sequential configurations — the multi-core
-# scaling pair — and the CRC kernel itself. bytes_restored and the
-# read/verify/apply stage medians ride along in the JSON for the
-# EXPERIMENTS.md latency budget.
+# Restart latency: full-frame restore, the 8-frame chain walk, and the CRC
+# kernels themselves. bytes_restored and the read/verify/apply stage medians
+# ride along in the JSON for the EXPERIMENTS.md latency budget. crc_dispatch_1m is what serial::crc32 runs
+# on this host; it is held by the claim below, not by a percentage against
+# the baseline, which may have been recorded on a host with the other
+# kernel (the JSON's crc_kernel says which).
 gate_section "restart latency" restart_latency BENCH_restart.json \
   median_ns "$RESTART_MAX_REGRESSION_PCT" \
-  restart_full,restart_chain8,restart_chain8_seq,crc_bitwise_1m,crc_slice16_1m
+  restart_full,restart_chain8,crc_bitwise_1m,crc_slice16_1m
 # Tentpole claim: the slice-by-16 CRC must beat the bitwise implementation
 # it replaced (kept in-tree solely as the proptest oracle).
 BC assert-faster target/BENCH_restart.json crc_slice16_1m crc_bitwise_1m \
   --metric median_ns --min-x 1
-# The chain8 par/seq pair do identical work at worker fan-out 4 vs 1: with a
-# second CPU the fan-out must win (the JSON's worker_sweep records 1/2/4/8).
-if [ "$(nproc)" -gt 1 ]; then
-  BC assert-faster target/BENCH_restart.json restart_chain8 restart_chain8_seq \
+CRC_KERNEL=$(sed -n 's/.*"crc_kernel":"\([a-z0-9]*\)".*/\1/p' target/BENCH_restart.json)
+if [ "$CRC_KERNEL" = pclmulqdq ]; then
+  # The hardware kernel must beat the portable one it is chosen over.
+  BC assert-faster target/BENCH_restart.json crc_dispatch_1m crc_slice16_1m \
     --metric median_ns --min-x 1
 fi
 echo "bench gate: OK (restart)"

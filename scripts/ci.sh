@@ -15,6 +15,7 @@ cd "$(dirname "$0")/.."
 
 STAGE_JSON=""
 SMOKE_JSON=""
+CRC_JSON=""
 CURRENT_STAGE=""
 STAGE_START=0
 
@@ -39,8 +40,8 @@ write_summary() {
   local status=$?
   mkdir -p target
   {
-    printf '{"ok":%s,"stages":[%s],"scale_smoke":[%s],"artifacts":{' \
-      "$([ "$status" -eq 0 ] && echo true || echo false)" "$STAGE_JSON" "$SMOKE_JSON"
+    printf '{"ok":%s,"stages":[%s],"scale_smoke":[%s],%s"artifacts":{' \
+      "$([ "$status" -eq 0 ] && echo true || echo false)" "$STAGE_JSON" "$SMOKE_JSON" "$CRC_JSON"
     printf '"lint_report":"target/lint-report.json",'
     printf '"lint_sarif":"target/lint-report.sarif",'
     printf '"lint_timings":"target/lint-timings.json",'
@@ -184,7 +185,7 @@ chaos_replay "strategy=FenixImr spares=2 rpn=2 nodekill(node=0,site=iter,at=5)"
 end
 
 begin "modelcheck: bounded interleaving exploration"
-# The protocol suites (telemetry seqlock, veloc flush, pack pool, simmpi
+# The protocol suites (telemetry seqlock, veloc flush, simmpi
 # rendezvous) honour env overrides for deeper sweeps than the in-tree
 # defaults, e.g.:
 #   MC_PREEMPTION_BOUND=3 MC_DFS_CAP=500000 MC_RANDOM_EXECUTIONS=2000 scripts/ci.sh
@@ -200,13 +201,19 @@ begin "bench gate: checkpoint + redundancy + sched + restart"
 # redundancy-tier codecs (low-water-mark medians vs BENCH_redundancy.json,
 # plus XOR-cheaper-than-RS sanity), the DES scheduler hot paths, and the
 # restart path (full restore + 8-frame chain walk vs BENCH_restart.json
-# under RESTART_MAX_REGRESSION_PCT, plus the slice-by-16-beats-bitwise CRC
-# claim). All comparisons run through the tested bench_compare helper; see
-# scripts/bench_gate.sh for knobs.
+# under RESTART_MAX_REGRESSION_PCT, plus the slice-by-16-beats-bitwise and
+# hardware-kernel-beats-slice-by-16 CRC claims). All comparisons run through
+# the tested bench_compare helper; see scripts/bench_gate.sh for knobs. Which
+# kernel serial::crc32 dispatched to on this host and its 1 MiB median go
+# into ci-summary.json as crc_kernel / crc_dispatch_1m_ns.
 if [ "${CI_QUICK:-0}" = "1" ]; then
   echo "CI_QUICK=1: skipping benchmark regression gate"
 else
   scripts/bench_gate.sh
+  CRC_JSON=$(sed -n \
+    -e 's/.*"crc_kernel":"\([a-z0-9]*\)".*/"crc_kernel":"\1",/p' \
+    -e 's/.*"name":"crc_dispatch_1m","median_ns":\([0-9]*\).*/"crc_dispatch_1m_ns":\1,/p' \
+    target/BENCH_restart.json | tr -d '\n')
 fi
 end
 
@@ -215,6 +222,11 @@ if cargo miri --version >/dev/null 2>&1; then
   # Miri runs the seqlock/pod/router tests under the interpreter's memory
   # model; slow, so scoped to the crates with unsafe code or raw atomics.
   cargo miri test -p telemetry -p simmpi
+  # veloc::serial compiles its carry-less-multiply kernel out under
+  # cfg(miri) (the interpreter does not model the intrinsic): the CRC unit
+  # tests then hold the portable path, which is what crc32 dispatches to.
+  cargo miri test -p veloc --lib crc32
+
 else
   echo "cargo-miri not installed; skipping (rustup +nightly component add miri)"
 fi

@@ -1,8 +1,18 @@
 //! Offline stand-in for the `bytes` crate.
 //!
 //! Provides the [`Bytes`] subset this workspace uses: a cheaply cloneable,
-//! immutable, sliceable byte buffer. Cloning and slicing share one
-//! `Arc<[u8]>` allocation; only construction copies.
+//! immutable, sliceable byte buffer over one shared `Arc<Vec<u8>>`.
+//!
+//! What each operation costs in payload bytes:
+//!
+//! * **take ownership, O(1), no copy** — `From<Vec<u8>>`, `From<Box<[u8]>>`,
+//!   `FromIterator<u8>` (the collected `Vec` is the buffer) and
+//!   [`BytesMut::freeze`]. The bytes stay where the `Vec` had them; only the
+//!   few words of the shared header are allocated.
+//! * **copy once** — [`Bytes::copy_from_slice`], [`Bytes::from_static`] and
+//!   `From<&'static [u8]>` (borrowed bytes have to be moved into owned
+//!   storage), and [`Bytes::to_vec`] on the way out.
+//! * **share** — `clone` and [`Bytes::slice`] bump a reference count.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -12,27 +22,25 @@ use std::sync::Arc;
 /// A cheaply cloneable slice of an immutable, shared byte buffer.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     off: usize,
     len: usize,
 }
 
 impl Bytes {
-    /// The empty buffer (no allocation).
+    /// The empty buffer. Allocates the shared header (a few words), no
+    /// payload storage.
     pub fn new() -> Self {
-        Bytes {
-            data: Arc::from(&[][..]),
-            off: 0,
-            len: 0,
-        }
+        Bytes::from(Vec::new())
     }
 
-    /// Wrap a static slice (copies once into shared storage).
+    /// Copy a static slice into a new shared buffer — one copy; unlike the
+    /// published crate this stand-in does not borrow `'static` data.
     pub fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes::from(bytes.to_vec())
+        Bytes::copy_from_slice(bytes)
     }
 
-    /// Copy a slice into a new shared buffer.
+    /// Copy a slice into a new shared buffer — one copy.
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Bytes::from(data.to_vec())
     }
@@ -93,11 +101,12 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
+/// Takes ownership of the `Vec`'s buffer: O(1), the bytes do not move.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let len = v.len();
         Bytes {
-            data: Arc::from(v),
+            data: Arc::new(v),
             off: 0,
             len,
         }
@@ -110,12 +119,14 @@ impl From<&'static [u8]> for Bytes {
     }
 }
 
+/// Takes ownership of the box's buffer: O(1), the bytes do not move.
 impl From<Box<[u8]>> for Bytes {
     fn from(v: Box<[u8]>) -> Self {
         Bytes::from(v.into_vec())
     }
 }
 
+/// Collects into a `Vec` and takes ownership of it — no second copy.
 impl FromIterator<u8> for Bytes {
     fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
         Bytes::from(iter.into_iter().collect::<Vec<u8>>())
@@ -167,6 +178,28 @@ mod tests {
         let c = b.clone();
         assert_eq!(c, b);
         assert!(Arc::ptr_eq(&c.data, &s.data));
+    }
+
+    #[test]
+    fn from_vec_and_freeze_take_ownership() {
+        let v = vec![7u8; 4096];
+        let before = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ref().as_ptr(), before, "From<Vec<u8>> moved the bytes");
+        // Clones and slices still share that one buffer.
+        assert_eq!(b.clone().as_ref().as_ptr(), before);
+        assert_eq!(b.slice(16..32).as_ref().as_ptr(), before.wrapping_add(16));
+
+        let mut m = BytesMut::with_capacity(64);
+        m.put_slice(&[1, 2, 3, 4]);
+        let before = m.as_ptr();
+        let frozen = m.freeze();
+        assert_eq!(frozen.as_ref().as_ptr(), before, "freeze moved the bytes");
+        assert_eq!(frozen.slice(1..).as_ref().as_ptr(), before.wrapping_add(1));
+
+        let boxed: Box<[u8]> = vec![9u8; 128].into_boxed_slice();
+        let before = boxed.as_ptr();
+        assert_eq!(Bytes::from(boxed).as_ref().as_ptr(), before);
     }
 
     #[test]
@@ -223,6 +256,7 @@ impl BytesMut {
         self.data.is_empty()
     }
 
+    /// Hand the accumulated buffer over as a [`Bytes`]: O(1), no copy.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }
