@@ -139,7 +139,14 @@ fn cmd_assert_faster(args: &[String]) -> Result<GateReport, String> {
         return Err("assert-faster needs <file> <fast> <slow>".into());
     };
     let metric = flag(&flags, "metric").unwrap_or("median_ns");
-    let min_x = parse_num(&flags, "min-x", 1)?;
+    let min_x = match flag(&flags, "min-x") {
+        None => 1.0,
+        Some(v) => v
+            .parse::<f64>()
+            .ok()
+            .filter(|x| x.is_finite() && *x > 0.0)
+            .ok_or_else(|| format!("--min-x must be a positive number, got {v:?}"))?,
+    };
     match load(path) {
         Ok(doc) => Ok(gate::assert_faster(&doc, fast, slow, metric, min_x)),
         Err(report) => Ok(report),

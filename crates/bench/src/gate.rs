@@ -146,8 +146,10 @@ pub fn compare(
 }
 
 /// Assert that config `fast` is at least `min_x` times faster than config
-/// `slow` within one results document: `fast * min_x <= slow`.
-pub fn assert_faster(doc: &Json, fast: &str, slow: &str, metric: &str, min_x: u64) -> GateReport {
+/// `slow` within one results document: `fast * min_x <= slow`. A fractional
+/// `min_x` bounds a growth ratio instead: `min_x = 0.25` holds `fast` to at
+/// most four times `slow`.
+pub fn assert_faster(doc: &Json, fast: &str, slow: &str, metric: &str, min_x: f64) -> GateReport {
     let mut report = GateReport::default();
     let (f, s) = match (
         config_metric(doc, fast, metric),
@@ -161,7 +163,7 @@ pub fn assert_faster(doc: &Json, fast: &str, slow: &str, metric: &str, min_x: u6
             return report;
         }
     };
-    if f.saturating_mul(min_x) > s {
+    if f as f64 * min_x > s as f64 {
         report.fail(format!(
             "{fast} ({f} ns) must be >= {min_x}x faster than {slow} ({s} ns)"
         ));
@@ -349,17 +351,26 @@ mod tests {
     #[test]
     fn assert_faster_enforces_ratio() {
         let d = doc(r#"{"name":"inc","median_ns":100},{"name":"full","median_ns":501}"#);
-        assert!(assert_faster(&d, "inc", "full", "median_ns", 5).ok());
+        assert!(assert_faster(&d, "inc", "full", "median_ns", 5.0).ok());
         let d = doc(r#"{"name":"inc","median_ns":100},{"name":"full","median_ns":499}"#);
-        assert!(!assert_faster(&d, "inc", "full", "median_ns", 5).ok());
+        assert!(!assert_faster(&d, "inc", "full", "median_ns", 5.0).ok());
+    }
+
+    #[test]
+    fn assert_faster_with_a_fraction_bounds_growth() {
+        // "big is at most 4x small", whatever the host's absolute speed.
+        let d = doc(r#"{"name":"big","median_ns":400},{"name":"small","median_ns":100}"#);
+        assert!(assert_faster(&d, "big", "small", "median_ns", 0.25).ok());
+        let d = doc(r#"{"name":"big","median_ns":401},{"name":"small","median_ns":100}"#);
+        assert!(!assert_faster(&d, "big", "small", "median_ns", 0.25).ok());
     }
 
     #[test]
     fn assert_faster_with_unit_ratio_is_plain_ordering() {
         let d = doc(r#"{"name":"s16","median_ns":10},{"name":"bit","median_ns":10}"#);
-        assert!(assert_faster(&d, "s16", "bit", "median_ns", 1).ok());
+        assert!(assert_faster(&d, "s16", "bit", "median_ns", 1.0).ok());
         let d = doc(r#"{"name":"s16","median_ns":11},{"name":"bit","median_ns":10}"#);
-        assert!(!assert_faster(&d, "s16", "bit", "median_ns", 1).ok());
+        assert!(!assert_faster(&d, "s16", "bit", "median_ns", 1.0).ok());
     }
 
     #[test]

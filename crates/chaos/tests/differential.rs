@@ -28,6 +28,10 @@ const REPRODUCERS: &[&str] = &[
     "strategy=FenixRedstore spares=2 kill(rank=0,site=iter,at=5) kill(rank=1,site=iter,at=5)",
     // Relaunch-based recovery (abort, teardown, restart from PFS).
     "strategy=VelocOnly spares=0 kill(rank=1,site=iter,at=4)",
+    // Kill on the final commit: the restart agreement must not land on the
+    // last iteration's version (relaunch and in-place entry of the KR body).
+    "strategy=FenixKokkosResilience spares=1 kill(rank=1,site=commit,at=11)",
+    "strategy=KokkosResilience spares=0 kill(rank=1,site=commit,at=11)",
     // Clean run: both backends must complete and agree with the baseline.
     "strategy=FenixKokkosResilience spares=1",
 ];

@@ -232,8 +232,37 @@ impl Context {
     /// (min over each rank's locally newest version); in `VelocCollective`
     /// mode VeloC itself agrees. A `Some` result arms recovery: the next
     /// `checkpoint` call for this label restores the data.
+    ///
+    /// This is the bare number. A loop that *resumes* from it must use
+    /// [`Self::restart_version`] instead: recovery is lazy, so resuming at
+    /// `v + 1 == max_iterations` executes no region and the armed restore
+    /// never fires.
     pub fn latest_version(&self, label: &str) -> MpiResult<Option<u64>> {
         self.latest_version_below(label, u64::MAX)
+    }
+
+    /// The version a loop of `max_iterations` iterations resumes after
+    /// (`start = v + 1`), guaranteeing the lazy restore can fire.
+    ///
+    /// An armed restore only runs when the checkpoint region next
+    /// *executes*. If the agreement lands on the final iteration's version
+    /// (a kill at the last commit, after the checkpoint completed),
+    /// `start == max_iterations` and no region ever executes — the job
+    /// would silently finish on unrestored state. Re-agree bounded at
+    /// `max_iterations - 2` so at least one iteration replays and carries
+    /// the restore; if nothing intact remains below the bound, restart
+    /// cold. Collective: every rank reaches the same decision from the
+    /// same agreed inputs.
+    pub fn restart_version(&self, label: &str, max_iterations: u64) -> MpiResult<Option<u64>> {
+        let Some(bound) = max_iterations.checked_sub(2) else {
+            // 0- or 1-iteration runs: any restorable version would be the
+            // final one, whose restore could never fire. Cold restart.
+            return Ok(None);
+        };
+        match self.latest_version(label)? {
+            Some(v) if v + 1 >= max_iterations => self.latest_version_below(label, bound),
+            other => Ok(other),
+        }
     }
 
     /// [`Self::latest_version`] restricted to versions `<= bound`.

@@ -9,9 +9,9 @@
 //!   functions whose impl type / crate / module actually matches the
 //!   qualifier, so `CaptureSession::new` never resolves to an unrelated
 //!   `Foo::new`;
-//! - method calls (`.restore(…)`) resolve to same-named `self`-taking
-//!   methods, within the caller's crate by default and workspace-wide in
-//!   deep mode;
+//! - method and free calls (`.restore(…)`, `helper(…)`) resolve to
+//!   same-named candidates workspace-wide: the recovery path genuinely
+//!   crosses crates (`router.send → network.transfer → governor.reserve`);
 //! - test functions and `lint-mutants`-gated functions are excluded from
 //!   the graph unless explicitly requested.
 
@@ -51,9 +51,6 @@ impl Workspace {
 /// Name-resolution / traversal options.
 #[derive(Clone, Copy, Default)]
 pub struct GraphOpts {
-    /// Resolve method and free calls across crate boundaries
-    /// (`LINT_DEEP=1`); default keeps them within the caller's crate.
-    pub deep: bool,
     /// Include `#[cfg(feature = "lint-mutants")]` functions (the seeded
     /// violations used by the mutant self-test).
     pub include_mutants: bool,
@@ -63,7 +60,6 @@ pub struct GraphOpts {
 pub struct Resolver<'a> {
     ws: &'a Workspace,
     by_name: HashMap<&'a str, Vec<FnId>>,
-    opts: GraphOpts,
 }
 
 impl<'a> Resolver<'a> {
@@ -78,7 +74,7 @@ impl<'a> Resolver<'a> {
             }
             by_name.entry(f.name.as_str()).or_default().push(id);
         }
-        Resolver { ws, by_name, opts }
+        Resolver { ws, by_name }
     }
 
     /// Candidate callees of `call` as made from function `caller`.
@@ -91,7 +87,6 @@ impl<'a> Resolver<'a> {
             caller_crate,
             caller.0,
             call,
-            self.opts,
             &mut out,
         );
         out
@@ -145,7 +140,6 @@ fn resolve(
     caller_crate: &str,
     caller_file: usize,
     call: &Call,
-    opts: GraphOpts,
     out: &mut Vec<FnId>,
 ) {
     let name = call.name();
@@ -155,22 +149,12 @@ fn resolve(
     match call.kind {
         CallKind::Macro => {}
         CallKind::Method => {
-            // `.name(…)`: same-named `self`-taking methods. Same crate
-            // unless deep.
-            for &c in cands {
-                let g = ws.fn_item(c);
-                if !g.has_self {
-                    continue;
-                }
-                if !opts.deep && ws.file(c).crate_name != caller_crate {
-                    continue;
-                }
-                out.push(c);
-            }
+            // `.name(…)`: same-named `self`-taking methods.
+            out.extend(cands.iter().filter(|&&c| ws.fn_item(c).has_self));
         }
         CallKind::Free => {
-            // `name(…)`: free functions; prefer same file, then same crate,
-            // then (deep) workspace.
+            // `name(…)`: free functions; the same file's shadow the rest of
+            // the workspace.
             let same_file: Vec<FnId> = cands
                 .iter()
                 .copied()
@@ -180,16 +164,7 @@ fn resolve(
                 out.extend(same_file);
                 return;
             }
-            for &c in cands {
-                let g = ws.fn_item(c);
-                if g.has_self {
-                    continue;
-                }
-                if !opts.deep && ws.file(c).crate_name != caller_crate {
-                    continue;
-                }
-                out.push(c);
-            }
+            out.extend(cands.iter().filter(|&&c| !ws.fn_item(c).has_self));
         }
         CallKind::Path => {
             // `a::b::name(…)`: the qualifier just before the name must
@@ -215,16 +190,9 @@ fn resolve(
                         || g.module.contains(&norm)
                         || ws.file(c).rel.contains(&format!("/{norm}"))
                 };
-                if !matches {
-                    continue;
+                if matches {
+                    out.push(c);
                 }
-                // Crate-qualified calls cross crates by design; other
-                // qualifiers stay within the crate unless deep.
-                let crate_qualified = callee_crate.replace('-', "_") == qual.replace('-', "_");
-                if !opts.deep && !crate_qualified && callee_crate != caller_crate {
-                    continue;
-                }
-                out.push(c);
             }
         }
     }
@@ -284,7 +252,7 @@ mod tests {
     }
 
     #[test]
-    fn method_calls_stay_in_crate_unless_deep() {
+    fn method_calls_resolve_across_crates() {
         let files = [
             (
                 "crates/a/src/lib.rs",
@@ -299,16 +267,12 @@ mod tests {
         ];
         let ws = ws(&files);
         let top = id_of(&ws, "top");
-        let shallow = CallGraph::build(&ws, GraphOpts::default());
-        assert_eq!(shallow.edges[&top].len(), 1);
-        let deep = CallGraph::build(
-            &ws,
-            GraphOpts {
-                deep: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(deep.edges[&top].len(), 2);
+        let g = CallGraph::build(&ws, GraphOpts::default());
+        let callee_crates: Vec<&str> = g.edges[&top]
+            .iter()
+            .map(|&c| ws.file(c).crate_name.as_str())
+            .collect();
+        assert_eq!(callee_crates, ["a", "b"], "no type info: both `go`s");
     }
 
     #[test]
@@ -367,13 +331,12 @@ mod tests {
              #[cfg(test)]\nmod tests { fn top() {} }\n",
         )]);
         let top = id_of(&ws, "top");
-        let shallow = CallGraph::build(&ws, GraphOpts::default());
-        assert!(shallow.edges[&top].is_empty(), "mutant excluded");
+        let without = CallGraph::build(&ws, GraphOpts::default());
+        assert!(without.edges[&top].is_empty(), "mutant excluded");
         let with = CallGraph::build(
             &ws,
             GraphOpts {
                 include_mutants: true,
-                ..Default::default()
             },
         );
         assert_eq!(with.edges[&top].len(), 1, "mutant included on request");

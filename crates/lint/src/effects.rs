@@ -482,7 +482,7 @@ pub struct EffectAnalysis {
     pub local: HashMap<FnId, EffectSet>,
     /// Per-function direct effect sites (sanctioned ones included).
     pub sites: HashMap<FnId, Vec<EffectSite>>,
-    /// The deep call graph the fixpoint ran over.
+    /// The call graph the fixpoint ran over.
     pub graph: CallGraph,
     pub cond: Condensation,
     /// Malformed sanction pragmas: (file, line, reason).
@@ -490,19 +490,10 @@ pub struct EffectAnalysis {
 }
 
 impl EffectAnalysis {
-    /// Run the analysis. The call graph is always built in *deep* mode:
-    /// the rank path genuinely crosses crates through method calls
-    /// (`router.send → network.transfer → governor.reserve`), and the
-    /// inventory must not depend on the scan's resolution mode or
-    /// `effect-drift` would fire in one CI stage and not the other.
+    /// Run the analysis (and build the workspace call graph it and the
+    /// reachability rules share).
     pub fn run(ws: &Workspace, opts: GraphOpts) -> EffectAnalysis {
-        let graph = CallGraph::build(
-            ws,
-            GraphOpts {
-                deep: true,
-                include_mutants: opts.include_mutants,
-            },
-        );
+        let graph = CallGraph::build(ws, opts);
         let mut malformed = Vec::new();
         let mut sites: HashMap<FnId, Vec<EffectSite>> = HashMap::new();
         let mut local: HashMap<FnId, EffectSet> = HashMap::new();

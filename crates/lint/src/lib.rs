@@ -236,7 +236,6 @@ struct CliOpts {
     baseline: Option<PathBuf>,
     trace: Option<PathBuf>,
     effects: Option<PathBuf>,
-    deep: bool,
     mutants: bool,
     self_check: bool,
 }
@@ -251,9 +250,6 @@ fn parse_args() -> Result<CliOpts, String> {
         baseline: None,
         trace: None,
         effects: None,
-        deep: std::env::var("LINT_DEEP")
-            .map(|v| v == "1")
-            .unwrap_or(false),
         mutants: false,
         self_check: false,
     };
@@ -279,7 +275,6 @@ fn parse_args() -> Result<CliOpts, String> {
             "--baseline" => opts.baseline = Some(PathBuf::from(value("--baseline")?)),
             "--trace" => opts.trace = Some(PathBuf::from(value("--trace")?)),
             "--effects" => opts.effects = Some(PathBuf::from(value("--effects")?)),
-            "--deep" => opts.deep = true,
             "--mutants" => opts.mutants = true,
             "--self-check" => opts.self_check = true,
             other => return Err(format!("unknown argument `{other}`")),
@@ -316,7 +311,7 @@ pub fn cli_main() {
             eprintln!(
                 "usage: lint [--root DIR] [--format human|json|sarif] [--report PATH] \
                  [--sarif PATH] [--timings PATH] [--baseline PATH] [--trace PATH] \
-                 [--effects PATH] [--deep] [--mutants] [--self-check]"
+                 [--effects PATH] [--mutants] [--self-check]"
             );
             std::process::exit(2);
         }
@@ -347,7 +342,6 @@ pub fn cli_main() {
     let rec = tel.recorder(0, Arc::clone(&acc));
 
     let graph_opts = GraphOpts {
-        deep: opts.deep,
         include_mutants: opts.mutants,
     };
     let outcome = rec.time(telemetry::Phase::StaticAnalysis, || {
@@ -456,12 +450,11 @@ pub fn cli_main() {
             }
             let spent = acc.get(telemetry::Phase::StaticAnalysis);
             println!(
-                "lint: {} finding(s), {} baselined, {} files scanned in {:?}{}{}",
+                "lint: {} finding(s), {} baselined, {} files scanned in {:?}{}",
                 active.len(),
                 baselined.len(),
                 files_scanned,
                 spent,
-                if opts.deep { " [deep]" } else { "" },
                 if opts.mutants { " [mutants]" } else { "" },
             );
         }

@@ -9,10 +9,9 @@
 //!
 //! The check is transitive: for each non-test function in the integration
 //! crates (`kokkos-resilience`, `resilience`) that contains a `reset` or
-//! `clear_protected` call, the rule builds a *deep* call graph (cross-crate
-//! method resolution — the invalidation usually lives two layers down, in
-//! `veloc`) and demands that some reachable function contains an
-//! `invalidate_deltas` call site.
+//! `clear_protected` call, the rule follows the workspace call graph (the
+//! invalidation usually lives two layers down, in `veloc`) and demands
+//! that some reachable function contains an `invalidate_deltas` call site.
 
 use crate::callgraph::{CallGraph, GraphOpts, Workspace};
 use crate::diag::Diagnostic;
@@ -27,15 +26,7 @@ const RESET_CALLS: &[&str] = &["reset", "clear_protected"];
 /// The generation-invalidation call every reset path must reach.
 const INVALIDATE_CALL: &str = "invalidate_deltas";
 
-pub fn check(ws: &Workspace, opts: GraphOpts) -> Vec<Diagnostic> {
-    // Always resolve deeply: the invalidation lives in `veloc`, below the
-    // crates in scope, so the default same-crate resolution would make
-    // every correct site look like a violation.
-    let deep = GraphOpts {
-        deep: true,
-        include_mutants: opts.include_mutants,
-    };
-    let graph = CallGraph::build(ws, deep);
+pub fn check(ws: &Workspace, graph: &CallGraph, opts: GraphOpts) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (id, f) in ws.fns() {
         if f.is_test || ws.file(id).file_is_test {

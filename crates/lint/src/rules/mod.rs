@@ -26,13 +26,8 @@ pub mod tokens;
 pub mod typestate;
 pub mod wildcard;
 
-use crate::callgraph::{CallGraph, GraphOpts, Resolver, Workspace};
+use crate::callgraph::{GraphOpts, Resolver, Workspace};
 use crate::diag::Diagnostic;
-
-/// Crates whose recovery entry points must not reach a panic site
-/// (paper layers: process = fenix, data = veloc, control-flow/data glue =
-/// kokkos-resilience).
-pub const RECOVERY_CRATES: &[&str] = &["fenix", "veloc", "kokkos-resilience"];
 
 /// Crates where failure-enum matches must be exhaustive and `Result`s on
 /// recovery paths must not be silently dropped (the recovery crates, the
@@ -75,7 +70,7 @@ pub const RECOVERY_ENTRY_FNS: &[(&str, &[&str])] = &[
     ),
 ];
 
-/// Crates whose panic sites `panic-reach` may report. Deep-mode traversal
+/// Crates whose panic sites `panic-reach` may report. The traversal
 /// follows calls anywhere (including vendored shims), but a diagnostic is
 /// only actionable where the code participates in the recovery protocol:
 /// the recovery crates, the ULFM transport whose `revoke`/`agree`/`shrink`
@@ -106,6 +101,7 @@ pub const SYNC_ATOMIC_NAMES: &[&str] =
 /// Metadata reads that go stale across `Context::reset(new_comm)`.
 pub const STALE_METADATA_READS: &[&str] = &[
     "latest_version",
+    "restart_version",
     "latest_agreed",
     "region_stats",
     "checkpoint_bytes",
@@ -272,9 +268,8 @@ pub fn in_crates(krate: &str, list: &[&str]) -> bool {
     list.contains(&krate)
 }
 
-/// Run every rule over the workspace. `deep` widens method/free-call
-/// resolution across crate boundaries (`LINT_DEEP=1`); `include_mutants`
-/// lets the seeded `lint-mutants` violations into the call graph.
+/// Run every rule over the workspace. `include_mutants` lets the seeded
+/// `lint-mutants` violations into the call graph.
 pub fn run_all(ws: &Workspace, opts: GraphOpts) -> Vec<Diagnostic> {
     run_all_timed(ws, opts).0
 }
@@ -286,14 +281,15 @@ pub fn run_all_timed(
     ws: &Workspace,
     opts: GraphOpts,
 ) -> (Vec<Diagnostic>, Vec<(&'static str, std::time::Duration)>) {
-    let graph = CallGraph::build(ws, opts);
     let resolver = Resolver::new(ws, opts);
     let mut diags: Vec<Diagnostic> = Vec::new();
     let mut timings: Vec<(&'static str, std::time::Duration)> = Vec::new();
-    // The effect summaries are shared by three rules; the inference cost
-    // gets its own timing entry so the per-rule numbers stay honest.
+    // The call graph and the effect summaries over it are shared by the
+    // reachability and effect rules; building them gets its own timing
+    // entry so the per-rule numbers stay honest.
     let t0 = std::time::Instant::now();
     let fx = crate::effects::EffectAnalysis::run(ws, opts);
+    let graph = &fx.graph;
     timings.push(("effects-infer", t0.elapsed()));
     {
         let mut pass = |name: &'static str, f: &mut dyn FnMut() -> Vec<Diagnostic>| {
@@ -302,16 +298,16 @@ pub fn run_all_timed(
             timings.push((name, t0.elapsed()));
             diags.extend(out);
         };
-        pass("single-exit", &mut || single_exit::check(ws, opts));
-        pass("protect-pairing", &mut || pairing::check(ws, &graph));
+        pass("single-exit", &mut || single_exit::check(ws, graph));
+        pass("protect-pairing", &mut || pairing::check(ws, graph));
         pass("reset-order", &mut || reset_order::check(ws));
         pass("delta-base-reset", &mut || {
-            delta_base_reset::check(ws, opts)
+            delta_base_reset::check(ws, graph, opts)
         });
         pass("dropped-result", &mut || {
             dropped_result::check(ws, &resolver)
         });
-        pass("panic-reach", &mut || panic_reach::check(ws, &graph, opts));
+        pass("panic-reach", &mut || panic_reach::check(ws, graph, opts));
         pass("wildcard-match", &mut || wildcard::check(ws));
         pass("tokens", &mut || tokens::check(ws));
         pass("protocol-typestate", &mut || {
@@ -331,11 +327,11 @@ pub fn run_all_timed(
             crate::effects::check_drift(ws, &fx, opts)
         });
     }
-    // Stable order, then full-tuple dedupe: deep mode can re-resolve a
-    // call the shallow pass already reported (same rule, site, and
-    // message) — one finding must survive, not two. The key() tuple is
-    // not enough here: it drops the line, and two distinct findings in
-    // one function would collapse.
+    // Stable order, then full-tuple dedupe: a call that resolves to several
+    // candidates can report one site twice (same rule, site, and message) —
+    // one finding must survive, not two. The key() tuple is not enough
+    // here: it drops the line, and two distinct findings in one function
+    // would collapse.
     diags.sort_by(|a, b| {
         (
             a.file.as_str(),

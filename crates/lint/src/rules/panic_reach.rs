@@ -1,5 +1,6 @@
 //! `panic-reach`: no `panic!`/`todo!`/`unimplemented!`, `.unwrap()`,
-//! `.expect(…)`, or non-range `[…]`-indexing may be reachable through the
+//! `.expect(…)`, or non-range `[…]`-indexing in a protocol crate (see
+//! [`crate::rules::PANIC_SITE_CRATES`]) may be reachable through the
 //! call graph from a recovery entry point in `fenix`, `veloc`, or
 //! `kokkos-resilience`. A panic on the re-entry path after a failure kills
 //! the rank that was supposed to be recovering — turning a survivable
@@ -15,15 +16,11 @@
 //! and `unreachable!` (documented impossible states) — the paper's
 //! runtime keeps those as contract documentation, and the model checker
 //! exercises them.
-//!
-//! Default mode keeps name resolution within each recovery crate;
-//! `LINT_DEEP=1` follows method calls workspace-wide (slower, noisier —
-//! run by CI as an advisory pass).
 
 use crate::callgraph::{CallGraph, FnId, GraphOpts, Workspace};
 use crate::diag::Diagnostic;
 use crate::parser::PanicKind;
-use crate::rules::{in_crates, PANIC_SITE_CRATES, RECOVERY_CRATES, RECOVERY_ENTRY_FNS};
+use crate::rules::{in_crates, PANIC_SITE_CRATES, RECOVERY_ENTRY_FNS};
 
 pub fn check(ws: &Workspace, graph: &CallGraph, opts: GraphOpts) -> Vec<Diagnostic> {
     let entries: Vec<FnId> = ws
@@ -47,16 +44,9 @@ pub fn check(ws: &Workspace, graph: &CallGraph, opts: GraphOpts) -> Vec<Diagnost
     for id in reach {
         let f = ws.fn_item(id);
         let file = ws.file(id);
-        // In default mode only the recovery crates are in scope; deep mode
-        // follows the traversal further (e.g. into simmpi), but still only
-        // reports sites in protocol-participating crates — see
-        // [`PANIC_SITE_CRATES`].
-        let scope = if opts.deep {
-            PANIC_SITE_CRATES
-        } else {
-            RECOVERY_CRATES
-        };
-        if !in_crates(&file.crate_name, scope) {
+        // The traversal follows calls anywhere; only sites in
+        // protocol-participating crates are reported.
+        if !in_crates(&file.crate_name, PANIC_SITE_CRATES) {
             continue;
         }
         for site in &f.panics {

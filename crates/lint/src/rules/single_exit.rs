@@ -9,15 +9,14 @@
 //! exempt (exiting after the loop has returned is the harness's business);
 //! everything transitively reachable from the root — which includes the
 //! loop body closure's callees, since closure calls attribute to the
-//! enclosing function — must be exit-free. Traversal is always deep
-//! (cross-crate): a secondary exit hidden behind a crate boundary is still
-//! a violation.
+//! enclosing function — must be exit-free; a secondary exit hidden behind
+//! a crate boundary is still a violation.
 
-use crate::callgraph::{CallGraph, FnId, GraphOpts, Workspace};
+use crate::callgraph::{CallGraph, FnId, Workspace};
 use crate::diag::Diagnostic;
 use crate::parser::CallKind;
 
-pub fn check(ws: &Workspace, opts: GraphOpts) -> Vec<Diagnostic> {
+pub fn check(ws: &Workspace, graph: &CallGraph) -> Vec<Diagnostic> {
     let roots: Vec<FnId> = ws
         .fns()
         .filter(|(_, f)| !f.is_test)
@@ -33,14 +32,6 @@ pub fn check(ws: &Workspace, opts: GraphOpts) -> Vec<Diagnostic> {
     if roots.is_empty() {
         return Vec::new();
     }
-    // Always resolve cross-crate for this rule.
-    let graph = CallGraph::build(
-        ws,
-        GraphOpts {
-            deep: true,
-            include_mutants: opts.include_mutants,
-        },
-    );
     let mut reach = graph.reachable(&roots);
     for r in &roots {
         reach.remove(r);

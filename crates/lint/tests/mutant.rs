@@ -24,7 +24,6 @@ fn seeded_mutant_is_caught_only_with_opt_in() {
     let without = analyze(
         &ws,
         GraphOpts {
-            deep: false,
             include_mutants: false,
         },
     );
@@ -36,7 +35,6 @@ fn seeded_mutant_is_caught_only_with_opt_in() {
     let with = analyze(
         &ws,
         GraphOpts {
-            deep: false,
             include_mutants: true,
         },
     );

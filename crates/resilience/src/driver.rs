@@ -153,18 +153,22 @@ pub fn try_run_experiment(
     let merged = Profile::new();
     let mut relaunches = 0usize;
 
-    if cfg.strategy.uses_fenix() {
+    // Fenix strategies recover in place: the one launch either completes
+    // or ends in an error no layer claimed. Plain-MPI strategies abort on
+    // the first failure and are relaunched until the run completes.
+    let in_place = cfg.strategy.uses_fenix();
+    loop {
         let report = Universe::launch(
             cluster,
             UniverseConfig {
-                abort_on_failure: false,
+                abort_on_failure: !in_place,
                 charge_startup: true,
                 telemetry: cfg.telemetry.clone(),
                 backend: cfg.backend,
             },
             Arc::clone(&plan),
             |ctx| {
-                runner::fenix_rank(
+                runner::run_rank(
                     ctx,
                     app,
                     cfg.strategy,
@@ -176,48 +180,36 @@ pub fn try_run_experiment(
             },
         );
         merged.merge_from(&report.max_profile());
-        for o in &report.outcomes {
-            match &o.result {
-                Ok(()) => {}
-                Err(MpiError::Killed) => {} // injected victim
-                Err(e) => {
-                    return Err(ExperimentError::RankFailed {
-                        rank: o.rank,
-                        strategy: cfg.strategy,
-                        error: e.clone(),
-                    })
+        if in_place {
+            for o in &report.outcomes {
+                match &o.result {
+                    Ok(()) => {}
+                    Err(MpiError::Killed) => {} // injected victim
+                    Err(e) => {
+                        return Err(ExperimentError::RankFailed {
+                            rank: o.rank,
+                            strategy: cfg.strategy,
+                            error: e.clone(),
+                        })
+                    }
                 }
             }
+            break;
         }
-    } else {
-        loop {
-            let report = Universe::launch(
-                cluster,
-                UniverseConfig {
-                    abort_on_failure: true,
-                    charge_startup: true,
-                    telemetry: cfg.telemetry.clone(),
-                    backend: cfg.backend,
-                },
-                Arc::clone(&plan),
-                |ctx| runner::relaunch_rank(ctx, app, cfg.strategy, cfg.checkpoints, &shared),
-            );
-            merged.merge_from(&report.max_profile());
-            if report.all_ok() {
-                break;
-            }
-            relaunches += 1;
-            if relaunches > cfg.max_relaunches {
-                return Err(ExperimentError::RelaunchLimit {
-                    limit: cfg.max_relaunches,
-                    strategy: cfg.strategy,
-                });
-            }
-            // The failed job must be fully torn down before the next launch.
-            cluster
-                .time_scale()
-                .sleep(cluster.config().relaunch.teardown(n));
+        if report.all_ok() {
+            break;
         }
+        relaunches += 1;
+        if relaunches > cfg.max_relaunches {
+            return Err(ExperimentError::RelaunchLimit {
+                limit: cfg.max_relaunches,
+                strategy: cfg.strategy,
+            });
+        }
+        // The failed job must be fully torn down before the next launch.
+        cluster
+            .time_scale()
+            .sleep(cluster.config().relaunch.teardown(n));
     }
 
     let wall = match (&virtual_clock, start_ns) {

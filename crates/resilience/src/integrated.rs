@@ -9,6 +9,11 @@
 //! the application a [`ResilientScope`] with everything it needs. Compare
 //! `examples/quickstart.rs` (two explicit initializations, manual reset
 //! logic) with `examples/integrated_api.rs` (this entry point).
+//!
+//! It is also the only Figure 4 loop in this crate: the experiment runner
+//! executes `Strategy::FenixKokkosResilience` and `PartialRollback` through
+//! it, so every chaos schedule, determinism test and benchmark workload
+//! exercises the function a library user calls.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -17,7 +22,7 @@ use fenix::{ExhaustPolicy, Fenix, FenixConfig, Role, RunSummary};
 use kokkos_resilience::{
     CheckpointFilter, CheckpointOutcome, Context, ContextConfig, RecoveryScope,
 };
-use simmpi::{Comm, MpiResult, Phase, Profile, RankCtx};
+use simmpi::{Comm, MpiError, MpiResult, Phase, Profile, RankCtx};
 
 use crate::redstore_backend::RedstoreBackend;
 
@@ -100,9 +105,17 @@ impl ResilientScope<'_> {
         self.kr
     }
 
-    /// Best restartable version of a region (collective).
+    /// Best restartable version of a region (collective). Resume loops
+    /// use [`Self::restart_version`]; see
+    /// [`kokkos_resilience::Context::latest_version`] for why.
     pub fn latest_version(&self, label: &str) -> MpiResult<Option<u64>> {
         self.kr.latest_version(label)
+    }
+
+    /// The version a loop of `max_iterations` resumes after (collective;
+    /// see [`kokkos_resilience::Context::restart_version`]).
+    pub fn restart_version(&self, label: &str, max_iterations: u64) -> MpiResult<Option<u64>> {
+        self.kr.restart_version(label, max_iterations)
     }
 
     /// Execute a checkpoint region (see
@@ -133,7 +146,11 @@ impl ResilientScope<'_> {
 /// `reset(res_comm)`, the recovered-rank hint is forwarded to the data
 /// backend, and (when configured) the partial-rollback recovery scope is
 /// armed. `body` may be re-invoked after failures — it must derive its
-/// starting iteration from [`ResilientScope::latest_version`].
+/// starting iteration from [`ResilientScope::restart_version`].
+///
+/// Partial rollback needs per-rank storage, so combining it with
+/// [`IntegratedBackend::Redstore`] is rejected with [`MpiError::Aborted`]
+/// on every rank before any of them enters Fenix.
 pub fn resilient_main<F>(
     ctx: &RankCtx,
     config: IntegratedConfig,
@@ -142,6 +159,9 @@ pub fn resilient_main<F>(
 where
     F: FnMut(&ResilientScope<'_>) -> MpiResult<()>,
 {
+    if config.partial_rollback && !matches!(config.backend, IntegratedBackend::VelocSingle) {
+        return Err(MpiError::Aborted);
+    }
     let fenix_cfg = FenixConfig {
         spares: config.spares,
         on_exhaustion: config.on_exhaustion,
@@ -171,6 +191,7 @@ where
                 }
             });
             kr.set_profile(Arc::clone(&profile));
+            kr.set_recorder(ctx.recorder().clone());
             *kr_cell.borrow_mut() = Some(kr);
         } else {
             kr_cell
@@ -185,10 +206,6 @@ where
         if role != Role::Initial {
             kr.set_recovering_ranks(fx.recovered_ranks());
             if config.partial_rollback {
-                assert!(
-                    matches!(config.backend, IntegratedBackend::VelocSingle),
-                    "partial rollback requires per-rank storage (VeloC backend)"
-                );
                 kr.set_recovery_scope(RecoveryScope::OnlyRanks(fx.recovered_ranks()));
             }
         }
@@ -218,5 +235,36 @@ mod tests {
         assert!(matches!(c.backend, IntegratedBackend::VelocSingle));
         assert_eq!(c.spares, 1);
         assert!(!c.partial_rollback);
+    }
+
+    #[test]
+    fn partial_rollback_over_peer_memory_is_rejected_before_fenix() {
+        let cluster = cluster::Cluster::new(cluster::ClusterConfig {
+            nodes: 3,
+            time_scale: cluster::TimeScale::instant(),
+            ..cluster::ClusterConfig::default()
+        });
+        let entered = std::sync::atomic::AtomicBool::new(false);
+        let report = simmpi::Universe::launch(
+            &cluster,
+            simmpi::UniverseConfig::default(),
+            Arc::new(simmpi::FaultPlan::none()),
+            |ctx| {
+                let config = IntegratedConfig {
+                    backend: IntegratedBackend::Redstore { mode: None },
+                    partial_rollback: true,
+                    ..IntegratedConfig::default()
+                };
+                resilient_main(ctx, config, |_scope| {
+                    entered.store(true, std::sync::atomic::Ordering::Relaxed);
+                    Ok(())
+                })
+                .map(|_| ())
+            },
+        );
+        for outcome in &report.outcomes {
+            assert_eq!(outcome.result, Err(MpiError::Aborted), "{outcome:?}");
+        }
+        assert!(!entered.load(std::sync::atomic::Ordering::Relaxed));
     }
 }

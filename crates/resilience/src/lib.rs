@@ -15,13 +15,16 @@
 //! * checkpoint metadata caches are cleared on repair because "a checkpoint
 //!   finished locally may not have finished globally".
 //!
-//! [`strategy::Strategy`] enumerates the seven configurations the paper
-//! evaluates (§V.A), and [`driver::run_experiment`] executes any application
-//! implementing [`app::IterativeApp`] under any of them — including the
-//! relaunch-based recovery of the non-Fenix baselines (whole-job teardown,
-//! modeled `mpirun` restart, recovery from the parallel filesystem) and the
-//! bonus strategies (Fenix in-memory redundancy and its multi-failure
-//! generalization, both on the `redstore` tier; partial rollback).
+//! [`strategy::Strategy`] enumerates eight configurations — the paper's
+//! §V.A matrix plus the peer-memory generalization — and
+//! [`driver::run_experiment`] executes any application implementing
+//! [`app::IterativeApp`] under any of them. The private `runner` keeps one
+//! body per data/control layer (unprotected, VeloC with manual control
+//! flow, Kokkos Resilience, peer memory); the process layer only decides
+//! whether a rank reaches its body by (re)launch — whole-job teardown,
+//! modeled `mpirun` restart, recovery from the parallel filesystem — or by
+//! Fenix re-entry. The Fenix + Kokkos Resilience combinations run through
+//! [`integrated::resilient_main`], the same call an application makes.
 
 pub mod app;
 pub mod bookkeeper;

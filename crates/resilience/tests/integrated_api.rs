@@ -9,6 +9,7 @@ use kokkos::View;
 use kokkos_resilience::CheckpointFilter;
 use resilience::{resilient_main, IntegratedBackend, IntegratedConfig};
 use simmpi::{FaultPlan, MpiResult, RankCtx, ReduceOp, Universe, UniverseConfig};
+use telemetry::{Telemetry, TelemetryConfig};
 
 /// Fenix's buddy-rank IMR as a KR backend: the redundancy store at two
 /// replicas.
@@ -38,18 +39,38 @@ fn run_integrated(
     backend: IntegratedBackend,
     iters: u64,
 ) -> (simmpi::LaunchReport, Arc<std::sync::atomic::AtomicU64>) {
+    let filter = CheckpointFilter::EveryN(4);
+    run_configured(n, spares, plan, backend, iters, filter, None)
+}
+
+/// [`run_integrated`] with the checkpoint filter and a telemetry hub chosen
+/// by the caller. After its loop every rank drains its flushes and passes
+/// the `done` fault point, so a plan can kill a rank that has nothing left
+/// to compute.
+fn run_configured(
+    n: usize,
+    spares: usize,
+    plan: FaultPlan,
+    backend: IntegratedBackend,
+    iters: u64,
+    filter: CheckpointFilter,
+    telemetry: Option<Telemetry>,
+) -> (simmpi::LaunchReport, Arc<std::sync::atomic::AtomicU64>) {
     let digest = Arc::new(std::sync::atomic::AtomicU64::new(0));
     let dg = Arc::clone(&digest);
     let report = Universe::launch(
         &cluster(n),
-        UniverseConfig::default(),
+        UniverseConfig {
+            telemetry,
+            ..UniverseConfig::default()
+        },
         Arc::new(plan),
         move |ctx: &mut RankCtx| -> MpiResult<()> {
             let data: View<u64> = View::new_1d("vec", 32);
             let cfg = IntegratedConfig {
                 name: "itest".into(),
                 spares,
-                filter: CheckpointFilter::EveryN(4),
+                filter: filter.clone(),
                 backend: backend.clone(),
                 aliases: vec![],
                 on_exhaustion: fenix::ExhaustPolicy::Abort,
@@ -58,7 +79,7 @@ fn run_integrated(
             let ctx = &*ctx;
             let dg = Arc::clone(&dg);
             resilient_main(ctx, cfg, move |scope| {
-                let start = scope.latest_version("loop")?.map_or(0, |v| v + 1);
+                let start = scope.restart_version("loop", iters)?.map_or(0, |v| v + 1);
                 if start == 0 {
                     // Deterministic reinit (failure before first checkpoint
                     // or fresh start).
@@ -79,6 +100,8 @@ fn run_integrated(
                         Ok(())
                     })?;
                 }
+                scope.checkpoint_wait();
+                ctx.fault_point("done", 0)?;
                 let local = data
                     .read_uncaptured()
                     .iter()
@@ -247,6 +270,55 @@ fn integrated_api_failure_before_first_checkpoint() {
             digest.load(std::sync::atomic::Ordering::Relaxed),
             reference,
             "{backend:?}"
+        );
+    }
+}
+
+#[test]
+fn integrated_api_failure_after_the_final_commit_still_restores() {
+    // Every iteration checkpoints, so when rank 1 dies after the loop the
+    // newest agreed version is the final one. Resuming after it would run
+    // no region, the armed restore would never fire, and the replacement
+    // would contribute its freshly initialised data to the digest:
+    // `restart_version` re-agrees lower so one iteration replays.
+    let reference = reference_digest(5, 1, 8);
+    let (report, digest) = run_configured(
+        5,
+        1,
+        FaultPlan::kill_at(1, "done", 0),
+        IntegratedBackend::VelocSingle,
+        8,
+        CheckpointFilter::Always,
+        None,
+    );
+    assert_eq!(report.killed_ranks(), vec![1]);
+    assert_eq!(
+        digest.load(std::sync::atomic::Ordering::Relaxed),
+        reference,
+        "a replacement with nothing left to compute must still be restored"
+    );
+}
+
+#[test]
+fn integrated_api_run_is_traced_through_every_layer() {
+    // The context `resilient_main` creates carries the rank's recorder, so
+    // a traced run shows the control-flow and data layers, not just Fenix.
+    let tel = Telemetry::new(TelemetryConfig::default());
+    let (report, _) = run_configured(
+        5,
+        1,
+        FaultPlan::none(),
+        IntegratedBackend::VelocSingle,
+        8,
+        CheckpointFilter::EveryN(4),
+        Some(tel.clone()),
+    );
+    assert!(report.all_ok(), "{:?}", report.outcomes);
+    let snap = tel.snapshot();
+    for kind in ["region_enter", "region_commit", "checkpoint_local"] {
+        assert!(
+            !snap.of_kind(kind).is_empty(),
+            "trace of a resilient_main run has no `{kind}` event"
         );
     }
 }

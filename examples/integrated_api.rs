@@ -46,7 +46,7 @@ fn main() {
             };
             let ctx = &*ctx;
             let summary = resilient_main(ctx, cfg, |scope| {
-                let start = scope.latest_version("loop")?.map_or(0, |v| v + 1);
+                let start = scope.restart_version("loop", 20)?.map_or(0, |v| v + 1);
                 println!(
                     "rank {} role {:?}: starting at iteration {start} (repairs so far: {})",
                     scope.comm().rank(),

@@ -69,7 +69,7 @@ fn main() {
                     role
                 );
 
-                let latest = kr.latest_version("loop")?;
+                let latest = kr.restart_version("loop", 20)?;
                 let start = latest.map_or(0, |v| v + 1);
                 if role != Role::Initial {
                     println!(

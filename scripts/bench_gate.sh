@@ -9,12 +9,16 @@
 # Sections and their committed baselines (repo root):
 #   checkpoint pipeline  BENCH_checkpoint.json  (median_ns, MAX_REGRESSION_PCT,   default 15)
 #   redundancy tier      BENCH_redundancy.json  (min_ns,    RED_MAX_REGRESSION_PCT,  default 30)
-#   DES scheduler        BENCH_sched.json       (median_ns, SCHED_MAX_REGRESSION_PCT, default 30)
+#   DES scheduler        BENCH_sched.json       (median_ns, SCHED_MAX_REGRESSION_PCT, default 30;
+#                                                baton_handoff only, the rest as within-run ratios)
 #   restart latency      BENCH_restart.json     (median_ns, RESTART_MAX_REGRESSION_PCT, default 30)
 #
 # Claims asserted beyond regression bounds:
 #   - incremental@1% checkpoint >= MIN_SPEEDUP_X (default 5) faster than full-pack;
 #   - XOR n+1 encode cheaper than RS n+2 (GF(256) must not leak into XOR);
+#   - a DES schedule's host cost at most linear in ranks with 2x slack
+#     (ring_64 <= 8 x ring_16), and one repair's host cost per rank growing
+#     slower than the rank count (repair_1024 <= 4 x repair_256);
 #   - slice-by-16 CRC faster than the bitwise oracle it replaced;
 #   - where serial::crc32 dispatches to the carry-less-multiply kernel
 #     (crc_kernel = pclmulqdq in the fresh JSON), the dispatch faster than
@@ -71,19 +75,28 @@ BC assert-faster target/BENCH_redundancy.json encode_xor4 encode_rs4_2 \
   --metric min_ns --min-x 1
 echo "bench gate: OK (redundancy)"
 
-# The ring_* configs time a whole Universe launch (thread spawn +
-# scheduler), hence the wider budget; repair_256/repair_1024 are the host
-# cost of one in-place repair per rank (fail run - failure-free run of the
-# scale-smoke shape). The DES backend runs one rank at a time, so the bench
-# is pinned to one CPU, like the baseline: left to the kernel, every baton
-# hand-off migrates between CPUs and costs ~4x (benchmark/README.md).
+# The DES backend runs one rank at a time, so the bench is pinned to one
+# CPU, like the baseline: left to the kernel, every baton hand-off migrates
+# between CPUs and costs ~4x (benchmark/README.md). Only the raw hand-off is
+# held to its absolute baseline. The ring_* configs time a whole Universe
+# launch (thread spawn + scheduler) and repair_256/repair_1024 the host cost
+# of one in-place repair per rank (fail run - failure-free run of the
+# scale-smoke shape): what they read in nanoseconds is the container's, so
+# they are gated as growth ratios within the fresh run instead. 4x the ranks
+# may cost a schedule at most 8x (linear with 2x slack; 16x is quadratic),
+# and a repair's per-rank cost must grow slower than the rank count — at 4x
+# the total repair would be quadratic again, PR 13's scans back in. The
+# exact per-rank counts are crates/apps/tests/repair_linearity.rs.
 PIN=()
 if command -v taskset >/dev/null 2>&1; then
   PIN=(taskset -c "$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//')")
 fi
 gate_section "DES scheduler" sched BENCH_sched.json \
-  median_ns "$SCHED_MAX_REGRESSION_PCT" \
-  baton_handoff,ring_16,ring_64,repair_256,repair_1024 ${PIN[@]+"${PIN[@]}"}
+  median_ns "$SCHED_MAX_REGRESSION_PCT" baton_handoff ${PIN[@]+"${PIN[@]}"}
+BC assert-faster target/BENCH_sched.json ring_64 ring_16 \
+  --metric median_ns --min-x 0.125
+BC assert-faster target/BENCH_sched.json repair_1024 repair_256 \
+  --metric median_ns --min-x 0.25
 echo "bench gate: OK (sched)"
 
 # Restart latency: full-frame restore, the 8-frame chain walk, and the CRC

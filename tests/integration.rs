@@ -66,7 +66,7 @@ fn figure4_pattern_survives_two_failures() {
                     }
                     let kr_ref = kr.borrow();
                     let kr = kr_ref.as_ref().unwrap();
-                    let latest = kr.latest_version("loop")?;
+                    let latest = kr.restart_version("loop", 20)?;
                     let start = latest.map_or(0, |v| v + 1);
                     if role != Role::Initial {
                         assert!(latest.is_some(), "checkpoints must exist by the failures");
