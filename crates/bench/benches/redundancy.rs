@@ -9,6 +9,14 @@
 //! CI on an encode/reconstruct regression beyond RED_MAX_REGRESSION_PCT.
 //! The `recovery_*` medians ride along for the record but are not gated:
 //! they time a collective across rank threads, which is scheduler-noisy.
+//!
+//! Three configs time what the store leg itself runs rather than the `Vec`
+//! adapters: `wire_rs4_2` is `store::coded_frames` (the three RS 2+2 wire
+//! frames of one payload, each built in place), and `gf_mul_acc_1m` /
+//! `gf_mul_acc_portable_1m` are one `gf256::mul_acc` over 1 MiB through the
+//! dispatch and through the portable kernel by name. The JSON's
+//! `gf256_kernel` says which kernel the dispatch chose on the recording
+//! host; where it is `ssse3` the gate asserts the dispatch is the faster.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -17,13 +25,16 @@ use bytes::Bytes;
 use cluster::{Cluster, ClusterConfig, TimeScale};
 use criterion::{black_box, Criterion};
 use parking_lot::Mutex;
-use redstore::{codec, RedStore, RedundancyGroup, RedundancyMode};
+use redstore::codec::{self, Code};
+use redstore::{gf256, store, RedStore, RedundancyGroup, RedundancyMode};
 use simmpi::{FaultPlan, Universe, UniverseConfig};
 
 /// Codec-unit payload: one VCF2 frame's worth of protected state.
 const PAYLOAD_BYTES: usize = 256 * 1024;
 /// Smaller payload for the in-universe recovery collectives.
 const RECOVERY_BYTES: usize = 64 * 1024;
+/// Kernel-unit slice: past the L2, like a shard of a real checkpoint.
+const KERNEL_BYTES: usize = 1 << 20;
 /// Samples for the JSON medians.
 const JSON_SAMPLES: usize = 41;
 const JSON_WARMUP: usize = 10;
@@ -157,6 +168,18 @@ fn measure_recovery_median_ns(mode: RedundancyMode) -> u64 {
     ns
 }
 
+/// The recording conditions, written into the JSON beside the numbers:
+/// CPUs this process may run on (1 under `taskset -c N`, which is how the
+/// gate runs this bench and how the baseline is recorded) and CPUs the host
+/// has online (0 where `/proc/cpuinfo` does not tell).
+fn cpus_allowed_and_online() -> (usize, usize) {
+    let allowed = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let online = std::fs::read_to_string("/proc/cpuinfo").map_or(0, |s| {
+        s.lines().filter(|l| l.starts_with("processor")).count()
+    });
+    (allowed, online)
+}
+
 /// (json name, criterion label, mode)
 fn configs() -> Vec<(&'static str, &'static str, RedundancyMode)> {
     vec![
@@ -216,8 +239,25 @@ fn main() {
             "  {{\"name\":\"recovery_{name}\",\"median_ns\":{recovery_ns}}}"
         ));
     }
+    // What the store leg calls, and the kernel under it.
+    let rs4_2 = Code::Rs { n: 2, m: 2 };
+    let wire_ns = measure_min_ns(|| store::coded_frames(rs4_2, 1, &data).expect("wire frames"));
+    let src = payload(KERNEL_BYTES);
+    let mut acc = vec![0u8; KERNEL_BYTES];
+    let dispatch_ns = measure_min_ns(|| gf256::mul_acc(black_box(&mut acc), &src, 0x53));
+    let portable_ns = measure_min_ns(|| gf256::mul_acc_portable(black_box(&mut acc), &src, 0x53));
+    for (name, ns) in [
+        ("wire_rs4_2", wire_ns),
+        ("gf_mul_acc_1m", dispatch_ns),
+        ("gf_mul_acc_portable_1m", portable_ns),
+    ] {
+        println!("{name:<24} {ns:>10} ns");
+        lines.push(format!("  {{\"name\":\"{name}\",\"min_ns\":{ns}}}"));
+    }
+    let (cpus_allowed, cpus_online) = cpus_allowed_and_online();
     let json = format!(
-        "{{\"bench\":\"redundancy\",\"payload_bytes\":{PAYLOAD_BYTES},\"recovery_bytes\":{RECOVERY_BYTES},\"configs\":[\n{}\n]}}\n",
+        "{{\"bench\":\"redundancy\",\"payload_bytes\":{PAYLOAD_BYTES},\"recovery_bytes\":{RECOVERY_BYTES},\"kernel_bytes\":{KERNEL_BYTES},\"gf256_kernel\":\"{}\",\"cpus_allowed\":{cpus_allowed},\"cpus_online\":{cpus_online},\"configs\":[\n{}\n]}}\n",
+        gf256::kernel(),
         lines.join(",\n")
     );
     // Benches run with CWD = the package dir; anchor at the workspace root

@@ -64,6 +64,9 @@ const REQUIRED: &[(&str, &str, &[&str])] = &[
             "reconstruct_xor4",
             "encode_rs4_2",
             "reconstruct_rs4_2",
+            "wire_rs4_2",
+            "gf_mul_acc_1m",
+            "gf_mul_acc_portable_1m",
         ],
     ),
     (
@@ -168,9 +171,10 @@ pub fn assert_faster(doc: &Json, fast: &str, slow: &str, metric: &str, min_x: f6
             "{fast} ({f} ns) must be >= {min_x}x faster than {slow} ({s} ns)"
         ));
     } else {
-        report
-            .lines
-            .push(format!("{fast} {f} ns vs {slow} {s} ns (>= {min_x}x)"));
+        report.lines.push(format!(
+            "{fast} {f} ns vs {slow} {s} ns ({:.2}x, >= {min_x}x)",
+            s as f64 / f as f64
+        ));
     }
     report
 }
@@ -229,7 +233,9 @@ pub fn check_baseline(docs: &[(String, Result<Json, String>)]) -> GateReport {
 /// host noise), and `crc_kernel`, when present (the restart bench ran), one
 /// of the two kernels `veloc::serial::crc32` dispatches to, with
 /// `crc_dispatch_1m_ns` a positive integer beside it — a number without the
-/// kernel that produced it is not a record.
+/// kernel that produced it is not a record. `gf256_kernel` and
+/// `gf_mul_acc_1m_ns` (the redundancy bench, `redstore::gf256::mul_acc`) are
+/// held to the same rule.
 pub fn check_summary(doc: &Json) -> GateReport {
     let mut report = GateReport::default();
     match doc.get("ok").and_then(Json::as_bool) {
@@ -272,23 +278,37 @@ pub fn check_summary(doc: &Json) -> GateReport {
             }
         }
     }
-    let dispatch_ns = doc.get("crc_dispatch_1m_ns");
-    match doc.get("crc_kernel").map(Json::as_str) {
-        None if dispatch_ns.is_some() => {
-            report.fail("\"crc_dispatch_1m_ns\" without \"crc_kernel\"".into())
-        }
-        None => {}
-        Some(Some(kernel @ ("pclmulqdq" | "slice16"))) => {
-            match dispatch_ns.and_then(Json::as_u64) {
+    for (kernel_key, ns_key, kernels, what) in [
+        (
+            "crc_kernel",
+            "crc_dispatch_1m_ns",
+            ["pclmulqdq", "slice16"],
+            "crc32",
+        ),
+        (
+            "gf256_kernel",
+            "gf_mul_acc_1m_ns",
+            ["ssse3", "portable"],
+            "gf256::mul_acc",
+        ),
+    ] {
+        let ns = doc.get(ns_key);
+        match doc.get(kernel_key).map(Json::as_str) {
+            None if ns.is_some() => report.fail(format!("{ns_key:?} without {kernel_key:?}")),
+            None => {}
+            Some(Some(kernel)) if kernels.contains(&kernel) => match ns.and_then(Json::as_u64) {
                 Some(ns) if ns > 0 => report
                     .lines
-                    .push(format!("crc32 dispatches to {kernel}: {ns} ns per MiB")),
+                    .push(format!("{what} dispatches to {kernel}: {ns} ns per MiB")),
                 _ => report.fail(format!(
-                    "\"crc_kernel\":{kernel:?} needs a positive integer \"crc_dispatch_1m_ns\""
+                    "{kernel_key:?}:{kernel:?} needs a positive integer {ns_key:?}"
                 )),
-            }
+            },
+            Some(_) => report.fail(format!(
+                "{kernel_key:?} must be {:?} or {:?}",
+                kernels[0], kernels[1]
+            )),
         }
-        Some(_) => report.fail("\"crc_kernel\" must be \"pclmulqdq\" or \"slice16\"".into()),
     }
     match doc.get("artifacts").and_then(Json::as_object) {
         None => report.fail("summary missing \"artifacts\" object".into()),
@@ -463,5 +483,28 @@ mod tests {
         assert!(!crc(r#","crc_kernel":"slice16""#).ok());
         assert!(!crc(r#","crc_kernel":"slice16","crc_dispatch_1m_ns":0"#).ok());
         assert!(!crc(r#","crc_dispatch_1m_ns":37505"#).ok());
+    }
+
+    #[test]
+    fn check_summary_validates_the_gf256_record() {
+        // The redundancy bench's kernel record follows the CRC's rule, and
+        // stands beside it or alone.
+        let gf = |fields: &str| {
+            let text = format!(
+                r#"{{"ok":true,"stages":[{{"name":"a","seconds":0}}],"artifacts":{{}}{fields}}}"#
+            );
+            check_summary(&Json::parse(&text).unwrap())
+        };
+        let r = gf(r#","gf256_kernel":"ssse3","gf_mul_acc_1m_ns":64875"#);
+        assert!(r.ok(), "{:?}", r.failures);
+        assert!(r.lines.iter().any(|l| l.contains("ssse3: 64875 ns")));
+        assert!(gf(
+            r#","crc_kernel":"slice16","crc_dispatch_1m_ns":494892,"gf256_kernel":"portable","gf_mul_acc_1m_ns":379342"#
+        )
+        .ok());
+        assert!(!gf(r#","gf256_kernel":"avx2","gf_mul_acc_1m_ns":1"#).ok());
+        assert!(!gf(r#","gf256_kernel":"ssse3""#).ok());
+        assert!(!gf(r#","gf256_kernel":"ssse3","gf_mul_acc_1m_ns":0"#).ok());
+        assert!(!gf(r#","gf_mul_acc_1m_ns":64875"#).ok());
     }
 }

@@ -68,6 +68,7 @@ pub const RECOVERY_ENTRY_FNS: &[(&str, &[&str])] = &[
             "restore",
         ],
     ),
+    ("redstore", &["restore"]),
 ];
 
 /// Crates whose panic sites `panic-reach` may report. The traversal
@@ -83,6 +84,7 @@ pub const PANIC_SITE_CRATES: &[&str] = &[
     "kokkos-resilience",
     "simmpi",
     "resilience",
+    "redstore",
 ];
 
 /// Crates whose threading must go through the loom-aware shims so the

@@ -1,10 +1,10 @@
 //! `panic-reach`: no `panic!`/`todo!`/`unimplemented!`, `.unwrap()`,
 //! `.expect(…)`, or non-range `[…]`-indexing in a protocol crate (see
 //! [`crate::rules::PANIC_SITE_CRATES`]) may be reachable through the
-//! call graph from a recovery entry point in `fenix`, `veloc`, or
-//! `kokkos-resilience`. A panic on the re-entry path after a failure kills
-//! the rank that was supposed to be recovering — turning a survivable
-//! fault into a second, unsurvivable one.
+//! call graph from a recovery entry point in `fenix`, `veloc`,
+//! `kokkos-resilience`, or `redstore`. A panic on the re-entry path after
+//! a failure kills the rank that was supposed to be recovering — turning a
+//! survivable fault into a second, unsurvivable one.
 //!
 //! This upgrades PR 2's per-file `unwrap-on-recovery-path` text rule to
 //! transitive call-graph precision: the entry set is the functions a rank

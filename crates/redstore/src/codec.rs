@@ -1,12 +1,19 @@
 //! Erasure codecs over opaque checkpoint payloads.
 //!
 //! A payload (one rank's packed checkpoint frame) is split into `n` equal
-//! data shards (zero-padded; the original length travels with the commit)
-//! and extended with parity:
+//! data shards (the last one zero-padded; the original length travels with
+//! the commit) and extended with parity ([`Code`]):
 //!
-//! * [`xor_encode`] — single XOR parity shard (`n+1`, tolerates 1 erasure),
-//! * [`rs_encode`] — `m` Reed–Solomon parity shards over GF(256) built
+//! * [`Code::Xor`] — single XOR parity shard (`n+1`, tolerates 1 erasure),
+//! * [`Code::Rs`] — `m` Reed–Solomon parity shards over GF(256) built
 //!   from a Cauchy matrix (`n+m`, tolerates any `m` erasures — MDS).
+//!
+//! There is one encoder, [`Code::shard_into`]: it writes any one shard of a
+//! payload into a buffer the caller owns, reading the payload where it lies
+//! — which is how the store builds a wire frame in one pass — and one
+//! decoder, [`Code::decode`], which borrows the survivors. [`xor_encode`],
+//! [`rs_encode`], [`xor_decode`] and [`rs_decode`] are the same two over
+//! one `Vec` per shard.
 //!
 //! Decoding never panics on bad inputs: missing too many shards or
 //! inconsistent shard sizes surface as a typed [`CodecError`], because a
@@ -47,129 +54,17 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Split `payload` into `n` zero-padded data shards of equal length.
-/// A zero-length payload yields `n` empty shards.
-pub fn split_payload(payload: &[u8], n: usize) -> Result<Vec<Vec<u8>>, CodecError> {
-    if n == 0 {
-        return Err(CodecError::BadGeometry("zero data shards".into()));
-    }
-    let shard_len = payload.len().div_ceil(n);
-    let mut shards = Vec::with_capacity(n);
-    for i in 0..n {
-        let lo = (i * shard_len).min(payload.len());
-        let hi = ((i + 1) * shard_len).min(payload.len());
-        let mut s = payload[lo..hi].to_vec();
-        s.resize(shard_len, 0);
-        shards.push(s);
-    }
-    Ok(shards)
-}
-
-/// Reassemble the original payload from `n` data shards.
-pub fn join_payload(data: &[Vec<u8>], orig_len: usize) -> Result<Vec<u8>, CodecError> {
-    let total: usize = data.iter().map(Vec::len).sum();
-    if orig_len > total {
-        return Err(CodecError::BadGeometry(format!(
-            "original length {orig_len} exceeds shard capacity {total}"
-        )));
-    }
-    let mut out = Vec::with_capacity(total);
-    for s in data {
-        out.extend_from_slice(s);
-    }
-    out.truncate(orig_len);
-    Ok(out)
-}
-
-fn check_sizes(shards: &[Vec<u8>]) -> Result<usize, CodecError> {
-    let len = shards.first().map_or(0, Vec::len);
-    for s in shards {
-        if s.len() != len {
-            return Err(CodecError::ShardSizeMismatch {
-                expected: len,
-                got: s.len(),
-            });
-        }
-    }
-    Ok(len)
-}
-
-/// XOR encode: `n` data shards + 1 parity shard (tolerates 1 erasure).
-pub fn xor_encode(payload: &[u8], n: usize) -> Result<Vec<Vec<u8>>, CodecError> {
-    let mut shards = split_payload(payload, n)?;
-    let len = shards[0].len();
-    let mut parity = vec![0u8; len];
-    for s in &shards {
-        for (p, b) in parity.iter_mut().zip(s) {
-            *p ^= *b;
-        }
-    }
-    shards.push(parity);
-    Ok(shards)
-}
-
-/// XOR decode from `n + 1` slots (`None` = erased). At most one erasure is
-/// recoverable; the data shards come back in order.
-pub fn xor_decode(
-    shards: &[Option<Vec<u8>>],
-    n: usize,
-    orig_len: usize,
-) -> Result<Vec<u8>, CodecError> {
-    if n == 0 || shards.len() != n + 1 {
-        return Err(CodecError::BadGeometry(format!(
-            "xor expects {} slots, got {}",
-            n + 1,
-            shards.len()
-        )));
-    }
-    let present: Vec<&Vec<u8>> = shards.iter().flatten().collect();
-    if present.len() < n {
-        return Err(CodecError::TooManyErasures {
-            available: present.len(),
-            needed: n,
-        });
-    }
-    let len = present.first().map_or(0, |s| s.len());
-    for s in &present {
-        if s.len() != len {
-            return Err(CodecError::ShardSizeMismatch {
-                expected: len,
-                got: s.len(),
-            });
-        }
-    }
-    let missing: Vec<usize> = (0..n).filter(|&i| shards[i].is_none()).collect();
-    let mut data: Vec<Vec<u8>> = Vec::with_capacity(n);
-    match missing.as_slice() {
-        [] => {
-            for s in shards.iter().take(n) {
-                data.push(s.clone().expect("checked present"));
-            }
-        }
-        [hole] => {
-            // The lost data shard is the XOR of everything else, parity
-            // included.
-            let mut rec = vec![0u8; len];
-            for (i, s) in shards.iter().enumerate() {
-                if i == *hole {
-                    continue;
-                }
-                let s = s.as_ref().expect("only one erasure");
-                for (r, b) in rec.iter_mut().zip(s) {
-                    *r ^= *b;
-                }
-            }
-            for (i, s) in shards.iter().enumerate().take(n) {
-                data.push(if i == *hole {
-                    rec.clone()
-                } else {
-                    s.clone().expect("present")
-                });
-            }
-        }
-        _ => unreachable!("≥2 data erasures implies present < n"),
-    }
-    join_payload(&data, orig_len)
+/// A systematic erasure code over `n` data shards. The two codes differ
+/// only in their parity coefficients, so they share one encoder
+/// ([`Code::shard_into`]) and one decoder ([`Code::decode`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Code {
+    /// One XOR parity shard (`n + 1`, tolerates 1 erasure): every
+    /// coefficient is 1.
+    Xor { n: usize },
+    /// `m` Reed–Solomon parity shards over GF(256) built from a Cauchy
+    /// matrix (`n + m`, tolerates any `m` erasures — MDS).
+    Rs { n: usize, m: usize },
 }
 
 /// Cauchy coefficient of parity row `i` and data column `j` for an
@@ -180,90 +75,204 @@ fn cauchy(i: usize, j: usize, m: usize) -> u8 {
     gf256::inv((i as u8) ^ ((m + j) as u8))
 }
 
+impl Code {
+    /// `(data shards, parity shards)`, or the typed error for a shape no
+    /// code has. A shard's index travels as one byte and the Cauchy points
+    /// are field elements, hence the limit of 256 shards.
+    fn geometry(self) -> Result<(usize, usize), CodecError> {
+        let (n, m) = match self {
+            Code::Xor { n } => (n, 1),
+            Code::Rs { n, m } => (n, m),
+        };
+        if n == 0 {
+            return Err(CodecError::BadGeometry("zero data shards".into()));
+        }
+        if m == 0 {
+            return Err(CodecError::BadGeometry("zero parity shards".into()));
+        }
+        if n.saturating_add(m) > 256 {
+            return Err(CodecError::BadGeometry(format!(
+                "{n}+{m} shards exceed the GF(256) limit"
+            )));
+        }
+        Ok((n, m))
+    }
+
+    /// Data plus parity shards.
+    pub fn shards(self) -> Result<usize, CodecError> {
+        self.geometry().map(|(n, m)| n + m)
+    }
+
+    /// Length of every shard of a `payload_len`-byte payload.
+    pub fn shard_len(self, payload_len: usize) -> Result<usize, CodecError> {
+        self.geometry().map(|(n, _)| payload_len.div_ceil(n))
+    }
+
+    /// Coefficient of data column `j` in parity row `i`.
+    fn coeff(self, i: usize, j: usize) -> u8 {
+        match self {
+            Code::Xor { .. } => 1,
+            Code::Rs { m, .. } => cauchy(i, j, m),
+        }
+    }
+
+    /// Row `index` of the generator matrix: identity for a data shard,
+    /// the parity coefficients for a parity shard.
+    fn generator_row(self, index: usize, n: usize) -> Vec<u8> {
+        (0..n)
+            .map(|j| match index.checked_sub(n) {
+                None => (index == j) as u8,
+                Some(row) => self.coeff(row, j),
+            })
+            .collect()
+    }
+
+    /// Write shard `index` of `payload`'s encoding into `out`, which must be
+    /// one shard long and all zero. A data shard is one copy of its slice
+    /// of the payload, the zero padding of the last one being what `out`
+    /// already holds. A parity shard is accumulated in place from the
+    /// payload's `n` slices, borrowed and unpadded: a short last slice
+    /// contributes nothing past its end (`c · 0 = 0`).
+    pub fn shard_into(
+        self,
+        payload: &[u8],
+        index: usize,
+        out: &mut [u8],
+    ) -> Result<(), CodecError> {
+        let (n, m) = self.geometry()?;
+        let len = payload.len().div_ceil(n);
+        if out.len() != len {
+            return Err(CodecError::ShardSizeMismatch {
+                expected: len,
+                got: out.len(),
+            });
+        }
+        // Past the payload's end the slices are empty.
+        let mut slices = payload
+            .chunks(len.max(1))
+            .chain(std::iter::repeat(&[] as &[u8]))
+            .take(n);
+        match index.checked_sub(n) {
+            None => {
+                if let Some(slice) = slices.nth(index) {
+                    out[..slice.len()].copy_from_slice(slice);
+                }
+            }
+            Some(row) if row < m => {
+                for (j, slice) in slices.enumerate() {
+                    gf256::mul_acc(out, slice, self.coeff(row, j));
+                }
+            }
+            Some(_) => {
+                return Err(CodecError::BadGeometry(format!(
+                    "shard {index} of a {n}+{m} code"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Every shard of `payload`, data first, each in a buffer of its own.
+    fn encode(self, payload: &[u8]) -> Result<Vec<Vec<u8>>, CodecError> {
+        let len = self.shard_len(payload.len())?;
+        (0..self.shards()?)
+            .map(|index| {
+                let mut shard = vec![0u8; len];
+                self.shard_into(payload, index, &mut shard)?;
+                Ok(shard)
+            })
+            .collect()
+    }
+
+    /// Reassemble a payload of `orig_len` bytes from one slot per shard
+    /// (`None` = erased): any `n` survivors do. The survivors are borrowed;
+    /// a surviving data shard is copied to its place in the one output
+    /// buffer and a missing one is decoded straight into its place.
+    pub fn decode<S: AsRef<[u8]>>(
+        self,
+        shards: &[Option<S>],
+        orig_len: usize,
+    ) -> Result<Vec<u8>, CodecError> {
+        let (n, m) = self.geometry()?;
+        if shards.len() != n + m {
+            return Err(CodecError::BadGeometry(format!(
+                "a {n}+{m} code expects {} slots, got {}",
+                n + m,
+                shards.len()
+            )));
+        }
+        let survivors = shards
+            .iter()
+            .enumerate()
+            .filter_map(|(index, s)| Some((index, s.as_ref()?.as_ref())));
+        let picked: Vec<(usize, &[u8])> = survivors.clone().take(n).collect();
+        if picked.len() < n {
+            return Err(CodecError::TooManyErasures {
+                available: survivors.count(),
+                needed: n,
+            });
+        }
+        let len = picked.first().map_or(0, |(_, s)| s.len());
+        if let Some((_, odd)) = picked.iter().find(|(_, s)| s.len() != len) {
+            return Err(CodecError::ShardSizeMismatch {
+                expected: len,
+                got: odd.len(),
+            });
+        }
+        let capacity = n.saturating_mul(len);
+        if orig_len > capacity {
+            return Err(CodecError::BadGeometry(format!(
+                "original length {orig_len} exceeds shard capacity {capacity}"
+            )));
+        }
+        // Survivors come in slot order, so unless the picked ones are
+        // exactly the data shards some data row has to be solved for.
+        let inverse = if picked.iter().map(|(index, _)| *index).eq(0..n) {
+            Vec::new()
+        } else {
+            let rows = picked
+                .iter()
+                .map(|(index, _)| self.generator_row(*index, n));
+            invert(rows.collect()).ok_or_else(|| {
+                CodecError::BadGeometry("singular decode matrix (corrupted shard set)".into())
+            })?
+        };
+        let mut out = vec![0u8; capacity];
+        for (row, place) in out.chunks_exact_mut(len.max(1)).enumerate() {
+            match picked.iter().find(|(index, _)| *index == row) {
+                Some((_, shard)) => place.copy_from_slice(shard),
+                None => {
+                    let coeffs = inverse.get(row).into_iter().flatten();
+                    for (coeff, (_, shard)) in coeffs.zip(&picked) {
+                        gf256::mul_acc(place, shard, *coeff);
+                    }
+                }
+            }
+        }
+        out.truncate(orig_len);
+        Ok(out)
+    }
+}
+
+/// XOR encode: `n` data shards + 1 parity shard (tolerates 1 erasure).
+pub fn xor_encode(payload: &[u8], n: usize) -> Result<Vec<Vec<u8>>, CodecError> {
+    Code::Xor { n }.encode(payload)
+}
+
+/// XOR decode from `n + 1` slots (`None` = erased). At most one erasure is
+/// recoverable.
+pub fn xor_decode(
+    shards: &[Option<Vec<u8>>],
+    n: usize,
+    orig_len: usize,
+) -> Result<Vec<u8>, CodecError> {
+    Code::Xor { n }.decode(shards, orig_len)
+}
+
 /// Reed–Solomon encode: `n` data shards + `m` Cauchy parity shards
 /// (tolerates any `m` erasures).
 pub fn rs_encode(payload: &[u8], n: usize, m: usize) -> Result<Vec<Vec<u8>>, CodecError> {
-    if n + m > 256 {
-        return Err(CodecError::BadGeometry(format!(
-            "{n}+{m} shards exceed the GF(256) limit"
-        )));
-    }
-    if m == 0 {
-        return Err(CodecError::BadGeometry("zero parity shards".into()));
-    }
-    let data = split_payload(payload, n)?;
-    let len = data[0].len();
-    let mut shards = data;
-    for i in 0..m {
-        let mut row = vec![0u8; len];
-        for (j, d) in shards.iter().take(n).enumerate() {
-            gf256::mul_acc(&mut row, d, cauchy(i, j, m));
-        }
-        shards.push(row);
-    }
-    Ok(shards)
-}
-
-/// Generator-matrix row of shard `idx`: identity for data shards, Cauchy
-/// for parity shards.
-fn generator_row(idx: usize, n: usize, m: usize) -> Vec<u8> {
-    let mut row = vec![0u8; n];
-    if idx < n {
-        row[idx] = 1;
-    } else {
-        for (j, r) in row.iter_mut().enumerate() {
-            *r = cauchy(idx - n, j, m);
-        }
-    }
-    row
-}
-
-/// Invert an `n × n` GF(256) matrix (rows are concatenated). Returns `None`
-/// when singular — impossible for Cauchy-derived submatrices, but decode
-/// treats it as a typed error anyway rather than trusting the proof.
-fn invert(mut a: Vec<Vec<u8>>) -> Option<Vec<Vec<u8>>> {
-    let n = a.len();
-    let mut inv: Vec<Vec<u8>> = (0..n)
-        .map(|i| {
-            let mut row = vec![0u8; n];
-            row[i] = 1;
-            row
-        })
-        .collect();
-    for col in 0..n {
-        let pivot = (col..n).find(|&r| a[r][col] != 0)?;
-        a.swap(col, pivot);
-        inv.swap(col, pivot);
-        let p = gf256::inv(a[col][col]);
-        for x in &mut a[col] {
-            *x = gf256::mul(*x, p);
-        }
-        for x in &mut inv[col] {
-            *x = gf256::mul(*x, p);
-        }
-        for r in 0..n {
-            if r != col && a[r][col] != 0 {
-                let f = a[r][col];
-                let (ar, ac) = split_rows(&mut a, r, col);
-                gf256::mul_acc(ar, ac, f);
-                let (ir, ic) = split_rows(&mut inv, r, col);
-                gf256::mul_acc(ir, ic, f);
-            }
-        }
-    }
-    Some(inv)
-}
-
-/// Two distinct rows of a matrix, mutably and immutably.
-fn split_rows(m: &mut [Vec<u8>], r: usize, c: usize) -> (&mut [u8], &[u8]) {
-    debug_assert_ne!(r, c);
-    if r < c {
-        let (lo, hi) = m.split_at_mut(c);
-        (&mut lo[r], &hi[0])
-    } else {
-        let (lo, hi) = m.split_at_mut(r);
-        (&mut hi[0], &lo[c])
-    }
+    Code::Rs { n, m }.encode(payload)
 }
 
 /// Reed–Solomon decode from `n + m` slots (`None` = erased). Any `n`
@@ -274,53 +283,42 @@ pub fn rs_decode(
     m: usize,
     orig_len: usize,
 ) -> Result<Vec<u8>, CodecError> {
-    if n == 0 || m == 0 || shards.len() != n + m {
-        return Err(CodecError::BadGeometry(format!(
-            "rs expects {} slots, got {}",
-            n + m,
-            shards.len()
-        )));
-    }
-    let survivors: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_some()).collect();
-    if survivors.len() < n {
-        return Err(CodecError::TooManyErasures {
-            available: survivors.len(),
-            needed: n,
-        });
-    }
-    let picked: Vec<Vec<u8>> = survivors
-        .iter()
-        .take(n)
-        .map(|&i| shards[i].clone().expect("survivor present"))
-        .collect();
-    let len = check_sizes(&picked)?;
+    Code::Rs { n, m }.decode(shards, orig_len)
+}
 
-    // Fast path: all data shards survived.
-    if survivors
-        .iter()
-        .take(n)
-        .eq((0..n).collect::<Vec<_>>().iter())
-    {
-        return join_payload(&picked, orig_len);
-    }
-
-    let matrix: Vec<Vec<u8>> = survivors
-        .iter()
-        .take(n)
-        .map(|&i| generator_row(i, n, m))
+/// Invert a square GF(256) matrix given by rows: Gauss–Jordan on the
+/// augmented rows `[A | I]`. Returns `None` when singular — impossible for
+/// Cauchy-derived submatrices, but decode treats it as a typed error
+/// anyway rather than trusting the proof.
+fn invert(rows: Vec<Vec<u8>>) -> Option<Vec<Vec<u8>>> {
+    let n = rows.len();
+    let mut aug: Vec<Vec<u8>> = rows
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut row)| {
+            row.extend((0..n).map(|j| (i == j) as u8));
+            row
+        })
         .collect();
-    let inverse = invert(matrix).ok_or_else(|| {
-        CodecError::BadGeometry("singular decode matrix (corrupted shard set)".into())
-    })?;
-    let mut data: Vec<Vec<u8>> = Vec::with_capacity(n);
-    for row in &inverse {
-        let mut d = vec![0u8; len];
-        for (coeff, shard) in row.iter().zip(&picked) {
-            gf256::mul_acc(&mut d, shard, *coeff);
+    for col in 0..n {
+        let pivot = (col..n).find(|&r| {
+            aug.get(r)
+                .and_then(|row| row.get(col))
+                .is_some_and(|x| *x != 0)
+        })?;
+        aug.swap(col, pivot);
+        let (above, rest) = aug.split_at_mut(col);
+        let (pivot_row, below) = rest.split_first_mut()?;
+        let scale = gf256::inv(*pivot_row.get(col)?);
+        for x in pivot_row.iter_mut() {
+            *x = gf256::mul(*x, scale);
         }
-        data.push(d);
+        for row in above.iter_mut().chain(below) {
+            let factor = *row.get(col)?;
+            gf256::mul_acc(row, pivot_row, factor);
+        }
     }
-    join_payload(&data, orig_len)
+    Some(aug.into_iter().map(|mut row| row.split_off(n)).collect())
 }
 
 #[cfg(test)]
@@ -332,12 +330,49 @@ mod tests {
     }
 
     #[test]
-    fn split_pads_and_join_truncates() {
+    fn data_shards_are_the_padded_payload_and_decode_truncates() {
         let p = payload(10);
-        let shards = split_payload(&p, 3).unwrap();
-        assert_eq!(shards.len(), 3);
+        let shards = xor_encode(&p, 3).unwrap();
+        assert_eq!(shards.len(), 4);
         assert!(shards.iter().all(|s| s.len() == 4));
-        assert_eq!(join_payload(&shards, 10).unwrap(), p);
+        assert_eq!(shards[..3].concat(), [&p[..], &[0, 0]].concat());
+        let slots: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
+        assert_eq!(xor_decode(&slots, 3, 10).unwrap(), p);
+        assert!(matches!(
+            xor_decode(&slots, 3, 13),
+            Err(CodecError::BadGeometry(_))
+        ));
+    }
+
+    #[test]
+    fn a_payload_shorter_than_the_shard_count_leaves_empty_slices() {
+        // One byte over two data shards: shard 1 is all padding, and both
+        // parity rows see an empty second slice.
+        let encoded = rs_encode(&[0xAB], 2, 2).unwrap();
+        assert_eq!(encoded[0], [0xAB]);
+        assert_eq!(encoded[1], [0]);
+        let mut slots: Vec<Option<Vec<u8>>> = encoded.into_iter().map(Some).collect();
+        slots[0] = None;
+        slots[1] = None;
+        assert_eq!(rs_decode(&slots, 2, 2, 1).unwrap(), [0xAB]);
+    }
+
+    #[test]
+    fn shard_into_checks_the_buffer_and_the_index() {
+        let code = Code::Rs { n: 2, m: 2 };
+        let p = payload(9);
+        assert_eq!(code.shard_len(p.len()), Ok(5));
+        assert_eq!(
+            code.shard_into(&p, 2, &mut [0; 4]),
+            Err(CodecError::ShardSizeMismatch {
+                expected: 5,
+                got: 4
+            })
+        );
+        assert!(matches!(
+            code.shard_into(&p, 4, &mut [0; 5]),
+            Err(CodecError::BadGeometry(_))
+        ));
     }
 
     #[test]
@@ -426,7 +461,7 @@ mod tests {
     #[test]
     fn geometry_errors_are_typed() {
         assert!(matches!(
-            split_payload(b"x", 0),
+            xor_encode(b"x", 0),
             Err(CodecError::BadGeometry(_))
         ));
         assert!(matches!(

@@ -115,11 +115,15 @@ impl Placement {
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
         if max_per_node == 1 {
             for rank in 0..ranks {
-                groups[rank * n_groups / ranks].push(rank);
+                if let Some(g) = groups.get_mut(rank * n_groups / ranks) {
+                    g.push(rank);
+                }
             }
         } else {
             for (i, rank) in buckets.into_iter().flatten().enumerate() {
-                groups[i % n_groups].push(rank);
+                if let Some(g) = groups.get_mut(i % n_groups) {
+                    g.push(rank);
+                }
             }
             for g in &mut groups {
                 g.sort_unstable();
@@ -133,20 +137,19 @@ impl Placement {
     }
 
     /// The group containing `rank` and the rank's position inside it.
-    pub fn locate(&self, rank: usize) -> Option<(usize, usize)> {
+    pub fn locate(&self, rank: usize) -> Option<(&[usize], usize)> {
         self.groups
             .iter()
-            .enumerate()
-            .find_map(|(gi, g)| g.iter().position(|&r| r == rank).map(|pos| (gi, pos)))
+            .find_map(|g| Some((g.as_slice(), g.iter().position(|&r| r == rank)?)))
     }
 
     /// The ranks holding a full copy of `rank`'s payload under
     /// `Replicate { k }`: the next `k-1` members of its group, in ring
     /// order (at `k = 2`, its buddy). Empty when `rank` is not placed.
     pub fn replica_holders(&self, rank: usize, k: usize) -> impl Iterator<Item = usize> + '_ {
-        self.locate(rank).into_iter().flat_map(move |(gi, pos)| {
-            let group = &self.groups[gi];
-            (1..k).map(move |i| group[(pos + i) % group.len()])
+        self.locate(rank).into_iter().flat_map(move |(group, pos)| {
+            let holders = group.iter().cycle().skip(pos + 1);
+            holders.take(k.saturating_sub(1)).copied()
         })
     }
 

@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 use simmpi::{Comm, MpiError};
 use telemetry::Event;
 
-use crate::codec::{self, CodecError};
+use crate::codec::{Code, CodecError};
 use crate::mode::RedundancyMode;
 use crate::placement::{comm_node_map, Placement, PlacementError};
 
@@ -83,15 +83,23 @@ impl std::fmt::Display for RedError {
 
 impl std::error::Error for RedError {}
 
-/// One shard (or full copy) held for a peer.
+/// One shard (or full copy) held for a peer: the message as it arrived,
+/// which is also what a restore sends back — the same handle, no copy.
 #[derive(Clone, Debug)]
 struct HeldShard {
     version: u64,
-    /// Shard index in the owner's encoding (0 = a full replicate copy).
-    index: u8,
-    /// The owner's original payload length (shards are padded).
-    orig_len: u64,
-    data: Bytes,
+    /// A bare replica, or a coded shard's whole wire frame.
+    wire: Bytes,
+    /// Where the shard's bytes start in `wire`: 0 for a replica,
+    /// [`HEADER_LEN`] for a coded shard.
+    offset: usize,
+}
+
+/// The little-endian `u64` at `*at`, advancing past it.
+fn take_u64(b: &[u8], at: &mut usize) -> Option<u64> {
+    let s = b.get(*at..*at + 8)?;
+    *at += 8;
+    Some(u64::from_le_bytes(s.try_into().ok()?))
 }
 
 /// The placement a commit was written under. Restores must use this, not a
@@ -128,11 +136,6 @@ impl CommitLayout {
     }
 
     fn deserialize(blob: &[u8]) -> Option<CommitLayout> {
-        fn take_u64(b: &[u8], at: &mut usize) -> Option<u64> {
-            let s = b.get(*at..*at + 8)?;
-            *at += 8;
-            Some(u64::from_le_bytes(s.try_into().ok()?))
-        }
         let mut at = 0;
         let version = take_u64(blob, &mut at)?;
         let tag = *blob.get(at)?;
@@ -188,6 +191,15 @@ impl RedStore {
         self.own.lock().get(&member).cloned()
     }
 
+    /// What this rank holds for `owner`'s copy of a member, as it arrived:
+    /// the version and a bare replica, or a coded shard's whole wire frame
+    /// (tests, diagnostics).
+    pub fn held(&self, member: u32, owner: usize) -> Option<(u64, Bytes)> {
+        let held = self.held.lock();
+        held.get(&(member, owner))
+            .map(|h| (h.version, h.wire.clone()))
+    }
+
     /// Latest committed version of a member, if any.
     pub fn latest_version(&self, member: u32) -> Option<u64> {
         self.own.lock().get(&member).map(|(v, _)| *v)
@@ -202,7 +214,12 @@ impl RedStore {
     /// coverage/cost table reports.
     pub fn resident_bytes(&self) -> usize {
         let own: usize = self.own.lock().values().map(|(_, b)| b.len()).sum();
-        let held: usize = self.held.lock().values().map(|h| h.data.len()).sum();
+        let held: usize = self
+            .held
+            .lock()
+            .values()
+            .map(|h| h.wire.len() - h.offset)
+            .sum();
         own + held
     }
 
@@ -222,11 +239,12 @@ impl RedStore {
     pub fn tamper_held(&self, member: u32, owner: usize) -> bool {
         let mut held = self.held.lock();
         match held.get_mut(&(member, owner)) {
-            Some(h) if !h.data.is_empty() => {
-                let mut out = h.data.to_vec();
-                let last = out.len() - 1;
-                out[last] ^= 0xFF;
-                h.data = Bytes::from(out);
+            Some(h) if h.wire.len() > h.offset => {
+                let mut out = h.wire.to_vec();
+                if let Some(last) = out.last_mut() {
+                    *last ^= 0xFF;
+                }
+                h.wire = Bytes::from(out);
                 true
             }
             _ => false,
@@ -236,27 +254,115 @@ impl RedStore {
 
 const RED_TAG_BASE: u64 = 0x0200_0000;
 
-/// Wire form of a *coded* shard: `[version u64][orig_len u64][index u8][data…]`.
-/// Replicas travel bare (see [`RedundancyGroup::exchange`]).
-fn frame(version: u64, orig_len: u64, index: u8, data: &[u8]) -> Bytes {
-    let mut out = Vec::with_capacity(17 + data.len());
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&orig_len.to_le_bytes());
-    out.push(index);
-    out.extend_from_slice(data);
-    Bytes::from(out)
+/// Bytes of header in front of a coded shard on the wire.
+const HEADER_LEN: usize = 17;
+
+/// The code a coded `mode` runs over a placement group of `s` members;
+/// `None` for replication. A group may be larger than the mode's width (the
+/// remainder of an uneven partition): more data shards at the same parity
+/// count. A group too small for the parity count has zero data shards,
+/// which the codec reports as its typed geometry error.
+fn code_of(mode: RedundancyMode, s: usize) -> Option<Code> {
+    match mode {
+        RedundancyMode::Replicate { .. } => None,
+        RedundancyMode::XorParity { .. } => Some(Code::Xor {
+            n: s.saturating_sub(1),
+        }),
+        RedundancyMode::ReedSolomon { parity, .. } => Some(Code::Rs {
+            n: s.saturating_sub(parity),
+            m: parity,
+        }),
+    }
 }
 
-fn unframe(payload: &Bytes) -> Result<(u64, u64, u8, Bytes), RedError> {
-    if payload.len() < 17 {
-        return Err(RedError::Mpi(MpiError::TypeMismatch {
-            expected: 17,
-            got: payload.len(),
-        }));
+/// The wire frames of `payload`'s coded shards that travel:
+/// `[version u64][orig_len u64][index u8][shard…]` for index 1 onwards, in
+/// order. (Shard 0 stays with the owner conceptually: it dies with the
+/// owner either way — the tolerance math already counts the owner's own
+/// failure as one erasure.) Replicas travel bare (see
+/// [`RedundancyGroup::exchange`]).
+///
+/// Each frame is built once, in the buffer that goes on the wire: the
+/// header, then the shard written straight behind it by
+/// [`Code::shard_into`] — one copy of the payload's slice for a data shard,
+/// parity accumulated in place. `pub` for the redundancy bench and the
+/// wire-format test, which hold it to `header ++ rs_encode(..)[index]`.
+pub fn coded_frames(code: Code, version: u64, payload: &[u8]) -> Result<Vec<Bytes>, CodecError> {
+    let shard_len = code.shard_len(payload.len())?;
+    (1..code.shards()?)
+        .map(|index| {
+            let mut wire = vec![0u8; HEADER_LEN + shard_len];
+            wire[..8].copy_from_slice(&version.to_le_bytes());
+            wire[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+            // A code has at most 256 shards, so the index fits its byte.
+            wire[16..HEADER_LEN].copy_from_slice(&[index as u8]);
+            code.shard_into(payload, index, &mut wire[HEADER_LEN..])?;
+            Ok(Bytes::from(wire))
+        })
+        .collect()
+}
+
+/// Hold a received frame to what the collective already knows about it,
+/// and return the original payload length it records. Nothing in a header
+/// is trusted: `version` is the one being stored or restored, `index` the
+/// shard the placement assigns this owner and holder (so a duplicate or
+/// out-of-range index is a mismatch for some sender), and the shard must be
+/// exactly as long as `code` makes the shards of a payload of that length.
+fn check_frame(frame: &[u8], code: Code, version: u64, index: usize) -> Result<usize, RedError> {
+    let short = || {
+        RedError::Mpi(MpiError::TypeMismatch {
+            expected: HEADER_LEN,
+            got: frame.len(),
+        })
+    };
+    let mut at = 0;
+    let v = take_u64(frame, &mut at).ok_or_else(short)?;
+    let orig_len = take_u64(frame, &mut at).ok_or_else(short)?;
+    let i = *frame.get(at).ok_or_else(short)?;
+    if v != version {
+        return Err(CodecError::BadGeometry(format!(
+            "frame of version {v} in the exchange of version {version}"
+        ))
+        .into());
     }
-    let version = u64::from_le_bytes(payload[..8].try_into().expect("checked"));
-    let orig_len = u64::from_le_bytes(payload[8..16].try_into().expect("checked"));
-    Ok((version, orig_len, payload[16], payload.slice(17..)))
+    if i as usize != index {
+        return Err(CodecError::BadGeometry(format!(
+            "shard {i} where the placement assigns shard {index}"
+        ))
+        .into());
+    }
+    let orig_len = usize::try_from(orig_len).map_err(|_| {
+        CodecError::BadGeometry(format!("original length {orig_len} is not addressable"))
+    })?;
+    let (expected, got) = (code.shard_len(orig_len)?, frame.len() - HEADER_LEN);
+    if got != expected {
+        return Err(CodecError::ShardSizeMismatch { expected, got }.into());
+    }
+    Ok(orig_len)
+}
+
+/// Rebuild a payload from the frames a recovering rank was sent, each
+/// paired with the shard index the committed placement says its sender
+/// holds. Every frame passes [`check_frame`], and all senders must record
+/// the same original length.
+fn reconstruct(code: Code, version: u64, frames: &[(usize, Bytes)]) -> Result<Vec<u8>, RedError> {
+    let mut slots: Vec<Option<&[u8]>> = vec![None; code.shards()?];
+    let mut orig_len = None;
+    for (index, frame) in frames {
+        let len = check_frame(frame, code, version, *index)?;
+        let agreed = *orig_len.get_or_insert(len);
+        if len != agreed {
+            return Err(CodecError::BadGeometry(format!(
+                "senders disagree on the original length: {agreed} and {len}"
+            ))
+            .into());
+        }
+        let slot = slots.get_mut(*index).ok_or_else(|| {
+            CodecError::BadGeometry(format!("shard {index} is not one of {code:?}"))
+        })?;
+        *slot = frame.get(HEADER_LEN..);
+    }
+    Ok(code.decode(&slots, orig_len.unwrap_or(0))?)
 }
 
 /// A redundancy group bound to the current resilient communicator.
@@ -274,6 +380,12 @@ impl<'a> RedundancyGroup<'a> {
 
     fn tag(member: u32, leg: u64) -> u64 {
         RED_TAG_BASE | (leg << 32) | member as u64
+    }
+
+    /// Sequence number of the commit agreement: the member id is mixed in
+    /// so concurrent members cannot collide.
+    fn commit_seq(member: u32, version: u64) -> u64 {
+        ((member as u64) << 48) | (version & 0xffff_ffff_ffff)
     }
 
     /// Resolve the effective mode for the current comm shape — identical
@@ -340,10 +452,8 @@ impl<'a> RedundancyGroup<'a> {
             | Err(RedError::DataLost { .. } | RedError::Placement(_) | RedError::Codec(_)) => {}
         }
 
-        // Phase 2: agree on commit (Fenix's `data_commit` discipline; the
-        // member id is mixed into the sequence number so concurrent
-        // members cannot collide).
-        let seq = ((member as u64) << 48) | (version & 0xffff_ffff_ffff);
+        // Phase 2: agree on commit (Fenix's `data_commit` discipline).
+        let seq = Self::commit_seq(member, version);
         let outcome = self.comm.agree(seq, exchange.is_ok() as u64)?;
         if outcome.flags & 1 == 1 && outcome.failed.is_empty() {
             match exchange {
@@ -401,58 +511,34 @@ impl<'a> RedundancyGroup<'a> {
         let me = self.comm.rank();
         // A placement covers every rank of the communicator it was computed
         // (or committed) for; a miss is a malformed layout, not a panic.
-        let (gi, pos) = placement
+        let (group, pos) = placement
             .locate(me)
             .ok_or(RedError::DataLost { member, rank: me })?;
-        let group = &placement.groups()[gi];
         let s = group.len();
-        let orig_len = data.len() as u64;
+        let code = code_of(mode, s);
 
         // Encode.
         // lint: sanction(wall-clock): encode-latency histogram; metrics
         // only, never feeds control flow. audited 2026-08.
         let t0 = Instant::now();
         // Each entry is `(dst, shard_len, wire bytes)`.
-        let outgoing: Vec<(usize, usize, Bytes)> = match mode {
+        let outgoing: Vec<(usize, usize, Bytes)> = match code {
             // A replica *is* the payload: ship the reference-counted handle
-            // to the k-1 holders, no header and no copy. The version is
-            // this collective's own argument (bound by the agreement `seq`
-            // in `store_with`), the original length is the message's, and
-            // the shard index is 0 — nothing a header would add.
-            RedundancyMode::Replicate { k } => placement
-                .replica_holders(me, k)
+            // to the k-1 holders (a replicating mode's width is its `k`),
+            // no header and no copy. The version is this collective's own
+            // argument (bound by the agreement `seq` in `store_with`), the
+            // original length is the message's, and the shard index is 0 —
+            // nothing a header would add.
+            None => placement
+                .replica_holders(me, mode.width())
                 .map(|dst| (dst, data.len(), data.clone()))
                 .collect(),
-            RedundancyMode::XorParity { .. } | RedundancyMode::ReedSolomon { .. } => {
-                if s > 256 {
-                    return Err(CodecError::BadGeometry(format!(
-                        "group of {s} exceeds the shard-index space"
-                    ))
-                    .into());
-                }
-                let parity = mode.parity_of();
-                let shards = match mode {
-                    RedundancyMode::XorParity { .. } => codec::xor_encode(data, s - 1)?,
-                    _ => codec::rs_encode(data, s - parity, parity)?,
-                };
-                // Shard 0 stays with the owner conceptually (it dies with
-                // the owner either way — the tolerance math already counts
-                // the owner's own failure as one erasure), so only shards
-                // 1..s travel.
-                shards
-                    .into_iter()
-                    .enumerate()
-                    .skip(1)
-                    .map(|(i, sh)| {
-                        let len = sh.len();
-                        (
-                            group[(pos + i) % s],
-                            len,
-                            frame(version, orig_len, i as u8, &sh),
-                        )
-                    })
-                    .collect()
-            }
+            // Shard `i` goes to the member `i` places after its owner.
+            Some(code) => coded_frames(code, version, data)?
+                .into_iter()
+                .zip(group.iter().cycle().skip(pos + 1))
+                .map(|(wire, &dst)| (dst, wire.len() - HEADER_LEN, wire))
+                .collect(),
         };
         recorder.emit_with(|| Event::Marker {
             label: "redstore.encode".into(),
@@ -475,42 +561,39 @@ impl<'a> RedundancyGroup<'a> {
         }
 
         let mut held = Vec::new();
-        for &q in group {
+        let mut damaged = None;
+        for (pos_q, &q) in group.iter().enumerate() {
             if q == me {
                 continue;
             }
-            let expects = match mode {
-                RedundancyMode::Replicate { k } => placement.replica_holders(q, k).any(|h| h == me),
-                _ => true,
-            };
-            if !expects {
+            // A replica reaches its holders only; coded shards reach all.
+            let holds = |h| h == me;
+            if code.is_none() && !placement.replica_holders(q, mode.width()).any(holds) {
                 continue;
             }
-            let (payload, _) = self.comm.recv_bytes(Some(q), Self::tag(member, 0))?;
-            let shard = match mode {
-                RedundancyMode::Replicate { .. } => HeldShard {
-                    version,
-                    index: 0,
-                    orig_len: payload.len() as u64,
-                    data: payload,
-                },
-                RedundancyMode::XorParity { .. } | RedundancyMode::ReedSolomon { .. } => {
-                    let (v, orig_len, index, data) = unframe(&payload)?;
-                    debug_assert_eq!(v, version, "store exchange version skew");
-                    HeldShard {
-                        version: v,
-                        index,
-                        orig_len,
-                        data,
-                    }
+            let (wire, _) = self.comm.recv_bytes(Some(q), Self::tag(member, 0))?;
+            let mut offset = 0;
+            if let Some(code) = code {
+                // The shard `q` sent the member `i` places after it is `i`.
+                if let Err(e) = check_frame(&wire, code, version, (pos + s - pos_q) % s) {
+                    // Keep receiving: every expected frame has to leave the
+                    // mailbox, or the next store would match it.
+                    damaged.get_or_insert(e);
+                    continue;
                 }
+                offset = HEADER_LEN;
+            }
+            let shard = HeldShard {
+                version,
+                wire,
+                offset,
             };
             held.push((q, shard));
         }
         recorder.emit_with(|| Event::Marker {
             label: "redstore.exchange".into(),
         });
-        Ok(held)
+        damaged.map_or(Ok(held), Err)
     }
 
     /// Collectively restore `member` after a Fenix repair.
@@ -563,18 +646,16 @@ impl<'a> RedundancyGroup<'a> {
         // Deterministic feasibility check — same verdict on every rank —
         // before any rank blocks in a transfer that cannot complete.
         for &q in recovering {
-            let Some((gi, _)) = committed.locate(q) else {
+            let Some((group, _)) = committed.locate(q) else {
                 return Err(RedError::DataLost { member, rank: q });
             };
-            let group = &committed.groups()[gi];
-            let s = group.len();
             let recoverable = match mode {
                 RedundancyMode::Replicate { k } => committed
                     .replica_holders(q, k)
                     .any(|h| !recovering.contains(&h)),
                 _ => {
                     let alive = group.iter().filter(|r| !recovering.contains(r)).count();
-                    alive >= s - mode.parity_of()
+                    alive + mode.parity_of() >= group.len()
                 }
             };
             if !recoverable {
@@ -587,10 +668,9 @@ impl<'a> RedundancyGroup<'a> {
         // so the recovering rank knows exactly how many frames to await).
         if !recovering.contains(&me) {
             for &q in recovering {
-                let Some((gi, _)) = committed.locate(q) else {
+                let Some((group, _)) = committed.locate(q) else {
                     continue;
                 };
-                let group = &committed.groups()[gi];
                 if !group.contains(&me) {
                     continue;
                 }
@@ -613,13 +693,10 @@ impl<'a> RedundancyGroup<'a> {
                 let shard = shard
                     .filter(|s| s.version == version)
                     .ok_or(RedError::DataLost { member, rank: q })?;
-                let wire = match mode {
-                    // Bare replica, as on the store leg: the version came
-                    // with the layout broadcast above.
-                    RedundancyMode::Replicate { .. } => shard.data,
-                    _ => frame(shard.version, shard.orig_len, shard.index, &shard.data),
-                };
-                self.comm.send_bytes(q, Self::tag(member, 1), wire)?;
+                // What arrived on the store leg goes back as it is: a bare
+                // replica (the version came with the layout broadcast
+                // above), or a coded shard's frame, header and all.
+                self.comm.send_bytes(q, Self::tag(member, 1), shard.wire)?;
             }
         }
 
@@ -628,52 +705,31 @@ impl<'a> RedundancyGroup<'a> {
             // lint: sanction(wall-clock): reconstruct-latency histogram;
             // metrics only, never feeds control flow. audited 2026-08.
             let t0 = Instant::now();
-            let (gi, _) = committed
+            let (group, pos) = committed
                 .locate(me)
                 .ok_or(RedError::DataLost { member, rank: me })?;
-            let group = &committed.groups()[gi];
             let s = group.len();
-            let senders: Vec<usize> = match mode {
-                RedundancyMode::Replicate { k } => committed
-                    .replica_holders(me, k)
-                    .find(|h| !recovering.contains(h))
-                    .into_iter()
-                    .collect(),
-                _ => group
-                    .iter()
-                    .copied()
-                    .filter(|r| *r != me && !recovering.contains(r))
-                    .collect(),
-            };
-            let blob = match mode {
-                RedundancyMode::Replicate { .. } => {
-                    let holder = *senders
-                        .first()
+            let blob = match code_of(mode, s) {
+                None => {
+                    let holder = committed
+                        .replica_holders(me, mode.width())
+                        .find(|h| !recovering.contains(h))
                         .ok_or(RedError::DataLost { member, rank: me })?;
                     let (payload, _) = self.comm.recv_bytes(Some(holder), Self::tag(member, 1))?;
                     payload
                 }
-                _ => {
-                    let mut slots: Vec<Option<Vec<u8>>> = vec![None; s];
-                    let mut orig_len = 0u64;
-                    for &from in &senders {
-                        let (payload, _) =
-                            self.comm.recv_bytes(Some(from), Self::tag(member, 1))?;
-                        let (v, olen, index, shard) = unframe(&payload)?;
-                        if v != version || index as usize >= s {
-                            return Err(RedError::DataLost { member, rank: me });
+                Some(code) => {
+                    // The member `i` places after this rank holds its
+                    // shard `i`.
+                    let mut frames = Vec::new();
+                    for (pos_from, &from) in group.iter().enumerate() {
+                        if from == me || recovering.contains(&from) {
+                            continue;
                         }
-                        orig_len = olen;
-                        slots[index as usize] = Some(shard.to_vec());
+                        let (frame, _) = self.comm.recv_bytes(Some(from), Self::tag(member, 1))?;
+                        frames.push(((pos_from + s - pos) % s, frame));
                     }
-                    let parity = mode.parity_of();
-                    let decoded = match mode {
-                        RedundancyMode::XorParity { .. } => {
-                            codec::xor_decode(&slots, s - 1, orig_len as usize)?
-                        }
-                        _ => codec::rs_decode(&slots, s - parity, parity, orig_len as usize)?,
-                    };
-                    Bytes::from(decoded)
+                    Bytes::from(reconstruct(code, version, &frames)?)
                 }
             };
             self.store
@@ -719,6 +775,7 @@ impl<'a> RedundancyGroup<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec;
 
     #[test]
     fn layout_serialization_round_trips() {
@@ -736,15 +793,179 @@ mod tests {
         assert_eq!(CommitLayout::deserialize(&[]), None);
     }
 
+    /// The frame format written the obvious way: header, then a copy of
+    /// the shard the `Vec` encoder made.
+    fn frame(version: u64, orig_len: u64, index: u8, shard: &[u8]) -> Vec<u8> {
+        let mut out = version.to_le_bytes().to_vec();
+        out.extend_from_slice(&orig_len.to_le_bytes());
+        out.push(index);
+        out.extend_from_slice(shard);
+        out
+    }
+
+    fn payload(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 131 + 17) as u8).collect()
+    }
+
+    const RS22: Code = Code::Rs { n: 2, m: 2 };
+
     #[test]
-    fn frames_round_trip_and_reject_short_payloads() {
-        let f = frame(9, 100, 3, b"abc");
-        let (v, olen, idx, data) = unframe(&f).unwrap();
-        assert_eq!((v, olen, idx, data.as_ref()), (9, 100, 3, &b"abc"[..]));
+    fn coded_store_leg_wire_bytes_are_unchanged() {
+        // What pins modelled time: message count, sizes and bytes are those
+        // of `frame(version, len, i, &rs_encode(..)[i])`, which the store
+        // leg used to build from a split copy of the payload.
+        for code in [RS22, Code::Rs { n: 3, m: 2 }, Code::Xor { n: 2 }] {
+            let (n, shards) = match code {
+                Code::Rs { n, m } => (n, n + m),
+                Code::Xor { n } => (n, n + 1),
+            };
+            for len in [0, 1, n - 1, n, n + 1, 257, (1 << 20) + 5] {
+                let p = payload(len);
+                let encoded = match code {
+                    Code::Rs { n, m } => codec::rs_encode(&p, n, m),
+                    Code::Xor { n } => codec::xor_encode(&p, n),
+                }
+                .expect("encode");
+                let frames = coded_frames(code, 9, &p).expect("frames");
+                assert_eq!(frames.len(), shards - 1, "{code:?}, {len} bytes");
+                for (frame_i, index) in frames.iter().zip(1..) {
+                    let want = frame(9, len as u64, index, &encoded[index as usize]);
+                    assert!(frame_i == &want, "{code:?}, {len} bytes, shard {index}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_received_frame_is_held_to_version_slot_and_length() {
+        let p = payload(9);
+        let good = coded_frames(RS22, 4, &p).expect("frames")[1].clone();
+        assert_eq!(check_frame(&good, RS22, 4, 2), Ok(9));
+        // Not even a header.
         assert!(matches!(
-            unframe(&Bytes::from_static(b"short")),
-            Err(RedError::Mpi(MpiError::TypeMismatch { .. }))
+            check_frame(&good[..16], RS22, 4, 2),
+            Err(RedError::Mpi(MpiError::TypeMismatch {
+                expected: 17,
+                got: 16
+            }))
         ));
+        // Another version's frame, and the frame of another slot.
+        for (version, index) in [(5, 2), (4, 1), (4, 3)] {
+            assert!(
+                matches!(
+                    check_frame(&good, RS22, version, index),
+                    Err(RedError::Codec(CodecError::BadGeometry(_)))
+                ),
+                "version {version}, index {index}"
+            );
+        }
+        // A shard one byte short or long of ceil(9 / 2) = 5, and a recorded
+        // length no 5-byte shards can hold.
+        let shard = &good[HEADER_LEN..];
+        for damaged in [
+            frame(4, 9, 2, &shard[..4]),
+            frame(4, 9, 2, &[shard, &[0]].concat()),
+            frame(4, 11, 2, shard),
+            frame(4, u64::MAX, 2, shard),
+        ] {
+            assert!(
+                matches!(
+                    check_frame(&damaged, RS22, 4, 2),
+                    Err(RedError::Codec(CodecError::ShardSizeMismatch { .. }))
+                ),
+                "{damaged:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn reconstruct_round_trips_and_rejects_senders_that_disagree() {
+        let p = payload(9);
+        let frames = coded_frames(RS22, 4, &p).expect("frames");
+        // Shard 0 died with its owner; any two of the other three do.
+        for lost in 1..4 {
+            let sent: Vec<(usize, Bytes)> = (1..4)
+                .zip(frames.iter().cloned())
+                .filter(|(index, _)| *index != lost)
+                .collect();
+            assert_eq!(reconstruct(RS22, 4, &sent), Ok(p.clone()), "lost {lost}");
+        }
+        // One sender's frame twice: the second is not the shard of its slot.
+        let twice = [(1, frames[0].clone()), (2, frames[0].clone())];
+        assert!(matches!(
+            reconstruct(RS22, 4, &twice),
+            Err(RedError::Codec(CodecError::BadGeometry(_)))
+        ));
+        // Two well-formed frames of payloads of 9 and 10 bytes: both have
+        // 5-byte shards, so only the recorded lengths tell them apart.
+        let other = coded_frames(RS22, 4, &payload(10)).expect("frames");
+        let mixed = [(1, frames[0].clone()), (2, other[1].clone())];
+        assert!(matches!(
+            reconstruct(RS22, 4, &mixed),
+            Err(RedError::Codec(CodecError::BadGeometry(_)))
+        ));
+        // Too few senders is the codec's typed error, not a panic.
+        assert_eq!(
+            reconstruct(RS22, 4, &[(1, frames[0].clone())]),
+            Err(RedError::Codec(CodecError::TooManyErasures {
+                available: 1,
+                needed: 2
+            }))
+        );
+    }
+
+    #[test]
+    fn a_damaged_exchange_turns_the_commit_off_on_every_rank() {
+        use cluster::{Cluster, ClusterConfig, TimeScale};
+        use simmpi::{FaultPlan, Universe, UniverseConfig};
+
+        // Four ranks on four nodes: one RS 2+2 group, rank 0 first in it —
+        // so its frame is the first each peer receives. In the second round
+        // rank 0 plays its side of `store_with` by hand and sends every
+        // peer a well-formed frame of the wrong slot.
+        let cluster = Cluster::new(ClusterConfig {
+            nodes: 4,
+            ranks_per_node: 1,
+            time_scale: TimeScale::instant(),
+            ..ClusterConfig::default()
+        });
+        let plan = Arc::new(FaultPlan::none());
+        let report = Universe::launch(&cluster, UniverseConfig::default(), plan, |ctx| {
+            let store = RedStore::new();
+            let comm = ctx.world().clone();
+            let group = RedundancyGroup::new(Arc::clone(&store), &comm, None);
+            let me = comm.rank();
+            let mine = Bytes::from(payload(300 + me));
+            group.store(0, 1, mine.clone()).expect("round 1 commits");
+
+            let tag = RedundancyGroup::tag(0, 0);
+            if me == 0 {
+                // Shard `i` belongs with rank `i`; send it one further.
+                let frames = coded_frames(RS22, 2, &mine).expect("frames");
+                for (frame, dst) in frames.into_iter().zip([2, 3, 1]) {
+                    comm.send_bytes(dst, tag, frame)?;
+                }
+                for from in 1..4 {
+                    comm.recv_bytes(Some(from), tag)?;
+                }
+                let seq = RedundancyGroup::commit_seq(0, 2);
+                assert_eq!(comm.agree(seq, 1)?.flags & 1, 0, "a peer voted no");
+            } else {
+                // The header check fails before the agreement, so the vote
+                // is no on every rank and round 1 stays the commit.
+                assert!(matches!(
+                    group.store(0, 2, mine.clone()),
+                    Err(RedError::Codec(CodecError::BadGeometry(_)))
+                ));
+                assert_eq!(store.latest_version(0), Some(1));
+            }
+            // Every frame of the damaged round left its mailbox: the next
+            // round matches its own frames and commits.
+            group.store(0, 3, mine).expect("round 3 commits");
+            assert_eq!(store.latest_version(0), Some(3));
+            Ok(())
+        });
+        assert!(report.all_ok(), "{:?}", report.outcomes);
     }
 
     #[test]
@@ -756,12 +977,12 @@ mod tests {
             (0, 1),
             HeldShard {
                 version: 3,
-                index: 1,
-                orig_len: 4,
-                data: Bytes::from_static(b"xy"),
+                wire: Bytes::from(frame(3, 4, 1, b"xy")),
+                offset: HEADER_LEN,
             },
         );
         assert_eq!(s.latest_version(0), Some(3));
+        // The header is not counted: 4 own bytes and a 2-byte shard.
         assert_eq!(s.resident_bytes(), 6);
         s.clear();
         assert_eq!(s.resident_bytes(), 0);

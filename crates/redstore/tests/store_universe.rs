@@ -253,6 +253,50 @@ fn replica_legs_move_the_handle_not_a_copy() {
 }
 
 #[test]
+fn coded_restore_leg_moves_the_handle_not_a_copy() {
+    // RS 2+2 over one group of four. A holder keeps the wire frame it
+    // received on the store leg and, on the restore leg, sends that very
+    // buffer back: no re-framing, no copy. Rank 2 plays the recovering
+    // rank's side of `restore` by hand, because the frames it is sent are
+    // what has to be seen: the layout broadcast, one frame per survivor on
+    // `RedundancyGroup::tag(MEMBER, 1)`, then the collective re-encode,
+    // which is a `store` at the committed version.
+    const RESTORE_TAG: u64 = 0x0200_0000 | 1 << 32 | MEMBER as u64;
+    let held = Arc::new(Mutex::new(Vec::new()));
+    let resent = Arc::new(Mutex::new(Vec::new()));
+    let (h2, r2) = (Arc::clone(&held), Arc::clone(&resent));
+    let report = launch(4, 1, move |ctx| {
+        let store = RedStore::new();
+        let comm = ctx.world().clone();
+        let group = RedundancyGroup::new(Arc::clone(&store), &comm, None);
+        let me = comm.rank();
+        let mine = payload(me, 4096);
+        group.store(MEMBER, 1, mine.clone()).expect("store");
+        comm.barrier()?;
+        if me != 2 {
+            let (version, frame) = store.held(MEMBER, 2).expect("a shard of rank 2's");
+            assert_eq!((version, frame.len()), (1, 17 + 2048));
+            h2.lock().push((me, frame.as_ptr() as usize));
+            group.restore(MEMBER, &[2]).expect("restore");
+        } else {
+            store.clear();
+            comm.bcast_bytes(0, Bytes::new())?;
+            for from in [0, 1, 3] {
+                let (frame, _) = comm.recv_bytes(Some(from), RESTORE_TAG)?;
+                r2.lock().push((from, frame.as_ptr() as usize));
+            }
+            group.store(MEMBER, 1, mine).expect("re-encode");
+        }
+        Ok(())
+    });
+    assert!(report.all_ok(), "{:?}", report.outcomes);
+    let (mut held, resent) = (held.lock().clone(), resent.lock().clone());
+    held.sort_unstable();
+    assert_eq!(held.len(), 3);
+    assert_eq!(held, resent);
+}
+
+#[test]
 fn tampered_buddy_copy_reaches_the_replacement_verbatim() {
     // The chaos hook flips one byte of the copy held for `owner`; the
     // store ships replicas verbatim, so the replacement sees exactly that

@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 
 STAGE_JSON=""
 SMOKE_JSON=""
-CRC_JSON=""
+KERNEL_JSON=""
 CURRENT_STAGE=""
 STAGE_START=0
 
@@ -41,7 +41,7 @@ write_summary() {
   mkdir -p target
   {
     printf '{"ok":%s,"stages":[%s],"scale_smoke":[%s],%s"artifacts":{' \
-      "$([ "$status" -eq 0 ] && echo true || echo false)" "$STAGE_JSON" "$SMOKE_JSON" "$CRC_JSON"
+      "$([ "$status" -eq 0 ] && echo true || echo false)" "$STAGE_JSON" "$SMOKE_JSON" "$KERNEL_JSON"
     printf '"lint_report":"target/lint-report.json",'
     printf '"lint_sarif":"target/lint-report.sarif",'
     printf '"lint_timings":"target/lint-timings.json",'
@@ -207,15 +207,18 @@ begin "bench gate: checkpoint + redundancy + sched + restart"
 # hardware-kernel-beats-slice-by-16 CRC claims). All comparisons run through
 # the tested bench_compare helper; see scripts/bench_gate.sh for knobs. Which
 # kernel serial::crc32 dispatched to on this host and its 1 MiB median go
-# into ci-summary.json as crc_kernel / crc_dispatch_1m_ns.
+# into ci-summary.json as crc_kernel / crc_dispatch_1m_ns, and likewise
+# gf256::mul_acc's as gf256_kernel / gf_mul_acc_1m_ns.
 if [ "${CI_QUICK:-0}" = "1" ]; then
   echo "CI_QUICK=1: skipping benchmark regression gate"
 else
   scripts/bench_gate.sh
-  CRC_JSON=$(sed -n \
+  KERNEL_JSON=$(sed -n \
     -e 's/.*"crc_kernel":"\([a-z0-9]*\)".*/"crc_kernel":"\1",/p' \
     -e 's/.*"name":"crc_dispatch_1m","median_ns":\([0-9]*\).*/"crc_dispatch_1m_ns":\1,/p' \
-    target/BENCH_restart.json | tr -d '\n')
+    -e 's/.*"gf256_kernel":"\([a-z0-9]*\)".*/"gf256_kernel":"\1",/p' \
+    -e 's/.*"name":"gf_mul_acc_1m","min_ns":\([0-9]*\).*/"gf_mul_acc_1m_ns":\1,/p' \
+    target/BENCH_restart.json target/BENCH_redundancy.json | tr -d '\n')
 fi
 end
 
@@ -228,7 +231,9 @@ if cargo miri --version >/dev/null 2>&1; then
   # cfg(miri) (the interpreter does not model the intrinsic): the CRC unit
   # tests then hold the portable path, which is what crc32 dispatches to.
   cargo miri test -p veloc --lib crc32
-
+  # redstore::gf256 does the same with its pshufb kernel: under cfg(miri)
+  # mul_acc is the portable row-table loop, whole lanes included.
+  cargo miri test -p redstore --lib gf256
 else
   echo "cargo-miri not installed; skipping (rustup +nightly component add miri)"
 fi
