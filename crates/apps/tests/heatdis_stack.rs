@@ -165,7 +165,7 @@ fn heatdis_is_decomposition_invariant() {
     // bitwise-identical fields: halo exchange is exact communication, not
     // an approximation.
     use resilience::{Bookkeeper, RankApp};
-    use simmpi::{Profile, Universe, UniverseConfig};
+    use simmpi::{Universe, UniverseConfig};
     use std::sync::Mutex;
 
     let cols = 32;
@@ -181,7 +181,7 @@ fn heatdis_is_decomposition_invariant() {
             Arc::new(FaultPlan::none()),
             |ctx| {
                 let comm = ctx.world().clone();
-                let bk = Bookkeeper::new(Arc::new(Profile::new()));
+                let bk = Bookkeeper::new(Arc::clone(ctx.profile()));
                 let mut st = app.state_for(&comm);
                 for i in 0..iters {
                     st.step(&comm, i, &bk)?;

@@ -7,7 +7,7 @@ use apps::MiniMd;
 use cluster::{Cluster, ClusterConfig, RelaunchModel, TimeScale};
 use kokkos_resilience::{BackendKind, CheckpointFilter, Context, ContextConfig, ViewClass};
 use resilience::{run_experiment, Bookkeeper, ExperimentConfig, IterativeApp, Strategy};
-use simmpi::{FaultPlan, MpiResult, Profile, Universe, UniverseConfig};
+use simmpi::{FaultPlan, MpiResult, Universe, UniverseConfig};
 
 fn cluster(n: usize) -> Cluster {
     let cfg = ClusterConfig {
@@ -51,7 +51,7 @@ fn minimd_runs_and_conserves_energy_roughly() {
         |ctx| {
             let app = MiniMd::new(CELLS, 40);
             let comm = ctx.world().clone();
-            let bk = Bookkeeper::new(Arc::new(Profile::new()));
+            let bk = Bookkeeper::new(Arc::clone(ctx.profile()));
             let mut st = app.state_for(&comm);
             let mut energies = Vec::new();
             for i in 0..40u64 {
@@ -141,7 +141,7 @@ fn minimd_view_inventory_matches_paper_figure7() {
         |ctx| -> MpiResult<()> {
             let app = MiniMd::new(CELLS, 4);
             let comm = ctx.world().clone();
-            let bk = Bookkeeper::new(Arc::new(Profile::new()));
+            let bk = Bookkeeper::new(Arc::clone(ctx.profile()));
             let mut st = app.init_rank(ctx, &comm);
             let kr = Context::new(
                 ctx.cluster(),

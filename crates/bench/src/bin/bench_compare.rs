@@ -14,7 +14,7 @@
 //! malformed artifact), 2 = usage error.
 
 use bench::gate::{self, GateReport};
-use bench::json::Json;
+use telemetry::Json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

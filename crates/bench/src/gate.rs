@@ -17,7 +17,7 @@
 //! Every check returns a [`GateReport`]; the binary prints `lines` to
 //! stdout, `failures` to stderr, and exits nonzero when failures exist.
 
-use crate::json::Json;
+use telemetry::Json;
 
 /// Outcome of one gate check: human-readable progress lines plus the
 /// violations (empty = pass).

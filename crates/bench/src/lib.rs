@@ -1,10 +1,9 @@
 //! Criterion benchmark crate: one bench target per paper table/figure plus
 //! ablation studies. See `benches/`. The library hosts shared helpers and
-//! the tested decision logic behind the CI bench gate ([`gate`], [`json`],
-//! driven by the `bench_compare` binary).
+//! the tested decision logic behind the CI bench gate ([`gate`], driven by
+//! the `bench_compare` binary over `telemetry::Json`).
 
 pub mod gate;
-pub mod json;
 
 use cluster::{Cluster, ClusterConfig, RelaunchModel, TimeScale};
 

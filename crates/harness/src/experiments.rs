@@ -336,7 +336,7 @@ pub fn fig7_stats(cell_sizes: &[usize]) -> Vec<Fig7Row> {
 pub fn fig7_stats_traced(cell_sizes: &[usize], telemetry: Option<Telemetry>) -> Vec<Fig7Row> {
     use kokkos_resilience::{BackendKind, CheckpointFilter, Context, ContextConfig, ViewClass};
     use resilience::{Bookkeeper, RankApp};
-    use simmpi::{Profile, Universe, UniverseConfig};
+    use simmpi::{Universe, UniverseConfig};
 
     cell_sizes
         .iter()
@@ -353,7 +353,7 @@ pub fn fig7_stats_traced(cell_sizes: &[usize], telemetry: Option<Telemetry>) -> 
                 |ctx| {
                     let app = MiniMd::new([n, n, n], 1);
                     let comm = ctx.world().clone();
-                    let bk = Bookkeeper::new(Arc::new(Profile::new()));
+                    let bk = Bookkeeper::new(Arc::clone(ctx.profile()));
                     let mut st = app.state_for(&comm);
                     let kr = Context::new(
                         ctx.cluster(),

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use cluster::Cluster;
 use kokkos::capture::{CaptureSession, Checkpointable};
-use simmpi::{Comm, MpiError, MpiResult, Phase, Profile};
+use simmpi::{Comm, MpiError, MpiResult, Phase};
 use telemetry::{Event, Recorder};
 use veloc::Mode;
 
@@ -110,7 +110,6 @@ pub struct Context {
     /// Communicator ranks that lost their state in the last repair (needed
     /// by peer-storage backends such as IMR to route surviving copies).
     recovering_ranks: RefCell<Vec<usize>>,
-    profile: RefCell<Option<Arc<Profile>>>,
     recorder: RefCell<Recorder>,
 }
 
@@ -149,19 +148,14 @@ impl Context {
             pending_recovery: RefCell::new(HashSet::new()),
             scope: RefCell::new(RecoveryScope::All),
             recovering_ranks: RefCell::new(Vec::new()),
-            profile: RefCell::new(None),
             recorder: RefCell::new(Recorder::disabled()),
         }
     }
 
-    /// Attach a profile; checkpoint and recovery costs are booked to it.
-    pub fn set_profile(&self, profile: Arc<Profile>) {
-        *self.profile.borrow_mut() = Some(profile);
-    }
-
-    /// Attach a telemetry recorder; region lifecycle events
-    /// (enter/capture/commit/restore) are emitted through it, and it is
-    /// forwarded to the data backend for storage-layer events.
+    /// Attach the rank's recorder: checkpoint and recovery costs are booked
+    /// through it, region lifecycle events (enter/capture/commit/restore)
+    /// are emitted through it, and it is forwarded to the data backend for
+    /// storage-layer events.
     pub fn set_recorder(&self, rec: Recorder) {
         self.data.set_recorder(rec.clone());
         *self.recorder.borrow_mut() = rec;
@@ -172,11 +166,7 @@ impl Context {
     }
 
     fn book<T>(&self, phase: Phase, f: impl FnOnce() -> T) -> T {
-        let profile = self.profile.borrow().clone();
-        match profile {
-            Some(p) => p.time(phase, f),
-            None => f(),
-        }
+        self.recorder().time(phase, f)
     }
 
     pub fn backend(&self) -> BackendKind {

@@ -6,8 +6,9 @@
 //! silently accumulated. Keys are `rule-id @ path # function` (no line
 //! numbers, so entries survive unrelated edits).
 
-use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, HashMap};
+
+use telemetry::Json;
 
 /// One finding from one rule.
 #[derive(Clone, Debug)]
@@ -46,61 +47,27 @@ impl Diagnostic {
 
 /// Render all diagnostics plus per-rule counts as a JSON report.
 pub fn render_json(diags: &[Diagnostic], baselined: usize) -> String {
-    let mut counts: HashMap<&str, usize> = HashMap::new();
+    let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
     for d in diags {
         *counts.entry(d.rule).or_insert(0) += 1;
     }
-    let mut counts: Vec<(&str, usize)> = counts.into_iter().collect();
-    counts.sort_unstable();
-
-    let mut out = String::from("{\n  \"findings\": [\n");
-    for (i, d) in diags.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"function\": {}, \"message\": {}}}",
-            json_str(d.rule),
-            json_str(&d.file),
-            d.line,
-            json_str(&d.func),
-            json_str(&d.msg)
-        );
-        out.push_str(if i + 1 < diags.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n  \"counts\": {");
-    for (i, (rule, n)) in counts.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{}: {}", json_str(rule), n);
-    }
-    let _ = write!(
-        out,
-        "}},\n  \"total\": {},\n  \"baselined\": {}\n}}\n",
-        diags.len(),
-        baselined
-    );
-    out
-}
-
-/// Minimal JSON string escaping (ASCII control chars, quote, backslash).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    let findings = diags.iter().map(|d| {
+        Json::obj([
+            ("rule", Json::from(d.rule)),
+            ("file", Json::from(d.file.as_str())),
+            ("line", Json::from(d.line)),
+            ("function", Json::from(d.func.as_str())),
+            ("message", Json::from(d.msg.as_str())),
+        ])
+    });
+    let counts = counts.into_iter().map(|(rule, n)| (rule, Json::from(n)));
+    let report = Json::obj([
+        ("findings", Json::arr(findings)),
+        ("counts", Json::obj(counts)),
+        ("total", Json::from(diags.len())),
+        ("baselined", Json::from(baselined)),
+    ]);
+    report.to_json_pretty() + "\n"
 }
 
 /// A parsed baseline: audited finding keys with justifications.

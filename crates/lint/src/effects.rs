@@ -43,8 +43,10 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
+use telemetry::Json;
+
 use crate::callgraph::{CallGraph, FnId, GraphOpts, Workspace};
-use crate::diag::{json_str, Diagnostic};
+use crate::diag::Diagnostic;
 use crate::lexer::TokKind;
 use crate::parser::{CallKind, FnItem, ParsedFile};
 use crate::rules::{GOVERNOR_FNS, RANK_ENTRY_FNS};
@@ -781,66 +783,48 @@ pub fn check_drift(ws: &Workspace, fx: &EffectAnalysis, opts: GraphOpts) -> Vec<
     out
 }
 
-/// Extract entry keys from a rendered inventory snapshot (our own
-/// writer's format: one `"key": "…"` field per entry).
+/// Entry keys of a rendered inventory snapshot; empty when `text` is not
+/// one (every unsanctioned site then reports as new).
 pub fn snapshot_keys(text: &str) -> HashSet<String> {
-    let mut out = HashSet::new();
-    let mut rest = text;
-    while let Some(pos) = rest.find("\"key\": \"") {
-        rest = &rest[pos + "\"key\": \"".len()..];
-        if let Some(end) = rest.find('"') {
-            out.insert(rest[..end].to_owned());
-            rest = &rest[end..];
-        } else {
-            break;
-        }
-    }
-    out
+    let Ok(doc) = Json::parse(text) else {
+        return HashSet::new();
+    };
+    let entries = doc.get("entries").and_then(Json::as_array);
+    entries
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|e| Some(e.get("key")?.as_str()?.to_owned()))
+        .collect()
 }
 
 /// Render the inventory as JSON (the `--effects` artifact and the
 /// committed snapshot share this format).
 pub fn render_inventory(entries: &[InventoryEntry]) -> String {
-    use std::fmt::Write as _;
+    let rendered = entries.iter().map(|e| {
+        Json::obj([
+            ("key", Json::from(e.key.as_str())),
+            ("file", Json::from(e.file.as_str())),
+            ("line", Json::from(e.line)),
+            ("function", Json::from(e.func.as_str())),
+            (
+                "effects",
+                Json::arr(e.effects.names().into_iter().map(Json::from)),
+            ),
+            ("sanctioned", Json::from(e.is_sanctioned())),
+            ("justification", Json::from(e.justification.as_str())),
+            (
+                "witness",
+                Json::arr(e.witness.iter().map(|w| Json::from(w.as_str()))),
+            ),
+        ])
+    });
     let unsanctioned = entries.iter().filter(|e| !e.is_sanctioned()).count();
-    let mut out = String::from("{\n  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let effects = e
-            .effects
-            .names()
-            .iter()
-            .map(|n| json_str(n))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let witness = e
-            .witness
-            .iter()
-            .map(|w| json_str(w))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = write!(
-            out,
-            "    {{\"key\": {}, \"file\": {}, \"line\": {}, \"function\": {}, \
-             \"effects\": [{}], \"sanctioned\": {}, \"justification\": {}, \
-             \"witness\": [{}]}}",
-            json_str(&e.key),
-            json_str(&e.file),
-            e.line,
-            json_str(&e.func),
-            effects,
-            e.is_sanctioned(),
-            json_str(&e.justification),
-            witness,
-        );
-        out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-    }
-    let _ = write!(
-        out,
-        "  ],\n  \"total\": {},\n  \"unsanctioned\": {}\n}}\n",
-        entries.len(),
-        unsanctioned
-    );
-    out
+    let doc = Json::obj([
+        ("entries", Json::arr(rendered)),
+        ("total", Json::from(entries.len())),
+        ("unsanctioned", Json::from(unsanctioned)),
+    ]);
+    doc.to_json_pretty() + "\n"
 }
 
 #[cfg(test)]

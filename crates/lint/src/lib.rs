@@ -11,10 +11,10 @@
 //!   sites;
 //! - [`callgraph`] — a workspace-wide call graph with heuristic name
 //!   resolution and reachability;
-//! - [`rules`] — the lint rules: six protocol lints encoding the paper's
-//!   resilience invariants plus the three token rules carried over from
-//!   PR 2 (the regex `unwrap-on-recovery-path` rule is superseded by
-//!   `panic-reach` + `dropped-result` and removed);
+//! - [`rules`] — the lint rules: the protocol lints encoding the paper's
+//!   resilience invariants plus the two token rules carried over from
+//!   PR 2 (`unsafe-comment` went once the workspace's clippy denies
+//!   covered every case it caught);
 //! - [`diag`] — human/JSON diagnostics and the justified-baseline format.
 //!
 //! The binary (`cargo run -p lint`) scans the workspace and exits
@@ -31,10 +31,8 @@ pub mod effects;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
-pub mod sarif;
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 pub use callgraph::{CallGraph, GraphOpts, Resolver, Workspace};
 pub use diag::{Baseline, Diagnostic};
@@ -122,15 +120,6 @@ pub fn analyze(ws: &Workspace, opts: GraphOpts) -> Vec<Diagnostic> {
     rules::run_all(ws, opts)
 }
 
-/// Like [`analyze`], but also returns per-pass wall-clock timings for
-/// `--timings` / CI summaries.
-pub fn analyze_timed(
-    ws: &Workspace,
-    opts: GraphOpts,
-) -> (Vec<Diagnostic>, Vec<(&'static str, std::time::Duration)>) {
-    rules::run_all_timed(ws, opts)
-}
-
 /// Pseudo-path a rule's fixtures are analyzed under, placing them in a
 /// crate where the rule's scope applies.
 fn fixture_rel(rule: &str) -> &'static str {
@@ -143,7 +132,7 @@ fn fixture_rel(rule: &str) -> &'static str {
         "lock-order" | "blocking-while-locked" => "crates/simmpi/src/__fixture__.rs",
         "rank-path-effects" | "effect-drift" => "crates/simmpi/src/__fixture__.rs",
         "blocking-in-governor" => "crates/cluster/src/__fixture__.rs",
-        // single-exit, protect-pairing, reset-order, unsafe-comment.
+        // single-exit, protect-pairing, reset-order.
         _ => "crates/resilience/src/__fixture__.rs",
     }
 }
@@ -224,17 +213,13 @@ pub fn self_check(fixture_root: &Path) -> Result<Vec<(&'static str, usize)>, Str
 enum OutFormat {
     Human,
     Json,
-    Sarif,
 }
 
 struct CliOpts {
     root: PathBuf,
     format: OutFormat,
     report: Option<PathBuf>,
-    sarif: Option<PathBuf>,
-    timings: Option<PathBuf>,
     baseline: Option<PathBuf>,
-    trace: Option<PathBuf>,
     effects: Option<PathBuf>,
     mutants: bool,
     self_check: bool,
@@ -245,10 +230,7 @@ fn parse_args() -> Result<CliOpts, String> {
         root: PathBuf::from("."),
         format: OutFormat::Human,
         report: None,
-        sarif: None,
-        timings: None,
         baseline: None,
-        trace: None,
         effects: None,
         mutants: false,
         self_check: false,
@@ -265,15 +247,11 @@ fn parse_args() -> Result<CliOpts, String> {
                 opts.format = match value("--format")?.as_str() {
                     "json" => OutFormat::Json,
                     "human" => OutFormat::Human,
-                    "sarif" => OutFormat::Sarif,
                     other => return Err(format!("unknown format `{other}`")),
                 }
             }
             "--report" => opts.report = Some(PathBuf::from(value("--report")?)),
-            "--sarif" => opts.sarif = Some(PathBuf::from(value("--sarif")?)),
-            "--timings" => opts.timings = Some(PathBuf::from(value("--timings")?)),
             "--baseline" => opts.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--trace" => opts.trace = Some(PathBuf::from(value("--trace")?)),
             "--effects" => opts.effects = Some(PathBuf::from(value("--effects")?)),
             "--mutants" => opts.mutants = true,
             "--self-check" => opts.self_check = true,
@@ -281,24 +259,6 @@ fn parse_args() -> Result<CliOpts, String> {
         }
     }
     Ok(opts)
-}
-
-/// Render per-pass timings as a small JSON object (seconds, 6 decimals).
-fn render_timings(timings: &[(&'static str, std::time::Duration)]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n  \"passes\": {\n");
-    for (i, (name, dur)) in timings.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {}: {:.6}",
-            diag::json_str(name),
-            dur.as_secs_f64()
-        );
-        out.push_str(if i + 1 < timings.len() { ",\n" } else { "\n" });
-    }
-    let total: f64 = timings.iter().map(|(_, d)| d.as_secs_f64()).sum();
-    let _ = write!(out, "  }},\n  \"total_seconds\": {total:.6}\n}}\n");
-    out
 }
 
 /// Entry point for the `lint` binary. Exit codes: 0 clean, 1 findings or
@@ -309,9 +269,8 @@ pub fn cli_main() {
         Err(e) => {
             eprintln!("lint: {e}");
             eprintln!(
-                "usage: lint [--root DIR] [--format human|json|sarif] [--report PATH] \
-                 [--sarif PATH] [--timings PATH] [--baseline PATH] [--trace PATH] \
-                 [--effects PATH] [--mutants] [--self-check]"
+                "usage: lint [--root DIR] [--format human|json] [--report PATH] \
+                 [--baseline PATH] [--effects PATH] [--mutants] [--self-check]"
             );
             std::process::exit(2);
         }
@@ -334,36 +293,17 @@ pub fn cli_main() {
         return;
     }
 
-    // Telemetry: the analysis runs under a StaticAnalysis span and books
-    // per-rule finding counts, so lint cost shows up in the same trace
-    // tooling as the runtime layers.
-    let tel = telemetry::Telemetry::new(telemetry::TelemetryConfig::default());
-    let acc = Arc::new(telemetry::PhaseAccumulator::new());
-    let rec = tel.recorder(0, Arc::clone(&acc));
-
     let graph_opts = GraphOpts {
         include_mutants: opts.mutants,
     };
-    let outcome = rec.time(telemetry::Phase::StaticAnalysis, || {
-        let ws = load_workspace(&opts.root)?;
-        let (diags, timings) = analyze_timed(&ws, graph_opts);
-        Ok::<_, std::io::Error>((ws, diags, timings))
-    });
-    let (ws, diags, timings) = match outcome {
-        Ok(v) => v,
+    let ws = match load_workspace(&opts.root) {
+        Ok(ws) => ws,
         Err(e) => {
             eprintln!("lint: failed to read workspace: {e}");
             std::process::exit(2);
         }
     };
-    let files_scanned = ws.files.len();
-    for &rule in rules::ALL_RULES {
-        let n = diags.iter().filter(|d| d.rule == rule).count() as u64;
-        tel.metrics().counter(&format!("lint.{rule}")).add(n);
-    }
-    tel.metrics()
-        .counter("lint.files_scanned")
-        .add(files_scanned as u64);
+    let diags = analyze(&ws, graph_opts);
 
     let baseline_path = opts
         .baseline
@@ -419,12 +359,6 @@ pub fn cli_main() {
             diag::render_json(&active, baselined.len()),
         );
     }
-    if let Some(path) = &opts.sarif {
-        write_out(path, "sarif log", sarif::render(&active));
-    }
-    if let Some(path) = &opts.timings {
-        write_out(path, "timings", render_timings(&timings));
-    }
     if let Some(path) = &opts.effects {
         let fx = effects::EffectAnalysis::run(&ws, graph_opts);
         let inventory = fx.inventory(&ws, graph_opts);
@@ -434,27 +368,18 @@ pub fn cli_main() {
             effects::render_inventory(&inventory),
         );
     }
-    if let Some(trace) = &opts.trace {
-        let snap = tel.snapshot();
-        if let Err(e) = telemetry::export::write_jsonl(trace, &snap) {
-            eprintln!("lint: cannot write trace {}: {e}", trace.display());
-        }
-    }
 
     match opts.format {
         OutFormat::Json => print!("{}", diag::render_json(&active, baselined.len())),
-        OutFormat::Sarif => print!("{}", sarif::render(&active)),
         OutFormat::Human => {
             for d in &active {
                 println!("{}", d.render_human());
             }
-            let spent = acc.get(telemetry::Phase::StaticAnalysis);
             println!(
-                "lint: {} finding(s), {} baselined, {} files scanned in {:?}{}",
+                "lint: {} finding(s), {} baselined, {} files scanned{}",
                 active.len(),
                 baselined.len(),
-                files_scanned,
-                spent,
+                ws.files.len(),
                 if opts.mutants { " [mutants]" } else { "" },
             );
         }

@@ -2,9 +2,8 @@
 //!
 //! Rules come in two generations:
 //!
-//! - **token rules** ([`tokens`]): `unsafe-comment`, `relaxed-sync`, and
-//!   `thread-spawn`, ported from the PR 2 regex scanner onto the lossless
-//!   token stream;
+//! - **token rules** ([`tokens`]): `relaxed-sync` and `thread-spawn`,
+//!   ported from the PR 2 regex scanner onto the lossless token stream;
 //! - **protocol rules**: the paper's resilience invariants, checked over
 //!   the parsed items, the workspace call graph, and an intra-procedural
 //!   dataflow pass — [`single_exit`], [`pairing`], [`reset_order`],
@@ -172,7 +171,6 @@ pub const ALL_RULES: &[&str] = &[
     "dropped-result",
     "panic-reach",
     "wildcard-match",
-    "unsafe-comment",
     "relaxed-sync",
     "thread-spawn",
     "protocol-typestate",
@@ -184,88 +182,6 @@ pub const ALL_RULES: &[&str] = &[
     "effect-drift",
 ];
 
-/// One-line rule descriptions, rendered as SARIF `shortDescription` and
-/// kept in lockstep with [`ALL_RULES`] (a unit test enforces the pairing).
-pub const RULE_META: &[(&str, &str)] = &[
-    (
-        "single-exit",
-        "A protected region must leave through exactly one success exit",
-    ),
-    (
-        "protect-pairing",
-        "Every protect() needs its matching unprotect() on all paths",
-    ),
-    (
-        "reset-order",
-        "Context::reset must precede metadata reads after a failure",
-    ),
-    (
-        "delta-base-reset",
-        "Delta chains must re-base after a restore or membership change",
-    ),
-    (
-        "dropped-result",
-        "A Result on a recovery path must be consumed, not dropped",
-    ),
-    (
-        "panic-reach",
-        "No panic site may be reachable from a recovery entry point",
-    ),
-    (
-        "wildcard-match",
-        "Failure-enum matches must be exhaustive, no catch-all arms",
-    ),
-    (
-        "unsafe-comment",
-        "Every unsafe needs a SAFETY comment within ten lines",
-    ),
-    (
-        "relaxed-sync",
-        "Ordering::Relaxed is forbidden on synchronization-carrying atomics",
-    ),
-    (
-        "thread-spawn",
-        "Model-checked crates must spawn through the loom-aware shims",
-    ),
-    (
-        "protocol-typestate",
-        "Checkpoint/capture/ULFM call sequences must follow their automata",
-    ),
-    (
-        "collective-match",
-        "Collectives must be invoked uniformly across rank-dependent branches",
-    ),
-    (
-        "lock-order",
-        "Workspace lock acquisition order must stay acyclic",
-    ),
-    (
-        "blocking-while-locked",
-        "No blocking call while holding a lock guard",
-    ),
-    (
-        "rank-path-effects",
-        "No wall-clock, nondeterminism, or thread spawns reachable from rank entry points",
-    ),
-    (
-        "blocking-in-governor",
-        "No blocking inside bandwidth-governor math or telemetry export callbacks",
-    ),
-    (
-        "effect-drift",
-        "Unsanctioned effect sites on the rank path must match the committed inventory",
-    ),
-];
-
-/// The one-line description for a rule id (`""` for unknown ids).
-pub fn rule_short(id: &str) -> &'static str {
-    RULE_META
-        .iter()
-        .find(|(r, _)| *r == id)
-        .map(|(_, d)| *d)
-        .unwrap_or("")
-}
-
 pub fn in_crates(krate: &str, list: &[&str]) -> bool {
     list.contains(&krate)
 }
@@ -273,62 +189,30 @@ pub fn in_crates(krate: &str, list: &[&str]) -> bool {
 /// Run every rule over the workspace. `include_mutants` lets the seeded
 /// `lint-mutants` violations into the call graph.
 pub fn run_all(ws: &Workspace, opts: GraphOpts) -> Vec<Diagnostic> {
-    run_all_timed(ws, opts).0
-}
-
-/// Like [`run_all`], but also returns per-pass wall-clock timings (one
-/// entry per analysis pass; the token pass covers its three rule ids and
-/// the lock pass covers `lock-order` + `blocking-while-locked`).
-pub fn run_all_timed(
-    ws: &Workspace,
-    opts: GraphOpts,
-) -> (Vec<Diagnostic>, Vec<(&'static str, std::time::Duration)>) {
     let resolver = Resolver::new(ws, opts);
-    let mut diags: Vec<Diagnostic> = Vec::new();
-    let mut timings: Vec<(&'static str, std::time::Duration)> = Vec::new();
     // The call graph and the effect summaries over it are shared by the
-    // reachability and effect rules; building them gets its own timing
-    // entry so the per-rule numbers stay honest.
-    let t0 = std::time::Instant::now();
+    // reachability and effect rules.
     let fx = crate::effects::EffectAnalysis::run(ws, opts);
     let graph = &fx.graph;
-    timings.push(("effects-infer", t0.elapsed()));
-    {
-        let mut pass = |name: &'static str, f: &mut dyn FnMut() -> Vec<Diagnostic>| {
-            let t0 = std::time::Instant::now();
-            let out = f();
-            timings.push((name, t0.elapsed()));
-            diags.extend(out);
-        };
-        pass("single-exit", &mut || single_exit::check(ws, graph));
-        pass("protect-pairing", &mut || pairing::check(ws, graph));
-        pass("reset-order", &mut || reset_order::check(ws));
-        pass("delta-base-reset", &mut || {
-            delta_base_reset::check(ws, graph, opts)
-        });
-        pass("dropped-result", &mut || {
-            dropped_result::check(ws, &resolver)
-        });
-        pass("panic-reach", &mut || panic_reach::check(ws, graph, opts));
-        pass("wildcard-match", &mut || wildcard::check(ws));
-        pass("tokens", &mut || tokens::check(ws));
-        pass("protocol-typestate", &mut || {
-            typestate::check(ws, &resolver, opts)
-        });
-        pass("collective-match", &mut || {
-            collective_match::check(ws, &resolver, opts)
-        });
-        pass("lock-order", &mut || lockorder::check(ws, &resolver, opts));
-        pass("rank-path-effects", &mut || {
-            crate::effects::check_rank_path(ws, &fx, opts)
-        });
-        pass("blocking-in-governor", &mut || {
-            crate::effects::check_governor(ws, &fx, opts)
-        });
-        pass("effect-drift", &mut || {
-            crate::effects::check_drift(ws, &fx, opts)
-        });
-    }
+    let mut diags: Vec<Diagnostic> = [
+        single_exit::check(ws, graph),
+        pairing::check(ws, graph),
+        reset_order::check(ws),
+        delta_base_reset::check(ws, graph, opts),
+        dropped_result::check(ws, &resolver),
+        panic_reach::check(ws, graph, opts),
+        wildcard::check(ws),
+        tokens::check(ws),
+        typestate::check(ws, &resolver, opts),
+        collective_match::check(ws, &resolver, opts),
+        lockorder::check(ws, &resolver, opts),
+        crate::effects::check_rank_path(ws, &fx, opts),
+        crate::effects::check_governor(ws, &fx, opts),
+        crate::effects::check_drift(ws, &fx, opts),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
     // Stable order, then full-tuple dedupe: a call that resolves to several
     // candidates can report one site twice (same rule, site, and message) —
     // one finding must survive, not two. The key() tuple is not enough
@@ -357,5 +241,5 @@ pub fn run_all_timed(
             && a.func == b.func
             && a.msg == b.msg
     });
-    (diags, timings)
+    diags
 }

@@ -3,10 +3,6 @@
 //! and `relaxed-sync` reasons over the enclosing *statement* instead of a
 //! single source line.
 //!
-//! - `unsafe-comment`: every `unsafe` keyword needs a `SAFETY` comment
-//!   within the ten preceding lines (mirrors the workspace-level
-//!   `undocumented_unsafe_blocks` clippy deny, but also covers `unsafe
-//!   impl`/`unsafe fn` in fixtures and non-clippy builds);
 //! - `relaxed-sync`: `Ordering::Relaxed` in a statement that touches a
 //!   synchronization-carrying atomic (`seq`, `head`, `stop`, …) outside
 //!   the audited seqlock file;
@@ -23,39 +19,10 @@ use crate::rules::{in_crates, AUDITED_RELAXED, MODEL_CHECKED_CRATES, SYNC_ATOMIC
 pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for file in &ws.files {
-        unsafe_comment(file, &mut out);
         relaxed_sync(file, &mut out);
         thread_spawn(file, &mut out);
     }
     out
-}
-
-fn unsafe_comment(file: &ParsedFile, out: &mut Vec<Diagnostic>) {
-    for si in 0..file.sig.len() {
-        if file.tok(si).kind != TokKind::Ident || file.text(si) != "unsafe" {
-            continue;
-        }
-        let line = file.line(si);
-        let documented = file.lexed.toks.iter().any(|t| {
-            matches!(t.kind, TokKind::LineComment | TokKind::BlockComment)
-                && t.line + 10 >= line
-                && t.line <= line
-                && {
-                    let text = &file.lexed.src[t.start..t.end];
-                    text.contains("SAFETY") || text.contains("Safety")
-                }
-        });
-        if !documented {
-            let func = file.fn_at(si).map(|f| f.qual()).unwrap_or_default();
-            out.push(Diagnostic {
-                rule: "unsafe-comment",
-                file: file.rel.clone(),
-                line,
-                func,
-                msg: "`unsafe` without a SAFETY comment in the preceding 10 lines".into(),
-            });
-        }
-    }
 }
 
 fn relaxed_sync(file: &ParsedFile, out: &mut Vec<Diagnostic>) {

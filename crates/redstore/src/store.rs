@@ -550,14 +550,26 @@ impl<'a> RedundancyGroup<'a> {
                 .record(t0.elapsed().as_nanos() as u64);
         }
 
-        // Sends first (buffered by the simulator), then receives.
+        // Sends first (buffered by the simulator), then receives. Every
+        // send is attempted even after one failed: a live peer that never
+        // got its frame would wait for it in its receive loop while this
+        // rank waits for that peer in the commit agreement. With every
+        // frame delivered, each receive completes or names a dead source.
         let mut sent_bytes = 0u64;
+        let mut send_failed = None;
         for (dst, shard_len, wire) in outgoing {
-            sent_bytes += shard_len as u64;
-            self.comm.send_bytes(dst, Self::tag(member, 0), wire)?;
+            match self.comm.send_bytes(dst, Self::tag(member, 0), wire) {
+                Ok(()) => sent_bytes += shard_len as u64,
+                Err(e) => {
+                    send_failed.get_or_insert(e);
+                }
+            }
         }
         if let Some(m) = recorder.metrics() {
             m.counter("redstore.exchange_bytes").add(sent_bytes);
+        }
+        if let Some(e) = send_failed {
+            return Err(e.into());
         }
 
         let mut held = Vec::new();
@@ -966,6 +978,59 @@ mod tests {
             Ok(())
         });
         assert!(report.all_ok(), "{:?}", report.outcomes);
+    }
+
+    #[test]
+    fn a_peer_dying_between_two_ranks_sends_fails_the_store_everywhere() {
+        use cluster::{Cluster, ClusterConfig};
+        use simmpi::{Backend, FaultPlan, Universe, UniverseConfig};
+
+        // One RS 2+2 group on four nodes. Rank 3 dies after rank 0's sends
+        // have all landed and before rank 1 or 2 has sent anything: rank 0
+        // is already receiving when the others meet a failed send. Each
+        // of them must still send rank 0 its frame, or rank 0 waits for it
+        // while they wait for rank 0 in the commit agreement.
+        let cluster = Cluster::new(ClusterConfig {
+            nodes: 4,
+            ranks_per_node: 1,
+            virtual_time: true,
+            ..ClusterConfig::default()
+        });
+        let config = UniverseConfig {
+            backend: Backend::Des { seed: 3 },
+            ..UniverseConfig::default()
+        };
+        let plan = Arc::new(FaultPlan::none());
+        let report = Universe::launch(&cluster, config, plan, |ctx| {
+            let store = RedStore::new();
+            let comm = ctx.world().clone();
+            let group = RedundancyGroup::new(Arc::clone(&store), &comm, None);
+            let me = comm.rank();
+            const GATE: u64 = 77;
+            match me {
+                0 => {}
+                3 => {
+                    comm.recv_bytes(Some(0), RedundancyGroup::tag(0, 0))?;
+                    return Err(ctx.die());
+                }
+                _ => assert!(matches!(
+                    comm.recv_bytes(Some(3), GATE),
+                    Err(MpiError::ProcFailed { .. })
+                )),
+            }
+            let stored = group.store(0, 1, Bytes::from(payload(300 + me)));
+            assert!(
+                matches!(stored, Err(RedError::Mpi(MpiError::ProcFailed { .. }))),
+                "rank {me}: {stored:?}"
+            );
+            assert_eq!(store.latest_version(0), None);
+            Ok(())
+        });
+        assert!(!report.aborted, "the survivors deadlocked");
+        assert_eq!(report.killed_ranks(), vec![3]);
+        for o in &report.outcomes[..3] {
+            assert_eq!(o.result, Ok(()), "rank {}", o.rank);
+        }
     }
 
     #[test]

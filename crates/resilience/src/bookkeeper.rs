@@ -9,22 +9,23 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use simmpi::{Phase, Profile};
+use simmpi::Phase;
+use telemetry::Recorder;
 
-/// Per-rank phase booking façade.
+/// Per-rank phase booking façade over the rank's recorder
+/// (`RankCtx::profile`).
 pub struct Bookkeeper {
-    profile: Arc<Profile>,
+    recorder: Arc<Recorder>,
     recompute: AtomicBool,
     /// Encoded `Option<Phase>`: 0 = none, else `phase as u8 + 1`.
     override_phase: std::sync::atomic::AtomicU8,
 }
 
 impl Bookkeeper {
-    pub fn new(profile: Arc<Profile>) -> Self {
+    pub fn new(recorder: Arc<Recorder>) -> Self {
         Bookkeeper {
-            profile,
+            recorder,
             recompute: AtomicBool::new(false),
             override_phase: std::sync::atomic::AtomicU8::new(0),
         }
@@ -45,10 +46,6 @@ impl Bookkeeper {
             // as "no override" rather than indexing past `ALL`.
             n => Phase::ALL.get((n - 1) as usize).copied(),
         }
-    }
-
-    pub fn profile(&self) -> &Arc<Profile> {
-        &self.profile
     }
 
     /// Enable/disable recompute rerouting.
@@ -78,106 +75,95 @@ impl Bookkeeper {
 
     /// Time `f` and book it under `phase` (or `Recompute` when rerouting).
     pub fn book<T>(&self, phase: Phase, f: impl FnOnce() -> T) -> T {
-        self.profile.time(self.route(phase), f)
-    }
-
-    /// Book an externally measured duration.
-    pub fn add(&self, phase: Phase, d: Duration) {
-        self.profile.add(self.route(phase), d);
+        self.recorder.time(self.route(phase), f)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    fn bookkeeper() -> Bookkeeper {
+        Bookkeeper::new(Arc::new(Recorder::disabled()))
+    }
 
     #[test]
     fn phase_override_reroutes_and_ignores_corrupt_encodings() {
-        let bk = Bookkeeper::new(Arc::new(Profile::new()));
+        let bk = bookkeeper();
         bk.set_phase_override(Some(Phase::DataRecovery));
-        bk.add(Phase::AppCompute, Duration::from_millis(2));
-        assert_eq!(
-            bk.profile().get(Phase::DataRecovery),
-            Duration::from_millis(2)
-        );
+        assert_eq!(bk.route(Phase::AppCompute), Phase::DataRecovery);
         // A corrupt encoding decodes as "no override", not an out-of-range
         // index into `Phase::ALL`.
         bk.override_phase.store(200, Ordering::Relaxed);
-        bk.add(Phase::AppCompute, Duration::from_millis(1));
-        assert_eq!(
-            bk.profile().get(Phase::AppCompute),
-            Duration::from_millis(1)
-        );
+        assert_eq!(bk.route(Phase::AppCompute), Phase::AppCompute);
     }
 
     #[test]
     fn books_to_named_phase_by_default() {
-        let bk = Bookkeeper::new(Arc::new(Profile::new()));
-        bk.add(Phase::AppCompute, Duration::from_millis(5));
-        assert_eq!(
-            bk.profile().get(Phase::AppCompute),
-            Duration::from_millis(5)
-        );
-        assert_eq!(bk.profile().get(Phase::Recompute), Duration::ZERO);
+        let bk = bookkeeper();
+        for phase in Phase::ALL {
+            assert_eq!(bk.route(phase), phase);
+        }
     }
 
     #[test]
     fn recompute_mode_reroutes_app_phases() {
-        let bk = Bookkeeper::new(Arc::new(Profile::new()));
+        let bk = bookkeeper();
         bk.set_recompute(true);
-        bk.add(Phase::AppCompute, Duration::from_millis(3));
-        bk.add(Phase::AppMpi, Duration::from_millis(2));
-        bk.add(Phase::ForceCompute, Duration::from_millis(1));
-        assert_eq!(bk.profile().get(Phase::Recompute), Duration::from_millis(6));
-        assert_eq!(bk.profile().get(Phase::AppCompute), Duration::ZERO);
+        for phase in [Phase::AppCompute, Phase::AppMpi, Phase::ForceCompute] {
+            assert_eq!(bk.route(phase), Phase::Recompute);
+        }
     }
 
     #[test]
     fn resilience_phases_keep_identity_during_recompute() {
-        let bk = Bookkeeper::new(Arc::new(Profile::new()));
+        let bk = bookkeeper();
         bk.set_recompute(true);
-        bk.add(Phase::CheckpointFn, Duration::from_millis(4));
-        bk.add(Phase::DataRecovery, Duration::from_millis(2));
-        assert_eq!(
-            bk.profile().get(Phase::CheckpointFn),
-            Duration::from_millis(4)
-        );
-        assert_eq!(
-            bk.profile().get(Phase::DataRecovery),
-            Duration::from_millis(2)
-        );
-        assert_eq!(bk.profile().get(Phase::Recompute), Duration::ZERO);
+        for phase in [
+            Phase::CheckpointFn,
+            Phase::DataRecovery,
+            Phase::ResilienceInit,
+        ] {
+            assert_eq!(bk.route(phase), phase);
+        }
     }
 
     #[test]
     fn phase_override_reroutes_everything() {
-        let bk = Bookkeeper::new(Arc::new(Profile::new()));
+        let bk = bookkeeper();
         bk.set_phase_override(Some(Phase::DataRecovery));
-        bk.add(Phase::AppCompute, Duration::from_millis(3));
-        bk.add(Phase::CheckpointFn, Duration::from_millis(2));
-        assert_eq!(
-            bk.profile().get(Phase::DataRecovery),
-            Duration::from_millis(5)
-        );
+        assert_eq!(bk.route(Phase::AppCompute), Phase::DataRecovery);
+        assert_eq!(bk.route(Phase::CheckpointFn), Phase::DataRecovery);
         bk.set_phase_override(None);
-        bk.add(Phase::AppCompute, Duration::from_millis(1));
-        assert_eq!(
-            bk.profile().get(Phase::AppCompute),
-            Duration::from_millis(1)
-        );
+        assert_eq!(bk.route(Phase::AppCompute), Phase::AppCompute);
     }
 
     #[test]
     fn mode_toggles() {
-        let bk = Bookkeeper::new(Arc::new(Profile::new()));
+        let bk = bookkeeper();
         assert!(!bk.is_recompute());
         bk.set_recompute(true);
         assert!(bk.is_recompute());
         bk.set_recompute(false);
-        bk.add(Phase::AppCompute, Duration::from_millis(1));
-        assert_eq!(
-            bk.profile().get(Phase::AppCompute),
-            Duration::from_millis(1)
-        );
+        assert_eq!(bk.route(Phase::AppCompute), Phase::AppCompute);
+    }
+
+    #[test]
+    fn book_times_the_routed_phase_on_the_recorders_clock() {
+        use std::sync::atomic::AtomicU64;
+        use telemetry::TimeSource;
+
+        let now = Arc::new(AtomicU64::new(0));
+        let read = Arc::clone(&now);
+        let time = TimeSource::External(Arc::new(move || read.load(Ordering::Relaxed)));
+        let recorder = Arc::new(Recorder::phases_only(time));
+        let bk = Bookkeeper::new(Arc::clone(&recorder));
+        bk.set_recompute(true);
+        let out = bk.book(Phase::AppCompute, || now.fetch_add(6, Ordering::Relaxed));
+        assert_eq!(out, 0);
+        let phases = recorder.phases().expect("enabled");
+        assert_eq!(phases.get(Phase::Recompute), Duration::from_nanos(6));
+        assert_eq!(phases.get(Phase::AppCompute), Duration::ZERO);
     }
 }

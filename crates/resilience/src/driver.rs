@@ -8,12 +8,12 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
 use cluster::Cluster;
 use redstore::RedundancyMode;
-use simmpi::{Backend, FaultPlan, MpiError, Profile, Universe, UniverseConfig};
-use telemetry::Telemetry;
+use simmpi::{Backend, FaultPlan, MpiError, Universe, UniverseConfig};
+use telemetry::{Phase, PhaseAccumulator, Telemetry};
 
 use crate::app::IterativeApp;
 use crate::record::{CostBreakdown, RunRecord};
@@ -135,22 +135,20 @@ pub fn try_run_experiment(
     let shared = SharedState::default();
     let failures = plan.kills().len();
     let n = cluster.topology().total_ranks();
-    // On a virtual-time cluster the driver itself must not sleep: modeled
-    // teardown/startup charges advance the simulated clock, and the wall
-    // time reported is simulated-job time.
-    let virtual_clock = cluster
-        .clock()
-        .is_virtual()
-        .then(|| cluster.clock().clone());
-    let _driver_sleeper = virtual_clock.as_ref().map(|clock| {
+    // The wall time reported is a difference on the cluster clock, the one
+    // the ranks' phase costs are read from. When that clock is virtual the
+    // driver itself must not sleep: modeled teardown/startup charges
+    // advance it instead.
+    let clock = cluster.clock();
+    let _driver_sleeper = clock.is_virtual().then(|| {
         let clock = Arc::clone(clock);
-        cluster::install_virtual_sleeper(Arc::new(move |modeled: std::time::Duration| {
+        cluster::install_virtual_sleeper(Arc::new(move |modeled: Duration| {
             clock.advance(modeled.as_nanos().min(u128::from(u64::MAX)) as u64);
         }))
     });
-    let t0 = Instant::now();
-    let start_ns = virtual_clock.as_ref().map(|c| c.now_ns());
-    let merged = Profile::new();
+    let start_ns = clock.now_ns();
+    // Each rank's phase costs, summed over the launches it ran in.
+    let per_rank: Vec<PhaseAccumulator> = (0..n).map(|_| PhaseAccumulator::new()).collect();
     let mut relaunches = 0usize;
 
     // Fenix strategies recover in place: the one launch either completes
@@ -179,7 +177,11 @@ pub fn try_run_experiment(
                 )
             },
         );
-        merged.merge_from(&report.max_profile());
+        for o in &report.outcomes {
+            if let Some(phases) = o.recorder.phases() {
+                per_rank[o.rank].merge_from(phases);
+            }
+        }
         if in_place {
             for o in &report.outcomes {
                 match &o.result {
@@ -212,17 +214,19 @@ pub fn try_run_experiment(
             .sleep(cluster.config().relaunch.teardown(n));
     }
 
-    let wall = match (&virtual_clock, start_ns) {
-        (Some(clock), Some(ns)) => {
-            std::time::Duration::from_nanos(clock.now_ns().saturating_sub(ns))
-        }
-        _ => t0.elapsed(),
-    };
+    let wall = Duration::from_nanos(clock.now_ns().saturating_sub(start_ns));
+    // Critical-path view, matching a wall-clock measurement: per phase, the
+    // rank that spent the most in it.
+    let slowest = |phase| per_rank.iter().map(|r| r.get(phase)).max();
+    let phases: Vec<(Phase, Duration)> = Phase::ALL
+        .iter()
+        .map(|&phase| (phase, slowest(phase).unwrap_or_default()))
+        .collect();
     Ok(RunRecord {
         strategy: cfg.strategy,
         ranks: n,
         wall,
-        breakdown: CostBreakdown::from_profile(&merged, wall),
+        breakdown: CostBreakdown::from_phases(&phases, wall),
         relaunches,
         repairs: shared.repairs.load(Ordering::Relaxed),
         failures,

@@ -22,7 +22,7 @@ use fenix::{ExhaustPolicy, Fenix, FenixConfig, Role, RunSummary};
 use kokkos_resilience::{
     CheckpointFilter, CheckpointOutcome, Context, ContextConfig, RecoveryScope,
 };
-use simmpi::{Comm, MpiError, MpiResult, Phase, Profile, RankCtx};
+use simmpi::{Comm, MpiError, MpiResult, Phase, RankCtx};
 
 use crate::redstore_backend::RedstoreBackend;
 
@@ -168,11 +168,10 @@ where
     };
     let kr_cell: RefCell<Option<Context>> = RefCell::new(None);
     let red_store = redstore::RedStore::new();
-    let profile: Arc<Profile> = Arc::clone(ctx.profile());
 
     let summary = fenix::run(ctx.world(), fenix_cfg, |fx, comm, role| {
         if kr_cell.borrow().is_none() {
-            let kr = profile.time(Phase::ResilienceInit, || {
+            let kr = ctx.recorder().time(Phase::ResilienceInit, || {
                 let kr_config = ContextConfig {
                     name: config.name.clone(),
                     filter: config.filter.clone(),
@@ -190,7 +189,6 @@ where
                     ),
                 }
             });
-            kr.set_profile(Arc::clone(&profile));
             kr.set_recorder(ctx.recorder().clone());
             *kr_cell.borrow_mut() = Some(kr);
         } else {

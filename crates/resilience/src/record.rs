@@ -2,13 +2,12 @@
 
 use std::time::Duration;
 
-use simmpi::{Phase, Profile};
-use telemetry::PhaseAccumulator;
+use simmpi::Phase;
 
 use crate::strategy::Strategy;
 
 /// Aggregated cost breakdown for one run, in the paper's categories.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CostBreakdown {
     pub app_compute: Duration,
     pub app_mpi: Duration,
@@ -26,22 +25,8 @@ pub struct CostBreakdown {
 }
 
 impl CostBreakdown {
-    /// Build from a critical-path profile plus the measured wall time.
-    /// Reads only the shim's span-data snapshot, so any accumulator a
-    /// telemetry recorder books into (spans, `Profile::time`, direct adds)
-    /// feeds the same breakdown.
-    pub fn from_profile(profile: &Profile, wall: Duration) -> Self {
-        Self::from_phases(&profile.snapshot(), wall)
-    }
-
-    /// Build from a raw telemetry accumulator (e.g. a per-rank exclusive-time
-    /// accumulator from `Telemetry::exclusive_phases`).
-    pub fn from_accumulator(acc: &PhaseAccumulator, wall: Duration) -> Self {
-        Self::from_phases(&acc.snapshot(), wall)
-    }
-
-    /// Build from `(phase, duration)` span totals plus the measured wall
-    /// time — the common core of the profile/accumulator constructors.
+    /// Build from critical-path `(phase, duration)` span totals plus the
+    /// wall time measured on the same clock.
     pub fn from_phases(phases: &[(Phase, Duration)], wall: Duration) -> Self {
         let get = |want: Phase| -> Duration {
             phases
@@ -146,34 +131,22 @@ mod tests {
 
     #[test]
     fn other_is_wall_minus_accounted() {
-        let p = Profile::new();
-        p.add(Phase::AppCompute, Duration::from_millis(60));
-        p.add(Phase::CheckpointFn, Duration::from_millis(15));
-        let b = CostBreakdown::from_profile(&p, Duration::from_millis(100));
+        let phases = [
+            (Phase::AppCompute, Duration::from_millis(60)),
+            (Phase::CheckpointFn, Duration::from_millis(15)),
+        ];
+        let b = CostBreakdown::from_phases(&phases, Duration::from_millis(100));
+        assert_eq!(b.app_compute, Duration::from_millis(60));
+        assert_eq!(b.checkpoint_fn, Duration::from_millis(15));
         assert_eq!(b.other, Duration::from_millis(25));
         assert_eq!(b.total(), Duration::from_millis(100));
     }
 
     #[test]
     fn other_saturates_when_profiles_overlap_wall() {
-        let p = Profile::new();
-        p.add(Phase::AppCompute, Duration::from_millis(150));
-        let b = CostBreakdown::from_profile(&p, Duration::from_millis(100));
+        let phases = [(Phase::AppCompute, Duration::from_millis(150))];
+        let b = CostBreakdown::from_phases(&phases, Duration::from_millis(100));
         assert_eq!(b.other, Duration::ZERO);
-    }
-
-    #[test]
-    fn from_phases_matches_from_profile() {
-        let p = Profile::new();
-        p.add(Phase::AppCompute, Duration::from_millis(40));
-        p.add(Phase::DataRecovery, Duration::from_millis(10));
-        let wall = Duration::from_millis(70);
-        let a = CostBreakdown::from_profile(&p, wall);
-        let b = CostBreakdown::from_phases(&p.snapshot(), wall);
-        assert_eq!(a.app_compute, b.app_compute);
-        assert_eq!(a.data_recovery, b.data_recovery);
-        assert_eq!(a.other, b.other);
-        assert_eq!(b.other, Duration::from_millis(20));
     }
 
     #[test]

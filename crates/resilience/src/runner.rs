@@ -140,7 +140,6 @@ pub fn run_rank(
                     },
                 )
             });
-            kr.set_profile(Arc::clone(ctx.profile()));
             kr.set_recorder(ctx.recorder().clone());
             run.kr(world, None, &kr)?;
             kr.checkpoint_wait();

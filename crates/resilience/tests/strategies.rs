@@ -2,8 +2,10 @@
 //! failure-free equivalence, recovery correctness per strategy, and
 //! partial-rollback convergence.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::Bytes;
 use cluster::{Cluster, ClusterConfig, RelaunchModel, TimeScale};
@@ -14,6 +16,7 @@ use resilience::{
     IterativeApp, RankApp, RunMode, RunRecord, Strategy,
 };
 use simmpi::{Backend, Comm, FaultPlan, MpiResult, Phase, RankCtx};
+use telemetry::{Event, Telemetry, TelemetryConfig, TimeSource, TraceSnapshot};
 
 /// A deterministic 1-D diffusion on a ring: each rank owns `cells` values;
 /// every step exchanges edge values with both neighbors and relaxes toward
@@ -166,10 +169,9 @@ fn reference_digest(active_ranks: usize, iters: u64) -> u64 {
 /// Iterations of the DES shape: versions at 4, 9, …, 29.
 const DES_ITERS: u64 = 30;
 
-/// One run on the small deterministic shape: 4 active ranks (plus a spare
-/// under Fenix) on a virtual-time cluster under the DES engine at a fixed
-/// seed.
-fn des_run(strategy: Strategy, plan: FaultPlan) -> RunRecord {
+/// The small deterministic shape: 4 active ranks (plus a spare under
+/// Fenix) on a virtual-time cluster under the DES engine at a fixed seed.
+fn des_shape(strategy: Strategy) -> (Cluster, ExperimentConfig) {
     let spares = usize::from(strategy.uses_fenix());
     let cluster = Cluster::new(ClusterConfig {
         nodes: 4 + spares,
@@ -181,7 +183,94 @@ fn des_run(strategy: Strategy, plan: FaultPlan) -> RunRecord {
         backend: Backend::Des { seed: 16 },
         ..cfg(strategy, spares)
     };
+    (cluster, cfg)
+}
+
+/// One run on the DES shape.
+fn des_run(strategy: Strategy, plan: FaultPlan) -> RunRecord {
+    let (cluster, cfg) = des_shape(strategy);
     run_experiment(&cluster, &fixed_app(DES_ITERS), &cfg, Arc::new(plan))
+}
+
+/// One run on the DES shape under a hub stamping from the cluster clock.
+fn des_run_traced(strategy: Strategy, plan: FaultPlan) -> (RunRecord, TraceSnapshot) {
+    let (cluster, mut cfg) = des_shape(strategy);
+    let clock = Arc::clone(cluster.clock());
+    let hub = Telemetry::with_time_source(
+        TelemetryConfig::default(),
+        TimeSource::External(Arc::new(move || clock.now_ns())),
+    );
+    cfg.telemetry = Some(hub.clone());
+    let rec = run_experiment(&cluster, &fixed_app(DES_ITERS), &cfg, Arc::new(plan));
+    (rec, hub.snapshot())
+}
+
+/// A phase's cost as `benchmark/src/phases.rs` derives it from a trace:
+/// rank by rank the summed outermost `SpanBegin`→`SpanEnd` intervals, then
+/// the maximum over ranks.
+fn max_span(snap: &TraceSnapshot, phase: Phase) -> Duration {
+    // rank → (open begin stamps, closed total)
+    let mut ranks: BTreeMap<u32, (Vec<u64>, u64)> = BTreeMap::new();
+    for e in &snap.events {
+        let (open, total) = ranks.entry(e.rank).or_default();
+        match &e.event {
+            Event::SpanBegin { phase: p } if *p == phase => open.push(e.t_ns),
+            Event::SpanEnd { phase: p } if *p == phase => {
+                let begin = open.pop().expect("a span ends after it began");
+                if open.is_empty() {
+                    *total += e.t_ns - begin;
+                }
+            }
+            _ => {}
+        }
+    }
+    let slowest = ranks.values().map(|(_, total)| *total).max();
+    Duration::from_nanos(slowest.unwrap_or(0))
+}
+
+/// Under DES on a virtual-time cluster the breakdown is modelled time: read
+/// from the clock the wall is read from, so it is the trace's own span
+/// arithmetic, never exceeds the wall, and repeats exactly — with or
+/// without a hub.
+#[test]
+fn breakdown_is_modelled_time_under_des() {
+    for strategy in [
+        Strategy::FenixKokkosResilience,
+        Strategy::KokkosResilience,
+        Strategy::FenixImr,
+    ] {
+        for plan in [FaultPlan::none, || FaultPlan::kill_at(2, "iter", 23)] {
+            let (rec, snap) = des_run_traced(strategy, plan());
+            assert_eq!(snap.dropped, 0, "{strategy}");
+            let b = &rec.breakdown;
+            for (phase, booked) in [
+                (Phase::AppCompute, b.app_compute),
+                (Phase::AppMpi, b.app_mpi),
+                (Phase::ResilienceInit, b.resilience_init),
+                (Phase::CheckpointFn, b.checkpoint_fn),
+                (Phase::DataRecovery, b.data_recovery),
+                (Phase::Recompute, b.recompute),
+                (Phase::ForceCompute, b.force_compute),
+                (Phase::Neighboring, b.neighboring),
+                (Phase::Communicator, b.communicator),
+                (Phase::AppInit, b.app_init),
+            ] {
+                assert_eq!(booked, max_span(&snap, phase), "{strategy}: {phase:?}");
+                assert!(booked <= rec.wall, "{strategy}: {phase:?} exceeds the wall");
+            }
+            // The model charges no compute; messages and checkpoints cost.
+            assert_eq!(b.app_compute, Duration::ZERO, "{strategy}");
+            assert!(b.app_mpi > Duration::ZERO, "{strategy}");
+            assert!(b.checkpoint_fn > Duration::ZERO, "{strategy}");
+
+            let same = |other: &RunRecord, what: &str| {
+                assert_eq!(other.wall, rec.wall, "{strategy}: {what}");
+                assert_eq!(other.breakdown, rec.breakdown, "{strategy}: {what}");
+            };
+            same(&des_run_traced(strategy, plan()).0, "a second replay");
+            same(&des_run(strategy, plan()), "without a hub");
+        }
+    }
 }
 
 /// The whole matrix on the DES shape, failure-free and with one kill

@@ -29,7 +29,6 @@ pub mod error;
 pub mod fault;
 pub mod mutant;
 pub mod pod;
-pub mod profile;
 pub mod rendezvous;
 pub mod router;
 pub mod sched;
@@ -42,6 +41,6 @@ pub use fault::{
     BackendFault, CorruptKind, CorruptTier, Corruption, FaultPlan, FaultSchedule, Kill,
 };
 pub use pod::Pod;
-pub use profile::{Phase, Profile};
 pub use sched::{SchedStats, Scheduler};
+pub use telemetry::Phase;
 pub use universe::{Backend, LaunchReport, RankCtx, RankOutcome, Universe, UniverseConfig};

@@ -11,15 +11,14 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cluster::Cluster;
-use telemetry::{names, Event, Recorder, Telemetry};
+use telemetry::{names, Event, Recorder, Telemetry, TimeSource};
 
 use crate::comm::{Comm, Group};
 use crate::error::{MpiError, MpiResult};
 use crate::fault::FaultPlan;
-use crate::profile::Profile;
 use crate::router::Router;
 use crate::sched::Scheduler;
 
@@ -63,10 +62,10 @@ pub struct UniverseConfig {
     /// Whether to charge the modeled job-startup cost before running ranks
     /// (the harness accounts it under "Other").
     pub charge_startup: bool,
-    /// Observability hub for this launch. When set, every rank gets a
-    /// recorder feeding the shared event rings/metrics and `fault_point`,
-    /// ULFM, and kill paths emit structured events. `None` (the default)
-    /// records nothing.
+    /// Observability hub for this launch. When set, every rank's recorder
+    /// feeds the shared event rings/metrics and `fault_point`, ULFM, and
+    /// kill paths emit structured events. With `None` (the default) a
+    /// rank's recorder only times phases, on the launch's clock.
     pub telemetry: Option<Telemetry>,
     /// Execution engine (threads by default; see [`Backend`]). Full
     /// determinism on the DES backend additionally wants a cluster built
@@ -81,8 +80,7 @@ pub struct RankCtx {
     world: Comm,
     router: Arc<Router>,
     fault: Arc<FaultPlan>,
-    profile: Arc<Profile>,
-    recorder: Recorder,
+    recorder: Arc<Recorder>,
 }
 
 impl RankCtx {
@@ -104,15 +102,18 @@ impl RankCtx {
         self.router.cluster()
     }
 
-    pub fn profile(&self) -> &Arc<Profile> {
-        &self.profile
+    /// [`Self::recorder`] as the shared handle `resilience::Bookkeeper`
+    /// takes: phase costs are booked through the rank's one recorder.
+    pub fn profile(&self) -> &Arc<Recorder> {
+        &self.recorder
     }
 
     pub fn fault_plan(&self) -> &Arc<FaultPlan> {
         &self.fault
     }
 
-    /// This rank's telemetry recorder (disabled when telemetry is off).
+    /// This rank's recorder: the phase timer of every layer on this rank,
+    /// and the event sink when the launch has a telemetry hub.
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
     }
@@ -143,15 +144,19 @@ impl RankCtx {
 pub struct RankOutcome {
     pub rank: usize,
     pub result: MpiResult<()>,
-    pub profile: Arc<Profile>,
+    /// The rank's recorder; its [`Recorder::phases`] hold the rank's
+    /// phase costs.
+    pub recorder: Arc<Recorder>,
 }
 
 /// Outcome of a whole launch.
 #[derive(Debug)]
 pub struct LaunchReport {
     pub outcomes: Vec<RankOutcome>,
-    /// Wall time of the launch (excluding modeled startup, which the
-    /// harness accounts separately).
+    /// Duration of the launch on its clock — the scheduler's under DES,
+    /// the cluster's otherwise; the clock hub-less recorders time phases
+    /// on (excluding modeled startup, which the harness accounts
+    /// separately).
     pub wall: Duration,
     /// Whether the job ended in an abort.
     pub aborted: bool,
@@ -170,22 +175,6 @@ impl LaunchReport {
             .filter(|o| o.result == Err(MpiError::Killed))
             .map(|o| o.rank)
             .collect()
-    }
-
-    /// Merged per-phase profile across ranks: maximum over ranks per phase
-    /// (critical-path view, matching a wall-clock measurement).
-    pub fn max_profile(&self) -> Profile {
-        let out = Profile::new();
-        for &phase in &crate::profile::Phase::ALL {
-            let m = self
-                .outcomes
-                .iter()
-                .map(|o| o.profile.get(phase))
-                .max()
-                .unwrap_or_default();
-            out.add(phase, m);
-        }
-        out
     }
 }
 
@@ -255,8 +244,14 @@ impl Universe {
             cluster.time_scale().sleep(startup);
         }
 
-        let t0 = Instant::now();
-        let start_ns = sched.as_ref().map(|s| s.clock().now_ns());
+        // The launch's one clock: its wall time, and every phase a
+        // hub-less recorder books, are differences of its readings.
+        let clock = Arc::clone(sched.as_ref().map_or(cluster.clock(), |s| s.clock()));
+        let phase_time = {
+            let clock = Arc::clone(&clock);
+            TimeSource::External(Arc::new(move || clock.now_ns()))
+        };
+        let start_ns = clock.now_ns();
         let tier_keys = || cluster.pfs().keys_examined() + cluster.scratch().keys_examined();
         let tier_keys_before = tier_keys();
         let mut outcomes: Vec<Option<RankOutcome>> = Vec::new();
@@ -273,6 +268,7 @@ impl Universe {
                 let f = &f;
                 let config = &config;
                 let sched = sched.clone();
+                let phase_time = &phase_time;
                 handles.push(scope.spawn(move || {
                     // Under DES this rank is a cooperative task: its modeled
                     // sleeps become scheduler events, and it runs only while
@@ -286,23 +282,20 @@ impl Universe {
                     if let Some(s) = &sched {
                         s.wait_for_start(rank);
                     }
-                    let profile = Arc::new(Profile::new());
-                    let recorder = match &config.telemetry {
+                    let recorder = Arc::new(match &config.telemetry {
                         Some(tel) => {
-                            let rec = tel.recorder(rank, Arc::clone(profile.accumulator()));
-                            profile.attach_recorder(rec.clone());
+                            let rec = tel.recorder(rank);
                             router.set_recorder(rank, rec.clone());
                             rec
                         }
-                        None => Recorder::disabled(),
-                    };
+                        None => Recorder::phases_only(phase_time.clone()),
+                    });
                     let mut ctx = RankCtx {
                         rank,
                         world: Comm::on_group(Arc::clone(&router), 0, 0, world_group, rank),
                         router: Arc::clone(&router),
                         fault,
-                        profile: Arc::clone(&profile),
-                        recorder,
+                        recorder: Arc::clone(&recorder),
                     };
                     let result = match std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
                         Ok(r) => r,
@@ -324,7 +317,7 @@ impl Universe {
                     RankOutcome {
                         rank,
                         result,
-                        profile,
+                        recorder,
                     }
                 }));
             }
@@ -338,23 +331,18 @@ impl Universe {
                 let outcome = h.join().unwrap_or_else(|_| RankOutcome {
                     rank,
                     result: Err(MpiError::Killed),
-                    profile: Arc::new(Profile::new()),
+                    recorder: Arc::default(),
                 });
                 outcomes[rank] = Some(outcome);
             }
         });
 
-        // Break the scheduler↔router reference cycle and report virtual
-        // wall time for DES launches (the modeled job duration — real
-        // elapsed time is meaningless when no thread ever sleeps).
-        let wall = match (&sched, start_ns) {
-            (Some(s), Some(ns)) => {
-                router.set_sched(None);
-                s.clear_deadlock_hook();
-                Duration::from_nanos(s.clock().now_ns().saturating_sub(ns))
-            }
-            _ => t0.elapsed(),
-        };
+        // Break the scheduler↔router reference cycle.
+        if let Some(s) = &sched {
+            router.set_sched(None);
+            s.clear_deadlock_hook();
+        }
+        let wall = Duration::from_nanos(clock.now_ns().saturating_sub(start_ns));
 
         // The launch's work counts reach the metrics registry here, once:
         // nothing on the event path knows whether telemetry is on.

@@ -1,9 +1,14 @@
-//! Minimal JSON document model used by the exporters and the harness.
+//! The workspace's one JSON value: built and printed by the exporters, the
+//! harness and the linter, parsed back by the CI gate and the linter.
 //!
 //! The workspace builds offline, so instead of `serde_json` this module
-//! provides the small subset the repo needs: constructing values and
-//! printing them compactly or pretty. Numbers are `f64` (integers up to
-//! 2^53 print without a fractional part, matching JSON's number model).
+//! provides the small subset the repo needs: constructing values, printing
+//! them compactly or pretty, and a strict recursive-descent parser over the
+//! full JSON grammar with byte-offset error messages — a malformed
+//! committed baseline fails the gate loudly instead of being sed-matched
+//! into silence. Numbers are `f64` (integers up to 2^53 print without a
+//! fractional part, matching JSON's number model). Objects keep their
+//! members in document order.
 
 use std::fmt::Write as _;
 
@@ -26,6 +31,74 @@ impl Json {
 
     pub fn arr(items: impl IntoIterator<Item = Json>) -> Json {
         Json::Arr(items.into_iter().collect())
+    }
+
+    /// Parse a complete document. Trailing non-whitespace is an error.
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        p.skip_ws();
+        let v = p.value()?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(format!("trailing garbage at byte {}", p.pos));
+        }
+        Ok(v)
+    }
+
+    /// Object member lookup; `None` for non-objects and missing keys.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as a non-negative integer, if it is one exactly.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+                Some(*n as u64)
+            }
+            _ => None,
+        }
+    }
+
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub fn as_array(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    pub fn as_object(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(pairs) => Some(pairs),
+            _ => None,
+        }
     }
 
     /// Compact single-line rendering.
@@ -123,6 +196,205 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while let Some(b) = self.bytes.get(self.pos) {
+            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
+                self.pos += 1;
+            } else {
+                break;
+            }
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!(
+                "expected '{}' at byte {}, found {:?}",
+                b as char,
+                self.pos,
+                self.peek().map(|c| c as char)
+            ))
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            other => Err(format!(
+                "unexpected {:?} at byte {}",
+                other.map(|c| c as char),
+                self.pos
+            )),
+        }
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        self.expect(b'{')?;
+        let mut pairs: Vec<(String, Json)> = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(pairs));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            let val = self.value()?;
+            if pairs.iter().any(|(k, _)| *k == key) {
+                return Err(format!("duplicate key {key:?} at byte {}", self.pos));
+            }
+            pairs.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(pairs));
+                }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<Json, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let esc = self.peek().ok_or("unterminated escape")?;
+                    self.pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos..self.pos + 4)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .ok_or("truncated \\u escape")?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
+                            self.pos += 4;
+                            // Surrogates in the artifacts read here would be
+                            // a bug; map them to the replacement character
+                            // rather than implementing pair decoding.
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        }
+                        other => {
+                            return Err(format!("bad escape '\\{}'", other as char));
+                        }
+                    }
+                }
+                Some(_) => {
+                    // Consume one UTF-8 scalar (the input is a &str, so
+                    // byte boundaries are valid scalar boundaries).
+                    let rest = &self.bytes[self.pos..];
+                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
+                    let ch = s.chars().next().ok_or("unterminated string")?;
+                    out.push(ch);
+                    self.pos += ch.len_utf8();
+                }
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            while matches!(self.peek(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            while matches!(self.peek(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| format!("bad number {text:?} at byte {start}"))
+    }
+}
+
 impl From<&str> for Json {
     fn from(s: &str) -> Json {
         Json::Str(s.to_string())
@@ -197,5 +469,76 @@ mod tests {
     fn empty_containers_stay_inline() {
         assert_eq!(Json::arr([]).to_json_pretty(), "[]");
         assert_eq!(Json::Obj(vec![]).to_json_pretty(), "{}");
+    }
+
+    #[test]
+    fn parses_bench_artifact_shape() {
+        let doc = Json::parse(
+            r#"{"bench":"checkpoint_pipeline","regions":100,"configs":[
+                {"name":"full_pack","median_ns":123456,"bytes_written":409600},
+                {"name":"incremental_1pct","median_ns":9876,"bytes_written":4096}
+            ]}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            doc.get("bench").and_then(Json::as_str),
+            Some("checkpoint_pipeline")
+        );
+        let configs = doc.get("configs").and_then(Json::as_array).unwrap();
+        assert_eq!(configs.len(), 2);
+        assert_eq!(
+            configs[1].get("median_ns").and_then(Json::as_u64),
+            Some(9876)
+        );
+    }
+
+    #[test]
+    fn scalars_and_escapes() {
+        assert_eq!(Json::parse("true").unwrap(), Json::Bool(true));
+        assert_eq!(Json::parse("null").unwrap(), Json::Null);
+        assert_eq!(Json::parse("-2.5e2").unwrap().as_f64(), Some(-250.0));
+        assert_eq!(
+            Json::parse(r#""a\n\"bA""#).unwrap().as_str(),
+            Some("a\n\"bA")
+        );
+    }
+
+    #[test]
+    fn as_u64_rejects_fractions_and_negatives() {
+        assert_eq!(Json::parse("3.5").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("42").unwrap().as_u64(), Some(42));
+    }
+
+    #[test]
+    fn malformed_documents_error() {
+        assert!(Json::parse("{").is_err());
+        assert!(Json::parse("[1,]").is_err());
+        assert!(Json::parse("{\"a\":1} extra").is_err());
+        assert!(Json::parse("{\"a\":1,\"a\":2}").is_err());
+        assert!(Json::parse("\"unterminated").is_err());
+        assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn nested_structures_roundtrip() {
+        let doc = Json::parse(r#"{"a":[{"b":[[]]},{}],"c":{"d":null}}"#).unwrap();
+        let a = doc.get("a").and_then(Json::as_array).unwrap();
+        assert_eq!(a.len(), 2);
+        assert_eq!(doc.get("c").unwrap().get("d"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn what_is_printed_parses_back() {
+        let v = Json::obj([
+            ("name", Json::from("a\"b\\c\nd\u{1}")),
+            (
+                "xs",
+                Json::arr([Json::from(1u64), Json::from(0.5f64), Json::Null]),
+            ),
+            ("empty", Json::Obj(vec![])),
+        ]);
+        assert_eq!(Json::parse(&v.to_json()), Ok(v.clone()));
+        assert_eq!(Json::parse(&v.to_json_pretty()), Ok(v));
     }
 }

@@ -8,8 +8,8 @@
 //!   per-rank ring ([`ring::EventRing`]) with overwrite-oldest eviction and
 //!   drop counting;
 //! - **span timers** ([`span::SpanGuard`]) booking inclusive time into the
-//!   rank's [`PhaseAccumulator`] (the storage behind `simmpi::Profile`) and
-//!   exclusive/self time into a parallel accumulator;
+//!   recorder's [`PhaseAccumulator`] — the only phase timer in the
+//!   workspace, reading the same clock the events are stamped from;
 //! - a **metrics registry** ([`metrics::Metrics`]) of named counters,
 //!   gauges, and histograms shared across ranks.
 //!
@@ -19,9 +19,9 @@
 //!
 //! Overhead control: a defaulted [`Recorder`] (`Recorder::disabled()`) is a
 //! `None` and every operation on it is a branch on an `Option` — layers can
-//! therefore thread recorders unconditionally. Compiling without the
-//! `events` feature removes event recording entirely (spans still
-//! accumulate phase time, which the cost model needs).
+//! therefore thread recorders unconditionally. A run without a hub still
+//! needs its phase costs: [`Recorder::phases_only`] times spans on a given
+//! clock and records no events (no ring is allocated).
 
 pub mod event;
 pub mod export;
@@ -32,7 +32,7 @@ pub mod ring;
 pub mod span;
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -67,10 +67,10 @@ impl Default for TelemetryConfig {
 struct RankSlot {
     rank: u32,
     ring: EventRing,
-    exclusive: PhaseAccumulator,
 }
 
-/// Where event timestamps come from.
+/// Where event timestamps and span durations come from.
+#[derive(Clone)]
 pub enum TimeSource {
     /// Wall-clock nanoseconds since the hub's creation (the default).
     Epoch(Instant),
@@ -150,22 +150,24 @@ impl Telemetry {
         &self.inner.metrics
     }
 
-    /// Create a recorder for `rank`, booking inclusive span time into
-    /// `phases` (share the accumulator with the rank's `Profile` so both
-    /// views agree). Each call registers a fresh ring; a relaunched rank
-    /// simply registers again and its events merge by timestamp.
-    pub fn recorder(&self, rank: usize, phases: Arc<PhaseAccumulator>) -> Recorder {
+    /// Create a recorder for `rank`, stamping events and timing spans on
+    /// this hub's time source. Each call registers a fresh ring; a
+    /// relaunched rank simply registers again and its events merge by
+    /// timestamp.
+    pub fn recorder(&self, rank: usize) -> Recorder {
         let slot = Arc::new(RankSlot {
             rank: rank as u32,
             ring: EventRing::new(self.inner.config.ring_capacity),
-            exclusive: PhaseAccumulator::new(),
         });
         self.inner.slots.lock().push(Arc::clone(&slot));
         Recorder {
             inner: Some(Arc::new(RecorderInner {
-                tel: Arc::clone(&self.inner),
-                slot,
-                phases,
+                time: self.inner.time.clone(),
+                phases: PhaseAccumulator::new(),
+                hub: Some(Hub {
+                    tel: Arc::clone(&self.inner),
+                    slot,
+                }),
             })),
         }
     }
@@ -195,16 +197,6 @@ impl Telemetry {
             dropped,
             pushed,
         }
-    }
-
-    /// Per-rank exclusive (self) span time, registration order.
-    pub fn exclusive_phases(&self) -> Vec<(u32, Vec<(Phase, Duration)>)> {
-        self.inner
-            .slots
-            .lock()
-            .iter()
-            .map(|s| (s.rank, s.exclusive.snapshot()))
-            .collect()
     }
 }
 
@@ -244,10 +236,18 @@ pub struct TimedEvent {
     pub event: Event,
 }
 
-struct RecorderInner {
+/// The event side of a recorder: the owning hub and this rank's ring.
+struct Hub {
     tel: Arc<TelemetryInner>,
     slot: Arc<RankSlot>,
-    phases: Arc<PhaseAccumulator>,
+}
+
+struct RecorderInner {
+    time: TimeSource,
+    phases: PhaseAccumulator,
+    /// `None` for [`Recorder::phases_only`]: spans are timed, nothing is
+    /// recorded.
+    hub: Option<Hub>,
 }
 
 /// Per-rank recording handle. `Default`/[`Recorder::disabled`] is a no-op
@@ -264,56 +264,53 @@ impl Recorder {
         Recorder { inner: None }
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+    /// A recorder without a hub: spans accumulate phase time read from
+    /// `time`, events and metrics go nowhere. What a rank gets when no
+    /// telemetry was asked for, so its phase costs are still measured — on
+    /// the clock the run's wall time is measured on.
+    pub fn phases_only(time: TimeSource) -> Recorder {
+        Recorder {
+            inner: Some(Arc::new(RecorderInner {
+                time,
+                phases: PhaseAccumulator::new(),
+                hub: None,
+            })),
+        }
     }
 
-    /// Rank this recorder was registered for (`None` when disabled).
-    pub fn rank(&self) -> Option<usize> {
-        self.inner.as_ref().map(|i| i.slot.rank as usize)
+    fn hub(&self) -> Option<&Hub> {
+        self.inner.as_ref()?.hub.as_ref()
     }
 
     /// Whether per-MPI-call events were requested (checked by `simmpi` so
     /// the highest-volume class can stay off by default).
     pub fn wants_mpi_calls(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|i| i.tel.config.record_mpi_calls)
+        self.hub().is_some_and(|h| h.tel.config.record_mpi_calls)
     }
 
-    /// The inclusive phase accumulator this recorder books spans into.
-    pub fn phases(&self) -> Option<&Arc<PhaseAccumulator>> {
+    /// Inclusive time of every span this recorder has closed, by phase
+    /// (`None` when disabled).
+    pub fn phases(&self) -> Option<&PhaseAccumulator> {
         self.inner.as_ref().map(|i| &i.phases)
     }
 
-    /// Exclusive (self) span times booked so far.
-    pub fn exclusive(&self) -> Option<&PhaseAccumulator> {
-        self.inner.as_ref().map(|i| &i.slot.exclusive)
-    }
-
-    /// Record `event` now. Free when disabled; with the `events` feature
-    /// off this compiles to the disabled path unconditionally.
+    /// Record `event` now. Free without a hub.
     #[inline]
     pub fn emit(&self, event: Event) {
-        #[cfg(feature = "events")]
         if let Some(inner) = &self.inner {
-            let words = event.encode(inner.tel.time.now_ns(), &inner.tel.interner);
-            inner.slot.ring.push(words);
+            if let Some(hub) = &inner.hub {
+                hub.push(event, inner.time.now_ns());
+            }
         }
-        #[cfg(not(feature = "events"))]
-        let _ = event;
     }
 
     /// Like [`Recorder::emit`] but the event is only constructed when it
     /// will actually be recorded — use when building it allocates.
     #[inline]
     pub fn emit_with(&self, f: impl FnOnce() -> Event) {
-        #[cfg(feature = "events")]
-        if self.inner.is_some() {
+        if self.hub().is_some() {
             self.emit(f());
         }
-        #[cfg(not(feature = "events"))]
-        let _ = f;
     }
 
     /// Open a phase span; time books when the guard drops.
@@ -321,30 +318,42 @@ impl Recorder {
         SpanGuard::begin(self.clone(), phase)
     }
 
-    /// Time a closure under `phase` (span-based `Profile::time`).
+    /// Time a closure under `phase`.
     pub fn time<T>(&self, phase: Phase, f: impl FnOnce() -> T) -> T {
         let _guard = self.span(phase);
         f()
     }
 
-    /// Metrics registry of the owning telemetry (`None` when disabled).
+    /// Metrics registry of the owning telemetry (`None` without a hub).
     pub fn metrics(&self) -> Option<&Metrics> {
-        self.inner.as_ref().map(|i| &i.tel.metrics)
+        self.hub().map(|h| &h.tel.metrics)
     }
 
-    pub(crate) fn book_span(&self, phase: Phase, inclusive: Duration, exclusive: Duration) {
-        if let Some(inner) = &self.inner {
-            inner.phases.add(phase, inclusive);
-            inner.slot.exclusive.add(phase, exclusive);
+    /// One edge of a span: read the clock once, stamp `event` with that
+    /// reading when there is a hub, and hand the reading back so the
+    /// span's duration is the difference of its two stamps.
+    pub(crate) fn span_edge(&self, event: Event) -> u64 {
+        let Some(inner) = &self.inner else { return 0 };
+        let now_ns = inner.time.now_ns();
+        if let Some(hub) = &inner.hub {
+            hub.push(event, now_ns);
         }
+        now_ns
+    }
+}
+
+impl Hub {
+    fn push(&self, event: Event, t_ns: u64) {
+        self.slot.ring.push(event.encode(t_ns, &self.tel.interner));
     }
 }
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            Some(i) => write!(f, "Recorder(rank {})", i.slot.rank),
-            None => write!(f, "Recorder(disabled)"),
+        match (&self.inner, self.hub()) {
+            (_, Some(hub)) => write!(f, "Recorder(rank {})", hub.slot.rank),
+            (Some(_), None) => write!(f, "Recorder(phases only)"),
+            (None, _) => write!(f, "Recorder(disabled)"),
         }
     }
 }
@@ -356,19 +365,18 @@ mod tests {
     #[test]
     fn disabled_recorder_is_inert() {
         let rec = Recorder::disabled();
-        assert!(!rec.is_enabled());
+        assert!(rec.phases().is_none());
         rec.emit(Event::Revoke);
         rec.emit_with(|| panic!("must not be constructed"));
         let out = rec.time(Phase::AppCompute, || 7);
         assert_eq!(out, 7);
     }
 
-    #[cfg(feature = "events")]
     #[test]
     fn snapshot_merges_ranks_in_time_order() {
         let tel = Telemetry::new(TelemetryConfig::default());
-        let r0 = tel.recorder(0, Arc::new(PhaseAccumulator::new()));
-        let r1 = tel.recorder(1, Arc::new(PhaseAccumulator::new()));
+        let r0 = tel.recorder(0);
+        let r1 = tel.recorder(1);
         r0.emit(Event::Revoke);
         r1.emit(Event::RankKilled);
         r0.emit(Event::Agree { seq: 1, flags: 0 });
@@ -379,14 +387,13 @@ mod tests {
         assert_eq!(snap.dropped, 0);
     }
 
-    #[cfg(feature = "events")]
     #[test]
     fn overflow_counts_drops_in_snapshot() {
         let tel = Telemetry::new(TelemetryConfig {
             ring_capacity: 4,
             ..Default::default()
         });
-        let rec = tel.recorder(0, Arc::new(PhaseAccumulator::new()));
+        let rec = tel.recorder(0);
         for i in 0..10 {
             rec.emit(Event::Agree { seq: i, flags: 0 });
         }
@@ -408,7 +415,7 @@ mod tests {
     #[test]
     fn metrics_reachable_through_recorder() {
         let tel = Telemetry::new(TelemetryConfig::default());
-        let rec = tel.recorder(2, Arc::new(PhaseAccumulator::new()));
+        let rec = tel.recorder(2);
         rec.metrics().unwrap().counter("repairs").inc();
         assert_eq!(
             tel.metrics().snapshot().counters,

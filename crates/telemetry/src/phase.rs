@@ -1,16 +1,16 @@
-//! Cost-category phases and the accumulator behind `simmpi::Profile`.
+//! Cost-category phases and the accumulator spans book into.
 //!
-//! The paper reports stacked cost breakdowns; every run carries a per-rank
-//! accumulator that books wall time into the same categories: Heatdis uses
+//! The paper reports stacked cost breakdowns; every rank's recorder carries
+//! an accumulator that books span time into the same categories: Heatdis uses
 //! `AppCompute`/`AppMpi`, MiniMD uses `ForceCompute`/`Neighboring`/
 //! `Communicator`, and the resilience layers book their own costs
 //! (`ResilienceInit`, `CheckpointFn`, `DataRecovery`, `Recompute`). Whatever
 //! the harness measures beyond the in-app phases lands in the paper's
 //! "Other" category (job startup/teardown, data initialization).
 //!
-//! `Phase` used to live in `simmpi::profile`; it moved here so every layer
-//! (and the exporters) can speak the same category names without depending
-//! on the MPI simulation. `simmpi` re-exports it for compatibility.
+//! `Phase` lives here so every layer (and the exporters) can speak the same
+//! category names without depending on the MPI simulation; `simmpi`
+//! re-exports it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -39,14 +39,10 @@ pub enum Phase {
     Communicator,
     /// Application initialization (counted toward "Other" on relaunch).
     AppInit,
-    /// Offline static-analysis passes (`crates/lint`); never booked inside
-    /// an experiment, but carried here so analyzer runs share the span /
-    /// trace tooling.
-    StaticAnalysis,
 }
 
 impl Phase {
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 10;
 
     pub const ALL: [Phase; Phase::COUNT] = [
         Phase::AppCompute,
@@ -59,7 +55,6 @@ impl Phase {
         Phase::Neighboring,
         Phase::Communicator,
         Phase::AppInit,
-        Phase::StaticAnalysis,
     ];
 
     pub fn name(self) -> &'static str {
@@ -74,7 +69,6 @@ impl Phase {
             Phase::Neighboring => "Neighboring",
             Phase::Communicator => "Communicator",
             Phase::AppInit => "App Init",
-            Phase::StaticAnalysis => "Static Analysis",
         }
     }
 
@@ -83,12 +77,8 @@ impl Phase {
     }
 }
 
-/// Thread-safe phase-time accumulator (nanosecond resolution).
-///
-/// This is the storage behind both `simmpi::Profile` (the compatibility
-/// shim) and span timing ([`crate::span`]): spans book their elapsed time
-/// here on drop, so legacy `profile.time(..)` callers and span-based
-/// callers feed the same per-rank totals.
+/// Thread-safe phase-time accumulator (nanosecond resolution): spans
+/// ([`crate::span`]) book their elapsed time here on drop.
 #[derive(Default)]
 pub struct PhaseAccumulator {
     nanos: [AtomicU64; Phase::COUNT],
@@ -107,23 +97,6 @@ impl PhaseAccumulator {
     /// Accumulated time in a phase.
     pub fn get(&self, phase: Phase) -> Duration {
         Duration::from_nanos(self.nanos[phase as usize].load(Ordering::Relaxed))
-    }
-
-    /// Sum across all phases (the in-app accounted time).
-    pub fn total(&self) -> Duration {
-        Phase::ALL.iter().map(|&p| self.get(p)).sum()
-    }
-
-    /// Snapshot all phases as (phase, duration) pairs.
-    pub fn snapshot(&self) -> Vec<(Phase, Duration)> {
-        Phase::ALL.iter().map(|&p| (p, self.get(p))).collect()
-    }
-
-    /// Zero every accumulator.
-    pub fn reset(&self) {
-        for n in &self.nanos {
-            n.store(0, Ordering::Relaxed);
-        }
     }
 
     /// Merge another accumulator into this one.
@@ -152,25 +125,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn add_get_total() {
+    fn add_and_get() {
         let a = PhaseAccumulator::new();
         a.add(Phase::AppCompute, Duration::from_millis(5));
         a.add(Phase::AppCompute, Duration::from_millis(7));
         a.add(Phase::AppMpi, Duration::from_millis(1));
         assert_eq!(a.get(Phase::AppCompute), Duration::from_millis(12));
-        assert_eq!(a.total(), Duration::from_millis(13));
+        assert_eq!(a.get(Phase::AppMpi), Duration::from_millis(1));
+        assert_eq!(a.get(Phase::Recompute), Duration::ZERO);
     }
 
     #[test]
-    fn merge_and_reset() {
+    fn merge_accumulates() {
         let a = PhaseAccumulator::new();
         let b = PhaseAccumulator::new();
         a.add(Phase::Recompute, Duration::from_millis(3));
         b.add(Phase::Recompute, Duration::from_millis(4));
         a.merge_from(&b);
         assert_eq!(a.get(Phase::Recompute), Duration::from_millis(7));
-        a.reset();
-        assert_eq!(a.total(), Duration::ZERO);
     }
 
     #[test]

@@ -1,138 +1,104 @@
-//! Span-based phase timing with nesting attribution.
+//! Span-based phase timing.
 //!
-//! A [`SpanGuard`] (from [`crate::Recorder::span`]) times a region and books
-//! it on drop:
-//!
-//! - **inclusive** time goes to the rank's shared [`PhaseAccumulator`] —
-//!   the same totals `simmpi::Profile` exposes, so span users and legacy
-//!   `profile.time(..)` callers stay comparable;
-//! - **exclusive** (self) time — inclusive minus time spent in nested
-//!   spans — goes to a second per-rank accumulator, giving a breakdown
-//!   that sums to wall time even when phases nest (e.g. `CheckpointFn`
-//!   opened inside `AppCompute`);
-//! - when the `events` feature is on, `SpanBegin`/`SpanEnd` events are
-//!   emitted so exporters can rebuild the interval tree per rank.
-//!
-//! Nesting is tracked with a thread-local stack of open frames, which is
-//! correct here because a rank is an OS thread and spans are strictly
-//! scoped (RAII).
+//! A [`SpanGuard`] (from [`crate::Recorder::span`]) times a region on the
+//! recorder's clock and books it on drop: the clock is read once per edge,
+//! that reading stamps the `SpanBegin`/`SpanEnd` event (when the recorder
+//! has a hub) and the difference of the two readings goes to the recorder's
+//! [`crate::PhaseAccumulator`]. The accumulated total of a phase is
+//! therefore exactly the sum of its `SpanBegin`→`SpanEnd` intervals in the
+//! trace. Time is inclusive: a span nested in another counts in both.
 
-use std::cell::RefCell;
-use std::time::Instant;
+use std::time::Duration;
 
 use crate::event::Event;
 use crate::phase::Phase;
 use crate::Recorder;
 
-thread_local! {
-    /// Nanoseconds consumed by already-closed children of each open span.
-    static OPEN_FRAMES: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
 /// RAII span; created by [`Recorder::span`].
 pub struct SpanGuard {
     rec: Recorder,
     phase: Phase,
-    t0: Instant,
+    begin_ns: u64,
 }
 
 impl SpanGuard {
     pub(crate) fn begin(rec: Recorder, phase: Phase) -> SpanGuard {
-        if rec.is_enabled() {
-            OPEN_FRAMES.with(|f| f.borrow_mut().push(0));
-            rec.emit(Event::SpanBegin { phase });
-        }
+        let begin_ns = rec.span_edge(Event::SpanBegin { phase });
         SpanGuard {
             rec,
             phase,
-            // lint: sanction(wall-clock): span timing for profiles and
-            // traces; observability only, never read back by the model.
-            // audited 2026-08.
-            t0: Instant::now(),
+            begin_ns,
         }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if !self.rec.is_enabled() {
-            return;
+        let end_ns = self.rec.span_edge(Event::SpanEnd { phase: self.phase });
+        if let Some(phases) = self.rec.phases() {
+            let inclusive = Duration::from_nanos(end_ns.saturating_sub(self.begin_ns));
+            phases.add(self.phase, inclusive);
         }
-        let dt = self.t0.elapsed();
-        let dt_ns = dt.as_nanos() as u64;
-        let child_ns = OPEN_FRAMES.with(|f| {
-            let mut frames = f.borrow_mut();
-            let child = frames.pop().unwrap_or(0);
-            if let Some(parent) = frames.last_mut() {
-                *parent += dt_ns;
-            }
-            child
-        });
-        self.rec.book_span(
-            self.phase,
-            dt,
-            std::time::Duration::from_nanos(dt_ns.saturating_sub(child_ns)),
-        );
-        self.rec.emit(Event::SpanEnd { phase: self.phase });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Telemetry, TelemetryConfig};
+    use crate::{Telemetry, TelemetryConfig, TimeSource};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-    use std::time::Duration;
+
+    /// A time source the test advances by hand.
+    fn manual_clock() -> (Arc<AtomicU64>, TimeSource) {
+        let now = Arc::new(AtomicU64::new(0));
+        let read = Arc::clone(&now);
+        let source = TimeSource::External(Arc::new(move || read.load(Ordering::Relaxed)));
+        (now, source)
+    }
 
     #[test]
-    fn nested_spans_attribute_exclusive_time() {
-        let tel = Telemetry::new(TelemetryConfig::default());
-        let acc = Arc::new(crate::PhaseAccumulator::new());
-        let rec = tel.recorder(0, Arc::clone(&acc));
-
+    fn nested_spans_book_inclusive_time() {
+        let (now, source) = manual_clock();
+        let rec = Recorder::phases_only(source);
         {
             let _outer = rec.span(Phase::AppCompute);
-            std::thread::sleep(Duration::from_millis(4));
+            now.fetch_add(4, Ordering::Relaxed);
             {
                 let _inner = rec.span(Phase::CheckpointFn);
-                std::thread::sleep(Duration::from_millis(4));
+                now.fetch_add(3, Ordering::Relaxed);
             }
         }
-
-        // Inclusive: outer >= 8ms (contains inner), inner >= 4ms.
-        assert!(acc.get(Phase::AppCompute) >= Duration::from_millis(8));
-        assert!(acc.get(Phase::CheckpointFn) >= Duration::from_millis(4));
-
-        // Exclusive: outer self-time excludes the nested checkpoint span.
-        let excl = rec.exclusive().unwrap();
-        let outer_excl = excl.get(Phase::AppCompute);
-        let outer_incl = acc.get(Phase::AppCompute);
-        assert!(outer_excl < outer_incl);
-        assert!(outer_incl - outer_excl >= Duration::from_millis(4));
-        // Leaf span: exclusive == inclusive.
-        assert_eq!(excl.get(Phase::CheckpointFn), acc.get(Phase::CheckpointFn));
+        let phases = rec.phases().expect("enabled");
+        assert_eq!(phases.get(Phase::AppCompute), Duration::from_nanos(7));
+        assert_eq!(phases.get(Phase::CheckpointFn), Duration::from_nanos(3));
     }
 
     #[test]
     fn disabled_recorder_spans_are_noops() {
         let rec = Recorder::disabled();
         let _g = rec.span(Phase::AppCompute);
-        // Nothing to assert beyond "does not panic / leak frames":
-        OPEN_FRAMES.with(|f| assert!(f.borrow().is_empty()));
+        assert!(rec.phases().is_none());
     }
 
-    #[cfg(feature = "events")]
     #[test]
-    fn span_events_bracket_properly() {
-        let tel = Telemetry::new(TelemetryConfig::default());
-        let acc = Arc::new(crate::PhaseAccumulator::new());
-        let rec = tel.recorder(3, acc);
+    fn a_span_books_the_difference_of_its_two_stamps() {
+        let (now, source) = manual_clock();
+        let tel = Telemetry::with_time_source(TelemetryConfig::default(), source);
+        let rec = tel.recorder(3);
+        now.store(10, Ordering::Relaxed);
         {
             let _g = rec.span(Phase::AppMpi);
+            now.store(25, Ordering::Relaxed);
         }
         let snap = tel.snapshot();
-        let kinds: Vec<_> = snap.events.iter().map(|e| e.event.kind()).collect();
-        assert_eq!(kinds, vec!["span_begin", "span_end"]);
-        assert!(snap.events.iter().all(|e| e.rank == 3));
+        let stamps: Vec<_> = snap
+            .events
+            .iter()
+            .map(|e| (e.event.kind(), e.t_ns, e.rank))
+            .collect();
+        assert_eq!(stamps, vec![("span_begin", 10, 3), ("span_end", 25, 3)]);
+        let phases = rec.phases().expect("enabled");
+        assert_eq!(phases.get(Phase::AppMpi), Duration::from_nanos(15));
     }
 }

@@ -1001,7 +1001,7 @@ mod tests {
                 // A hub per rank, so the registry counts this rank alone.
                 let tel = telemetry::Telemetry::new(telemetry::TelemetryConfig::default());
                 let cl = client(ctx.cluster(), ctx.rank());
-                cl.set_recorder(tel.recorder(ctx.rank(), Arc::default()));
+                cl.set_recorder(tel.recorder(ctx.rank()));
                 let r = VecRegion::new(vec![ctx.rank() as u8 + 1; MIB]);
                 cl.protect(0, Arc::new(r.clone()));
                 cl.checkpoint("ck", 1).expect("checkpoint");

@@ -18,7 +18,7 @@ use layered_resilience::kokkos_resilience::{
 use layered_resilience::resilience::{
     run_experiment, Bookkeeper, ExperimentConfig, IterativeApp, Strategy,
 };
-use layered_resilience::simmpi::{FaultPlan, Profile, Universe, UniverseConfig};
+use layered_resilience::simmpi::{FaultPlan, Universe, UniverseConfig};
 
 fn main() {
     let app = MiniMd::new([3, 3, 3], 40);
@@ -90,7 +90,7 @@ fn main() {
                 vec![0],
                 0,
             );
-            let bk = Bookkeeper::new(Arc::new(Profile::new()));
+            let bk = Bookkeeper::new(Arc::clone(ctx.profile()));
             let mut st = single.state_for(&solo);
             let kr = Context::new(
                 ctx.cluster(),
