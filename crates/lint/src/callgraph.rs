@@ -12,10 +12,12 @@
 //! - method and free calls (`.restore(…)`, `helper(…)`) resolve to
 //!   same-named candidates workspace-wide: the recovery path genuinely
 //!   crosses crates (`router.send → network.transfer → governor.reserve`);
-//! - test functions and `lint-mutants`-gated functions are excluded from
-//!   the graph unless explicitly requested.
+//! - only *live* functions ([`Workspace::live`]) are nodes: test code and
+//!   `lint-mutants`-gated functions without the opt-in are neither callers
+//!   nor callees.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
 use crate::parser::{Call, CallKind, FnItem, ParsedFile};
 
@@ -24,10 +26,6 @@ pub type FnId = (usize, usize);
 
 /// The parsed workspace: every `.rs` file the analyzer looked at.
 pub struct Workspace {
-    /// Filesystem root the workspace was loaded from (`None` for
-    /// synthetic workspaces — fixtures and unit tests). `effect-drift`
-    /// reads the committed `effects-inventory.json` relative to it.
-    pub root: Option<std::path::PathBuf>,
     pub files: Vec<ParsedFile>,
 }
 
@@ -37,6 +35,12 @@ impl Workspace {
             .iter()
             .enumerate()
             .flat_map(|(fi, f)| f.fns.iter().enumerate().map(move |(gi, g)| ((fi, gi), g)))
+    }
+
+    /// The functions a scan analyzes: no test code, and no seeded mutant
+    /// without the opt-in. Every rule iterates this, never [`Self::fns`].
+    pub fn live(&self, opts: GraphOpts) -> impl Iterator<Item = (FnId, &FnItem)> {
+        self.fns().filter(move |(_, f)| opts.is_live(f))
     }
 
     pub fn fn_item(&self, id: FnId) -> &FnItem {
@@ -56,6 +60,18 @@ pub struct GraphOpts {
     pub include_mutants: bool,
 }
 
+impl GraphOpts {
+    /// `f` is a seeded mutant this scan did not opt into.
+    pub fn hides(self, f: &FnItem) -> bool {
+        f.mutant_gated && !self.include_mutants
+    }
+
+    /// `f` is neither test code nor hidden.
+    pub fn is_live(self, f: &FnItem) -> bool {
+        !f.is_test && !self.hides(f)
+    }
+}
+
 /// Per-call name resolution against the workspace's candidate index.
 pub struct Resolver<'a> {
     ws: &'a Workspace,
@@ -65,13 +81,7 @@ pub struct Resolver<'a> {
 impl<'a> Resolver<'a> {
     pub fn new(ws: &'a Workspace, opts: GraphOpts) -> Resolver<'a> {
         let mut by_name: HashMap<&str, Vec<FnId>> = HashMap::new();
-        for (id, f) in ws.fns() {
-            if f.is_test {
-                continue;
-            }
-            if f.mutant_gated && !opts.include_mutants {
-                continue;
-            }
+        for (id, f) in ws.live(opts) {
             by_name.entry(f.name.as_str()).or_default().push(id);
         }
         Resolver { ws, by_name }
@@ -102,10 +112,7 @@ impl CallGraph {
     pub fn build(ws: &Workspace, opts: GraphOpts) -> CallGraph {
         let resolver = Resolver::new(ws, opts);
         let mut edges: HashMap<FnId, Vec<FnId>> = HashMap::new();
-        for (id, f) in ws.fns() {
-            if f.mutant_gated && !opts.include_mutants {
-                continue;
-            }
+        for (id, f) in ws.live(opts) {
             let mut out: Vec<FnId> = Vec::new();
             for call in &f.calls {
                 out.extend(resolver.resolve(id, call));
@@ -117,20 +124,28 @@ impl CallGraph {
         CallGraph { edges }
     }
 
-    /// All functions reachable from `roots` (inclusive).
-    pub fn reachable(&self, roots: &[FnId]) -> HashSet<FnId> {
-        let mut seen: HashSet<FnId> = roots.iter().copied().collect();
-        let mut queue: VecDeque<FnId> = roots.iter().copied().collect();
-        while let Some(id) = queue.pop_front() {
-            if let Some(next) = self.edges.get(&id) {
-                for &n in next {
-                    if seen.insert(n) {
-                        queue.push_back(n);
-                    }
+    /// The one traversal every reachability rule shares: BFS from `roots`,
+    /// returning the parent forest (`None` for a root). Its key set is the
+    /// reachable set, roots included; following parents from any key gives
+    /// a shortest root → function call chain.
+    pub fn reach(&self, roots: &[FnId]) -> HashMap<FnId, Option<FnId>> {
+        let mut parent: HashMap<FnId, Option<FnId>> = HashMap::new();
+        let mut queue: VecDeque<FnId> = VecDeque::new();
+        for &r in roots {
+            if let Entry::Vacant(slot) = parent.entry(r) {
+                slot.insert(None);
+                queue.push_back(r);
+            }
+        }
+        while let Some(v) = queue.pop_front() {
+            for &w in self.edges.get(&v).into_iter().flatten() {
+                if let Entry::Vacant(slot) = parent.entry(w) {
+                    slot.insert(Some(v));
+                    queue.push_back(w);
                 }
             }
         }
-        seen
+        parent
     }
 }
 
@@ -201,33 +216,16 @@ fn resolve(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ws(files: &[(&str, &str, &str)]) -> Workspace {
-        Workspace {
-            root: None,
-            files: files
-                .iter()
-                .map(|(rel, krate, src)| ParsedFile::parse(rel, krate, src, false))
-                .collect(),
-        }
-    }
-
-    fn id_of(ws: &Workspace, name: &str) -> FnId {
-        ws.fns()
-            .find(|(_, f)| f.name == name)
-            .map(|(id, _)| id)
-            .unwrap_or_else(|| panic!("no fn named {name}"))
-    }
+    use crate::testutil::{id_of, ws};
 
     #[test]
     fn free_call_prefers_same_file() {
         let ws = ws(&[
             (
                 "crates/a/src/lib.rs",
-                "a",
                 "fn top() { helper(); }\nfn helper() {}\n",
             ),
-            ("crates/a/src/other.rs", "a", "fn helper() {}\n"),
+            ("crates/a/src/other.rs", "fn helper() {}\n"),
         ]);
         let g = CallGraph::build(&ws, GraphOpts::default());
         let top = id_of(&ws, "top");
@@ -238,7 +236,6 @@ mod tests {
     fn qualified_call_requires_matching_impl_type() {
         let ws = ws(&[(
             "crates/a/src/lib.rs",
-            "a",
             "struct S; struct T;\n\
              impl S { fn new() -> S { S } }\n\
              impl T { fn new() -> T { T } }\n\
@@ -256,12 +253,10 @@ mod tests {
         let files = [
             (
                 "crates/a/src/lib.rs",
-                "a",
                 "struct S;\nimpl S { fn go(&self) {} }\nfn top(s: &S) { s.go(); }\n",
             ),
             (
                 "crates/b/src/lib.rs",
-                "b",
                 "struct R;\nimpl R { fn go(&self) {} }\n",
             ),
         ];
@@ -278,12 +273,8 @@ mod tests {
     #[test]
     fn crate_qualified_calls_cross_crates() {
         let ws = ws(&[
-            (
-                "crates/app/src/lib.rs",
-                "app",
-                "fn top() { fenix::run(); }\n",
-            ),
-            ("crates/fenix/src/lib.rs", "fenix", "pub fn run() {}\n"),
+            ("crates/app/src/lib.rs", "fn top() { fenix::run(); }\n"),
+            ("crates/fenix/src/lib.rs", "pub fn run() {}\n"),
         ]);
         let g = CallGraph::build(&ws, GraphOpts::default());
         let top = id_of(&ws, "top");
@@ -296,7 +287,6 @@ mod tests {
         // sibling module plus a trait method dispatched through `&self`.
         let ws = ws(&[(
             "crates/fixture/src/main.rs",
-            "fixture",
             "mod util { pub fn helper() {} }\n\
                  fn main() { util::helper(); run_trait(); }\n\
                  trait Runner { fn exec(&self); }\n\
@@ -314,17 +304,17 @@ mod tests {
             .map(|(id, _)| id)
             .unwrap();
         let leaf = id_of(&ws, "leaf");
-        let reach = g.reachable(&[main]);
-        assert!(reach.contains(&helper), "cross-module call resolved");
-        assert!(reach.contains(&exec), "trait method call resolved");
-        assert!(reach.contains(&leaf), "transitive through trait impl");
+        let reach = g.reach(&[main]);
+        assert!(reach.contains_key(&helper), "cross-module call resolved");
+        assert!(reach.contains_key(&exec), "trait method call resolved");
+        assert_eq!(reach[&leaf], Some(exec), "transitive through trait impl");
+        assert_eq!(reach[&main], None, "a root has no parent");
     }
 
     #[test]
     fn tests_and_mutants_are_excluded_by_default() {
         let ws = ws(&[(
             "crates/a/src/lib.rs",
-            "a",
             "fn top() { seeded(); }\n\
              #[cfg(feature = \"lint-mutants\")]\nfn seeded() { boom(); }\n\
              fn boom() {}\n\
@@ -340,7 +330,7 @@ mod tests {
             },
         );
         assert_eq!(with.edges[&top].len(), 1, "mutant included on request");
-        let reach = with.reachable(&[top]);
-        assert!(reach.contains(&id_of(&ws, "boom")));
+        let reach = with.reach(&[top]);
+        assert!(reach.contains_key(&id_of(&ws, "boom")));
     }
 }

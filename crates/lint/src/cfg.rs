@@ -60,21 +60,6 @@ pub struct BranchNode {
     pub exhaustive: bool,
 }
 
-impl Block {
-    /// Control cannot fall out the bottom of this block: it contains a
-    /// top-level diverging step, or an exhaustive branch all of whose arms
-    /// diverge.
-    pub fn diverges(&self) -> bool {
-        self.steps.iter().any(|s| match s {
-            Step::Diverge { .. } => true,
-            Step::Branch(b) => {
-                b.exhaustive && !b.arms.is_empty() && b.arms.iter().all(Block::diverges)
-            }
-            _ => false,
-        })
-    }
-}
-
 /// Macro names whose invocation ends the enclosing path.
 const DIVERGING_MACROS: &[&str] = &["panic", "todo", "unimplemented", "unreachable"];
 
@@ -615,16 +600,18 @@ mod tests {
         assert!(matches!(body.steps[1], Step::Diverge { .. }));
     }
 
+    fn ends_in_diverge(b: &Block) -> bool {
+        matches!(b.steps.last(), Some(Step::Diverge { .. }))
+    }
+
     #[test]
-    fn divergence_detection() {
-        let p = parse(
-            "fn f(x: bool) {\n    if x { return; } else { panic!(\"no\"); }\n}\n\
-             fn g(x: bool) {\n    if x { return; }\n}\n",
-        );
+    fn diverging_arms_end_in_a_diverge_step() {
+        let p = parse("fn f(x: bool) {\n    if x { return; } else { panic!(\"no\"); }\n}\n");
         let b = build(&p, &p.fns[0]);
-        assert!(b.diverges(), "both arms diverge and the if is exhaustive");
-        let b = build(&p, &p.fns[1]);
-        assert!(!b.diverges(), "lone if falls through");
+        let Step::Branch(br) = &b.steps[0] else {
+            panic!("expected branch, got {:?}", b.steps[0]);
+        };
+        assert!(br.exhaustive && br.arms.iter().all(ends_in_diverge));
     }
 
     #[test]
@@ -681,7 +668,7 @@ mod tests {
             })
             .expect("let-else branch");
         assert_eq!(br.arms.len(), 2);
-        assert!(br.arms[1].diverges());
-        assert!(!b.diverges(), "fall-through arm continues");
+        assert!(ends_in_diverge(&br.arms[1]));
+        assert!(!ends_in_diverge(&b), "fall-through arm continues");
     }
 }

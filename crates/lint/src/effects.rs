@@ -1,57 +1,54 @@
-//! Interprocedural effect inference over the workspace call graph.
+//! The call-graph query behind every reachability rule: *is a site of
+//! kind K reachable from root set R?*
 //!
-//! Every function gets an [`EffectSet`] summary — which of the five
-//! effects it may exercise, directly or through any callee:
+//! Each live function body is scanned once into a table of
+//! [`EffectSite`]s, one per directly effectful expression:
 //!
 //! - `wall-clock`: reads real time (`Instant::now`, `SystemTime::now`,
 //!   `.elapsed()`, a `thread::sleep` — a wall-clock sleep *waits on* wall
-//!   time, which is exactly what the DES refactor's virtual time replaces);
+//!   time, which is exactly what the DES scheduler's virtual time replaces);
 //! - `blocks`: parks the calling OS thread (condvar waits, blocking
 //!   channel `recv`, `JoinHandle::join`, sleeps);
 //! - `spawns`: creates an OS thread (std or loom, free or scoped);
 //! - `non-det`: nondeterminism sources — RNG draws and iteration over
 //!   unordered hash containers feeding the function's logic;
-//! - `panics`: contains a potential panic site (tracked in the lattice
-//!   for completeness; site-level reporting stays with `panic-reach`).
+//! - `panics`: the parser's panic sites (`panic!`-family macros,
+//!   `.unwrap()`, `.expect(…)`, non-range indexing);
+//! - `exits`: `process::exit`/`abort` — leaving without the run loop.
 //!
-//! Summaries are computed bottom-up over the condensation of the call
-//! graph (iterative Tarjan SCCs, emitted callees-first), so a single pass
-//! reaches the least fixpoint: effects are a join-semilattice and
-//! propagation is union-only, hence monotone — properties the
-//! `effects_props` suite checks against a naive worklist oracle.
+//! A rule is a row of [`QUERIES`]: a root set, the kinds it forbids, the
+//! crates it reports in, and whether the roots themselves are exempt. One
+//! breadth-first traversal ([`CallGraph::reach`]) answers every row, and
+//! its parent forest gives each diagnostic a witness call chain — the
+//! shortest path from a root to the function holding the site.
 //!
-//! Sites that are *legitimately* effectful carry a sanction pragma on the
-//! line or up to three lines above:
+//! Sites of the first four kinds that are *legitimately* effectful carry
+//! a sanction pragma on the line or up to five lines above:
 //!
 //! ```text
 //! // lint: sanction(wall-clock, blocks): modeled transfer time; the DES
 //! // scheduler replaces this with virtual time.
 //! ```
 //!
-//! A sanction clears the named bits for rule purposes but the site still
-//! appears in the effects inventory, flagged `sanctioned` with its
-//! justification — the inventory *is* the DES-migration checklist.
-//!
-//! Three rules ride on the summaries: `rank-path-effects` (no wall-clock,
-//! nondeterminism, or spawning reachable from a rank entry point),
-//! `blocking-in-governor` (no blocking inside bandwidth-governor
-//! reservation math or telemetry export callbacks), and `effect-drift`
-//! (any unsanctioned effect site reachable from a rank entry that is not
-//! in the committed `effects-inventory.json` fails the scan). Every
-//! diagnostic carries a witness call chain — the shortest path from the
-//! entry point to the effectful site.
+//! A sanction clears the named kinds for rule purposes but the site still
+//! appears in the effects inventory (`--effects`), flagged `sanctioned`
+//! with its justification. Panic and exit sites cannot be sanctioned in
+//! place: `lint-baseline.txt` is their only exception path.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 use telemetry::Json;
 
 use crate::callgraph::{CallGraph, FnId, GraphOpts, Workspace};
+use crate::cfg;
 use crate::diag::Diagnostic;
 use crate::lexer::TokKind;
-use crate::parser::{CallKind, FnItem, ParsedFile};
-use crate::rules::{GOVERNOR_FNS, RANK_ENTRY_FNS};
+use crate::parser::{CallKind, FnItem, LetPat, PanicKind, ParsedFile};
+use crate::rules::{
+    EntryTable, GOVERNOR_FNS, PANIC_SITE_CRATES, RANK_ENTRY_FNS, RECOVERY_ENTRY_FNS,
+};
 
-/// A set of effects, as a bitset join-semilattice (union is join).
+/// A set of site kinds, as a bitset.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Hash, Debug)]
 pub struct EffectSet(pub u8);
 
@@ -62,8 +59,10 @@ impl EffectSet {
     pub const SPAWNS: EffectSet = EffectSet(1 << 2);
     pub const NON_DET: EffectSet = EffectSet(1 << 3);
     pub const PANICS: EffectSet = EffectSet(1 << 4);
-    /// The effects the DES migration must eliminate or sanction; `panics`
-    /// is excluded — `panic-reach` owns site-level panic reporting.
+    pub const EXITS: EffectSet = EffectSet(1 << 5);
+    /// The kinds a deterministic rank path must be free of or sanction,
+    /// and the ones the effects inventory lists. Only these have a pragma
+    /// word.
     pub const MIGRATION: EffectSet =
         EffectSet(Self::WALL_CLOCK.0 | Self::BLOCKS.0 | Self::SPAWNS.0 | Self::NON_DET.0);
 
@@ -87,40 +86,36 @@ impl EffectSet {
         self.0 == 0
     }
 
-    /// Stable names of the set bits, in display order.
+    /// Every kind with its stable name, in display order.
+    const KINDS: [(EffectSet, &'static str); 6] = [
+        (Self::WALL_CLOCK, "wall-clock"),
+        (Self::BLOCKS, "blocks"),
+        (Self::SPAWNS, "spawns"),
+        (Self::NON_DET, "non-det"),
+        (Self::PANICS, "panics"),
+        (Self::EXITS, "exits"),
+    ];
+
+    /// Names of the set bits.
     pub fn names(self) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        for (bit, name) in [
-            (Self::WALL_CLOCK, "wall-clock"),
-            (Self::BLOCKS, "blocks"),
-            (Self::SPAWNS, "spawns"),
-            (Self::NON_DET, "non-det"),
-            (Self::PANICS, "panics"),
-        ] {
-            if self.contains(bit) {
-                out.push(name);
-            }
-        }
-        out
+        let set = Self::KINDS.iter().filter(|(bit, _)| self.contains(*bit));
+        set.map(|(_, name)| *name).collect()
     }
 
-    /// Parse one effect name as written in a sanction pragma.
+    /// Parse one effect name as written in a sanction pragma: the
+    /// [`Self::MIGRATION`] kinds only — panic and exit sites are not
+    /// sanctionable in place.
     pub fn from_name(name: &str) -> Option<EffectSet> {
-        match name {
-            "wall-clock" => Some(Self::WALL_CLOCK),
-            "blocks" => Some(Self::BLOCKS),
-            "spawns" => Some(Self::SPAWNS),
-            "non-det" => Some(Self::NON_DET),
-            "panics" => Some(Self::PANICS),
-            _ => None,
-        }
+        let mut words = Self::KINDS.iter();
+        let word = words.find(|(bit, n)| *n == name && Self::MIGRATION.contains(*bit));
+        word.map(|(bit, _)| *bit)
     }
 }
 
-/// One directly effectful call site inside a function body.
+/// One directly effectful site inside a function body.
 #[derive(Clone, Debug)]
 pub struct EffectSite {
-    /// Raw effects of the intrinsic at this site.
+    /// Kinds of the intrinsic at this site.
     pub effects: EffectSet,
     /// Bits cleared by a sanction pragma covering this site.
     pub sanctioned: EffectSet,
@@ -153,6 +148,11 @@ const PATH_INTRINSICS: &[(&[&str], EffectSet)] = &[
         &["thread", "park_timeout"],
         EffectSet(EffectSet::WALL_CLOCK.0 | EffectSet::BLOCKS.0),
     ),
+    (&["process", "exit"], EffectSet::EXITS),
+    (&["process", "abort"], EffectSet::EXITS),
+    (&["libc", "exit"], EffectSet::EXITS),
+    (&["libc", "_exit"], EffectSet::EXITS),
+    (&["libc", "abort"], EffectSet::EXITS),
 ];
 
 /// Method names that read the wall clock.
@@ -190,91 +190,6 @@ const METHOD_NON_DET: &[&str] = &[
 
 /// Iteration methods that surface unordered-container order.
 const ITER_METHODS: &[&str] = &["iter", "keys", "values", "drain", "into_iter"];
-
-/// The condensation of a call graph: SCCs in *reverse topological* order
-/// (every callee SCC is emitted before any of its callers), which is the
-/// processing order for the bottom-up fixpoint.
-pub struct Condensation {
-    pub sccs: Vec<Vec<FnId>>,
-    pub comp_of: HashMap<FnId, usize>,
-}
-
-/// Iterative Tarjan over the call graph (recursion would overflow on
-/// splice-generated pathological chains).
-pub fn condense(graph: &CallGraph) -> Condensation {
-    let mut nodes: Vec<FnId> = graph.edges.keys().copied().collect();
-    for callees in graph.edges.values() {
-        nodes.extend(callees.iter().copied());
-    }
-    nodes.sort_unstable();
-    nodes.dedup();
-
-    let mut index: HashMap<FnId, usize> = HashMap::new();
-    let mut low: HashMap<FnId, usize> = HashMap::new();
-    let mut on_stack: HashSet<FnId> = HashSet::new();
-    let mut stack: Vec<FnId> = Vec::new();
-    let mut sccs: Vec<Vec<FnId>> = Vec::new();
-    let mut next = 0usize;
-    let empty: Vec<FnId> = Vec::new();
-
-    for &start in &nodes {
-        if index.contains_key(&start) {
-            continue;
-        }
-        index.insert(start, next);
-        low.insert(start, next);
-        next += 1;
-        stack.push(start);
-        on_stack.insert(start);
-        let mut frames: Vec<(FnId, usize)> = vec![(start, 0)];
-        while let Some(&(v, cursor)) = frames.last() {
-            let succs = graph.edges.get(&v).unwrap_or(&empty);
-            if cursor < succs.len() {
-                frames.last_mut().expect("frame present").1 += 1;
-                let w = succs[cursor];
-                if let std::collections::hash_map::Entry::Vacant(slot) = index.entry(w) {
-                    slot.insert(next);
-                    low.insert(w, next);
-                    next += 1;
-                    stack.push(w);
-                    on_stack.insert(w);
-                    frames.push((w, 0));
-                } else if on_stack.contains(&w) {
-                    let lw = index[&w];
-                    let lv = low.get_mut(&v).expect("visited");
-                    *lv = (*lv).min(lw);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(p, _)) = frames.last() {
-                    let lv = low[&v];
-                    let lp = low.get_mut(&p).expect("visited");
-                    *lp = (*lp).min(lv);
-                }
-                if low[&v] == index[&v] {
-                    let mut comp = Vec::new();
-                    while let Some(w) = stack.pop() {
-                        on_stack.remove(&w);
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    comp.sort_unstable();
-                    sccs.push(comp);
-                }
-            }
-        }
-    }
-
-    let mut comp_of = HashMap::new();
-    for (i, comp) in sccs.iter().enumerate() {
-        for &f in comp {
-            comp_of.insert(f, i);
-        }
-    }
-    Condensation { sccs, comp_of }
-}
 
 /// A sanction pragma parsed from a comment.
 struct Sanction {
@@ -316,9 +231,7 @@ fn parse_sanctions(file: &ParsedFile, malformed: &mut Vec<(String, u32, String)>
             malformed.push((
                 file.rel.clone(),
                 t.line,
-                format!(
-                    "unknown effect `{name}` (expected wall-clock/blocks/spawns/non-det/panics)"
-                ),
+                format!("unknown effect `{name}` (expected wall-clock/blocks/spawns/non-det)"),
             ));
             continue;
         }
@@ -362,11 +275,6 @@ fn sanction_for(sanctions: &[Sanction], line: u32, floor: u32) -> (EffectSet, St
     (set, just)
 }
 
-/// Does the method call at `si` have an empty argument list?
-fn zero_arg(file: &ParsedFile, si: usize) -> bool {
-    si + 2 < file.sig.len() && file.text(si + 1) == "(" && file.text(si + 2) == ")"
-}
-
 /// Collect the direct effect sites of one function.
 fn fn_sites(file: &ParsedFile, f: &FnItem, sanctions: &[Sanction]) -> Vec<EffectSite> {
     let mut out = Vec::new();
@@ -386,7 +294,7 @@ fn fn_sites(file: &ParsedFile, f: &FnItem, sanctions: &[Sanction]) -> Vec<Effect
     // receivers keeps field iteration (often sorted afterwards) out.
     let mut hash_bound: HashSet<String> = HashSet::new();
     for l in &f.lets {
-        if let crate::parser::LetPat::Ident(name) = &l.pat {
+        if let LetPat::Ident(name) = &l.pat {
             let mentions_hash = (l.init.0..l.init.1.min(file.sig.len()))
                 .any(|k| matches!(file.text(k), "HashMap" | "HashSet"));
             if mentions_hash {
@@ -417,7 +325,7 @@ fn fn_sites(file: &ParsedFile, f: &FnItem, sanctions: &[Sanction]) -> Vec<Effect
                     effects = effects.union(EffectSet::WALL_CLOCK);
                 }
                 if METHOD_BLOCKS.contains(&name)
-                    || (METHOD_BLOCKS_ZERO_ARG.contains(&name) && zero_arg(file, c.si))
+                    || (METHOD_BLOCKS_ZERO_ARG.contains(&name) && cfg::call_arity(file, c) == 0)
                 {
                     effects = effects.union(EffectSet::BLOCKS);
                 }
@@ -446,6 +354,15 @@ fn fn_sites(file: &ParsedFile, f: &FnItem, sanctions: &[Sanction]) -> Vec<Effect
             }
             CallKind::Free | CallKind::Macro => {}
         }
+    }
+    for p in &f.panics {
+        let what = match &p.kind {
+            PanicKind::Macro(m) => format!("{m}!"),
+            PanicKind::Unwrap => ".unwrap()".into(),
+            PanicKind::Expect => ".expect(…)".into(),
+            PanicKind::Index => "[…]-indexing".into(),
+        };
+        push(EffectSet::PANICS, what, p.line);
     }
     out
 }
@@ -476,150 +393,232 @@ impl InventoryEntry {
     }
 }
 
-/// The full interprocedural effect analysis of one workspace.
+/// Where a query's traversal starts.
+pub enum Roots {
+    /// An entry-point table, resolved by [`collect_entries`].
+    Entries(EntryTable),
+    /// Every function that calls `fenix::run`. Closure calls attribute to
+    /// the enclosing function, so the loop body's callees are reachable
+    /// from these.
+    RunLoopCallers,
+}
+
+/// One reachability rule: no unsanctioned site of a `forbidden` kind in a
+/// function reachable from `roots`.
+pub struct Query {
+    pub rule: &'static str,
+    pub roots: Roots,
+    pub forbidden: EffectSet,
+    /// Crates whose sites are reported (`None`: all). The traversal itself
+    /// follows calls anywhere, vendored shims included.
+    pub report_in: Option<&'static [&'static str]>,
+    /// Sites in the root functions themselves are allowed.
+    pub roots_exempt: bool,
+    /// Completes "reachable from …".
+    pub from: &'static str,
+    pub fix: &'static str,
+}
+
+const SANCTION_FIX: &str = "fix the site or sanction it with `// lint: sanction(<effect>): <why>`";
+
+/// The reachability rules.
+///
+/// - `single-exit`: the paper's single control-flow exit point (Fig. 4).
+///   Every rank — survivor, repaired, or spare — leaves the resilient
+///   region by returning through the `fenix::run` loop; an exit anywhere
+///   the loop can reach bypasses rank-state agreement and the final
+///   collective. The caller of `fenix::run` is exempt: exiting after the
+///   loop has returned is the harness's business.
+/// - `panic-reach`: a panic on the re-entry path after a failure kills the
+///   rank that was supposed to be recovering. Reported only where the code
+///   participates in the recovery protocol ([`PANIC_SITE_CRATES`]).
+///   `assert!`/`unreachable!` are stated invariants, not sites.
+/// - `rank-path-effects`: nothing a simulated rank executes may read the
+///   wall clock, park the OS thread, draw nondeterminism, or spawn threads
+///   unless the site says why it may — those are what the deterministic
+///   scheduler must own. Malformed pragmas are reported under this rule.
+/// - `blocking-in-governor`: reservation math and telemetry export
+///   callbacks run under locks and on hot paths — they compute, never park.
+pub const QUERIES: &[Query] = &[
+    Query {
+        rule: "single-exit",
+        roots: Roots::RunLoopCallers,
+        forbidden: EffectSet::EXITS,
+        report_in: None,
+        roots_exempt: true,
+        from: "the fenix::run loop",
+        fix: "recovery paths must return through the single exit point, not terminate \
+              the process",
+    },
+    Query {
+        rule: "panic-reach",
+        roots: Roots::Entries(RECOVERY_ENTRY_FNS),
+        forbidden: EffectSet::PANICS,
+        report_in: Some(PANIC_SITE_CRATES),
+        roots_exempt: false,
+        from: "a recovery entry point",
+        fix: "a panic here kills the recovering rank — return the error through the \
+              resilience layers instead",
+    },
+    Query {
+        rule: "rank-path-effects",
+        roots: Roots::Entries(RANK_ENTRY_FNS),
+        forbidden: EffectSet::MIGRATION,
+        report_in: None,
+        roots_exempt: false,
+        from: "a rank entry point",
+        fix: SANCTION_FIX,
+    },
+    Query {
+        rule: "blocking-in-governor",
+        roots: Roots::Entries(GOVERNOR_FNS),
+        forbidden: EffectSet::BLOCKS,
+        report_in: None,
+        roots_exempt: false,
+        from: "a governor/exporter callback",
+        fix: SANCTION_FIX,
+    },
+];
+
+/// The site table and call graph of one workspace scan.
 pub struct EffectAnalysis {
-    /// Per-function *unsanctioned* effect summaries (local ∪ callees).
-    pub summaries: HashMap<FnId, EffectSet>,
-    /// Per-function direct (local) unsanctioned effects, panics included.
-    pub local: HashMap<FnId, EffectSet>,
-    /// Per-function direct effect sites (sanctioned ones included).
+    /// Per-function direct sites (sanctioned ones included).
     pub sites: HashMap<FnId, Vec<EffectSite>>,
-    /// The call graph the fixpoint ran over.
     pub graph: CallGraph,
-    pub cond: Condensation,
     /// Malformed sanction pragmas: (file, line, reason).
     pub malformed: Vec<(String, u32, String)>,
+    opts: GraphOpts,
 }
 
 impl EffectAnalysis {
-    /// Run the analysis (and build the workspace call graph it and the
-    /// reachability rules share).
+    /// Build the workspace call graph and collect every live function's
+    /// sites.
     pub fn run(ws: &Workspace, opts: GraphOpts) -> EffectAnalysis {
-        let graph = CallGraph::build(ws, opts);
         let mut malformed = Vec::new();
+        let sanctions: Vec<Vec<Sanction>> = ws
+            .files
+            .iter()
+            .map(|file| {
+                if file.file_is_test {
+                    return Vec::new();
+                }
+                parse_sanctions(file, &mut malformed)
+            })
+            .collect();
         let mut sites: HashMap<FnId, Vec<EffectSite>> = HashMap::new();
-        let mut local: HashMap<FnId, EffectSet> = HashMap::new();
-        for (fi, file) in ws.files.iter().enumerate() {
-            if file.file_is_test {
-                continue;
+        for (id, f) in ws.live(opts) {
+            let fs = fn_sites(ws.file(id), f, &sanctions[id.0]);
+            if !fs.is_empty() {
+                sites.insert(id, fs);
             }
-            let sanctions = parse_sanctions(file, &mut malformed);
-            for (gi, f) in file.fns.iter().enumerate() {
-                if f.is_test || (f.mutant_gated && !opts.include_mutants) {
+        }
+        EffectAnalysis {
+            sites,
+            graph: CallGraph::build(ws, opts),
+            malformed,
+            opts,
+        }
+    }
+
+    fn roots(&self, ws: &Workspace, which: &Roots) -> Vec<FnId> {
+        match which {
+            Roots::Entries(table) => collect_entries(ws, table, self.opts),
+            Roots::RunLoopCallers => ws
+                .live(self.opts)
+                .filter(|(_, f)| {
+                    f.calls.iter().any(|c| {
+                        c.kind == CallKind::Path
+                            && c.name() == "run"
+                            && c.segs.iter().any(|s| s == "fenix" || s == "runtime")
+                    })
+                })
+                .map(|(id, _)| id)
+                .collect(),
+        }
+    }
+
+    /// Run every row of [`QUERIES`], plus the malformed-pragma report.
+    pub fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
+        let mut out = Vec::new();
+        for q in QUERIES {
+            let roots = self.roots(ws, &q.roots);
+            let parent = self.graph.reach(&roots);
+            for (&id, sites) in &self.sites {
+                let file = ws.file(id);
+                if !parent.contains_key(&id)
+                    || (q.roots_exempt && roots.contains(&id))
+                    || q.report_in
+                        .is_some_and(|crates| !crates.contains(&file.crate_name.as_str()))
+                {
                     continue;
                 }
-                let fs = fn_sites(file, f, &sanctions);
-                let mut eff = fs
-                    .iter()
-                    .fold(EffectSet::EMPTY, |acc, s| acc.union(s.unsanctioned()));
-                if !f.panics.is_empty() {
-                    eff = eff.union(EffectSet::PANICS);
-                }
-                local.insert((fi, gi), eff);
-                if !fs.is_empty() {
-                    sites.insert((fi, gi), fs);
-                }
-            }
-        }
-
-        let cond = condense(&graph);
-        // Bottom-up over the condensation: SCCs arrive callees-first, so
-        // one pass per SCC reaches the least fixpoint (union is monotone
-        // and all members of an SCC share one summary).
-        let mut summaries: HashMap<FnId, EffectSet> = HashMap::new();
-        for comp in &cond.sccs {
-            let mut eff = EffectSet::EMPTY;
-            for &f in comp {
-                eff = eff.union(local.get(&f).copied().unwrap_or_default());
-                for callee in graph.edges.get(&f).into_iter().flatten() {
-                    if let Some(&s) = summaries.get(callee) {
-                        eff = eff.union(s);
+                for s in sites {
+                    let bad = s.unsanctioned().intersect(q.forbidden);
+                    if bad.is_empty() {
+                        continue;
                     }
-                }
-            }
-            for &f in comp {
-                summaries.insert(f, eff);
-            }
-        }
-
-        EffectAnalysis {
-            summaries,
-            local,
-            sites,
-            graph,
-            cond,
-            malformed,
-        }
-    }
-
-    /// BFS parent forest from `entries`, for shortest witness chains.
-    fn parents(&self, entries: &[FnId]) -> HashMap<FnId, Option<FnId>> {
-        let mut parent: HashMap<FnId, Option<FnId>> = HashMap::new();
-        let mut queue: VecDeque<FnId> = VecDeque::new();
-        for &e in entries {
-            if let std::collections::hash_map::Entry::Vacant(slot) = parent.entry(e) {
-                slot.insert(None);
-                queue.push_back(e);
-            }
-        }
-        while let Some(v) = queue.pop_front() {
-            for &w in self.graph.edges.get(&v).into_iter().flatten() {
-                if let std::collections::hash_map::Entry::Vacant(slot) = parent.entry(w) {
-                    slot.insert(Some(v));
-                    queue.push_back(w);
+                    out.push(Diagnostic {
+                        rule: q.rule,
+                        file: file.rel.clone(),
+                        line: s.line,
+                        func: ws.fn_item(id).qual(),
+                        msg: format!(
+                            "{} site ({}) reachable from {}; witness: {}; {}",
+                            bad.names().join("+"),
+                            s.what,
+                            q.from,
+                            chain(ws, &parent, id).join(" -> "),
+                            q.fix,
+                        ),
+                    });
                 }
             }
         }
-        parent
-    }
-
-    /// Reconstruct the entry → target chain of qualified names.
-    fn chain(ws: &Workspace, parent: &HashMap<FnId, Option<FnId>>, target: FnId) -> Vec<String> {
-        let mut path = vec![target];
-        let mut at = target;
-        while let Some(Some(p)) = parent.get(&at) {
-            path.push(*p);
-            at = *p;
+        for (file, line, reason) in &self.malformed {
+            out.push(Diagnostic {
+                rule: "rank-path-effects",
+                file: file.clone(),
+                line: *line,
+                func: String::new(),
+                msg: format!("malformed sanction pragma: {reason}"),
+            });
         }
-        path.reverse();
-        path.iter().map(|&f| ws.fn_item(f).qual()).collect()
+        out
     }
 
-    /// Every migration-effect site reachable from the rank entry points,
-    /// with witness chains — the DES-migration checklist.
-    pub fn inventory(&self, ws: &Workspace, opts: GraphOpts) -> Vec<InventoryEntry> {
-        let entries = collect_entries(ws, RANK_ENTRY_FNS, opts);
-        let parent = self.parents(&entries);
+    /// Every wall-clock / blocks / spawns / non-det site reachable from
+    /// the rank entry points, sanctioned or not, with witness chains — the
+    /// `--effects` artifact.
+    pub fn inventory(&self, ws: &Workspace) -> Vec<InventoryEntry> {
+        let parent = self
+            .graph
+            .reach(&collect_entries(ws, RANK_ENTRY_FNS, self.opts));
         let mut out = Vec::new();
         for (&id, sites) in &self.sites {
             if !parent.contains_key(&id) {
                 continue;
             }
-            let file = ws.file(id);
+            let file = &ws.file(id).rel;
             let func = ws.fn_item(id).qual();
-            let witness = Self::chain(ws, &parent, id);
             for s in sites {
-                let migration = s.effects.intersect(EffectSet::MIGRATION);
-                if migration.is_empty() {
+                let effects = s.effects.intersect(EffectSet::MIGRATION);
+                if effects.is_empty() {
                     continue;
                 }
-                let key = format!(
-                    "{} @ {} # {} : {}",
-                    migration.names().join("+"),
-                    file.rel,
-                    func,
-                    s.what
-                );
                 out.push(InventoryEntry {
-                    key,
-                    file: file.rel.clone(),
+                    key: format!(
+                        "{} @ {file} # {func} : {}",
+                        effects.names().join("+"),
+                        s.what
+                    ),
+                    file: file.clone(),
                     line: s.line,
                     func: func.clone(),
                     what: s.what.clone(),
-                    effects: migration,
+                    effects,
                     sanctioned: s.sanctioned,
                     justification: s.justification.clone(),
-                    witness: witness.clone(),
+                    witness: chain(ws, &parent, id),
                 });
             }
         }
@@ -629,23 +628,24 @@ impl EffectAnalysis {
     }
 }
 
-/// Resolve an entry-point table (`(crate, patterns)`; a pattern with `::`
-/// matches the qualified name exactly, a bare name matches only free
-/// functions) against the workspace.
-pub fn collect_entries(ws: &Workspace, table: &[(&str, &[&str])], opts: GraphOpts) -> Vec<FnId> {
+/// The root → `target` chain of qualified names through a
+/// [`CallGraph::reach`] parent forest.
+fn chain(ws: &Workspace, parent: &HashMap<FnId, Option<FnId>>, target: FnId) -> Vec<String> {
+    let mut path = vec![target];
+    let mut at = target;
+    while let Some(&Some(p)) = parent.get(&at) {
+        path.push(p);
+        at = p;
+    }
+    path.iter().rev().map(|&f| ws.fn_item(f).qual()).collect()
+}
+
+/// Resolve an entry-point table against the workspace's live functions.
+pub fn collect_entries(ws: &Workspace, table: EntryTable, opts: GraphOpts) -> Vec<FnId> {
     let mut out = Vec::new();
-    for (id, f) in ws.fns() {
-        if f.is_test || (f.mutant_gated && !opts.include_mutants) {
-            continue;
-        }
-        let file = ws.file(id);
-        if file.file_is_test {
-            continue;
-        }
-        let Some((_, pats)) = table
-            .iter()
-            .find(|(krate, _)| *krate == file.crate_name.as_str())
-        else {
+    for (id, f) in ws.live(opts) {
+        let krate = ws.file(id).crate_name.as_str();
+        let Some((_, pats)) = table.iter().find(|(c, _)| *c == krate) else {
             continue;
         };
         let qual = f.qual();
@@ -659,146 +659,26 @@ pub fn collect_entries(ws: &Workspace, table: &[(&str, &[&str])], opts: GraphOpt
             out.push(id);
         }
     }
-    out.sort_unstable();
     out
 }
 
-/// Shared body of the two reachability rules.
-fn check_reachable(
-    ws: &Workspace,
-    fx: &EffectAnalysis,
-    opts: GraphOpts,
-    rule: &'static str,
-    table: &[(&str, &[&str])],
-    forbidden: EffectSet,
-    context: &str,
-) -> Vec<Diagnostic> {
-    let entries = collect_entries(ws, table, opts);
-    let parent = fx.parents(&entries);
-    let mut out = Vec::new();
-    for (&id, sites) in &fx.sites {
-        if !parent.contains_key(&id) {
-            continue;
-        }
-        let file = ws.file(id);
-        let func = ws.fn_item(id).qual();
-        for s in sites {
-            let bad = s.unsanctioned().intersect(forbidden);
-            if bad.is_empty() {
-                continue;
-            }
-            let witness = EffectAnalysis::chain(ws, &parent, id);
-            out.push(Diagnostic {
-                rule,
-                file: file.rel.clone(),
-                line: s.line,
-                func: func.clone(),
-                msg: format!(
-                    "{} effect ({}) reachable from {}; witness: {}; \
-                     fix the site or sanction it with `// lint: sanction({}): <why>`",
-                    bad.names().join("+"),
-                    s.what,
-                    context,
-                    witness.join(" -> "),
-                    bad.names().join(", "),
-                ),
-            });
-        }
-    }
-    out
+/// Sanctioned inventory sites per pragma word, for the scan's summary
+/// line: the count a PR that removes a wall-clock read or a park site
+/// from the rank path moves.
+pub fn sanctioned_summary(entries: &[InventoryEntry]) -> String {
+    let words = EffectSet::KINDS.iter();
+    let words = words.filter(|(bit, _)| EffectSet::MIGRATION.contains(*bit));
+    let per_word = words.map(|(bit, name)| {
+        let n = entries
+            .iter()
+            .filter(|e| e.sanctioned.contains(*bit))
+            .count();
+        format!("{name} {n}")
+    });
+    per_word.collect::<Vec<_>>().join(", ")
 }
 
-/// `rank-path-effects`: nothing a simulated rank executes may read the
-/// wall clock, draw nondeterminism, or spawn OS threads — those are the
-/// three things the deterministic event scheduler must own. Plain
-/// blocking (mailbox condvar waits) is allowed: it becomes a yield point.
-pub fn check_rank_path(ws: &Workspace, fx: &EffectAnalysis, opts: GraphOpts) -> Vec<Diagnostic> {
-    check_reachable(
-        ws,
-        fx,
-        opts,
-        "rank-path-effects",
-        RANK_ENTRY_FNS,
-        EffectSet::WALL_CLOCK
-            .union(EffectSet::NON_DET)
-            .union(EffectSet::SPAWNS),
-        "a rank entry point",
-    )
-}
-
-/// `blocking-in-governor`: bandwidth-governor reservation math and
-/// telemetry export callbacks run under locks and on hot paths — they
-/// must compute, never park the thread.
-pub fn check_governor(ws: &Workspace, fx: &EffectAnalysis, opts: GraphOpts) -> Vec<Diagnostic> {
-    check_reachable(
-        ws,
-        fx,
-        opts,
-        "blocking-in-governor",
-        GOVERNOR_FNS,
-        EffectSet::BLOCKS,
-        "a governor/exporter callback",
-    )
-}
-
-/// `effect-drift`: every *unsanctioned* migration-effect site reachable
-/// from a rank entry must already be in the committed
-/// `effects-inventory.json`; a new one fails CI until it is either fixed
-/// or sanctioned. Malformed sanction pragmas are reported here too.
-pub fn check_drift(ws: &Workspace, fx: &EffectAnalysis, opts: GraphOpts) -> Vec<Diagnostic> {
-    let committed: HashSet<String> = ws
-        .root
-        .as_ref()
-        .and_then(|root| std::fs::read_to_string(root.join("effects-inventory.json")).ok())
-        .map(|text| snapshot_keys(&text))
-        .unwrap_or_default();
-    let mut out = Vec::new();
-    for e in fx.inventory(ws, opts) {
-        if e.is_sanctioned() || committed.contains(&e.key) {
-            continue;
-        }
-        out.push(Diagnostic {
-            rule: "effect-drift",
-            file: e.file.clone(),
-            line: e.line,
-            func: e.func.clone(),
-            msg: format!(
-                "new unsanctioned effect site ({}: {}) not in committed effects-inventory.json; \
-                 witness: {}; sanction it or regenerate the snapshot with `--effects`",
-                e.effects.names().join("+"),
-                e.what,
-                e.witness.join(" -> "),
-            ),
-        });
-    }
-    for (file, line, reason) in &fx.malformed {
-        out.push(Diagnostic {
-            rule: "effect-drift",
-            file: file.clone(),
-            line: *line,
-            func: String::new(),
-            msg: format!("malformed sanction pragma: {reason}"),
-        });
-    }
-    out
-}
-
-/// Entry keys of a rendered inventory snapshot; empty when `text` is not
-/// one (every unsanctioned site then reports as new).
-pub fn snapshot_keys(text: &str) -> HashSet<String> {
-    let Ok(doc) = Json::parse(text) else {
-        return HashSet::new();
-    };
-    let entries = doc.get("entries").and_then(Json::as_array);
-    entries
-        .unwrap_or_default()
-        .iter()
-        .filter_map(|e| Some(e.get("key")?.as_str()?.to_owned()))
-        .collect()
-}
-
-/// Render the inventory as JSON (the `--effects` artifact and the
-/// committed snapshot share this format).
+/// Render the inventory as JSON (the `--effects` artifact).
 pub fn render_inventory(entries: &[InventoryEntry]) -> String {
     let rendered = entries.iter().map(|e| {
         Json::obj([
@@ -830,71 +710,70 @@ pub fn render_inventory(entries: &[InventoryEntry]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::ParsedFile;
+    use crate::testutil::{id_of, ws};
 
-    fn ws(files: &[(&str, &str, &str)]) -> Workspace {
-        Workspace {
-            root: None,
-            files: files
-                .iter()
-                .map(|(rel, krate, src)| ParsedFile::parse(rel, krate, src, false))
-                .collect(),
-        }
-    }
-
-    fn id_of(ws: &Workspace, name: &str) -> FnId {
-        ws.fns()
-            .find(|(_, f)| f.name == name)
-            .map(|(id, _)| id)
-            .unwrap_or_else(|| panic!("no fn named {name}"))
+    fn run(files: &[(&str, &str)]) -> (Workspace, EffectAnalysis) {
+        let w = ws(files);
+        let fx = EffectAnalysis::run(&w, GraphOpts::default());
+        (w, fx)
     }
 
     #[test]
-    fn effects_propagate_through_calls() {
-        let w = ws(&[(
-            "crates/simmpi/src/lib.rs",
-            "simmpi",
-            "pub fn outer() { middle(); }\n\
-             fn middle() { leaf(); }\n\
+    fn sites_are_reported_through_calls_and_recursion() {
+        let (w, fx) = run(&[(
+            "crates/fenix/src/lib.rs",
+            "pub fn run(n: u32) { middle(n); }\n\
+             fn middle(n: u32) { if n > 0 { run(n - 1); } leaf(); }\n\
              fn leaf() { let _t = std::time::Instant::now(); }\n",
         )]);
-        let fx = EffectAnalysis::run(&w, GraphOpts::default());
-        for name in ["outer", "middle", "leaf"] {
-            let s = fx.summaries[&id_of(&w, name)];
-            assert!(s.contains(EffectSet::WALL_CLOCK), "{name}: {s:?}");
-        }
+        let d = fx.check(&w);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(
+            (d[0].rule, d[0].func.as_str()),
+            ("rank-path-effects", "leaf")
+        );
+        assert!(d[0]
+            .msg
+            .contains("wall-clock site (std::time::Instant::now)"));
+        assert!(
+            d[0].msg.contains("witness: run -> middle -> leaf;"),
+            "{}",
+            d[0].msg
+        );
     }
 
     #[test]
     fn sleep_is_wall_clock_and_blocking() {
-        let w = ws(&[(
+        let (w, fx) = run(&[(
             "crates/cluster/src/lib.rs",
-            "cluster",
             "pub fn nap() { std::thread::sleep(std::time::Duration::from_millis(1)); }\n",
         )]);
-        let fx = EffectAnalysis::run(&w, GraphOpts::default());
-        let s = fx.summaries[&id_of(&w, "nap")];
-        assert!(s.contains(EffectSet::WALL_CLOCK.union(EffectSet::BLOCKS)));
+        let sites = &fx.sites[&id_of(&w, "nap")];
+        assert_eq!(sites.len(), 1);
+        assert_eq!(
+            sites[0].effects,
+            EffectSet::WALL_CLOCK.union(EffectSet::BLOCKS)
+        );
     }
 
     #[test]
     fn zero_arg_heuristic_separates_joins() {
-        let w = ws(&[(
+        let (w, fx) = run(&[(
             "crates/x/src/lib.rs",
-            "x",
             "pub fn strings(v: &[String]) -> String { v.join(\", \") }\n\
              pub fn threads(h: std::thread::JoinHandle<()>) { h.join().ok(); }\n",
         )]);
-        let fx = EffectAnalysis::run(&w, GraphOpts::default());
-        assert!(fx.summaries[&id_of(&w, "strings")].is_empty());
-        assert!(fx.summaries[&id_of(&w, "threads")].contains(EffectSet::BLOCKS));
+        assert!(!fx.sites.contains_key(&id_of(&w, "strings")));
+        assert_eq!(
+            fx.sites[&id_of(&w, "threads")][0].effects,
+            EffectSet::BLOCKS
+        );
     }
 
     #[test]
-    fn sanction_clears_named_bits_and_requires_justification() {
-        let w = ws(&[(
+    fn sanction_clears_named_kinds_and_requires_justification() {
+        let (w, fx) = run(&[(
             "crates/cluster/src/lib.rs",
-            "cluster",
             "pub fn modeled() {\n\
              // lint: sanction(wall-clock, blocks): modeled time, DES replaces it\n\
              std::thread::sleep(std::time::Duration::from_millis(1));\n\
@@ -902,59 +781,79 @@ mod tests {
              pub fn naked() {\n\
              // lint: sanction(wall-clock):\n\
              let _t = std::time::Instant::now();\n\
+             }\n\
+             pub fn risky(v: Option<u8>) -> u8 {\n\
+             // lint: sanction(panics): cannot be sanctioned in place\n\
+             v.unwrap()\n\
              }\n",
         )]);
-        let fx = EffectAnalysis::run(&w, GraphOpts::default());
-        assert!(fx.summaries[&id_of(&w, "modeled")].is_empty());
+        assert!(fx.sites[&id_of(&w, "modeled")][0].unsanctioned().is_empty());
         // The empty justification is rejected: the pragma is malformed and
-        // the site keeps its effect.
-        assert!(fx.summaries[&id_of(&w, "naked")].contains(EffectSet::WALL_CLOCK));
-        assert_eq!(fx.malformed.len(), 1);
+        // the site keeps its effect. `panics` is not a pragma word at all.
+        let naked = &fx.sites[&id_of(&w, "naked")][0];
+        assert_eq!(naked.unsanctioned(), EffectSet::WALL_CLOCK);
+        let risky = &fx.sites[&id_of(&w, "risky")][0];
+        assert_eq!(risky.unsanctioned(), EffectSet::PANICS);
+        assert_eq!(fx.malformed.len(), 2);
+        // Malformed pragmas fail the scan, under `rank-path-effects`.
+        let d = fx.check(&w);
+        assert_eq!(d.len(), 2, "{d:?}");
+        assert!(d.iter().all(
+            |d| d.rule == "rank-path-effects" && d.msg.starts_with("malformed sanction pragma")
+        ));
     }
 
     #[test]
-    fn recursive_scc_reaches_fixpoint() {
-        let w = ws(&[(
-            "crates/x/src/lib.rs",
-            "x",
-            "pub fn ping(n: u32) { if n > 0 { pong(n - 1); } }\n\
-             fn pong(n: u32) { std::thread::sleep(std::time::Duration::ZERO); ping(n); }\n",
-        )]);
-        let fx = EffectAnalysis::run(&w, GraphOpts::default());
-        let ping = id_of(&w, "ping");
-        let pong = id_of(&w, "pong");
-        assert_eq!(fx.summaries[&ping], fx.summaries[&pong]);
-        assert!(fx.summaries[&ping].contains(EffectSet::BLOCKS));
-        assert_eq!(fx.cond.comp_of[&ping], fx.cond.comp_of[&pong]);
+    fn rows_scope_their_reports() {
+        let (w, fx) = run(&[
+            (
+                "crates/harness/src/main.rs",
+                "fn main() {\n\
+                 if fenix::run(|| body()).is_err() { std::process::exit(1); }\n\
+                 }\n\
+                 fn body() { std::process::abort(); }\n",
+            ),
+            (
+                "crates/fenix/src/lib.rs",
+                "pub fn run(s: Option<u8>) { s.unwrap(); telemetry::note(s); }\n",
+            ),
+            (
+                "crates/telemetry/src/lib.rs",
+                "pub fn note(s: Option<u8>) { s.unwrap(); }\n",
+            ),
+        ]);
+        let d = fx.check(&w);
+        let got: Vec<_> = d.iter().map(|d| (d.rule, d.func.as_str())).collect();
+        // The `fenix::run` caller may exit after the loop returns; the
+        // traversal crosses into telemetry, but a panic there is not a
+        // resilience-protocol finding.
+        assert_eq!(got, [("single-exit", "body"), ("panic-reach", "run")]);
     }
 
     #[test]
     fn inventory_carries_witness_chain() {
-        let w = ws(&[(
+        let (w, fx) = run(&[(
             "crates/simmpi/src/router.rs",
-            "simmpi",
             "pub struct Router;\n\
              impl Router {\n\
              pub fn recv(&self) { self.backoff(); }\n\
              fn backoff(&self) { let _t = std::time::Instant::now(); }\n\
              }\n",
         )]);
-        let fx = EffectAnalysis::run(&w, GraphOpts::default());
-        let inv = fx.inventory(&w, GraphOpts::default());
+        let inv = fx.inventory(&w);
         assert_eq!(inv.len(), 1);
         assert_eq!(inv[0].witness, vec!["Router::recv", "Router::backoff"]);
         assert!(inv[0].key.contains("wall-clock @"));
         assert!(!inv[0].is_sanctioned());
         let rendered = render_inventory(&inv);
-        let keys = snapshot_keys(&rendered);
-        assert!(keys.contains(&inv[0].key), "snapshot round-trips keys");
+        assert!(rendered.contains(&inv[0].key) && rendered.contains("\"unsanctioned\": 1"));
+        assert!(sanctioned_summary(&inv).starts_with("wall-clock 0, blocks 0"));
     }
 
     #[test]
     fn hash_iteration_is_non_det() {
-        let w = ws(&[(
+        let (w, fx) = run(&[(
             "crates/x/src/lib.rs",
-            "x",
             "pub fn order(v: &[u64]) -> u64 {\n\
              let seen = std::collections::HashSet::from([1u64]);\n\
              let mut acc = 0;\n\
@@ -963,8 +862,7 @@ mod tests {
              }\n\
              pub fn sorted_field(v: &[u64]) -> Vec<u64> { let mut s = v.to_vec(); s.sort(); s }\n",
         )]);
-        let fx = EffectAnalysis::run(&w, GraphOpts::default());
-        assert!(fx.summaries[&id_of(&w, "order")].contains(EffectSet::NON_DET));
-        assert!(fx.summaries[&id_of(&w, "sorted_field")].is_empty());
+        assert_eq!(fx.sites[&id_of(&w, "order")][0].effects, EffectSet::NON_DET);
+        assert!(!fx.sites.contains_key(&id_of(&w, "sorted_field")));
     }
 }

@@ -10,12 +10,15 @@
 //!   items with their calls, `let` bindings, `match` arms, and panic
 //!   sites;
 //! - [`callgraph`] — a workspace-wide call graph with heuristic name
-//!   resolution and reachability;
-//! - [`rules`] — the lint rules: the protocol lints encoding the paper's
-//!   resilience invariants plus the two token rules carried over from
-//!   PR 2 (`unsafe-comment` went once the workspace's clippy denies
+//!   resolution and the one breadth-first traversal;
+//! - [`effects`] — the call-graph query ("is a site of kind K reachable
+//!   from root set R?") and the rules that are rows of it;
+//! - [`rules`] — the other lint rules: the protocol lints encoding the
+//!   paper's resilience invariants plus the two token rules carried over
+//!   from PR 2 (`unsafe-comment` went once the workspace's clippy denies
 //!   covered every case it caught);
-//! - [`diag`] — human/JSON diagnostics and the justified-baseline format.
+//! - [`diag`] — diagnostics, the JSON report and the justified-baseline
+//!   format.
 //!
 //! The binary (`cargo run -p lint`) scans the workspace and exits
 //! non-zero on any non-baselined finding; `--self-check` proves every
@@ -36,6 +39,7 @@ use std::path::{Path, PathBuf};
 
 pub use callgraph::{CallGraph, GraphOpts, Resolver, Workspace};
 pub use diag::{Baseline, Diagnostic};
+use effects::EffectAnalysis;
 use parser::ParsedFile;
 
 /// Classify a workspace-relative path: `Some((crate_name, is_test_file))`
@@ -109,14 +113,12 @@ pub fn load_workspace(root: &Path) -> std::io::Result<Workspace> {
         let src = std::fs::read_to_string(&path)?;
         files.push(ParsedFile::parse(&rel, &krate, &src, is_test));
     }
-    Ok(Workspace {
-        root: Some(root.to_path_buf()),
-        files,
-    })
+    Ok(Workspace { files })
 }
 
-/// Run every rule over an already-loaded workspace.
-pub fn analyze(ws: &Workspace, opts: GraphOpts) -> Vec<Diagnostic> {
+/// Run every rule over an already-loaded workspace. The second half is
+/// the call-graph analysis the scan ran on, for the effects inventory.
+pub fn analyze(ws: &Workspace, opts: GraphOpts) -> (Vec<Diagnostic>, EffectAnalysis) {
     rules::run_all(ws, opts)
 }
 
@@ -130,7 +132,7 @@ fn fixture_rel(rule: &str) -> &'static str {
         "thread-spawn" => "crates/simmpi/src/__fixture__.rs",
         "protocol-typestate" | "collective-match" => "crates/fenix/src/__fixture__.rs",
         "lock-order" | "blocking-while-locked" => "crates/simmpi/src/__fixture__.rs",
-        "rank-path-effects" | "effect-drift" => "crates/simmpi/src/__fixture__.rs",
+        "rank-path-effects" => "crates/simmpi/src/__fixture__.rs",
         "blocking-in-governor" => "crates/cluster/src/__fixture__.rs",
         // single-exit, protect-pairing, reset-order.
         _ => "crates/resilience/src/__fixture__.rs",
@@ -143,10 +145,9 @@ pub fn analyze_fixture(rule: &str, src: &str) -> Vec<Diagnostic> {
     let rel = fixture_rel(rule);
     let krate = classify(rel).map(|(c, _)| c).unwrap_or_default();
     let ws = Workspace {
-        root: None,
         files: vec![ParsedFile::parse(rel, &krate, src, false)],
     };
-    analyze(&ws, GraphOpts::default())
+    analyze(&ws, GraphOpts::default()).0
 }
 
 /// Verify every rule against its checked-in fixtures: `fire.rs` must
@@ -209,17 +210,10 @@ pub fn self_check(fixture_root: &Path) -> Result<Vec<(&'static str, usize)>, Str
     Ok(counts)
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum OutFormat {
-    Human,
-    Json,
-}
-
+#[derive(Default)]
 struct CliOpts {
     root: PathBuf,
-    format: OutFormat,
     report: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     effects: Option<PathBuf>,
     mutants: bool,
     self_check: bool,
@@ -228,12 +222,7 @@ struct CliOpts {
 fn parse_args() -> Result<CliOpts, String> {
     let mut opts = CliOpts {
         root: PathBuf::from("."),
-        format: OutFormat::Human,
-        report: None,
-        baseline: None,
-        effects: None,
-        mutants: false,
-        self_check: false,
+        ..CliOpts::default()
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -243,15 +232,7 @@ fn parse_args() -> Result<CliOpts, String> {
         };
         match a.as_str() {
             "--root" => opts.root = PathBuf::from(value("--root")?),
-            "--format" => {
-                opts.format = match value("--format")?.as_str() {
-                    "json" => OutFormat::Json,
-                    "human" => OutFormat::Human,
-                    other => return Err(format!("unknown format `{other}`")),
-                }
-            }
             "--report" => opts.report = Some(PathBuf::from(value("--report")?)),
-            "--baseline" => opts.baseline = Some(PathBuf::from(value("--baseline")?)),
             "--effects" => opts.effects = Some(PathBuf::from(value("--effects")?)),
             "--mutants" => opts.mutants = true,
             "--self-check" => opts.self_check = true,
@@ -261,20 +242,21 @@ fn parse_args() -> Result<CliOpts, String> {
     Ok(opts)
 }
 
+/// A usage or IO error: exit code 2.
+fn fail(msg: String) -> ! {
+    eprintln!("lint: {msg}");
+    std::process::exit(2);
+}
+
 /// Entry point for the `lint` binary. Exit codes: 0 clean, 1 findings or
 /// self-check failure, 2 usage/IO error.
 pub fn cli_main() {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("lint: {e}");
-            eprintln!(
-                "usage: lint [--root DIR] [--format human|json] [--report PATH] \
-                 [--baseline PATH] [--effects PATH] [--mutants] [--self-check]"
-            );
-            std::process::exit(2);
-        }
-    };
+    let opts = parse_args().unwrap_or_else(|e| {
+        fail(format!(
+            "{e}\nusage: lint [--root DIR] [--report PATH] [--effects PATH] [--mutants] \
+             [--self-check]"
+        ))
+    });
 
     if opts.self_check {
         let fixtures = opts.root.join("crates/lint/fixtures");
@@ -296,72 +278,43 @@ pub fn cli_main() {
     let graph_opts = GraphOpts {
         include_mutants: opts.mutants,
     };
-    let ws = match load_workspace(&opts.root) {
-        Ok(ws) => ws,
-        Err(e) => {
-            eprintln!("lint: failed to read workspace: {e}");
-            std::process::exit(2);
-        }
-    };
-    let diags = analyze(&ws, graph_opts);
+    let ws = load_workspace(&opts.root)
+        .unwrap_or_else(|e| fail(format!("failed to read workspace: {e}")));
+    let (diags, fx) = analyze(&ws, graph_opts);
 
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| opts.root.join("lint-baseline.txt"));
-    let baseline = if baseline_path.is_file() {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("lint: bad baseline {}: {e}", baseline_path.display());
-                    std::process::exit(2);
-                }
-            },
-            Err(e) => {
-                eprintln!("lint: cannot read baseline: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else {
-        Baseline::default()
+    let baseline_path = opts.root.join("lint-baseline.txt");
+    let baseline = match std::fs::read_to_string(&baseline_path) {
+        Ok(text) => Baseline::parse(&text)
+            .unwrap_or_else(|e| fail(format!("bad baseline {}: {e}", baseline_path.display()))),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::default(),
+        Err(e) => fail(format!("cannot read baseline: {e}")),
     };
-
     let (baselined, active): (Vec<_>, Vec<_>) =
         diags.into_iter().partition(|d| baseline.contains(d));
     // A stale baseline entry is an error, not a warning: either the
     // finding was fixed (delete the entry) or the code moved (re-key it).
     // Letting stale entries linger would silently accept a future
     // regression at the old key.
-    let stale_entries: Vec<String> = baseline
-        .stale(&baselined)
-        .into_iter()
-        .map(str::to_owned)
-        .collect();
-    for stale in &stale_entries {
-        eprintln!("lint: error: stale baseline entry (remove it): {stale}");
+    let stale = baseline.stale(&baselined);
+    for entry in &stale {
+        eprintln!("lint: error: stale baseline entry (remove it): {entry}");
     }
 
-    let write_out = |path: &PathBuf, what: &str, content: String| {
+    let write_out = |path: &Path, what: &str, content: String| {
         if let Some(parent) = path.parent() {
             let _unused = std::fs::create_dir_all(parent);
         }
         if let Err(e) = std::fs::write(path, content) {
-            eprintln!("lint: cannot write {what} {}: {e}", path.display());
-            std::process::exit(2);
+            fail(format!("cannot write {what} {}: {e}", path.display()));
         }
         println!("lint: {what} written to {}", path.display());
     };
-    if let Some(report) = &opts.report {
-        write_out(
-            report,
-            "report",
-            diag::render_json(&active, baselined.len()),
-        );
+    if let Some(path) = &opts.report {
+        let report = diag::render_json(&active, baselined.len());
+        write_out(path, "report", report);
     }
+    let inventory = fx.inventory(&ws);
     if let Some(path) = &opts.effects {
-        let fx = effects::EffectAnalysis::run(&ws, graph_opts);
-        let inventory = fx.inventory(&ws, graph_opts);
         write_out(
             path,
             "effects inventory",
@@ -369,23 +322,53 @@ pub fn cli_main() {
         );
     }
 
-    match opts.format {
-        OutFormat::Json => print!("{}", diag::render_json(&active, baselined.len())),
-        OutFormat::Human => {
-            for d in &active {
-                println!("{}", d.render_human());
-            }
-            println!(
-                "lint: {} finding(s), {} baselined, {} files scanned{}",
-                active.len(),
-                baselined.len(),
-                ws.files.len(),
-                if opts.mutants { " [mutants]" } else { "" },
-            );
+    for d in &active {
+        println!("{}", d.render_human());
+    }
+    println!(
+        "lint: {} finding(s), {} baselined, {} files scanned{}; sanctioned sites: {}",
+        active.len(),
+        baselined.len(),
+        ws.files.len(),
+        if opts.mutants { " [mutants]" } else { "" },
+        effects::sanctioned_summary(&inventory),
+    );
+    if !active.is_empty() || !stale.is_empty() {
+        std::process::exit(1);
+    }
+}
+
+/// Synthetic workspaces for the unit tests of every analysis module.
+#[cfg(test)]
+pub(crate) mod testutil {
+    use super::*;
+    use callgraph::FnId;
+
+    /// Parse `(path, source)` pairs; each crate is the one its path
+    /// classifies into.
+    pub fn ws(files: &[(&str, &str)]) -> Workspace {
+        let parse = |(rel, src): &(&str, &str)| {
+            let krate = classify(rel).map(|(c, _)| c).unwrap_or_default();
+            ParsedFile::parse(rel, &krate, src, false)
+        };
+        Workspace {
+            files: files.iter().map(parse).collect(),
         }
     }
-    if !active.is_empty() || !stale_entries.is_empty() {
-        std::process::exit(1);
+
+    pub fn id_of(ws: &Workspace, name: &str) -> FnId {
+        let found = ws.fns().find(|(_, f)| f.name == name);
+        found.map_or_else(|| panic!("no fn named {name}"), |(id, _)| id)
+    }
+
+    /// Run one resolver-based rule over `files` with default options.
+    pub fn run(
+        check: fn(&Workspace, &Resolver, GraphOpts) -> Vec<Diagnostic>,
+        files: &[(&str, &str)],
+    ) -> Vec<Diagnostic> {
+        let ws = ws(files);
+        let opts = GraphOpts::default();
+        check(&ws, &Resolver::new(&ws, opts), opts)
     }
 }
 
@@ -427,6 +410,27 @@ mod tests {
         assert_eq!(classify("crates/lint/src/lib.rs"), None);
         assert_eq!(classify("crates/lint/fixtures/panic-reach/fire.rs"), None);
         assert_eq!(classify("scripts/ci.sh"), None);
+    }
+
+    #[test]
+    fn gated_mutants_are_invisible_without_the_opt_in() {
+        // Two seeded violations no call-graph rule sees: the per-function
+        // rules must honour the gate too.
+        let ws = testutil::ws(&[(
+            "crates/fenix/src/seeded.rs",
+            "fn fallible() -> Result<(), MpiError> { Ok(()) }\n\
+             #[cfg(feature = \"lint-mutants\")]\n\
+             fn wild(e: MpiError) -> u8 { match e { MpiError::ProcFailed => 1, _ => 0 } }\n\
+             #[cfg(feature = \"lint-mutants\")]\n\
+             fn dropped() { let _ = fallible(); }\n",
+        )]);
+        let (without, _) = analyze(&ws, GraphOpts::default());
+        assert!(without.is_empty(), "{without:?}");
+        let opt_in = GraphOpts {
+            include_mutants: true,
+        };
+        let with: Vec<_> = analyze(&ws, opt_in).0.iter().map(|d| d.rule).collect();
+        assert_eq!(with, ["wildcard-match", "dropped-result"]);
     }
 
     #[test]

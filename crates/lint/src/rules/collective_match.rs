@@ -25,6 +25,7 @@ use crate::callgraph::{FnId, GraphOpts, Resolver, Workspace};
 use crate::cfg::{self, Block, BranchNode, Step};
 use crate::diag::Diagnostic;
 use crate::parser::{contains_word, CallKind};
+use crate::rules::{comm_call, Comm};
 
 pub const RULE: &str = "collective-match";
 
@@ -38,30 +39,6 @@ const SCOPE: &[&str] = &[
     "resilience",
     "redstore",
     "harness",
-];
-
-/// Collective method names, with a minimum arity where a common
-/// non-collective method shares the name (`Iterator::reduce` takes one
-/// closure; `Comm::reduce` takes root + data).
-const COLLECTIVES: &[(&str, usize)] = &[
-    ("barrier", 0),
-    ("allgather", 0),
-    ("allreduce", 0),
-    ("allreduce_scalar", 0),
-    ("allreduce_with", 0),
-    ("bcast", 0),
-    ("bcast_bytes", 0),
-    ("reduce", 2),
-    ("reduce_with", 0),
-    ("gather", 0),
-    ("agree", 0),
-    ("shrink", 0),
-    ("rendezvous", 0),
-    ("repair_rendezvous", 0),
-    ("agree_intact_version", 0),
-    ("agree_intact_version_below", 0),
-    ("latest_agreed", 0),
-    ("latest_agreed_below", 0),
 ];
 
 /// Identifier words in a condition that make it rank-dependent.
@@ -178,17 +155,10 @@ fn rank_dependent(cond: &str) -> bool {
 
 pub fn check(ws: &Workspace, resolver: &Resolver, opts: GraphOpts) -> Vec<Diagnostic> {
     let mut in_scope: Vec<FnId> = Vec::new();
-    for (id, f) in ws.fns() {
-        if f.is_test || f.body.is_none() {
-            continue;
+    for (id, f) in ws.live(opts) {
+        if f.body.is_some() && SCOPE.contains(&ws.file(id).crate_name.as_str()) {
+            in_scope.push(id);
         }
-        if f.mutant_gated && !opts.include_mutants {
-            continue;
-        }
-        if !SCOPE.contains(&ws.file(id).crate_name.as_str()) {
-            continue;
-        }
-        in_scope.push(id);
     }
     let scope_set: HashSet<FnId> = in_scope.iter().copied().collect();
     let mut diags = Vec::new();
@@ -231,13 +201,9 @@ impl Eval<'_, '_> {
                     let file = self.ws.file(id);
                     let f = self.ws.fn_item(id);
                     let call = &f.calls[*idx];
-                    if call.kind == CallKind::Method {
-                        if let Some((name, _)) = COLLECTIVES.iter().find(|(n, min)| {
-                            call.name() == *n && cfg::call_arity(file, call) >= *min
-                        }) {
-                            seqs.push_elem(name);
-                            continue;
-                        }
+                    if let Some((name, Comm::Collective | Comm::Recovery)) = comm_call(file, call) {
+                        seqs.push_elem(name);
+                        continue;
                     }
                     if call.kind == CallKind::Macro {
                         continue;
@@ -361,22 +327,9 @@ impl Eval<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::ParsedFile;
 
     fn run(files: &[(&str, &str)]) -> Vec<Diagnostic> {
-        let ws = Workspace {
-            root: None,
-            files: files
-                .iter()
-                .map(|(rel, src)| {
-                    let krate = crate::classify(rel).map(|(c, _)| c).unwrap_or_default();
-                    ParsedFile::parse(rel, &krate, src, false)
-                })
-                .collect(),
-        };
-        let opts = GraphOpts::default();
-        let resolver = Resolver::new(&ws, opts);
-        check(&ws, &resolver, opts)
+        crate::testutil::run(check, files)
     }
 
     #[test]

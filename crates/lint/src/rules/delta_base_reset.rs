@@ -28,13 +28,7 @@ const INVALIDATE_CALL: &str = "invalidate_deltas";
 
 pub fn check(ws: &Workspace, graph: &CallGraph, opts: GraphOpts) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for (id, f) in ws.fns() {
-        if f.is_test || ws.file(id).file_is_test {
-            continue;
-        }
-        if f.mutant_gated && !opts.include_mutants {
-            continue;
-        }
+    for (id, f) in ws.live(opts) {
         let file = ws.file(id);
         if !in_crates(&file.crate_name, DELTA_RESET_CRATES) {
             continue;
@@ -42,7 +36,7 @@ pub fn check(ws: &Workspace, graph: &CallGraph, opts: GraphOpts) -> Vec<Diagnost
         let Some(trigger) = f.calls.iter().find(|c| RESET_CALLS.contains(&c.name())) else {
             continue;
         };
-        let invalidated = graph.reachable(&[id]).into_iter().any(|rid| {
+        let invalidated = graph.reach(&[id]).into_keys().any(|rid| {
             ws.fn_item(rid)
                 .calls
                 .iter()

@@ -11,18 +11,15 @@
 //! resolution — to a function whose return type mentions `Result`, the
 //! binding is flagged.
 
-use crate::callgraph::{Resolver, Workspace};
+use crate::callgraph::{GraphOpts, Resolver, Workspace};
 use crate::diag::Diagnostic;
 use crate::lexer::TokKind;
 use crate::parser::LetPat;
 use crate::rules::{in_crates, STRICT_FAILURE_CRATES};
 
-pub fn check(ws: &Workspace, resolver: &Resolver<'_>) -> Vec<Diagnostic> {
+pub fn check(ws: &Workspace, resolver: &Resolver<'_>, opts: GraphOpts) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for (id, f) in ws.fns() {
-        if f.is_test || ws.file(id).file_is_test {
-            continue;
-        }
+    for (id, f) in ws.live(opts) {
         let file = ws.file(id);
         if !in_crates(&file.crate_name, STRICT_FAILURE_CRATES) {
             continue;

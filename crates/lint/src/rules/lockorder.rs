@@ -27,34 +27,10 @@ use crate::callgraph::{FnId, GraphOpts, Resolver, Workspace};
 use crate::cfg;
 use crate::diag::Diagnostic;
 use crate::parser::{CallKind, FnItem, LetPat, ParsedFile};
+use crate::rules::comm_call;
 
 pub const RULE_ORDER: &str = "lock-order";
 pub const RULE_BLOCKING: &str = "blocking-while-locked";
-
-/// Blocking method names (with a minimum arity where a common
-/// non-blocking method shares the name).
-const BLOCKING: &[(&str, usize)] = &[
-    ("recv", 0),
-    ("recv_bytes", 0),
-    ("recv_into", 0),
-    ("recv_vec", 0),
-    ("recv_timeout", 0),
-    ("sendrecv", 0),
-    ("rendezvous", 0),
-    ("barrier", 0),
-    ("agree", 0),
-    ("shrink", 0),
-    ("allgather", 0),
-    ("allreduce", 0),
-    ("allreduce_scalar", 0),
-    ("allreduce_with", 0),
-    ("bcast", 0),
-    ("bcast_bytes", 0),
-    ("gather", 0),
-    ("reduce_with", 0),
-    ("reduce", 2),
-    ("checkpoint_wait", 0),
-];
 
 const MAX_DEPTH: usize = 6;
 
@@ -287,7 +263,8 @@ impl Summarizer<'_> {
             if call.kind == CallKind::Macro {
                 continue;
             }
-            if call.kind == CallKind::Method && is_blocking(file, call) {
+            // Every collective and wait blocks on a peer.
+            if comm_call(file, call).is_some() {
                 sum.blocking.get_or_insert_with(|| call.name().to_owned());
                 continue;
             }
@@ -314,13 +291,7 @@ impl Summarizer<'_> {
     }
 }
 
-fn is_blocking(file: &ParsedFile, call: &crate::parser::Call) -> bool {
-    BLOCKING
-        .iter()
-        .any(|(n, min)| call.name() == *n && cfg::call_arity(file, call) >= *min)
-}
-
-/// Whether a call is worth resolving for lock summaries. Free and path
+/// Whether a call is worth resolving for a lock summary. Free and path
 /// calls always are; a method call only when its receiver is literally
 /// `self` — the name-based resolver would otherwise misattribute methods
 /// invoked on a guard's payload (`self.own.lock().clear()` resolving to
@@ -349,17 +320,10 @@ pub fn check(ws: &Workspace, resolver: &Resolver, opts: GraphOpts) -> Vec<Diagno
         return Vec::new();
     }
     let mut in_scope: HashSet<FnId> = HashSet::new();
-    for (id, f) in ws.fns() {
-        if f.is_test || f.body.is_none() {
-            continue;
+    for (id, f) in ws.live(opts) {
+        if f.body.is_some() && ws.file(id).rel.starts_with("crates/") {
+            in_scope.insert(id);
         }
-        if f.mutant_gated && !opts.include_mutants {
-            continue;
-        }
-        if !ws.file(id).rel.starts_with("crates/") {
-            continue;
-        }
-        in_scope.insert(id);
     }
     let mut sums = Summarizer {
         ws,
@@ -403,7 +367,7 @@ pub fn check(ws: &Workspace, resolver: &Resolver, opts: GraphOpts) -> Vec<Diagno
                 if call.kind == CallKind::Macro {
                     continue;
                 }
-                if call.kind == CallKind::Method && is_blocking(file, call) {
+                if comm_call(file, call).is_some() {
                     diags.push(Diagnostic {
                         rule: RULE_BLOCKING,
                         file: file.rel.clone(),
@@ -520,19 +484,7 @@ mod tests {
     use super::*;
 
     fn run(files: &[(&str, &str)]) -> Vec<Diagnostic> {
-        let ws = Workspace {
-            root: None,
-            files: files
-                .iter()
-                .map(|(rel, src)| {
-                    let krate = crate::classify(rel).map(|(c, _)| c).unwrap_or_default();
-                    ParsedFile::parse(rel, &krate, src, false)
-                })
-                .collect(),
-        };
-        let opts = GraphOpts::default();
-        let resolver = Resolver::new(&ws, opts);
-        check(&ws, &resolver, opts)
+        crate::testutil::run(check, files)
     }
 
     const DECLS: &str = "pub struct S {\n    alpha: Mutex<u64>,\n    beta: Mutex<u64>,\n}\n";

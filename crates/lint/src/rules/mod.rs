@@ -6,27 +6,29 @@
 //!   ported from the PR 2 regex scanner onto the lossless token stream;
 //! - **protocol rules**: the paper's resilience invariants, checked over
 //!   the parsed items, the workspace call graph, and an intra-procedural
-//!   dataflow pass — [`single_exit`], [`pairing`], [`reset_order`],
-//!   [`delta_base_reset`], [`dropped_result`], [`panic_reach`],
-//!   [`wildcard`].
+//!   dataflow pass — [`pairing`], [`reset_order`], [`delta_base_reset`],
+//!   [`dropped_result`], [`wildcard`], and the CFG-side analyses
+//!   [`typestate`], [`collective_match`] and [`lockorder`].
 //!
-//! The old `unwrap-on-recovery-path` regex rule is gone: `panic-reach`
-//! (transitive, call-graph-precise) and `dropped-result` supersede it.
+//! The four reachability rules (`single-exit`, `panic-reach`,
+//! `rank-path-effects`, `blocking-in-governor`) have no module here: they
+//! are rows of [`crate::effects::QUERIES`], over the root tables below.
 
 pub mod collective_match;
 pub mod delta_base_reset;
 pub mod dropped_result;
 pub mod lockorder;
 pub mod pairing;
-pub mod panic_reach;
 pub mod reset_order;
-pub mod single_exit;
 pub mod tokens;
 pub mod typestate;
 pub mod wildcard;
 
 use crate::callgraph::{GraphOpts, Resolver, Workspace};
+use crate::cfg;
 use crate::diag::Diagnostic;
+use crate::effects::EffectAnalysis;
+use crate::parser::{Call, CallKind, ParsedFile};
 
 /// Crates where failure-enum matches must be exhaustive and `Result`s on
 /// recovery paths must not be silently dropped (the recovery crates, the
@@ -45,29 +47,51 @@ pub const STRICT_FAILURE_CRATES: &[&str] = &[
 /// (`ProcFailed`/`Revoked`), not a separate event enum.
 pub const FAILURE_ENUMS: &[&str] = &["MpiError", "VelocError", "RedError"];
 
-/// Recovery entry points per crate: the functions a rank executes on the
-/// re-entry path after a failure (paper Fig. 4). `panic-reach` roots its
-/// traversal here.
-pub const RECOVERY_ENTRY_FNS: &[(&str, &[&str])] = &[
-    (
-        "fenix",
-        &["run", "apply_repair", "repair_rendezvous", "fire_callbacks"],
-    ),
+/// An entry-point table: `(crate, patterns)`. A pattern with `::` matches
+/// the qualified name exactly; a bare name matches only free functions.
+/// Resolved by [`crate::effects::collect_entries`].
+pub type EntryTable = &'static [(&'static str, &'static [&'static str])];
+
+/// The Fenix recovery handlers — the code a rank runs between detecting a
+/// failure and re-entering the body (paper Fig. 4). Both entry tables
+/// below root here. The free `apply_repair` is the seeded mutant's and the
+/// `panic-reach` fixture's stand-in for the method.
+const FENIX_HANDLERS: &[&str] = &[
+    "run",
+    "apply_repair",
+    "Fenix::fire_callbacks",
+    "Fenix::apply_repair",
+    "Fenix::repair_rendezvous",
+];
+
+/// Recovery entry points: the functions a rank executes on the re-entry
+/// path after a failure (paper Fig. 4). `panic-reach` roots here.
+pub const RECOVERY_ENTRY_FNS: EntryTable = &[
+    ("fenix", FENIX_HANDLERS),
     (
         "veloc",
-        &["restart", "restart_inner", "restart_test", "latest_version"],
+        &[
+            "Client::restart",
+            "Client::restart_inner",
+            "Client::restart_test",
+            "Client::latest_version",
+        ],
     ),
     (
         "kokkos-resilience",
         &[
-            "reset",
-            "latest_version",
-            "latest_agreed",
-            "checkpoint",
-            "restore",
+            "Context::reset",
+            "Context::latest_version",
+            "Context::checkpoint",
+            "DataBackend::latest_agreed",
+            "DataBackend::checkpoint",
+            "DataBackend::restore",
+            "VelocBackend::checkpoint",
+            "VelocBackend::restore",
+            "ViewRegion::restore",
         ],
     ),
-    ("redstore", &["restore"]),
+    ("redstore", &["RedundancyGroup::restore"]),
 ];
 
 /// Crates whose panic sites `panic-reach` may report. The traversal
@@ -111,19 +135,10 @@ pub const STALE_METADATA_READS: &[&str] = &[
 /// Rank entry points: the code a simulated rank executes — the simmpi
 /// mailbox loop, the Fenix recovery handlers, the KR region machinery,
 /// and the modeled transfers they ride on. `rank-path-effects` and the
-/// effects inventory root their traversal here. Patterns with `::` match
-/// the qualified name exactly; bare names match only free functions.
-pub const RANK_ENTRY_FNS: &[(&str, &[&str])] = &[
+/// effects inventory root here.
+pub const RANK_ENTRY_FNS: EntryTable = &[
     ("simmpi", &["Router::send", "Router::recv"]),
-    (
-        "fenix",
-        &[
-            "run",
-            "Fenix::fire_callbacks",
-            "Fenix::apply_repair",
-            "Fenix::repair_rendezvous",
-        ],
-    ),
+    ("fenix", FENIX_HANDLERS),
     (
         "kokkos-resilience",
         &[
@@ -142,7 +157,7 @@ pub const RANK_ENTRY_FNS: &[(&str, &[&str])] = &[
 /// thread: bandwidth-governor bookkeeping runs under the governor lock,
 /// and the telemetry exporters run on live failure-timeline paths.
 /// `blocking-in-governor` roots here.
-pub const GOVERNOR_FNS: &[(&str, &[&str])] = &[
+pub const GOVERNOR_FNS: EntryTable = &[
     (
         "cluster",
         &[
@@ -162,6 +177,62 @@ pub const GOVERNOR_FNS: &[(&str, &[&str])] = &[
     ),
 ];
 
+/// What a communication call is to the three rules that care.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Comm {
+    /// A data collective: illegal on a revoked, unrepaired communicator
+    /// (`protocol-typestate`), rank-uniform (`collective-match`), blocking
+    /// (`blocking-while-locked`).
+    Collective,
+    /// Repairs or agrees on the communicator, directly or through a layer
+    /// above simmpi: rank-uniform and blocking; the typestate automaton
+    /// gives these their own symbols.
+    Recovery,
+    /// The receive family and `checkpoint_wait`: blocking only.
+    Wait,
+}
+
+/// The collectives (and, for the lock rules, the waits): the one list of
+/// method names the communication-aware rules recognise.
+const COLLECTIVES: &[(&str, Comm)] = &[
+    ("barrier", Comm::Collective),
+    ("allgather", Comm::Collective),
+    ("allreduce", Comm::Collective),
+    ("allreduce_scalar", Comm::Collective),
+    ("allreduce_with", Comm::Collective),
+    ("bcast", Comm::Collective),
+    ("bcast_bytes", Comm::Collective),
+    ("reduce", Comm::Collective),
+    ("reduce_with", Comm::Collective),
+    ("gather", Comm::Collective),
+    ("agree", Comm::Recovery),
+    ("shrink", Comm::Recovery),
+    ("rendezvous", Comm::Recovery),
+    ("repair_rendezvous", Comm::Recovery),
+    ("agree_intact_version", Comm::Recovery),
+    ("agree_intact_version_below", Comm::Recovery),
+    ("latest_agreed", Comm::Recovery),
+    ("latest_agreed_below", Comm::Recovery),
+    ("recv", Comm::Wait),
+    ("recv_bytes", Comm::Wait),
+    ("recv_into", Comm::Wait),
+    ("recv_vec", Comm::Wait),
+    ("recv_timeout", Comm::Wait),
+    ("sendrecv", Comm::Wait),
+    ("checkpoint_wait", Comm::Wait),
+];
+
+/// Classify a method call against [`COLLECTIVES`]. `Iterator::reduce`
+/// takes one closure where `Comm::reduce` takes root + data, so `reduce`
+/// counts only from two arguments up.
+pub fn comm_call(file: &ParsedFile, call: &Call) -> Option<(&'static str, Comm)> {
+    if call.kind != CallKind::Method {
+        return None;
+    }
+    let &(name, kind) = COLLECTIVES.iter().find(|(n, _)| call.name() == *n)?;
+    (name != "reduce" || cfg::call_arity(file, call) >= 2).then_some((name, kind))
+}
+
 /// All rule identifiers, in report order.
 pub const ALL_RULES: &[&str] = &[
     "single-exit",
@@ -179,67 +250,41 @@ pub const ALL_RULES: &[&str] = &[
     "blocking-while-locked",
     "rank-path-effects",
     "blocking-in-governor",
-    "effect-drift",
 ];
 
 pub fn in_crates(krate: &str, list: &[&str]) -> bool {
     list.contains(&krate)
 }
 
-/// Run every rule over the workspace. `include_mutants` lets the seeded
-/// `lint-mutants` violations into the call graph.
-pub fn run_all(ws: &Workspace, opts: GraphOpts) -> Vec<Diagnostic> {
+/// Run every rule over the workspace, handing back the call-graph
+/// analysis the reachability rules ran on (one graph per scan: the CLI
+/// writes the effects inventory from it).
+pub fn run_all(ws: &Workspace, opts: GraphOpts) -> (Vec<Diagnostic>, EffectAnalysis) {
     let resolver = Resolver::new(ws, opts);
-    // The call graph and the effect summaries over it are shared by the
-    // reachability and effect rules.
-    let fx = crate::effects::EffectAnalysis::run(ws, opts);
-    let graph = &fx.graph;
+    let fx = EffectAnalysis::run(ws, opts);
     let mut diags: Vec<Diagnostic> = [
-        single_exit::check(ws, graph),
-        pairing::check(ws, graph),
-        reset_order::check(ws),
-        delta_base_reset::check(ws, graph, opts),
-        dropped_result::check(ws, &resolver),
-        panic_reach::check(ws, graph, opts),
-        wildcard::check(ws),
-        tokens::check(ws),
+        fx.check(ws),
+        pairing::check(ws, &fx.graph, opts),
+        reset_order::check(ws, opts),
+        delta_base_reset::check(ws, &fx.graph, opts),
+        dropped_result::check(ws, &resolver, opts),
+        wildcard::check(ws, opts),
+        tokens::check(ws, opts),
         typestate::check(ws, &resolver, opts),
         collective_match::check(ws, &resolver, opts),
         lockorder::check(ws, &resolver, opts),
-        crate::effects::check_rank_path(ws, &fx, opts),
-        crate::effects::check_governor(ws, &fx, opts),
-        crate::effects::check_drift(ws, &fx, opts),
     ]
     .into_iter()
     .flatten()
     .collect();
-    // Stable order, then full-tuple dedupe: a call that resolves to several
-    // candidates can report one site twice (same rule, site, and message) —
-    // one finding must survive, not two. The key() tuple is not enough
-    // here: it drops the line, and two distinct findings in one function
-    // would collapse.
+    // Stable order, then whole-value dedupe: a call that resolves to
+    // several candidates can report one site twice (same rule, site, and
+    // message) — one finding must survive, not two. The key() tuple is not
+    // enough here: it drops the line, and two distinct findings in one
+    // function would collapse.
     diags.sort_by(|a, b| {
-        (
-            a.file.as_str(),
-            a.line,
-            a.rule,
-            a.func.as_str(),
-            a.msg.as_str(),
-        )
-            .cmp(&(
-                b.file.as_str(),
-                b.line,
-                b.rule,
-                b.func.as_str(),
-                b.msg.as_str(),
-            ))
+        (&a.file, a.line, a.rule, &a.func, &a.msg).cmp(&(&b.file, b.line, b.rule, &b.func, &b.msg))
     });
-    diags.dedup_by(|a, b| {
-        a.rule == b.rule
-            && a.file == b.file
-            && a.line == b.line
-            && a.func == b.func
-            && a.msg == b.msg
-    });
-    diags
+    diags.dedup();
+    (diags, fx)
 }

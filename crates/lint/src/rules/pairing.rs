@@ -12,45 +12,34 @@
 //! one file) and app runners (protect in a helper, checkpoint in the
 //! loop) clean without type information.
 
-use std::collections::HashSet;
-
-use crate::callgraph::{CallGraph, FnId, Workspace};
+use crate::callgraph::{CallGraph, GraphOpts, Workspace};
 use crate::diag::Diagnostic;
-use crate::parser::CallKind;
+use crate::parser::{CallKind, FnItem};
 
-fn method_call_named(ws: &Workspace, id: FnId, names: &[&str]) -> bool {
-    ws.fn_item(id)
-        .calls
+fn method_call_named(f: &FnItem, names: &[&str]) -> bool {
+    f.calls
         .iter()
         .any(|c| c.kind == CallKind::Method && names.contains(&c.name()))
 }
 
-fn file_has(ws: &Workspace, fi: usize, names: &[&str]) -> bool {
-    ws.files[fi].fns.iter().filter(|f| !f.is_test).any(|f| {
-        f.calls
-            .iter()
-            .any(|c| c.kind == CallKind::Method && names.contains(&c.name()))
-    })
-}
-
-pub fn check(ws: &Workspace, graph: &CallGraph) -> Vec<Diagnostic> {
+pub fn check(ws: &Workspace, graph: &CallGraph, opts: GraphOpts) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for (id, f) in ws.fns() {
-        if f.is_test || ws.file(id).file_is_test {
-            continue;
-        }
-        let has_protect = method_call_named(ws, id, &["protect"]);
-        let has_restart = method_call_named(ws, id, &["restart"]);
+    for (id, f) in ws.live(opts) {
+        let has_protect = method_call_named(f, &["protect"]);
+        let has_restart = method_call_named(f, &["restart"]);
         if !has_protect && !has_restart {
             continue;
         }
         // File-level co-occurrence first, then the call-graph closure.
         let covers = |names: &[&str]| -> bool {
-            if file_has(ws, id.0, names) {
-                return true;
-            }
-            let reach: HashSet<FnId> = graph.reachable(&[id]);
-            reach.iter().any(|&r| method_call_named(ws, r, names))
+            let same_file = &ws.file(id).fns;
+            same_file
+                .iter()
+                .any(|g| opts.is_live(g) && method_call_named(g, names))
+                || graph
+                    .reach(&[id])
+                    .into_keys()
+                    .any(|r| method_call_named(ws.fn_item(r), names))
         };
         if has_protect && !covers(&["checkpoint", "restart"]) {
             let site = f

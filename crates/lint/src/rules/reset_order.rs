@@ -11,17 +11,14 @@
 //! call is flagged. Argument-less `.reset()` calls (accumulator resets
 //! etc.) are ignored — the lint targets the communicator-taking reset.
 
-use crate::callgraph::Workspace;
+use crate::callgraph::{GraphOpts, Workspace};
 use crate::diag::Diagnostic;
 use crate::parser::CallKind;
 use crate::rules::STALE_METADATA_READS;
 
-pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
+pub fn check(ws: &Workspace, opts: GraphOpts) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for (id, f) in ws.fns() {
-        if f.is_test || ws.file(id).file_is_test {
-            continue;
-        }
+    for (id, f) in ws.live(opts) {
         let file = ws.file(id);
         // First `.reset(<non-empty args>)` call in the function.
         let reset_si = f

@@ -10,26 +10,30 @@
 //!   model-checked crates — threads there must go through the loom-aware
 //!   shims so the model checker can interleave them.
 
-use crate::callgraph::Workspace;
+use crate::callgraph::{GraphOpts, Workspace};
 use crate::diag::Diagnostic;
 use crate::lexer::TokKind;
 use crate::parser::ParsedFile;
 use crate::rules::{in_crates, AUDITED_RELAXED, MODEL_CHECKED_CRATES, SYNC_ATOMIC_NAMES};
 
-pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
+pub fn check(ws: &Workspace, opts: GraphOpts) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for file in &ws.files {
-        relaxed_sync(file, &mut out);
-        thread_spawn(file, &mut out);
+        relaxed_sync(file, opts, &mut out);
+        thread_spawn(file, opts, &mut out);
     }
     out
 }
 
-fn relaxed_sync(file: &ParsedFile, out: &mut Vec<Diagnostic>) {
+fn relaxed_sync(file: &ParsedFile, opts: GraphOpts, out: &mut Vec<Diagnostic>) {
     if AUDITED_RELAXED.contains(&file.rel.as_str()) {
         return;
     }
     for si in file.find_path_refs(&["Ordering", "Relaxed"]) {
+        // Test code is audited too; only unopted seeded mutants are skipped.
+        if file.fn_at(si).is_some_and(|f| opts.hides(f)) {
+            continue;
+        }
         // Statement extent: nearest `;`/`{`/`}` on each side.
         let boundary = |t: &str| matches!(t, ";" | "{" | "}");
         let mut lo = si;
@@ -61,7 +65,7 @@ fn relaxed_sync(file: &ParsedFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-fn thread_spawn(file: &ParsedFile, out: &mut Vec<Diagnostic>) {
+fn thread_spawn(file: &ParsedFile, opts: GraphOpts, out: &mut Vec<Diagnostic>) {
     if !in_crates(&file.crate_name, MODEL_CHECKED_CRATES) || file.file_is_test {
         return;
     }
@@ -70,7 +74,7 @@ fn thread_spawn(file: &ParsedFile, out: &mut Vec<Diagnostic>) {
         &["std", "thread", "Builder"][..],
     ] {
         for si in file.find_path_refs(segs) {
-            if file.fn_at(si).is_some_and(|f| f.is_test) {
+            if file.fn_at(si).is_some_and(|f| !opts.is_live(f)) {
                 continue;
             }
             let func = file.fn_at(si).map(|f| f.qual()).unwrap_or_default();

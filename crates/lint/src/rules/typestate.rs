@@ -32,6 +32,7 @@ use crate::callgraph::{FnId, GraphOpts, Resolver, Workspace};
 use crate::cfg::{self, Block, Step};
 use crate::diag::Diagnostic;
 use crate::parser::CallKind;
+use crate::rules::{comm_call, Comm};
 
 pub const RULE: &str = "protocol-typestate";
 
@@ -42,6 +43,8 @@ enum Matcher {
     Method(&'static str, Option<usize>),
     /// `Qual::name(…)` path call.
     PathCall(&'static str, &'static str),
+    /// Any data collective of [`crate::rules::comm_call`].
+    Collective,
 }
 
 /// One protocol symbol with its transition relation over state indices.
@@ -159,18 +162,7 @@ const ULFM_RECOVERY: Automaton = Automaton {
         },
         Sym {
             label: "collective",
-            matchers: &[
-                Matcher::Method("barrier", None),
-                Matcher::Method("allgather", None),
-                Matcher::Method("allreduce", None),
-                Matcher::Method("allreduce_scalar", None),
-                Matcher::Method("allreduce_with", None),
-                Matcher::Method("bcast", None),
-                Matcher::Method("bcast_bytes", None),
-                Matcher::Method("reduce", None),
-                Matcher::Method("reduce_with", None),
-                Matcher::Method("gather", None),
-            ],
+            matchers: &[Matcher::Collective],
             delta: &[(0, 0), (1, 1)],
         },
     ],
@@ -220,17 +212,10 @@ fn run_automaton(
     diags: &mut Vec<Diagnostic>,
 ) {
     let mut in_scope: Vec<FnId> = Vec::new();
-    for (id, f) in ws.fns() {
-        if f.is_test || f.body.is_none() {
-            continue;
+    for (id, f) in ws.live(opts) {
+        if f.body.is_some() && a.scope.contains(&ws.file(id).crate_name.as_str()) {
+            in_scope.push(id);
         }
-        if f.mutant_gated && !opts.include_mutants {
-            continue;
-        }
-        if !a.scope.contains(&ws.file(id).crate_name.as_str()) {
-            continue;
-        }
-        in_scope.push(id);
     }
     let scope_set: HashSet<FnId> = in_scope.iter().copied().collect();
 
@@ -301,6 +286,9 @@ fn matches(file: &crate::parser::ParsedFile, call: &crate::parser::Call, sym: &S
                 && call.name() == *name
                 && call.segs.len() >= 2
                 && call.segs[call.segs.len() - 2] == *qual
+        }
+        Matcher::Collective => {
+            matches!(comm_call(file, call), Some((_, Comm::Collective)))
         }
     })
 }
@@ -445,26 +433,9 @@ impl Eval<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::ParsedFile;
-
-    fn ws(files: &[(&str, &str)]) -> Workspace {
-        Workspace {
-            root: None,
-            files: files
-                .iter()
-                .map(|(rel, src)| {
-                    let krate = crate::classify(rel).map(|(c, _)| c).unwrap_or_default();
-                    ParsedFile::parse(rel, &krate, src, false)
-                })
-                .collect(),
-        }
-    }
 
     fn run(files: &[(&str, &str)]) -> Vec<Diagnostic> {
-        let ws = ws(files);
-        let opts = GraphOpts::default();
-        let resolver = Resolver::new(&ws, opts);
-        check(&ws, &resolver, opts)
+        crate::testutil::run(check, files)
     }
 
     #[test]

@@ -15,17 +15,14 @@
 //! variant in any arm (e.g. a `Result` match that forwards `Err(e)`
 //! wholesale).
 
-use crate::callgraph::Workspace;
+use crate::callgraph::{GraphOpts, Workspace};
 use crate::diag::Diagnostic;
 use crate::parser::contains_word;
 use crate::rules::{in_crates, FAILURE_ENUMS, STRICT_FAILURE_CRATES};
 
-pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
+pub fn check(ws: &Workspace, opts: GraphOpts) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for (id, f) in ws.fns() {
-        if f.is_test || ws.file(id).file_is_test {
-            continue;
-        }
+    for (id, f) in ws.live(opts) {
         let file = ws.file(id);
         if !in_crates(&file.crate_name, STRICT_FAILURE_CRATES) {
             continue;

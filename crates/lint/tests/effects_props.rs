@@ -1,31 +1,20 @@
-//! Property tests for the effect-inference layer (ISSUE satellite): the
-//! SCC condensation and the bottom-up fixpoint are the foundation every
-//! effect rule stands on, so they are checked against generated call
-//! graphs — including cycles, self-loops, and duplicate edges — and
-//! against splice-generated garbage that must never panic.
+//! Property tests for the call-graph query, stated on what the rules
+//! consume: the site table, the witness chains and the inventory keys.
 //!
-//! Properties:
-//! * the condensation is a partition of the graph's nodes, and every
-//!   cross-SCC edge points from a later component to an earlier one
-//!   (callees-first order — i.e. the condensation is acyclic);
-//! * the computed summaries are a fixpoint (`summary ⊇ local` and
-//!   `summary ⊇ summary(callee)` for every edge) and agree exactly with
-//!   a naive worklist oracle, so the single SCC-ordered pass reaches the
-//!   *least* fixpoint;
-//! * summaries do not depend on file order;
+//! * every witness a diagnostic or inventory entry carries is a real path
+//!   in `fx.graph`: the first hop a root of its query, every hop an edge,
+//!   the last hop the function holding the site;
+//! * diagnostics and inventory keys do not depend on file order;
 //! * the whole engine survives pseudo-Rust splice noise.
 
-use std::collections::{HashMap, HashSet};
-
-use lint::callgraph::{CallGraph, FnId, GraphOpts, Workspace};
-use lint::effects::{condense, EffectAnalysis, EffectSet};
+use lint::callgraph::{FnId, GraphOpts, Workspace};
+use lint::effects::{collect_entries, EffectAnalysis};
 use lint::parser::ParsedFile;
+use lint::rules::{RANK_ENTRY_FNS, RECOVERY_ENTRY_FNS};
 use proptest::prelude::*;
 
-/// Effectful statements the generator plants in function bodies. The
-/// oracle reads `EffectAnalysis::local` rather than re-deriving the
-/// classification — propagation, not classification, is under test here.
-const EFFECT_STMTS: &[&str] = &[
+/// Statements the generator plants in function bodies: one site kind each.
+const SITE_STMTS: &[&str] = &[
     "",
     "std::thread::sleep(std::time::Duration::from_millis(1));",
     "let t0 = std::time::Instant::now();",
@@ -35,14 +24,14 @@ const EFFECT_STMTS: &[&str] = &[
 ];
 
 /// Pseudo-Rust fragments for the splice fuzzer, biased toward the
-/// constructs the effect engine inspects: intrinsics, zero-arg method
-/// sites, sanction pragmas (well- and ill-formed), and delimiter noise.
+/// constructs the engine inspects: intrinsics, zero-arg method sites,
+/// sanction pragmas (well- and ill-formed), and delimiter noise.
 const FRAGMENTS: &[&str] = &[
     "fn",
     "pub",
     "impl",
     "mod",
-    "name",
+    "run",
     "Type",
     "self",
     "let",
@@ -50,6 +39,8 @@ const FRAGMENTS: &[&str] = &[
     "loop",
     "std::thread::sleep(d)",
     "Instant::now()",
+    "std::process::exit(1)",
+    "fenix::run(f)",
     "x.recv()",
     "h.join()",
     "v.join(\", \")",
@@ -72,107 +63,90 @@ const FRAGMENTS: &[&str] = &[
     "#[cfg(test)]",
 ];
 
-/// One generated function: `(effect statement index, callee indices)`.
+/// One generated function: `(site statement index, callee indices)`.
 type GenFn = (usize, Vec<usize>);
 
-/// Render the generated program as one or two source files (the split
-/// exercises cross-file resolution) and parse it into a workspace.
-fn build_ws(prog: &[GenFn], split: bool, reverse: bool) -> Workspace {
-    let n = prog.len();
+/// Render the generated program as two `fenix` source files (the split
+/// exercises cross-file resolution). `f0` is named `run`, so it roots both
+/// the rank-path and the recovery queries.
+fn build_ws(prog: &[GenFn], reverse: bool) -> Workspace {
+    let name = |i: usize| match i {
+        0 => "run".to_owned(),
+        _ => format!("f{i}"),
+    };
     let render = |range: std::ops::Range<usize>| {
         let mut src = String::new();
         for i in range {
-            let (effect, calls) = &prog[i];
-            src.push_str(&format!("pub fn f{i}() {{\n"));
-            src.push_str("    ");
-            src.push_str(EFFECT_STMTS[*effect]);
-            src.push('\n');
+            let (site, calls) = &prog[i];
+            src.push_str(&format!(
+                "pub fn {}() {{\n    {}\n",
+                name(i),
+                SITE_STMTS[*site]
+            ));
             for c in calls {
                 // Out-of-range callees become unresolved calls on purpose.
-                src.push_str(&format!("    f{c}();\n"));
+                src.push_str(&format!("    {}();\n", name(*c)));
             }
             src.push_str("}\n");
         }
         src
     };
-    let mid = if split { n / 2 } else { n };
-    let mut files = vec![ParsedFile::parse(
-        "crates/fenix/src/a.rs",
-        "fenix",
-        &render(0..mid),
-        false,
-    )];
-    if mid < n {
-        files.push(ParsedFile::parse(
+    let mid = prog.len() / 2;
+    let mut files = vec![
+        ParsedFile::parse("crates/fenix/src/a.rs", "fenix", &render(0..mid), false),
+        ParsedFile::parse(
             "crates/fenix/src/b.rs",
             "fenix",
-            &render(mid..n),
+            &render(mid..prog.len()),
             false,
-        ));
-    }
+        ),
+    ];
     if reverse {
         files.reverse();
     }
-    Workspace { root: None, files }
+    Workspace { files }
 }
 
-fn eq(a: EffectSet, b: EffectSet) -> bool {
-    a.contains(b) && b.contains(a)
+fn prog() -> impl Strategy<Value = Vec<GenFn>> {
+    proptest::collection::vec(
+        (
+            0usize..SITE_STMTS.len(),
+            proptest::collection::vec(0usize..12, 0..4),
+        ),
+        1..12,
+    )
 }
 
-/// Naive worklist fixpoint over the same graph and local sets: iterate
-/// `summary[u] ∪= summary[v]` for every edge until nothing changes.
-fn oracle(graph: &CallGraph, local: &HashMap<FnId, EffectSet>) -> HashMap<FnId, EffectSet> {
-    let mut sum = local.clone();
-    for (u, vs) in &graph.edges {
-        sum.entry(*u).or_insert(EffectSet::EMPTY);
-        for v in vs {
-            sum.entry(*v).or_insert(EffectSet::EMPTY);
-        }
-    }
-    loop {
-        let mut changed = false;
-        let keys: Vec<FnId> = sum.keys().copied().collect();
-        for u in keys {
-            let mut s = sum[&u];
-            for v in graph.edges.get(&u).into_iter().flatten() {
-                s = s.union(sum[v]);
-            }
-            if !eq(s, sum[&u]) {
-                sum.insert(u, s);
-                changed = true;
-            }
-        }
-        if !changed {
-            return sum;
-        }
-    }
-}
-
-/// Partition + acyclicity of the condensation for an arbitrary graph.
-fn assert_condensation_sound(graph: &CallGraph) {
-    let cond = condense(graph);
-    let mut seen: HashSet<FnId> = HashSet::new();
-    for (ci, scc) in cond.sccs.iter().enumerate() {
-        assert!(!scc.is_empty(), "empty SCC at {ci}");
-        for id in scc {
-            assert!(seen.insert(*id), "node {id:?} appears in two SCCs");
-            assert_eq!(cond.comp_of[id], ci, "comp_of disagrees with sccs");
-        }
-    }
-    let mut nodes: HashSet<FnId> = graph.edges.keys().copied().collect();
-    for vs in graph.edges.values() {
-        nodes.extend(vs.iter().copied());
-    }
-    assert_eq!(seen, nodes, "condensation must cover exactly the nodes");
-    for (u, vs) in &graph.edges {
-        for v in vs {
-            let (cu, cv) = (cond.comp_of[u], cond.comp_of[v]);
-            assert!(
-                cu == cv || cv < cu,
-                "cross-SCC edge {u:?}->{v:?} must point callees-first ({cu} -> {cv})"
-            );
-        }
+/// `witness` (qualified names) is a root → … → `func` path in the graph.
+fn assert_real_path(
+    ws: &Workspace,
+    fx: &EffectAnalysis,
+    roots: &[FnId],
+    witness: &[&str],
+    func: &str,
+) {
+    assert_eq!(
+        witness.last(),
+        Some(&func),
+        "witness ends at the site's function"
+    );
+    // Qualified names are unique in the generated programs.
+    let id = |q: &str| {
+        let found = ws.fns().find(|(_, f)| f.qual() == q);
+        found
+            .map(|(id, _)| id)
+            .unwrap_or_else(|| panic!("no fn `{q}`"))
+    };
+    let path: Vec<FnId> = witness.iter().map(|q| id(q)).collect();
+    assert!(
+        roots.contains(&path[0]),
+        "first hop {witness:?} is not a root"
+    );
+    for hop in path.windows(2) {
+        assert!(
+            fx.graph.edges[&hop[0]].contains(&hop[1]),
+            "{witness:?}: no such edge"
+        );
     }
 }
 
@@ -180,69 +154,38 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn condensation_partitions_and_is_acyclic(
-        prog in proptest::collection::vec(
-            (0usize..EFFECT_STMTS.len(), proptest::collection::vec(0usize..12, 0..4)),
-            1..12,
-        ),
-        split in any::<bool>(),
-    ) {
-        let ws = build_ws(&prog, split, false);
-        let fx = EffectAnalysis::run(&ws, GraphOpts::default());
-        assert_condensation_sound(&fx.graph);
-    }
-
-    #[test]
-    fn fixpoint_is_sound_and_least(
-        prog in proptest::collection::vec(
-            (0usize..EFFECT_STMTS.len(), proptest::collection::vec(0usize..12, 0..4)),
-            1..12,
-        ),
-        split in any::<bool>(),
-    ) {
-        let ws = build_ws(&prog, split, false);
-        let fx = EffectAnalysis::run(&ws, GraphOpts::default());
-        // Soundness: summary absorbs local and every callee summary.
-        for (id, _) in ws.fns() {
-            let s = fx.summaries[&id];
-            prop_assert!(s.contains(fx.local[&id]), "summary must absorb local");
-            for v in fx.graph.edges.get(&id).into_iter().flatten() {
-                prop_assert!(
-                    s.contains(fx.summaries[v]),
-                    "summary must absorb callee {:?}", v
-                );
-            }
+    fn every_witness_is_a_real_root_to_site_path(prog in prog()) {
+        let ws = build_ws(&prog, false);
+        let opts = GraphOpts::default();
+        let fx = EffectAnalysis::run(&ws, opts);
+        let rank = collect_entries(&ws, RANK_ENTRY_FNS, opts);
+        let recovery = collect_entries(&ws, RECOVERY_ENTRY_FNS, opts);
+        for d in fx.check(&ws) {
+            let roots = match d.rule {
+                "rank-path-effects" => &rank,
+                "panic-reach" => &recovery,
+                other => panic!("no root for `{other}` in a fenix-only program"),
+            };
+            let chain = d.msg.split("witness: ").nth(1).and_then(|m| m.split(';').next());
+            let witness: Vec<&str> = chain.expect("diagnostic carries a witness").split(" -> ").collect();
+            assert_real_path(&ws, &fx, roots, &witness, &d.func);
         }
-        // Leastness: exact agreement with the naive worklist oracle.
-        let want = oracle(&fx.graph, &fx.local);
-        for (id, w) in &want {
-            prop_assert!(
-                eq(*w, fx.summaries[id]),
-                "summary {:?} disagrees with oracle ({:?} vs {:?})",
-                id, fx.summaries[id].names(), w.names()
-            );
+        for e in fx.inventory(&ws) {
+            let witness: Vec<&str> = e.witness.iter().map(String::as_str).collect();
+            assert_real_path(&ws, &fx, &rank, &witness, &e.func);
         }
     }
 
     #[test]
-    fn summaries_do_not_depend_on_file_order(
-        prog in proptest::collection::vec(
-            (0usize..EFFECT_STMTS.len(), proptest::collection::vec(0usize..12, 0..4)),
-            1..12,
-        ),
-    ) {
-        let a = build_ws(&prog, true, false);
-        let b = build_ws(&prog, true, true);
-        let fa = EffectAnalysis::run(&a, GraphOpts::default());
-        let fb = EffectAnalysis::run(&b, GraphOpts::default());
-        let key = |ws: &Workspace, fx: &EffectAnalysis| -> HashMap<(String, String), Vec<&'static str>> {
-            ws.fns()
-                .map(|(id, f)| {
-                    ((ws.file(id).rel.clone(), f.qual()), fx.summaries[&id].names())
-                })
-                .collect()
+    fn verdicts_do_not_depend_on_file_order(prog in prog()) {
+        let verdicts = |reverse: bool| {
+            let ws = build_ws(&prog, reverse);
+            let (diags, fx) = lint::analyze(&ws, GraphOpts::default());
+            let diags: Vec<String> = diags.iter().map(|d| format!("{}:{}", d.key(), d.line)).collect();
+            let keys: Vec<String> = fx.inventory(&ws).into_iter().map(|e| e.key).collect();
+            (diags, keys)
         };
-        prop_assert_eq!(key(&a, &fa), key(&b, &fb));
+        prop_assert_eq!(verdicts(false), verdicts(true));
     }
 
     #[test]
@@ -257,11 +200,9 @@ proptest! {
             }
         }
         let ws = Workspace {
-            root: None,
             files: vec![ParsedFile::parse("crates/fenix/src/z.rs", "fenix", &src, false)],
         };
-        let fx = EffectAnalysis::run(&ws, GraphOpts::default());
-        assert_condensation_sound(&fx.graph);
-        let _ = fx.inventory(&ws, GraphOpts::default());
+        let (_, fx) = lint::analyze(&ws, GraphOpts::default());
+        let _ = fx.inventory(&ws);
     }
 }

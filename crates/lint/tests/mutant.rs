@@ -21,7 +21,7 @@ fn repo_root() -> &'static Path {
 fn seeded_mutant_is_caught_only_with_opt_in() {
     let ws = load_workspace(repo_root()).expect("workspace sources readable");
 
-    let without = analyze(
+    let (without, _) = analyze(
         &ws,
         GraphOpts {
             include_mutants: false,
@@ -32,7 +32,7 @@ fn seeded_mutant_is_caught_only_with_opt_in() {
         "default scan must not see the gated mutant: {without:?}"
     );
 
-    let with = analyze(
+    let (with, _) = analyze(
         &ws,
         GraphOpts {
             include_mutants: true,
@@ -47,7 +47,11 @@ fn seeded_mutant_is_caught_only_with_opt_in() {
         "the finding must land on the helper holding the panic site, got {}",
         hit.func
     );
-    assert!(hit.msg.contains("unwrap"));
+    assert!(
+        hit.msg.contains("unwrap") && hit.msg.contains("witness: apply_repair -> rebuild_group;"),
+        "the witness chain must walk entry -> helper: {}",
+        hit.msg
+    );
 
     // One seeded violation per protocol analysis, each caught only with
     // the opt-in (the `without` assertion above covers both mutant files).

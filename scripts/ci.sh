@@ -44,7 +44,6 @@ write_summary() {
       "$([ "$status" -eq 0 ] && echo true || echo false)" "$STAGE_JSON" "$SMOKE_JSON" "$KERNEL_JSON"
     printf '"lint_report":"target/lint-report.json",'
     printf '"effects_inventory":"target/effects-inventory.json",'
-    printf '"effects_snapshot":"effects-inventory.json",'
     printf '"bench_results":"target/BENCH_checkpoint.json",'
     printf '"bench_baseline":"BENCH_checkpoint.json",'
     printf '"bench_redundancy_results":"target/BENCH_redundancy.json",'
@@ -82,18 +81,31 @@ begin "resilience-invariant lints (crates/lint)"
 cargo run -q -p lint -- --self-check
 # Workspace scan: fails on any diagnostic not justified in
 # lint-baseline.txt — and on any stale baseline entry. It emits the
-# machine-readable artifacts (JSON report and the interprocedural effects
-# inventory — `effect-drift` inside the scan compares that inventory
-# against the committed effects-inventory.json snapshot, so any new
-# wall-clock/blocking/spawn/non-determinism site fails here until fixed or
-# sanctioned).
+# machine-readable artifacts: the JSON report and the effects inventory
+# (every wall-clock/blocking/spawn/non-determinism site reachable from a
+# rank entry point, each sanctioned in place or failing this scan under
+# `rank-path-effects`).
 cargo run -q -p lint -- \
   --report target/lint-report.json \
   --effects target/effects-inventory.json
-# The analyzer must also catch the seeded violations (panic-reach,
-# protocol-typestate, collective-match, lock-order, blocking-while-locked,
-# rank-path-effects) when mutants are opted in, and the seeded code must
-# really compile:
+# With mutants opted in the scan must report exactly the seeded
+# violations, as (rule, file:line), and nothing else — so a rule that
+# starts over-reporting on seeded code fails here, not only one that
+# stops firing. The scan exits 1 on findings: that is the expected
+# outcome.
+expected_mutants="blocking-in-governor crates/cluster/src/mutant.rs:30
+rank-path-effects crates/cluster/src/mutant.rs:30
+panic-reach crates/fenix/src/mutant.rs:20
+protocol-typestate crates/fenix/src/mutant.rs:29
+collective-match crates/fenix/src/mutant.rs:37
+lock-order crates/simmpi/src/mutant.rs:23
+lock-order crates/simmpi/src/mutant.rs:31
+blocking-while-locked crates/simmpi/src/mutant.rs:40"
+found_mutants=$( (cargo run -q -p lint -- --mutants || true) \
+  | sed -n 's/^\[\([a-z-]*\)\] \([^ ]*\) .*/\1 \2/p')
+diff <(echo "$expected_mutants") <(echo "$found_mutants")
+# The same findings carry the expected functions and witness chains, and
+# the seeded code must really compile:
 cargo test -q -p lint --test mutant
 cargo test -q -p fenix --features lint-mutants
 cargo test -q -p simmpi --features lint-mutants
