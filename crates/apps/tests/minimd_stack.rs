@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use apps::MiniMd;
 use cluster::{Cluster, ClusterConfig, RelaunchModel, TimeScale};
-use kokkos_resilience::{BackendKind, CheckpointFilter, Context, ContextConfig, ViewClass};
+use kokkos_resilience::{CheckpointFilter, Context, ContextConfig, ViewClass};
 use resilience::{run_experiment, Bookkeeper, ExperimentConfig, IterativeApp, Strategy};
 use simmpi::{FaultPlan, MpiResult, Universe, UniverseConfig};
 
@@ -149,7 +149,6 @@ fn minimd_view_inventory_matches_paper_figure7() {
                 ContextConfig {
                     name: "fig7".into(),
                     filter: CheckpointFilter::Never,
-                    backend: BackendKind::VelocSingle,
                     aliases: app.alias_labels(),
                 },
             );

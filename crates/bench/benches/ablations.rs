@@ -5,8 +5,7 @@
 //! * IMR vs VeloC checkpoint commit cost against data size (the Figure 5
 //!   crossover);
 //! * spare-count sensitivity of the Fenix run loop;
-//! * collective-operation cost on the simulated MPI (substrate baseline);
-//! * single- vs collective-mode restart agreement.
+//! * collective-operation cost on the simulated MPI (substrate baseline).
 
 use std::sync::Arc;
 
@@ -125,53 +124,11 @@ fn collective_baseline(c: &mut Criterion) {
     group.finish();
 }
 
-fn restart_agreement_modes(c: &mut Criterion) {
-    // Single mode + manual reduction (the paper's pattern) vs collective
-    // VeloC agreement.
-    use kokkos_resilience::{BackendKind, CheckpointFilter, Context, ContextConfig};
-
-    let mut group = c.benchmark_group("ablation_restart_agreement");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    for backend in [BackendKind::VelocSingle, BackendKind::VelocCollective] {
-        let cluster = bench_cluster(4);
-        group.bench_function(format!("{backend:?}"), |b| {
-            b.iter(|| {
-                let report = Universe::launch(
-                    &cluster,
-                    UniverseConfig::default(),
-                    Arc::new(FaultPlan::none()),
-                    |ctx| {
-                        let kr = Context::new(
-                            ctx.cluster(),
-                            ctx.world().clone(),
-                            ContextConfig {
-                                name: "agree".into(),
-                                filter: CheckpointFilter::Never,
-                                backend,
-                                aliases: vec![],
-                            },
-                        );
-                        for _ in 0..20 {
-                            kr.latest_version("loop")?;
-                        }
-                        Ok(())
-                    },
-                );
-                assert!(report.all_ok());
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     ablations,
     checkpoint_interval_sweep,
     imr_vs_veloc_commit,
     spare_count_sensitivity,
-    collective_baseline,
-    restart_agreement_modes
+    collective_baseline
 );
 criterion_main!(ablations);

@@ -14,7 +14,7 @@ use std::time::Instant;
 use cluster::{Cluster, ClusterConfig, TimeScale};
 use criterion::{black_box, Criterion};
 use std::sync::Arc;
-use veloc::{Client, Config, Mode, VecRegion};
+use veloc::{Client, Config, VecRegion};
 
 /// Protected state: `REGIONS` regions of `REGION_BYTES` each.
 const REGIONS: usize = 100;
@@ -37,14 +37,7 @@ struct Pipeline {
 
 impl Pipeline {
     fn new(cluster: &Cluster, name: &str, full_only: bool, dirty: usize) -> Self {
-        let client = Client::init(
-            cluster.clone(),
-            0,
-            Config {
-                mode: Mode::Single,
-                async_flush: false,
-            },
-        );
+        let client = Client::init(cluster.clone(), 0, Config { async_flush: false });
         let regions: Vec<VecRegion<u8>> = (0..REGIONS)
             .map(|i| VecRegion::new(vec![i as u8; REGION_BYTES]))
             .collect();

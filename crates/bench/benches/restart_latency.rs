@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use cluster::{Cluster, ClusterConfig, TimeScale};
 use criterion::{black_box, Criterion};
-use veloc::{serial, Client, Config, Mode, VecRegion};
+use veloc::{serial, Client, Config, VecRegion};
 
 /// Protected state.
 const REGIONS: usize = 32;
@@ -53,14 +53,7 @@ impl Scenario {
     /// frame, plus `deltas` incremental frames each covering
     /// `DIRTY_PER_STEP` regions.
     fn new(cl: &Cluster, name: &str, deltas: usize) -> Self {
-        let client = Client::init(
-            cl.clone(),
-            0,
-            Config {
-                mode: Mode::Single,
-                async_flush: false,
-            },
-        );
+        let client = Client::init(cl.clone(), 0, Config { async_flush: false });
         let regions: Vec<VecRegion<u8>> = (0..REGIONS)
             .map(|i| VecRegion::new(vec![i as u8; REGION_BYTES]))
             .collect();

@@ -296,14 +296,7 @@ fn corrupted_delta_base_is_never_restored_atop() {
     ));
     c.set_injector(Some(plan));
 
-    let client = veloc::Client::init(
-        c.clone(),
-        0,
-        veloc::Config {
-            mode: veloc::Mode::Single,
-            async_flush: false,
-        },
-    );
+    let client = veloc::Client::init(c.clone(), 0, veloc::Config { async_flush: false });
     let hot = veloc::VecRegion::new(vec![1u8; 64]);
     let cold = veloc::VecRegion::new(vec![9u8; 256]);
     client.protect(0, Arc::new(hot.clone()));
@@ -326,12 +319,12 @@ fn corrupted_delta_base_is_never_restored_atop() {
     );
 
     // The chain is broken at its base: nothing intact remains, and the
-    // single-mode agreement (no communicator: local knowledge) finds none.
+    // agreement (no communicator: local knowledge) finds none.
     assert!(!client.version_intact("chain", 2));
     assert!(!client.version_intact("chain", 1));
     assert_eq!(
         client
-            .agree_intact_version_below("chain", u64::MAX, None)
+            .agree_intact_version("chain", u64::MAX, None)
             .expect("local agreement"),
         None
     );

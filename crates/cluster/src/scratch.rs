@@ -45,10 +45,6 @@ impl NodeScratch {
         }
     }
 
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     fn node(&self, node: usize) -> &NodeStore {
         &self.nodes[node]
     }

@@ -334,7 +334,7 @@ pub fn fig7_stats(cell_sizes: &[usize]) -> Vec<Fig7Row> {
 
 /// [`fig7_stats`] with an optional observability hub (`--trace`).
 pub fn fig7_stats_traced(cell_sizes: &[usize], telemetry: Option<Telemetry>) -> Vec<Fig7Row> {
-    use kokkos_resilience::{BackendKind, CheckpointFilter, Context, ContextConfig, ViewClass};
+    use kokkos_resilience::{CheckpointFilter, Context, ContextConfig, ViewClass};
     use resilience::{Bookkeeper, RankApp};
     use simmpi::{Universe, UniverseConfig};
 
@@ -361,7 +361,6 @@ pub fn fig7_stats_traced(cell_sizes: &[usize], telemetry: Option<Telemetry>) -> 
                         ContextConfig {
                             name: format!("fig7-{n}"),
                             filter: CheckpointFilter::Never,
-                            backend: BackendKind::VelocSingle,
                             aliases: app.alias_labels(),
                         },
                     );

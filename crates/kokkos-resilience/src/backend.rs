@@ -3,11 +3,11 @@
 //! simplification and open the door for more process resilience strategies."
 //!
 //! A [`DataBackend`] stores and restores the classified views of a
-//! checkpoint region. The built-in [`VelocBackend`] wraps the VeloC client
-//! in either agreement mode; the `resilience` crate provides an in-memory
-//! redundancy backend on top of Fenix data groups. Each backend owns its
-//! best-version agreement (`latest_agreed`); the default is the manual
-//! min-reduction of the paper's single-mode pattern.
+//! checkpoint region. The built-in [`VelocBackend`] wraps the VeloC
+//! client; the `resilience` crate provides a peer-memory backend on top of
+//! the redundancy store. Each backend owns its restart agreement
+//! ([`DataBackend::latest_agreed_below`]) — which reduction is right
+//! depends on who can reach a version, so the trait has no default.
 
 use std::sync::Arc;
 
@@ -16,7 +16,7 @@ use cluster::Cluster;
 use kokkos::capture::Checkpointable;
 use simmpi::{Comm, MpiError, MpiResult};
 use telemetry::Recorder;
-use veloc::{Client, Config as VelocConfig, Mode, Protected, VelocError};
+use veloc::{Client, Config as VelocConfig, Protected, VelocError};
 
 /// A classified region's checkpointed views, in stable detection order.
 pub type RegionViews = [(u32, Arc<dyn Checkpointable>)];
@@ -37,45 +37,24 @@ pub trait DataBackend: Send {
         views: &RegionViews,
     ) -> MpiResult<()>;
 
-    /// Newest version of `name` reachable with local knowledge only.
-    fn latest_local(&self, name: &str) -> Option<u64>;
+    /// The backend's restart agreement: the newest version of `name`, at or
+    /// below `bound`, that every rank of `comm` can be restored to.
+    /// Collective, and required — which reduction is right depends on who
+    /// can reach a version. Per-rank storage (VeloC) takes the newest
+    /// version intact on *every* rank; peer memory agrees by possession,
+    /// because a replacement rank, holding nothing, is restored from the
+    /// survivors' copies.
+    ///
+    /// `bound` is `u64::MAX` for "the newest". Restart logic lowers it when
+    /// the newest agreed version leaves no iterations to replay (a kill at
+    /// the final commit), so the lazy region-scoped restore would never
+    /// fire: re-agreeing below the final version lands recovery inside the
+    /// iteration space.
+    fn latest_agreed_below(&self, comm: &Comm, name: &str, bound: u64) -> MpiResult<Option<u64>>;
 
-    /// Collective best-version agreement. The default is the paper's
-    /// manual reduction for non-collective storage: the newest version
-    /// available on *every* rank (min over each rank's newest). Backends
-    /// with different reachability rules override it — collective VeloC
-    /// agrees internally; peer-memory IMR takes the max, because a
-    /// replacement rank (with no local copy) restores from its buddy.
-    fn latest_agreed(&self, comm: &Comm, name: &str) -> MpiResult<Option<u64>> {
-        self.latest_agreed_below(comm, name, u64::MAX)
-    }
-
-    /// [`Self::latest_agreed`] restricted to versions `<= bound`. Restart
-    /// logic uses this when the newest agreed version leaves no iterations
-    /// to replay (a kill at the final commit), so the lazy region-scoped
-    /// restore would never fire: re-agreeing below the final version lands
-    /// recovery inside the iteration space. The default bounds the
-    /// min-reduction; backends with richer version indexes override it.
-    fn latest_agreed_below(&self, comm: &Comm, name: &str, bound: u64) -> MpiResult<Option<u64>> {
-        let local = self
-            .latest_local(name)
-            .filter(|&v| v <= bound)
-            .map_or(-1i64, |v| v as i64);
-        let min = comm.allreduce_scalar(local, simmpi::ReduceOp::Min)?;
-        Ok((min >= 0).then_some(min as u64))
-    }
-
-    /// Restore `views` from version `version` of region `name`.
-    /// `recovering_ranks` lists the communicator ranks that lost their
-    /// state (peer-storage backends serve them from surviving copies).
-    fn restore(
-        &self,
-        comm: &Comm,
-        name: &str,
-        version: u64,
-        views: &RegionViews,
-        recovering_ranks: &[usize],
-    ) -> MpiResult<()>;
+    /// Restore `views` from version `version` of region `name` — the
+    /// version the last [`Self::latest_agreed_below`] returned.
+    fn restore(&self, comm: &Comm, name: &str, version: u64, views: &RegionViews) -> MpiResult<()>;
 
     /// Block until asynchronous operations complete.
     fn wait(&self) {}
@@ -169,27 +148,19 @@ pub fn veloc_err(e: VelocError) -> MpiError {
         VelocError::NotFound { .. }
         | VelocError::Corrupt { .. }
         | VelocError::UnknownRegion { .. }
-        | VelocError::NoCommunicator
         | VelocError::BackendSpawn { .. } => MpiError::Aborted,
     }
 }
 
-/// The VeloC-based backend (both agreement modes).
+/// The VeloC-based backend.
 pub struct VelocBackend {
     client: Client,
 }
 
 impl VelocBackend {
-    pub fn new(cluster: &Cluster, physical_rank: usize, mode: Mode) -> Self {
+    pub fn new(cluster: &Cluster, physical_rank: usize) -> Self {
         VelocBackend {
-            client: Client::init(
-                cluster.clone(),
-                physical_rank,
-                VelocConfig {
-                    mode,
-                    async_flush: true,
-                },
-            ),
+            client: Client::init(cluster.clone(), physical_rank, VelocConfig::default()),
         }
     }
 
@@ -217,17 +188,13 @@ impl DataBackend for VelocBackend {
         self.client.checkpoint(name, version).map_err(veloc_err)
     }
 
-    fn latest_local(&self, name: &str) -> Option<u64> {
-        self.client.latest_version(name)
-    }
-
     fn latest_agreed_below(&self, comm: &Comm, name: &str, bound: u64) -> MpiResult<Option<u64>> {
-        // Both modes agree on the newest *intact* version: the paper's
-        // manual min-reduction picks the newest version available
-        // everywhere, but an agreed-and-corrupt blob would wedge restart —
-        // the hardened agreement degrades to an older verified version.
+        // The newest *intact* version: the paper's manual min-reduction
+        // picks the newest version available everywhere, but an
+        // agreed-and-corrupt blob would wedge restart — the hardened
+        // agreement degrades to an older verified version.
         self.client
-            .agree_intact_version_below(name, bound, Some(comm))
+            .agree_intact_version(name, bound, Some(comm))
             .map_err(veloc_err)
     }
 
@@ -237,7 +204,6 @@ impl DataBackend for VelocBackend {
         name: &str,
         version: u64,
         views: &RegionViews,
-        _recovering_ranks: &[usize],
     ) -> MpiResult<()> {
         self.protect(views);
         self.client
@@ -292,7 +258,6 @@ mod tests {
             veloc_err(VelocError::Corrupt { path: "p".into() }),
             MpiError::Aborted
         );
-        assert_eq!(veloc_err(VelocError::NoCommunicator), MpiError::Aborted);
     }
 
     #[test]
@@ -368,7 +333,7 @@ mod tests {
             0.into(),
         ));
         let region: Vec<(u32, Arc<dyn Checkpointable>)> = vec![(0, counted.clone())];
-        let backend = VelocBackend::new(&c, 0, Mode::Single);
+        let backend = VelocBackend::new(&c, 0);
         let router = simmpi::router::Router::new(c.clone());
         let comm = simmpi::Comm::from_group(router, 1, 0, vec![0], 0);
         backend.checkpoint(&comm, "bk", 1, &region).unwrap();
@@ -389,27 +354,20 @@ mod tests {
     fn veloc_backend_roundtrip_without_comm() {
         // Single-rank smoke test: store, clobber, restore.
         let c = cluster();
-        let backend = VelocBackend::new(&c, 0, Mode::Single);
+        let backend = VelocBackend::new(&c, 0);
         let v: View<u64> = View::from_vec("data", vec![5, 6, 7]);
         let region = views(&v);
         // A dummy single-rank comm for the API.
         let router = simmpi::router::Router::new(c.clone());
         let comm = simmpi::Comm::from_group(router, 1, 0, vec![0], 0);
+        let agreed = |bound| backend.latest_agreed_below(&comm, "bk", bound).unwrap();
+        assert_eq!(agreed(u64::MAX), None);
         backend.checkpoint(&comm, "bk", 3, &region).unwrap();
         backend.wait();
-        assert_eq!(backend.latest_local("bk"), Some(3));
+        assert_eq!(agreed(u64::MAX), Some(3));
+        assert_eq!(agreed(2), None);
         v.fill(0);
-        backend.restore(&comm, "bk", 3, &region, &[]).unwrap();
+        backend.restore(&comm, "bk", 3, &region).unwrap();
         assert_eq!(*v.read_uncaptured(), vec![5, 6, 7]);
-    }
-
-    #[test]
-    fn default_agreement_is_min_reduction() {
-        // On a single-rank comm the default agreement is just latest_local.
-        let c = cluster();
-        let backend = VelocBackend::new(&c, 0, Mode::Single);
-        let router = simmpi::router::Router::new(c.clone());
-        let comm = simmpi::Comm::from_group(router, 1, 0, vec![0], 0);
-        assert_eq!(backend.latest_agreed(&comm, "none").unwrap(), None);
     }
 }

@@ -8,28 +8,10 @@ use cluster::Cluster;
 use kokkos::capture::{CaptureSession, Checkpointable};
 use simmpi::{Comm, MpiError, MpiResult, Phase};
 use telemetry::{Event, Recorder};
-use veloc::Mode;
 
 use crate::backend::{DataBackend, VelocBackend};
 use crate::filter::CheckpointFilter;
 use crate::stats::{RegionStats, ViewClass, ViewStat};
-
-/// Which data backend the context drives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BackendKind {
-    /// VeloC in non-collective ("single") mode; the context performs the
-    /// best-version agreement itself. **This is the configuration the paper
-    /// adds** — the only one compatible with Fenix process recovery.
-    VelocSingle,
-    /// VeloC in collective mode (stock Kokkos Resilience behaviour); the
-    /// client owns the agreement. Incompatible with a changing process
-    /// pool.
-    VelocCollective,
-    /// A caller-supplied [`DataBackend`] (see [`Context::with_backend`]) —
-    /// the paper's future-work "backend tier", e.g. Fenix in-memory
-    /// redundancy.
-    Custom,
-}
 
 /// Which ranks restore data during recovery.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -57,7 +39,6 @@ pub struct ContextConfig {
     /// Base name for checkpoint sets (combined with each region label).
     pub name: String,
     pub filter: CheckpointFilter,
-    pub backend: BackendKind,
     /// View labels excluded from checkpointing as user-declared aliases.
     pub aliases: Vec<String>,
 }
@@ -67,7 +48,6 @@ impl Default for ContextConfig {
         ContextConfig {
             name: "kr".into(),
             filter: CheckpointFilter::Always,
-            backend: BackendKind::VelocSingle,
             aliases: Vec::new(),
         }
     }
@@ -99,7 +79,6 @@ pub struct Context {
     data: Box<dyn DataBackend>,
     name: String,
     filter: CheckpointFilter,
-    backend: BackendKind,
     aliases: RefCell<HashSet<String>>,
     regions: RefCell<HashMap<String, RegionMeta>>,
     /// Best restartable version per label, agreed across the communicator.
@@ -107,47 +86,31 @@ pub struct Context {
     /// Labels whose next region execution must perform recovery.
     pending_recovery: RefCell<HashSet<String>>,
     scope: RefCell<RecoveryScope>,
-    /// Communicator ranks that lost their state in the last repair (needed
-    /// by peer-storage backends such as IMR to route surviving copies).
-    recovering_ranks: RefCell<Vec<usize>>,
     recorder: RefCell<Recorder>,
 }
 
 impl Context {
-    /// Create a context over `comm` (`make_context(res_comm)` in Figure 4).
+    /// Create a context over `comm` (`make_context(res_comm)` in Figure 4)
+    /// that drives the VeloC backend.
     pub fn new(cluster: &Cluster, comm: Comm, config: ContextConfig) -> Self {
-        let mode = match config.backend {
-            BackendKind::VelocSingle => Mode::Single,
-            BackendKind::VelocCollective => Mode::Collective,
-            BackendKind::Custom => {
-                panic!("BackendKind::Custom requires Context::with_backend")
-            }
-        };
-        let data = Box::new(VelocBackend::new(cluster, comm.my_global(), mode));
-        Self::assemble(comm, config, data)
+        let data = Box::new(VelocBackend::new(cluster, comm.my_global()));
+        Self::with_backend(comm, config, data)
     }
 
     /// Create a context over a caller-supplied data backend — the paper's
-    /// future-work backend tier (e.g. Fenix in-memory redundancy).
-    pub fn with_backend(comm: Comm, mut config: ContextConfig, data: Box<dyn DataBackend>) -> Self {
-        config.backend = BackendKind::Custom;
-        Self::assemble(comm, config, data)
-    }
-
-    fn assemble(comm: Comm, config: ContextConfig, data: Box<dyn DataBackend>) -> Self {
+    /// future-work backend tier (e.g. peer-memory redundancy).
+    pub fn with_backend(comm: Comm, config: ContextConfig, data: Box<dyn DataBackend>) -> Self {
         data.set_rank(comm.rank());
         Context {
             comm: RefCell::new(comm),
             data,
             name: config.name,
             filter: config.filter,
-            backend: config.backend,
             aliases: RefCell::new(config.aliases.into_iter().collect()),
             regions: RefCell::new(HashMap::new()),
             agreed_latest: RefCell::new(HashMap::new()),
             pending_recovery: RefCell::new(HashSet::new()),
             scope: RefCell::new(RecoveryScope::All),
-            recovering_ranks: RefCell::new(Vec::new()),
             recorder: RefCell::new(Recorder::disabled()),
         }
     }
@@ -169,10 +132,6 @@ impl Context {
         self.recorder().time(phase, f)
     }
 
-    pub fn backend(&self) -> BackendKind {
-        self.backend
-    }
-
     pub fn comm_rank(&self) -> usize {
         self.comm.borrow().rank()
     }
@@ -191,14 +150,7 @@ impl Context {
             self.agreed_latest.borrow_mut().clear();
             self.pending_recovery.borrow_mut().clear();
             *self.scope.borrow_mut() = RecoveryScope::All;
-            self.recovering_ranks.borrow_mut().clear();
         });
-    }
-
-    /// Tell peer-storage backends which communicator ranks lost their
-    /// state in the last repair (typically `Fenix::recovered_ranks`).
-    pub fn set_recovering_ranks(&self, ranks: Vec<usize>) {
-        *self.recovering_ranks.borrow_mut() = ranks;
     }
 
     /// Declare a view label as an alias (not checkpointed).
@@ -217,11 +169,12 @@ impl Context {
 
     /// Best restartable version of a region across the communicator.
     ///
-    /// Collective: every rank of the communicator must call it. In
-    /// `VelocSingle` mode this performs the paper's **manual reduction**
-    /// (min over each rank's locally newest version); in `VelocCollective`
-    /// mode VeloC itself agrees. A `Some` result arms recovery: the next
-    /// `checkpoint` call for this label restores the data.
+    /// Collective: every rank of the communicator must call it. The data
+    /// backend agrees over the context's current communicator
+    /// ([`DataBackend::latest_agreed_below`]) — for VeloC the paper's
+    /// **manual reduction**, whichever communicator that is. A `Some`
+    /// result arms recovery: the next `checkpoint` call for this label
+    /// restores the data.
     ///
     /// This is the bare number. A loop that *resumes* from it must use
     /// [`Self::restart_version`] instead: recovery is lazy, so resuming at
@@ -395,10 +348,8 @@ impl Context {
                     return Err(MpiError::Aborted);
                 };
                 let comm = self.comm.borrow();
-                let recovering = self.recovering_ranks.borrow().clone();
                 self.book(Phase::DataRecovery, || {
-                    self.data
-                        .restore(&comm, &name, version, &meta.checkpointed, &recovering)
+                    self.data.restore(&comm, &name, version, &meta.checkpointed)
                 })?;
                 rec.emit_with(|| Event::RegionRestore {
                     label: label.to_owned(),
@@ -447,7 +398,6 @@ impl std::fmt::Debug for Context {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Context")
             .field("name", &self.name)
-            .field("backend", &self.backend)
             .field("rank", &self.comm_rank())
             .field("regions", &self.regions.borrow().len())
             .finish()

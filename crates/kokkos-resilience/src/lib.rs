@@ -21,10 +21,11 @@
 //! The two library modifications this paper contributes are implemented
 //! exactly:
 //!
-//! 1. [`BackendKind::VelocSingle`] launches VeloC in non-collective mode and
-//!    performs the best-version agreement itself with a manual reduction
-//!    over the current communicator (`latest_version`), making the data
-//!    layer compatible with a changing process pool.
+//! 1. The context always launches VeloC in non-collective mode and has the
+//!    best-version agreement performed as a manual reduction over its
+//!    *current* communicator ([`Context::restart_version`]), making the
+//!    data layer compatible with a changing process pool. Without Fenix
+//!    that communicator is the world, which is all "collective VeloC" was.
 //! 2. [`Context::reset`] accepts a **new communicator** after a Fenix
 //!    repair: it clears the checkpoint-metadata cache (a checkpoint that
 //!    finished locally may not have finished globally), re-fetches it, and
@@ -39,6 +40,6 @@ pub mod filter;
 pub mod stats;
 
 pub use backend::{DataBackend, RegionViews, VelocBackend};
-pub use context::{BackendKind, CheckpointOutcome, Context, ContextConfig, RecoveryScope};
+pub use context::{CheckpointOutcome, Context, ContextConfig, RecoveryScope};
 pub use filter::CheckpointFilter;
 pub use stats::{RegionStats, ViewClass, ViewStat};

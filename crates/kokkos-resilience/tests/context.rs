@@ -5,9 +5,7 @@ use std::sync::Arc;
 
 use cluster::{Cluster, ClusterConfig, TimeScale};
 use kokkos::View;
-use kokkos_resilience::{
-    BackendKind, CheckpointFilter, Context, ContextConfig, RecoveryScope, ViewClass,
-};
+use kokkos_resilience::{CheckpointFilter, Context, ContextConfig, RecoveryScope, ViewClass};
 use simmpi::{FaultPlan, MpiResult, RankCtx, Universe, UniverseConfig};
 
 fn cluster(n: usize) -> Cluster {
@@ -31,7 +29,6 @@ fn config(name: &str, filter: CheckpointFilter) -> ContextConfig {
     ContextConfig {
         name: name.into(),
         filter,
-        backend: BackendKind::VelocSingle,
         aliases: Vec::new(),
     }
 }
@@ -255,19 +252,15 @@ fn recovery_scope_limits_restores() {
 }
 
 #[test]
-fn collective_backend_agrees_on_version() {
+fn world_communicator_agrees_on_version() {
+    // What stock collective VeloC does: the same reduction, over the world.
     let c = cluster(3);
     let report = launch(&c, |ctx| {
         let data: View<u64> = View::new_1d("d", 2);
         let kr = Context::new(
             ctx.cluster(),
             ctx.world().clone(),
-            ContextConfig {
-                name: "coll".into(),
-                filter: CheckpointFilter::Always,
-                backend: BackendKind::VelocCollective,
-                aliases: Vec::new(),
-            },
+            config("coll", CheckpointFilter::Always),
         );
         for i in 0..3u64 {
             kr.checkpoint("loop", i, || {

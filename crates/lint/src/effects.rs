@@ -640,6 +640,15 @@ fn chain(ws: &Workspace, parent: &HashMap<FnId, Option<FnId>>, target: FnId) -> 
     path.iter().rev().map(|&f| ws.fn_item(f).qual()).collect()
 }
 
+/// Does `f` match the entry-table pattern `pat`? (See [`EntryTable`].)
+fn entry_matches(pat: &str, f: &FnItem) -> bool {
+    if pat.contains("::") {
+        f.qual() == pat
+    } else {
+        f.impl_type.is_none() && f.name == pat
+    }
+}
+
 /// Resolve an entry-point table against the workspace's live functions.
 pub fn collect_entries(ws: &Workspace, table: EntryTable, opts: GraphOpts) -> Vec<FnId> {
     let mut out = Vec::new();
@@ -648,17 +657,44 @@ pub fn collect_entries(ws: &Workspace, table: EntryTable, opts: GraphOpts) -> Ve
         let Some((_, pats)) = table.iter().find(|(c, _)| *c == krate) else {
             continue;
         };
-        let qual = f.qual();
-        if pats.iter().any(|p| {
-            if p.contains("::") {
-                qual == *p
-            } else {
-                f.impl_type.is_none() && f.name == *p
-            }
-        }) {
+        if pats.iter().any(|p| entry_matches(p, f)) {
             out.push(id);
         }
     }
+    out
+}
+
+/// The patterns of `table` that name no function of their crate, as
+/// `crate: pattern`. Such a root roots nothing: the function it named was
+/// renamed or deleted, and the rule goes on reporting a clean scan of
+/// whatever the other patterns still reach. Seeded mutants count as present
+/// whichever way the scan opted (the free `apply_repair` exists only
+/// there); test code does not.
+pub fn unmatched_entries(ws: &Workspace, table: EntryTable) -> Vec<String> {
+    let mut out = Vec::new();
+    for (krate, pats) in table {
+        for pat in *pats {
+            let named = |(id, f): (FnId, &FnItem)| {
+                !f.is_test && ws.file(id).crate_name == *krate && entry_matches(pat, f)
+            };
+            if !ws.fns().any(named) {
+                out.push(format!("{krate}: {pat}"));
+            }
+        }
+    }
+    out
+}
+
+/// [`unmatched_entries`] over every entry table [`QUERIES`] roots at, each
+/// pattern once: a scan error, like a stale baseline entry.
+pub fn unmatched_roots(ws: &Workspace) -> Vec<String> {
+    let tables = QUERIES.iter().filter_map(|q| match q.roots {
+        Roots::Entries(table) => Some(table),
+        Roots::RunLoopCallers => None,
+    });
+    let mut out: Vec<String> = tables.flat_map(|t| unmatched_entries(ws, t)).collect();
+    out.sort();
+    out.dedup();
     out
 }
 
@@ -739,6 +775,39 @@ mod tests {
             d[0].msg.contains("witness: run -> middle -> leaf;"),
             "{}",
             d[0].msg
+        );
+    }
+
+    #[test]
+    fn a_root_pattern_that_names_no_function_is_reported() {
+        let w = ws(&[
+            (
+                "crates/veloc/src/client.rs",
+                "impl Client { pub fn restart(&self) {} }\n\
+                 #[cfg(feature = \"lint-mutants\")]\n\
+                 pub fn seeded() {}\n\
+                 #[cfg(test)]\n\
+                 mod tests { fn only_tested() {} }\n",
+            ),
+            ("crates/fenix/src/lib.rs", "pub fn fabricated() {}\n"),
+        ]);
+        let table: EntryTable = &[(
+            "veloc",
+            &[
+                "Client::restart",
+                "seeded",
+                "Client::fabricated",
+                "fabricated",
+                "only_tested",
+            ],
+        )];
+        assert_eq!(
+            unmatched_entries(&w, table),
+            [
+                "veloc: Client::fabricated",
+                "veloc: fabricated",
+                "veloc: only_tested"
+            ]
         );
     }
 

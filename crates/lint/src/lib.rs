@@ -299,6 +299,10 @@ pub fn cli_main() {
     for entry in &stale {
         eprintln!("lint: error: stale baseline entry (remove it): {entry}");
     }
+    let unmatched = effects::unmatched_roots(&ws);
+    for pat in &unmatched {
+        eprintln!("lint: error: entry-table pattern names no function (re-key it): {pat}");
+    }
 
     let write_out = |path: &Path, what: &str, content: String| {
         if let Some(parent) = path.parent() {
@@ -333,7 +337,7 @@ pub fn cli_main() {
         if opts.mutants { " [mutants]" } else { "" },
         effects::sanctioned_summary(&inventory),
     );
-    if !active.is_empty() || !stale.is_empty() {
+    if !active.is_empty() || !stale.is_empty() || !unmatched.is_empty() {
         std::process::exit(1);
     }
 }

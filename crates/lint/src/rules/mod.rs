@@ -73,7 +73,7 @@ pub const RECOVERY_ENTRY_FNS: EntryTable = &[
         &[
             "Client::restart",
             "Client::restart_inner",
-            "Client::restart_test",
+            "Client::agree_intact_version",
             "Client::latest_version",
         ],
     ),
@@ -82,8 +82,9 @@ pub const RECOVERY_ENTRY_FNS: EntryTable = &[
         &[
             "Context::reset",
             "Context::latest_version",
+            "Context::restart_version",
             "Context::checkpoint",
-            "DataBackend::latest_agreed",
+            "DataBackend::latest_agreed_below",
             "DataBackend::checkpoint",
             "DataBackend::restore",
             "VelocBackend::checkpoint",
@@ -91,7 +92,10 @@ pub const RECOVERY_ENTRY_FNS: EntryTable = &[
             "ViewRegion::restore",
         ],
     ),
-    ("redstore", &["RedundancyGroup::restore"]),
+    (
+        "redstore",
+        &["RedundancyGroup::possession", "RedundancyGroup::restore"],
+    ),
 ];
 
 /// Crates whose panic sites `panic-reach` may report. The traversal
@@ -127,7 +131,7 @@ pub const SYNC_ATOMIC_NAMES: &[&str] =
 pub const STALE_METADATA_READS: &[&str] = &[
     "latest_version",
     "restart_version",
-    "latest_agreed",
+    "latest_agreed_below",
     "region_stats",
     "checkpoint_bytes",
 ];
@@ -210,9 +214,8 @@ const COLLECTIVES: &[(&str, Comm)] = &[
     ("rendezvous", Comm::Recovery),
     ("repair_rendezvous", Comm::Recovery),
     ("agree_intact_version", Comm::Recovery),
-    ("agree_intact_version_below", Comm::Recovery),
-    ("latest_agreed", Comm::Recovery),
     ("latest_agreed_below", Comm::Recovery),
+    ("possession", Comm::Recovery),
     ("recv", Comm::Wait),
     ("recv_bytes", Comm::Wait),
     ("recv_into", Comm::Wait),

@@ -6,10 +6,11 @@
 //! on a version other ranks no longer have).
 //!
 //! The check is intra-procedural and positional: within one non-test
-//! function, any stale-metadata read (`latest_version`, `latest_agreed`,
-//! `region_stats`, `checkpoint_bytes`) textually before a `.reset(comm)`
-//! call is flagged. Argument-less `.reset()` calls (accumulator resets
-//! etc.) are ignored — the lint targets the communicator-taking reset.
+//! function, any stale-metadata read (`latest_version`, `restart_version`,
+//! `latest_agreed_below`, `region_stats`, `checkpoint_bytes`) textually
+//! before a `.reset(comm)` call is flagged. Argument-less `.reset()` calls
+//! (accumulator resets etc.) are ignored — the lint targets the
+//! communicator-taking reset.
 
 use crate::callgraph::{GraphOpts, Workspace};
 use crate::diag::Diagnostic;

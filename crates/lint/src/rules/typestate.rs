@@ -151,7 +151,6 @@ const ULFM_RECOVERY: Automaton = Automaton {
                 Matcher::Method("agree", None),
                 Matcher::Method("repair_rendezvous", None),
                 Matcher::Method("agree_intact_version", None),
-                Matcher::Method("agree_intact_version_below", None),
             ],
             delta: &[(0, 0), (1, 1), (2, 0)],
         },

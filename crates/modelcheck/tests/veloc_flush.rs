@@ -8,7 +8,7 @@ use bytes::Bytes;
 use cluster::{Cluster, ClusterConfig, TimeScale};
 use modelcheck::Explorer;
 use telemetry::Recorder;
-use veloc::{ActiveBackend, Client, Config, Mode, VecRegion};
+use veloc::{ActiveBackend, Client, Config, VecRegion};
 
 fn cluster(nodes: usize) -> Cluster {
     let cfg = ClusterConfig {
@@ -86,14 +86,7 @@ fn checkpoint_restart_races_the_flush_thread() {
         .from_env()
         .check("veloc checkpoint vs flush", || {
             let c = cluster(1);
-            let cl = Client::init(
-                c.clone(),
-                0,
-                Config {
-                    mode: Mode::Single,
-                    async_flush: true,
-                },
-            );
+            let cl = Client::init(c.clone(), 0, Config { async_flush: true });
             assert!(cl.async_flush_active());
             let r = VecRegion::new(vec![1u64]);
             cl.protect(0, std::sync::Arc::new(r.clone()));

@@ -10,11 +10,14 @@
 //!   exchange shards with the group peers, then run a fault-tolerant
 //!   agreement so the version commits on every survivor or on none
 //!   (Fenix's two-phase `data_commit` discipline).
-//! * [`RedundancyGroup::restore`] — after a Fenix repair, survivors feed
-//!   the recovering ranks enough shards to reconstruct, then the whole
-//!   communicator *re-encodes* at the committed version under a freshly
-//!   computed placement, so coverage is restored rather than consumed and
-//!   the distinct-node invariant holds again even though spares may have
+//! * [`RedundancyGroup::possession`] — on re-entry after a Fenix repair,
+//!   agree which version is committed and which ranks do not hold it: the
+//!   tier's one restart agreement.
+//! * [`RedundancyGroup::restore`] — survivors feed the recovering ranks
+//!   enough shards to reconstruct, then the whole communicator
+//!   *re-encodes* at the committed version under a freshly computed
+//!   placement, so coverage is restored rather than consumed and the
+//!   distinct-node invariant holds again even though spares may have
 //!   joined on different nodes.
 //!
 //! The commit also persists the placement used (`CommitLayout`), because a
@@ -608,10 +611,45 @@ impl<'a> RedundancyGroup<'a> {
         damaged.map_or(Ok(held), Err)
     }
 
+    /// The peer-memory restart agreement: the committed version of `member`
+    /// and the comm ranks that do not hold it, identical on every rank;
+    /// `None` when nothing was ever committed (a consistent cold restart).
+    /// Collective — every rank of the communicator calls it on re-entry
+    /// after a repair, and hands the list to [`Self::restore`].
+    ///
+    /// Possession is the agreement. Committed versions are consistent
+    /// across holders (two-phase store), so the max over the gathered
+    /// locals is the committed version and every rank below it is
+    /// recovering — every replacement, however many repairs ago. The last
+    /// repair's replacement list (`Fenix::recovered_ranks`) is not enough:
+    /// when a failure cascades into recovery itself, an *earlier*
+    /// replacement whose restore was interrupted holds nothing, and
+    /// treating it as a survivor strands the job — it aborts on its empty
+    /// store while the true survivors enter the iteration loop and wait on
+    /// it forever.
+    pub fn possession(&self, member: u32) -> Result<Option<(u64, Vec<usize>)>, RedError> {
+        let local = self
+            .store
+            .latest_version(member)
+            .map_or(-1i64, |v| v as i64);
+        let locals = self.comm.allgather(&[local])?;
+        let committed = locals.iter().copied().max().unwrap_or(-1);
+        if committed < 0 {
+            return Ok(None);
+        }
+        let recovering = locals
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v != committed)
+            .map(|(r, _)| r)
+            .collect();
+        Ok(Some((committed as u64, recovering)))
+    }
+
     /// Collectively restore `member` after a Fenix repair.
     ///
     /// `recovering` is the agreed list of comm ranks that do not hold the
-    /// committed version (possession-based agreement, identical on every
+    /// committed version ([`Self::possession`]'s, identical on every
     /// rank). Survivors recover locally and feed the recovering ranks;
     /// afterwards the *whole group re-encodes* under a fresh placement so
     /// redundancy is fully restored. Fails with [`RedError::DataLost`]

@@ -194,9 +194,14 @@ fn buddy_store_and_restore_over_a_fenix_repair() {
             let group = RedundancyGroup::new(Arc::clone(&store), comm, BUDDY);
             let mut start = 0u64;
             if role != Role::Initial {
-                let (version, data) = group
-                    .restore(0, &fx.recovered_ranks())
-                    .expect("buddy restore");
+                // After a single failure possession names the rank Fenix
+                // replaced.
+                let (committed, recovering) = group
+                    .possession(0)
+                    .expect("agreement")
+                    .expect("v2 is committed");
+                assert_eq!((committed, &recovering), (2, &fx.recovered_ranks()));
+                let (version, data) = group.restore(0, &recovering).expect("buddy restore");
                 assert_eq!(version, 2);
                 // Payload is the owning comm rank repeated.
                 assert!(data.iter().all(|&b| b == comm.rank() as u8));
@@ -221,6 +226,53 @@ fn buddy_store_and_restore_over_a_fenix_repair() {
             assert!(o.result.is_ok(), "rank {}: {:?}", o.rank, o.result);
         }
     }
+}
+
+#[test]
+fn possession_names_every_rank_that_lacks_the_committed_version() {
+    // 4 ranks on 4 nodes, one RS(2+2) group. "Failed" ranks clear their
+    // stores, as a replacement spare starts empty.
+    let report = launch(4, 1, |ctx| {
+        let store = RedStore::new();
+        let comm = ctx.world().clone();
+        let group = RedundancyGroup::new(Arc::clone(&store), &comm, None);
+        let me = comm.rank();
+        let lose = |rank: usize| -> MpiResult<()> {
+            comm.barrier()?;
+            if me == rank {
+                store.clear();
+            }
+            comm.barrier()
+        };
+
+        // Nothing committed: a consistent cold restart.
+        assert_eq!(group.possession(MEMBER), Ok(None));
+
+        group
+            .store(MEMBER, 5, payload(me, 256))
+            .expect("store commits");
+        assert_eq!(group.possession(MEMBER), Ok(Some((5, vec![]))));
+
+        // One empty replacement.
+        lose(1)?;
+        assert_eq!(group.possession(MEMBER), Ok(Some((5, vec![1]))));
+
+        // A failure cascades into recovery: rank 1 never restored, and now
+        // rank 3 is replaced as well. The last repair's list would name 3
+        // alone; possession names both.
+        lose(3)?;
+        let (version, recovering) = group
+            .possession(MEMBER)
+            .expect("agreement")
+            .expect("v5 is committed");
+        assert_eq!((version, recovering.as_slice()), (5, &[1, 3][..]));
+
+        let (restored, blob) = group.restore(MEMBER, &recovering).expect("restore");
+        assert_eq!((restored, blob), (5, payload(me, 256)));
+        assert_eq!(group.possession(MEMBER), Ok(Some((5, vec![]))));
+        Ok(())
+    });
+    assert!(report.all_ok(), "{:?}", report.outcomes);
 }
 
 #[test]

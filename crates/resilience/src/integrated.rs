@@ -29,8 +29,9 @@ use crate::redstore_backend::RedstoreBackend;
 /// Which data layer the integrated runtime drives.
 #[derive(Clone, Debug)]
 pub enum IntegratedBackend {
-    /// VeloC in single mode — the paper's published configuration.
-    VelocSingle,
+    /// VeloC, agreeing over the resilient communicator — the paper's
+    /// published configuration.
+    Veloc,
     /// Peer memory as a KR backend — the future-work configuration: the
     /// redundancy store's k-replica or erasure-coded placement groups.
     /// `mode = Some(Replicate { k: 2 })` is Fenix's buddy-rank IMR;
@@ -63,7 +64,7 @@ impl Default for IntegratedConfig {
             name: "app".into(),
             spares: 1,
             filter: CheckpointFilter::Always,
-            backend: IntegratedBackend::VelocSingle,
+            backend: IntegratedBackend::Veloc,
             aliases: Vec::new(),
             on_exhaustion: ExhaustPolicy::Abort,
             partial_rollback: false,
@@ -105,13 +106,6 @@ impl ResilientScope<'_> {
         self.kr
     }
 
-    /// Best restartable version of a region (collective). Resume loops
-    /// use [`Self::restart_version`]; see
-    /// [`kokkos_resilience::Context::latest_version`] for why.
-    pub fn latest_version(&self, label: &str) -> MpiResult<Option<u64>> {
-        self.kr.latest_version(label)
-    }
-
     /// The version a loop of `max_iterations` resumes after (collective;
     /// see [`kokkos_resilience::Context::restart_version`]).
     pub fn restart_version(&self, label: &str, max_iterations: u64) -> MpiResult<Option<u64>> {
@@ -143,10 +137,10 @@ impl ResilientScope<'_> {
 ///
 /// Internally this is Figure 4's pattern: Fenix owns process recovery; on
 /// every (re-)entry the Kokkos Resilience context is created or
-/// `reset(res_comm)`, the recovered-rank hint is forwarded to the data
-/// backend, and (when configured) the partial-rollback recovery scope is
-/// armed. `body` may be re-invoked after failures — it must derive its
-/// starting iteration from [`ResilientScope::restart_version`].
+/// `reset(res_comm)` and (when configured) the partial-rollback recovery
+/// scope is armed from Fenix's replaced-rank list. `body` may be re-invoked
+/// after failures — it must derive its starting iteration from
+/// [`ResilientScope::restart_version`].
 ///
 /// Partial rollback needs per-rank storage, so combining it with
 /// [`IntegratedBackend::Redstore`] is rejected with [`MpiError::Aborted`]
@@ -159,7 +153,7 @@ pub fn resilient_main<F>(
 where
     F: FnMut(&ResilientScope<'_>) -> MpiResult<()>,
 {
-    if config.partial_rollback && !matches!(config.backend, IntegratedBackend::VelocSingle) {
+    if config.partial_rollback && !matches!(config.backend, IntegratedBackend::Veloc) {
         return Err(MpiError::Aborted);
     }
     let fenix_cfg = FenixConfig {
@@ -175,11 +169,10 @@ where
                 let kr_config = ContextConfig {
                     name: config.name.clone(),
                     filter: config.filter.clone(),
-                    backend: kokkos_resilience::BackendKind::VelocSingle,
                     aliases: config.aliases.clone(),
                 };
                 match &config.backend {
-                    IntegratedBackend::VelocSingle => {
+                    IntegratedBackend::Veloc => {
                         Context::new(ctx.cluster(), comm.clone(), kr_config)
                     }
                     IntegratedBackend::Redstore { mode } => Context::with_backend(
@@ -201,11 +194,8 @@ where
         let kr_ref = kr_cell.borrow();
         let kr = kr_ref.as_ref().expect("context initialized");
 
-        if role != Role::Initial {
-            kr.set_recovering_ranks(fx.recovered_ranks());
-            if config.partial_rollback {
-                kr.set_recovery_scope(RecoveryScope::OnlyRanks(fx.recovered_ranks()));
-            }
+        if role != Role::Initial && config.partial_rollback {
+            kr.set_recovery_scope(RecoveryScope::OnlyRanks(fx.recovered_ranks()));
         }
 
         let scope = ResilientScope {
@@ -230,7 +220,7 @@ mod tests {
     #[test]
     fn default_config_is_published_configuration() {
         let c = IntegratedConfig::default();
-        assert!(matches!(c.backend, IntegratedBackend::VelocSingle));
+        assert!(matches!(c.backend, IntegratedBackend::Veloc));
         assert_eq!(c.spares, 1);
         assert!(!c.partial_rollback);
     }

@@ -9,28 +9,35 @@
 //! spread over a topology-aware placement group — with no filesystem
 //! involvement at all.
 //!
-//! The best-version agreement is a *max* reduction: committed versions are
-//! consistent across survivors (two-phase store) and replacement ranks,
-//! contributing "nothing", restore from the surviving shards.
+//! The restart agreement is the store's own, by possession
+//! ([`RedundancyGroup::possession`]): committed versions are consistent
+//! across survivors (two-phase store), and every rank that does not hold the
+//! committed version — each replacement, however many repairs ago — is
+//! restored from the surviving shards. The same collective therefore
+//! answers "which version" for the context and "who lacks it" for the
+//! restore that follows; no hint from the process layer is involved.
 //!
-//! Requirements: the context must run under Fenix (restores need the
-//! recovered-rank hint, see [`kokkos_resilience::Context::set_recovering_ranks`])
-//! and with `RecoveryScope::All` (store and restore are collective).
+//! Requirement: `RecoveryScope::All` (store and restore are collective).
 
+use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use kokkos_resilience::backend::{pack_views, unpack_views};
 use kokkos_resilience::{DataBackend, RegionViews};
 use redstore::{RedError, RedStore, RedundancyGroup, RedundancyMode};
-use simmpi::{Comm, MpiError, MpiResult, ReduceOp};
+use simmpi::{Comm, MpiError, MpiResult};
 
 /// Kokkos Resilience data backend storing checkpoints in the redundancy
 /// tier.
 pub struct RedstoreBackend {
     store: Arc<RedStore>,
     mode: Option<RedundancyMode>,
+    /// Who lacked the committed version at the last agreement, per member:
+    /// what the restore that agreement arms hands the store.
+    recovering: RefCell<HashMap<u32, Vec<usize>>>,
 }
 
 impl RedstoreBackend {
@@ -38,7 +45,11 @@ impl RedstoreBackend {
     /// `mode = None` selects the strongest placement-feasible mode for the
     /// communicator's node layout (RS(4,2) → XOR(3) → 2-replica).
     pub fn new(store: Arc<RedStore>, mode: Option<RedundancyMode>) -> Self {
-        RedstoreBackend { store, mode }
+        RedstoreBackend {
+            store,
+            mode,
+            recovering: RefCell::default(),
+        }
     }
 
     pub fn store(&self) -> &Arc<RedStore> {
@@ -84,35 +95,40 @@ impl DataBackend for RedstoreBackend {
             .map_err(red_err)
     }
 
-    fn latest_local(&self, name: &str) -> Option<u64> {
-        self.store.latest_version(Self::member_of(name))
-    }
-
-    fn latest_agreed(&self, comm: &Comm, name: &str) -> MpiResult<Option<u64>> {
-        let local = self.latest_local(name).map_or(-1i64, |v| v as i64);
-        let max = comm.allreduce_scalar(local, ReduceOp::Max)?;
-        Ok((max >= 0).then_some(max as u64))
-    }
-
-    fn restore(
-        &self,
-        comm: &Comm,
-        name: &str,
-        version: u64,
-        views: &RegionViews,
-        recovering_ranks: &[usize],
-    ) -> MpiResult<()> {
+    fn latest_agreed_below(&self, comm: &Comm, name: &str, bound: u64) -> MpiResult<Option<u64>> {
+        let member = Self::member_of(name);
         let group = RedundancyGroup::new(Arc::clone(&self.store), comm, self.mode);
-        let (got, blob) = group
-            .restore(Self::member_of(name), recovering_ranks)
-            .map_err(red_err)?;
+        let Some((committed, recovering)) = group.possession(member).map_err(red_err)? else {
+            return Ok(None);
+        };
+        // Peer memory holds one version. When it is above the bound (the
+        // final iteration's commit, which leaves no region execution to
+        // carry the restore) there is nothing older to fall back to: a
+        // cold restart, by design.
+        if committed > bound {
+            return Ok(None);
+        }
+        self.recovering.borrow_mut().insert(member, recovering);
+        Ok(Some(committed))
+    }
+
+    fn restore(&self, comm: &Comm, name: &str, version: u64, views: &RegionViews) -> MpiResult<()> {
+        let member = Self::member_of(name);
+        // The list the agreement that armed this restore gathered; a
+        // restore nothing armed is a protocol violation.
+        let recovering = self.recovering.borrow_mut().remove(&member);
+        let recovering = recovering.ok_or(MpiError::Aborted)?;
+        let group = RedundancyGroup::new(Arc::clone(&self.store), comm, self.mode);
+        let (got, blob) = group.restore(member, &recovering).map_err(red_err)?;
         debug_assert_eq!(got, version, "commit protocol keeps versions consistent");
         unpack_views(views, &blob)
     }
 
     fn clear(&self) {
         // Survivor copies must persist across context resets — clearing the
-        // group store would defeat recovery.
+        // group store would defeat recovery. What a reset voids is the last
+        // agreement, and with it the list it gathered.
+        self.recovering.borrow_mut().clear();
     }
 }
 

@@ -18,10 +18,10 @@ use std::sync::Arc;
 use fenix::{ExhaustPolicy, FenixConfig, Role};
 use kokkos::capture::Checkpointable;
 use kokkos_resilience::backend::{pack_views, unpack_views, veloc_err, ViewRegion};
-use kokkos_resilience::{BackendKind, CheckpointFilter, Context, ContextConfig};
+use kokkos_resilience::{CheckpointFilter, Context, ContextConfig};
 use redstore::{RedStore, RedundancyGroup, RedundancyMode};
 use simmpi::{Comm, MpiResult, Phase, RankCtx, ReduceOp};
-use veloc::{Client, Config as VelocConfig, Mode};
+use veloc::{Client, Config as VelocConfig};
 
 use crate::app::{IterativeApp, RankApp, RunMode};
 use crate::bookkeeper::Bookkeeper;
@@ -112,7 +112,8 @@ pub fn run_rank(
     match strategy {
         Strategy::Unprotected => run.unprotected(world),
         Strategy::VelocOnly => {
-            // Stock VeloC: collective mode, whole-job relaunch.
+            // Stock VeloC: the agreement runs over the world, whole-job
+            // relaunch.
             let client = RefCell::new(None);
             run.veloc_manual(world, None, &client)?;
             finalize(&client);
@@ -127,7 +128,8 @@ pub fn run_rank(
             Ok(())
         }
         Strategy::KokkosResilience => {
-            // KR without Fenix: stock collective VeloC backend underneath.
+            // KR without Fenix: the context agrees over the world, as stock
+            // collective VeloC does.
             let kr = run.bk.book(Phase::ResilienceInit, || {
                 Context::new(
                     ctx.cluster(),
@@ -135,7 +137,6 @@ pub fn run_rank(
                     ContextConfig {
                         name: run.name.clone(),
                         filter: run.filter.clone(),
-                        backend: BackendKind::VelocCollective,
                         aliases: app.alias_labels(),
                     },
                 )
@@ -151,7 +152,7 @@ pub fn run_rank(
                 name: run.name.clone(),
                 spares,
                 filter: run.filter.clone(),
-                backend: IntegratedBackend::VelocSingle,
+                backend: IntegratedBackend::Veloc,
                 aliases: app.alias_labels(),
                 on_exhaustion: ExhaustPolicy::Abort,
                 partial_rollback: strategy.partial_rollback(),
@@ -296,8 +297,9 @@ impl Run<'_> {
         self.finish(comm, &mut st, done)
     }
 
-    /// VeloC with manual control flow: collective mode under plain MPI
-    /// (`role == None`), single mode inside Fenix.
+    /// VeloC with manual control flow: the agreement runs over the world
+    /// under plain MPI (`role == None`), over the resilient communicator
+    /// inside Fenix.
     fn veloc_manual(
         &self,
         comm: &Comm,
@@ -307,15 +309,9 @@ impl Run<'_> {
         let (bk, name) = (&self.bk, self.name.as_str());
         let mut client = client.borrow_mut();
         let client = &*client.get_or_insert_with(|| {
-            let config = VelocConfig {
-                mode: match role {
-                    None => Mode::Collective,
-                    Some(_) => Mode::Single,
-                },
-                async_flush: true,
-            };
             bk.book(Phase::ResilienceInit, || {
-                Client::init(self.ctx.cluster().clone(), self.ctx.rank(), config)
+                let (cluster, rank) = (self.ctx.cluster().clone(), self.ctx.rank());
+                Client::init(cluster, rank, VelocConfig::default())
             })
         });
         // Paper: update the cached rank id after a repair.
@@ -329,7 +325,7 @@ impl Run<'_> {
         // hardened to agree only on versions intact everywhere: a corrupted
         // newest checkpoint degrades the restart instead of wedging it.
         let agreed = client
-            .agree_intact_version(name, Some(comm))
+            .agree_intact_version(name, u64::MAX, Some(comm))
             .map_err(veloc_err)?;
         let start = match agreed {
             // A fresh job resumes from whatever the filesystem holds; inside
@@ -365,7 +361,7 @@ impl Run<'_> {
     }
 
     /// Kokkos Resilience control flow over the context handed in: the
-    /// launch's collective-VeloC context under plain MPI, the
+    /// launch's world-communicator context under plain MPI, the
     /// [`resilient_main`] scope's inside Fenix.
     fn kr(&self, comm: &Comm, role: Option<Role>, kr: &Context) -> MpiResult<()> {
         let (ctx, bk) = (self.ctx, &self.bk);
@@ -420,44 +416,30 @@ impl Run<'_> {
 
         // Epoch-uniform predicate, not a rank-dependent one: after a repair,
         // *every* rank re-enters with a non-Initial role together, so all
-        // ranks take the same arm of the branch below (and its allgather).
+        // ranks take the same arm of the branch below (and its agreement).
         let resuming = role != Role::Initial;
         let start = if resuming {
-            // Agree who actually holds the committed version. The last repair's
-            // replacement list (`Fenix::recovered_ranks`) is not enough: when a
-            // failure cascades into recovery itself, an *earlier* replacement
-            // whose restore was interrupted holds nothing, and treating it as a
-            // survivor strands the job — it aborts on its empty store while the
-            // true survivors enter the iteration loop and wait on it forever.
-            // Possession is the agreement: committed versions are consistent
-            // across holders (two-phase store), so the max over the gathered
-            // locals is the committed version and every rank below it — every
-            // replacement, however many repairs ago — is recovering.
-            let local = store
-                .latest_version(VIEWS_MEMBER)
-                .map_or(-1i64, |v| v as i64);
-            let locals = comm.allgather(&[local])?;
-            let committed = locals.iter().copied().max().unwrap_or(-1);
-            if committed >= 0 {
-                let recovering: Vec<usize> = locals
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &v)| v != committed)
-                    .map(|(r, _)| r)
-                    .collect();
-                let (version, blob) = bk
-                    .book(Phase::DataRecovery, || {
-                        group.restore(VIEWS_MEMBER, &recovering)
-                    })
-                    .map_err(red_err)?;
-                debug_assert_eq!(version as i64, committed, "commit protocol consistency");
-                unpack_views(&region_views(st.as_ref()), &blob)?;
-                st.post_restore(comm, bk)?;
-                version + 1
-            } else {
-                // Failure before the first commit: consistent cold restart.
-                *st = self.init_state(comm);
-                0
+            // Who holds the committed version is the store's agreement, not
+            // the last repair's replacement list (`Fenix::recovered_ranks`),
+            // which misses an earlier replacement that never restored.
+            match group.possession(VIEWS_MEMBER).map_err(red_err)? {
+                Some((committed, recovering)) => {
+                    let (version, blob) = bk
+                        .book(Phase::DataRecovery, || {
+                            group.restore(VIEWS_MEMBER, &recovering)
+                        })
+                        .map_err(red_err)?;
+                    debug_assert_eq!(version, committed, "commit protocol consistency");
+                    unpack_views(&region_views(st.as_ref()), &blob)?;
+                    st.post_restore(comm, bk)?;
+                    version + 1
+                }
+                None => {
+                    // Failure before the first commit: consistent cold
+                    // restart.
+                    *st = self.init_state(comm);
+                    0
+                }
             }
         } else {
             0

@@ -6,17 +6,20 @@
 pub enum Strategy {
     /// No resilience at all (reference). A failure restarts from scratch.
     Unprotected,
-    /// VeloC alone (collective mode), manual control flow; whole-job
-    /// relaunch on failure.
+    /// VeloC alone, manual control flow; whole-job relaunch on failure.
+    /// The restart agreement runs over the world communicator (what stock
+    /// collective VeloC does).
     VelocOnly,
-    /// Kokkos Resilience driving VeloC (collective mode); whole-job
-    /// relaunch on failure — "Kokkos Resilience without Fenix".
+    /// Kokkos Resilience driving VeloC, agreeing over the world
+    /// communicator; whole-job relaunch on failure — "Kokkos Resilience
+    /// without Fenix".
     KokkosResilience,
-    /// Fenix process recovery + VeloC in single mode, without Kokkos
-    /// Resilience (manual checkpoint management).
+    /// Fenix process recovery + VeloC agreeing over the resilient
+    /// communicator (the paper's single mode), without Kokkos Resilience
+    /// (manual checkpoint management).
     FenixVeloc,
-    /// The paper's integrated system: Fenix + Kokkos Resilience + VeloC in
-    /// single mode.
+    /// The paper's integrated system: Fenix + Kokkos Resilience + VeloC,
+    /// agreeing over the resilient communicator.
     FenixKokkosResilience,
     /// Fenix process recovery + Fenix In-Memory-Redundancy (buddy-rank)
     /// data storage: the redundancy-store tier at two replicas, so every

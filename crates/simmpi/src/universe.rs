@@ -108,10 +108,6 @@ impl RankCtx {
         &self.recorder
     }
 
-    pub fn fault_plan(&self) -> &Arc<FaultPlan> {
-        &self.fault
-    }
-
     /// This rank's recorder: the phase timer of every layer on this rank,
     /// and the event sink when the launch has a telemetry hub.
     pub fn recorder(&self) -> &Recorder {

@@ -44,23 +44,9 @@ struct ChainState {
     depth: usize,
 }
 
-/// How restart agreement is performed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mode {
-    /// The client owns a communicator and agrees on the globally best
-    /// version internally (stock VeloC). Incompatible with a changing
-    /// process pool.
-    Collective,
-    /// The client answers from local knowledge only; the caller performs
-    /// the agreement (the non-collective mode this paper's integration
-    /// requires).
-    Single,
-}
-
 /// Client configuration.
 #[derive(Clone, Debug)]
 pub struct Config {
-    pub mode: Mode,
     /// Flush scratch→PFS asynchronously on the backend thread (VeloC's
     /// async mode, used throughout the paper). When false the flush happens
     /// inside `checkpoint` (VeloC sync mode).
@@ -69,10 +55,7 @@ pub struct Config {
 
 impl Default for Config {
     fn default() -> Self {
-        Config {
-            mode: Mode::Single,
-            async_flush: true,
-        }
+        Config { async_flush: true }
     }
 }
 
@@ -105,8 +88,6 @@ pub enum VelocError {
     UnknownRegion { id: u32 },
     /// An MPI error during collective agreement.
     Mpi(MpiError),
-    /// `Collective` mode was asked to agree without a communicator.
-    NoCommunicator,
     /// The asynchronous flush backend thread could not be spawned. This is
     /// recoverable: the client degrades to synchronous flushing.
     BackendSpawn { reason: String },
@@ -121,9 +102,6 @@ impl std::fmt::Display for VelocError {
             VelocError::Corrupt { path } => write!(f, "corrupt checkpoint blob at {path}"),
             VelocError::UnknownRegion { id } => write!(f, "no protected region with id {id}"),
             VelocError::Mpi(e) => write!(f, "MPI error during restart agreement: {e}"),
-            VelocError::NoCommunicator => {
-                write!(f, "collective restart agreement requires a communicator")
-            }
             VelocError::BackendSpawn { reason } => {
                 write!(
                     f,
@@ -149,8 +127,6 @@ pub struct Client {
     physical_rank: usize,
     /// Logical rank: checkpoint naming. Mutable across Fenix repairs.
     logical_rank: Mutex<usize>,
-    mode: Mode,
-    async_flush: bool,
     regions: Mutex<BTreeMap<u32, Arc<dyn Protected>>>,
     /// Per-name delta bookkeeping ([`ChainState`]). Cleared by
     /// [`Client::invalidate_deltas`] whenever the rank can no longer vouch
@@ -192,20 +168,12 @@ impl Client {
             cluster,
             physical_rank,
             logical_rank: Mutex::new(physical_rank),
-            mode: config.mode,
-            async_flush: config.async_flush,
             regions: Mutex::new(BTreeMap::new()),
             chains: Mutex::new(HashMap::new()),
             backend,
             spawn_error,
             recorder: Mutex::new(Recorder::disabled()),
         }
-    }
-
-    /// Whether async flushing was requested by configuration (it may still
-    /// have degraded; compare with [`Client::async_flush_active`]).
-    pub fn async_flush_requested(&self) -> bool {
-        self.async_flush
     }
 
     /// Whether flushes actually run on the background thread. False in sync
@@ -227,10 +195,6 @@ impl Client {
 
     fn recorder(&self) -> Recorder {
         self.recorder.lock().clone()
-    }
-
-    pub fn mode(&self) -> Mode {
-        self.mode
     }
 
     pub fn physical_rank(&self) -> usize {
@@ -282,11 +246,6 @@ impl Client {
             bytes: region.byte_len() as u64,
         });
         self.regions.lock().insert(id, region);
-    }
-
-    /// Remove a protected region.
-    pub fn unprotect(&self, id: u32) -> bool {
-        self.regions.lock().remove(&id).is_some()
     }
 
     /// Drop every protected region (used by a Kokkos Resilience context
@@ -591,9 +550,16 @@ impl Client {
             .find(|&v| self.version_intact(name, v))
     }
 
-    /// Agree on the newest version of `name` that is intact on *every* rank
-    /// of `comm` — the degraded-but-correct replacement for the paper's
+    /// Agree on the newest version of `name`, at or below `bound`, that is
+    /// intact on *every* rank of `comm` — the client's one restart
+    /// agreement, and the degraded-but-correct replacement for the paper's
     /// plain min-reduction, which fails on an agreed-but-corrupt version.
+    ///
+    /// The client is always the paper's non-collective one: it owns no
+    /// communicator, the caller passes the one that is current. Over the
+    /// resilient communicator of a Fenix run that is the paper's manual
+    /// reduction; over the world communicator of a relaunched job it is what
+    /// stock collective VeloC does internally.
     ///
     /// The agreement is iterative: each round proposes the min over ranks of
     /// each rank's newest intact version below the current bound, then every
@@ -601,22 +567,13 @@ impl Client {
     /// intact (the winners have just checksummed it); on any miss the bound
     /// drops below the proposal and the loop repeats. Rounds strictly
     /// decrease the bound, so the loop terminates within the version count.
-    /// With `comm == None` the answer is local-only (`Single`-mode restart
-    /// on a sole rank, tests).
-    pub fn agree_intact_version(
-        &self,
-        name: &str,
-        comm: Option<&Comm>,
-    ) -> Result<Option<u64>, VelocError> {
-        self.agree_intact_version_below(name, u64::MAX, comm)
-    }
-
-    /// [`Self::agree_intact_version`] restricted to versions `<= bound`.
+    /// With `comm == None` the answer is local-only (a sole rank, tests).
     ///
-    /// Restart logic needs this when the newest agreed version leaves no
-    /// work to replay (a kill at the final commit): the job re-agrees on an
-    /// older version so recovery lands inside the iteration space.
-    pub fn agree_intact_version_below(
+    /// `bound` is `u64::MAX` for "the newest". Restart logic lowers it when
+    /// the newest agreed version leaves no work to replay (a kill at the
+    /// final commit): the job re-agrees on an older version so recovery
+    /// lands inside the iteration space.
+    pub fn agree_intact_version(
         &self,
         name: &str,
         bound: u64,
@@ -656,30 +613,6 @@ impl Client {
                 return Ok(None);
             }
             bound = v - 1;
-        }
-    }
-
-    /// Find the best restartable version.
-    ///
-    /// `Single` mode answers locally; `Collective` mode agrees over `comm`
-    /// on the newest version available everywhere (min over ranks of each
-    /// rank's latest). Collective mode *requires* a communicator — this is
-    /// precisely the coupling the paper had to break for Fenix integration.
-    pub fn restart_test(&self, name: &str, comm: Option<&Comm>) -> Result<Option<u64>, VelocError> {
-        match self.mode {
-            Mode::Single => Ok(self.latest_version(name)),
-            Mode::Collective => {
-                // The Fenix integration owns the communicator lifecycle; a
-                // missing one here is a wiring error the caller must see,
-                // not a panic on the restart path.
-                let Some(comm) = comm else {
-                    return Err(VelocError::NoCommunicator);
-                };
-                // Encode None as i64 -1 so min() finds the weakest rank.
-                let local = self.latest_version(name).map_or(-1i64, |v| v as i64);
-                let agreed = comm.allreduce_scalar(local, ReduceOp::Min)?;
-                Ok((agreed >= 0).then_some(agreed as u64))
-            }
         }
     }
 
@@ -941,7 +874,6 @@ impl std::fmt::Debug for Client {
         f.debug_struct("Client")
             .field("physical_rank", &self.physical_rank)
             .field("logical_rank", &self.logical_rank())
-            .field("mode", &self.mode)
             .field("regions", &self.protected_count())
             .finish()
     }
@@ -965,23 +897,6 @@ mod tests {
 
     fn client(c: &Cluster, rank: usize) -> Client {
         Client::init(c.clone(), rank, Config::default())
-    }
-
-    #[test]
-    fn collective_restart_test_without_comm_is_an_error() {
-        let c = cluster(1);
-        let cl = Client::init(
-            c.clone(),
-            0,
-            Config {
-                mode: Mode::Collective,
-                ..Config::default()
-            },
-        );
-        assert!(matches!(
-            cl.restart_test("ck", None),
-            Err(VelocError::NoCommunicator)
-        ));
     }
 
     #[test]
@@ -1009,7 +924,7 @@ mod tests {
                 r.lock().fill(0);
 
                 let agreed = cl
-                    .agree_intact_version("ck", Some(ctx.world()))
+                    .agree_intact_version("ck", u64::MAX, Some(ctx.world()))
                     .expect("agreement");
                 assert_eq!(agreed, Some(1));
                 let verified = tel
@@ -1060,7 +975,7 @@ mod tests {
                 }
                 ctx.world().barrier()?;
                 let agreed = cl
-                    .agree_intact_version("ck", Some(ctx.world()))
+                    .agree_intact_version("ck", u64::MAX, Some(ctx.world()))
                     .expect("agreement");
                 assert_eq!(agreed, None, "no version is intact on both ranks");
                 Ok(())
@@ -1330,14 +1245,7 @@ mod tests {
     #[test]
     fn corrupt_base_breaks_the_chain() {
         let c = cluster(1);
-        let cl = Client::init(
-            c.clone(),
-            0,
-            Config {
-                mode: Mode::Single,
-                async_flush: false,
-            },
-        );
+        let cl = Client::init(c.clone(), 0, Config { async_flush: false });
         let hot = VecRegion::new(vec![1u8; 32]);
         cl.protect(0, Arc::new(hot.clone()));
         cl.protect(1, Arc::new(VecRegion::new(vec![2u8; 32])));
@@ -1480,14 +1388,7 @@ mod tests {
     #[test]
     fn sync_mode_flushes_inline() {
         let c = cluster(1);
-        let cl = Client::init(
-            c.clone(),
-            0,
-            Config {
-                mode: Mode::Single,
-                async_flush: false,
-            },
-        );
+        let cl = Client::init(c.clone(), 0, Config { async_flush: false });
         cl.protect(0, Arc::new(VecRegion::new(vec![5u8])));
         assert!(!cl.async_flush_active());
         assert!(cl.spawn_error().is_none());

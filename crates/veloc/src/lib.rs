@@ -10,11 +10,12 @@
 //!   VeloC server process — then flushes the scratch blob to the parallel
 //!   filesystem, consuming real modeled network bandwidth. This background
 //!   traffic is what congests application MPI in the paper's Figure 5.
-//! * Restart finds the best available version: in [`Mode::Collective`] the
-//!   client performs the agreement over its communicator; in
-//!   [`Mode::Single`] — the mode this paper *adds* to make VeloC usable
-//!   under Fenix process recovery — the client answers from local knowledge
-//!   only and the caller (Kokkos Resilience) performs the reduction itself.
+//! * Restart finds the best available version through one agreement,
+//!   [`Client::agree_intact_version`]. The client is always the
+//!   non-collective one this paper *adds* to make VeloC usable under Fenix
+//!   process recovery: it owns no communicator, and the caller passes the
+//!   one that is current. "Collective VeloC" is that same reduction called
+//!   over the world communicator of a job that is relaunched whole.
 //!
 //! Checkpoints live under `"{name}/v{version}/r{rank}"` in both tiers;
 //! restart prefers scratch (fast, node-local) and falls back to the
@@ -36,5 +37,5 @@ pub mod region;
 pub mod serial;
 
 pub use backend::ActiveBackend;
-pub use client::{Client, Config, Mode, RestartReport, VelocError, MAX_DELTA_DEPTH};
+pub use client::{Client, Config, RestartReport, VelocError, MAX_DELTA_DEPTH};
 pub use region::{Protected, VecRegion};

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use cluster::{Cluster, ClusterConfig, TimeScale};
 use proptest::prelude::*;
-use veloc::{Client, Config, Mode, Protected, VecRegion, VelocError};
+use veloc::{Client, Config, Protected, VecRegion, VelocError};
 
 const CHAIN_REGIONS: usize = 3;
 const REGION_BYTES: usize = 32 * 1024;
@@ -19,14 +19,7 @@ const CHAIN_NAME: &str = "restart-prop";
 /// regions, and the model state captured after every version (index v-1).
 #[allow(clippy::type_complexity)]
 fn run_chain(c: &Cluster, steps: &[Vec<bool>]) -> (Client, Vec<VecRegion<u8>>, Vec<Vec<Vec<u8>>>) {
-    let client = Client::init(
-        c.clone(),
-        0,
-        Config {
-            mode: Mode::Single,
-            async_flush: false,
-        },
-    );
+    let client = Client::init(c.clone(), 0, Config { async_flush: false });
     let regions: Vec<VecRegion<u8>> = (0..CHAIN_REGIONS)
         .map(|i| VecRegion::new(vec![i as u8; REGION_BYTES]))
         .collect();

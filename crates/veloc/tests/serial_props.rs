@@ -12,7 +12,7 @@ use bytes::Bytes;
 use cluster::{Cluster, ClusterConfig, TimeScale};
 use proptest::prelude::*;
 use veloc::serial::{crc32, crc32_bitwise, crc32_slice16, pack_frame, unpack, FrameBuilder};
-use veloc::{Client, Config, Mode, Protected, VecRegion};
+use veloc::{Client, Config, Protected, VecRegion};
 
 proptest! {
     #[test]
@@ -241,14 +241,7 @@ const CHAIN_NAME: &str = "chain-prop";
 /// regions, and the model state captured after every version (index v-1).
 #[allow(clippy::type_complexity)]
 fn run_chain(c: &Cluster, steps: &[Vec<bool>]) -> (Client, Vec<VecRegion<u8>>, Vec<Vec<Vec<u8>>>) {
-    let client = Client::init(
-        c.clone(),
-        0,
-        Config {
-            mode: Mode::Single,
-            async_flush: false,
-        },
-    );
+    let client = Client::init(c.clone(), 0, Config { async_flush: false });
     let regions: Vec<VecRegion<u8>> = (0..CHAIN_REGIONS)
         .map(|i| VecRegion::new(vec![i as u8; 16]))
         .collect();

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use layered_resilience::cluster::{Cluster, ClusterConfig, TimeScale};
-use layered_resilience::fenix::ExhaustPolicy;
+use layered_resilience::fenix::{ExhaustPolicy, Role};
 use layered_resilience::kokkos::View;
 use layered_resilience::kokkos_resilience::CheckpointFilter;
 use layered_resilience::redstore::RedundancyMode;
@@ -53,6 +53,15 @@ fn main() {
                     scope.role(),
                     scope.repair_count()
                 );
+                if scope.role() != Role::Initial {
+                    assert_eq!(start, 12, "re-entry resumes after the v11 checkpoint");
+                }
+                if start == 0 {
+                    // A fresh start, or a failure before the first
+                    // checkpoint: nothing restores the field, so the body
+                    // puts it back to its initial state itself.
+                    field.write_uncaptured().fill(0.0);
+                }
                 for i in start..20 {
                     ctx.fault_point("iter", i)?;
                     scope.checkpoint("loop", i, || {

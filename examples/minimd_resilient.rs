@@ -12,9 +12,7 @@ use std::sync::Arc;
 
 use layered_resilience::apps::MiniMd;
 use layered_resilience::cluster::{Cluster, ClusterConfig};
-use layered_resilience::kokkos_resilience::{
-    BackendKind, CheckpointFilter, Context, ContextConfig, ViewClass,
-};
+use layered_resilience::kokkos_resilience::{CheckpointFilter, Context, ContextConfig, ViewClass};
 use layered_resilience::resilience::{
     run_experiment, Bookkeeper, ExperimentConfig, IterativeApp, Strategy,
 };
@@ -98,7 +96,6 @@ fn main() {
                 ContextConfig {
                     name: "fig7".into(),
                     filter: CheckpointFilter::Never,
-                    backend: BackendKind::VelocSingle,
                     aliases: single.alias_labels(),
                 },
             );

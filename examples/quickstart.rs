@@ -12,9 +12,7 @@ use std::sync::Arc;
 use layered_resilience::cluster::{Cluster, ClusterConfig, TimeScale};
 use layered_resilience::fenix::{self, ExhaustPolicy, FenixConfig, Role};
 use layered_resilience::kokkos::View;
-use layered_resilience::kokkos_resilience::{
-    BackendKind, CheckpointFilter, Context, ContextConfig,
-};
+use layered_resilience::kokkos_resilience::{CheckpointFilter, Context, ContextConfig};
 use layered_resilience::simmpi::{FaultPlan, MpiResult, ReduceOp, Universe, UniverseConfig};
 
 fn main() {
@@ -53,7 +51,6 @@ fn main() {
                         ContextConfig {
                             name: "quickstart".into(),
                             filter: CheckpointFilter::EveryN(5),
-                            backend: BackendKind::VelocSingle,
                             aliases: vec![],
                         },
                     ));

@@ -7,9 +7,7 @@ use layered_resilience::apps::Heatdis;
 use layered_resilience::cluster::{Cluster, ClusterConfig, RelaunchModel, TimeScale};
 use layered_resilience::fenix::{self, ExhaustPolicy, FenixConfig, Role};
 use layered_resilience::kokkos::View;
-use layered_resilience::kokkos_resilience::{
-    BackendKind, CheckpointFilter, Context, ContextConfig,
-};
+use layered_resilience::kokkos_resilience::{CheckpointFilter, Context, ContextConfig};
 use layered_resilience::resilience::{run_experiment, ExperimentConfig, Strategy};
 use layered_resilience::simmpi::{FaultPlan, MpiResult, ReduceOp, Universe, UniverseConfig};
 
@@ -57,7 +55,6 @@ fn figure4_pattern_survives_two_failures() {
                             ContextConfig {
                                 name: "fig4".into(),
                                 filter: CheckpointFilter::EveryN(4),
-                                backend: BackendKind::VelocSingle,
                                 aliases: vec![],
                             },
                         ));
