@@ -1,4 +1,5 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation tables for the design choices DESIGN.md calls out (printed, not
+//! gated):
 //!
 //! * checkpoint-interval sweep ("flexibility is key": the optimal interval
 //!   is application-dependent);
@@ -10,101 +11,88 @@
 use std::sync::Arc;
 
 use apps::Heatdis;
-use bench::bench_cluster;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use bench::{bench_cluster, elapsed_ns, measure};
 use resilience::{run_experiment, ExperimentConfig, Strategy};
 use simmpi::{FaultPlan, ReduceOp, Universe, UniverseConfig};
 
-fn checkpoint_interval_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_checkpoint_interval");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    for checkpoints in [2u64, 6, 15] {
-        let cluster = bench_cluster(5);
-        let app = Heatdis::fixed(256 * 1024, 128, 30);
-        let cfg = ExperimentConfig {
-            backend: Default::default(),
-            strategy: Strategy::FenixKokkosResilience,
-            spares: 1,
-            checkpoints,
-            max_relaunches: 4,
-            redundancy: None,
-            fresh_storage: true,
-            telemetry: None,
-        };
-        group.bench_with_input(
-            BenchmarkId::new("checkpoints", checkpoints),
-            &checkpoints,
-            |b, _| b.iter(|| run_experiment(&cluster, &app, &cfg, Arc::new(FaultPlan::none()))),
-        );
-    }
-    group.finish();
+const SAMPLES: usize = 10;
+const WARMUP: usize = 2;
+
+fn row<T>(table: &str, label: &str, mut op: impl FnMut() -> T) {
+    let t = measure(WARMUP, SAMPLES, || elapsed_ns(&mut op));
+    println!(
+        "{:<52} median {:>12} ns  (min {} ns, {SAMPLES} samples)",
+        format!("{table}/{label}"),
+        t.median_ns,
+        t.min_ns
+    );
 }
 
-fn imr_vs_veloc_commit(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_imr_vs_veloc_commit");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_secs(1));
+/// One failure-free experiment per sample.
+fn experiment_row(
+    table: &str,
+    label: &str,
+    nodes: usize,
+    app: &Heatdis,
+    strategy: Strategy,
+    spares: usize,
+    checkpoints: u64,
+) {
+    let cluster = bench_cluster(nodes);
+    let cfg = ExperimentConfig {
+        strategy,
+        spares,
+        checkpoints,
+        max_relaunches: 4,
+        ..ExperimentConfig::default()
+    };
+    row(table, label, || {
+        run_experiment(&cluster, app, &cfg, Arc::new(FaultPlan::none()))
+    });
+}
+
+fn main() {
+    for checkpoints in [2u64, 6, 15] {
+        experiment_row(
+            "ablation_checkpoint_interval",
+            &format!("checkpoints/{checkpoints}"),
+            5,
+            &Heatdis::fixed(256 * 1024, 128, 30),
+            Strategy::FenixKokkosResilience,
+            1,
+            checkpoints,
+        );
+    }
     for kb in [64usize, 512] {
         for strategy in [Strategy::FenixVeloc, Strategy::FenixImr] {
-            let cluster = bench_cluster(5);
-            let app = Heatdis::fixed(kb * 1024, 128, 12);
-            let cfg = ExperimentConfig {
-                backend: Default::default(),
+            experiment_row(
+                "ablation_imr_vs_veloc_commit",
+                &format!("{}/{kb}", strategy.label().replace(' ', "_")),
+                5,
+                &Heatdis::fixed(kb * 1024, 128, 12),
                 strategy,
-                spares: 1,
-                checkpoints: 6,
-                max_relaunches: 4,
-                redundancy: None,
-                fresh_storage: true,
-                telemetry: None,
-            };
-            group.bench_with_input(
-                BenchmarkId::new(strategy.label().replace(' ', "_"), kb),
-                &kb,
-                |b, _| b.iter(|| run_experiment(&cluster, &app, &cfg, Arc::new(FaultPlan::none()))),
+                1,
+                6,
             );
         }
     }
-    group.finish();
-}
-
-fn spare_count_sensitivity(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_spare_count");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_secs(1));
     for spares in [0usize, 1, 3] {
-        let cluster = bench_cluster(4 + spares);
-        let app = Heatdis::fixed(128 * 1024, 128, 20);
-        let cfg = ExperimentConfig {
-            backend: Default::default(),
-            strategy: Strategy::FenixKokkosResilience,
+        experiment_row(
+            "ablation_spare_count",
+            &format!("spares/{spares}"),
+            4 + spares,
+            &Heatdis::fixed(128 * 1024, 128, 20),
+            Strategy::FenixKokkosResilience,
             spares,
-            checkpoints: 4,
-            max_relaunches: 4,
-            redundancy: None,
-            fresh_storage: true,
-            telemetry: None,
-        };
-        group.bench_with_input(BenchmarkId::new("spares", spares), &spares, |b, _| {
-            b.iter(|| run_experiment(&cluster, &app, &cfg, Arc::new(FaultPlan::none())))
-        });
+            4,
+        );
     }
-    group.finish();
-}
-
-fn collective_baseline(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_simmpi_collectives");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_secs(1));
     for ranks in [4usize, 8] {
         let cluster = bench_cluster(ranks);
-        group.bench_with_input(BenchmarkId::new("allreduce_x100", ranks), &ranks, |b, _| {
-            b.iter(|| {
+        row(
+            "ablation_simmpi_collectives",
+            &format!("allreduce_x100/{ranks}"),
+            || {
                 let report = Universe::launch(
                     &cluster,
                     UniverseConfig::default(),
@@ -118,17 +106,7 @@ fn collective_baseline(c: &mut Criterion) {
                     },
                 );
                 assert!(report.all_ok());
-            })
-        });
+            },
+        );
     }
-    group.finish();
 }
-
-criterion_group!(
-    ablations,
-    checkpoint_interval_sweep,
-    imr_vs_veloc_commit,
-    spare_count_sensitivity,
-    collective_baseline
-);
-criterion_main!(ablations);

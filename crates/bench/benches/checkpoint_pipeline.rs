@@ -1,29 +1,31 @@
-//! Synchronous checkpoint-pipeline cost: full-pack vs incremental (VCF2
-//! delta frames) at 1%, 25%, and 100% dirty regions.
+//! Synchronous checkpoint-pipeline cost: full pack vs incremental (delta
+//! frames) at 1%, 25%, and 100% dirty regions, beside the kernels a full
+//! pack is made of.
 //!
-//! Beyond the criterion console table, this bench writes
-//! `target/BENCH_checkpoint.json` — median nanoseconds and steady-state
-//! bytes written per configuration — which `scripts/bench_gate.sh`
-//! compares against the committed baseline (`BENCH_checkpoint.json` at the
-//! repo root) to fail CI on a >15% sync-checkpoint regression and to prove
-//! the incremental pipeline's speedup claim (≥5× at 1-of-100 regions
-//! dirty).
+//! Writes `target/BENCH_checkpoint.json` — median nanoseconds and
+//! steady-state bytes written per configuration. `scripts/bench_gate.sh`
+//! holds the configs to each other within that one run: the incremental
+//! pipeline's speedup and byte saving at 1-of-100 regions dirty, its
+//! parity with the full pack when everything is dirty, and the full pack
+//! against `pack_kernels`.
 
-use std::time::Instant;
-
-use cluster::{Cluster, ClusterConfig, TimeScale};
-use criterion::{black_box, Criterion};
 use std::sync::Arc;
-use veloc::{Client, Config, VecRegion};
+
+use bench::{bench_cluster, elapsed_ns, measure, write_results};
+use cluster::Cluster;
+use veloc::{serial, Client, Config, VecRegion};
 
 /// Protected state: `REGIONS` regions of `REGION_BYTES` each.
 const REGIONS: usize = 100;
 const REGION_BYTES: usize = 4 * 1024;
 /// Scratch versions kept live while the loop runs (plus delta bases).
 const KEEP: usize = 2;
-/// Samples for the JSON medians (one checkpoint per sample).
-const JSON_SAMPLES: usize = 41;
-const JSON_WARMUP: usize = 10;
+/// One checkpoint per sample.
+const SAMPLES: usize = 201;
+/// Three prune cycles, so the allocator is in its steady state: the first
+/// config of the process otherwise pays heap growth and a first touch of
+/// every frame (4× on `full_pack`).
+const WARMUP: usize = 48;
 
 struct Pipeline {
     client: Client,
@@ -58,8 +60,7 @@ impl Pipeline {
     /// `dirty` regions are written, so the incremental pipeline emits a
     /// delta covering exactly that fraction. Scratch garbage collection
     /// runs every 16th step — amortized maintenance, not part of the
-    /// per-commit latency, and rare enough that a 41-sample median is
-    /// unaffected.
+    /// per-commit latency, and rare enough that the median is unaffected.
     fn step(&mut self) {
         for r in self.regions.iter().take(self.dirty) {
             let mut g = r.lock();
@@ -90,81 +91,52 @@ impl Pipeline {
     }
 }
 
-/// Median wall-clock nanoseconds of one `step()` call.
-fn measure_median_ns(p: &mut Pipeline) -> u64 {
-    for _ in 0..JSON_WARMUP {
-        p.step();
+/// The work a full pack cannot avoid, region by region: one checksum and
+/// one copy into a fresh frame. The portable slice-by-16 CRC, not the
+/// `serial::crc32` dispatch the pack itself calls, so the oracle does not
+/// move with the code it judges.
+fn pack_kernels(regions: &[Vec<u8>]) -> (u32, Vec<u8>) {
+    let mut frame = Vec::with_capacity(REGIONS * REGION_BYTES);
+    let mut crc = 0;
+    for r in regions {
+        crc ^= serial::crc32_slice16(r);
+        frame.extend_from_slice(r);
     }
-    let mut samples: Vec<u64> = (0..JSON_SAMPLES)
-        .map(|_| {
-            let t = Instant::now();
-            p.step();
-            black_box(t.elapsed().as_nanos() as u64)
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+    (crc, frame)
 }
 
-fn cluster() -> Cluster {
-    Cluster::new(ClusterConfig {
-        nodes: 1,
-        ranks_per_node: 1,
-        time_scale: TimeScale::instant(),
-        ..ClusterConfig::default()
-    })
-}
-
-/// (json name, criterion label, full_only, dirty regions)
-const CONFIGS: &[(&str, &str, bool, usize)] = &[
-    ("full_pack", "full-pack/100pct-dirty", true, REGIONS),
-    ("incremental_1pct", "incremental/1pct-dirty", false, 1),
-    ("incremental_25pct", "incremental/25pct-dirty", false, 25),
-    (
-        "incremental_100pct",
-        "incremental/100pct-dirty",
-        false,
-        REGIONS,
-    ),
+/// (name, full_only, dirty regions)
+const CONFIGS: &[(&str, bool, usize)] = &[
+    ("full_pack", true, REGIONS),
+    ("incremental_1pct", false, 1),
+    ("incremental_25pct", false, 25),
+    ("incremental_100pct", false, REGIONS),
 ];
 
 fn main() {
-    let mut c = Criterion::default();
-    {
-        let mut group = c.benchmark_group("checkpoint_pipeline");
-        group
-            .sample_size(10)
-            .warm_up_time(std::time::Duration::from_millis(200))
-            .measurement_time(std::time::Duration::from_millis(800));
-        for &(_, label, full_only, dirty) in CONFIGS {
-            let cl = cluster();
-            let mut p = Pipeline::new(&cl, label, full_only, dirty);
-            group.bench_function(label, |b| b.iter(|| p.step()));
-        }
-        group.finish();
-    }
-
-    // Independent measurement pass for the machine-readable gate input.
     let mut lines = Vec::new();
-    for &(json_name, _, full_only, dirty) in CONFIGS {
-        let cl = cluster();
-        let mut p = Pipeline::new(&cl, json_name, full_only, dirty);
-        let median_ns = measure_median_ns(&mut p);
+    for &(name, full_only, dirty) in CONFIGS {
+        let cl = bench_cluster(1);
+        let mut p = Pipeline::new(&cl, name, full_only, dirty);
+        let median_ns = measure(WARMUP, SAMPLES, || elapsed_ns(|| p.step())).median_ns;
         let bytes = p.bytes_written(&cl);
-        println!("{json_name:<24} median {median_ns:>10} ns, {bytes:>7} bytes/frame");
+        println!("{name:<24} median {median_ns:>10} ns, {bytes:>7} bytes/frame");
         lines.push(format!(
-            "  {{\"name\":\"{json_name}\",\"median_ns\":{median_ns},\"bytes_written\":{bytes}}}"
+            "{{\"name\":\"{name}\",\"median_ns\":{median_ns},\"bytes_written\":{bytes}}}"
         ));
     }
-    let json = format!(
-        "{{\"bench\":\"checkpoint_pipeline\",\"regions\":{REGIONS},\"region_bytes\":{REGION_BYTES},\"configs\":[\n{}\n]}}\n",
-        lines.join(",\n")
+    let regions: Vec<Vec<u8>> = (0..REGIONS).map(|i| vec![i as u8; REGION_BYTES]).collect();
+    let median_ns = measure(WARMUP, SAMPLES, || elapsed_ns(|| pack_kernels(&regions))).median_ns;
+    println!("{:<24} median {median_ns:>10} ns", "pack_kernels");
+    lines.push(format!(
+        "{{\"name\":\"pack_kernels\",\"median_ns\":{median_ns}}}"
+    ));
+    write_results(
+        "checkpoint",
+        &format!(
+            "\"bench\":\"checkpoint_pipeline\",\"regions\":{REGIONS},\"region_bytes\":{REGION_BYTES},\"crc_kernel\":\"{}\"",
+            serial::crc32_kernel()
+        ),
+        &lines,
     );
-    // Benches run with CWD = the package dir; anchor at the workspace root
-    // so the CI gate finds the artifact under the shared target/.
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
-    let _unused = std::fs::create_dir_all(&out);
-    let path = out.join("BENCH_checkpoint.json");
-    std::fs::write(&path, json).expect("write bench json");
-    println!("bench json written to {}", path.display());
 }

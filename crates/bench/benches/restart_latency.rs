@@ -1,22 +1,20 @@
 //! Restart-latency budget: full-frame restore vs an 8-frame delta-chain
-//! walk, plus the CRC kernels themselves (what `serial::crc32` dispatches to on this host vs
-//! the portable slice-by-16 vs the bitwise oracle).
+//! walk, the kernels a restore is made of, and the CRC kernels themselves
+//! (what `serial::crc32` dispatches to on this host vs the portable
+//! slice-by-16 vs the bitwise oracle).
 //!
-//! Beyond the criterion console table, this bench writes
-//! `target/BENCH_restart.json` — median nanoseconds, bytes restored, and
-//! the per-stage read/verify/apply medians from [`veloc::RestartReport`] —
-//! which `scripts/bench_gate.sh` compares against the committed baseline
-//! (`BENCH_restart.json` at the repo root, knob `RESTART_MAX_REGRESSION_PCT`)
-//! and uses to assert the slice-by-16 CRC is measurably faster than the
-//! bitwise implementation it replaced and, where the JSON's `crc_kernel`
-//! says `serial::crc32` runs the carry-less-multiply kernel, that the
-//! dispatch beats slice-by-16.
+//! Writes `target/BENCH_restart.json` — median nanoseconds, bytes restored,
+//! and the per-stage read/verify/apply medians from
+//! [`veloc::RestartReport`]. `scripts/bench_gate.sh` holds the configs to
+//! each other within that one run: the chain walk against the full restore,
+//! the full restore against `restore_kernels`, slice-by-16 against the
+//! bitwise form and, where the JSON's `crc_kernel` says `serial::crc32`
+//! runs the carry-less-multiply kernel, the dispatch against slice-by-16.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use cluster::{Cluster, ClusterConfig, TimeScale};
-use criterion::{black_box, Criterion};
+use bench::{bench_cluster, elapsed_ns, measure, write_results, Timing};
+use cluster::Cluster;
 use veloc::{serial, Client, Config, VecRegion};
 
 /// Protected state.
@@ -29,18 +27,9 @@ const CHAIN_DELTAS: usize = 7;
 const DIRTY_PER_STEP: usize = 2;
 /// Buffer size for the CRC kernel configs.
 const CRC_BYTES: usize = 1024 * 1024;
-/// Samples for the JSON medians (one restart per sample).
-const JSON_SAMPLES: usize = 41;
-const JSON_WARMUP: usize = 10;
-
-fn cluster() -> Cluster {
-    Cluster::new(ClusterConfig {
-        nodes: 1,
-        ranks_per_node: 1,
-        time_scale: TimeScale::instant(),
-        ..ClusterConfig::default()
-    })
-}
+/// One restart (or one CRC pass) per sample.
+const SAMPLES: usize = 101;
+const WARMUP: usize = 10;
 
 struct Scenario {
     client: Client,
@@ -86,122 +75,63 @@ impl Scenario {
     }
 }
 
-struct RestartStats {
-    median_ns: u64,
-    bytes_restored: u64,
-    frames_walked: usize,
-    read_ns: u64,
-    verify_ns: u64,
-    apply_ns: u64,
-}
-
-fn median(samples: &mut [u64]) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// Median wall time of one restart, plus per-stage medians from the
-/// report itself.
-fn measure_restart(s: &Scenario) -> RestartStats {
-    for _ in 0..JSON_WARMUP {
-        s.restart();
+/// The work a full restore cannot avoid, region by region: one checksum of
+/// the stored payload and one copy into region memory. The portable
+/// slice-by-16 CRC, not the `serial::crc32` dispatch the restart itself
+/// calls, so the oracle does not move with the code it judges.
+fn restore_kernels(stored: &[Vec<u8>], live: &mut [Vec<u8>]) -> u32 {
+    let mut crc = 0;
+    for (s, l) in stored.iter().zip(live) {
+        crc ^= serial::crc32_slice16(s);
+        l.copy_from_slice(s);
     }
-    let mut wall = Vec::with_capacity(JSON_SAMPLES);
-    let mut read = Vec::with_capacity(JSON_SAMPLES);
-    let mut verify = Vec::with_capacity(JSON_SAMPLES);
-    let mut apply = Vec::with_capacity(JSON_SAMPLES);
-    let mut last = veloc::RestartReport::default();
-    for _ in 0..JSON_SAMPLES {
-        let t = Instant::now();
-        let report = s.restart();
-        wall.push(black_box(t.elapsed().as_nanos() as u64));
-        read.push(report.read_ns);
-        verify.push(report.verify_ns);
-        apply.push(report.apply_ns);
-        last = report;
-    }
-    RestartStats {
-        median_ns: median(&mut wall),
-        bytes_restored: last.bytes_restored,
-        frames_walked: last.frames_walked,
-        read_ns: median(&mut read),
-        verify_ns: median(&mut verify),
-        apply_ns: median(&mut apply),
-    }
-}
-
-/// Median wall time of one CRC pass over a `CRC_BYTES` buffer.
-fn measure_crc(f: impl Fn(&[u8]) -> u32) -> u64 {
-    let data: Vec<u8> = (0..CRC_BYTES).map(|i| (i * 31 + 7) as u8).collect();
-    for _ in 0..3 {
-        black_box(f(&data));
-    }
-    let mut samples: Vec<u64> = (0..JSON_SAMPLES)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(f(&data));
-            t.elapsed().as_nanos() as u64
-        })
-        .collect();
-    median(&mut samples)
+    crc
 }
 
 fn main() {
-    let mut c = Criterion::default();
-    {
-        let mut group = c.benchmark_group("restart_latency");
-        group
-            .sample_size(10)
-            .warm_up_time(std::time::Duration::from_millis(200))
-            .measurement_time(std::time::Duration::from_millis(800));
-        let cl = cluster();
-        let full = Scenario::new(&cl, "bench-full", 0);
-        group.bench_function("restart/full", |b| b.iter(|| full.restart()));
-        let chain = Scenario::new(&cl, "bench-chain", CHAIN_DELTAS);
-        group.bench_function("restart/chain8", |b| b.iter(|| chain.restart()));
-        let data: Vec<u8> = (0..CRC_BYTES).map(|i| (i * 31 + 7) as u8).collect();
-        group.bench_function("crc32/dispatch-1m", |b| b.iter(|| serial::crc32(&data)));
-        group.bench_function("crc32/slice16-1m", |b| {
-            b.iter(|| serial::crc32_slice16(&data))
-        });
-        group.bench_function("crc32/bitwise-1m", |b| {
-            b.iter(|| serial::crc32_bitwise(&data))
-        });
-        group.finish();
-    }
-
-    // Independent measurement pass for the machine-readable gate input.
     let mut lines = Vec::new();
-    let cl = cluster();
+    let cl = bench_cluster(1);
     let configs = [
-        ("restart_full", Scenario::new(&cl, "json-full", 0)),
-        (
-            "restart_chain8",
-            Scenario::new(&cl, "json-chain", CHAIN_DELTAS),
-        ),
+        ("restart_full", Scenario::new(&cl, "full", 0)),
+        ("restart_chain8", Scenario::new(&cl, "chain", CHAIN_DELTAS)),
     ];
-    for (json_name, scenario) in &configs {
-        let stats = measure_restart(scenario);
+    for (name, scenario) in &configs {
+        // The wall median of one restart, and per-stage medians from the
+        // reports of the kept samples.
+        let mut reports = Vec::with_capacity(WARMUP + SAMPLES);
+        let median_ns = measure(WARMUP, SAMPLES, || {
+            elapsed_ns(|| reports.push(scenario.restart()))
+        })
+        .median_ns;
+        let kept = &reports[WARMUP..];
+        let (frames, bytes) = (kept[0].frames_walked, kept[0].bytes_restored);
+        let stage = |f: fn(&veloc::RestartReport) -> u64| {
+            Timing::of(kept.iter().map(f).collect()).median_ns
+        };
+        let (read_ns, verify_ns, apply_ns) = (
+            stage(|r| r.read_ns),
+            stage(|r| r.verify_ns),
+            stage(|r| r.apply_ns),
+        );
         println!(
-            "{json_name:<20} median {:>10} ns ({} frames, {} bytes; read {} / verify {} / apply {} ns)",
-            stats.median_ns,
-            stats.frames_walked,
-            stats.bytes_restored,
-            stats.read_ns,
-            stats.verify_ns,
-            stats.apply_ns
+            "{name:<20} median {median_ns:>10} ns ({frames} frames, {bytes} bytes; read {read_ns} / verify {verify_ns} / apply {apply_ns} ns)"
         );
         lines.push(format!(
-            "  {{\"name\":\"{json_name}\",\"median_ns\":{},\"bytes_restored\":{},\"frames_walked\":{},\"read_ns\":{},\"verify_ns\":{},\"apply_ns\":{}}}",
-            stats.median_ns,
-            stats.bytes_restored,
-            stats.frames_walked,
-            stats.read_ns,
-            stats.verify_ns,
-            stats.apply_ns
+            "{{\"name\":\"{name}\",\"median_ns\":{median_ns},\"bytes_restored\":{bytes},\"frames_walked\":{frames},\"read_ns\":{read_ns},\"verify_ns\":{verify_ns},\"apply_ns\":{apply_ns}}}"
         ));
     }
-    for (json_name, f) in [
+    let stored: Vec<Vec<u8>> = (0..REGIONS).map(|i| vec![i as u8; REGION_BYTES]).collect();
+    let mut live = stored.clone();
+    let median_ns = measure(WARMUP, SAMPLES, || {
+        elapsed_ns(|| restore_kernels(&stored, &mut live))
+    })
+    .median_ns;
+    println!("{:<20} median {median_ns:>10} ns", "restore_kernels");
+    lines.push(format!(
+        "{{\"name\":\"restore_kernels\",\"median_ns\":{median_ns}}}"
+    ));
+    let data: Vec<u8> = (0..CRC_BYTES).map(|i| (i * 31 + 7) as u8).collect();
+    for (name, f) in [
         (
             "crc_bitwise_1m",
             &serial::crc32_bitwise as &dyn Fn(&[u8]) -> u32,
@@ -209,22 +139,18 @@ fn main() {
         ("crc_slice16_1m", &serial::crc32_slice16),
         ("crc_dispatch_1m", &serial::crc32),
     ] {
-        let median_ns = measure_crc(f);
-        println!("{json_name:<20} median {median_ns:>10} ns ({CRC_BYTES} bytes)");
+        let median_ns = measure(3, SAMPLES, || elapsed_ns(|| f(&data))).median_ns;
+        println!("{name:<20} median {median_ns:>10} ns ({CRC_BYTES} bytes)");
         lines.push(format!(
-            "  {{\"name\":\"{json_name}\",\"median_ns\":{median_ns},\"bytes_hashed\":{CRC_BYTES}}}"
+            "{{\"name\":\"{name}\",\"median_ns\":{median_ns},\"bytes_hashed\":{CRC_BYTES}}}"
         ));
     }
-    let json = format!(
-        "{{\"bench\":\"restart_latency\",\"regions\":{REGIONS},\"region_bytes\":{REGION_BYTES},\"chain_deltas\":{CHAIN_DELTAS},\"crc_kernel\":\"{}\",\"configs\":[\n{}\n]}}\n",
-        serial::crc32_kernel(),
-        lines.join(",\n")
+    write_results(
+        "restart",
+        &format!(
+            "\"bench\":\"restart_latency\",\"regions\":{REGIONS},\"region_bytes\":{REGION_BYTES},\"chain_deltas\":{CHAIN_DELTAS},\"crc_kernel\":\"{}\"",
+            serial::crc32_kernel()
+        ),
+        &lines,
     );
-    // Benches run with CWD = the package dir; anchor at the workspace root
-    // so the CI gate finds the artifact under the shared target/.
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
-    let _unused = std::fs::create_dir_all(&out);
-    let path = out.join("BENCH_restart.json");
-    std::fs::write(&path, json).expect("write bench json");
-    println!("bench json written to {}", path.display());
 }

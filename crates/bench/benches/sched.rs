@@ -1,10 +1,15 @@
-//! DES scheduler throughput: schedules per second (ISSUE 9 satellite).
+//! DES scheduler throughput: schedules per second.
 //!
 //! Three layers of the deterministic backend's cost, measured separately:
 //!
 //! * `baton_handoff` — one yield/wake round-trip between two tasks on the
 //!   raw [`simmpi::Scheduler`]: the per-event floor (heap push/pop, seeded
-//!   tiebreak, condvar grant/park).
+//!   tiebreak, condvar grant/park). Its oracle is `condvar_pingpong`: the
+//!   same number of hand-offs between two threads over the bare token cell
+//!   the baton is built from (a `Mutex<bool>` and a `Condvar` per thread),
+//!   with no heap, clock or task state. What that reads is the container's
+//!   futex latency, so `baton_handoff` ÷ `condvar_pingpong` is the
+//!   scheduler's share.
 //! * `ring_16` / `ring_64` — one complete schedule: a full DES
 //!   `Universe::launch` on a virtual-time cluster, ring exchange +
 //!   allreduce per iteration. This is what the chaos campaign pays per
@@ -15,25 +20,26 @@
 //!   the difference divided by the rank count. Per-rank repair work that
 //!   scans all ranks shows as `repair_1024` ≈ 4 × `repair_256`.
 //!
-//! Writes `target/BENCH_sched.json` (median ns per config); the committed
-//! `BENCH_sched.json` at the repo root is the regression baseline enforced
-//! by `scripts/bench_gate.sh`.
+//! Writes `target/BENCH_sched.json` (median and minimum ns per config);
+//! `scripts/bench_gate.sh` holds the configs to each other within that one
+//! run, pinned to one CPU.
 
+use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
 use apps::Heatdis;
+use bench::{elapsed_ns, measure, write_results};
 use cluster::{Cluster, ClusterConfig, RelaunchModel};
-use criterion::{black_box, Criterion};
+use parking_lot::{Condvar, Mutex};
 use resilience::{run_experiment, ExperimentConfig, Strategy};
 use simmpi::{
     Backend, FaultPlan, MpiResult, RankCtx, ReduceOp, Scheduler, Universe, UniverseConfig,
 };
 
-const JSON_SAMPLES: usize = 21;
-const JSON_WARMUP: usize = 3;
+const SAMPLES: usize = 21;
+const WARMUP: usize = 3;
 /// The repair configs launch a thousand threads twice per sample.
-const REPAIR_SAMPLES: usize = 9;
+const REPAIR_SAMPLES: usize = 15;
 const REPAIR_WARMUP: usize = 1;
 /// One spare node of eight ranks.
 const REPAIR_SPARES: usize = 8;
@@ -56,48 +62,88 @@ fn virtual_cluster(n: usize) -> Cluster {
 fn baton_handoff() -> u64 {
     let clock = Arc::new(cluster::Clock::virtual_at(0));
     let s = Scheduler::new(2, 0xbeef, clock);
-    let t = Instant::now();
-    std::thread::scope(|scope| {
-        for task in 0..2 {
-            let s = Arc::clone(&s);
-            scope.spawn(move || {
-                s.wait_for_start(task);
-                for _ in 0..HANDOFF_ROUNDS {
-                    s.sleep(task, std::time::Duration::from_nanos(10));
-                }
-                s.finish(task);
-            });
+    elapsed_ns(|| {
+        std::thread::scope(|scope| {
+            for task in 0..2 {
+                let s = Arc::clone(&s);
+                scope.spawn(move || {
+                    s.wait_for_start(task);
+                    for _ in 0..HANDOFF_ROUNDS {
+                        s.sleep(task, std::time::Duration::from_nanos(10));
+                    }
+                    s.finish(task);
+                });
+            }
+            s.start();
+        })
+    })
+}
+
+/// Two threads passing one token back and forth, 2 × `HANDOFF_ROUNDS`
+/// hand-offs per call: park on one's own cell, grant the peer's — the
+/// bodies of `Scheduler::park` and `Scheduler::grant`, statement for
+/// statement (the grant notifies with the cell's lock held, as the
+/// scheduler's does; notifying after the unlock reads 4× less on one CPU,
+/// and would not be the baton's floor). Returns total ns.
+fn condvar_pingpong() -> u64 {
+    type Cell = (Mutex<bool>, Condvar);
+    fn grant((token, cv): &Cell) {
+        let mut tok = token.lock();
+        *tok = true;
+        cv.notify_all();
+    }
+    fn park((token, cv): &Cell) {
+        let mut tok = token.lock();
+        while !*tok {
+            cv.wait(&mut tok);
         }
-        s.start();
-    });
-    black_box(t.elapsed().as_nanos() as u64)
+        *tok = false;
+    }
+    // Thread 0 holds the token first.
+    let cells = [
+        (Mutex::new(true), Condvar::new()),
+        (Mutex::new(false), Condvar::new()),
+    ];
+    elapsed_ns(|| {
+        std::thread::scope(|scope| {
+            for me in 0..2 {
+                let cells = &cells;
+                scope.spawn(move || {
+                    for _ in 0..HANDOFF_ROUNDS {
+                        park(&cells[me]);
+                        grant(&cells[1 - me]);
+                    }
+                });
+            }
+        })
+    })
 }
 
 /// One complete DES schedule: launch, run the ring workload, tear down.
 fn ring_schedule(n: usize, seed: u64) -> u64 {
     let cluster = virtual_cluster(n);
-    let t = Instant::now();
-    let report = Universe::launch(
-        &cluster,
-        UniverseConfig {
-            backend: Backend::Des { seed },
-            ..UniverseConfig::default()
-        },
-        Arc::new(FaultPlan::none()),
-        |ctx: &mut RankCtx| -> MpiResult<()> {
-            let w = ctx.world();
-            let (me, n) = (ctx.rank(), w.size());
-            for i in 0..RING_ITERS {
-                w.send((me + 1) % n, i, &(me as u64).to_le_bytes())?;
-                let mut b = [0u8; 8];
-                w.recv_into(Some((me + n - 1) % n), i, &mut b)?;
-                w.allreduce_scalar(u64::from_le_bytes(b), ReduceOp::Sum)?;
-            }
-            Ok(())
-        },
-    );
-    assert!(report.all_ok());
-    black_box(t.elapsed().as_nanos() as u64)
+    elapsed_ns(|| {
+        let report = Universe::launch(
+            &cluster,
+            UniverseConfig {
+                backend: Backend::Des { seed },
+                ..UniverseConfig::default()
+            },
+            Arc::new(FaultPlan::none()),
+            |ctx: &mut RankCtx| -> MpiResult<()> {
+                let w = ctx.world();
+                let (me, n) = (ctx.rank(), w.size());
+                for i in 0..RING_ITERS {
+                    w.send((me + 1) % n, i, &(me as u64).to_le_bytes())?;
+                    let mut b = [0u8; 8];
+                    w.recv_into(Some((me + n - 1) % n), i, &mut b)?;
+                    w.allreduce_scalar(u64::from_le_bytes(b), ReduceOp::Sum)?;
+                }
+                Ok(())
+            },
+        );
+        assert!(report.all_ok());
+    })
 }
 
 /// Host ns per rank that one kill and its in-place repair add to a
@@ -120,11 +166,13 @@ fn repair_per_rank(active: usize) -> u64 {
             relaunch: RelaunchModel::free(),
             ..ClusterConfig::default()
         });
-        let t = Instant::now();
-        let rec = run_experiment(&cluster, &app, &cfg, Arc::new(plan));
-        let ns = t.elapsed().as_nanos() as u64;
-        black_box(rec.digest);
-        (ns, rec.repairs)
+        let mut repairs = 0;
+        let ns = elapsed_ns(|| {
+            let rec = run_experiment(&cluster, &app, &cfg, Arc::new(plan));
+            repairs = rec.repairs;
+            black_box(rec.digest)
+        });
+        (ns, repairs)
     };
     let (nf, _) = run(FaultPlan::none());
     let (fail, repairs) = run(FaultPlan::kill_at(active / 2, "iter", 5));
@@ -132,80 +180,35 @@ fn repair_per_rank(active: usize) -> u64 {
     fail.saturating_sub(nf) / ranks as u64
 }
 
-fn median(mut samples: Vec<u64>) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-fn measure(warmup: usize, samples: usize, f: impl Fn() -> u64) -> u64 {
-    for _ in 0..warmup {
-        f();
-    }
-    median((0..samples).map(|_| f()).collect())
-}
-
 fn main() {
-    let mut c = Criterion::default();
-    {
-        let mut group = c.benchmark_group("sched");
-        group
-            .sample_size(10)
-            .warm_up_time(std::time::Duration::from_millis(200))
-            .measurement_time(std::time::Duration::from_millis(800));
-        group.bench_function("ring-16/schedule", |b| b.iter(|| ring_schedule(16, 7)));
-        group.finish();
-    }
-
-    // Machine-readable gate input (median ns per config).
-    type Config<'a> = (&'a str, usize, usize, Box<dyn Fn() -> u64>);
-    let configs: [Config; 5] = [
-        (
-            "baton_handoff",
-            JSON_WARMUP,
-            JSON_SAMPLES,
-            Box::new(baton_handoff),
-        ),
-        (
-            "ring_16",
-            JSON_WARMUP,
-            JSON_SAMPLES,
-            Box::new(|| ring_schedule(16, 7)),
-        ),
-        (
-            "ring_64",
-            JSON_WARMUP,
-            JSON_SAMPLES,
-            Box::new(|| ring_schedule(64, 7)),
-        ),
-        (
-            "repair_256",
-            REPAIR_WARMUP,
-            REPAIR_SAMPLES,
-            Box::new(|| repair_per_rank(256)),
-        ),
-        (
-            "repair_1024",
-            REPAIR_WARMUP,
-            REPAIR_SAMPLES,
-            Box::new(|| repair_per_rank(1024)),
-        ),
+    type Config<'a> = (&'a str, usize, usize, fn() -> u64);
+    let configs: [Config; 6] = [
+        ("baton_handoff", WARMUP, SAMPLES, baton_handoff),
+        ("condvar_pingpong", WARMUP, SAMPLES, condvar_pingpong),
+        ("ring_16", WARMUP, SAMPLES, || ring_schedule(16, 7)),
+        ("ring_64", WARMUP, SAMPLES, || ring_schedule(64, 7)),
+        ("repair_256", REPAIR_WARMUP, REPAIR_SAMPLES, || {
+            repair_per_rank(256)
+        }),
+        ("repair_1024", REPAIR_WARMUP, REPAIR_SAMPLES, || {
+            repair_per_rank(1024)
+        }),
     ];
     let mut lines = Vec::new();
-    for (name, warmup, samples, f) in &configs {
-        let median_ns = measure(*warmup, *samples, f);
+    for (name, warmup, samples, f) in configs {
+        let t = measure(warmup, samples, f);
+        let (median_ns, min_ns) = (t.median_ns, t.min_ns);
         let per_sec = 1_000_000_000 / median_ns.max(1);
-        println!("{name:<16} median {median_ns:>12} ns  ({per_sec}/sec)");
+        println!("{name:<16} median {median_ns:>12} ns  min {min_ns:>12} ({per_sec}/sec)");
         lines.push(format!(
-            "  {{\"name\":\"{name}\",\"median_ns\":{median_ns}}}"
+            "{{\"name\":\"{name}\",\"median_ns\":{median_ns},\"min_ns\":{min_ns}}}"
         ));
     }
-    let json = format!(
-        "{{\"bench\":\"sched\",\"handoff_rounds\":{HANDOFF_ROUNDS},\"ring_iters\":{RING_ITERS},\"configs\":[\n{}\n]}}\n",
-        lines.join(",\n")
+    write_results(
+        "sched",
+        &format!(
+            "\"bench\":\"sched\",\"handoff_rounds\":{HANDOFF_ROUNDS},\"ring_iters\":{RING_ITERS}"
+        ),
+        &lines,
     );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
-    let _unused = std::fs::create_dir_all(&out);
-    let path = out.join("BENCH_sched.json");
-    std::fs::write(&path, json).expect("write bench json");
-    println!("bench json written to {}", path.display());
 }

@@ -2,16 +2,13 @@
 //! from `scripts/bench_gate.sh` and `scripts/ci.sh`:
 //!
 //! ```text
-//! bench_compare compare <baseline.json> <fresh.json> \
-//!     --metric median_ns --max-pct 15 --configs a,b,c
 //! bench_compare assert-faster <results.json> <fast> <slow> \
 //!     [--metric median_ns] [--min-x 1]
-//! bench_compare check-baseline <BENCH_x.json>...
 //! bench_compare check-summary <ci-summary.json>
 //! ```
 //!
-//! Exit codes: 0 = pass, 1 = gate violation (regression, missing config,
-//! malformed artifact), 2 = usage error.
+//! Exit codes: 0 = pass, 1 = gate violation (claim not held, missing
+//! config, malformed artifact), 2 = usage error.
 
 use bench::gate::{self, GateReport};
 use telemetry::Json;
@@ -26,9 +23,7 @@ fn run(args: &[String]) -> i32 {
         return usage("missing subcommand");
     };
     let report = match cmd.as_str() {
-        "compare" => cmd_compare(rest),
         "assert-faster" => cmd_assert_faster(rest),
-        "check-baseline" => cmd_check_baseline(rest),
         "check-summary" => cmd_check_summary(rest),
         other => return usage(&format!("unknown subcommand {other:?}")),
     };
@@ -49,9 +44,7 @@ fn run(args: &[String]) -> i32 {
 fn usage(msg: &str) -> i32 {
     eprintln!("bench_compare: {msg}");
     eprintln!(
-        "usage: bench_compare compare <baseline> <fresh> --metric M --max-pct N --configs a,b,c\n\
-         \x20      bench_compare assert-faster <file> <fast> <slow> [--metric M] [--min-x N]\n\
-         \x20      bench_compare check-baseline <file>...\n\
+        "usage: bench_compare assert-faster <file> <fast> <slow> [--metric M] [--min-x N]\n\
          \x20      bench_compare check-summary <file>"
     );
     2
@@ -80,15 +73,6 @@ fn flag<'a>(flags: &[(&str, &'a str)], name: &str) -> Option<&'a str> {
     flags.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
 }
 
-fn parse_num(flags: &[(&str, &str)], name: &str, default: u64) -> Result<u64, String> {
-    match flag(flags, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} must be an integer, got {v:?}")),
-    }
-}
-
 /// Load and parse a results file; IO/parse problems are gate violations
 /// (exit 1), reported through the GateReport rather than as usage errors.
 fn load(path: &str) -> Result<Json, GateReport> {
@@ -100,37 +84,6 @@ fn load(path: &str) -> Result<Json, GateReport> {
         lines: Vec::new(),
         failures: vec![format!("{path}: malformed JSON: {e}")],
     })
-}
-
-fn cmd_compare(args: &[String]) -> Result<GateReport, String> {
-    let (pos, flags) = parse_flags(args)?;
-    let [baseline_path, fresh_path] = pos[..] else {
-        return Err("compare needs <baseline> <fresh>".into());
-    };
-    let metric = flag(&flags, "metric").ok_or("compare needs --metric")?;
-    let max_pct = parse_num(&flags, "max-pct", 15)?;
-    let configs: Vec<String> = flag(&flags, "configs")
-        .ok_or("compare needs --configs a,b,c")?
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(str::to_owned)
-        .collect();
-    if configs.is_empty() {
-        return Err("--configs list is empty".into());
-    }
-    let (baseline, fresh) = match (load(baseline_path), load(fresh_path)) {
-        (Ok(b), Ok(f)) => (b, f),
-        (b, f) => {
-            let mut report = GateReport::default();
-            for r in [b, f] {
-                if let Err(e) = r {
-                    report.failures.extend(e.failures);
-                }
-            }
-            return Ok(report);
-        }
-    };
-    Ok(gate::compare(&baseline, &fresh, metric, max_pct, &configs))
 }
 
 fn cmd_assert_faster(args: &[String]) -> Result<GateReport, String> {
@@ -151,26 +104,6 @@ fn cmd_assert_faster(args: &[String]) -> Result<GateReport, String> {
         Ok(doc) => Ok(gate::assert_faster(&doc, fast, slow, metric, min_x)),
         Err(report) => Ok(report),
     }
-}
-
-fn cmd_check_baseline(args: &[String]) -> Result<GateReport, String> {
-    let (pos, flags) = parse_flags(args)?;
-    if !flags.is_empty() {
-        return Err("check-baseline takes no flags".into());
-    }
-    if pos.is_empty() {
-        return Err("check-baseline needs at least one file".into());
-    }
-    let docs: Vec<(String, Result<Json, String>)> = pos
-        .iter()
-        .map(|path| {
-            let parsed = std::fs::read_to_string(path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| Json::parse(&text));
-            (path.to_string(), parsed)
-        })
-        .collect();
-    Ok(gate::check_baseline(&docs))
 }
 
 fn cmd_check_summary(args: &[String]) -> Result<GateReport, String> {

@@ -1,17 +1,12 @@
-//! The benchmark-gate decision logic behind `scripts/bench_gate.sh`.
+//! The benchmark-gate decision logic behind `scripts/bench_gate.sh`, unit
+//! tested here and reached through the thin `bench_compare` binary:
 //!
-//! The shell script used to extract medians with `sed` and compare them in
-//! arithmetic expansion — silent on malformed JSON, untestable, and easy to
-//! desynchronize from the bench writers. The logic now lives here, unit
-//! tested, and the script calls the thin `bench_compare` binary:
-//!
-//! * [`compare`] — per-config regression check of a fresh run against a
-//!   committed baseline, with a percentage budget;
 //! * [`assert_faster`] — a claim of the form "config A is at least N×
-//!   faster than config B" within one results file (the incremental-
-//!   pipeline speedup, XOR-cheaper-than-RS, slice-by-16 beats bitwise);
-//! * [`check_baseline`] — structural validation of committed `BENCH_*.json`
-//!   baselines (parseable, expected configs present, integer metrics);
+//!   faster than config B" within one fresh results file. Every claim the
+//!   gate makes has this shape, each against an oracle measured in the same
+//!   process (the incremental pipeline against the full pack, the full pack
+//!   against its kernels, the baton against a bare condvar ping-pong, …),
+//!   so no bound depends on the host's absolute speed;
 //! * [`check_summary`] — schema validation of `target/ci-summary.json`.
 //!
 //! Every check returns a [`GateReport`]; the binary prints `lines` to
@@ -37,63 +32,10 @@ impl GateReport {
     }
 }
 
-/// Per-bench required shape of a committed baseline: the `bench` field
-/// value, the metric its gate reads, and the configs that must be present.
-/// `check_baseline` validates against this table, so adding a bench config
-/// to a writer without updating the gate fails CI here.
-const REQUIRED: &[(&str, &str, &[&str])] = &[
-    (
-        "checkpoint_pipeline",
-        "median_ns",
-        &[
-            "full_pack",
-            "incremental_1pct",
-            "incremental_25pct",
-            "incremental_100pct",
-        ],
-    ),
-    (
-        "redundancy",
-        "min_ns",
-        &[
-            "encode_k2",
-            "reconstruct_k2",
-            "encode_k3",
-            "reconstruct_k3",
-            "encode_xor4",
-            "reconstruct_xor4",
-            "encode_rs4_2",
-            "reconstruct_rs4_2",
-            "wire_rs4_2",
-            "gf_mul_acc_1m",
-            "gf_mul_acc_portable_1m",
-        ],
-    ),
-    (
-        "sched",
-        "median_ns",
-        &[
-            "baton_handoff",
-            "ring_16",
-            "ring_64",
-            "repair_256",
-            "repair_1024",
-        ],
-    ),
-    (
-        "restart_latency",
-        "median_ns",
-        &[
-            "restart_full",
-            "restart_chain8",
-            "crc_bitwise_1m",
-            "crc_slice16_1m",
-            "crc_dispatch_1m",
-        ],
-    ),
-];
-
-/// Extract `metric` for the named config from a bench results document.
+/// Extract `metric` for the named config from a bench results document. A
+/// missing, non-integer or zero value is an error: a zero on either side of
+/// a ratio claim is a measurement that did not happen, and would otherwise
+/// pass (`0 × min_x > slow` is false) or fail as a division by zero.
 fn config_metric(doc: &Json, name: &str, metric: &str) -> Result<u64, String> {
     let configs = doc
         .get("configs")
@@ -103,55 +45,18 @@ fn config_metric(doc: &Json, name: &str, metric: &str) -> Result<u64, String> {
         .iter()
         .find(|c| c.get("name").and_then(Json::as_str) == Some(name))
         .ok_or_else(|| format!("config {name} not found"))?;
-    cfg.get(metric)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("config {name} has no integer {metric}"))
-}
-
-/// Compare `fresh` against `baseline` for every named config: fail when
-/// `fresh > baseline * (100 + max_pct) / 100`. A config missing from
-/// either side is a failure (the gate must never silently skip).
-pub fn compare(
-    baseline: &Json,
-    fresh: &Json,
-    metric: &str,
-    max_pct: u64,
-    configs: &[String],
-) -> GateReport {
-    let mut report = GateReport::default();
-    for cfg in configs {
-        let base = match config_metric(baseline, cfg, metric) {
-            Ok(v) => v,
-            Err(e) => {
-                report.fail(format!("baseline: {e}"));
-                continue;
-            }
-        };
-        let now = match config_metric(fresh, cfg, metric) {
-            Ok(v) => v,
-            Err(e) => {
-                report.fail(format!("fresh run: {e}"));
-                continue;
-            }
-        };
-        let limit = base.saturating_mul(100 + max_pct) / 100;
-        if now > limit {
-            report.fail(format!(
-                "{cfg} regressed: {now} ns > {limit} ns (baseline {base} ns +{max_pct}%)"
-            ));
-        } else {
-            report.lines.push(format!(
-                "{cfg} {now} ns (baseline {base} ns, limit {limit} ns)"
-            ));
-        }
+    match cfg.get(metric).and_then(Json::as_u64) {
+        None => Err(format!("config {name} has no integer {metric}")),
+        Some(0) => Err(format!("config {name} has zero {metric}")),
+        Some(v) => Ok(v),
     }
-    report
 }
 
 /// Assert that config `fast` is at least `min_x` times faster than config
 /// `slow` within one results document: `fast * min_x <= slow`. A fractional
 /// `min_x` bounds a growth ratio instead: `min_x = 0.25` holds `fast` to at
-/// most four times `slow`.
+/// most four times `slow`. The passing line carries the measured ratio
+/// beside the bound; `scripts/ci.sh` copies both into `ci-summary.json`.
 pub fn assert_faster(doc: &Json, fast: &str, slow: &str, metric: &str, min_x: f64) -> GateReport {
     let mut report = GateReport::default();
     let (f, s) = match (
@@ -166,61 +71,15 @@ pub fn assert_faster(doc: &Json, fast: &str, slow: &str, metric: &str, min_x: f6
             return report;
         }
     };
+    let ratio = s as f64 / f as f64;
     if f as f64 * min_x > s as f64 {
         report.fail(format!(
-            "{fast} ({f} ns) must be >= {min_x}x faster than {slow} ({s} ns)"
+            "{fast} ({f}) must be >= {min_x}x faster than {slow} ({s} {metric}): {ratio:.3}x"
         ));
     } else {
         report.lines.push(format!(
-            "{fast} {f} ns vs {slow} {s} ns ({:.2}x, >= {min_x}x)",
-            s as f64 / f as f64
+            "{fast} {f} vs {slow} {s} {metric} ({ratio:.3}x, >= {min_x}x)"
         ));
-    }
-    report
-}
-
-/// Validate committed baselines: each document must parse, carry a `bench`
-/// name known to the [`REQUIRED`] table, and contain every required config
-/// with a positive integer metric.
-pub fn check_baseline(docs: &[(String, Result<Json, String>)]) -> GateReport {
-    let mut report = GateReport::default();
-    for (path, parsed) in docs {
-        let doc = match parsed {
-            Ok(d) => d,
-            Err(e) => {
-                report.fail(format!("{path}: malformed JSON: {e}"));
-                continue;
-            }
-        };
-        let Some(bench) = doc.get("bench").and_then(Json::as_str) else {
-            report.fail(format!("{path}: missing string field \"bench\""));
-            continue;
-        };
-        let Some(&(_, metric, required)) = REQUIRED.iter().find(|(b, _, _)| *b == bench) else {
-            report.fail(format!(
-                "{path}: unknown bench {bench:?} (gate table out of date?)"
-            ));
-            continue;
-        };
-        let mut bad = false;
-        for cfg in required {
-            match config_metric(doc, cfg, metric) {
-                Ok(0) => {
-                    report.fail(format!("{path}: config {cfg} has zero {metric}"));
-                    bad = true;
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    report.fail(format!("{path}: {e}"));
-                    bad = true;
-                }
-            }
-        }
-        if !bad {
-            report
-                .lines
-                .push(format!("{path}: ok ({bench}, {} configs)", required.len()));
-        }
     }
     report
 }
@@ -235,7 +94,10 @@ pub fn check_baseline(docs: &[(String, Result<Json, String>)]) -> GateReport {
 /// `crc_dispatch_1m_ns` a positive integer beside it — a number without the
 /// kernel that produced it is not a record. `gf256_kernel` and
 /// `gf_mul_acc_1m_ns` (the redundancy bench, `redstore::gf256::mul_acc`) are
-/// held to the same rule.
+/// held to the same rule. `claims`, when present (the bench gate ran), is
+/// the record of what the gate held: an array of `{fast, slow, metric:
+/// strings, ratio, min_x: positive numbers}` with `ratio >= min_x` — a
+/// summary that says `ok` beside a claim below its bound contradicts itself.
 pub fn check_summary(doc: &Json) -> GateReport {
     let mut report = GateReport::default();
     match doc.get("ok").and_then(Json::as_bool) {
@@ -275,6 +137,37 @@ pub fn check_summary(doc: &Json) -> GateReport {
                         "scale_smoke {i} needs positive \"ranks\" and non-negative \"host_s\""
                     )),
                 }
+            }
+        }
+    }
+    match doc.get("claims").map(Json::as_array) {
+        None => {}
+        Some(None) => report.fail("\"claims\" is not an array".into()),
+        Some(Some(claims)) => {
+            for (i, claim) in claims.iter().enumerate() {
+                let name = |key| claim.get(key).and_then(Json::as_str);
+                let positive = |key| claim.get(key).and_then(Json::as_f64).filter(|v| *v > 0.0);
+                match (
+                    name("fast"),
+                    name("slow"),
+                    name("metric"),
+                    positive("ratio"),
+                    positive("min_x"),
+                ) {
+                    (Some(fast), Some(slow), Some(_), Some(ratio), Some(min_x)) => {
+                        if ratio < min_x {
+                            report.fail(format!(
+                                "claim {i} ({fast} vs {slow}) is below its bound: {ratio}x < {min_x}x"
+                            ));
+                        }
+                    }
+                    _ => report.fail(format!(
+                        "claim {i} needs strings \"fast\", \"slow\", \"metric\" and positive \"ratio\", \"min_x\""
+                    )),
+                }
+            }
+            if report.ok() && !claims.is_empty() {
+                report.lines.push(format!("{} claims held", claims.len()));
             }
         }
     }
@@ -335,37 +228,49 @@ mod tests {
     }
 
     #[test]
-    fn compare_passes_within_budget() {
-        let base = doc(r#"{"name":"a","median_ns":1000}"#);
-        let fresh = doc(r#"{"name":"a","median_ns":1150}"#);
-        let r = compare(&base, &fresh, "median_ns", 15, &["a".into()]);
+    fn assert_faster_fails_on_missing_config() {
+        let d = doc(r#"{"name":"a","median_ns":1000}"#);
+        let r = assert_faster(&d, "a", "b", "median_ns", 1.0);
+        assert!(!r.ok());
+        assert!(r.failures[0].contains("b not found"), "{:?}", r.failures);
+    }
+
+    #[test]
+    fn assert_faster_fails_on_non_integer_metric() {
+        let d = doc(r#"{"name":"a","median_ns":1000},{"name":"b","median_ns":"fast"}"#);
+        let r = assert_faster(&d, "a", "b", "median_ns", 1.0);
+        assert!(!r.ok());
+        assert!(r.failures[0].contains("no integer"), "{:?}", r.failures);
+    }
+
+    #[test]
+    fn assert_faster_fails_on_a_zero_metric_on_either_side() {
+        // `0 * min_x > slow` is false: without the rule a config that was
+        // never measured is infinitely fast.
+        let zero_fast = doc(r#"{"name":"a","median_ns":0},{"name":"b","median_ns":10}"#);
+        let r = assert_faster(&zero_fast, "a", "b", "median_ns", 5.0);
+        assert_eq!(r.failures, ["config a has zero median_ns"]);
+        let zero_slow = doc(r#"{"name":"a","median_ns":10},{"name":"b","median_ns":0}"#);
+        let r = assert_faster(&zero_slow, "a", "b", "median_ns", 0.5);
+        assert_eq!(r.failures, ["config b has zero median_ns"]);
+        let both = doc(r#"{"name":"a","median_ns":0},{"name":"b","median_ns":0}"#);
+        let r = assert_faster(&both, "a", "b", "median_ns", 1.0);
+        assert_eq!(r.failures.len(), 2, "{:?}", r.failures);
+    }
+
+    #[test]
+    fn assert_faster_reads_the_named_metric_and_prints_the_ratio() {
+        let d = doc(
+            r#"{"name":"inc","median_ns":9,"bytes_written":4532},{"name":"full","median_ns":1,"bytes_written":411224}"#,
+        );
+        let r = assert_faster(&d, "inc", "full", "bytes_written", 90.7);
         assert!(r.ok(), "{:?}", r.failures);
-    }
-
-    #[test]
-    fn compare_fails_beyond_budget() {
-        let base = doc(r#"{"name":"a","median_ns":1000}"#);
-        let fresh = doc(r#"{"name":"a","median_ns":1151}"#);
-        let r = compare(&base, &fresh, "median_ns", 15, &["a".into()]);
-        assert!(!r.ok());
-        assert!(r.failures[0].contains("regressed"));
-    }
-
-    #[test]
-    fn compare_fails_on_missing_config() {
-        let base = doc(r#"{"name":"a","median_ns":1000}"#);
-        let fresh = doc(r#"{"name":"b","median_ns":10}"#);
-        let r = compare(&base, &fresh, "median_ns", 15, &["a".into()]);
-        assert!(!r.ok());
-        assert!(r.failures[0].contains("not found"), "{:?}", r.failures);
-    }
-
-    #[test]
-    fn compare_fails_on_non_integer_metric() {
-        let base = doc(r#"{"name":"a","median_ns":1000}"#);
-        let fresh = doc(r#"{"name":"a","median_ns":"fast"}"#);
-        let r = compare(&base, &fresh, "median_ns", 15, &["a".into()]);
-        assert!(!r.ok());
+        assert_eq!(
+            r.lines,
+            ["inc 4532 vs full 411224 bytes_written (90.738x, >= 90.7x)"]
+        );
+        let r = assert_faster(&d, "inc", "full", "median_ns", 3.0);
+        assert!(r.failures[0].ends_with("0.111x"), "{:?}", r.failures);
     }
 
     #[test]
@@ -391,47 +296,6 @@ mod tests {
         assert!(assert_faster(&d, "s16", "bit", "median_ns", 1.0).ok());
         let d = doc(r#"{"name":"s16","median_ns":11},{"name":"bit","median_ns":10}"#);
         assert!(!assert_faster(&d, "s16", "bit", "median_ns", 1.0).ok());
-    }
-
-    #[test]
-    fn check_baseline_accepts_complete_documents() {
-        let text = r#"{"bench":"sched","configs":[
-            {"name":"baton_handoff","median_ns":1},
-            {"name":"ring_16","median_ns":2},
-            {"name":"ring_64","median_ns":3},
-            {"name":"repair_256","median_ns":4},
-            {"name":"repair_1024","median_ns":5}
-        ]}"#;
-        let r = check_baseline(&[("BENCH_sched.json".into(), Json::parse(text))]);
-        assert!(r.ok(), "{:?}", r.failures);
-    }
-
-    #[test]
-    fn check_baseline_rejects_missing_config_and_bad_json() {
-        let incomplete = r#"{"bench":"sched","configs":[{"name":"ring_16","median_ns":2}]}"#;
-        let r = check_baseline(&[
-            ("a.json".into(), Json::parse(incomplete)),
-            ("b.json".into(), Json::parse("{nope")),
-        ]);
-        assert!(!r.ok());
-        assert!(r.failures.iter().any(|f| f.contains("baton_handoff")));
-        assert!(r.failures.iter().any(|f| f.contains("malformed")));
-    }
-
-    #[test]
-    fn check_baseline_rejects_unknown_bench_and_zero_metric() {
-        let unknown = r#"{"bench":"mystery","configs":[]}"#;
-        let zero = r#"{"bench":"sched","configs":[
-            {"name":"baton_handoff","median_ns":0},
-            {"name":"ring_16","median_ns":2},
-            {"name":"ring_64","median_ns":3}
-        ]}"#;
-        let r = check_baseline(&[
-            ("u.json".into(), Json::parse(unknown)),
-            ("z.json".into(), Json::parse(zero)),
-        ]);
-        assert!(r.failures.iter().any(|f| f.contains("unknown bench")));
-        assert!(r.failures.iter().any(|f| f.contains("zero")));
     }
 
     #[test]
@@ -506,5 +370,32 @@ mod tests {
         assert!(!gf(r#","gf256_kernel":"ssse3""#).ok());
         assert!(!gf(r#","gf256_kernel":"ssse3","gf_mul_acc_1m_ns":0"#).ok());
         assert!(!gf(r#","gf_mul_acc_1m_ns":64875"#).ok());
+    }
+
+    #[test]
+    fn check_summary_validates_the_claims_record() {
+        let claims = |claims: &str| {
+            let text = format!(
+                r#"{{"ok":true,"stages":[{{"name":"a","seconds":0}}],"artifacts":{{}},"claims":{claims}}}"#
+            );
+            check_summary(&Json::parse(&text).unwrap())
+        };
+        assert!(claims("[]").ok(), "quick mode runs no bench");
+        let r = claims(
+            r#"[{"fast":"incremental_1pct","slow":"full_pack","metric":"median_ns","ratio":4.71,"min_x":3},
+                {"fast":"ring_64","slow":"ring_16","metric":"median_ns","ratio":0.33,"min_x":0.125}]"#,
+        );
+        assert!(r.ok(), "{:?}", r.failures);
+        assert!(r.lines.iter().any(|l| l == "2 claims held"));
+        let r = claims(r#"[{"fast":"a","slow":"b","metric":"median_ns","ratio":2.9,"min_x":3}]"#);
+        assert!(
+            r.failures[0].contains("below its bound"),
+            "{:?}",
+            r.failures
+        );
+        assert!(!claims(r#"[{"fast":"a","slow":"b","ratio":3,"min_x":3}]"#).ok());
+        assert!(!claims(r#"[{"fast":"a","slow":"b","metric":"m","ratio":0,"min_x":1}]"#).ok());
+        assert!(!claims(r#"[{"fast":"a","slow":"b","metric":"m","ratio":1}]"#).ok());
+        assert!(!claims(r#"{"fast":"a"}"#).ok());
     }
 }

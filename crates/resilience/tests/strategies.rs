@@ -572,12 +572,14 @@ fn buddy_pair_loss_redstore_recovers_where_buddy_imr_cannot() {
 #[test]
 fn checkpoint_function_time_is_booked() {
     let c = cluster(4);
-    let rec = run_experiment(
-        &c,
-        &fixed_app(30),
-        &cfg(Strategy::VelocOnly, 0),
-        Arc::new(FaultPlan::none()),
-    );
+    // `app_compute > 0` is a statement about the host clock: on the thread
+    // engine whatever `SIMMPI_BACKEND` says (under DES, compute takes no
+    // modelled time).
+    let config = ExperimentConfig {
+        backend: Backend::Threads,
+        ..cfg(Strategy::VelocOnly, 0)
+    };
+    let rec = run_experiment(&c, &fixed_app(30), &config, Arc::new(FaultPlan::none()));
     assert!(rec.breakdown.checkpoint_fn > std::time::Duration::ZERO);
     assert!(rec.breakdown.app_compute > std::time::Duration::ZERO);
 }
