@@ -71,7 +71,7 @@ pub trait DataBackend: Send {
 
 /// Adapter: a captured view as a VeloC protected region — the one place a
 /// [`Checkpointable`] becomes a [`Protected`], for every strategy.
-pub struct ViewRegion(pub Arc<dyn Checkpointable>);
+struct ViewRegion(Arc<dyn Checkpointable>);
 
 impl Protected for ViewRegion {
     fn snapshot(&self) -> Bytes {
@@ -139,7 +139,7 @@ pub fn unpack_views(views: &RegionViews, blob: &Bytes) -> MpiResult<()> {
 }
 
 /// Route a VeloC error to the layer that can claim it.
-pub fn veloc_err(e: VelocError) -> MpiError {
+fn veloc_err(e: VelocError) -> MpiError {
     match e {
         VelocError::Mpi(m) => m,
         // Local, non-MPI failures: no recovery layer can claim these, so

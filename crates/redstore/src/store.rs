@@ -381,14 +381,20 @@ impl<'a> RedundancyGroup<'a> {
         RedundancyGroup { comm, store, mode }
     }
 
+    /// Message tag of one leg of `member`'s traffic. The base sits above
+    /// the id, not inside it: or-ed into the low word it aliased two ids
+    /// that differ in its bit.
     fn tag(member: u32, leg: u64) -> u64 {
-        RED_TAG_BASE | (leg << 32) | member as u64
+        ((RED_TAG_BASE | leg) << 32) | member as u64
     }
 
     /// Sequence number of the commit agreement: the member id is mixed in
-    /// so concurrent members cannot collide.
+    /// so concurrent members cannot collide. Injective over every `u32`
+    /// member id (callers hash names into them, so the high bits count) and
+    /// every version below 2³²; a version beyond that only aliases a commit
+    /// of the same member 2³² versions earlier, long since resolved.
     fn commit_seq(member: u32, version: u64) -> u64 {
-        ((member as u64) << 48) | (version & 0xffff_ffff_ffff)
+        ((member as u64) << 32) | (version & 0xffff_ffff)
     }
 
     /// Resolve the effective mode for the current comm shape — identical
@@ -1016,6 +1022,33 @@ mod tests {
             Ok(())
         });
         assert!(report.all_ok(), "{:?}", report.outcomes);
+    }
+
+    #[test]
+    fn commit_sequences_and_tags_keep_member_ids_apart_above_bit_15() {
+        // Hashed ids are 31 bits wide: two that differ only above bit 15
+        // (what `member << 48` used to shift out) must not share a key.
+        let (a, b) = (0x0001_2345, 0x7ffe_2345);
+        assert_eq!(a & 0xffff, b & 0xffff);
+        assert_ne!(RedundancyGroup::tag(a, 0), RedundancyGroup::tag(b, 0));
+        assert_ne!(RedundancyGroup::tag(a, 0), RedundancyGroup::tag(a, 1));
+        let base_bit = RED_TAG_BASE as u32;
+        assert_ne!(
+            RedundancyGroup::tag(a, 0),
+            RedundancyGroup::tag(a | base_bit, 0)
+        );
+        assert_ne!(
+            RedundancyGroup::commit_seq(a, 9),
+            RedundancyGroup::commit_seq(b, 9)
+        );
+        assert_ne!(
+            RedundancyGroup::commit_seq(a, 9),
+            RedundancyGroup::commit_seq(a, 10)
+        );
+        assert_ne!(
+            RedundancyGroup::commit_seq(u32::MAX, 0),
+            RedundancyGroup::commit_seq(u32::MAX - 1, u32::MAX as u64)
+        );
     }
 
     #[test]

@@ -313,7 +313,7 @@ fn coded_restore_leg_moves_the_handle_not_a_copy() {
     // what has to be seen: the layout broadcast, one frame per survivor on
     // `RedundancyGroup::tag(MEMBER, 1)`, then the collective re-encode,
     // which is a `store` at the committed version.
-    const RESTORE_TAG: u64 = 0x0200_0000 | 1 << 32 | MEMBER as u64;
+    const RESTORE_TAG: u64 = (0x0200_0000 | 1) << 32 | MEMBER as u64;
     let held = Arc::new(Mutex::new(Vec::new()));
     let resent = Arc::new(Mutex::new(Vec::new()));
     let (h2, r2) = (Arc::clone(&held), Arc::clone(&resent));

@@ -16,11 +16,11 @@
 //! exercises the function a library user calls.
 
 use std::cell::RefCell;
-use std::sync::Arc;
 
 use fenix::{ExhaustPolicy, Fenix, FenixConfig, Role, RunSummary};
 use kokkos_resilience::{
-    CheckpointFilter, CheckpointOutcome, Context, ContextConfig, RecoveryScope,
+    CheckpointFilter, CheckpointOutcome, Context, ContextConfig, DataBackend, RecoveryScope,
+    VelocBackend,
 };
 use simmpi::{Comm, MpiError, MpiResult, Phase, RankCtx};
 
@@ -39,6 +39,21 @@ pub enum IntegratedBackend {
     Redstore {
         mode: Option<redstore::RedundancyMode>,
     },
+}
+
+impl IntegratedBackend {
+    /// This rank's storage tier. The one constructor behind both users of a
+    /// tier: the context [`resilient_main`] creates and the experiment
+    /// runner's manual control flow. Build it once per rank and keep it
+    /// across Fenix re-entries: peer memory lives in it.
+    pub(crate) fn tier(&self, ctx: &RankCtx) -> Box<dyn DataBackend> {
+        match self {
+            IntegratedBackend::Veloc => Box::new(VelocBackend::new(ctx.cluster(), ctx.rank())),
+            IntegratedBackend::Redstore { mode } => {
+                Box::new(RedstoreBackend::new(redstore::RedStore::new(), *mode))
+            }
+        }
+    }
 }
 
 /// Configuration for [`resilient_main`].
@@ -161,7 +176,6 @@ where
         on_exhaustion: config.on_exhaustion,
     };
     let kr_cell: RefCell<Option<Context>> = RefCell::new(None);
-    let red_store = redstore::RedStore::new();
 
     let summary = fenix::run(ctx.world(), fenix_cfg, |fx, comm, role| {
         if kr_cell.borrow().is_none() {
@@ -171,16 +185,7 @@ where
                     filter: config.filter.clone(),
                     aliases: config.aliases.clone(),
                 };
-                match &config.backend {
-                    IntegratedBackend::Veloc => {
-                        Context::new(ctx.cluster(), comm.clone(), kr_config)
-                    }
-                    IntegratedBackend::Redstore { mode } => Context::with_backend(
-                        comm.clone(),
-                        kr_config,
-                        Box::new(RedstoreBackend::new(Arc::clone(&red_store), *mode)),
-                    ),
-                }
+                Context::with_backend(comm.clone(), kr_config, config.backend.tier(ctx))
             });
             kr.set_recorder(ctx.recorder().clone());
             *kr_cell.borrow_mut() = Some(kr);
@@ -236,7 +241,7 @@ mod tests {
         let report = simmpi::Universe::launch(
             &cluster,
             simmpi::UniverseConfig::default(),
-            Arc::new(simmpi::FaultPlan::none()),
+            std::sync::Arc::new(simmpi::FaultPlan::none()),
             |ctx| {
                 let config = IntegratedConfig {
                     backend: IntegratedBackend::Redstore { mode: None },

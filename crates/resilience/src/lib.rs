@@ -3,9 +3,10 @@
 //! This crate glues the three layers together exactly as §IV–§V describe:
 //! [`fenix`] handles process recovery (detecting failures, repairing the
 //! communicator, reporting roles), [`kokkos_resilience`] handles control
-//! flow (what/when to checkpoint, how to resume), and [`veloc`] handles the
-//! data (asynchronous multi-tier checkpoint/restart). The key integration
-//! moves are:
+//! flow (what/when to checkpoint, how to resume), and `veloc` handles the
+//! data (asynchronous multi-tier checkpoint/restart) behind the
+//! [`kokkos_resilience::DataBackend`] trait, beside the peer-memory
+//! [`RedstoreBackend`]. The key integration moves are:
 //!
 //! * VeloC runs in **non-collective mode** with the best-checkpoint
 //!   agreement performed above it;
@@ -19,12 +20,14 @@
 //! §V.A matrix plus the peer-memory generalization — and
 //! [`driver::run_experiment`] executes any application implementing
 //! [`app::IterativeApp`] under any of them. The private `runner` keeps one
-//! body per data/control layer (unprotected, VeloC with manual control
-//! flow, Kokkos Resilience, peer memory); the process layer only decides
-//! whether a rank reaches its body by (re)launch — whole-job teardown,
-//! modeled `mpirun` restart, recovery from the parallel filesystem — or by
-//! Fenix re-entry. The Fenix + Kokkos Resilience combinations run through
-//! [`integrated::resilient_main`], the same call an application makes.
+//! body per control-flow layer (unprotected, manual, Kokkos Resilience) and
+//! hands it the data layer as a [`kokkos_resilience::DataBackend`] (VeloC
+//! or peer memory, from [`IntegratedBackend`]'s one constructor); the
+//! process layer only decides whether a rank reaches its body by (re)launch
+//! — whole-job teardown, modeled `mpirun` restart, recovery from the
+//! parallel filesystem — or by Fenix re-entry. The Fenix + Kokkos
+//! Resilience combinations run through [`integrated::resilient_main`], the
+//! same call an application makes.
 
 pub mod app;
 pub mod bookkeeper;

@@ -65,7 +65,7 @@ impl RedstoreBackend {
 }
 
 /// Route a store error to the layer that can claim it.
-pub(crate) fn red_err(e: RedError) -> MpiError {
+fn red_err(e: RedError) -> MpiError {
     match e {
         RedError::Mpi(m) => m,
         // Beyond the code's tolerance (or no feasible placement): no layer

@@ -1,32 +1,31 @@
 //! Per-rank execution of every resilience strategy.
 //!
-//! One family: [`run_rank`] dispatches a strategy to one of four bodies —
-//! unprotected, VeloC with manual control flow, Kokkos Resilience, peer
-//! memory — and the process layer only decides how the rank *arrives* at
-//! its body. Under plain MPI (`role == None`) a failure aborts the job, the
-//! driver relaunches it and the body resumes from the parallel filesystem;
-//! under Fenix the body is re-entered in place with the repaired
-//! communicator. The Fenix + Kokkos Resilience combinations are not written
-//! here at all: they run through [`resilient_main`], the crate's single
-//! Figure 4 loop (context creation on `Initial`, `ctx.reset(res_comm)` on
-//! re-entry).
+//! One family: [`run_rank`] dispatches a strategy to one of three bodies,
+//! one per control-flow layer — unprotected, manual, Kokkos Resilience. The
+//! data layer is a [`DataBackend`] handed to the body (VeloC or peer
+//! memory, each with the one caller per control flow), and the process
+//! layer only decides how the rank *arrives* at its body. Under plain MPI
+//! (`role == None`) a failure aborts the job, the driver relaunches it and
+//! the body resumes from the parallel filesystem; under Fenix the body is
+//! re-entered in place with the repaired communicator. Where a body resumes
+//! is decided in one place, [`Run::start_after`]. The Fenix + Kokkos
+//! Resilience combinations are not written here at all: they run through
+//! [`resilient_main`], the crate's single Figure 4 loop (context creation
+//! on `Initial`, `ctx.reset(res_comm)` on re-entry).
 
-use std::cell::{RefCell, RefMut};
+use std::cell::{OnceCell, RefCell, RefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fenix::{ExhaustPolicy, FenixConfig, Role};
 use kokkos::capture::Checkpointable;
-use kokkos_resilience::backend::{pack_views, unpack_views, veloc_err, ViewRegion};
-use kokkos_resilience::{CheckpointFilter, Context, ContextConfig};
-use redstore::{RedStore, RedundancyGroup, RedundancyMode};
+use kokkos_resilience::{CheckpointFilter, Context, ContextConfig, DataBackend};
+use redstore::RedundancyMode;
 use simmpi::{Comm, MpiResult, Phase, RankCtx, ReduceOp};
-use veloc::{Client, Config as VelocConfig};
 
 use crate::app::{IterativeApp, RankApp, RunMode};
 use crate::bookkeeper::Bookkeeper;
 use crate::integrated::{resilient_main, IntegratedBackend, IntegratedConfig};
-use crate::redstore_backend::red_err;
 use crate::strategy::Strategy;
 
 /// Cross-rank experiment state shared between launches.
@@ -44,30 +43,12 @@ pub struct SharedState {
 
 /// Region label used for the single checkpointed loop of every app.
 const LOOP_LABEL: &str = "loop";
-/// Peer-memory member id holding the packed application views.
-const VIEWS_MEMBER: u32 = 0;
 
 /// The application's checkpointed views under their stable region ids
 /// (position in [`RankApp::checkpoint_views`]).
 fn region_views(state: &dyn RankApp) -> Vec<(u32, Arc<dyn Checkpointable>)> {
     let views = state.checkpoint_views().into_iter();
     views.enumerate().map(|(i, v)| (i as u32, v)).collect()
-}
-
-fn protect_views(client: &Client, state: &dyn RankApp) {
-    client.clear_protected();
-    // Called once per body (re)entry: the rank may have just been rolled
-    // back or replaced, so any delta base remembered from before is void.
-    client.invalidate_deltas();
-    for (id, view) in region_views(state) {
-        client.protect(id, Arc::new(ViewRegion(view)));
-    }
-}
-
-/// Did the rank come back into its body after a Fenix repair? (`None` is
-/// a plain-MPI launch, which is never a re-entry.)
-fn reentered(role: Option<Role>) -> bool {
-    role.is_some_and(|r| r != Role::Initial)
 }
 
 /// One rank of an experiment: everything a strategy body needs on every
@@ -111,20 +92,40 @@ pub fn run_rank(
     let world = ctx.world();
     match strategy {
         Strategy::Unprotected => run.unprotected(world),
-        Strategy::VelocOnly => {
-            // Stock VeloC: the agreement runs over the world, whole-job
-            // relaunch.
-            let client = RefCell::new(None);
-            run.veloc_manual(world, None, &client)?;
-            finalize(&client);
-            Ok(())
-        }
-        Strategy::FenixVeloc => {
-            let client = RefCell::new(None);
-            run.under_fenix(spares, |comm, role| {
-                run.veloc_manual(comm, Some(role), &client)
-            })?;
-            finalize(&client);
+        Strategy::VelocOnly
+        | Strategy::FenixVeloc
+        | Strategy::FenixImr
+        | Strategy::FenixRedstore => {
+            let backend = match strategy {
+                // The paper's buddy-rank IMR is the redundancy store at two
+                // replicas; `FenixRedstore` takes the experiment's dial.
+                Strategy::FenixImr => IntegratedBackend::Redstore {
+                    mode: Some(RedundancyMode::Replicate { k: 2 }),
+                },
+                Strategy::FenixRedstore => IntegratedBackend::Redstore { mode: redundancy },
+                _ => IntegratedBackend::Veloc,
+            };
+            // Built on the first entry (a spare that is never promoted has
+            // no tier) and kept across re-entries: peer memory lives in it.
+            let tier = OnceCell::new();
+            let body = |comm: &Comm, role| {
+                let tier = tier.get_or_init(|| {
+                    let tier = run.bk.book(Phase::ResilienceInit, || backend.tier(ctx));
+                    tier.set_recorder(ctx.recorder().clone());
+                    tier
+                });
+                run.manual(comm, role, tier.as_ref())
+            };
+            if strategy.uses_fenix() {
+                run.under_fenix(spares, |comm, role| body(comm, Some(role)))?;
+            } else {
+                // Stock VeloC: the agreement runs over the world, whole-job
+                // relaunch.
+                body(world, None)?;
+            }
+            if let Some(tier) = tier.get() {
+                tier.wait();
+            }
             Ok(())
         }
         Strategy::KokkosResilience => {
@@ -164,25 +165,6 @@ pub fn run_rank(
             shared.repairs.fetch_max(summary.repairs, Ordering::Relaxed);
             Ok(())
         }
-        Strategy::FenixImr | Strategy::FenixRedstore => {
-            // The paper's buddy-rank IMR is the redundancy store at two
-            // replicas; `FenixRedstore` takes the experiment's dial instead.
-            let redundancy = match strategy {
-                Strategy::FenixImr => Some(RedundancyMode::Replicate { k: 2 }),
-                _ => redundancy,
-            };
-            let store = RedStore::new();
-            run.under_fenix(spares, |comm, role| {
-                run.peer_memory(comm, role, &store, redundancy)
-            })
-        }
-    }
-}
-
-fn finalize(client: &RefCell<Option<Client>>) {
-    // A spare that was never promoted has no client.
-    if let Some(client) = client.borrow().as_ref() {
-        client.finalize();
     }
 }
 
@@ -297,54 +279,64 @@ impl Run<'_> {
         self.finish(comm, &mut st, done)
     }
 
-    /// VeloC with manual control flow: the agreement runs over the world
-    /// under plain MPI (`role == None`), over the resilient communicator
-    /// inside Fenix.
-    fn veloc_manual(
+    /// Where a body (re-)entered as `role` resumes, given its tier's restart
+    /// agreement: after the agreed version, or from iteration 0 — on a Fenix
+    /// re-entry with nothing agreed (a failure before the first checkpoint)
+    /// over freshly initialized state, so every rank restarts cold together.
+    /// The one resume decision of every checkpointing strategy.
+    fn start_after(
         &self,
         comm: &Comm,
         role: Option<Role>,
-        client: &RefCell<Option<Client>>,
-    ) -> MpiResult<()> {
-        let (bk, name) = (&self.bk, self.name.as_str());
-        let mut client = client.borrow_mut();
-        let client = &*client.get_or_insert_with(|| {
-            bk.book(Phase::ResilienceInit, || {
-                let (cluster, rank) = (self.ctx.cluster().clone(), self.ctx.rank());
-                Client::init(cluster, rank, VelocConfig::default())
-            })
-        });
-        // Paper: update the cached rank id after a repair.
-        client.set_rank(comm.rank());
-        client.set_recorder(self.ctx.recorder().clone());
-
-        let mut st = self.state(comm);
-        protect_views(client, st.as_ref());
-
-        // Manual best-version reduction (the paper's non-collective pattern),
-        // hardened to agree only on versions intact everywhere: a corrupted
-        // newest checkpoint degrades the restart instead of wedging it.
-        let agreed = client
-            .agree_intact_version(name, u64::MAX, Some(comm))
-            .map_err(veloc_err)?;
-        let start = match agreed {
-            // A fresh job resumes from whatever the filesystem holds; inside
-            // Fenix only a re-entry does.
-            Some(v) if role != Some(Role::Initial) => {
-                bk.book(Phase::DataRecovery, || client.restart(name, v))
-                    .map_err(veloc_err)?;
-                st.post_restore(comm, bk)?;
-                v + 1
-            }
-            _ if reentered(role) => {
-                // Failure before the first checkpoint: everyone restarts
-                // cleanly.
-                *st = self.init_state(comm);
-                protect_views(client, st.as_ref());
+        agreed: Option<u64>,
+        state: &mut Box<dyn RankApp>,
+    ) -> u64 {
+        match agreed {
+            Some(version) => version + 1,
+            None => {
+                // `None` is a plain-MPI launch, which is never a re-entry.
+                if role.is_some_and(|r| r != Role::Initial) {
+                    *state = self.init_state(comm);
+                }
                 0
             }
-            _ => 0,
+        }
+    }
+
+    /// Manual control flow over the storage tier handed in: VeloC (agreeing
+    /// over the world under plain MPI, over the resilient communicator
+    /// inside Fenix) or peer memory.
+    fn manual(&self, comm: &Comm, role: Option<Role>, tier: &dyn DataBackend) -> MpiResult<()> {
+        let (bk, name) = (&self.bk, self.name.as_str());
+        // Paper: update the cached rank id after a repair. The rank may have
+        // just been rolled back or replaced, so whatever the tier remembered
+        // from before this entry is void.
+        bk.book(Phase::ResilienceInit, || {
+            tier.clear();
+            tier.set_rank(comm.rank());
+        });
+
+        let mut st = self.state(comm);
+        // A fresh job resumes from whatever the filesystem holds; inside
+        // Fenix only a re-entry has anything to resume. An epoch-uniform
+        // predicate, not a rank-dependent one: after a repair *every* rank
+        // re-enters with a non-Initial role, so all of them reach the
+        // agreement together.
+        let resuming = role != Some(Role::Initial);
+        let agreed = if resuming {
+            tier.latest_agreed_below(comm, name, u64::MAX)?
+        } else {
+            None
         };
+        if let Some(version) = agreed {
+            // Manual recovery is eager, so the final version is as good a
+            // resume point as any: zero iterations replay.
+            bk.book(Phase::DataRecovery, || {
+                tier.restore(comm, name, version, &region_views(st.as_ref()))
+            })?;
+            st.post_restore(comm, bk)?;
+        }
+        let start = self.start_after(comm, role, agreed, &mut st);
 
         let done = self.iterate(
             comm,
@@ -352,9 +344,10 @@ impl Run<'_> {
             start,
             &self.filter,
             |st, i| st.step(comm, i, bk),
-            |i, _st| {
-                bk.book(Phase::CheckpointFn, || client.checkpoint(name, i))
-                    .map_err(veloc_err)
+            |i, st| {
+                bk.book(Phase::CheckpointFn, || {
+                    tier.checkpoint(comm, name, i, &region_views(st.as_ref()))
+                })
             },
         )?;
         self.finish(comm, &mut st, done)
@@ -366,16 +359,8 @@ impl Run<'_> {
     fn kr(&self, comm: &Comm, role: Option<Role>, kr: &Context) -> MpiResult<()> {
         let (ctx, bk) = (self.ctx, &self.bk);
         let mut st = self.state(comm);
-        let start = match kr.restart_version(LOOP_LABEL, self.mode.max_iterations())? {
-            Some(v) => v + 1,
-            None if reentered(role) => {
-                // Failure before the first checkpoint: consistent cold
-                // restart.
-                *st = self.init_state(comm);
-                0
-            }
-            None => 0,
-        };
+        let agreed = kr.restart_version(LOOP_LABEL, self.mode.max_iterations())?;
+        let start = self.start_after(comm, role, agreed, &mut st);
         let done = self.iterate(
             comm,
             &mut st,
@@ -393,70 +378,6 @@ impl Run<'_> {
                 Ok(())
             },
             |_i, _st| Ok(()),
-        )?;
-        self.finish(comm, &mut st, done)
-    }
-
-    /// Fenix process recovery + checkpoints in peer memory: the one body
-    /// behind both `FenixImr` (two replicas — the paper's buddy pairs) and
-    /// `FenixRedstore` (any [`RedundancyMode`]). Checkpoints are replicated
-    /// or erasure-coded across a topology-aware placement group, so recovery
-    /// survives a whole-node loss, and with wider modes several concurrent
-    /// rank losses per group.
-    fn peer_memory(
-        &self,
-        comm: &Comm,
-        role: Role,
-        store: &Arc<RedStore>,
-        redundancy: Option<RedundancyMode>,
-    ) -> MpiResult<()> {
-        let bk = &self.bk;
-        let group = RedundancyGroup::new(Arc::clone(store), comm, redundancy);
-        let mut st = self.state(comm);
-
-        // Epoch-uniform predicate, not a rank-dependent one: after a repair,
-        // *every* rank re-enters with a non-Initial role together, so all
-        // ranks take the same arm of the branch below (and its agreement).
-        let resuming = role != Role::Initial;
-        let start = if resuming {
-            // Who holds the committed version is the store's agreement, not
-            // the last repair's replacement list (`Fenix::recovered_ranks`),
-            // which misses an earlier replacement that never restored.
-            match group.possession(VIEWS_MEMBER).map_err(red_err)? {
-                Some((committed, recovering)) => {
-                    let (version, blob) = bk
-                        .book(Phase::DataRecovery, || {
-                            group.restore(VIEWS_MEMBER, &recovering)
-                        })
-                        .map_err(red_err)?;
-                    debug_assert_eq!(version, committed, "commit protocol consistency");
-                    unpack_views(&region_views(st.as_ref()), &blob)?;
-                    st.post_restore(comm, bk)?;
-                    version + 1
-                }
-                None => {
-                    // Failure before the first commit: consistent cold
-                    // restart.
-                    *st = self.init_state(comm);
-                    0
-                }
-            }
-        } else {
-            0
-        };
-
-        let done = self.iterate(
-            comm,
-            &mut st,
-            start,
-            &self.filter,
-            |st, i| st.step(comm, i, bk),
-            |i, st| {
-                let blob = pack_views(&region_views(st.as_ref()));
-                bk.book(Phase::CheckpointFn, || {
-                    group.store(VIEWS_MEMBER, i, blob).map_err(red_err)
-                })
-            },
         )?;
         self.finish(comm, &mut st, done)
     }

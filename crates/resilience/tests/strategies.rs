@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -273,15 +273,33 @@ fn breakdown_is_modelled_time_under_des() {
     }
 }
 
+/// Virtual wall (ns) of every strategy on the DES shape, in
+/// [`Strategy::ALL`] order: failure-free, then with rank 2 killed at
+/// iteration 23. Modelled time is a pure function of the seed, so a
+/// refactor of the runner leaves all sixteen unchanged. A PR that changes
+/// modelled time on purpose (ROADMAP item 1) re-records the table from the
+/// `des_shape:` lines `--nocapture` prints and states old → new for every
+/// value that moved.
+const DES_SHAPE_WALLS_NS: [(u128, u128); 8] = [
+    (1_740_248_124, 4_400_436_218), // Unprotected
+    (1_741_059_449, 4_401_247_123), // VelocOnly
+    (1_741_108_000, 4_401_303_678), // KokkosResilience
+    (1_801_055_447, 1_801_241_120), // FenixVeloc
+    (1_801_110_001, 1_801_305_679), // FenixKokkosResilience
+    (1_800_272_952, 1_800_319_203), // FenixImr
+    (1_800_321_456, 1_800_381_832), // FenixRedstore
+    (1_801_110_001, 1_801_305_679), // PartialRollback
+];
+
 /// The whole matrix on the DES shape, failure-free and with one kill
-/// between checkpoints (rank 2 dies at 23). Run with `--nocapture` for each
-/// run's `(virtual wall ns, digest)` pair: a refactor of the runner must
-/// leave all sixteen unchanged.
+/// between checkpoints (rank 2 dies at 23): every run completes, recovers
+/// the reference digest, and takes exactly the modelled time
+/// [`DES_SHAPE_WALLS_NS`] pins.
 #[test]
 fn every_strategy_completes_and_recovers_on_the_des_shape() {
     let iters = DES_ITERS;
     let reference = des_run(Strategy::Unprotected, FaultPlan::none()).digest;
-    for strategy in Strategy::ALL {
+    for (strategy, pinned) in Strategy::ALL.into_iter().zip(DES_SHAPE_WALLS_NS) {
         let free = des_run(strategy, FaultPlan::none());
         let failed = des_run(strategy, FaultPlan::kill_at(2, "iter", 23));
         println!(
@@ -291,6 +309,8 @@ fn every_strategy_completes_and_recovers_on_the_des_shape() {
             failed.wall.as_nanos(),
             failed.digest
         );
+        let walls = (free.wall.as_nanos(), failed.wall.as_nanos());
+        assert_eq!(walls, pinned, "{strategy}: modelled time moved");
 
         assert_eq!(free.iterations, iters, "{strategy}");
         assert_eq!(free.digest, reference, "digest mismatch under {strategy}");
@@ -318,16 +338,18 @@ fn every_strategy_completes_and_recovers_on_the_des_shape() {
     }
 }
 
-/// A kill on the final commit under every KR strategy. On the DES engine
-/// the flush is inline, so version 29 is on the filesystem and the restart
-/// agreement lands on it: resuming after it would execute no region and the
-/// lazy restore would never fire. `Context::restart_version` re-agrees
-/// lower, so the replacement restores and the last interval replays.
+/// A kill on the final commit under every checkpointing strategy. On the
+/// DES engine the flush is inline, so version 29 is stored and the restart
+/// agreement lands on it. Under Kokkos Resilience, resuming after it would
+/// execute no region and the lazy restore would never fire:
+/// `Context::restart_version` re-agrees lower, so the replacement restores
+/// and the last interval replays. The manual body restores eagerly and
+/// replays nothing: its digest is the restored state's.
 #[test]
-fn kr_strategies_restore_after_a_kill_on_the_final_commit() {
+fn checkpointing_strategies_restore_after_a_kill_on_the_final_commit() {
     let reference = des_run(Strategy::Unprotected, FaultPlan::none()).digest;
     for strategy in Strategy::ALL {
-        if !strategy.uses_kokkos_resilience() {
+        if !strategy.checkpoints() {
             continue;
         }
         let rec = des_run(strategy, FaultPlan::kill_at(1, "commit", DES_ITERS - 1));
@@ -343,13 +365,17 @@ fn kr_strategies_restore_after_a_kill_on_the_final_commit() {
     }
 }
 
-/// How often the checkpointed views were serialized, by which door.
+/// What a run did, seen from the application: how often the checkpointed
+/// views were serialized and by which door, and which iterations ran.
 #[derive(Default)]
 struct SerializeCounts {
     /// `snapshot()`: an owned copy, which the pack then copies again.
     copies: AtomicUsize,
     /// `snapshot_into()`: straight into the frame's payload slot.
     direct: AtomicUsize,
+    /// The iteration index of every `step`, in execution order, per
+    /// communicator rank (a replacement continues its victim's log).
+    steps: Mutex<BTreeMap<usize, Vec<u64>>>,
 }
 
 struct CountedView {
@@ -405,6 +431,9 @@ impl IterativeApp for CountedRing {
 
 impl RankApp for CountedState {
     fn step(&mut self, comm: &Comm, iteration: u64, bk: &Bookkeeper) -> MpiResult<()> {
+        let mut steps = self.counts.steps.lock().expect("no step panics");
+        steps.entry(comm.rank()).or_default().push(iteration);
+        drop(steps);
         self.state.step(comm, iteration, bk)
     }
     fn checkpoint_views(&self) -> Vec<Arc<dyn Checkpointable>> {
@@ -458,6 +487,48 @@ fn manual_strategies_serialize_views_straight_into_the_frame() {
         let direct = app.counts.direct.load(Ordering::Relaxed);
         assert_eq!(copies, 0, "{strategy} took owned snapshots");
         assert_eq!(direct, 4 * 6, "{strategy}: 4 ranks x 6 checkpoints");
+    }
+}
+
+/// Where the job resumed, observed from the application. Rank 2 dies at
+/// iteration 23, between the versions at 19 and 24: on every rank the first
+/// iteration executed after the failure is the one after the newest version
+/// the filter selected below the kill — and 0 with nothing stored. Digests
+/// cannot see this (a cold restart recomputes the same answer).
+/// `PartialRollback` is left out: its survivors keep their data by design.
+#[test]
+fn every_strategy_resumes_after_the_newest_version_below_the_kill() {
+    const KILL_ITER: u64 = 23;
+    for strategy in Strategy::ALL {
+        if strategy.partial_rollback() {
+            continue;
+        }
+        let app = CountedRing {
+            app: fixed_app(DES_ITERS),
+            counts: Arc::default(),
+        };
+        let (cluster, cfg) = des_shape(strategy);
+        let plan = Arc::new(FaultPlan::kill_at(2, "iter", KILL_ITER));
+        let rec = run_experiment(&cluster, &app, &cfg, plan);
+        assert_eq!(rec.failures, 1, "{strategy}");
+
+        let filter = app.checkpoint_filter(cfg.checkpoints);
+        let newest = (0..KILL_ITER).rev().find(|&i| filter.should_checkpoint(i));
+        let expected = match newest {
+            Some(version) if strategy.checkpoints() => version + 1,
+            _ => 0,
+        };
+        let steps = app.counts.steps.lock().expect("the run is over");
+        assert_eq!(steps.len(), 4, "{strategy}: one log per active rank");
+        for (rank, log) in steps.iter() {
+            // The failure is where the log stops climbing (a KR region's
+            // detection pass repeats an index, but only after the drop).
+            let failure = log.windows(2).position(|w| w[1] <= w[0]);
+            let failure =
+                failure.unwrap_or_else(|| panic!("{strategy}: rank {rank} never rolled back"));
+            let resumed = log[failure + 1..].iter().min();
+            assert_eq!(resumed, Some(&expected), "{strategy}: rank {rank}");
+        }
     }
 }
 
