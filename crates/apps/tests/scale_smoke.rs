@@ -15,6 +15,7 @@ use apps::Heatdis;
 use cluster::{Cluster, ClusterConfig, RelaunchModel};
 use resilience::{run_experiment, ExperimentConfig, Strategy};
 use simmpi::{Backend, FaultPlan};
+use telemetry::{names, Telemetry, TelemetryConfig};
 
 fn ranks() -> usize {
     std::env::var("SCALE_RANKS")
@@ -40,25 +41,38 @@ fn heatdis_1k_ranks_with_failure_completes_deterministically() {
     let active = ranks();
     let spares = 8; // one spare node
     let app = Heatdis::fixed(2 * 8 * 16 * 8, 16, 8);
-    let cfg = ExperimentConfig {
-        strategy: Strategy::FenixKokkosResilience,
-        spares,
-        checkpoints: 2,
-        backend: Backend::Des { seed: 1024 },
-        ..ExperimentConfig::default()
-    };
+    // The run, and what its scheduler did with the events it popped: the
+    // baton hand-offs and the wakes that found a parked receive's predicate
+    // unchanged. A small ring: only the counters are read.
     let run = || {
-        run_experiment(
+        let hub = Telemetry::new(TelemetryConfig {
+            ring_capacity: 1 << 8,
+            ..TelemetryConfig::default()
+        });
+        let rec = run_experiment(
             &virtual_cluster(active + spares),
             &app,
-            &cfg,
+            &ExperimentConfig {
+                strategy: Strategy::FenixKokkosResilience,
+                spares,
+                checkpoints: 2,
+                backend: Backend::Des { seed: 1024 },
+                telemetry: Some(hub.clone()),
+                ..ExperimentConfig::default()
+            },
             // One failure past the first checkpoint, in the middle of the
             // rank grid.
             Arc::new(FaultPlan::kill_at(active / 2, "iter", 5)),
+        );
+        let count = |name| hub.metrics().counter(name).get();
+        (
+            rec,
+            count(names::SCHED_HANDOFFS),
+            count(names::SCHED_UNREADY_SKIPPED),
         )
     };
     let t0 = std::time::Instant::now();
-    let rec = run();
+    let (rec, handoffs, unready_skipped) = run();
     assert_eq!(rec.ranks, active + spares);
     assert_eq!(rec.failures, 1);
     assert!(
@@ -67,18 +81,23 @@ fn heatdis_1k_ranks_with_failure_completes_deterministically() {
     );
     assert_eq!(rec.iterations, 8, "recovered run must reach the last step");
     // Same seed, same schedule: the recovered digest replays exactly.
-    let again = run();
+    let (again, handoffs_again, unready_again) = run();
     // The EXPERIMENTS.md weak-scaling panel is this line at several
     // SCALE_RANKS values (run with `--nocapture`); `scripts/ci.sh` records
-    // `host_s` — the run and its replay — in `target/ci-summary.json`.
+    // the counts and `host_s` — the run and its replay — in
+    // `target/ci-summary.json`, and gates the 1,024-rank `handoffs`.
     println!(
-        "scale_smoke: ranks={} virtual_wall={:?} repairs={} digest={:#x} host_s={:.3}",
+        "scale_smoke: ranks={} virtual_wall={:?} repairs={} digest={:#x} handoffs={} unready_skipped={} host_s={:.3}",
         rec.ranks,
         rec.wall,
         rec.repairs,
         rec.digest,
+        handoffs,
+        unready_skipped,
         t0.elapsed().as_secs_f64()
     );
     assert_eq!(rec.digest, again.digest, "digest must replay bit-for-bit");
     assert_eq!(rec.wall, again.wall, "virtual wall time must replay");
+    assert_eq!(handoffs, handoffs_again, "hand-offs must replay");
+    assert_eq!(unready_skipped, unready_again, "skipped wakes must replay");
 }

@@ -82,15 +82,15 @@ fn baton_handoff() -> u64 {
 /// Two threads passing one token back and forth, 2 × `HANDOFF_ROUNDS`
 /// hand-offs per call: park on one's own cell, grant the peer's — the
 /// bodies of `Scheduler::park` and `Scheduler::grant`, statement for
-/// statement (the grant notifies with the cell's lock held, as the
-/// scheduler's does; notifying after the unlock reads 4× less on one CPU,
-/// and would not be the baton's floor). Returns total ns.
+/// statement (the grant sets the token, unlocks the cell, then notifies its
+/// one waiter, as the scheduler's does: a notify with the lock held wakes
+/// the peer into a lock it cannot take, and reads several times more on one
+/// CPU). Returns total ns.
 fn condvar_pingpong() -> u64 {
     type Cell = (Mutex<bool>, Condvar);
     fn grant((token, cv): &Cell) {
-        let mut tok = token.lock();
-        *tok = true;
-        cv.notify_all();
+        *token.lock() = true;
+        cv.notify_one();
     }
     fn park((token, cv): &Cell) {
         let mut tok = token.lock();

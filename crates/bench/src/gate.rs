@@ -88,9 +88,12 @@ pub fn assert_faster(doc: &Json, fast: &str, slow: &str, metric: &str, min_x: f6
 /// non-empty array of `{name: string, seconds: non-negative number}`,
 /// `artifacts` an object mapping names to path strings, `scale_smoke`,
 /// when present, an array of `{ranks: positive integer, host_s:
-/// non-negative number}` (recorded for the weak-scaling table, not gated:
-/// host noise), and `crc_kernel`, when present (the restart bench ran), one
-/// of the two kernels `veloc::serial::crc32` dispatches to, with
+/// non-negative number, handoffs, unready_skipped: integers}` (`host_s` is
+/// recorded for the weak-scaling table, not gated: host noise; `handoffs`
+/// is a pure function of the smoke's seed, and at 1,024 active ranks may
+/// not exceed [`SMOKE_1K_HANDOFFS`]), and `crc_kernel`, when present (the
+/// restart bench ran), one of the two kernels `veloc::serial::crc32`
+/// dispatches to, with
 /// `crc_dispatch_1m_ns` a positive integer beside it — a number without the
 /// kernel that produced it is not a record. `gf256_kernel` and
 /// `gf_mul_acc_1m_ns` (the redundancy bench, `redstore::gf256::mul_acc`) are
@@ -98,6 +101,15 @@ pub fn assert_faster(doc: &Json, fast: &str, slow: &str, metric: &str, min_x: f6
 /// the record of what the gate held: an array of `{fast, slow, metric:
 /// strings, ratio, min_x: positive numbers}` with `ratio >= min_x` — a
 /// summary that says `ok` beside a claim below its bound contradicts itself.
+/// Baton hand-offs of `crates/apps/tests/scale_smoke.rs` at its default
+/// 1,024 active ranks ([`SMOKE_1K_RANKS`] with the spare node): exact, since
+/// the DES schedule is a function of the seed alone. A change that makes the
+/// dispatcher wake ranks that can only yield again shows here as a count,
+/// not as a noisy host second; one that changes the smoke's schedule on
+/// purpose re-records it.
+pub const SMOKE_1K_HANDOFFS: u64 = 39_683;
+const SMOKE_1K_RANKS: u64 = 1032;
+
 pub fn check_summary(doc: &Json) -> GateReport {
     let mut report = GateReport::default();
     match doc.get("ok").and_then(Json::as_bool) {
@@ -128,13 +140,25 @@ pub fn check_summary(doc: &Json) -> GateReport {
         Some(None) => report.fail("\"scale_smoke\" is not an array".into()),
         Some(Some(runs)) => {
             for (i, run) in runs.iter().enumerate() {
-                let ranks = run.get("ranks").and_then(Json::as_u64).unwrap_or(0);
-                match run.get("host_s").and_then(Json::as_f64) {
-                    Some(s) if s >= 0.0 && ranks > 0 => report
-                        .lines
-                        .push(format!("scale smoke at {ranks} ranks: {s} s")),
+                let count = |key| run.get(key).and_then(Json::as_u64);
+                let ranks = count("ranks").unwrap_or(0);
+                match (
+                    run.get("host_s").and_then(Json::as_f64),
+                    count("handoffs"),
+                    count("unready_skipped"),
+                ) {
+                    (Some(s), Some(handoffs), Some(skipped)) if s >= 0.0 && ranks > 0 => {
+                        report.lines.push(format!(
+                            "scale smoke at {ranks} ranks: {s} s, {handoffs} hand-offs, {skipped} unready wakes skipped"
+                        ));
+                        if ranks == SMOKE_1K_RANKS && handoffs > SMOKE_1K_HANDOFFS {
+                            report.fail(format!(
+                                "scale smoke at {ranks} ranks made {handoffs} hand-offs, more than the recorded {SMOKE_1K_HANDOFFS}"
+                            ));
+                        }
+                    }
                     _ => report.fail(format!(
-                        "scale_smoke {i} needs positive \"ranks\" and non-negative \"host_s\""
+                        "scale_smoke {i} needs positive \"ranks\", non-negative \"host_s\" and integer \"handoffs\", \"unready_skipped\""
                     )),
                 }
             }
@@ -320,13 +344,29 @@ mod tests {
             );
             check_summary(&Json::parse(&text).unwrap())
         };
-        let r = smoke(r#"[{"ranks":1032,"host_s":1.9},{"ranks":2056,"host_s":6.5}]"#);
+        let r = smoke(
+            r#"[{"ranks":1032,"host_s":1.9,"handoffs":39683,"unready_skipped":10364},
+                {"ranks":2056,"host_s":6.5,"handoffs":90000,"unready_skipped":20000}]"#,
+        );
         assert!(r.ok(), "{:?}", r.failures);
         assert!(r.lines.iter().any(|l| l.contains("2056 ranks")));
         assert!(smoke("[]").ok(), "quick mode may record none");
         assert!(!smoke(r#"[{"ranks":1032}]"#).ok());
-        assert!(!smoke(r#"[{"ranks":0,"host_s":1}]"#).ok());
+        assert!(
+            !smoke(r#"[{"ranks":1032,"host_s":1}]"#).ok(),
+            "counts are required"
+        );
+        assert!(!smoke(r#"[{"ranks":0,"host_s":1,"handoffs":1,"unready_skipped":0}]"#).ok());
         assert!(!smoke(r#"{"ranks":1032,"host_s":1}"#).ok());
+        // One hand-off over the recorded count fails, whatever the seconds;
+        // other rank counts are recorded only.
+        let r = smoke(r#"[{"ranks":1032,"host_s":0.1,"handoffs":39684,"unready_skipped":10363}]"#);
+        assert!(
+            r.failures[0].contains("more than the recorded"),
+            "{:?}",
+            r.failures
+        );
+        assert!(smoke(r#"[{"ranks":1032,"host_s":9,"handoffs":39000,"unready_skipped":0}]"#).ok());
     }
 
     #[test]

@@ -67,18 +67,37 @@ pub struct MatchSpec<'a> {
     pub me: usize,
 }
 
-struct Mailbox {
-    queue: Mutex<VecDeque<Envelope>>,
-    cv: Condvar,
+impl MatchSpec<'_> {
+    fn matches(&self, e: &Envelope) -> bool {
+        e.comm == self.comm
+            && e.epoch == self.epoch
+            && e.tag == self.tag
+            && self.src.is_none_or(|s| e.src == s)
+    }
 }
 
-impl Mailbox {
-    fn new() -> Self {
-        Mailbox {
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-        }
-    }
+/// What a rank parked in [`Router::recv`] under the DES backend waits for:
+/// its [`MatchSpec`], owned, left in its own mailbox so the dispatcher can
+/// evaluate the receive's predicate without running the rank.
+struct ParkedRecv {
+    comm: CommId,
+    epoch: u32,
+    src: Option<usize>,
+    tag: u64,
+    /// Copied for an any-source wait only — the one that reads it.
+    group: Vec<usize>,
+}
+
+#[derive(Default)]
+struct Inbox {
+    envelopes: VecDeque<Envelope>,
+    parked: Option<ParkedRecv>,
+}
+
+#[derive(Default)]
+struct Mailbox {
+    queue: Mutex<Inbox>,
+    cv: Condvar,
 }
 
 /// Work counts of the repair path, in units that do not depend on the host:
@@ -118,7 +137,7 @@ impl Router {
     pub fn new(cluster: Cluster) -> Arc<Self> {
         let n = cluster.topology().total_ranks();
         Arc::new(Router {
-            mailboxes: (0..n).map(|_| Mailbox::new()).collect(),
+            mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
             shared_groups: Mutex::new(HashMap::new()),
             dead: RwLock::new(HashSet::new()),
             revoked: RwLock::new(HashSet::new()),
@@ -273,6 +292,7 @@ impl Router {
             self.counts.purge_mailboxes.fetch_add(1, Ordering::Relaxed);
             mb.queue
                 .lock()
+                .envelopes
                 .retain(|e| !(e.comm == comm && e.epoch == epoch));
         }
     }
@@ -283,6 +303,7 @@ impl Router {
         self.mailboxes.get(rank).map_or(0, |mb| {
             let queue = mb.queue.lock();
             queue
+                .envelopes
                 .iter()
                 .filter(|e| e.comm == comm && e.epoch == epoch)
                 .count()
@@ -338,7 +359,7 @@ impl Router {
         if self.is_dead(dst) {
             return Err(MpiError::proc_failed(dst));
         }
-        mb.queue.lock().push_back(env);
+        mb.queue.lock().envelopes.push_back(env);
         mb.cv.notify_all();
         if let Some(s) = self.sched() {
             s.wake(dst);
@@ -357,65 +378,104 @@ impl Router {
             })?;
         let mut queue = mb.queue.lock();
         loop {
-            // Deliver queued matches first: in-flight data from a
-            // now-dead sender is still valid.
-            if let Some(pos) = queue.iter().position(|e| {
-                e.comm == spec.comm
-                    && e.epoch == spec.epoch
-                    && e.tag == spec.tag
-                    && spec.src.is_none_or(|s| e.src == s)
-            }) {
-                if let Some(env) = queue.remove(pos) {
-                    return Ok(env);
-                }
-            }
-
-            if self.is_aborted() {
-                return Err(MpiError::Aborted);
-            }
-            if self.is_dead(spec.me) {
-                return Err(MpiError::Killed);
-            }
-            if self.is_revoked(spec.comm, spec.epoch) {
-                return Err(MpiError::Revoked);
-            }
-            match spec.src {
-                Some(s) if self.is_dead(s) => {
-                    return Err(MpiError::proc_failed(s));
-                }
-                None => {
-                    let dead = self.dead.read();
-                    let others_alive = spec
-                        .group
-                        .iter()
-                        .any(|&r| r != spec.me && !dead.contains(&r));
-                    if !others_alive {
-                        let all_dead: Vec<usize> = spec
-                            .group
-                            .iter()
-                            .copied()
-                            .filter(|&r| r != spec.me)
-                            .collect();
-                        return Err(MpiError::ProcFailed { ranks: all_dead });
+            match self.settled(&queue.envelopes, &spec) {
+                Some(Ok(pos)) => {
+                    if let Some(env) = queue.envelopes.remove(pos) {
+                        return Ok(env);
                     }
                 }
-                _ => {}
+                Some(Err(e)) => return Err(e),
+                None => {}
             }
             // Nothing deliverable: yield. Under the DES backend the rank
-            // task hands the baton to the scheduler and resumes when a
-            // sender (or a failure transition) wakes it; on the threads
-            // backend it parks on the mailbox condvar with a bounded
-            // re-check timeout. Either way the loop re-evaluates the
-            // predicate from scratch on resume.
+            // leaves what it waits for in its mailbox, hands the baton to
+            // the scheduler and resumes once a sender (or a failure
+            // transition) has made `settled` hold; on the threads backend
+            // it parks on the mailbox condvar with a bounded re-check
+            // timeout. Either way the loop re-evaluates the predicate from
+            // scratch on resume.
             match self.sched() {
                 Some(s) => {
+                    queue.parked = Some(ParkedRecv {
+                        comm: spec.comm,
+                        epoch: spec.epoch,
+                        src: spec.src,
+                        tag: spec.tag,
+                        group: spec.src.map_or_else(|| spec.group.to_vec(), |_| Vec::new()),
+                    });
                     drop(queue);
                     s.yield_blocked(spec.me);
                     queue = mb.queue.lock();
+                    queue.parked = None;
                 }
                 None => sched::park_on(&mb.cv, &mut queue),
             }
         }
+    }
+
+    /// Why a receive stops waiting, if it does: the position of a matching
+    /// envelope, or the error it returns. `None` means it would only park
+    /// again. The one list of a receive's exit conditions — [`Router::recv`]
+    /// loops on it and the DES dispatcher asks it through
+    /// [`Router::would_run`] before waking a parked rank.
+    fn settled(
+        &self,
+        envelopes: &VecDeque<Envelope>,
+        spec: &MatchSpec<'_>,
+    ) -> Option<MpiResult<usize>> {
+        // Queued matches first: in-flight data from a now-dead sender is
+        // still valid.
+        if let Some(pos) = envelopes.iter().position(|e| spec.matches(e)) {
+            return Some(Ok(pos));
+        }
+        if self.is_aborted() {
+            return Some(Err(MpiError::Aborted));
+        }
+        if self.is_dead(spec.me) {
+            return Some(Err(MpiError::Killed));
+        }
+        if self.is_revoked(spec.comm, spec.epoch) {
+            return Some(Err(MpiError::Revoked));
+        }
+        match spec.src {
+            Some(s) if self.is_dead(s) => Some(Err(MpiError::proc_failed(s))),
+            Some(_) => None,
+            None => {
+                let dead = self.dead.read();
+                let others = || spec.group.iter().copied().filter(|&r| r != spec.me);
+                if others().any(|r| !dead.contains(&r)) {
+                    return None;
+                }
+                Some(Err(MpiError::ProcFailed {
+                    ranks: others().collect(),
+                }))
+            }
+        }
+    }
+
+    /// The DES dispatcher's question about a `Blocked` rank whose event it
+    /// popped: would the rank do anything but yield again? True unless it
+    /// is parked in a receive whose predicate does not hold — a wait that
+    /// registers nothing (a rendezvous) is always run. Called under the
+    /// scheduler lock; takes the mailbox lock and reads the death and
+    /// revocation registries, none of which is ever held around a call
+    /// into the scheduler.
+    pub(crate) fn would_run(&self, rank: usize) -> bool {
+        let Some(mb) = self.mailboxes.get(rank) else {
+            return true;
+        };
+        let queue = mb.queue.lock();
+        queue.parked.as_ref().is_none_or(|p| {
+            let spec = MatchSpec {
+                comm: p.comm,
+                epoch: p.epoch,
+                src: p.src,
+                tag: p.tag,
+                group: &p.group,
+                me: rank,
+            };
+            self.settled(&queue.envelopes, &spec).is_some()
+        })
     }
 
     /// Number of agreement operations currently in flight in the rendezvous
@@ -427,14 +487,9 @@ impl Router {
     /// Non-blocking probe: is a matching message queued? `false` for a
     /// receiver outside the fabric.
     pub fn probe(&self, spec: MatchSpec<'_>) -> bool {
-        self.mailboxes.get(spec.me).is_some_and(|mb| {
-            mb.queue.lock().iter().any(|e| {
-                e.comm == spec.comm
-                    && e.epoch == spec.epoch
-                    && e.tag == spec.tag
-                    && spec.src.is_none_or(|s| e.src == s)
-            })
-        })
+        self.mailboxes
+            .get(spec.me)
+            .is_some_and(|mb| mb.queue.lock().envelopes.iter().any(|e| spec.matches(e)))
     }
 }
 

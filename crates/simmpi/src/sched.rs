@@ -28,7 +28,18 @@
 //!
 //! Because all wake-ups originate from the currently running task (a send,
 //! a rendezvous publication, a kill), there are no lost-wakeup races by
-//! construction; the condvars here only implement the baton hand-off.
+//! construction. A hand-off is *decided* under the scheduler lock (pop,
+//! clock advance, the next task marked `Running`) and *granted* with no
+//! lock held: the granter is the only running thread and is about to park
+//! on its own cell, so nothing else can run in between, and the grantee
+//! wakes to locks nobody holds — one context switch per hand-off.
+//!
+//! The dispatcher also **asks before it switches**: an event popped for a
+//! `Blocked` task goes through the ready probe (the universe installs
+//! `Router::would_run`, the predicate the parked receive itself loops on),
+//! and a task that would only re-check and yield again is skipped exactly
+//! as a stale event is. A spurious run touches no clock, sequence number
+//! or queue, so skipping it leaves the timeline bit-identical.
 //!
 //! **Deadlock** becomes an observable, deterministic outcome: when the
 //! event heap drains while tasks are still blocked, the scheduler invokes
@@ -41,7 +52,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 
 use cluster::Clock;
 
@@ -104,6 +115,10 @@ pub struct SchedStats {
     pub self_dispatches: u64,
     /// Heap entries skipped because their task had already exited.
     pub stale_skipped: u64,
+    /// Heap entries skipped because their task, parked at a wait it
+    /// registered, would only have re-checked and yielded again: hand-offs
+    /// (or self-dispatches) that did not happen.
+    pub unready_skipped: u64,
     /// Largest number of pending events.
     pub peak_heap_depth: u64,
     /// Kill / revoke / abort fan-outs.
@@ -151,6 +166,10 @@ impl Inner {
     }
 }
 
+/// The dispatcher's question about a `Blocked` task (see
+/// [`Scheduler::set_ready_probe`]).
+type ReadyProbe = Box<dyn Fn(usize) -> bool + Send + Sync>;
+
 /// The discrete-event scheduler. One instance per DES launch, shared by
 /// the router, the rendezvous table, and every rank thread.
 pub struct Scheduler {
@@ -159,6 +178,9 @@ pub struct Scheduler {
     clock: Arc<Clock>,
     seed: u64,
     deadlock_hook: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
+    /// Asked, under `inner`, before a `Blocked` task is dispatched: would it
+    /// do anything but yield again? Unset means every event is dispatched.
+    ready_probe: RwLock<Option<ReadyProbe>>,
 }
 
 impl Scheduler {
@@ -183,6 +205,7 @@ impl Scheduler {
             clock,
             seed,
             deadlock_hook: Mutex::new(None),
+            ready_probe: RwLock::new(None),
         })
     }
 
@@ -213,11 +236,20 @@ impl Scheduler {
         *self.deadlock_hook.lock() = Some(Box::new(hook));
     }
 
-    /// Drop the deadlock hook. The universe's hook closes over the router,
-    /// which holds the scheduler — clearing it at the end of a launch
-    /// breaks that reference cycle so neither leaks.
-    pub fn clear_deadlock_hook(&self) {
+    /// Install the question the dispatcher asks before it hands the baton
+    /// to a `Blocked` task (the universe installs `Router::would_run`). The
+    /// probe runs under the scheduler lock and must not re-enter the
+    /// scheduler.
+    pub(crate) fn set_ready_probe(&self, probe: impl Fn(usize) -> bool + Send + Sync + 'static) {
+        *self.ready_probe.write() = Some(Box::new(probe));
+    }
+
+    /// Drop the deadlock hook and the ready probe. The universe's close
+    /// over the router, which holds the scheduler — clearing them at the
+    /// end of a launch breaks that reference cycle so neither leaks.
+    pub fn clear_hooks(&self) {
         *self.deadlock_hook.lock() = None;
+        *self.ready_probe.write() = None;
     }
 
     /// Seed a start event for every task at the current virtual time and
@@ -230,7 +262,9 @@ impl Scheduler {
         for task in 0..self.slots.len() {
             self.push_event(&mut inner, task, now);
         }
-        self.dispatch_next(&mut inner, None);
+        let first = self.dispatch_next(&mut inner, None);
+        drop(inner);
+        self.grant(first);
     }
 
     /// Rank-thread entry: park until the scheduler grants this task the
@@ -316,49 +350,61 @@ impl Scheduler {
         self.hand_off(inner, task);
     }
 
-    /// `from` releases the baton: dispatch the next event; if the heap is dry
-    /// but tasks are still blocked, fire the deadlock hook (which wakes them
-    /// with the abort flag set) and dispatch again.
+    /// `from` releases the baton: decide the next task under `inner`, grant
+    /// it with no lock held. If the heap is dry but tasks are still blocked,
+    /// fire the deadlock hook (which wakes them with the abort flag set) and
+    /// decide again.
     fn hand_off(&self, mut inner: MutexGuard<'_, Inner>, from: usize) {
-        if self.dispatch_next(&mut inner, Some(from)) {
-            return;
-        }
-        let deadlocked = inner.state.iter().any(|s| {
-            matches!(
-                s,
-                TaskState::Blocked | TaskState::Sleeping | TaskState::NotStarted
-            )
-        });
-        if !deadlocked {
-            return; // every task is Done (or Running and about to park — impossible here)
-        }
+        let mut next = self.dispatch_next(&mut inner, Some(from));
+        let deadlocked = next.is_none()
+            && inner.state.iter().any(|s| {
+                matches!(
+                    s,
+                    TaskState::Blocked | TaskState::Sleeping | TaskState::NotStarted
+                )
+            });
+        // Nobody else can run between this unlock and the grant: `from` is
+        // the only running thread and parks (or exits) right after.
         drop(inner);
-        {
-            // Scoped so the hook lock is released before `inner` is
-            // retaken: the hook itself re-enters the scheduler
-            // (router.abort → wake_all → inner), so `deadlock_hook`
-            // must never be held around an `inner` acquisition.
-            let hook = self.deadlock_hook.lock();
-            if let Some(hook) = hook.as_ref() {
-                hook();
+        if deadlocked {
+            {
+                // Scoped so the hook lock is released before `inner` is
+                // retaken: the hook itself re-enters the scheduler
+                // (router.abort → wake_all → inner), so `deadlock_hook`
+                // must never be held around an `inner` acquisition.
+                let hook = self.deadlock_hook.lock();
+                if let Some(hook) = hook.as_ref() {
+                    hook();
+                }
             }
+            // The hook's wakes (router.abort → wake_all) refilled the heap,
+            // and the probe now sees the abort flag.
+            next = self.dispatch_next(&mut self.inner.lock(), Some(from));
         }
-        // The hook's wakes (router.abort → wake_all) refilled the heap.
-        let mut inner = self.inner.lock();
-        self.dispatch_next(&mut inner, Some(from));
+        self.grant(next);
     }
 
-    /// Pop the earliest event, advance the clock to it, grant its task the
-    /// baton (`from` is the task giving it up, if any). Returns false when
-    /// the heap is empty.
-    fn dispatch_next(&self, inner: &mut Inner, from: Option<usize>) -> bool {
+    /// Pop the earliest event whose task can run, advance the clock to it
+    /// and mark the task `Running` (`from` is the task giving the baton up,
+    /// if any). The caller grants the returned task once it has dropped
+    /// `inner`. `None` when the heap is empty.
+    fn dispatch_next(&self, inner: &mut Inner, from: Option<usize>) -> Option<usize> {
         while let Some(Reverse(ev)) = inner.heap.pop() {
             if let Some(q) = inner.queued.get_mut(ev.task) {
                 *q = false;
             }
-            if inner.state_of(ev.task) == TaskState::Done {
-                inner.stats.stale_skipped += 1;
-                continue; // stale wake for a task that exited meanwhile
+            match inner.state_of(ev.task) {
+                TaskState::Done => {
+                    inner.stats.stale_skipped += 1;
+                    continue; // stale wake for a task that exited meanwhile
+                }
+                // The wake was for another tag, source or communicator: the
+                // task stays `Blocked` and the next wake re-queues it.
+                TaskState::Blocked if !self.ready(ev.task) => {
+                    inner.stats.unready_skipped += 1;
+                    continue;
+                }
+                _ => {}
             }
             if from == Some(ev.task) {
                 inner.stats.self_dispatches += 1;
@@ -370,10 +416,15 @@ impl Scheduler {
                 self.clock.advance(ev.t_ns - now);
             }
             inner.set_state(ev.task, TaskState::Running);
-            self.grant(ev.task);
-            return true;
+            return Some(ev.task);
         }
-        false
+        None
+    }
+
+    /// Whether a `Blocked` task would do anything but yield again (true
+    /// without a probe, and for every wait that registers nothing).
+    fn ready(&self, task: usize) -> bool {
+        self.ready_probe.read().as_ref().is_none_or(|p| p(task))
     }
 
     fn push_event(&self, inner: &mut Inner, task: usize, t_ns: u64) {
@@ -398,14 +449,16 @@ impl Scheduler {
         inner.stats.peak_heap_depth = inner.stats.peak_heap_depth.max(inner.heap.len() as u64);
     }
 
-    /// Hand the baton to `task`.
-    fn grant(&self, task: usize) {
-        let Some(slot) = self.slots.get(task) else {
+    /// Hand the baton to `task` (`None`: every task is done). Called with no
+    /// lock held, and the cell's own lock is dropped before the notify, so
+    /// the woken thread finds both free. The cell has one waiter by
+    /// construction: the task's own thread.
+    fn grant(&self, task: Option<usize>) {
+        let Some(slot) = task.and_then(|t| self.slots.get(t)) else {
             return;
         };
-        let mut tok = slot.token.lock();
-        *tok = true;
-        slot.cv.notify_all();
+        *slot.token.lock() = true;
+        slot.cv.notify_one();
     }
 
     /// Wait for the baton.

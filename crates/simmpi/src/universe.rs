@@ -207,8 +207,10 @@ impl Universe {
 
         // DES backend: build the scheduler on the cluster's virtual clock
         // (or a private one when the cluster runs on the wall), attach it
-        // to the router so waits become yields, and make deadlock abort
-        // the job as a typed outcome instead of hanging.
+        // to the router so waits become yields, let the dispatcher ask the
+        // router whether a parked receive would do anything but yield
+        // again, and make deadlock abort the job as a typed outcome instead
+        // of hanging.
         let sched = match config.backend {
             Backend::Threads => None,
             Backend::Des { seed } => {
@@ -219,6 +221,8 @@ impl Universe {
                 };
                 let s = Scheduler::new(n, seed, clock);
                 router.set_sched(Some(Arc::clone(&s)));
+                let r = Arc::clone(&router);
+                s.set_ready_probe(move |rank| r.would_run(rank));
                 let r = Arc::clone(&router);
                 s.set_deadlock_hook(move || r.abort());
                 Some(s)
@@ -336,7 +340,7 @@ impl Universe {
         // Break the scheduler↔router reference cycle.
         if let Some(s) = &sched {
             router.set_sched(None);
-            s.clear_deadlock_hook();
+            s.clear_hooks();
         }
         let wall = Duration::from_nanos(clock.now_ns().saturating_sub(start_ns));
 
@@ -352,6 +356,8 @@ impl Universe {
                 m.counter(names::SCHED_SELF_DISPATCHES)
                     .add(st.self_dispatches);
                 m.counter(names::SCHED_STALE_SKIPPED).add(st.stale_skipped);
+                m.counter(names::SCHED_UNREADY_SKIPPED)
+                    .add(st.unready_skipped);
                 m.counter(names::SCHED_WAKE_ALL_CALLS)
                     .add(st.wake_all_calls);
                 let peak = m.gauge(names::SCHED_PEAK_HEAP_DEPTH);

@@ -40,6 +40,9 @@ pub mod names {
     pub const SCHED_SELF_DISPATCHES: &str = "sched.self_dispatches";
     /// Heap entries skipped because their rank had already exited.
     pub const SCHED_STALE_SKIPPED: &str = "sched.stale_skipped";
+    /// Heap entries skipped because their rank, parked in a receive, would
+    /// only have re-checked and yielded again (hand-offs that did not happen).
+    pub const SCHED_UNREADY_SKIPPED: &str = "sched.unready_skipped";
     /// Kill / revoke / abort wake fan-outs.
     pub const SCHED_WAKE_ALL_CALLS: &str = "sched.wake_all_calls";
     /// Gauge: largest number of pending DES events.

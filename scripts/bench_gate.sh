@@ -103,21 +103,24 @@ echo "bench gate: OK (redundancy)"
 
 bench sched BENCH_sched.json ${PIN[@]+"${PIN[@]}"}
 # The scheduler's hand-off against the bare token exchange it is built from,
-# the same 40,000 hand-offs over one Mutex<bool> + Condvar per thread: what
+# the same 40,000 hand-offs over one Mutex<bool> + Condvar per thread, the
+# token set and the cell unlocked before the notify on both sides: what
 # either reads in nanoseconds is the container's futex latency, their ratio
-# is simmpi::sched's. Low-water marks: baton_handoff <= 1.0 x
-# condvar_pingpong (measured 0.73-0.85; the medians swing 0.8-1.1 between
-# processes; 2 us more per dispatch reads 1.25).
-claim baton_handoff condvar_pingpong 1 min_ns
+# is simmpi::sched's. Low-water marks: baton_handoff <= 1.05 x
+# condvar_pingpong (measured 0.82-0.90 over 7 runs, 34-36 ms against
+# 38-42 ms; 0.2 us more per dispatch reads 1.07; Scheduler::grant notifying
+# with the token lock held again reads 3.4-3.5, 131-134 ms against 39 —
+# the oracle does not make that mistake with it).
+claim baton_handoff condvar_pingpong 0.95 min_ns
 # The ring_* configs time a whole Universe launch (thread spawn + scheduler):
 # 4x the ranks may cost a schedule at most 8x (linear with 2x slack; 16x is
-# quadratic; measured 2.7-4.4).
+# quadratic; measured 3.7-4.8).
 claim ring_64 ring_16 0.125
 # repair_256/repair_1024 are the host cost of one in-place repair per rank
 # (fail run - failure-free run of the scale-smoke shape), which must grow
 # slower than the rank count — at 4x the total repair would be quadratic
-# again (measured 2.8-3.1 over 15 samples; 2.4-3.8 over 9). The exact
-# per-rank counts are crates/apps/tests/repair_linearity.rs.
+# again (measured 1.9-2.0 over 15 samples). The exact per-rank counts are
+# crates/apps/tests/repair_linearity.rs.
 claim repair_1024 repair_256 0.25
 echo "bench gate: OK (sched)"
 

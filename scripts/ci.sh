@@ -115,8 +115,8 @@ end
 begin "tier-1: cargo test -q"
 # Every suite of every member, at its in-tree defaults. The later stages
 # only add what needs a feature, `--release` or an env knob. The modelcheck
-# protocol suites (telemetry seqlock, veloc flush, simmpi rendezvous) honour
-# env overrides for deeper sweeps here, e.g.:
+# protocol suites (telemetry seqlock, veloc flush, simmpi rendezvous and
+# scheduler baton) honour env overrides for deeper sweeps here, e.g.:
 #   MC_PREEMPTION_BOUND=3 MC_DFS_CAP=500000 MC_RANDOM_EXECUTIONS=2000 scripts/ci.sh
 # (raise MC_DFS_CAP alongside the bound or the exhaustiveness assertions
 # will rightly fail on truncation.)
@@ -170,17 +170,21 @@ begin "sched: 1k/2k-rank DES smoke"
 # optimised build's: a full Heatdis + Fenix/KR run at SCALE_RANKS active
 # ranks (default 1,024) with one injected failure, replayed twice for
 # bitwise equality — then, unless CI_QUICK=1, the same at twice the ranks.
-# Each smoke's host seconds (run + replay) land in ci-summary.json as
-# scale_smoke[{ranks, host_s}]: the EXPERIMENTS.md weak-scaling rows,
-# recorded and not gated (host noise; the count test is the gate). Deeper
-# sweeps, e.g.:
+# Each smoke lands in ci-summary.json as scale_smoke[{ranks, host_s,
+# handoffs, unready_skipped}]. The host seconds (run + replay) are the
+# EXPERIMENTS.md weak-scaling rows, recorded and not gated (host noise). The
+# two scheduler counts are functions of the smoke's seed alone, and the
+# summary check at the end of this script fails if the 1,024-rank smoke
+# made more baton hand-offs than the count recorded in
+# crates/bench/src/gate.rs — zero tolerance: a dispatcher that wakes ranks
+# which can only yield again fails on a count. Deeper sweeps, e.g.:
 #   SCALE_RANKS=4096 scripts/ci.sh
 scale_smoke() { # active ranks
   local out
   out=$(SCALE_RANKS="$1" cargo test -q --release -p apps --test scale_smoke -- --nocapture)
   echo "$out"
   SMOKE_JSON="${SMOKE_JSON:+$SMOKE_JSON,}$(sed -n \
-    's/^scale_smoke: ranks=\([0-9]*\) .* host_s=\([0-9.]*\)$/{"ranks":\1,"host_s":\2}/p' <<<"$out")"
+    's/^scale_smoke: ranks=\([0-9]*\) .* handoffs=\([0-9]*\) unready_skipped=\([0-9]*\) host_s=\([0-9.]*\)$/{"ranks":\1,"host_s":\4,"handoffs":\2,"unready_skipped":\3}/p' <<<"$out")"
 }
 scale_smoke "${SCALE_RANKS:-1024}"
 if [ "${CI_QUICK:-0}" = "1" ]; then
@@ -267,8 +271,8 @@ end
 # Declare success only after the summary itself validates: write it now
 # (the EXIT trap will rewrite the identical content afterwards) and run it
 # through the schema checker — ok flag, named stages with non-negative
-# seconds, every recorded claim at or above its bound, string-valued
-# artifact paths.
+# seconds, the 1,024-rank smoke's hand-offs at or below the recorded count,
+# every recorded claim at or above its bound, string-valued artifact paths.
 write_summary
 cargo run -q -p bench --bin bench_compare -- check-summary target/ci-summary.json
 

@@ -21,7 +21,9 @@
 //! one thread-local read to the plain `std` path.
 //!
 //! Model condvars use an *epoch* counter instead of real parking: `notify_*`
-//! bumps the epoch and a modeled `wait` blocks until the epoch moves. Both
+//! bumps the epoch and a modeled `wait` blocks until the epoch moves. A
+//! notify is itself a schedule point, so one issued after its mutex was
+//! unlocked can be overtaken in that window, as on a real machine. Both
 //! `notify_one` and `notify_all` wake every modeled waiter — a legal
 //! spurious wakeup under the condvar contract, and one the explorer
 //! exploits to exercise waiter re-check loops.
@@ -395,6 +397,7 @@ impl Condvar {
     }
 
     pub fn notify_one(&self) {
+        rt::yield_point();
         if let Some(e) = self.epoch.get() {
             e.fetch_add(1, Ordering::Relaxed);
         }
@@ -402,6 +405,7 @@ impl Condvar {
     }
 
     pub fn notify_all(&self) {
+        rt::yield_point();
         if let Some(e) = self.epoch.get() {
             e.fetch_add(1, Ordering::Relaxed);
         }
