@@ -64,15 +64,17 @@ impl Slab {
     }
 
     /// Minimum-image displacement component for periodic dimensions y/z.
+    /// Both corrections are computed and one is selected, so a loop over
+    /// many displacements has no data-dependent branch and vectorizes.
     #[inline]
-    pub fn min_image(&self, mut d: f64, dim: usize) -> f64 {
+    pub fn min_image(&self, d: f64, dim: usize) -> f64 {
         let l = self.global[dim];
+        let up = if d < -0.5 * l { d + l } else { d };
         if d > 0.5 * l {
-            d -= l;
-        } else if d < -0.5 * l {
-            d += l;
+            d - l
+        } else {
+            up
         }
-        d
     }
 }
 

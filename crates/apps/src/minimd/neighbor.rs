@@ -1,9 +1,14 @@
-//! Binned neighbor-list construction (MiniMD's "Neighboring" phase).
+//! Neighbor-list construction (MiniMD's "Neighboring" phase).
 //!
-//! Owned and ghost atoms are sorted into spatial bins; each owned atom then
-//! scans its 27 surrounding bins for partners within the neighbor cutoff.
-//! Bins wrap periodically in y/z (ghosts only exist along the decomposed x
-//! dimension); pair distances use minimum-image in y/z.
+//! Two grids over one region — the rank's slab plus its x ghost shell, and
+//! the full periodic box in y/z — with two jobs. The coarse bins
+//! ([`BinGrid::new`], [`build_bins`]) are part of the view inventory:
+//! `bin_count`/`bin_atoms` are checkpointed allocations of Figure 7, so their
+//! shapes stay MiniMD's. The search runs over a private cell index that
+//! [`build_neighbors`] builds on every call: cells at least half the
+//! neighbor cutoff wide and a ±2-cell stencil, clamped in x (ghosts exist
+//! only along the decomposed x dimension) and periodic in y/z, where pair
+//! distances use [`Slab::min_image`].
 
 use crate::minimd::atoms::Slab;
 
@@ -23,10 +28,16 @@ impl BinGrid {
     /// Cover `[slab.xlo - cutneigh, slab.xhi + cutneigh]` in x and the full
     /// periodic box in y/z, with bins at least `cutneigh` wide.
     pub fn new(slab: &Slab, cutneigh: f64) -> Self {
+        Self::covering(slab, cutneigh, cutneigh)
+    }
+
+    /// The region [`BinGrid::new`] covers, in bins at least `width` wide
+    /// (one bin where a dimension is narrower than `width`).
+    fn covering(slab: &Slab, cutneigh: f64, width: f64) -> Self {
         let span_x = slab.width() + 2.0 * cutneigh;
-        let nbx = (span_x / cutneigh).floor().max(1.0) as usize;
-        let nby = (slab.global[1] / cutneigh).floor().max(1.0) as usize;
-        let nbz = (slab.global[2] / cutneigh).floor().max(1.0) as usize;
+        let nbx = (span_x / width).floor().max(1.0) as usize;
+        let nby = (slab.global[1] / width).floor().max(1.0) as usize;
+        let nbz = (slab.global[2] / width).floor().max(1.0) as usize;
         BinGrid {
             nbx,
             nby,
@@ -49,41 +60,21 @@ impl BinGrid {
         ((vol * density * 3.0) as usize).max(32)
     }
 
-    /// Bin coordinates of a position (x clamped, y/z wrapped).
+    /// Bin coordinates of a position (x clamped, y/z wrapped). Rounds down,
+    /// so a y/z just below 0 — an unwrapped position between reneighboring
+    /// steps — lands in the last bin, beside its periodic neighbors.
     #[inline]
     pub fn coords_of(&self, p: &[f64]) -> (usize, usize, usize) {
-        let bx = (((p[0] - self.origin_x) / self.size_x) as isize).clamp(0, self.nbx as isize - 1)
-            as usize;
-        let by = ((p[1] / self.size_y) as isize).rem_euclid(self.nby as isize) as usize;
-        let bz = ((p[2] / self.size_z) as isize).rem_euclid(self.nbz as isize) as usize;
+        let bx = (((p[0] - self.origin_x) / self.size_x).floor() as isize)
+            .clamp(0, self.nbx as isize - 1) as usize;
+        let by = ((p[1] / self.size_y).floor() as isize).rem_euclid(self.nby as isize) as usize;
+        let bz = ((p[2] / self.size_z).floor() as isize).rem_euclid(self.nbz as isize) as usize;
         (bx, by, bz)
     }
 
     #[inline]
     pub fn index(&self, bx: usize, by: usize, bz: usize) -> usize {
         (bx * self.nby + by) * self.nbz + bz
-    }
-
-    /// Distinct wrapped indices for `{c-1, c, c+1}` in a periodic dimension
-    /// of `n` bins (deduplicated so small boxes don't double-count).
-    fn periodic_span(c: usize, n: usize) -> impl Iterator<Item = usize> {
-        let mut out = [usize::MAX; 3];
-        let mut len = 0;
-        for d in -1i64..=1 {
-            let w = (c as i64 + d).rem_euclid(n as i64) as usize;
-            if !out[..len].contains(&w) {
-                out[len] = w;
-                len += 1;
-            }
-        }
-        out.into_iter().take(len)
-    }
-
-    /// Clamped (non-periodic) x-span.
-    fn clamped_span(c: usize, n: usize) -> impl Iterator<Item = usize> {
-        let lo = c.saturating_sub(1);
-        let hi = (c + 1).min(n - 1);
-        lo..=hi
     }
 }
 
@@ -117,65 +108,220 @@ pub fn build_bins(
     }
 }
 
-/// Build full neighbor lists for the `nlocal` owned atoms.
+/// The search's cell index: cells at least `cutneigh / 2` wide, atoms
+/// counting-sorted by cell (z fastest), positions one array per coordinate,
+/// so a run of consecutive z-cells is one slice of each. Atoms are named by
+/// canonical rank — their place in ascending (id, x bits, index) — so a
+/// list sorts as plain integers.
+struct Cells {
+    grid: BinGrid,
+    /// Cell `c` holds slots `start[c]..start[c + 1]`.
+    start: Vec<usize>,
+    x: Vec<f64>,
+    y: Vec<f64>,
+    z: Vec<f64>,
+    /// Canonical rank of each slot's atom.
+    rank: Vec<u32>,
+    /// Canonical rank of each atom.
+    rank_of: Vec<u32>,
+    /// Atom index of each canonical rank.
+    order: Vec<u32>,
+}
+
+impl Cells {
+    fn new(slab: &Slab, cutneigh: f64, x: &[f64], ids: &[u64], nall: usize) -> Self {
+        // The margin keeps a cell wider than `cutneigh / 2` through the
+        // rounding of the cell arithmetic (relative error ~1e-15).
+        let grid = BinGrid::covering(slab, cutneigh, 0.5 * cutneigh * (1.0 + 1e-9));
+        let mut order: Vec<u32> = (0..nall as u32).collect();
+        order.sort_unstable_by_key(|&j| (ids[j as usize], x[3 * j as usize].to_bits(), j));
+        let mut rank_of = vec![0; nall];
+        for (r, &j) in order.iter().enumerate() {
+            rank_of[j as usize] = r as u32;
+        }
+        let cell: Vec<usize> = (0..nall)
+            .map(|i| {
+                let (cx, cy, cz) = grid.coords_of(&x[3 * i..3 * i + 3]);
+                grid.index(cx, cy, cz)
+            })
+            .collect();
+        let mut start = vec![0; grid.total_bins() + 1];
+        for &c in &cell {
+            start[c + 1] += 1;
+        }
+        for c in 0..grid.total_bins() {
+            start[c + 1] += start[c];
+        }
+        let mut next = start.clone();
+        let mut cells = Cells {
+            grid,
+            start,
+            x: vec![0.0; nall],
+            y: vec![0.0; nall],
+            z: vec![0.0; nall],
+            rank: vec![0; nall],
+            rank_of,
+            order,
+        };
+        for (i, &c) in cell.iter().enumerate() {
+            let s = next[c];
+            next[c] += 1;
+            cells.x[s] = x[3 * i];
+            cells.y[s] = x[3 * i + 1];
+            cells.z[s] = x[3 * i + 2];
+            cells.rank[s] = cells.rank_of[i];
+        }
+        cells
+    }
+
+    /// The slots of cells `(cx, cy, lo..hi)`.
+    fn run(&self, cx: usize, cy: usize, (lo, hi): (usize, usize)) -> std::ops::Range<usize> {
+        self.start[self.grid.index(cx, cy, lo)]..self.start[self.grid.index(cx, cy, hi)]
+    }
+}
+
+/// Cells `c - 2 ..= c + 2` of a periodic dimension of `n` cells, each once,
+/// as at most two half-open runs of consecutive cells (an empty second run
+/// is `(0, 0)`).
+fn periodic_runs(c: usize, n: usize) -> [(usize, usize); 2] {
+    if n <= 5 {
+        [(0, n), (0, 0)]
+    } else if c < 2 {
+        [(0, c + 3), (n + c - 2, n)]
+    } else if c + 3 > n {
+        [(c - 2, n), (0, c + 3 - n)]
+    } else {
+        [(c - 2, c + 3), (0, 0)]
+    }
+}
+
+/// Build full neighbor lists for the `nlocal` owned atoms from all `nall`
+/// atoms (owned + ghosts).
+///
+/// Atom `i`'s list holds every `j ≠ i` with
+/// `dx*dx + dy*dy + dz*dz <= cutneigh_sq` (`dy`, `dz` minimum-image), in
+/// canonical order: ascending partner *global atom id*, then partner x bits
+/// (periodic images of one atom share an id and differ in x), then partner
+/// index (which no two entries share). So force summation order — and
+/// therefore the floating-point trajectory — is independent of cell
+/// traversal and ghost arrival order. This is what makes a restored run
+/// bitwise-identical to an uninterrupted one.
+///
+/// Completeness: a partner within the cutoff is at most `cutneigh` away
+/// along each axis, so with cells at least `cutneigh / 2` wide its cell is
+/// at most two cells away; clamping x to the grid is monotone, so it can
+/// move a far atom inward but never push a near pair apart.
 ///
 /// `neigh_list` is an `nlocal × maxneigh` table; `neigh_count[i]` is atom
-/// `i`'s neighbor count. Each list is sorted by the partner's *global atom
-/// id* (position bits break ties between periodic images of the same atom),
-/// so force summation order — and therefore the floating-point trajectory —
-/// is independent of bin traversal and ghost arrival order. This is what
-/// makes a restored run bitwise-identical to an uninterrupted one.
-/// Returns the total number of pairs (for tests).
+/// `i`'s neighbor count. Returns the total number of pairs (for tests).
 #[allow(clippy::too_many_arguments)]
 pub fn build_neighbors(
-    grid: &BinGrid,
     slab: &Slab,
     x: &[f64],
     ids: &[u64],
     nlocal: usize,
-    bin_count: &[u32],
-    bin_atoms: &[u32],
-    bin_cap: usize,
+    nall: usize,
     cutneigh_sq: f64,
     neigh_count: &mut [u32],
     neigh_list: &mut [u32],
     maxneigh: usize,
 ) -> usize {
-    let mut total = 0usize;
+    let cells = Cells::new(slab, cutneigh_sq.sqrt(), x, ids, nall);
+    let g = &cells.grid;
+    // The stencil visits each cell once, so an atom is a candidate of a
+    // given owned atom at most once: `nall` slots hold any run's distances
+    // and any owned atom's partners.
+    let mut r2 = vec![0.0; nall];
+    let mut hits = vec![0u32; nall];
+    let mut total = 0;
     for i in 0..nlocal {
-        let pi = &x[3 * i..3 * i + 3];
-        let (bx, by, bz) = grid.coords_of(pi);
-        let mut n = 0u32;
-        for wx in BinGrid::clamped_span(bx, grid.nbx) {
-            for wy in BinGrid::periodic_span(by, grid.nby) {
-                for wz in BinGrid::periodic_span(bz, grid.nbz) {
-                    let b = grid.index(wx, wy, wz);
-                    for k in 0..bin_count[b] as usize {
-                        let j = bin_atoms[b * bin_cap + k] as usize;
-                        if j == i {
-                            continue;
+        let (xi, yi, zi, ri) = (x[3 * i], x[3 * i + 1], x[3 * i + 2], cells.rank_of[i]);
+        let (cx, cy, cz) = g.coords_of(&x[3 * i..3 * i + 3]);
+        let z_runs = periodic_runs(cz, g.nbz);
+        let mut n = 0;
+        for wx in cx.saturating_sub(2)..=(cx + 2).min(g.nbx - 1) {
+            for (lo, hi) in periodic_runs(cy, g.nby) {
+                for wy in lo..hi {
+                    for z_run in z_runs {
+                        let slots = cells.run(wx, wy, z_run);
+                        // Distances first, in a loop without branches on the
+                        // data; then a branch-free pass keeps the partners:
+                        // every candidate is written, only a partner advances
+                        // the end.
+                        let r2 = &mut r2[..slots.len()];
+                        for (d, ((&xj, &yj), &zj)) in r2.iter_mut().zip(
+                            cells.x[slots.clone()]
+                                .iter()
+                                .zip(&cells.y[slots.clone()])
+                                .zip(&cells.z[slots.clone()]),
+                        ) {
+                            let dx = xi - xj;
+                            let dy = slab.min_image(yi - yj, 1);
+                            let dz = slab.min_image(zi - zj, 2);
+                            *d = dx * dx + dy * dy + dz * dz;
                         }
-                        let dx = pi[0] - x[3 * j];
-                        let dy = slab.min_image(pi[1] - x[3 * j + 1], 1);
-                        let dz = slab.min_image(pi[2] - x[3 * j + 2], 2);
-                        let r2 = dx * dx + dy * dy + dz * dz;
-                        if r2 <= cutneigh_sq {
-                            assert!(
-                                (n as usize) < maxneigh,
-                                "neighbor overflow for atom {i} (cap {maxneigh})"
-                            );
-                            neigh_list[i * maxneigh + n as usize] = j as u32;
-                            n += 1;
+                        for (&d, &r) in r2.iter().zip(&cells.rank[slots]) {
+                            hits[n] = r;
+                            n += usize::from(d <= cutneigh_sq && r != ri);
                         }
                     }
                 }
             }
         }
-        // Canonical order: ascending (partner id, partner x bits).
-        let list = &mut neigh_list[i * maxneigh..i * maxneigh + n as usize];
-        list.sort_unstable_by_key(|&j| (ids[j as usize], x[3 * j as usize].to_bits()));
-        neigh_count[i] = n;
-        total += n as usize;
+        let hits = &mut hits[..n];
+        assert!(
+            hits.len() <= maxneigh,
+            "neighbor overflow for atom {i} (cap {maxneigh})"
+        );
+        hits.sort_unstable();
+        for (slot, &r) in neigh_list[i * maxneigh..].iter_mut().zip(&*hits) {
+            *slot = cells.order[r as usize];
+        }
+        neigh_count[i] = hits.len() as u32;
+        total += hits.len();
+    }
+    total
+}
+
+/// The definition [`build_neighbors`] implements, one distance per pair
+/// and no index: every `j ≠ i` of the `nall` atoms, in the same canonical
+/// order. Kept solely as the oracle `build_neighbors` is property-tested
+/// (`tests/neighbor_props.rs`) and timed (the bench gate's `minimd`
+/// section) against; no production path calls it.
+#[allow(clippy::too_many_arguments)]
+pub fn build_neighbors_all_pairs(
+    slab: &Slab,
+    x: &[f64],
+    ids: &[u64],
+    nlocal: usize,
+    nall: usize,
+    cutneigh_sq: f64,
+    neigh_count: &mut [u32],
+    neigh_list: &mut [u32],
+    maxneigh: usize,
+) -> usize {
+    let mut hits = Vec::new();
+    let mut total = 0;
+    for i in 0..nlocal {
+        hits.clear();
+        for j in (0..nall).filter(|&j| j != i) {
+            let dx = x[3 * i] - x[3 * j];
+            let dy = slab.min_image(x[3 * i + 1] - x[3 * j + 1], 1);
+            let dz = slab.min_image(x[3 * i + 2] - x[3 * j + 2], 2);
+            if dx * dx + dy * dy + dz * dz <= cutneigh_sq {
+                hits.push((ids[j], x[3 * j].to_bits(), j as u32));
+            }
+        }
+        assert!(
+            hits.len() <= maxneigh,
+            "neighbor overflow for atom {i} (cap {maxneigh})"
+        );
+        hits.sort_unstable();
+        for (slot, &(_, _, j)) in neigh_list[i * maxneigh..].iter_mut().zip(&hits) {
+            *slot = j;
+        }
+        neigh_count[i] = hits.len() as u32;
+        total += hits.len();
     }
     total
 }
@@ -196,6 +342,31 @@ mod tests {
         (slab, x, n)
     }
 
+    /// Lists of the `n` atoms of a single-rank lattice without ghosts.
+    fn lattice_lists(
+        slab: &Slab,
+        x: &[f64],
+        n: usize,
+        cut: f64,
+        maxneigh: usize,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let mut ncount = vec![0u32; n];
+        let mut nlist = vec![0u32; n * maxneigh];
+        let ids: Vec<u64> = (0..n as u64).collect();
+        build_neighbors(
+            slab,
+            x,
+            &ids,
+            n,
+            n,
+            cut * cut,
+            &mut ncount,
+            &mut nlist,
+            maxneigh,
+        );
+        (ncount, nlist)
+    }
+
     #[test]
     fn bins_cover_all_atoms() {
         let (slab, x, n) = flat_positions([3, 3, 3]);
@@ -209,32 +380,21 @@ mod tests {
     }
 
     #[test]
+    fn a_position_just_below_zero_wraps_to_the_last_bin() {
+        let slab = Slab::new(0, 2, [3, 6, 6]);
+        let grid = BinGrid::new(&slab, 2.8);
+        assert!(grid.nby >= 3, "enough bins that the last is not the first");
+        let (_, by, bz) = grid.coords_of(&[slab.xlo + 1.0, -0.01, 1.0]);
+        assert_eq!((by, bz), (grid.nby - 1, 0));
+        let (_, by, _) = grid.coords_of(&[slab.xlo + 1.0, -grid.size_y - 0.01, 1.0]);
+        assert_eq!(by, grid.nby - 2);
+    }
+
+    #[test]
     fn neighbor_counts_match_brute_force() {
         let (slab, x, n) = flat_positions([3, 3, 3]);
         let cut = 2.8f64;
-        let grid = BinGrid::new(&slab, cut);
-        let cap = grid.suggested_bin_cap(crate::minimd::atoms::DENSITY);
-        let maxneigh = 160;
-        let mut bc = vec![0u32; grid.total_bins()];
-        let mut ba = vec![0u32; grid.total_bins() * cap];
-        build_bins(&grid, &x, n, &mut bc, &mut ba, cap);
-        let mut ncount = vec![0u32; n];
-        let mut nlist = vec![0u32; n * maxneigh];
-        let ids: Vec<u64> = (0..n as u64).collect();
-        build_neighbors(
-            &grid,
-            &slab,
-            &x,
-            &ids,
-            n,
-            &bc,
-            &ba,
-            cap,
-            cut * cut,
-            &mut ncount,
-            &mut nlist,
-            maxneigh,
-        );
+        let (ncount, _) = lattice_lists(&slab, &x, n, cut, 160);
 
         // Brute force with y/z minimum image (single rank: x is NOT
         // periodic through ghosts here, so restrict check to central atoms
@@ -265,29 +425,8 @@ mod tests {
     fn neighbor_lists_are_symmetric_for_interior() {
         let (slab, x, n) = flat_positions([3, 3, 3]);
         let cut = 2.8f64;
-        let grid = BinGrid::new(&slab, cut);
-        let cap = grid.suggested_bin_cap(crate::minimd::atoms::DENSITY);
         let maxneigh = 160;
-        let mut bc = vec![0u32; grid.total_bins()];
-        let mut ba = vec![0u32; grid.total_bins() * cap];
-        build_bins(&grid, &x, n, &mut bc, &mut ba, cap);
-        let mut ncount = vec![0u32; n];
-        let mut nlist = vec![0u32; n * maxneigh];
-        let ids: Vec<u64> = (0..n as u64).collect();
-        build_neighbors(
-            &grid,
-            &slab,
-            &x,
-            &ids,
-            n,
-            &bc,
-            &ba,
-            cap,
-            cut * cut,
-            &mut ncount,
-            &mut nlist,
-            maxneigh,
-        );
+        let (ncount, nlist) = lattice_lists(&slab, &x, n, cut, maxneigh);
         let has = |i: usize, j: usize| {
             nlist[i * maxneigh..i * maxneigh + ncount[i] as usize].contains(&(j as u32))
         };
@@ -307,33 +446,14 @@ mod tests {
 
     #[test]
     fn small_periodic_dims_do_not_double_count() {
-        // 2 bins in y/z: the ±1 spans overlap and must be deduplicated.
+        // One coarse bin and two cells in y/z: the ±2 stencil wraps onto
+        // every cell and must visit each once.
         let (slab, x, n) = flat_positions([3, 2, 2]);
         let cut = 2.8f64;
         let grid = BinGrid::new(&slab, cut);
         assert!(grid.nby <= 2 && grid.nbz <= 2);
-        let cap = grid.suggested_bin_cap(crate::minimd::atoms::DENSITY);
         let maxneigh = 256;
-        let mut bc = vec![0u32; grid.total_bins()];
-        let mut ba = vec![0u32; grid.total_bins() * cap];
-        build_bins(&grid, &x, n, &mut bc, &mut ba, cap);
-        let mut ncount = vec![0u32; n];
-        let mut nlist = vec![0u32; n * maxneigh];
-        let ids: Vec<u64> = (0..n as u64).collect();
-        build_neighbors(
-            &grid,
-            &slab,
-            &x,
-            &ids,
-            n,
-            &bc,
-            &ba,
-            cap,
-            cut * cut,
-            &mut ncount,
-            &mut nlist,
-            maxneigh,
-        );
+        let (ncount, nlist) = lattice_lists(&slab, &x, n, cut, maxneigh);
         // No duplicate entries in any list.
         for i in 0..n {
             let mut l: Vec<u32> = nlist[i * maxneigh..i * maxneigh + ncount[i] as usize].to_vec();

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use apps::MiniMd;
 use cluster::{Cluster, ClusterConfig, RelaunchModel, TimeScale};
 use kokkos_resilience::{CheckpointFilter, Context, ContextConfig, ViewClass};
-use resilience::{run_experiment, Bookkeeper, ExperimentConfig, IterativeApp, Strategy};
-use simmpi::{FaultPlan, MpiResult, Universe, UniverseConfig};
+use resilience::{run_experiment, Bookkeeper, ExperimentConfig, IterativeApp, RunRecord, Strategy};
+use simmpi::{Backend, FaultPlan, MpiResult, Universe, UniverseConfig};
 
 fn cluster(n: usize) -> Cluster {
     let cfg = ClusterConfig {
@@ -127,6 +127,65 @@ fn minimd_recovery_is_bitwise_exact() {
             "{strategy} trajectory diverged after recovery"
         );
     }
+}
+
+/// One run of this file's shape under the DES engine on a virtual-time
+/// cluster: 4 active ranks, plus a spare under Fenix.
+fn des_run(strategy: Strategy, plan: FaultPlan) -> RunRecord {
+    let spares = usize::from(strategy.uses_fenix());
+    let cluster = Cluster::new(ClusterConfig {
+        nodes: 4 + spares,
+        ranks_per_node: 1,
+        virtual_time: true,
+        ..ClusterConfig::default()
+    });
+    let cfg = ExperimentConfig {
+        backend: Backend::Des { seed: 16 },
+        ..cfg(strategy, spares)
+    };
+    run_experiment(&cluster, &MiniMd::new(CELLS, ITERS), &cfg, Arc::new(plan))
+}
+
+/// `(virtual wall ns, digest)` of the reference run (`Unprotected`), then
+/// `FenixKokkosResilience` failure-free and with rank 2 killed at 13. The
+/// digest is a function of every atom's position and velocity bits, and
+/// ghost counts price the modelled messages, so a neighbor search that
+/// drops, adds or reorders one pair moves a value here. A PR that changes
+/// the trajectory on purpose re-records the table from the `minimd_des:`
+/// lines `--nocapture` prints and states old → new.
+const MINIMD_DES_PINNED: [(u128, u64); 3] = [
+    (1_740_280_253, 0x736f_8653_9a7b_fb1b), // ref
+    (1_802_961_382, 0x736f_8653_9a7b_fb1b), // nf
+    (1_804_589_104, 0x736f_8653_9a7b_fb1b), // fail
+];
+
+#[test]
+fn minimd_trajectory_and_modelled_time_are_pinned() {
+    let runs = [
+        ("ref", des_run(Strategy::Unprotected, FaultPlan::none())),
+        (
+            "nf",
+            des_run(Strategy::FenixKokkosResilience, FaultPlan::none()),
+        ),
+        (
+            "fail",
+            des_run(
+                Strategy::FenixKokkosResilience,
+                FaultPlan::kill_at(2, "iter", 13),
+            ),
+        ),
+    ];
+    let got = runs.each_ref().map(|(role, rec)| {
+        println!(
+            "minimd_des: {role} ({}, {:#018x})",
+            rec.wall.as_nanos(),
+            rec.digest
+        );
+        assert_eq!(rec.iterations, ITERS, "{role}");
+        (rec.wall.as_nanos(), rec.digest)
+    });
+    assert_eq!(got, MINIMD_DES_PINNED, "trajectory or modelled time moved");
+    assert_eq!(runs[2].1.repairs, 1);
 }
 
 #[test]

@@ -49,7 +49,8 @@ write_summary() {
     printf '"bench_results":"target/BENCH_checkpoint.json",'
     printf '"bench_redundancy_results":"target/BENCH_redundancy.json",'
     printf '"bench_sched_results":"target/BENCH_sched.json",'
-    printf '"bench_restart_results":"target/BENCH_restart.json"'
+    printf '"bench_restart_results":"target/BENCH_restart.json",'
+    printf '"bench_minimd_results":"target/BENCH_minimd.json"'
     printf '}}\n'
   } > target/ci-summary.json
   echo "stage summary written to target/ci-summary.json"
@@ -219,8 +220,8 @@ mv target/benchmark-Cargo.lock benchmark/Cargo.lock
 [ "$frozen" -eq 0 ]
 end
 
-begin "bench gate: checkpoint + redundancy + sched + restart"
-# Runs the four bench targets and holds each fresh target/BENCH_*.json to
+begin "bench gate: checkpoint + redundancy + sched + restart + minimd"
+# Runs the five bench targets and holds each fresh target/BENCH_*.json to
 # within-run ratio claims, every one against an oracle timed in the same
 # process (the list, the bounds and the ratios measured on this container
 # are scripts/bench_gate.sh): the incremental pipeline against the full
@@ -229,7 +230,8 @@ begin "bench gate: checkpoint + redundancy + sched + restart"
 # restore, the CRC and GF(256) dispatches against their portable kernels and
 # those against their definitional forms, the coded encodes and rebuilds
 # against each other and a plain copy, the baton against a bare condvar
-# ping-pong, and schedule and repair cost against rank count. Every claim
+# ping-pong, schedule and repair cost against rank count, and MiniMD's
+# neighbor search against its all-pairs definition. Every claim
 # held goes into ci-summary.json as claims[{fast, slow, metric, ratio,
 # min_x}] — the record of how far each ratio sits from its bound — beside
 # the kernels serial::crc32 and gf256::mul_acc dispatched to on this host and
