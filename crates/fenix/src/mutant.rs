@@ -20,15 +20,6 @@ fn rebuild_group(dead: &[usize]) -> usize {
     *dead.first().unwrap()
 }
 
-/// BUG (on purpose): revokes the communicator with no preceding failure
-/// detection (`is_recoverable`/`failed_ranks`) — the ULFM recovery order
-/// is detect → revoke → agree/shrink, so `protocol-typestate` must flag
-/// the revoke as illegal from the `live` state.
-#[cfg(feature = "lint-mutants")]
-pub fn revoke_without_detect(comm: &simmpi::Comm) {
-    comm.revoke();
-}
-
 /// BUG (on purpose): only the root rank enters the barrier — the classic
 /// unmatched collective `collective-match` must flag. Every other rank
 /// falls through and the root blocks forever.

@@ -4,8 +4,9 @@
 //! The parser ([`crate::parser`]) records *facts* (calls, lets, matches) in
 //! token order but deliberately flattens structure: a call inside a match
 //! arm and a call after the match are indistinguishable. The path-sensitive
-//! analyses (typestate, collective matching) need the structure back, so
-//! this module re-walks each function body and produces a tree:
+//! analysis (collective matching) needs the structure back, and the lock
+//! rules inline through it ([`crate::inline`]), so this module re-walks
+//! each function body and produces a tree:
 //!
 //! - [`Step::Call`] — one call expression (an index into `FnItem::calls`);
 //! - [`Step::Branch`] — `if`/`else if`/`else` chains and `match`
@@ -31,20 +32,31 @@ pub struct Block {
     pub steps: Vec<Step>,
 }
 
+impl Block {
+    /// Every call of the block, arms and loop bodies included, in order.
+    pub fn calls(&self) -> Vec<usize> {
+        let mut out = Vec::new();
+        for step in &self.steps {
+            match step {
+                Step::Call(k) => out.push(*k),
+                Step::Branch(b) => out.extend(b.arms.iter().flat_map(Block::calls)),
+                Step::Loop(body) => out.extend(body.calls()),
+                Step::Diverge => {}
+            }
+        }
+        out
+    }
+}
+
 /// One structured step inside a [`Block`].
 #[derive(Clone, Debug)]
 pub enum Step {
     /// Index into the owning `FnItem::calls`.
     Call(usize),
     Branch(BranchNode),
-    Loop {
-        body: Block,
-        line: u32,
-    },
+    Loop(Block),
     /// `return` / `break` / `continue` / `panic!` / `process::exit`.
-    Diverge {
-        line: u32,
-    },
+    Diverge,
 }
 
 /// An `if` chain or `match`: divergent arms of control flow.
@@ -132,10 +144,7 @@ impl<'a> Builder<'a> {
                             let close = skip_group(self.file, i + 1);
                             let mut body = Vec::new();
                             self.seq(i + 2, close - 1, &mut body);
-                            out.push(Step::Loop {
-                                body: Block { steps: body },
-                                line: self.file.line(i),
-                            });
+                            out.push(Step::Loop(Block { steps: body }));
                             i = close;
                             continue;
                         }
@@ -150,10 +159,7 @@ impl<'a> Builder<'a> {
                             let mut body = Vec::new();
                             self.calls_as_steps((i + 1, brace), &mut body);
                             self.seq(brace + 1, close - 1, &mut body);
-                            out.push(Step::Loop {
-                                body: Block { steps: body },
-                                line: self.file.line(i),
-                            });
+                            out.push(Step::Loop(Block { steps: body }));
                             i = close;
                             continue;
                         }
@@ -167,19 +173,15 @@ impl<'a> Builder<'a> {
                             self.calls_as_steps((i + 1, brace), out);
                             let mut body = Vec::new();
                             self.seq(brace + 1, close - 1, &mut body);
-                            out.push(Step::Loop {
-                                body: Block { steps: body },
-                                line: self.file.line(i),
-                            });
+                            out.push(Step::Loop(Block { steps: body }));
                             i = close;
                             continue;
                         }
                     }
                     "return" | "break" | "continue" => {
-                        let line = self.file.line(i);
                         let stop = scan_to_stmt_end(self.file, i + 1, end);
                         self.calls_as_steps((i + 1, stop), out);
-                        out.push(Step::Diverge { line });
+                        out.push(Step::Diverge);
                         i = stop;
                         continue;
                     }
@@ -206,7 +208,7 @@ impl<'a> Builder<'a> {
                             out.push(Step::Call(idx));
                             let call = &self.f.calls[idx];
                             if diverging_call(call) {
-                                out.push(Step::Diverge { line: call.line });
+                                out.push(Step::Diverge);
                             }
                             i += 1;
                             continue;
@@ -586,22 +588,22 @@ mod tests {
         let f = &p.fns[0];
         let b = build(&p, f);
         assert!(matches!(&b.steps[0], Step::Call(i) if f.calls[*i].name() == "make_iter"));
-        let Step::Loop { body, .. } = &b.steps[1] else {
+        let Step::Loop(body) = &b.steps[1] else {
             panic!()
         };
         assert_eq!(names(f, body), vec!["body"]);
-        let Step::Loop { body, .. } = &b.steps[2] else {
+        let Step::Loop(body) = &b.steps[2] else {
             panic!()
         };
         assert_eq!(names(f, body), vec!["more", "step"]);
-        let Step::Loop { body, .. } = &b.steps[3] else {
+        let Step::Loop(body) = &b.steps[3] else {
             panic!()
         };
-        assert!(matches!(body.steps[1], Step::Diverge { .. }));
+        assert!(matches!(body.steps[1], Step::Diverge));
     }
 
     fn ends_in_diverge(b: &Block) -> bool {
-        matches!(b.steps.last(), Some(Step::Diverge { .. }))
+        matches!(b.steps.last(), Some(Step::Diverge))
     }
 
     #[test]
@@ -620,7 +622,7 @@ mod tests {
         let f = &p.fns[0];
         let b = build(&p, f);
         assert!(matches!(&b.steps[0], Step::Call(i) if f.calls[*i].name() == "compute"));
-        assert!(matches!(b.steps[1], Step::Diverge { .. }));
+        assert!(matches!(b.steps[1], Step::Diverge));
     }
 
     #[test]

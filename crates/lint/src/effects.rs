@@ -13,14 +13,13 @@
 //! - `non-det`: nondeterminism sources — RNG draws and iteration over
 //!   unordered hash containers feeding the function's logic;
 //! - `panics`: the parser's panic sites (`panic!`-family macros,
-//!   `.unwrap()`, `.expect(…)`, non-range indexing);
-//! - `exits`: `process::exit`/`abort` — leaving without the run loop.
+//!   `.unwrap()`, `.expect(…)`, non-range indexing).
 //!
-//! A rule is a row of [`QUERIES`]: a root set, the kinds it forbids, the
-//! crates it reports in, and whether the roots themselves are exempt. One
-//! breadth-first traversal ([`CallGraph::reach`]) answers every row, and
-//! its parent forest gives each diagnostic a witness call chain — the
-//! shortest path from a root to the function holding the site.
+//! A rule is a row of [`QUERIES`]: a root set, the kinds it forbids, and
+//! the crates it reports in. One breadth-first traversal
+//! ([`CallGraph::reach`]) answers every row, and its parent forest gives
+//! each diagnostic a witness call chain — the shortest path from a root to
+//! the function holding the site.
 //!
 //! Sites of the first four kinds that are *legitimately* effectful carry
 //! a sanction pragma on the line or up to five lines above:
@@ -32,8 +31,8 @@
 //!
 //! A sanction clears the named kinds for rule purposes but the site still
 //! appears in the effects inventory (`--effects`), flagged `sanctioned`
-//! with its justification. Panic and exit sites cannot be sanctioned in
-//! place: `lint-baseline.txt` is their only exception path.
+//! with its justification. Panic sites cannot be sanctioned: there is no
+//! exception path for them, so a reachable one is fixed.
 
 use std::collections::{HashMap, HashSet};
 
@@ -59,7 +58,6 @@ impl EffectSet {
     pub const SPAWNS: EffectSet = EffectSet(1 << 2);
     pub const NON_DET: EffectSet = EffectSet(1 << 3);
     pub const PANICS: EffectSet = EffectSet(1 << 4);
-    pub const EXITS: EffectSet = EffectSet(1 << 5);
     /// The kinds a deterministic rank path must be free of or sanction,
     /// and the ones the effects inventory lists. Only these have a pragma
     /// word.
@@ -87,13 +85,12 @@ impl EffectSet {
     }
 
     /// Every kind with its stable name, in display order.
-    const KINDS: [(EffectSet, &'static str); 6] = [
+    const KINDS: [(EffectSet, &'static str); 5] = [
         (Self::WALL_CLOCK, "wall-clock"),
         (Self::BLOCKS, "blocks"),
         (Self::SPAWNS, "spawns"),
         (Self::NON_DET, "non-det"),
         (Self::PANICS, "panics"),
-        (Self::EXITS, "exits"),
     ];
 
     /// Names of the set bits.
@@ -103,8 +100,7 @@ impl EffectSet {
     }
 
     /// Parse one effect name as written in a sanction pragma: the
-    /// [`Self::MIGRATION`] kinds only — panic and exit sites are not
-    /// sanctionable in place.
+    /// [`Self::MIGRATION`] kinds only — panic sites are not sanctionable.
     pub fn from_name(name: &str) -> Option<EffectSet> {
         let mut words = Self::KINDS.iter();
         let word = words.find(|(bit, n)| *n == name && Self::MIGRATION.contains(*bit));
@@ -148,11 +144,6 @@ const PATH_INTRINSICS: &[(&[&str], EffectSet)] = &[
         &["thread", "park_timeout"],
         EffectSet(EffectSet::WALL_CLOCK.0 | EffectSet::BLOCKS.0),
     ),
-    (&["process", "exit"], EffectSet::EXITS),
-    (&["process", "abort"], EffectSet::EXITS),
-    (&["libc", "exit"], EffectSet::EXITS),
-    (&["libc", "_exit"], EffectSet::EXITS),
-    (&["libc", "abort"], EffectSet::EXITS),
 ];
 
 /// Method names that read the wall clock.
@@ -393,27 +384,16 @@ impl InventoryEntry {
     }
 }
 
-/// Where a query's traversal starts.
-pub enum Roots {
-    /// An entry-point table, resolved by [`collect_entries`].
-    Entries(EntryTable),
-    /// Every function that calls `fenix::run`. Closure calls attribute to
-    /// the enclosing function, so the loop body's callees are reachable
-    /// from these.
-    RunLoopCallers,
-}
-
 /// One reachability rule: no unsanctioned site of a `forbidden` kind in a
-/// function reachable from `roots`.
+/// function reachable from the entry table `roots` (resolved by
+/// [`collect_entries`]).
 pub struct Query {
     pub rule: &'static str,
-    pub roots: Roots,
+    pub roots: EntryTable,
     pub forbidden: EffectSet,
     /// Crates whose sites are reported (`None`: all). The traversal itself
     /// follows calls anywhere, vendored shims included.
     pub report_in: Option<&'static [&'static str]>,
-    /// Sites in the root functions themselves are allowed.
-    pub roots_exempt: bool,
     /// Completes "reachable from …".
     pub from: &'static str,
     pub fix: &'static str,
@@ -423,12 +403,6 @@ const SANCTION_FIX: &str = "fix the site or sanction it with `// lint: sanction(
 
 /// The reachability rules.
 ///
-/// - `single-exit`: the paper's single control-flow exit point (Fig. 4).
-///   Every rank — survivor, repaired, or spare — leaves the resilient
-///   region by returning through the `fenix::run` loop; an exit anywhere
-///   the loop can reach bypasses rank-state agreement and the final
-///   collective. The caller of `fenix::run` is exempt: exiting after the
-///   loop has returned is the harness's business.
 /// - `panic-reach`: a panic on the re-entry path after a failure kills the
 ///   rank that was supposed to be recovering. Reported only where the code
 ///   participates in the recovery protocol ([`PANIC_SITE_CRATES`]).
@@ -437,44 +411,32 @@ const SANCTION_FIX: &str = "fix the site or sanction it with `// lint: sanction(
 ///   wall clock, park the OS thread, draw nondeterminism, or spawn threads
 ///   unless the site says why it may — those are what the deterministic
 ///   scheduler must own. Malformed pragmas are reported under this rule.
-/// - `blocking-in-governor`: reservation math and telemetry export
-///   callbacks run under locks and on hot paths — they compute, never park.
+/// - `blocking-context`, governor half: reservation math and telemetry
+///   export callbacks run under locks and on hot paths — they compute,
+///   never park. (The lock half is [`crate::rules::lockorder`].)
 pub const QUERIES: &[Query] = &[
     Query {
-        rule: "single-exit",
-        roots: Roots::RunLoopCallers,
-        forbidden: EffectSet::EXITS,
-        report_in: None,
-        roots_exempt: true,
-        from: "the fenix::run loop",
-        fix: "recovery paths must return through the single exit point, not terminate \
-              the process",
-    },
-    Query {
         rule: "panic-reach",
-        roots: Roots::Entries(RECOVERY_ENTRY_FNS),
+        roots: RECOVERY_ENTRY_FNS,
         forbidden: EffectSet::PANICS,
         report_in: Some(PANIC_SITE_CRATES),
-        roots_exempt: false,
         from: "a recovery entry point",
         fix: "a panic here kills the recovering rank — return the error through the \
               resilience layers instead",
     },
     Query {
         rule: "rank-path-effects",
-        roots: Roots::Entries(RANK_ENTRY_FNS),
+        roots: RANK_ENTRY_FNS,
         forbidden: EffectSet::MIGRATION,
         report_in: None,
-        roots_exempt: false,
         from: "a rank entry point",
         fix: SANCTION_FIX,
     },
     Query {
-        rule: "blocking-in-governor",
-        roots: Roots::Entries(GOVERNOR_FNS),
+        rule: crate::rules::lockorder::RULE_BLOCKING,
+        roots: GOVERNOR_FNS,
         forbidden: EffectSet::BLOCKS,
         report_in: None,
-        roots_exempt: false,
         from: "a governor/exporter callback",
         fix: SANCTION_FIX,
     },
@@ -520,33 +482,15 @@ impl EffectAnalysis {
         }
     }
 
-    fn roots(&self, ws: &Workspace, which: &Roots) -> Vec<FnId> {
-        match which {
-            Roots::Entries(table) => collect_entries(ws, table, self.opts),
-            Roots::RunLoopCallers => ws
-                .live(self.opts)
-                .filter(|(_, f)| {
-                    f.calls.iter().any(|c| {
-                        c.kind == CallKind::Path
-                            && c.name() == "run"
-                            && c.segs.iter().any(|s| s == "fenix" || s == "runtime")
-                    })
-                })
-                .map(|(id, _)| id)
-                .collect(),
-        }
-    }
-
     /// Run every row of [`QUERIES`], plus the malformed-pragma report.
     pub fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         for q in QUERIES {
-            let roots = self.roots(ws, &q.roots);
+            let roots = collect_entries(ws, q.roots, self.opts);
             let parent = self.graph.reach(&roots);
             for (&id, sites) in &self.sites {
                 let file = ws.file(id);
                 if !parent.contains_key(&id)
-                    || (q.roots_exempt && roots.contains(&id))
                     || q.report_in
                         .is_some_and(|crates| !crates.contains(&file.crate_name.as_str()))
                 {
@@ -686,12 +630,9 @@ pub fn unmatched_entries(ws: &Workspace, table: EntryTable) -> Vec<String> {
 }
 
 /// [`unmatched_entries`] over every entry table [`QUERIES`] roots at, each
-/// pattern once: a scan error, like a stale baseline entry.
+/// pattern once: a scan error, like a finding.
 pub fn unmatched_roots(ws: &Workspace) -> Vec<String> {
-    let tables = QUERIES.iter().filter_map(|q| match q.roots {
-        Roots::Entries(table) => Some(table),
-        Roots::RunLoopCallers => None,
-    });
+    let tables = QUERIES.iter().map(|q| q.roots);
     let mut out: Vec<String> = tables.flat_map(|t| unmatched_entries(ws, t)).collect();
     out.sort();
     out.dedup();
@@ -876,27 +817,19 @@ mod tests {
     fn rows_scope_their_reports() {
         let (w, fx) = run(&[
             (
-                "crates/harness/src/main.rs",
-                "fn main() {\n\
-                 if fenix::run(|| body()).is_err() { std::process::exit(1); }\n\
-                 }\n\
-                 fn body() { std::process::abort(); }\n",
-            ),
-            (
                 "crates/fenix/src/lib.rs",
                 "pub fn run(s: Option<u8>) { s.unwrap(); telemetry::note(s); }\n",
             ),
             (
                 "crates/telemetry/src/lib.rs",
-                "pub fn note(s: Option<u8>) { s.unwrap(); }\n",
+                "pub fn note(s: Option<u8>) { s.unwrap(); std::thread::park(); }\n",
             ),
         ]);
         let d = fx.check(&w);
         let got: Vec<_> = d.iter().map(|d| (d.rule, d.func.as_str())).collect();
-        // The `fenix::run` caller may exit after the loop returns; the
-        // traversal crosses into telemetry, but a panic there is not a
-        // resilience-protocol finding.
-        assert_eq!(got, [("single-exit", "body"), ("panic-reach", "run")]);
+        // Both traversals cross into telemetry: a park there is a rank-path
+        // finding, but a panic there is not a resilience-protocol one.
+        assert_eq!(got, [("panic-reach", "run"), ("rank-path-effects", "note")]);
     }
 
     #[test]

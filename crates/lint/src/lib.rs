@@ -1,7 +1,7 @@
 //! Protocol-aware static analysis for the layered-resilience workspace.
 //!
-//! PR 2 shipped this crate as a line-regex scanner; it is now a real
-//! analysis engine:
+//! A rule lives here only where no runtime suite catches its violation
+//! (DESIGN.md §10 has the experiment behind each). The engine:
 //!
 //! - [`lexer`] — a lossless in-tree Rust lexer (raw strings with arbitrary
 //!   hash counts, nested block comments, lifetime vs. char-literal
@@ -11,18 +11,17 @@
 //!   sites;
 //! - [`callgraph`] — a workspace-wide call graph with heuristic name
 //!   resolution and the one breadth-first traversal;
+//! - [`cfg`] and [`inline`] — per-function control-flow trees, and the
+//!   one depth-bounded, cycle-safe walk that inlines single-candidate
+//!   callees through them;
 //! - [`effects`] — the call-graph query ("is a site of kind K reachable
 //!   from root set R?") and the rules that are rows of it;
-//! - [`rules`] — the other lint rules: the protocol lints encoding the
-//!   paper's resilience invariants plus the two token rules carried over
-//!   from PR 2 (`unsafe-comment` went once the workspace's clippy denies
-//!   covered every case it caught);
-//! - [`diag`] — diagnostics, the JSON report and the justified-baseline
-//!   format.
+//! - [`rules`] — the other rules;
+//! - [`diag`] — diagnostics and the JSON report.
 //!
 //! The binary (`cargo run -p lint`) scans the workspace and exits
-//! non-zero on any non-baselined finding; `--self-check` proves every
-//! rule still fires on its fixture and stays quiet on the clean twin.
+//! non-zero on any finding; [`self_check`] (a unit test) proves every rule
+//! still fires on its fixture and stays quiet on the clean twin.
 //!
 //! The analyzer never scans `crates/lint` itself (its sources and
 //! fixtures deliberately contain every pattern the rules hunt for).
@@ -31,6 +30,7 @@ pub mod callgraph;
 pub mod cfg;
 pub mod diag;
 pub mod effects;
+pub mod inline;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
@@ -38,7 +38,7 @@ pub mod rules;
 use std::path::{Path, PathBuf};
 
 pub use callgraph::{CallGraph, GraphOpts, Resolver, Workspace};
-pub use diag::{Baseline, Diagnostic};
+pub use diag::Diagnostic;
 use effects::EffectAnalysis;
 use parser::ParsedFile;
 
@@ -127,15 +127,11 @@ pub fn analyze(ws: &Workspace, opts: GraphOpts) -> (Vec<Diagnostic>, EffectAnaly
 fn fixture_rel(rule: &str) -> &'static str {
     match rule {
         "dropped-result" => "crates/veloc/src/__fixture__.rs",
-        "panic-reach" | "wildcard-match" => "crates/fenix/src/__fixture__.rs",
         "relaxed-sync" => "crates/telemetry/src/__fixture__.rs",
-        "thread-spawn" => "crates/simmpi/src/__fixture__.rs",
-        "protocol-typestate" | "collective-match" => "crates/fenix/src/__fixture__.rs",
-        "lock-order" | "blocking-while-locked" => "crates/simmpi/src/__fixture__.rs",
-        "rank-path-effects" => "crates/simmpi/src/__fixture__.rs",
-        "blocking-in-governor" => "crates/cluster/src/__fixture__.rs",
-        // single-exit, protect-pairing, reset-order.
-        _ => "crates/resilience/src/__fixture__.rs",
+        "lock-order" | "rank-path-effects" => "crates/simmpi/src/__fixture__.rs",
+        "blocking-context" => "crates/cluster/src/__fixture__.rs",
+        // panic-reach, wildcard-match, collective-match.
+        _ => "crates/fenix/src/__fixture__.rs",
     }
 }
 
@@ -215,8 +211,6 @@ struct CliOpts {
     root: PathBuf,
     report: Option<PathBuf>,
     effects: Option<PathBuf>,
-    mutants: bool,
-    self_check: bool,
 }
 
 fn parse_args() -> Result<CliOpts, String> {
@@ -234,8 +228,6 @@ fn parse_args() -> Result<CliOpts, String> {
             "--root" => opts.root = PathBuf::from(value("--root")?),
             "--report" => opts.report = Some(PathBuf::from(value("--report")?)),
             "--effects" => opts.effects = Some(PathBuf::from(value("--effects")?)),
-            "--mutants" => opts.mutants = true,
-            "--self-check" => opts.self_check = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -248,57 +240,18 @@ fn fail(msg: String) -> ! {
     std::process::exit(2);
 }
 
-/// Entry point for the `lint` binary. Exit codes: 0 clean, 1 findings or
-/// self-check failure, 2 usage/IO error.
+/// Entry point for the `lint` binary. Exit codes: 0 clean, 1 findings,
+/// 2 usage/IO error.
 pub fn cli_main() {
     let opts = parse_args().unwrap_or_else(|e| {
         fail(format!(
-            "{e}\nusage: lint [--root DIR] [--report PATH] [--effects PATH] [--mutants] \
-             [--self-check]"
+            "{e}\nusage: lint [--root DIR] [--report PATH] [--effects PATH]"
         ))
     });
 
-    if opts.self_check {
-        let fixtures = opts.root.join("crates/lint/fixtures");
-        match self_check(&fixtures) {
-            Ok(counts) => {
-                for (rule, n) in counts {
-                    println!("self-check: {rule} fires ({n} finding(s)), clean twin passes");
-                }
-                println!("self-check: all {} rules verified", rules::ALL_RULES.len());
-            }
-            Err(e) => {
-                eprintln!("self-check FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let graph_opts = GraphOpts {
-        include_mutants: opts.mutants,
-    };
     let ws = load_workspace(&opts.root)
         .unwrap_or_else(|e| fail(format!("failed to read workspace: {e}")));
-    let (diags, fx) = analyze(&ws, graph_opts);
-
-    let baseline_path = opts.root.join("lint-baseline.txt");
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => Baseline::parse(&text)
-            .unwrap_or_else(|e| fail(format!("bad baseline {}: {e}", baseline_path.display()))),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::default(),
-        Err(e) => fail(format!("cannot read baseline: {e}")),
-    };
-    let (baselined, active): (Vec<_>, Vec<_>) =
-        diags.into_iter().partition(|d| baseline.contains(d));
-    // A stale baseline entry is an error, not a warning: either the
-    // finding was fixed (delete the entry) or the code moved (re-key it).
-    // Letting stale entries linger would silently accept a future
-    // regression at the old key.
-    let stale = baseline.stale(&baselined);
-    for entry in &stale {
-        eprintln!("lint: error: stale baseline entry (remove it): {entry}");
-    }
+    let (diags, fx) = analyze(&ws, GraphOpts::default());
     let unmatched = effects::unmatched_roots(&ws);
     for pat in &unmatched {
         eprintln!("lint: error: entry-table pattern names no function (re-key it): {pat}");
@@ -314,8 +267,7 @@ pub fn cli_main() {
         println!("lint: {what} written to {}", path.display());
     };
     if let Some(path) = &opts.report {
-        let report = diag::render_json(&active, baselined.len());
-        write_out(path, "report", report);
+        write_out(path, "report", diag::render_json(&diags));
     }
     let inventory = fx.inventory(&ws);
     if let Some(path) = &opts.effects {
@@ -326,18 +278,16 @@ pub fn cli_main() {
         );
     }
 
-    for d in &active {
+    for d in &diags {
         println!("{}", d.render_human());
     }
     println!(
-        "lint: {} finding(s), {} baselined, {} files scanned{}; sanctioned sites: {}",
-        active.len(),
-        baselined.len(),
+        "lint: {} finding(s), {} files scanned; sanctioned sites: {}",
+        diags.len(),
         ws.files.len(),
-        if opts.mutants { " [mutants]" } else { "" },
         effects::sanctioned_summary(&inventory),
     );
-    if !active.is_empty() || !stale.is_empty() || !unmatched.is_empty() {
+    if !diags.is_empty() || !unmatched.is_empty() {
         std::process::exit(1);
     }
 }
@@ -435,23 +385,6 @@ mod tests {
         };
         let with: Vec<_> = analyze(&ws, opt_in).0.iter().map(|d| d.rule).collect();
         assert_eq!(with, ["wildcard-match", "dropped-result"]);
-    }
-
-    #[test]
-    fn fixture_dir_exists_for_every_rule() {
-        // The fixture-dedupe satellite: exactly one canonical fixture
-        // tree, and the binary's --self-check path must really exist.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-        assert!(root.is_dir(), "canonical fixture dir missing: {root:?}");
-        for &rule in rules::ALL_RULES {
-            for file in ["fire.rs", "clean.rs"] {
-                let p = root.join(rule).join(file);
-                assert!(p.is_file(), "missing fixture {p:?}");
-            }
-        }
-        // The old duplicate location must stay gone.
-        let dup = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/fixtures");
-        assert!(!dup.exists(), "duplicate fixture dir resurrected: {dup:?}");
     }
 
     #[test]

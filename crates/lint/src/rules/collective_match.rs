@@ -19,12 +19,11 @@
 //! the simmpi implementation itself, whose root-vs-peer branches are the
 //! collectives' own implementation technique.
 
-use std::collections::HashSet;
-
 use crate::callgraph::{FnId, GraphOpts, Resolver, Workspace};
-use crate::cfg::{self, Block, BranchNode, Step};
+use crate::cfg::{Block, BranchNode, Step};
 use crate::diag::Diagnostic;
-use crate::parser::{contains_word, CallKind};
+use crate::inline::Inliner;
+use crate::parser::contains_word;
 use crate::rules::{comm_call, Comm};
 
 pub const RULE: &str = "collective-match";
@@ -60,7 +59,6 @@ const RANK_WORDS: &[&str] = &[
 /// treated as unanalyzable and never flagged.
 const MAX_SEQS: usize = 8;
 const MAX_LEN: usize = 12;
-const MAX_DEPTH: usize = 4;
 
 /// A bounded set of possible collective sequences along fall-through
 /// paths. `set` is empty when every path diverges.
@@ -154,174 +152,145 @@ fn rank_dependent(cond: &str) -> bool {
 }
 
 pub fn check(ws: &Workspace, resolver: &Resolver, opts: GraphOpts) -> Vec<Diagnostic> {
-    let mut in_scope: Vec<FnId> = Vec::new();
-    for (id, f) in ws.live(opts) {
-        if f.body.is_some() && SCOPE.contains(&ws.file(id).crate_name.as_str()) {
-            in_scope.push(id);
-        }
-    }
-    let scope_set: HashSet<FnId> = in_scope.iter().copied().collect();
+    let in_scope: Vec<FnId> = ws
+        .live(opts)
+        .filter(|(id, f)| f.body.is_some() && SCOPE.contains(&ws.file(*id).crate_name.as_str()))
+        .map(|(id, _)| id)
+        .collect();
+    let mut inl = Inliner::new(ws, resolver, in_scope.iter().copied().collect());
     let mut diags = Vec::new();
-    let mut eval = Eval {
-        ws,
-        resolver,
-        scope_set: &scope_set,
-        stack: Vec::new(),
-        diags: &mut diags,
-    };
     for &id in &in_scope {
-        let f = ws.fn_item(id);
-        let block = cfg::build(ws.file(id), f);
-        eval.stack.push(id);
-        eval.block_seqs(id, &block, true);
-        eval.stack.pop();
+        inl.walk(id, |inl, block| {
+            block_seqs(inl, id, block, Some(&mut diags))
+        });
     }
     diags
 }
 
-struct Eval<'a, 'd> {
-    ws: &'a Workspace,
-    resolver: &'a Resolver<'a>,
-    scope_set: &'a HashSet<FnId>,
-    stack: Vec<FnId>,
-    diags: &'d mut Vec<Diagnostic>,
+/// Sequence set of `block` in function `id`. With `report`, branch nodes in
+/// this block belong to the function under report and are compared.
+/// Returns `(seqs, flagged)` — `flagged` suppresses enclosing reports so
+/// one root cause yields one diagnostic.
+fn block_seqs(
+    inl: &mut Inliner,
+    id: FnId,
+    block: &Block,
+    mut report: Option<&mut Vec<Diagnostic>>,
+) -> (Seqs, bool) {
+    let mut seqs = Seqs::unit();
+    let mut flagged = false;
+    for step in &block.steps {
+        match step {
+            Step::Call(idx) => {
+                let call = &inl.ws.fn_item(id).calls[*idx];
+                if let Some((name, Comm::Collective)) = comm_call(inl.ws.file(id), call) {
+                    seqs.push_elem(name);
+                } else if let Some(callee) = inl.callee(id, call) {
+                    let (callee_seqs, _) =
+                        inl.walk(callee, |inl, b| block_seqs(inl, callee, b, None));
+                    seqs.then(&callee_seqs);
+                }
+            }
+            Step::Branch(b) => {
+                let arm_results: Vec<(Seqs, bool)> = b
+                    .arms
+                    .iter()
+                    .map(|arm| block_seqs(inl, id, arm, report.as_deref_mut()))
+                    .collect();
+                let arm_flagged = arm_results.iter().any(|(_, fl)| *fl);
+                flagged |= arm_flagged;
+                if let Some(diags) = report.as_deref_mut().filter(|_| !arm_flagged) {
+                    flagged |= check_branch(inl.ws, id, b, &arm_results, diags);
+                }
+                let mut joined = Seqs::diverged();
+                for (s, _) in &arm_results {
+                    joined.union(s);
+                }
+                if !b.exhaustive {
+                    joined.union(&Seqs::unit());
+                }
+                if joined.set.is_empty() {
+                    return (Seqs::diverged(), flagged);
+                }
+                seqs.then(&joined);
+            }
+            Step::Loop(body) => {
+                let (body_seqs, fl) = block_seqs(inl, id, body, report.as_deref_mut());
+                flagged |= fl;
+                if body_seqs.overflow {
+                    seqs.overflow = true;
+                }
+                if body_seqs.set.iter().any(|s| !s.is_empty()) {
+                    seqs.push_elem(&format!("loop{{{}}}", body_seqs.canon()));
+                }
+            }
+            Step::Diverge => return (Seqs::diverged(), flagged),
+        }
+    }
+    (seqs, flagged)
 }
 
-impl Eval<'_, '_> {
-    /// Sequence set of `block`; when `check` is set, branch nodes in this
-    /// block belong to the function under report and are compared.
-    /// Returns `(seqs, flagged)` — `flagged` suppresses enclosing reports
-    /// so one root cause yields one diagnostic.
-    fn block_seqs(&mut self, id: FnId, block: &Block, check: bool) -> (Seqs, bool) {
-        let mut seqs = Seqs::unit();
-        let mut flagged = false;
-        for step in &block.steps {
-            match step {
-                Step::Call(idx) => {
-                    let file = self.ws.file(id);
-                    let f = self.ws.fn_item(id);
-                    let call = &f.calls[*idx];
-                    if let Some((name, Comm::Collective | Comm::Recovery)) = comm_call(file, call) {
-                        seqs.push_elem(name);
-                        continue;
-                    }
-                    if call.kind == CallKind::Macro {
-                        continue;
-                    }
-                    let cands: Vec<FnId> = self
-                        .resolver
-                        .resolve(id, call)
-                        .into_iter()
-                        .filter(|c| self.scope_set.contains(c))
-                        .collect();
-                    if cands.len() == 1
-                        && !self.stack.contains(&cands[0])
-                        && self.stack.len() < MAX_DEPTH
-                    {
-                        let callee = cands[0];
-                        let cb = cfg::build(self.ws.file(callee), self.ws.fn_item(callee));
-                        self.stack.push(callee);
-                        let (callee_seqs, _) = self.block_seqs(callee, &cb, false);
-                        self.stack.pop();
-                        seqs.then(&callee_seqs);
-                    }
-                }
-                Step::Branch(b) => {
-                    let mut arm_results: Vec<(Seqs, bool)> = Vec::new();
-                    for arm in &b.arms {
-                        arm_results.push(self.block_seqs(id, arm, check));
-                    }
-                    let arm_flagged = arm_results.iter().any(|(_, fl)| *fl);
-                    flagged |= arm_flagged;
-                    if check && !arm_flagged {
-                        flagged |= self.check_branch(id, b, &arm_results);
-                    }
-                    let mut joined = Seqs::diverged();
-                    for (s, _) in &arm_results {
-                        joined.union(s);
-                    }
-                    if !b.exhaustive {
-                        joined.union(&Seqs::unit());
-                    }
-                    if joined.set.is_empty() {
-                        return (Seqs::diverged(), flagged);
-                    }
-                    seqs.then(&joined);
-                }
-                Step::Loop { body, .. } => {
-                    let (body_seqs, fl) = self.block_seqs(id, body, check);
-                    flagged |= fl;
-                    if body_seqs.overflow {
-                        seqs.overflow = true;
-                    }
-                    if body_seqs.set.iter().any(|s| !s.is_empty()) {
-                        seqs.push_elem(&format!("loop{{{}}}", body_seqs.canon()));
-                    }
-                }
-                Step::Diverge { .. } => return (Seqs::diverged(), flagged),
-            }
-        }
-        (seqs, flagged)
+/// Compare the fall-through collective sequences across `b`'s arms;
+/// returns whether a diagnostic was emitted.
+fn check_branch(
+    ws: &Workspace,
+    id: FnId,
+    b: &BranchNode,
+    arms: &[(Seqs, bool)],
+    diags: &mut Vec<Diagnostic>,
+) -> bool {
+    if !rank_dependent(&b.cond) {
+        return false;
     }
-
-    /// Compare the fall-through collective sequences across `b`'s arms;
-    /// returns whether a diagnostic was emitted.
-    fn check_branch(&mut self, id: FnId, b: &BranchNode, arms: &[(Seqs, bool)]) -> bool {
-        if !rank_dependent(&b.cond) {
-            return false;
-        }
-        if arms.iter().any(|(s, _)| s.overflow) {
-            return false;
-        }
-        // Fall-through arms only: a diverging arm (empty set) abandons the
-        // protocol and is exempt.
-        let mut canon: Vec<String> = arms
-            .iter()
-            .filter(|(s, _)| !s.set.is_empty())
-            .map(|(s, _)| s.canon())
-            .collect();
-        if !b.exhaustive {
-            canon.push("(none)".to_owned());
-        }
-        if canon.len() < 2 {
-            return false;
-        }
-        // Every arm silent → nothing to deadlock on.
-        if canon.iter().all(|c| c == "(none)") {
-            return false;
-        }
-        let mut distinct = canon.clone();
-        distinct.sort();
-        distinct.dedup();
-        if distinct.len() < 2 {
-            return false;
-        }
-        let file = self.ws.file(id);
-        let f = self.ws.fn_item(id);
-        let mut cond = b.cond.clone();
-        if cond.len() > 48 {
-            cond.truncate(48);
-            cond.push('…');
-        }
-        let detail: Vec<String> = canon
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("arm {} issues [{}]", i + 1, c))
-            .collect();
-        self.diags.push(Diagnostic {
-            rule: RULE,
-            file: file.rel.clone(),
-            line: b.line,
-            func: f.qual(),
-            msg: format!(
-                "collective sequences diverge across rank-dependent branch \
-                 (`{cond}`): {}; ranks taking different arms deadlock in the \
-                 unmatched collective",
-                detail.join(", ")
-            ),
-        });
-        true
+    if arms.iter().any(|(s, _)| s.overflow) {
+        return false;
     }
+    // Fall-through arms only: a diverging arm (empty set) abandons the
+    // protocol and is exempt.
+    let mut canon: Vec<String> = arms
+        .iter()
+        .filter(|(s, _)| !s.set.is_empty())
+        .map(|(s, _)| s.canon())
+        .collect();
+    if !b.exhaustive {
+        canon.push("(none)".to_owned());
+    }
+    if canon.len() < 2 {
+        return false;
+    }
+    // Every arm silent → nothing to deadlock on.
+    if canon.iter().all(|c| c == "(none)") {
+        return false;
+    }
+    let mut distinct = canon.clone();
+    distinct.sort();
+    distinct.dedup();
+    if distinct.len() < 2 {
+        return false;
+    }
+    let mut cond = b.cond.clone();
+    if cond.len() > 48 {
+        cond.truncate(48);
+        cond.push('…');
+    }
+    let detail: Vec<String> = canon
+        .iter()
+        .enumerate()
+        .map(|(i, c)| format!("arm {} issues [{}]", i + 1, c))
+        .collect();
+    diags.push(Diagnostic {
+        rule: RULE,
+        file: ws.file(id).rel.clone(),
+        line: b.line,
+        func: ws.fn_item(id).qual(),
+        msg: format!(
+            "collective sequences diverge across rank-dependent branch \
+             (`{cond}`): {}; ranks taking different arms deadlock in the \
+             unmatched collective",
+            detail.join(", ")
+        ),
+    });
+    true
 }
 
 #[cfg(test)]

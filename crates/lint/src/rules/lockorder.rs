@@ -1,5 +1,7 @@
-//! `lock-order` + `blocking-while-locked` — workspace-wide lock-acquisition
-//! graph with cycle detection, and blocking calls under a held lock.
+//! `lock-order` + `blocking-context` — workspace-wide lock-acquisition
+//! graph with cycle detection, and blocking calls under a held lock (the
+//! lock half of `blocking-context`; its governor half is a row of
+//! [`crate::effects::QUERIES`]).
 //!
 //! The lock universe is harvested from declarations (`name: Mutex<…>`,
 //! `name: RwLock<…>`, including `Arc<Mutex<…>>` wrappings and statics); an
@@ -10,11 +12,11 @@
 //! temporaries die at the end of the statement.
 //!
 //! Within a guard's extent, further acquisitions add `held → acquired`
-//! edges — directly, or transitively through calls that resolve to exactly
-//! one function whose summary acquires locks. An edge participating in a
-//! cycle is reported as `lock-order`. A blocking operation (mailbox
-//! `recv`, `rendezvous`, collectives, `checkpoint_wait`) inside a guard's
-//! extent is reported as `blocking-while-locked` — the classic
+//! edges — directly, or transitively through the callees the shared walk
+//! ([`crate::inline`]) inlines. An edge participating in a cycle is
+//! reported as `lock-order`. A blocking operation (mailbox `recv`,
+//! `rendezvous`, collectives, `checkpoint_wait`) inside a guard's extent
+//! is reported as `blocking-context` — the classic
 //! router-stall shape: a receive that can only be satisfied by a peer who
 //! needs the held lock. Condvar `wait` is exempt (it releases the lock by
 //! design), and same-lock self-edges are skipped: distinct instances share
@@ -26,13 +28,12 @@ use std::collections::{HashMap, HashSet};
 use crate::callgraph::{FnId, GraphOpts, Resolver, Workspace};
 use crate::cfg;
 use crate::diag::Diagnostic;
-use crate::parser::{CallKind, FnItem, LetPat, ParsedFile};
+use crate::inline::Inliner;
+use crate::parser::{Call, CallKind, FnItem, LetPat, ParsedFile};
 use crate::rules::comm_call;
 
 pub const RULE_ORDER: &str = "lock-order";
-pub const RULE_BLOCKING: &str = "blocking-while-locked";
-
-const MAX_DEPTH: usize = 6;
+pub const RULE_BLOCKING: &str = "blocking-context";
 
 /// Lock identity: (declaring crate, declared name).
 type LockId = (String, String);
@@ -235,73 +236,52 @@ struct Summary {
     blocking: Option<String>,
 }
 
-struct Summarizer<'a> {
-    ws: &'a Workspace,
-    resolver: &'a Resolver<'a>,
-    universe: &'a HashMap<String, Vec<String>>,
-    in_scope: &'a HashSet<FnId>,
-    memo: HashMap<FnId, Summary>,
-    stack: Vec<FnId>,
-}
-
-impl Summarizer<'_> {
-    fn summary(&mut self, id: FnId) -> Summary {
-        if let Some(s) = self.memo.get(&id) {
-            return s.clone();
-        }
-        if self.stack.contains(&id) || self.stack.len() >= MAX_DEPTH {
-            return Summary::default();
-        }
-        self.stack.push(id);
-        let file = self.ws.file(id);
-        let f = self.ws.fn_item(id);
+/// `id`'s [`Summary`], through the callees the shared walk inlines.
+fn summary(
+    inl: &mut Inliner,
+    universe: &HashMap<String, Vec<String>>,
+    memo: &mut HashMap<FnId, Summary>,
+    id: FnId,
+) -> Summary {
+    if let Some(s) = memo.get(&id) {
+        return s.clone();
+    }
+    let sum = inl.walk(id, |inl, block| {
+        let (file, f) = (inl.ws.file(id), inl.ws.fn_item(id));
         let mut sum = Summary::default();
-        for a in acquisitions(file, f, self.universe) {
-            sum.acquires.insert(a.lock);
-        }
-        for call in &f.calls {
-            if call.kind == CallKind::Macro {
-                continue;
-            }
+        sum.acquires
+            .extend(acquisitions(file, f, universe).into_iter().map(|a| a.lock));
+        for k in block.calls() {
+            let call = &f.calls[k];
             // Every collective and wait blocks on a peer.
             if comm_call(file, call).is_some() {
                 sum.blocking.get_or_insert_with(|| call.name().to_owned());
                 continue;
             }
-            if !follow_call(file, call) {
+            let Some(callee) = followed(inl, id, call) else {
                 continue;
-            }
-            let cands: Vec<FnId> = self
-                .resolver
-                .resolve(id, call)
-                .into_iter()
-                .filter(|c| self.in_scope.contains(c))
-                .collect();
-            if cands.len() == 1 {
-                let inner = self.summary(cands[0]);
-                sum.acquires.extend(inner.acquires);
-                if sum.blocking.is_none() {
-                    sum.blocking = inner.blocking;
-                }
+            };
+            let inner = summary(inl, universe, memo, callee);
+            sum.acquires.extend(inner.acquires);
+            if sum.blocking.is_none() {
+                sum.blocking = inner.blocking;
             }
         }
-        self.stack.pop();
-        self.memo.insert(id, sum.clone());
         sum
-    }
+    });
+    memo.insert(id, sum.clone());
+    sum
 }
 
-/// Whether a call is worth resolving for a lock summary. Free and path
-/// calls always are; a method call only when its receiver is literally
+/// The function a lock summary follows `call` into: the one the shared
+/// walk inlines, and for a method call only when its receiver is literally
 /// `self` — the name-based resolver would otherwise misattribute methods
 /// invoked on a guard's payload (`self.own.lock().clear()` resolving to
 /// `Store::clear`) and fabricate edges.
-fn follow_call(file: &ParsedFile, call: &crate::parser::Call) -> bool {
-    match call.kind {
-        CallKind::Macro => false,
-        CallKind::Method => cfg::receiver_ident(file, call).as_deref() == Some("self"),
-        _ => true,
-    }
+fn followed(inl: &Inliner, id: FnId, call: &Call) -> Option<FnId> {
+    let on_self = call.kind != CallKind::Method
+        || cfg::receiver_ident(inl.ws.file(id), call).as_deref() == Some("self");
+    on_self.then(|| inl.callee(id, call)).flatten()
 }
 
 /// One `held → acquired` edge with its best reporting site.
@@ -319,25 +299,16 @@ pub fn check(ws: &Workspace, resolver: &Resolver, opts: GraphOpts) -> Vec<Diagno
     if universe.is_empty() {
         return Vec::new();
     }
-    let mut in_scope: HashSet<FnId> = HashSet::new();
-    for (id, f) in ws.live(opts) {
-        if f.body.is_some() && ws.file(id).rel.starts_with("crates/") {
-            in_scope.insert(id);
-        }
-    }
-    let mut sums = Summarizer {
-        ws,
-        resolver,
-        universe: &universe,
-        in_scope: &in_scope,
-        memo: HashMap::new(),
-        stack: Vec::new(),
-    };
+    let ids: Vec<FnId> = ws
+        .live(opts)
+        .filter(|(id, f)| f.body.is_some() && ws.file(*id).rel.starts_with("crates/"))
+        .map(|(id, _)| id)
+        .collect();
+    let mut inl = Inliner::new(ws, resolver, ids.iter().copied().collect());
+    let mut memo = HashMap::new();
 
     let mut edges: Vec<Edge> = Vec::new();
     let mut diags: Vec<Diagnostic> = Vec::new();
-    let mut ids: Vec<FnId> = in_scope.iter().copied().collect();
-    ids.sort_unstable();
     for &id in &ids {
         let file = ws.file(id);
         let f = ws.fn_item(id);
@@ -364,9 +335,6 @@ pub fn check(ws: &Workspace, resolver: &Resolver, opts: GraphOpts) -> Vec<Diagno
                 if call.si < a.range.0.max(a.si + 1) || call.si >= a.range.1 {
                     continue;
                 }
-                if call.kind == CallKind::Macro {
-                    continue;
-                }
                 if comm_call(file, call).is_some() {
                     diags.push(Diagnostic {
                         rule: RULE_BLOCKING,
@@ -383,18 +351,10 @@ pub fn check(ws: &Workspace, resolver: &Resolver, opts: GraphOpts) -> Vec<Diagno
                     });
                     continue;
                 }
-                if !follow_call(file, call) {
+                let Some(callee) = followed(&inl, id, call) else {
                     continue;
-                }
-                let cands: Vec<FnId> = resolver
-                    .resolve(id, call)
-                    .into_iter()
-                    .filter(|c| in_scope.contains(c))
-                    .collect();
-                if cands.len() != 1 {
-                    continue;
-                }
-                let sum = sums.summary(cands[0]);
+                };
+                let sum = summary(&mut inl, &universe, &mut memo, callee);
                 for l in &sum.acquires {
                     if *l != a.lock {
                         edges.push(Edge {

@@ -1,27 +1,21 @@
 //! The lint rules and their shared scope policy.
 //!
-//! Rules come in two generations:
+//! Each rule here is one no runtime suite replaces: its violation, seeded
+//! live, survives tier-1 and the chaos smoke (DESIGN.md §10).
 //!
-//! - **token rules** ([`tokens`]): `relaxed-sync` and `thread-spawn`,
-//!   ported from the PR 2 regex scanner onto the lossless token stream;
-//! - **protocol rules**: the paper's resilience invariants, checked over
-//!   the parsed items, the workspace call graph, and an intra-procedural
-//!   dataflow pass — [`pairing`], [`reset_order`], [`delta_base_reset`],
-//!   [`dropped_result`], [`wildcard`], and the CFG-side analyses
-//!   [`typestate`], [`collective_match`] and [`lockorder`].
+//! - per-function rules over the parsed items: [`dropped_result`],
+//!   [`wildcard`] and [`relaxed_sync`];
+//! - CFG rules through the shared [`crate::inline`] walk:
+//!   [`collective_match`] and [`lockorder`].
 //!
-//! The four reachability rules (`single-exit`, `panic-reach`,
-//! `rank-path-effects`, `blocking-in-governor`) have no module here: they
-//! are rows of [`crate::effects::QUERIES`], over the root tables below.
+//! The reachability rules (`panic-reach`, `rank-path-effects`, and the
+//! governor half of `blocking-context`) have no module here: they are rows
+//! of [`crate::effects::QUERIES`], over the root tables below.
 
 pub mod collective_match;
-pub mod delta_base_reset;
 pub mod dropped_result;
 pub mod lockorder;
-pub mod pairing;
-pub mod reset_order;
-pub mod tokens;
-pub mod typestate;
+pub mod relaxed_sync;
 pub mod wildcard;
 
 use crate::callgraph::{GraphOpts, Resolver, Workspace};
@@ -114,26 +108,16 @@ pub const PANIC_SITE_CRATES: &[&str] = &[
     "redstore",
 ];
 
-/// Crates whose threading must go through the loom-aware shims so the
-/// model checker can explore it (`thread-spawn` scope, from PR 2).
-pub const MODEL_CHECKED_CRATES: &[&str] = &["telemetry", "veloc", "simmpi"];
-
 /// Files audited for `Ordering::Relaxed` on synchronization-adjacent
 /// atomics (`relaxed-sync` rule): the seqlock ring orders via `seq`'s
 /// Acquire/Release pair and uses Relaxed only where the protocol proves it.
 pub const AUDITED_RELAXED: &[&str] = &["crates/telemetry/src/ring.rs"];
 
-/// Identifier fragments that mark an atomic as synchronization-carrying.
-pub const SYNC_ATOMIC_NAMES: &[&str] =
-    &["seq", "head", "stop", "abort", "pending", "dead", "revoked"];
-
-/// Metadata reads that go stale across `Context::reset(new_comm)`.
-pub const STALE_METADATA_READS: &[&str] = &[
-    "latest_version",
-    "restart_version",
-    "latest_agreed_below",
-    "region_stats",
-    "checkpoint_bytes",
+/// Identifiers that mark an atomic as synchronization-carrying: the
+/// seqlock's words and the router's abort flag (DESIGN.md §9), and the
+/// names such flags take.
+pub const SYNC_ATOMIC_NAMES: &[&str] = &[
+    "seq", "head", "stop", "abort", "aborted", "pending", "dead", "revoked",
 ];
 
 /// Rank entry points: the code a simulated rank executes — the simmpi
@@ -160,7 +144,7 @@ pub const RANK_ENTRY_FNS: EntryTable = &[
 /// Reservation math and export callbacks that must never park the
 /// thread: bandwidth-governor bookkeeping runs under the governor lock,
 /// and the telemetry exporters run on live failure-timeline paths.
-/// `blocking-in-governor` roots here.
+/// `blocking-context` roots its governor half here.
 pub const GOVERNOR_FNS: EntryTable = &[
     (
         "cluster",
@@ -181,23 +165,19 @@ pub const GOVERNOR_FNS: EntryTable = &[
     ),
 ];
 
-/// What a communication call is to the three rules that care.
+/// What a communication call is to the two CFG rules.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Comm {
-    /// A data collective: illegal on a revoked, unrepaired communicator
-    /// (`protocol-typestate`), rank-uniform (`collective-match`), blocking
-    /// (`blocking-while-locked`).
+    /// A data or recovery collective (`agree`, `shrink`, the rendezvous
+    /// and agreed-version calls, directly or through a layer above
+    /// simmpi): rank-uniform (`collective-match`) and blocking.
     Collective,
-    /// Repairs or agrees on the communicator, directly or through a layer
-    /// above simmpi: rank-uniform and blocking; the typestate automaton
-    /// gives these their own symbols.
-    Recovery,
     /// The receive family and `checkpoint_wait`: blocking only.
     Wait,
 }
 
-/// The collectives (and, for the lock rules, the waits): the one list of
-/// method names the communication-aware rules recognise.
+/// The collectives (and, for the blocking rule, the waits): the one list
+/// of method names the communication-aware rules recognise.
 const COLLECTIVES: &[(&str, Comm)] = &[
     ("barrier", Comm::Collective),
     ("allgather", Comm::Collective),
@@ -209,13 +189,13 @@ const COLLECTIVES: &[(&str, Comm)] = &[
     ("reduce", Comm::Collective),
     ("reduce_with", Comm::Collective),
     ("gather", Comm::Collective),
-    ("agree", Comm::Recovery),
-    ("shrink", Comm::Recovery),
-    ("rendezvous", Comm::Recovery),
-    ("repair_rendezvous", Comm::Recovery),
-    ("agree_intact_version", Comm::Recovery),
-    ("latest_agreed_below", Comm::Recovery),
-    ("possession", Comm::Recovery),
+    ("agree", Comm::Collective),
+    ("shrink", Comm::Collective),
+    ("rendezvous", Comm::Collective),
+    ("repair_rendezvous", Comm::Collective),
+    ("agree_intact_version", Comm::Collective),
+    ("latest_agreed_below", Comm::Collective),
+    ("possession", Comm::Collective),
     ("recv", Comm::Wait),
     ("recv_bytes", Comm::Wait),
     ("recv_into", Comm::Wait),
@@ -238,21 +218,14 @@ pub fn comm_call(file: &ParsedFile, call: &Call) -> Option<(&'static str, Comm)>
 
 /// All rule identifiers, in report order.
 pub const ALL_RULES: &[&str] = &[
-    "single-exit",
-    "protect-pairing",
-    "reset-order",
-    "delta-base-reset",
     "dropped-result",
     "panic-reach",
     "wildcard-match",
     "relaxed-sync",
-    "thread-spawn",
-    "protocol-typestate",
     "collective-match",
     "lock-order",
-    "blocking-while-locked",
+    "blocking-context",
     "rank-path-effects",
-    "blocking-in-governor",
 ];
 
 pub fn in_crates(krate: &str, list: &[&str]) -> bool {
@@ -267,13 +240,9 @@ pub fn run_all(ws: &Workspace, opts: GraphOpts) -> (Vec<Diagnostic>, EffectAnaly
     let fx = EffectAnalysis::run(ws, opts);
     let mut diags: Vec<Diagnostic> = [
         fx.check(ws),
-        pairing::check(ws, &fx.graph, opts),
-        reset_order::check(ws, opts),
-        delta_base_reset::check(ws, &fx.graph, opts),
         dropped_result::check(ws, &resolver, opts),
         wildcard::check(ws, opts),
-        tokens::check(ws, opts),
-        typestate::check(ws, &resolver, opts),
+        relaxed_sync::check(ws, opts),
         collective_match::check(ws, &resolver, opts),
         lockorder::check(ws, &resolver, opts),
     ]
@@ -282,9 +251,7 @@ pub fn run_all(ws: &Workspace, opts: GraphOpts) -> (Vec<Diagnostic>, EffectAnaly
     .collect();
     // Stable order, then whole-value dedupe: a call that resolves to
     // several candidates can report one site twice (same rule, site, and
-    // message) — one finding must survive, not two. The key() tuple is not
-    // enough here: it drops the line, and two distinct findings in one
-    // function would collapse.
+    // message) — one finding must survive, not two.
     diags.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.func, &a.msg).cmp(&(&b.file, b.line, b.rule, &b.func, &b.msg))
     });

@@ -181,7 +181,7 @@ proptest! {
         let verdicts = |reverse: bool| {
             let ws = build_ws(&prog, reverse);
             let (diags, fx) = lint::analyze(&ws, GraphOpts::default());
-            let diags: Vec<String> = diags.iter().map(|d| format!("{}:{}", d.key(), d.line)).collect();
+            let diags: Vec<String> = diags.iter().map(|d| d.render_human()).collect();
             let keys: Vec<String> = fx.inventory(&ws).into_iter().map(|e| e.key).collect();
             (diags, keys)
         };

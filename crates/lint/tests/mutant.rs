@@ -1,14 +1,31 @@
 //! Negative control for the analyzer, mirroring `modelcheck/tests/mutant.rs`:
-//! the seeded `lint-mutants` violation in `crates/fenix/src/mutant.rs` must
-//! be caught by `panic-reach` exactly when mutants are opted in — and must
-//! stay invisible to the default scan, which is required to be clean.
+//! the seeded `lint-mutants` violations (`crates/{fenix,simmpi,cluster}/
+//! src/mutant.rs`, one or more per surviving rule) must stay invisible to
+//! the default scan, and a scan with them opted in must report exactly the
+//! set below — no more, no less.
 //!
-//! The violation is deliberately *transitive*: the entry point is clean and
-//! only its helper panics, so a per-file text rule could never catch it.
+//! A finding is `(rule, file, function)`, without its line, so editing a
+//! mutant file does not churn the expectation. Each seeded violation sits
+//! where a per-file text rule could not see it: the panic and the sleep
+//! two calls below their entry points, the collective under a
+//! rank-dependent branch, the lock cycle across two functions.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 
 use lint::{analyze, load_workspace, GraphOpts};
+
+/// `(crate, rule, function)`: the finding sits in `crates/{crate}/src/mutant.rs`.
+const EXPECTED: &[(&str, &str, &str)] = &[
+    ("cluster", "blocking-context", "Governor::warmup_backoff"),
+    ("cluster", "rank-path-effects", "Governor::warmup_backoff"),
+    ("fenix", "collective-match", "lopsided_barrier"),
+    ("fenix", "panic-reach", "rebuild_group"),
+    ("simmpi", "blocking-context", "Pair::recv_under_lock"),
+    ("simmpi", "lock-order", "Pair::ab"),
+    ("simmpi", "lock-order", "Pair::ba"),
+    ("simmpi", "relaxed-sync", "abort_relaxed"),
+];
 
 fn repo_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -21,15 +38,10 @@ fn repo_root() -> &'static Path {
 fn seeded_mutant_is_caught_only_with_opt_in() {
     let ws = load_workspace(repo_root()).expect("workspace sources readable");
 
-    let (without, _) = analyze(
-        &ws,
-        GraphOpts {
-            include_mutants: false,
-        },
-    );
+    let (without, _) = analyze(&ws, GraphOpts::default());
     assert!(
-        !without.iter().any(|d| d.file.contains("mutant.rs")),
-        "default scan must not see the gated mutant: {without:?}"
+        !without.iter().any(|d| d.file.ends_with("/mutant.rs")),
+        "default scan must not see the gated mutants: {without:?}"
     );
 
     let (with, _) = analyze(
@@ -38,84 +50,16 @@ fn seeded_mutant_is_caught_only_with_opt_in() {
             include_mutants: true,
         },
     );
-    let hit = with
+    let found: BTreeSet<(&str, String, &str)> = with
         .iter()
-        .find(|d| d.rule == "panic-reach" && d.file == "crates/fenix/src/mutant.rs")
-        .expect("panic-reach must flag the seeded mutant transitively");
-    assert!(
-        hit.func.contains("rebuild_group"),
-        "the finding must land on the helper holding the panic site, got {}",
-        hit.func
-    );
-    assert!(
-        hit.msg.contains("unwrap") && hit.msg.contains("witness: apply_repair -> rebuild_group;"),
-        "the witness chain must walk entry -> helper: {}",
-        hit.msg
-    );
-
-    // One seeded violation per protocol analysis, each caught only with
-    // the opt-in (the `without` assertion above covers both mutant files).
-    let typestate = with
+        .map(|d| (d.rule, d.file.clone(), d.func.as_str()))
+        .collect();
+    let expected: BTreeSet<(&str, String, &str)> = EXPECTED
         .iter()
-        .find(|d| d.rule == "protocol-typestate" && d.file == "crates/fenix/src/mutant.rs")
-        .expect("protocol-typestate must flag the undetected revoke");
-    assert!(
-        typestate.func.contains("revoke_without_detect"),
-        "got {}",
-        typestate.func
-    );
-    assert!(typestate.msg.contains("ulfm-recovery"), "{}", typestate.msg);
-
-    let collective = with
-        .iter()
-        .find(|d| d.rule == "collective-match" && d.file == "crates/fenix/src/mutant.rs")
-        .expect("collective-match must flag the root-only barrier");
-    assert!(
-        collective.func.contains("lopsided_barrier"),
-        "got {}",
-        collective.func
-    );
-    assert!(collective.msg.contains("barrier"), "{}", collective.msg);
-
-    let order = with
-        .iter()
-        .find(|d| d.rule == "lock-order" && d.file == "crates/simmpi/src/mutant.rs")
-        .expect("lock-order must flag the ABBA cycle");
-    assert!(
-        order.msg.contains("mu_alpha") && order.msg.contains("mu_beta"),
-        "{}",
-        order.msg
-    );
-
-    let blocking = with
-        .iter()
-        .find(|d| d.rule == "blocking-while-locked" && d.file == "crates/simmpi/src/mutant.rs")
-        .expect("blocking-while-locked must flag the receive under mu_alpha");
-    assert!(
-        blocking.func.contains("recv_under_lock"),
-        "got {}",
-        blocking.func
-    );
-    assert!(blocking.msg.contains("recv_bytes"), "{}", blocking.msg);
-
-    // The effect engine must trace the wall-clock sleep two helper hops
-    // below the `Governor::transfer` rank entry point, witness chain and
-    // all — and the `without` assertion above proves the gated mutant
-    // stays invisible to the default scan.
-    let effects = with
-        .iter()
-        .find(|d| d.rule == "rank-path-effects" && d.file == "crates/cluster/src/mutant.rs")
-        .expect("rank-path-effects must flag the seeded wall-clock sleep");
-    assert!(
-        effects.func.contains("warmup_backoff"),
-        "the finding must land on the helper holding the sleep, got {}",
-        effects.func
-    );
-    assert!(
-        effects.msg.contains("Governor::transfer")
-            && effects.msg.contains("warmup_settle")
-            && effects.msg.contains("warmup_backoff"),
-        "the witness chain must walk entry -> helper -> site: {}",
-        effects.msg
+        .map(|&(krate, rule, func)| (rule, format!("crates/{krate}/src/mutant.rs"), func))
+        .collect();
+    assert_eq!(
+        found, expected,
+        "the opted-in scan reports exactly the seeded set"
     );
 }

@@ -1,5 +1,7 @@
-//! Seeded lock-protocol violations, compiled only under the `lint-mutants`
-//! feature (the static-analysis analogue of telemetry's `mc-mutants`).
+//! Seeded lock-protocol and memory-ordering violations, compiled only
+//! under the `lint-mutants` feature (the static-analysis analogue of
+//! telemetry's `mc-mutants`). No runtime suite catches any of them (the
+//! live versions survived tier-1 and the chaos smoke; DESIGN.md §10).
 //!
 //! `crates/lint/tests/mutant.rs` proves the analyzer catches the
 //! violations below exactly when mutants are opted in, and that they stay
@@ -34,10 +36,19 @@ impl Pair {
 
     /// BUG (on purpose): a blocking receive while holding `mu_alpha`.
     /// The sender may need the same lock to make progress, so
-    /// `blocking-while-locked` must flag the receive.
+    /// `blocking-context` must flag the receive.
     pub fn recv_under_lock(&self, comm: &crate::Comm) -> u64 {
         let a = self.mu_alpha.lock();
         comm.recv_bytes(None, 7).ok();
         *a
     }
+}
+
+/// BUG (on purpose): an abort flag published with `Relaxed`, so a rank
+/// that observes it is not ordered after the writes made before the abort.
+/// `relaxed-sync` must flag it.
+#[cfg(feature = "lint-mutants")]
+pub fn abort_relaxed(aborted: &std::sync::atomic::AtomicBool) {
+    use std::sync::atomic::Ordering;
+    aborted.store(true, Ordering::Relaxed);
 }
