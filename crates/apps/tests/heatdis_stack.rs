@@ -27,7 +27,6 @@ fn cfg(strategy: Strategy, spares: usize) -> ExperimentConfig {
         checkpoints: 6,
         max_relaunches: 4,
         redundancy: None,
-        fresh_storage: true,
         telemetry: None,
     }
 }

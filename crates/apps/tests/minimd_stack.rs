@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use apps::MiniMd;
+use bench::pins;
 use cluster::{Cluster, ClusterConfig, RelaunchModel, TimeScale};
 use kokkos_resilience::{CheckpointFilter, Context, ContextConfig, ViewClass};
 use resilience::{run_experiment, Bookkeeper, ExperimentConfig, IterativeApp, RunRecord, Strategy};
@@ -28,13 +29,13 @@ fn cfg(strategy: Strategy, spares: usize) -> ExperimentConfig {
         checkpoints: 4,
         max_relaunches: 4,
         redundancy: None,
-        fresh_storage: true,
         telemetry: None,
     }
 }
 
 const CELLS: [usize; 3] = [3, 3, 3];
 const ITERS: u64 = 20;
+const DES_SEED: u64 = 16;
 
 #[test]
 fn minimd_runs_and_conserves_energy_roughly() {
@@ -140,25 +141,18 @@ fn des_run(strategy: Strategy, plan: FaultPlan) -> RunRecord {
         ..ClusterConfig::default()
     });
     let cfg = ExperimentConfig {
-        backend: Backend::Des { seed: 16 },
+        backend: Backend::Des { seed: DES_SEED },
         ..cfg(strategy, spares)
     };
     run_experiment(&cluster, &MiniMd::new(CELLS, ITERS), &cfg, Arc::new(plan))
 }
 
-/// `(virtual wall ns, digest)` of the reference run (`Unprotected`), then
-/// `FenixKokkosResilience` failure-free and with rank 2 killed at 13. The
-/// digest is a function of every atom's position and velocity bits, and
-/// ghost counts price the modelled messages, so a neighbor search that
-/// drops, adds or reorders one pair moves a value here. A PR that changes
-/// the trajectory on purpose re-records the table from the `minimd_des:`
-/// lines `--nocapture` prints and states old → new.
-const MINIMD_DES_PINNED: [(u128, u64); 3] = [
-    (1_740_280_253, 0x736f_8653_9a7b_fb1b), // ref
-    (1_802_961_382, 0x736f_8653_9a7b_fb1b), // nf
-    (1_804_589_104, 0x736f_8653_9a7b_fb1b), // fail
-];
-
+/// Virtual wall and digest of the reference run (`Unprotected`), then
+/// `FenixKokkosResilience` failure-free and with rank 2 killed at 13, are
+/// pinned (`minimd_stack/{ref,nf,fail}` in the pin file). The digest is a
+/// function of every atom's position and velocity bits, and ghost counts
+/// price the modelled messages, so a neighbor search that drops, adds or
+/// reorders one pair moves a value here.
 #[test]
 fn minimd_trajectory_and_modelled_time_are_pinned() {
     let runs = [
@@ -175,16 +169,16 @@ fn minimd_trajectory_and_modelled_time_are_pinned() {
             ),
         ),
     ];
-    let got = runs.each_ref().map(|(role, rec)| {
-        println!(
-            "minimd_des: {role} ({}, {:#018x})",
-            rec.wall.as_nanos(),
-            rec.digest
-        );
+    let measured = runs.each_ref().map(|(role, rec)| {
         assert_eq!(rec.iterations, ITERS, "{role}");
-        (rec.wall.as_nanos(), rec.digest)
+        let shape = format!("minimd_stack/{role}");
+        pins::entry(
+            &shape,
+            DES_SEED,
+            pins::wall_and_digest(rec.wall, rec.digest),
+        )
     });
-    assert_eq!(got, MINIMD_DES_PINNED, "trajectory or modelled time moved");
+    pins::assert_pinned(&measured);
     assert_eq!(runs[2].1.repairs, 1);
 }
 

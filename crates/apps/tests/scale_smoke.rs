@@ -12,16 +12,21 @@
 use std::sync::Arc;
 
 use apps::Heatdis;
+use bench::pins;
 use cluster::{Cluster, ClusterConfig, RelaunchModel};
 use resilience::{run_experiment, ExperimentConfig, Strategy};
 use simmpi::{Backend, FaultPlan};
 use telemetry::{names, Telemetry, TelemetryConfig};
 
+/// Active ranks unless `SCALE_RANKS` says otherwise: the pinned shape.
+const DEFAULT_RANKS: usize = 1024;
+const SEED: u64 = 1024;
+
 fn ranks() -> usize {
     std::env::var("SCALE_RANKS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(1024)
+        .unwrap_or(DEFAULT_RANKS)
 }
 
 /// 8 ranks per node, virtual time: node topology (buddy placement, NIC
@@ -56,7 +61,7 @@ fn heatdis_1k_ranks_with_failure_completes_deterministically() {
                 strategy: Strategy::FenixKokkosResilience,
                 spares,
                 checkpoints: 2,
-                backend: Backend::Des { seed: 1024 },
+                backend: Backend::Des { seed: SEED },
                 telemetry: Some(hub.clone()),
                 ..ExperimentConfig::default()
             },
@@ -83,9 +88,9 @@ fn heatdis_1k_ranks_with_failure_completes_deterministically() {
     // Same seed, same schedule: the recovered digest replays exactly.
     let (again, handoffs_again, unready_again) = run();
     // The EXPERIMENTS.md weak-scaling panel is this line at several
-    // SCALE_RANKS values (run with `--nocapture`); `scripts/ci.sh` records
-    // the counts and `host_s` — the run and its replay — in
-    // `target/ci-summary.json`, and gates the 1,024-rank `handoffs`.
+    // SCALE_RANKS values (run with `--nocapture`); `scripts/ci.sh` keeps it,
+    // `host_s` (the run and its replay) included, in
+    // `target/scale-smoke.log`.
     println!(
         "scale_smoke: ranks={} virtual_wall={:?} repairs={} digest={:#x} handoffs={} unready_skipped={} host_s={:.3}",
         rec.ranks,
@@ -100,4 +105,16 @@ fn heatdis_1k_ranks_with_failure_completes_deterministically() {
     assert_eq!(rec.wall, again.wall, "virtual wall time must replay");
     assert_eq!(handoffs, handoffs_again, "hand-offs must replay");
     assert_eq!(unready_skipped, unready_again, "skipped wakes must replay");
+    // At the default rank count all four are pinned: a dispatcher that
+    // wakes ranks which can only yield again fails here on a count.
+    if active == DEFAULT_RANKS {
+        let counts = [
+            ("handoffs", handoffs.into()),
+            ("unready_skipped", unready_skipped.into()),
+        ];
+        let fields = pins::wall_and_digest(rec.wall, rec.digest)
+            .into_iter()
+            .chain(counts);
+        pins::assert_pinned(&[pins::entry("scale_smoke/1024", SEED, fields)]);
+    }
 }

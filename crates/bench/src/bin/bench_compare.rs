@@ -1,16 +1,19 @@
-//! CLI wrapper around the tested bench-gate logic (`bench::gate`), called
-//! from `scripts/bench_gate.sh` and `scripts/ci.sh`:
+//! CLI wrapper around the tested gate logic, called from
+//! `scripts/bench_gate.sh` (`bench::gate`) and `scripts/ci.sh`
+//! (`bench::pins`):
 //!
 //! ```text
 //! bench_compare assert-faster <results.json> <fast> <slow> \
 //!     [--metric median_ns] [--min-x 1]
-//! bench_compare check-summary <ci-summary.json>
+//! bench_compare check-pins <benchmark-output.log>
 //! ```
 //!
 //! Exit codes: 0 = pass, 1 = gate violation (claim not held, missing
-//! config, malformed artifact), 2 = usage error.
+//! config, a modelled number off its pin, malformed artifact), 2 = usage
+//! error.
 
 use bench::gate::{self, GateReport};
+use bench::pins;
 use telemetry::Json;
 
 fn main() {
@@ -24,7 +27,7 @@ fn run(args: &[String]) -> i32 {
     };
     let report = match cmd.as_str() {
         "assert-faster" => cmd_assert_faster(rest),
-        "check-summary" => cmd_check_summary(rest),
+        "check-pins" => cmd_check_pins(rest),
         other => return usage(&format!("unknown subcommand {other:?}")),
     };
     match report {
@@ -45,7 +48,7 @@ fn usage(msg: &str) -> i32 {
     eprintln!("bench_compare: {msg}");
     eprintln!(
         "usage: bench_compare assert-faster <file> <fast> <slow> [--metric M] [--min-x N]\n\
-         \x20      bench_compare check-summary <file>"
+         \x20      bench_compare check-pins <file>"
     );
     2
 }
@@ -106,16 +109,20 @@ fn cmd_assert_faster(args: &[String]) -> Result<GateReport, String> {
     }
 }
 
-fn cmd_check_summary(args: &[String]) -> Result<GateReport, String> {
-    let (pos, flags) = parse_flags(args)?;
-    if !flags.is_empty() {
-        return Err("check-summary takes no flags".into());
-    }
-    let [path] = pos[..] else {
-        return Err("check-summary needs exactly one file".into());
+/// One `benchmark --workload` run's output held to its entry in the pin
+/// file; an unreadable or incomplete output is a violation too.
+fn cmd_check_pins(args: &[String]) -> Result<GateReport, String> {
+    let [path] = args else {
+        return Err("check-pins needs exactly one file".into());
     };
-    match load(path) {
-        Ok(doc) => Ok(gate::check_summary(&doc)),
-        Err(report) => Ok(report),
+    let checked = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| pins::benchmark_entry(&text))
+        .and_then(|e| pins::check(std::slice::from_ref(&e)).map(|()| e));
+    let mut report = GateReport::default();
+    match checked {
+        Ok(e) => report.lines.push(format!("pinned: {}", e.to_json())),
+        Err(why) => report.failures.push(format!("{path}: {why}")),
     }
+    Ok(report)
 }

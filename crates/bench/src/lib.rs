@@ -2,9 +2,12 @@
 //! tables (see `benches/`). Every target times every config through the one
 //! loop here ([`measure`] over [`elapsed_ns`]) and writes its results with
 //! [`write_results`]; the decision logic of the CI bench gate is [`gate`],
-//! driven by the `bench_compare` binary over `telemetry::Json`.
+//! driven by the `bench_compare` binary over `telemetry::Json`. [`pins`] is
+//! the one reader of the pin file, the zero-tolerance table of every
+//! modelled number.
 
 pub mod gate;
+pub mod pins;
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -66,7 +69,7 @@ pub fn measure(warmup: usize, samples: usize, mut sample: impl FnMut() -> u64) -
 /// Write `target/BENCH_<name>.json` at the workspace root (benches run with
 /// CWD = the package dir): `header` is the document's leading fields, each
 /// of `configs` one `{"name":…}` object, kept one per line because
-/// `scripts/ci.sh` reads single fields out with `sed`.
+/// `scripts/bench_gate.sh` reads single fields out with `sed`.
 pub fn write_results(name: &str, header: &str, configs: &[String]) {
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
     let _unused = std::fs::create_dir_all(&out);

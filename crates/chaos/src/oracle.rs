@@ -123,7 +123,6 @@ fn experiment_config(
         checkpoints: CHECKPOINTS,
         max_relaunches: 8,
         redundancy: None,
-        fresh_storage: true,
         telemetry,
         backend,
     }

@@ -41,12 +41,6 @@ impl Topology {
         rank / self.ranks_per_node
     }
 
-    /// All ranks co-located on `node`.
-    pub fn ranks_on(&self, node: usize) -> std::ops::Range<usize> {
-        assert!(node < self.nodes, "node {node} out of range");
-        node * self.ranks_per_node..(node + 1) * self.ranks_per_node
-    }
-
     /// Whether two ranks share a node (intra-node traffic skips the NIC).
     pub fn same_node(&self, a: usize, b: usize) -> bool {
         self.node_of(a) == self.node_of(b)
@@ -65,7 +59,6 @@ mod tests {
         assert_eq!(t.node_of(3), 0);
         assert_eq!(t.node_of(4), 1);
         assert_eq!(t.node_of(11), 2);
-        assert_eq!(t.ranks_on(1), 4..8);
     }
 
     #[test]

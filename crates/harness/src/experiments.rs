@@ -173,7 +173,6 @@ pub fn run_pair(
         checkpoints,
         max_relaunches: 6,
         redundancy: None,
-        fresh_storage: true,
         telemetry,
         backend: simmpi::Backend::default(),
     };
@@ -428,7 +427,6 @@ pub fn partial_rollback_comparison(
         checkpoints: 6,
         max_relaunches: 4,
         redundancy: None,
-        fresh_storage: true,
         telemetry: telemetry.clone(),
         backend: simmpi::Backend::default(),
     };

@@ -1,4 +1,4 @@
-//! Kokkos-style data abstractions and parallel patterns.
+//! Kokkos-style data abstractions.
 //!
 //! The paper's control-flow layer (Kokkos Resilience) leans on two Kokkos
 //! properties: data lives in *labelled, reference-counted views*, and the
@@ -15,16 +15,9 @@
 //!   writing is recorded. Kokkos Resilience opens a session around the first
 //!   execution of a checkpoint region to discover, automatically, the data
 //!   the region touches.
-//! * [`parallel`] — `parallel_for`/`parallel_reduce` with serial and threaded
-//!   execution policies (serial is the default: experiment ranks are
-//!   already one thread each).
 
 pub mod capture;
-pub mod parallel;
 pub mod view;
 
 pub use capture::{CaptureRecord, CaptureSession};
-pub use parallel::{
-    parallel_for, parallel_for_2d, parallel_reduce, parallel_scan_exclusive, ExecPolicy,
-};
 pub use view::{deep_copy, View, ViewMeta};

@@ -109,11 +109,6 @@ impl<T: Pod + Default> View<T> {
         Self::with_extents(label, [nx, ny, 1], 2)
     }
 
-    /// A zero-initialized 3-D view (index `(i * ny + j) * nz + k`).
-    pub fn new_3d(label: impl Into<String>, nx: usize, ny: usize, nz: usize) -> Self {
-        Self::with_extents(label, [nx, ny, nz], 3)
-    }
-
     fn with_extents(label: impl Into<String>, extents: [usize; 3], rank: usize) -> Self {
         let len: usize = extents.iter().product();
         Self::from_vec_extents(label, vec![T::default(); len], extents, rank)
@@ -204,20 +199,6 @@ impl<T: Pod> View<T> {
     /// Size of the underlying allocation in bytes.
     pub fn byte_len(&self) -> usize {
         self.inner.meta.bytes
-    }
-
-    /// Flat index for a 2-D view.
-    #[inline]
-    pub fn idx2(&self, i: usize, j: usize) -> usize {
-        debug_assert!(i < self.extent(0) && j < self.extent(1));
-        i * self.extent(1) + j
-    }
-
-    /// Flat index for a 3-D view.
-    #[inline]
-    pub fn idx3(&self, i: usize, j: usize, k: usize) -> usize {
-        debug_assert!(i < self.extent(0) && j < self.extent(1) && k < self.extent(2));
-        (i * self.extent(1) + j) * self.extent(2) + k
     }
 
     /// Lock the data for reading. If a capture session is active on this
@@ -338,25 +319,6 @@ mod tests {
         assert_eq!(v.alloc_id(), d.alloc_id());
         d.write()[2] = 5;
         assert_eq!(v.read()[2], 5);
-    }
-
-    #[test]
-    fn idx2_row_major() {
-        let v: View<f64> = View::new_2d("g", 2, 3);
-        assert_eq!(v.idx2(0, 0), 0);
-        assert_eq!(v.idx2(0, 2), 2);
-        assert_eq!(v.idx2(1, 0), 3);
-        assert_eq!(v.idx2(1, 2), 5);
-    }
-
-    #[test]
-    fn idx3_layout() {
-        let v: View<f64> = View::new_3d("c", 2, 3, 4);
-        assert_eq!(v.idx3(0, 0, 0), 0);
-        assert_eq!(v.idx3(0, 0, 3), 3);
-        assert_eq!(v.idx3(0, 1, 0), 4);
-        assert_eq!(v.idx3(1, 0, 0), 12);
-        assert_eq!(v.idx3(1, 2, 3), 23);
     }
 
     #[test]

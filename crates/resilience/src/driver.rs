@@ -34,8 +34,6 @@ pub struct ExperimentConfig {
     /// topology-feasible mode: RS(4,2) → XOR(3) → 2-replica). Fenix IMR is
     /// the same tier pinned at 2-replica and ignores this.
     pub redundancy: Option<RedundancyMode>,
-    /// Wipe checkpoint storage before the run (set false to chain runs).
-    pub fresh_storage: bool,
     /// Observability hub: when set, every launch (and relaunch) of this
     /// experiment records events/spans/metrics into it.
     pub telemetry: Option<Telemetry>,
@@ -53,7 +51,6 @@ impl Default for ExperimentConfig {
             checkpoints: 6,
             max_relaunches: 8,
             redundancy: None,
-            fresh_storage: true,
             telemetry: None,
             backend: Backend::default(),
         }
@@ -128,10 +125,9 @@ pub fn try_run_experiment(
     cfg: &ExperimentConfig,
     plan: Arc<FaultPlan>,
 ) -> Result<RunRecord, ExperimentError> {
-    if cfg.fresh_storage {
-        cluster.pfs().clear();
-        cluster.scratch().clear();
-    }
+    // Every run starts from empty checkpoint storage.
+    cluster.pfs().clear();
+    cluster.scratch().clear();
     let shared = SharedState::default();
     let failures = plan.kills().len();
     let n = cluster.topology().total_ranks();

@@ -60,25 +60,9 @@ impl Strategy {
         )
     }
 
-    /// Does this strategy use the Kokkos Resilience control-flow layer?
-    pub fn uses_kokkos_resilience(self) -> bool {
-        matches!(
-            self,
-            Strategy::KokkosResilience
-                | Strategy::FenixKokkosResilience
-                | Strategy::PartialRollback
-        )
-    }
-
     /// Does this strategy checkpoint data at all?
     pub fn checkpoints(self) -> bool {
         self != Strategy::Unprotected
-    }
-
-    /// Does this strategy store checkpoints in peer memory (the `redstore`
-    /// tier) rather than the filesystem?
-    pub fn uses_imr(self) -> bool {
-        matches!(self, Strategy::FenixImr | Strategy::FenixRedstore)
     }
 
     /// Does recovery roll back only the failed rank's data?
@@ -120,7 +104,7 @@ mod tests {
 
     #[test]
     fn peer_memory_strategies_are_fenix_strategies() {
-        for s in Strategy::ALL.iter().filter(|s| s.uses_imr()) {
+        for s in [Strategy::FenixImr, Strategy::FenixRedstore] {
             assert!(s.uses_fenix(), "{s:?} stores in peer memory without Fenix");
         }
     }

@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use bench::pins;
 use bytes::Bytes;
 use cluster::{Cluster, ClusterConfig, RelaunchModel, TimeScale};
 use kokkos::capture::Checkpointable;
@@ -148,7 +149,6 @@ fn cfg(strategy: Strategy, spares: usize) -> ExperimentConfig {
         checkpoints: 6,
         max_relaunches: 4,
         redundancy: None,
-        fresh_storage: true,
         telemetry: None,
     }
 }
@@ -168,6 +168,7 @@ fn reference_digest(active_ranks: usize, iters: u64) -> u64 {
 
 /// Iterations of the DES shape: versions at 4, 9, …, 29.
 const DES_ITERS: u64 = 30;
+const DES_SEED: u64 = 16;
 
 /// The small deterministic shape: 4 active ranks (plus a spare under
 /// Fenix) on a virtual-time cluster under the DES engine at a fixed seed.
@@ -180,7 +181,7 @@ fn des_shape(strategy: Strategy) -> (Cluster, ExperimentConfig) {
         ..ClusterConfig::default()
     });
     let cfg = ExperimentConfig {
-        backend: Backend::Des { seed: 16 },
+        backend: Backend::Des { seed: DES_SEED },
         ..cfg(strategy, spares)
     };
     (cluster, cfg)
@@ -273,44 +274,27 @@ fn breakdown_is_modelled_time_under_des() {
     }
 }
 
-/// Virtual wall (ns) of every strategy on the DES shape, in
-/// [`Strategy::ALL`] order: failure-free, then with rank 2 killed at
-/// iteration 23. Modelled time is a pure function of the seed, so a
-/// refactor of the runner leaves all sixteen unchanged. A PR that changes
-/// modelled time on purpose (ROADMAP item 1) re-records the table from the
-/// `des_shape:` lines `--nocapture` prints and states old → new for every
-/// value that moved.
-const DES_SHAPE_WALLS_NS: [(u128, u128); 8] = [
-    (1_740_248_124, 4_400_436_218), // Unprotected
-    (1_741_059_449, 4_401_247_123), // VelocOnly
-    (1_741_108_000, 4_401_303_678), // KokkosResilience
-    (1_801_055_447, 1_801_241_120), // FenixVeloc
-    (1_801_110_001, 1_801_305_679), // FenixKokkosResilience
-    (1_800_272_952, 1_800_319_203), // FenixImr
-    (1_800_321_456, 1_800_381_832), // FenixRedstore
-    (1_801_110_001, 1_801_305_679), // PartialRollback
-];
-
 /// The whole matrix on the DES shape, failure-free and with one kill
-/// between checkpoints (rank 2 dies at 23): every run completes, recovers
-/// the reference digest, and takes exactly the modelled time
-/// [`DES_SHAPE_WALLS_NS`] pins.
+/// between checkpoints (rank 2 dies at 23): every run completes and
+/// recovers the reference digest. Modelled time is a pure function of the
+/// seed, so each run's wall and digest are pinned exactly
+/// (`strategies/<Strategy>/{no_failure,one_failure}` in the pin file).
 #[test]
 fn every_strategy_completes_and_recovers_on_the_des_shape() {
     let iters = DES_ITERS;
     let reference = des_run(Strategy::Unprotected, FaultPlan::none()).digest;
-    for (strategy, pinned) in Strategy::ALL.into_iter().zip(DES_SHAPE_WALLS_NS) {
+    let mut measured = Vec::new();
+    for strategy in Strategy::ALL {
         let free = des_run(strategy, FaultPlan::none());
         let failed = des_run(strategy, FaultPlan::kill_at(2, "iter", 23));
-        println!(
-            "des_shape: {strategy:?} no_failure=({}, {:#018x}) one_failure=({}, {:#018x})",
-            free.wall.as_nanos(),
-            free.digest,
-            failed.wall.as_nanos(),
-            failed.digest
-        );
-        let walls = (free.wall.as_nanos(), failed.wall.as_nanos());
-        assert_eq!(walls, pinned, "{strategy}: modelled time moved");
+        for (run, rec) in [("no_failure", &free), ("one_failure", &failed)] {
+            let shape = format!("strategies/{strategy:?}/{run}");
+            measured.push(pins::entry(
+                &shape,
+                DES_SEED,
+                pins::wall_and_digest(rec.wall, rec.digest),
+            ));
+        }
 
         assert_eq!(free.iterations, iters, "{strategy}");
         assert_eq!(free.digest, reference, "digest mismatch under {strategy}");
@@ -336,6 +320,7 @@ fn every_strategy_completes_and_recovers_on_the_des_shape() {
         };
         assert!(lost_work > std::time::Duration::ZERO, "{strategy}");
     }
+    pins::assert_pinned(&measured);
 }
 
 /// A kill on the final commit under every checkpointing strategy. On the

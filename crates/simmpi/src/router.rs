@@ -225,12 +225,6 @@ impl Router {
         self.dead.read().clone()
     }
 
-    /// Dead ranks within a given group, in group order.
-    pub fn dead_in(&self, group: &[usize]) -> Vec<usize> {
-        let dead = self.dead.read();
-        group.iter().copied().filter(|r| dead.contains(r)).collect()
-    }
-
     /// Kill a rank: mark it dead, purge its node's scratch space, and wake
     /// every blocked rank so it can observe the failure.
     pub fn kill(&self, rank: usize) {
@@ -734,6 +728,6 @@ mod tests {
         r.kill(1);
         r.kill(1);
         assert!(r.is_dead(1));
-        assert_eq!(r.dead_in(&[0, 1]), vec![1]);
+        assert_eq!(r.dead_snapshot(), HashSet::from([1]));
     }
 }

@@ -284,11 +284,6 @@ impl Client {
         self.regions.lock().len()
     }
 
-    /// Total protected bytes (checkpoint size).
-    pub fn protected_bytes(&self) -> usize {
-        self.regions.lock().values().map(|r| r.byte_len()).sum()
-    }
-
     // ---- checkpoint -------------------------------------------------------
 
     /// Take checkpoint `version` under `name`.
@@ -1092,16 +1087,6 @@ mod tests {
         assert_eq!(cl.restart("ck", 1).unwrap(), 2);
         assert_eq!(*a.lock(), vec![1, 2]);
         assert_eq!(*b.lock(), vec![9.0]);
-    }
-
-    #[test]
-    fn protected_bytes_counts() {
-        let c = cluster(1);
-        let cl = client(&c, 0);
-        cl.protect(0, Arc::new(VecRegion::new(vec![0u64; 10])));
-        cl.protect(1, Arc::new(VecRegion::new(vec![0u8; 3])));
-        assert_eq!(cl.protected_bytes(), 83);
-        assert_eq!(cl.protected_count(), 2);
     }
 
     #[test]

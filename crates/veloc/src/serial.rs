@@ -484,11 +484,6 @@ impl FrameBuilder {
         }
     }
 
-    /// Number of changed-payload slots.
-    pub fn payload_count(&self) -> usize {
-        self.payload_slots.len()
-    }
-
     /// Payload slot `i`, mutable.
     pub fn payload_mut(&mut self, i: usize) -> &mut [u8] {
         // Out-of-range slots yield an empty slice rather than indexing:
@@ -719,7 +714,6 @@ mod tests {
 
             let plan: Vec<(u32, usize)> = payloads.iter().map(|(id, p)| (*id, p.len())).collect();
             let mut b = FrameBuilder::new(base, &plan, unchanged);
-            assert_eq!(b.payload_count(), payloads.len());
             for (i, (_, p)) in payloads.iter().enumerate() {
                 b.payload_mut(i).copy_from_slice(p);
                 b.set_crc(i, crc32(p));

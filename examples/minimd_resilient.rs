@@ -27,7 +27,6 @@ fn main() {
         checkpoints: 5,
         max_relaunches: 4,
         redundancy: None,
-        fresh_storage: true,
         telemetry: None,
     };
     let ccfg = ClusterConfig {

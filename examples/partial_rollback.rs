@@ -31,7 +31,6 @@ fn main() {
         checkpoints: 6,
         max_relaunches: 4,
         redundancy: None,
-        fresh_storage: true,
         telemetry: None,
     };
 

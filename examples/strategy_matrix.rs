@@ -49,7 +49,6 @@ fn main() {
             checkpoints: 6,
             max_relaunches: 4,
             redundancy: None,
-            fresh_storage: true,
             telemetry: None,
         };
         let free = run_experiment(&cluster, &app, &cfg, Arc::new(FaultPlan::none()));

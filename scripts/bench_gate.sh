@@ -10,8 +10,8 @@
 # ratio measured over >= 5 runs on the two-CPU CI container (the comment
 # beside it), and a missing, non-integer or zero metric fails the claim.
 # Every passing claim prints its measured ratio beside the bound;
-# scripts/ci.sh copies those lines into target/ci-summary.json, where a
-# drift toward a bound is visible before it fails.
+# scripts/ci.sh keeps those lines in target/bench-gate.log, where a drift
+# toward a bound is visible before it fails.
 #
 # Every config a section used to compare against a committed baseline is
 # on one side of at least one claim below, or left its bench; the table is

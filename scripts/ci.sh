@@ -5,18 +5,15 @@
 #
 # Every stage is wall-clock timed; the per-stage seconds and the artifact
 # paths land in target/ci-summary.json (written even when a stage fails,
-# covering the stages that ran). The summary's schema is validated by the
-# tested Rust checker before the script declares success.
+# covering the stages that ran).
 #
-# CI_QUICK=1 skips the slow benchmark gate and the 2k-rank DES
-# scale smoke — an inner-loop mode; the full gate must pass before merge.
+# CI_QUICK=1 skips the slow benchmark gate, the benchmark/ workload runs and
+# the 2k-rank DES scale smoke — an inner-loop mode; the full gate must pass
+# before merge.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 STAGE_JSON=""
-SMOKE_JSON=""
-KERNEL_JSON=""
-CLAIMS_JSON=""
 CURRENT_STAGE=""
 STAGE_START=0
 
@@ -41,11 +38,12 @@ write_summary() {
   local status=$?
   mkdir -p target
   {
-    printf '{"ok":%s,"stages":[%s],"scale_smoke":[%s],"claims":[%s],%s"artifacts":{' \
-      "$([ "$status" -eq 0 ] && echo true || echo false)" \
-      "$STAGE_JSON" "$SMOKE_JSON" "$CLAIMS_JSON" "$KERNEL_JSON"
+    printf '{"ok":%s,"stages":[%s],"artifacts":{' \
+      "$([ "$status" -eq 0 ] && echo true || echo false)" "$STAGE_JSON"
     printf '"lint_report":"target/lint-report.json",'
     printf '"effects_inventory":"target/effects-inventory.json",'
+    printf '"scale_smoke_log":"target/scale-smoke.log",'
+    printf '"bench_gate_log":"target/bench-gate.log",'
     printf '"bench_results":"target/BENCH_checkpoint.json",'
     printf '"bench_redundancy_results":"target/BENCH_redundancy.json",'
     printf '"bench_sched_results":"target/BENCH_sched.json",'
@@ -150,21 +148,16 @@ begin "sched: 1k/2k-rank DES smoke"
 # optimised build's: a full Heatdis + Fenix/KR run at SCALE_RANKS active
 # ranks (default 1,024) with one injected failure, replayed twice for
 # bitwise equality — then, unless CI_QUICK=1, the same at twice the ranks.
-# Each smoke lands in ci-summary.json as scale_smoke[{ranks, host_s,
-# handoffs, unready_skipped}]. The host seconds (run + replay) are the
-# EXPERIMENTS.md weak-scaling rows, recorded and not gated (host noise). The
-# two scheduler counts are functions of the smoke's seed alone, and the
-# summary check at the end of this script fails if the 1,024-rank smoke
-# made more baton hand-offs than the count recorded in
-# crates/bench/src/gate.rs — zero tolerance: a dispatcher that wakes ranks
-# which can only yield again fails on a count. Deeper sweeps, e.g.:
+# Each smoke's `scale_smoke:` line (virtual wall, digest, hand-offs, unready
+# wakes skipped, host seconds of run + replay: the EXPERIMENTS.md
+# weak-scaling rows) lands in target/scale-smoke.log. At 1,024 ranks the
+# test itself holds wall, digest and both counts to the pin file
+# (crates/bench/pins.json), as tier-1 does. Deeper sweeps, e.g.:
 #   SCALE_RANKS=4096 scripts/ci.sh
+: > target/scale-smoke.log
 scale_smoke() { # active ranks
-  local out
-  out=$(SCALE_RANKS="$1" cargo test -q --release -p apps --test scale_smoke -- --nocapture)
-  echo "$out"
-  SMOKE_JSON="${SMOKE_JSON:+$SMOKE_JSON,}$(sed -n \
-    's/^scale_smoke: ranks=\([0-9]*\) .* handoffs=\([0-9]*\) unready_skipped=\([0-9]*\) host_s=\([0-9.]*\)$/{"ranks":\1,"host_s":\4,"handoffs":\2,"unready_skipped":\3}/p' <<<"$out")"
+  SCALE_RANKS="$1" cargo test -q --release -p apps --test scale_smoke -- --nocapture |
+    tee -a target/scale-smoke.log
 }
 scale_smoke "${SCALE_RANKS:-1024}"
 if [ "${CI_QUICK:-0}" = "1" ]; then
@@ -187,14 +180,30 @@ chaos_replay "strategy=FenixRedstore spares=2 rpn=2 nodekill(node=0,site=iter,at
 chaos_replay "strategy=FenixImr spares=2 rpn=2 nodekill(node=0,site=iter,at=5)"
 end
 
-begin "benchmark/: the frozen package builds and its unit tests pass"
+begin "benchmark/: the frozen package builds, its unit tests pass, its modelled numbers equal the pins"
 # The whole-run ledger is a package of its own that later changes may not
 # edit, compiled against this workspace's public API: build it and run its
-# unit tests (no workload runs), so a change that breaks an item it uses
-# fails here and not in the benchmark pipeline. Building rewrites its lock
-# file, which is put back.
+# unit tests, so a change that breaks an item it uses fails here and not in
+# the benchmark pipeline. Then, unless CI_QUICK=1, each workload runs once at
+# seed 7 (~80 s for all four on two CPUs) and `bench_compare check-pins`
+# holds its virtual_ckpt_overhead_s, virtual_wall_fail_s and
+# virtual_fingerprint to their entry in crates/bench/pins.json — equality,
+# the modelled numbers being a function of the seed. A mismatch prints the
+# replacement line.
+# Building rewrites the package's lock file, which is put back.
 cp benchmark/Cargo.lock target/benchmark-Cargo.lock
-(cd benchmark && cargo test --offline -q) && frozen=0 || frozen=$?
+frozen=0
+(cd benchmark && cargo test --offline -q) || frozen=1
+if [ "${CI_QUICK:-0}" = "1" ]; then
+  echo "CI_QUICK=1: skipping the benchmark/ workload runs"
+elif [ "$frozen" -eq 0 ]; then
+  for w in heatdis_ckpt heatdis_scale minimd_relaunch heatdis_inmem; do
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+      --workload "$w" --seed 7 --seconds 1 --trace 0 > "target/benchmark-$w.log" &&
+      cargo run -q -p bench --bin bench_compare -- check-pins "target/benchmark-$w.log" ||
+      frozen=1
+  done
+fi
 mv target/benchmark-Cargo.lock benchmark/Cargo.lock
 [ "$frozen" -eq 0 ]
 end
@@ -210,25 +219,14 @@ begin "bench gate: checkpoint + redundancy + sched + restart + minimd"
 # those against their definitional forms, the coded encodes and rebuilds
 # against each other and a plain copy, the baton against a bare condvar
 # ping-pong, schedule and repair cost against rank count, and MiniMD's
-# neighbor search against its all-pairs definition. Every claim
-# held goes into ci-summary.json as claims[{fast, slow, metric, ratio,
-# min_x}] — the record of how far each ratio sits from its bound — beside
-# the kernels serial::crc32 and gf256::mul_acc dispatched to on this host and
-# their 1 MiB timings (crc_kernel / crc_dispatch_1m_ns, gf256_kernel /
-# gf_mul_acc_1m_ns).
+# neighbor search against its all-pairs definition. Every claim held prints
+# its ratio beside its bound into target/bench-gate.log — the record of how
+# far each ratio sits from its bound — and the BENCH_*.json files record the
+# kernels serial::crc32 and gf256::mul_acc dispatched to on this host.
 if [ "${CI_QUICK:-0}" = "1" ]; then
   echo "CI_QUICK=1: skipping the benchmark gate"
 else
   scripts/bench_gate.sh | tee target/bench-gate.log
-  CLAIMS_JSON=$(sed -n \
-    's/^bench gate: \([a-z0-9_]*\) [0-9]* vs \([a-z0-9_]*\) [0-9]* \([a-z_]*\) (\([0-9.]*\)x, >= \([0-9.]*\)x)$/{"fast":"\1","slow":"\2","metric":"\3","ratio":\4,"min_x":\5}/p' \
-    target/bench-gate.log | paste -sd, -)
-  KERNEL_JSON=$(sed -n \
-    -e 's/.*"crc_kernel":"\([a-z0-9]*\)".*/"crc_kernel":"\1",/p' \
-    -e 's/.*"name":"crc_dispatch_1m","median_ns":\([0-9]*\).*/"crc_dispatch_1m_ns":\1,/p' \
-    -e 's/.*"gf256_kernel":"\([a-z0-9]*\)".*/"gf256_kernel":"\1",/p' \
-    -e 's/.*"name":"gf_mul_acc_1m","min_ns":\([0-9]*\).*/"gf_mul_acc_1m_ns":\1,/p' \
-    target/BENCH_restart.json target/BENCH_redundancy.json | tr -d '\n')
 fi
 end
 
@@ -248,13 +246,5 @@ else
   echo "cargo-miri not installed; skipping (rustup +nightly component add miri)"
 fi
 end
-
-# Declare success only after the summary itself validates: write it now
-# (the EXIT trap will rewrite the identical content afterwards) and run it
-# through the schema checker — ok flag, named stages with non-negative
-# seconds, the 1,024-rank smoke's hand-offs at or below the recorded count,
-# every recorded claim at or above its bound, string-valued artifact paths.
-write_summary
-cargo run -q -p bench --bin bench_compare -- check-summary target/ci-summary.json
 
 echo "CI OK"

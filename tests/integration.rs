@@ -115,7 +115,6 @@ fn spare_exhaustion_aborts_cleanly() {
                 checkpoints: 3,
                 max_relaunches: 2,
                 redundancy: None,
-                fresh_storage: true,
                 telemetry: None,
             },
             plan,
@@ -151,7 +150,6 @@ fn strategy_matrix_shares_a_cluster() {
                 checkpoints: 3,
                 max_relaunches: 2,
                 redundancy: None,
-                fresh_storage: true,
                 telemetry: None,
             },
             Arc::new(FaultPlan::none()),

@@ -45,7 +45,6 @@ fn traced_failure_run() -> TraceSnapshot {
             checkpoints: 3,
             max_relaunches: 2,
             redundancy: None,
-            fresh_storage: true,
             telemetry: Some(tel.clone()),
             backend: simmpi::Backend::Des { seed: 7 },
         },
