@@ -26,7 +26,6 @@ fn cfg(strategy: Strategy, spares: usize) -> ExperimentConfig {
         spares,
         checkpoints: 6,
         max_relaunches: 4,
-        redundancy: None,
         telemetry: None,
     }
 }

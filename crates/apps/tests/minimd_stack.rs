@@ -28,7 +28,6 @@ fn cfg(strategy: Strategy, spares: usize) -> ExperimentConfig {
         spares,
         checkpoints: 4,
         max_relaunches: 4,
-        redundancy: None,
         telemetry: None,
     }
 }

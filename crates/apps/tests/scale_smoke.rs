@@ -48,12 +48,10 @@ fn heatdis_1k_ranks_with_failure_completes_deterministically() {
     let app = Heatdis::fixed(2 * 8 * 16 * 8, 16, 8);
     // The run, and what its scheduler did with the events it popped: the
     // baton hand-offs and the wakes that found a parked receive's predicate
-    // unchanged. A small ring: only the counters are read.
+    // unchanged. The hub has the default config: its per-rank logs grow with
+    // the run, and none may drop an event.
     let run = || {
-        let hub = Telemetry::new(TelemetryConfig {
-            ring_capacity: 1 << 8,
-            ..TelemetryConfig::default()
-        });
+        let hub = Telemetry::new(TelemetryConfig::default());
         let rec = run_experiment(
             &virtual_cluster(active + spares),
             &app,
@@ -70,6 +68,11 @@ fn heatdis_1k_ranks_with_failure_completes_deterministically() {
             Arc::new(FaultPlan::kill_at(active / 2, "iter", 5)),
         );
         let count = |name| hub.metrics().counter(name).get();
+        assert_eq!(
+            hub.snapshot().dropped,
+            0,
+            "a default-config log dropped events"
+        );
         (
             rec,
             count(names::SCHED_HANDOFFS),

@@ -22,7 +22,7 @@ use std::time::Duration;
 use apps::Heatdis;
 use cluster::{Cluster, ClusterConfig, RelaunchModel, TimeScale};
 use parking_lot::Mutex;
-use resilience::{try_run_experiment, ExperimentConfig, Strategy};
+use resilience::{try_run_experiment, ExperimentConfig, ExperimentError, Strategy};
 use simmpi::Backend;
 use telemetry::{Event, Telemetry, TelemetryConfig, TimeSource, TraceSnapshot};
 
@@ -35,7 +35,7 @@ pub enum RunOutcome {
     Completed { digest: u64 },
     /// Run ended in a typed experiment error (spare exhaustion, data
     /// unrecoverable, relaunch budget) — clean by contract.
-    TypedError(String),
+    TypedError(ExperimentError),
 }
 
 /// Oracle violations, most severe first.
@@ -77,14 +77,15 @@ pub struct CaseReport {
     pub snapshot: TraceSnapshot,
 }
 
+/// Watchdog window for one chaotic run (simulated time is instant, so
+/// this is pure wall slack; anything near it is a deadlock). Under the DES
+/// backend deadlocks surface as typed aborts first; the watchdog remains as
+/// a livelock backstop.
+const WATCHDOG: Duration = Duration::from_secs(30);
+
 /// Differential oracle with a per-strategy baseline cache.
 pub struct Oracle {
     baselines: Mutex<HashMap<(Strategy, usize, usize), u64>>,
-    /// Watchdog window for one chaotic run (simulated time is instant, so
-    /// this is pure wall slack; anything near it is a deadlock). Under the
-    /// DES backend deadlocks surface as typed aborts first; the watchdog
-    /// remains as a livelock backstop.
-    pub watchdog: Duration,
     /// Execution engine for every run this oracle launches. `Des` runs on
     /// virtual-time clusters with virtually-stamped telemetry, so a
     /// schedule's verdict *and* timeline are pure functions of the seed.
@@ -122,7 +123,6 @@ fn experiment_config(
         spares: sched.spares,
         checkpoints: CHECKPOINTS,
         max_relaunches: 8,
-        redundancy: None,
         telemetry,
         backend,
     }
@@ -151,7 +151,6 @@ impl Oracle {
     pub fn with_backend(backend: Backend) -> Oracle {
         Oracle {
             baselines: Mutex::new(HashMap::new()),
-            watchdog: Duration::from_secs(30),
             backend,
         }
     }
@@ -177,7 +176,7 @@ impl Oracle {
         };
         let digest = match self.launch(&sched, false).0? {
             Ok(d) => d,
-            Err(e) => return Err(Violation::Baseline(e)),
+            Err(e) => return Err(Violation::Baseline(e.to_string())),
         };
         self.baselines
             .lock()
@@ -186,14 +185,17 @@ impl Oracle {
     }
 
     /// Run one schedule under the watchdog. `Ok(Ok(digest))` = completed,
-    /// `Ok(Err(msg))` = typed error, `Err` = panic or hang. Also returns
+    /// `Ok(Err(e))` = typed error, `Err` = panic or hang. Also returns
     /// the telemetry hub when one was requested — it is created here so a
     /// DES run's hub can stamp events from the cluster's virtual clock.
     fn launch(
         &self,
         sched: &ChaosSchedule,
         want_telemetry: bool,
-    ) -> (Result<Result<u64, String>, Violation>, Option<Telemetry>) {
+    ) -> (
+        Result<Result<u64, ExperimentError>, Violation>,
+        Option<Telemetry>,
+    ) {
         let des = matches!(self.backend, Backend::Des { .. });
         let cluster = campaign_cluster(sched.nodes(), sched.rpn, des);
         let telemetry = want_telemetry.then(|| {
@@ -219,11 +221,11 @@ impl Oracle {
             }));
             let _ = tx.send(result);
         });
-        let verdict = match rx.recv_timeout(self.watchdog) {
+        let verdict = match rx.recv_timeout(WATCHDOG) {
             Err(_) => Err(Violation::Hang),
             Ok(Err(payload)) => Err(Violation::Panic(panic_message(payload))),
             Ok(Ok(Ok(record))) => Ok(Ok(record.digest)),
-            Ok(Ok(Err(e))) => Ok(Err(e.to_string())),
+            Ok(Ok(Err(e))) => Ok(Err(e)),
         };
         (verdict, telemetry)
     }
@@ -248,7 +250,7 @@ impl Oracle {
                 Ok(()) => match terminal {
                     Ok(digest) if digest == expected => Ok(RunOutcome::Completed { digest }),
                     Ok(got) => Err(Violation::Divergence { expected, got }),
-                    Err(msg) => Ok(RunOutcome::TypedError(msg)),
+                    Err(e) => Ok(RunOutcome::TypedError(e)),
                 },
             },
         };
@@ -263,7 +265,7 @@ impl Oracle {
 
 /// Causal-order checks over the merged failure timeline.
 ///
-/// Only positive evidence fails a run: when the rings dropped records the
+/// Only positive evidence fails a run: when the logs dropped events the
 /// timeline is incomplete and the checks are skipped rather than guessed.
 pub fn check_timeline(snap: &TraceSnapshot) -> Result<(), Violation> {
     if snap.dropped > 0 {

@@ -12,6 +12,7 @@
 //! first is schedule-dependent), so typed errors are compared by class.
 
 use chaos::{ChaosSchedule, Oracle, RunOutcome, Violation};
+use resilience::ExperimentError;
 use simmpi::Backend;
 use telemetry::export::to_jsonl;
 
@@ -37,17 +38,16 @@ const REPRODUCERS: &[&str] = &[
 ];
 
 /// Verdict comparison key: completion digest exactly; typed errors by
-/// class; violations verbatim (any violation is already a failure).
+/// variant; violations verbatim (any violation is already a failure).
 fn verdict_class(v: &Result<RunOutcome, Violation>) -> String {
     match v {
         Ok(RunOutcome::Completed { digest }) => format!("completed:{digest}"),
-        Ok(RunOutcome::TypedError(msg)) if msg.contains("unrecoverably") => {
+        Ok(RunOutcome::TypedError(ExperimentError::RankFailed { .. })) => {
             "typed:rank-failed".into()
         }
-        Ok(RunOutcome::TypedError(msg)) if msg.contains("relaunches") => {
+        Ok(RunOutcome::TypedError(ExperimentError::RelaunchLimit { .. })) => {
             "typed:relaunch-limit".into()
         }
-        Ok(RunOutcome::TypedError(msg)) => format!("typed:other:{msg}"),
         Err(v) => format!("violation:{v}"),
     }
 }

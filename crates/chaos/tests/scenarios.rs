@@ -15,6 +15,7 @@ use cluster::{Cluster, ClusterConfig, RelaunchModel, TimeScale};
 use fenix::{ExhaustPolicy, FenixConfig, Role};
 #[cfg(not(feature = "chaos-mutants"))]
 use redstore::{RedStore, RedundancyGroup, RedundancyMode};
+use resilience::ExperimentError;
 #[cfg(not(feature = "chaos-mutants"))]
 use simmpi::{
     CorruptKind, CorruptTier, FaultSchedule, MpiError, ReduceOp, Universe, UniverseConfig,
@@ -37,13 +38,8 @@ fn spare_exhaustion_yields_typed_error_and_coherent_timeline() {
     .expect("spec parses");
     let report = oracle.run(&sched);
     match &report.verdict {
-        Ok(RunOutcome::TypedError(msg)) => {
-            assert!(
-                msg.contains("unrecoverably"),
-                "expected the driver's RankFailed error, got: {msg}"
-            );
-        }
-        other => panic!("expected a typed error, got {other:?}"),
+        Ok(RunOutcome::TypedError(ExperimentError::RankFailed { .. })) => {}
+        other => panic!("expected the driver's RankFailed error, got {other:?}"),
     }
     // The oracle already enforced causal order; assert the evidence is
     // complete: both injected kills were recorded, and the first failure's
@@ -184,12 +180,7 @@ fn placement_group_double_kill_recovers_via_redstore_but_not_buddy_imr() {
     )
     .expect("spec parses");
     match &oracle.run(&buddy).verdict {
-        Ok(RunOutcome::TypedError(msg)) => {
-            assert!(
-                msg.contains("unrecoverably"),
-                "expected the driver's RankFailed error, got: {msg}"
-            );
-        }
+        Ok(RunOutcome::TypedError(ExperimentError::RankFailed { .. })) => {}
         other => panic!("buddy IMR cannot survive a buddy-pair kill: {other:?}"),
     }
 

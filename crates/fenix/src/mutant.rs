@@ -1,5 +1,5 @@
 //! Seeded protocol violations, compiled only under the `lint-mutants`
-//! feature (the static-analysis analogue of telemetry's `mc-mutants`).
+//! feature.
 //!
 //! `crates/lint/tests/mutant.rs` proves the analyzer catches the violation
 //! below *transitively* — the panic site lives in a helper, not in the

@@ -45,8 +45,8 @@ fn main() {
             Ok(RunOutcome::Completed { digest }) => {
                 println!("PASS: completed, digest {digest:#018x} matches baseline");
             }
-            Ok(RunOutcome::TypedError(msg)) => {
-                println!("PASS: clean typed error: {msg}");
+            Ok(RunOutcome::TypedError(e)) => {
+                println!("PASS: clean typed error: {e}");
             }
             Err(_) => {
                 print_failure(&case);

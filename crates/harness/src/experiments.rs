@@ -172,7 +172,6 @@ pub fn run_pair(
         spares: if strategy.uses_fenix() { spares } else { 0 },
         checkpoints,
         max_relaunches: 6,
-        redundancy: None,
         telemetry,
         backend: simmpi::Backend::default(),
     };
@@ -426,7 +425,6 @@ pub fn partial_rollback_comparison(
         spares: 1,
         checkpoints: 6,
         max_relaunches: 4,
-        redundancy: None,
         telemetry: telemetry.clone(),
         backend: simmpi::Backend::default(),
     };

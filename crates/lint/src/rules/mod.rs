@@ -108,17 +108,10 @@ pub const PANIC_SITE_CRATES: &[&str] = &[
     "redstore",
 ];
 
-/// Files audited for `Ordering::Relaxed` on synchronization-adjacent
-/// atomics (`relaxed-sync` rule): the seqlock ring orders via `seq`'s
-/// Acquire/Release pair and uses Relaxed only where the protocol proves it.
-pub const AUDITED_RELAXED: &[&str] = &["crates/telemetry/src/ring.rs"];
-
 /// Identifiers that mark an atomic as synchronization-carrying: the
-/// seqlock's words and the router's abort flag (DESIGN.md §9), and the
-/// names such flags take.
-pub const SYNC_ATOMIC_NAMES: &[&str] = &[
-    "seq", "head", "stop", "abort", "aborted", "pending", "dead", "revoked",
-];
+/// router's abort flag (DESIGN.md §9) and the sequence word of the
+/// `relaxed-sync` fixture's seqlock.
+pub const SYNC_ATOMIC_NAMES: &[&str] = &["seq", "aborted"];
 
 /// Rank entry points: the code a simulated rank executes — the simmpi
 /// mailbox loop, the Fenix recovery handlers, the KR region machinery,

@@ -1,8 +1,8 @@
 //! `relaxed-sync`: `Ordering::Relaxed` in a statement that touches a
-//! synchronization-carrying atomic (`seq`, `head`, `aborted`, …) outside
-//! the audited seqlock file. Checked on the lossless token stream, so
-//! string literals and comments cannot fool it, and over the enclosing
-//! *statement* rather than a single source line. No runtime suite can
+//! synchronization-carrying atomic (`seq`, `aborted`). Checked on the
+//! lossless token stream, so string literals and comments cannot fool it,
+//! and over the enclosing *statement* rather than a single source line.
+//! No runtime suite can
 //! catch this class on x86-64 (loads and stores are ordered there anyway)
 //! or under the model checker, which explores sequentially consistent
 //! interleavings only.
@@ -10,14 +10,11 @@
 use crate::callgraph::{GraphOpts, Workspace};
 use crate::diag::Diagnostic;
 use crate::lexer::TokKind;
-use crate::rules::{AUDITED_RELAXED, SYNC_ATOMIC_NAMES};
+use crate::rules::SYNC_ATOMIC_NAMES;
 
 pub fn check(ws: &Workspace, opts: GraphOpts) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for file in &ws.files {
-        if AUDITED_RELAXED.contains(&file.rel.as_str()) {
-            continue;
-        }
         for si in file.find_path_refs(&["Ordering", "Relaxed"]) {
             // Test code is audited too; only unopted seeded mutants are skipped.
             if file.fn_at(si).is_some_and(|f| opts.hides(f)) {
@@ -47,7 +44,7 @@ pub fn check(ws: &Workspace, opts: GraphOpts) -> Vec<Diagnostic> {
                     func,
                     msg: format!(
                         "Ordering::Relaxed on synchronization-carrying atomic `{name}`; \
-                         use Acquire/Release (or audit the file in AUDITED_RELAXED)"
+                         use Acquire/Release"
                     ),
                 });
             }

@@ -11,7 +11,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cluster::Cluster;
-use redstore::RedundancyMode;
 use simmpi::{Backend, FaultPlan, MpiError, Universe, UniverseConfig};
 use telemetry::{Phase, PhaseAccumulator, Telemetry};
 
@@ -30,10 +29,6 @@ pub struct ExperimentConfig {
     pub checkpoints: u64,
     /// Safety bound on whole-job relaunches.
     pub max_relaunches: usize,
-    /// Redundancy mode override for Fenix RedStore (`None` = strongest
-    /// topology-feasible mode: RS(4,2) → XOR(3) → 2-replica). Fenix IMR is
-    /// the same tier pinned at 2-replica and ignores this.
-    pub redundancy: Option<RedundancyMode>,
     /// Observability hub: when set, every launch (and relaunch) of this
     /// experiment records events/spans/metrics into it.
     pub telemetry: Option<Telemetry>,
@@ -50,7 +45,6 @@ impl Default for ExperimentConfig {
             spares: 1,
             checkpoints: 6,
             max_relaunches: 8,
-            redundancy: None,
             telemetry: None,
             backend: Backend::default(),
         }
@@ -161,17 +155,7 @@ pub fn try_run_experiment(
                 backend: cfg.backend,
             },
             Arc::clone(&plan),
-            |ctx| {
-                runner::run_rank(
-                    ctx,
-                    app,
-                    cfg.strategy,
-                    cfg.spares,
-                    cfg.checkpoints,
-                    cfg.redundancy,
-                    &shared,
-                )
-            },
+            |ctx| runner::run_rank(ctx, app, cfg.strategy, cfg.spares, cfg.checkpoints, &shared),
         );
         for o in &report.outcomes {
             if let Some(phases) = o.recorder.phases() {

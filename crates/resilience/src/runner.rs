@@ -75,7 +75,6 @@ pub fn run_rank(
     strategy: Strategy,
     spares: usize,
     checkpoints: u64,
-    redundancy: Option<RedundancyMode>,
     shared: &SharedState,
 ) -> MpiResult<()> {
     let ctx = &*ctx;
@@ -98,11 +97,12 @@ pub fn run_rank(
         | Strategy::FenixRedstore => {
             let backend = match strategy {
                 // The paper's buddy-rank IMR is the redundancy store at two
-                // replicas; `FenixRedstore` takes the experiment's dial.
+                // replicas; `FenixRedstore` takes the strongest mode the
+                // topology allows (`RedundancyMode::auto`).
                 Strategy::FenixImr => IntegratedBackend::Redstore {
                     mode: Some(RedundancyMode::Replicate { k: 2 }),
                 },
-                Strategy::FenixRedstore => IntegratedBackend::Redstore { mode: redundancy },
+                Strategy::FenixRedstore => IntegratedBackend::Redstore { mode: None },
                 _ => IntegratedBackend::Veloc,
             };
             // Built on the first entry (a spare that is never promoted has

@@ -1,7 +1,6 @@
 //! Seeded lock-protocol and memory-ordering violations, compiled only
-//! under the `lint-mutants` feature (the static-analysis analogue of
-//! telemetry's `mc-mutants`). No runtime suite catches any of them (the
-//! live versions survived tier-1 and the chaos smoke; DESIGN.md §10).
+//! under the `lint-mutants` feature. No runtime suite catches any of them
+//! (the live versions survived tier-1 and the chaos smoke; DESIGN.md §10).
 //!
 //! `crates/lint/tests/mutant.rs` proves the analyzer catches the
 //! violations below exactly when mutants are opted in, and that they stay

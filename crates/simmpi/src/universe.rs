@@ -63,7 +63,7 @@ pub struct UniverseConfig {
     /// (the harness accounts it under "Other").
     pub charge_startup: bool,
     /// Observability hub for this launch. When set, every rank's recorder
-    /// feeds the shared event rings/metrics and `fault_point`, ULFM, and
+    /// feeds the shared event logs/metrics and `fault_point`, ULFM, and
     /// kill paths emit structured events. With `None` (the default) a
     /// rank's recorder only times phases, on the launch's clock.
     pub telemetry: Option<Telemetry>,

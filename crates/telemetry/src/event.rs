@@ -1,25 +1,15 @@
-//! Typed structured events and their fixed-width ring encoding.
+//! Typed structured events.
 //!
 //! Every resilience layer emits [`Event`]s: the MPI simulation (calls,
 //! injected faults, ULFM revoke/agree/shrink), Fenix (failure detection,
 //! repair, role transitions), VeloC (checkpoint protect/copy/flush/restart),
-//! and Kokkos Resilience (region enter/capture/commit/restore). An event is
-//! encoded into a single fixed-size record of `u64` words so the ring
-//! buffer ([`crate::ring`]) can store it behind atomics; dynamic strings are
-//! interned once per unique value in an [`Interner`] and referenced by id.
-
-use std::collections::HashMap;
-
-use parking_lot::Mutex;
+//! and Kokkos Resilience (region enter/capture/commit/restore). Each rank's
+//! log ([`crate::ring`]) stores them as they are, strings included.
 
 use crate::phase::Phase;
 
-/// Words per encoded record: timestamp, tag, and up to six payload fields.
-pub const RECORD_WORDS: usize = 8;
-
 /// Which simulated MPI entry point an [`Event::MpiCall`] refers to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
 pub enum MpiOp {
     Send,
     Recv,
@@ -34,19 +24,6 @@ pub enum MpiOp {
 }
 
 impl MpiOp {
-    pub const ALL: [MpiOp; 10] = [
-        MpiOp::Send,
-        MpiOp::Recv,
-        MpiOp::SendRecv,
-        MpiOp::Barrier,
-        MpiOp::Bcast,
-        MpiOp::Reduce,
-        MpiOp::Allreduce,
-        MpiOp::Gather,
-        MpiOp::Allgather,
-        MpiOp::Split,
-    ];
-
     pub fn name(self) -> &'static str {
         match self {
             MpiOp::Send => "send",
@@ -60,10 +37,6 @@ impl MpiOp {
             MpiOp::Allgather => "allgather",
             MpiOp::Split => "split",
         }
-    }
-
-    fn from_index(i: u64) -> Option<MpiOp> {
-        MpiOp::ALL.get(i as usize).copied()
     }
 }
 
@@ -222,228 +195,18 @@ impl Event {
             Event::SpanBegin { .. } | Event::SpanEnd { .. } | Event::Marker { .. } => "span",
         }
     }
-
-    /// Encode into a ring record. `t_ns` is nanoseconds since the
-    /// telemetry epoch.
-    pub fn encode(&self, t_ns: u64, interner: &Interner) -> [u64; RECORD_WORDS] {
-        let mut w = [0u64; RECORD_WORDS];
-        w[0] = t_ns;
-        let s = |s: &str| interner.intern(s) as u64;
-        let (tag, payload): (u64, [u64; 3]) = match self {
-            Event::MpiCall { op, peer, bytes } => {
-                (1, [*op as u64, peer.map_or(0, |p| p as u64 + 1), *bytes])
-            }
-            Event::FaultInjected { site, count } => (2, [s(site), *count, 0]),
-            Event::RankKilled => (3, [0; 3]),
-            Event::Revoke => (4, [0; 3]),
-            Event::Agree { seq, flags } => (5, [*seq, *flags, 0]),
-            Event::Shrink { survivors } => (6, [*survivors, 0, 0]),
-            Event::FailureDetected { scope } => (7, [s(scope), 0, 0]),
-            Event::RoleChanged { role } => (8, [s(role), 0, 0]),
-            Event::RepairBegin { epoch } => (9, [*epoch, 0, 0]),
-            Event::RepairEnd {
-                epoch,
-                survivors,
-                spares_left,
-            } => (10, [*epoch, *survivors, *spares_left]),
-            Event::CallbackFired { name } => (11, [s(name), 0, 0]),
-            Event::Protect { name, bytes } => (12, [s(name), *bytes, 0]),
-            Event::CheckpointBegin { name, version } => (13, [s(name), *version, 0]),
-            Event::CheckpointLocal {
-                name,
-                version,
-                bytes,
-            } => (14, [s(name), *version, *bytes]),
-            Event::FlushEnqueued { name, version } => (15, [s(name), *version, 0]),
-            Event::FlushDone {
-                name,
-                version,
-                bytes,
-            } => (16, [s(name), *version, *bytes]),
-            Event::RestartBegin { name, version } => (17, [s(name), *version, 0]),
-            Event::RestartEnd { name, version, ok } => (18, [s(name), *version, *ok as u64]),
-            Event::RegionEnter { label, iteration } => (19, [s(label), *iteration, 0]),
-            Event::RegionCapture {
-                label,
-                views,
-                bytes,
-            } => (20, [s(label), *views, *bytes]),
-            Event::RegionCommit { label, version } => (21, [s(label), *version, 0]),
-            Event::RegionRestore { label, version } => (22, [s(label), *version, 0]),
-            Event::SpanBegin { phase } => (23, [*phase as u64, 0, 0]),
-            Event::SpanEnd { phase } => (24, [*phase as u64, 0, 0]),
-            Event::Marker { label } => (25, [s(label), 0, 0]),
-        };
-        w[1] = tag;
-        w[2..5].copy_from_slice(&payload);
-        w
-    }
-
-    /// Decode a ring record; returns `None` for unknown tags (e.g. records
-    /// from a newer schema) or dangling string ids.
-    pub fn decode(w: &[u64; RECORD_WORDS], interner: &Interner) -> Option<(u64, Event)> {
-        let t_ns = w[0];
-        let s = |id: u64| interner.resolve(id as u32);
-        let event = match w[1] {
-            1 => Event::MpiCall {
-                op: MpiOp::from_index(w[2])?,
-                peer: if w[3] == 0 {
-                    None
-                } else {
-                    Some(w[3] as u32 - 1)
-                },
-                bytes: w[4],
-            },
-            2 => Event::FaultInjected {
-                site: s(w[2])?,
-                count: w[3],
-            },
-            3 => Event::RankKilled,
-            4 => Event::Revoke,
-            5 => Event::Agree {
-                seq: w[2],
-                flags: w[3],
-            },
-            6 => Event::Shrink { survivors: w[2] },
-            7 => Event::FailureDetected { scope: s(w[2])? },
-            8 => Event::RoleChanged { role: s(w[2])? },
-            9 => Event::RepairBegin { epoch: w[2] },
-            10 => Event::RepairEnd {
-                epoch: w[2],
-                survivors: w[3],
-                spares_left: w[4],
-            },
-            11 => Event::CallbackFired { name: s(w[2])? },
-            12 => Event::Protect {
-                name: s(w[2])?,
-                bytes: w[3],
-            },
-            13 => Event::CheckpointBegin {
-                name: s(w[2])?,
-                version: w[3],
-            },
-            14 => Event::CheckpointLocal {
-                name: s(w[2])?,
-                version: w[3],
-                bytes: w[4],
-            },
-            15 => Event::FlushEnqueued {
-                name: s(w[2])?,
-                version: w[3],
-            },
-            16 => Event::FlushDone {
-                name: s(w[2])?,
-                version: w[3],
-                bytes: w[4],
-            },
-            17 => Event::RestartBegin {
-                name: s(w[2])?,
-                version: w[3],
-            },
-            18 => Event::RestartEnd {
-                name: s(w[2])?,
-                version: w[3],
-                ok: w[4] != 0,
-            },
-            19 => Event::RegionEnter {
-                label: s(w[2])?,
-                iteration: w[3],
-            },
-            20 => Event::RegionCapture {
-                label: s(w[2])?,
-                views: w[3],
-                bytes: w[4],
-            },
-            21 => Event::RegionCommit {
-                label: s(w[2])?,
-                version: w[3],
-            },
-            22 => Event::RegionRestore {
-                label: s(w[2])?,
-                version: w[3],
-            },
-            23 => Event::SpanBegin {
-                phase: Phase::from_index(w[2] as usize)?,
-            },
-            24 => Event::SpanEnd {
-                phase: Phase::from_index(w[2] as usize)?,
-            },
-            25 => Event::Marker { label: s(w[2])? },
-            _ => return None,
-        };
-        Some((t_ns, event))
-    }
-}
-
-/// String interning shared by all rings of one [`crate::Telemetry`].
-///
-/// Event labels repeat heavily (checkpoint names, region labels, roles), so
-/// each unique string is stored once and referenced by a `u32` id in the
-/// encoded records. Interning takes a short uncontended lock; the ring
-/// write itself stays lock-free.
-#[derive(Default)]
-pub struct Interner {
-    inner: Mutex<InternerInner>,
-}
-
-#[derive(Default)]
-struct InternerInner {
-    ids: HashMap<String, u32>,
-    names: Vec<String>,
-}
-
-impl Interner {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Id for `s`, allocating one on first sight.
-    pub fn intern(&self, s: &str) -> u32 {
-        let mut inner = self.inner.lock();
-        if let Some(&id) = inner.ids.get(s) {
-            return id;
-        }
-        let id = inner.names.len() as u32;
-        inner.names.push(s.to_string());
-        inner.ids.insert(s.to_string(), id);
-        id
-    }
-
-    /// The string behind `id`, if it exists.
-    pub fn resolve(&self, id: u32) -> Option<String> {
-        self.inner.lock().names.get(id as usize).cloned()
-    }
-
-    /// Number of distinct strings interned.
-    pub fn len(&self) -> usize {
-        self.inner.lock().names.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::EventLog;
 
-    #[test]
-    fn interner_dedups() {
-        let i = Interner::new();
-        let a = i.intern("heatdis");
-        let b = i.intern("minimd");
-        let c = i.intern("heatdis");
-        assert_eq!(a, c);
-        assert_ne!(a, b);
-        assert_eq!(i.resolve(a).as_deref(), Some("heatdis"));
-        assert_eq!(i.len(), 2);
-    }
-
+    /// One of every variant goes into a log and comes back out of its
+    /// snapshot unchanged, stamp included; the 25 variants have 25 kinds.
     #[test]
     fn every_variant_roundtrips() {
-        let i = Interner::new();
-        let events = vec![
+        let events = [
             Event::MpiCall {
                 op: MpiOp::Allreduce,
                 peer: None,
@@ -535,19 +298,19 @@ mod tests {
                 label: "note".into(),
             },
         ];
-        for (n, e) in events.into_iter().enumerate() {
-            let w = e.encode(n as u64 * 10, &i);
-            let (t, back) = Event::decode(&w, &i).expect("decodes");
-            assert_eq!(t, n as u64 * 10);
+        let log = EventLog::new(events.len());
+        for (n, e) in events.iter().enumerate() {
+            log.push(n as u64 * 10, e.clone());
+        }
+        let snap = log.snapshot();
+        assert_eq!(snap.dropped(), 0);
+        for (n, (e, (t, back))) in events.iter().zip(&snap.events).enumerate() {
+            assert_eq!(*t, n as u64 * 10);
             assert_eq!(back, e, "variant {n} must roundtrip");
         }
-    }
-
-    #[test]
-    fn unknown_tag_decodes_to_none() {
-        let i = Interner::new();
-        let mut w = [0u64; RECORD_WORDS];
-        w[1] = 999;
-        assert!(Event::decode(&w, &i).is_none());
+        let mut kinds: Vec<&str> = events.iter().map(Event::kind).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 25, "one kind per variant");
     }
 }

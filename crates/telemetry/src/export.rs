@@ -217,7 +217,7 @@ pub fn failure_timeline(snap: &TraceSnapshot) -> String {
         .filter(|e| is_timeline_kind(&e.event))
         .collect();
     let mut out = format!(
-        "failure timeline: {} events ({} shown, {} dropped from rings)\n",
+        "failure timeline: {} events ({} shown, {} dropped from logs)\n",
         snap.events.len(),
         picked.len(),
         snap.dropped

@@ -4,16 +4,16 @@
 //! a whole relaunch sequence). Each rank gets a cheap [`Recorder`] handle
 //! that feeds three sinks:
 //!
-//! - a **structured event log** — typed [`Event`]s in a bounded lock-free
-//!   per-rank ring ([`ring::EventRing`]) with overwrite-oldest eviction and
-//!   drop counting;
+//! - a **structured event log** — typed [`Event`]s in a bounded per-rank
+//!   log ([`ring::EventLog`]) that grows as events arrive, with
+//!   overwrite-oldest eviction and exact drop counting;
 //! - **span timers** ([`span::SpanGuard`]) booking inclusive time into the
 //!   recorder's [`PhaseAccumulator`] — the only phase timer in the
 //!   workspace, reading the same clock the events are stamped from;
 //! - a **metrics registry** ([`metrics::Metrics`]) of named counters,
 //!   gauges, and histograms shared across ranks.
 //!
-//! [`Telemetry::snapshot`] merges every ring into a time-sorted
+//! [`Telemetry::snapshot`] merges every log into a time-sorted
 //! [`TraceSnapshot`] which the exporters ([`export`]) turn into JSONL,
 //! Chrome `trace_event` JSON, or a human-readable failure timeline.
 //!
@@ -21,7 +21,7 @@
 //! `None` and every operation on it is a branch on an `Option` — layers can
 //! therefore thread recorders unconditionally. A run without a hub still
 //! needs its phase costs: [`Recorder::phases_only`] times spans on a given
-//! clock and records no events (no ring is allocated).
+//! clock and records no events (no log is registered).
 
 pub mod event;
 pub mod export;
@@ -36,18 +36,18 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-pub use event::{Event, Interner, MpiOp};
+pub use event::{Event, MpiOp};
 pub use json::Json;
 pub use metrics::{names, Counter, Gauge, HistogramHandle, Metrics, MetricsSnapshot};
 pub use phase::{Phase, PhaseAccumulator};
-pub use ring::EventRing;
+pub use ring::EventLog;
 pub use span::SpanGuard;
 
 /// Tuning for one [`Telemetry`] instance.
 #[derive(Clone, Debug)]
 pub struct TelemetryConfig {
-    /// Per-rank ring capacity in records (64 bytes each). When a rank
-    /// outruns its ring the oldest records are evicted and counted.
+    /// Per-rank log capacity in events. A log grows as its rank emits;
+    /// past this many events the oldest are evicted and counted.
     pub ring_capacity: usize,
     /// Record an [`Event::MpiCall`] for every simulated MPI entry point.
     /// Off by default: calls are the highest-volume event class and the
@@ -66,7 +66,7 @@ impl Default for TelemetryConfig {
 
 struct RankSlot {
     rank: u32,
-    ring: EventRing,
+    log: EventLog,
 }
 
 /// Where event timestamps and span durations come from.
@@ -96,7 +96,6 @@ impl TimeSource {
 struct TelemetryInner {
     time: TimeSource,
     config: TelemetryConfig,
-    interner: Interner,
     metrics: Metrics,
     slots: Mutex<Vec<Arc<RankSlot>>>,
 }
@@ -128,7 +127,6 @@ impl Telemetry {
             inner: Arc::new(TelemetryInner {
                 time,
                 config,
-                interner: Interner::new(),
                 metrics: Metrics::new(),
                 slots: Mutex::new(Vec::new()),
             }),
@@ -151,13 +149,13 @@ impl Telemetry {
     }
 
     /// Create a recorder for `rank`, stamping events and timing spans on
-    /// this hub's time source. Each call registers a fresh ring; a
+    /// this hub's time source. Each call registers a fresh log; a
     /// relaunched rank simply registers again and its events merge by
     /// timestamp.
     pub fn recorder(&self, rank: usize) -> Recorder {
         let slot = Arc::new(RankSlot {
             rank: rank as u32,
-            ring: EventRing::new(self.inner.config.ring_capacity),
+            log: EventLog::new(self.inner.config.ring_capacity),
         });
         self.inner.slots.lock().push(Arc::clone(&slot));
         Recorder {
@@ -172,24 +170,21 @@ impl Telemetry {
         }
     }
 
-    /// Merge every rank ring into one time-ordered snapshot.
+    /// Merge every rank log into one time-ordered snapshot.
     pub fn snapshot(&self) -> TraceSnapshot {
         let slots: Vec<Arc<RankSlot>> = self.inner.slots.lock().clone();
         let mut events = Vec::new();
         let mut dropped = 0;
         let mut pushed = 0;
         for slot in &slots {
-            dropped += slot.ring.dropped();
-            pushed += slot.ring.pushed();
-            for words in slot.ring.snapshot() {
-                if let Some((t_ns, event)) = Event::decode(&words, &self.inner.interner) {
-                    events.push(TimedEvent {
-                        t_ns,
-                        rank: slot.rank,
-                        event,
-                    });
-                }
-            }
+            let log = slot.log.snapshot();
+            dropped += log.dropped();
+            pushed += log.pushed;
+            events.extend(log.events.into_iter().map(|(t_ns, event)| TimedEvent {
+                t_ns,
+                rank: slot.rank,
+                event,
+            }));
         }
         events.sort_by_key(|e| (e.t_ns, e.rank));
         TraceSnapshot {
@@ -204,9 +199,9 @@ impl Telemetry {
 #[derive(Clone, Debug, Default)]
 pub struct TraceSnapshot {
     pub events: Vec<TimedEvent>,
-    /// Records evicted from rings before they could be read.
+    /// Events evicted from logs before they could be read.
     pub dropped: u64,
-    /// Records ever pushed (including evicted ones).
+    /// Events ever pushed (including evicted ones).
     pub pushed: u64,
 }
 
@@ -228,7 +223,7 @@ impl TraceSnapshot {
     }
 }
 
-/// One decoded event with its timestamp and originating rank.
+/// One event with its timestamp and originating rank.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TimedEvent {
     pub t_ns: u64,
@@ -236,7 +231,7 @@ pub struct TimedEvent {
     pub event: Event,
 }
 
-/// The event side of a recorder: the owning hub and this rank's ring.
+/// The event side of a recorder: the owning hub and this rank's log.
 struct Hub {
     tel: Arc<TelemetryInner>,
     slot: Arc<RankSlot>,
@@ -344,7 +339,7 @@ impl Recorder {
 
 impl Hub {
     fn push(&self, event: Event, t_ns: u64) {
-        self.slot.ring.push(event.encode(t_ns, &self.tel.interner));
+        self.slot.log.push(t_ns, event);
     }
 }
 

@@ -71,10 +71,6 @@ impl Phase {
             Phase::AppInit => "App Init",
         }
     }
-
-    pub fn from_index(i: usize) -> Option<Phase> {
-        Phase::ALL.get(i).copied()
-    }
 }
 
 /// Thread-safe phase-time accumulator (nanosecond resolution): spans
@@ -151,13 +147,5 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), Phase::COUNT);
-    }
-
-    #[test]
-    fn from_index_roundtrips() {
-        for (i, &p) in Phase::ALL.iter().enumerate() {
-            assert_eq!(Phase::from_index(i), Some(p));
-        }
-        assert_eq!(Phase::from_index(Phase::COUNT), None);
     }
 }

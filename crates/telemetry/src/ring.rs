@@ -1,196 +1,71 @@
-//! Lock-free bounded event ring with overwrite-oldest eviction.
+//! Bounded per-rank event log with overwrite-oldest eviction.
 //!
-//! One ring per rank. Writers (the rank thread, plus auxiliary threads such
-//! as VeloC's flush worker) publish fixed-width records with a per-slot
-//! sequence-lock protocol built entirely on atomics — no mutex anywhere on
-//! the write path, so recording can sit inside simulated MPI calls without
-//! perturbing timing. When the ring is full the oldest record is
-//! overwritten and counted as dropped rather than blocking or growing.
-//!
-//! Protocol: `head` is the count of records ever claimed. A writer claims
-//! index `h = head.fetch_add(1)`, giving slot `h % capacity` and generation
-//! `g = h / capacity`. It then claims the slot itself by CAS-ing its
-//! sequence from `2g` (the previous generation's published value) to
-//! `2g + 1` (write in progress), fills the words, and publishes `2g + 2`.
-//! When the claim observes an odd sequence (a writer from an adjacent
-//! generation is mid-flight) or one at/past `2g` (this writer is a full lap
-//! behind), the push abandons the record rather than interleave two
-//! generations' words; a *stale even* sequence — the residue of an earlier
-//! abandoned generation — is reclaimed instead, so one abandonment never
-//! leaves the slot permanently dead (see [`EventRing::push`]). A snapshot
-//! reader accepts a slot only when the sequence reads `2g + 2` for the
-//! generation it expects both before and after copying the words; anything
-//! else means the slot was mid-write, abandoned, or already recycled, and
-//! the record is skipped.
+//! One log per registered rank. Its writers — the rank thread, and on the
+//! threaded engine that rank's VeloC flush worker — take the log's lock for
+//! one deque push; a snapshot takes it for one clone. The deque grows only
+//! as events arrive. At capacity the oldest event is evicted and counted as
+//! dropped, so every snapshot satisfies `events + dropped == pushed`
+//! exactly.
 
-// loom facade: identical to std::sync::atomic in production; every access
-// becomes a schedule point under the modelcheck explorer. The seqlock is
-// model-checked by crates/modelcheck/tests/seqlock.rs (including wraparound
-// and generation reuse) and its mutant twin in tests/mutant.rs.
-use loom::sync::atomic::{fence, AtomicU64, Ordering};
+use std::collections::VecDeque;
 
-use crate::event::RECORD_WORDS;
+use parking_lot::Mutex;
 
-struct Slot {
-    seq: AtomicU64,
-    words: [AtomicU64; RECORD_WORDS],
+use crate::event::Event;
+
+/// Bounded multi-writer log of timestamped events.
+pub struct EventLog {
+    capacity: usize,
+    inner: Mutex<LogInner>,
 }
 
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            seq: AtomicU64::new(0),
-            words: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
+#[derive(Default)]
+struct LogInner {
+    events: VecDeque<(u64, Event)>,
+    pushed: u64,
 }
 
-/// Bounded multi-writer ring of encoded event records.
-pub struct EventRing {
-    slots: Box<[Slot]>,
-    head: AtomicU64,
+/// One log's contents, read under one acquisition of its lock.
+pub struct LogSnapshot {
+    /// Surviving events with their timestamps, oldest first.
+    pub events: Vec<(u64, Event)>,
+    /// Events ever pushed, evicted ones included.
+    pub pushed: u64,
 }
 
-impl EventRing {
-    /// `capacity` is rounded up to at least 2 slots.
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(2);
-        EventRing {
-            slots: (0..cap).map(|_| Slot::new()).collect(),
-            head: AtomicU64::new(0),
-        }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Records ever pushed (including later-evicted ones).
-    pub fn pushed(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
-    }
-
-    /// Records evicted by wrap-around so far.
+impl LogSnapshot {
+    /// Events evicted before this snapshot was taken.
     pub fn dropped(&self) -> u64 {
-        self.pushed().saturating_sub(self.slots.len() as u64)
+        self.pushed - self.events.len() as u64
+    }
+}
+
+impl EventLog {
+    /// `capacity` is rounded up to at least 2 events. Nothing is allocated
+    /// until the first push.
+    pub fn new(capacity: usize) -> Self {
+        EventLog {
+            capacity: capacity.max(2),
+            inner: Mutex::default(),
+        }
     }
 
-    /// Publish one record. Never blocks; evicts the oldest record when full.
-    ///
-    /// A push can *abandon* its slot when a writer from an adjacent
-    /// generation is still active on it (odd sequence) or this writer is a
-    /// full capacity lap behind (sequence already at/past its generation).
-    /// The record is then silently lost (it still counts in [`pushed`]); the
-    /// alternative, writing anyway, interleaves two generations' words under
-    /// a valid sequence, which the modelcheck seqlock suite demonstrates as
-    /// a torn read. With realistic capacities a full-lap lag is pathological;
-    /// losing that record keeps push effectively wait-free and readers safe.
-    /// A *stale even* sequence — left behind when an earlier generation's
-    /// push abandoned — is reclaimed rather than treated as a conflict:
-    /// abandoning on it would make the slot reject every later generation
-    /// forever (the dead-slot bug pinned by
-    /// `crates/modelcheck/tests/scratch_deadslot.rs`).
-    ///
-    /// [`pushed`]: EventRing::pushed
-    pub fn push(&self, words: [u64; RECORD_WORDS]) {
-        let h = self.head.fetch_add(1, Ordering::AcqRel);
-        let cap = self.slots.len() as u64;
-        let generation = h / cap;
-        let slot = &self.slots[(h % cap) as usize];
-        // Claim the slot for this generation. The expected sequence is the
-        // previous generation's "published" value (2*generation, which is
-        // also the initial 0 for generation 0) — but an abandoned push from
-        // an intermediate generation leaves the sequence at an even value
-        // *behind* that, and treating it as a conflict would kill the slot
-        // for every generation after (the dead-slot interleaving pinned by
-        // crates/modelcheck/tests/scratch_deadslot.rs). A stale even value
-        // means no writer is active on the slot, so reclaim from it instead;
-        // only an odd sequence (writer mid-flight) or one at/past our own
-        // generation (we are the lagging writer) abandons. The sequence is
-        // monotonic, so each retry observes a strictly larger value and the
-        // loop is bounded. Acquire on failure (audited): the observed value
-        // seeds the next claim attempt.
-        let mut expect = 2 * generation;
-        loop {
-            match slot.seq.compare_exchange(
-                expect,
-                2 * generation + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(seen) if seen % 2 == 0 && seen < 2 * generation => expect = seen,
-                Err(_) => return,
-            }
+    /// Append `event` stamped `t_ns`, evicting the oldest event when full.
+    pub fn push(&self, t_ns: u64, event: Event) {
+        let mut log = self.inner.lock();
+        if log.events.len() == self.capacity {
+            log.events.pop_front();
         }
-        // The odd ("write in progress") sequence must become visible before
-        // any word store. The AcqRel claim above only orders *earlier*
-        // operations before it; this fence orders it before the Relaxed word
-        // stores that follow. Without it, a word store could be reordered
-        // ahead of the odd mark and a reader of the *previous* generation
-        // could validate a half-overwritten record.
-        fence(Ordering::Release);
-        for (w, v) in slot.words.iter().zip(words) {
-            // Relaxed is sufficient (audited): the words are ordered after
-            // the odd mark by the fence above, and before the even mark by
-            // the Release store below. Readers never use word values unless
-            // both seq checks pass.
-            w.store(v, Ordering::Relaxed);
-        }
-        slot.seq.store(2 * generation + 2, Ordering::Release);
+        log.events.push_back((t_ns, event));
+        log.pushed += 1;
     }
 
-    /// Copy out the surviving records, oldest first.
-    ///
-    /// Safe to call while writers are active: records being overwritten
-    /// during the scan are simply skipped (they would have been evicted
-    /// moments later anyway).
-    pub fn snapshot(&self) -> Vec<[u64; RECORD_WORDS]> {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let start = head.saturating_sub(cap);
-        let mut out = Vec::with_capacity((head - start) as usize);
-        for h in start..head {
-            let generation = h / cap;
-            let slot = &self.slots[(h % cap) as usize];
-            let expect = 2 * generation + 2;
-            if slot.seq.load(Ordering::Acquire) != expect {
-                continue;
-            }
-            // Relaxed is sufficient (audited): the Acquire load above orders
-            // the word loads after the first validation, and the Acquire
-            // fence below orders them before the second one. A concurrent
-            // overwrite therefore cannot produce a torn record that passes
-            // both checks — it flips seq to odd (or a later generation)
-            // before touching the words.
-            let words: [u64; RECORD_WORDS] =
-                std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != expect {
-                continue;
-            }
-            out.push(words);
-        }
-        out
-    }
-
-    /// Deliberately broken push for the modelcheck suite: publishes the
-    /// "write complete" sequence *before* filling the words, so a reader
-    /// can validate a half-written record. `crates/modelcheck/tests/mutant.rs`
-    /// proves the explorer finds the torn read this admits; it is the
-    /// demonstration that the suite would catch a real regression of the
-    /// protocol in [`EventRing::push`].
-    #[cfg(feature = "mc-mutants")]
-    #[doc(hidden)]
-    pub fn push_publish_before_fill(&self, words: [u64; RECORD_WORDS]) {
-        let h = self.head.fetch_add(1, Ordering::AcqRel);
-        let cap = self.slots.len() as u64;
-        let generation = h / cap;
-        let slot = &self.slots[(h % cap) as usize];
-        // BUG (on purpose): even mark first, then the words.
-        slot.seq.store(2 * generation + 2, Ordering::Release);
-        for (w, v) in slot.words.iter().zip(words) {
-            w.store(v, Ordering::Relaxed);
+    /// Copy out the surviving events, oldest first, with the push count.
+    pub fn snapshot(&self) -> LogSnapshot {
+        let log = self.inner.lock();
+        LogSnapshot {
+            events: log.events.iter().cloned().collect(),
+            pushed: log.pushed,
         }
     }
 }
@@ -198,91 +73,129 @@ impl EventRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Telemetry, TelemetryConfig};
 
-    fn rec(v: u64) -> [u64; RECORD_WORDS] {
-        let mut w = [0; RECORD_WORDS];
-        w[0] = v;
-        w
+    /// A numbered event: `Agree`'s `seq` carries the number.
+    fn ev(v: u64) -> Event {
+        Event::Agree { seq: v, flags: 0 }
+    }
+
+    fn num(e: &Event) -> u64 {
+        match e {
+            Event::Agree { seq, .. } => *seq,
+            other => panic!("unexpected event {other:?}"),
+        }
     }
 
     #[test]
     fn fifo_below_capacity() {
-        let r = EventRing::new(8);
+        let log = EventLog::new(8);
         for v in 0..5 {
-            r.push(rec(v));
+            log.push(v * 10, ev(v));
         }
-        let snap = r.snapshot();
+        let snap = log.snapshot();
         assert_eq!(
-            snap.iter().map(|w| w[0]).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3, 4]
+            snap.events,
+            (0..5).map(|v| (v * 10, ev(v))).collect::<Vec<_>>()
         );
-        assert_eq!(r.dropped(), 0);
+        assert_eq!(snap.dropped(), 0);
     }
 
     #[test]
     fn overflow_evicts_oldest_and_counts_drops() {
-        let r = EventRing::new(4);
+        let log = EventLog::new(4);
         for v in 0..10 {
-            r.push(rec(v));
+            log.push(v, ev(v));
         }
-        let snap = r.snapshot();
-        // Newest 4 survive, oldest 6 dropped, nothing panicked.
-        assert_eq!(
-            snap.iter().map(|w| w[0]).collect::<Vec<_>>(),
-            vec![6, 7, 8, 9]
-        );
-        assert_eq!(r.dropped(), 6);
-        assert_eq!(r.pushed(), 10);
+        let snap = log.snapshot();
+        // Newest 4 survive, oldest 6 dropped.
+        let survivors: Vec<u64> = snap.events.iter().map(|(_, e)| num(e)).collect();
+        assert_eq!(survivors, vec![6, 7, 8, 9]);
+        assert_eq!(snap.dropped(), 6);
+        assert_eq!(snap.pushed, 10);
     }
 
+    /// Four writers overflow one log. Eviction is oldest-first across all
+    /// of them, so each writer's survivors are a contiguous run of its own
+    /// newest pushes, in push order.
     #[test]
     fn concurrent_writers_produce_coherent_records() {
-        use std::sync::Arc;
-        let r = Arc::new(EventRing::new(64));
+        let log = EventLog::new(64);
         std::thread::scope(|s| {
             for t in 0..4u64 {
-                let r = Arc::clone(&r);
+                let log = &log;
                 s.spawn(move || {
                     for i in 0..1000 {
-                        // All words of one record carry the same value so a
-                        // torn read would be detectable.
-                        let v = t * 1_000_000 + i;
-                        r.push([v; RECORD_WORDS]);
+                        log.push(0, ev(t * 1_000_000 + i));
                     }
                 });
             }
         });
-        assert_eq!(r.pushed(), 4000);
-        for w in r.snapshot() {
-            assert!(w.iter().all(|&x| x == w[0]), "torn record: {w:?}");
+        let snap = log.snapshot();
+        assert_eq!(snap.pushed, 4000);
+        assert_eq!(snap.events.len(), 64);
+        assert_eq!(snap.dropped(), 4000 - 64);
+        for t in 0..4u64 {
+            let mine: Vec<u64> = snap
+                .events
+                .iter()
+                .map(|(_, e)| num(e))
+                .filter(|v| v / 1_000_000 == t)
+                .map(|v| v % 1_000_000)
+                .collect();
+            let expect: Vec<u64> = (1000 - mine.len() as u64..1000).collect();
+            assert_eq!(mine, expect, "writer {t}'s survivors");
         }
     }
 
+    /// Two writers share one rank's recorder (the rank thread and its
+    /// flush worker) while a reader snapshots the hub. A snapshot is taken
+    /// under each log's lock, so none is torn: every one accounts for each
+    /// push as either a survivor or a drop. A barrier holds both writers at
+    /// their halfway point for one snapshot; the reader keeps snapshotting
+    /// while they finish, and after the join.
     #[test]
     fn snapshot_while_writing_never_yields_torn_records() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        let r = Arc::new(EventRing::new(16));
-        let stop = Arc::new(AtomicBool::new(false));
-        std::thread::scope(|s| {
-            let writer = {
-                let r = Arc::clone(&r);
-                let stop = Arc::clone(&stop);
-                s.spawn(move || {
-                    let mut v = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        r.push([v; RECORD_WORDS]);
-                        v += 1;
-                    }
-                })
-            };
-            for _ in 0..200 {
-                for w in r.snapshot() {
-                    assert!(w.iter().all(|&x| x == w[0]), "torn record: {w:?}");
-                }
-            }
-            stop.store(true, Ordering::Relaxed);
-            writer.join().unwrap();
+        const PER_WRITER: u64 = 5_000;
+        let tel = Telemetry::new(TelemetryConfig {
+            ring_capacity: 16,
+            ..TelemetryConfig::default()
         });
+        let rec = tel.recorder(0);
+        let halfway = std::sync::Barrier::new(3);
+        let whole = |snap: &crate::TraceSnapshot| {
+            assert_eq!(snap.events.len() as u64 + snap.dropped, snap.pushed);
+            assert_eq!(snap.events.len() as u64, snap.pushed.min(16));
+        };
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let (rec, halfway) = (rec.clone(), &halfway);
+                    s.spawn(move || {
+                        for i in 0..PER_WRITER {
+                            if i == PER_WRITER / 2 {
+                                halfway.wait(); // paused for the reader...
+                                halfway.wait(); // ...and released
+                            }
+                            rec.emit(ev(t * PER_WRITER + i));
+                        }
+                    })
+                })
+                .collect();
+            halfway.wait();
+            let mid = tel.snapshot();
+            // Release the writers before checking, so a failed check
+            // cannot leave them parked.
+            halfway.wait();
+            whole(&mid);
+            assert_eq!(mid.pushed, PER_WRITER);
+            while !writers.iter().all(|w| w.is_finished()) {
+                whole(&tel.snapshot());
+            }
+        });
+        let snap = tel.snapshot();
+        whole(&snap);
+        assert_eq!(snap.pushed, 2 * PER_WRITER);
+        assert_eq!(snap.events.len(), 16);
     }
 }

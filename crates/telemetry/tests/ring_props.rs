@@ -1,19 +1,27 @@
-//! Property tests for the event-ring wraparound arithmetic (ISSUE
-//! satellite): for any capacity and push count, the drop count is exact,
-//! the survivors are precisely the newest `capacity` records in push
-//! order, and no record is duplicated or torn across the capacity
-//! boundary. Single-threaded, so every slot claim succeeds and the
-//! overwrite-oldest bookkeeping must be *exact* — the concurrent
-//! (claim-abandonment) cases are covered by the modelcheck seqlock suite
-//! and the threaded tests in `src/ring.rs`.
+//! Property tests for the event log's eviction arithmetic: for any
+//! capacity and push count, the drop count is exact and the survivors are
+//! precisely the newest `capacity` events in push order, and snapshots
+//! taken between bursts of pushes never reorder or duplicate an event.
 
 use proptest::prelude::*;
-use telemetry::event::RECORD_WORDS;
-use telemetry::ring::EventRing;
+use telemetry::ring::EventLog;
+use telemetry::Event;
 
-/// A record whose words all carry `v`, so tearing is detectable.
-fn rec(v: u64) -> [u64; RECORD_WORDS] {
-    [v; RECORD_WORDS]
+/// A numbered event: `Agree`'s `seq` carries the number.
+fn ev(v: u64) -> Event {
+    Event::Agree { seq: v, flags: 0 }
+}
+
+/// The numbers of a log's survivors, oldest first.
+fn survivors(log: &EventLog) -> Vec<u64> {
+    let snap = log.snapshot();
+    snap.events
+        .iter()
+        .map(|(t_ns, e)| match e {
+            Event::Agree { seq, .. } if seq == t_ns => *seq,
+            other => panic!("event {other:?} lost its stamp {t_ns}"),
+        })
+        .collect()
 }
 
 proptest! {
@@ -21,47 +29,43 @@ proptest! {
 
     /// Exact drop accounting and survivor set for any (capacity, count),
     /// including counts that land exactly on, just before, and far past
-    /// the capacity boundary.
+    /// the capacity.
     #[test]
     fn wraparound_keeps_exactly_the_newest_records(cap in 2usize..17, n in 0usize..120) {
-        let r = EventRing::new(cap);
-        let cap = r.capacity() as u64; // new() may round up
+        let log = EventLog::new(cap);
+        let cap = cap as u64;
         for v in 0..n as u64 {
-            r.push(rec(v));
+            log.push(v, ev(v));
         }
         let n = n as u64;
-        prop_assert_eq!(r.pushed(), n);
-        prop_assert_eq!(r.dropped(), n.saturating_sub(cap));
+        let snap = log.snapshot();
+        prop_assert_eq!(snap.pushed, n);
+        prop_assert_eq!(snap.dropped(), n.saturating_sub(cap));
 
-        let snap = r.snapshot();
-        let survivors: Vec<u64> = snap.iter().map(|w| w[0]).collect();
         let expect: Vec<u64> = (n.saturating_sub(cap)..n).collect();
-        prop_assert_eq!(survivors, expect, "survivors must be the newest {} in order", cap);
-        for w in &snap {
-            prop_assert!(w.iter().all(|&x| x == w[0]), "torn record: {:?}", w);
-        }
+        prop_assert_eq!(survivors(&log), expect, "survivors must be the newest {} in order", cap);
     }
 
     /// Pushing in bursts (arbitrary split points) is indistinguishable
     /// from pushing the same sequence at once: snapshots taken between
-    /// bursts never show duplicates or out-of-order records.
+    /// bursts never show duplicates or out-of-order events.
     #[test]
     fn interleaved_snapshots_never_duplicate_or_reorder(
         cap in 2usize..9,
         bursts in proptest::collection::vec(0usize..20, 1..6),
     ) {
-        let r = EventRing::new(cap);
+        let log = EventLog::new(cap);
         let mut next = 0u64;
         for burst in bursts {
             for _ in 0..burst {
-                r.push(rec(next));
+                log.push(next, ev(next));
                 next += 1;
             }
-            let vals: Vec<u64> = r.snapshot().iter().map(|w| w[0]).collect();
+            let vals = survivors(&log);
             // Strictly increasing => no duplicates, no reordering.
             prop_assert!(vals.windows(2).all(|p| p[0] < p[1]), "unordered: {:?}", vals);
             // And it is a suffix of what was pushed so far.
-            let start = next.saturating_sub(r.capacity() as u64);
+            let start = next.saturating_sub(cap as u64);
             let expect: Vec<u64> = (start..next).collect();
             prop_assert_eq!(vals, expect);
         }

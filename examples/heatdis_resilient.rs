@@ -42,7 +42,6 @@ fn main() {
         spares,
         checkpoints: 6,
         max_relaunches: 4,
-        redundancy: None,
         telemetry: None,
     };
 

@@ -26,7 +26,6 @@ fn main() {
         spares: 1,
         checkpoints: 5,
         max_relaunches: 4,
-        redundancy: None,
         telemetry: None,
     };
     let ccfg = ClusterConfig {

@@ -30,7 +30,6 @@ fn main() {
         spares: 1,
         checkpoints: 6,
         max_relaunches: 4,
-        redundancy: None,
         telemetry: None,
     };
 

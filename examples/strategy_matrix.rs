@@ -48,7 +48,6 @@ fn main() {
             spares,
             checkpoints: 6,
             max_relaunches: 4,
-            redundancy: None,
             telemetry: None,
         };
         let free = run_experiment(&cluster, &app, &cfg, Arc::new(FaultPlan::none()));

@@ -93,8 +93,8 @@ end
 begin "tier-1: cargo test -q"
 # Every suite of every member, at its in-tree defaults. The later stages
 # only add what needs a feature, `--release` or an env knob. The modelcheck
-# protocol suites (telemetry seqlock, veloc flush, simmpi rendezvous and
-# scheduler baton) honour env overrides for deeper sweeps here, e.g.:
+# protocol suites (veloc flush, simmpi rendezvous and scheduler baton)
+# honour env overrides for deeper sweeps here, e.g.:
 #   MC_PREEMPTION_BOUND=3 MC_DFS_CAP=500000 MC_RANDOM_EXECUTIONS=2000 scripts/ci.sh
 # (raise MC_DFS_CAP alongside the bound or the exhaustiveness assertions
 # will rightly fail on truncation.)
@@ -230,11 +230,11 @@ else
 fi
 end
 
-begin "miri: UB check on the lock-free core (optional)"
+begin "miri: UB check on the unsafe and atomic sites (optional)"
 if cargo miri --version >/dev/null 2>&1; then
-  # Miri runs the seqlock/pod/router tests under the interpreter's memory
-  # model; slow, so scoped to the crates with unsafe code or raw atomics.
-  cargo miri test -p telemetry -p simmpi
+  # Miri runs the pod/router tests under the interpreter's memory model;
+  # slow, so scoped to the code with unsafe blocks or raw atomics.
+  cargo miri test -p simmpi
   # veloc::serial compiles its carry-less-multiply kernel out under
   # cfg(miri) (the interpreter does not model the intrinsic): the CRC unit
   # tests then hold the portable path, which is what crc32 dispatches to.

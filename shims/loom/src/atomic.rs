@@ -13,12 +13,6 @@ pub use std::sync::atomic::Ordering;
 
 use crate::rt;
 
-/// An ordering fence that is also a schedule point.
-pub fn fence(order: Ordering) {
-    rt::yield_point();
-    std::sync::atomic::fence(order);
-}
-
 macro_rules! atomic_int {
     ($name:ident, $std:ident, $int:ty) => {
         #[derive(Debug, Default)]
@@ -60,28 +54,12 @@ macro_rules! atomic_int {
                 self.0.fetch_or(v, order)
             }
 
-            pub fn fetch_and(&self, v: $int, order: Ordering) -> $int {
-                rt::yield_point();
-                self.0.fetch_and(v, order)
-            }
-
             pub fn fetch_max(&self, v: $int, order: Ordering) -> $int {
                 rt::yield_point();
                 self.0.fetch_max(v, order)
             }
 
             pub fn compare_exchange(
-                &self,
-                current: $int,
-                new: $int,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$int, $int> {
-                rt::yield_point();
-                self.0.compare_exchange(current, new, success, failure)
-            }
-
-            pub fn compare_exchange_weak(
                 &self,
                 current: $int,
                 new: $int,

@@ -7,7 +7,7 @@
 //! workspace needs, in the same shape:
 //!
 //! - [`sync::atomic`] and [`thread`] export drop-in facades over `std` that
-//!   production crates (telemetry, veloc, simmpi) use directly. Outside a
+//!   production crates (veloc, simmpi) use directly. Outside a
 //!   model run every operation costs one extra thread-local read.
 //! - [`rt`] is the deterministic-execution runtime: one token, one runnable
 //!   task at a time, a pluggable [`rt::Scheduler`] consulted at every

@@ -8,7 +8,9 @@ use layered_resilience::cluster::{Cluster, ClusterConfig, RelaunchModel, TimeSca
 use layered_resilience::fenix::{self, ExhaustPolicy, FenixConfig, Role};
 use layered_resilience::kokkos::View;
 use layered_resilience::kokkos_resilience::{CheckpointFilter, Context, ContextConfig};
-use layered_resilience::resilience::{run_experiment, ExperimentConfig, Strategy};
+use layered_resilience::resilience::{
+    run_experiment, try_run_experiment, ExperimentConfig, ExperimentError, Strategy,
+};
 use layered_resilience::simmpi::{FaultPlan, MpiResult, ReduceOp, Universe, UniverseConfig};
 
 fn cluster(n: usize) -> Cluster {
@@ -98,31 +100,30 @@ fn figure4_pattern_survives_two_failures() {
     }
 }
 
-/// Spare exhaustion aborts the job cleanly (no hang), as Fenix's default
-/// policy dictates.
+/// Spare exhaustion aborts the job cleanly (no hang, no panic), as Fenix's
+/// default policy dictates: the driver reports the rank that found the
+/// pool empty as a typed error.
 #[test]
 fn spare_exhaustion_aborts_cleanly() {
     let c = cluster(4);
     let plan = Arc::new(FaultPlan::kill_at(0, "iter", 3).and_kill(1, "iter", 6));
-    let rec = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_experiment(
-            &c,
-            &Heatdis::fixed(2 * 8 * 16 * 8, 16, 12),
-            &ExperimentConfig {
-                backend: Default::default(),
-                strategy: Strategy::FenixKokkosResilience,
-                spares: 1, // one spare, two failures
-                checkpoints: 3,
-                max_relaunches: 2,
-                redundancy: None,
-                telemetry: None,
-            },
-            plan,
-        )
-    }));
-    // The driver panics on unrecoverable outcomes — the important property
-    // is clean termination (the catch_unwind returning at all), not hanging.
-    assert!(rec.is_err(), "exhaustion should surface as a hard failure");
+    let result = try_run_experiment(
+        &c,
+        &Heatdis::fixed(2 * 8 * 16 * 8, 16, 12),
+        &ExperimentConfig {
+            backend: Default::default(),
+            strategy: Strategy::FenixKokkosResilience,
+            spares: 1, // one spare, two failures
+            checkpoints: 3,
+            max_relaunches: 2,
+            telemetry: None,
+        },
+        plan,
+    );
+    match result {
+        Err(ExperimentError::RankFailed { .. }) => {}
+        other => panic!("exhaustion must be the driver's RankFailed error, got {other:?}"),
+    }
 }
 
 /// The whole strategy matrix completes on a single shared cluster when
@@ -149,7 +150,6 @@ fn strategy_matrix_shares_a_cluster() {
                 spares: if strategy.uses_fenix() { 2 } else { 0 },
                 checkpoints: 3,
                 max_relaunches: 2,
-                redundancy: None,
                 telemetry: None,
             },
             Arc::new(FaultPlan::none()),

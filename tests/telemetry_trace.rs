@@ -44,7 +44,6 @@ fn traced_failure_run() -> TraceSnapshot {
             spares: 1,
             checkpoints: 3,
             max_relaunches: 2,
-            redundancy: None,
             telemetry: Some(tel.clone()),
             backend: simmpi::Backend::Des { seed: 7 },
         },
@@ -57,7 +56,7 @@ fn traced_failure_run() -> TraceSnapshot {
 #[test]
 fn fenix_failure_run_emits_causal_chain() {
     let snap = traced_failure_run();
-    assert_eq!(snap.dropped, 0, "ring must not overflow on a small run");
+    assert_eq!(snap.dropped, 0, "a log must not overflow on a small run");
 
     // The snapshot merge sorts by time: the JSONL file is chronological.
     for w in snap.events.windows(2) {
