@@ -175,19 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_reservation_amortizes_per_op_latency() {
-        // The batched-flush premise: N small reservations pay N per-op
-        // latencies, one reservation for the same bytes pays exactly one.
-        let lat = Duration::from_millis(1);
-        let n = 16u32;
-        let many = Governor::new(1.0e9, lat, TimeScale::instant());
-        let summed: Duration = (0..n).map(|_| many.reserve(1000)).sum();
-        let one = Governor::new(1.0e9, lat, TimeScale::instant());
-        let coalesced = one.reserve(16_000);
-        assert_eq!(summed, coalesced + lat * (n - 1));
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn zero_rate_panics() {
         let _ = Governor::new(0.0, Duration::ZERO, TimeScale::instant());

@@ -26,10 +26,6 @@ impl Blobs {
         self.map.write().insert(path.to_owned(), data);
     }
 
-    pub(crate) fn extend(&self, items: impl IntoIterator<Item = (String, Bytes)>) {
-        self.map.write().extend(items);
-    }
-
     pub(crate) fn get(&self, path: &str) -> Option<Bytes> {
         self.map.read().get(path).cloned()
     }

@@ -27,7 +27,6 @@ use crate::TimeScale;
 pub struct ParallelFileSystem {
     servers: Vec<Governor>,
     store: Blobs,
-    scale: TimeScale,
 }
 
 impl ParallelFileSystem {
@@ -63,7 +62,6 @@ impl ParallelFileSystem {
                 .map(|_| Governor::with_clock(per_server, latency, scale, Arc::clone(clock)))
                 .collect(),
             store: Blobs::default(),
-            scale,
         }
     }
 
@@ -83,32 +81,6 @@ impl ParallelFileSystem {
         let d = self.server_for(path).transfer(data.len());
         self.store.insert(path, data);
         d
-    }
-
-    /// Write several blobs as one coalesced operation. Each responsible
-    /// server makes a *single* reservation for its whole share of the batch
-    /// — one per-operation latency per server instead of one per blob — and
-    /// the servers ingest in parallel, so the caller sleeps only the slowest
-    /// server's duration (which is returned). Small-blob flush storms
-    /// (many tiny regions checkpointed per step) amortize to near the cost
-    /// of one large write.
-    pub fn write_batch(&self, items: Vec<(String, Bytes)>) -> Duration {
-        let mut bytes_per_server = vec![0usize; self.servers.len()];
-        let mut blobs_per_server = vec![0usize; self.servers.len()];
-        for (path, data) in &items {
-            let idx = self.server_idx(path);
-            bytes_per_server[idx] += data.len();
-            blobs_per_server[idx] += 1;
-        }
-        let mut worst = Duration::ZERO;
-        for (idx, server) in self.servers.iter().enumerate() {
-            if blobs_per_server[idx] > 0 {
-                worst = worst.max(server.reserve(bytes_per_server[idx]));
-            }
-        }
-        self.scale.sleep(worst);
-        self.store.extend(items);
-        worst
     }
 
     /// Read a blob, paying the modeled transfer time.
@@ -214,46 +186,6 @@ mod tests {
         p.write("x", Bytes::from_static(b"new"));
         assert_eq!(&p.read("x").unwrap().0[..], b"new");
         assert_eq!(p.stored_bytes(), 3);
-    }
-
-    #[test]
-    fn write_batch_stores_everything_and_coalesces_latency() {
-        // One server with a visible per-op latency: a 16-blob batch must pay
-        // the latency once, not sixteen times.
-        let lat = Duration::from_millis(1);
-        let p = ParallelFileSystem::new(1, 1.0e9, lat, TimeScale::instant());
-        let items: Vec<(String, Bytes)> = (0..16)
-            .map(|i| (format!("ck/v1/r{i}"), Bytes::from(vec![i as u8; 1000])))
-            .collect();
-        let d = p.write_batch(items);
-        assert_eq!(p.list("ck/v1/").len(), 16);
-        assert_eq!(&p.read("ck/v1/r3").unwrap().0[..], &[3u8; 1000][..]);
-        // Exactly one reservation: latency + 16 KB / 1 GB/s.
-        assert_eq!(d, lat + Duration::from_nanos(16_000));
-    }
-
-    #[test]
-    fn empty_batch_is_free() {
-        let p = ParallelFileSystem::new(2, 1.0e9, Duration::from_millis(1), TimeScale::instant());
-        assert_eq!(p.write_batch(Vec::new()), Duration::ZERO);
-        assert_eq!(p.stored_bytes(), 0);
-    }
-
-    #[test]
-    fn batch_spreads_across_servers() {
-        // Two servers: the batch duration is the slowest server's share,
-        // not the sum — servers ingest in parallel.
-        let p = ParallelFileSystem::new(2, 2.0e9, Duration::ZERO, TimeScale::instant());
-        let items: Vec<(String, Bytes)> = (0..32)
-            .map(|i| (format!("b/{i}"), Bytes::from(vec![0u8; 1_000_000])))
-            .collect();
-        let total: usize = 32 * 1_000_000;
-        let d = p.write_batch(items);
-        // All on one 1 GB/s server would be 32 ms; a perfect split is 16 ms.
-        // Either way the parallel-ingest bound holds: d <= total / per_server
-        // and d < sum-of-sequential-writes.
-        assert!(d <= Duration::from_secs_f64(total as f64 / 1.0e9));
-        assert_eq!(p.stored_bytes(), total);
     }
 
     #[test]

@@ -390,7 +390,7 @@ pub fn fig7_stats_traced(cell_sizes: &[usize], telemetry: Option<Telemetry>) -> 
 /// §VI.D.2: partial vs full rollback on converging Heatdis.
 pub struct PartialRollbackResult {
     pub free_iterations: u64,
-    /// Loop iteration the recovered runs resumed from (checkpoint + 1).
+    /// Loop iteration the full-rollback run resumed from (checkpoint + 1).
     pub resume_iteration: u64,
     pub full: RunRecord,
     pub partial: RunRecord,
@@ -435,11 +435,6 @@ pub fn partial_rollback_comparison(
         Arc::new(FaultPlan::none()),
     );
     let kill = free.iterations * 3 / 4;
-    // Checkpoints fire at i % interval == interval-1; the recovered runs
-    // resume at the first iteration after the last checkpoint before the
-    // kill.
-    let interval = 12_000u64 / 6;
-    let resume_iteration = (kill / interval) * interval;
     let full = run_experiment(
         &cluster,
         &app,
@@ -454,7 +449,7 @@ pub fn partial_rollback_comparison(
     );
     PartialRollbackResult {
         free_iterations: free.iterations,
-        resume_iteration,
+        resume_iteration: *full.resumed_at.first().expect("the kill fired"),
         full,
         partial,
     }

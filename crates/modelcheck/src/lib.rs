@@ -1,8 +1,8 @@
 //! Systematic interleaving exploration for the workspace's concurrent core.
 //!
 //! Drives the deterministic-execution runtime in `shims/loom` (which the
-//! `parking_lot` / `crossbeam` shims and the `loom::sync::atomic` /
-//! `loom::thread` facades hook into) with two schedulers:
+//! `parking_lot` shim and the `loom::sync::atomic` / `loom::thread` facades
+//! hook into) with two schedulers:
 //!
 //! - **Bounded DFS** ([`DfsScheduler`]): depth-first enumeration of every
 //!   schedule with at most [`Explorer::preemption_bound`] preemptions — the

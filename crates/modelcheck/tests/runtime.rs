@@ -130,25 +130,3 @@ fn exploration_is_deterministic_for_a_seed() {
         assert_eq!(c1.runnable, c2.runnable);
     }
 }
-
-/// The modeled channel (crossbeam shim) delivers everything exactly once
-/// under every in-bound schedule.
-#[test]
-fn channel_delivery_is_exact_under_all_schedules() {
-    let report = Explorer::with_bound(1).check("channel delivery", || {
-        let (tx, rx) = crossbeam::channel::unbounded::<u32>();
-        let t = loom::thread::spawn(move || {
-            for v in 0..3 {
-                tx.send(v).unwrap();
-            }
-        });
-        let mut got = Vec::new();
-        for _ in 0..3 {
-            got.push(rx.recv().unwrap());
-        }
-        t.join().unwrap();
-        assert_eq!(got, vec![0, 1, 2]);
-        assert!(rx.try_recv().is_err(), "no duplicated deliveries");
-    });
-    assert!(report.exhaustive);
-}

@@ -1,12 +1,16 @@
-//! Exploration of the VeloC asynchronous-flush protocol (ISSUE protocol
-//! (b)): the backend worker thread vs `checkpoint`/`checkpoint_wait` vs
-//! teardown. The channel, pending counter, and condvar all run on the
-//! model-aware shims, so enqueue → flush → wait → drop is explored end to
-//! end; the cluster uses `TimeScale::instant()` so no modeled time passes.
+//! Exploration of the VeloC asynchronous-flush protocol: the backend
+//! worker thread vs `checkpoint`/`checkpoint_wait` vs teardown vs the
+//! worker's scheduled death. The one-slot hand-off's mutex and condvar run
+//! on the model-aware shims, so enqueue → flush → wait → drop is explored
+//! end to end; the cluster uses `TimeScale::instant()` so no modeled time
+//! passes.
+
+use std::sync::Arc;
 
 use bytes::Bytes;
 use cluster::{Cluster, ClusterConfig, TimeScale};
 use modelcheck::Explorer;
+use simmpi::fault::{BackendFault, FaultSchedule};
 use telemetry::Recorder;
 use veloc::{ActiveBackend, Client, Config, VecRegion};
 
@@ -76,6 +80,56 @@ fn drop_drains_in_flight_flush_under_all_schedules() {
     assert_eq!(report.truncated, 0);
 }
 
+/// The worker dies after its first flush; a second flush is handed over
+/// around that death. Handed over before `wait`, it may sit in the slot as
+/// the worker dies, and must still land. Handed over after `wait` saw the
+/// worker idle, it must run inline on the caller: the death and the end of
+/// the flush are one critical section, so `wait` never sees a dead worker
+/// that still takes jobs.
+#[test]
+fn worker_death_never_strands_a_flush() {
+    let report = Explorer::with_bound(2)
+        .from_env()
+        .check("veloc worker death", || {
+            for wait_between in [false, true] {
+                let c = cluster(1);
+                let schedule = FaultSchedule::none().and_backend(BackendFault::worker_death(0, 1));
+                c.set_injector(Some(Arc::new(schedule)));
+                let b = ActiveBackend::spawn(c.clone(), 0).expect("no spawn fault injected");
+                let enqueue = |v: u64| {
+                    b.enqueue_flush(
+                        format!("ck/v{v}/r0"),
+                        Bytes::from_static(b"x"),
+                        "ck".into(),
+                        v,
+                        Recorder::disabled(),
+                    );
+                };
+                enqueue(1);
+                if wait_between {
+                    b.wait();
+                    enqueue(2);
+                    assert!(
+                        c.pfs().exists("ck/v2/r0"),
+                        "a flush after the death did not run inline"
+                    );
+                } else {
+                    enqueue(2);
+                }
+                b.wait();
+                for v in [1, 2] {
+                    assert!(
+                        c.pfs().exists(&format!("ck/v{v}/r0")),
+                        "wait returned before v{v} landed"
+                    );
+                }
+                drop(b);
+            }
+        });
+    assert!(report.exhaustive, "expected exhaustive DFS: {report:?}");
+    assert_eq!(report.truncated, 0);
+}
+
 /// Full client: checkpoint (which begins with an implicit checkpoint_wait
 /// on the previous flush), a second checkpoint racing the first flush, then
 /// restart after the drain. The restored bytes must come from the newest
@@ -89,7 +143,7 @@ fn checkpoint_restart_races_the_flush_thread() {
             let cl = Client::init(c.clone(), 0, Config { async_flush: true });
             assert!(cl.async_flush_active());
             let r = VecRegion::new(vec![1u64]);
-            cl.protect(0, std::sync::Arc::new(r.clone()));
+            cl.protect(0, Arc::new(r.clone()));
             cl.checkpoint("ck", 1).unwrap();
             *r.lock() = vec![2u64];
             cl.checkpoint("ck", 2).unwrap();

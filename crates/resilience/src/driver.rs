@@ -146,6 +146,9 @@ pub fn try_run_experiment(
     // the first failure and are relaunched until the run completes.
     let in_place = cfg.strategy.uses_fenix();
     loop {
+        shared
+            .relaunches
+            .store(relaunches as u64, Ordering::Relaxed);
         let report = Universe::launch(
             cluster,
             UniverseConfig {
@@ -212,5 +215,6 @@ pub fn try_run_experiment(
         failures,
         digest: shared.digest.load(Ordering::Relaxed),
         iterations: shared.iterations.load(Ordering::Relaxed),
+        resumed_at: shared.resumed_at.into_inner().into_values().collect(),
     })
 }

@@ -106,6 +106,9 @@ pub struct RunRecord {
     pub digest: u64,
     /// Iterations executed in the final (successful) pass.
     pub iterations: u64,
+    /// Per recovery (each relaunch, each Fenix re-entry), the lowest
+    /// iteration any rank resumed at. Empty for a failure-free run.
+    pub resumed_at: Vec<u64>,
 }
 
 impl RunRecord {

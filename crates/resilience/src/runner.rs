@@ -13,13 +13,15 @@
 //! [`resilient_main`], the crate's single Figure 4 loop (context creation
 //! on `Initial`, `ctx.reset(res_comm)` on re-entry).
 
-use std::cell::{OnceCell, RefCell, RefMut};
+use std::cell::{Cell, OnceCell, RefCell, RefMut};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fenix::{ExhaustPolicy, FenixConfig, Role};
 use kokkos::capture::Checkpointable;
 use kokkos_resilience::{CheckpointFilter, Context, ContextConfig, DataBackend};
+use parking_lot::Mutex;
 use redstore::RedundancyMode;
 use simmpi::{Comm, MpiResult, Phase, RankCtx, ReduceOp};
 
@@ -39,6 +41,12 @@ pub struct SharedState {
     pub digest: AtomicU64,
     /// Iterations executed when the run completed.
     pub iterations: AtomicU64,
+    /// Relaunches before the current launch.
+    pub relaunches: AtomicU64,
+    /// Recovery number → the lowest iteration any rank resumed at. A
+    /// recovery is a relaunch or a Fenix re-entry, numbered from 1 by the
+    /// relaunches plus the repairs before it.
+    pub resumed_at: Mutex<BTreeMap<u64, u64>>,
 }
 
 /// Region label used for the single checkpointed loop of every app.
@@ -64,6 +72,8 @@ struct Run<'a> {
     /// Application state surviving Fenix re-entries (created lazily: spares
     /// have none until promoted).
     state: RefCell<Option<Box<dyn RankApp>>>,
+    /// The recovery this entry belongs to (0 on the run's first entry).
+    recovery: Cell<u64>,
 }
 
 /// Execute `strategy` on this rank. The driver launches the same function
@@ -87,6 +97,7 @@ pub fn run_rank(
         mode: app.mode(),
         filter: app.checkpoint_filter(checkpoints),
         state: RefCell::new(None),
+        recovery: Cell::new(shared.relaunches.load(Ordering::Relaxed)),
     };
     let world = ctx.world();
     match strategy {
@@ -184,6 +195,8 @@ impl Run<'_> {
     /// Bookkeeping on every entry of a Fenix body.
     fn entered(&self, repairs: u64, role: Role) -> MpiResult<()> {
         self.shared.repairs.fetch_max(repairs, Ordering::Relaxed);
+        let relaunches = self.shared.relaunches.load(Ordering::Relaxed);
+        self.recovery.set(relaunches + repairs);
         // Chaos fault point *inside* recovery: a re-entered body can be
         // killed again before it restores, cascading failures into the
         // repair path itself (counted by recovery epoch).
@@ -264,10 +277,21 @@ impl Run<'_> {
         Ok(())
     }
 
+    /// Record that this entry resumes at `start`, if it is a recovery.
+    fn resumed(&self, start: u64) {
+        let recovery = self.recovery.get();
+        if recovery > 0 {
+            let mut resumed_at = self.shared.resumed_at.lock();
+            let lowest = resumed_at.entry(recovery).or_insert(start);
+            *lowest = (*lowest).min(start);
+        }
+    }
+
     /// No resilience layer: a relaunch recomputes everything.
     fn unprotected(&self, comm: &Comm) -> MpiResult<()> {
         let bk = &self.bk;
         let mut st = self.state(comm);
+        self.resumed(0);
         let done = self.iterate(
             comm,
             &mut st,
@@ -283,7 +307,8 @@ impl Run<'_> {
     /// agreement: after the agreed version, or from iteration 0 — on a Fenix
     /// re-entry with nothing agreed (a failure before the first checkpoint)
     /// over freshly initialized state, so every rank restarts cold together.
-    /// The one resume decision of every checkpointing strategy.
+    /// The one resume decision of every checkpointing strategy, recorded
+    /// in [`SharedState::resumed_at`].
     fn start_after(
         &self,
         comm: &Comm,
@@ -291,7 +316,7 @@ impl Run<'_> {
         agreed: Option<u64>,
         state: &mut Box<dyn RankApp>,
     ) -> u64 {
-        match agreed {
+        let start = match agreed {
             Some(version) => version + 1,
             None => {
                 // `None` is a plain-MPI launch, which is never a re-entry.
@@ -300,7 +325,9 @@ impl Run<'_> {
                 }
                 0
             }
-        }
+        };
+        self.resumed(start);
+        start
     }
 
     /// Manual control flow over the storage tier handed in: VeloC (agreeing

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bench::pins;
@@ -298,6 +298,7 @@ fn every_strategy_completes_and_recovers_on_the_des_shape() {
         assert_eq!(free.iterations, iters, "{strategy}");
         assert_eq!(free.digest, reference, "digest mismatch under {strategy}");
         assert_eq!((free.relaunches, free.repairs), (0, 0), "{strategy}");
+        assert!(free.resumed_at.is_empty(), "{strategy}");
 
         // The process layer decides how the failure is absorbed.
         let absorbed = if strategy.uses_fenix() {
@@ -349,17 +350,13 @@ fn checkpointing_strategies_restore_after_a_kill_on_the_final_commit() {
     }
 }
 
-/// What a run did, seen from the application: how often the checkpointed
-/// views were serialized and by which door, and which iterations ran.
+/// How often the checkpointed views were serialized, and by which door.
 #[derive(Default)]
 struct SerializeCounts {
     /// `snapshot()`: an owned copy, which the pack then copies again.
     copies: AtomicUsize,
     /// `snapshot_into()`: straight into the frame's payload slot.
     direct: AtomicUsize,
-    /// The iteration index of every `step`, in execution order, per
-    /// communicator rank (a replacement continues its victim's log).
-    steps: Mutex<BTreeMap<usize, Vec<u64>>>,
 }
 
 struct CountedView {
@@ -415,9 +412,6 @@ impl IterativeApp for CountedRing {
 
 impl RankApp for CountedState {
     fn step(&mut self, comm: &Comm, iteration: u64, bk: &Bookkeeper) -> MpiResult<()> {
-        let mut steps = self.counts.steps.lock().expect("no step panics");
-        steps.entry(comm.rank()).or_default().push(iteration);
-        drop(steps);
         self.state.step(comm, iteration, bk)
     }
     fn checkpoint_views(&self) -> Vec<Arc<dyn Checkpointable>> {
@@ -474,11 +468,10 @@ fn manual_strategies_serialize_views_straight_into_the_frame() {
     }
 }
 
-/// Where the job resumed, observed from the application. Rank 2 dies at
-/// iteration 23, between the versions at 19 and 24: on every rank the first
-/// iteration executed after the failure is the one after the newest version
-/// the filter selected below the kill — and 0 with nothing stored. Digests
-/// cannot see this (a cold restart recomputes the same answer).
+/// Where the job resumed. Rank 2 dies at iteration 23, between the
+/// versions at 19 and 24: the one recovery resumes after the newest version
+/// the filter selected below the kill — and at 0 with nothing stored.
+/// Digests cannot see this (a cold restart recomputes the same answer).
 /// `PartialRollback` is left out: its survivors keep their data by design.
 #[test]
 fn every_strategy_resumes_after_the_newest_version_below_the_kill() {
@@ -487,11 +480,8 @@ fn every_strategy_resumes_after_the_newest_version_below_the_kill() {
         if strategy.partial_rollback() {
             continue;
         }
-        let app = CountedRing {
-            app: fixed_app(DES_ITERS),
-            counts: Arc::default(),
-        };
         let (cluster, cfg) = des_shape(strategy);
+        let app = fixed_app(DES_ITERS);
         let plan = Arc::new(FaultPlan::kill_at(2, "iter", KILL_ITER));
         let rec = run_experiment(&cluster, &app, &cfg, plan);
         assert_eq!(rec.failures, 1, "{strategy}");
@@ -502,17 +492,7 @@ fn every_strategy_resumes_after_the_newest_version_below_the_kill() {
             Some(version) if strategy.checkpoints() => version + 1,
             _ => 0,
         };
-        let steps = app.counts.steps.lock().expect("the run is over");
-        assert_eq!(steps.len(), 4, "{strategy}: one log per active rank");
-        for (rank, log) in steps.iter() {
-            // The failure is where the log stops climbing (a KR region's
-            // detection pass repeats an index, but only after the drop).
-            let failure = log.windows(2).position(|w| w[1] <= w[0]);
-            let failure =
-                failure.unwrap_or_else(|| panic!("{strategy}: rank {rank} never rolled back"));
-            let resumed = log[failure + 1..].iter().min();
-            assert_eq!(resumed, Some(&expected), "{strategy}: rank {rank}");
-        }
+        assert_eq!(rec.resumed_at, [expected], "{strategy}");
     }
 }
 

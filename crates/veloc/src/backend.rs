@@ -1,33 +1,33 @@
 //! The asynchronous flush backend — the co-located "VeloC server" thread.
 //!
 //! One backend serves one client (the paper runs one rank, and hence one
-//! server, per node). Flush jobs move a checkpoint blob from node-local
+//! server, per node). A flush moves a checkpoint blob from node-local
 //! scratch to the parallel filesystem, paying the modeled network egress and
 //! filesystem ingest costs while the application keeps computing. The
 //! application only blocks on the backend in `checkpoint_wait` (at the next
-//! checkpoint call) and at finalize — exactly VeloC's contract.
+//! checkpoint call) and at finalize — exactly VeloC's contract. So a client
+//! never has more than one flush in flight, and the hand-off between client
+//! and worker is one slot under one lock.
 //!
 //! Failure posture: the backend is an *optimization*, never a correctness
 //! dependency. If the worker thread cannot be spawned, [`ActiveBackend::spawn`]
 //! reports a recoverable [`VelocError::BackendSpawn`] and the client degrades
-//! to synchronous flushing; if the worker disappears mid-run, an enqueued
+//! to synchronous flushing; once the worker stops taking jobs, an enqueued
 //! flush is performed inline on the caller. A checkpoint acknowledged to the
 //! application is flushed eventually in every one of those paths — and by
 //! the same routine, [`flush`], whoever calls it.
 //!
-//! Concurrency: thread creation goes through `loom::thread` and the queue /
-//! pending-count / condvar through the model-aware shims, so the whole
-//! enqueue → flush → wait → drop lifecycle is explored by
-//! `crates/modelcheck/tests/veloc_flush.rs`.
+//! Concurrency: thread creation goes through `loom::thread` and the slot's
+//! mutex and condvar through the model-aware shims, so the whole
+//! enqueue → flush → wait → drop lifecycle, worker death included, is
+//! explored by `crates/modelcheck/tests/veloc_flush.rs`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use cluster::{Cluster, StorageTier};
-use crossbeam::channel::{unbounded, Sender};
 use loom::thread::JoinHandle;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use telemetry::{Event, Recorder};
 
 use crate::client::VelocError;
@@ -42,80 +42,111 @@ pub(crate) struct FlushJob {
     pub(crate) rec: Recorder,
 }
 
-enum Job {
-    Flush(FlushJob),
-    Stop,
+/// Move `job` scratch→PFS — the only routine that writes a checkpoint to
+/// the PFS, shared by the worker thread, its inline fallback and the
+/// synchronous client, so every flush pays the same modeled costs and emits
+/// the same completion event. The blob is first offered to the chaos
+/// injector (it may be damaged on its way to the PFS); then it pays the
+/// network egress — the traffic that congests application MPI — and the
+/// PFS write.
+pub(crate) fn flush(cluster: &Cluster, rank: usize, job: FlushJob) {
+    let bytes = job.blob.len();
+    let blob = cluster
+        .injector()
+        .and_then(|inj| inj.corrupt_write(StorageTier::Pfs, &job.path, &job.blob))
+        .unwrap_or(job.blob);
+    cluster.network().egress(rank, bytes);
+    cluster.pfs().write(&job.path, blob);
+    job.rec.emit(Event::FlushDone {
+        name: job.name,
+        version: job.version,
+        bytes: bytes as u64,
+    });
 }
 
-struct PendingCount {
-    count: Mutex<usize>,
-    cv: Condvar,
+/// Where the worker is in its life.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Worker {
+    /// Takes each job handed to the slot.
+    Running,
+    /// Lands the job still in the slot, if any, then exits; told so by
+    /// `Drop`, or by its own scheduled death. Later enqueues flush inline.
+    Stopping,
+    /// Exited.
+    Dead,
 }
 
-/// Most flush jobs one worker wakeup will coalesce into a single batched
-/// PFS write. Bounds both the drain loop and how long a `wait()`er can be
-/// held behind jobs enqueued after it started waiting.
-const MAX_FLUSH_BATCH: usize = 16;
+/// Everything the client and the worker share, under one lock.
+struct Slot {
+    /// The next flush, handed from `enqueue_flush` to the worker.
+    queued: Option<FlushJob>,
+    /// The worker holds a job it has taken and not yet landed.
+    flushing: bool,
+    worker: Worker,
+}
 
-/// Move `jobs` scratch→PFS as one coalesced operation — the only routine
-/// that writes a checkpoint to the PFS, shared by the worker thread, its
-/// inline fallback and the synchronous client, so every flush pays the same
-/// modeled costs and emits the same completion event. Each blob is first
-/// offered to the chaos injector (it may be damaged on its way to the PFS);
-/// then the lot pays a single network egress reservation — the traffic that
-/// congests application MPI — and a single [`write_batch`], so a storm of
-/// small-region flushes pays the per-operation latencies once per batch
-/// instead of once per blob. A batch of one costs exactly what a lone
-/// `egress` + `write` would.
-///
-/// [`write_batch`]: cluster::ParallelFileSystem::write_batch
-pub(crate) fn flush(cluster: &Cluster, rank: usize, jobs: Vec<FlushJob>) {
-    if jobs.is_empty() {
-        return;
-    }
-    let injector = cluster.injector();
-    let mut total = 0usize;
-    let mut items = Vec::with_capacity(jobs.len());
-    let mut completions = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        total += job.blob.len();
-        completions.push((job.name, job.version, job.blob.len() as u64, job.rec));
-        let blob = injector
-            .as_ref()
-            .and_then(|inj| inj.corrupt_write(StorageTier::Pfs, &job.path, &job.blob))
-            .unwrap_or(job.blob);
-        items.push((job.path, blob));
-    }
-    cluster.network().egress(rank, total);
-    cluster.pfs().write_batch(items);
-    for (name, version, bytes, rec) in completions {
-        rec.emit(Event::FlushDone {
-            name,
-            version,
-            bytes,
-        });
+struct Shared {
+    slot: Mutex<Slot>,
+    /// Signalled on every change of the slot.
+    changed: Condvar,
+}
+
+impl Shared {
+    /// Hold `slot` until `ready` is true of it.
+    fn wait_until<'a>(
+        &self,
+        mut slot: MutexGuard<'a, Slot>,
+        ready: impl Fn(&Slot) -> bool,
+    ) -> MutexGuard<'a, Slot> {
+        while !ready(&slot) {
+            // lint: sanction(blocks): the checkpoint drain barrier (VeloC
+            // checkpoint_wait semantics) and the one-slot hand-off; the DES
+            // scheduler parks the rank task here instead of the thread.
+            // audited 2026-08.
+            self.changed.wait(&mut slot);
+        }
+        slot
     }
 }
 
-/// [`flush`] jobs an [`ActiveBackend`] counted as pending, then retire them.
-fn flush_pending(cluster: &Cluster, rank: usize, jobs: Vec<FlushJob>, pending: &PendingCount) {
-    let count = jobs.len();
-    flush(cluster, rank, jobs);
-    let mut c = pending.count.lock();
-    *c -= count;
-    pending.cv.notify_all();
+/// The worker thread: take the queued job, land it, repeat until stopped.
+/// A scheduled death is consulted between jobs only, and it stops the
+/// worker in the same critical section that clears `flushing` — so no
+/// `wait` can see the worker idle and still running once it has died, and
+/// a job handed over before that section is still landed.
+fn work(cluster: &Cluster, rank: usize, shared: &Shared) {
+    let mut completed = 0u64;
+    let mut slot = shared.slot.lock();
+    loop {
+        slot = shared.wait_until(slot, |s| s.queued.is_some() || s.worker != Worker::Running);
+        let Some(job) = slot.queued.take() else {
+            // Nobody waits on this: the worker was already not `Running`.
+            slot.worker = Worker::Dead;
+            return;
+        };
+        slot.flushing = true;
+        shared.changed.notify_all();
+        drop(slot);
+        flush(cluster, rank, job);
+        completed += 1;
+        let dies = cluster
+            .injector()
+            .is_some_and(|inj| inj.flush_worker_dies(rank, completed));
+        slot = shared.slot.lock();
+        slot.flushing = false;
+        if dies {
+            slot.worker = Worker::Stopping;
+        }
+        shared.changed.notify_all();
+    }
 }
 
 /// Handle to the background flush thread.
 pub struct ActiveBackend {
     cluster: Cluster,
     rank: usize,
-    tx: Sender<Job>,
-    pending: Arc<PendingCount>,
+    shared: Arc<Shared>,
     handle: Option<JoinHandle<()>>,
-    /// Set by the worker when an injected fault kills it mid-run; tells the
-    /// teardown invariant that the early exit was scheduled, not a bug.
-    worker_died: Arc<AtomicBool>,
 }
 
 impl ActiveBackend {
@@ -133,82 +164,36 @@ impl ActiveBackend {
                 });
             }
         }
-        let (tx, rx) = unbounded::<Job>();
-        let pending = Arc::new(PendingCount {
-            count: Mutex::new(0),
-            cv: Condvar::new(),
+        let shared = Arc::new(Shared {
+            slot: Mutex::new(Slot {
+                queued: None,
+                flushing: false,
+                worker: Worker::Running,
+            }),
+            changed: Condvar::new(),
         });
-        let worker_died = Arc::new(AtomicBool::new(false));
-        let pending2 = Arc::clone(&pending);
-        let died2 = Arc::clone(&worker_died);
-        let cluster2 = cluster.clone();
+        let (cluster2, shared2) = (cluster.clone(), Arc::clone(&shared));
         let handle = loom::thread::Builder::new()
             .name(format!("veloc-backend-{rank}"))
-            .spawn(move || {
-                let mut completed = 0u64;
-                let mut stopped = false;
-                while !stopped {
-                    let Ok(Job::Flush(first)) = rx.recv() else {
-                        break;
-                    };
-                    // Coalesce the backlog behind this job into one batch.
-                    let mut batch = vec![first];
-                    while batch.len() < MAX_FLUSH_BATCH {
-                        match rx.try_recv() {
-                            Ok(Job::Flush(job)) => batch.push(job),
-                            Ok(Job::Stop) => {
-                                stopped = true;
-                                break;
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    completed += batch.len() as u64;
-                    flush_pending(&cluster2, rank, batch, &pending2);
-                    // Chaos worker-death hook, consulted between batches
-                    // only: an acknowledged flush always completes. Any
-                    // backlog is drained first and the queue closed in the
-                    // same critical section — the worker "dies" having lost
-                    // nothing, and later enqueues degrade to inline
-                    // flushing.
-                    let dies = cluster2
-                        .injector()
-                        .is_some_and(|inj| inj.flush_worker_dies(rank, completed));
-                    if dies {
-                        let mut backlog = Vec::new();
-                        {
-                            let _enqueuers_excluded = pending2.count.lock();
-                            while let Ok(Job::Flush(job)) = rx.try_recv() {
-                                backlog.push(job);
-                            }
-                            drop(rx);
-                        }
-                        flush_pending(&cluster2, rank, backlog, &pending2);
-                        died2.store(true, Ordering::Release);
-                        return;
-                    }
-                }
-            })
+            .spawn(move || work(&cluster2, rank, &shared2))
             .map_err(|e| VelocError::BackendSpawn {
                 reason: e.to_string(),
             })?;
         Ok(ActiveBackend {
             cluster,
             rank,
-            tx,
-            pending,
+            shared,
             handle: Some(handle),
-            worker_died,
         })
     }
 
-    /// Enqueue an asynchronous flush of `blob` to `path` on the PFS.
-    /// `rec` lets the flush thread stamp the completion ([`Event::FlushDone`])
-    /// at the time the blob actually lands on the PFS.
+    /// Hand an asynchronous flush of `blob` to `path` on the PFS to the
+    /// worker, once the slot is free. `rec` lets the worker stamp the
+    /// completion ([`Event::FlushDone`]) at the time the blob actually lands
+    /// on the PFS.
     ///
-    /// If the worker thread is gone (it can only have exited; it is never
-    /// detached), the flush runs inline here instead — degraded latency,
-    /// never a lost checkpoint.
+    /// If the worker no longer takes jobs, the flush runs inline here
+    /// instead — degraded latency, never a lost checkpoint.
     pub fn enqueue_flush(
         &self,
         path: String,
@@ -217,57 +202,60 @@ impl ActiveBackend {
         version: u64,
         rec: Recorder,
     ) {
-        let sent = {
-            // Counted and sent under one lock: a dying worker closes its
-            // queue under the same lock, so it either receives this job or
-            // refuses it — never strands it unflushed.
-            let mut c = self.pending.count.lock();
-            *c += 1;
-            self.tx.send(Job::Flush(FlushJob {
-                path,
-                blob,
-                name,
-                version,
-                rec,
-            }))
+        let job = FlushJob {
+            path,
+            blob,
+            name,
+            version,
+            rec,
         };
-        if let Err(crossbeam::channel::SendError(Job::Flush(job))) = sent {
-            flush_pending(&self.cluster, self.rank, vec![job], &self.pending);
+        let mut slot = self.shared.wait_until(self.shared.slot.lock(), |s| {
+            s.queued.is_none() || s.worker != Worker::Running
+        });
+        if slot.worker == Worker::Running {
+            slot.queued = Some(job);
+            self.shared.changed.notify_all();
+        } else {
+            drop(slot);
+            flush(&self.cluster, self.rank, job);
         }
     }
 
-    /// Number of flushes not yet completed.
+    /// Number of flushes not yet completed: at most the queued one plus the
+    /// one the worker holds.
     pub fn outstanding(&self) -> usize {
-        *self.pending.count.lock()
+        let slot = self.shared.slot.lock();
+        usize::from(slot.queued.is_some()) + usize::from(slot.flushing)
     }
 
-    /// Block until all enqueued flushes have completed (VeloC
+    /// Block until every handed-over flush has landed (VeloC
     /// `checkpoint_wait`).
     pub fn wait(&self) {
-        let mut c = self.pending.count.lock();
-        while *c > 0 {
-            // lint: sanction(blocks): the checkpoint drain barrier (VeloC
-            // checkpoint_wait semantics); the DES scheduler parks the rank
-            // task here instead of the thread. audited 2026-08.
-            self.pending.cv.wait(&mut c);
-        }
+        let idle = self.shared.wait_until(self.shared.slot.lock(), |s| {
+            s.queued.is_none() && !s.flushing
+        });
+        drop(idle);
     }
 }
 
 impl Drop for ActiveBackend {
     fn drop(&mut self) {
-        // Drain outstanding work, then stop the thread. A dropped client
-        // must never lose an acknowledged checkpoint.
-        self.wait();
-        // The worker exits only when told to; a refused Stop or an Err from
-        // join means it died abnormally. Past `wait()` the queue is drained,
-        // so no acknowledged checkpoint is lost — but the abnormal exit is
-        // still a bug, stated as an invariant instead of silently swallowed.
-        let stop_received = self.tx.send(Job::Stop).is_ok();
-        let join_ok = self.handle.take().is_none_or(|h| h.join().is_ok());
-        let scheduled_death = self.worker_died.load(Ordering::Acquire);
+        // Stop the worker; it lands whatever is still in the slot first, so
+        // a dropped client never loses an acknowledged checkpoint.
+        {
+            let mut slot = self.shared.slot.lock();
+            if slot.worker == Worker::Running {
+                slot.worker = Worker::Stopping;
+            }
+            self.shared.changed.notify_all();
+        }
+        // The worker exits only as `Dead`, with nothing left in the slot; a
+        // panic or any other exit is a bug, stated as an invariant instead
+        // of silently swallowed.
+        let joined = self.handle.take().is_none_or(|h| h.join().is_ok());
+        let slot = self.shared.slot.lock();
         debug_assert!(
-            (stop_received && join_ok) || scheduled_death,
+            joined && slot.worker == Worker::Dead && slot.queued.is_none(),
             "flush worker died abnormally (panic or early exit)"
         );
     }
@@ -294,8 +282,8 @@ mod tests {
         let c = cluster();
         let b = ActiveBackend::spawn(c, 0).unwrap();
         b.wait();
-        // Drop sends Stop and joins; the in-drop invariant (worker alive
-        // until told to stop) is checked under debug assertions here.
+        // Drop stops and joins; the in-drop invariant (worker alive until
+        // told to stop) is checked under debug assertions here.
         drop(b);
     }
 
@@ -333,27 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn bursts_batch_and_still_land_completely() {
-        // More jobs than MAX_FLUSH_BATCH: the worker coalesces the backlog
-        // into several batched writes, and every blob still lands intact.
-        let c = cluster();
-        let b = ActiveBackend::spawn(c.clone(), 0).unwrap();
-        for v in 0..40u64 {
-            b.enqueue_flush(
-                format!("burst/v{v}/r0"),
-                Bytes::from(vec![v as u8; 64]),
-                "burst".into(),
-                v,
-                Recorder::disabled(),
-            );
-        }
-        b.wait();
-        assert_eq!(b.outstanding(), 0);
-        assert_eq!(c.pfs().list("burst/").len(), 40);
-        assert_eq!(&c.pfs().read("burst/v7/r0").unwrap().0[..], &[7u8; 64][..]);
-    }
-
-    #[test]
     fn drop_drains_outstanding_flushes() {
         let c = cluster();
         {
@@ -381,8 +348,8 @@ mod tests {
 
     #[test]
     fn one_job_flush_costs_exactly_egress_plus_write() {
-        // The sync path's modelled cost: under a virtual clock a batch of
-        // one advances time by what `egress` then `Pfs::write` advance it,
+        // The sync path's modelled cost: under a virtual clock a flush
+        // advances time by what `egress` then `Pfs::write` advance it,
         // including the queueing a second flush inherits from the first.
         let virtual_cluster = || {
             let c = Cluster::new(ClusterConfig {
@@ -407,11 +374,7 @@ mod tests {
         };
         let (c, _guard) = virtual_cluster();
         for (v, blob) in blobs.iter().enumerate() {
-            flush(
-                &c,
-                1,
-                vec![job(&format!("ck/v{v}/r1"), blob.clone(), v as u64)],
-            );
+            flush(&c, 1, job(&format!("ck/v{v}/r1"), blob.clone(), v as u64));
         }
         assert!(by_hand > 0);
         assert_eq!(c.clock().now_ns(), by_hand);
@@ -419,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_under_an_injector_corrupts_only_the_matching_job() {
+    fn an_injector_corrupts_only_the_matching_flush() {
         let c = cluster();
         let schedule = FaultSchedule::none().and_corrupt(
             CorruptTier::Pfs,
@@ -428,10 +391,13 @@ mod tests {
             CorruptKind::Truncate { keep: 2 },
         );
         c.set_injector(Some(Arc::new(schedule)));
-        let jobs = (1..=5u64)
-            .map(|v| job(&format!("ck/v{v}/r0"), Bytes::from(vec![v as u8; 32]), v))
-            .collect();
-        flush(&c, 0, jobs);
+        for v in 1..=5u64 {
+            flush(
+                &c,
+                0,
+                job(&format!("ck/v{v}/r0"), Bytes::from(vec![v as u8; 32]), v),
+            );
+        }
         for v in 1..=5u64 {
             let (blob, _) = c.pfs().read(&format!("ck/v{v}/r0")).expect("all five land");
             let expect = if v == 3 { 2 } else { 32 };
@@ -442,7 +408,7 @@ mod tests {
     #[test]
     fn worker_death_lands_the_backlog_then_degrades_to_inline() {
         let c = cluster();
-        let schedule = FaultSchedule::none().and_backend(BackendFault::worker_death(0, 2));
+        let schedule = FaultSchedule::none().and_backend(BackendFault::worker_death(0, 1));
         c.set_injector(Some(Arc::new(schedule)));
         let b = ActiveBackend::spawn(c.clone(), 0).unwrap();
         let enqueue = |v: u64| {
@@ -454,22 +420,14 @@ mod tests {
                 Recorder::disabled(),
             )
         };
-        (1..=5).for_each(enqueue);
+        enqueue(1);
         b.wait();
-        assert_eq!(
-            c.pfs().list("ck/").len(),
-            5,
-            "the dying worker lost nothing"
-        );
-        // However the five were batched, `completed >= 2` held after some
-        // batch with the backlog drained, so the worker has died by now or
-        // is about to; the flag goes up only after its queue closed.
-        while !b.worker_died.load(Ordering::Acquire) {
-            std::thread::yield_now();
-        }
-        enqueue(6);
+        assert!(c.pfs().exists("ck/v1/r0"), "the dying worker lost nothing");
+        // `wait` saw the worker idle after its one flush, and the worker
+        // stops in the section that makes it idle: this flush runs here.
+        enqueue(2);
         assert_eq!(b.outstanding(), 0, "a post-death enqueue flushes inline");
-        assert!(c.pfs().exists("ck/v6/r0"));
+        assert!(c.pfs().exists("ck/v2/r0"));
         drop(b); // the teardown invariant accepts the scheduled death
     }
 

@@ -381,7 +381,7 @@ impl Client {
                 version,
                 rec,
             };
-            backend::flush(&self.cluster, self.physical_rank, vec![job]);
+            backend::flush(&self.cluster, self.physical_rank, job);
         }
         Ok(())
     }
@@ -833,7 +833,9 @@ impl Client {
         let mut needed: BTreeSet<u64> = versions[cutoff..].iter().copied().collect();
         for &kept in &versions[cutoff..] {
             let mut v = kept;
-            while let Some(meta) = self.read_meta(name, v, true) {
+            // Meta alone: its CRC covers `base_version`, and a damaged
+            // payload must not cut the walk short and orphan the bases.
+            while let Some(meta) = self.read_meta(name, v, false) {
                 match meta.base_version {
                     Some(base) if base < v => {
                         needed.insert(base);
@@ -1131,6 +1133,58 @@ mod tests {
         hot.lock().iter_mut().for_each(|x| *x = 0);
         assert_eq!(cl.restart("pr", 3).unwrap(), 2);
         assert_eq!(hot.lock()[0], 3);
+    }
+
+    #[test]
+    fn prune_walks_chains_by_meta_alone() {
+        // A full frame at v1 and deltas at v2 and v3; v3's payload is then
+        // damaged on both tiers. Keeping v3 keeps both its bases, and the
+        // walk that finds them checksums no payload.
+        let c = cluster(1);
+        let cl = Client::init(c.clone(), 0, Config { async_flush: false });
+        let tel = telemetry::Telemetry::new(telemetry::TelemetryConfig::default());
+        cl.set_recorder(tel.recorder(0));
+        let hot = VecRegion::new(vec![0u8; 8]);
+        cl.protect(0, Arc::new(hot.clone()));
+        cl.protect(1, Arc::new(VecRegion::new(vec![7u8; 8])));
+        for v in [1u64, 2, 3] {
+            hot.lock()[0] = v as u8;
+            cl.checkpoint("pr", v).unwrap();
+        }
+        let path = "pr/v3/r0";
+        let mut raw = c.pfs().read(path).unwrap().0.to_vec();
+        let last = raw.len() - 1;
+        raw[last] ^= 0xFF;
+        c.scratch().write(0, path, Bytes::from(raw.clone()));
+        c.pfs().write(path, Bytes::from(raw));
+        assert_eq!(cl.prune("pr", 1), 0);
+        assert!((1..=3).all(|v| cl.version_available("pr", v)));
+        let verified = tel
+            .metrics()
+            .counter(telemetry::names::VELOC_BYTES_VERIFIED);
+        assert_eq!(verified.get(), 0, "prune needs no payload checksum");
+    }
+
+    #[test]
+    fn a_returned_checkpoint_means_the_previous_flush_landed() {
+        // Wall clock and a 20 ms PFS: a flush is in flight long after its
+        // checkpoint returned. The next checkpoint first waits for it, so
+        // the client never hands the worker a second flush.
+        let c = Cluster::new(ClusterConfig {
+            nodes: 1,
+            ranks_per_node: 1,
+            pfs_latency: std::time::Duration::from_millis(20),
+            time_scale: TimeScale::realtime(),
+            ..ClusterConfig::default()
+        });
+        let cl = client(&c, 0);
+        assert!(cl.async_flush_active());
+        cl.protect(0, Arc::new(VecRegion::new(vec![1u8; 64])));
+        cl.checkpoint("ck", 1).unwrap();
+        cl.checkpoint("ck", 2).unwrap();
+        assert!(c.pfs().exists("ck/v1/r0"));
+        cl.checkpoint_wait();
+        assert!(c.pfs().exists("ck/v2/r0"));
     }
 
     /// Decode the frame this rank's scratch holds for `name`/`version`.

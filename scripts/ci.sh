@@ -113,10 +113,11 @@ chaos_replay() {
   cargo run -q --release -p harness --bin chaos -- --schedule "$1"
 }
 # The one flush routine under an installed injector, on the threaded engine
-# (the one where the flush worker runs; DES flushes inline): rank 1's worker
-# writes a corrupted v7 to the PFS, rank 0's worker dies after its first
-# flush and flushes inline from then on, and rank 1's replacement must
-# degrade past the corrupt PFS copy to the baseline digest.
+# (the one where the flush worker runs; DES flushes inline). A worker holds
+# one flush at a time: rank 1's writes a corrupted v7 to the PFS; rank 0's
+# dies between its first and second flush, so rank 0 flushes inline from
+# then on; rank 1's replacement must degrade past the corrupt PFS copy to
+# the baseline digest.
 chaos_replay "strategy=FenixVeloc spares=1 corrupt(tier=pfs,version=7,rank=1,flip=0) workerdeath(rank=0,after=1) kill(rank=1,site=iter,at=9)"
 # A kill on the final commit (version 11 of 3, 7, 11): the newest agreed
 # version may be the last iteration's, which leaves no region execution to

@@ -11,9 +11,9 @@
 //!   model run every operation costs one extra thread-local read.
 //! - [`rt`] is the deterministic-execution runtime: one token, one runnable
 //!   task at a time, a pluggable [`rt::Scheduler`] consulted at every
-//!   intercepted operation. The workspace's `parking_lot` and `crossbeam`
-//!   shims hook into it too, so locks, condvars, and channels are modeled
-//!   without the production crates changing at all.
+//!   intercepted operation. The workspace's `parking_lot` shim hooks into
+//!   it too, so locks and condvars are modeled without the production
+//!   crates changing at all.
 //! - `crates/modelcheck` drives [`rt::run_one`] with bounded-DFS and
 //!   seeded-random schedulers to explore interleavings; see that crate for
 //!   the exploration logic and the protocol test suites.
