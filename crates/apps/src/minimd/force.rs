@@ -8,8 +8,75 @@ use crate::minimd::atoms::Slab;
 /// `x` holds owned + ghost positions; ghosts are already shifted in x, so
 /// only y/z need minimum-image. Returns the potential energy of the owned
 /// atoms (each pair counted half, standard for full lists).
+///
+/// Three passes per owned atom over scratch arrays of `maxneigh`: a gather
+/// of the raw displacements, a term pass with no data-dependent branch
+/// (every pair's terms are computed, and `0.0` is selected where
+/// `r2 >= cutforce_sq`, so it compiles to packed division), and the sums
+/// in list order. The result is bit-identical to [`compute_lj_reference`]:
+/// an accumulator starts at `+0.0` and a round-to-nearest sum is `-0.0`
+/// only when both addends are, so an accumulator never holds `-0.0` and
+/// adding a selected `±0.0` leaves it unchanged.
 #[allow(clippy::too_many_arguments)]
 pub fn compute_lj(
+    slab: &Slab,
+    x: &[f64],
+    nlocal: usize,
+    neigh_count: &[u32],
+    neigh_list: &[u32],
+    maxneigh: usize,
+    cutforce_sq: f64,
+    f: &mut [f64],
+) -> f64 {
+    let pos = x.as_chunks::<3>().0;
+    let mut scratch = [(); 4].map(|_| vec![0.0f64; maxneigh]);
+    let mut pe = 0.0f64;
+    for (i, fi) in f.as_chunks_mut::<3>().0[..nlocal].iter_mut().enumerate() {
+        let [xi, yi, zi] = pos[i];
+        let list = &neigh_list[i * maxneigh..][..neigh_count[i] as usize];
+        let [dx, dy, dz, de] = scratch.each_mut().map(|s| &mut s[..list.len()]);
+        for (&j, ((dx, dy), dz)) in list
+            .iter()
+            .zip(dx.iter_mut().zip(dy.iter_mut()).zip(dz.iter_mut()))
+        {
+            let [xj, yj, zj] = pos[j as usize];
+            (*dx, *dy, *dz) = (xi - xj, yi - yj, zi - zj);
+        }
+        // In place: the displacements become the force terms.
+        for k in 0..list.len() {
+            let (ddx, ddy, ddz) = (dx[k], slab.min_image(dy[k], 1), slab.min_image(dz[k], 2));
+            let r2 = ddx * ddx + ddy * ddy + ddz * ddz;
+            let sr2 = 1.0 / r2;
+            let sr6 = sr2 * sr2 * sr2;
+            let fpair = 48.0 * sr6 * (sr6 - 0.5) * sr2;
+            // All ones inside the cutoff, zero outside: masking selects the
+            // term or `+0.0` by a bitwise AND, which LLVM keeps branch-free
+            // where an `if`/`else` on floats turns back into a branch.
+            let keep = u64::from(r2 < cutforce_sq).wrapping_neg();
+            let sel = |t: f64| f64::from_bits(t.to_bits() & keep);
+            dx[k] = sel(ddx * fpair);
+            dy[k] = sel(ddy * fpair);
+            dz[k] = sel(ddz * fpair);
+            de[k] = sel(2.0 * sr6 * (sr6 - 1.0));
+        }
+        let [mut fx, mut fy, mut fz] = [0.0; 3];
+        for (((&tx, &ty), &tz), &te) in dx.iter().zip(&*dy).zip(&*dz).zip(&*de) {
+            fx += tx;
+            fy += ty;
+            fz += tz;
+            pe += te;
+        }
+        *fi = [fx, fy, fz];
+    }
+    pe
+}
+
+/// The loop [`compute_lj`] implements, one pair at a time with a branch on
+/// the cutoff. Kept solely as the oracle `compute_lj` is property-tested
+/// (`tests/neighbor_props.rs`) and timed (the bench gate's `minimd`
+/// section) against; no production path calls it.
+#[allow(clippy::too_many_arguments)]
+pub fn compute_lj_reference(
     slab: &Slab,
     x: &[f64],
     nlocal: usize,

@@ -111,8 +111,8 @@ pub fn build_bins(
 /// The search's cell index: cells at least `cutneigh / 2` wide, atoms
 /// counting-sorted by cell (z fastest), positions one array per coordinate,
 /// so a run of consecutive z-cells is one slice of each. Atoms are named by
-/// canonical rank — their place in ascending (id, x bits, index) — so a
-/// list sorts as plain integers.
+/// canonical rank — their place in ascending (id, x bits, index) — dense
+/// integers below `nall`, so a list is ordered by a bitmap over them.
 struct Cells {
     grid: BinGrid,
     /// Cell `c` holds slots `start[c]..start[c + 1]`.
@@ -233,6 +233,10 @@ pub fn build_neighbors(
     // and any owned atom's partners.
     let mut r2 = vec![0.0; nall];
     let mut hits = vec![0u32; nall];
+    // One bit per canonical rank: a list is ordered by setting its hits'
+    // bits and reading them back in ascending order. Every word is zero
+    // between atoms.
+    let mut bits = vec![0u64; nall.div_ceil(64)];
     let mut total = 0;
     for i in 0..nlocal {
         let (xi, yi, zi, ri) = (x[3 * i], x[3 * i + 1], x[3 * i + 2], cells.rank_of[i]);
@@ -268,17 +272,32 @@ pub fn build_neighbors(
                 }
             }
         }
-        let hits = &mut hits[..n];
         assert!(
-            hits.len() <= maxneigh,
+            n <= maxneigh,
             "neighbor overflow for atom {i} (cap {maxneigh})"
         );
-        hits.sort_unstable();
-        for (slot, &r) in neigh_list[i * maxneigh..].iter_mut().zip(&*hits) {
-            *slot = cells.order[r as usize];
+        // Only the words between the lowest and highest touched are read
+        // back, so the cost follows the list's rank span, not `nall`.
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for &r in &hits[..n] {
+            let w = r as usize / 64;
+            bits[w] |= 1 << (r % 64);
+            (lo, hi) = (lo.min(w), hi.max(w));
         }
-        neigh_count[i] = hits.len() as u32;
-        total += hits.len();
+        let list = &mut neigh_list[i * maxneigh..][..n];
+        let mut k = 0;
+        for (w, touched) in bits.iter_mut().enumerate().take(hi + 1).skip(lo) {
+            let mut word = std::mem::take(touched);
+            while word != 0 {
+                list[k] = cells.order[w * 64 + word.trailing_zeros() as usize];
+                k += 1;
+                word &= word - 1;
+            }
+        }
+        // A rank is a candidate at most once, so no two hits share a bit.
+        assert_eq!(k, n, "atom {i} met a candidate twice");
+        neigh_count[i] = n as u32;
+        total += n;
     }
     total
 }

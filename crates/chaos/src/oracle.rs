@@ -22,7 +22,7 @@ use std::time::Duration;
 use apps::Heatdis;
 use cluster::{Cluster, ClusterConfig, RelaunchModel, TimeScale};
 use parking_lot::Mutex;
-use resilience::{try_run_experiment, ExperimentConfig, ExperimentError, Strategy};
+use resilience::{try_run_experiment, ExperimentConfig, ExperimentError, RunRecord, Strategy};
 use simmpi::Backend;
 use telemetry::{Event, Telemetry, TelemetryConfig, TimeSource, TraceSnapshot};
 
@@ -31,8 +31,10 @@ use crate::schedule::{ChaosSchedule, ACTIVE_RANKS, CHECKPOINTS, ITERATIONS};
 /// Accepted terminal states of a chaotic run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunOutcome {
-    /// Run completed; digest matched the baseline.
-    Completed { digest: u64 },
+    /// Run completed; digest matched the baseline. `resumed_at` is the
+    /// run's `RunRecord::resumed_at`: per recovery, the iteration the job
+    /// resumed from. Not part of the verdict.
+    Completed { digest: u64, resumed_at: Vec<u64> },
     /// Run ended in a typed experiment error (spare exhaustion, data
     /// unrecoverable, relaunch budget) — clean by contract.
     TypedError(ExperimentError),
@@ -175,7 +177,7 @@ impl Oracle {
             events: Vec::new(),
         };
         let digest = match self.launch(&sched, false).0? {
-            Ok(d) => d,
+            Ok(record) => record.digest,
             Err(e) => return Err(Violation::Baseline(e.to_string())),
         };
         self.baselines
@@ -184,7 +186,7 @@ impl Oracle {
         Ok(digest)
     }
 
-    /// Run one schedule under the watchdog. `Ok(Ok(digest))` = completed,
+    /// Run one schedule under the watchdog. `Ok(Ok(record))` = completed,
     /// `Ok(Err(e))` = typed error, `Err` = panic or hang. Also returns
     /// the telemetry hub when one was requested — it is created here so a
     /// DES run's hub can stamp events from the cluster's virtual clock.
@@ -193,7 +195,7 @@ impl Oracle {
         sched: &ChaosSchedule,
         want_telemetry: bool,
     ) -> (
-        Result<Result<u64, ExperimentError>, Violation>,
+        Result<Result<RunRecord, ExperimentError>, Violation>,
         Option<Telemetry>,
     ) {
         let des = matches!(self.backend, Backend::Des { .. });
@@ -224,7 +226,7 @@ impl Oracle {
         let verdict = match rx.recv_timeout(WATCHDOG) {
             Err(_) => Err(Violation::Hang),
             Ok(Err(payload)) => Err(Violation::Panic(panic_message(payload))),
-            Ok(Ok(Ok(record))) => Ok(Ok(record.digest)),
+            Ok(Ok(Ok(record))) => Ok(Ok(record)),
             Ok(Ok(Err(e))) => Ok(Err(e)),
         };
         (verdict, telemetry)
@@ -248,8 +250,14 @@ impl Oracle {
             Ok(terminal) => match check_timeline(&snapshot) {
                 Err(v) => Err(v),
                 Ok(()) => match terminal {
-                    Ok(digest) if digest == expected => Ok(RunOutcome::Completed { digest }),
-                    Ok(got) => Err(Violation::Divergence { expected, got }),
+                    Ok(record) if record.digest == expected => Ok(RunOutcome::Completed {
+                        digest: record.digest,
+                        resumed_at: record.resumed_at,
+                    }),
+                    Ok(record) => Err(Violation::Divergence {
+                        expected,
+                        got: record.digest,
+                    }),
                     Err(e) => Ok(RunOutcome::TypedError(e)),
                 },
             },
@@ -372,7 +380,9 @@ mod tests {
                 events: Vec::new(),
             };
             match oracle.check(&sched) {
-                Ok(RunOutcome::Completed { .. }) => {}
+                Ok(RunOutcome::Completed { resumed_at, .. }) => {
+                    assert!(resumed_at.is_empty(), "{strategy:?} resumed without a kill")
+                }
                 other => panic!("{strategy:?}: {other:?}"),
             }
         }
@@ -386,7 +396,9 @@ mod tests {
         )
         .expect("spec parses");
         match oracle.check(&sched) {
-            Ok(RunOutcome::Completed { .. }) => {}
+            Ok(RunOutcome::Completed { resumed_at, .. }) => {
+                assert_eq!(resumed_at.len(), 1, "one recovery, one resume point")
+            }
             other => panic!("expected completion, got {other:?}"),
         }
     }

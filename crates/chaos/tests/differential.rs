@@ -38,10 +38,13 @@ const REPRODUCERS: &[&str] = &[
 ];
 
 /// Verdict comparison key: completion digest exactly; typed errors by
-/// variant; violations verbatim (any violation is already a failure).
+/// variant; violations verbatim (any violation is already a failure). The
+/// resume point is left out: the thread engine flushes in the background,
+/// so the newest version on the PFS when a kill lands — and with it where
+/// the job resumes — may legitimately differ from DES.
 fn verdict_class(v: &Result<RunOutcome, Violation>) -> String {
     match v {
-        Ok(RunOutcome::Completed { digest }) => format!("completed:{digest}"),
+        Ok(RunOutcome::Completed { digest, .. }) => format!("completed:{digest}"),
         Ok(RunOutcome::TypedError(ExperimentError::RankFailed { .. })) => {
             "typed:rank-failed".into()
         }

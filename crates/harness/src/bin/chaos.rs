@@ -42,8 +42,10 @@ fn main() {
         };
         let case = replay(&sched);
         match &case.outcome {
-            Ok(RunOutcome::Completed { digest }) => {
-                println!("PASS: completed, digest {digest:#018x} matches baseline");
+            Ok(RunOutcome::Completed { digest, resumed_at }) => {
+                println!(
+                    "PASS: completed, digest {digest:#018x} matches baseline, resumed at {resumed_at:?}"
+                );
             }
             Ok(RunOutcome::TypedError(e)) => {
                 println!("PASS: clean typed error: {e}");

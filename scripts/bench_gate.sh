@@ -148,10 +148,18 @@ bench minimd BENCH_minimd.json ${PIN[@]+"${PIN[@]}"}
 # MiniMD's cell search against the all-pairs definition it is
 # property-tested against, at the minimd_relaunch rank shape (864 owned
 # atoms + 504 ghosts, identical lists asserted before timing):
-# neighbors_cells >= 1.5 x faster (measured 1.99-3.73 over 12 pinned runs,
-# the two sides slowing differently in the container's noisy phases; with
-# the stencil widened to the whole box it reads 0.89-1.16).
+# neighbors_cells >= 1.5 x faster (measured 2.24-3.42 over 8 pinned runs
+# with the lists ordered by bitmap, the two sides slowing differently in
+# the container's noisy phases; with the stencil widened to the whole box
+# it reads 0.89-1.16).
 claim neighbors_cells neighbors_all_pairs 1.5
+# MiniMD's three-pass force loop against the pair-at-a-time loop it is
+# property-tested against, on the same atoms jittered off the lattice
+# (forces and energy bit-equal, asserted before timing): force >= 1.2 x
+# faster (measured 1.41-1.53 over 15 pinned runs; with the term pass's
+# bitwise select written as an if/else, which compiles back to a branch
+# and scalar division, it reads 0.87-1.06).
+claim force force_reference 1.2
 echo "bench gate: OK (minimd)"
 
 echo "bench gate: OK"

@@ -220,7 +220,8 @@ begin "bench gate: checkpoint + redundancy + sched + restart + minimd"
 # those against their definitional forms, the coded encodes and rebuilds
 # against each other and a plain copy, the baton against a bare condvar
 # ping-pong, schedule and repair cost against rank count, and MiniMD's
-# neighbor search against its all-pairs definition. Every claim held prints
+# neighbor search and force loop against their pair-at-a-time definitions
+# (bit-equal output asserted before timing). Every claim held prints
 # its ratio beside its bound into target/bench-gate.log — the record of how
 # far each ratio sits from its bound — and the BENCH_*.json files record the
 # kernels serial::crc32 and gf256::mul_acc dispatched to on this host.
