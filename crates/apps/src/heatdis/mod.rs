@@ -7,6 +7,13 @@
 //! primary is checkpointed, so — like the paper's configuration — each
 //! checkpoint is half the application's data. The scratch buffer is declared
 //! a Kokkos Resilience *alias* so automatic capture excludes it.
+//!
+//! The sweep ([`jacobi_sweep_in_place`]) updates the primary in place and
+//! needs only two rows of the scratch buffer, to carry the old rows it still
+//! reads. The scratch buffer stays full size all the same: it is the second
+//! half of the application data (the per-rank size, and so the row count,
+//! counts both buffers), and writing it every step is what makes capture see
+//! it and classify it as the alias, as the paper's Heatdis does.
 
 mod stencil;
 
@@ -17,7 +24,7 @@ use kokkos::View;
 use resilience::{Bookkeeper, IterativeApp, RankApp, RunMode};
 use simmpi::{Comm, MpiResult, Phase, RankCtx, ReduceOp};
 
-pub use stencil::{jacobi_sweep, SweepResult};
+pub use stencil::{jacobi_sweep_in_place, jacobi_sweep_reference, SweepResult};
 
 /// Temperature of the heat source along the global top edge.
 pub const SOURCE_TEMP: f64 = 100.0;
@@ -215,18 +222,10 @@ impl RankApp for HeatdisState {
 
         let delta = bk.book(Phase::AppCompute, || {
             let result = {
-                let p = self.primary.read();
-                let mut s = self.scratch.write();
-                jacobi_sweep(&p, &mut s, self.rows, self.cols)
-            };
-            // Copy back (scratch is pure swap space, like the benchmark's
-            // second buffer).
-            {
-                let s = self.scratch.read();
                 let mut p = self.primary.write();
-                p[self.cols..(self.rows + 1) * self.cols]
-                    .copy_from_slice(&s[self.cols..(self.rows + 1) * self.cols]);
-            }
+                let mut s = self.scratch.write();
+                jacobi_sweep_in_place(&mut p, &mut s[..2 * self.cols], self.rows, self.cols)
+            };
             self.apply_boundary();
             result.max_delta
         });

@@ -148,7 +148,8 @@ fn des_run(strategy: Strategy, plan: FaultPlan) -> RunRecord {
 
 /// Virtual wall and digest of the reference run (`Unprotected`), then
 /// `FenixKokkosResilience` failure-free and with rank 2 killed at 13, are
-/// pinned (`minimd_stack/{ref,nf,fail}` in the pin file). The digest is a
+/// pinned (`minimd_stack/{ref,nf,fail}` in the pin file), and so is where
+/// the fail run resumed. The digest is a
 /// function of every atom's position and velocity bits, and ghost counts
 /// price the modelled messages, so a neighbor search that drops, adds or
 /// reorders one pair moves a value here.
@@ -171,11 +172,11 @@ fn minimd_trajectory_and_modelled_time_are_pinned() {
     let measured = runs.each_ref().map(|(role, rec)| {
         assert_eq!(rec.iterations, ITERS, "{role}");
         let shape = format!("minimd_stack/{role}");
-        pins::entry(
-            &shape,
-            DES_SEED,
-            pins::wall_and_digest(rec.wall, rec.digest),
-        )
+        let resumed = (*role == "fail").then(|| pins::resumed_at(&rec.resumed_at));
+        let fields = pins::wall_and_digest(rec.wall, rec.digest)
+            .into_iter()
+            .chain(resumed);
+        pins::entry(&shape, DES_SEED, fields)
     });
     pins::assert_pinned(&measured);
     assert_eq!(runs[2].1.repairs, 1);

@@ -108,12 +108,14 @@ fn heatdis_1k_ranks_with_failure_completes_deterministically() {
     assert_eq!(rec.wall, again.wall, "virtual wall time must replay");
     assert_eq!(handoffs, handoffs_again, "hand-offs must replay");
     assert_eq!(unready_skipped, unready_again, "skipped wakes must replay");
-    // At the default rank count all four are pinned: a dispatcher that
-    // wakes ranks which can only yield again fails here on a count.
+    // At the default rank count all four are pinned, and where the repair
+    // resumed: a dispatcher that wakes ranks which can only yield again
+    // fails here on a count.
     if active == DEFAULT_RANKS {
         let counts = [
             ("handoffs", handoffs.into()),
             ("unready_skipped", unready_skipped.into()),
+            pins::resumed_at(&rec.resumed_at),
         ];
         let fields = pins::wall_and_digest(rec.wall, rec.digest)
             .into_iter()

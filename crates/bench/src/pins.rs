@@ -5,6 +5,10 @@
 //! `ci.sh` stage that runs each `benchmark/` workload once) measures an
 //! entry and [`check`] compares it with the pinned one field for field.
 //!
+//! A fail run's entry also pins where each recovery resumed ([`resumed_at`]),
+//! so a recovery that wastes work fails its test even when it still
+//! reproduces the digest.
+//!
 //! A mismatch names the shape and prints the complete measured entry. That
 //! line is how a deliberate change re-records: paste it over the pinned
 //! one, so a modelled-time change is one reviewed diff of one file.
@@ -35,6 +39,15 @@ pub fn wall_and_digest(wall: Duration, digest: u64) -> [(&'static str, Json); 2]
         ("wall_ns", Json::from(wall.as_nanos() as u64)),
         ("digest", Json::from(format!("{digest:#018x}"))),
     ]
+}
+
+/// The field a pinned fail run adds: per recovery, the iteration the job
+/// resumed from (`RunRecord::resumed_at`). A recovery that restarts further
+/// back than its run used to, from an older version or from iteration 0,
+/// moves this field while the digest stays the same.
+pub fn resumed_at(iterations: &[u64]) -> (&'static str, Json) {
+    let iterations = iterations.iter().map(|&i| Json::from(i));
+    ("resumed_at", Json::arr(iterations))
 }
 
 fn key(e: &Json) -> (Option<&str>, Option<u64>) {
@@ -144,6 +157,28 @@ mod tests {
             assert!(shape.is_some() && seed.is_some(), "{line}");
             assert_eq!(pins.iter().filter(|p| key(p) == key(pin)).count(), 1);
         }
+    }
+
+    #[test]
+    fn every_fail_run_pins_where_it_resumed() {
+        let pins = pinned().unwrap();
+        let fail_runs: Vec<&Json> = pins
+            .iter()
+            .filter(|p| {
+                let shape = key(p).0.unwrap_or("");
+                shape.ends_with("/one_failure")
+                    || shape.ends_with("/fail")
+                    || shape.starts_with("scale_smoke/")
+            })
+            .collect();
+        assert_eq!(fail_runs.len(), 10);
+        for pin in fail_runs {
+            let resumed = pin.get("resumed_at").and_then(Json::as_array);
+            let points = resumed.map(|r| r.iter().filter_map(Json::as_u64).count());
+            assert_eq!(points, Some(1), "one recovery, one resume point: {pin:?}");
+        }
+        let (name, value) = resumed_at(&[20]);
+        assert_eq!((name, value.to_json().as_str()), ("resumed_at", "[20]"));
     }
 
     #[test]

@@ -276,8 +276,9 @@ fn breakdown_is_modelled_time_under_des() {
 /// The whole matrix on the DES shape, failure-free and with one kill
 /// between checkpoints (rank 2 dies at 23): every run completes and
 /// recovers the reference digest. Modelled time is a pure function of the
-/// seed, so each run's wall and digest are pinned exactly
-/// (`strategies/<Strategy>/{no_failure,one_failure}` in the pin file).
+/// seed, so each run's wall and digest, and where the failed run resumed,
+/// are pinned exactly (`strategies/<Strategy>/{no_failure,one_failure}` in
+/// the pin file).
 #[test]
 fn every_strategy_completes_and_recovers_on_the_des_shape() {
     let iters = DES_ITERS;
@@ -286,14 +287,13 @@ fn every_strategy_completes_and_recovers_on_the_des_shape() {
     for strategy in Strategy::ALL {
         let free = des_run(strategy, FaultPlan::none());
         let failed = des_run(strategy, FaultPlan::kill_at(2, "iter", 23));
-        for (run, rec) in [("no_failure", &free), ("one_failure", &failed)] {
-            let shape = format!("strategies/{strategy:?}/{run}");
-            measured.push(pins::entry(
-                &shape,
-                DES_SEED,
-                pins::wall_and_digest(rec.wall, rec.digest),
-            ));
-        }
+        let shape = |run| format!("strategies/{strategy:?}/{run}");
+        let fields = pins::wall_and_digest(free.wall, free.digest);
+        measured.push(pins::entry(&shape("no_failure"), DES_SEED, fields));
+        let fields = pins::wall_and_digest(failed.wall, failed.digest)
+            .into_iter()
+            .chain([pins::resumed_at(&failed.resumed_at)]);
+        measured.push(pins::entry(&shape("one_failure"), DES_SEED, fields));
 
         assert_eq!(free.iterations, iters, "{strategy}");
         assert_eq!(free.digest, reference, "digest mismatch under {strategy}");

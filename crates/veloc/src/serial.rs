@@ -46,6 +46,7 @@
 //! class of bug (`crates/chaos/tests/mutant.rs`); never enable it in
 //! normal builds.
 
+use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -91,36 +92,49 @@ const CRC_TABLES: [[u32; 256]; 16] = {
 /// CRC32 (IEEE 802.3, reflected) of `data` — the checksum every frame
 /// carries and every restart verifies.
 ///
-/// One function, two kernels, chosen from what the CPU reports (nothing to
-/// configure): on x86-64 with `pclmulqdq` and `sse4.1` a carry-less-multiply
-/// fold ([`clmul`], memory speed); everywhere else, under Miri, and for
-/// inputs shorter than one fold block, the portable [`crc32_slice16`]. Both
-/// compute the same function, so frames and stored CRCs do not depend on
-/// the host. [`crc32_bitwise`] is the definitional form both are
-/// property-tested against; [`crc32_kernel`] names the choice.
+/// One function, three kernels, chosen from what the CPU reports (nothing
+/// to configure): on x86-64 with `pclmulqdq` and `sse4.1` a carry-less-
+/// multiply fold over 128-bit registers ([`clmul`]), and where the CPU also
+/// has `avx512f` and `vpclmulqdq`, the same fold over 512-bit registers for
+/// inputs of 256 bytes or more; everywhere else, under Miri, and for inputs
+/// shorter than one fold block, the portable [`crc32_slice16`]. All compute
+/// the same function, so frames and stored CRCs do not depend on the host.
+/// [`crc32_bitwise`] is the definitional form they are property-tested
+/// against; [`crc32_kernel`] names the choice.
 pub fn crc32(data: &[u8]) -> u32 {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     if data.len() >= clmul::MIN_LEN && clmul::available() {
-        // SAFETY: `available()` just confirmed at run time that this CPU has
-        // every feature `clmul::fold` is compiled for — its one requirement.
-        let (state, tail) = unsafe { clmul::fold(0xFFFF_FFFF, data) };
-        // The kernel leaves the last `len % 16` bytes to the table.
+        let (state, tail) = if data.len() >= clmul::WIDE_MIN_LEN && clmul::wide_available() {
+            // SAFETY: `wide_available()` just confirmed at run time that this
+            // CPU has every feature `clmul::fold_wide` is compiled for — its
+            // one requirement.
+            unsafe { clmul::fold_wide(0xFFFF_FFFF, data) }
+        } else {
+            // SAFETY: `available()` just confirmed at run time that this CPU
+            // has every feature `clmul::fold` is compiled for — its one
+            // requirement.
+            unsafe { clmul::fold(0xFFFF_FFFF, data) }
+        };
+        // The kernels leave the last `len % 16` bytes to the table.
         return slice16_update(state, tail) ^ 0xFFFF_FFFF;
     }
     crc32_slice16(data)
 }
 
-/// Which kernel [`crc32`] runs on this host for inputs of a fold block or
-/// more: `"pclmulqdq"` or `"slice16"`. Recorded beside benchmark numbers.
+/// Which kernel [`crc32`] runs on this host for large inputs:
+/// `"vpclmulqdq"`, `"pclmulqdq"` or `"slice16"`. Recorded beside benchmark
+/// numbers.
 pub fn crc32_kernel() -> &'static str {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if clmul::available() {
+    if clmul::wide_available() {
+        return "vpclmulqdq";
+    } else if clmul::available() {
         return "pclmulqdq";
     }
     "slice16"
 }
 
-/// The carry-less-multiply CRC kernel (x86-64 only; compiled out under
+/// The carry-less-multiply CRC kernels (x86-64 only; compiled out under
 /// Miri, which does not model the intrinsics).
 ///
 /// The scheme of Intel's "Fast CRC Computation for Generic Polynomials
@@ -131,21 +145,31 @@ pub fn crc32_kernel() -> &'static str {
 /// accumulators each absorb every fourth 16-byte lane (`x^512` apart), are
 /// folded into one (`x^128` apart), which absorbs the remaining whole
 /// lanes, and a last 128 → 64 → 32-bit reduction (Barrett, with the
-/// precomputed quotient `MU`) yields the raw CRC register.
+/// precomputed quotient `MU`) yields the raw CRC register. [`fold_wide`]
+/// runs the same scheme on 512-bit registers, each holding four lanes.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod clmul {
     use std::arch::x86_64::{
-        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
-        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_setzero_si128, _mm_srli_si128,
-        _mm_xor_si128,
+        __m128i, __m512i, _mm512_broadcast_i32x4, _mm512_clmulepi64_epi128,
+        _mm512_extracti32x4_epi32, _mm512_loadu_si512, _mm512_setzero_si512, _mm512_xor_si512,
+        _mm512_zextsi128_si512, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128,
+        _mm_extract_epi32, _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_setzero_si128,
+        _mm_srli_si128, _mm_xor_si128,
     };
 
-    /// One fold-by-four block: the least the kernel can start from.
+    /// One fold-by-four block: the least [`fold`] can start from.
     pub(super) const MIN_LEN: usize = 64;
+    /// One fold-by-four block of 512-bit registers: the least [`fold_wide`]
+    /// can start from.
+    pub(super) const WIDE_MIN_LEN: usize = 256;
 
     // Bit-reflected `x^n mod P` for the distances folded over (values from
-    // the Intel paper; `tests/serial_props.rs` holds the kernel to the
-    // bitwise definition at every boundary length, so a wrong digit fails).
+    // the Intel paper, the 2048-bit pair computed the same way;
+    // `tests/serial_props.rs` holds the kernels to the bitwise definition at
+    // every boundary length, so a wrong digit fails).
+    // `x^(2048+32)`, `x^(2048-32)`: carry a 64-byte block four blocks ahead.
+    const K1_WIDE: i64 = 0x1_1542_778a;
+    const K2_WIDE: i64 = 0x1_322d_1430;
     // `x^(512+32)`, `x^(512-32)`: carry a lane four lanes ahead.
     const K1: i64 = 0x1_5444_2bd4;
     const K2: i64 = 0x1_c6e4_1596;
@@ -164,6 +188,28 @@ mod clmul {
         is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
     }
 
+    /// Whether this CPU can run [`fold_wide`] (and so [`fold`]).
+    pub(super) fn wide_available() -> bool {
+        available() && is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("vpclmulqdq")
+    }
+
+    /// One 16-byte lane.
+    #[target_feature(enable = "sse2")]
+    fn load(lane: &[u8; 16]) -> __m128i {
+        // SAFETY: `lane` is 16 readable bytes, and `_mm_loadu_si128` has no
+        // alignment requirement.
+        unsafe { _mm_loadu_si128(lane.as_ptr().cast::<__m128i>()) }
+    }
+
+    /// `a.lo · keys.lo + a.hi · keys.hi + b`: carry accumulator `a` forward
+    /// over the distance `keys` encodes and absorb lane `b`.
+    #[target_feature(enable = "pclmulqdq", enable = "sse2")]
+    fn fold_into(a: __m128i, b: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(a, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(a, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
+
     /// Run the raw CRC register `state` (no inversions) over `data` and
     /// return the new register together with the bytes *not* consumed: the
     /// kernel takes whole 16-byte lanes once it has a first 64-byte block,
@@ -176,45 +222,111 @@ mod clmul {
     #[target_feature(enable = "pclmulqdq", enable = "sse2", enable = "sse4.1")]
     pub(super) unsafe fn fold(state: u32, data: &[u8]) -> (u32, &[u8]) {
         let zero = _mm_setzero_si128();
-        let load = |lane: &[u8]| {
-            debug_assert_eq!(lane.len(), 16);
-            // SAFETY: every lane passed below is a `chunks_exact(16)` item,
-            // so 16 readable bytes, and `_mm_loadu_si128` has no alignment
-            // requirement.
-            unsafe { _mm_loadu_si128(lane.as_ptr().cast::<__m128i>()) }
-        };
-        // `a.lo · keys.lo + a.hi · keys.hi + b`: carry accumulator `a`
-        // forward over the distance `keys` encodes and absorb lane `b`.
-        let fold_into = |a: __m128i, b: __m128i, keys: __m128i| {
-            let lo = _mm_clmulepi64_si128(a, keys, 0x00);
-            let hi = _mm_clmulepi64_si128(a, keys, 0x11);
-            _mm_xor_si128(_mm_xor_si128(b, lo), hi)
-        };
-
-        let mut blocks = data.chunks_exact(MIN_LEN);
-        let Some(first) = blocks.next() else {
+        let (blocks, rest) = data.as_chunks::<MIN_LEN>();
+        let Some((first, blocks)) = blocks.split_first() else {
             return (state, data);
         };
         // Four accumulators, one per lane of a block; the incoming register
         // joins the first 32 bits of the message.
         let mut acc = [_mm_cvtsi32_si128(state as i32), zero, zero, zero];
-        for (a, lane) in acc.iter_mut().zip(first.chunks_exact(16)) {
+        for (a, lane) in acc.iter_mut().zip(first.as_chunks::<16>().0) {
             *a = _mm_xor_si128(*a, load(lane));
         }
         let k1k2 = _mm_set_epi64x(K2, K1);
-        for block in blocks.by_ref() {
-            for (a, lane) in acc.iter_mut().zip(block.chunks_exact(16)) {
+        for block in blocks {
+            for (a, lane) in acc.iter_mut().zip(block.as_chunks::<16>().0) {
                 *a = fold_into(*a, load(lane), k1k2);
             }
         }
-        // Four → one, then the whole lanes short of another block.
+        finish(acc, rest)
+    }
+
+    /// [`fold`] on 512-bit registers, same contract, for inputs of
+    /// [`WIDE_MIN_LEN`] bytes or more (all of a shorter `data` comes back
+    /// unconsumed). Four accumulators each absorb every fourth 64-byte
+    /// block (`x^2048` apart) and are folded into one (`x^512` apart),
+    /// which absorbs the remaining whole blocks. Its four 128-bit lanes are
+    /// then exactly [`fold`]'s four accumulators after its last block, and
+    /// the rest is [`fold`]'s. Each instruction does four of [`fold`]'s
+    /// carry-less multiplies.
+    ///
+    /// # Safety
+    /// The CPU must support `avx512f`, `vpclmulqdq`, `pclmulqdq`, `sse2`
+    /// and `sse4.1` (ask [`wide_available`]). Any `data` is fine.
+    #[target_feature(
+        enable = "avx512f",
+        enable = "vpclmulqdq",
+        enable = "pclmulqdq",
+        enable = "sse2",
+        enable = "sse4.1"
+    )]
+    pub(super) unsafe fn fold_wide(state: u32, data: &[u8]) -> (u32, &[u8]) {
+        let load_block = |block: &[u8; 64]| {
+            // SAFETY: `block` is 64 readable bytes, and `_mm512_loadu_si512`
+            // has no alignment requirement.
+            unsafe { _mm512_loadu_si512(block.as_ptr().cast::<__m512i>()) }
+        };
+        // `fold_into` in each of the four lanes.
+        let fold_block = |a: __m512i, b: __m512i, keys: __m512i| {
+            let lo = _mm512_clmulepi64_epi128(a, keys, 0x00);
+            let hi = _mm512_clmulepi64_epi128(a, keys, 0x11);
+            _mm512_xor_si512(_mm512_xor_si512(b, lo), hi)
+        };
+
+        let (chunks, rest) = data.as_chunks::<WIDE_MIN_LEN>();
+        let Some((first, chunks)) = chunks.split_first() else {
+            return (state, data);
+        };
+        // Four accumulators, one per block of a chunk; the incoming register
+        // joins the first 32 bits of the message.
+        let zero = _mm512_setzero_si512();
+        let mut acc = [
+            _mm512_zextsi128_si512(_mm_cvtsi32_si128(state as i32)),
+            zero,
+            zero,
+            zero,
+        ];
+        for (a, block) in acc.iter_mut().zip(first.as_chunks::<64>().0) {
+            *a = _mm512_xor_si512(*a, load_block(block));
+        }
+        let wide = _mm512_broadcast_i32x4(_mm_set_epi64x(K2_WIDE, K1_WIDE));
+        for chunk in chunks {
+            for (a, block) in acc.iter_mut().zip(chunk.as_chunks::<64>().0) {
+                *a = fold_block(*a, load_block(block), wide);
+            }
+        }
+        // Four → one, then the whole blocks short of another chunk.
+        let k1k2 = _mm512_broadcast_i32x4(_mm_set_epi64x(K2, K1));
+        let [a0, a1, a2, a3] = acc;
+        let mut x = fold_block(a0, a1, k1k2);
+        x = fold_block(x, a2, k1k2);
+        x = fold_block(x, a3, k1k2);
+        let (rest_blocks, rest) = rest.as_chunks::<64>();
+        for block in rest_blocks {
+            x = fold_block(x, load_block(block), k1k2);
+        }
+        let lanes = [
+            _mm512_extracti32x4_epi32::<0>(x),
+            _mm512_extracti32x4_epi32::<1>(x),
+            _mm512_extracti32x4_epi32::<2>(x),
+            _mm512_extracti32x4_epi32::<3>(x),
+        ];
+        finish(lanes, rest)
+    }
+
+    /// The end both folds share: four accumulators over consecutive lanes
+    /// become one (`x^128` apart), which absorbs the whole lanes of `rest`;
+    /// then 128 → 64 → 32 bits. Returns the raw register and the bytes of
+    /// `rest` short of a lane.
+    #[target_feature(enable = "pclmulqdq", enable = "sse2", enable = "sse4.1")]
+    fn finish(acc: [__m128i; 4], rest: &[u8]) -> (u32, &[u8]) {
         let k3k4 = _mm_set_epi64x(K4, K3);
         let [x0, x1, x2, x3] = acc;
         let mut x = fold_into(x0, x1, k3k4);
         x = fold_into(x, x2, k3k4);
         x = fold_into(x, x3, k3k4);
-        let mut lanes = blocks.remainder().chunks_exact(16);
-        for lane in lanes.by_ref() {
+        let (lanes, tail) = rest.as_chunks::<16>();
+        for lane in lanes {
             x = fold_into(x, load(lane), k3k4);
         }
 
@@ -231,7 +343,7 @@ mod clmul {
         let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), poly_mu, 0x10);
         let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), poly_mu, 0x00);
         let state = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
-        (state, lanes.remainder())
+        (state, tail)
     }
 }
 
@@ -410,6 +522,38 @@ fn put_u64_at(buf: &mut [u8], at: usize, v: u64) {
     buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
 }
 
+/// Ask the kernel to back the whole 2 MiB-aligned spans of a frame buffer's
+/// still untouched allocation with transparent huge pages (`madvise(2)`,
+/// `MADV_HUGEPAGE`), so the pass that first writes it faults in one page per
+/// 2 MiB instead of one per 4 KiB. An allocation holding no such span (any
+/// frame under 2 MiB, and most just above) makes no call. It is advice only.
+/// The bytes are the same either way. The kernel may decline (its THP mode
+/// is `never`, or no huge page is free), and a failed call changes nothing,
+/// so its result is ignored. Linux only; elsewhere, and under Miri, a no-op.
+fn advise_huge_pages(buf: &mut [MaybeUninit<u8>]) {
+    #[cfg(all(target_os = "linux", not(miri)))]
+    {
+        use std::ffi::{c_int, c_void};
+        extern "C" {
+            fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        }
+        const MADV_HUGEPAGE: c_int = 14;
+        const HUGE_PAGE: usize = 2 << 20;
+        let start = buf.as_mut_ptr() as usize;
+        let first = start.next_multiple_of(HUGE_PAGE);
+        let end = (start + buf.len()) / HUGE_PAGE * HUGE_PAGE;
+        if first < end {
+            // SAFETY: `[first, end)` lies inside `buf`, which this function
+            // borrows mutably, and both ends are page-aligned, as madvise
+            // requires. MADV_HUGEPAGE only changes how the kernel backs the
+            // range: it neither unmaps it nor reads or writes a byte of it.
+            unsafe { madvise(first as *mut c_void, end - first, MADV_HUGEPAGE) };
+        }
+    }
+    #[cfg(not(all(target_os = "linux", not(miri))))]
+    let _ = buf;
+}
+
 /// Zero-copy frame assembler — what [`pack`] writes through.
 ///
 /// `FrameBuilder` allocates the finished frame up front from the planned
@@ -441,7 +585,14 @@ impl FrameBuilder {
         );
         let meta_len = 16 + 4 * unchanged.len() + 16 * changed.len();
         let payload_len: usize = changed.iter().map(|&(_, len)| len).sum();
-        let mut buf = vec![0u8; 8 + meta_len + payload_len];
+        // Reserve, advise, then zero: the advice must come before the first
+        // write. `vec![0; n]` would zero inside the allocator, which for a
+        // block it recycles (the common case once a frame has been freed)
+        // means writing every page before the advice exists.
+        let len = 8 + meta_len + payload_len;
+        let mut buf = Vec::with_capacity(len);
+        advise_huge_pages(buf.spare_capacity_mut());
+        buf.resize(len, 0u8);
         buf[..4].copy_from_slice(&MAGIC);
         let mut w = 8usize;
         // `base_version + 1` so 0 can mean "full"; versions are iteration
@@ -669,6 +820,27 @@ mod tests {
         assert!(frame.changed.is_empty() && frame.unchanged.is_empty());
     }
 
+    /// `crc32` dispatches inputs of 256 bytes or more to `fold_wide` where
+    /// the CPU has it, so on such a host the dispatch tests reach `fold`
+    /// only below 256 bytes: here it runs at every length.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn narrow_fold_equals_bitwise_at_every_length() {
+        if !clmul::available() {
+            return;
+        }
+        let data: Vec<u8> = (0..70_000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in (0..=1_024).chain([65_536 + 17, 70_000]) {
+            let data = &data[..len];
+            // SAFETY: `available()` confirmed every feature `fold` needs.
+            let (state, tail) = unsafe { clmul::fold(0xFFFF_FFFF, data) };
+            let crc = slice16_update(state, tail) ^ 0xFFFF_FFFF;
+            assert_eq!(crc, crc32_bitwise(data), "len {len}");
+        }
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // The classic IEEE check value, from every implementation.
@@ -680,15 +852,18 @@ mod tests {
 
     #[test]
     fn crc32_kernels_agree_with_bitwise_at_chunk_boundaries() {
-        // Lengths straddling the table's 16-byte step and the hardware
-        // kernel's 64-byte block, and a large buffer exercising many folded
+        // Lengths straddling the table's 16-byte step, the hardware kernels'
+        // 64- and 256-byte blocks, and a large buffer exercising many folded
         // iterations plus a remainder. (`tests/serial_props.rs` sweeps every
         // length and alignment.)
         for len in (0..=17)
             .chain(31..=33)
             .chain(63..=65)
             .chain(127..=129)
-            .chain([255, 256, 4096 + 5])
+            .chain(255..=257)
+            .chain(319..=321)
+            .chain(511..=513)
+            .chain([4096 + 5])
         {
             let data: Vec<u8> = (0..len)
                 .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
@@ -720,6 +895,29 @@ mod tests {
             }
             assert_eq!(&b.seal()[..], &reference[..], "base {base:?}");
         }
+    }
+
+    #[test]
+    // Checksumming megabytes is minutes under Miri, where the advice is a
+    // no-op that every smaller frame here already runs.
+    #[cfg_attr(miri, ignore)]
+    fn a_frame_advised_onto_huge_pages_matches_pack_frame() {
+        // Over 4 MiB, so the buffer holds at least one whole 2 MiB-aligned
+        // span, whatever the allocator's alignment: the advice runs.
+        let payloads: Vec<(u32, Bytes)> = vec![
+            (1, Bytes::from(vec![0x5A; 16])),
+            (
+                4,
+                Bytes::from((0..5 << 20).map(|i| i as u8).collect::<Vec<u8>>()),
+            ),
+        ];
+        let plan: Vec<(u32, usize)> = payloads.iter().map(|(id, p)| (*id, p.len())).collect();
+        let mut b = FrameBuilder::new(None, &plan, &[]);
+        for (i, (_, p)) in payloads.iter().enumerate() {
+            b.payload_mut(i).copy_from_slice(p);
+            b.set_crc(i, crc32(p));
+        }
+        assert!(b.seal() == pack_frame(None, &payloads, &[]));
     }
 
     #[test]

@@ -40,6 +40,8 @@ claim() { # fast slow min_x [metric]
 
 # Which kernel a dispatch chose on this host, as the fresh JSON records it.
 kernel() { sed -n "s/.*\"$1\":\"\([a-z0-9]*\)\".*/\1/p" "$FRESH"; }
+# Whether serial::crc32 runs a carry-less-multiply kernel (128- or 512-bit).
+clmul_crc() { case "$(kernel crc_kernel)" in pclmulqdq | vpclmulqdq) ;; *) return 1 ;; esac; }
 
 bench checkpoint_pipeline BENCH_checkpoint.json
 # The incremental pipeline at 1-of-100 regions dirty: in time (measured
@@ -55,7 +57,7 @@ claim incremental_100pct full_pack 0.667
 # slice-by-16 CRC and one copy per region. Held where serial::crc32 runs the
 # carry-less-multiply kernel (measured 3.0-3.2x; with the dispatch lost the
 # pack reads 0.8x); on a slice16 host the two are the same work.
-if [ "$(kernel crc_kernel)" = pclmulqdq ]; then
+if clmul_crc; then
   claim full_pack pack_kernels 2
 fi
 echo "bench gate: OK (checkpoint)"
@@ -133,14 +135,20 @@ claim restart_chain8 restart_full 0.5
 # Slice-by-16 against the bitwise form it replaced, kept in-tree as the
 # proptest oracle (measured 5.2-5.3x).
 claim crc_slice16_1m crc_bitwise_1m 2.5
-if [ "$(kernel crc_kernel)" = pclmulqdq ]; then
+if clmul_crc; then
   # The hardware kernel against the portable one it is chosen over
-  # (measured 12.2-12.9x).
+  # (measured 12.2-12.9x on the 128-bit fold, 22x on the 512-bit one).
   claim crc_dispatch_1m crc_slice16_1m 6
   # The full restore against the kernels it is made of, portable edition:
   # one slice-by-16 CRC and one copy per region (measured 4.0-4.3x; with the
   # dispatch lost the restore reads 0.95x).
   claim restart_full restore_kernels 2
+fi
+if [ "$(kernel crc_kernel)" = vpclmulqdq ]; then
+  # Where crc32 runs the 512-bit fold, the same claim at its own bound:
+  # crc_dispatch_1m >= 11 x crc_slice16_1m (measured 22x over 3 runs; with
+  # the 512-bit fold lost, the 128-bit one reads 5.5x on the same host).
+  claim crc_dispatch_1m crc_slice16_1m 11
 fi
 echo "bench gate: OK (restart)"
 
@@ -161,5 +169,15 @@ claim neighbors_cells neighbors_all_pairs 1.5
 # and scalar division, it reads 0.87-1.06).
 claim force force_reference 1.2
 echo "bench gate: OK (minimd)"
+
+bench heatdis BENCH_heatdis.json ${PIN[@]+"${PIN[@]}"}
+# Heatdis's in-place sweep against the two-buffer sweep it is
+# property-tested against, twelve sweeps of the heatdis_ckpt rank shape
+# (2,048 x 512, grid and largest changes bit-equal, asserted before
+# timing): sweep >= 2 x faster (measured 3.4-3.5 over 3 pinned runs; with
+# the four lanes folded back into one running maximum, the serial chain
+# that keeps the loop scalar, it reads about 1.1).
+claim sweep sweep_reference 2
+echo "bench gate: OK (heatdis)"
 
 echo "bench gate: OK"

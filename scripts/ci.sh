@@ -48,7 +48,8 @@ write_summary() {
     printf '"bench_redundancy_results":"target/BENCH_redundancy.json",'
     printf '"bench_sched_results":"target/BENCH_sched.json",'
     printf '"bench_restart_results":"target/BENCH_restart.json",'
-    printf '"bench_minimd_results":"target/BENCH_minimd.json"'
+    printf '"bench_minimd_results":"target/BENCH_minimd.json",'
+    printf '"bench_heatdis_results":"target/BENCH_heatdis.json"'
     printf '}}\n'
   } > target/ci-summary.json
   echo "stage summary written to target/ci-summary.json"
@@ -209,8 +210,8 @@ mv target/benchmark-Cargo.lock benchmark/Cargo.lock
 [ "$frozen" -eq 0 ]
 end
 
-begin "bench gate: checkpoint + redundancy + sched + restart + minimd"
-# Runs the five bench targets and holds each fresh target/BENCH_*.json to
+begin "bench gate: checkpoint + redundancy + sched + restart + minimd + heatdis"
+# Runs the six bench targets and holds each fresh target/BENCH_*.json to
 # within-run ratio claims, every one against an oracle timed in the same
 # process (the list, the bounds and the ratios measured on this container
 # are scripts/bench_gate.sh): the incremental pipeline against the full
@@ -219,9 +220,10 @@ begin "bench gate: checkpoint + redundancy + sched + restart + minimd"
 # restore, the CRC and GF(256) dispatches against their portable kernels and
 # those against their definitional forms, the coded encodes and rebuilds
 # against each other and a plain copy, the baton against a bare condvar
-# ping-pong, schedule and repair cost against rank count, and MiniMD's
-# neighbor search and force loop against their pair-at-a-time definitions
-# (bit-equal output asserted before timing). Every claim held prints
+# ping-pong, schedule and repair cost against rank count, MiniMD's
+# neighbor search and force loop against their pair-at-a-time definitions,
+# and Heatdis's in-place sweep against its two-buffer oracle (bit-equal
+# output asserted before timing). Every claim held prints
 # its ratio beside its bound into target/bench-gate.log — the record of how
 # far each ratio sits from its bound — and the BENCH_*.json files record the
 # kernels serial::crc32 and gf256::mul_acc dispatched to on this host.
@@ -237,10 +239,12 @@ if cargo miri --version >/dev/null 2>&1; then
   # Miri runs the pod/router tests under the interpreter's memory model;
   # slow, so scoped to the code with unsafe blocks or raw atomics.
   cargo miri test -p simmpi
-  # veloc::serial compiles its carry-less-multiply kernel out under
-  # cfg(miri) (the interpreter does not model the intrinsic): the CRC unit
-  # tests then hold the portable path, which is what crc32 dispatches to.
-  cargo miri test -p veloc --lib crc32
+  # veloc::serial compiles its carry-less-multiply kernels out under
+  # cfg(miri) (the interpreter does not model the intrinsics): its unit
+  # tests then hold the portable CRC path, which is what crc32 dispatches
+  # to, and run FrameBuilder::new with its huge-page advice (an madvise
+  # call) compiled out in the same way.
+  cargo miri test -p veloc --lib serial
   # redstore::gf256 does the same with its pshufb kernel: under cfg(miri)
   # mul_acc is the portable row-table loop, whole lanes included.
   cargo miri test -p redstore --lib gf256
