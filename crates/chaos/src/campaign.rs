@@ -1,5 +1,7 @@
 //! Campaign driver: generate → check → shrink, N times, from one seed.
 
+use simmpi::Backend;
+
 use crate::oracle::{Oracle, RunOutcome, Violation};
 use crate::schedule::ChaosSchedule;
 use crate::shrink::shrink;
@@ -64,9 +66,10 @@ pub fn run_campaign(seed: u64, n: usize) -> CampaignReport {
 }
 
 /// Check (and shrink on failure) one explicit schedule — the `--schedule`
-/// replay path.
+/// replay path — on `Backend::default()`: threads, or DES under
+/// `SIMMPI_BACKEND=des` (seed `SIMMPI_SEED`), which replays a corpus line.
 pub fn replay(sched: &ChaosSchedule) -> CaseResult {
-    let oracle = Oracle::new();
+    let oracle = Oracle::with_backend(Backend::default());
     let outcome = oracle.check(sched);
     let shrunk = if outcome.is_err() {
         Some(shrink(&oracle, sched))

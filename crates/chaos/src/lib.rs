@@ -16,7 +16,10 @@
 //!
 //! Entry points: [`campaign::run_campaign`] (seeded campaign),
 //! [`campaign::replay`] (one spec string), and the `chaos` harness binary
-//! (`cargo run -p harness --bin chaos -- --schedules 200`).
+//! (`cargo run -p harness --bin chaos -- --schedules 200`). Every
+//! committed reproducer is one line of `reproducers.txt`, read by
+//! [`corpus`] and replayed on DES by `tests/corpus.rs` and on threads by
+//! `tests/differential.rs`.
 //!
 //! The `chaos-mutants` feature re-seeds the checkpoint-integrity bug the
 //! campaign was built to catch (VeloC unpack skips CRC verification);
@@ -24,6 +27,7 @@
 //! failure to a two-event reproducer.
 
 pub mod campaign;
+pub mod corpus;
 pub mod oracle;
 pub mod rng;
 pub mod schedule;

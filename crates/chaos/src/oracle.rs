@@ -33,7 +33,7 @@ use crate::schedule::{ChaosSchedule, ACTIVE_RANKS, CHECKPOINTS, ITERATIONS};
 pub enum RunOutcome {
     /// Run completed; digest matched the baseline. `resumed_at` is the
     /// run's `RunRecord::resumed_at`: per recovery, the iteration the job
-    /// resumed from. Not part of the verdict.
+    /// resumed from. Not part of the verdict; `corpus` pins it per line.
     Completed { digest: u64, resumed_at: Vec<u64> },
     /// Run ended in a typed experiment error (spare exhaustion, data
     /// unrecoverable, relaunch budget) — clean by contract.
@@ -155,11 +155,6 @@ impl Oracle {
             baselines: Mutex::new(HashMap::new()),
             backend,
         }
-    }
-
-    /// The backend this oracle launches on.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Digest of the uninterrupted run (cached). Keyed by the full cluster
@@ -391,10 +386,7 @@ mod tests {
     #[test]
     fn single_kill_recovers_with_equal_digest() {
         let oracle = Oracle::new();
-        let sched = ChaosSchedule::parse(
-            "strategy=FenixKokkosResilience spares=1 kill(rank=1,site=iter,at=5)",
-        )
-        .expect("spec parses");
+        let sched = crate::corpus::schedule("fkr-iter");
         match oracle.check(&sched) {
             Ok(RunOutcome::Completed { resumed_at, .. }) => {
                 assert_eq!(resumed_at.len(), 1, "one recovery, one resume point")

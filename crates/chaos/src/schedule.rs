@@ -332,7 +332,20 @@ impl ChaosSchedule {
     }
 
     /// Parse a spec produced by [`ChaosSchedule::to_spec`].
+    /// Every event must target an active rank (a node kill: a node that
+    /// hosts one), so a typo cannot pass without firing its fault.
     pub fn parse(spec: &str) -> Result<ChaosSchedule, String> {
+        let count = |key: &str| {
+            spec.split_whitespace()
+                .filter(|t| t.starts_with(key))
+                .count()
+        };
+        if let Some(key) = ["strategy=", "spares=", "rpn="]
+            .into_iter()
+            .find(|k| count(k) > 1)
+        {
+            return Err(format!("repeated `{key}`"));
+        }
         let mut strategy = None;
         let mut spares = 0usize;
         let mut rpn = 1usize;
@@ -349,6 +362,18 @@ impl ChaosSchedule {
                 }
             } else {
                 events.push(ChaosEvent::parse(tok)?);
+            }
+        }
+        for ev in &events {
+            let first_rank = match ev {
+                ChaosEvent::NodeKill { node, .. } => node.saturating_mul(rpn),
+                ChaosEvent::Kill { rank, .. }
+                | ChaosEvent::Corrupt { rank, .. }
+                | ChaosEvent::SpawnFail { rank }
+                | ChaosEvent::WorkerDeath { rank, .. } => *rank,
+            };
+            if first_rank >= ACTIVE_RANKS {
+                return Err(format!("`{}` targets no active rank", ev.to_spec()));
             }
         }
         Ok(ChaosSchedule {
@@ -444,6 +469,21 @@ mod tests {
         assert!(ChaosSchedule::parse("kill(rank=1)").is_err()); // missing strategy + fields
         assert!(ChaosSchedule::parse("strategy=VelocOnly frob(x=1)").is_err());
         assert!(ChaosSchedule::parse("strategy=VelocOnly kill(rank=1,site=iter,at=x)").is_err());
+        // A fault that could never fire is a typo, not a passing reproducer.
+        for spec in [
+            "strategy=FenixVeloc spares=1 kill(rank=4,site=iter,at=3)",
+            "strategy=FenixVeloc spares=1 kill(rank=9,site=iter,at=3)",
+            "strategy=VelocOnly corrupt(tier=pfs,version=7,rank=4,flip=0)",
+            "strategy=VelocOnly spawnfail(rank=4)",
+            "strategy=VelocOnly workerdeath(rank=4,after=1)",
+            "strategy=FenixImr spares=2 rpn=2 nodekill(node=2,site=iter,at=5)",
+            "strategy=FenixImr spares=2 nodekill(node=7,site=iter,at=5) rpn=2",
+            "strategy=VelocOnly strategy=FenixVeloc",
+            "strategy=FenixVeloc spares=1 spares=2",
+            "strategy=FenixImr rpn=2 rpn=2",
+        ] {
+            assert!(ChaosSchedule::parse(spec).is_err(), "{spec}");
+        }
     }
 
     #[test]

@@ -6,30 +6,15 @@
 //! machinery would have caught that bug: under the mutant a
 //! corruption-plus-kill schedule completes with a *wrong* digest (the
 //! oracle's divergence verdict), and the shrinker reduces any padded
-//! variant back to the two events that matter. The clean-build counterpart
-//! proves the same schedule is survivable when the CRC check is in place.
+//! variant back to the two events that matter: line `crc-scratch` of
+//! `crates/chaos/reproducers.txt`, whose clean-build verdict is a pass.
 //!
 //! Run with: `cargo test -p chaos --features chaos-mutants`
 
-/// The two-event reproducer: corrupt rank 0's scratch copy of version 7 at
-/// write time, then kill rank 1 after that checkpoint exists. The job
-/// aborts and relaunches; rank 0's node never failed, so its (corrupted)
-/// scratch copy survives and is the restart's preferred tier. With CRC
-/// verification the restart degrades to the intact PFS copy; with the
-/// mutant it silently restores garbage. (Killing rank 0 itself would not
-/// do: a rank's death takes its node's scratch with it, destroying the
-/// corrupted copy before anything can read it.)
-const REPRODUCER: &str =
-    "strategy=VelocOnly spares=0 kill(rank=1,site=iter,at=9) corrupt(tier=scratch,version=7,rank=0,flip=192)";
-
 #[cfg(feature = "chaos-mutants")]
 mod mutant_build {
-    use chaos::{shrink, ChaosSchedule, Oracle, Violation};
+    use chaos::{corpus, shrink, ChaosEvent, Oracle, Violation};
     use simmpi::Backend;
-
-    /// The reproducer buried under two irrelevant service faults the
-    /// shrinker must strip away.
-    const PADDED: &str = "strategy=VelocOnly spares=0 kill(rank=1,site=iter,at=9) corrupt(tier=scratch,version=7,rank=0,flip=192) workerdeath(rank=2,after=2) spawnfail(rank=3)";
 
     /// A fixed seed verified to draw at least one schedule that exercises
     /// the corrupt-then-restore path under the mutant within 40 schedules
@@ -48,7 +33,13 @@ mod mutant_build {
         // Completed on the re-check below. Threaded-backend coverage of
         // the mutant stays with the seeded campaign test.
         let oracle = Oracle::with_backend(Backend::Des { seed: 0x5eed });
-        let padded = ChaosSchedule::parse(PADDED).expect("spec parses");
+        // The reproducer buried under two irrelevant service faults the
+        // shrinker must strip away.
+        let mut padded = corpus::schedule("crc-scratch");
+        padded.events.extend([
+            ChaosEvent::WorkerDeath { rank: 2, after: 2 },
+            ChaosEvent::SpawnFail { rank: 3 },
+        ]);
         let verdict = oracle.check(&padded);
         assert!(
             matches!(verdict, Err(Violation::Divergence { .. })),
@@ -98,7 +89,7 @@ mod mutant_build {
     #[test]
     fn two_event_reproducer_diverges_under_the_mutant() {
         let oracle = Oracle::new();
-        let sched = ChaosSchedule::parse(super::REPRODUCER).expect("spec parses");
+        let sched = corpus::schedule("crc-scratch");
         assert!(
             matches!(oracle.check(&sched), Err(Violation::Divergence { .. })),
             "the minimal reproducer should diverge under the mutant"
@@ -108,16 +99,14 @@ mod mutant_build {
 
 #[cfg(not(feature = "chaos-mutants"))]
 mod clean_build {
-    use chaos::{ChaosSchedule, Oracle, RunOutcome};
+    use chaos::{corpus, Oracle, RunOutcome};
 
     #[test]
     fn clean_build_survives_the_mutant_reproducer() {
         // With CRC verification in place the same schedule must be
         // survivable: the corrupted copy is rejected and restart degrades
         // to an intact one.
-        let oracle = Oracle::new();
-        let sched = ChaosSchedule::parse(super::REPRODUCER).expect("spec parses");
-        match oracle.check(&sched) {
+        match corpus::line("crc-scratch").replay(&Oracle::new()) {
             Ok(RunOutcome::Completed { .. }) => {}
             other => panic!("expected clean completion with CRC verification, got {other:?}"),
         }

@@ -1,68 +1,69 @@
-//! Directed chaos scenarios: failure shapes the campaign generator can
-//! produce, pinned down as named regression tests with stronger assertions
-//! than the oracle alone (specific typed errors, specific telemetry
-//! evidence, specific detection behavior).
+//! Directed chaos scenarios: failure shapes pinned down as named
+//! regression tests with stronger assertions than the oracle alone. The
+//! schedule-driven ones replay lines of `crates/chaos/reproducers.txt`
+//! through `Line::replay` (kill and repair evidence) and name the specific
+//! outcome; the rest damage a stored blob in a layer they drive directly
+//! and assert the damage is positively detected. Gated out of
+//! `chaos-mutants` builds, which disable that CRC rejection.
+#![cfg(not(feature = "chaos-mutants"))]
 
-#[cfg(not(feature = "chaos-mutants"))]
 use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(not(feature = "chaos-mutants"))]
 use std::sync::Arc;
 
-use chaos::{ChaosSchedule, Oracle, RunOutcome};
-#[cfg(not(feature = "chaos-mutants"))]
+use chaos::{corpus, Oracle, RunOutcome};
 use cluster::{Cluster, ClusterConfig, RelaunchModel, TimeScale};
-#[cfg(not(feature = "chaos-mutants"))]
 use fenix::{ExhaustPolicy, FenixConfig, Role};
-#[cfg(not(feature = "chaos-mutants"))]
 use redstore::{RedStore, RedundancyGroup, RedundancyMode};
 use resilience::ExperimentError;
-#[cfg(not(feature = "chaos-mutants"))]
 use simmpi::{
     CorruptKind, CorruptTier, FaultSchedule, MpiError, ReduceOp, Universe, UniverseConfig,
 };
-#[cfg(not(feature = "chaos-mutants"))]
 use veloc::{serial, Protected, VecRegion};
 
-/// Exhausting the spare pool must end in the driver's typed error — with a
-/// failure timeline that shows both kills and the one repair that *did*
-/// succeed — never in a hang or a panic (ISSUE 4 satellite: the paper's §VI
+/// Line `spare-exhaustion`: exhausting the spare pool must end in the
+/// driver's typed error, with a timeline that shows both kills and the one
+/// repair that *did* succeed, never in a hang or a panic (the paper's §VI
 /// only ever spends one spare; the campaign spends them all).
 #[test]
 fn spare_exhaustion_yields_typed_error_and_coherent_timeline() {
-    let oracle = Oracle::new();
-    // One spare, two kills at different fault points: the first repair
-    // consumes the pool, the second failure finds it empty.
-    let sched = ChaosSchedule::parse(
-        "strategy=FenixVeloc spares=1 kill(rank=1,site=iter,at=3) kill(rank=2,site=iter,at=6)",
-    )
-    .expect("spec parses");
-    let report = oracle.run(&sched);
-    match &report.verdict {
+    match corpus::line("spare-exhaustion").replay(&Oracle::new()) {
         Ok(RunOutcome::TypedError(ExperimentError::RankFailed { .. })) => {}
         other => panic!("expected the driver's RankFailed error, got {other:?}"),
     }
-    // The oracle already enforced causal order; assert the evidence is
-    // complete: both injected kills were recorded, and the first failure's
-    // repair ran to completion before the pool emptied.
-    let snap = &report.snapshot;
-    let kills = snap
-        .events
-        .iter()
-        .filter(|e| e.event.kind() == "rank_killed")
-        .count();
-    assert!(
-        kills >= 2,
-        "expected both kills in the timeline, saw {kills}"
-    );
-    let repairs_done = snap
-        .events
-        .iter()
-        .filter(|e| e.event.kind() == "repair_end")
-        .count();
-    assert!(
-        repairs_done >= 1,
-        "the first failure's repair should have completed"
-    );
+}
+
+/// Two ranks of the same redundancy placement group die in the same
+/// iteration. Under buddy IMR (line `imr-buddy-pair`) ranks 0 and 1 are
+/// each other's buddies, so both copies of both payloads vanish at once and
+/// the driver must surface its typed unrecoverable error, while the same
+/// store's erasure-coded groups (`redstore-group-pair`) absorb both erasures
+/// and finish bitwise-equal to the baseline.
+#[test]
+fn placement_group_double_kill_recovers_via_redstore_but_not_buddy_imr() {
+    let oracle = Oracle::new();
+    match corpus::line("imr-buddy-pair").replay(&oracle) {
+        Ok(RunOutcome::TypedError(ExperimentError::RankFailed { .. })) => {}
+        other => panic!("buddy IMR cannot survive a buddy-pair kill: {other:?}"),
+    }
+    match corpus::line("redstore-group-pair").replay(&oracle) {
+        Ok(RunOutcome::Completed { .. }) => {}
+        other => panic!("redstore should recover the group kill bitwise: {other:?}"),
+    }
+}
+
+/// A whole node dies on a two-ranks-per-node layout (lines `imr-nodekill`
+/// and `redstore-nodekill`). Buddy IMR and the redundancy dial's own pick
+/// for this shape both place every copy off-node by construction, so the
+/// node loss, lowered to one kill per hosted rank, completes bitwise-equal.
+#[test]
+fn node_kill_is_survived_by_distinct_node_placement() {
+    let oracle = Oracle::new();
+    for id in ["imr-nodekill", "redstore-nodekill"] {
+        match corpus::line(id).replay(&oracle) {
+            Ok(RunOutcome::Completed { .. }) => {}
+            other => panic!("{id}: distinct-node copies should survive a node kill: {other:?}"),
+        }
+    }
 }
 
 /// Buddy (k=2 replica) recovery with a corrupted partner store: the holder's
@@ -71,10 +72,6 @@ fn spare_exhaustion_yields_typed_error_and_coherent_timeline() {
 /// must be positive (unpack returns `None`, not garbage state), and the job
 /// must end in a *consistent* typed abort on every active rank — no hang,
 /// no panic (ISSUE 4 satellite).
-///
-/// Gated out of `chaos-mutants` builds: the mutant disables exactly the
-/// CRC rejection this test asserts.
-#[cfg(not(feature = "chaos-mutants"))]
 #[test]
 fn imr_recovery_detects_corrupted_partner_store_and_aborts_cleanly() {
     let c = Cluster::new(ClusterConfig {
@@ -164,100 +161,6 @@ fn imr_recovery_detects_corrupted_partner_store_and_aborts_cleanly() {
     }
 }
 
-/// Two ranks of the same redundancy placement group die in the same
-/// iteration (ISSUE 6 satellite). Under buddy IMR (two replicas; on a
-/// one-rank-per-node layout the width-2 groups are the rank pairs 0↔1,
-/// 2↔3) ranks 0 and 1 are each other's buddies, so both copies of both
-/// payloads vanish at once and the driver must surface its typed
-/// unrecoverable error — while the same store's erasure-coded groups
-/// (auto → RS(4,2) on this shape) absorb both erasures and finish
-/// bitwise-equal to the baseline.
-#[test]
-fn placement_group_double_kill_recovers_via_redstore_but_not_buddy_imr() {
-    let oracle = Oracle::new();
-    let buddy = ChaosSchedule::parse(
-        "strategy=FenixImr spares=2 kill(rank=0,site=iter,at=5) kill(rank=1,site=iter,at=5)",
-    )
-    .expect("spec parses");
-    match &oracle.run(&buddy).verdict {
-        Ok(RunOutcome::TypedError(ExperimentError::RankFailed { .. })) => {}
-        other => panic!("buddy IMR cannot survive a buddy-pair kill: {other:?}"),
-    }
-
-    let red = ChaosSchedule::parse(
-        "strategy=FenixRedstore spares=2 kill(rank=0,site=iter,at=5) kill(rank=1,site=iter,at=5)",
-    )
-    .expect("spec parses");
-    let report = oracle.run(&red);
-    match &report.verdict {
-        Ok(RunOutcome::Completed { .. }) => {}
-        other => panic!("redstore should recover the group kill bitwise: {other:?}"),
-    }
-    // Timeline evidence: both kills recorded, and at least one repair ran
-    // to completion (the oracle already enforced causal order).
-    let snap = &report.snapshot;
-    let kills = snap
-        .events
-        .iter()
-        .filter(|e| e.event.kind() == "rank_killed")
-        .count();
-    assert!(
-        kills >= 2,
-        "expected both kills in the timeline, saw {kills}"
-    );
-    let repairs_done = snap
-        .events
-        .iter()
-        .filter(|e| e.event.kind() == "repair_end")
-        .count();
-    assert!(repairs_done >= 1, "the group kill's repair should complete");
-}
-
-/// A whole node dies on a two-ranks-per-node layout (ISSUE 6 satellite).
-/// Buddy IMR (k=2) and the redundancy dial's own pick for this shape (auto
-/// → k=2 as well) both place every copy off-node by construction — no
-/// placement the store computes can put a rank's copy on its own node — so
-/// the node loss completes bitwise-equal.
-#[test]
-fn node_kill_is_survived_by_distinct_node_placement() {
-    let oracle = Oracle::new();
-    let topo =
-        ChaosSchedule::parse("strategy=FenixImr spares=2 rpn=2 nodekill(node=0,site=iter,at=5)")
-            .expect("spec parses");
-    match &oracle.run(&topo).verdict {
-        Ok(RunOutcome::Completed { .. }) => {}
-        other => panic!("distinct-node buddies should survive a node kill: {other:?}"),
-    }
-
-    let red = ChaosSchedule::parse(
-        "strategy=FenixRedstore spares=2 rpn=2 nodekill(node=0,site=iter,at=5)",
-    )
-    .expect("spec parses");
-    let report = oracle.run(&red);
-    match &report.verdict {
-        Ok(RunOutcome::Completed { .. }) => {}
-        other => panic!("redstore should recover the node kill bitwise: {other:?}"),
-    }
-    // The node kill lowered to one kill per hosted rank; the repair that
-    // replaced them both must appear in the same coherent timeline.
-    let snap = &report.snapshot;
-    let kills = snap
-        .events
-        .iter()
-        .filter(|e| e.event.kind() == "rank_killed")
-        .count();
-    assert!(
-        kills >= 2,
-        "a two-rank node should record two kills, saw {kills}"
-    );
-    let repairs_done = snap
-        .events
-        .iter()
-        .filter(|e| e.event.kind() == "repair_end")
-        .count();
-    assert!(repairs_done >= 1, "the node kill's repair should complete");
-}
-
 /// Incremental-checkpoint chain integrity under injected corruption (ISSUE 5
 /// satellite): the *base* version of a delta chain is damaged through the
 /// chaos injection hook at write time, and a later delta frame must never be
@@ -265,10 +168,6 @@ fn node_kill_is_survived_by_distinct_node_placement() {
 /// false for the whole chain, agreement degrades past it, and a forced
 /// restart of the delta version fails with the typed `Corrupt` error, not
 /// stale or hybrid state.
-///
-/// Gated out of `chaos-mutants` builds: the mutant disables exactly the CRC
-/// rejection that makes base damage visible.
-#[cfg(not(feature = "chaos-mutants"))]
 #[test]
 fn corrupted_delta_base_is_never_restored_atop() {
     let c = Cluster::new(ClusterConfig {

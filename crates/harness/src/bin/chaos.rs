@@ -10,6 +10,9 @@
 //!   cargo run -p harness --bin chaos -- [--schedules N] [--seed S]
 //!   cargo run -p harness --bin chaos -- --schedule "strategy=FenixVeloc spares=1 kill(rank=1,site=iter,at=3)"
 //!
+//! A `--schedule` replay runs on DES under `SIMMPI_BACKEND=des` (seed
+//! `SIMMPI_SEED`), as each line of `crates/chaos/reproducers.txt` does.
+//!
 //! Exit status: 0 when every schedule satisfied the oracle, 1 otherwise.
 
 use chaos::schedule::DEFAULT_SEED;

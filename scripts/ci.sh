@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, the tier-1 build + test pass over the
-# whole workspace (ROADMAP.md), chaos replays and scale smokes on the
+# whole workspace (ROADMAP.md; it replays every committed chaos reproducer,
+# crates/chaos/reproducers.txt), the chaos campaign and scale smokes on the
 # optimised build, and the benchmark gate. Run from anywhere inside the repo; fails fast.
 #
 # Every stage is wall-clock timed; the per-stage seconds and the artifact
@@ -110,32 +111,6 @@ begin "chaos: smoke campaign + seeded integrity mutant"
 #   CHAOS_SCHEDULES=200 CHAOS_SEED=7 scripts/ci.sh
 cargo run -q --release -p harness --bin chaos -- \
   --schedules "${CHAOS_SCHEDULES:-30}" ${CHAOS_SEED:+--seed "$CHAOS_SEED"}
-chaos_replay() {
-  cargo run -q --release -p harness --bin chaos -- --schedule "$1"
-}
-# The one flush routine under an installed injector, on the threaded engine
-# (the one where the flush worker runs; DES flushes inline). A worker holds
-# one flush at a time: rank 1's writes a corrupted v7 to the PFS; rank 0's
-# dies between its first and second flush, so rank 0 flushes inline from
-# then on; rank 1's replacement must degrade past the corrupt PFS copy to
-# the baseline digest.
-chaos_replay "strategy=FenixVeloc spares=1 corrupt(tier=pfs,version=7,rank=1,flip=0) workerdeath(rank=0,after=1) kill(rank=1,site=iter,at=9)"
-# A kill on the final commit (version 11 of 3, 7, 11): the newest agreed
-# version may be the last iteration's, which leaves no region execution to
-# carry the lazy restore — Context::restart_version must re-agree lower.
-# Once per process layer, through both entries of the one KR body.
-chaos_replay "strategy=FenixKokkosResilience spares=1 kill(rank=1,site=commit,at=11)"
-chaos_replay "strategy=KokkosResilience spares=0 kill(rank=1,site=commit,at=11)"
-# A kill before the final peer-memory store, on the thread engine, where a
-# victim can die after one survivor's sends have landed and before
-# another's: a store that stopped sending at its first failed send left the
-# first survivor waiting for a frame while the rest waited for it in the
-# commit agreement, one replay in five to eight (DES cannot reach it: a kill
-# lands at a zero-virtual-time fault point). Replayed often enough that the
-# old rate would show.
-for _ in $(seq 25); do
-  chaos_replay "strategy=FenixRedstore spares=2 kill(rank=3,site=ckpt,at=11)"
-done
 # The campaign must also catch the seeded checkpoint-integrity bug
 # (chaos-mutants skips the CRC checks) and shrink it to <=2 events:
 cargo test -q -p chaos --features chaos-mutants
@@ -144,9 +119,10 @@ end
 begin "sched: 1k/2k-rank DES smoke"
 # The deterministic scheduler's other proof obligations ran in tier-1 (same
 # seed => bitwise identical timeline/digest, `simmpi --test sched_props`;
-# DES-vs-threads verdict agreement on every committed chaos reproducer,
-# `chaos --test differential`; per-rank repair work that does not grow with
-# the rank count, `apps --test repair_linearity`). This stage is the
+# every committed chaos reproducer's verdict and resume point on DES,
+# `chaos --test corpus`, and the same verdict on threads, `chaos --test
+# differential`; per-rank repair work that does not
+# grow with the rank count, `apps --test repair_linearity`). This stage is the
 # optimised build's: a full Heatdis + Fenix/KR run at SCALE_RANKS active
 # ranks (default 1,024) with one injected failure, replayed twice for
 # bitwise equality — then, unless CI_QUICK=1, the same at twice the ranks.
@@ -167,19 +143,6 @@ if [ "${CI_QUICK:-0}" = "1" ]; then
 else
   scale_smoke $(( ${SCALE_RANKS:-1024} * 2 ))
 fi
-end
-
-begin "redstore: multi-failure chaos smoke"
-# (The codec property suite ran in tier-1.)
-# Seeded multi-failure smoke, replayed through the differential oracle:
-# a two-rank placement-group kill and a whole-node kill must complete
-# bitwise-equal via the redundancy store, and the same node loss must be
-# survived by buddy IMR (the store at two replicas — every pair spans two
-# nodes; the exact differential, including the buddy-pair kill that stays
-# a typed error, is asserted in crates/chaos/tests/scenarios.rs).
-chaos_replay "strategy=FenixRedstore spares=2 kill(rank=0,site=iter,at=5) kill(rank=1,site=iter,at=5)"
-chaos_replay "strategy=FenixRedstore spares=2 rpn=2 nodekill(node=0,site=iter,at=5)"
-chaos_replay "strategy=FenixImr spares=2 rpn=2 nodekill(node=0,site=iter,at=5)"
 end
 
 begin "benchmark/: the frozen package builds, its unit tests pass, its modelled numbers equal the pins"
