@@ -1,7 +1,12 @@
 //! Slab-decomposition communication (MiniMD's "Communicator" phase):
 //! atom migration, border/ghost setup, and per-step ghost position updates.
+//!
+//! Each function locks its views only to pack what it sends and to store
+//! what it received, never across a receive: a rank must not block on a
+//! neighbor while it holds a lock.
 
-use simmpi::{Comm, MpiResult};
+use kokkos::View;
+use simmpi::{Comm, MpiResult, Tag};
 
 use crate::minimd::atoms::Slab;
 
@@ -57,48 +62,49 @@ pub fn pbc(slab: &Slab, x: &mut [f64], nlocal: usize) {
 pub fn exchange_atoms(
     comm: &Comm,
     slab: &Slab,
-    x: &mut [f64],
-    v: &mut [f64],
-    id: &mut [u64],
+    x: &View<f64>,
+    v: &View<f64>,
+    id: &View<u64>,
     nlocal: usize,
 ) -> MpiResult<usize> {
     let me = comm.rank();
     let n_ranks = comm.size();
     let width = slab.width();
 
-    // Partition: keep / go-left / go-right.
-    let mut keep: Vec<usize> = Vec::with_capacity(nlocal);
-    let mut go_left: Vec<usize> = Vec::new();
-    let mut go_right: Vec<usize> = Vec::new();
-    for i in 0..nlocal {
-        let target = ((x[3 * i] / width) as usize).min(n_ranks - 1);
-        if target == me || n_ranks == 1 {
-            keep.push(i);
-        } else if target == left_of(comm) {
-            go_left.push(i);
-        } else if target == right_of(comm) {
-            go_right.push(i);
-        } else {
-            panic!(
-                "atom {} moved more than one slab (x={}, target {target}, me {me})",
-                id[i],
-                x[3 * i]
-            );
+    let (keep, (ids_l, data_l), (ids_r, data_r)) = {
+        let (x, v, id) = (x.read(), v.read(), id.read());
+        // Partition: keep / go-left / go-right.
+        let mut keep: Vec<usize> = Vec::with_capacity(nlocal);
+        let mut go_left: Vec<usize> = Vec::new();
+        let mut go_right: Vec<usize> = Vec::new();
+        for i in 0..nlocal {
+            let target = ((x[3 * i] / width) as usize).min(n_ranks - 1);
+            if target == me || n_ranks == 1 {
+                keep.push(i);
+            } else if target == left_of(comm) {
+                go_left.push(i);
+            } else if target == right_of(comm) {
+                go_right.push(i);
+            } else {
+                panic!(
+                    "atom {} moved more than one slab (x={}, target {target}, me {me})",
+                    id[i],
+                    x[3 * i]
+                );
+            }
         }
-    }
 
-    let pack = |idxs: &[usize]| -> (Vec<u64>, Vec<f64>) {
-        let ids: Vec<u64> = idxs.iter().map(|&i| id[i]).collect();
-        let mut data = Vec::with_capacity(idxs.len() * 6);
-        for &i in idxs {
-            data.extend_from_slice(&x[3 * i..3 * i + 3]);
-            data.extend_from_slice(&v[3 * i..3 * i + 3]);
-        }
-        (ids, data)
+        let pack_atoms = |idxs: &[usize]| -> (Vec<u64>, Vec<f64>) {
+            let ids: Vec<u64> = idxs.iter().map(|&i| id[i]).collect();
+            let mut data = Vec::with_capacity(idxs.len() * 6);
+            for &i in idxs {
+                data.extend_from_slice(&x[3 * i..3 * i + 3]);
+                data.extend_from_slice(&v[3 * i..3 * i + 3]);
+            }
+            (ids, data)
+        };
+        (keep, pack_atoms(&go_left), pack_atoms(&go_right))
     };
-
-    let (ids_l, data_l) = pack(&go_left);
-    let (ids_r, data_r) = pack(&go_right);
     comm.send(left_of(comm), TAG_MIGRATE_ID, &ids_l)?;
     comm.send(left_of(comm), TAG_MIGRATE_DATA, &data_l)?;
     comm.send(right_of(comm), TAG_MIGRATE_ID + 0x10, &ids_r)?;
@@ -111,6 +117,7 @@ pub fn exchange_atoms(
     let (in_data_l, _) = comm.recv_vec::<f64>(Some(left_of(comm)), TAG_MIGRATE_DATA + 0x10)?;
 
     // Rebuild owned arrays: kept atoms first, then arrivals.
+    let (mut x, mut v, mut id) = (x.write(), v.write(), id.write());
     let mut new_ids: Vec<u64> = keep.iter().map(|&i| id[i]).collect();
     let mut new_x: Vec<f64> = Vec::with_capacity((keep.len() + 8) * 3);
     let mut new_v: Vec<f64> = Vec::with_capacity(new_x.capacity());
@@ -149,8 +156,8 @@ pub fn setup_borders(
     comm: &Comm,
     slab: &Slab,
     cutneigh: f64,
-    x: &mut [f64],
-    id: &mut [u64],
+    x: &View<f64>,
+    id: &View<u64>,
     nlocal: usize,
 ) -> MpiResult<CommPlan> {
     let me = comm.rank();
@@ -163,41 +170,30 @@ pub fn setup_borders(
         shift_right: if me == n_ranks - 1 { -lx } else { 0.0 },
         ..CommPlan::default()
     };
-    for i in 0..nlocal {
-        let px = x[3 * i];
-        if px < slab.xlo + cutneigh {
-            plan.send_left.push(i as u32);
+    let (left, left_ids, right, right_ids) = {
+        let (x, id) = (x.read(), id.read());
+        for i in 0..nlocal {
+            let px = x[3 * i];
+            if px < slab.xlo + cutneigh {
+                plan.send_left.push(i as u32);
+            }
+            if px >= slab.xhi - cutneigh {
+                plan.send_right.push(i as u32);
+            }
         }
-        if px >= slab.xhi - cutneigh {
-            plan.send_right.push(i as u32);
-        }
-    }
-
-    let pack = |idxs: &[u32], shift: f64| -> Vec<f64> {
-        let mut out = Vec::with_capacity(idxs.len() * 3);
-        for &i in idxs {
-            let i = i as usize;
-            out.push(x[3 * i] + shift);
-            out.push(x[3 * i + 1]);
-            out.push(x[3 * i + 2]);
-        }
-        out
+        let ids_of = |idxs: &[u32]| -> Vec<u64> { idxs.iter().map(|&i| id[i as usize]).collect() };
+        (
+            pack(&x, &plan.send_left, plan.shift_left),
+            ids_of(&plan.send_left),
+            pack(&x, &plan.send_right, plan.shift_right),
+            ids_of(&plan.send_right),
+        )
     };
 
-    let ids_of = |idxs: &[u32]| -> Vec<u64> { idxs.iter().map(|&i| id[i as usize]).collect() };
-
-    comm.send(
-        left_of(comm),
-        TAG_BORDER,
-        &pack(&plan.send_left, plan.shift_left),
-    )?;
-    comm.send(left_of(comm), TAG_BORDER + 1, &ids_of(&plan.send_left))?;
-    comm.send(
-        right_of(comm),
-        TAG_BORDER + 0x10,
-        &pack(&plan.send_right, plan.shift_right),
-    )?;
-    comm.send(right_of(comm), TAG_BORDER + 0x11, &ids_of(&plan.send_right))?;
+    comm.send(left_of(comm), TAG_BORDER, &left)?;
+    comm.send(left_of(comm), TAG_BORDER + 1, &left_ids)?;
+    comm.send(right_of(comm), TAG_BORDER + 0x10, &right)?;
+    comm.send(right_of(comm), TAG_BORDER + 0x11, &right_ids)?;
     // My left ghosts come from my left neighbor's send_right.
     let (from_left, _) = comm.recv_vec::<f64>(Some(left_of(comm)), TAG_BORDER + 0x10)?;
     let (ids_left, _) = comm.recv_vec::<u64>(Some(left_of(comm)), TAG_BORDER + 0x11)?;
@@ -206,6 +202,7 @@ pub fn setup_borders(
     plan.nghost_left = from_left.len() / 3;
     plan.nghost_right = from_right.len() / 3;
 
+    let (mut x, mut id) = (x.write(), id.write());
     let base = 3 * nlocal;
     assert!(
         base + from_left.len() + from_right.len() <= x.len(),
@@ -221,41 +218,48 @@ pub fn setup_borders(
     Ok(plan)
 }
 
+/// Border atoms `idxs`' positions, shifted by `shift` in x.
+fn pack(x: &[f64], idxs: &[u32], shift: f64) -> Vec<f64> {
+    let mut out = Vec::with_capacity(idxs.len() * 3);
+    for &i in idxs {
+        let i = i as usize;
+        out.push(x[3 * i] + shift);
+        out.push(x[3 * i + 1]);
+        out.push(x[3 * i + 2]);
+    }
+    out
+}
+
 /// Per-step ghost position refresh: resend the planned border atoms'
 /// current positions and overwrite the ghost slots.
-pub fn communicate(comm: &Comm, plan: &CommPlan, x: &mut [f64], nlocal: usize) -> MpiResult<()> {
-    let pack = |idxs: &[u32], shift: f64| -> Vec<f64> {
-        let mut out = Vec::with_capacity(idxs.len() * 3);
-        for &i in idxs {
-            let i = i as usize;
-            out.push(x[3 * i] + shift);
-            out.push(x[3 * i + 1]);
-            out.push(x[3 * i + 2]);
-        }
-        out
+pub fn communicate(comm: &Comm, plan: &CommPlan, x: &View<f64>, nlocal: usize) -> MpiResult<()> {
+    let (left, right) = {
+        let x = x.read();
+        (
+            pack(&x, &plan.send_left, plan.shift_left),
+            pack(&x, &plan.send_right, plan.shift_right),
+        )
     };
-    comm.send(
-        left_of(comm),
-        TAG_COMM,
-        &pack(&plan.send_left, plan.shift_left),
-    )?;
-    comm.send(
-        right_of(comm),
-        TAG_COMM + 0x10,
-        &pack(&plan.send_right, plan.shift_right),
-    )?;
+    comm.send(left_of(comm), TAG_COMM, &left)?;
+    comm.send(right_of(comm), TAG_COMM + 0x10, &right)?;
     let base = 3 * nlocal;
     let nl = 3 * plan.nghost_left;
     let nr = 3 * plan.nghost_right;
-    comm.recv_into(
-        Some(left_of(comm)),
-        TAG_COMM + 0x10,
-        &mut x[base..base + nl],
-    )?;
-    comm.recv_into(
-        Some(right_of(comm)),
-        TAG_COMM,
-        &mut x[base + nl..base + nl + nr],
-    )?;
+    recv_ghosts(comm, left_of(comm), TAG_COMM + 0x10, x, base..base + nl)?;
+    recv_ghosts(comm, right_of(comm), TAG_COMM, x, base + nl..base + nl + nr)
+}
+
+/// Receive `src`'s ghost positions into `x[slots]`, locking `x` only once
+/// they have arrived.
+fn recv_ghosts(
+    comm: &Comm,
+    src: usize,
+    tag: Tag,
+    x: &View<f64>,
+    slots: std::ops::Range<usize>,
+) -> MpiResult<()> {
+    let mut ghosts = vec![0.0; slots.len()];
+    comm.recv_into(Some(src), tag, &mut ghosts)?;
+    x.write()[slots].copy_from_slice(&ghosts);
     Ok(())
 }

@@ -331,22 +331,19 @@ impl MiniMdState {
                 fs.copy_from_slice(&f);
             }
 
-            let mut x = self.vs.comm_x.write();
-            let mut v = self.vs.v.write();
-            let mut id = self.vs.id.write();
-            exchange::pbc(&self.slab, &mut x, nlocal);
+            let vs = &self.vs;
+            exchange::pbc(&self.slab, &mut vs.comm_x.write(), nlocal);
             let new_nlocal =
-                exchange::exchange_atoms(comm, &self.slab, &mut x, &mut v, &mut id, nlocal)?;
+                exchange::exchange_atoms(comm, &self.slab, &vs.comm_x, &vs.v, &vs.id, nlocal)?;
             assert!(new_nlocal <= self.caps.nmax, "owned capacity exceeded");
             let plan = exchange::setup_borders(
                 comm,
                 &self.slab,
                 self.cutneigh,
-                &mut x,
-                &mut id,
+                &vs.comm_x,
+                &vs.id,
                 new_nlocal,
             )?;
-            drop((x, v, id));
             self.store_plan(&plan);
             let mut counts = self.vs.counts.write();
             counts[0] = new_nlocal as u64;
@@ -458,8 +455,7 @@ impl RankApp for MiniMdState {
         } else {
             bk.book(Phase::Communicator, || -> MpiResult<()> {
                 let plan = self.load_plan();
-                let mut x = self.vs.comm_x.write();
-                exchange::communicate(comm, &plan, &mut x, self.nlocal())
+                exchange::communicate(comm, &plan, &self.vs.comm_x, self.nlocal())
             })?;
         }
 
@@ -492,11 +488,14 @@ impl RankApp for MiniMdState {
         bk.set_phase_override(Some(Phase::DataRecovery));
         let result = (|| -> MpiResult<()> {
             let nlocal = self.nlocal();
-            let plan = {
-                let mut x = self.vs.comm_x.write();
-                let mut id = self.vs.id.write();
-                exchange::setup_borders(comm, &self.slab, self.cutneigh, &mut x, &mut id, nlocal)?
-            };
+            let plan = exchange::setup_borders(
+                comm,
+                &self.slab,
+                self.cutneigh,
+                &self.vs.comm_x,
+                &self.vs.id,
+                nlocal,
+            )?;
             self.store_plan(&plan);
             {
                 let mut counts = self.vs.counts.write();

@@ -4,9 +4,8 @@
 //! The parser ([`crate::parser`]) records *facts* (calls, lets, matches) in
 //! token order but deliberately flattens structure: a call inside a match
 //! arm and a call after the match are indistinguishable. The path-sensitive
-//! analysis (collective matching) needs the structure back, and the lock
-//! rules inline through it ([`crate::inline`]), so this module re-walks
-//! each function body and produces a tree:
+//! analysis (collective matching) needs the structure back, so this module
+//! re-walks each function body and produces a tree:
 //!
 //! - [`Step::Call`] — one call expression (an index into `FnItem::calls`);
 //! - [`Step::Branch`] — `if`/`else if`/`else` chains and `match`
@@ -30,22 +29,6 @@ use crate::parser::{Call, CallKind, FnItem, ParsedFile};
 #[derive(Clone, Debug, Default)]
 pub struct Block {
     pub steps: Vec<Step>,
-}
-
-impl Block {
-    /// Every call of the block, arms and loop bodies included, in order.
-    pub fn calls(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for step in &self.steps {
-            match step {
-                Step::Call(k) => out.push(*k),
-                Step::Branch(b) => out.extend(b.arms.iter().flat_map(Block::calls)),
-                Step::Loop(body) => out.extend(body.calls()),
-                Step::Diverge => {}
-            }
-        }
-        out
-    }
 }
 
 /// One structured step inside a [`Block`].
@@ -479,26 +462,6 @@ pub fn call_arity(file: &ParsedFile, call: &Call) -> usize {
     commas + 1 - usize::from(trailing)
 }
 
-/// For a method call `recv.name(…)`, the identifier immediately before
-/// the dot (`self.queue.lock()` → `queue`). `None` when the receiver is a
-/// call/index result or the call is not a method.
-pub fn receiver_ident(file: &ParsedFile, call: &Call) -> Option<String> {
-    if call.kind != CallKind::Method || call.si < 2 {
-        return None;
-    }
-    if file.text(call.si - 1) != "." {
-        return None;
-    }
-    let prev = call.si - 2;
-    if file.tok(prev).kind == TokKind::Ident
-        && !crate::parser::contains_word("if else match return", file.text(prev))
-    {
-        Some(file.text(prev).to_owned())
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,18 +603,6 @@ mod tests {
         assert_eq!(call_arity(&p, by_name("trail")), 2);
         assert_eq!(call_arity(&p, by_name("region")), 3);
         assert_eq!(call_arity(&p, by_name("go")), 2);
-    }
-
-    #[test]
-    fn receiver_ident_reads_the_field() {
-        let p = parse("fn f(s: &S) { s.queue.lock(); helper(); s.inner().lock(); }\n");
-        let f = &p.fns[0];
-        let lock = &f.calls[0];
-        assert_eq!(receiver_ident(&p, lock), Some("queue".into()));
-        let helper = f.calls.iter().find(|c| c.name() == "helper").unwrap();
-        assert_eq!(receiver_ident(&p, helper), None);
-        let second = f.calls.iter().rev().find(|c| c.name() == "lock").unwrap();
-        assert_eq!(receiver_ident(&p, second), None, "call-result receiver");
     }
 
     #[test]

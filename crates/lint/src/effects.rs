@@ -399,6 +399,9 @@ pub struct Query {
     pub fix: &'static str,
 }
 
+/// Reservation math and export callbacks that park the thread.
+pub const RULE_BLOCKING: &str = "blocking-context";
+
 const SANCTION_FIX: &str = "fix the site or sanction it with `// lint: sanction(<effect>): <why>`";
 
 /// The reachability rules.
@@ -411,9 +414,8 @@ const SANCTION_FIX: &str = "fix the site or sanction it with `// lint: sanction(
 ///   wall clock, park the OS thread, draw nondeterminism, or spawn threads
 ///   unless the site says why it may — those are what the deterministic
 ///   scheduler must own. Malformed pragmas are reported under this rule.
-/// - `blocking-context`, governor half: reservation math and telemetry
-///   export callbacks run under locks and on hot paths — they compute,
-///   never park. (The lock half is [`crate::rules::lockorder`].)
+/// - `blocking-context`: reservation math and telemetry export callbacks
+///   run under locks and on hot paths — they compute, never park.
 pub const QUERIES: &[Query] = &[
     Query {
         rule: "panic-reach",
@@ -433,7 +435,7 @@ pub const QUERIES: &[Query] = &[
         fix: SANCTION_FIX,
     },
     Query {
-        rule: crate::rules::lockorder::RULE_BLOCKING,
+        rule: RULE_BLOCKING,
         roots: GOVERNOR_FNS,
         forbidden: EffectSet::BLOCKS,
         report_in: None,

@@ -1,8 +1,7 @@
-//! The one interprocedural step the CFG rules share: a call whose
-//! resolution names exactly one in-scope function is *inlined* — the rule
-//! walks that function's [`cfg::Block`] in place of the call, so a
-//! collective sequence or a lock acquisition hidden in a helper still
-//! counts.
+//! The one interprocedural step of the CFG rule: a call whose resolution
+//! names exactly one in-scope function is *inlined* — the rule walks that
+//! function's [`cfg::Block`] in place of the call, so a collective
+//! sequence hidden in a helper still counts.
 //!
 //! The walk is depth-bounded and cycle-safe. A callee already on the
 //! walk's stack, or one that would sit more than [`MAX_DEPTH`] functions

@@ -128,7 +128,7 @@ fn fixture_rel(rule: &str) -> &'static str {
     match rule {
         "dropped-result" => "crates/veloc/src/__fixture__.rs",
         "relaxed-sync" => "crates/telemetry/src/__fixture__.rs",
-        "lock-order" | "rank-path-effects" => "crates/simmpi/src/__fixture__.rs",
+        "rank-path-effects" => "crates/simmpi/src/__fixture__.rs",
         "blocking-context" => "crates/cluster/src/__fixture__.rs",
         // panic-reach, wildcard-match, collective-match.
         _ => "crates/fenix/src/__fixture__.rs",

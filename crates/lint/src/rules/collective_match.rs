@@ -24,7 +24,7 @@ use crate::cfg::{Block, BranchNode, Step};
 use crate::diag::Diagnostic;
 use crate::inline::Inliner;
 use crate::parser::contains_word;
-use crate::rules::{comm_call, Comm};
+use crate::rules::collective;
 
 pub const RULE: &str = "collective-match";
 
@@ -183,7 +183,7 @@ fn block_seqs(
         match step {
             Step::Call(idx) => {
                 let call = &inl.ws.fn_item(id).calls[*idx];
-                if let Some((name, Comm::Collective)) = comm_call(inl.ws.file(id), call) {
+                if let Some(name) = collective(inl.ws.file(id), call) {
                     seqs.push_elem(name);
                 } else if let Some(callee) = inl.callee(id, call) {
                     let (callee_seqs, _) =

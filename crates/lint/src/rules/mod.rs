@@ -5,16 +5,16 @@
 //!
 //! - per-function rules over the parsed items: [`dropped_result`],
 //!   [`wildcard`] and [`relaxed_sync`];
-//! - CFG rules through the shared [`crate::inline`] walk:
-//!   [`collective_match`] and [`lockorder`].
+//! - a CFG rule through the [`crate::inline`] walk: [`collective_match`].
 //!
-//! The reachability rules (`panic-reach`, `rank-path-effects`, and the
-//! governor half of `blocking-context`) have no module here: they are rows
-//! of [`crate::effects::QUERIES`], over the root tables below.
+//! The reachability rules (`panic-reach`, `rank-path-effects` and
+//! `blocking-context`) have no module here: they are rows of
+//! [`crate::effects::QUERIES`], over the root tables below. Lock order and
+//! blocking under a held lock are checked at run time, by the parking_lot
+//! shim's lock-order witness.
 
 pub mod collective_match;
 pub mod dropped_result;
-pub mod lockorder;
 pub mod relaxed_sync;
 pub mod wildcard;
 
@@ -137,7 +137,7 @@ pub const RANK_ENTRY_FNS: EntryTable = &[
 /// Reservation math and export callbacks that must never park the
 /// thread: bandwidth-governor bookkeeping runs under the governor lock,
 /// and the telemetry exporters run on live failure-timeline paths.
-/// `blocking-context` roots its governor half here.
+/// `blocking-context` roots here.
 pub const GOVERNOR_FNS: EntryTable = &[
     (
         "cluster",
@@ -158,55 +158,38 @@ pub const GOVERNOR_FNS: EntryTable = &[
     ),
 ];
 
-/// What a communication call is to the two CFG rules.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Comm {
-    /// A data or recovery collective (`agree`, `shrink`, the rendezvous
-    /// and agreed-version calls, directly or through a layer above
-    /// simmpi): rank-uniform (`collective-match`) and blocking.
-    Collective,
-    /// The receive family and `checkpoint_wait`: blocking only.
-    Wait,
-}
-
-/// The collectives (and, for the blocking rule, the waits): the one list
-/// of method names the communication-aware rules recognise.
-const COLLECTIVES: &[(&str, Comm)] = &[
-    ("barrier", Comm::Collective),
-    ("allgather", Comm::Collective),
-    ("allreduce", Comm::Collective),
-    ("allreduce_scalar", Comm::Collective),
-    ("allreduce_with", Comm::Collective),
-    ("bcast", Comm::Collective),
-    ("bcast_bytes", Comm::Collective),
-    ("reduce", Comm::Collective),
-    ("reduce_with", Comm::Collective),
-    ("gather", Comm::Collective),
-    ("agree", Comm::Collective),
-    ("shrink", Comm::Collective),
-    ("rendezvous", Comm::Collective),
-    ("repair_rendezvous", Comm::Collective),
-    ("agree_intact_version", Comm::Collective),
-    ("latest_agreed_below", Comm::Collective),
-    ("possession", Comm::Collective),
-    ("recv", Comm::Wait),
-    ("recv_bytes", Comm::Wait),
-    ("recv_into", Comm::Wait),
-    ("recv_vec", Comm::Wait),
-    ("recv_timeout", Comm::Wait),
-    ("sendrecv", Comm::Wait),
-    ("checkpoint_wait", Comm::Wait),
+/// The data and recovery collectives (`agree`, `shrink`, the rendezvous
+/// and agreed-version calls, directly or through a layer above simmpi):
+/// the method names `collective-match` holds rank-uniform.
+const COLLECTIVES: &[&str] = &[
+    "barrier",
+    "allgather",
+    "allreduce",
+    "allreduce_scalar",
+    "allreduce_with",
+    "bcast",
+    "bcast_bytes",
+    "reduce",
+    "reduce_with",
+    "gather",
+    "agree",
+    "shrink",
+    "rendezvous",
+    "repair_rendezvous",
+    "agree_intact_version",
+    "latest_agreed_below",
+    "possession",
 ];
 
-/// Classify a method call against [`COLLECTIVES`]. `Iterator::reduce`
-/// takes one closure where `Comm::reduce` takes root + data, so `reduce`
-/// counts only from two arguments up.
-pub fn comm_call(file: &ParsedFile, call: &Call) -> Option<(&'static str, Comm)> {
+/// The collective a method call names, if any. `Iterator::reduce` takes
+/// one closure where `Comm::reduce` takes root + data, so `reduce` counts
+/// only from two arguments up.
+pub fn collective(file: &ParsedFile, call: &Call) -> Option<&'static str> {
     if call.kind != CallKind::Method {
         return None;
     }
-    let &(name, kind) = COLLECTIVES.iter().find(|(n, _)| call.name() == *n)?;
-    (name != "reduce" || cfg::call_arity(file, call) >= 2).then_some((name, kind))
+    let &name = COLLECTIVES.iter().find(|&&n| call.name() == n)?;
+    (name != "reduce" || cfg::call_arity(file, call) >= 2).then_some(name)
 }
 
 /// All rule identifiers, in report order.
@@ -216,7 +199,6 @@ pub const ALL_RULES: &[&str] = &[
     "wildcard-match",
     "relaxed-sync",
     "collective-match",
-    "lock-order",
     "blocking-context",
     "rank-path-effects",
 ];
@@ -237,7 +219,6 @@ pub fn run_all(ws: &Workspace, opts: GraphOpts) -> (Vec<Diagnostic>, EffectAnaly
         wildcard::check(ws, opts),
         relaxed_sync::check(ws, opts),
         collective_match::check(ws, &resolver, opts),
-        lockorder::check(ws, &resolver, opts),
     ]
     .into_iter()
     .flatten()

@@ -8,7 +8,7 @@
 //! mutant file does not churn the expectation. Each seeded violation sits
 //! where a per-file text rule could not see it: the panic and the sleep
 //! two calls below their entry points, the collective under a
-//! rank-dependent branch, the lock cycle across two functions.
+//! rank-dependent branch.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -21,9 +21,6 @@ const EXPECTED: &[(&str, &str, &str)] = &[
     ("cluster", "rank-path-effects", "Governor::warmup_backoff"),
     ("fenix", "collective-match", "lopsided_barrier"),
     ("fenix", "panic-reach", "rebuild_group"),
-    ("simmpi", "blocking-context", "Pair::recv_under_lock"),
-    ("simmpi", "lock-order", "Pair::ab"),
-    ("simmpi", "lock-order", "Pair::ba"),
     ("simmpi", "relaxed-sync", "abort_relaxed"),
 ];
 

@@ -174,7 +174,6 @@ impl CommitLayout {
 
 /// Per-rank redundancy memory. Create it *outside* the Fenix run loop so
 /// survivor copies persist across repairs.
-#[derive(Default)]
 pub struct RedStore {
     /// member id → this rank's own latest committed payload.
     own: Mutex<HashMap<u32, (u64, Bytes)>>,
@@ -182,6 +181,18 @@ pub struct RedStore {
     held: Mutex<HashMap<(u32, usize), HeldShard>>,
     /// member id → placement the latest commit was written under.
     layouts: Mutex<HashMap<u32, CommitLayout>>,
+}
+
+/// One lock per line: the parking_lot shim's lock-order witness classes a
+/// lock by the line that builds it, and a derive would give all three one.
+impl Default for RedStore {
+    fn default() -> Self {
+        RedStore {
+            own: Mutex::default(),
+            held: Mutex::default(),
+            layouts: Mutex::default(),
+        }
+    }
 }
 
 impl RedStore {

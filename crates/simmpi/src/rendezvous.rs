@@ -154,6 +154,7 @@ impl Router {
         combine: impl Fn(&[(usize, Bytes)]) -> Bytes,
     ) -> MpiResult<RendezvousOutcome> {
         debug_assert!(group.contains(&me), "rank {me} not in rendezvous group");
+        parking_lot::assert_no_locks_held();
         let entry = self.rendezvous.entry(key);
         let mut st = entry.state.lock();
         st.contribs.insert(me, contribution);

@@ -363,6 +363,7 @@ impl Router {
 
     /// Blocking receive. Returns the matched envelope.
     pub fn recv(&self, spec: MatchSpec<'_>) -> MpiResult<Envelope> {
+        parking_lot::assert_no_locks_held();
         let mb = self
             .mailboxes
             .get(spec.me)
@@ -532,6 +533,19 @@ mod tests {
             group,
             me,
         }
+    }
+
+    /// The peer that would satisfy a receive may need the lock the
+    /// receiver holds: the shim's witness rejects the call at entry.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "blocks on a peer while this thread holds")]
+    fn recv_under_a_held_lock_panics() {
+        let r = router(2);
+        r.send(0, env(1, 7, b"x")).unwrap();
+        let lock = Mutex::new(());
+        let _held = lock.lock();
+        let _ = r.recv(spec(0, Some(1), 7, &[0, 1]));
     }
 
     #[test]

@@ -259,6 +259,7 @@ impl Universe {
 
         // One world group for all ranks' handles.
         let world_group = Arc::new(Group::new((0..n).collect()));
+        let lock_order_violation = parking_lot::Mutex::new(None);
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
             for rank in 0..n {
@@ -269,6 +270,7 @@ impl Universe {
                 let config = &config;
                 let sched = sched.clone();
                 let phase_time = &phase_time;
+                let lock_order_violation = &lock_order_violation;
                 handles.push(scope.spawn(move || {
                     // Under DES this rank is a cooperative task: its modeled
                     // sleeps become scheduler events, and it runs only while
@@ -299,10 +301,15 @@ impl Universe {
                     };
                     let result = match std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
                         Ok(r) => r,
-                        Err(_) => {
+                        Err(payload) => {
                             // A panicking rank is indistinguishable from a
-                            // crash: mark it dead so peers observe it.
+                            // crash: mark it dead so peers observe it. A
+                            // lock-order violation is a bug, not a fault:
+                            // the launch re-raises it once every rank is done.
                             router.kill(rank);
+                            if is_lock_order_violation(payload.as_ref()) {
+                                lock_order_violation.lock().get_or_insert(payload);
+                            }
                             Err(MpiError::Killed)
                         }
                     };
@@ -342,6 +349,9 @@ impl Universe {
             router.set_sched(None);
             s.clear_hooks();
         }
+        if let Some(payload) = lock_order_violation.into_inner() {
+            std::panic::resume_unwind(payload);
+        }
         let wall = Duration::from_nanos(clock.now_ns().saturating_sub(start_ns));
 
         // The launch's work counts reach the metrics registry here, once:
@@ -380,4 +390,12 @@ impl Universe {
             aborted: router.is_aborted(),
         }
     }
+}
+
+/// Whether a rank's panic is the parking_lot shim's lock-order witness
+/// (`debug_assertions` builds) rather than a crash to recover from.
+fn is_lock_order_violation(payload: &(dyn std::any::Any + Send)) -> bool {
+    payload
+        .downcast_ref::<String>()
+        .is_some_and(|msg| msg.starts_with("lock-order witness"))
 }

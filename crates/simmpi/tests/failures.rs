@@ -42,6 +42,24 @@ fn injected_fault_kills_only_victim() {
     assert!(report.outcomes[2].result.is_ok());
 }
 
+/// A lock held into a blocking receive is a bug, not a crash: the launch
+/// fails with the witness's message instead of recovering the rank, and
+/// its peer still finishes.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "blocks on a peer while this thread holds")]
+fn lock_order_violation_fails_the_launch() {
+    let lock = parking_lot::Mutex::new(());
+    run_with_faults(2, FaultPlan::none(), UniverseConfig::default(), |ctx| {
+        let w = ctx.world();
+        if ctx.rank() == 0 {
+            let _held = lock.lock();
+            w.recv_vec::<u8>(Some(1), 1)?;
+        }
+        Ok(())
+    });
+}
+
 #[test]
 fn neighbor_observes_proc_failed() {
     // Rank 1 dies; rank 0 tries to receive from it and gets ProcFailed.

@@ -428,6 +428,7 @@ impl Client {
     /// Block until all asynchronous flushes complete. A no-op when flushing
     /// synchronously (nothing is ever outstanding).
     pub fn checkpoint_wait(&self) {
+        parking_lot::assert_no_locks_held();
         if let Some(backend) = &self.backend {
             // lint: sanction(blocks): delegates to the backend drain
             // barrier; same DES yield point. audited 2026-08.

@@ -93,7 +93,9 @@ cargo run -q --release --example integrated_api > /dev/null
 end
 
 begin "tier-1: cargo test -q"
-# Every suite of every member, at its in-tree defaults. The later stages
+# Every suite of every member, at its in-tree defaults, on the debug build:
+# every lock runs under the parking_lot shim's lock-order witness, which the
+# `--release` stages below compile out. The later stages
 # only add what needs a feature, `--release` or an env knob. The modelcheck
 # protocol suites (veloc flush, simmpi rendezvous and scheduler baton)
 # honour env overrides for deeper sweeps here, e.g.:

@@ -27,6 +27,17 @@
 //! `notify_one` and `notify_all` wake every modeled waiter — a legal
 //! spurious wakeup under the condvar contract, and one the explorer
 //! exploits to exercise waiter re-check loops.
+//!
+//! # Lock-order witness
+//!
+//! Under `debug_assertions` (every `cargo test`, never `--release`) the
+//! locks keep a run-time witness of their acquisition order, after the
+//! Linux kernel's lockdep. A lock's class is the line that built it
+//! (`#[track_caller]` on `new` and `default`). Taking a lock while the
+//! thread holds another class records that order in one global graph; an
+//! order that closes a cycle panics with the acquisition sites of both.
+//! Nesting within a class, `try_lock` and `Condvar::wait` add no order. A
+//! call that blocks until a peer acts first calls [`assert_no_locks_held`].
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -34,6 +45,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use loom::rt;
+
+mod witness;
+pub use witness::assert_no_locks_held;
 
 /// Acquire a mutex-style model gate. Returns `None` when the calling thread
 /// is not (or no longer) part of a model run.
@@ -54,16 +68,18 @@ fn gate_acquire(gate: &Arc<AtomicBool>) -> Option<Arc<AtomicBool>> {
 }
 
 /// Non-poisoning mutex with the parking_lot API.
-#[derive(Default)]
 pub struct Mutex<T: ?Sized> {
     gate: OnceLock<Arc<AtomicBool>>,
+    class: witness::Class,
     inner: std::sync::Mutex<T>,
 }
 
 impl<T> Mutex<T> {
+    #[cfg_attr(debug_assertions, track_caller)]
     pub const fn new(value: T) -> Self {
         Mutex {
             gate: OnceLock::new(),
+            class: witness::Class::here(),
             inner: std::sync::Mutex::new(value),
         }
     }
@@ -85,15 +101,19 @@ impl<T: ?Sized> Mutex<T> {
         gate_acquire(self.gate())
     }
 
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        let held = self.class.lock(true);
         let gate = self.model_acquire();
         MutexGuard {
             lock: self,
             inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
             gate,
+            _held: held,
         }
     }
 
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         let gate = if rt::is_modeled() {
             rt::yield_point();
@@ -105,28 +125,33 @@ impl<T: ?Sized> Mutex<T> {
         } else {
             None
         };
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard {
-                lock: self,
-                inner: Some(g),
-                gate,
-            }),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
-                lock: self,
-                inner: Some(e.into_inner()),
-                gate,
-            }),
+        let inner = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
             Err(std::sync::TryLockError::WouldBlock) => {
                 if let Some(g) = gate {
                     g.store(false, Ordering::Relaxed);
                 }
-                None
+                return None;
             }
-        }
+        };
+        Some(MutexGuard {
+            lock: self,
+            inner: Some(inner),
+            gate,
+            _held: self.class.lock(false),
+        })
     }
 
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl<T: Default> Default for Mutex<T> {
+    #[cfg_attr(debug_assertions, track_caller)]
+    fn default() -> Self {
+        Mutex::new(T::default())
     }
 }
 
@@ -146,6 +171,7 @@ pub struct MutexGuard<'a, T: ?Sized> {
     lock: &'a Mutex<T>,
     inner: Option<std::sync::MutexGuard<'a, T>>,
     gate: Option<Arc<AtomicBool>>,
+    _held: witness::Held,
 }
 
 impl<T: ?Sized> Drop for MutexGuard<'_, T> {
@@ -180,16 +206,18 @@ struct RwGate {
 }
 
 /// Non-poisoning reader-writer lock with the parking_lot API.
-#[derive(Default)]
 pub struct RwLock<T: ?Sized> {
     gate: OnceLock<Arc<RwGate>>,
+    class: witness::Class,
     inner: std::sync::RwLock<T>,
 }
 
 impl<T> RwLock<T> {
+    #[cfg_attr(debug_assertions, track_caller)]
     pub const fn new(value: T) -> Self {
         RwLock {
             gate: OnceLock::new(),
+            class: witness::Class::here(),
             inner: std::sync::RwLock::new(value),
         }
     }
@@ -204,7 +232,9 @@ impl<T: ?Sized> RwLock<T> {
         self.gate.get_or_init(|| Arc::new(RwGate::default()))
     }
 
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        let held = self.class.lock(true);
         let mut model = None;
         if rt::is_modeled() {
             let gate = Arc::clone(self.gate());
@@ -225,10 +255,13 @@ impl<T: ?Sized> RwLock<T> {
         RwLockReadGuard {
             inner: Some(self.inner.read().unwrap_or_else(|e| e.into_inner())),
             gate: model,
+            _held: held,
         }
     }
 
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        let held = self.class.lock(true);
         let mut model = None;
         if rt::is_modeled() {
             let gate = Arc::clone(self.gate());
@@ -256,11 +289,19 @@ impl<T: ?Sized> RwLock<T> {
         RwLockWriteGuard {
             inner: Some(self.inner.write().unwrap_or_else(|e| e.into_inner())),
             gate: model,
+            _held: held,
         }
     }
 
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl<T: Default> Default for RwLock<T> {
+    #[cfg_attr(debug_assertions, track_caller)]
+    fn default() -> Self {
+        RwLock::new(T::default())
     }
 }
 
@@ -273,6 +314,7 @@ impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
 pub struct RwLockReadGuard<'a, T: ?Sized> {
     inner: Option<std::sync::RwLockReadGuard<'a, T>>,
     gate: Option<Arc<RwGate>>,
+    _held: witness::Held,
 }
 
 impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
@@ -294,6 +336,7 @@ impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
     inner: Option<std::sync::RwLockWriteGuard<'a, T>>,
     gate: Option<Arc<RwGate>>,
+    _held: witness::Held,
 }
 
 impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
