@@ -199,3 +199,33 @@ fn heatdis_is_decomposition_invariant() {
         assert_eq!(a.to_bits(), b.to_bits(), "cell {i}: {a} vs {b}");
     }
 }
+
+/// The cluster's buffer pool over a coded peer-memory run, counted
+/// exactly: 4 active ranks and a spare under DES, `FenixRedstore` (RS 2+2
+/// on four nodes), six checkpoints of a 256 KiB frame, each frame packed
+/// and then shipped as three wire frames of 128 KiB. A version's buffers
+/// come back when the next version commits, so the first two versions
+/// miss and every later one is served from the pool. The counts repeat
+/// under DES; a stray clone that keeps a frame alive stops the recycling
+/// and moves them.
+#[test]
+fn a_coded_peer_memory_run_recycles_its_checkpoint_buffers() {
+    const POOLED_BYTES: usize = 2 * 8 * 64 * 512; // 512 rows × 64 cols × 2 buffers
+    let c = Cluster::new(ClusterConfig {
+        nodes: 5,
+        ranks_per_node: 1,
+        virtual_time: true,
+        ..ClusterConfig::default()
+    });
+    let cfg = ExperimentConfig {
+        backend: simmpi::Backend::Des { seed: 16 },
+        ..cfg(Strategy::FenixRedstore, 1)
+    };
+    let app = Heatdis::fixed(POOLED_BYTES, 64, ITERS);
+    let rec = run_experiment(&c, &app, &cfg, Arc::new(FaultPlan::none()));
+    assert_eq!(rec.iterations, ITERS);
+    let stats = c.pool().stats();
+    assert_eq!((stats.hits, stats.misses), (64, 32), "{stats:?}");
+    // The run let go of every frame, and the pool kept none of them.
+    assert_eq!((stats.outstanding_bytes, stats.retained_bytes), (0, 0));
+}

@@ -9,13 +9,18 @@
 //! but are not gated: they time a collective across rank threads, which is
 //! scheduler-noisy.
 //!
-//! Three configs time what the store leg itself runs rather than the `Vec`
+//! Four configs time what the store leg itself runs rather than the `Vec`
 //! adapters: `wire_rs4_2` is `store::coded_frames` (the three RS 2+2 wire
-//! frames of one payload, each built in place), and `gf_mul_acc_1m` /
+//! frames of one payload, each built in place, both parity rows in one
+//! pass), `wire_rs4_2_reference` is `store::coded_frames_per_row` (the same
+//! frames, one row at a time), both into buffers the cluster's pool
+//! recycles, as the store's are; and `gf_mul_acc_1m` /
 //! `gf_mul_acc_portable_1m` are one `gf256::mul_acc` over 1 MiB through the
 //! dispatch and through the portable kernel by name. The JSON's
-//! `gf256_kernel` says which kernel the dispatch chose on this host; where
-//! it is `ssse3` the gate asserts the dispatch is the faster.
+//! `gf256_kernel` says which kernel the `mul_acc` dispatch chose on this
+//! host, and `gf256_rows_kernel` which one `gf256::rows_into` did; where
+//! they are `ssse3` and `gfni` the gate asserts each dispatch is the
+//! faster.
 //!
 //! Replication has one config, `encode_k2` (one copy of the payload):
 //! `encode_k3` and `reconstruct_k2`/`_k3` timed two copies and one copy of
@@ -156,10 +161,19 @@ fn main() {
         let recovery_ns = recovery_median_ns(mode);
         record(&format!("recovery_{name}"), "median_ns", recovery_ns);
     }
-    // What the store leg calls, and the kernel under it.
+    // What the store leg calls, and the kernel under it. Each build holds
+    // the previous one's frames until it is done, as a store holds the last
+    // committed version, so the pool serves every build after the second.
     let rs4_2 = Code::Rs { n: 2, m: 2 };
-    let wire_ns = min_ns(|| store::coded_frames(rs4_2, 1, &data).expect("wire frames"));
+    let cluster = bench_cluster(1);
+    let pool = cluster.pool();
+    let mut held = Vec::new();
+    let wire_ns = min_ns(|| held = store::coded_frames(pool, rs4_2, 1, &data).expect("frames"));
     record("wire_rs4_2", "min_ns", wire_ns);
+    let reference_ns =
+        min_ns(|| held = store::coded_frames_per_row(pool, rs4_2, 1, &data).expect("frames"));
+    record("wire_rs4_2_reference", "min_ns", reference_ns);
+    drop(held);
     let src = payload(KERNEL_BYTES);
     let mut acc = vec![0u8; KERNEL_BYTES];
     let dispatch_ns = min_ns(|| gf256::mul_acc(black_box(&mut acc), &src, 0x53));
@@ -169,8 +183,9 @@ fn main() {
     write_results(
         "redundancy",
         &format!(
-            "\"bench\":\"redundancy\",\"payload_bytes\":{PAYLOAD_BYTES},\"recovery_bytes\":{RECOVERY_BYTES},\"kernel_bytes\":{KERNEL_BYTES},\"gf256_kernel\":\"{}\"",
-            gf256::kernel()
+            "\"bench\":\"redundancy\",\"payload_bytes\":{PAYLOAD_BYTES},\"recovery_bytes\":{RECOVERY_BYTES},\"kernel_bytes\":{KERNEL_BYTES},\"gf256_kernel\":\"{}\",\"gf256_rows_kernel\":\"{}\"",
+            gf256::kernel(),
+            gf256::rows_kernel()
         ),
         &lines,
     );

@@ -104,7 +104,8 @@ fn imr_recovery_detects_corrupted_partner_store_and_aborts_cleanly() {
                 if role == Role::Initial {
                     let region: Arc<dyn Protected> =
                         Arc::new(VecRegion::new(vec![comm.rank() as u8; 32]));
-                    let payload = serial::pack(None, &[(0, region)], &[]);
+                    let pool = comm.router().cluster().pool();
+                    let payload = serial::pack(pool, None, &[(0, region)], &[]);
                     group.store(0, 1, payload).map_err(|_| MpiError::Aborted)?;
                     // Whoever holds rank 0's copy rots it; nobody else does.
                     if store.tamper_held(0, 0) {

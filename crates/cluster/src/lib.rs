@@ -21,6 +21,9 @@
 //!   only when that node dies.
 //! * [`relaunch::RelaunchModel`] — the cost of tearing down and restarting an
 //!   entire MPI job, paid by non-Fenix recovery strategies.
+//! * [`pool::Pool`] — the cluster's one buffer pool: checkpoint frames and
+//!   wire shards recycled within the run that allocated them (host memory
+//!   only; it models nothing).
 //!
 //! Modeled durations are converted to real sleeps through a [`TimeScale`] so
 //! whole experiments finish in seconds.
@@ -33,6 +36,7 @@ pub mod inject;
 pub mod mutant;
 pub mod net;
 pub mod pfs;
+pub mod pool;
 pub mod relaunch;
 pub mod scratch;
 pub mod topology;
@@ -48,6 +52,7 @@ pub use clock::Clock;
 pub use inject::{FaultInjector, StorageTier};
 pub use net::Network;
 pub use pfs::ParallelFileSystem;
+pub use pool::Pool;
 pub use relaunch::RelaunchModel;
 pub use scratch::NodeScratch;
 pub use topology::Topology;
@@ -232,6 +237,8 @@ pub struct Cluster {
     /// Time source shared by every governor: wall by default, one virtual
     /// clock for the whole cluster when `config.virtual_time` is set.
     clock: Arc<Clock>,
+    /// Checkpoint buffers recycled within this cluster's runs.
+    pool: Arc<Pool>,
 }
 
 impl Cluster {
@@ -278,6 +285,7 @@ impl Cluster {
             scratch,
             injector: Arc::new(RwLock::new(None)),
             clock,
+            pool: Arc::new(Pool::new()),
         }
     }
 
@@ -309,6 +317,12 @@ impl Cluster {
     /// with [`ClusterConfig::virtual_time`].
     pub fn clock(&self) -> &Arc<Clock> {
         &self.clock
+    }
+
+    /// The cluster's buffer pool, shared by every clone of this cluster and
+    /// freed with the last one.
+    pub fn pool(&self) -> &Pool {
+        &self.pool
     }
 
     /// Install (or replace) the storage-path fault injector. The slot is

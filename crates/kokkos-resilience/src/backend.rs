@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use cluster::Cluster;
+use cluster::{Cluster, Pool};
 use kokkos::capture::Checkpointable;
 use simmpi::{Comm, MpiError, MpiResult};
 use telemetry::Recorder;
@@ -111,9 +111,10 @@ fn protected(views: &RegionViews) -> Vec<(u32, Arc<dyn Protected>)> {
 }
 
 /// Pack `views` into one self-contained checkpoint frame — what the
-/// peer-memory tiers store (they keep whole versions, never delta chains).
-pub fn pack_views(views: &RegionViews) -> Bytes {
-    veloc::serial::pack(None, &protected(views), &[])
+/// peer-memory tiers store (they keep whole versions, never delta chains) —
+/// in a buffer from the cluster's `pool`.
+pub fn pack_views(pool: &Pool, views: &RegionViews) -> Bytes {
+    veloc::serial::pack(pool, None, &protected(views), &[])
 }
 
 /// Restore `views` from a peer-memory frame. A blob that fails its
@@ -266,7 +267,8 @@ mod tests {
         let b: View<u64> = View::from_vec("b", vec![4, 5]);
         let views: Vec<(u32, Arc<dyn Checkpointable>)> =
             vec![(7, Arc::new(a.clone())), (9, Arc::new(b.clone()))];
-        let blob = pack_views(&views);
+        let c = cluster();
+        let blob = pack_views(c.pool(), &views);
         a.fill(0);
         b.fill(0);
         let nothing_restored = |case: &str| {
@@ -284,14 +286,14 @@ mod tests {
         nothing_restored("rotted");
 
         // An intact delta frame: peer memory holds no chain to resolve it.
-        let delta = veloc::serial::pack(Some(3), &protected(&views[..1]), &[9]);
+        let delta = veloc::serial::pack(c.pool(), Some(3), &protected(&views[..1]), &[9]);
         assert_eq!(unpack_views(&views, &delta), Err(MpiError::Aborted));
         nothing_restored("delta");
 
         // Intact full frames whose id set is not the views': one region
         // short, one region foreign (its first id matches — and must still
         // not be restored).
-        let short = pack_views(&views[..1]);
+        let short = pack_views(c.pool(), &views[..1]);
         assert_eq!(unpack_views(&views, &short), Err(MpiError::Aborted));
         let foreign: Vec<(u32, Arc<dyn Checkpointable>)> =
             vec![(7, Arc::new(a.clone())), (8, Arc::new(b.clone()))];
@@ -338,7 +340,7 @@ mod tests {
         let comm = simmpi::Comm::from_group(router, 1, 0, vec![0], 0);
         backend.checkpoint(&comm, "bk", 1, &region).unwrap();
         backend.wait();
-        let blob = pack_views(&region);
+        let blob = pack_views(c.pool(), &region);
         assert_eq!(counted.1.load(Relaxed), 0);
         let frame = veloc::serial::unpack(&blob).expect("intact");
         assert_eq!(

@@ -10,10 +10,13 @@
 //!
 //! There is one encoder, [`Code::shard_into`]: it writes any one shard of a
 //! payload into a buffer the caller owns, reading the payload where it lies
-//! — which is how the store builds a wire frame in one pass — and one
-//! decoder, [`Code::decode`], which borrows the survivors. [`xor_encode`],
-//! [`rs_encode`], [`xor_decode`] and [`rs_decode`] are the same two over
-//! one `Vec` per shard.
+//! — which is how the store builds a data shard's wire frame in one pass —
+//! and one decoder, [`Code::decode`], which borrows the survivors.
+//! [`Code::parity_into`] is the encoder's fast path for the parity half: it
+//! writes every parity shard in one pass over the payload
+//! ([`gf256::rows_into`]), and is property-tested against `shard_into` row
+//! by row. [`xor_encode`], [`rs_encode`], [`xor_decode`] and [`rs_decode`]
+//! are `shard_into` and `decode` over one `Vec` per shard.
 //!
 //! Decoding never panics on bad inputs: missing too many shards or
 //! inconsistent shard sizes surface as a typed [`CodecError`], because a
@@ -103,6 +106,11 @@ impl Code {
         self.geometry().map(|(n, m)| n + m)
     }
 
+    /// Parity shards: the last of [`Code::shards`].
+    pub fn parity_shards(self) -> Result<usize, CodecError> {
+        self.geometry().map(|(_, m)| m)
+    }
+
     /// Length of every shard of a `payload_len`-byte payload.
     pub fn shard_len(self, payload_len: usize) -> Result<usize, CodecError> {
         self.geometry().map(|(n, _)| payload_len.div_ceil(n))
@@ -169,6 +177,38 @@ impl Code {
                 )));
             }
         }
+        Ok(())
+    }
+
+    /// Write every parity shard of `payload`'s encoding into `parity`, one
+    /// buffer per parity row, each one shard long: the same bytes
+    /// [`Code::shard_into`] writes for shards `n..n + m`, computed in one
+    /// pass over the payload with each output byte written once
+    /// ([`gf256::rows_into`]). The buffers need not be zero.
+    pub fn parity_into(self, payload: &[u8], parity: &mut [&mut [u8]]) -> Result<(), CodecError> {
+        let (n, m) = self.geometry()?;
+        let len = payload.len().div_ceil(n);
+        if parity.len() != m {
+            return Err(CodecError::BadGeometry(format!(
+                "{} parity buffers for a {n}+{m} code",
+                parity.len()
+            )));
+        }
+        if let Some(odd) = parity.iter().find(|p| p.len() != len) {
+            return Err(CodecError::ShardSizeMismatch {
+                expected: len,
+                got: odd.len(),
+            });
+        }
+        let slices: Vec<&[u8]> = payload
+            .chunks(len.max(1))
+            .chain(std::iter::repeat(&[] as &[u8]))
+            .take(n)
+            .collect();
+        let coeffs: Vec<u8> = (0..m)
+            .flat_map(|row| (0..n).map(move |j| self.coeff(row, j)))
+            .collect();
+        gf256::rows_into(parity, &slices, &coeffs);
         Ok(())
     }
 
@@ -373,6 +413,27 @@ mod tests {
             code.shard_into(&p, 4, &mut [0; 5]),
             Err(CodecError::BadGeometry(_))
         ));
+    }
+
+    #[test]
+    fn parity_into_checks_the_buffers() {
+        let code = Code::Rs { n: 2, m: 2 };
+        let p = payload(9);
+        let (mut a, mut b, mut c) = ([0u8; 5], [0u8; 5], [0u8; 4]);
+        assert!(matches!(
+            code.parity_into(&p, &mut [&mut a]),
+            Err(CodecError::BadGeometry(_))
+        ));
+        assert_eq!(
+            code.parity_into(&p, &mut [&mut a, &mut c]),
+            Err(CodecError::ShardSizeMismatch {
+                expected: 5,
+                got: 4
+            })
+        );
+        code.parity_into(&p, &mut [&mut a, &mut b]).unwrap();
+        let shards = rs_encode(&p, 2, 2).unwrap();
+        assert_eq!((&a[..], &b[..]), (&shards[2][..], &shards[3][..]));
     }
 
     #[test]

@@ -29,6 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
+use cluster::Pool;
 use parking_lot::Mutex;
 use simmpi::{Comm, MpiError};
 use telemetry::Event;
@@ -296,24 +297,78 @@ fn code_of(mode: RedundancyMode, s: usize) -> Option<Code> {
 /// failure as one erasure.) Replicas travel bare (see
 /// [`RedundancyGroup::exchange`]).
 ///
-/// Each frame is built once, in the buffer that goes on the wire: the
-/// header, then the shard written straight behind it by
-/// [`Code::shard_into`] — one copy of the payload's slice for a data shard,
-/// parity accumulated in place. `pub` for the redundancy bench and the
-/// wire-format test, which hold it to `header ++ rs_encode(..)[index]`.
-pub fn coded_frames(code: Code, version: u64, payload: &[u8]) -> Result<Vec<Bytes>, CodecError> {
-    let shard_len = code.shard_len(payload.len())?;
-    (1..code.shards()?)
-        .map(|index| {
-            let mut wire = vec![0u8; HEADER_LEN + shard_len];
-            wire[..8].copy_from_slice(&version.to_le_bytes());
-            wire[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-            // A code has at most 256 shards, so the index fits its byte.
-            wire[16..HEADER_LEN].copy_from_slice(&[index as u8]);
-            code.shard_into(payload, index, &mut wire[HEADER_LEN..])?;
-            Ok(Bytes::from(wire))
-        })
-        .collect()
+/// Each frame is built once, in the buffer that goes on the wire, taken
+/// zeroed from the cluster's `pool` (fresh on a miss) and handed back to
+/// it when the last holder drops the frame: the header, then the shard
+/// written straight behind it — one copy of the payload's slice for a data
+/// shard ([`Code::shard_into`]), and every parity shard in one pass over
+/// the payload ([`Code::parity_into`]). `pub` for the redundancy bench and
+/// the wire-format test, which hold it to `header ++ rs_encode(..)[index]`
+/// and to [`coded_frames_per_row`].
+pub fn coded_frames(
+    pool: &Pool,
+    code: Code,
+    version: u64,
+    payload: &[u8],
+) -> Result<Vec<Bytes>, CodecError> {
+    let mut frames = wire_buffers(pool, code, version, payload)?;
+    // Frames 1..n carry data shards, the last m the parity.
+    let data = frames.len().saturating_sub(code.parity_shards()?);
+    let (data_frames, parity_frames) = frames.split_at_mut(data);
+    for (index, wire) in (1..).zip(data_frames.iter_mut()) {
+        code.shard_into(
+            payload,
+            index,
+            wire.get_mut(HEADER_LEN..).unwrap_or_default(),
+        )?;
+    }
+    let mut parity: Vec<&mut [u8]> = parity_frames
+        .iter_mut()
+        .map(|wire| wire.get_mut(HEADER_LEN..).unwrap_or_default())
+        .collect();
+    code.parity_into(payload, &mut parity)?;
+    Ok(frames.into_iter().map(|wire| pool.share(wire)).collect())
+}
+
+/// The frames [`coded_frames`] builds, every shard written by
+/// [`Code::shard_into`], parity included, one row at a time over the
+/// payload: the reference the one-pass build is tested against and the
+/// bench times it against (`wire_rs4_2_reference`, in the same pooled
+/// buffers). No production path calls it.
+pub fn coded_frames_per_row(
+    pool: &Pool,
+    code: Code,
+    version: u64,
+    payload: &[u8],
+) -> Result<Vec<Bytes>, CodecError> {
+    let mut frames = wire_buffers(pool, code, version, payload)?;
+    for (index, wire) in (1..).zip(frames.iter_mut()) {
+        code.shard_into(
+            payload,
+            index,
+            wire.get_mut(HEADER_LEN..).unwrap_or_default(),
+        )?;
+    }
+    Ok(frames.into_iter().map(|wire| pool.share(wire)).collect())
+}
+
+/// One zeroed buffer per travelling shard of `payload`, header written.
+fn wire_buffers(
+    pool: &Pool,
+    code: Code,
+    version: u64,
+    payload: &[u8],
+) -> Result<Vec<Vec<u8>>, CodecError> {
+    let len = HEADER_LEN + code.shard_len(payload.len())?;
+    let frames = (1..code.shards()?).map(|index| {
+        let mut wire = pool.take(len).unwrap_or_else(|| vec![0u8; len]);
+        wire[..8].copy_from_slice(&version.to_le_bytes());
+        wire[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        // A code has at most 256 shards, so the index fits its byte.
+        wire[16..HEADER_LEN].copy_from_slice(&[index as u8]);
+        wire
+    });
+    Ok(frames.collect())
 }
 
 /// Hold a received frame to what the collective already knows about it,
@@ -554,7 +609,7 @@ impl<'a> RedundancyGroup<'a> {
                 .map(|dst| (dst, data.len(), data.clone()))
                 .collect(),
             // Shard `i` goes to the member `i` places after its owner.
-            Some(code) => coded_frames(code, version, data)?
+            Some(code) => coded_frames(self.comm.router().cluster().pool(), code, version, data)?
                 .into_iter()
                 .zip(group.iter().cycle().skip(pos + 1))
                 .map(|(wire, &dst)| (dst, wire.len() - HEADER_LEN, wire))
@@ -876,11 +931,16 @@ mod tests {
 
     const RS22: Code = Code::Rs { n: 2, m: 2 };
 
+    fn cluster() -> cluster::Cluster {
+        cluster::Cluster::new(cluster::ClusterConfig::default())
+    }
+
     #[test]
     fn coded_store_leg_wire_bytes_are_unchanged() {
         // What pins modelled time: message count, sizes and bytes are those
         // of `frame(version, len, i, &rs_encode(..)[i])`, which the store
         // leg used to build from a split copy of the payload.
+        let cluster = cluster();
         for code in [RS22, Code::Rs { n: 3, m: 2 }, Code::Xor { n: 2 }] {
             let (n, shards) = match code {
                 Code::Rs { n, m } => (n, n + m),
@@ -893,8 +953,13 @@ mod tests {
                     Code::Xor { n } => codec::xor_encode(&p, n),
                 }
                 .expect("encode");
-                let frames = coded_frames(code, 9, &p).expect("frames");
+                let frames = coded_frames(cluster.pool(), code, 9, &p).expect("frames");
                 assert_eq!(frames.len(), shards - 1, "{code:?}, {len} bytes");
+                let per_row = coded_frames_per_row(cluster.pool(), code, 9, &p).expect("frames");
+                assert!(
+                    frames == per_row,
+                    "{code:?}, {len} bytes: one pass and per row differ"
+                );
                 for (frame_i, index) in frames.iter().zip(1..) {
                     let want = frame(9, len as u64, index, &encoded[index as usize]);
                     assert!(frame_i == &want, "{code:?}, {len} bytes, shard {index}");
@@ -903,10 +968,35 @@ mod tests {
         }
     }
 
+    /// Frames built into recycled buffers that the pool's previous user
+    /// left full of `0xAA` are byte for byte the frames built into fresh
+    /// ones: the pool hands buffers out zeroed, and a data shard's padding
+    /// (a short last slice) is what shows it.
+    #[test]
+    fn frames_built_in_a_poisoned_recycled_buffer_equal_fresh_ones() {
+        let cluster = cluster();
+        let pool = cluster.pool();
+        for code in [RS22, Code::Rs { n: 3, m: 2 }, Code::Xor { n: 3 }] {
+            for len in [3 << 18, (3 << 18) + 1, (1 << 20) - 1] {
+                let p = payload(len);
+                let fresh = coded_frames(pool, code, 9, &p).expect("frames");
+                // Lend and return one poisoned buffer per frame while the
+                // fresh frames stay outstanding, so the pool retains them.
+                for frame in &fresh {
+                    drop(pool.share(vec![0xAA; frame.len()]));
+                }
+                let hits = pool.stats().hits;
+                let recycled = coded_frames(pool, code, 9, &p).expect("frames");
+                assert_eq!(pool.stats().hits - hits, fresh.len() as u64);
+                assert!(fresh == recycled, "{code:?}, {len} bytes");
+            }
+        }
+    }
+
     #[test]
     fn a_received_frame_is_held_to_version_slot_and_length() {
         let p = payload(9);
-        let good = coded_frames(RS22, 4, &p).expect("frames")[1].clone();
+        let good = coded_frames(cluster().pool(), RS22, 4, &p).expect("frames")[1].clone();
         assert_eq!(check_frame(&good, RS22, 4, 2), Ok(9));
         // Not even a header.
         assert!(matches!(
@@ -948,7 +1038,8 @@ mod tests {
     #[test]
     fn reconstruct_round_trips_and_rejects_senders_that_disagree() {
         let p = payload(9);
-        let frames = coded_frames(RS22, 4, &p).expect("frames");
+        let cluster = cluster();
+        let frames = coded_frames(cluster.pool(), RS22, 4, &p).expect("frames");
         // Shard 0 died with its owner; any two of the other three do.
         for lost in 1..4 {
             let sent: Vec<(usize, Bytes)> = (1..4)
@@ -965,7 +1056,7 @@ mod tests {
         ));
         // Two well-formed frames of payloads of 9 and 10 bytes: both have
         // 5-byte shards, so only the recorded lengths tell them apart.
-        let other = coded_frames(RS22, 4, &payload(10)).expect("frames");
+        let other = coded_frames(cluster.pool(), RS22, 4, &payload(10)).expect("frames");
         let mixed = [(1, frames[0].clone()), (2, other[1].clone())];
         assert!(matches!(
             reconstruct(RS22, 4, &mixed),
@@ -1008,7 +1099,8 @@ mod tests {
             let tag = RedundancyGroup::tag(0, 0);
             if me == 0 {
                 // Shard `i` belongs with rank `i`; send it one further.
-                let frames = coded_frames(RS22, 2, &mine).expect("frames");
+                let pool = comm.router().cluster().pool();
+                let frames = coded_frames(pool, RS22, 2, &mine).expect("frames");
                 for (frame, dst) in frames.into_iter().zip([2, 3, 1]) {
                     comm.send_bytes(dst, tag, frame)?;
                 }

@@ -1,11 +1,15 @@
 //! Property suite for the erasure codecs: encode → erase → decode must
 //! round-trip bitwise for arbitrary payloads (zero-length and
 //! non-shard-multiple sizes included), and erasures beyond the code's
-//! tolerance must surface as a typed error — never a panic.
+//! tolerance must surface as a typed error — never a panic. Both GF(256)
+//! kernel families (`mul_acc`, `rows_into`) are held to the field's
+//! definition, and the one-pass parity encoder to the per-row one.
 
 use proptest::prelude::*;
-use redstore::codec::{rs_decode, rs_encode, xor_decode, xor_encode, CodecError};
-use redstore::gf256::{mul_acc, mul_acc_portable, mul_bitwise};
+use redstore::codec::{rs_decode, rs_encode, xor_decode, xor_encode, Code, CodecError};
+use redstore::gf256::{
+    mul_acc, mul_acc_portable, mul_bitwise, rows_into, rows_into_per_row, rows_kernel,
+};
 
 /// Deterministic erasure pattern: kill `holes` distinct slots chosen by a
 /// seed, spread over the slot space.
@@ -199,5 +203,158 @@ proptest! {
         mul_acc(&mut got, &big_src[..long - 21], coeff);
         check_kernels(&big_acc[..long - 21], &big_src[..long - 21], coeff, (0, 0));
         prop_assert!(got[long - 21..] == big_acc[long - 21..], "bytes past a short src moved");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The rows kernels. `gf256::rows_into` dispatches to the `gf2p8affineqb`
+// kernel where the CPU has GFNI and AVX-512 and runs `rows_into_per_row`
+// (each row zeroed, then one `mul_acc` pass per source) elsewhere;
+// `Code::parity_into` is the encoder over it. Both kernels must agree with
+// the field's definition (`mul_bitwise`) on every coefficient, around the
+// GFNI kernel's 64-byte block (it masks its loads and stores), at every
+// alignment, with sources shorter than the rows or empty, and on rows that
+// hold garbage before the call (a recycled buffer): every byte is written.
+// ---------------------------------------------------------------------------
+
+/// `TABLE[c][s] = c · s` from the bit-by-bit definition.
+fn schoolbook_table() -> Vec<[u8; 256]> {
+    (0..=255u8)
+        .map(|c| {
+            let mut row = [0u8; 256];
+            for (s, p) in row.iter_mut().enumerate() {
+                *p = mul_bitwise(c, s as u8);
+            }
+            row
+        })
+        .collect()
+}
+
+/// Run both rows kernels over poisoned rows of `len` bytes at offset
+/// `row_off` and hold each to the schoolbook sum. `label` names a failure.
+fn check_rows(
+    table: &[[u8; 256]],
+    len: usize,
+    row_off: usize,
+    srcs: &[&[u8]],
+    coeffs: &[u8],
+    label: &str,
+) {
+    let m = coeffs.len() / srcs.len().max(1);
+    let want: Vec<Vec<u8>> = (0..m)
+        .map(|i| {
+            (0..len)
+                .map(|k| {
+                    srcs.iter().enumerate().fold(0u8, |acc, (j, s)| {
+                        let x = s.get(k).copied().unwrap_or(0);
+                        acc ^ table[coeffs[i * srcs.len() + j] as usize][x as usize]
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    for (name, kernel) in [
+        (
+            "dispatch",
+            rows_into as fn(&mut [&mut [u8]], &[&[u8]], &[u8]),
+        ),
+        ("per_row", rows_into_per_row),
+    ] {
+        let mut bufs: Vec<Vec<u8>> = (0..m).map(|_| vec![0xAA; row_off + len]).collect();
+        let mut rows: Vec<&mut [u8]> = bufs.iter_mut().map(|b| &mut b[row_off..]).collect();
+        kernel(&mut rows, srcs, coeffs);
+        for (i, (got, want)) in rows.iter().zip(&want).enumerate() {
+            assert!(
+                got[..] == want[..],
+                "{name} kernel ({}), {label}, row {i}, len {len}",
+                rows_kernel()
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+    #[test]
+    fn rows_kernels_equal_schoolbook(
+        seed in any::<u64>(),
+        data in proptest::collection::vec(any::<u8>(), 3 * 400..3 * 400 + 1),
+        big in proptest::collection::vec(any::<u8>(), 2 * 65_600..140_000),
+    ) {
+        let table = schoolbook_table();
+        // Two rows over three sources: one as long as the rows, one short
+        // by an amount that rotates with the length, one empty or short.
+        // Every length 0..=300 (straddling the 64-byte block four times),
+        // all 256 coefficients in every slot of the matrix as the length
+        // advances, and the start offsets of rows and sources rotating
+        // through all 64 positions of a block.
+        let (a, rest) = data.split_at(400);
+        let (b, c) = rest.split_at(400);
+        for len in 0..=300usize {
+            let base = (len as u8).wrapping_mul(7) ^ seed as u8;
+            let coeffs: Vec<u8> = (0..6u8).map(|k| base.wrapping_add(k.wrapping_mul(43))).collect();
+            let (s_off, r_off) = (len % 64, (len * 5 + (seed as usize >> 8)) % 64);
+            let short = len.saturating_sub(1 + len % 70);
+            let third = if len % 3 == 0 { 0 } else { len / 2 };
+            let srcs: [&[u8]; 3] = [&a[s_off..s_off + len], &b[s_off..s_off + short], &c[..third]];
+            check_rows(&table, len, r_off, &srcs, &coeffs, &format!("offsets {s_off}/{r_off}"));
+        }
+        // Every coefficient at one block and a tail, as the only source.
+        for coeff in 0..=255u8 {
+            let off = coeff as usize % 64;
+            check_rows(&table, 100, off, &[&a[off..off + 100]], &[coeff], "single source");
+        }
+        // Past 64 KiB (a real shard's size class), at a few alignments.
+        let long = big.len() / 2;
+        let (x, y) = big.split_at(long);
+        for off in [0usize, 1, 63] {
+            let coeffs = [seed as u8, (seed >> 8) as u8 | 1, 1, (seed >> 16) as u8];
+            let srcs: [&[u8]; 2] = [&x[off..], &y[off..long - 37]];
+            check_rows(&table, long - off, off, &srcs, &coeffs, "past 64 KiB");
+        }
+    }
+
+    /// `parity_into` writes exactly the parity shards `shard_into` writes
+    /// one row at a time, into buffers that held garbage: payloads of
+    /// every length up to 300 bytes and past 64 KiB, at rotating start
+    /// offsets, with short and empty last slices (a length under
+    /// `n · (shard_len − 1)` leaves whole slices empty), on codes up to the
+    /// n + m = 256 limit.
+    #[test]
+    fn parity_into_equals_shard_into_row_by_row(
+        seed in any::<u64>(),
+        data in proptest::collection::vec(any::<u8>(), 70_000..70_001),
+    ) {
+        let check = |code: Code, payload: &[u8]| {
+            let len = code.shard_len(payload.len()).expect("geometry");
+            let shards = code.shards().expect("geometry");
+            let m = code.parity_shards().expect("geometry");
+            let mut bufs: Vec<Vec<u8>> = (0..m).map(|_| vec![0xAA; len]).collect();
+            let mut parity: Vec<&mut [u8]> = bufs.iter_mut().map(|b| &mut b[..]).collect();
+            code.parity_into(payload, &mut parity).expect("parity");
+            for (row, got) in parity.iter().enumerate() {
+                let mut want = vec![0u8; len];
+                code.shard_into(payload, shards - m + row, &mut want).expect("shard");
+                assert!(
+                    got[..] == want[..],
+                    "{code:?}, {} bytes, parity row {row} ({})",
+                    payload.len(),
+                    rows_kernel()
+                );
+            }
+        };
+        for plen in 0..=300usize {
+            let n = 1 + (plen + seed as usize) % 7;
+            let m = 1 + plen % 4;
+            let off = (plen * 13) % 64;
+            let payload = &data[off..off + plen];
+            check(Code::Rs { n, m }, payload);
+            check(Code::Xor { n }, payload);
+        }
+        for (n, m) in [(252, 4), (128, 128), (2, 2), (3, 2)] {
+            for plen in [0, 1, 300, 65_537, 69_999] {
+                check(Code::Rs { n, m }, &data[1..1 + plen]);
+            }
+        }
     }
 }

@@ -90,8 +90,9 @@ impl DataBackend for RedstoreBackend {
         views: &RegionViews,
     ) -> MpiResult<()> {
         let group = RedundancyGroup::new(Arc::clone(&self.store), comm, self.mode);
+        let frame = pack_views(comm.router().cluster().pool(), views);
         group
-            .store(Self::member_of(name), version, pack_views(views))
+            .store(Self::member_of(name), version, frame)
             .map_err(red_err)
     }
 

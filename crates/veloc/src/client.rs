@@ -328,7 +328,7 @@ impl Client {
             .filter(|(id, _)| !unchanged_set.contains(id))
             .map(|(id, r)| (*id, Arc::clone(r)))
             .collect();
-        let blob = serial::pack(base, &changed, &unchanged);
+        let blob = serial::pack(self.cluster.pool(), base, &changed, &unchanged);
         if let Some(metrics) = rec.metrics() {
             let protected: usize = handles.iter().map(|(_, r)| r.byte_len()).sum();
             metrics

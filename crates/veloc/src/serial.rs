@@ -50,6 +50,7 @@ use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
+use cluster::Pool;
 
 use crate::region::Protected;
 
@@ -446,14 +447,16 @@ impl Frame {
 /// protected memory to the frame — and is checksummed there. A region whose
 /// byte length drifted between planning and serialization (a concurrent
 /// resize) invalidates the planned layout; the frame is then planned again
-/// from owned snapshots, whose lengths cannot move.
+/// from owned snapshots, whose lengths cannot move. The frame's buffer
+/// comes from, and goes back to, the cluster's `pool` ([`FrameBuilder`]).
 pub fn pack(
+    pool: &Pool,
     base_version: Option<u64>,
     changed: &[(u32, Arc<dyn Protected>)],
     unchanged: &[u32],
 ) -> Bytes {
     let plan: Vec<(u32, usize)> = changed.iter().map(|(id, r)| (*id, r.byte_len())).collect();
-    let mut builder = FrameBuilder::new(base_version, &plan, unchanged);
+    let mut builder = FrameBuilder::new(pool, base_version, &plan, unchanged);
     let filled = changed.iter().enumerate().all(|(i, (_, r))| {
         let slot = builder.payload_mut(i);
         let fits = r.snapshot_into(slot);
@@ -472,7 +475,7 @@ pub fn pack(
         .zip(&snaps)
         .map(|((id, _), snap)| (*id, snap.len()))
         .collect();
-    let mut builder = FrameBuilder::new(base_version, &plan, unchanged);
+    let mut builder = FrameBuilder::new(pool, base_version, &plan, unchanged);
     for (i, snap) in snaps.iter().enumerate() {
         builder.payload_mut(i).copy_from_slice(snap);
         builder.set_crc(i, crc32(snap));
@@ -564,7 +567,13 @@ fn advise_huge_pages(buf: &mut [MaybeUninit<u8>]) {
 /// output is byte-identical to the copying [`pack_frame`] on the same
 /// content (`builder_output_matches_pack_frame` below holds the two
 /// together).
-pub struct FrameBuilder {
+///
+/// The buffer is the cluster pool's: a recycled one, zeroed, when the pool
+/// has one that fits (`cluster::pool`), else a fresh allocation advised
+/// onto huge pages before it is zeroed. Either way the sealed frame hands
+/// it back to the pool when its last holder drops it.
+pub struct FrameBuilder<'a> {
+    pool: &'a Pool,
     buf: Vec<u8>,
     /// Per changed region: offset of its CRC field in the meta table.
     crc_offsets: Vec<usize>,
@@ -574,25 +583,34 @@ pub struct FrameBuilder {
     meta_end: usize,
 }
 
-impl FrameBuilder {
+impl<'a> FrameBuilder<'a> {
     /// Lay out a frame for `changed` regions `(id, byte length)` in frame
-    /// order, plus `unchanged` references. Payload slots come back zeroed;
-    /// the caller fills each and records its CRC via [`Self::set_crc`].
-    pub fn new(base_version: Option<u64>, changed: &[(u32, usize)], unchanged: &[u32]) -> Self {
+    /// order, plus `unchanged` references, in a buffer from `pool`. Payload
+    /// slots come back zeroed; the caller fills each and records its CRC
+    /// via [`Self::set_crc`].
+    pub fn new(
+        pool: &'a Pool,
+        base_version: Option<u64>,
+        changed: &[(u32, usize)],
+        unchanged: &[u32],
+    ) -> Self {
         debug_assert!(
             base_version.is_some() || unchanged.is_empty(),
             "a full frame cannot reference unchanged regions"
         );
         let meta_len = 16 + 4 * unchanged.len() + 16 * changed.len();
         let payload_len: usize = changed.iter().map(|&(_, len)| len).sum();
-        // Reserve, advise, then zero: the advice must come before the first
-        // write. `vec![0; n]` would zero inside the allocator, which for a
-        // block it recycles (the common case once a frame has been freed)
-        // means writing every page before the advice exists.
+        // On a miss: reserve, advise, then zero. The advice must come
+        // before the first write. `vec![0; n]` would zero inside the
+        // allocator, which for a block it recycles means writing every page
+        // before the advice exists.
         let len = 8 + meta_len + payload_len;
-        let mut buf = Vec::with_capacity(len);
-        advise_huge_pages(buf.spare_capacity_mut());
-        buf.resize(len, 0u8);
+        let mut buf = pool.take(len).unwrap_or_else(|| {
+            let mut buf = Vec::with_capacity(len);
+            advise_huge_pages(buf.spare_capacity_mut());
+            buf.resize(len, 0u8);
+            buf
+        });
         buf[..4].copy_from_slice(&MAGIC);
         let mut w = 8usize;
         // `base_version + 1` so 0 can mean "full"; versions are iteration
@@ -628,6 +646,7 @@ impl FrameBuilder {
             p += len;
         }
         FrameBuilder {
+            pool,
             buf,
             crc_offsets,
             payload_slots,
@@ -650,13 +669,13 @@ impl FrameBuilder {
         }
     }
 
-    /// Stamp the meta CRC and freeze the frame. The caller must have
-    /// filled every payload slot and set every CRC — `seal` cannot tell an
-    /// unfilled slot from genuine zeroes.
+    /// Stamp the meta CRC and freeze the frame, lent from the pool. The
+    /// caller must have filled every payload slot and set every CRC —
+    /// `seal` cannot tell an unfilled slot from genuine zeroes.
     pub fn seal(mut self) -> Bytes {
         let crc = crc32(&self.buf[8..self.meta_end]);
         put_u32_at(&mut self.buf, 4, crc);
-        Bytes::from(self.buf)
+        self.pool.share(self.buf)
     }
 }
 
@@ -812,6 +831,15 @@ pub fn unpack(blob: &Bytes) -> Option<Frame> {
 mod tests {
     use super::*;
     use crate::region::VecRegion;
+    use cluster::{Cluster, ClusterConfig};
+
+    /// A pool for tests that do not count its hits: one cluster's, shared.
+    fn pool() -> &'static Pool {
+        static CLUSTER: std::sync::OnceLock<Cluster> = std::sync::OnceLock::new();
+        CLUSTER
+            .get_or_init(|| Cluster::new(ClusterConfig::default()))
+            .pool()
+    }
 
     #[test]
     fn roundtrip_empty() {
@@ -888,7 +916,7 @@ mod tests {
             let reference = pack_frame(base, &payloads, unchanged);
 
             let plan: Vec<(u32, usize)> = payloads.iter().map(|(id, p)| (*id, p.len())).collect();
-            let mut b = FrameBuilder::new(base, &plan, unchanged);
+            let mut b = FrameBuilder::new(pool(), base, &plan, unchanged);
             for (i, (_, p)) in payloads.iter().enumerate() {
                 b.payload_mut(i).copy_from_slice(p);
                 b.set_crc(i, crc32(p));
@@ -912,7 +940,7 @@ mod tests {
             ),
         ];
         let plan: Vec<(u32, usize)> = payloads.iter().map(|(id, p)| (*id, p.len())).collect();
-        let mut b = FrameBuilder::new(None, &plan, &[]);
+        let mut b = FrameBuilder::new(pool(), None, &plan, &[]);
         for (i, (_, p)) in payloads.iter().enumerate() {
             b.payload_mut(i).copy_from_slice(p);
             b.set_crc(i, crc32(p));
@@ -924,7 +952,7 @@ mod tests {
     fn seal_hands_over_the_builders_buffer() {
         // The frame a region serialized into *is* the sealed blob: `seal`
         // moves the buffer into the `Bytes`, it does not copy it.
-        let mut b = FrameBuilder::new(None, &[(1, 4096), (2, 16)], &[]);
+        let mut b = FrameBuilder::new(pool(), None, &[(1, 4096), (2, 16)], &[]);
         let slots: Vec<*const u8> = (0..2).map(|i| b.payload_mut(i).as_ptr()).collect();
         let blob = b.seal();
         let meta = parse_meta(&blob).expect("well-formed");
@@ -948,12 +976,44 @@ mod tests {
                 .collect();
             let snaps: Vec<(u32, Bytes)> =
                 regions.iter().map(|(id, r)| (*id, r.snapshot())).collect();
-            assert_eq!(pack(None, &regions, &[]), pack_frame(None, &snaps, &[]));
             assert_eq!(
-                pack(Some(4), &regions, &[9]),
+                pack(pool(), None, &regions, &[]),
+                pack_frame(None, &snaps, &[])
+            );
+            assert_eq!(
+                pack(pool(), Some(4), &regions, &[9]),
                 pack_frame(Some(4), &snaps, &[9])
             );
         }
+    }
+
+    /// A frame packed into a recycled buffer that the pool's previous user
+    /// left full of `0xAA` is byte for byte the frame packed into a fresh
+    /// one.
+    #[test]
+    fn a_frame_packed_in_a_poisoned_recycled_buffer_equals_a_fresh_one() {
+        let cluster = Cluster::new(ClusterConfig::default());
+        let pool = cluster.pool();
+        let regions: Vec<(u32, Arc<dyn Protected>)> = [(3u32, 300_001usize), (8, 77)]
+            .into_iter()
+            .map(|(id, len)| {
+                let bytes = (0..len).map(|i| (i * 7 + id as usize) as u8).collect();
+                let r: Arc<dyn Protected> = Arc::new(VecRegion::new(bytes));
+                (id, r)
+            })
+            .collect();
+        let fresh = pack(pool, None, &regions, &[]);
+        // Lend and return a poisoned buffer while the fresh frame stays
+        // outstanding, so the pool retains it for the next pack.
+        drop(pool.share(vec![0xAA; fresh.len()]));
+        let hits = pool.stats().hits;
+        let recycled = pack(pool, None, &regions, &[]);
+        assert_eq!(
+            pool.stats().hits,
+            hits + 1,
+            "the poisoned buffer was reused"
+        );
+        assert!(recycled == fresh);
     }
 
     /// A region that resized after planning: `byte_len` still reports the
@@ -974,7 +1034,7 @@ mod tests {
     fn length_drift_replans_from_the_snapshots() {
         let steady: Arc<dyn Protected> = Arc::new(VecRegion::new(vec![7u8; 5]));
         let moved: Arc<dyn Protected> = Arc::new(Resized(b"grown".to_vec()));
-        let blob = pack(None, &[(1, steady), (2, moved)], &[]);
+        let blob = pack(pool(), None, &[(1, steady), (2, moved)], &[]);
         let frame = unpack(&blob).expect("the re-planned frame is well-formed");
         assert_eq!(
             frame.changed,

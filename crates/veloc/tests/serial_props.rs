@@ -180,7 +180,8 @@ proptest! {
     ) {
         let base = shape_base(base_raw, full, &unchanged);
         let plan: Vec<(u32, usize)> = changed.iter().map(|(id, p)| (*id, p.len())).collect();
-        let mut b = FrameBuilder::new(base, &plan, &unchanged);
+        let cluster = Cluster::new(ClusterConfig::default());
+        let mut b = FrameBuilder::new(cluster.pool(), base, &plan, &unchanged);
         for (i, (_, p)) in changed.iter().enumerate() {
             b.payload_mut(i).copy_from_slice(p);
             b.set_crc(i, crc32(p));

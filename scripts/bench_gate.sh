@@ -39,7 +39,7 @@ claim() { # fast slow min_x [metric]
 }
 
 # Which kernel a dispatch chose on this host, as the fresh JSON records it.
-kernel() { sed -n "s/.*\"$1\":\"\([a-z0-9]*\)\".*/\1/p" "$FRESH"; }
+kernel() { sed -n "s/.*\"$1\":\"\([a-z0-9_]*\)\".*/\1/p" "$FRESH"; }
 # Whether serial::crc32 runs a carry-less-multiply kernel (128- or 512-bit).
 clmul_crc() { case "$(kernel crc_kernel)" in pclmulqdq | vpclmulqdq) ;; *) return 1 ;; esac; }
 
@@ -96,10 +96,20 @@ if [ "$(kernel gf256_kernel)" = ssse3 ]; then
   # with the dispatch lost) ...
   claim encode_xor4 encode_k2 0.1 min_ns
   # ... and what the store leg runs — three wire frames, each built in
-  # place — against the Vec adapter over the same code (measured 4.2-5.3x;
-  # 1.6x with the dispatch lost, where arithmetic and not allocation is
-  # what both pay).
+  # place into a buffer the pool recycles — against the Vec adapter over
+  # the same code (measured 7.2-10.6x over 6 pinned runs on the Intel Xeon
+  # container, whose parity rows run the GFNI kernel, and 3.9-4.0x over 5
+  # with that dispatch lost; before the pool, on an earlier container,
+  # 4.2-5.3x, and 1.6x with the mul_acc dispatch lost).
   claim wire_rs4_2 encode_rs4_2 2.5 min_ns
+fi
+if [ "$(kernel gf256_rows_kernel)" = gfni ]; then
+  # Where gf256::rows_into runs the gf2p8affineqb kernel: the store leg's
+  # wire frames with both parity rows written in one pass, against the
+  # same frames built one row at a time by shard_into, in the same recycled
+  # buffers (measured 1.56-2.68x over 6 pinned runs; 0.88-0.93x over 5
+  # with the dispatch lost, where both sides run the per-row loop).
+  claim wire_rs4_2 wire_rs4_2_reference 1.25 min_ns
 fi
 echo "bench gate: OK (redundancy)"
 

@@ -210,8 +210,9 @@ if cargo miri --version >/dev/null 2>&1; then
   # to, and run FrameBuilder::new with its huge-page advice (an madvise
   # call) compiled out in the same way.
   cargo miri test -p veloc --lib serial
-  # redstore::gf256 does the same with its pshufb kernel: under cfg(miri)
-  # mul_acc is the portable row-table loop, whole lanes included.
+  # redstore::gf256 does the same with its pshufb and GFNI kernels: under
+  # cfg(miri) mul_acc is the portable row-table loop, whole lanes included,
+  # and rows_into the per-row loop over it.
   cargo miri test -p redstore --lib gf256
 else
   echo "cargo-miri not installed; skipping (rustup +nightly component add miri)"

@@ -1,14 +1,16 @@
 //! Offline stand-in for the `bytes` crate.
 //!
 //! Provides the [`Bytes`] subset this workspace uses: a cheaply cloneable,
-//! immutable, sliceable byte buffer over one shared `Arc<Vec<u8>>`.
+//! immutable, sliceable byte buffer over one shared owner of its storage —
+//! a `Vec<u8>`, or whatever [`Bytes::from_owner`] was handed.
 //!
 //! What each operation costs in payload bytes:
 //!
 //! * **take ownership, O(1), no copy** — `From<Vec<u8>>`, `From<Box<[u8]>>`,
-//!   `FromIterator<u8>` (the collected `Vec` is the buffer) and
-//!   [`BytesMut::freeze`]. The bytes stay where the `Vec` had them; only the
-//!   few words of the shared header are allocated.
+//!   `FromIterator<u8>` (the collected `Vec` is the buffer),
+//!   [`BytesMut::freeze`] and [`Bytes::from_owner`]. The bytes stay where
+//!   the owner had them; only the few words of the shared header are
+//!   allocated.
 //! * **copy once** — [`Bytes::copy_from_slice`], [`Bytes::from_static`] and
 //!   `From<&'static [u8]>` (borrowed bytes have to be moved into owned
 //!   storage), and [`Bytes::to_vec`] on the way out.
@@ -19,10 +21,13 @@ use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
+/// What a [`Bytes`] shares: the owner of its storage.
+type Owner = dyn AsRef<[u8]> + Send + Sync;
+
 /// A cheaply cloneable slice of an immutable, shared byte buffer.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<Vec<u8>>,
+    data: Arc<Owner>,
     off: usize,
     len: usize,
 }
@@ -43,6 +48,24 @@ impl Bytes {
     /// Copy a slice into a new shared buffer — one copy.
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Bytes::from(data.to_vec())
+    }
+
+    /// Share `owner`'s bytes without copying them: O(1). `owner` is dropped
+    /// when the last handle to it is, so its `Drop` can hand the storage
+    /// back to whoever lent it. The published crate's `from_owner` (1.9 and
+    /// later), except that the owner must also be `Sync` and its `as_ref`
+    /// must return the same bytes on every call: this stand-in reads
+    /// through it on each access instead of caching a pointer.
+    pub fn from_owner<T>(owner: T) -> Self
+    where
+        T: AsRef<[u8]> + Send + Sync + 'static,
+    {
+        let len = owner.as_ref().len();
+        Bytes {
+            data: Arc::new(owner),
+            off: 0,
+            len,
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -91,7 +114,7 @@ impl Default for Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.off..self.off + self.len]
+        &(*self.data).as_ref()[self.off..self.off + self.len]
     }
 }
 
@@ -200,6 +223,36 @@ mod tests {
         let boxed: Box<[u8]> = vec![9u8; 128].into_boxed_slice();
         let before = boxed.as_ptr();
         assert_eq!(Bytes::from(boxed).as_ref().as_ptr(), before);
+    }
+
+    #[test]
+    fn from_owner_shares_the_owners_bytes_and_drops_it_with_the_last_handle() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        struct Lent(Vec<u8>, Arc<AtomicBool>);
+        impl AsRef<[u8]> for Lent {
+            fn as_ref(&self) -> &[u8] {
+                &self.0
+            }
+        }
+        impl Drop for Lent {
+            fn drop(&mut self) {
+                self.1.store(true, Ordering::SeqCst);
+            }
+        }
+
+        let returned = Arc::new(AtomicBool::new(false));
+        let v = vec![3u8; 256];
+        let before = v.as_ptr();
+        let b = Bytes::from_owner(Lent(v, Arc::clone(&returned)));
+        assert_eq!(b.len(), 256);
+        assert_eq!(b.as_ref().as_ptr(), before, "from_owner moved the bytes");
+        let s = b.slice(8..16);
+        drop(b);
+        assert!(!returned.load(Ordering::SeqCst), "a slice still holds it");
+        assert_eq!(&s[..], &[3u8; 8]);
+        drop(s);
+        assert!(returned.load(Ordering::SeqCst), "the last handle drops it");
     }
 
     #[test]

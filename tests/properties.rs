@@ -1,7 +1,9 @@
 //! Property-based tests (proptest) on core data structures and invariants.
 
+use bytes::Bytes;
 use layered_resilience::apps::heatdis::jacobi_sweep_in_place;
 use layered_resilience::apps::minimd::atoms::{generate_slab_atoms, Slab};
+use layered_resilience::cluster::{Cluster, ClusterConfig};
 use layered_resilience::kokkos::capture::CaptureSession;
 use layered_resilience::kokkos::View;
 use layered_resilience::kokkos_resilience::CheckpointFilter;
@@ -21,6 +23,14 @@ fn live(regions: &[(u32, Vec<u8>)]) -> Vec<(u32, Arc<dyn Protected>)> {
             (*id, region)
         })
         .collect()
+}
+
+/// A full frame of `regions`, packed in a buffer from one shared cluster's
+/// pool.
+fn pack_full(regions: &[(u32, Vec<u8>)]) -> Bytes {
+    static CLUSTER: std::sync::OnceLock<Cluster> = std::sync::OnceLock::new();
+    let cluster = CLUSTER.get_or_init(|| Cluster::new(ClusterConfig::default()));
+    serial::pack(cluster.pool(), None, &live(regions), &[])
 }
 
 proptest! {
@@ -46,7 +56,7 @@ proptest! {
             0..16
         )
     ) {
-        let frame = serial::unpack(&serial::pack(None, &live(&regions), &[]))
+        let frame = serial::unpack(&pack_full(&regions))
             .expect("intact frame unpacks");
         prop_assert!(frame.is_full());
         let got: Vec<(u32, Vec<u8>)> =
@@ -63,7 +73,7 @@ proptest! {
         ),
         cut_fraction in 0.0f64..1.0
     ) {
-        let blob = serial::pack(None, &live(&regions), &[]);
+        let blob = pack_full(&regions);
         let cut = ((blob.len() as f64) * cut_fraction) as usize;
         if cut < blob.len() {
             prop_assert_eq!(serial::unpack(&blob.slice(0..cut)), None);
