@@ -3,10 +3,13 @@
 //! recovery resumed on DES (a cold restart reproduces the digest; only the
 //! resume point shows it). Like `bench::pins`, the file is compiled in and
 //! read only here, and a line that moved fails with its replacement line.
+//! A pass line whose resume points fall below the bound its spec sets
+//! ([`check_resume`], no run needed on DES) does not load.
 
 use resilience::ExperimentError;
+use simmpi::Backend;
 
-use crate::oracle::{Oracle, RunOutcome};
+use crate::oracle::{check_resume, Oracle, RunOutcome};
 use crate::schedule::ChaosSchedule;
 
 const CORPUS: &str = include_str!("../reproducers.txt");
@@ -133,6 +136,19 @@ fn parse_line(line: &str) -> Result<Line, String> {
         .filter(|n| *n > 0)
         .ok_or_else(|| format!("threads_replays `{replays}` is not a positive count"))?;
     let schedule = ChaosSchedule::parse(spec)?;
+    if verdict == "pass" {
+        let list = resumed_at
+            .strip_prefix('[')
+            .and_then(|r| r.strip_suffix(']'));
+        let points: Option<Vec<u64>> = list.and_then(|l| {
+            let points = l.split(',').filter(|p| !p.is_empty());
+            points.map(|p| p.parse().ok()).collect()
+        });
+        let points = points.ok_or_else(|| format!("resumed_at `{resumed_at}` is not a list"))?;
+        let des = Backend::Des { seed: DES_SEED };
+        check_resume(&schedule, des, None, &points)
+            .map_err(|v| format!("resumed_at `{resumed_at}`: {v}"))?;
+    }
     match schedule.to_spec() {
         canonical if canonical != spec => Err(format!("spec not canonical: `{canonical}`")),
         _ => Ok(Line {
@@ -195,11 +211,13 @@ mod tests {
         assert_eq!(parse(&good).unwrap()[0].to_string(), good);
         let typed = format!("a typed:rank-failed [4] 1 {spec}");
         let not_canonical = "a pass [4] 1 strategy=VelocOnly kill(rank=1,site=iter,at=4)";
+        let cold = format!("a pass [0] 1 {}", schedule("fkr-iter").to_spec());
         for (text, why) in [
             (format!("{good}\n{good}"), "duplicate id `a`"),
             (format!("a typed:spare-gone - 1 {spec}"), "unknown verdict"),
             (typed, "on a `typed:rank-failed` line"),
             (not_canonical.to_owned(), "not canonical"),
+            (cold, "below its bound 4"),
         ] {
             let err = parse(&text).unwrap_err();
             assert!(err.contains(why), "{text:?}: {err}");

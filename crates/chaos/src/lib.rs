@@ -10,9 +10,9 @@
 //! differential oracle and, on failure, shrunk to a minimal reproducer.
 //!
 //! The contract being fuzzed (see [`oracle`]): a resilient run either
-//! produces the *bitwise-identical* answer of an uninterrupted run, or
-//! ends in a typed error — never a panic, never a hang, never a
-//! causally-impossible failure timeline.
+//! produces the *bitwise-identical* answer of an uninterrupted run, with no
+//! recovery resumed below its bound, or ends in a typed error — never a
+//! panic, never a hang, never a causally-impossible failure timeline.
 //!
 //! Entry points: [`campaign::run_campaign`] (seeded campaign),
 //! [`campaign::replay`] (one spec string), and the `chaos` harness binary

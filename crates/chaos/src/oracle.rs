@@ -5,13 +5,16 @@
 //! per strategy) and once under the schedule — and accepts exactly two
 //! outcomes:
 //!
-//! 1. the run completes and its digest is bitwise-equal to the baseline;
+//! 1. the run completes, its digest is bitwise-equal to the baseline, and
+//!    no recovery resumed below its bound ([`resilience::resume_bounds`]);
 //! 2. the run ends in a typed [`resilience::ExperimentError`].
 //!
 //! Everything else is a violation: a digest divergence (silent data
-//! corruption survived the stack), a panic (a layer gave up instead of
-//! unwinding through the error channel), a hang past the watchdog (a
-//! collective deadlock), or a causally-impossible telemetry timeline.
+//! corruption survived the stack), a wasted recovery (a cold restart also
+//! reproduces the digest; only where it resumed shows it), a panic (a layer
+//! gave up instead of unwinding through the error channel), a hang past the
+//! watchdog (a collective deadlock), or a causally-impossible telemetry
+//! timeline.
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -20,9 +23,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use apps::Heatdis;
-use cluster::{Cluster, ClusterConfig, RelaunchModel, TimeScale};
+use cluster::{Cluster, ClusterConfig, RelaunchModel, TimeScale, Topology};
 use parking_lot::Mutex;
-use resilience::{try_run_experiment, ExperimentConfig, ExperimentError, RunRecord, Strategy};
+use resilience::{
+    resume_bounds, try_run_experiment, ExperimentConfig, ExperimentError, RunRecord, Strategy,
+};
 use simmpi::Backend;
 use telemetry::{Event, Telemetry, TelemetryConfig, TimeSource, TraceSnapshot};
 
@@ -33,7 +38,8 @@ use crate::schedule::{ChaosSchedule, ACTIVE_RANKS, CHECKPOINTS, ITERATIONS};
 pub enum RunOutcome {
     /// Run completed; digest matched the baseline. `resumed_at` is the
     /// run's `RunRecord::resumed_at`: per recovery, the iteration the job
-    /// resumed from. Not part of the verdict; `corpus` pins it per line.
+    /// resumed from, none below its bound ([`check_resume`]); `corpus` pins
+    /// it per line.
     Completed { digest: u64, resumed_at: Vec<u64> },
     /// Run ended in a typed experiment error (spare exhaustion, data
     /// unrecoverable, relaunch budget) — clean by contract.
@@ -51,6 +57,10 @@ pub enum Violation {
     Hang,
     /// Telemetry failure timeline is causally impossible.
     Timeline(String),
+    /// Completed with the right answer, but a recovery resumed below the
+    /// newest checkpoint the schedule left usable: work was recomputed for
+    /// nothing.
+    WastedRecovery { bound: u64, resumed_at: u64 },
     /// The *uninterrupted* baseline failed — a harness bug, reported
     /// distinctly so it is never read as a chaos finding.
     Baseline(String),
@@ -68,6 +78,10 @@ impl std::fmt::Display for Violation {
             Violation::Panic(msg) => write!(f, "panic escaped the stack: {msg}"),
             Violation::Hang => write!(f, "no terminal state before watchdog timeout"),
             Violation::Timeline(msg) => write!(f, "timeline violation: {msg}"),
+            Violation::WastedRecovery { bound, resumed_at } => write!(
+                f,
+                "wasted recovery: resumed at {resumed_at}, below its bound {bound}"
+            ),
             Violation::Baseline(msg) => write!(f, "baseline run failed: {msg}"),
         }
     }
@@ -111,7 +125,7 @@ fn campaign_cluster(nodes: usize, rpn: usize, virtual_time: bool) -> Cluster {
     })
 }
 
-fn campaign_app() -> Heatdis {
+pub(crate) fn campaign_app() -> Heatdis {
     Heatdis::fixed(2 * 8 * 16 * 8, 16, ITERATIONS)
 }
 
@@ -245,10 +259,15 @@ impl Oracle {
             Ok(terminal) => match check_timeline(&snapshot) {
                 Err(v) => Err(v),
                 Ok(()) => match terminal {
-                    Ok(record) if record.digest == expected => Ok(RunOutcome::Completed {
-                        digest: record.digest,
-                        resumed_at: record.resumed_at,
-                    }),
+                    Ok(record) if record.digest == expected => {
+                        let trace = (snapshot.dropped == 0).then_some(&snapshot);
+                        check_resume(sched, self.backend, trace, &record.resumed_at).map(|()| {
+                            RunOutcome::Completed {
+                                digest: record.digest,
+                                resumed_at: record.resumed_at,
+                            }
+                        })
+                    }
                     Ok(record) => Err(Violation::Divergence {
                         expected,
                         got: record.digest,
@@ -263,6 +282,35 @@ impl Oracle {
     /// Verdict only.
     pub fn check(&self, sched: &ChaosSchedule) -> Result<RunOutcome, Violation> {
         self.run(sched).verdict
+    }
+}
+
+/// The resume check: no recovery of `sched`'s run on `backend` resumed
+/// below its bound. `trace` is the run's own; the thread engine's bound
+/// reads its kills and flushes, so there, as in [`check_timeline`], a
+/// missing trace (one that dropped events) skips the check. Under DES the
+/// bound is the spec's alone: `corpus` checks each line with no run.
+pub fn check_resume(
+    sched: &ChaosSchedule,
+    backend: Backend,
+    trace: Option<&TraceSnapshot>,
+    resumed_at: &[u64],
+) -> Result<(), Violation> {
+    if trace.is_none() && backend == Backend::Threads {
+        return Ok(());
+    }
+    let bounds = resume_bounds(
+        &campaign_app(),
+        &experiment_config(sched, None, backend),
+        &Topology::new(sched.nodes(), sched.rpn),
+        &sched.build_plan(),
+        trace,
+        resumed_at.len(),
+    );
+    let wasted = resumed_at.iter().zip(bounds).find(|&(r, b)| *r < b);
+    match wasted {
+        Some((&resumed_at, bound)) => Err(Violation::WastedRecovery { bound, resumed_at }),
+        None => Ok(()),
     }
 }
 
@@ -383,16 +431,25 @@ mod tests {
         }
     }
 
+    /// `fkr-iter` kills rank 1 at iteration 5, after version 3: its one
+    /// recovery must resume at 4, and a cold restart, which reproduces the
+    /// digest as well, is a wasted recovery.
     #[test]
-    fn single_kill_recovers_with_equal_digest() {
-        let oracle = Oracle::new();
+    fn a_recovery_below_the_newest_usable_checkpoint_is_wasted() {
+        let backend = Backend::Des {
+            seed: crate::corpus::DES_SEED,
+        };
         let sched = crate::corpus::schedule("fkr-iter");
-        match oracle.check(&sched) {
-            Ok(RunOutcome::Completed { resumed_at, .. }) => {
-                assert_eq!(resumed_at.len(), 1, "one recovery, one resume point")
-            }
-            other => panic!("expected completion, got {other:?}"),
-        }
+        let report = Oracle::with_backend(backend).run(&sched);
+        assert!(matches!(report.verdict, Ok(RunOutcome::Completed { .. })));
+        let check =
+            |resumed_at: &[u64]| check_resume(&sched, backend, Some(&report.snapshot), resumed_at);
+        assert_eq!(check(&[4]), Ok(()));
+        let wasted = Violation::WastedRecovery {
+            bound: 4,
+            resumed_at: 0,
+        };
+        assert_eq!(check(&[0]), Err(wasted));
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! Digests are comparable across backends because every workload here is a
 //! fixed-iteration Heatdis whose answer is schedule-independent; error
 //! *messages* may name a different rank (which victim observes exhaustion
-//! first is schedule-dependent), so typed errors are compared by class. The
-//! resume point is left out: the thread engine flushes in the background,
-//! so where the job resumes may legitimately differ from DES, whose resume
-//! points `tests/corpus.rs` holds to the corpus.
+//! first is schedule-dependent), so typed errors are compared by class.
+//! Resume points are held to `resilience::resume_bounds` on both engines
+//! (the oracle's wasted-recovery check); on threads, which flush in the
+//! background, the bound goes through its flush-lag arm, so where the job
+//! resumes may sit above DES's. Equality with the corpus stays DES-only
+//! (`tests/corpus.rs`).
 
 use chaos::{corpus, Oracle};
 use simmpi::Backend;

@@ -45,4 +45,5 @@ pub use driver::{run_experiment, try_run_experiment, ExperimentConfig, Experimen
 pub use integrated::{resilient_main, IntegratedBackend, IntegratedConfig, ResilientScope};
 pub use record::{CostBreakdown, RunRecord};
 pub use redstore_backend::RedstoreBackend;
+pub use runner::resume_bounds;
 pub use strategy::Strategy;

@@ -8,25 +8,30 @@
 //! (`role == None`) a failure aborts the job, the driver relaunches it and
 //! the body resumes from the parallel filesystem; under Fenix the body is
 //! re-entered in place with the repaired communicator. Where a body resumes
-//! is decided in one place, [`Run::start_after`]. The Fenix + Kokkos
+//! is decided in one place, [`Run::start_after`]; where it must resume at
+//! the least, given a fault schedule, in one pure function beside it,
+//! [`resume_bounds`]. The Fenix + Kokkos
 //! Resilience combinations are not written here at all: they run through
 //! [`resilient_main`], the crate's single Figure 4 loop (context creation
 //! on `Initial`, `ctx.reset(res_comm)` on re-entry).
 
 use std::cell::{Cell, OnceCell, RefCell, RefMut};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use cluster::Topology;
 use fenix::{ExhaustPolicy, FenixConfig, Role};
 use kokkos::capture::Checkpointable;
 use kokkos_resilience::{CheckpointFilter, Context, ContextConfig, DataBackend};
 use parking_lot::Mutex;
 use redstore::RedundancyMode;
-use simmpi::{Comm, MpiResult, Phase, RankCtx, ReduceOp};
+use simmpi::{Backend, Comm, CorruptTier, FaultSchedule, MpiResult, Phase, RankCtx, ReduceOp};
+use telemetry::{Event, TraceSnapshot};
 
 use crate::app::{IterativeApp, RankApp, RunMode};
 use crate::bookkeeper::Bookkeeper;
+use crate::driver::ExperimentConfig;
 use crate::integrated::{resilient_main, IntegratedBackend, IntegratedConfig};
 use crate::strategy::Strategy;
 
@@ -408,4 +413,219 @@ impl Run<'_> {
         )?;
         self.finish(comm, &mut st, done)
     }
+}
+
+/// The data tier a checkpointing strategy restores from.
+#[derive(Clone, Copy)]
+enum Tier {
+    /// Node-local scratch, flushed to the PFS (inline under DES).
+    Veloc,
+    /// One committed version in peer memory.
+    PeerMemory,
+}
+
+/// One kill of a run, as [`resume_bounds`] sees it.
+struct Fired {
+    rank: usize,
+    /// Whether it landed inside a recovery (fault point `recovery`).
+    in_recovery: bool,
+    /// The newest iteration the job had checkpointed through when it fired.
+    through: Option<u64>,
+    /// When it fired, on the thread engine (the trace's stamp).
+    at_ns: Option<u64>,
+}
+
+impl Fired {
+    fn new(rank: usize, site: &str, count: u64, at_ns: Option<u64>) -> Fired {
+        let in_recovery = site == "recovery";
+        let through = stored_through(site, count);
+        Fired {
+            rank,
+            in_recovery,
+            through,
+            at_ns,
+        }
+    }
+}
+
+/// The newest iteration a rank has checkpointed through when it is killed
+/// at fault point `site` with counter `count`: `iter` and `ckpt` fire before
+/// iteration `count` is stepped or saved, `commit` after it is saved.
+fn stored_through(site: &str, count: u64) -> Option<u64> {
+    if site == "commit" {
+        Some(count)
+    } else {
+        count.checked_sub(1)
+    }
+}
+
+/// Where each recovery of a run must resume at the least: one bound per
+/// recovery, in [`RunRecord::resumed_at`](crate::RunRecord) order, for a run
+/// of `app` under `cfg` on `topology` that made `recoveries` of them under
+/// `schedule`. Pure: it reads the schedule as written and, on the thread
+/// engine only, the run's `trace`.
+///
+/// The base rule: after a kill at iteration *k* the job resumes right after
+/// the newest version ≤ *k* that the schedule did not corrupt on every tier
+/// able to serve it. Fault points follow the bodies above: `iter` and `ckpt`
+/// fire before iteration *k* is stepped or saved, `commit` after it is
+/// saved; manual bodies pass `ckpt` and `commit` only on checkpoint
+/// iterations, KR bodies on every one; only a Fenix re-entry passes
+/// `recovery`. A kill there takes its node's scratch like any other, but
+/// the recovery it lands in records no resume point (its agreement never
+/// completes), so it bounds none. A scratch copy serves only on a node no
+/// kill took (a replacement's own scratch is not credited), the PFS copy
+/// always; a delta frame is only as servable as the frames beneath it, so
+/// an unservable version voids every version above it. Under DES the
+/// schedule's kills that the body passes are taken in checkpoint order, on
+/// threads the kills the trace records in the order they fired. A recovery
+/// can absorb several kills (two that fire together), so the j-th
+/// recovery's kills lie among the j-th to (j + kills − recoveries)-th, and
+/// it is held to the least of their bounds. The exceptions, one arm each:
+///
+/// * strategies that never checkpoint resume at 0;
+/// * flush lag on threads: a VeloC version counts only once each active
+///   world rank's `flush_done` for it precedes the kill (a replacement's
+///   flushes are not credited to the rank it replaced). DES flushes inline,
+///   so the arm is a no-op there;
+/// * a kill on the final commit: KR over VeloC re-agrees one version lower
+///   ([`Context::restart_version`]); KR over peer memory, which holds one
+///   version, restarts cold ([`RedstoreBackend`](crate::RedstoreBackend));
+/// * a recovery no kill accounts for is held to 0.
+pub fn resume_bounds(
+    app: &dyn IterativeApp,
+    cfg: &ExperimentConfig,
+    topology: &Topology,
+    schedule: &FaultSchedule,
+    trace: Option<&TraceSnapshot>,
+    recoveries: usize,
+) -> Vec<u64> {
+    let (tier, kr) = match cfg.strategy {
+        // Never checkpoints: every recovery starts over.
+        Strategy::Unprotected => return vec![0; recoveries],
+        Strategy::VelocOnly | Strategy::FenixVeloc => (Tier::Veloc, false),
+        Strategy::FenixImr | Strategy::FenixRedstore => (Tier::PeerMemory, false),
+        Strategy::KokkosResilience
+        | Strategy::FenixKokkosResilience
+        | Strategy::PartialRollback => (Tier::Veloc, true),
+    };
+    let fenix = cfg.strategy.uses_fenix();
+    let filter = app.checkpoint_filter(cfg.checkpoints);
+    let iterations = app.mode().max_iterations();
+    let trace = match cfg.backend {
+        Backend::Threads => Some(trace.expect("a thread-engine bound reads the run's trace")),
+        Backend::Des { .. } => None,
+    };
+    let kills = match trace {
+        Some(trace) => fired_in(trace),
+        None => passed_by(schedule, &filter, iterations, kr, fenix),
+    };
+
+    let lost: HashSet<usize> = kills.iter().map(|k| topology.node_of(k.rank)).collect();
+    let corrupt = |version, rank, tier| {
+        schedule.corruptions().iter().any(|c| {
+            (c.version, c.rank) == (version, rank)
+                && (c.tier == tier || c.tier == CorruptTier::Both)
+        })
+    };
+    let intact = |version| {
+        !schedule.corruptions().iter().any(|c| {
+            let (v, rank) = (c.version, c.rank);
+            let scratch_gone =
+                corrupt(v, rank, CorruptTier::Scratch) || lost.contains(&topology.node_of(rank));
+            v <= version && corrupt(v, rank, CorruptTier::Pfs) && scratch_gone
+        })
+    };
+    let mut flushed = HashMap::new();
+    for e in trace.iter().flat_map(|t| &t.events) {
+        if let Event::FlushDone { version, .. } = e.event {
+            flushed.entry((e.rank as usize, version)).or_insert(e.t_ns);
+        }
+    }
+    let active = topology.total_ranks() - if fenix { cfg.spares } else { 0 };
+    let usable = |version: u64, at_ns: Option<u64>| match (tier, at_ns) {
+        (Tier::PeerMemory, _) => true,
+        // DES: the flush is inline, so a stored version is on the PFS.
+        (Tier::Veloc, None) => intact(version),
+        // Flush lag: a copy still in flight, or not yet taken on a rank
+        // running behind, is not credited.
+        (Tier::Veloc, Some(t)) => {
+            let landed = |rank| flushed.get(&(rank, version)).is_some_and(|&f| f < t);
+            intact(version) && (0..active).all(landed)
+        }
+    };
+    let versions: Vec<u64> = (0..iterations)
+        .filter(|&i| filter.should_checkpoint(i))
+        .collect();
+    // What a recovery after kill `k` can agree on, newest first. Peer
+    // memory holds one version, the newest committed.
+    let held = |k: &Fired| -> Vec<u64> {
+        let depth = match tier {
+            Tier::Veloc => versions.len(),
+            Tier::PeerMemory => 1,
+        };
+        let below = |v: &u64| k.through.is_some_and(|s| *v <= s);
+        let stored = versions.iter().rev().copied().filter(below);
+        stored.take(depth).filter(|&v| usable(v, k.at_ns)).collect()
+    };
+    let bounds: Vec<u64> = kills
+        .iter()
+        .filter(|k| !k.in_recovery)
+        .map(|k| {
+            let held = held(k);
+            let agreed = match (kr, held.first()) {
+                // A kill on the final commit: the final version leaves no
+                // region execution to carry KR's lazy restore, so the
+                // context re-agrees at or below `iterations - 2`. VeloC
+                // holds an older version; peer memory restarts cold.
+                (true, Some(&v)) if v + 1 >= iterations => {
+                    held.iter().copied().find(|&v| v + 2 <= iterations)
+                }
+                (_, newest) => newest.copied(),
+            };
+            agreed.map_or(0, |v| v + 1)
+        })
+        .collect();
+
+    let absorbed = bounds.len().saturating_sub(recoveries);
+    (0..recoveries)
+        .map(|j| match bounds.get(j..=j + absorbed) {
+            Some(window) => window.iter().copied().min().unwrap_or(0),
+            // More recoveries than kills: nothing the schedule says bounds it.
+            None => 0,
+        })
+        .collect()
+}
+
+/// The kills a run's trace records, in the order they fired.
+fn fired_in(trace: &TraceSnapshot) -> Vec<Fired> {
+    let fired = trace.events.iter().filter_map(|e| match &e.event {
+        Event::FaultInjected { site, count } => {
+            Some(Fired::new(e.rank as usize, site, *count, Some(e.t_ns)))
+        }
+        _ => None,
+    });
+    fired.collect()
+}
+
+/// The kills of `schedule` that a body passes, in checkpoint order.
+fn passed_by(
+    schedule: &FaultSchedule,
+    filter: &CheckpointFilter,
+    iterations: u64,
+    kr: bool,
+    fenix: bool,
+) -> Vec<Fired> {
+    let passes = |label: &str, at: u64| match label {
+        "iter" => at < iterations,
+        "ckpt" | "commit" => at < iterations && (kr || filter.should_checkpoint(at)),
+        "recovery" => fenix,
+        _ => false,
+    };
+    let kills = schedule.kills().iter().filter(|k| passes(&k.label, k.at));
+    let mut fired: Vec<Fired> = kills
+        .map(|k| Fired::new(k.rank, &k.label, k.at, None))
+        .collect();
+    fired.sort_by_key(|k| k.through);
+    fired
 }

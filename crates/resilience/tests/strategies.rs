@@ -13,8 +13,8 @@ use cluster::{Cluster, ClusterConfig, RelaunchModel, TimeScale};
 use kokkos::capture::Checkpointable;
 use kokkos::{View, ViewMeta};
 use resilience::{
-    run_experiment, try_run_experiment, Bookkeeper, ExperimentConfig, ExperimentError,
-    IterativeApp, RankApp, RunMode, RunRecord, Strategy,
+    resume_bounds, run_experiment, try_run_experiment, Bookkeeper, ExperimentConfig,
+    ExperimentError, IterativeApp, RankApp, RunMode, RunRecord, Strategy,
 };
 use simmpi::{Backend, Comm, FaultPlan, MpiResult, Phase, RankCtx};
 use telemetry::{Event, Telemetry, TelemetryConfig, TimeSource, TraceSnapshot};
@@ -469,30 +469,21 @@ fn manual_strategies_serialize_views_straight_into_the_frame() {
 }
 
 /// Where the job resumed. Rank 2 dies at iteration 23, between the
-/// versions at 19 and 24: the one recovery resumes after the newest version
-/// the filter selected below the kill — and at 0 with nothing stored.
-/// Digests cannot see this (a cold restart recomputes the same answer).
-/// `PartialRollback` is left out: its survivors keep their data by design.
+/// versions at 19 and 24: under every strategy the one recovery resumes
+/// exactly where `resume_bounds` says it must, after version 19, or at 0
+/// for the strategy that stores nothing. Digests cannot see this (a cold
+/// restart recomputes the same answer).
 #[test]
 fn every_strategy_resumes_after_the_newest_version_below_the_kill() {
-    const KILL_ITER: u64 = 23;
     for strategy in Strategy::ALL {
-        if strategy.partial_rollback() {
-            continue;
-        }
         let (cluster, cfg) = des_shape(strategy);
         let app = fixed_app(DES_ITERS);
-        let plan = Arc::new(FaultPlan::kill_at(2, "iter", KILL_ITER));
-        let rec = run_experiment(&cluster, &app, &cfg, plan);
+        let plan = Arc::new(FaultPlan::kill_at(2, "iter", 23));
+        let rec = run_experiment(&cluster, &app, &cfg, Arc::clone(&plan));
         assert_eq!(rec.failures, 1, "{strategy}");
-
-        let filter = app.checkpoint_filter(cfg.checkpoints);
-        let newest = (0..KILL_ITER).rev().find(|&i| filter.should_checkpoint(i));
-        let expected = match newest {
-            Some(version) if strategy.checkpoints() => version + 1,
-            _ => 0,
-        };
-        assert_eq!(rec.resumed_at, [expected], "{strategy}");
+        let topology = cluster.topology();
+        let bounds = resume_bounds(&app, &cfg, topology, &plan, None, 1);
+        assert_eq!(rec.resumed_at, bounds, "{strategy}");
     }
 }
 

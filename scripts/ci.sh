@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the tier-1 build + test pass over the
-# whole workspace (ROADMAP.md; it replays every committed chaos reproducer,
-# crates/chaos/reproducers.txt), the chaos campaign and scale smokes on the
-# optimised build, and the benchmark gate. Run from anywhere inside the repo; fails fast.
+# Local CI gate: formatting, doc byte budgets, lints, the tier-1 build + test
+# pass over the whole workspace (ROADMAP.md; it replays every committed chaos
+# reproducer, crates/chaos/reproducers.txt), the chaos campaign and scale
+# smokes on the optimised build, and the benchmark gate. Run from anywhere
+# inside the repo; fails fast.
 #
 # Every stage is wall-clock timed; the per-stage seconds and the artifact
 # paths land in target/ci-summary.json (written even when a stage fails,
@@ -59,6 +60,28 @@ trap write_summary EXIT
 
 begin "cargo fmt --check"
 cargo fmt --all -- --check
+end
+
+begin "doc budgets"
+# Each long-lived doc at its byte budget, exactly: a doc grows only by a
+# reviewed raise of its line here, and a change that shrinks one lowers the
+# line in the same diff (ROADMAP item 10).
+budgets_ok=1
+doc_budget() { # file bytes
+  local size
+  size=$(wc -c < "$1")
+  if [ "$size" -gt "$2" ]; then
+    echo "$1 is $size bytes, over its budget of $2: shrink it or raise the budget"
+    budgets_ok=0
+  elif [ "$size" -lt "$2" ]; then
+    echo "$1 is $size bytes, under its budget of $2: lower the budget to $size"
+    budgets_ok=0
+  fi
+}
+doc_budget DESIGN.md 116146
+doc_budget CHANGES.md 127609
+doc_budget EXPERIMENTS.md 82165
+[ "$budgets_ok" -eq 1 ]
 end
 
 begin "cargo clippy (-D warnings)"
