@@ -1,13 +1,17 @@
 //! Synchronous checkpoint-pipeline cost: full pack vs incremental (delta
 //! frames) at 1%, 25%, and 100% dirty regions, beside the kernels a full
-//! pack is made of.
+//! pack is made of, and the pack's one pass over a payload against the two
+//! it replaced.
 //!
 //! Writes `target/BENCH_checkpoint.json` — median nanoseconds and
 //! steady-state bytes written per configuration. `scripts/bench_gate.sh`
 //! holds the configs to each other within that one run: the incremental
 //! pipeline's speedup and byte saving at 1-of-100 regions dirty, its
-//! parity with the full pack when everything is dirty, and the full pack
-//! against `pack_kernels`.
+//! parity with the full pack when everything is dirty, the full pack
+//! against `pack_kernels`, and `copy_crc_8m` — `serial::copy_crc`, which
+//! checksums each block of the copy while it is in L1 — against
+//! `copy_then_crc_8m`, the whole copy and then `serial::crc32` of it,
+//! which reads the copy back from L3 or memory.
 
 use std::sync::Arc;
 
@@ -105,6 +109,10 @@ fn pack_kernels(regions: &[Vec<u8>]) -> (u32, Vec<u8>) {
     (crc, frame)
 }
 
+/// One `heatdis_ckpt` frame's payload: larger than L2, so a second pass
+/// over it does not find it there.
+const PAYLOAD_BYTES: usize = 8 << 20;
+
 /// (name, full_only, dirty regions)
 const CONFIGS: &[(&str, bool, usize)] = &[
     ("full_pack", true, REGIONS),
@@ -131,6 +139,21 @@ fn main() {
     lines.push(format!(
         "{{\"name\":\"pack_kernels\",\"median_ns\":{median_ns}}}"
     ));
+    // Into a destination already faulted in, as a recycled frame is.
+    let src: Vec<u8> = (0..PAYLOAD_BYTES).map(|i| (i * 31 + 7) as u8).collect();
+    let mut dst = vec![0u8; PAYLOAD_BYTES];
+    let want = serial::crc32(&src);
+    let mut time_pass = |name: &str, pass: &dyn Fn(&mut [u8]) -> u32| {
+        assert_eq!(pass(&mut dst), want, "{name}");
+        let median_ns = measure(8, 101, || elapsed_ns(|| pass(&mut dst))).median_ns;
+        println!("{name:<24} median {median_ns:>10} ns");
+        lines.push(format!("{{\"name\":\"{name}\",\"median_ns\":{median_ns}}}"));
+    };
+    time_pass("copy_crc_8m", &|dst| serial::copy_crc(dst, &src));
+    time_pass("copy_then_crc_8m", &|dst| {
+        dst.copy_from_slice(&src);
+        serial::crc32(dst)
+    });
     write_results(
         "checkpoint",
         &format!(

@@ -1,17 +1,19 @@
 //! CLI wrapper around the tested gate logic, called from
-//! `scripts/bench_gate.sh` (`bench::gate`) and `scripts/ci.sh`
-//! (`bench::pins`):
+//! `scripts/bench_gate.sh` (`bench::gate`), `scripts/ci.sh` (`bench::pins`)
+//! and `scripts/ab.sh` (`bench::ab`):
 //!
 //! ```text
 //! bench_compare assert-faster <results.json> <fast> <slow> \
 //!     [--metric median_ns] [--min-x 1]
 //! bench_compare check-pins <benchmark-output.log>
+//! bench_compare ab <parent.log> <change.log> [<parent.log> <change.log> ...]
 //! ```
 //!
 //! Exit codes: 0 = pass, 1 = gate violation (claim not held, missing
 //! config, a modelled number off its pin, malformed artifact), 2 = usage
 //! error.
 
+use bench::ab::{self, Run};
 use bench::gate::{self, GateReport};
 use bench::pins;
 use telemetry::Json;
@@ -28,16 +30,18 @@ fn run(args: &[String]) -> i32 {
     let report = match cmd.as_str() {
         "assert-faster" => cmd_assert_faster(rest),
         "check-pins" => cmd_check_pins(rest),
+        "ab" => cmd_ab(rest),
         other => return usage(&format!("unknown subcommand {other:?}")),
     };
+    let prefix = if cmd == "ab" { "ab" } else { "bench gate" };
     match report {
         Err(msg) => usage(&msg),
         Ok(report) => {
             for line in &report.lines {
-                println!("bench gate: {line}");
+                println!("{prefix}: {line}");
             }
             for failure in &report.failures {
-                eprintln!("bench gate: FAIL — {failure}");
+                eprintln!("{prefix}: FAIL — {failure}");
             }
             i32::from(!report.ok())
         }
@@ -48,7 +52,8 @@ fn usage(msg: &str) -> i32 {
     eprintln!("bench_compare: {msg}");
     eprintln!(
         "usage: bench_compare assert-faster <file> <fast> <slow> [--metric M] [--min-x N]\n\
-         \x20      bench_compare check-pins <file>"
+         \x20      bench_compare check-pins <file>\n\
+         \x20      bench_compare ab <parent.log> <change.log> [...]"
     );
     2
 }
@@ -125,4 +130,31 @@ fn cmd_check_pins(args: &[String]) -> Result<GateReport, String> {
         Err(why) => report.failures.push(format!("{path}: {why}")),
     }
     Ok(report)
+}
+
+/// Alternating parent and change logs of `benchmark --workload` runs,
+/// judged pair by pair on [`ab::CLAIM`]; an unreadable log is a violation.
+fn cmd_ab(args: &[String]) -> Result<GateReport, String> {
+    if args.is_empty() || !args.len().is_multiple_of(2) {
+        return Err("ab needs parent and change logs, in pairs".into());
+    }
+    let runs: Result<Vec<Run>, String> = args
+        .iter()
+        .map(|path| {
+            let log = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            Run::parse(&log).map_err(|e| format!("{path}: {e}"))
+        })
+        .collect();
+    let mut runs = match runs {
+        Ok(runs) => runs.into_iter(),
+        Err(why) => {
+            return Ok(GateReport {
+                lines: Vec::new(),
+                failures: vec![why],
+            })
+        }
+    };
+    let pairs: Vec<(Run, Run)> =
+        std::iter::from_fn(|| Some((runs.next()?, runs.next()?))).collect();
+    Ok(ab::compare(&pairs, ab::CLAIM))
 }

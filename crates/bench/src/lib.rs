@@ -2,10 +2,12 @@
 //! tables (see `benches/`). Every target times every config through the one
 //! loop here ([`measure`] over [`elapsed_ns`]) and writes its results with
 //! [`write_results`]; the decision logic of the CI bench gate is [`gate`],
-//! driven by the `bench_compare` binary over `telemetry::Json`. [`pins`] is
+//! and that of the whole-run A/B protocol [`ab`], both driven by the
+//! `bench_compare` binary over `telemetry::Json`. [`pins`] is
 //! the one reader of the pin file, the zero-tolerance table of every
 //! modelled number.
 
+pub mod ab;
 pub mod gate;
 pub mod pins;
 

@@ -97,10 +97,32 @@ pub fn assert_pinned(measured: &[Json]) {
     }
 }
 
+/// What one `benchmark --workload` run printed that every reader holds it
+/// to: the last line is the result object, which must say `correct` with
+/// no failed operation, and the table's `virtual_fingerprint` line joins
+/// the scenarios' fingerprints. Returns the result and the fingerprint.
+pub fn benchmark_result(log: &str) -> Result<(Json, &str), String> {
+    let result = log
+        .lines()
+        .rev()
+        .find(|l| l.starts_with('{'))
+        .ok_or("no result line")?;
+    let result = Json::parse(result).map_err(|e| format!("result line: {e}"))?;
+    if result.get("correct") != Some(&Json::Bool(true))
+        || result.get("failed").and_then(Json::as_u64) != Some(0)
+    {
+        return Err("the run failed its own checks".into());
+    }
+    let fingerprint = log
+        .lines()
+        .find_map(|l| l.trim_start().strip_prefix("virtual_fingerprint "))
+        .ok_or("no virtual_fingerprint line")?;
+    Ok((result, fingerprint.trim()))
+}
+
 /// The entry of one `benchmark --workload NAME --seed N --trace 0` run,
 /// read from what it printed: the header line names the workload and the
-/// seed, the last line is the result object, and the `virtual_fingerprint`
-/// line joins the scenarios' fingerprints.
+/// seed, and [`benchmark_result`] gives the modelled numbers.
 pub fn benchmark_entry(log: &str) -> Result<Json, String> {
     let header = log.lines().find_map(|l| l.strip_prefix("benchmark "));
     let (workload, rest) = header
@@ -110,15 +132,7 @@ pub fn benchmark_entry(log: &str) -> Result<Json, String> {
         .split_whitespace()
         .find_map(|w| w.strip_prefix("seed=")?.parse::<u64>().ok())
         .ok_or_else(|| format!("{workload}: the header names no seed"))?;
-    let result = log
-        .lines()
-        .rev()
-        .find(|l| l.starts_with('{'))
-        .ok_or_else(|| format!("{workload}: no result line"))?;
-    let result = Json::parse(result).map_err(|e| format!("{workload}: result line: {e}"))?;
-    if result.get("correct") != Some(&Json::Bool(true)) {
-        return Err(format!("{workload}: the run failed its own checks"));
-    }
+    let (result, fingerprint) = benchmark_result(log).map_err(|e| format!("{workload}: {e}"))?;
     let metric = |name| -> Result<(&str, Json), String> {
         let value = result
             .get("metrics")
@@ -126,17 +140,13 @@ pub fn benchmark_entry(log: &str) -> Result<Json, String> {
         let missing = || format!("{workload}: the result line has no {name}");
         Ok((name, value.ok_or_else(missing)?.clone()))
     };
-    let fingerprint = log
-        .lines()
-        .find_map(|l| l.trim_start().strip_prefix("virtual_fingerprint "))
-        .ok_or_else(|| format!("{workload}: no virtual_fingerprint line"))?;
     Ok(entry(
         &format!("benchmark/{workload}"),
         seed,
         [
             metric("virtual_ckpt_overhead_s")?,
             metric("virtual_wall_fail_s")?,
-            ("virtual_fingerprint", Json::from(fingerprint.trim())),
+            ("virtual_fingerprint", Json::from(fingerprint)),
         ],
     ))
 }
@@ -222,9 +232,15 @@ mod tests {
             r#"{"shape":"benchmark/heatdis_ckpt","seed":7,"virtual_ckpt_overhead_s":0.3074213,"virtual_wall_fail_s":2.5,"virtual_fingerprint":"00ff+00fe"}"#
         );
         let failed = LOG.replace("\"correct\": true", "\"correct\": false");
-        assert!(benchmark_entry(&failed)
-            .unwrap_err()
-            .contains("failed its own checks"));
+        let lost = LOG.replace("\"failed\": 0", "\"failed\": 1");
+        let unprinted = LOG.replace("virtual_fingerprint ", "fingerprint ");
+        for (log, why) in [
+            (failed, "the run failed its own checks"),
+            (lost, "the run failed its own checks"),
+            (unprinted, "no virtual_fingerprint line"),
+        ] {
+            assert_eq!(benchmark_entry(&log), Err(format!("heatdis_ckpt: {why}")));
+        }
         let missing = LOG.replace("virtual_wall_fail_s", "other");
         assert!(benchmark_entry(&missing)
             .unwrap_err()

@@ -3,13 +3,17 @@
 //! A peer-memory checkpoint builds a frame and its wire shards at every
 //! version, and drops the previous version's once the next one commits.
 //! Allocated fresh, every one of those buffers is faulted in page by page
-//! and zeroed by the kernel; recycled, it is one `memset` over memory that
-//! is already mapped. [`Pool::take`] hands out a zeroed buffer from what
-//! has come back, or `None` — a miss, and the caller allocates as it would
-//! without a pool. [`Pool::share`] freezes a filled buffer into [`Bytes`]
-//! whose owner hands the `Vec` back when the last handle drops. Only
-//! buffers of at least [`MIN_POOLED`] bytes take part; smaller ones cost
-//! less to allocate than to lock the pool for.
+//! and zeroed; recycled, it is memory that is already mapped, and it is
+//! not zeroed again, because every writer writes every byte it shares (a
+//! frame's meta and payloads, a shard's padding). [`Pool::take`] hands out
+//! a buffer from what has come back, holding its previous user's bytes,
+//! or `None` — a miss, and the caller allocates as it would without a
+//! pool. Debug builds fill a recycled buffer with [`POISON`] instead, so
+//! in every debug-build suite a byte a writer leaves unwritten is not a
+//! zero that happens to be right. [`Pool::share`] freezes a
+//! filled buffer into [`Bytes`] whose owner hands the `Vec` back when the
+//! last handle drops. Only buffers of at least [`MIN_POOLED`] bytes take
+//! part; smaller ones cost less to allocate than to lock the pool for.
 //!
 //! The pool has one owner, the [`crate::Cluster`], and no setting. A lent
 //! buffer reaches its pool through a `Weak`, so a buffer is recycled only
@@ -27,6 +31,10 @@ use parking_lot::Mutex;
 
 /// The smallest buffer the pool recycles, in bytes.
 const MIN_POOLED: usize = 64 << 10;
+
+/// What a recycled buffer holds in a debug build: every byte a writer fails
+/// to overwrite reads `0xA5` rather than a zero or a stale payload byte.
+const POISON: u8 = 0xA5;
 
 /// What the pool has done so far ([`Pool::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -81,10 +89,12 @@ impl Pool {
         }
     }
 
-    /// A zeroed buffer of `len` bytes from the ones that came back, or
-    /// `None`: `len` is under [`MIN_POOLED`], or no retained buffer fits.
-    /// A buffer fits when its capacity is at least `len` and under twice
-    /// it; the smallest that fits is taken.
+    /// A buffer of `len` bytes from the ones that came back, or `None`:
+    /// `len` is under [`MIN_POOLED`], or no retained buffer fits. A buffer
+    /// fits when its capacity is at least `len` and under twice it; the
+    /// smallest that fits is taken. Its bytes are not zeroed: they are what
+    /// its previous user wrote (zero past that user's length), or all
+    /// [`POISON`] in a debug build. The caller writes every byte it shares.
     pub fn take(&self, len: usize) -> Option<Vec<u8>> {
         if len < MIN_POOLED {
             return None;
@@ -102,8 +112,12 @@ impl Pool {
         state.stats.hits += 1;
         state.stats.retained_bytes -= buf.capacity();
         drop(state);
-        buf.clear();
-        buf.resize(len, 0);
+        if cfg!(debug_assertions) {
+            buf.clear();
+            buf.resize(len, POISON);
+        } else {
+            buf.resize(len, 0);
+        }
         Some(buf)
     }
 
@@ -160,15 +174,25 @@ mod tests {
 
     const MIB: usize = 1 << 20;
 
+    /// What a buffer recycled from a user that filled it with `byte`
+    /// holds: that user's bytes, or the poison in a debug build.
+    fn recycled(byte: u8) -> u8 {
+        if cfg!(debug_assertions) {
+            POISON
+        } else {
+            byte
+        }
+    }
+
     fn filled(pool: &Pool, len: usize, byte: u8) -> Bytes {
         let mut buf = pool.take(len).unwrap_or_else(|| vec![0; len]);
-        assert!(buf.iter().all(|b| *b == 0), "a taken buffer comes zeroed");
+        assert_eq!(buf.len(), len, "a taken buffer is as long as asked");
         buf.fill(byte);
         pool.share(buf)
     }
 
     #[test]
-    fn a_dropped_buffer_serves_the_next_request_zeroed() {
+    fn a_dropped_buffer_serves_the_next_request_unzeroed() {
         let pool = Pool::new();
         // The next version is lent before the previous one is dropped, so
         // the returned buffer is within the retention bound.
@@ -178,7 +202,8 @@ mod tests {
         drop(first);
         let again = pool.take(MIB).expect("the returned buffer is reused");
         assert_eq!(again.as_ptr(), at);
-        assert!(again.iter().all(|b| *b == 0));
+        assert_eq!(again.len(), MIB);
+        assert!(again.iter().all(|b| *b == recycled(0xAA)));
         let stats = pool.stats();
         assert_eq!((stats.hits, stats.misses), (1, 2));
         drop(next);
@@ -202,7 +227,13 @@ mod tests {
         let held = filled(&pool, 4 * MIB, 2);
         drop(filled(&pool, 4 * MIB, 3));
         assert!(pool.take(MIB).is_none(), "4 MiB is too large for 1 MiB");
-        assert!(pool.take(3 * MIB).is_some());
+        let taken = pool.take(3 * MIB).expect("3 MiB fits in 4 MiB");
+        // Shorter than its previous user: the request's length, and only
+        // bytes that user wrote.
+        assert_eq!(taken.len(), 3 * MIB);
+        assert!(taken.iter().all(|b| *b == recycled(3)));
+        let s = pool.stats();
+        assert_eq!((s.hits, s.misses, s.retained_bytes), (1, 3, 0), "{s:?}");
         drop(held);
     }
 

@@ -93,10 +93,10 @@ impl Protected for ViewRegion {
         self.0.generation()
     }
 
-    fn snapshot_into(&self, out: &mut [u8]) -> bool {
-        // Forward so the view's direct-copy path (no intermediate `Bytes`)
-        // survives the trait-object hop into the zero-copy pack.
-        self.0.snapshot_into(out)
+    fn with_bytes(&self, f: &mut dyn FnMut(&[u8])) {
+        // Forward so the view lends its storage (no intermediate `Bytes`)
+        // across the trait-object hop into the zero-copy pack.
+        self.0.with_bytes(f);
     }
 }
 
@@ -306,10 +306,11 @@ mod tests {
 
     #[test]
     fn view_adapter_never_takes_an_owned_snapshot() {
-        // The adapter forwards `snapshot_into`, so both writers — the VeloC
-        // client and the peer-memory `pack_views` — copy a view once: into
-        // the frame, which then *is* the blob (the slot the view wrote to
-        // is where the blob's payload lives).
+        // The adapter forwards `with_bytes`, so both writers — the VeloC
+        // client and the peer-memory `pack_views` — copy a view once, from
+        // the storage it lends into the frame, and never ask it for an
+        // owned snapshot. The frame then *is* the blob: the pool buffer a
+        // dropped blob hands back is where the next blob's bytes live.
         use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
         struct Counted(View<u64>, AtomicUsize, AtomicUsize);
         impl Checkpointable for Counted {
@@ -323,14 +324,16 @@ mod tests {
             fn restore(&self, data: &[u8]) {
                 self.0.restore(data);
             }
-            fn snapshot_into(&self, out: &mut [u8]) -> bool {
-                self.2.store(out.as_ptr() as usize, Relaxed);
-                self.0.snapshot_into(out)
+            fn with_bytes(&self, f: &mut dyn FnMut(&[u8])) {
+                self.2.fetch_add(1, Relaxed);
+                self.0.with_bytes(f);
             }
         }
         let c = cluster();
+        // 128 KiB: a frame the pool recycles.
+        let data: Vec<u64> = (0..16 << 10).collect();
         let counted = Arc::new(Counted(
-            View::from_vec("data", vec![5, 6, 7]),
+            View::from_vec("data", data.clone()),
             0.into(),
             0.into(),
         ));
@@ -342,14 +345,19 @@ mod tests {
         backend.wait();
         let blob = pack_views(c.pool(), &region);
         assert_eq!(counted.1.load(Relaxed), 0);
-        let frame = veloc::serial::unpack(&blob).expect("intact");
-        assert_eq!(
-            frame.changed[0].1.as_ptr() as usize,
-            counted.2.load(Relaxed)
-        );
+        assert_eq!(counted.2.load(Relaxed), 2, "one lend per writer");
+        let at = blob.as_ptr();
+        // Held, it keeps the pool's bound above one frame.
+        let held = pack_views(c.pool(), &region);
+        drop(blob);
+        let hits = c.pool().stats().hits;
+        let again = pack_views(c.pool(), &region);
+        assert_eq!((c.pool().stats().hits, again.as_ptr()), (hits + 1, at));
+        assert_eq!(counted.1.load(Relaxed), 0);
         counted.0.fill(0);
-        unpack_views(&region, &blob).unwrap();
-        assert_eq!(*counted.0.read_uncaptured(), vec![5, 6, 7]);
+        unpack_views(&region, &again).unwrap();
+        assert_eq!(*counted.0.read_uncaptured(), data);
+        drop(held);
     }
 
     #[test]

@@ -36,16 +36,12 @@ pub trait Checkpointable: Send + Sync {
         None
     }
 
-    /// Serialize straight into `out` (the resilience layer's zero-copy
-    /// pack slot). Returns `false` when the current byte length no longer
-    /// matches `out.len()` — the caller falls back to [`Self::snapshot`].
-    fn snapshot_into(&self, out: &mut [u8]) -> bool {
-        let snap = self.snapshot();
-        if snap.len() != out.len() {
-            return false;
-        }
-        out.copy_from_slice(&snap);
-        true
+    /// Lend the current contents to `f`, as the bytes [`Self::snapshot`]
+    /// would return, without an owned copy (the resilience layer's pack
+    /// copies them straight into the frame). The default lends a
+    /// snapshot.
+    fn with_bytes(&self, f: &mut dyn FnMut(&[u8])) {
+        f(&self.snapshot());
     }
 }
 
@@ -66,17 +62,11 @@ impl<T: Pod> Checkpointable for View<T> {
         Some(View::generation(self))
     }
 
-    fn snapshot_into(&self, out: &mut [u8]) -> bool {
-        // One copy, from the view's storage into the frame slot, without
-        // the intermediate `Bytes` of `snapshot_bytes` (and without
-        // recording a capture, like every serialization path here).
-        let guard = self.read_uncaptured();
-        let src = pod::as_bytes(&guard);
-        if src.len() != out.len() {
-            return false;
-        }
-        out.copy_from_slice(src);
-        true
+    fn with_bytes(&self, f: &mut dyn FnMut(&[u8])) {
+        // The view's storage itself, without the intermediate `Bytes` of
+        // `snapshot_bytes` (and without recording a capture, like every
+        // serialization path here).
+        f(pod::as_bytes(&self.read_uncaptured()));
     }
 }
 

@@ -136,11 +136,12 @@ impl Code {
     }
 
     /// Write shard `index` of `payload`'s encoding into `out`, which must be
-    /// one shard long and all zero. A data shard is one copy of its slice
-    /// of the payload, the zero padding of the last one being what `out`
-    /// already holds. A parity shard is accumulated in place from the
-    /// payload's `n` slices, borrowed and unpadded: a short last slice
-    /// contributes nothing past its end (`c · 0 = 0`).
+    /// one shard long; every byte of it is written, whatever it held. A
+    /// data shard is one copy of its slice of the payload, then the zero
+    /// padding of a short last one. A parity shard is zeroed, then
+    /// accumulated in place from the payload's `n` slices, borrowed and
+    /// unpadded: a short last slice contributes nothing past its end
+    /// (`c · 0 = 0`).
     pub fn shard_into(
         self,
         payload: &[u8],
@@ -162,11 +163,13 @@ impl Code {
             .take(n);
         match index.checked_sub(n) {
             None => {
-                if let Some(slice) = slices.nth(index) {
-                    out[..slice.len()].copy_from_slice(slice);
-                }
+                let slice = slices.nth(index).unwrap_or_default();
+                let (data, padding) = out.split_at_mut(slice.len());
+                data.copy_from_slice(slice);
+                padding.fill(0);
             }
             Some(row) if row < m => {
+                out.fill(0);
                 for (j, slice) in slices.enumerate() {
                     gf256::mul_acc(out, slice, self.coeff(row, j));
                 }

@@ -298,11 +298,12 @@ fn code_of(mode: RedundancyMode, s: usize) -> Option<Code> {
 /// [`RedundancyGroup::exchange`]).
 ///
 /// Each frame is built once, in the buffer that goes on the wire, taken
-/// zeroed from the cluster's `pool` (fresh on a miss) and handed back to
-/// it when the last holder drops the frame: the header, then the shard
-/// written straight behind it — one copy of the payload's slice for a data
-/// shard ([`Code::shard_into`]), and every parity shard in one pass over
-/// the payload ([`Code::parity_into`]). `pub` for the redundancy bench and
+/// from the cluster's `pool` as its previous user left it (fresh on a
+/// miss) and handed back to it when the last holder drops the frame: the
+/// header, then the shard written straight behind it, every byte — one
+/// copy of the payload's slice and its padding for a data shard
+/// ([`Code::shard_into`]), and every parity shard in one pass over the
+/// payload ([`Code::parity_into`]). `pub` for the redundancy bench and
 /// the wire-format test, which hold it to `header ++ rs_encode(..)[index]`
 /// and to [`coded_frames_per_row`].
 pub fn coded_frames(
@@ -352,7 +353,8 @@ pub fn coded_frames_per_row(
     Ok(frames.into_iter().map(|wire| pool.share(wire)).collect())
 }
 
-/// One zeroed buffer per travelling shard of `payload`, header written.
+/// One buffer per travelling shard of `payload`, header written; the
+/// shard's bytes are left for the caller to write.
 fn wire_buffers(
     pool: &Pool,
     code: Code,
@@ -970,8 +972,9 @@ mod tests {
 
     /// Frames built into recycled buffers that the pool's previous user
     /// left full of `0xAA` are byte for byte the frames built into fresh
-    /// ones: the pool hands buffers out zeroed, and a data shard's padding
-    /// (a short last slice) is what shows it.
+    /// ones: the pool does not zero them, so every shard byte is the
+    /// encoder's, and a data shard's padding (a short last slice) is what
+    /// shows it.
     #[test]
     fn frames_built_in_a_poisoned_recycled_buffer_equal_fresh_ones() {
         let cluster = cluster();

@@ -315,7 +315,7 @@ proptest! {
     }
 
     /// `parity_into` writes exactly the parity shards `shard_into` writes
-    /// one row at a time, into buffers that held garbage: payloads of
+    /// one row at a time, both into buffers that held garbage: payloads of
     /// every length up to 300 bytes and past 64 KiB, at rotating start
     /// offsets, with short and empty last slices (a length under
     /// `n · (shard_len − 1)` leaves whole slices empty), on codes up to the
@@ -333,7 +333,7 @@ proptest! {
             let mut parity: Vec<&mut [u8]> = bufs.iter_mut().map(|b| &mut b[..]).collect();
             code.parity_into(payload, &mut parity).expect("parity");
             for (row, got) in parity.iter().enumerate() {
-                let mut want = vec![0u8; len];
+                let mut want = vec![0x5A; len];
                 code.shard_into(payload, shards - m + row, &mut want).expect("shard");
                 assert!(
                     got[..] == want[..],

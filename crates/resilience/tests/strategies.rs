@@ -355,7 +355,7 @@ fn checkpointing_strategies_restore_after_a_kill_on_the_final_commit() {
 struct SerializeCounts {
     /// `snapshot()`: an owned copy, which the pack then copies again.
     copies: AtomicUsize,
-    /// `snapshot_into()`: straight into the frame's payload slot.
+    /// `with_bytes()`: lent in place, copied straight into the frame.
     direct: AtomicUsize,
 }
 
@@ -378,9 +378,9 @@ impl Checkpointable for CountedView {
     fn generation(&self) -> Option<u64> {
         self.inner.generation()
     }
-    fn snapshot_into(&self, out: &mut [u8]) -> bool {
+    fn with_bytes(&self, f: &mut dyn FnMut(&[u8])) {
         self.counts.direct.fetch_add(1, Ordering::Relaxed);
-        self.inner.snapshot_into(out)
+        self.inner.with_bytes(f);
     }
 }
 

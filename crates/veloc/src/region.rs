@@ -40,22 +40,15 @@ pub trait Protected: Send + Sync {
         None
     }
 
-    /// Serialize the current contents directly into `out` — the zero-copy
-    /// pack path, where `out` is this region's payload slot inside the
-    /// frame allocation. Returns `false` (leaving `out` unspecified) when
-    /// the region's current byte length differs from `out.len()`, i.e. the
-    /// region was resized between layout planning and serialization; the
-    /// caller must then abandon the planned frame and fall back to the
-    /// copying path. The default goes through [`Protected::snapshot`], so
-    /// implementors only override when they can write without the
-    /// intermediate allocation.
-    fn snapshot_into(&self, out: &mut [u8]) -> bool {
-        let snap = self.snapshot();
-        if snap.len() != out.len() {
-            return false;
-        }
-        out.copy_from_slice(&snap);
-        true
+    /// Lend the current contents to `f`, as the bytes [`Self::snapshot`]
+    /// would return, without an owned copy: the pack copies them straight
+    /// into the region's payload slot, checksumming as it copies, and
+    /// checks the length against its plan (a region resized between
+    /// planning and this call sends it back to [`Self::snapshot`]). The
+    /// default lends a snapshot, so implementors only override when they
+    /// can lend their storage in place.
+    fn with_bytes(&self, f: &mut dyn FnMut(&[u8])) {
+        f(&self.snapshot());
     }
 }
 
@@ -113,16 +106,9 @@ impl<T: Pod> Protected for VecRegion<T> {
         Some(self.generation.load(Ordering::Relaxed))
     }
 
-    fn snapshot_into(&self, out: &mut [u8]) -> bool {
-        // One copy, straight from the locked vector into the frame slot —
-        // no intermediate `Bytes`.
-        let guard = self.data.lock();
-        let src = pod::as_bytes(&guard);
-        if src.len() != out.len() {
-            return false;
-        }
-        out.copy_from_slice(src);
-        true
+    fn with_bytes(&self, f: &mut dyn FnMut(&[u8])) {
+        // The locked vector itself: the caller's copy is the only one.
+        f(pod::as_bytes(&self.data.lock()));
     }
 }
 
@@ -170,16 +156,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_into_fills_exact_slot_and_rejects_drift() {
+    fn with_bytes_lends_the_snapshot_in_place() {
         let r = VecRegion::new(vec![1u32, 2, 3]);
-        let mut slot = vec![0u8; 12];
-        assert!(r.snapshot_into(&mut slot));
-        assert_eq!(Bytes::from(slot), r.snapshot());
-        // A slot sized for the pre-resize layout must be refused.
-        let mut stale = vec![0u8; 8];
-        assert!(!r.snapshot_into(&mut stale));
-        let mut oversized = vec![0u8; 16];
-        assert!(!r.snapshot_into(&mut oversized));
+        let at = r.lock().as_ptr() as usize;
+        let mut lent = None;
+        r.with_bytes(&mut |b| lent = Some((b.as_ptr() as usize, Bytes::copy_from_slice(b))));
+        // The vector's own storage, holding exactly the snapshot's bytes.
+        assert_eq!(lent, Some((at, r.snapshot())));
     }
 
     #[test]

@@ -27,11 +27,11 @@
 //! and restart can walk a chain by meta alone ([`parse_meta`]) before paying
 //! for the payload checksums ([`FrameMeta::verify_payloads`]).
 //!
-//! [`pack`] is the only writer: it lays the frame out up front and
-//! serializes each region straight into its payload slot
-//! ([`FrameBuilder`], [`crate::Protected::snapshot_into`]). [`unpack`] is
-//! the only reader of whole frames. Restores match regions by id, so a
-//! restart can tolerate registration in a different order (Kokkos
+//! [`pack`] is the only writer: it lays the frame out up front and copies
+//! each region straight into its payload slot, checksumming as it copies
+//! ([`FrameBuilder`], [`crate::Protected::with_bytes`], [`copy_crc`]).
+//! [`unpack`] is the only reader of whole frames. Restores match regions by
+//! id, so a restart can tolerate registration in a different order (Kokkos
 //! Resilience re-registers views after a context reset).
 //!
 //! The CRCs exist because the structural checks alone cannot catch a
@@ -91,7 +91,7 @@ const CRC_TABLES: [[u32; 256]; 16] = {
 };
 
 /// CRC32 (IEEE 802.3, reflected) of `data` — the checksum every frame
-/// carries and every restart verifies.
+/// carries and every restart verifies: [`Crc32`] over `data` in one update.
 ///
 /// One function, three kernels, chosen from what the CPU reports (nothing
 /// to configure): on x86-64 with `pclmulqdq` and `sse4.1` a carry-less-
@@ -103,23 +103,76 @@ const CRC_TABLES: [[u32; 256]; 16] = {
 /// [`crc32_bitwise`] is the definitional form they are property-tested
 /// against; [`crc32_kernel`] names the choice.
 pub fn crc32(data: &[u8]) -> u32 {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if data.len() >= clmul::MIN_LEN && clmul::available() {
-        let (state, tail) = if data.len() >= clmul::WIDE_MIN_LEN && clmul::wide_available() {
-            // SAFETY: `wide_available()` just confirmed at run time that this
-            // CPU has every feature `clmul::fold_wide` is compiled for — its
-            // one requirement.
-            unsafe { clmul::fold_wide(0xFFFF_FFFF, data) }
-        } else {
-            // SAFETY: `available()` just confirmed at run time that this CPU
-            // has every feature `clmul::fold` is compiled for — its one
-            // requirement.
-            unsafe { clmul::fold(0xFFFF_FFFF, data) }
-        };
-        // The kernels leave the last `len % 16` bytes to the table.
-        return slice16_update(state, tail) ^ 0xFFFF_FFFF;
+    Crc32::new().update(data).finish()
+}
+
+/// A running CRC32: [`crc32`] of a message fed in pieces. Any split gives
+/// the same checksum (`tests/serial_props.rs`), so a writer can fold each
+/// block in while it is still in cache ([`copy_crc`]).
+#[derive(Clone, Copy, Debug)]
+#[must_use]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
     }
-    crc32_slice16(data)
+}
+
+impl Crc32 {
+    /// The checksum of nothing so far.
+    pub fn new() -> Self {
+        Crc32(0xFFFF_FFFF)
+    }
+
+    /// Append `data` to the message, through the kernel [`crc32`] names.
+    pub fn update(self, data: &[u8]) -> Self {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if data.len() >= clmul::MIN_LEN && clmul::available() {
+            let (state, tail) = if data.len() >= clmul::WIDE_MIN_LEN && clmul::wide_available() {
+                // SAFETY: `wide_available()` just confirmed at run time that
+                // this CPU has every feature `clmul::fold_wide` is compiled
+                // for — its one requirement.
+                unsafe { clmul::fold_wide(self.0, data) }
+            } else {
+                // SAFETY: `available()` just confirmed at run time that this
+                // CPU has every feature `clmul::fold` is compiled for — its
+                // one requirement.
+                unsafe { clmul::fold(self.0, data) }
+            };
+            // The kernels leave the last `len % 16` bytes to the table.
+            return Crc32(slice16_update(state, tail));
+        }
+        Crc32(slice16_update(self.0, data))
+    }
+
+    /// The CRC32 of everything appended.
+    pub fn finish(self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
+    }
+}
+
+/// How much [`copy_crc`] copies before it checksums: small enough that the
+/// block and its source, 32 KiB together, are still in L1 when the CRC
+/// reads the block.
+const COPY_CRC_BLOCK: usize = 16 << 10;
+
+/// Copy `src` into `dst` and return [`crc32`] of the copy, in one pass:
+/// each block is checksummed right after it is written, while it is still
+/// in L1, instead of read back from L3 or memory after the whole copy.
+///
+/// # Panics
+/// If the two slices differ in length, as [`slice::copy_from_slice`] does.
+pub fn copy_crc(dst: &mut [u8], src: &[u8]) -> u32 {
+    assert_eq!(dst.len(), src.len(), "copy_crc between different lengths");
+    let blocks = dst
+        .chunks_mut(COPY_CRC_BLOCK)
+        .zip(src.chunks(COPY_CRC_BLOCK));
+    let crc = blocks.fold(Crc32::new(), |crc, (d, s)| {
+        d.copy_from_slice(s);
+        crc.update(d)
+    });
+    crc.finish()
 }
 
 /// Which kernel [`crc32`] runs on this host for large inputs:
@@ -442,13 +495,15 @@ impl Frame {
 /// `unchanged` list; a delta frame references the committed version its
 /// unchanged regions live under.
 ///
-/// The frame is laid out up front from each region's `byte_len` and every
-/// region serializes *straight into its payload slot* — one copy from
-/// protected memory to the frame — and is checksummed there. A region whose
-/// byte length drifted between planning and serialization (a concurrent
-/// resize) invalidates the planned layout; the frame is then planned again
-/// from owned snapshots, whose lengths cannot move. The frame's buffer
-/// comes from, and goes back to, the cluster's `pool` ([`FrameBuilder`]).
+/// The frame is laid out up front from each region's `byte_len`, and every
+/// region's bytes are copied *straight into its payload slot* — one copy
+/// from protected memory to the frame — and checksummed block by block as
+/// they land ([`copy_crc`]), so each payload byte is written once and read
+/// back from L1. A region whose byte length drifted between planning and
+/// serialization (a concurrent resize) invalidates the planned layout; the
+/// frame is then planned again from owned snapshots, whose lengths cannot
+/// move. The frame's buffer comes from, and goes back to, the cluster's
+/// `pool` ([`FrameBuilder`]).
 pub fn pack(
     pool: &Pool,
     base_version: Option<u64>,
@@ -459,12 +514,13 @@ pub fn pack(
     let mut builder = FrameBuilder::new(pool, base_version, &plan, unchanged);
     let filled = changed.iter().enumerate().all(|(i, (_, r))| {
         let slot = builder.payload_mut(i);
-        let fits = r.snapshot_into(slot);
-        if fits {
-            let crc = crc32(slot);
-            builder.set_crc(i, crc);
-        }
-        fits
+        let mut crc = None;
+        r.with_bytes(&mut |src| {
+            if src.len() == slot.len() {
+                crc = Some(copy_crc(slot, src));
+            }
+        });
+        crc.map(|crc| builder.set_crc(i, crc)).is_some()
     });
     if filled {
         return builder.seal();
@@ -477,8 +533,8 @@ pub fn pack(
         .collect();
     let mut builder = FrameBuilder::new(pool, base_version, &plan, unchanged);
     for (i, snap) in snaps.iter().enumerate() {
-        builder.payload_mut(i).copy_from_slice(snap);
-        builder.set_crc(i, crc32(snap));
+        let crc = copy_crc(builder.payload_mut(i), snap);
+        builder.set_crc(i, crc);
     }
     builder.seal()
 }
@@ -560,18 +616,19 @@ fn advise_huge_pages(buf: &mut [MaybeUninit<u8>]) {
 /// Zero-copy frame assembler — what [`pack`] writes through.
 ///
 /// `FrameBuilder` allocates the finished frame up front from the planned
-/// layout and hands out its `&mut [u8]` payload slots, so regions
-/// serialize *straight into their final location*
-/// ([`crate::Protected::snapshot_into`]) with no intermediate `Bytes`
+/// layout, writes every meta byte, and hands out its `&mut [u8]` payload
+/// slots, so regions are copied *straight into their final location*
+/// ([`crate::Protected::with_bytes`]) with no intermediate `Bytes`
 /// snapshot. [`FrameBuilder::seal`] stamps the meta CRC and freezes; the
 /// output is byte-identical to the copying [`pack_frame`] on the same
 /// content (`builder_output_matches_pack_frame` below holds the two
 /// together).
 ///
-/// The buffer is the cluster pool's: a recycled one, zeroed, when the pool
-/// has one that fits (`cluster::pool`), else a fresh allocation advised
-/// onto huge pages before it is zeroed. Either way the sealed frame hands
-/// it back to the pool when its last holder drops it.
+/// The buffer is the cluster pool's: a recycled one, still holding its
+/// previous user's bytes, when the pool has one that fits
+/// (`cluster::pool`), else a fresh allocation advised onto huge pages
+/// before it is zeroed. Either way the sealed frame hands it back to the
+/// pool when its last holder drops it.
 pub struct FrameBuilder<'a> {
     pool: &'a Pool,
     buf: Vec<u8>,
@@ -586,8 +643,8 @@ pub struct FrameBuilder<'a> {
 impl<'a> FrameBuilder<'a> {
     /// Lay out a frame for `changed` regions `(id, byte length)` in frame
     /// order, plus `unchanged` references, in a buffer from `pool`. Payload
-    /// slots come back zeroed; the caller fills each and records its CRC
-    /// via [`Self::set_crc`].
+    /// slots come back holding whatever the buffer held; the caller fills
+    /// every one and records its CRC via [`Self::set_crc`].
     pub fn new(
         pool: &'a Pool,
         base_version: Option<u64>,
@@ -671,7 +728,8 @@ impl<'a> FrameBuilder<'a> {
 
     /// Stamp the meta CRC and freeze the frame, lent from the pool. The
     /// caller must have filled every payload slot and set every CRC —
-    /// `seal` cannot tell an unfilled slot from genuine zeroes.
+    /// `seal` cannot tell a byte the buffer's previous user left from one
+    /// the caller wrote.
     pub fn seal(mut self) -> Bytes {
         let crc = crc32(&self.buf[8..self.meta_end]);
         put_u32_at(&mut self.buf, 4, crc);
@@ -988,8 +1046,10 @@ mod tests {
     }
 
     /// A frame packed into a recycled buffer that the pool's previous user
-    /// left full of `0xAA` is byte for byte the frame packed into a fresh
-    /// one.
+    /// left full of `0xAA` (in a debug build, the pool's `0xA5` poison) is
+    /// byte for byte the frame packed into a fresh one: a full frame, a
+    /// delta with unchanged references, and a frame re-planned from
+    /// snapshots after a region grew or shrank.
     #[test]
     fn a_frame_packed_in_a_poisoned_recycled_buffer_equals_a_fresh_one() {
         let cluster = Cluster::new(ClusterConfig::default());
@@ -1002,23 +1062,48 @@ mod tests {
                 (id, r)
             })
             .collect();
-        let fresh = pack(pool, None, &regions, &[]);
-        // Lend and return a poisoned buffer while the fresh frame stays
-        // outstanding, so the pool retains it for the next pack.
-        drop(pool.share(vec![0xAA; fresh.len()]));
-        let hits = pool.stats().hits;
-        let recycled = pack(pool, None, &regions, &[]);
-        assert_eq!(
-            pool.stats().hits,
-            hits + 1,
-            "the poisoned buffer was reused"
-        );
-        assert!(recycled == fresh);
+        let full = (None, &[][..]);
+        let delta = (Some(4), &[1u32, 5, 6][..]);
+        let cases = [
+            (full, None),
+            (delta, None),
+            (full, Some(-1)),
+            (full, Some(1)),
+        ];
+        for ((base, unchanged), drift) in cases {
+            let mut regions = regions.clone();
+            if let Some(planned) = drift {
+                let r = Resized(vec![0x3C; 70_000], planned);
+                regions.push((11, Arc::new(r)));
+            }
+            // A drifted pack takes two buffers: the planned frame's, given
+            // up, then the re-planned one's.
+            let takes = 1 + drift.is_some() as usize;
+            let fresh: Vec<Bytes> = (0..=takes)
+                .map(|_| pack(pool, base, &regions, unchanged))
+                .collect();
+            // Lend and return one poisoned buffer per take while one more
+            // fresh frame stays outstanding, so the pool retains them all
+            // though each is one byte over the frame, to fit a plan one
+            // byte longer too.
+            for _ in 0..takes {
+                drop(pool.share(vec![0xAA; fresh[0].len() + 1]));
+            }
+            let hits = pool.stats().hits;
+            let recycled = pack(pool, base, &regions, unchanged);
+            assert_eq!(
+                pool.stats().hits,
+                hits + takes as u64,
+                "the poisoned buffers were reused"
+            );
+            assert!(recycled == fresh[0], "{base:?}, drift {drift:?}");
+        }
     }
 
     /// A region that resized after planning: `byte_len` still reports the
-    /// old length, every serialization sees the new one.
-    struct Resized(Vec<u8>);
+    /// old length, the new one offset by `.1`, and every serialization
+    /// sees the new one.
+    struct Resized(Vec<u8>, isize);
 
     impl Protected for Resized {
         fn snapshot(&self) -> Bytes {
@@ -1026,23 +1111,26 @@ mod tests {
         }
         fn restore(&self, _data: &[u8]) {}
         fn byte_len(&self) -> usize {
-            self.0.len() - 1
+            self.0.len().checked_add_signed(self.1).unwrap()
         }
     }
 
     #[test]
     fn length_drift_replans_from_the_snapshots() {
-        let steady: Arc<dyn Protected> = Arc::new(VecRegion::new(vec![7u8; 5]));
-        let moved: Arc<dyn Protected> = Arc::new(Resized(b"grown".to_vec()));
-        let blob = pack(pool(), None, &[(1, steady), (2, moved)], &[]);
-        let frame = unpack(&blob).expect("the re-planned frame is well-formed");
-        assert_eq!(
-            frame.changed,
-            vec![
-                (1, Bytes::from(vec![7u8; 5])),
-                (2, Bytes::from_static(b"grown"))
-            ]
-        );
+        // Planned one byte short of the snapshot, then one byte over it.
+        for (now, planned) in [(&b"grown"[..], -1), (b"shrunk", 1)] {
+            let steady: Arc<dyn Protected> = Arc::new(VecRegion::new(vec![7u8; 5]));
+            let moved: Arc<dyn Protected> = Arc::new(Resized(now.to_vec(), planned));
+            let blob = pack(pool(), None, &[(1, steady), (2, moved)], &[]);
+            let frame = unpack(&blob).expect("the re-planned frame is well-formed");
+            assert_eq!(
+                frame.changed,
+                vec![
+                    (1, Bytes::from(vec![7u8; 5])),
+                    (2, Bytes::copy_from_slice(now))
+                ]
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@ use std::sync::Arc;
 use bytes::Bytes;
 use cluster::{Cluster, ClusterConfig, TimeScale};
 use proptest::prelude::*;
-use veloc::serial::{crc32, crc32_bitwise, crc32_slice16, pack_frame, unpack, FrameBuilder};
+use veloc::serial::{
+    copy_crc, crc32, crc32_bitwise, crc32_slice16, pack_frame, unpack, Crc32, FrameBuilder,
+};
 use veloc::{Client, Config, Protected, VecRegion};
 
 proptest! {
@@ -60,8 +62,31 @@ proptest! {
 // hand-over to the lane loop and the table tail, and at every alignment of
 // the first byte (the hardware kernel loads unaligned). Naming
 // `crc32_slice16` here is what exercises the portable kernel on hosts where
-// `crc32` never reaches it for long inputs.
+// `crc32` never reaches it for long inputs. The running `Crc32` must agree
+// over any split of the same input, each piece starting a kernel from a
+// register that is not the initial one, and `copy_crc` must copy exactly
+// and return the same checksum.
 // ---------------------------------------------------------------------------
+
+/// `Crc32` fed `data` in the pieces `cuts` (positions, any order, clamped
+/// to the input) split it into.
+fn streamed(data: &[u8], cuts: &[usize]) -> u32 {
+    let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+    cuts.sort_unstable();
+    let ends = cuts.into_iter().chain([data.len()]);
+    let (crc, _) = ends.fold((Crc32::new(), 0), |(crc, at), end| {
+        (crc.update(&data[at..end]), end)
+    });
+    crc.finish()
+}
+
+/// `copy_crc` of `data` into a buffer that held garbage: the checksum, and
+/// whether the copy is exact.
+fn copied(data: &[u8]) -> (u32, bool) {
+    let mut dst = vec![0xA5; data.len()];
+    let crc = copy_crc(&mut dst, data);
+    (crc, dst == data)
+}
 
 /// Deterministic splitmix-style fill: `len` and `seed` shrink cheaply while
 /// the bytes stay arbitrary-looking.
@@ -80,11 +105,16 @@ fn fill(len: usize, seed: u64) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
     #[test]
-    fn crc_kernels_equal_bitwise(seed in any::<u64>(), long in 65_537usize..200_000) {
+    fn crc_kernels_equal_bitwise(
+        seed in any::<u64>(),
+        long in 65_537usize..200_000,
+        cuts in proptest::collection::vec(any::<usize>(), 0..12),
+    ) {
         prop_assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         prop_assert_eq!(crc32_slice16(b"123456789"), 0xCBF4_3926);
-        // Every length 0..=1,024 (straddling 16, 64 and 128 many times
-        // over) at every start offset 0..16 of one buffer.
+        // Every length 0..=1,024 (straddling 16, 64, 128 and 256 many
+        // times over) at every start offset 0..16 of one buffer, streamed
+        // in three pieces whose cuts move with the length.
         let buf = fill(1024 + 16, seed);
         for off in 0..16 {
             for len in 0..=1024 {
@@ -92,6 +122,9 @@ proptest! {
                 let want = crc32_bitwise(data);
                 prop_assert_eq!(crc32(data), want, "dispatch, off {} len {}", off, len);
                 prop_assert_eq!(crc32_slice16(data), want, "slice16, off {} len {}", off, len);
+                let split = [seed as usize ^ len, (seed >> 32) as usize + 7 * len];
+                prop_assert_eq!(streamed(data, &split), want, "streamed, off {} len {}", off, len);
+                prop_assert_eq!(copied(data), (want, true), "copy_crc, off {} len {}", off, len);
             }
         }
         // Past 64 KiB (the size class of the parallel pack and restart
@@ -102,6 +135,8 @@ proptest! {
             let want = crc32_bitwise(data);
             prop_assert_eq!(crc32(data), want, "dispatch, off {} len {}", off, data.len());
             prop_assert_eq!(crc32_slice16(data), want, "slice16, off {} len {}", off, data.len());
+            prop_assert_eq!(streamed(data, &cuts), want, "streamed, cuts {:?}", cuts);
+            prop_assert_eq!(copied(data), (want, true), "copy_crc, off {} len {}", off, data.len());
         }
     }
 }

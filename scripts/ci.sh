@@ -9,9 +9,9 @@
 # paths land in target/ci-summary.json (written even when a stage fails,
 # covering the stages that ran).
 #
-# CI_QUICK=1 skips the slow benchmark gate, the benchmark/ workload runs and
-# the 2k-rank DES scale smoke — an inner-loop mode; the full gate must pass
-# before merge.
+# CI_QUICK=1 skips the slow benchmark gate, the benchmark/ workload runs, the
+# A/B self-comparison and the 2k-rank DES scale smoke — an inner-loop mode;
+# the full gate must pass before merge.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -78,9 +78,9 @@ doc_budget() { # file bytes
     budgets_ok=0
   fi
 }
-doc_budget DESIGN.md 116146
-doc_budget CHANGES.md 127609
-doc_budget EXPERIMENTS.md 82165
+doc_budget DESIGN.md 116126
+doc_budget CHANGES.md 128627
+doc_budget EXPERIMENTS.md 82120
 [ "$budgets_ok" -eq 1 ]
 end
 
@@ -196,6 +196,20 @@ elif [ "$frozen" -eq 0 ]; then
 fi
 mv target/benchmark-Cargo.lock benchmark/Cargo.lock
 [ "$frozen" -eq 0 ]
+end
+
+begin "ab: the A/B protocol against itself"
+# scripts/ab.sh, the one command a performance claim is measured with,
+# run with HEAD's committed files as the parent: one pair on heatdis_scale
+# must print a verdict and no difference in any modelled number
+# (bench_compare ab exits 1 on one), so the tool cannot rot between the
+# changes that use it. Skipped with the workload runs under CI_QUICK=1.
+if [ "${CI_QUICK:-0}" = "1" ]; then
+  echo "CI_QUICK=1: skipping the A/B self-comparison"
+else
+  scripts/ab.sh HEAD --pairs 1 --workload heatdis_scale | tee target/ab-self.log
+  grep -q '^ab: virtual mismatches: 0$' target/ab-self.log
+fi
 end
 
 begin "bench gate: checkpoint + redundancy + sched + restart + minimd + heatdis"
