@@ -26,6 +26,14 @@
 //! stores a remote copy in a partner rank's memory) is the `redstore` crate
 //! at `Replicate { k: 2 }`; this crate is process recovery only.
 
+// A dropped `Result` or a catch-all arm over an enum fails the build in
+// the recovery crates (DESIGN.md §10).
+#![deny(
+    unused_must_use,
+    clippy::let_underscore_must_use,
+    clippy::wildcard_enum_match_arm
+)]
+
 pub mod mutant;
 pub mod runtime;
 

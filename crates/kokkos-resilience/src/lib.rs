@@ -34,6 +34,14 @@
 //! [`RecoveryScope`] implements the partial-rollback extension: restoring
 //! "at just one rank with VeloC" while survivors keep in-progress data.
 
+// A dropped `Result` or a catch-all arm over an enum fails the build in
+// the recovery crates (DESIGN.md §10).
+#![deny(
+    unused_must_use,
+    clippy::let_underscore_must_use,
+    clippy::wildcard_enum_match_arm
+)]
+
 pub mod backend;
 pub mod context;
 pub mod filter;

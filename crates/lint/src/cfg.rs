@@ -1,9 +1,9 @@
 //! Structured control flow per function, built over the significant-token
 //! stream the parser already indexed.
 //!
-//! The parser ([`crate::parser`]) records *facts* (calls, lets, matches) in
-//! token order but deliberately flattens structure: a call inside a match
-//! arm and a call after the match are indistinguishable. The path-sensitive
+//! The parser ([`crate::parser`]) records *facts* (calls, lets, panic
+//! sites) in token order but deliberately flattens structure: a call inside
+//! a match arm and a call after the match are indistinguishable. The path-sensitive
 //! analysis (collective matching) needs the structure back, so this module
 //! re-walks each function body and produces a tree:
 //!

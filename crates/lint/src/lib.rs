@@ -7,8 +7,7 @@
 //!   hash counts, nested block comments, lifetime vs. char-literal
 //!   disambiguation, shebang lines);
 //! - [`parser`] — a lightweight item/expression parser producing function
-//!   items with their calls, `let` bindings, `match` arms, and panic
-//!   sites;
+//!   items with their calls, `let` bindings, and panic sites;
 //! - [`callgraph`] — a workspace-wide call graph with heuristic name
 //!   resolution and the one breadth-first traversal;
 //! - [`cfg`] and [`inline`] — per-function control-flow trees, and the
@@ -126,11 +125,9 @@ pub fn analyze(ws: &Workspace, opts: GraphOpts) -> (Vec<Diagnostic>, EffectAnaly
 /// crate where the rule's scope applies.
 fn fixture_rel(rule: &str) -> &'static str {
     match rule {
-        "dropped-result" => "crates/veloc/src/__fixture__.rs",
-        "relaxed-sync" => "crates/telemetry/src/__fixture__.rs",
         "rank-path-effects" => "crates/simmpi/src/__fixture__.rs",
         "blocking-context" => "crates/cluster/src/__fixture__.rs",
-        // panic-reach, wildcard-match, collective-match.
+        // panic-reach, collective-match.
         _ => "crates/fenix/src/__fixture__.rs",
     }
 }
@@ -364,27 +361,6 @@ mod tests {
         assert_eq!(classify("crates/lint/src/lib.rs"), None);
         assert_eq!(classify("crates/lint/fixtures/panic-reach/fire.rs"), None);
         assert_eq!(classify("scripts/ci.sh"), None);
-    }
-
-    #[test]
-    fn gated_mutants_are_invisible_without_the_opt_in() {
-        // Two seeded violations no call-graph rule sees: the per-function
-        // rules must honour the gate too.
-        let ws = testutil::ws(&[(
-            "crates/fenix/src/seeded.rs",
-            "fn fallible() -> Result<(), MpiError> { Ok(()) }\n\
-             #[cfg(feature = \"lint-mutants\")]\n\
-             fn wild(e: MpiError) -> u8 { match e { MpiError::ProcFailed => 1, _ => 0 } }\n\
-             #[cfg(feature = \"lint-mutants\")]\n\
-             fn dropped() { let _ = fallible(); }\n",
-        )]);
-        let (without, _) = analyze(&ws, GraphOpts::default());
-        assert!(without.is_empty(), "{without:?}");
-        let opt_in = GraphOpts {
-            include_mutants: true,
-        };
-        let with: Vec<_> = analyze(&ws, opt_in).0.iter().map(|d| d.rule).collect();
-        assert_eq!(with, ["wildcard-match", "dropped-result"]);
     }
 
     #[test]

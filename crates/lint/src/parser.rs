@@ -8,10 +8,9 @@
 //!   `#[cfg(feature = "lint-mutants")]`), signature (`self` parameter,
 //!   return type text), and body extent;
 //! - **body facts** per function: every call expression (free, path,
-//!   method, macro), every `let` binding (pattern shape, init extent,
-//!   whether the init is `?`-propagated), every `match` expression with its
-//!   arm patterns, and every potential panic site (`panic!`-family macros,
-//!   `.unwrap()` / `.expect(…)`, non-range `[…]` indexing).
+//!   method, macro), every `let` binding (pattern shape and init extent),
+//!   and every potential panic site (`panic!`-family macros, `.unwrap()` /
+//!   `.expect(…)`, non-range `[…]` indexing).
 //!
 //! The parser is resilient: anything it does not recognize is skipped
 //! token-by-token, so unusual constructs degrade to "no facts" rather than
@@ -49,14 +48,12 @@ impl Call {
     }
 }
 
-/// The shape of a `let` pattern, as far as the dataflow pass cares.
+/// The shape of a `let` pattern, as far as the effects pass cares.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LetPat {
-    /// `let _ = …`
-    Wild,
     /// `let name = …` / `let mut name: T = …`
     Ident(String),
-    /// Destructuring or anything else.
+    /// `_`, destructuring, or anything else.
     Other,
 }
 
@@ -64,30 +61,8 @@ pub enum LetPat {
 #[derive(Clone, Debug)]
 pub struct LetStmt {
     pub pat: LetPat,
-    pub line: u32,
     /// Significant-token range `[start, end)` of the initializer.
     pub init: (usize, usize),
-    /// Whether the initializer contains a `?` operator (propagated).
-    pub question: bool,
-    /// Significant-token index just past the terminating `;`.
-    pub stmt_end: usize,
-}
-
-/// One arm of a `match` expression.
-#[derive(Clone, Debug)]
-pub struct Arm {
-    pub line: u32,
-    /// The pattern's tokens (guard excluded), joined with spaces.
-    pub pat: String,
-    /// `_`, or a bare lowercase binding used as a catch-all.
-    pub is_catch_all: bool,
-}
-
-/// One `match` expression inside a function body.
-#[derive(Clone, Debug)]
-pub struct MatchExpr {
-    pub line: u32,
-    pub arms: Vec<Arm>,
 }
 
 /// Why a site can panic.
@@ -130,7 +105,6 @@ pub struct FnItem {
     pub body: Option<(usize, usize)>,
     pub calls: Vec<Call>,
     pub lets: Vec<LetStmt>,
-    pub matches: Vec<MatchExpr>,
     pub panics: Vec<PanicSite>,
 }
 
@@ -212,36 +186,6 @@ impl ParsedFile {
                 let (s, e) = f.body.expect("filtered on body presence");
                 e - s
             })
-    }
-
-    /// Significant-token indexes where the path `segs` (e.g.
-    /// `["Ordering", "Relaxed"]`) is referenced, in order.
-    pub fn find_path_refs(&self, segs: &[&str]) -> Vec<usize> {
-        let mut out = Vec::new();
-        'outer: for si in 0..self.sig.len() {
-            let mut at = si;
-            for (k, seg) in segs.iter().enumerate() {
-                if self.tok(at).kind != TokKind::Ident || self.text(at) != *seg {
-                    continue 'outer;
-                }
-                if k + 1 < segs.len() {
-                    if !self.is_colcol(at + 1) {
-                        continue 'outer;
-                    }
-                    at += 3;
-                    if at >= self.sig.len() {
-                        continue 'outer;
-                    }
-                }
-            }
-            // Reject when the match is itself preceded by `…::`, i.e. a
-            // longer path whose tail happens to coincide.
-            if si >= 2 && self.is_colcol(si.saturating_sub(2)) {
-                continue;
-            }
-            out.push(si);
-        }
-        out
     }
 
     /// `sig[si]` and `sig[si+1]` are the two colons of a `::`.
@@ -628,7 +572,6 @@ impl<'a> Parser<'a> {
             body: None,
             calls: Vec::new(),
             lets: Vec::new(),
-            matches: Vec::new(),
             panics: Vec::new(),
         };
         if self.is(k, ";") {
@@ -647,9 +590,9 @@ impl<'a> Parser<'a> {
     }
 
     /// Linear scan of a function body `[start, end)` collecting calls,
-    /// lets, matches, and panic sites. Nested groups are *not* skipped —
-    /// every token is visited once, so facts inside closures, blocks, and
-    /// match arms are attributed to the enclosing function.
+    /// lets, and panic sites. Nested groups are *not* skipped — every token
+    /// is visited once, so facts inside closures, blocks, and match arms
+    /// are attributed to the enclosing function.
     fn scan_body(&self, item: &mut FnItem, start: usize, end: usize) {
         let mut i = start;
         while i < end {
@@ -664,13 +607,6 @@ impl<'a> Parser<'a> {
             if kind == TokKind::Ident && text == "let" {
                 if let Some(stmt) = self.parse_let(i, end) {
                     item.lets.push(stmt);
-                }
-                i += 1;
-                continue;
-            }
-            if kind == TokKind::Ident && text == "match" {
-                if let Some(m) = self.parse_match(i, end) {
-                    item.matches.push(m);
                 }
                 i += 1;
                 continue;
@@ -802,16 +738,13 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_let(&self, i: usize, end: usize) -> Option<LetStmt> {
-        let line = self.line(i);
         let mut j = i + 1;
         while self.is(j, "mut") {
             j += 1;
         }
-        let pat = if self.is(j, "_") && (self.is(j + 1, "=") || self.is(j + 1, ":")) {
-            j += 1;
-            LetPat::Wild
-        } else if j < end
+        let pat = if j < end
             && self.kind(j) == TokKind::Ident
+            && !self.is(j, "_")
             && (self.is(j + 1, "=") || self.is(j + 1, ":"))
             && !self.is_colcol(j + 1)
         {
@@ -864,12 +797,10 @@ impl<'a> Parser<'a> {
         // nested statements are inside balanced braces).
         let mut depth = 0i64;
         let mut k = init_start;
-        let mut question = false;
         while k < end {
             match self.text(k) {
                 "(" | "[" | "{" => depth += 1,
                 ")" | "]" | "}" => depth -= 1,
-                "?" => question = true,
                 ";" if depth == 0 => break,
                 _ => {}
             }
@@ -877,100 +808,8 @@ impl<'a> Parser<'a> {
         }
         Some(LetStmt {
             pat,
-            line,
             init: (init_start, k),
-            question,
-            // Just past the `;`; an unterminated statement (truncated
-            // input) ends at the region boundary instead of past it.
-            stmt_end: if k < end { k + 1 } else { k },
         })
-    }
-
-    fn parse_match(&self, i: usize, end: usize) -> Option<MatchExpr> {
-        let line = self.line(i);
-        // Scrutinee: to the `{` at depth 0 (struct literals are not legal
-        // in scrutinee position without parens).
-        let mut j = i + 1;
-        let mut depth = 0i64;
-        while j < end {
-            match self.text(j) {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                "{" if depth == 0 => break,
-                ";" if depth == 0 => return None, // not a match expr
-                _ => {}
-            }
-            j += 1;
-        }
-        if !self.is(j, "{") {
-            return None;
-        }
-        let close = self.skip_group(j);
-        let mut arms = Vec::new();
-        let mut k = j + 1;
-        while k < close - 1 {
-            // Skip arm-level attributes and stray commas.
-            if self.is(k, ",") {
-                k += 1;
-                continue;
-            }
-            if self.is(k, "#") && self.is(k + 1, "[") {
-                k = self.skip_group(k + 1);
-                continue;
-            }
-            // Pattern: until `=>` at depth 0.
-            let pat_start = k;
-            let mut depth = 0i64;
-            let mut pat_toks: Vec<String> = Vec::new();
-            let mut guard_at: Option<usize> = None;
-            while k < close - 1 {
-                let t = self.text(k);
-                match t {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    "=" if depth == 0 && self.is(k + 1, ">") => break,
-                    "if" if depth == 0 && guard_at.is_none() => guard_at = Some(k),
-                    _ => {}
-                }
-                if guard_at.is_none() {
-                    pat_toks.push(t.to_owned());
-                }
-                k += 1;
-            }
-            if k >= close - 1 {
-                break;
-            }
-            let is_catch_all = pat_toks == ["_"]
-                || (pat_toks.len() == 1
-                    && self.kind(pat_start) == TokKind::Ident
-                    && pat_toks[0]
-                        .chars()
-                        .next()
-                        .is_some_and(|c| c.is_ascii_lowercase())
-                    && !EXPR_KEYWORDS.contains(&pat_toks[0].as_str()));
-            arms.push(Arm {
-                line: self.line(pat_start),
-                pat: pat_toks.join(" ").replace(": :", "::"),
-                is_catch_all,
-            });
-            k += 2; // past `=>`
-                    // Arm body: a block (ends after it), or to the `,` at depth 0.
-            if self.is(k, "{") {
-                k = self.skip_group(k);
-            } else {
-                let mut depth = 0i64;
-                while k < close - 1 {
-                    match self.text(k) {
-                        "(" | "[" | "{" => depth += 1,
-                        ")" | "]" | "}" => depth -= 1,
-                        "," if depth == 0 => break,
-                        _ => {}
-                    }
-                    k += 1;
-                }
-            }
-        }
-        Some(MatchExpr { line, arms })
     }
 }
 
@@ -1056,41 +895,13 @@ mod tests {
     fn lets_and_question_marks() {
         let p = parse(
             "fn f() -> Result<(), E> {\n    let _ = fallible();\n    let a = fallible()?;\n    \
-             let used = fallible();\n    used.ok();\n    let (x, y) = pair();\n    Ok(())\n}\n",
+             let (x, y) = pair();\n    Ok(())\n}\n",
         );
-        let f = &p.fns[0];
-        assert_eq!(f.lets.len(), 4);
-        assert_eq!(f.lets[0].pat, LetPat::Wild);
-        assert!(!f.lets[0].question);
-        assert_eq!(f.lets[1].pat, LetPat::Ident("a".into()));
-        assert!(f.lets[1].question);
-        assert_eq!(f.lets[2].pat, LetPat::Ident("used".into()));
-        assert_eq!(f.lets[3].pat, LetPat::Other);
-    }
-
-    #[test]
-    fn match_arms_and_catch_alls() {
-        let p = parse(
-            "fn f(e: E) {\n    match e {\n        E::A => {}\n        E::B { x } if x > 0 => {}\n        \
-             _ => {}\n    }\n    match e {\n        E::A => 1,\n        other => 2,\n    };\n}\n",
+        let pats: Vec<&LetPat> = p.fns[0].lets.iter().map(|l| &l.pat).collect();
+        assert_eq!(
+            pats,
+            [&LetPat::Other, &LetPat::Ident("a".into()), &LetPat::Other]
         );
-        let f = &p.fns[0];
-        assert_eq!(f.matches.len(), 2);
-        let m0 = &f.matches[0];
-        assert_eq!(m0.arms.len(), 3);
-        assert!(m0.arms[0].pat.contains("E :: A"));
-        assert!(!m0.arms[1].is_catch_all); // guarded struct pattern
-        assert!(m0.arms[2].is_catch_all); // `_`
-        let m1 = &f.matches[1];
-        assert!(m1.arms[1].is_catch_all); // bare lowercase binding
-    }
-
-    #[test]
-    fn nested_matches_are_both_seen() {
-        let p = parse(
-            "fn f(a: A, b: B) {\n    match a {\n        A::X => match b {\n            B::Y => {}\n            _ => {}\n        },\n        A::Z => {}\n    }\n}\n",
-        );
-        assert_eq!(p.fns[0].matches.len(), 2);
     }
 
     #[test]
@@ -1123,17 +934,6 @@ mod tests {
         let f = &p.fns[0];
         assert!(f.calls.iter().any(|c| c.name() == "inner"));
         assert!(f.panics.iter().any(|s| s.kind == PanicKind::Unwrap));
-    }
-
-    #[test]
-    fn path_refs_are_found() {
-        let p = parse("fn f(a: &AtomicU64) { a.load(Ordering::Relaxed); }\n");
-        assert_eq!(p.find_path_refs(&["Ordering", "Relaxed"]).len(), 1);
-        assert_eq!(p.find_path_refs(&["std", "thread", "spawn"]).len(), 0);
-        let p = parse("fn g() { std::thread::spawn(|| {}); }\n");
-        assert_eq!(p.find_path_refs(&["std", "thread", "spawn"]).len(), 1);
-        // A longer path does not match its suffix.
-        assert_eq!(p.find_path_refs(&["thread", "spawn"]).len(), 0);
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! The lint rules and their shared scope policy.
 //!
-//! Each rule here is one no runtime suite replaces: its violation, seeded
-//! live, survives tier-1 and the chaos smoke (DESIGN.md §10).
-//!
-//! - per-function rules over the parsed items: [`dropped_result`],
-//!   [`wildcard`] and [`relaxed_sync`];
-//! - a CFG rule through the [`crate::inline`] walk: [`collective_match`].
+//! Each rule here is one no runtime suite, compiler lint or type replaces:
+//! its violation, seeded live, survives tier-1 and the chaos smoke
+//! (DESIGN.md §10). The one module here is a CFG rule through the
+//! [`crate::inline`] walk: [`collective_match`].
 //!
 //! The reachability rules (`panic-reach`, `rank-path-effects` and
 //! `blocking-context`) have no module here: they are rows of
@@ -14,32 +12,12 @@
 //! shim's lock-order witness.
 
 pub mod collective_match;
-pub mod dropped_result;
-pub mod relaxed_sync;
-pub mod wildcard;
 
 use crate::callgraph::{GraphOpts, Resolver, Workspace};
 use crate::cfg;
 use crate::diag::Diagnostic;
 use crate::effects::EffectAnalysis;
 use crate::parser::{Call, CallKind, ParsedFile};
-
-/// Crates where failure-enum matches must be exhaustive and `Result`s on
-/// recovery paths must not be silently dropped (the recovery crates, the
-/// integration layer that routes their errors, and the peer-memory store
-/// behind the IMR strategies).
-pub const STRICT_FAILURE_CRATES: &[&str] = &[
-    "fenix",
-    "veloc",
-    "kokkos-resilience",
-    "resilience",
-    "redstore",
-];
-
-/// The workspace's failure enums. The paper's `FenixEvent` maps to
-/// `MpiError` here: Fenix surfaces process failure as ULFM error classes
-/// (`ProcFailed`/`Revoked`), not a separate event enum.
-pub const FAILURE_ENUMS: &[&str] = &["MpiError", "VelocError", "RedError"];
 
 /// An entry-point table: `(crate, patterns)`. A pattern with `::` matches
 /// the qualified name exactly; a bare name matches only free functions.
@@ -107,11 +85,6 @@ pub const PANIC_SITE_CRATES: &[&str] = &[
     "resilience",
     "redstore",
 ];
-
-/// Identifiers that mark an atomic as synchronization-carrying: the
-/// router's abort flag (DESIGN.md §9) and the sequence word of the
-/// `relaxed-sync` fixture's seqlock.
-pub const SYNC_ATOMIC_NAMES: &[&str] = &["seq", "aborted"];
 
 /// Rank entry points: the code a simulated rank executes — the simmpi
 /// mailbox loop, the Fenix recovery handlers, the KR region machinery,
@@ -194,35 +167,19 @@ pub fn collective(file: &ParsedFile, call: &Call) -> Option<&'static str> {
 
 /// All rule identifiers, in report order.
 pub const ALL_RULES: &[&str] = &[
-    "dropped-result",
     "panic-reach",
-    "wildcard-match",
-    "relaxed-sync",
     "collective-match",
     "blocking-context",
     "rank-path-effects",
 ];
 
-pub fn in_crates(krate: &str, list: &[&str]) -> bool {
-    list.contains(&krate)
-}
-
 /// Run every rule over the workspace, handing back the call-graph
 /// analysis the reachability rules ran on (one graph per scan: the CLI
 /// writes the effects inventory from it).
 pub fn run_all(ws: &Workspace, opts: GraphOpts) -> (Vec<Diagnostic>, EffectAnalysis) {
-    let resolver = Resolver::new(ws, opts);
     let fx = EffectAnalysis::run(ws, opts);
-    let mut diags: Vec<Diagnostic> = [
-        fx.check(ws),
-        dropped_result::check(ws, &resolver, opts),
-        wildcard::check(ws, opts),
-        relaxed_sync::check(ws, opts),
-        collective_match::check(ws, &resolver, opts),
-    ]
-    .into_iter()
-    .flatten()
-    .collect();
+    let mut diags = fx.check(ws);
+    diags.extend(collective_match::check(ws, &Resolver::new(ws, opts), opts));
     // Stable order, then whole-value dedupe: a call that resolves to
     // several candidates can report one site twice (same rule, site, and
     // message) — one finding must survive, not two.

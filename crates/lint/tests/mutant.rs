@@ -1,6 +1,6 @@
 //! Negative control for the analyzer, mirroring `modelcheck/tests/mutant.rs`:
-//! the seeded `lint-mutants` violations (`crates/{fenix,simmpi,cluster}/
-//! src/mutant.rs`, one or more per surviving rule) must stay invisible to
+//! the seeded `lint-mutants` violations (`crates/{fenix,cluster}/src/
+//! mutant.rs`, one or more per surviving rule) must stay invisible to
 //! the default scan, and a scan with them opted in must report exactly the
 //! set below — no more, no less.
 //!
@@ -21,7 +21,6 @@ const EXPECTED: &[(&str, &str, &str)] = &[
     ("cluster", "rank-path-effects", "Governor::warmup_backoff"),
     ("fenix", "collective-match", "lopsided_barrier"),
     ("fenix", "panic-reach", "rebuild_group"),
-    ("simmpi", "relaxed-sync", "abort_relaxed"),
 ];
 
 fn repo_root() -> &'static Path {

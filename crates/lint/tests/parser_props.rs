@@ -90,11 +90,6 @@ fn assert_spans_in_bounds(src: &str) {
                 "let init {:?} out of {n} in {src:?}",
                 l.init
             );
-            assert!(
-                l.stmt_end <= n,
-                "stmt_end {} out of {n} in {src:?}",
-                l.stmt_end
-            );
         }
         for p in &f.panics {
             assert!(p.si < n, "panic si {} out of {n} in {src:?}", p.si);

@@ -25,6 +25,14 @@
 //! fault-tolerant agreement), so a failure mid-store leaves every rank on
 //! the previous committed version, never a mix.
 
+// A dropped `Result` or a catch-all arm over an enum fails the build in
+// the recovery crates (DESIGN.md §10).
+#![deny(
+    unused_must_use,
+    clippy::let_underscore_must_use,
+    clippy::wildcard_enum_match_arm
+)]
+
 pub mod codec;
 pub mod gf256;
 pub mod mode;

@@ -63,7 +63,9 @@ impl RedundancyMode {
             RedundancyMode::ReedSolomon { width, parity } if parity < 1 || width < parity + 1 => {
                 Err(format!("rs needs width > parity ≥ 1, got {width}/{parity}"))
             }
-            _ => Ok(()),
+            RedundancyMode::Replicate { .. }
+            | RedundancyMode::XorParity { .. }
+            | RedundancyMode::ReedSolomon { .. } => Ok(()),
         }
     }
 

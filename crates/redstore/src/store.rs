@@ -777,7 +777,7 @@ impl<'a> RedundancyGroup<'a> {
                 RedundancyMode::Replicate { k } => committed
                     .replica_holders(q, k)
                     .any(|h| !recovering.contains(&h)),
-                _ => {
+                RedundancyMode::XorParity { .. } | RedundancyMode::ReedSolomon { .. } => {
                     let alive = group.iter().filter(|r| !recovering.contains(r)).count();
                     alive + mode.parity_of() >= group.len()
                 }
@@ -805,7 +805,7 @@ impl<'a> RedundancyGroup<'a> {
                             .find(|h| !recovering.contains(h))
                             == Some(me)
                     }
-                    _ => true,
+                    RedundancyMode::XorParity { .. } | RedundancyMode::ReedSolomon { .. } => true,
                 };
                 if !should_send {
                     continue;

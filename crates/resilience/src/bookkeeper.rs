@@ -66,7 +66,13 @@ impl Bookkeeper {
                 // Resilience overheads keep their identity even during
                 // recompute; only application work is rerouted.
                 Phase::CheckpointFn | Phase::DataRecovery | Phase::ResilienceInit => phase,
-                _ => Phase::Recompute,
+                Phase::AppCompute
+                | Phase::AppMpi
+                | Phase::Recompute
+                | Phase::ForceCompute
+                | Phase::Neighboring
+                | Phase::Communicator
+                | Phase::AppInit => Phase::Recompute,
             }
         } else {
             phase

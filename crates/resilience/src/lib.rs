@@ -29,6 +29,14 @@
 //! Resilience combinations run through [`integrated::resilient_main`], the
 //! same call an application makes.
 
+// A dropped `Result` or a catch-all arm over an enum fails the build in
+// the recovery crates (DESIGN.md §10).
+#![deny(
+    unused_must_use,
+    clippy::let_underscore_must_use,
+    clippy::wildcard_enum_match_arm
+)]
+
 pub mod app;
 pub mod bookkeeper;
 pub mod driver;

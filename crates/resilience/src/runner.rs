@@ -111,6 +111,10 @@ pub fn run_rank(
         | Strategy::FenixVeloc
         | Strategy::FenixImr
         | Strategy::FenixRedstore => {
+            #[expect(
+                clippy::wildcard_enum_match_arm,
+                reason = "this arm admits four strategies; the outer match decides a new one"
+            )]
             let backend = match strategy {
                 // The paper's buddy-rank IMR is the redundancy store at two
                 // replicas; `FenixRedstore` takes the strongest mode the
@@ -599,11 +603,11 @@ pub fn resume_bounds(
 
 /// The kills a run's trace records, in the order they fired.
 fn fired_in(trace: &TraceSnapshot) -> Vec<Fired> {
-    let fired = trace.events.iter().filter_map(|e| match &e.event {
-        Event::FaultInjected { site, count } => {
-            Some(Fired::new(e.rank as usize, site, *count, Some(e.t_ns)))
-        }
-        _ => None,
+    let fired = trace.events.iter().filter_map(|e| {
+        let Event::FaultInjected { site, count } = &e.event else {
+            return None;
+        };
+        Some(Fired::new(e.rank as usize, site, *count, Some(e.t_ns)))
     });
     fired.collect()
 }

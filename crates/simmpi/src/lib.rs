@@ -24,10 +24,10 @@
 //! is implemented with message passing and per-rank state only; the shared
 //! memory underneath is an implementation detail of the simulation.
 
+mod abort;
 pub mod comm;
 pub mod error;
 pub mod fault;
-pub mod mutant;
 pub mod pod;
 pub mod rendezvous;
 pub mod router;

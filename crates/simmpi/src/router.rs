@@ -19,12 +19,8 @@
 //! * Killing a rank wakes all blocked ranks so they can re-evaluate.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-
-// loom facade: std atomics in production, schedule points under modelcheck
-// (crates/modelcheck/tests/rendezvous.rs drives this fabric).
-use loom::sync::atomic::{AtomicBool, Ordering};
 
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -32,6 +28,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use cluster::Cluster;
 use telemetry::{Event, MpiOp, Recorder};
 
+use crate::abort::AbortFlag;
 use crate::comm::Group;
 use crate::error::{MpiError, MpiResult};
 use crate::rendezvous::RendezvousTable;
@@ -119,7 +116,7 @@ pub struct Router {
     shared_groups: Mutex<HashMap<(CommId, u32), Weak<Group>>>,
     dead: RwLock<HashSet<usize>>,
     revoked: RwLock<HashSet<(CommId, u32)>>,
-    aborted: AtomicBool,
+    aborted: AbortFlag,
     cluster: Cluster,
     pub(crate) rendezvous: RendezvousTable,
     /// Per-rank telemetry recorders (disabled by default); set by
@@ -141,7 +138,7 @@ impl Router {
             shared_groups: Mutex::new(HashMap::new()),
             dead: RwLock::new(HashSet::new()),
             revoked: RwLock::new(HashSet::new()),
-            aborted: AtomicBool::new(false),
+            aborted: AbortFlag::default(),
             cluster,
             rendezvous: RendezvousTable::new(),
             recorders: RwLock::new(vec![Recorder::disabled(); n]),
@@ -256,12 +253,12 @@ impl Router {
     }
 
     pub fn is_aborted(&self) -> bool {
-        self.aborted.load(Ordering::Acquire)
+        self.aborted.is_raised()
     }
 
     /// Abort the job (plain-MPI response to an unrecovered failure).
     pub fn abort(&self) {
-        self.aborted.store(true, Ordering::Release);
+        self.aborted.raise();
         self.wake_all();
     }
 

@@ -31,6 +31,14 @@
 //! [`serial`] for the frame format and [`client::MAX_DELTA_DEPTH`] for the
 //! forced-full-frame cadence).
 
+// A dropped `Result` or a catch-all arm over an enum fails the build in
+// the recovery crates (DESIGN.md §10).
+#![deny(
+    unused_must_use,
+    clippy::let_underscore_must_use,
+    clippy::wildcard_enum_match_arm
+)]
+
 pub mod backend;
 pub mod client;
 pub mod region;

@@ -78,8 +78,8 @@ doc_budget() { # file bytes
     budgets_ok=0
   fi
 }
-doc_budget DESIGN.md 116126
-doc_budget CHANGES.md 128627
+doc_budget DESIGN.md 115898
+doc_budget CHANGES.md 129641
 doc_budget EXPERIMENTS.md 82120
 [ "$budgets_ok" -eq 1 ]
 end
@@ -101,7 +101,6 @@ cargo run -q -p lint -- \
   --report target/lint-report.json \
   --effects target/effects-inventory.json
 cargo test -q -p fenix --features lint-mutants
-cargo test -q -p simmpi --features lint-mutants
 cargo test -q -p cluster --features lint-mutants
 end
 
