@@ -24,7 +24,9 @@ use kokkos::View;
 use resilience::{Bookkeeper, IterativeApp, RankApp, RunMode};
 use simmpi::{Comm, MpiResult, Phase, RankCtx, ReduceOp};
 
-pub use stencil::{jacobi_sweep_in_place, jacobi_sweep_reference, SweepResult};
+pub use stencil::{
+    jacobi_sweep_in_place, jacobi_sweep_portable, jacobi_sweep_reference, SweepResult,
+};
 
 /// Temperature of the heat source along the global top edge.
 pub const SOURCE_TEMP: f64 = 100.0;
@@ -199,18 +201,17 @@ impl HeatdisState {
         }
 
         let mut p = self.primary.write();
+        let bottom_halo = (self.rows + 1) * cols;
         if up.is_some() {
             p[0..cols].copy_from_slice(&from_up);
         } else {
             // Physical boundary: mirror (insulated edge).
-            let row1: Vec<f64> = p[cols..2 * cols].to_vec();
-            p[0..cols].copy_from_slice(&row1);
+            p.copy_within(cols..2 * cols, 0);
         }
         if down.is_some() {
-            p[(self.rows + 1) * cols..(self.rows + 2) * cols].copy_from_slice(&from_down);
+            p[bottom_halo..bottom_halo + cols].copy_from_slice(&from_down);
         } else {
-            let last: Vec<f64> = p[self.rows * cols..(self.rows + 1) * cols].to_vec();
-            p[(self.rows + 1) * cols..(self.rows + 2) * cols].copy_from_slice(&last);
+            p.copy_within(self.rows * cols..bottom_halo, bottom_halo);
         }
         Ok(())
     }

@@ -2,11 +2,13 @@
 //!
 //! [`jacobi_sweep_in_place`] is what Heatdis runs: it relaxes the grid row
 //! by row in place, carrying the two old rows it still needs in a two-row
-//! buffer, and takes the largest cell change in four independent lanes.
-//! [`jacobi_sweep_reference`] is the sweep written the obvious way, into a
-//! second grid and copied back; it is kept only as the oracle the in-place
-//! kernel is property-tested against (`apps/tests/stencil_props.rs`) and
-//! timed against (`bench/benches/heatdis.rs`), bit for bit.
+//! buffer, and takes the largest cell change in independent lanes — 16
+//! where the CPU has `avx512f`, 4 in [`jacobi_sweep_portable`], its
+//! compilation for any CPU. [`jacobi_sweep_reference`] is the sweep written
+//! the obvious way, into a second grid and copied back; it is kept only as
+//! the oracle both compilations are tested against (this module's tests,
+//! `apps/tests/stencil_props.rs`) and timed against
+//! (`bench/benches/heatdis.rs`), bit for bit.
 
 /// Outcome of one sweep.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -27,7 +29,14 @@ fn relax(left: f64, right: f64, up: f64, down: f64, old: f64, lane: &mut f64) ->
 /// Relax one row: `cur` holds its old values, `up` and `down` the old rows
 /// around it, `out` receives the new values. The edge cells are one-sided:
 /// a missing left or right neighbour is the cell itself.
-fn relax_row(up: &[f64], cur: &[f64], down: &[f64], out: &mut [f64], lanes: &mut [f64; 4]) {
+#[inline(always)]
+fn relax_row<const L: usize>(
+    up: &[f64],
+    cur: &[f64],
+    down: &[f64],
+    out: &mut [f64],
+    lanes: &mut [f64; L],
+) {
     let Some(last) = cur.len().checked_sub(1) else {
         return;
     };
@@ -40,24 +49,24 @@ fn relax_row(up: &[f64], cur: &[f64], down: &[f64], out: &mut [f64], lanes: &mut
     out[0] = relax(cur[0], cur[1], up[0], down[0], cur[0], &mut acc[0]);
     let (l, c) = (cur[last - 1], cur[last]);
     out[last] = relax(l, c, up[last], down[last], c, &mut acc[1]);
-    // The interior `1..last`, four cells at a time: each lane owns every
-    // fourth cell's change, so no maximum waits on the one before it.
+    // The interior `1..last`, `L` cells at a time: each lane owns every
+    // `L`-th cell's change, so no maximum waits on the one before it.
     let n = last - 1;
     let (left, mid, right) = (&cur[..n], &cur[1..=n], &cur[2..n + 2]);
     let (up, down, out) = (&up[1..=n], &down[1..=n], &mut out[1..=n]);
-    let (out4, out_tail) = out.as_chunks_mut::<4>();
-    let (left4, left_tail) = left.as_chunks::<4>();
-    let (mid4, mid_tail) = mid.as_chunks::<4>();
-    let (right4, right_tail) = right.as_chunks::<4>();
-    let (up4, up_tail) = up.as_chunks::<4>();
-    let (down4, down_tail) = down.as_chunks::<4>();
-    let quads = left4
+    let (out_l, out_tail) = out.as_chunks_mut::<L>();
+    let (left_l, left_tail) = left.as_chunks::<L>();
+    let (mid_l, mid_tail) = mid.as_chunks::<L>();
+    let (right_l, right_tail) = right.as_chunks::<L>();
+    let (up_l, up_tail) = up.as_chunks::<L>();
+    let (down_l, down_tail) = down.as_chunks::<L>();
+    let chunks = left_l
         .iter()
-        .zip(mid4)
-        .zip(right4)
-        .zip(up4.iter().zip(down4));
-    for (o, (((l, m), r), (u, d))) in out4.iter_mut().zip(quads) {
-        for k in 0..4 {
+        .zip(mid_l)
+        .zip(right_l)
+        .zip(up_l.iter().zip(down_l));
+    for (o, (((l, m), r), (u, d))) in out_l.iter_mut().zip(chunks) {
+        for k in 0..L {
             o[k] = relax(l[k], r[k], u[k], d[k], m[k], &mut acc[k]);
         }
     }
@@ -68,28 +77,21 @@ fn relax_row(up: &[f64], cur: &[f64], down: &[f64], out: &mut [f64], lanes: &mut
     *lanes = acc;
 }
 
-/// One Jacobi sweep over the owned rows `1..=rows` of a `(rows+2) × cols`
-/// grid (rows 0 and `rows+1` are halo, read and left as they are), in
-/// place. `rows_buf` holds two rows: the old row above the one being
-/// written and that row's own old values. Left/right edges use one-sided
-/// (insulated) neighbourhoods.
-///
-/// Bit-identical to [`jacobi_sweep_reference`] followed by its copy-back:
-/// every cell sums its neighbours in the same order, and the largest change
-/// is the same whichever lane saw it, because `f64::max` over the
-/// non-negative, non-`NaN` changes does not depend on order (a `NaN` change
-/// is ignored by both, as `f64::max` ignores `NaN`).
-pub fn jacobi_sweep_in_place(
+/// The sweep with its largest change in `L ≥ 2` lanes (the two edge cells
+/// use lanes 0 and 1). Inlined into each compilation.
+#[inline(always)]
+fn sweep<const L: usize>(
     grid: &mut [f64],
     rows_buf: &mut [f64],
     rows: usize,
     cols: usize,
 ) -> SweepResult {
+    const { assert!(L >= 2) };
     assert_eq!(grid.len(), (rows + 2) * cols, "grid shape");
     assert_eq!(rows_buf.len(), 2 * cols, "rows_buf shape");
     let (mut up, mut cur) = rows_buf.split_at_mut(cols);
     up.copy_from_slice(&grid[..cols]);
-    let mut lanes = [0.0f64; 4];
+    let mut lanes = [0.0f64; L];
     for r in 1..=rows {
         let (head, tail) = grid.split_at_mut((r + 1) * cols);
         let row = &mut head[r * cols..];
@@ -98,10 +100,38 @@ pub fn jacobi_sweep_in_place(
         // This row's old values are the next row's `up`.
         std::mem::swap(&mut up, &mut cur);
     }
-    let [a, b, c, d] = lanes;
     SweepResult {
-        max_delta: a.max(b).max(c.max(d)),
+        max_delta: lanes.into_iter().fold(0.0, f64::max),
     }
+}
+
+two_compilations! {
+    /// One Jacobi sweep over the owned rows `1..=rows` of a `(rows+2) × cols`
+    /// grid (rows 0 and `rows+1` are halo, read and left as they are), in
+    /// place. `rows_buf` holds two rows: the old row above the one being
+    /// written and that row's own old values. Left/right edges use one-sided
+    /// (insulated) neighbourhoods.
+    ///
+    /// Runs the sweep's `avx512f` compilation, 16 lanes wide (two 512-bit
+    /// registers of changes; 8 lanes run no faster than the portable 4), where
+    /// the CPU has it ([`crate::kernel`]), else [`jacobi_sweep_portable`].
+    /// Either is bit-identical to [`jacobi_sweep_reference`] followed by its
+    /// copy-back: every cell sums its neighbours in the same order, and the
+    /// largest change is the same whichever lane saw it and however many lanes
+    /// there are, because `f64::max` over the non-negative, non-`NaN` changes
+    /// does not depend on order (a `NaN` change is ignored by both, as
+    /// `f64::max` ignores `NaN`).
+    pub fn jacobi_sweep_in_place(
+        grid: &mut [f64],
+        rows_buf: &mut [f64],
+        rows: usize,
+        cols: usize,
+    ) -> SweepResult;
+    /// [`jacobi_sweep_in_place`] compiled for any CPU, four lanes wide (packed
+    /// SSE2). Callable by name so that tests and the bench reach it on hosts
+    /// where the dispatch never does.
+    pub fn jacobi_sweep_portable = sweep::<4>;
+    fn sweep_avx512f = sweep::<16>;
 }
 
 /// The sweep [`jacobi_sweep_in_place`] replaced, kept as its oracle: one
@@ -200,6 +230,62 @@ mod tests {
     fn shape_mismatch_panics() {
         let mut g = vec![0.0; 10];
         sweep(&mut g, 2, 3);
+    }
+
+    /// A `(rows+2) × cols` grid from `seed`: one cell in five is `NaN`,
+    /// ±∞, −0.0, a subnormal or `f64::MAX`, the rest in `[-100, 100)`.
+    fn mixed_grid(rows: usize, cols: usize, seed: u64) -> Vec<f64> {
+        const SPECIALS: [f64; 6] = [
+            f64::NAN,
+            f64::INFINITY,
+            -f64::INFINITY,
+            -0.0,
+            5e-324,
+            f64::MAX,
+        ];
+        let mut z = seed;
+        let mut next = move || {
+            z = z
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            z >> 11
+        };
+        (0..(rows + 2) * cols)
+            .map(|_| match next() % 5 {
+                0 => SPECIALS[next() as usize % SPECIALS.len()],
+                _ => next() as f64 / (1u64 << 53) as f64 * 200.0 - 100.0,
+            })
+            .collect()
+    }
+
+    /// Each value's bits, every `NaN` as the canonical one: which operand's
+    /// `NaN` a sum returns depends on how the compiler ordered it.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        let canonical = |x: &f64| if x.is_nan() { f64::NAN } else { *x };
+        v.iter().map(|x| canonical(x).to_bits()).collect()
+    }
+
+    #[test]
+    fn every_compilation_equals_the_reference() {
+        // Widths 1 to 40: both one-sided edge cases, every width modulo
+        // 16, and a full 16-lane chunk plus a tail.
+        for rows in 1..=3 {
+            for cols in 1..=40 {
+                for seed in 0..4 {
+                    let start = mixed_grid(rows, cols, seed);
+                    let mut want = start.clone();
+                    let r =
+                        jacobi_sweep_reference(&mut want, &mut vec![0.0; start.len()], rows, cols);
+                    for (name, f) in compilations() {
+                        let mut got = start.clone();
+                        let g = f(&mut got, &mut vec![f64::NAN; 2 * cols], rows, cols);
+                        let at = format!("{name}, {rows} × {cols}, seed {seed}");
+                        assert_eq!(g.max_delta.to_bits(), r.max_delta.to_bits(), "{at}");
+                        assert_eq!(bits(&got), bits(&want), "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

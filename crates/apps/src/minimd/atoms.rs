@@ -134,6 +134,44 @@ pub fn generate_slab_atoms(rank: usize, size: usize, cells: [usize; 3]) -> Vec<A
     atoms
 }
 
+/// Rank `rank` (neither the first nor the last) of `size`: its atoms, then
+/// the ghost shell within `cut` its two neighbors send, every coordinate
+/// moved by a fixed, irregular offset in `[-0.15, 0.15)` (so some y/z lie
+/// just outside `[0, L)`, as between reneighboring steps). With
+/// `coincident`, one more ghost, of its own id, sits exactly on atom 0.
+/// Returns the slab, the positions, the ids and the owned count.
+#[cfg(test)]
+pub(crate) fn jittered_cloud(
+    rank: usize,
+    size: usize,
+    cells: [usize; 3],
+    cut: f64,
+    coincident: bool,
+) -> (Slab, Vec<f64>, Vec<u64>, usize) {
+    let slab = Slab::new(rank, size, cells);
+    let owned = generate_slab_atoms(rank, size, cells);
+    let shell = |r: usize, keep: std::ops::Range<f64>| {
+        let atoms = generate_slab_atoms(r, size, cells).into_iter();
+        atoms.filter(move |a| keep.contains(&a.pos[0]))
+    };
+    let ghosts =
+        shell(rank - 1, slab.xlo - cut..slab.xlo).chain(shell(rank + 1, slab.xhi..slab.xhi + cut));
+    let (mut x, mut ids) = (Vec::new(), Vec::new());
+    for a in owned.iter().cloned().chain(ghosts) {
+        x.extend_from_slice(&a.pos);
+        ids.push(a.id);
+    }
+    let phi = 0.5 * (1.0 + 5f64.sqrt());
+    for (k, v) in x.iter_mut().enumerate() {
+        *v += 0.3 * ((k as f64 * phi).fract() - 0.5);
+    }
+    if coincident {
+        x.extend_from_within(..3);
+        ids.push(u64::MAX);
+    }
+    (slab, x, ids, owned.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

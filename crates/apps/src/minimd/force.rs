@@ -3,22 +3,46 @@
 
 use crate::minimd::atoms::Slab;
 
-/// Compute LJ forces on the `nlocal` owned atoms from full neighbor lists.
-///
-/// `x` holds owned + ghost positions; ghosts are already shifted in x, so
-/// only y/z need minimum-image. Returns the potential energy of the owned
-/// atoms (each pair counted half, standard for full lists).
-///
-/// Three passes per owned atom over scratch arrays of `maxneigh`: a gather
-/// of the raw displacements, a term pass with no data-dependent branch
-/// (every pair's terms are computed, and `0.0` is selected where
-/// `r2 >= cutforce_sq`, so it compiles to packed division), and the sums
-/// in list order. The result is bit-identical to [`compute_lj_reference`]:
-/// an accumulator starts at `+0.0` and a round-to-nearest sum is `-0.0`
-/// only when both addends are, so an accumulator never holds `-0.0` and
-/// adding a selected `±0.0` leaves it unchanged.
+two_compilations! {
+    /// Compute LJ forces on the `nlocal` owned atoms from full neighbor lists.
+    ///
+    /// `x` holds owned + ghost positions; ghosts are already shifted in x, so
+    /// only y/z need minimum-image. Returns the potential energy of the owned
+    /// atoms (each pair counted half, standard for full lists).
+    ///
+    /// Three passes per owned atom over scratch arrays of `maxneigh`: a gather
+    /// of the raw displacements, a term pass with no data-dependent branch
+    /// (every pair's terms are computed, and `0.0` is selected where `r2 >=
+    /// cutforce_sq`, so it compiles to packed division), and the sums in list
+    /// order. The result is bit-identical to [`compute_lj_reference`]: an
+    /// accumulator starts at `+0.0` and a round-to-nearest sum is `-0.0` only
+    /// when both addends are, so an accumulator never holds `-0.0` and adding a
+    /// selected `±0.0` leaves it unchanged.
+    ///
+    /// Runs the loop's `avx512f` compilation, eight pairs to a packed division,
+    /// where the CPU has it ([`crate::kernel`]), else [`compute_lj_portable`];
+    /// the two are the same source and produce the same bits.
+    pub fn compute_lj(
+        slab: &Slab,
+        x: &[f64],
+        nlocal: usize,
+        neigh_count: &[u32],
+        neigh_list: &[u32],
+        maxneigh: usize,
+        cutforce_sq: f64,
+        f: &mut [f64],
+    ) -> f64;
+    /// [`compute_lj`] compiled for any CPU (packed SSE2). Callable by name so
+    /// that tests and the bench reach it on hosts where the dispatch never
+    /// does.
+    pub fn compute_lj_portable = lj;
+    fn lj_avx512f = lj;
+}
+
+/// The three passes of [`compute_lj`], inlined into each compilation.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub fn compute_lj(
+fn lj(
     slab: &Slab,
     x: &[f64],
     nlocal: usize,
@@ -146,7 +170,8 @@ pub fn kinetic_energy(v: &[f64], nlocal: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minimd::atoms::Slab;
+    use crate::minimd::atoms::{jittered_cloud, Slab};
+    use crate::minimd::neighbor::build_neighbors_all_pairs;
 
     fn pair_setup(r: f64) -> (Slab, Vec<f64>, Vec<u32>, Vec<u32>) {
         // Two atoms on the x axis, far from any periodic image.
@@ -155,6 +180,53 @@ mod tests {
         let neigh_count = vec![1u32, 1];
         let neigh_list = vec![1u32, 0];
         (slab, x, neigh_count, neigh_list)
+    }
+
+    type Kernel = fn(&Slab, &[f64], usize, &[u32], &[u32], usize, f64, &mut [f64]) -> f64;
+
+    #[test]
+    fn every_compilation_equals_the_reference() {
+        let (cutforce, cutneigh, maxneigh) = (2.5f64, 2.8f64, 256);
+        // Half the box in y/z below the cutoff ([3, 2, 2]: both periodic
+        // images of a partner can be listed) and above it; a coincident
+        // pair makes atom 0's force `NaN` and the energy infinite.
+        for (cells, coincident) in [([3, 2, 2], false), ([4, 3, 3], false), ([4, 3, 3], true)] {
+            let (slab, x, ids, nlocal) = jittered_cloud(1, 3, cells, cutneigh, coincident);
+            let mut count = vec![0u32; nlocal];
+            let mut list = vec![0u32; nlocal * maxneigh];
+            let nall = ids.len();
+            let sq = cutneigh * cutneigh;
+            build_neighbors_all_pairs(
+                &slab, &x, &ids, nlocal, nall, sq, &mut count, &mut list, maxneigh,
+            );
+            let run = |f: Kernel| {
+                let mut out = vec![f64::NAN; 3 * nlocal];
+                let pe = f(
+                    &slab,
+                    &x,
+                    nlocal,
+                    &count,
+                    &list,
+                    maxneigh,
+                    cutforce * cutforce,
+                    &mut out,
+                );
+                out.push(pe);
+                // Every `NaN` as the canonical one.
+                let canonical = |v: f64| if v.is_nan() { f64::NAN } else { v };
+                out.into_iter()
+                    .map(|v| canonical(v).to_bits())
+                    .collect::<Vec<_>>()
+            };
+            let want = run(compute_lj_reference);
+            assert_eq!(f64::from_bits(want[3 * nlocal]).is_finite(), !coincident);
+            for (name, f) in compilations() {
+                assert!(
+                    run(f) == want,
+                    "{name}, cells {cells:?}, coincident {coincident}"
+                );
+            }
+        }
     }
 
     #[test]

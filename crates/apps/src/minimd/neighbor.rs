@@ -195,27 +195,53 @@ fn periodic_runs(c: usize, n: usize) -> [(usize, usize); 2] {
     }
 }
 
-/// Build full neighbor lists for the `nlocal` owned atoms from all `nall`
-/// atoms (owned + ghosts).
-///
-/// Atom `i`'s list holds every `j ≠ i` with
-/// `dx*dx + dy*dy + dz*dz <= cutneigh_sq` (`dy`, `dz` minimum-image), in
-/// canonical order: ascending partner *global atom id*, then partner x bits
-/// (periodic images of one atom share an id and differ in x), then partner
-/// index (which no two entries share). So force summation order — and
-/// therefore the floating-point trajectory — is independent of cell
-/// traversal and ghost arrival order. This is what makes a restored run
-/// bitwise-identical to an uninterrupted one.
-///
-/// Completeness: a partner within the cutoff is at most `cutneigh` away
-/// along each axis, so with cells at least `cutneigh / 2` wide its cell is
-/// at most two cells away; clamping x to the grid is monotone, so it can
-/// move a far atom inward but never push a near pair apart.
-///
-/// `neigh_list` is an `nlocal × maxneigh` table; `neigh_count[i]` is atom
-/// `i`'s neighbor count. Returns the total number of pairs (for tests).
+two_compilations! {
+    /// Build full neighbor lists for the `nlocal` owned atoms from all `nall`
+    /// atoms (owned + ghosts).
+    ///
+    /// Atom `i`'s list holds every `j ≠ i` with `dx*dx + dy*dy + dz*dz <=
+    /// cutneigh_sq` (`dy`, `dz` minimum-image), in canonical order: ascending
+    /// partner *global atom id*, then partner x bits (periodic images of one
+    /// atom share an id and differ in x), then partner index (which no two
+    /// entries share). So force summation order — and therefore the
+    /// floating-point trajectory — is independent of cell traversal and ghost
+    /// arrival order. This is what makes a restored run bitwise-identical to an
+    /// uninterrupted one.
+    ///
+    /// Completeness: a partner within the cutoff is at most `cutneigh` away
+    /// along each axis, so with cells at least `cutneigh / 2` wide its cell is
+    /// at most two cells away; clamping x to the grid is monotone, so it can
+    /// move a far atom inward but never push a near pair apart.
+    ///
+    /// `neigh_list` is an `nlocal × maxneigh` table; `neigh_count[i]` is atom
+    /// `i`'s neighbor count. Returns the total number of pairs (for tests).
+    ///
+    /// Runs the search's `avx512f` compilation, eight distances to a register,
+    /// where the CPU has it ([`crate::kernel`]), else
+    /// [`build_neighbors_portable`]; the two are the same source and produce
+    /// the same lists.
+    pub fn build_neighbors(
+        slab: &Slab,
+        x: &[f64],
+        ids: &[u64],
+        nlocal: usize,
+        nall: usize,
+        cutneigh_sq: f64,
+        neigh_count: &mut [u32],
+        neigh_list: &mut [u32],
+        maxneigh: usize,
+    ) -> usize;
+    /// [`build_neighbors`] compiled for any CPU (packed SSE2). Callable by name
+    /// so that tests and the bench reach it on hosts where the dispatch never
+    /// does.
+    pub fn build_neighbors_portable = search;
+    fn search_avx512f = search;
+}
+
+/// The cell search of [`build_neighbors`], inlined into each compilation.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub fn build_neighbors(
+fn search(
     slab: &Slab,
     x: &[f64],
     ids: &[u64],
@@ -348,7 +374,7 @@ pub fn build_neighbors_all_pairs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minimd::atoms::{generate_slab_atoms, lattice_constant, Slab};
+    use crate::minimd::atoms::{generate_slab_atoms, jittered_cloud, lattice_constant, Slab};
 
     fn flat_positions(cells: [usize; 3]) -> (Slab, Vec<f64>, usize) {
         let slab = Slab::new(0, 1, cells);
@@ -384,6 +410,42 @@ mod tests {
             maxneigh,
         );
         (ncount, nlist)
+    }
+
+    type Search =
+        fn(&Slab, &[f64], &[u64], usize, usize, f64, &mut [u32], &mut [u32], usize) -> usize;
+
+    #[test]
+    fn every_compilation_equals_all_pairs() {
+        let cut = 2.8f64;
+        let maxneigh = 256;
+        // Half the box in y/z below the cutoff ([3, 2, 2]) and above it,
+        // with and without two coincident atoms.
+        for (cells, coincident) in [([3, 2, 2], true), ([4, 3, 3], false), ([4, 3, 3], true)] {
+            let (slab, x, ids, nlocal) = jittered_cloud(1, 3, cells, cut, coincident);
+            let nall = ids.len();
+            let run = |f: Search| {
+                let mut count = vec![0u32; nlocal];
+                let mut list = vec![0u32; nlocal * maxneigh];
+                let pairs = f(
+                    &slab,
+                    &x,
+                    &ids,
+                    nlocal,
+                    nall,
+                    cut * cut,
+                    &mut count,
+                    &mut list,
+                    maxneigh,
+                );
+                (pairs, count, list)
+            };
+            let want = run(build_neighbors_all_pairs);
+            assert!(want.0 > 40 * nlocal, "{} pairs", want.0);
+            for (name, f) in compilations() {
+                assert!(run(f) == want, "{name}, cells {cells:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Heatdis's in-place sweep against the two-buffer sweep it replaces:
 //! every cell and the largest change equal bit for bit, and the halo rows
-//! left as they were, over grids of 1 to 7 owned rows and 1 to 19 columns
-//! (one and two columns, where both edges are one-sided, and every width
-//! modulo the four lanes) whose cells mix ordinary values with `NaN`, ±∞,
-//! −0.0, subnormals and `f64::MAX`.
+//! left as they were, over grids of 1 to 7 owned rows and 1 to 40 columns
+//! (one and two columns, where both edges are one-sided, every width
+//! modulo the 16 lanes of the `avx512f` compilation and the 4 of the
+//! portable one, and a full 16-lane chunk plus a tail) whose cells mix
+//! ordinary values with `NaN`, ±∞, −0.0, subnormals and `f64::MAX`. This
+//! reaches the compilation the CPU dispatches to; the sweep's own unit
+//! tests hold each compilation to the oracle.
 //!
 //! A `NaN` cell compares equal to any `NaN`: which operand's `NaN` a sum of
 //! two returns is not fixed once the compiler may commute the addition, so
@@ -53,7 +56,7 @@ proptest! {
     #[test]
     fn in_place_sweep_equals_reference(
         rows in 1usize..8,
-        cols in 1usize..20,
+        cols in 1usize..41,
         special_every in 0u64..6,
         seed in any::<u64>(),
     ) {

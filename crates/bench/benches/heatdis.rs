@@ -3,18 +3,26 @@
 //! twelve sweeps per sample, as many as one run makes.
 //!
 //! * `sweep` — `jacobi_sweep_in_place`, the kernel Heatdis runs: in place,
-//!   two carried rows, the largest change in four lanes;
+//!   two carried rows, the largest change in independent lanes, in the
+//!   compilation this CPU dispatches to (`"apps_kernel"` in the JSON: 16 lanes
+//!   under `avx512f`, else the portable one);
+//! * `sweep_portable` — `jacobi_sweep_portable`, the same source compiled
+//!   for any CPU, four lanes wide;
 //! * `sweep_reference` — `jacobi_sweep_reference`, the two-buffer sweep
 //!   with one running maximum and a copy-back, which it is property-tested
 //!   against (`apps/tests/stencil_props.rs`).
 //!
-//! Both start every sample from the same irregular field (copied in
+//! All start every sample from the same irregular field (copied in
 //! untimed), and this target asserts before timing that twelve sweeps of
 //! each leave the same grid and the same largest changes, bit for bit.
-//! Writes `target/BENCH_heatdis.json` (median and minimum ns per config);
-//! `scripts/bench_gate.sh` holds the kernel to its oracle within that run.
+//! Writes `target/BENCH_heatdis.json` (median and minimum ns per config,
+//! and the dispatched compilation); `scripts/bench_gate.sh` holds the
+//! kernel to its oracle, and an `avx512f` host's to its portable
+//! compilation, within that run.
 
-use apps::heatdis::{jacobi_sweep_in_place, jacobi_sweep_reference, SweepResult};
+use apps::heatdis::{
+    jacobi_sweep_in_place, jacobi_sweep_portable, jacobi_sweep_reference, SweepResult,
+};
 use bench::{elapsed_ns, measure, write_results};
 
 const ROWS: usize = 2048;
@@ -23,7 +31,7 @@ const SWEEPS: usize = 12;
 const SAMPLES: usize = 21;
 const WARMUP: usize = 3;
 
-/// The signature both sweeps share: the grid, then the kernel's buffer.
+/// The signature the sweeps share: the grid, then the kernel's buffer.
 type Sweep = fn(&mut [f64], &mut [f64], usize, usize) -> SweepResult;
 
 /// `SWEEPS` sweeps of `grid`, returning each sweep's largest change.
@@ -40,19 +48,21 @@ fn main() {
     let start: Vec<f64> = (0..(ROWS + 2) * COLS)
         .map(|k| 100.0 * (k as f64 * phi).fract())
         .collect();
-    let kernels: [(&str, Sweep, usize); 2] = [
+    let kernels: [(&str, Sweep, usize); 3] = [
         ("sweep", jacobi_sweep_in_place, 2 * COLS),
+        ("sweep_portable", jacobi_sweep_portable, 2 * COLS),
         ("sweep_reference", jacobi_sweep_reference, start.len()),
     ];
-    let [fast, oracle] = kernels.map(|(_, f, buf_len)| {
+    let [fast, portable, oracle] = kernels.map(|(_, f, buf_len)| {
         let mut grid = start.clone();
         let deltas = run(f, &mut grid, &mut vec![0.0; buf_len]);
         grid.extend(deltas);
-        grid.into_iter().map(f64::to_bits)
+        grid.into_iter().map(f64::to_bits).collect::<Vec<_>>()
     });
+    assert!(fast == oracle, "the in-place sweep differs from its oracle");
     assert!(
-        fast.eq(oracle),
-        "the in-place sweep differs from its oracle"
+        portable == oracle,
+        "the portable sweep differs from its oracle"
     );
 
     let mut lines = Vec::new();
@@ -73,7 +83,11 @@ fn main() {
     }
     write_results(
         "heatdis",
-        &format!("\"bench\":\"heatdis\",\"rows\":{ROWS},\"cols\":{COLS},\"sweeps\":{SWEEPS}"),
+        &format!(
+            "\"bench\":\"heatdis\",\"rows\":{ROWS},\"cols\":{COLS},\"sweeps\":{SWEEPS},\
+             \"apps_kernel\":\"{}\"",
+            apps::kernel()
+        ),
         &lines,
     );
 }

@@ -3,27 +3,36 @@
 //! neighbors send.
 //!
 //! * `neighbors_cells` — `build_neighbors`, the cell search MiniMD runs, on
-//!   the initial lattice;
+//!   the initial lattice, in the compilation this CPU dispatches to
+//!   (`"apps_kernel"` in the JSON: `avx512f` or `portable`);
+//! * `neighbors_cells_portable` — `build_neighbors_portable`, the same
+//!   source compiled for any CPU;
 //! * `neighbors_all_pairs` — `build_neighbors_all_pairs`, the definition it
 //!   is property-tested against (`apps/tests/neighbor_props.rs`): one
 //!   distance per (owned, any) pair;
-//! * `force` — `compute_lj`, the three-pass force loop MiniMD runs, over
+//! * `force` — `compute_lj`, the three-pass force loop MiniMD runs (in the
+//!   dispatched compilation), over
 //!   the lists of the same atoms jittered by up to ±0.1 per coordinate (on
 //!   the lattice every interior atom's list repeats one pattern of
 //!   distances, which a branch on the cutoff learns; in a run the cost per
 //!   pair sits between the two);
+//! * `force_portable` — `compute_lj_portable`, the same source compiled for
+//!   any CPU, on the same lists;
 //! * `force_reference` — `compute_lj_reference`, the pair-at-a-time loop it
 //!   is property-tested against, on the same lists.
 //!
-//! Each pair of configs produces the same output, which this target
+//! Each group of configs produces the same output, which this target
 //! asserts before timing: equal lists, and forces and energy equal bit for
 //! bit. Writes `target/BENCH_minimd.json` (median and minimum ns per config,
-//! the atom and pair counts); `scripts/bench_gate.sh` holds each kernel to
-//! its oracle within that one run.
+//! the atom and pair counts, the dispatched compilation);
+//! `scripts/bench_gate.sh` holds each kernel to its oracle, and an
+//! `avx512f` host's to its portable compilation, within that one run.
 
 use apps::minimd::atoms::{generate_slab_atoms, Slab};
-use apps::minimd::force::{compute_lj, compute_lj_reference};
-use apps::minimd::neighbor::{build_neighbors, build_neighbors_all_pairs};
+use apps::minimd::force::{compute_lj, compute_lj_portable, compute_lj_reference};
+use apps::minimd::neighbor::{
+    build_neighbors, build_neighbors_all_pairs, build_neighbors_portable,
+};
 use bench::{elapsed_ns, measure, write_results};
 
 const RANK: usize = 3;
@@ -36,9 +45,9 @@ const MAXNEIGH: usize = 160;
 const SAMPLES: usize = 31;
 const WARMUP: usize = 3;
 
-/// The signature both searches share.
+/// The signature the searches share.
 type Search = fn(&Slab, &[f64], &[u64], usize, usize, f64, &mut [u32], &mut [u32], usize) -> usize;
-/// The signature both force loops share.
+/// The signature the force loops share.
 type Kernel = fn(&Slab, &[f64], usize, &[u32], &[u32], usize, f64, &mut [f64]) -> f64;
 
 /// Positions and ids: the owned atoms, then the neighbors' atoms within
@@ -91,14 +100,19 @@ fn main() {
         );
         (pairs, count, list)
     };
-    let searches: [(&str, Search); 2] = [
+    let searches: [(&str, Search); 3] = [
         ("neighbors_cells", build_neighbors),
+        ("neighbors_cells_portable", build_neighbors_portable),
         ("neighbors_all_pairs", build_neighbors_all_pairs),
     ];
     let lists = searches.map(|(_, f)| search(f, &lattice));
     assert!(
-        lists[0] == lists[1],
+        lists[0] == lists[2],
         "the cell search differs from its oracle"
+    );
+    assert!(
+        lists[1] == lists[2],
+        "the portable cell search differs from its oracle"
     );
     let x = jittered(&lattice);
     let (force_pairs, count, list) = search(build_neighbors, &x);
@@ -117,12 +131,20 @@ fn main() {
         out.push(pe);
         out
     };
-    let kernels: [(&str, Kernel); 2] = [
+    let kernels: [(&str, Kernel); 3] = [
         ("force", compute_lj),
+        ("force_portable", compute_lj_portable),
         ("force_reference", compute_lj_reference),
     ];
-    let [fast, oracle] = kernels.map(|(_, f)| force(f).into_iter().map(f64::to_bits));
-    assert!(fast.eq(oracle), "the force loop differs from its oracle");
+    let [fast, portable, oracle] = kernels.map(|(_, f)| {
+        let out = force(f).into_iter().map(f64::to_bits);
+        out.collect::<Vec<_>>()
+    });
+    assert!(fast == oracle, "the force loop differs from its oracle");
+    assert!(
+        portable == oracle,
+        "the portable force loop differs from its oracle"
+    );
 
     let mut lines = Vec::new();
     let mut record = |name: &str, pairs: usize, sample: &mut dyn FnMut() -> u64| {
@@ -146,7 +168,10 @@ fn main() {
     }
     write_results(
         "minimd",
-        &format!("\"bench\":\"minimd\",\"nlocal\":{nlocal},\"nall\":{nall}"),
+        &format!(
+            "\"bench\":\"minimd\",\"nlocal\":{nlocal},\"nall\":{nall},\"apps_kernel\":\"{}\"",
+            apps::kernel()
+        ),
         &lines,
     );
 }

@@ -15,6 +15,11 @@
 //! of a pair is a failure, as is a run that failed its own checks. A
 //! verdict that does not show a gain is not a failure: the same commit on
 //! both sides is a valid comparison, and prints no difference.
+//!
+//! Beside the verdict, as information only, it prints the same summary of
+//! each side's raw, uncalibrated pass seconds ([`RAW`]). A calibrated gain
+//! that the raw seconds do not share points at the calibration mix, not at
+//! the change: a layout shift can move the mix's own timings.
 
 use telemetry::Json;
 
@@ -24,6 +29,10 @@ use crate::pins;
 /// The metric a verdict judges: the whole-run host time of one pass.
 pub const CLAIM: &str = "host_pass_s";
 
+/// The uncalibrated pass seconds a log prints beside its metrics, on its
+/// `samples raw_pass_s:` line.
+pub const RAW: &str = "raw_pass_s";
+
 /// One `benchmark --workload` run, as its log reads.
 #[derive(Debug)]
 pub struct Run {
@@ -31,6 +40,8 @@ pub struct Run {
     metrics: Vec<(String, f64, String)>,
     /// The table's `virtual_fingerprint` line.
     fingerprint: String,
+    /// [`RAW`], where the log holds it.
+    raw_pass_s: Option<f64>,
 }
 
 impl Run {
@@ -54,6 +65,7 @@ impl Run {
         Ok(Run {
             metrics,
             fingerprint: fingerprint.to_owned(),
+            raw_pass_s: raw_pass_s(log),
         })
     }
 
@@ -61,6 +73,27 @@ impl Run {
         let found = self.metrics.iter().find(|(n, ..)| n == name);
         found.map(|&(_, v, _)| v)
     }
+}
+
+/// A run's [`RAW`] seconds from its `samples raw_pass_s: a b | c d` line,
+/// one group per scenario, by the benchmark's rule for a run's value: the
+/// mean over scenarios of each scenario's median.
+fn raw_pass_s(log: &str) -> Option<f64> {
+    let line = log.lines().find_map(|l| {
+        let rest = l.trim_start().strip_prefix("samples ")?;
+        rest.strip_prefix(RAW)?.strip_prefix(':')
+    })?;
+    let medians = line
+        .split('|')
+        .map(|group| {
+            let v: Vec<f64> = group
+                .split_whitespace()
+                .map(|x| x.parse().ok())
+                .collect::<Option<_>>()?;
+            (!v.is_empty()).then(|| quartiles(&v)[1])
+        })
+        .collect::<Option<Vec<f64>>>()?;
+    Some(medians.iter().sum::<f64>() / medians.len() as f64)
 }
 
 /// Quartile cut points `[q1, median, q3]` by the rule of Python's
@@ -91,6 +124,53 @@ fn is_virtual(name: &str) -> bool {
         .next()
         .unwrap_or(name)
         .starts_with("virtual_")
+}
+
+/// One metric over the pairs: each side's quartiles, and the pairs the
+/// change won and lost (a tie counts for neither).
+struct Sides {
+    n: usize,
+    parent: [f64; 3],
+    change: [f64; 3],
+    wins: usize,
+    losses: usize,
+}
+
+impl Sides {
+    fn of(values: &[(f64, f64)], higher: bool) -> Sides {
+        let better = |c: f64, p: f64| if higher { c > p } else { c < p };
+        let side =
+            |pick: fn(&(f64, f64)) -> f64| quartiles(&values.iter().map(pick).collect::<Vec<_>>());
+        Sides {
+            n: values.len(),
+            parent: side(|v| v.0),
+            change: side(|v| v.1),
+            wins: values.iter().filter(|&&(p, c)| better(c, p)).count(),
+            losses: values.iter().filter(|&&(p, c)| better(p, c)).count(),
+        }
+    }
+
+    /// The change's median against the parent's, in percent.
+    fn change_pct(&self) -> f64 {
+        let (pm, cm) = (self.parent[1], self.change[1]);
+        if pm == 0.0 {
+            0.0
+        } else {
+            (cm - pm) / pm.abs() * 100.0
+        }
+    }
+
+    fn summary(&self) -> String {
+        let ([pq1, pm, pq3], [cq1, cm, cq3]) = (self.parent, self.change);
+        format!(
+            "parent {pm:.4} (q1 {pq1:.4}, q3 {pq3:.4}), change {cm:.4} (q1 {cq1:.4}, q3 {cq3:.4}), \
+             {:+.2} %, change better in {}/{} pairs, worse in {}",
+            self.change_pct(),
+            self.wins,
+            self.n,
+            self.losses
+        )
+    }
 }
 
 /// Judge `pairs` of `(parent, change)` runs, made alternately, on the
@@ -134,44 +214,45 @@ pub fn compare(pairs: &[(Run, Run)], claim: &str) -> GateReport {
             continue;
         }
         let higher = unit.ends_with("/s");
-        let better = |c: f64, p: f64| if higher { c > p } else { c < p };
-        let wins = values.iter().filter(|&&(p, c)| better(c, p)).count();
-        let losses = values.iter().filter(|&&(p, c)| better(p, c)).count();
-        let side =
-            |pick: fn(&(f64, f64)) -> f64| quartiles(&values.iter().map(pick).collect::<Vec<_>>());
-        let [pq1, pm, pq3] = side(|v| v.0);
-        let [cq1, cm, cq3] = side(|v| v.1);
-        let change = if pm == 0.0 {
-            0.0
+        let direction = if higher {
+            "higher is better"
         } else {
-            (cm - pm) / pm.abs() * 100.0
+            "lower is better"
         };
-        report.lines.push(format!(
-            "{name} [{unit}, {}]: parent {pm:.4} (q1 {pq1:.4}, q3 {pq3:.4}), change {cm:.4} \
-             (q1 {cq1:.4}, q3 {cq3:.4}), {change:+.2} %, change better in {wins}/{n} pairs, \
-             worse in {losses}",
-            if higher {
-                "higher is better"
-            } else {
-                "lower is better"
-            },
-        ));
+        let s = Sides::of(&values, higher);
+        report
+            .lines
+            .push(format!("{name} [{unit}, {direction}]: {}", s.summary()));
         if name == claim {
+            let ([pq1, pm, pq3], cm) = (s.parent, s.change[1]);
             let gap = if higher { cm - pm } else { pm - cm };
             let iqr = pq3 - pq1;
-            let won = 10 * wins >= 9 * n;
+            let won = 10 * s.wins >= 9 * n;
             let verdict = match (won && gap > iqr, n >= 10) {
                 (true, true) => "improved",
                 (true, false) => "consistent with a gain (a claim needs 10 pairs)",
                 (false, _) => "not shown",
             };
             report.lines.push(format!(
-                "verdict: {claim} {verdict}: change better in {wins}/{n} pairs (needs 9/10), \
+                "verdict: {claim} {verdict}: change better in {}/{n} pairs (needs 9/10), \
                  median gain {gap:.4} {unit} against the parent's IQR {iqr:.4} {unit} \
-                 ({pm:.4} -> {cm:.4}, {change:+.2} %)"
+                 ({pm:.4} -> {cm:.4}, {:+.2} %)",
+                s.wins,
+                s.change_pct()
             ));
         }
     }
+    let raw: Option<Vec<(f64, f64)>> = pairs
+        .iter()
+        .map(|(p, c)| Some((p.raw_pass_s?, c.raw_pass_s?)))
+        .collect();
+    report.lines.push(match raw {
+        Some(raw) => format!(
+            "{RAW} [s, uncalibrated, information only]: {}",
+            Sides::of(&raw, false).summary()
+        ),
+        None => format!("{RAW}: missing from a log (information only)"),
+    });
     let fingerprints = pairs.iter().map(|(p, c)| (&p.fingerprint, &c.fingerprint));
     for (i, (p, c)) in fingerprints.enumerate().filter(|(_, (p, c))| p != c) {
         mismatches += 1;
@@ -194,14 +275,27 @@ pub fn compare(pairs: &[(Run, Run)], claim: &str) -> GateReport {
 mod tests {
     use super::*;
 
-    fn run(pass_s: f64, virtual_s: f64, fingerprint: &str) -> Run {
-        Run::parse(&format!(
-            "benchmark heatdis_inmem: nproc=2 seed=7\n    virtual_fingerprint        {fingerprint}\n\
+    /// A log as the benchmark prints it: two scenarios' raw pass seconds
+    /// (`raw`), the fingerprint, and the result line.
+    fn log(pass_s: f64, virtual_s: f64, fingerprint: &str, raw: &str) -> String {
+        format!(
+            "benchmark heatdis_inmem: nproc=2 seed=7\n    samples raw_pass_s: {raw}\n\
+             \x20   samples slowdown: 1.5 | 1.5\n    virtual_fingerprint        {fingerprint}\n\
              {{\"correct\": true, \"attempted\": 9, \"failed\": 0, \"metrics\": {{\
              \"host_pass_s\": {{\"value\": {pass_s}, \"unit\": \"s\"}}, \
              \"virtual_wall_fail_s\": {{\"value\": {virtual_s}, \"unit\": \"s\"}}, \
              \"veloc.crc_host_mib_s\": {{\"value\": {}, \"unit\": \"MiB/s\"}}}}}}\n",
             1.0 / pass_s
+        )
+    }
+
+    fn run(pass_s: f64, virtual_s: f64, fingerprint: &str) -> Run {
+        let raw = 1.5 * pass_s;
+        Run::parse(&log(
+            pass_s,
+            virtual_s,
+            fingerprint,
+            &format!("{raw} | {raw}"),
         ))
         .unwrap()
     }
@@ -283,6 +377,41 @@ mod tests {
             .lines
             .iter()
             .any(|l| l.ends_with("+0.00 %, change better in 0/3 pairs, worse in 0")));
+    }
+
+    #[test]
+    fn raw_pass_seconds_are_information_beside_the_verdict() {
+        // Each scenario's median, then their mean: (1.5 + 2.5) / 2.
+        let at = |pass_s, raw: &str| Run::parse(&log(pass_s, 2.5, "00ff", raw)).unwrap();
+        assert_eq!(at(1.0, "1.0 1.5 9.0 | 2.5").raw_pass_s, Some(2.0));
+        // Calibrated faster in every pair while the raw seconds are slower
+        // in every pair: shown, and not a failure.
+        let p: Vec<(Run, Run)> = (0..10)
+            .map(|i| {
+                let p = 2.0 + f64::from(i) * 0.01;
+                (at(p, "3.0 | 3.0"), at(p - 0.3, "3.2 | 3.4"))
+            })
+            .collect();
+        let r = compare(&p, CLAIM);
+        assert!(r.ok(), "{:?}", r.failures);
+        assert!(verdict(&r).starts_with("verdict: host_pass_s improved"));
+        let raw = r
+            .lines
+            .iter()
+            .find(|l| l.starts_with("raw_pass_s"))
+            .unwrap();
+        assert_eq!(
+            raw,
+            "raw_pass_s [s, uncalibrated, information only]: parent 3.0000 (q1 3.0000, \
+             q3 3.0000), change 3.3000 (q1 3.3000, q3 3.3000), +10.00 %, change better in \
+             0/10 pairs, worse in 10"
+        );
+        // A log without the line: said so, and still not a failure.
+        let r = compare(&[(run(2.0, 2.5, "00ff"), at(1.0, "3.0 | x"))], CLAIM);
+        assert!(r.ok(), "{:?}", r.failures);
+        assert!(r
+            .lines
+            .contains(&"raw_pass_s: missing from a log (information only)".to_owned()));
     }
 
     #[test]

@@ -14,7 +14,8 @@
 # logs land in target/ab/<workload>-seed<S>/.
 #
 # `bench_compare ab` prints each metric's medians, quartiles and pair wins,
-# then one verdict line on host_pass_s: improved when the change wins at
+# the same for the logs' uncalibrated raw_pass_s (information only), then
+# one verdict line on host_pass_s: improved when the change wins at
 # least 9 pairs in 10 and its median beats the parent's by more than the
 # parent's interquartile range (with fewer than 10 pairs, only consistent
 # with a gain). It exits 1 on any run that failed its own

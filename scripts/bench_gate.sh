@@ -170,32 +170,55 @@ if [ "$(kernel crc_kernel)" = vpclmulqdq ]; then
 fi
 echo "bench gate: OK (restart)"
 
+# The application kernels (crates/apps) run their avx512f compilation where
+# the CPU has it, which each bench target records as apps_kernel; the
+# *_portable configs are the same source compiled for any CPU.
 bench minimd BENCH_minimd.json ${PIN[@]+"${PIN[@]}"}
 # MiniMD's cell search against the all-pairs definition it is
 # property-tested against, at the minimd_relaunch rank shape (864 owned
 # atoms + 504 ghosts, identical lists asserted before timing):
-# neighbors_cells >= 1.5 x faster (measured 2.24-3.42 over 8 pinned runs
-# with the lists ordered by bitmap, the two sides slowing differently in
-# the container's noisy phases; with the stencil widened to the whole box
-# it reads 0.89-1.16).
+# neighbors_cells >= 1.5 x faster (measured 2.20-5.09 over 12 pinned runs
+# of the avx512f compilation on the Intel Xeon container, the two sides
+# slowing differently in its noisy phases; with the stencil widened to the
+# whole box, the portable compilation read 0.89-1.16).
 claim neighbors_cells neighbors_all_pairs 1.5
 # MiniMD's three-pass force loop against the pair-at-a-time loop it is
 # property-tested against, on the same atoms jittered off the lattice
 # (forces and energy bit-equal, asserted before timing): force >= 1.2 x
-# faster (measured 1.41-1.53 over 15 pinned runs; with the term pass's
-# bitwise select written as an if/else, which compiles back to a branch
-# and scalar division, it reads 0.87-1.06).
+# faster (measured 1.75-2.66 over 12 pinned runs of the avx512f
+# compilation; with the term pass's bitwise select written as an if/else,
+# which compiles back to a branch and scalar division, the portable
+# compilation read 0.87-1.06).
 claim force force_reference 1.2
+if [ "$(kernel apps_kernel)" = avx512f ]; then
+  # Where the kernels dispatch to their avx512f compilation: each against
+  # its portable compilation, the same source. The search at its low-water
+  # mark, >= 1.06 x (measured 1.12-1.93 over 12 pinned runs; 0.99-1.03 in
+  # 8 of 9 runs with the dispatch removed, 1.46 in the ninth, which ran
+  # beside a build on the other CPU) ...
+  claim neighbors_cells neighbors_cells_portable 1.06 min_ns
+  # ... and the force loop, eight pairs to a packed division: force >=
+  # 1.2 x force_portable (measured 1.45-1.78 over 12 pinned runs; 0.99-1.06
+  # over 9 with the dispatch removed).
+  claim force force_portable 1.2
+fi
 echo "bench gate: OK (minimd)"
 
 bench heatdis BENCH_heatdis.json ${PIN[@]+"${PIN[@]}"}
 # Heatdis's in-place sweep against the two-buffer sweep it is
 # property-tested against, twelve sweeps of the heatdis_ckpt rank shape
 # (2,048 x 512, grid and largest changes bit-equal, asserted before
-# timing): sweep >= 2 x faster (measured 3.4-3.5 over 3 pinned runs; with
-# the four lanes folded back into one running maximum, the serial chain
-# that keeps the loop scalar, it reads about 1.1).
+# timing): sweep >= 2 x faster (measured 5.2-8.2 over 9 pinned runs of the
+# avx512f compilation; with its lanes folded back into one running
+# maximum, the serial chain that keeps the loop scalar, the portable
+# compilation read about 1.1).
 claim sweep sweep_reference 2
+if [ "$(kernel apps_kernel)" = avx512f ]; then
+  # The sweep's avx512f compilation, 16 lanes, against its portable one,
+  # 4 lanes: sweep >= 1.3 x sweep_portable (measured 1.55-2.95 over 9
+  # pinned runs; 1.04-1.10 over 3 with the dispatch removed).
+  claim sweep sweep_portable 1.3
+fi
 echo "bench gate: OK (heatdis)"
 
 echo "bench gate: OK"

@@ -78,9 +78,9 @@ doc_budget() { # file bytes
     budgets_ok=0
   fi
 }
-doc_budget DESIGN.md 115898
-doc_budget CHANGES.md 129641
-doc_budget EXPERIMENTS.md 82120
+doc_budget DESIGN.md 117785
+doc_budget CHANGES.md 130720
+doc_budget EXPERIMENTS.md 85487
 [ "$budgets_ok" -eq 1 ]
 end
 
