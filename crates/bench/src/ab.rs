@@ -16,6 +16,10 @@
 //! verdict that does not show a gain is not a failure: the same commit on
 //! both sides is a valid comparison, and prints no difference.
 //!
+//! Each end-to-end metric `BENCHMARK.json` bounds ([`bounds`]) is also held
+//! to its bound: a change whose median is worse than the parent's by more
+//! than that fraction of it fails, whatever the verdict.
+//!
 //! Beside the verdict, as information only, it prints the same summary of
 //! each side's raw, uncalibrated pass seconds ([`RAW`]). A calibrated gain
 //! that the raw seconds do not share points at the calibration mix, not at
@@ -32,6 +36,38 @@ pub const CLAIM: &str = "host_pass_s";
 /// The uncalibrated pass seconds a log prints beside its metrics, on its
 /// `samples raw_pass_s:` line.
 pub const RAW: &str = "raw_pass_s";
+
+/// How far one end-to-end metric may get worse: its `bound`, a fraction
+/// of the parent's median, and which way is better.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Bound {
+    pub name: String,
+    pub bound: f64,
+    pub higher: bool,
+}
+
+/// The `end_to_end` metrics of a `BENCHMARK.json` document, each with its
+/// bound; one without a numeric `bound` is an error.
+pub fn bounds(benchmark_json: &str) -> Result<Vec<Bound>, String> {
+    let doc = Json::parse(benchmark_json)?;
+    let metrics = doc.get("end_to_end").and_then(Json::as_array);
+    let metrics = metrics.ok_or("no end_to_end metrics")?;
+    metrics
+        .iter()
+        .map(|m| {
+            let name = m
+                .get("name")
+                .and_then(Json::as_str)
+                .ok_or("a metric has no name")?;
+            let bound = m.get("bound").and_then(Json::as_f64);
+            Ok(Bound {
+                name: name.to_owned(),
+                bound: bound.ok_or_else(|| format!("{name} has no bound"))?,
+                higher: m.get("better").and_then(Json::as_str) == Some("higher"),
+            })
+        })
+        .collect()
+}
 
 /// One `benchmark --workload` run, as its log reads.
 #[derive(Debug)]
@@ -174,9 +210,10 @@ impl Sides {
 }
 
 /// Judge `pairs` of `(parent, change)` runs, made alternately, on the
-/// `claim`ed metric. A unit that is a rate (`…/s`) is better higher, every
-/// other metric lower.
-pub fn compare(pairs: &[(Run, Run)], claim: &str) -> GateReport {
+/// `claim`ed metric, and hold each metric in `bounds` to its bound. A
+/// metric with a bound is better the way its bound says; otherwise a unit
+/// that is a rate (`…/s`) is better higher, every other metric lower.
+pub fn compare(pairs: &[(Run, Run)], claim: &str, bounds: &[Bound]) -> GateReport {
     let mut report = GateReport::default();
     let n = pairs.len();
     let Some((first, _)) = pairs.first() else {
@@ -213,7 +250,8 @@ pub fn compare(pairs: &[(Run, Run)], claim: &str) -> GateReport {
             ));
             continue;
         }
-        let higher = unit.ends_with("/s");
+        let bound = bounds.iter().find(|b| b.name == *name);
+        let higher = bound.map_or(unit.ends_with("/s"), |b| b.higher);
         let direction = if higher {
             "higher is better"
         } else {
@@ -223,6 +261,20 @@ pub fn compare(pairs: &[(Run, Run)], claim: &str) -> GateReport {
         report
             .lines
             .push(format!("{name} [{unit}, {direction}]: {}", s.summary()));
+        if let Some(b) = bound {
+            let worse = if higher {
+                -s.change_pct()
+            } else {
+                s.change_pct()
+            };
+            if worse > b.bound * 100.0 {
+                report.failures.push(format!(
+                    "{name}: the change's median is {worse:.2} % worse than the parent's, \
+                     past its bound of {:.2} %",
+                    b.bound * 100.0
+                ));
+            }
+        }
         if name == claim {
             let ([pq1, pm, pq3], cm) = (s.parent, s.change[1]);
             let gap = if higher { cm - pm } else { pm - cm };
@@ -330,7 +382,7 @@ mod tests {
         let parent = [2.0, 2.1, 2.0, 2.2, 2.1, 2.0, 2.1, 2.05, 2.15, 2.0];
         let mut change = parent.map(|p| p - 0.2);
         change[3] = 2.3; // one pair lost
-        let r = compare(&pairs(&parent, &change), CLAIM);
+        let r = compare(&pairs(&parent, &change), CLAIM, &[]);
         assert!(r.ok(), "{:?}", r.failures);
         assert!(verdict(&r).starts_with("verdict: host_pass_s improved: change better in 9/10"));
         assert!(r.lines.contains(&"virtual mismatches: 0".to_owned()));
@@ -351,14 +403,14 @@ mod tests {
         let parent = [2.0, 2.4, 2.0, 2.4, 2.0, 2.4, 2.0, 2.4, 2.0, 2.4];
         // Every pair won, by less than the parent's spread.
         let change = parent.map(|p| p - 0.1);
-        let r = compare(&pairs(&parent, &change), CLAIM);
+        let r = compare(&pairs(&parent, &change), CLAIM, &[]);
         assert!(verdict(&r).contains("not shown: change better in 10/10"));
         // A gap past the spread, but two pairs lost.
         let parent = [2.0; 10];
         let mut change = [1.5; 10];
         change[0] = 2.5;
         change[1] = 2.5;
-        let r = compare(&pairs(&parent, &change), CLAIM);
+        let r = compare(&pairs(&parent, &change), CLAIM, &[]);
         assert!(verdict(&r).contains("not shown: change better in 8/10"));
         assert!(r.ok(), "no gain is not a failure: {:?}", r.failures);
     }
@@ -367,8 +419,8 @@ mod tests {
     fn ties_count_for_neither_side() {
         // The parent against itself: no pair won, no difference.
         let same = [1.7, 1.8, 1.75];
-        let r = compare(&pairs(&same, &same), CLAIM);
-        let faster = compare(&pairs(&same, &same.map(|s| s - 0.2)), CLAIM);
+        let r = compare(&pairs(&same, &same), CLAIM, &[]);
+        let faster = compare(&pairs(&same, &same.map(|s| s - 0.2)), CLAIM, &[]);
         assert!(verdict(&faster)
             .contains("consistent with a gain (a claim needs 10 pairs): change better in 3/3"));
         assert!(r.ok(), "{:?}", r.failures);
@@ -392,7 +444,7 @@ mod tests {
                 (at(p, "3.0 | 3.0"), at(p - 0.3, "3.2 | 3.4"))
             })
             .collect();
-        let r = compare(&p, CLAIM);
+        let r = compare(&p, CLAIM, &[]);
         assert!(r.ok(), "{:?}", r.failures);
         assert!(verdict(&r).starts_with("verdict: host_pass_s improved"));
         let raw = r
@@ -407,7 +459,7 @@ mod tests {
              0/10 pairs, worse in 10"
         );
         // A log without the line: said so, and still not a failure.
-        let r = compare(&[(run(2.0, 2.5, "00ff"), at(1.0, "3.0 | x"))], CLAIM);
+        let r = compare(&[(run(2.0, 2.5, "00ff"), at(1.0, "3.0 | x"))], CLAIM, &[]);
         assert!(r.ok(), "{:?}", r.failures);
         assert!(r
             .lines
@@ -415,11 +467,46 @@ mod tests {
     }
 
     #[test]
+    fn a_median_worse_past_its_bound_fails() {
+        let doc = r#"{"end_to_end": [
+            {"name": "host_pass_s", "unit": "s", "better": "lower", "bound": 0.25},
+            {"name": "veloc.crc_host_mib_s", "unit": "MiB/s", "better": "higher", "bound": 0.1}
+        ]}"#;
+        let b = bounds(doc).unwrap();
+        assert_eq!(b[0].name, "host_pass_s");
+        assert_eq!((b[0].bound, b[0].higher, b[1].higher), (0.25, false, true));
+        // 20 % slower is inside the bound; the rate (1 / pass) falls 16.7 %,
+        // past its 10 %.
+        let r = compare(&pairs(&[2.0; 4], &[2.4; 4]), CLAIM, &b);
+        assert_eq!(
+            r.failures,
+            [
+                "veloc.crc_host_mib_s: the change's median is 16.67 % worse than the \
+              parent's, past its bound of 10.00 %"
+            ]
+        );
+        // 30 % slower is past it. Faster, however much, is never a failure.
+        let r = compare(&pairs(&[2.0; 4], &[2.6; 4]), CLAIM, &b[..1]);
+        assert_eq!(
+            r.failures,
+            [
+                "host_pass_s: the change's median is 30.00 % worse than the parent's, \
+              past its bound of 25.00 %"
+            ]
+        );
+        assert!(compare(&pairs(&[2.0; 4], &[0.5; 4]), CLAIM, &b).ok());
+        // Every end-to-end metric of the repository's own file has one.
+        let ours = bounds(include_str!("../../../BENCHMARK.json")).unwrap();
+        assert!(ours.iter().any(|b| b.name == CLAIM && b.bound > 0.0));
+        assert!(bounds(r#"{"end_to_end": [{"name": "x"}]}"#).is_err());
+    }
+
+    #[test]
     fn any_modelled_difference_fails() {
         let mut p = pairs(&[2.0; 3], &[1.0; 3]);
         p[1].1 = run(1.0, 2.5000001, "00ff+00fe");
         p[2].1 = run(1.0, 2.5, "00ff+00fd");
-        let r = compare(&p, CLAIM);
+        let r = compare(&p, CLAIM, &[]);
         assert_eq!(
             r.failures,
             [
@@ -432,9 +519,9 @@ mod tests {
 
     #[test]
     fn a_failed_run_or_a_missing_claim_fails() {
-        let r = compare(&pairs(&[2.0], &[1.0]), "no_such_metric");
+        let r = compare(&pairs(&[2.0], &[1.0]), "no_such_metric", &[]);
         assert_eq!(r.failures, ["no run has the claimed metric no_such_metric"]);
-        assert!(!compare(&[], CLAIM).ok());
+        assert!(!compare(&[], CLAIM, &[]).ok());
         let log = "    virtual_fingerprint 00ff\n\
                    {\"correct\": true, \"attempted\": 9, \"failed\": 0, \"metrics\": {}}";
         assert!(Run::parse(log).is_ok());

@@ -6,7 +6,8 @@
 //! bench_compare assert-faster <results.json> <fast> <slow> \
 //!     [--metric median_ns] [--min-x 1]
 //! bench_compare check-pins <benchmark-output.log>
-//! bench_compare ab <parent.log> <change.log> [<parent.log> <change.log> ...]
+//! bench_compare ab --bounds BENCHMARK.json <parent.log> <change.log> \
+//!     [<parent.log> <change.log> ...]
 //! ```
 //!
 //! Exit codes: 0 = pass, 1 = gate violation (claim not held, missing
@@ -53,7 +54,7 @@ fn usage(msg: &str) -> i32 {
     eprintln!(
         "usage: bench_compare assert-faster <file> <fast> <slow> [--metric M] [--min-x N]\n\
          \x20      bench_compare check-pins <file>\n\
-         \x20      bench_compare ab <parent.log> <change.log> [...]"
+         \x20      bench_compare ab --bounds BENCHMARK.json <parent.log> <change.log> [...]"
     );
     2
 }
@@ -133,12 +134,29 @@ fn cmd_check_pins(args: &[String]) -> Result<GateReport, String> {
 }
 
 /// Alternating parent and change logs of `benchmark --workload` runs,
-/// judged pair by pair on [`ab::CLAIM`]; an unreadable log is a violation.
+/// judged pair by pair on [`ab::CLAIM`] and held to the end-to-end bounds
+/// of the `--bounds` file, which is only read; an unreadable log or bounds
+/// file is a violation, a missing `--bounds` a usage error.
 fn cmd_ab(args: &[String]) -> Result<GateReport, String> {
-    if args.is_empty() || !args.len().is_multiple_of(2) {
+    let (logs, flags) = parse_flags(args)?;
+    if logs.is_empty() || !logs.len().is_multiple_of(2) {
         return Err("ab needs parent and change logs, in pairs".into());
     }
-    let runs: Result<Vec<Run>, String> = args
+    let path = flag(&flags, "bounds").ok_or("ab needs --bounds BENCHMARK.json")?;
+    let bounds = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| ab::bounds(&text))
+        .map_err(|e| format!("{path}: {e}"));
+    let bounds = match bounds {
+        Ok(bounds) => bounds,
+        Err(why) => {
+            return Ok(GateReport {
+                lines: Vec::new(),
+                failures: vec![why],
+            })
+        }
+    };
+    let runs: Result<Vec<Run>, String> = logs
         .iter()
         .map(|path| {
             let log = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -156,5 +174,5 @@ fn cmd_ab(args: &[String]) -> Result<GateReport, String> {
     };
     let pairs: Vec<(Run, Run)> =
         std::iter::from_fn(|| Some((runs.next()?, runs.next()?))).collect();
-    Ok(ab::compare(&pairs, ab::CLAIM))
+    Ok(ab::compare(&pairs, ab::CLAIM, &bounds))
 }

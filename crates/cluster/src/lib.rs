@@ -21,9 +21,10 @@
 //!   only when that node dies.
 //! * [`relaunch::RelaunchModel`] — the cost of tearing down and restarting an
 //!   entire MPI job, paid by non-Fenix recovery strategies.
-//! * [`pool::Pool`] — the cluster's one buffer pool: checkpoint frames and
-//!   wire shards recycled within the run that allocated them (host memory
-//!   only; it models nothing).
+//! * [`pool::Pool`] — the cluster's one buffer pool: checkpoint frames,
+//!   wire shards and decoded payloads allocated on huge pages and recycled
+//!   within the run that allocated them (host memory only; it models
+//!   nothing).
 //!
 //! Modeled durations are converted to real sleeps through a [`TimeScale`] so
 //! whole experiments finish in seconds.
@@ -52,7 +53,7 @@ pub use clock::Clock;
 pub use inject::{FaultInjector, StorageTier};
 pub use net::Network;
 pub use pfs::ParallelFileSystem;
-pub use pool::Pool;
+pub use pool::{Pool, PoolBuf};
 pub use relaunch::RelaunchModel;
 pub use scratch::NodeScratch;
 pub use topology::Topology;

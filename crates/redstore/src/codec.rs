@@ -11,7 +11,8 @@
 //! There is one encoder, [`Code::shard_into`]: it writes any one shard of a
 //! payload into a buffer the caller owns, reading the payload where it lies
 //! — which is how the store builds a data shard's wire frame in one pass —
-//! and one decoder, [`Code::decode`], which borrows the survivors.
+//! and one decoder, [`Code::decode_with`], which borrows the survivors and
+//! writes the payload into a buffer the caller supplies.
 //! [`Code::parity_into`] is the encoder's fast path for the parity half: it
 //! writes every parity shard in one pass over the payload
 //! ([`gf256::rows_into`]), and is property-tested against `shard_into` row
@@ -22,6 +23,8 @@
 //! inconsistent shard sizes surface as a typed [`CodecError`], because a
 //! multi-failure that exceeds coverage is an expected runtime outcome the
 //! resilience stack must convert into a clean job-level error.
+
+use std::ops::DerefMut;
 
 use crate::gf256;
 
@@ -228,14 +231,28 @@ impl Code {
     }
 
     /// Reassemble a payload of `orig_len` bytes from one slot per shard
-    /// (`None` = erased): any `n` survivors do. The survivors are borrowed;
-    /// a surviving data shard is copied to its place in the one output
-    /// buffer and a missing one is decoded straight into its place.
+    /// (`None` = erased): any `n` survivors do. [`Code::decode_with`] into
+    /// a new `Vec`.
     pub fn decode<S: AsRef<[u8]>>(
         self,
         shards: &[Option<S>],
         orig_len: usize,
     ) -> Result<Vec<u8>, CodecError> {
+        self.decode_with(shards, orig_len, |len| vec![0u8; len])
+    }
+
+    /// [`Code::decode`] into the buffer `alloc` returns for the payload's
+    /// `orig_len` bytes, asked for only once the survivors are known to
+    /// hold them. Every byte of it is written, whatever it held: the
+    /// survivors are borrowed, a surviving data shard is copied to its
+    /// place, and every missing one is decoded straight into its place in
+    /// one pass over the survivors ([`gf256::rows_into`]).
+    pub fn decode_with<S: AsRef<[u8]>, B: DerefMut<Target = [u8]>>(
+        self,
+        shards: &[Option<S>],
+        orig_len: usize,
+        alloc: impl FnOnce(usize) -> B,
+    ) -> Result<B, CodecError> {
         let (n, m) = self.geometry()?;
         if shards.len() != n + m {
             return Err(CodecError::BadGeometry(format!(
@@ -280,19 +297,26 @@ impl Code {
                 CodecError::BadGeometry("singular decode matrix (corrupted shard set)".into())
             })?
         };
-        let mut out = vec![0u8; capacity];
-        for (row, place) in out.chunks_exact_mut(len.max(1)).enumerate() {
+        let mut out = alloc(orig_len);
+        let mut missing = Vec::new();
+        let mut coeffs = Vec::new();
+        // Row `r` of the payload is data shard `r`; the last may be short,
+        // and rows wholly past `orig_len` are padding no one reads.
+        for (row, place) in out.chunks_mut(len.max(1)).enumerate() {
             match picked.iter().find(|(index, _)| *index == row) {
-                Some((_, shard)) => place.copy_from_slice(shard),
+                Some((_, shard)) => place.copy_from_slice(&shard[..place.len()]),
                 None => {
-                    let coeffs = inverse.get(row).into_iter().flatten();
-                    for (coeff, (_, shard)) in coeffs.zip(&picked) {
-                        gf256::mul_acc(place, shard, *coeff);
-                    }
+                    let inverse_row = inverse.get(row);
+                    coeffs.extend((0..n).map(|j| {
+                        let coeff = inverse_row.and_then(|r| r.get(j));
+                        coeff.copied().unwrap_or(0)
+                    }));
+                    missing.push(place);
                 }
             }
         }
-        out.truncate(orig_len);
+        let survivors: Vec<&[u8]> = picked.iter().map(|(_, shard)| *shard).collect();
+        gf256::rows_into(&mut missing, &survivors, &coeffs);
         Ok(out)
     }
 }

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
-use cluster::Pool;
+use cluster::{Pool, PoolBuf};
 use parking_lot::Mutex;
 use simmpi::{Comm, MpiError};
 use telemetry::Event;
@@ -360,10 +360,10 @@ fn wire_buffers(
     code: Code,
     version: u64,
     payload: &[u8],
-) -> Result<Vec<Vec<u8>>, CodecError> {
+) -> Result<Vec<PoolBuf>, CodecError> {
     let len = HEADER_LEN + code.shard_len(payload.len())?;
     let frames = (1..code.shards()?).map(|index| {
-        let mut wire = pool.take(len).unwrap_or_else(|| vec![0u8; len]);
+        let mut wire = pool.take(len);
         wire[..8].copy_from_slice(&version.to_le_bytes());
         wire[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
         // A code has at most 256 shards, so the index fits its byte.
@@ -415,8 +415,14 @@ fn check_frame(frame: &[u8], code: Code, version: u64, index: usize) -> Result<u
 /// Rebuild a payload from the frames a recovering rank was sent, each
 /// paired with the shard index the committed placement says its sender
 /// holds. Every frame passes [`check_frame`], and all senders must record
-/// the same original length.
-fn reconstruct(code: Code, version: u64, frames: &[(usize, Bytes)]) -> Result<Vec<u8>, RedError> {
+/// the same original length. The payload is decoded into a buffer from the
+/// cluster's `pool`, which it goes back to when its last holder drops it.
+fn reconstruct(
+    pool: &Pool,
+    code: Code,
+    version: u64,
+    frames: &[(usize, Bytes)],
+) -> Result<Bytes, RedError> {
     let mut slots: Vec<Option<&[u8]>> = vec![None; code.shards()?];
     let mut orig_len = None;
     for (index, frame) in frames {
@@ -433,7 +439,8 @@ fn reconstruct(code: Code, version: u64, frames: &[(usize, Bytes)]) -> Result<Ve
         })?;
         *slot = frame.get(HEADER_LEN..);
     }
-    Ok(code.decode(&slots, orig_len.unwrap_or(0))?)
+    let payload = code.decode_with(&slots, orig_len.unwrap_or(0), |len| pool.take(len))?;
+    Ok(pool.share(payload))
 }
 
 /// A redundancy group bound to the current resilient communicator.
@@ -853,7 +860,8 @@ impl<'a> RedundancyGroup<'a> {
                         let (frame, _) = self.comm.recv_bytes(Some(from), Self::tag(member, 1))?;
                         frames.push(((pos_from + s - pos) % s, frame));
                     }
-                    Bytes::from(reconstruct(code, version, &frames)?)
+                    let pool = self.comm.router().cluster().pool();
+                    reconstruct(pool, code, version, &frames)?
                 }
             };
             self.store
@@ -974,7 +982,9 @@ mod tests {
     /// left full of `0xAA` are byte for byte the frames built into fresh
     /// ones: the pool does not zero them, so every shard byte is the
     /// encoder's, and a data shard's padding (a short last slice) is what
-    /// shows it.
+    /// shows it. (A debug build poisons fresh and recycled buffers alike;
+    /// there `coded_store_leg_wire_bytes_are_unchanged` is what holds the
+    /// padding to `rs_encode`'s.)
     #[test]
     fn frames_built_in_a_poisoned_recycled_buffer_equal_fresh_ones() {
         let cluster = cluster();
@@ -985,8 +995,15 @@ mod tests {
                 let fresh = coded_frames(pool, code, 9, &p).expect("frames");
                 // Lend and return one poisoned buffer per frame while the
                 // fresh frames stay outstanding, so the pool retains them.
-                for frame in &fresh {
-                    drop(pool.share(vec![0xAA; frame.len()]));
+                let poisoned: Vec<_> = (fresh.iter())
+                    .map(|frame| {
+                        let mut buf = pool.take(frame.len());
+                        buf.fill(0xAA);
+                        buf
+                    })
+                    .collect();
+                for buf in poisoned {
+                    drop(pool.share(buf));
                 }
                 let hits = pool.stats().hits;
                 let recycled = coded_frames(pool, code, 9, &p).expect("frames");
@@ -1042,19 +1059,21 @@ mod tests {
     fn reconstruct_round_trips_and_rejects_senders_that_disagree() {
         let p = payload(9);
         let cluster = cluster();
-        let frames = coded_frames(cluster.pool(), RS22, 4, &p).expect("frames");
+        let pool = cluster.pool();
+        let frames = coded_frames(pool, RS22, 4, &p).expect("frames");
         // Shard 0 died with its owner; any two of the other three do.
         for lost in 1..4 {
             let sent: Vec<(usize, Bytes)> = (1..4)
                 .zip(frames.iter().cloned())
                 .filter(|(index, _)| *index != lost)
                 .collect();
-            assert_eq!(reconstruct(RS22, 4, &sent), Ok(p.clone()), "lost {lost}");
+            let rebuilt = reconstruct(pool, RS22, 4, &sent).map(|b| b.to_vec());
+            assert_eq!(rebuilt, Ok(p.clone()), "lost {lost}");
         }
         // One sender's frame twice: the second is not the shard of its slot.
         let twice = [(1, frames[0].clone()), (2, frames[0].clone())];
         assert!(matches!(
-            reconstruct(RS22, 4, &twice),
+            reconstruct(pool, RS22, 4, &twice),
             Err(RedError::Codec(CodecError::BadGeometry(_)))
         ));
         // Two well-formed frames of payloads of 9 and 10 bytes: both have
@@ -1062,12 +1081,12 @@ mod tests {
         let other = coded_frames(cluster.pool(), RS22, 4, &payload(10)).expect("frames");
         let mixed = [(1, frames[0].clone()), (2, other[1].clone())];
         assert!(matches!(
-            reconstruct(RS22, 4, &mixed),
+            reconstruct(pool, RS22, 4, &mixed),
             Err(RedError::Codec(CodecError::BadGeometry(_)))
         ));
         // Too few senders is the codec's typed error, not a panic.
         assert_eq!(
-            reconstruct(RS22, 4, &[(1, frames[0].clone())]),
+            reconstruct(pool, RS22, 4, &[(1, frames[0].clone())]),
             Err(RedError::Codec(CodecError::TooManyErasures {
                 available: 1,
                 needed: 2

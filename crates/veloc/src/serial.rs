@@ -46,11 +46,10 @@
 //! class of bug (`crates/chaos/tests/mutant.rs`); never enable it in
 //! normal builds.
 
-use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use cluster::Pool;
+use cluster::{Pool, PoolBuf};
 
 use crate::region::Protected;
 
@@ -581,38 +580,6 @@ fn put_u64_at(buf: &mut [u8], at: usize, v: u64) {
     buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
 }
 
-/// Ask the kernel to back the whole 2 MiB-aligned spans of a frame buffer's
-/// still untouched allocation with transparent huge pages (`madvise(2)`,
-/// `MADV_HUGEPAGE`), so the pass that first writes it faults in one page per
-/// 2 MiB instead of one per 4 KiB. An allocation holding no such span (any
-/// frame under 2 MiB, and most just above) makes no call. It is advice only.
-/// The bytes are the same either way. The kernel may decline (its THP mode
-/// is `never`, or no huge page is free), and a failed call changes nothing,
-/// so its result is ignored. Linux only; elsewhere, and under Miri, a no-op.
-fn advise_huge_pages(buf: &mut [MaybeUninit<u8>]) {
-    #[cfg(all(target_os = "linux", not(miri)))]
-    {
-        use std::ffi::{c_int, c_void};
-        extern "C" {
-            fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
-        }
-        const MADV_HUGEPAGE: c_int = 14;
-        const HUGE_PAGE: usize = 2 << 20;
-        let start = buf.as_mut_ptr() as usize;
-        let first = start.next_multiple_of(HUGE_PAGE);
-        let end = (start + buf.len()) / HUGE_PAGE * HUGE_PAGE;
-        if first < end {
-            // SAFETY: `[first, end)` lies inside `buf`, which this function
-            // borrows mutably, and both ends are page-aligned, as madvise
-            // requires. MADV_HUGEPAGE only changes how the kernel backs the
-            // range: it neither unmaps it nor reads or writes a byte of it.
-            unsafe { madvise(first as *mut c_void, end - first, MADV_HUGEPAGE) };
-        }
-    }
-    #[cfg(not(all(target_os = "linux", not(miri))))]
-    let _ = buf;
-}
-
 /// Zero-copy frame assembler — what [`pack`] writes through.
 ///
 /// `FrameBuilder` allocates the finished frame up front from the planned
@@ -624,14 +591,14 @@ fn advise_huge_pages(buf: &mut [MaybeUninit<u8>]) {
 /// content (`builder_output_matches_pack_frame` below holds the two
 /// together).
 ///
-/// The buffer is the cluster pool's: a recycled one, still holding its
-/// previous user's bytes, when the pool has one that fits
-/// (`cluster::pool`), else a fresh allocation advised onto huge pages
-/// before it is zeroed. Either way the sealed frame hands it back to the
-/// pool when its last holder drops it.
+/// The buffer is the cluster pool's (`cluster::pool`): a recycled one,
+/// still holding its previous user's bytes, when the pool has one that
+/// fits, else a fresh one the pool allocates (on huge pages from 2 MiB
+/// up). Either way the sealed frame hands it back to the pool when its last
+/// holder drops it.
 pub struct FrameBuilder<'a> {
     pool: &'a Pool,
-    buf: Vec<u8>,
+    buf: PoolBuf,
     /// Per changed region: offset of its CRC field in the meta table.
     crc_offsets: Vec<usize>,
     /// Per changed region: `(payload offset, len)` in `buf`.
@@ -657,17 +624,7 @@ impl<'a> FrameBuilder<'a> {
         );
         let meta_len = 16 + 4 * unchanged.len() + 16 * changed.len();
         let payload_len: usize = changed.iter().map(|&(_, len)| len).sum();
-        // On a miss: reserve, advise, then zero. The advice must come
-        // before the first write. `vec![0; n]` would zero inside the
-        // allocator, which for a block it recycles means writing every page
-        // before the advice exists.
-        let len = 8 + meta_len + payload_len;
-        let mut buf = pool.take(len).unwrap_or_else(|| {
-            let mut buf = Vec::with_capacity(len);
-            advise_huge_pages(buf.spare_capacity_mut());
-            buf.resize(len, 0u8);
-            buf
-        });
+        let mut buf = pool.take(8 + meta_len + payload_len);
         buf[..4].copy_from_slice(&MAGIC);
         let mut w = 8usize;
         // `base_version + 1` so 0 can mean "full"; versions are iteration
@@ -988,8 +945,8 @@ mod tests {
     // no-op that every smaller frame here already runs.
     #[cfg_attr(miri, ignore)]
     fn a_frame_advised_onto_huge_pages_matches_pack_frame() {
-        // Over 4 MiB, so the buffer holds at least one whole 2 MiB-aligned
-        // span, whatever the allocator's alignment: the advice runs.
+        // Over 4 MiB: a fresh pool buffer 2 MiB-aligned, its first two
+        // whole spans advised onto huge pages (`cluster::pool`).
         let payloads: Vec<(u32, Bytes)> = vec![
             (1, Bytes::from(vec![0x5A; 16])),
             (
@@ -1086,8 +1043,15 @@ mod tests {
             // fresh frame stays outstanding, so the pool retains them all
             // though each is one byte over the frame, to fit a plan one
             // byte longer too.
-            for _ in 0..takes {
-                drop(pool.share(vec![0xAA; fresh[0].len() + 1]));
+            let poisoned: Vec<_> = (0..takes)
+                .map(|_| {
+                    let mut buf = pool.take(fresh[0].len() + 1);
+                    buf.fill(0xAA);
+                    buf
+                })
+                .collect();
+            for buf in poisoned {
+                drop(pool.share(buf));
             }
             let hits = pool.stats().hits;
             let recycled = pack(pool, base, &regions, unchanged);

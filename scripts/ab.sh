@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # The perf protocol as one command: build the frozen benchmark/ package at a
-# parent commit and in this checkout, run one workload on both in
-# alternating pairs, and judge the pairs with `bench_compare ab`.
+# parent commit and in this checkout, run each workload on both in
+# alternating pairs, and judge each workload's pairs with `bench_compare ab`.
 #
-#   scripts/ab.sh PARENT_REV [--pairs N] [--seed S] [--workload W]
+#   scripts/ab.sh PARENT_REV [--pairs N] [--seed S] [--workload W[,W...]]
 #
-# Defaults: 10 pairs, seed 7, heatdis_inmem. Every run is as long as
+# Defaults: 10 pairs, seed 7, heatdis_inmem. `--workload` takes a comma
+# list; the two builds are made once and serve every workload in it, one
+# after another, each with its own verdict. Every run is as long as
 # BENCHMARK.json's run_seconds, with tracing off. The parent is built
 # offline from its committed files, extracted with `git archive` under
 # target/ab/parent (no worktree is registered, so nothing is left in .git);
@@ -18,15 +20,17 @@
 # one verdict line on host_pass_s: improved when the change wins at
 # least 9 pairs in 10 and its median beats the parent's by more than the
 # parent's interquartile range (with fewer than 10 pairs, only consistent
-# with a gain). It exits 1 on any run that failed its own
-# checks and on any difference in a virtual_* metric or the
-# virtual_fingerprint, which are functions of the seed; a verdict that shows
-# no gain is not an error.
+# with a gain). It fails a workload on any run that failed its own checks,
+# on any difference in a virtual_* metric or the virtual_fingerprint, which
+# are functions of the seed, and on any end-to-end metric whose median is
+# worse than the parent's by more than its BENCHMARK.json bound (read, never
+# written). A verdict that shows no gain is not an error. The script exits 1
+# when any workload failed, after running them all.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  echo "usage: scripts/ab.sh PARENT_REV [--pairs N] [--seed S] [--workload W]" >&2
+  echo "usage: scripts/ab.sh PARENT_REV [--pairs N] [--seed S] [--workload W[,W...]]" >&2
   exit 2
 }
 
@@ -35,13 +39,13 @@ parent_rev="$1"
 shift
 pairs=10
 seed=7
-workload=heatdis_inmem
+workloads=heatdis_inmem
 while [ $# -gt 0 ]; do
   [ $# -ge 2 ] || usage
   case "$1" in
     --pairs) pairs="$2" ;;
     --seed) seed="$2" ;;
-    --workload) workload="$2" ;;
+    --workload) workloads="$2" ;;
     *) usage ;;
   esac
   shift 2
@@ -66,29 +70,40 @@ build "$parent_tree"
 echo "== ab: building the change (this checkout) =="
 build .
 
-out="target/ab/${workload}-seed${seed}"
-rm -rf "$out"
-mkdir -p "$out"
-run() { # tree log
+run() { # tree workload log
   (cd "$1" && benchmark/target/release/benchmark \
-    --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) > "$2"
+    --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0) > "$3"
 }
-logs=()
-for ((i = 0; i < pairs; i++)); do
-  if ((i % 2 == 0)); then
-    order=(parent change)
-  else
-    order=(change parent)
-  fi
-  for side in "${order[@]}"; do
-    echo "== ab: pair $i, $side =="
-    if [ "$side" = parent ]; then
-      run "$parent_tree" "$out/pair$i-parent.log"
+IFS=, read -r -a list <<< "$workloads"
+failed=()
+for workload in "${list[@]}"; do
+  out="target/ab/${workload}-seed${seed}"
+  rm -rf "$out"
+  mkdir -p "$out"
+  logs=()
+  for ((i = 0; i < pairs; i++)); do
+    if ((i % 2 == 0)); then
+      order=(parent change)
     else
-      run . "$out/pair$i-change.log"
+      order=(change parent)
     fi
+    for side in "${order[@]}"; do
+      echo "== ab: ${workload}, pair $i, $side =="
+      if [ "$side" = parent ]; then
+        run "$parent_tree" "$workload" "$out/pair$i-parent.log"
+      else
+        run . "$workload" "$out/pair$i-change.log"
+      fi
+    done
+    logs+=("$out/pair$i-parent.log" "$out/pair$i-change.log")
   done
-  logs+=("$out/pair$i-parent.log" "$out/pair$i-change.log")
+  echo "== ab: ${workload} =="
+  if ! cargo run -q -p bench --bin bench_compare -- ab --bounds BENCHMARK.json "${logs[@]}" \
+    | tee "$out/verdict.txt"; then
+    failed+=("$workload")
+  fi
 done
-
-cargo run -q -p bench --bin bench_compare -- ab "${logs[@]}" | tee "$out/verdict.txt"
+if [ ${#failed[@]} -gt 0 ]; then
+  echo "ab: failed: ${failed[*]}" >&2
+  exit 1
+fi
