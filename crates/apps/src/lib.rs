@@ -23,6 +23,13 @@
 //! (`two_compilations!`). Both produce the same bits; each module's unit
 //! tests hold both to the kernel's `_reference` oracle.
 
+// No host clock, threads or blocking waits (clippy.toml) and no hash-order
+// iteration on a rank's path (DESIGN.md §10).
+#![cfg_attr(
+    not(test),
+    deny(clippy::disallowed_methods, clippy::iter_over_hash_type)
+)]
+
 /// Defines a kernel compiled twice from one `#[inline(always)]` body: the
 /// public `$entry`, which calls the private `$wide`, the body under
 /// `#[target_feature(enable = "avx512f")]`, where [`wide`] detects

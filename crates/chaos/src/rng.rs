@@ -28,8 +28,6 @@ impl Rng {
     /// at fuzz-schedule scale (n is always tiny next to 2^64).
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0)");
-        // lint: sanction(non-det): splitmix64 over an explicit campaign
-        // seed — replayable, so schedules stay reproducible. audited 2026-08.
         self.next_u64() % n
     }
 

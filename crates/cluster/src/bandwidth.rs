@@ -70,12 +70,14 @@ impl Governor {
 
     /// Modeled serialization time of `bytes` on an otherwise idle channel.
     pub fn service_time(&self, bytes: usize) -> Duration {
+        let _scope = parking_lot::no_blocking();
         self.latency + Duration::from_secs_f64(bytes as f64 / self.rate)
     }
 
     /// Reserve a transfer of `bytes` and return the modeled duration until
     /// it completes (queueing + serialization). Does not sleep.
     pub fn reserve(&self, bytes: usize) -> Duration {
+        let _scope = parking_lot::no_blocking();
         let service = self.service_time(bytes);
         // Queueing is tracked on the real clock but in modeled units scaled
         // by `scale` so that the queue drains at the same (real-time) rate at

@@ -5,7 +5,7 @@
 //! machine's wall clock. `Clock` hoists that read behind an interface with
 //! two implementations:
 //!
-//! * [`Clock::wall`] — the production source; the **only** sanctioned
+//! * [`Clock::wall`] — the production source; the **only**
 //!   wall-clock read on the bandwidth path lives in [`Clock::now_ns`].
 //! * [`Clock::virtual_at`] — a manually advanced counter. A discrete-event
 //!   scheduler owns one of these, shares it across every governor, and
@@ -28,10 +28,11 @@ pub enum Clock {
 
 impl Clock {
     /// A wall clock whose epoch is the moment of construction.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the wall clock's epoch; a virtual clock never reads it"
+    )]
     pub fn wall() -> Self {
-        // lint: sanction(wall-clock): epoch capture for the governor clock;
-        // the one place the bandwidth layer is allowed to touch real time.
-        // Virtual clocks never reach this. audited 2026-08.
         Clock::Wall {
             epoch: Instant::now(),
         }
@@ -45,11 +46,12 @@ impl Clock {
     }
 
     /// Nanoseconds since this clock's epoch.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one wall read on the bandwidth path; DES runs a virtual clock"
+    )]
     pub fn now_ns(&self) -> u64 {
         match self {
-            // lint: sanction(wall-clock): the single sanctioned wall read on
-            // the bandwidth path; the DES scheduler swaps in Clock::Virtual
-            // and this arm goes dead. audited 2026-08.
             Clock::Wall { epoch } => epoch.elapsed().as_nanos() as u64,
             Clock::Virtual { now_ns } => now_ns.load(Ordering::Acquire),
         }

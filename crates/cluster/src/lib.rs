@@ -29,12 +29,17 @@
 //! Modeled durations are converted to real sleeps through a [`TimeScale`] so
 //! whole experiments finish in seconds.
 
+// No host clock, threads or blocking waits (clippy.toml) and no hash-order
+// iteration on a rank's path (DESIGN.md §10).
+#![cfg_attr(
+    not(test),
+    deny(clippy::disallowed_methods, clippy::iter_over_hash_type)
+)]
+
 pub mod bandwidth;
 mod blobs;
 pub mod clock;
 pub mod inject;
-#[cfg(feature = "lint-mutants")]
-pub mod mutant;
 pub mod net;
 pub mod pfs;
 pub mod pool;
@@ -134,15 +139,21 @@ impl TimeScale {
     /// When the current thread carries a [`VirtualSleeper`] the modeled
     /// duration is handed to it *unscaled* and no real time passes — the
     /// DES backend turns every modeled sleep into a simulated-clock event.
+    ///
+    /// Inside a no-blocking scope (`parking_lot::no_blocking`) this panics,
+    /// even for a zero duration or a virtual sleeper.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn sleep(&self, modeled: Duration) {
+        parking_lot::assert_may_block();
         if virtual_sleep(modeled) {
             return;
         }
         let real = self.to_real(modeled);
         if !real.is_zero() {
-            // lint: sanction(wall-clock, blocks): modeled time is burned as a
-            // real scaled sleep; the DES scheduler replaces this with a
-            // virtual-time event and the branch goes dead. audited 2026-08.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the threads engine burns modeled time as a scaled sleep"
+            )]
             std::thread::sleep(real);
         }
     }

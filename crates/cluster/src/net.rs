@@ -71,6 +71,7 @@ impl Network {
     /// Reserve a rank-to-rank transfer and return its modeled completion
     /// time. Does not sleep.
     pub fn reserve_transfer(&self, src: usize, dst: usize, bytes: usize) -> Duration {
+        let _scope = parking_lot::no_blocking();
         let s = self.nics[src].reserve(bytes);
         let d = self.nics[dst].reserve(bytes);
         let b = self.bisection.reserve(bytes);

@@ -249,9 +249,6 @@ impl Context {
     /// Block until outstanding asynchronous flushes complete.
     pub fn checkpoint_wait(&self) {
         parking_lot::assert_no_locks_held();
-        // lint: sanction(blocks): checkpoint_wait is the documented drain
-        // barrier; the DES scheduler parks the rank task here instead of the
-        // thread. audited 2026-08.
         self.data.wait();
     }
 

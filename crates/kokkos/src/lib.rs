@@ -16,6 +16,13 @@
 //!   execution of a checkpoint region to discover, automatically, the data
 //!   the region touches.
 
+// No host clock, threads or blocking waits (clippy.toml) and no hash-order
+// iteration on a rank's path (DESIGN.md §10).
+#![cfg_attr(
+    not(test),
+    deny(clippy::disallowed_methods, clippy::iter_over_hash_type)
+)]
+
 pub mod capture;
 pub mod view;
 

@@ -1,9 +1,8 @@
-//! Workspace call graph over the parsed files.
+//! Workspace-wide call resolution over the parsed files.
 //!
 //! Name resolution is heuristic — there is no type information — but tuned
-//! to err toward *over*-approximation for reachability lints (a call may
-//! resolve to several same-named candidates) while avoiding the classic
-//! false-positive traps:
+//! to err toward *over*-approximation (a call may resolve to several
+//! same-named candidates) while avoiding the classic false-positive traps:
 //!
 //! - qualified calls (`Type::new`, `module::helper`) only resolve to
 //!   functions whose impl type / crate / module actually matches the
@@ -12,12 +11,11 @@
 //! - method and free calls (`.restore(…)`, `helper(…)`) resolve to
 //!   same-named candidates workspace-wide: the recovery path genuinely
 //!   crosses crates (`router.send → network.transfer → governor.reserve`);
-//! - only *live* functions ([`Workspace::live`]) are nodes: test code and
-//!   `lint-mutants`-gated functions without the opt-in are neither callers
-//!   nor callees.
+//! - only *live* functions ([`Workspace::live`]) are candidates: test code
+//!   and `lint-mutants`-gated functions without the opt-in are never
+//!   resolved to.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use crate::parser::{Call, CallKind, FnItem, ParsedFile};
 
@@ -61,14 +59,10 @@ pub struct GraphOpts {
 }
 
 impl GraphOpts {
-    /// `f` is a seeded mutant this scan did not opt into.
-    pub fn hides(self, f: &FnItem) -> bool {
-        f.mutant_gated && !self.include_mutants
-    }
-
-    /// `f` is neither test code nor hidden.
+    /// `f` is neither test code nor a seeded mutant this scan did not opt
+    /// into.
     pub fn is_live(self, f: &FnItem) -> bool {
-        !f.is_test && !self.hides(f)
+        !f.is_test && (self.include_mutants || !f.mutant_gated)
     }
 }
 
@@ -100,52 +94,6 @@ impl<'a> Resolver<'a> {
             &mut out,
         );
         out
-    }
-}
-
-pub struct CallGraph {
-    /// Adjacency: caller → resolved callees.
-    pub edges: HashMap<FnId, Vec<FnId>>,
-}
-
-impl CallGraph {
-    pub fn build(ws: &Workspace, opts: GraphOpts) -> CallGraph {
-        let resolver = Resolver::new(ws, opts);
-        let mut edges: HashMap<FnId, Vec<FnId>> = HashMap::new();
-        for (id, f) in ws.live(opts) {
-            let mut out: Vec<FnId> = Vec::new();
-            for call in &f.calls {
-                out.extend(resolver.resolve(id, call));
-            }
-            out.sort_unstable();
-            out.dedup();
-            edges.insert(id, out);
-        }
-        CallGraph { edges }
-    }
-
-    /// The one traversal every reachability rule shares: BFS from `roots`,
-    /// returning the parent forest (`None` for a root). Its key set is the
-    /// reachable set, roots included; following parents from any key gives
-    /// a shortest root → function call chain.
-    pub fn reach(&self, roots: &[FnId]) -> HashMap<FnId, Option<FnId>> {
-        let mut parent: HashMap<FnId, Option<FnId>> = HashMap::new();
-        let mut queue: VecDeque<FnId> = VecDeque::new();
-        for &r in roots {
-            if let Entry::Vacant(slot) = parent.entry(r) {
-                slot.insert(None);
-                queue.push_back(r);
-            }
-        }
-        while let Some(v) = queue.pop_front() {
-            for &w in self.edges.get(&v).into_iter().flatten() {
-                if let Entry::Vacant(slot) = parent.entry(w) {
-                    slot.insert(Some(v));
-                    queue.push_back(w);
-                }
-            }
-        }
-        parent
     }
 }
 
@@ -218,6 +166,16 @@ mod tests {
     use super::*;
     use crate::testutil::{id_of, ws};
 
+    /// Every function `id`'s calls resolve to, sorted and deduplicated.
+    fn callees(ws: &Workspace, opts: GraphOpts, id: FnId) -> Vec<FnId> {
+        let resolver = Resolver::new(ws, opts);
+        let calls = ws.fn_item(id).calls.iter();
+        let mut out: Vec<FnId> = calls.flat_map(|c| resolver.resolve(id, c)).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
     #[test]
     fn free_call_prefers_same_file() {
         let ws = ws(&[
@@ -227,9 +185,8 @@ mod tests {
             ),
             ("crates/a/src/other.rs", "fn helper() {}\n"),
         ]);
-        let g = CallGraph::build(&ws, GraphOpts::default());
         let top = id_of(&ws, "top");
-        assert_eq!(g.edges[&top], vec![(0, 1)]);
+        assert_eq!(callees(&ws, GraphOpts::default(), top), vec![(0, 1)]);
     }
 
     #[test]
@@ -241,9 +198,8 @@ mod tests {
              impl T { fn new() -> T { T } }\n\
              fn top() { let _s = S::new(); }\n",
         )]);
-        let g = CallGraph::build(&ws, GraphOpts::default());
         let top = id_of(&ws, "top");
-        let callees = &g.edges[&top];
+        let callees = callees(&ws, GraphOpts::default(), top);
         assert_eq!(callees.len(), 1);
         assert_eq!(ws.fn_item(callees[0]).qual(), "S::new");
     }
@@ -262,10 +218,9 @@ mod tests {
         ];
         let ws = ws(&files);
         let top = id_of(&ws, "top");
-        let g = CallGraph::build(&ws, GraphOpts::default());
-        let callee_crates: Vec<&str> = g.edges[&top]
-            .iter()
-            .map(|&c| ws.file(c).crate_name.as_str())
+        let callee_crates: Vec<&str> = callees(&ws, GraphOpts::default(), top)
+            .into_iter()
+            .map(|c| ws.file(c).crate_name.as_str())
             .collect();
         assert_eq!(callee_crates, ["a", "b"], "no type info: both `go`s");
     }
@@ -276,15 +231,14 @@ mod tests {
             ("crates/app/src/lib.rs", "fn top() { fenix::run(); }\n"),
             ("crates/fenix/src/lib.rs", "pub fn run() {}\n"),
         ]);
-        let g = CallGraph::build(&ws, GraphOpts::default());
         let top = id_of(&ws, "top");
-        assert_eq!(g.edges[&top], vec![(1, 0)]);
+        assert_eq!(callees(&ws, GraphOpts::default(), top), vec![(1, 0)]);
     }
 
     #[test]
     fn cross_module_and_trait_method_calls() {
-        // The fixture-crate shape the satellite task asks for: a call into a
-        // sibling module plus a trait method dispatched through `&self`.
+        // A call into a sibling module plus a trait method dispatched
+        // through `&self`.
         let ws = ws(&[(
             "crates/fixture/src/main.rs",
             "mod util { pub fn helper() {} }\n\
@@ -295,20 +249,17 @@ mod tests {
                  fn run_trait() { let r = R; r.exec(); }\n\
                  fn leaf() {}\n",
         )]);
-        let g = CallGraph::build(&ws, GraphOpts::default());
-        let main = id_of(&ws, "main");
-        let helper = id_of(&ws, "helper");
+        let opts = GraphOpts::default();
         let exec = ws
             .fns()
             .find(|(_, f)| f.name == "exec" && f.body.is_some())
             .map(|(id, _)| id)
             .unwrap();
-        let leaf = id_of(&ws, "leaf");
-        let reach = g.reach(&[main]);
-        assert!(reach.contains_key(&helper), "cross-module call resolved");
-        assert!(reach.contains_key(&exec), "trait method call resolved");
-        assert_eq!(reach[&leaf], Some(exec), "transitive through trait impl");
-        assert_eq!(reach[&main], None, "a root has no parent");
+        let main = callees(&ws, opts, id_of(&ws, "main"));
+        assert!(main.contains(&id_of(&ws, "helper")), "cross-module call");
+        let run_trait = callees(&ws, opts, id_of(&ws, "run_trait"));
+        assert!(run_trait.contains(&exec), "trait method call");
+        assert_eq!(callees(&ws, opts, exec), vec![id_of(&ws, "leaf")]);
     }
 
     #[test]
@@ -321,16 +272,17 @@ mod tests {
              #[cfg(test)]\nmod tests { fn top() {} }\n",
         )]);
         let top = id_of(&ws, "top");
-        let without = CallGraph::build(&ws, GraphOpts::default());
-        assert!(without.edges[&top].is_empty(), "mutant excluded");
-        let with = CallGraph::build(
-            &ws,
-            GraphOpts {
-                include_mutants: true,
-            },
+        assert!(
+            callees(&ws, GraphOpts::default(), top).is_empty(),
+            "mutant excluded"
         );
-        assert_eq!(with.edges[&top].len(), 1, "mutant included on request");
-        let reach = with.reach(&[top]);
-        assert!(reach.contains_key(&id_of(&ws, "boom")));
+        let with = GraphOpts {
+            include_mutants: true,
+        };
+        assert_eq!(callees(&ws, with, top), vec![id_of(&ws, "seeded")]);
+        assert!(
+            ws.live(with).all(|(_, f)| !f.is_test),
+            "test code is never live"
+        );
     }
 }

@@ -7,7 +7,7 @@ use telemetry::Json;
 /// One finding from one rule.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable rule identifier, e.g. `panic-reach`.
+    /// Stable rule identifier, e.g. `collective-match`.
     pub rule: &'static str,
     /// Workspace-relative path with forward slashes.
     pub file: String,
@@ -64,11 +64,11 @@ mod tests {
 
     fn diag() -> Diagnostic {
         Diagnostic {
-            rule: "panic-reach",
+            rule: "collective-match",
             file: "crates/x/src/lib.rs".into(),
             line: 7,
             func: "X::go".into(),
-            msg: "reachable unwrap".into(),
+            msg: "unmatched barrier".into(),
         }
     }
 
@@ -81,7 +81,7 @@ mod tests {
         let j = render_json(&[d.clone(), diag()]);
         assert!(j.contains("\\\"hi\\\""));
         assert!(j.contains("\\n"));
-        assert!(j.contains("\"panic-reach\": 2"));
+        assert!(j.contains("\"collective-match\": 2"));
         assert!(j.contains("\"total\": 2"));
     }
 }

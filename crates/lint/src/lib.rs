@@ -1,21 +1,19 @@
 //! Protocol-aware static analysis for the layered-resilience workspace.
 //!
-//! A rule lives here only where no runtime suite catches its violation
-//! (DESIGN.md §10 has the experiment behind each). The engine:
+//! A rule lives here only where no runtime suite, compiler lint or
+//! run-time witness catches its violation (DESIGN.md §10 has the
+//! experiment behind each). The engine:
 //!
 //! - [`lexer`] — a lossless in-tree Rust lexer (raw strings with arbitrary
 //!   hash counts, nested block comments, lifetime vs. char-literal
 //!   disambiguation, shebang lines);
 //! - [`parser`] — a lightweight item/expression parser producing function
-//!   items with their calls, `let` bindings, and panic sites;
-//! - [`callgraph`] — a workspace-wide call graph with heuristic name
-//!   resolution and the one breadth-first traversal;
+//!   items with their calls;
+//! - [`callgraph`] — heuristic workspace-wide name resolution of calls;
 //! - [`cfg`] and [`inline`] — per-function control-flow trees, and the
 //!   one depth-bounded, cycle-safe walk that inlines single-candidate
 //!   callees through them;
-//! - [`effects`] — the call-graph query ("is a site of kind K reachable
-//!   from root set R?") and the rules that are rows of it;
-//! - [`rules`] — the other rules;
+//! - [`rules`] — the rules;
 //! - [`diag`] — diagnostics and the JSON report.
 //!
 //! The binary (`cargo run -p lint`) scans the workspace and exits
@@ -28,7 +26,6 @@
 pub mod callgraph;
 pub mod cfg;
 pub mod diag;
-pub mod effects;
 pub mod inline;
 pub mod lexer;
 pub mod parser;
@@ -36,9 +33,8 @@ pub mod rules;
 
 use std::path::{Path, PathBuf};
 
-pub use callgraph::{CallGraph, GraphOpts, Resolver, Workspace};
+pub use callgraph::{GraphOpts, Resolver, Workspace};
 pub use diag::Diagnostic;
-use effects::EffectAnalysis;
 use parser::ParsedFile;
 
 /// Classify a workspace-relative path: `Some((crate_name, is_test_file))`
@@ -115,32 +111,19 @@ pub fn load_workspace(root: &Path) -> std::io::Result<Workspace> {
     Ok(Workspace { files })
 }
 
-/// Run every rule over an already-loaded workspace. The second half is
-/// the call-graph analysis the scan ran on, for the effects inventory.
-pub fn analyze(ws: &Workspace, opts: GraphOpts) -> (Vec<Diagnostic>, EffectAnalysis) {
+/// Run every rule over an already-loaded workspace.
+pub fn analyze(ws: &Workspace, opts: GraphOpts) -> Vec<Diagnostic> {
     rules::run_all(ws, opts)
 }
 
-/// Pseudo-path a rule's fixtures are analyzed under, placing them in a
-/// crate where the rule's scope applies.
-fn fixture_rel(rule: &str) -> &'static str {
-    match rule {
-        "rank-path-effects" => "crates/simmpi/src/__fixture__.rs",
-        "blocking-context" => "crates/cluster/src/__fixture__.rs",
-        // panic-reach, collective-match.
-        _ => "crates/fenix/src/__fixture__.rs",
-    }
-}
-
-/// Analyze one fixture file as a single-file workspace under `rule`'s
-/// scope.
-pub fn analyze_fixture(rule: &str, src: &str) -> Vec<Diagnostic> {
-    let rel = fixture_rel(rule);
-    let krate = classify(rel).map(|(c, _)| c).unwrap_or_default();
+/// Analyze one fixture file as a single-file workspace in a crate where
+/// every rule's scope applies.
+pub fn analyze_fixture(src: &str) -> Vec<Diagnostic> {
+    let rel = "crates/fenix/src/__fixture__.rs";
     let ws = Workspace {
-        files: vec![ParsedFile::parse(rel, &krate, src, false)],
+        files: vec![ParsedFile::parse(rel, "fenix", src, false)],
     };
-    analyze(&ws, GraphOpts::default()).0
+    analyze(&ws, GraphOpts::default())
 }
 
 /// Verify every rule against its checked-in fixtures: `fire.rs` must
@@ -179,7 +162,7 @@ pub fn self_check(fixture_root: &Path) -> Result<Vec<(&'static str, usize)>, Str
             .map_err(|e| format!("{rule}: missing fire fixture: {e}"))?;
         let clean = std::fs::read_to_string(dir.join("clean.rs"))
             .map_err(|e| format!("{rule}: missing clean fixture: {e}"))?;
-        let fire_diags = analyze_fixture(rule, &fire);
+        let fire_diags = analyze_fixture(&fire);
         let hits = fire_diags.iter().filter(|d| d.rule == rule).count();
         if hits == 0 {
             return Err(format!(
@@ -187,7 +170,7 @@ pub fn self_check(fixture_root: &Path) -> Result<Vec<(&'static str, usize)>, Str
                 fire_diags.iter().map(|d| d.rule).collect::<Vec<_>>()
             ));
         }
-        let clean_diags = analyze_fixture(rule, &clean);
+        let clean_diags = analyze_fixture(&clean);
         if !clean_diags.is_empty() {
             return Err(format!(
                 "{rule}: clean fixture is not clean: {}",
@@ -207,7 +190,6 @@ pub fn self_check(fixture_root: &Path) -> Result<Vec<(&'static str, usize)>, Str
 struct CliOpts {
     root: PathBuf,
     report: Option<PathBuf>,
-    effects: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<CliOpts, String> {
@@ -224,7 +206,6 @@ fn parse_args() -> Result<CliOpts, String> {
         match a.as_str() {
             "--root" => opts.root = PathBuf::from(value("--root")?),
             "--report" => opts.report = Some(PathBuf::from(value("--report")?)),
-            "--effects" => opts.effects = Some(PathBuf::from(value("--effects")?)),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -240,51 +221,33 @@ fn fail(msg: String) -> ! {
 /// Entry point for the `lint` binary. Exit codes: 0 clean, 1 findings,
 /// 2 usage/IO error.
 pub fn cli_main() {
-    let opts = parse_args().unwrap_or_else(|e| {
-        fail(format!(
-            "{e}\nusage: lint [--root DIR] [--report PATH] [--effects PATH]"
-        ))
-    });
+    let opts = parse_args()
+        .unwrap_or_else(|e| fail(format!("{e}\nusage: lint [--root DIR] [--report PATH]")));
 
     let ws = load_workspace(&opts.root)
         .unwrap_or_else(|e| fail(format!("failed to read workspace: {e}")));
-    let (diags, fx) = analyze(&ws, GraphOpts::default());
-    let unmatched = effects::unmatched_roots(&ws);
-    for pat in &unmatched {
-        eprintln!("lint: error: entry-table pattern names no function (re-key it): {pat}");
-    }
+    let diags = analyze(&ws, GraphOpts::default());
 
-    let write_out = |path: &Path, what: &str, content: String| {
+    if let Some(path) = &opts.report {
         if let Some(parent) = path.parent() {
             let _unused = std::fs::create_dir_all(parent);
         }
-        if let Err(e) = std::fs::write(path, content) {
-            fail(format!("cannot write {what} {}: {e}", path.display()));
+        if let Err(e) = std::fs::write(path, diag::render_json(&diags)) {
+            fail(format!("cannot write report {}: {e}", path.display()));
         }
-        println!("lint: {what} written to {}", path.display());
-    };
-    if let Some(path) = &opts.report {
-        write_out(path, "report", diag::render_json(&diags));
-    }
-    let inventory = fx.inventory(&ws);
-    if let Some(path) = &opts.effects {
-        write_out(
-            path,
-            "effects inventory",
-            effects::render_inventory(&inventory),
-        );
+        println!("lint: report written to {}", path.display());
     }
 
     for d in &diags {
         println!("{}", d.render_human());
     }
     println!(
-        "lint: {} finding(s), {} files scanned; sanctioned sites: {}",
+        "lint: {} rule(s), {} finding(s), {} files scanned",
+        rules::ALL_RULES.len(),
         diags.len(),
         ws.files.len(),
-        effects::sanctioned_summary(&inventory),
     );
-    if !diags.is_empty() || !unmatched.is_empty() {
+    if !diags.is_empty() {
         std::process::exit(1);
     }
 }
@@ -359,7 +322,10 @@ mod tests {
         );
         // Out of scope: the lint crate itself, fixtures, non-Rust files.
         assert_eq!(classify("crates/lint/src/lib.rs"), None);
-        assert_eq!(classify("crates/lint/fixtures/panic-reach/fire.rs"), None);
+        assert_eq!(
+            classify("crates/lint/fixtures/collective-match/fire.rs"),
+            None
+        );
         assert_eq!(classify("scripts/ci.sh"), None);
     }
 

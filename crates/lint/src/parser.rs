@@ -8,9 +8,7 @@
 //!   `#[cfg(feature = "lint-mutants")]`), signature (`self` parameter,
 //!   return type text), and body extent;
 //! - **body facts** per function: every call expression (free, path,
-//!   method, macro), every `let` binding (pattern shape and init extent),
-//!   and every potential panic site (`panic!`-family macros, `.unwrap()` /
-//!   `.expect(…)`, non-range `[…]` indexing).
+//!   method, macro).
 //!
 //! The parser is resilient: anything it does not recognize is skipped
 //! token-by-token, so unusual constructs degrade to "no facts" rather than
@@ -48,42 +46,6 @@ impl Call {
     }
 }
 
-/// The shape of a `let` pattern, as far as the effects pass cares.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LetPat {
-    /// `let name = …` / `let mut name: T = …`
-    Ident(String),
-    /// `_`, destructuring, or anything else.
-    Other,
-}
-
-/// One `let` statement inside a function body.
-#[derive(Clone, Debug)]
-pub struct LetStmt {
-    pub pat: LetPat,
-    /// Significant-token range `[start, end)` of the initializer.
-    pub init: (usize, usize),
-}
-
-/// Why a site can panic.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PanicKind {
-    /// `panic!` / `todo!` / `unimplemented!`.
-    Macro(String),
-    Unwrap,
-    Expect,
-    /// Non-range `[…]` indexing in expression position.
-    Index,
-}
-
-/// One potential panic site inside a function body.
-#[derive(Clone, Debug)]
-pub struct PanicSite {
-    pub kind: PanicKind,
-    pub line: u32,
-    pub si: usize,
-}
-
 /// A parsed function item.
 #[derive(Clone, Debug)]
 pub struct FnItem {
@@ -104,8 +66,6 @@ pub struct FnItem {
     /// Significant-token range `[start, end]` of the body braces, if any.
     pub body: Option<(usize, usize)>,
     pub calls: Vec<Call>,
-    pub lets: Vec<LetStmt>,
-    pub panics: Vec<PanicSite>,
 }
 
 impl FnItem {
@@ -571,8 +531,6 @@ impl<'a> Parser<'a> {
             ret,
             body: None,
             calls: Vec::new(),
-            lets: Vec::new(),
-            panics: Vec::new(),
         };
         if self.is(k, ";") {
             self.fns.push(item);
@@ -589,10 +547,10 @@ impl<'a> Parser<'a> {
         k
     }
 
-    /// Linear scan of a function body `[start, end)` collecting calls,
-    /// lets, and panic sites. Nested groups are *not* skipped — every token
-    /// is visited once, so facts inside closures, blocks, and match arms
-    /// are attributed to the enclosing function.
+    /// Linear scan of a function body `[start, end)` collecting calls.
+    /// Nested groups are *not* skipped — every token is visited once, so
+    /// calls inside closures, blocks, and match arms are attributed to the
+    /// enclosing function.
     fn scan_body(&self, item: &mut FnItem, start: usize, end: usize) {
         let mut i = start;
         while i < end {
@@ -601,79 +559,13 @@ impl<'a> Parser<'a> {
                 i = self.skip_group(i + 1);
                 continue;
             }
-            let kind = self.kind(i);
             let text = self.text(i);
-
-            if kind == TokKind::Ident && text == "let" {
-                if let Some(stmt) = self.parse_let(i, end) {
-                    item.lets.push(stmt);
-                }
-                i += 1;
-                continue;
-            }
-            if kind == TokKind::Ident && !EXPR_KEYWORDS.contains(&text) {
+            if self.kind(i) == TokKind::Ident && !EXPR_KEYWORDS.contains(&text) {
                 if let Some((call, next)) = self.parse_callish(i) {
-                    match &call.kind {
-                        CallKind::Macro => {
-                            let n = call.name();
-                            if matches!(n, "panic" | "todo" | "unimplemented") {
-                                item.panics.push(PanicSite {
-                                    kind: PanicKind::Macro(n.to_owned()),
-                                    line: call.line,
-                                    si: call.si,
-                                });
-                            }
-                        }
-                        CallKind::Method => match call.name() {
-                            "unwrap" => item.panics.push(PanicSite {
-                                kind: PanicKind::Unwrap,
-                                line: call.line,
-                                si: call.si,
-                            }),
-                            "expect" => item.panics.push(PanicSite {
-                                kind: PanicKind::Expect,
-                                line: call.line,
-                                si: call.si,
-                            }),
-                            _ => {}
-                        },
-                        _ => {}
-                    }
                     item.calls.push(call);
                     i = next;
                     continue;
                 }
-            }
-            // Expression-position indexing: `expr[…]` with no `..` inside.
-            if text == "[" && i > start {
-                let prev_kind = self.kind(i - 1);
-                let prev_text = self.text(i - 1);
-                let exprish = matches!(prev_kind, TokKind::Ident | TokKind::Num)
-                    && !EXPR_KEYWORDS.contains(&prev_text)
-                    || prev_text == ")"
-                    || prev_text == "]";
-                if exprish {
-                    let close = self.skip_group(i);
-                    let mut depth = 0i64;
-                    let mut has_range = false;
-                    for k in i + 1..close.saturating_sub(1) {
-                        match self.text(k) {
-                            "(" | "[" | "{" => depth += 1,
-                            ")" | "]" | "}" => depth -= 1,
-                            "." if depth == 0 && self.is(k + 1, ".") => has_range = true,
-                            _ => {}
-                        }
-                    }
-                    if !has_range {
-                        item.panics.push(PanicSite {
-                            kind: PanicKind::Index,
-                            line: self.line(i),
-                            si: i,
-                        });
-                    }
-                }
-                i += 1;
-                continue;
             }
             i += 1;
         }
@@ -735,81 +627,6 @@ impl<'a> Parser<'a> {
             },
             after,
         ))
-    }
-
-    fn parse_let(&self, i: usize, end: usize) -> Option<LetStmt> {
-        let mut j = i + 1;
-        while self.is(j, "mut") {
-            j += 1;
-        }
-        let pat = if j < end
-            && self.kind(j) == TokKind::Ident
-            && !self.is(j, "_")
-            && (self.is(j + 1, "=") || self.is(j + 1, ":"))
-            && !self.is_colcol(j + 1)
-        {
-            let name = self.text(j).to_owned();
-            j += 1;
-            LetPat::Ident(name)
-        } else {
-            // Destructuring: advance to the `=` at depth 0.
-            let mut depth = 0i64;
-            while j < end {
-                match self.text(j) {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    "=" if depth == 0 && !self.is(j + 1, "=") => break,
-                    ";" if depth == 0 => return None, // `let x;` — no init
-                    "<" => {
-                        j = self.skip_angles(j);
-                        continue;
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            LetPat::Other
-        };
-        // Optional type annotation.
-        if self.is(j, ":") && !self.is_colcol(j) {
-            j += 1;
-            let mut depth = 0i64;
-            while j < end {
-                match self.text(j) {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    "=" if depth == 0 => break,
-                    ";" if depth == 0 => return None,
-                    "<" => {
-                        j = self.skip_angles(j);
-                        continue;
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-        if !self.is(j, "=") {
-            return None;
-        }
-        let init_start = j + 1;
-        // Initializer runs to the `;` at depth 0 (let-else blocks and
-        // nested statements are inside balanced braces).
-        let mut depth = 0i64;
-        let mut k = init_start;
-        while k < end {
-            match self.text(k) {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                ";" if depth == 0 => break,
-                _ => {}
-            }
-            k += 1;
-        }
-        Some(LetStmt {
-            pat,
-            init: (init_start, k),
-        })
     }
 }
 
@@ -892,48 +709,12 @@ mod tests {
     }
 
     #[test]
-    fn lets_and_question_marks() {
-        let p = parse(
-            "fn f() -> Result<(), E> {\n    let _ = fallible();\n    let a = fallible()?;\n    \
-             let (x, y) = pair();\n    Ok(())\n}\n",
-        );
-        let pats: Vec<&LetPat> = p.fns[0].lets.iter().map(|l| &l.pat).collect();
-        assert_eq!(
-            pats,
-            [&LetPat::Other, &LetPat::Ident("a".into()), &LetPat::Other]
-        );
-    }
-
-    #[test]
-    fn panic_sites_are_collected() {
-        let p = parse(
-            "fn f(v: &[u8], i: usize) {\n    v.get(i).unwrap();\n    opt.expect(\"msg\");\n    \
-             panic!(\"boom\");\n    let x = v[i];\n    let s = &v[..4];\n    \
-             assert!(i > 0);\n    unreachable!();\n}\n",
-        );
-        let f = &p.fns[0];
-        let kinds: Vec<&PanicKind> = f.panics.iter().map(|s| &s.kind).collect();
-        assert!(kinds.contains(&&PanicKind::Unwrap));
-        assert!(kinds.contains(&&PanicKind::Expect));
-        assert!(kinds.contains(&&PanicKind::Macro("panic".into())));
-        assert_eq!(
-            kinds.iter().filter(|k| ***k == PanicKind::Index).count(),
-            1,
-            "range slicing is not an index panic site: {kinds:?}"
-        );
-        // assert!/unreachable! are documented-invariant macros, not sites.
-        assert!(!kinds
-            .iter()
-            .any(|k| matches!(k, PanicKind::Macro(m) if m == "assert")));
-    }
-
-    #[test]
     fn closures_attribute_to_enclosing_fn() {
         let p =
             parse("fn f() {\n    run(|x| {\n        inner(x);\n        y.unwrap();\n    });\n}\n");
         let f = &p.fns[0];
         assert!(f.calls.iter().any(|c| c.name() == "inner"));
-        assert!(f.panics.iter().any(|s| s.kind == PanicKind::Unwrap));
+        assert!(f.calls.iter().any(|c| c.name() == "unwrap"));
     }
 
     #[test]

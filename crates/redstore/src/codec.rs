@@ -304,7 +304,13 @@ impl Code {
         // and rows wholly past `orig_len` are padding no one reads.
         for (row, place) in out.chunks_mut(len.max(1)).enumerate() {
             match picked.iter().find(|(index, _)| *index == row) {
-                Some((_, shard)) => place.copy_from_slice(&shard[..place.len()]),
+                Some((_, shard)) => {
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "every picked shard is `len` long, and no row is longer"
+                    )]
+                    place.copy_from_slice(&shard[..place.len()]);
+                }
                 None => {
                     let inverse_row = inverse.get(row);
                     coeffs.extend((0..n).map(|j| {

@@ -42,6 +42,10 @@ const POLY: u16 = 0x11d;
 
 /// `EXP[i] = 2^i` over a doubled period, so `EXP[a + b]` needs no modulo
 /// for `a, b < 255`, and `LOG`, its inverse on the nonzero elements.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "evaluated at compile time: an index out of range fails the build"
+)]
 const EXP_LOG: ([u8; 512], [u8; 256]) = {
     let mut exp = [0u8; 512];
     let mut log = [0u8; 256];
@@ -64,6 +68,10 @@ const LOG: [u8; 256] = EXP_LOG.1;
 
 /// The product table: `MUL[c][s] = c · s`. Row `c` is what the portable
 /// kernel walks, and where the SIMD kernel reads its two nibble tables.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "evaluated at compile time: an index out of range fails the build"
+)]
 static MUL: [[u8; 256]; 256] = {
     let mut t = [[0u8; 256]; 256];
     let mut c = 1usize;
@@ -79,6 +87,10 @@ static MUL: [[u8; 256]; 256] = {
 };
 
 /// `INV[a] = 1 / a` (and 0 for the element that has no inverse).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "evaluated at compile time: an index out of range fails the build"
+)]
 static INV: [u8; 256] = {
     let mut t = [0u8; 256];
     let mut a = 1usize;
@@ -89,9 +101,8 @@ static INV: [u8; 256] = {
     t
 };
 
-// Lookups at run time go through `get`, not `[…]`, so that the recovery
-// path — `RedundancyGroup::restore` decodes with these — carries no
-// reachable panic site (`panic-reach`, DESIGN §10). A `u8` always indexes a
+// Lookups at run time go through `get`, not `[…]`: the crate denies
+// `clippy::indexing_slicing` (DESIGN §10). A `u8` always indexes a
 // 256-entry table, so the fallbacks fold away in codegen.
 
 /// Row `c` of [`MUL`].
@@ -160,6 +171,10 @@ pub fn mul_acc(acc: &mut [u8], src: &[u8], coeff: u8) {
         return;
     }
     let n = acc.len().min(src.len());
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "n is the shorter of the two lengths"
+    )]
     let (acc, src) = (&mut acc[..n], &src[..n]);
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     let (acc, src) = if ssse3::available() {

@@ -157,7 +157,10 @@ impl Placement {
     /// guarantees it).
     pub fn all_groups_on_distinct_nodes(&self, nodes: &[usize]) -> bool {
         self.groups.iter().all(|g| {
-            let mut seen: Vec<usize> = g.iter().map(|&r| nodes[r]).collect();
+            let seen: Option<Vec<usize>> = g.iter().map(|&r| nodes.get(r).copied()).collect();
+            let Some(mut seen) = seen else {
+                return false;
+            };
             seen.sort_unstable();
             let n = seen.len();
             seen.dedup();

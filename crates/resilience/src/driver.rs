@@ -95,6 +95,7 @@ impl std::error::Error for ExperimentError {}
 /// Panics on unrecoverable outcomes — the historical harness behavior.
 /// Callers that must observe failure as data (the chaos oracle) use
 /// [`try_run_experiment`] instead.
+#[expect(clippy::panic, reason = "the panicking form of try_run_experiment")]
 pub fn run_experiment(
     cluster: &Cluster,
     app: &dyn IterativeApp,
@@ -161,8 +162,8 @@ pub fn try_run_experiment(
             |ctx| runner::run_rank(ctx, app, cfg.strategy, cfg.spares, cfg.checkpoints, &shared),
         );
         for o in &report.outcomes {
-            if let Some(phases) = o.recorder.phases() {
-                per_rank[o.rank].merge_from(phases);
+            if let (Some(phases), Some(acc)) = (o.recorder.phases(), per_rank.get(o.rank)) {
+                acc.merge_from(phases);
             }
         }
         if in_place {

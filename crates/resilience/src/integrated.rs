@@ -15,8 +15,6 @@
 //! it, so every chaos schedule, determinism test and benchmark workload
 //! exercises the function a library user calls.
 
-use std::cell::RefCell;
-
 use fenix::{ExhaustPolicy, Fenix, FenixConfig, Role, RunSummary};
 use kokkos_resilience::{
     CheckpointFilter, CheckpointOutcome, Context, ContextConfig, DataBackend, RecoveryScope,
@@ -175,10 +173,11 @@ where
         spares: config.spares,
         on_exhaustion: config.on_exhaustion,
     };
-    let kr_cell: RefCell<Option<Context>> = RefCell::new(None);
+    let mut kr_slot: Option<Context> = None;
 
     let summary = fenix::run(ctx.world(), fenix_cfg, |fx, comm, role| {
-        if kr_cell.borrow().is_none() {
+        let fresh = kr_slot.is_none();
+        let kr: &Context = kr_slot.get_or_insert_with(|| {
             let kr = ctx.recorder().time(Phase::ResilienceInit, || {
                 let kr_config = ContextConfig {
                     name: config.name.clone(),
@@ -188,16 +187,11 @@ where
                 Context::with_backend(comm.clone(), kr_config, config.backend.tier(ctx))
             });
             kr.set_recorder(ctx.recorder().clone());
-            *kr_cell.borrow_mut() = Some(kr);
-        } else {
-            kr_cell
-                .borrow()
-                .as_ref()
-                .expect("context present")
-                .reset(comm.clone());
+            kr
+        });
+        if !fresh {
+            kr.reset(comm.clone());
         }
-        let kr_ref = kr_cell.borrow();
-        let kr = kr_ref.as_ref().expect("context initialized");
 
         if role != Role::Initial && config.partial_rollback {
             kr.set_recovery_scope(RecoveryScope::OnlyRanks(fx.recovered_ranks()));
@@ -212,7 +206,7 @@ where
         body(&scope)
     })?;
 
-    if let Some(kr) = kr_cell.borrow().as_ref() {
+    if let Some(kr) = &kr_slot {
         kr.checkpoint_wait();
     }
     Ok(summary)

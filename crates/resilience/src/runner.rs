@@ -516,6 +516,10 @@ pub fn resume_bounds(
     let fenix = cfg.strategy.uses_fenix();
     let filter = app.checkpoint_filter(cfg.checkpoints);
     let iterations = app.mode().max_iterations();
+    #[expect(
+        clippy::expect_used,
+        reason = "the driver passes a threads run its trace"
+    )]
     let trace = match cfg.backend {
         Backend::Threads => Some(trace.expect("a thread-engine bound reads the run's trace")),
         Backend::Des { .. } => None,

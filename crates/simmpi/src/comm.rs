@@ -146,6 +146,8 @@ pub struct Comm {
     group: Arc<Group>,
     /// This rank's position in `group`.
     my_rank: usize,
+    /// This rank's global (world) rank: `group[my_rank]`.
+    my_global: usize,
     /// Per-handle collective sequence number. MPI requires all ranks to call
     /// collectives in the same order, which keeps these in sync.
     coll_seq: Cell<u64>,
@@ -159,6 +161,7 @@ impl Clone for Comm {
             epoch: self.epoch,
             group: Arc::clone(&self.group),
             my_rank: self.my_rank,
+            my_global: self.my_global,
             coll_seq: Cell::new(self.coll_seq.get()),
         }
     }
@@ -187,6 +190,10 @@ impl Comm {
         group: Arc<Group>,
         my_global: usize,
     ) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "a comm is built only on a group holding its rank"
+        )]
         let my_rank = group
             .rank_of(my_global)
             .expect("rank not in communicator group");
@@ -196,6 +203,7 @@ impl Comm {
             epoch,
             group,
             my_rank,
+            my_global,
             coll_seq: Cell::new(0),
         }
     }
@@ -218,13 +226,17 @@ impl Comm {
     }
 
     /// Global (world) rank of a communicator rank.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass a rank below size(); user-facing calls check_rank first"
+    )]
     pub fn global_of(&self, comm_rank: usize) -> usize {
         self.group[comm_rank]
     }
 
     /// This rank's global (world) rank.
     pub fn my_global(&self) -> usize {
-        self.group[self.my_rank]
+        self.my_global
     }
 
     /// Communicator rank of a global rank, if it is a member.
@@ -284,6 +296,10 @@ impl Comm {
             self.check_rank(s)?;
         }
         let env = self.recv_internal(src, tag)?;
+        #[expect(
+            clippy::expect_used,
+            reason = "a receive matches only senders in this group"
+        )]
         let src_rank = self
             .rank_of_global(env.src)
             .expect("sender not in communicator group");
@@ -546,6 +562,10 @@ impl Comm {
 
     /// Gather equal-sized contributions to `root`. Returns
     /// `Some(concatenated-in-rank-order)` at root, `None` elsewhere.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`out` holds one `data.len()` block for each of the `n` ranks"
+    )]
     pub fn gather<T: Pod + Default>(&self, root: usize, data: &[T]) -> MpiResult<Option<Vec<T>>> {
         self.check_rank(root)?;
         self.trace_call(MpiOp::Gather, Some(root), std::mem::size_of_val(data));
@@ -594,9 +614,13 @@ impl Comm {
         self.trace_call(MpiOp::Split, None, 0);
         // Everyone learns everyone's (color, key).
         let all = self.allgather(&[color, key])?;
-        let mut members: Vec<(u64, usize)> = (0..self.size())
-            .filter(|&r| all[2 * r] == color)
-            .map(|r| (all[2 * r + 1], r))
+        let mut members: Vec<(u64, usize)> = all
+            .chunks_exact(2)
+            .enumerate()
+            .filter_map(|(r, pair)| match *pair {
+                [c, key] if c == color => Some((key, r)),
+                _ => None,
+            })
             .collect();
         members.sort_unstable();
         let group: Vec<usize> = members.iter().map(|&(_, r)| self.global_of(r)).collect();

@@ -24,6 +24,21 @@
 //! is implemented with message passing and per-rank state only; the shared
 //! memory underneath is an implementation detail of the simulation.
 
+// A panic site fails the build in the ULFM transport, as in the recovery
+// crates (DESIGN.md §10).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
+// No host clock, threads or blocking waits (clippy.toml) and no hash-order
+// iteration on a rank's path (DESIGN.md §10).
+#![cfg_attr(
+    not(test),
+    deny(clippy::disallowed_methods, clippy::iter_over_hash_type)
+)]
+
 mod abort;
 pub mod comm;
 pub mod error;

@@ -11,9 +11,8 @@
 //!   **baton**: exactly one task is `Running` at any instant, and control
 //!   transfers only at *yield points* (a mailbox wait, a rendezvous wait,
 //!   or a modeled sleep routed through [`cluster::install_virtual_sleeper`]).
-//!   Rank bodies are therefore resumable state machines whose suspension
-//!   points are exactly the sanctioned blocking sites the effects
-//!   inventory enumerated.
+//!   Rank bodies are therefore resumable state machines. A yield with a
+//!   lock held fails the lock-order witness (`assert_no_locks_held`).
 //! * A single binary heap orders pending events by
 //!   `(virtual time, tiebreak key, push sequence)`. The tiebreak key is a
 //!   pure splitmix64-style mix of the schedule seed, the push sequence
@@ -278,6 +277,7 @@ impl Scheduler {
     /// re-check its predicate on return — wakes are level-triggered hints,
     /// exactly like condvar wakeups.
     pub fn yield_blocked(&self, task: usize) {
+        parking_lot::assert_no_locks_held();
         let mut inner = self.inner.lock();
         inner.set_state(task, TaskState::Blocked);
         if inner.take_pending_wake(task) {
@@ -296,6 +296,7 @@ impl Scheduler {
     /// sleeper for rank threads — every modeled transfer/startup charge on
     /// a rank path lands here.
     pub fn sleep(&self, task: usize, modeled: Duration) {
+        parking_lot::assert_no_locks_held();
         let mut inner = self.inner.lock();
         inner.set_state(task, TaskState::Sleeping);
         let t = self
@@ -468,10 +469,10 @@ impl Scheduler {
         };
         let mut tok = slot.token.lock();
         while !*tok {
-            // lint: sanction(blocks): the scheduler baton hand-off — the
-            // one place a DES rank thread parks; woken only by a grant
-            // from the dispatcher, token-guarded against lost wakeups.
-            // audited 2026-08.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the baton hand-off: the one place a DES rank thread parks"
+            )]
             slot.cv.wait(&mut tok);
         }
         *tok = false;
@@ -489,13 +490,14 @@ impl std::fmt::Debug for Scheduler {
 
 /// Threads-backend predicate wait: park on `cv` with a bounded timeout so
 /// missed wakeups degrade to a re-check instead of a hang. This is the one
-/// sanctioned blocking site shared by the mailbox and rendezvous waits;
-/// under the DES backend those call sites yield to the scheduler instead
-/// and this function is never reached.
+/// blocking site shared by the mailbox and rendezvous waits; under the DES
+/// backend those call sites yield to the scheduler instead and this
+/// function is never reached.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the threads engine's mailbox and rendezvous wait"
+)]
 pub fn park_on<T>(cv: &Condvar, guard: &mut MutexGuard<'_, T>) {
-    // lint: sanction(blocks): bounded condvar wait backing every
-    // threads-backend mailbox/rendezvous wait; the DES backend replaces
-    // these waits with scheduler yields. audited 2026-08.
     cv.wait_for(guard, Duration::from_millis(250));
 }
 

@@ -260,6 +260,10 @@ impl Universe {
         // One world group for all ranks' handles.
         let world_group = Arc::new(Group::new((0..n).collect()));
         let lock_order_violation = parking_lot::Mutex::new(None);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the launch: one OS thread per rank, joined before it returns"
+        )]
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
             for rank in 0..n {
@@ -340,7 +344,9 @@ impl Universe {
                     result: Err(MpiError::Killed),
                     recorder: Arc::default(),
                 });
-                outcomes[rank] = Some(outcome);
+                #[expect(clippy::indexing_slicing, reason = "one outcome slot per rank")]
+                let slot = &mut outcomes[rank];
+                *slot = Some(outcome);
             }
         });
 
@@ -385,6 +391,7 @@ impl Universe {
         }
 
         LaunchReport {
+            #[expect(clippy::expect_used, reason = "every rank's thread was joined")]
             outcomes: outcomes.into_iter().map(|o| o.expect("joined")).collect(),
             wall,
             aborted: router.is_aborted(),
@@ -392,8 +399,9 @@ impl Universe {
     }
 }
 
-/// Whether a rank's panic is the parking_lot shim's lock-order witness
-/// (`debug_assertions` builds) rather than a crash to recover from.
+/// Whether a rank's panic is the parking_lot shim's lock-order witness or
+/// its no-blocking scope (`debug_assertions` builds) rather than a crash to
+/// recover from.
 fn is_lock_order_violation(payload: &(dyn std::any::Any + Send)) -> bool {
     payload
         .downcast_ref::<String>()

@@ -60,6 +60,40 @@ fn lock_order_violation_fails_the_launch() {
     });
 }
 
+/// A rank that blocks inside a no-blocking scope fails the launch the
+/// same way, naming where the scope was entered; its peer, waiting for it
+/// in the barrier, sees it fail instead of hanging.
+#[test]
+#[cfg(debug_assertions)]
+fn blocking_in_a_no_blocking_scope_fails_the_launch() {
+    let peer_failed = std::sync::atomic::AtomicBool::new(false);
+    let launch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_with_faults(2, FaultPlan::none(), UniverseConfig::default(), |ctx| {
+            let w = ctx.world();
+            if ctx.rank() == 0 {
+                let _scope = parking_lot::no_blocking();
+                w.barrier()?;
+            } else {
+                peer_failed.store(w.barrier().is_err(), Ordering::Relaxed);
+            }
+            Ok(())
+        })
+    }));
+    let payload = launch.expect_err("the launch re-raises the witness's panic");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(
+        msg.contains("inside the no-blocking scope entered at crates/simmpi/tests/failures.rs"),
+        "{msg}"
+    );
+    assert!(
+        peer_failed.load(Ordering::Relaxed),
+        "the peer's barrier failed"
+    );
+}
+
 #[test]
 fn neighbor_observes_proc_failed() {
     // Rank 1 dies; rank 0 tries to receive from it and gets ProcFailed.

@@ -14,6 +14,7 @@ use crate::TraceSnapshot;
 
 /// The variant-specific payload of an event as JSON pairs.
 pub fn event_fields(e: &Event) -> Vec<(&'static str, Json)> {
+    let _scope = parking_lot::no_blocking();
     match e {
         Event::MpiCall { op, peer, bytes } => {
             let mut f = vec![("op", Json::from(op.name()))];
@@ -115,6 +116,7 @@ fn event_json(e: &TimedEvent) -> Json {
 
 /// One JSON object per line, oldest event first.
 pub fn to_jsonl(snap: &TraceSnapshot) -> String {
+    let _scope = parking_lot::no_blocking();
     let mut out = String::new();
     for e in &snap.events {
         out.push_str(&event_json(e).to_json());
@@ -127,6 +129,7 @@ pub fn to_jsonl(snap: &TraceSnapshot) -> String {
 /// everything else an instant (`i`), one track (`tid`) per rank. Load in
 /// `chrome://tracing` or Perfetto.
 pub fn to_chrome_trace(snap: &TraceSnapshot) -> Json {
+    let _scope = parking_lot::no_blocking();
     let mut events: Vec<Json> = Vec::with_capacity(snap.events.len() + 8);
 
     let mut ranks: Vec<u32> = snap.events.iter().map(|e| e.rank).collect();
@@ -211,6 +214,7 @@ fn is_timeline_kind(e: &Event) -> bool {
 
 /// Human-readable chronological summary of the run's failure handling.
 pub fn failure_timeline(snap: &TraceSnapshot) -> String {
+    let _scope = parking_lot::no_blocking();
     let picked: Vec<&TimedEvent> = snap
         .events
         .iter()

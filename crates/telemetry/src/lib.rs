@@ -23,6 +23,13 @@
 //! needs its phase costs: [`Recorder::phases_only`] times spans on a given
 //! clock and records no events (no log is registered).
 
+// No host clock, threads or blocking waits (clippy.toml) and no hash-order
+// iteration on a rank's path (DESIGN.md §10).
+#![cfg_attr(
+    not(test),
+    deny(clippy::disallowed_methods, clippy::iter_over_hash_type)
+)]
+
 pub mod event;
 pub mod export;
 pub mod json;
@@ -81,12 +88,12 @@ pub enum TimeSource {
 }
 
 impl TimeSource {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "trace timestamps, never read back by the model; DES hubs use External"
+    )]
     fn now_ns(&self) -> u64 {
         match self {
-            // lint: sanction(wall-clock): timestamps for traces and
-            // metrics; observability only, never read back by the model.
-            // Virtual-time hubs use External and never reach this arm.
-            // audited 2026-08.
             TimeSource::Epoch(epoch) => epoch.elapsed().as_nanos() as u64,
             TimeSource::External(f) => f(),
         }
@@ -116,6 +123,10 @@ impl std::fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the epoch of a wall-clock hub; DES hubs use External"
+    )]
     pub fn new(config: TelemetryConfig) -> Telemetry {
         Self::with_time_source(config, TimeSource::Epoch(Instant::now()))
     }

@@ -99,10 +99,10 @@ impl Shared {
         ready: impl Fn(&Slot) -> bool,
     ) -> MutexGuard<'a, Slot> {
         while !ready(&slot) {
-            // lint: sanction(blocks): the checkpoint drain barrier (VeloC
-            // checkpoint_wait semantics) and the one-slot hand-off; the DES
-            // scheduler parks the rank task here instead of the thread.
-            // audited 2026-08.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the checkpoint drain barrier and the one-slot hand-off"
+            )]
             self.changed.wait(&mut slot);
         }
         slot

@@ -430,8 +430,6 @@ impl Client {
     pub fn checkpoint_wait(&self) {
         parking_lot::assert_no_locks_held();
         if let Some(backend) = &self.backend {
-            // lint: sanction(blocks): delegates to the backend drain
-            // barrier; same DES yield point. audited 2026-08.
             backend.wait();
         }
     }
@@ -829,10 +827,10 @@ impl Client {
         if versions.len() <= keep_last {
             return 0;
         }
-        let cutoff = versions.len() - keep_last;
+        let (dropped, kept) = versions.split_at(versions.len() - keep_last);
         // Transitive bases of every kept version must survive the prune.
-        let mut needed: BTreeSet<u64> = versions[cutoff..].iter().copied().collect();
-        for &kept in &versions[cutoff..] {
+        let mut needed: BTreeSet<u64> = kept.iter().copied().collect();
+        for &kept in kept {
             let mut v = kept;
             // Meta alone: its CRC covers `base_version`, and a damaged
             // payload must not cut the walk short and orphan the bases.
@@ -847,7 +845,7 @@ impl Client {
             }
         }
         let mut removed = 0;
-        for &v in &versions[..cutoff] {
+        for &v in dropped {
             if needed.contains(&v) {
                 continue;
             }

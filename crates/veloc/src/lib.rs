@@ -31,12 +31,22 @@
 //! [`serial`] for the frame format and [`client::MAX_DELTA_DEPTH`] for the
 //! forced-full-frame cadence).
 
-// A dropped `Result` or a catch-all arm over an enum fails the build in
-// the recovery crates (DESIGN.md §10).
+// A dropped `Result`, a catch-all arm over an enum, or a panic site fails
+// the build in the recovery crates (DESIGN.md §10).
 #![deny(
     unused_must_use,
     clippy::let_underscore_must_use,
-    clippy::wildcard_enum_match_arm
+    clippy::wildcard_enum_match_arm,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
+// No host clock, threads or blocking waits (clippy.toml) and no hash-order
+// iteration on a rank's path (DESIGN.md §10).
+#![cfg_attr(
+    not(test),
+    deny(clippy::disallowed_methods, clippy::iter_over_hash_type)
 )]
 
 pub mod backend;

@@ -43,7 +43,6 @@ write_summary() {
     printf '{"ok":%s,"stages":[%s],"artifacts":{' \
       "$([ "$status" -eq 0 ] && echo true || echo false)" "$STAGE_JSON"
     printf '"lint_report":"target/lint-report.json",'
-    printf '"effects_inventory":"target/effects-inventory.json",'
     printf '"scale_smoke_log":"target/scale-smoke.log",'
     printf '"bench_gate_log":"target/bench-gate.log",'
     printf '"bench_results":"target/BENCH_checkpoint.json",'
@@ -78,30 +77,26 @@ doc_budget() { # file bytes
     budgets_ok=0
   fi
 }
-doc_budget DESIGN.md 119328
-doc_budget CHANGES.md 131715
+doc_budget DESIGN.md 116543
+doc_budget CHANGES.md 133284
 doc_budget EXPERIMENTS.md 89228
 [ "$budgets_ok" -eq 1 ]
 end
 
 begin "cargo clippy (-D warnings)"
+# With clippy.toml: panic sites in the recovery crates, and host time,
+# threads and blocking on every rank crate's path, are denied in library
+# code; each remaining site carries an #[expect(…, reason = …)].
 cargo clippy --workspace --all-targets -- -D warnings
 end
 
 begin "resilience-invariant lints (crates/lint)"
-# Workspace scan: fails on any finding. It emits the machine-readable
-# artifacts: the JSON report and the effects inventory (every
-# wall-clock/blocking/spawn/non-determinism site reachable from a rank
-# entry point, each sanctioned in place or failing this scan under
-# `rank-path-effects`). That every rule fires on its fixture, and that a
-# scan with the seeded mutants reports exactly them, is tier-1
-# (`crates/lint` unit tests and tests/mutant.rs). Here the seeded code
-# must really compile:
-cargo run -q -p lint -- \
-  --report target/lint-report.json \
-  --effects target/effects-inventory.json
-cargo test -q -p fenix --features lint-mutants
-cargo test -q -p cluster --features lint-mutants
+# Workspace scan: fails on any finding, and writes the JSON report. That
+# the rule fires on its fixture, and that a scan with the seeded mutant
+# reports exactly it, is tier-1 (`crates/lint` unit tests and
+# tests/mutant.rs). Here the seeded code must really compile:
+cargo run -q -p lint -- --report target/lint-report.json
+cargo check -q -p fenix --features lint-mutants
 end
 
 begin "tier-1: cargo build --release"

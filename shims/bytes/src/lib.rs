@@ -16,6 +16,13 @@
 //!   storage), and [`Bytes::to_vec`] on the way out.
 //! * **share** — `clone` and [`Bytes::slice`] bump a reference count.
 
+// No host clock, threads or blocking waits (clippy.toml) and no hash-order
+// iteration on a rank's path (DESIGN.md §10).
+#![cfg_attr(
+    not(test),
+    deny(clippy::disallowed_methods, clippy::iter_over_hash_type)
+)]
+
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, RangeBounds};

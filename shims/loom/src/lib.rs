@@ -22,6 +22,13 @@
 //! are explored under sequential consistency) and does not checkpoint
 //! `UnsafeCell` accesses; see DESIGN.md §9 for how the gap is covered.
 
+// No host clock, threads or blocking waits (clippy.toml) and no hash-order
+// iteration on a rank's path (DESIGN.md §10).
+#![cfg_attr(
+    not(test),
+    deny(clippy::disallowed_methods, clippy::iter_over_hash_type)
+)]
+
 pub mod rt;
 pub mod thread;
 

@@ -273,10 +273,11 @@ impl Execution {
                 st.tasks[me].woke_by_timeout = false;
                 return wake;
             }
-            // lint: sanction(blocks): the model-checker scheduler parks
-            // every task except the one holding the token; blocking is how
-            // the exploration serializes. audited 2026-08.
-            st = self.cv.wait(st).unwrap();
+            // Every task but the token holder parks: that is how the
+            // exploration serializes.
+            #[expect(clippy::disallowed_methods, reason = "the model scheduler's park")]
+            let parked = self.cv.wait(st);
+            st = parked.unwrap();
         }
     }
 }
@@ -368,8 +369,7 @@ pub fn spawn_controlled(name: Option<String>, f: Box<dyn FnOnce() + Send>) -> bo
         id
     };
     let exec2 = Arc::clone(&exec);
-    // lint: sanction(spawns): one OS thread per modeled task — the
-    // model-checker shim is the sanctioned OS-thread seam. audited 2026-08.
+    #[expect(clippy::disallowed_methods, reason = "one OS thread per modeled task")]
     let handle = std::thread::Builder::new()
         .name(name.unwrap_or_else(|| format!("loom-task-{id}")))
         .spawn(move || {
@@ -442,11 +442,14 @@ pub fn run_one<F: FnOnce()>(scheduler: Box<dyn Scheduler>, max_steps: u64, f: F)
         // Abandoned tasks finish natively (or unwind, for deadlocks), so
         // this drains in every outcome short of a genuine native hang.
         while st.unfinished > 0 {
-            st = exec.cv.wait(st).unwrap();
+            #[expect(clippy::disallowed_methods, reason = "the model run drains its tasks")]
+            let drained = exec.cv.wait(st);
+            st = drained.unwrap();
         }
         std::mem::take(&mut st.os_handles)
     };
     for h in handles {
+        #[expect(clippy::disallowed_methods, reason = "the model run joins its tasks")]
         let _ = h.join();
     }
     let st = exec.st.lock().unwrap();

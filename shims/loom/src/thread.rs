@@ -40,8 +40,7 @@ impl<T: Send + 'static> JoinHandle<T> {
     /// the panic payload, as with `std`).
     pub fn join(self) -> std::thread::Result<T> {
         match self.0 {
-            // lint: sanction(blocks): join is this type's contract; the
-            // model branch routes through the scheduler. audited 2026-08.
+            #[expect(clippy::disallowed_methods, reason = "join is this type's contract")]
             Inner::Std(h) => h.join(),
             Inner::Model(cell) => {
                 let c = Arc::clone(&cell);
@@ -53,9 +52,12 @@ impl<T: Send + 'static> JoinHandle<T> {
                     if let Some(r) = slot.take() {
                         return r;
                     }
-                    // lint: sanction(blocks): detach fallback for modeled
-                    // join; bounded by task completion. audited 2026-08.
-                    slot = cell.cv.wait(slot).unwrap();
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the detached modeled join, bounded by task completion"
+                    )]
+                    let woken = cell.cv.wait(slot);
+                    slot = woken.unwrap();
                 }
             }
         }
@@ -136,8 +138,10 @@ impl Builder {
         }
         // The modeled branch consumed `f` in its closure; keep the two arms
         // exclusive so the plain branch still owns `f`.
-        // lint: sanction(spawns): the loom shim is the sanctioned OS-thread
-        // seam outside a model run. audited 2026-08.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this shim is the workspace's OS-thread seam"
+        )]
         b.spawn(f).map(|h| JoinHandle(Inner::Std(h)))
     }
 }

@@ -37,7 +37,22 @@
 //! thread holds another class records that order in one global graph; an
 //! order that closes a cycle panics with the acquisition sites of both.
 //! Nesting within a class, `try_lock` and `Condvar::wait` add no order. A
-//! call that blocks until a peer acts first calls [`assert_no_locks_held`].
+//! call that blocks until a peer acts first calls [`assert_no_locks_held`];
+//! a condvar wait panics if the thread holds a lock of any class but its
+//! guard's.
+//!
+//! Code that must never block (bandwidth-governor reservation math, the
+//! telemetry exporters) enters a no-blocking scope, [`no_blocking`]. Until
+//! its guard drops, a condvar wait, [`assert_no_locks_held`] or
+//! [`assert_may_block`] on that thread panics, naming the scope's entry
+//! site. Its messages start `lock-order witness:` like the witness's own.
+
+// No host clock, threads or blocking waits (clippy.toml) and no hash-order
+// iteration on a rank's path (DESIGN.md §10).
+#![cfg_attr(
+    not(test),
+    deny(clippy::disallowed_methods, clippy::iter_over_hash_type)
+)]
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -47,7 +62,7 @@ use std::sync::{Arc, OnceLock};
 use loom::rt;
 
 mod witness;
-pub use witness::assert_no_locks_held;
+pub use witness::{assert_may_block, assert_no_locks_held, no_blocking, NoBlocking};
 
 /// Acquire a mutex-style model gate. Returns `None` when the calling thread
 /// is not (or no longer) part of a model run.
@@ -382,11 +397,13 @@ impl Condvar {
     }
 
     /// Shared wait body; returns whether the wait timed out.
+    #[cfg_attr(debug_assertions, track_caller)]
     fn wait_inner<T>(
         &self,
         guard: &mut MutexGuard<'_, T>,
         timeout: Option<std::time::Duration>,
     ) -> bool {
+        guard.lock.class.assert_waits_holding_only_this();
         if guard.gate.is_some() && rt::is_modeled() {
             let lock = guard.lock;
             let epoch = Arc::clone(self.epoch());
@@ -408,15 +425,13 @@ impl Condvar {
         let inner = guard.inner.take().expect("guard present");
         match timeout {
             None => {
-                // lint: sanction(blocks): condvar wait is this shim's
-                // contract; callers carry their own sanctions or fixes.
-                // audited 2026-08.
-                guard.inner = Some(self.inner.wait(inner).unwrap_or_else(|e| e.into_inner()));
+                #[expect(clippy::disallowed_methods, reason = "this type's wait")]
+                let woken = self.inner.wait(inner);
+                guard.inner = Some(woken.unwrap_or_else(|e| e.into_inner()));
                 false
             }
             Some(t) => {
-                // lint: sanction(blocks): bounded condvar wait; same shim
-                // contract. audited 2026-08.
+                #[expect(clippy::disallowed_methods, reason = "this type's timed wait")]
                 let (inner, result) = self
                     .inner
                     .wait_timeout(inner, t)
@@ -427,10 +442,12 @@ impl Condvar {
         }
     }
 
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         self.wait_inner(guard, None);
     }
 
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn wait_for<T>(
         &self,
         guard: &mut MutexGuard<'_, T>,

@@ -1,5 +1,6 @@
-//! The lock-order witness (crate docs). Without `debug_assertions` its
-//! types are zero-sized and its calls no-ops.
+//! The lock-order witness and its no-blocking scopes (crate docs).
+//! Without `debug_assertions` its types are zero-sized and its calls
+//! no-ops.
 
 #[cfg(debug_assertions)]
 pub use on::*;
@@ -9,6 +10,8 @@ pub use off::*;
 
 #[cfg(not(debug_assertions))]
 mod off {
+    use std::marker::PhantomData;
+
     pub(crate) struct Class;
     pub(crate) struct Held;
 
@@ -19,16 +22,30 @@ mod off {
         pub(crate) fn lock(&self, _waits: bool) -> Held {
             Held
         }
+        pub(crate) fn assert_waits_holding_only_this(&self) {}
     }
 
     /// Checks nothing without `debug_assertions`.
     pub fn assert_no_locks_held() {}
+
+    /// Checks nothing without `debug_assertions`.
+    pub fn assert_may_block() {}
+
+    /// Zero-sized without `debug_assertions`.
+    #[must_use = "the scope ends when this guard drops"]
+    pub struct NoBlocking(PhantomData<*const ()>);
+
+    /// Enters nothing without `debug_assertions`.
+    pub fn no_blocking() -> NoBlocking {
+        NoBlocking(PhantomData)
+    }
 }
 
 #[cfg(debug_assertions)]
 mod on {
     use std::cell::RefCell;
     use std::collections::{HashMap, HashSet};
+    use std::marker::PhantomData;
     use std::panic::Location;
     use std::sync::{LazyLock, Mutex as StdMutex, MutexGuard as StdGuard, OnceLock};
 
@@ -58,12 +75,14 @@ mod on {
         after: Vec<Vec<Edge>>,
     }
 
-    /// A thread's classes held, with where each was locked, and the edges
-    /// it has already put through the graph.
+    /// A thread's classes held, with where each was locked, the edges it
+    /// has already put through the graph, and where each of its open
+    /// no-blocking scopes was entered.
     #[derive(Default)]
     struct Thread {
         held: Vec<(u32, Site)>,
         seen: HashSet<(u32, u32)>,
+        scopes: Vec<Site>,
     }
 
     static GRAPH: LazyLock<StdMutex<Graph>> = LazyLock::new(Default::default);
@@ -117,6 +136,23 @@ mod on {
                 let ordered = graph().order(from, to, held_at, taken_at);
                 ordered.unwrap_or_else(|cycle| panic!("{cycle}"));
                 thread(|t| t.seen.insert((from, to)));
+            }
+        }
+
+        /// A condvar wait on a guard of this class: the thread may hold
+        /// nothing else, since the waker may need it to make progress.
+        #[track_caller]
+        pub(crate) fn assert_waits_holding_only_this(&self) {
+            assert_may_block();
+            let id = self.id();
+            let other = thread(|t| t.held.iter().rfind(|h| h.0 != id).copied()).flatten();
+            if let Some((other, held_at)) = other {
+                let built = graph().sites[other as usize];
+                panic!(
+                    "lock-order witness: {} waits on a condvar while this thread holds \
+                     the lock built at {built} (locked at {held_at})",
+                    Location::caller(),
+                );
             }
         }
     }
@@ -194,10 +230,12 @@ mod on {
         }
     }
 
-    /// Panics if the calling thread holds any lock. A call that blocks
-    /// until a peer acts calls this first: the peer may need that lock.
+    /// Panics if the calling thread holds any lock or is inside a
+    /// no-blocking scope. A call that blocks until a peer acts calls this
+    /// first: the peer may need that lock.
     #[track_caller]
     pub fn assert_no_locks_held() {
+        assert_may_block();
         if let Some((id, held_at)) = thread(|t| t.held.last().copied()).flatten() {
             let built = graph().sites[id as usize];
             panic!(
@@ -207,11 +245,42 @@ mod on {
             );
         }
     }
+
+    /// A no-blocking scope: until the guard drops (on unwind too), every
+    /// wait on this thread panics, naming where the scope was entered.
+    #[must_use = "the scope ends when this guard drops"]
+    pub struct NoBlocking(PhantomData<*const ()>);
+
+    /// Enters a no-blocking scope on this thread. Scopes nest.
+    #[track_caller]
+    pub fn no_blocking() -> NoBlocking {
+        let entered = Location::caller();
+        thread(|t| t.scopes.push(entered));
+        NoBlocking(PhantomData)
+    }
+
+    impl Drop for NoBlocking {
+        fn drop(&mut self) {
+            thread(|t| t.scopes.pop());
+        }
+    }
+
+    /// Panics inside a no-blocking scope, naming the innermost scope's
+    /// entry site. Every condvar wait and every modeled sleep calls this.
+    #[track_caller]
+    pub fn assert_may_block() {
+        if let Some(entered) = thread(|t| t.scopes.last().copied()).flatten() {
+            panic!(
+                "lock-order witness: {} blocks inside the no-blocking scope entered at {entered}",
+                Location::caller(),
+            );
+        }
+    }
 }
 
 #[cfg(all(test, debug_assertions))]
 mod tests {
-    use super::assert_no_locks_held;
+    use super::{assert_may_block, assert_no_locks_held, no_blocking};
     use crate::{Condvar, Mutex, RwLock};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Duration;
@@ -313,5 +382,97 @@ mod tests {
         }
         let _o = outer.lock();
         let _i = inner.lock();
+    }
+
+    #[test]
+    fn a_condvar_wait_holding_another_class_panics() {
+        let other = Mutex::new(0);
+        let m = Mutex::new(false);
+        let cv = Condvar::new();
+        let (held_at, waits_at) = (line!() + 2, line!() + 4);
+        let msg = panic_message(|| {
+            let _o = other.lock();
+            let mut g = m.lock();
+            cv.wait_for(&mut g, Duration::from_millis(1));
+        });
+        assert!(
+            msg.contains("waits on a condvar while this thread holds"),
+            "{msg}"
+        );
+        assert!(msg.contains(&format!("witness.rs:{held_at}:")), "{msg}");
+        assert!(msg.contains(&format!("witness.rs:{waits_at}:")), "{msg}");
+    }
+
+    #[test]
+    fn a_condvar_wait_inside_a_scope_panics_naming_its_entry() {
+        let m = Mutex::new(false);
+        let cv = Condvar::new();
+        let entered = line!() + 2;
+        let msg = panic_message(|| {
+            let _scope = no_blocking();
+            let mut g = m.lock();
+            cv.wait_for(&mut g, Duration::from_millis(1));
+        });
+        assert!(msg.starts_with("lock-order witness:"), "{msg}");
+        assert!(msg.contains("inside the no-blocking scope"), "{msg}");
+        assert!(msg.contains(&format!("witness.rs:{entered}:")), "{msg}");
+    }
+
+    #[test]
+    fn the_no_lock_assert_inside_a_scope_panics() {
+        let entered = line!() + 2;
+        let msg = panic_message(|| {
+            let _scope = no_blocking();
+            assert_no_locks_held();
+        });
+        assert!(
+            msg.contains(&format!("scope entered at {}", file!())),
+            "{msg}"
+        );
+        assert!(msg.contains(&format!("witness.rs:{entered}:")), "{msg}");
+    }
+
+    #[test]
+    fn scopes_nest_and_end_on_drop_and_on_unwind() {
+        let outer = no_blocking();
+        let inner_at = line!() + 2;
+        {
+            let _inner = no_blocking();
+            let msg = panic_message(assert_may_block);
+            assert!(
+                msg.contains(&format!("witness.rs:{inner_at}:")),
+                "innermost: {msg}"
+            );
+        }
+        // The inner scope ended; the outer one still holds.
+        assert!(panic_message(assert_may_block).contains("no-blocking scope"));
+        drop(outer);
+        assert_may_block();
+        // A scope a panic unwinds through ends with it.
+        let _ = panic_message(|| {
+            let _scope = no_blocking();
+            panic!("unwinding");
+        });
+        assert_may_block();
+        assert_no_locks_held();
+    }
+}
+
+/// Without `debug_assertions` the scope is zero-sized and checks nothing.
+#[cfg(all(test, not(debug_assertions)))]
+mod release_tests {
+    use super::{assert_may_block, assert_no_locks_held, no_blocking, NoBlocking};
+
+    #[test]
+    fn a_release_build_checks_nothing() {
+        assert_eq!(std::mem::size_of::<NoBlocking>(), 0);
+        let _scope = no_blocking();
+        let m = crate::Mutex::new(false);
+        let mut g = m.lock();
+        assert_may_block();
+        crate::Condvar::new().wait_for(&mut g, std::time::Duration::from_millis(1));
+        drop(g);
+        let _held = m.lock();
+        assert_no_locks_held();
     }
 }

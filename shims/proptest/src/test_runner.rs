@@ -28,15 +28,11 @@ impl TestRng {
     pub fn below(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);
         // Modulo bias is irrelevant for test-case generation.
-        // lint: sanction(non-det): seeded, replayable test-case RNG.
-        // audited 2026-08.
         self.next_u64() % bound
     }
 
     /// Uniform float in `[0, 1)`.
     pub fn unit_f64(&mut self) -> f64 {
-        // lint: sanction(non-det): seeded, replayable test-case RNG.
-        // audited 2026-08.
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
