@@ -5,7 +5,8 @@
 //! flushes into the telemetry registry. What one rank does for version
 //! discovery, for the post-repair purge and for picking a rendezvous result
 //! up must be the same at both sizes — a per-rank scan over all ranks shows
-//! as a 4× larger count at the larger one.
+//! as a 4× larger count at the larger one — and the member lists of the
+//! resilient communicator are built as often at both.
 
 use std::sync::Arc;
 
@@ -101,6 +102,18 @@ fn per_rank_repair_work_is_the_same_at_64_and_256_ranks() {
             "{counter} per {per}: {at_64} at 64 active ranks, {at_256} at 256"
         );
     }
+    // The resilient communicator's member list is built once per
+    // communicator (at start and at the repair), not by every rank that
+    // joins it: a per-rank build would count 64 or 256 times as many.
+    let built = |run: &dyn Fn(&str) -> u64| run(names::SIMMPI_GROUPS_BUILT);
+    println!(
+        "{}: {} at 64 active ranks, {} at 256",
+        names::SIMMPI_GROUPS_BUILT,
+        built(&small),
+        built(&large)
+    );
+    assert!(built(&small) > 0);
+    assert_eq!(built(&small), built(&large));
     // The repaired run leaves no agreement behind: the victim died before
     // the repair rendezvous, waiters saw the publication, and the finalize
     // rendezvous ran among survivors only.

@@ -47,7 +47,7 @@ fn heatdis_1k_ranks_with_failure_completes_deterministically() {
     let spares = 8; // one spare node
     let app = Heatdis::fixed(2 * 8 * 16 * 8, 16, 8);
     // The run, and what its scheduler did with the events it popped: the
-    // baton hand-offs and the wakes that found a parked receive's predicate
+    // hand-offs between tasks and the wakes that found a parked receive's predicate
     // unchanged. The hub has the default config: its per-rank logs grow with
     // the run, and none may drop an event.
     let run = || {

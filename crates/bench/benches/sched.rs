@@ -2,14 +2,14 @@
 //!
 //! Three layers of the deterministic backend's cost, measured separately:
 //!
-//! * `baton_handoff` — one yield/wake round-trip between two tasks on the
+//! * `baton_handoff` — one sleep-yield round-trip between two tasks on the
 //!   raw [`simmpi::Scheduler`]: the per-event floor (heap push/pop, seeded
-//!   tiebreak, condvar grant/park). Its oracle is `condvar_pingpong`: the
-//!   same number of hand-offs between two threads over the bare token cell
-//!   the baton is built from (a `Mutex<bool>` and a `Condvar` per thread),
-//!   with no heap, clock or task state. What that reads is the container's
-//!   futex latency, so `baton_handoff` ÷ `condvar_pingpong` is the
-//!   scheduler's share.
+//!   tiebreak, the task-locals' move and the stack switch). Its oracle is
+//!   `condvar_pingpong`: the same number of hand-offs between two OS
+//!   threads over one `Mutex<bool>` and `Condvar` per thread, the way a
+//!   thread per rank would pass control. What that reads is the container's
+//!   futex latency, so `baton_handoff` ÷ `condvar_pingpong` is what running
+//!   every rank on one thread saves per dispatch.
 //! * `ring_16` / `ring_64` — one complete schedule: a full DES
 //!   `Universe::launch` on a virtual-time cluster, ring exchange +
 //!   allreduce per iteration. This is what the chaos campaign pays per
@@ -38,12 +38,12 @@ use simmpi::{
 
 const SAMPLES: usize = 21;
 const WARMUP: usize = 3;
-/// The repair configs launch a thousand threads twice per sample.
+/// The repair configs launch a thousand ranks twice per sample.
 const REPAIR_SAMPLES: usize = 15;
 const REPAIR_WARMUP: usize = 1;
 /// One spare node of eight ranks.
 const REPAIR_SPARES: usize = 8;
-/// Yield round-trips per baton_handoff sample (amortizes thread spawn).
+/// Yield round-trips per baton_handoff sample (amortizes the launch).
 const HANDOFF_ROUNDS: u64 = 20_000;
 /// Ring-exchange iterations per schedule.
 const RING_ITERS: u64 = 8;
@@ -58,34 +58,24 @@ fn virtual_cluster(n: usize) -> Cluster {
 }
 
 /// Two tasks alternating sleep-yields: 2 × `HANDOFF_ROUNDS` dispatched
-/// events per call. Returns total ns.
+/// events per call, each a stack switch. Returns total ns.
 fn baton_handoff() -> u64 {
     let clock = Arc::new(cluster::Clock::virtual_at(0));
     let s = Scheduler::new(2, 0xbeef, clock);
     elapsed_ns(|| {
-        std::thread::scope(|scope| {
-            for task in 0..2 {
-                let s = Arc::clone(&s);
-                scope.spawn(move || {
-                    s.wait_for_start(task);
-                    for _ in 0..HANDOFF_ROUNDS {
-                        s.sleep(task, std::time::Duration::from_nanos(10));
-                    }
-                    s.finish(task);
-                });
+        s.run(&|task| {
+            for _ in 0..HANDOFF_ROUNDS {
+                s.sleep(task, std::time::Duration::from_nanos(10));
             }
-            s.start();
         })
+        .expect("two stacks")
     })
 }
 
 /// Two threads passing one token back and forth, 2 × `HANDOFF_ROUNDS`
-/// hand-offs per call: park on one's own cell, grant the peer's — the
-/// bodies of `Scheduler::park` and `Scheduler::grant`, statement for
-/// statement (the grant sets the token, unlocks the cell, then notifies its
-/// one waiter, as the scheduler's does: a notify with the lock held wakes
-/// the peer into a lock it cannot take, and reads several times more on one
-/// CPU). Returns total ns.
+/// hand-offs per call: park on one's own cell, grant the peer's (set the
+/// token, unlock the cell, then notify its one waiter: a notify with the
+/// lock held wakes the peer into a lock it cannot take). Returns total ns.
 fn condvar_pingpong() -> u64 {
     type Cell = (Mutex<bool>, Condvar);
     fn grant((token, cv): &Cell) {

@@ -23,7 +23,11 @@
 //! Beside the verdict, as information only, it prints the same summary of
 //! each side's raw, uncalibrated pass seconds ([`RAW`]). A calibrated gain
 //! that the raw seconds do not share points at the calibration mix, not at
-//! the change: a layout shift can move the mix's own timings.
+//! the change: a layout shift can move the mix's own timings. Two more
+//! information lines follow: each side's median calibration slow-down,
+//! with a warning when the two differ by more than 10 %, and each side's
+//! median resilience work E = Nf + Fail − 2·Ref in raw seconds, read from
+//! every pass's raw seconds and `host_resilience_ratio`.
 
 use telemetry::Json;
 
@@ -78,6 +82,10 @@ pub struct Run {
     fingerprint: String,
     /// [`RAW`], where the log holds it.
     raw_pass_s: Option<f64>,
+    /// Every pass's calibration slow-down.
+    slowdowns: Vec<f64>,
+    /// Every pass's resilience work E, in raw seconds.
+    resilience_e: Vec<f64>,
 }
 
 impl Run {
@@ -98,10 +106,19 @@ impl Run {
                 Ok((name.clone(), value, unit.to_owned()))
             })
             .collect::<Result<_, String>>()?;
+        // A pass's ratio r is (Nf + Fail) / (2·Ref) and its raw seconds
+        // are Ref + Nf + Fail, so Ref = raw / (1 + 2r) and E = 2·Ref·(r − 1).
+        let resilience_e = samples(log, RAW)
+            .iter()
+            .zip(samples(log, "host_resilience_ratio"))
+            .map(|(raw, r)| 2.0 * raw / (1.0 + 2.0 * r) * (r - 1.0))
+            .collect();
         Ok(Run {
             metrics,
             fingerprint: fingerprint.to_owned(),
             raw_pass_s: raw_pass_s(log),
+            slowdowns: samples(log, "slowdown"),
+            resilience_e,
         })
     }
 
@@ -130,6 +147,20 @@ fn raw_pass_s(log: &str) -> Option<f64> {
         })
         .collect::<Option<Vec<f64>>>()?;
     Some(medians.iter().sum::<f64>() / medians.len() as f64)
+}
+
+/// Every value of a log's `samples NAME: a b | c d` line, in order.
+fn samples(log: &str, name: &str) -> Vec<f64> {
+    log.lines()
+        .find_map(|l| {
+            let rest = l.trim_start().strip_prefix("samples ")?;
+            rest.strip_prefix(name)?.strip_prefix(':')
+        })
+        .map_or_else(Vec::new, |line| {
+            line.split_whitespace()
+                .filter_map(|x| x.parse().ok())
+                .collect()
+        })
 }
 
 /// Quartile cut points `[q1, median, q3]` by the rule of Python's
@@ -305,6 +336,42 @@ pub fn compare(pairs: &[(Run, Run)], claim: &str, bounds: &[Bound]) -> GateRepor
         ),
         None => format!("{RAW}: missing from a log (information only)"),
     });
+    let median_of = |side: &dyn Fn(&(Run, Run)) -> &Vec<f64>| {
+        let all: Vec<f64> = pairs.iter().flat_map(|p| side(p).iter().copied()).collect();
+        (!all.is_empty()).then(|| quartiles(&all)[1])
+    };
+    let slowdown = (
+        median_of(&|p| &p.0.slowdowns),
+        median_of(&|p| &p.1.slowdowns),
+    );
+    report.lines.push(match slowdown {
+        (Some(p), Some(c)) => {
+            let differ = (c - p) / p * 100.0;
+            let mut line = format!(
+                "slowdown [calibration mix, information only]: parent median {p:.4}, change median {c:.4}"
+            );
+            if differ.abs() > 10.0 {
+                line.push_str(&format!(
+                    "; warning: the medians differ by {differ:+.1} %, so calibrated host metrics \
+                     move with the mix as well as with the change (compare {RAW})"
+                ));
+            }
+            line
+        }
+        _ => "slowdown: missing from a log (information only)".to_owned(),
+    });
+    report.lines.push(
+        match (
+            median_of(&|p| &p.0.resilience_e),
+            median_of(&|p| &p.1.resilience_e),
+        ) {
+            (Some(p), Some(c)) => format!(
+                "resilience work E = Nf + Fail - 2 Ref [s, raw, information only]: \
+                 parent median {p:.4}, change median {c:.4}"
+            ),
+            _ => "resilience work E: missing from a log (information only)".to_owned(),
+        },
+    );
     let fingerprints = pairs.iter().map(|(p, c)| (&p.fingerprint, &c.fingerprint));
     for (i, (p, c)) in fingerprints.enumerate().filter(|(_, (p, c))| p != c) {
         mismatches += 1;
@@ -464,6 +531,40 @@ mod tests {
         assert!(r
             .lines
             .contains(&"raw_pass_s: missing from a log (information only)".to_owned()));
+    }
+
+    #[test]
+    fn slowdown_and_resilience_work_are_information_per_side() {
+        // One pass each: raw 3.0 s at ratio 2.0 is Ref 0.6 s and E 1.2 s.
+        let at = |slowdown: &str| {
+            let log = log(1.0, 7.0, "f", "3.0").replace(
+                "samples slowdown: 1.5 | 1.5",
+                &format!("samples slowdown: {slowdown}\n    samples host_resilience_ratio: 2.0"),
+            );
+            Run::parse(&log).unwrap()
+        };
+        let lines = |p: &str, c: &str| compare(&[(at(p), at(c))], CLAIM, &[]).lines;
+        let same = lines("1.5", "1.6");
+        let slow = same.iter().find(|l| l.starts_with("slowdown")).unwrap();
+        assert!(
+            slow.contains("parent median 1.5000, change median 1.6000"),
+            "{slow}"
+        );
+        assert!(!slow.contains("warning"), "{slow}");
+        let e = same
+            .iter()
+            .find(|l| l.starts_with("resilience work"))
+            .unwrap();
+        assert!(
+            e.contains("parent median 1.2000, change median 1.2000"),
+            "{e}"
+        );
+        let apart = lines("1.5", "1.2");
+        let slow = apart.iter().find(|l| l.starts_with("slowdown")).unwrap();
+        assert!(
+            slow.contains("warning: the medians differ by -20.0 %"),
+            "{slow}"
+        );
     }
 
     #[test]

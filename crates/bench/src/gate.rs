@@ -4,7 +4,7 @@
 //! than config B" within one fresh results file. Every claim the gate makes
 //! has this shape, each against an oracle measured in the same process (the
 //! incremental pipeline against the full pack, the full pack against its
-//! kernels, the baton against a bare condvar ping-pong, …), so no bound
+//! kernels, the task switch against a bare condvar ping-pong, …), so no bound
 //! depends on the host's absolute speed.
 //!
 //! A check returns a [`GateReport`]; the binary prints `lines` to stdout,

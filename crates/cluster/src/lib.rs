@@ -97,6 +97,18 @@ impl Drop for SleeperGuard {
     }
 }
 
+/// Move the current thread's [`VirtualSleeper`] out, leaving none: the DES
+/// engine runs many rank tasks on one thread, and a task's hook goes with it
+/// when it switches away ([`put_virtual_sleeper`] brings it back).
+pub fn take_virtual_sleeper() -> Option<VirtualSleeper> {
+    VIRTUAL_SLEEPER.with(|s| s.borrow_mut().take())
+}
+
+/// Install `hook` (or none) as the current thread's [`VirtualSleeper`].
+pub fn put_virtual_sleeper(hook: Option<VirtualSleeper>) {
+    VIRTUAL_SLEEPER.with(|s| *s.borrow_mut() = hook);
+}
+
 /// Route `modeled` to the current thread's virtual sleeper, if one is
 /// installed. Returns `true` when the hook consumed the duration.
 fn virtual_sleep(modeled: Duration) -> bool {

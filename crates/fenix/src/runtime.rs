@@ -2,7 +2,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use simmpi::comm::Group;
@@ -112,6 +112,19 @@ const VOTE_FINALIZE: u8 = 0;
 const VOTE_REPAIR: u8 = 1;
 const VOTE_SPARE: u8 = 2;
 
+/// A vote as a rendezvous payload: one shared buffer per vote, so a
+/// rank's contribution allocates nothing.
+fn vote_bytes(vote: u8) -> Bytes {
+    static VOTES: OnceLock<[Bytes; 3]> = OnceLock::new();
+    let votes = VOTES.get_or_init(|| {
+        [VOTE_FINALIZE, VOTE_REPAIR, VOTE_SPARE].map(|v| Bytes::copy_from_slice(&[v]))
+    });
+    votes
+        .get(usize::from(vote))
+        .cloned()
+        .unwrap_or_else(|| Bytes::copy_from_slice(&[vote]))
+}
+
 /// Base id for resilient communicators, shared by all ranks.
 const FENIX_COMM_SALT: u64 = 0xFE21;
 
@@ -130,11 +143,11 @@ impl Fenix {
             n
         );
         let n_active = n - config.spares;
-        let active = world.router().share_group(
-            resilient_comm_id(world, 0),
-            0,
-            (0..n_active).map(|r| world.global_of(r)).collect(),
-        );
+        let active = world
+            .router()
+            .share_group(resilient_comm_id(world, 0), 0, || {
+                (0..n_active).map(|r| world.global_of(r)).collect()
+            });
         Fenix {
             world: world.clone(),
             config,
@@ -236,14 +249,14 @@ impl Fenix {
             key,
             self.world.my_global(),
             self.world.group(),
-            Bytes::copy_from_slice(&[vote]),
+            vote_bytes(vote),
             |parts| {
                 let any_repair = parts.iter().any(|(_, b)| b.first() == Some(&VOTE_REPAIR));
-                Bytes::copy_from_slice(&[if any_repair {
+                vote_bytes(if any_repair {
                     VOTE_REPAIR
                 } else {
                     VOTE_FINALIZE
-                }])
+                })
             },
         )?;
         // The rendezvous *is* the agreement step of the failure chain.
@@ -293,19 +306,21 @@ impl Fenix {
                 self.router().abort();
                 return Err(MpiError::Aborted);
             }
-            let mut members = old.to_vec();
-            for &(slot, spare) in &swaps {
-                if let (Some(member), Some(spare)) = (members.get_mut(slot), spare) {
-                    *member = spare;
-                }
-            }
-            if exhausted {
-                // Spares ran out under `Shrink`: drop the slots still dead.
-                members.retain(|g| !dead.contains(g));
-            }
             // Every rank derives the same list from the agreed dead set, so
-            // all of them end up holding the first one's copy.
-            let group = self.router().share_group(new_id, 0, members);
+            // the first one builds it and all of them hold its copy.
+            let group = self.router().share_group(new_id, 0, || {
+                let mut members = old.to_vec();
+                for &(slot, spare) in &swaps {
+                    if let (Some(member), Some(spare)) = (members.get_mut(slot), spare) {
+                        *member = spare;
+                    }
+                }
+                if exhausted {
+                    // Spares ran out under `Shrink`: drop the slots still dead.
+                    members.retain(|g| !dead.contains(g));
+                }
+                members
+            });
             *self.last_recovered.borrow_mut() = if exhausted {
                 // Rank ids shifted; recovered slots are stale.
                 Vec::new()

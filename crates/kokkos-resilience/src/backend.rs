@@ -14,6 +14,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use cluster::{Cluster, Pool};
 use kokkos::capture::Checkpointable;
+use parking_lot::Mutex;
 use simmpi::{Comm, MpiError, MpiResult};
 use telemetry::Recorder;
 use veloc::{Client, Config as VelocConfig, Protected, VelocError};
@@ -83,7 +84,7 @@ impl Protected for ViewRegion {
     }
 
     fn byte_len(&self) -> usize {
-        self.0.meta().bytes
+        self.0.byte_len()
     }
 
     fn generation(&self) -> Option<u64> {
@@ -153,23 +154,51 @@ fn veloc_err(e: VelocError) -> MpiError {
     }
 }
 
+/// One protected view: its id, the view, and its VeloC adapter.
+type Adapter = (u32, Arc<dyn Checkpointable>, Arc<dyn Protected>);
+
 /// The VeloC-based backend.
 pub struct VelocBackend {
     client: Client,
+    /// The views protected last, with their adapters. A region protects
+    /// the same views at every checkpoint, and handing VeloC the adapters
+    /// it already holds allocates nothing.
+    adapters: Mutex<Vec<Adapter>>,
 }
 
 impl VelocBackend {
     pub fn new(cluster: &Cluster, physical_rank: usize) -> Self {
         VelocBackend {
             client: Client::init(cluster.clone(), physical_rank, VelocConfig::default()),
+            adapters: Mutex::new(Vec::new()),
         }
     }
 
     fn protect(&self, views: &RegionViews) {
-        // Replace the whole protection table atomically; the fresh wrappers
-        // still forward each view's allocation stamp, so re-registering the
-        // same views keeps their delta chains alive.
-        self.client.protect_exact(protected(views));
+        let mut adapters = self.adapters.lock();
+        let same = adapters.len() == views.len()
+            && adapters
+                .iter()
+                .zip(views)
+                .all(|((a, held, _), (id, view))| a == id && Arc::ptr_eq(held, view));
+        if !same {
+            *adapters = views
+                .iter()
+                .map(|(id, view)| {
+                    let region: Arc<dyn Protected> = Arc::new(ViewRegion(Arc::clone(view)));
+                    (*id, Arc::clone(view), region)
+                })
+                .collect();
+        }
+        let entries = adapters
+            .iter()
+            .map(|(id, _, region)| (*id, Arc::clone(region)))
+            .collect();
+        drop(adapters);
+        // Replace the whole protection table atomically; the adapters
+        // forward each view's allocation stamp, so re-registering the same
+        // views keeps their delta chains alive.
+        self.client.protect_exact(entries);
     }
 }
 
@@ -219,6 +248,7 @@ impl DataBackend for VelocBackend {
 
     fn clear(&self) {
         self.client.checkpoint_wait();
+        self.adapters.lock().clear();
         self.client.clear_protected();
         // A context reset means recovery may roll this rank back; any
         // remembered delta base is a base it can no longer assume it holds.

@@ -1,7 +1,7 @@
 //! The resilience context: region detection, recovery, and backend driving.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use cluster::Cluster;
@@ -65,8 +65,47 @@ pub struct CheckpointOutcome {
     pub checkpointed: bool,
 }
 
+/// A few values keyed by region label. A context sees one label per
+/// checkpoint region (one, for every application here), so a scan that
+/// compares a string or two beats a map that hashes it first, and a label
+/// is copied only when it is new.
+struct ByLabel<V>(Vec<(String, V)>);
+
+impl<V> Default for ByLabel<V> {
+    fn default() -> Self {
+        ByLabel(Vec::new())
+    }
+}
+
+impl<V> ByLabel<V> {
+    fn get(&self, label: &str) -> Option<&V> {
+        self.0.iter().find(|(l, _)| l == label).map(|(_, v)| v)
+    }
+
+    fn get_mut(&mut self, label: &str) -> Option<&mut V> {
+        self.0.iter_mut().find(|(l, _)| l == label).map(|(_, v)| v)
+    }
+
+    fn insert(&mut self, label: &str, value: V) {
+        match self.get_mut(label) {
+            Some(slot) => *slot = value,
+            None => self.0.push((label.to_owned(), value)),
+        }
+    }
+}
+
+/// A label's restart agreement: the best restartable version agreed across
+/// the communicator, and whether the label's next region execution must
+/// restore it.
+struct Restart {
+    agreed: Option<u64>,
+    pending: bool,
+}
+
 /// Per-region cached metadata (cleared by [`Context::reset`]).
 struct RegionMeta {
+    /// The region's checkpoint name, `"{context}.{label}"`.
+    name: String,
     stats: RegionStats,
     /// `(veloc region id, handle)` for each checkpointed view, in detection
     /// order — identical on every rank because the region code is.
@@ -80,11 +119,8 @@ pub struct Context {
     name: String,
     filter: CheckpointFilter,
     aliases: RefCell<HashSet<String>>,
-    regions: RefCell<HashMap<String, RegionMeta>>,
-    /// Best restartable version per label, agreed across the communicator.
-    agreed_latest: RefCell<HashMap<String, Option<u64>>>,
-    /// Labels whose next region execution must perform recovery.
-    pending_recovery: RefCell<HashSet<String>>,
+    regions: RefCell<ByLabel<RegionMeta>>,
+    restarts: RefCell<ByLabel<Restart>>,
     scope: RefCell<RecoveryScope>,
     recorder: RefCell<Recorder>,
 }
@@ -107,9 +143,8 @@ impl Context {
             name: config.name,
             filter: config.filter,
             aliases: RefCell::new(config.aliases.into_iter().collect()),
-            regions: RefCell::new(HashMap::new()),
-            agreed_latest: RefCell::new(HashMap::new()),
-            pending_recovery: RefCell::new(HashSet::new()),
+            regions: RefCell::default(),
+            restarts: RefCell::default(),
             scope: RefCell::new(RecoveryScope::All),
             recorder: RefCell::new(Recorder::disabled()),
         }
@@ -124,12 +159,8 @@ impl Context {
         *self.recorder.borrow_mut() = rec;
     }
 
-    fn recorder(&self) -> Recorder {
-        self.recorder.borrow().clone()
-    }
-
     fn book<T>(&self, phase: Phase, f: impl FnOnce() -> T) -> T {
-        self.recorder().time(phase, f)
+        self.recorder.borrow().time(phase, f)
     }
 
     pub fn comm_rank(&self) -> usize {
@@ -146,9 +177,8 @@ impl Context {
             self.data.clear();
             self.data.set_rank(new_comm.rank());
             *self.comm.borrow_mut() = new_comm;
-            self.regions.borrow_mut().clear();
-            self.agreed_latest.borrow_mut().clear();
-            self.pending_recovery.borrow_mut().clear();
+            self.regions.borrow_mut().0.clear();
+            self.restarts.borrow_mut().0.clear();
             *self.scope.borrow_mut() = RecoveryScope::All;
         });
     }
@@ -221,14 +251,13 @@ impl Context {
         let name = self.qualified(label);
         let comm = self.comm.borrow();
         let agreed = self.data.latest_agreed_below(&comm, &name, bound)?;
-        self.agreed_latest
-            .borrow_mut()
-            .insert(label.to_owned(), agreed);
-        if agreed.is_some() {
-            self.pending_recovery.borrow_mut().insert(label.to_owned());
-        } else {
-            self.pending_recovery.borrow_mut().remove(label);
-        }
+        self.restarts.borrow_mut().insert(
+            label,
+            Restart {
+                agreed,
+                pending: agreed.is_some(),
+            },
+        );
         Ok(agreed)
     }
 
@@ -252,19 +281,21 @@ impl Context {
         self.data.wait();
     }
 
-    fn detect(&self, label: &str, session: &CaptureSession) {
+    fn detect(&self, label: &str, session: CaptureSession) {
         let aliases = self.aliases.borrow();
         let mut stats = RegionStats::default();
         let mut checkpointed = Vec::new();
-        let mut seen_allocs = HashSet::new();
+        // A region touches a handful of allocations: a scan, not a set.
+        let mut seen_allocs = Vec::new();
         let mut next_id = 0u32;
-        for rec in session.unique_views() {
+        for rec in session.into_records() {
             let class = if aliases.contains(&rec.meta.label) {
                 ViewClass::Alias
-            } else if !seen_allocs.insert(rec.meta.alloc_id) {
+            } else if seen_allocs.contains(&rec.meta.alloc_id) {
                 ViewClass::Skipped
             } else {
-                checkpointed.push((next_id, Arc::clone(&rec.handle)));
+                seen_allocs.push(rec.meta.alloc_id);
+                checkpointed.push((next_id, rec.handle));
                 next_id += 1;
                 ViewClass::Checkpointed
             };
@@ -274,8 +305,9 @@ impl Context {
             });
         }
         self.regions.borrow_mut().insert(
-            label.to_owned(),
+            label,
             RegionMeta {
+                name: self.qualified(label),
                 stats,
                 checkpointed,
             },
@@ -302,9 +334,9 @@ impl Context {
     where
         F: FnMut() -> MpiResult<()>,
     {
-        let first = !self.regions.borrow().contains_key(label);
+        let first = self.regions.borrow().get(label).is_none();
         let mut executions = 0u32;
-        let rec = self.recorder();
+        let rec = self.recorder.borrow();
         rec.emit_with(|| Event::RegionEnter {
             label: label.to_owned(),
             iteration,
@@ -315,7 +347,7 @@ impl Context {
             let result = session.record(&mut body);
             result?;
             executions += 1;
-            self.detect(label, &session);
+            self.detect(label, session);
             rec.emit_with(|| Event::RegionCapture {
                 label: label.to_owned(),
                 views: self
@@ -327,18 +359,21 @@ impl Context {
             });
         }
 
-        let pending = self.pending_recovery.borrow_mut().remove(label);
+        let pending = self
+            .restarts
+            .borrow_mut()
+            .get_mut(label)
+            .is_some_and(|r| std::mem::take(&mut r.pending));
         let mut restored = false;
         if pending {
             // Pending recovery implies an agreed version; both facts come
             // from the same collective agreement, so a mismatch is a
             // protocol violation — identical on every rank, and surfaced
             // through the error channel rather than a panic.
-            let Some(version) = self.agreed_latest.borrow().get(label).copied().flatten() else {
+            let Some(version) = self.restarts.borrow().get(label).and_then(|r| r.agreed) else {
                 return Err(MpiError::Aborted);
             };
             if self.scope.borrow().includes(self.comm.borrow().rank()) {
-                let name = self.qualified(label);
                 let regions = self.regions.borrow();
                 // Detection precedes restore on every path; a missing region
                 // here is the same class of protocol violation as above.
@@ -346,8 +381,9 @@ impl Context {
                     return Err(MpiError::Aborted);
                 };
                 let comm = self.comm.borrow();
-                self.book(Phase::DataRecovery, || {
-                    self.data.restore(&comm, &name, version, &meta.checkpointed)
+                rec.time(Phase::DataRecovery, || {
+                    self.data
+                        .restore(&comm, &meta.name, version, &meta.checkpointed)
                 })?;
                 rec.emit_with(|| Event::RegionRestore {
                     label: label.to_owned(),
@@ -366,16 +402,15 @@ impl Context {
 
         let mut checkpointed = false;
         if self.filter.should_checkpoint(iteration) {
-            let name = self.qualified(label);
             let regions = self.regions.borrow();
             let Some(meta) = regions.get(label) else {
                 // Detection precedes checkpoint; see the restore arm above.
                 return Err(MpiError::Aborted);
             };
             let comm = self.comm.borrow();
-            self.book(Phase::CheckpointFn, || {
+            rec.time(Phase::CheckpointFn, || {
                 self.data
-                    .checkpoint(&comm, &name, iteration, &meta.checkpointed)
+                    .checkpoint(&comm, &meta.name, iteration, &meta.checkpointed)
             })?;
             rec.emit_with(|| Event::RegionCommit {
                 label: label.to_owned(),
@@ -397,7 +432,7 @@ impl std::fmt::Debug for Context {
         f.debug_struct("Context")
             .field("name", &self.name)
             .field("rank", &self.comm_rank())
-            .field("regions", &self.regions.borrow().len())
+            .field("regions", &self.regions.borrow().0.len())
             .finish()
     }
 }

@@ -3,7 +3,7 @@
 //! Kokkos Resilience "uses Kokkos's model of data storage and functor- and
 //! lambda-based parallelism to automatically detect the data to be
 //! checkpointed". The Rust equivalent: while a [`CaptureSession`] is active
-//! on the current thread, every [`View`](crate::view::View) whose data is
+//! on the current rank, every [`View`](crate::view::View) whose data is
 //! locked through `read()`/`write()` is recorded, together with a
 //! type-erased handle that lets the resilience layer snapshot and restore it
 //! later without knowing its element type.
@@ -25,6 +25,11 @@ use crate::view::{View, ViewMeta};
 /// Type-erased checkpointable data handle.
 pub trait Checkpointable: Send + Sync {
     fn meta(&self) -> ViewMeta;
+    /// Size of the contents in bytes: `meta().bytes`, which a handle can
+    /// answer without copying its metadata.
+    fn byte_len(&self) -> usize {
+        self.meta().bytes
+    }
     /// Serialize current contents (must not itself record a capture).
     fn snapshot(&self) -> Bytes;
     /// Overwrite contents from serialized bytes.
@@ -50,6 +55,10 @@ impl<T: Pod> Checkpointable for View<T> {
         View::meta(self).clone()
     }
 
+    fn byte_len(&self) -> usize {
+        View::meta(self).bytes
+    }
+
     fn snapshot(&self) -> Bytes {
         self.snapshot_bytes()
     }
@@ -70,7 +79,8 @@ impl<T: Pod> Checkpointable for View<T> {
     }
 }
 
-/// One recorded view access.
+/// One view a session saw: its metadata at the first access, whether any
+/// access wrote, and a handle to it.
 #[derive(Clone)]
 pub struct CaptureRecord {
     pub meta: ViewMeta,
@@ -89,8 +99,8 @@ impl std::fmt::Debug for CaptureRecord {
     }
 }
 
-/// A recording of all view accesses between [`CaptureSession::begin`] and
-/// [`CaptureSession::end`] on one thread.
+/// A recording of the views accessed between [`CaptureSession::begin`] and
+/// [`CaptureSession::end`] on one rank.
 #[derive(Clone, Default)]
 pub struct CaptureSession {
     records: Arc<Mutex<Vec<CaptureRecord>>>,
@@ -99,6 +109,23 @@ pub struct CaptureSession {
 thread_local! {
     static ACTIVE: RefCell<Vec<CaptureSession>> = const { RefCell::new(Vec::new()) };
 }
+
+/// The active sessions belong to the rank, not the thread: under the DES
+/// engine many ranks take turns on one thread, and each keeps its own.
+static ACTIVE_PER_TASK: simmpi::task::TaskLocal = simmpi::task::TaskLocal {
+    take: || {
+        ACTIVE.with(|a| {
+            let mut active = a.borrow_mut();
+            (!active.is_empty())
+                .then(|| Box::new(std::mem::take(&mut *active)) as Box<dyn std::any::Any>)
+        })
+    },
+    restore: |sessions| {
+        if let Ok(sessions) = sessions.downcast::<Vec<CaptureSession>>() {
+            ACTIVE.with(|a| *a.borrow_mut() = *sessions);
+        }
+    },
+};
 
 impl CaptureSession {
     pub fn new() -> Self {
@@ -109,6 +136,7 @@ impl CaptureSession {
     /// innermost active session receives the records, and records propagate
     /// to outer sessions as well so nested regions compose).
     pub fn begin(&self) {
+        simmpi::task::register(&ACTIVE_PER_TASK);
         ACTIVE.with(|a| a.borrow_mut().push(self.clone()));
     }
 
@@ -133,25 +161,22 @@ impl CaptureSession {
         f()
     }
 
-    /// All raw records, in access order (may contain repeats).
+    /// One record per view object (`view_id`) accessed, in first-access
+    /// order; a record's `wrote` says whether any of its accesses wrote.
+    /// Repeated accesses fold into the first one's record as they happen,
+    /// so a view is copied into the session once.
     pub fn records(&self) -> Vec<CaptureRecord> {
         self.records.lock().clone()
     }
 
-    /// Records deduplicated by `view_id`, keeping first-access order and
-    /// OR-ing write flags (repeated accesses to the same view object fold
-    /// into one record).
+    /// [`Self::records`]: the views the session saw, each once.
     pub fn unique_views(&self) -> Vec<CaptureRecord> {
-        let records = self.records.lock();
-        let mut out: Vec<CaptureRecord> = Vec::new();
-        for r in records.iter() {
-            if let Some(existing) = out.iter_mut().find(|o| o.meta.view_id == r.meta.view_id) {
-                existing.wrote |= r.wrote;
-            } else {
-                out.push(r.clone());
-            }
-        }
-        out
+        self.records()
+    }
+
+    /// [`Self::records`], moved out of the session rather than copied.
+    pub fn into_records(self) -> Vec<CaptureRecord> {
+        std::mem::take(&mut *self.records.lock())
     }
 
     pub fn is_empty(&self) -> bool {
@@ -162,8 +187,19 @@ impl CaptureSession {
         self.records.lock().clear();
     }
 
-    fn push(&self, record: CaptureRecord) {
-        self.records.lock().push(record);
+    /// Note an access to `view`: a new record on its first access, its
+    /// write flag folded in on every later one.
+    fn note<T: Pod>(&self, view: &View<T>, wrote: bool) {
+        let mut records = self.records.lock();
+        let id = View::meta(view).view_id;
+        match records.iter_mut().find(|r| r.meta.view_id == id) {
+            Some(seen) => seen.wrote |= wrote,
+            None => records.push(CaptureRecord {
+                meta: View::meta(view).clone(),
+                wrote,
+                handle: Arc::new(view.clone()),
+            }),
+        }
     }
 }
 
@@ -180,13 +216,8 @@ pub fn record_access<T: Pod>(view: &View<T>, wrote: bool) {
         if sessions.is_empty() {
             return;
         }
-        let record = CaptureRecord {
-            meta: View::meta(view).clone(),
-            wrote,
-            handle: Arc::new(view.clone()),
-        };
         for s in sessions.iter() {
-            s.push(record.clone());
+            s.note(view, wrote);
         }
     });
 }

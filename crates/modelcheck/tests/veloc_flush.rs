@@ -37,7 +37,7 @@ fn flush_wait_teardown_is_clean() {
             b.enqueue_flush(
                 "ck/v1/r0".into(),
                 Bytes::from_static(b"payload"),
-                "ck".into(),
+                "ck",
                 1,
                 Recorder::disabled(),
             );
@@ -66,7 +66,7 @@ fn drop_drains_in_flight_flush_under_all_schedules() {
                 b.enqueue_flush(
                     "ck/v1/r0".into(),
                     Bytes::from_static(b"x"),
-                    "ck".into(),
+                    "ck",
                     1,
                     Recorder::disabled(),
                 );
@@ -100,7 +100,7 @@ fn worker_death_never_strands_a_flush() {
                     b.enqueue_flush(
                         format!("ck/v{v}/r0"),
                         Bytes::from_static(b"x"),
-                        "ck".into(),
+                        "ck",
                         v,
                         Recorder::disabled(),
                     );

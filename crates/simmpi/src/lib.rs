@@ -4,8 +4,9 @@
 //! support, so this crate provides an in-process stand-in that preserves the
 //! *interface and failure semantics* the paper's Fenix layer depends on:
 //!
-//! * Ranks are OS threads launched by a [`universe::Universe`]; each receives
-//!   a [`RankCtx`] holding its `MPI_COMM_WORLD` equivalent.
+//! * Ranks are launched by a [`universe::Universe`], as OS threads or, under
+//!   the DES backend, as tasks on one thread ([`sched`]); each receives a
+//!   [`RankCtx`] holding its `MPI_COMM_WORLD` equivalent.
 //! * Point-to-point messages and collectives move through a shared
 //!   [`router::Router`] of per-rank mailboxes, and every payload is charged
 //!   against the modeled [`cluster::Network`] — so checkpoint traffic and
@@ -47,6 +48,7 @@ pub mod pod;
 pub mod rendezvous;
 pub mod router;
 pub mod sched;
+pub mod task;
 pub mod ulfm;
 pub mod universe;
 

@@ -19,6 +19,7 @@
 //! the entry — O(1) per participant, however large the group.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -55,6 +56,43 @@ pub struct RendezvousOutcome {
     pub failures_observed: Vec<usize>,
 }
 
+/// Hashes the rendezvous maps' integer keys — rank numbers and operation
+/// ids, which no adversary picks — one multiply per word (FxHash's rule)
+/// instead of SipHash's rounds. Every participant of an operation on a
+/// thousand ranks looks its entry and its contribution up.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
 struct Entry {
     state: Mutex<EntryState>,
     cv: Condvar,
@@ -64,34 +102,57 @@ struct Entry {
 struct EntryState {
     /// Before publication: every contribution so far. After: the live
     /// contributors that have not picked the result up yet.
-    contribs: HashMap<usize, Bytes>,
+    contribs: IdMap<usize, Bytes>,
+    /// How many leading group members are known to have contributed or
+    /// died. Both are final until publication, so each completeness check
+    /// resumes here: one pass over the group per operation, not one per
+    /// participant.
+    settled: usize,
     result: Option<RendezvousOutcome>,
 }
 
 /// Table of in-flight agreement operations.
 pub struct RendezvousTable {
-    entries: Mutex<HashMap<RendezvousKey, Arc<Entry>>>,
+    entries: Mutex<IdMap<RendezvousKey, Arc<Entry>>>,
+    /// The contribution table of the last retired entry, emptied: the next
+    /// entry reuses its storage, so an operation over a thousand ranks does
+    /// not allocate and free a table of a thousand slots.
+    spare: Mutex<IdMap<usize, Bytes>>,
 }
 
 impl RendezvousTable {
     pub fn new() -> Self {
         RendezvousTable {
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::new(IdMap::default()),
+            spare: Mutex::new(IdMap::default()),
         }
     }
 
-    fn entry(&self, key: RendezvousKey) -> Arc<Entry> {
+    /// The entry for `key`, made for `members` contributions if it is new.
+    fn entry(&self, key: RendezvousKey, members: usize) -> Arc<Entry> {
         let mut map = self.entries.lock();
         Arc::clone(map.entry(key).or_insert_with(|| {
+            let mut contribs = std::mem::take(&mut *self.spare.lock());
+            contribs.reserve(members);
             Arc::new(Entry {
-                state: Mutex::new(EntryState::default()),
+                state: Mutex::new(EntryState {
+                    contribs,
+                    ..EntryState::default()
+                }),
                 cv: Condvar::new(),
             })
         }))
     }
 
-    fn retire(&self, key: RendezvousKey) {
+    /// Drop `key`'s entry, keeping its emptied contribution table for the
+    /// next one.
+    fn retire(&self, key: RendezvousKey, mut contribs: IdMap<usize, Bytes>) {
         self.entries.lock().remove(&key);
+        contribs.clear();
+        let mut spare = self.spare.lock();
+        if contribs.capacity() > spare.capacity() {
+            *spare = contribs;
+        }
     }
 
     /// Wake every participant so it re-evaluates completeness (called by the
@@ -118,9 +179,10 @@ impl RendezvousTable {
             let last = st.result.is_some()
                 && st.contribs.remove(&rank).is_some()
                 && st.contribs.is_empty();
-            drop(st);
             if last {
-                self.retire(key);
+                let contribs = std::mem::take(&mut st.contribs);
+                drop(st);
+                self.retire(key, contribs);
             }
         }
     }
@@ -155,7 +217,7 @@ impl Router {
     ) -> MpiResult<RendezvousOutcome> {
         debug_assert!(group.contains(&me), "rank {me} not in rendezvous group");
         parking_lot::assert_no_locks_held();
-        let entry = self.rendezvous.entry(key);
+        let entry = self.rendezvous.entry(key, group.len());
         let mut st = entry.state.lock();
         st.contribs.insert(me, contribution);
 
@@ -168,8 +230,9 @@ impl Router {
                     .fetch_add(1, Ordering::Relaxed);
                 st.contribs.remove(&me);
                 if st.contribs.is_empty() {
+                    let contribs = std::mem::take(&mut st.contribs);
                     drop(st);
-                    self.rendezvous.retire(key);
+                    self.rendezvous.retire(key, contribs);
                 }
                 return Ok(result);
             }
@@ -191,39 +254,44 @@ impl Router {
             }
 
             // Complete if every group member contributed or died.
-            let dead = self.dead_snapshot();
-            let complete = group
+            let newly = group
+                .get(st.settled..)
+                .unwrap_or_default()
                 .iter()
-                .all(|r| st.contribs.contains_key(r) || dead.contains(r));
-            if complete {
+                .take_while(|&&r| st.contribs.contains_key(&r) || self.is_dead(r))
+                .count();
+            st.settled += newly;
+            if st.settled >= group.len() {
                 let mut parts: Vec<(usize, Bytes)> =
                     st.contribs.iter().map(|(&r, b)| (r, b.clone())).collect();
                 parts.sort_by_key(|(r, _)| *r);
                 let value = combine(&parts);
                 let failures_observed =
-                    group.iter().copied().filter(|r| dead.contains(r)).collect();
+                    group.iter().copied().filter(|&r| self.is_dead(r)).collect();
                 st.result = Some(RendezvousOutcome {
                     value,
                     failures_observed,
                 });
                 // From here on the set holds who still has to pick up.
-                st.contribs.retain(|r, _| !dead.contains(r));
-                entry.cv.notify_all();
-                if let Some(s) = self.sched() {
-                    // Publication wakes the whole group; pushes are in
-                    // ascending rank order so the seeded tiebreak alone
-                    // decides who resumes first.
-                    for &r in group {
-                        if r != me {
-                            s.wake(r);
+                st.contribs.retain(|&r, _| !self.is_dead(r));
+                match self.sched() {
+                    Some(s) => {
+                        // Publication wakes the whole group; pushes are in
+                        // ascending rank order so the seeded tiebreak alone
+                        // decides who resumes first.
+                        for &r in group {
+                            if r != me {
+                                s.wake(r);
+                            }
                         }
                     }
+                    None => entry.cv.notify_all(),
                 }
                 continue; // next loop iteration picks the result up
             }
 
-            // Not complete: yield. DES ranks hand the baton back to the
-            // scheduler and resume when a contribution, publication, or
+            // Not complete: yield. DES ranks switch to the scheduler's next
+            // task and resume when a contribution, publication, or
             // failure transition wakes them; threads-backend ranks park on
             // the entry condvar with a bounded re-check timeout.
             match self.sched() {

@@ -19,7 +19,7 @@
 //! * Killing a rank wakes all blocked ranks so they can re-evaluate.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
@@ -107,6 +107,8 @@ pub(crate) struct RepairCounts {
     /// Group members examined by rendezvous pick-ups to settle whether the
     /// entry can retire (one per pick-up: the caller's own).
     pub(crate) rendezvous_scanned: AtomicU64,
+    /// Member lists [`Router::share_group`] built for the group it shares.
+    pub(crate) groups_built: AtomicU64,
 }
 
 /// The shared fabric.
@@ -114,8 +116,11 @@ pub struct Router {
     mailboxes: Vec<Mailbox>,
     /// Groups handed out by [`Router::share_group`], while a handle lives.
     shared_groups: Mutex<HashMap<(CommId, u32), Weak<Group>>>,
-    dead: RwLock<HashSet<usize>>,
-    revoked: RwLock<HashSet<(CommId, u32)>>,
+    /// One flag per rank, set once when the rank dies: every send and
+    /// receive asks, so the answer is one load.
+    dead: Vec<AtomicBool>,
+    /// Revoked communicator epochs: a handful per job, scanned.
+    revoked: RwLock<Vec<(CommId, u32)>>,
     aborted: AbortFlag,
     cluster: Cluster,
     pub(crate) rendezvous: RendezvousTable,
@@ -136,8 +141,8 @@ impl Router {
         Arc::new(Router {
             mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
             shared_groups: Mutex::new(HashMap::new()),
-            dead: RwLock::new(HashSet::new()),
-            revoked: RwLock::new(HashSet::new()),
+            dead: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            revoked: RwLock::new(Vec::new()),
             aborted: AbortFlag::default(),
             cluster,
             rendezvous: RendezvousTable::new(),
@@ -149,20 +154,31 @@ impl Router {
 
     /// One [`Group`] for all the ranks that build communicator `(comm,
     /// epoch)` from the same member list, where each of them derives that
-    /// list on its own (Fenix's resilient communicator): the first caller's
-    /// copy is handed to every later one instead of a copy per rank. A
-    /// caller whose list differs from the one on record — two communicators
-    /// under one id — gets a group of its own, never the other's.
-    pub fn share_group(&self, comm: CommId, epoch: u32, members: Vec<usize>) -> Arc<Group> {
+    /// list on its own (Fenix's resilient communicator): the first caller
+    /// runs `build` and its group is handed to every later one, whose
+    /// `build` does not run, so a launch builds each list once and not once
+    /// per rank. Debug builds run every later `build` too, and a caller
+    /// whose list differs from the one on record — two communicators under
+    /// one id — gets a group of its own, never the other's.
+    pub fn share_group(
+        &self,
+        comm: CommId,
+        epoch: u32,
+        build: impl FnOnce() -> Vec<usize>,
+    ) -> Arc<Group> {
         let mut shared = self.shared_groups.lock();
         if let Some(group) = shared.get(&(comm, epoch)).and_then(Weak::upgrade) {
-            return if group.as_slice() == members {
-                group
-            } else {
-                Arc::new(Group::new(members))
-            };
+            #[cfg(debug_assertions)]
+            {
+                let members = build();
+                if group.as_slice() != members {
+                    return Arc::new(Group::new(members));
+                }
+            }
+            return group;
         }
-        let group = Arc::new(Group::new(members));
+        self.counts.groups_built.fetch_add(1, Ordering::Relaxed);
+        let group = Arc::new(Group::new(build()));
         shared.insert((comm, epoch), Arc::downgrade(&group));
         group
     }
@@ -214,22 +230,24 @@ impl Router {
     // ---- failure state ----------------------------------------------------
 
     pub fn is_dead(&self, rank: usize) -> bool {
-        self.dead.read().contains(&rank)
+        self.dead
+            .get(rank)
+            .is_some_and(|d| d.load(Ordering::Acquire))
     }
 
     /// Snapshot of all dead global ranks.
     pub fn dead_snapshot(&self) -> HashSet<usize> {
-        self.dead.read().clone()
+        (0..self.dead.len()).filter(|&r| self.is_dead(r)).collect()
     }
 
     /// Kill a rank: mark it dead, purge its node's scratch space, and wake
     /// every blocked rank so it can observe the failure.
     pub fn kill(&self, rank: usize) {
-        {
-            let mut dead = self.dead.write();
-            if !dead.insert(rank) {
-                return; // already dead
-            }
+        let Some(dead) = self.dead.get(rank) else {
+            return; // no such rank
+        };
+        if dead.swap(true, Ordering::AcqRel) {
+            return; // already dead
         }
         self.recorder(rank).emit(Event::RankKilled);
         self.cluster.fail_node_of(rank);
@@ -245,9 +263,10 @@ impl Router {
     pub fn revoke(&self, comm: CommId, epoch: u32) {
         {
             let mut rv = self.revoked.write();
-            if !rv.insert((comm, epoch)) {
+            if rv.contains(&(comm, epoch)) {
                 return;
             }
+            rv.push((comm, epoch));
         }
         self.wake_all();
     }
@@ -262,16 +281,18 @@ impl Router {
         self.wake_all();
     }
 
-    /// Wake every rank blocked in a receive or a rendezvous.
+    /// Wake every rank blocked in a receive or a rendezvous. Under DES
+    /// every wait is a scheduler yield and the condvars have no waiters.
     pub fn wake_all(&self) {
+        if let Some(s) = self.sched() {
+            s.wake_all();
+            return;
+        }
         for mb in &self.mailboxes {
             let _guard = mb.queue.lock();
             mb.cv.notify_all();
         }
         self.rendezvous.wake_all();
-        if let Some(s) = self.sched() {
-            s.wake_all();
-        }
     }
 
     /// Discard the envelopes of a retired communicator epoch queued for
@@ -351,9 +372,9 @@ impl Router {
             return Err(MpiError::proc_failed(dst));
         }
         mb.queue.lock().envelopes.push_back(env);
-        mb.cv.notify_all();
-        if let Some(s) = self.sched() {
-            s.wake(dst);
+        match self.sched() {
+            Some(s) => s.wake(dst),
+            None => mb.cv.notify_all(),
         }
         Ok(())
     }
@@ -380,8 +401,8 @@ impl Router {
                 None => {}
             }
             // Nothing deliverable: yield. Under the DES backend the rank
-            // leaves what it waits for in its mailbox, hands the baton to
-            // the scheduler and resumes once a sender (or a failure
+            // leaves what it waits for in its mailbox, yields to the
+            // scheduler and resumes once a sender (or a failure
             // transition) has made `settled` hold; on the threads backend
             // it parks on the mailbox condvar with a bounded re-check
             // timeout. Either way the loop re-evaluates the predicate from
@@ -433,9 +454,8 @@ impl Router {
             Some(s) if self.is_dead(s) => Some(Err(MpiError::proc_failed(s))),
             Some(_) => None,
             None => {
-                let dead = self.dead.read();
                 let others = || spec.group.iter().copied().filter(|&r| r != spec.me);
-                if others().any(|r| !dead.contains(&r)) {
+                if others().any(|r| !self.is_dead(r)) {
                     return None;
                 }
                 Some(Err(MpiError::ProcFailed {
@@ -489,7 +509,7 @@ impl std::fmt::Debug for Router {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Router")
             .field("ranks", &self.mailboxes.len())
-            .field("dead", &*self.dead.read())
+            .field("dead", &self.dead_snapshot())
             .field("aborted", &self.is_aborted())
             .finish()
     }
@@ -684,17 +704,17 @@ mod tests {
     #[test]
     fn share_group_shares_equal_lists_and_nothing_else() {
         let r = router(4);
-        let first = r.share_group(7, 0, vec![0, 1, 2]);
-        let same = r.share_group(7, 0, vec![0, 1, 2]);
+        let first = r.share_group(7, 0, || vec![0, 1, 2]);
+        let same = r.share_group(7, 0, || vec![0, 1, 2]);
         assert!(Arc::ptr_eq(&first, &same));
         // The same id with other members is another communicator.
-        let other = r.share_group(7, 0, vec![0, 2, 3]);
+        let other = r.share_group(7, 0, || vec![0, 2, 3]);
         assert_eq!(*other.as_slice(), [0, 2, 3]);
         assert_eq!(*first.as_slice(), [0, 1, 2]);
         assert_eq!(other.rank_of(3), Some(2));
         // Nothing outlives its handles.
         drop((first, same));
-        let again = r.share_group(7, 0, vec![0, 2, 3]);
+        let again = r.share_group(7, 0, || vec![0, 2, 3]);
         assert!(!Arc::ptr_eq(&again, &other));
         assert_eq!(*again.as_slice(), [0, 2, 3]);
     }

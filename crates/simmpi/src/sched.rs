@@ -7,12 +7,17 @@
 //! discrete-event simulation (DES) while keeping the rank code — and the
 //! whole `Comm`/mailbox API — untouched:
 //!
-//! * Every rank still runs on its own OS thread, but the threads pass a
-//!   **baton**: exactly one task is `Running` at any instant, and control
-//!   transfers only at *yield points* (a mailbox wait, a rendezvous wait,
-//!   or a modeled sleep routed through [`cluster::install_virtual_sleeper`]).
-//!   Rank bodies are therefore resumable state machines. A yield with a
-//!   lock held fails the lock-order witness (`assert_no_locks_held`).
+//! * Every rank is a **task** on a stack of its own ([`crate::task`]), and
+//!   one OS thread, the one that called [`Scheduler::run`], runs them all.
+//!   Exactly one task is `Running` at any instant, and control transfers
+//!   only at *yield points* (a mailbox wait, a rendezvous wait, or a modeled
+//!   sleep routed through [`cluster::install_virtual_sleeper`]): the
+//!   yielding task decides the next one and switches stacks to it directly,
+//!   a few nanoseconds with no kernel involved. Rank bodies are therefore
+//!   resumable state machines. A switch with a lock held, or inside a
+//!   no-blocking scope, fails the lock-order witness
+//!   (`assert_no_locks_held`); a rank's thread-locals move with it
+//!   ([`crate::task::TaskLocals`]).
 //! * A single binary heap orders pending events by
 //!   `(virtual time, tiebreak key, push sequence)`. The tiebreak key is a
 //!   pure splitmix64-style mix of the schedule seed, the push sequence
@@ -28,10 +33,8 @@
 //! Because all wake-ups originate from the currently running task (a send,
 //! a rendezvous publication, a kill), there are no lost-wakeup races by
 //! construction. A hand-off is *decided* under the scheduler lock (pop,
-//! clock advance, the next task marked `Running`) and *granted* with no
-//! lock held: the granter is the only running thread and is about to park
-//! on its own cell, so nothing else can run in between, and the grantee
-//! wakes to locks nobody holds — one context switch per hand-off.
+//! clock advance, the next task marked `Running`) and made with no lock
+//! held.
 //!
 //! The dispatcher also **asks before it switches**: an event popped for a
 //! `Blocked` task goes through the ready probe (the universe installs
@@ -48,6 +51,10 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::io;
+use std::panic::AssertUnwindSafe;
+use std::ptr;
+use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,18 +62,20 @@ use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 
 use cluster::Clock;
 
+use crate::task::{self, Stack, TaskLocals};
+
 /// Scheduling state of one task (one simulated rank).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum TaskState {
-    /// Spawned but not yet granted the baton for the first time.
+    /// Not yet run: its stack holds only the entry context.
     NotStarted,
-    /// Holds the baton.
+    /// The one task executing.
     Running,
-    /// Parked at a predicate wait (mailbox/rendezvous); runnable only once
-    /// another task wakes it.
+    /// Switched away at a predicate wait (mailbox/rendezvous); runnable only
+    /// once another task wakes it.
     Blocked,
-    /// Parked on a timed event (modeled sleep); wakes are ignored, the
-    /// timer event stands.
+    /// Switched away on a timed event (modeled sleep); wakes are ignored,
+    /// the timer event stands.
     Sleeping,
     /// Returned; never scheduled again.
     Done,
@@ -94,21 +103,12 @@ fn tiebreak(seed: u64, seq: u64, task: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Baton hand-off cell for one task: a token the dispatcher grants and the
-/// task consumes. Token-based (not bare notify) so a grant that races
-/// ahead of the park is never lost.
-struct TaskSlot {
-    token: Mutex<bool>,
-    cv: Condvar,
-}
-
 /// What a launch's scheduler did, as plain counts kept under the scheduler
 /// lock and read once when the launch ends (`Universe::launch` flushes them
 /// into the telemetry registry when a hub is installed).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Dispatches that passed the baton to another task's thread: each is
-    /// a condvar grant plus a park, i.e. a context switch.
+    /// Dispatches that switched to another task's stack.
     pub handoffs: u64,
     /// Dispatches whose next event belonged to the yielding task itself.
     pub self_dispatches: u64,
@@ -130,7 +130,7 @@ struct Inner {
     state: Vec<TaskState>,
     /// Whether a heap entry exists for the task (dedups wakes).
     queued: Vec<bool>,
-    /// A wake arrived while the task held the baton (e.g. a self-send);
+    /// A wake arrived while the task was running (e.g. a self-send);
     /// consumed at its next blocking yield so the wake is not lost.
     pending_wake: Vec<bool>,
     /// Monotonic push counter feeding the tiebreak key.
@@ -169,11 +169,26 @@ impl Inner {
 /// [`Scheduler::set_ready_probe`]).
 type ReadyProbe = Box<dyn Fn(usize) -> bool + Send + Sync>;
 
+/// What the first switch into a task hands [`task_entry`]: the scheduler,
+/// the body [`Scheduler::run`] runs, and the task's id. `run` keeps one per
+/// task alive until every task is done.
+struct Start {
+    sched: *const Scheduler,
+    /// A `&dyn Fn(usize)` on `run`'s stack.
+    body: *const (),
+    task: usize,
+}
+
 /// The discrete-event scheduler. One instance per DES launch, shared by
-/// the router, the rendezvous table, and every rank thread.
+/// the router, the rendezvous table, and every rank task.
 pub struct Scheduler {
     inner: Mutex<Inner>,
-    slots: Vec<TaskSlot>,
+    /// The stack pointer each switched-away context resumes from: one per
+    /// task, then the thread that called [`Scheduler::run`].
+    contexts: Vec<AtomicPtr<u8>>,
+    /// The running launch's start records, one per task (null outside
+    /// [`Scheduler::run`]).
+    starts: AtomicPtr<Start>,
     clock: Arc<Clock>,
     seed: u64,
     deadlock_hook: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
@@ -195,12 +210,8 @@ impl Scheduler {
                 pending_wake: vec![false; tasks],
                 seq: 0,
             }),
-            slots: (0..tasks)
-                .map(|_| TaskSlot {
-                    token: Mutex::new(false),
-                    cv: Condvar::new(),
-                })
-                .collect(),
+            contexts: (0..=tasks).map(|_| AtomicPtr::default()).collect(),
+            starts: AtomicPtr::default(),
             clock,
             seed,
             deadlock_hook: Mutex::new(None),
@@ -210,7 +221,7 @@ impl Scheduler {
 
     /// Number of tasks this scheduler drives.
     pub fn tasks(&self) -> usize {
-        self.slots.len()
+        self.contexts.len() - 1
     }
 
     /// The virtual clock events are ordered on.
@@ -235,8 +246,8 @@ impl Scheduler {
         *self.deadlock_hook.lock() = Some(Box::new(hook));
     }
 
-    /// Install the question the dispatcher asks before it hands the baton
-    /// to a `Blocked` task (the universe installs `Router::would_run`). The
+    /// Install the question the dispatcher asks before it switches to a
+    /// `Blocked` task (the universe installs `Router::would_run`). The
     /// probe runs under the scheduler lock and must not re-enter the
     /// scheduler.
     pub(crate) fn set_ready_probe(&self, probe: impl Fn(usize) -> bool + Send + Sync + 'static) {
@@ -251,31 +262,62 @@ impl Scheduler {
         *self.ready_probe.write() = None;
     }
 
-    /// Seed a start event for every task at the current virtual time and
-    /// dispatch the first one. Called once by the launching thread after
-    /// the rank threads are spawned; the token cells make the inherent
-    /// grant/park race benign.
-    pub fn start(&self) {
-        let mut inner = self.inner.lock();
-        let now = self.clock.now_ns();
-        for task in 0..self.slots.len() {
-            self.push_event(&mut inner, task, now);
+    /// Run `body(task)` for every task, each on a stack of its own, all on
+    /// the calling thread: seed a start event per task at the current
+    /// virtual time, switch to the first one dispatched, and return once
+    /// every task is done. A panic escaping `body` ends its task like a
+    /// return. Fails when a stack cannot be mapped, or when every
+    /// remaining task is blocked and the deadlock hook (if any) woke none
+    /// of them — those tasks' stacks are then never reused.
+    pub fn run(&self, body: &dyn Fn(usize)) -> io::Result<()> {
+        let n = self.tasks();
+        let mut stacks = Vec::with_capacity(n);
+        for context in self.contexts.iter().take(n) {
+            let mut stack = Stack::take()?;
+            context.store(stack.prepare(task_entry), Ordering::Relaxed);
+            stacks.push(stack);
         }
-        let first = self.dispatch_next(&mut inner, None);
-        drop(inner);
-        self.grant(first);
+        let body_ref = &body;
+        let starts: Vec<Start> = (0..n)
+            .map(|task| Start {
+                sched: self,
+                body: ptr::from_ref(body_ref).cast(),
+                task,
+            })
+            .collect();
+        self.starts
+            .store(starts.as_ptr().cast_mut(), Ordering::Relaxed);
+        let first = {
+            let mut inner = self.inner.lock();
+            let now = self.clock.now_ns();
+            for task in 0..n {
+                self.push_event(&mut inner, task, now);
+            }
+            self.dispatch_next(&mut inner, None)
+        };
+        if let Some(first) = first {
+            self.switch(n, first);
+        }
+        self.starts.store(ptr::null_mut(), Ordering::Relaxed);
+        drop(starts);
+        let inner = self.inner.lock();
+        if inner.state.iter().all(|s| *s == TaskState::Done) {
+            drop(inner);
+            stacks.into_iter().for_each(Stack::give_back);
+            Ok(())
+        } else {
+            // Suspended frames live on these stacks; they are never resumed.
+            std::mem::forget(stacks);
+            Err(io::Error::other(
+                "every remaining task is blocked and the deadlock hook woke none",
+            ))
+        }
     }
 
-    /// Rank-thread entry: park until the scheduler grants this task the
-    /// baton for the first time.
-    pub fn wait_for_start(&self, task: usize) {
-        self.park(task);
-    }
-
-    /// Yield at a predicate wait (mailbox or rendezvous): release the
-    /// baton, dispatch the next event, park until woken. The caller must
-    /// re-check its predicate on return — wakes are level-triggered hints,
-    /// exactly like condvar wakeups.
+    /// Yield at a predicate wait (mailbox or rendezvous): dispatch the next
+    /// event and switch to its task; return when this task is dispatched
+    /// again. The caller must re-check its predicate on return — wakes are
+    /// level-triggered hints, exactly like condvar wakeups.
     pub fn yield_blocked(&self, task: usize) {
         parking_lot::assert_no_locks_held();
         let mut inner = self.inner.lock();
@@ -283,17 +325,17 @@ impl Scheduler {
         if inner.take_pending_wake(task) {
             // A wake landed while we were running (self-send, same-task
             // rendezvous publication): convert it into an immediate event
-            // so the baton comes back after any same-time peers.
+            // so we run again after any same-time peers.
             let now = self.clock.now_ns();
             self.push_event(&mut inner, task, now);
         }
-        self.hand_off(inner, task);
-        self.park(task);
+        let next = self.hand_off(inner, task);
+        self.switch(task, next);
     }
 
     /// Yield for `modeled` of virtual time: schedule our own resumption at
-    /// `now + modeled`, dispatch, park. This is the [`cluster`] virtual
-    /// sleeper for rank threads — every modeled transfer/startup charge on
+    /// `now + modeled`, dispatch, switch. This is the [`cluster`] virtual
+    /// sleeper of rank tasks — every modeled transfer/startup charge on
     /// a rank path lands here.
     pub fn sleep(&self, task: usize, modeled: Duration) {
         parking_lot::assert_no_locks_held();
@@ -304,8 +346,8 @@ impl Scheduler {
             .now_ns()
             .saturating_add(modeled.as_nanos().min(u128::from(u64::MAX)) as u64);
         self.push_event(&mut inner, task, t);
-        self.hand_off(inner, task);
-        self.park(task);
+        let next = self.hand_off(inner, task);
+        self.switch(task, next);
     }
 
     /// Mark `task` runnable at the current virtual time. Called by the
@@ -332,7 +374,7 @@ impl Scheduler {
         let mut inner = self.inner.lock();
         inner.stats.wake_all_calls += 1;
         let now = self.clock.now_ns();
-        for task in 0..self.slots.len() {
+        for task in 0..self.tasks() {
             match inner.state_of(task) {
                 TaskState::Running => inner.set_pending_wake(task),
                 TaskState::Blocked | TaskState::NotStarted => {
@@ -343,19 +385,23 @@ impl Scheduler {
         }
     }
 
-    /// Task exit: release the baton for good and dispatch the next event.
-    pub fn finish(&self, task: usize) {
+    /// Task exit: dispatch the next event and switch away for good.
+    fn finish(&self, task: usize) -> ! {
         let mut inner = self.inner.lock();
         inner.set_state(task, TaskState::Done);
         inner.take_pending_wake(task);
-        self.hand_off(inner, task);
+        let next = self.hand_off(inner, task);
+        self.switch(task, next);
+        // Nothing switches back to a finished task.
+        std::process::abort()
     }
 
-    /// `from` releases the baton: decide the next task under `inner`, grant
-    /// it with no lock held. If the heap is dry but tasks are still blocked,
-    /// fire the deadlock hook (which wakes them with the abort flag set) and
+    /// `from` yields: decide the next task under `inner` and return the
+    /// context to switch to — the thread that called [`Self::run`] when no
+    /// task can run. If the heap is dry but tasks are still blocked, fire
+    /// the deadlock hook (which wakes them with the abort flag set) and
     /// decide again.
-    fn hand_off(&self, mut inner: MutexGuard<'_, Inner>, from: usize) {
+    fn hand_off(&self, mut inner: MutexGuard<'_, Inner>, from: usize) -> usize {
         let mut next = self.dispatch_next(&mut inner, Some(from));
         let deadlocked = next.is_none()
             && inner.state.iter().any(|s| {
@@ -364,8 +410,6 @@ impl Scheduler {
                     TaskState::Blocked | TaskState::Sleeping | TaskState::NotStarted
                 )
             });
-        // Nobody else can run between this unlock and the grant: `from` is
-        // the only running thread and parks (or exits) right after.
         drop(inner);
         if deadlocked {
             {
@@ -382,12 +426,12 @@ impl Scheduler {
             // and the probe now sees the abort flag.
             next = self.dispatch_next(&mut self.inner.lock(), Some(from));
         }
-        self.grant(next);
+        next.unwrap_or(self.tasks())
     }
 
     /// Pop the earliest event whose task can run, advance the clock to it
-    /// and mark the task `Running` (`from` is the task giving the baton up,
-    /// if any). The caller grants the returned task once it has dropped
+    /// and mark the task `Running` (`from` is the task yielding, if any).
+    /// The caller switches to the returned task once it has dropped
     /// `inner`. `None` when the heap is empty.
     fn dispatch_next(&self, inner: &mut Inner, from: Option<usize>) -> Option<usize> {
         while let Some(Reverse(ev)) = inner.heap.pop() {
@@ -450,39 +494,59 @@ impl Scheduler {
         inner.stats.peak_heap_depth = inner.stats.peak_heap_depth.max(inner.heap.len() as u64);
     }
 
-    /// Hand the baton to `task` (`None`: every task is done). Called with no
-    /// lock held, and the cell's own lock is dropped before the notify, so
-    /// the woken thread finds both free. The cell has one waiter by
-    /// construction: the task's own thread.
-    fn grant(&self, task: Option<usize>) {
-        let Some(slot) = task.and_then(|t| self.slots.get(t)) else {
+    /// Switch from context `from` to context `to` (task ids, or
+    /// [`Self::tasks`] for the thread that called [`Self::run`]), carrying
+    /// each side's task-locals; returns when something switches back to
+    /// `from`. Called with no lock held, which the witness checks.
+    fn switch(&self, from: usize, to: usize) {
+        if from == to {
             return;
-        };
-        *slot.token.lock() = true;
-        slot.cv.notify_one();
-    }
-
-    /// Wait for the baton.
-    fn park(&self, task: usize) {
-        let Some(slot) = self.slots.get(task) else {
-            return;
-        };
-        let mut tok = slot.token.lock();
-        while !*tok {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the baton hand-off: the one place a DES rank thread parks"
-            )]
-            slot.cv.wait(&mut tok);
         }
-        *tok = false;
+        parking_lot::assert_no_locks_held();
+        let (Some(save), Some(target)) = (self.contexts.get(from), self.contexts.get(to)) else {
+            return;
+        };
+        // Read only by a task's first switch-in: its start record.
+        let start = self.starts.load(Ordering::Relaxed).wrapping_add(to);
+        let locals = TaskLocals::take();
+        // SAFETY: `target` holds the context `to` left when it last
+        // switched away, or its entry context (`run` prepared it); either
+        // way it has not been resumed since, because only the running
+        // context switches and each switch stores the switcher's own slot.
+        // Its stack stays mapped until `run` returns, which is after every
+        // task is done. `save` is this context's own slot.
+        unsafe { task::switch(save.as_ptr(), target.load(Ordering::Relaxed), start.cast()) };
+        locals.restore();
     }
+}
+
+/// Where every task starts: run the body, then finish.
+///
+/// # Safety
+///
+/// `start` is the task's [`Start`] record, alive until the task is done.
+unsafe extern "C" fn task_entry(start: *const u8) -> ! {
+    // SAFETY: `Scheduler::switch` passes the start record of the task it
+    // enters, and `run` holds every record, its scheduler and its body
+    // until all tasks are done, which includes this one.
+    let (sched, body, task) = unsafe {
+        let start = &*start.cast::<Start>();
+        (
+            &*start.sched,
+            *start.body.cast::<&dyn Fn(usize)>(),
+            start.task,
+        )
+    };
+    // The body handles its own panics; this one keeps any other from
+    // unwinding off the top of the stack.
+    let _ = std::panic::catch_unwind(AssertUnwindSafe(|| body(task)));
+    sched.finish(task)
 }
 
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
-            .field("tasks", &self.slots.len())
+            .field("tasks", &self.tasks())
             .field("seed", &self.seed)
             .finish()
     }
@@ -504,6 +568,7 @@ pub fn park_on<T>(cv: &Condvar, guard: &mut MutexGuard<'_, T>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::{Cell, RefCell};
 
     fn sched(tasks: usize, seed: u64) -> Arc<Scheduler> {
         Scheduler::new(tasks, seed, Arc::new(Clock::virtual_at(0)))
@@ -548,16 +613,13 @@ mod tests {
     #[test]
     fn single_task_runs_and_sleeps_in_virtual_time() {
         let s = sched(1, 42);
-        let s2 = Arc::clone(&s);
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                s2.wait_for_start(0);
-                s2.sleep(0, Duration::from_millis(7));
-                assert_eq!(s2.clock().now_ns(), 7_000_000);
-                s2.finish(0);
-            });
-            s.start();
-        });
+        let seen = Cell::new(0);
+        s.run(&|task| {
+            s.sleep(task, Duration::from_millis(7));
+            seen.set(s.clock().now_ns());
+        })
+        .unwrap();
+        assert_eq!(seen.get(), 7_000_000);
         assert_eq!(s.clock().now_ns(), 7_000_000);
     }
 
@@ -567,62 +629,98 @@ mod tests {
         // schedule is a pure function of the seed.
         for _ in 0..8 {
             let s = sched(2, 7);
-            let flag = Arc::new(Mutex::new(false));
-            let (s0, s1) = (Arc::clone(&s), Arc::clone(&s));
-            let (f0, f1) = (Arc::clone(&flag), Arc::clone(&flag));
-            std::thread::scope(|scope| {
-                scope.spawn(move || {
-                    s0.wait_for_start(0);
-                    while !*f0.lock() {
-                        s0.yield_blocked(0);
+            let flag = Cell::new(false);
+            let order = RefCell::new(Vec::new());
+            s.run(&|task| {
+                if task == 0 {
+                    while !flag.get() {
+                        s.yield_blocked(0);
                     }
-                    s0.finish(0);
-                });
-                scope.spawn(move || {
-                    s1.wait_for_start(1);
-                    s1.sleep(1, Duration::from_millis(3));
-                    *f1.lock() = true;
-                    s1.wake(0);
-                    s1.finish(1);
-                });
-                s.start();
-            });
+                } else {
+                    s.sleep(1, Duration::from_millis(3));
+                    flag.set(true);
+                    s.wake(0);
+                }
+                order.borrow_mut().push(task);
+            })
+            .unwrap();
             assert_eq!(s.clock().now_ns(), 3_000_000);
+            assert_eq!(*order.borrow(), [1, 0]);
         }
     }
 
     #[test]
     fn deadlock_hook_fires_when_heap_drains() {
         let s = sched(2, 1);
-        let fired = Arc::new(Mutex::new(false));
         let released = Arc::new(Mutex::new(false));
         {
-            let (s2, fired, released) = (Arc::clone(&s), Arc::clone(&fired), Arc::clone(&released));
+            let (s2, released) = (Arc::clone(&s), Arc::clone(&released));
             s.set_deadlock_hook(move || {
-                *fired.lock() = true;
                 *released.lock() = true;
                 s2.wake_all();
             });
         }
-        let (s0, s1) = (Arc::clone(&s), Arc::clone(&s));
-        let (r0, r1) = (Arc::clone(&released), Arc::clone(&released));
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                s0.wait_for_start(0);
-                while !*r0.lock() {
-                    s0.yield_blocked(0);
-                }
-                s0.finish(0);
-            });
-            scope.spawn(move || {
-                s1.wait_for_start(1);
-                while !*r1.lock() {
-                    s1.yield_blocked(1);
-                }
-                s1.finish(1);
-            });
-            s.start();
-        });
-        assert!(*fired.lock(), "deadlock hook must fire");
+        let finished = Cell::new(0);
+        s.run(&|task| {
+            while !*released.lock() {
+                s.yield_blocked(task);
+            }
+            finished.set(finished.get() + 1);
+        })
+        .unwrap();
+        assert!(*released.lock(), "deadlock hook must fire");
+        assert_eq!(finished.get(), 2);
+        s.clear_hooks();
+    }
+
+    #[test]
+    fn a_deadlock_nothing_resolves_is_an_error() {
+        let s = sched(2, 1);
+        let err = s.run(&|task| s.yield_blocked(task)).unwrap_err();
+        assert!(err.to_string().contains("blocked"), "{err}");
+    }
+
+    #[test]
+    fn a_panicking_task_ends_alone() {
+        let s = sched(3, 5);
+        let finished = Cell::new(0);
+        s.run(&|task| {
+            s.sleep(task, Duration::from_millis(1));
+            if task == 1 {
+                panic!("task 1 fails");
+            }
+            s.sleep(task, Duration::from_millis(1));
+            finished.set(finished.get() + 1);
+        })
+        .unwrap();
+        assert_eq!(finished.get(), 2);
+    }
+
+    #[test]
+    fn each_task_keeps_its_own_virtual_sleeper() {
+        // Every task installs a sleeper that records its id, then sleeps
+        // through the cluster's time scale after the others have installed
+        // theirs: each call must reach the caller's own hook.
+        let s = sched(4, 9);
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let driver = cluster::install_virtual_sleeper(Arc::new(|_| {}));
+        s.run(&|task| {
+            let (s2, calls2) = (Arc::clone(&s), Arc::clone(&calls));
+            let _guard = cluster::install_virtual_sleeper(Arc::new(move |d| {
+                calls2.lock().push(task);
+                s2.sleep(task, d);
+            }));
+            s.sleep(task, Duration::from_nanos(1));
+            cluster::TimeScale::instant().sleep(Duration::from_millis(1 + task as u64));
+        })
+        .unwrap();
+        // The launching thread's own hook was out of the way, and is back.
+        let back = cluster::take_virtual_sleeper();
+        assert!(back.is_some());
+        cluster::put_virtual_sleeper(back);
+        drop(driver);
+        let mut calls = calls.lock().clone();
+        calls.sort_unstable();
+        assert_eq!(calls, [0, 1, 2, 3]);
     }
 }

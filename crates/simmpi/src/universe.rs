@@ -1,13 +1,14 @@
-//! Job launch: one OS thread per MPI rank.
+//! Job launch: one OS thread per MPI rank, or one task per rank under DES.
 //!
-//! [`Universe::launch`] is the `mpirun` of the simulation. It spawns the
-//! rank threads, hands each a [`RankCtx`], runs the application closure, and
+//! [`Universe::launch`] is the `mpirun` of the simulation. It starts the
+//! ranks, hands each a [`RankCtx`], runs the application closure, and
 //! collects per-rank outcomes plus the job's wall time. When a rank fails
 //! and `abort_on_failure` is set (plain-MPI semantics, used by the paper's
 //! relaunch-based baselines), the whole job is aborted — surviving ranks
 //! observe [`MpiError::Aborted`] and unwind, exactly like `MPI_Abort` after
 //! an unhandled fault.
 
+use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -178,7 +179,7 @@ impl LaunchReport {
 pub struct Universe;
 
 impl Universe {
-    /// Launch `cluster.total_ranks()` rank threads running `f`.
+    /// Launch `cluster.total_ranks()` ranks running `f`.
     ///
     /// `f` is invoked once per rank. A rank returning `Err` signals failure:
     /// with `abort_on_failure` the remaining ranks are aborted. Panics in
@@ -254,101 +255,92 @@ impl Universe {
         let start_ns = clock.now_ns();
         let tier_keys = || cluster.pfs().keys_examined() + cluster.scratch().keys_examined();
         let tier_keys_before = tier_keys();
-        let mut outcomes: Vec<Option<RankOutcome>> = Vec::new();
-        outcomes.resize_with(n, || None);
-
         // One world group for all ranks' handles.
         let world_group = Arc::new(Group::new((0..n).collect()));
         let lock_order_violation = parking_lot::Mutex::new(None);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the launch: one OS thread per rank, joined before it returns"
-        )]
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for rank in 0..n {
-                let router = Arc::clone(&router);
-                let world_group = Arc::clone(&world_group);
-                let fault = Arc::clone(&fault);
-                let f = &f;
-                let config = &config;
-                let sched = sched.clone();
-                let phase_time = &phase_time;
-                let lock_order_violation = &lock_order_violation;
-                handles.push(scope.spawn(move || {
-                    // Under DES this rank is a cooperative task: its modeled
-                    // sleeps become scheduler events, and it runs only while
-                    // it holds the baton.
-                    let _rank_sleeper = sched.as_ref().map(|s| {
-                        let s = Arc::clone(s);
-                        cluster::install_virtual_sleeper(Arc::new(move |modeled: Duration| {
-                            s.sleep(rank, modeled);
-                        }))
-                    });
-                    if let Some(s) = &sched {
-                        s.wait_for_start(rank);
+        // One rank's whole life, on whichever engine runs it.
+        let run_rank = |rank: usize| -> RankOutcome {
+            // Under DES this rank is a cooperative task: its modeled sleeps
+            // become scheduler events.
+            let _rank_sleeper = sched.as_ref().map(|s| {
+                let s = Arc::clone(s);
+                cluster::install_virtual_sleeper(Arc::new(move |modeled: Duration| {
+                    s.sleep(rank, modeled);
+                }))
+            });
+            let recorder = Arc::new(match &config.telemetry {
+                Some(tel) => {
+                    let rec = tel.recorder(rank);
+                    router.set_recorder(rank, rec.clone());
+                    rec
+                }
+                None => Recorder::phases_only(phase_time.clone()),
+            });
+            let mut ctx = RankCtx {
+                rank,
+                world: Comm::on_group(Arc::clone(&router), 0, 0, Arc::clone(&world_group), rank),
+                router: Arc::clone(&router),
+                fault: Arc::clone(&fault),
+                recorder: Arc::clone(&recorder),
+            };
+            let result = match std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
+                Ok(r) => r,
+                Err(payload) => {
+                    // A panicking rank is indistinguishable from a crash:
+                    // mark it dead so peers observe it. A lock-order
+                    // violation is a bug, not a fault: the launch re-raises
+                    // it once every rank is done.
+                    router.kill(rank);
+                    if is_lock_order_violation(payload.as_ref()) {
+                        lock_order_violation.lock().get_or_insert(payload);
                     }
-                    let recorder = Arc::new(match &config.telemetry {
-                        Some(tel) => {
-                            let rec = tel.recorder(rank);
-                            router.set_recorder(rank, rec.clone());
-                            rec
-                        }
-                        None => Recorder::phases_only(phase_time.clone()),
-                    });
-                    let mut ctx = RankCtx {
-                        rank,
-                        world: Comm::on_group(Arc::clone(&router), 0, 0, world_group, rank),
-                        router: Arc::clone(&router),
-                        fault,
-                        recorder: Arc::clone(&recorder),
-                    };
-                    let result = match std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
-                        Ok(r) => r,
-                        Err(payload) => {
-                            // A panicking rank is indistinguishable from a
-                            // crash: mark it dead so peers observe it. A
-                            // lock-order violation is a bug, not a fault:
-                            // the launch re-raises it once every rank is done.
-                            router.kill(rank);
-                            if is_lock_order_violation(payload.as_ref()) {
-                                lock_order_violation.lock().get_or_insert(payload);
-                            }
-                            Err(MpiError::Killed)
-                        }
-                    };
-                    if result.is_err() && config.abort_on_failure {
-                        router.abort();
-                    }
-                    if let Some(s) = &sched {
-                        // Release the baton for good: the next event (or
-                        // the deadlock hook) takes over.
-                        s.finish(rank);
-                    }
-                    RankOutcome {
-                        rank,
-                        result,
-                        recorder,
-                    }
-                }));
+                    Err(MpiError::Killed)
+                }
+            };
+            if result.is_err() && config.abort_on_failure {
+                router.abort();
             }
-            if let Some(s) = &sched {
-                // All rank threads exist (parked on their batons): seed a
-                // start event per task and dispatch the first. The launch
-                // then runs entirely on baton hand-offs.
-                s.start();
+            RankOutcome {
+                rank,
+                result,
+                recorder,
             }
-            for (rank, h) in handles.into_iter().enumerate() {
-                let outcome = h.join().unwrap_or_else(|_| RankOutcome {
-                    rank,
-                    result: Err(MpiError::Killed),
-                    recorder: Arc::default(),
-                });
-                #[expect(clippy::indexing_slicing, reason = "one outcome slot per rank")]
-                let slot = &mut outcomes[rank];
-                *slot = Some(outcome);
+        };
+        let mut outcomes: Vec<Option<RankOutcome>> = Vec::new();
+        outcomes.resize_with(n, || None);
+        match &sched {
+            // Every rank a task on this thread's scheduler: the launch runs
+            // entirely on stack switches.
+            Some(s) => {
+                let slots = RefCell::new(&mut outcomes);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a launch that cannot map its rank stacks runs no rank"
+                )]
+                s.run(&|rank| {
+                    let outcome = run_rank(rank);
+                    if let Some(slot) = slots.borrow_mut().get_mut(rank) {
+                        *slot = Some(outcome);
+                    }
+                })
+                .expect("DES launch");
             }
-        });
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the threads engine: one OS thread per rank, joined before it returns"
+            )]
+            None => std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..n)
+                    .map(|rank| {
+                        let run_rank = &run_rank;
+                        scope.spawn(move || run_rank(rank))
+                    })
+                    .collect();
+                for (slot, h) in outcomes.iter_mut().zip(handles) {
+                    *slot = h.join().ok();
+                }
+            }),
+        }
 
         // Break the scheduler↔router reference cycle.
         if let Some(s) = &sched {
@@ -384,6 +376,8 @@ impl Universe {
                 .add(counts.purge_mailboxes.load(Ordering::Relaxed));
             m.counter(names::SIMMPI_RENDEZVOUS_SCANNED)
                 .add(counts.rendezvous_scanned.load(Ordering::Relaxed));
+            m.counter(names::SIMMPI_GROUPS_BUILT)
+                .add(counts.groups_built.load(Ordering::Relaxed));
             m.counter(names::SIMMPI_RENDEZVOUS_IN_FLIGHT)
                 .add(router.agreements_in_flight() as u64);
             m.counter(names::CLUSTER_TIER_KEYS_EXAMINED)
@@ -391,8 +385,19 @@ impl Universe {
         }
 
         LaunchReport {
-            #[expect(clippy::expect_used, reason = "every rank's thread was joined")]
-            outcomes: outcomes.into_iter().map(|o| o.expect("joined")).collect(),
+            // A slot left empty is a rank whose thread or task died outside
+            // its body's panic guard: a crash like any other.
+            outcomes: outcomes
+                .into_iter()
+                .enumerate()
+                .map(|(rank, o)| {
+                    o.unwrap_or_else(|| RankOutcome {
+                        rank,
+                        result: Err(MpiError::Killed),
+                        recorder: Arc::default(),
+                    })
+                })
+                .collect(),
             wall,
             aborted: router.is_aborted(),
         }

@@ -34,7 +34,7 @@ pub mod names {
     // the launches of a run (the peak gauge keeps the largest).
     /// DES events dispatched: `SCHED_HANDOFFS` + `SCHED_SELF_DISPATCHES`.
     pub const SCHED_EVENTS_DISPATCHED: &str = "sched.events_dispatched";
-    /// Dispatches that passed the baton to another rank's thread.
+    /// Dispatches that switched to another rank's task.
     pub const SCHED_HANDOFFS: &str = "sched.handoffs";
     /// Dispatches whose next event belonged to the yielding rank itself.
     pub const SCHED_SELF_DISPATCHES: &str = "sched.self_dispatches";
@@ -51,6 +51,9 @@ pub mod names {
     pub const SIMMPI_PURGE_MAILBOXES: &str = "simmpi.purge_mailboxes";
     /// Group members examined by rendezvous pick-ups (one each: the caller).
     pub const SIMMPI_RENDEZVOUS_SCANNED: &str = "simmpi.rendezvous_members_scanned";
+    /// Member lists built for groups that `Router::share_group` shares: one
+    /// per communicator, not one per rank that joins it.
+    pub const SIMMPI_GROUPS_BUILT: &str = "simmpi.groups_built";
     /// Agreement entries still in the rendezvous table when a launch ended
     /// (an agreement some participant abandoned, or a leak).
     pub const SIMMPI_RENDEZVOUS_IN_FLIGHT: &str = "simmpi.rendezvous_in_flight";

@@ -34,9 +34,11 @@ use crate::client::VelocError;
 
 /// One checkpoint blob on its way scratch→PFS.
 pub(crate) struct FlushJob {
+    /// `"{name}/v{version}/r{rank}"`.
     pub(crate) path: String,
+    /// The checkpoint name's length: the prefix of `path` it occupies.
+    pub(crate) name_len: usize,
     pub(crate) blob: Bytes,
-    pub(crate) name: String,
     pub(crate) version: u64,
     /// Stamps the completion ([`Event::FlushDone`]) when the blob lands.
     pub(crate) rec: Recorder,
@@ -57,8 +59,8 @@ pub(crate) fn flush(cluster: &Cluster, rank: usize, job: FlushJob) {
         .unwrap_or(job.blob);
     cluster.network().egress(rank, bytes);
     cluster.pfs().write(&job.path, blob);
-    job.rec.emit(Event::FlushDone {
-        name: job.name,
+    job.rec.emit_with(|| Event::FlushDone {
+        name: job.path.get(..job.name_len).unwrap_or_default().to_owned(),
         version: job.version,
         bytes: bytes as u64,
     });
@@ -198,14 +200,15 @@ impl ActiveBackend {
         &self,
         path: String,
         blob: Bytes,
-        name: String,
+        name: &str,
         version: u64,
         rec: Recorder,
     ) {
+        debug_assert!(path.starts_with(name), "{path} is not under {name}");
         let job = FlushJob {
             path,
+            name_len: name.len(),
             blob,
-            name,
             version,
             rec,
         };
@@ -294,7 +297,7 @@ mod tests {
         b.enqueue_flush(
             "ck/v1/r0".into(),
             Bytes::from_static(b"data"),
-            "ck".into(),
+            "ck",
             1,
             Recorder::disabled(),
         );
@@ -310,7 +313,7 @@ mod tests {
             b.enqueue_flush(
                 format!("ck/v{v}/r0"),
                 Bytes::from(vec![0u8; 100]),
-                "ck".into(),
+                "ck",
                 v,
                 Recorder::disabled(),
             );
@@ -328,7 +331,7 @@ mod tests {
             b.enqueue_flush(
                 "ck/v1/r1".into(),
                 Bytes::from_static(b"x"),
-                "ck".into(),
+                "ck",
                 1,
                 Recorder::disabled(),
             );
@@ -339,8 +342,8 @@ mod tests {
     fn job(path: &str, blob: Bytes, version: u64) -> FlushJob {
         FlushJob {
             path: path.to_owned(),
+            name_len: "ck".len(),
             blob,
-            name: "ck".into(),
             version,
             rec: Recorder::disabled(),
         }
@@ -415,7 +418,7 @@ mod tests {
             b.enqueue_flush(
                 format!("ck/v{v}/r0"),
                 Bytes::from(vec![v as u8; 16]),
-                "ck".into(),
+                "ck",
                 v,
                 Recorder::disabled(),
             )

@@ -14,7 +14,8 @@
 //! pays a remote read while survivors restore from scratch. This asymmetry
 //! is central to the paper's recovery-cost results.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -37,9 +38,10 @@ pub const MAX_DELTA_DEPTH: usize = 8;
 struct ChainState {
     /// Version the stamps below were committed under.
     version: u64,
-    /// Region id → dirty-tracking stamp at commit time. `None` stamps mean
-    /// the region does not support tracking and is re-sent every time.
-    gens: BTreeMap<u32, Option<u64>>,
+    /// Region id → dirty-tracking stamp at commit time, ascending by id.
+    /// `None` stamps mean the region does not support tracking and is
+    /// re-sent every time.
+    gens: Vec<(u32, Option<u64>)>,
     /// Delta-chain length ending at `version` (0 = full frame).
     depth: usize,
 }
@@ -127,12 +129,14 @@ pub struct Client {
     physical_rank: usize,
     /// Logical rank: checkpoint naming. Mutable across Fenix repairs.
     logical_rank: Mutex<usize>,
-    regions: Mutex<BTreeMap<u32, Arc<dyn Protected>>>,
+    /// The protection table, ascending by region id, one entry per id.
+    regions: Mutex<Vec<(u32, Arc<dyn Protected>)>>,
     /// Per-name delta bookkeeping ([`ChainState`]). Cleared by
     /// [`Client::invalidate_deltas`] whenever the rank can no longer vouch
     /// for the base a delta would reference (logical-rank change, context
     /// reset).
-    chains: Mutex<HashMap<String, ChainState>>,
+    /// One entry per checkpoint name, a handful at most: found by a scan.
+    chains: Mutex<Vec<(String, ChainState)>>,
     /// `None` when flushing synchronously — either by configuration or
     /// because the backend thread could not be spawned (see `spawn_error`).
     backend: Option<ActiveBackend>,
@@ -168,8 +172,8 @@ impl Client {
             cluster,
             physical_rank,
             logical_rank: Mutex::new(physical_rank),
-            regions: Mutex::new(BTreeMap::new()),
-            chains: Mutex::new(HashMap::new()),
+            regions: Mutex::new(Vec::new()),
+            chains: Mutex::new(Vec::new()),
             backend,
             spawn_error,
             recorder: Mutex::new(Recorder::disabled()),
@@ -245,7 +249,15 @@ impl Client {
             name: id.to_string(),
             bytes: region.byte_len() as u64,
         });
-        self.regions.lock().insert(id, region);
+        let mut regions = self.regions.lock();
+        match regions.binary_search_by_key(&id, |(id, _)| *id) {
+            Ok(i) => {
+                if let Some(slot) = regions.get_mut(i) {
+                    slot.1 = region;
+                }
+            }
+            Err(i) => regions.insert(i, (id, region)),
+        }
     }
 
     /// Drop every protected region (used by a Kokkos Resilience context
@@ -266,7 +278,7 @@ impl Client {
     /// entry, in one lock acquisition. Kokkos Resilience re-registers
     /// every captured view before each checkpoint; routing that through
     /// here keeps re-registration cheap and delta-friendly.
-    pub fn protect_exact(&self, entries: Vec<(u32, Arc<dyn Protected>)>) {
+    pub fn protect_exact(&self, mut entries: Vec<(u32, Arc<dyn Protected>)>) {
         let rec = self.recorder();
         for (id, region) in &entries {
             rec.emit_with(|| Event::Protect {
@@ -274,9 +286,16 @@ impl Client {
                 bytes: region.byte_len() as u64,
             });
         }
-        let mut regions = self.regions.lock();
-        regions.clear();
-        regions.extend(entries);
+        // Ascending by id; of two entries under one id the later wins.
+        entries.sort_by_key(|(id, _)| *id);
+        entries.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(later, kept);
+            }
+            same
+        });
+        *self.regions.lock() = entries;
     }
 
     /// Number of protected regions.
@@ -306,31 +325,43 @@ impl Client {
             version,
         });
         self.checkpoint_wait();
-        // Snapshot the region *handles* under the lock and pack outside
+        // One pass over the protection table, under its lock: each
+        // region's handle and stamp, ascending by id. The pack runs outside
         // it, so a concurrent `protect` from another thread never stalls
-        // behind a large pack.
-        let handles: Vec<(u32, Arc<dyn Protected>)> = {
-            let regions = self.regions.lock();
-            regions.iter().map(|(&id, r)| (id, Arc::clone(r))).collect()
+        // behind a large pack. Stamps are read *before* snapshotting.
+        // Writers re-stamp before taking their data lock, so this order
+        // means a racing write is either fully visible in the snapshot or
+        // re-stamps afterwards and dirties the next checkpoint — never
+        // silently skipped.
+        let mut handles = Vec::new();
+        let mut gens = Vec::new();
+        for (id, region) in self.regions.lock().iter() {
+            let id = *id;
+            gens.push((id, region.generation()));
+            handles.push((id, Arc::clone(region)));
+        }
+        let protected: usize = match rec.metrics() {
+            Some(_) => handles.iter().map(|(_, r)| r.byte_len()).sum(),
+            None => 0,
         };
-        // Read stamps *before* snapshotting. Writers re-stamp before
-        // taking their data lock, so this order means a racing write is
-        // either fully visible in the snapshot or re-stamps afterwards and
-        // dirties the next checkpoint — never silently skipped.
-        let gens: Vec<(u32, Option<u64>)> = handles
-            .iter()
-            .map(|(id, r)| (*id, r.generation()))
-            .collect();
         let (base, depth, unchanged) = self.plan_delta(name, version, &gens);
-        let unchanged_set: BTreeSet<u32> = unchanged.iter().copied().collect();
-        let changed: Vec<(u32, Arc<dyn Protected>)> = handles
-            .iter()
-            .filter(|(id, _)| !unchanged_set.contains(id))
-            .map(|(id, r)| (*id, Arc::clone(r)))
-            .collect();
-        let blob = serial::pack(self.cluster.pool(), base, &changed, &unchanged);
+        let unchanged: Vec<u32> = match unchanged {
+            Some(flags) => {
+                let mut ids = Vec::new();
+                let mut flags = flags.into_iter();
+                handles.retain(|(id, _)| {
+                    let same = flags.next().unwrap_or(false);
+                    if same {
+                        ids.push(*id);
+                    }
+                    !same
+                });
+                ids
+            }
+            None => Vec::new(),
+        };
+        let blob = serial::pack(self.cluster.pool(), base, &handles, &unchanged);
         if let Some(metrics) = rec.metrics() {
-            let protected: usize = handles.iter().map(|(_, r)| r.byte_len()).sum();
             metrics
                 .counter(telemetry::names::VELOC_BYTES_PROTECTED)
                 .add(protected as u64);
@@ -354,14 +385,17 @@ impl Client {
             .write(self.node(), &path, scratch_blob);
         // Commit the stamps only after the blob exists on scratch: this
         // version is now a legitimate base for the next delta.
-        self.chains.lock().insert(
-            name.to_owned(),
-            ChainState {
-                version,
-                gens: gens.into_iter().collect(),
-                depth,
-            },
-        );
+        let chain = ChainState {
+            version,
+            gens,
+            depth,
+        };
+        let mut chains = self.chains.lock();
+        match chains.iter_mut().find(|(n, _)| n == name) {
+            Some((_, state)) => *state = chain,
+            None => chains.push((name.to_owned(), chain)),
+        }
+        drop(chains);
         rec.emit_with(|| Event::CheckpointLocal {
             name: name.to_owned(),
             version,
@@ -372,12 +406,12 @@ impl Client {
                 name: name.to_owned(),
                 version,
             });
-            backend.enqueue_flush(path, blob, name.to_owned(), version, rec);
+            backend.enqueue_flush(path, blob, name, version, rec);
         } else {
             let job = FlushJob {
                 path,
+                name_len: name.len(),
                 blob,
-                name: name.to_owned(),
                 version,
                 rec,
             };
@@ -388,7 +422,8 @@ impl Client {
 
     /// Decide the delta plan for the next checkpoint of `name`: the base
     /// version to reference (`None` = full frame), the resulting chain
-    /// depth, and the ids to carry as unchanged.
+    /// depth, and, for a delta, which of `gens` (ascending by id) to carry
+    /// as unchanged.
     ///
     /// A region counts as unchanged only under the strictest reading: the
     /// committed state is for an older version of the same name, the region
@@ -400,29 +435,36 @@ impl Client {
         name: &str,
         version: u64,
         gens: &[(u32, Option<u64>)],
-    ) -> (Option<u64>, usize, Vec<u32>) {
+    ) -> (Option<u64>, usize, Option<Vec<bool>>) {
         let chains = self.chains.lock();
-        let Some(committed) = chains.get(name) else {
-            return (None, 0, Vec::new());
+        let Some((_, committed)) = chains.iter().find(|(n, _)| n == name) else {
+            return (None, 0, None);
         };
         let ids_match = committed.gens.len() == gens.len()
-            && gens.iter().all(|(id, _)| committed.gens.contains_key(id));
+            && committed
+                .gens
+                .iter()
+                .zip(gens)
+                .all(|((a, _), (b, _))| a == b);
         if committed.version >= version || committed.depth >= MAX_DELTA_DEPTH || !ids_match {
-            return (None, 0, Vec::new());
+            return (None, 0, None);
         }
-        let unchanged: Vec<u32> = gens
+        let unchanged: Vec<bool> = committed
+            .gens
             .iter()
-            .filter(|(id, g)| {
-                g.is_some() && committed.gens.get(id).map(|c| *c == *g).unwrap_or(false)
-            })
-            .map(|(id, _)| *id)
+            .zip(gens)
+            .map(|((_, c), (_, g))| g.is_some() && c == g)
             .collect();
-        if unchanged.is_empty() {
+        if !unchanged.contains(&true) {
             // Nothing to reference: a delta frame would only add a chain
             // dependency without saving a byte.
-            return (None, 0, Vec::new());
+            return (None, 0, None);
         }
-        (Some(committed.version), committed.depth + 1, unchanged)
+        (
+            Some(committed.version),
+            committed.depth + 1,
+            Some(unchanged),
+        )
     }
 
     /// Block until all asynchronous flushes complete. A no-op when flushing
@@ -453,7 +495,15 @@ impl Client {
             .collect();
         versions.sort_unstable();
         versions.dedup();
-        versions.retain(|&v| self.version_available(name, v));
+        // One path buffer for every probe: `"{name}/v{version}/r{rank}"`.
+        let rank = self.logical_rank();
+        let mut path = dir;
+        let dir_len = path.len();
+        versions.retain(|&v| {
+            path.truncate(dir_len);
+            // Writing into a `String` cannot fail.
+            write!(path, "v{v}/r{rank}").is_ok() && self.available_at(&path)
+        });
         versions
     }
 
@@ -465,8 +515,13 @@ impl Client {
 
     /// Whether checkpoint `name`/`version` is reachable by this rank.
     pub fn version_available(&self, name: &str, version: u64) -> bool {
-        let path = self.path(name, version);
-        self.cluster.scratch().exists(self.node(), &path) || self.cluster.pfs().exists(&path)
+        self.available_at(&self.path(name, version))
+    }
+
+    /// Whether a checkpoint is stored at `path` on this rank's scratch or
+    /// on the PFS.
+    fn available_at(&self, path: &str) -> bool {
+        self.cluster.scratch().exists(self.node(), path) || self.cluster.pfs().exists(path)
     }
 
     /// Book `bytes` of payload as submitted to read-side checksum
@@ -801,7 +856,12 @@ impl Client {
             ..RestartReport::default()
         };
         for (id, payload) in payloads {
-            let region = regions.get(&id).ok_or(VelocError::UnknownRegion { id })?;
+            let region = regions
+                .binary_search_by_key(&id, |(id, _)| *id)
+                .ok()
+                .and_then(|i| regions.get(i))
+                .map(|(_, region)| region)
+                .ok_or(VelocError::UnknownRegion { id })?;
             region.restore(&payload);
             report.regions += 1;
             report.bytes_restored += payload.len() as u64;
@@ -811,52 +871,6 @@ impl Client {
         report.verify_ns = t_verify.saturating_sub(t_read);
         report.apply_ns = t_apply.saturating_sub(t_verify);
         Ok(report)
-    }
-
-    /// Drop all but the newest `keep_last` versions of `name` reachable by
-    /// this rank, from both storage tiers (VeloC's bounded checkpoint
-    /// history). Returns how many versions were removed.
-    ///
-    /// Chain-aware: a version an incremental frame (transitively) chains to
-    /// is kept even when it falls below the cutoff — removing a base makes
-    /// every delta above it unrestorable. [`MAX_DELTA_DEPTH`] bounds how far
-    /// a kept version can pin history.
-    pub fn prune(&self, name: &str, keep_last: usize) -> usize {
-        self.checkpoint_wait();
-        let versions = self.versions(name);
-        if versions.len() <= keep_last {
-            return 0;
-        }
-        let (dropped, kept) = versions.split_at(versions.len() - keep_last);
-        // Transitive bases of every kept version must survive the prune.
-        let mut needed: BTreeSet<u64> = kept.iter().copied().collect();
-        for &kept in kept {
-            let mut v = kept;
-            // Meta alone: its CRC covers `base_version`, and a damaged
-            // payload must not cut the walk short and orphan the bases.
-            while let Some(meta) = self.read_meta(name, v, false) {
-                match meta.base_version {
-                    Some(base) if base < v => {
-                        needed.insert(base);
-                        v = base;
-                    }
-                    _ => break,
-                }
-            }
-        }
-        let mut removed = 0;
-        for &v in dropped {
-            if needed.contains(&v) {
-                continue;
-            }
-            let path = self.path(name, v);
-            let s = self.cluster.scratch().remove(self.node(), &path);
-            let p = self.cluster.pfs().remove(&path);
-            if s || p {
-                removed += 1;
-            }
-        }
-        removed
     }
 
     /// Finalize: drain outstanding flushes. (Also happens on drop.)
@@ -1091,80 +1105,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_keeps_newest_versions() {
-        let c = cluster(1);
-        let cl = client(&c, 0);
-        let r = VecRegion::new(vec![1u8; 4]);
-        cl.protect(0, Arc::new(r.clone()));
-        for v in [1u64, 3, 5, 9] {
-            // Dirty the region so every frame is full and self-contained;
-            // chain-aware retention is covered separately below.
-            r.lock()[0] = v as u8;
-            cl.checkpoint("pr", v).unwrap();
-        }
-        cl.checkpoint_wait();
-        assert_eq!(cl.prune("pr", 2), 2);
-        assert!(!cl.version_available("pr", 1));
-        assert!(!cl.version_available("pr", 3));
-        assert!(cl.version_available("pr", 5));
-        assert!(cl.version_available("pr", 9));
-        assert_eq!(cl.latest_version("pr"), Some(9));
-        // Pruning again removes nothing.
-        assert_eq!(cl.prune("pr", 2), 0);
-    }
-
-    #[test]
-    fn prune_preserves_delta_bases() {
-        let c = cluster(1);
-        let cl = client(&c, 0);
-        let hot = VecRegion::new(vec![0u8; 8]);
-        cl.protect(0, Arc::new(hot.clone()));
-        cl.protect(1, Arc::new(VecRegion::new(vec![7u8; 8]))); // never written
-        for v in [1u64, 2, 3] {
-            hot.lock()[0] = v as u8;
-            cl.checkpoint("pr", v).unwrap();
-        }
-        cl.checkpoint_wait();
-        // v2 and v3 are deltas chaining back to the full frame at v1, so a
-        // keep-last-1 prune must keep the whole chain alive.
-        assert_eq!(cl.prune("pr", 1), 0);
-        assert!(cl.version_available("pr", 1));
-        hot.lock().iter_mut().for_each(|x| *x = 0);
-        assert_eq!(cl.restart("pr", 3).unwrap(), 2);
-        assert_eq!(hot.lock()[0], 3);
-    }
-
-    #[test]
-    fn prune_walks_chains_by_meta_alone() {
-        // A full frame at v1 and deltas at v2 and v3; v3's payload is then
-        // damaged on both tiers. Keeping v3 keeps both its bases, and the
-        // walk that finds them checksums no payload.
-        let c = cluster(1);
-        let cl = Client::init(c.clone(), 0, Config { async_flush: false });
-        let tel = telemetry::Telemetry::new(telemetry::TelemetryConfig::default());
-        cl.set_recorder(tel.recorder(0));
-        let hot = VecRegion::new(vec![0u8; 8]);
-        cl.protect(0, Arc::new(hot.clone()));
-        cl.protect(1, Arc::new(VecRegion::new(vec![7u8; 8])));
-        for v in [1u64, 2, 3] {
-            hot.lock()[0] = v as u8;
-            cl.checkpoint("pr", v).unwrap();
-        }
-        let path = "pr/v3/r0";
-        let mut raw = c.pfs().read(path).unwrap().0.to_vec();
-        let last = raw.len() - 1;
-        raw[last] ^= 0xFF;
-        c.scratch().write(0, path, Bytes::from(raw.clone()));
-        c.pfs().write(path, Bytes::from(raw));
-        assert_eq!(cl.prune("pr", 1), 0);
-        assert!((1..=3).all(|v| cl.version_available("pr", v)));
-        let verified = tel
-            .metrics()
-            .counter(telemetry::names::VELOC_BYTES_VERIFIED);
-        assert_eq!(verified.get(), 0, "prune needs no payload checksum");
-    }
-
-    #[test]
     fn a_returned_checkpoint_means_the_previous_flush_landed() {
         // Wall clock and a 20 ms PFS: a flush is in flight long after its
         // checkpoint returned. The next checkpoint first waits for it, so
@@ -1330,18 +1270,6 @@ mod tests {
         let f2 = scratch_frame(&c, "pe", 2);
         assert_eq!(f2.base_version, Some(1));
         assert_eq!(f2.unchanged, vec![1]);
-    }
-
-    #[test]
-    fn prune_is_per_name() {
-        let c = cluster(1);
-        let cl = client(&c, 0);
-        cl.protect(0, Arc::new(VecRegion::new(vec![1u8; 4])));
-        cl.checkpoint("a", 1).unwrap();
-        cl.checkpoint("b", 1).unwrap();
-        cl.checkpoint_wait();
-        assert_eq!(cl.prune("a", 0), 1);
-        assert!(cl.version_available("b", 1));
     }
 
     /// The answer `versions` replaced, kept as its oracle: list every rank's

@@ -70,9 +70,8 @@ claim copy_crc_8m copy_then_crc_8m 1.2
 echo "bench gate: OK (checkpoint)"
 
 # The redundancy tier (its recovery_* configs launch rank threads) and the
-# DES scheduler (one rank runs at a time: left to the kernel, every baton
-# hand-off migrates between CPUs and costs ~4x, benchmark/README.md) run
-# pinned to one CPU.
+# DES scheduler (its condvar oracle migrates between CPUs on every hand-off
+# when left to the kernel) run pinned to one CPU.
 PIN=()
 if command -v taskset >/dev/null 2>&1; then
   PIN=(taskset -c "$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//')")
@@ -121,17 +120,14 @@ fi
 echo "bench gate: OK (redundancy)"
 
 bench sched BENCH_sched.json ${PIN[@]+"${PIN[@]}"}
-# The scheduler's hand-off against the bare token exchange it is built from,
-# the same 40,000 hand-offs over one Mutex<bool> + Condvar per thread, the
-# token set and the cell unlocked before the notify on both sides: what
-# either reads in nanoseconds is the container's futex latency, their ratio
-# is simmpi::sched's. Low-water marks: baton_handoff <= 1.05 x
-# condvar_pingpong (measured 0.82-0.90 over 7 runs, 34-36 ms against
-# 38-42 ms; 0.2 us more per dispatch reads 1.07; Scheduler::grant notifying
-# with the token lock held again reads 3.4-3.5, 131-134 ms against 39 —
-# the oracle does not make that mistake with it).
-claim baton_handoff condvar_pingpong 0.95 min_ns
-# The ring_* configs time a whole Universe launch (thread spawn + scheduler):
+# The scheduler's hand-off, a stack switch between two tasks on one thread,
+# against two OS threads passing a token over one Mutex<bool> + Condvar
+# each, 40,000 hand-offs a side: what the pingpong reads in nanoseconds is
+# the container's futex latency, the ratio is what running every rank on
+# one thread saves. Low-water marks: baton_handoff <= 0.15 x
+# condvar_pingpong.
+claim baton_handoff condvar_pingpong 6.67 min_ns
+# The ring_* configs time a whole Universe launch (stacks + scheduler):
 # 4x the ranks may cost a schedule at most 8x (linear with 2x slack; 16x is
 # quadratic; measured 3.7-4.8).
 claim ring_64 ring_16 0.125

@@ -10,7 +10,7 @@
 # covering the stages that ran).
 #
 # CI_QUICK=1 skips the slow benchmark gate, the benchmark/ workload runs, the
-# A/B self-comparison and the 2k-rank DES scale smoke — an inner-loop mode;
+# A/B self-comparison and the 16k-rank DES scale smoke — an inner-loop mode;
 # the full gate must pass before merge.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -77,9 +77,9 @@ doc_budget() { # file bytes
     budgets_ok=0
   fi
 }
-doc_budget DESIGN.md 116543
-doc_budget CHANGES.md 133284
-doc_budget EXPERIMENTS.md 89228
+doc_budget DESIGN.md 116378
+doc_budget CHANGES.md 132284
+doc_budget EXPERIMENTS.md 82930
 [ "$budgets_ok" -eq 1 ]
 end
 
@@ -114,7 +114,7 @@ begin "tier-1: cargo test -q"
 # every lock runs under the parking_lot shim's lock-order witness, which the
 # `--release` stages below compile out. The later stages
 # only add what needs a feature, `--release` or an env knob. The modelcheck
-# protocol suites (veloc flush, simmpi rendezvous and scheduler baton)
+# protocol suites (veloc flush and simmpi rendezvous)
 # honour env overrides for deeper sweeps here, e.g.:
 #   MC_PREEMPTION_BOUND=3 MC_DFS_CAP=500000 MC_RANDOM_EXECUTIONS=2000 scripts/ci.sh
 # (raise MC_DFS_CAP alongside the bound or the exhaustiveness assertions
@@ -135,7 +135,7 @@ cargo run -q --release -p harness --bin chaos -- \
 cargo test -q -p chaos --features chaos-mutants
 end
 
-begin "sched: 1k/2k-rank DES smoke"
+begin "sched: 1k/16k-rank DES smoke"
 # The deterministic scheduler's other proof obligations ran in tier-1 (same
 # seed => bitwise identical timeline/digest, `simmpi --test sched_props`;
 # every committed chaos reproducer's verdict and resume point on DES,
@@ -144,7 +144,9 @@ begin "sched: 1k/2k-rank DES smoke"
 # grow with the rank count, `apps --test repair_linearity`). This stage is the
 # optimised build's: a full Heatdis + Fenix/KR run at SCALE_RANKS active
 # ranks (default 1,024) with one injected failure, replayed twice for
-# bitwise equality — then, unless CI_QUICK=1, the same at twice the ranks.
+# bitwise equality — then, unless CI_QUICK=1, the same at 16,384 ranks: one
+# thread, 16,392 task stacks, two mappings each, inside the default
+# vm.max_map_count.
 # Each smoke's `scale_smoke:` line (virtual wall, digest, hand-offs, unready
 # wakes skipped, host seconds of run + replay: the EXPERIMENTS.md
 # weak-scaling rows) lands in target/scale-smoke.log. At 1,024 ranks the
@@ -158,9 +160,9 @@ scale_smoke() { # active ranks
 }
 scale_smoke "${SCALE_RANKS:-1024}"
 if [ "${CI_QUICK:-0}" = "1" ]; then
-  echo "CI_QUICK=1: skipping the $(( ${SCALE_RANKS:-1024} * 2 ))-rank scale smoke"
+  echo "CI_QUICK=1: skipping the 16384-rank scale smoke"
 else
-  scale_smoke $(( ${SCALE_RANKS:-1024} * 2 ))
+  scale_smoke 16384
 fi
 end
 
@@ -215,7 +217,7 @@ begin "bench gate: checkpoint + redundancy + sched + restart + minimd + heatdis"
 # portable kernels they are made of, the 8-frame chain walk against the full
 # restore, the CRC and GF(256) dispatches against their portable kernels and
 # those against their definitional forms, the coded encodes and rebuilds
-# against each other and a plain copy, the baton against a bare condvar
+# against each other and a plain copy, the task switch against a bare condvar
 # ping-pong, schedule and repair cost against rank count, MiniMD's
 # neighbor search and force loop against their pair-at-a-time definitions,
 # and Heatdis's in-place sweep against its two-buffer oracle (bit-equal
