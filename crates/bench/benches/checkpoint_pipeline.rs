@@ -13,6 +13,7 @@
 //! `copy_then_crc_8m`, the whole copy and then `serial::crc32` of it,
 //! which reads the copy back from L3 or memory.
 
+use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 use bench::{bench_cluster, elapsed_ns, measure, write_results};
@@ -152,18 +153,17 @@ fn main() {
     ));
     // Into a destination already faulted in, as a recycled frame is.
     let src: Vec<u8> = (0..PAYLOAD_BYTES).map(|i| (i * 31 + 7) as u8).collect();
-    let mut dst = vec![0u8; PAYLOAD_BYTES];
+    let mut dst = vec![MaybeUninit::new(0u8); PAYLOAD_BYTES];
     let want = serial::crc32(&src);
-    let mut time_pass = |name: &str, pass: &dyn Fn(&mut [u8]) -> u32| {
+    let mut time_pass = |name: &str, pass: &dyn Fn(&mut [MaybeUninit<u8>]) -> u32| {
         assert_eq!(pass(&mut dst), want, "{name}");
         let median_ns = measure(8, 101, || elapsed_ns(|| pass(&mut dst))).median_ns;
         println!("{name:<24} median {median_ns:>10} ns");
         lines.push(format!("{{\"name\":\"{name}\",\"median_ns\":{median_ns}}}"));
     };
-    time_pass("copy_crc_8m", &|dst| serial::copy_crc(dst, &src));
+    time_pass("copy_crc_8m", &|dst| serial::copy_crc(dst, &src).1);
     time_pass("copy_then_crc_8m", &|dst| {
-        dst.copy_from_slice(&src);
-        serial::crc32(dst)
+        serial::crc32(dst.write_copy_of_slice(&src))
     });
     write_results(
         "checkpoint",

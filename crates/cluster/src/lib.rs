@@ -58,7 +58,7 @@ pub use clock::Clock;
 pub use inject::{FaultInjector, StorageTier};
 pub use net::Network;
 pub use pfs::ParallelFileSystem;
-pub use pool::{Pool, PoolBuf};
+pub use pool::{Cursor, Pool, PoolBuf, Unfilled};
 pub use relaunch::RelaunchModel;
 pub use scratch::NodeScratch;
 pub use topology::Topology;

@@ -9,22 +9,27 @@
 //!   from a Cauchy matrix (`n+m`, tolerates any `m` erasures — MDS).
 //!
 //! There is one encoder, [`Code::shard_into`]: it writes any one shard of a
-//! payload into a buffer the caller owns, reading the payload where it lies
-//! — which is how the store builds a data shard's wire frame in one pass —
-//! and one decoder, [`Code::decode_with`], which borrows the survivors and
-//! writes the payload into a buffer the caller supplies.
+//! payload into unwritten bytes the caller owns, reading the payload where
+//! it lies — which is how the store builds a data shard's wire frame in one
+//! pass — and one decoder, [`Code::decode_with`], which borrows the
+//! survivors and writes the payload into a buffer the caller supplies.
 //! [`Code::parity_into`] is the encoder's fast path for the parity half: it
 //! writes every parity shard in one pass over the payload
 //! ([`gf256::rows_into`]), and is property-tested against `shard_into` row
-//! by row. [`xor_encode`], [`rs_encode`], [`xor_decode`] and [`rs_decode`]
-//! are `shard_into` and `decode` over one `Vec` per shard.
+//! by row. Every writer takes `&mut [MaybeUninit<u8>]`, writes every byte
+//! of it without reading one, and returns it as bytes, so a buffer reaches
+//! a reader only once it is whole (`cluster::pool`). [`xor_encode`],
+//! [`rs_encode`], [`xor_decode`] and [`rs_decode`] are `shard_into` and
+//! `decode` over one `Vec` per shard.
 //!
 //! Decoding never panics on bad inputs: missing too many shards or
 //! inconsistent shard sizes surface as a typed [`CodecError`], because a
 //! multi-failure that exceeds coverage is an expected runtime outcome the
 //! resilience stack must convert into a clean job-level error.
 
-use std::ops::DerefMut;
+use std::mem::MaybeUninit;
+
+use cluster::{Cursor, Unfilled};
 
 use crate::gf256;
 
@@ -138,19 +143,19 @@ impl Code {
             .collect()
     }
 
-    /// Write shard `index` of `payload`'s encoding into `out`, which must be
-    /// one shard long; every byte of it is written, whatever it held. A
-    /// data shard is one copy of its slice of the payload, then the zero
-    /// padding of a short last one. A parity shard is zeroed, then
-    /// accumulated in place from the payload's `n` slices, borrowed and
-    /// unpadded: a short last slice contributes nothing past its end
-    /// (`c · 0 = 0`).
-    pub fn shard_into(
+    /// Write shard `index` of `payload`'s encoding into `out`, unwritten
+    /// bytes one shard long, and return them written: every byte, none read
+    /// first. A data shard is one copy of its slice of the payload, then the
+    /// zero padding of a short last one. A parity shard is the product of
+    /// the payload's first slice ([`gf256::mul_into`]), then accumulated in
+    /// place from the other slices, borrowed and unpadded: a short last
+    /// slice contributes nothing past its end (`c · 0 = 0`).
+    pub fn shard_into<'o>(
         self,
         payload: &[u8],
         index: usize,
-        out: &mut [u8],
-    ) -> Result<(), CodecError> {
+        out: &'o mut [MaybeUninit<u8>],
+    ) -> Result<&'o mut [u8], CodecError> {
         let (n, m) = self.geometry()?;
         let len = payload.len().div_ceil(n);
         if out.len() != len {
@@ -166,32 +171,35 @@ impl Code {
             .take(n);
         match index.checked_sub(n) {
             None => {
-                let slice = slices.nth(index).unwrap_or_default();
-                let (data, padding) = out.split_at_mut(slice.len());
-                data.copy_from_slice(slice);
-                padding.fill(0);
+                let mut out = Cursor::new(out);
+                out.put(slices.nth(index).unwrap_or_default());
+                out.put_bytes(0, out.remaining());
+                Ok(out.finish())
             }
             Some(row) if row < m => {
-                out.fill(0);
-                for (j, slice) in slices.enumerate() {
+                let first = slices.next().unwrap_or_default();
+                let out = gf256::mul_into(out, first, self.coeff(row, 0));
+                for (j, slice) in (1..).zip(slices) {
                     gf256::mul_acc(out, slice, self.coeff(row, j));
                 }
+                Ok(out)
             }
-            Some(_) => {
-                return Err(CodecError::BadGeometry(format!(
-                    "shard {index} of a {n}+{m} code"
-                )));
-            }
+            Some(_) => Err(CodecError::BadGeometry(format!(
+                "shard {index} of a {n}+{m} code"
+            ))),
         }
-        Ok(())
     }
 
     /// Write every parity shard of `payload`'s encoding into `parity`, one
-    /// buffer per parity row, each one shard long: the same bytes
-    /// [`Code::shard_into`] writes for shards `n..n + m`, computed in one
-    /// pass over the payload with each output byte written once
-    /// ([`gf256::rows_into`]). The buffers need not be zero.
-    pub fn parity_into(self, payload: &[u8], parity: &mut [&mut [u8]]) -> Result<(), CodecError> {
+    /// unwritten buffer per parity row, each one shard long, and return
+    /// them written: the same bytes [`Code::shard_into`] writes for shards
+    /// `n..n + m`, computed in one pass over the payload with each output
+    /// byte written once and none read ([`gf256::rows_into`]).
+    pub fn parity_into<'o>(
+        self,
+        payload: &[u8],
+        parity: Vec<&'o mut [MaybeUninit<u8>]>,
+    ) -> Result<Vec<&'o mut [u8]>, CodecError> {
         let (n, m) = self.geometry()?;
         let len = payload.len().div_ceil(n);
         if parity.len() != m {
@@ -214,8 +222,7 @@ impl Code {
         let coeffs: Vec<u8> = (0..m)
             .flat_map(|row| (0..n).map(move |j| self.coeff(row, j)))
             .collect();
-        gf256::rows_into(parity, &slices, &coeffs);
-        Ok(())
+        Ok(gf256::rows_into(parity, &slices, &coeffs))
     }
 
     /// Every shard of `payload`, data first, each in a buffer of its own.
@@ -223,8 +230,11 @@ impl Code {
         let len = self.shard_len(payload.len())?;
         (0..self.shards()?)
             .map(|index| {
-                let mut shard = vec![0u8; len];
-                self.shard_into(payload, index, &mut shard)?;
+                let mut shard = Vec::with_capacity(len);
+                shard.fill_with(|rest| {
+                    let out = rest.get_mut(..len).unwrap_or_default();
+                    written(self.shard_into(payload, index, out))
+                })?;
                 Ok(shard)
             })
             .collect()
@@ -238,16 +248,17 @@ impl Code {
         shards: &[Option<S>],
         orig_len: usize,
     ) -> Result<Vec<u8>, CodecError> {
-        self.decode_with(shards, orig_len, |len| vec![0u8; len])
+        self.decode_with(shards, orig_len, Vec::with_capacity)
     }
 
     /// [`Code::decode`] into the buffer `alloc` returns for the payload's
     /// `orig_len` bytes, asked for only once the survivors are known to
-    /// hold them. Every byte of it is written, whatever it held: the
-    /// survivors are borrowed, a surviving data shard is copied to its
-    /// place, and every missing one is decoded straight into its place in
-    /// one pass over the survivors ([`gf256::rows_into`]).
-    pub fn decode_with<S: AsRef<[u8]>, B: DerefMut<Target = [u8]>>(
+    /// hold them: its next `orig_len` unwritten bytes are written, every
+    /// one, and none is read first ([`Unfilled`]). The survivors are
+    /// borrowed, a surviving data shard is copied to its place, and every
+    /// missing one is decoded straight into its place in one pass over the
+    /// survivors ([`gf256::rows_into`]).
+    pub fn decode_with<S: AsRef<[u8]>, B: Unfilled>(
         self,
         shards: &[Option<S>],
         orig_len: usize,
@@ -298,32 +309,58 @@ impl Code {
             })?
         };
         let mut out = alloc(orig_len);
-        let mut missing = Vec::new();
-        let mut coeffs = Vec::new();
-        // Row `r` of the payload is data shard `r`; the last may be short,
-        // and rows wholly past `orig_len` are padding no one reads.
-        for (row, place) in out.chunks_mut(len.max(1)).enumerate() {
-            match picked.iter().find(|(index, _)| *index == row) {
-                Some((_, shard)) => {
-                    #[expect(
-                        clippy::indexing_slicing,
-                        reason = "every picked shard is `len` long, and no row is longer"
-                    )]
-                    place.copy_from_slice(&shard[..place.len()]);
+        out.fill_with(|rest| {
+            let room = rest.len();
+            let Some(payload) = rest.get_mut(..orig_len) else {
+                let e = format!("a buffer of {room} bytes for a payload of {orig_len}");
+                return (&mut [][..], Err(CodecError::BadGeometry(e)));
+            };
+            let mut payload = Cursor::new(payload);
+            // Row `r` of the payload is data shard `r`; the last may be
+            // short, and rows wholly past `orig_len` are padding no one
+            // reads.
+            payload.put_pieces(|payload| {
+                let mut rows = Vec::new();
+                let mut missing = Vec::new();
+                let mut coeffs = Vec::new();
+                for (row, place) in payload.chunks_mut(len.max(1)).enumerate() {
+                    match picked.iter().find(|(index, _)| *index == row) {
+                        Some((_, shard)) => {
+                            #[expect(
+                                clippy::indexing_slicing,
+                                reason = "every picked shard is `len` long, and no row is longer"
+                            )]
+                            rows.push(Some(place.write_copy_of_slice(&shard[..place.len()])));
+                        }
+                        None => {
+                            let inverse_row = inverse.get(row);
+                            coeffs.extend((0..n).map(|j| {
+                                let coeff = inverse_row.and_then(|r| r.get(j));
+                                coeff.copied().unwrap_or(0)
+                            }));
+                            missing.push(place);
+                            rows.push(None);
+                        }
+                    }
                 }
-                None => {
-                    let inverse_row = inverse.get(row);
-                    coeffs.extend((0..n).map(|j| {
-                        let coeff = inverse_row.and_then(|r| r.get(j));
-                        coeff.copied().unwrap_or(0)
-                    }));
-                    missing.push(place);
-                }
-            }
-        }
-        let survivors: Vec<&[u8]> = picked.iter().map(|(_, shard)| *shard).collect();
-        gf256::rows_into(&mut missing, &survivors, &coeffs);
+                let survivors: Vec<&[u8]> = picked.iter().map(|(_, shard)| *shard).collect();
+                let mut decoded = gf256::rows_into(missing, &survivors, &coeffs).into_iter();
+                let rows = rows.into_iter().map(|row| row.or_else(|| decoded.next()));
+                (rows.map(Option::unwrap_or_default).collect(), ())
+            });
+            (payload.finish(), Ok(()))
+        })?;
         Ok(out)
+    }
+}
+
+/// What a writer into a buffer's unwritten bytes returns for
+/// [`Unfilled::fill_with`]: the bytes it wrote, none on an error, and the
+/// outcome.
+pub(crate) fn written(r: Result<&mut [u8], CodecError>) -> (&mut [u8], Result<(), CodecError>) {
+    match r {
+        Ok(bytes) => (bytes, Ok(())),
+        Err(e) => (&mut [], Err(e)),
     }
 }
 
@@ -436,14 +473,14 @@ mod tests {
         let p = payload(9);
         assert_eq!(code.shard_len(p.len()), Ok(5));
         assert_eq!(
-            code.shard_into(&p, 2, &mut [0; 4]),
+            code.shard_into(&p, 2, &mut [MaybeUninit::uninit(); 4]),
             Err(CodecError::ShardSizeMismatch {
                 expected: 5,
                 got: 4
             })
         );
         assert!(matches!(
-            code.shard_into(&p, 4, &mut [0; 5]),
+            code.shard_into(&p, 4, &mut [MaybeUninit::uninit(); 5]),
             Err(CodecError::BadGeometry(_))
         ));
     }
@@ -452,21 +489,25 @@ mod tests {
     fn parity_into_checks_the_buffers() {
         let code = Code::Rs { n: 2, m: 2 };
         let p = payload(9);
-        let (mut a, mut b, mut c) = ([0u8; 5], [0u8; 5], [0u8; 4]);
+        let (mut a, mut b, mut c) = (
+            [MaybeUninit::uninit(); 5],
+            [MaybeUninit::uninit(); 5],
+            [MaybeUninit::uninit(); 4],
+        );
         assert!(matches!(
-            code.parity_into(&p, &mut [&mut a]),
+            code.parity_into(&p, vec![&mut a]),
             Err(CodecError::BadGeometry(_))
         ));
         assert_eq!(
-            code.parity_into(&p, &mut [&mut a, &mut c]),
+            code.parity_into(&p, vec![&mut a, &mut c]),
             Err(CodecError::ShardSizeMismatch {
                 expected: 5,
                 got: 4
             })
         );
-        code.parity_into(&p, &mut [&mut a, &mut b]).unwrap();
+        let parity = code.parity_into(&p, vec![&mut a, &mut b]).unwrap();
         let shards = rs_encode(&p, 2, 2).unwrap();
-        assert_eq!((&a[..], &b[..]), (&shards[2][..], &shards[3][..]));
+        assert_eq!((&*parity[0], &*parity[1]), (&shards[2][..], &shards[3][..]));
     }
 
     #[test]

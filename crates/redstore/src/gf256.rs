@@ -18,14 +18,17 @@
 //! form both are property-tested against, and [`kernel`] names the choice.
 //!
 //! The encoder's loop is [`rows_into`]: every row of a coefficient matrix
-//! over the same sources in one pass, each output byte written once. Where
-//! the CPU has `gfni`, `avx512bw` and `avx512f` ([`gfni`]), a product `c · s`
-//! is one `gf2p8affineqb`: multiplication by `c` is linear over GF(2), so it
-//! is an 8×8 bit matrix ([`affine`]) applied to 64 bytes at a time, and up to
-//! four rows accumulate in registers while each 64-byte block of the sources
-//! is loaded once. Everywhere else, and under Miri, [`rows_into_per_row`]
-//! zeroes each row and accumulates it with [`mul_acc`], one pass per source;
-//! [`rows_kernel`] names the choice.
+//! over the same sources in one pass, into unwritten rows
+//! (`&mut [MaybeUninit<u8>]`), each output byte written once and never read
+//! before it is. Where the CPU has `gfni`, `avx512bw` and `avx512f`
+//! ([`gfni`]), a product `c · s` is one `gf2p8affineqb`: multiplication by
+//! `c` is linear over GF(2), so it is an 8×8 bit matrix ([`affine`]) applied
+//! to 64 bytes at a time, and up to four rows accumulate in registers while
+//! each 64-byte block of the sources is loaded once. Everywhere else, and
+//! under Miri, [`rows_into_per_row`] writes each row as its first product
+//! ([`mul_into`], which only stores) and accumulates the other sources into
+//! it with [`mul_acc`], one pass per source; [`rows_kernel`] names the
+//! choice.
 //!
 //! On the CI container, an Intel Xeon with `gfni` and AVX-512 (one pinned
 //! CPU, minimum of 41 samples): `mul_acc` through `ssse3` reads 8–14 GiB/s
@@ -36,6 +39,10 @@
 //! three RS(2+2) wire frames of a 2 MiB payload take 0.40–0.46 ms with the
 //! parity in one pass and 0.69–0.76 ms per row (`store::coded_frames`
 //! against `store::coded_frames_per_row`).
+
+use std::mem::MaybeUninit;
+
+use cluster::Cursor;
 
 /// Reduction polynomial for GF(256): x^8 + x^4 + x^3 + x^2 + 1.
 const POLY: u16 = 0x11d;
@@ -197,6 +204,40 @@ pub fn mul_acc_portable(acc: &mut [u8], src: &[u8], coeff: u8) {
     }
 }
 
+/// `out[i] = coeff · src[i]` for every `i` both slices have, and zero past
+/// the end of `src`: the first product of a row, written into unwritten
+/// bytes, every one of them, and returned as bytes. Whole 16-byte lanes go
+/// through the `pshufb` kernel where [`mul_acc`]'s does, which only stores;
+/// the rest through the product table, a stack block at a time.
+pub fn mul_into<'o>(out: &'o mut [MaybeUninit<u8>], src: &[u8], coeff: u8) -> &'o mut [u8] {
+    let src = src.get(..out.len()).unwrap_or(src);
+    let mut out = Cursor::new(out);
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    let src = if ssse3::available() {
+        let lanes = out.put_with(|rest| {
+            // SAFETY: `available()` just confirmed at run time that this
+            // CPU has every feature `ssse3::mul_into` is compiled for — its
+            // one requirement.
+            let lanes = unsafe { ssse3::mul_into(rest, src, row(coeff)) };
+            let n = lanes.len();
+            (lanes, n)
+        });
+        src.get(lanes..).unwrap_or_default()
+    } else {
+        src
+    };
+    let row = row(coeff);
+    let mut block = [0u8; 64];
+    for chunk in src.chunks(block.len()) {
+        for (b, s) in block.iter_mut().zip(chunk) {
+            *b = at(row, *s);
+        }
+        out.put(block.get(..chunk.len()).unwrap_or_default());
+    }
+    out.put_bytes(0, out.remaining());
+    out.finish()
+}
+
 /// Which kernel [`mul_acc`] runs on this host for whole 16-byte lanes:
 /// `"ssse3"` or `"portable"`. Recorded beside benchmark numbers.
 pub fn kernel() -> &'static str {
@@ -208,11 +249,16 @@ pub fn kernel() -> &'static str {
 }
 
 /// `rows[i] = Σ_j coeffs[i·n + j] · srcs[j]` for every row `i`, `n` being
-/// `srcs.len()` — the encoder's loop. Every row is written in full: no
-/// need to zero it first. A source shorter than a row is zero past its end
-/// (`c · 0 = 0`), and one longer is read only as far as the row reaches.
-/// A coefficient missing from `coeffs` counts as 0.
-pub fn rows_into(rows: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
+/// `srcs.len()` — the encoder's loop. Every byte of every row is written,
+/// and none is read first: the rows are unwritten capacity, returned as
+/// bytes in the same order. A source shorter than a row is zero past its
+/// end (`c · 0 = 0`), and one longer is read only as far as the row
+/// reaches. A coefficient missing from `coeffs` counts as 0.
+pub fn rows_into<'o>(
+    rows: Vec<&'o mut [MaybeUninit<u8>]>,
+    srcs: &[&[u8]],
+    coeffs: &[u8],
+) -> Vec<&'o mut [u8]> {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     if gfni::available() {
         let mats: Vec<u64> = (0..rows.len() * srcs.len())
@@ -221,24 +267,30 @@ pub fn rows_into(rows: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
         // SAFETY: `available()` just confirmed at run time that this CPU has
         // every feature `gfni::rows_into` is compiled for — its one
         // requirement.
-        unsafe { gfni::rows_into(rows, srcs, &mats) };
-        return;
+        return unsafe { gfni::rows_into(rows, srcs, &mats) };
     }
-    rows_into_per_row(rows, srcs, coeffs);
+    rows_into_per_row(rows, srcs, coeffs)
 }
 
-/// The per-row [`rows_into`] kernel: each row zeroed, then one [`mul_acc`]
-/// pass per source. Callable by name so that tests and the bench reach it
-/// on hosts where the dispatch never does.
-pub fn rows_into_per_row(rows: &mut [&mut [u8]], srcs: &[&[u8]], coeffs: &[u8]) {
+/// The per-row [`rows_into`] kernel: each row written as its first
+/// source's product ([`mul_into`]), then one [`mul_acc`] pass per further
+/// source. Callable by name so that tests and the bench reach it on hosts
+/// where the dispatch never does.
+pub fn rows_into_per_row<'o>(
+    rows: Vec<&'o mut [MaybeUninit<u8>]>,
+    srcs: &[&[u8]],
+    coeffs: &[u8],
+) -> Vec<&'o mut [u8]> {
     let n = srcs.len();
-    for (i, row) in rows.iter_mut().enumerate() {
-        row.fill(0);
-        for (j, src) in srcs.iter().enumerate() {
-            let coeff = coeffs.get(i * n + j).copied().unwrap_or(0);
-            mul_acc(row, src, coeff);
+    let rows = rows.into_iter().enumerate().map(|(i, row)| {
+        let coeff = |j: usize| coeffs.get(i * n + j).copied().unwrap_or(0);
+        let row = mul_into(row, srcs.first().copied().unwrap_or_default(), coeff(0));
+        for (j, src) in srcs.iter().enumerate().skip(1) {
+            mul_acc(row, src, coeff(j));
         }
-    }
+        row
+    });
+    rows.collect()
 }
 
 /// Which kernel [`rows_into`] runs on this host: `"gfni"` or `"per_row"`.
@@ -273,6 +325,7 @@ mod ssse3 {
         __m128i, _mm_and_si128, _mm_loadu_si128, _mm_set1_epi8, _mm_shuffle_epi8, _mm_srli_epi64,
         _mm_storeu_si128, _mm_xor_si128,
     };
+    use std::mem::MaybeUninit;
 
     /// Whether this CPU can run [`mul_acc`]. `is_x86_feature_detected!`
     /// caches its answer, so this is a load and a mask per call.
@@ -294,34 +347,85 @@ mod ssse3 {
         src: &'a [u8],
         row: &[u8; 256],
     ) -> (&'a mut [u8], &'a [u8]) {
-        let load = |lane: &[u8]| {
-            debug_assert_eq!(lane.len(), 16);
-            // SAFETY: every lane passed below is a `chunks_exact(16)` item
-            // or a 16-byte array, so 16 readable bytes, and
-            // `_mm_loadu_si128` has no alignment requirement.
-            unsafe { _mm_loadu_si128(lane.as_ptr().cast::<__m128i>()) }
-        };
-        // `row[x]` for the low nibbles is the row's first 16 entries; for
-        // the high nibbles every sixteenth.
-        let mut high = [0u8; 16];
-        for (h, product) in high.iter_mut().zip(row.iter().step_by(16)) {
-            *h = *product;
-        }
-        let (lo_tab, hi_tab) = (load(&row[..16]), load(&high));
-        let nibble = _mm_set1_epi8(0x0f);
-
+        let times = Times::new(row);
         let mut lanes = acc.chunks_exact_mut(16);
         let mut srcs = src.chunks_exact(16);
         for (a, s) in lanes.by_ref().zip(srcs.by_ref()) {
-            let x = load(s);
-            let lo = _mm_shuffle_epi8(lo_tab, _mm_and_si128(x, nibble));
-            let hi = _mm_shuffle_epi8(hi_tab, _mm_and_si128(_mm_srli_epi64(x, 4), nibble));
-            let sum = _mm_xor_si128(load(a), _mm_xor_si128(lo, hi));
+            let sum = _mm_xor_si128(load(a), times.lane(load(s)));
             // SAFETY: `a` is a `chunks_exact_mut(16)` item, so 16 writable
             // bytes, and `_mm_storeu_si128` has no alignment requirement.
             unsafe { _mm_storeu_si128(a.as_mut_ptr().cast::<__m128i>(), sum) }
         }
         (lanes.into_remainder(), srcs.remainder())
+    }
+
+    /// `out[i] = row[src[i]]` over the whole 16-byte lanes the two slices
+    /// share: stores only, no byte of `out` is read. Returns those lanes,
+    /// written.
+    ///
+    /// # Safety
+    /// The CPU must support `ssse3` and `sse2` (ask [`available`]). Any
+    /// slices are fine.
+    #[target_feature(enable = "ssse3", enable = "sse2")]
+    pub(super) unsafe fn mul_into<'a>(
+        out: &'a mut [MaybeUninit<u8>],
+        src: &[u8],
+        row: &[u8; 256],
+    ) -> &'a mut [u8] {
+        let times = Times::new(row);
+        let whole = out.len().min(src.len()) / 16 * 16;
+        let out = out.get_mut(..whole).unwrap_or_default();
+        for (o, s) in out.chunks_exact_mut(16).zip(src.chunks_exact(16)) {
+            // SAFETY: `o` is a `chunks_exact_mut(16)` item, so 16 writable
+            // bytes, and `_mm_storeu_si128` has no alignment requirement.
+            unsafe { _mm_storeu_si128(o.as_mut_ptr().cast::<__m128i>(), times.lane(load(s))) }
+        }
+        // SAFETY: `out` is `whole` bytes, a multiple of 16, and the loop
+        // stored every one of its lanes (`src` has at least `whole` bytes).
+        unsafe { out.assume_init_mut() }
+    }
+
+    /// A 16-byte lane of a slice, loaded.
+    #[target_feature(enable = "sse2")]
+    fn load(lane: &[u8]) -> __m128i {
+        debug_assert_eq!(lane.len(), 16);
+        // SAFETY: every lane passed in is a `chunks_exact(16)` item or a
+        // 16-byte array, so 16 readable bytes, and `_mm_loadu_si128` has
+        // no alignment requirement.
+        unsafe { _mm_loadu_si128(lane.as_ptr().cast::<__m128i>()) }
+    }
+
+    /// Multiplication by one coefficient, 16 bytes at a time: its two
+    /// nibble tables.
+    struct Times {
+        lo: __m128i,
+        hi: __m128i,
+    }
+
+    impl Times {
+        /// From the coefficient's row of the product table: `row[x]` for
+        /// the low nibbles is the row's first 16 entries; for the high
+        /// nibbles every sixteenth.
+        #[target_feature(enable = "sse2")]
+        fn new(row: &[u8; 256]) -> Self {
+            let mut high = [0u8; 16];
+            for (h, product) in high.iter_mut().zip(row.iter().step_by(16)) {
+                *h = *product;
+            }
+            Times {
+                lo: load(row.first_chunk::<16>().unwrap_or(&[0; 16])),
+                hi: load(&high),
+            }
+        }
+
+        /// The product of every byte of `x`.
+        #[target_feature(enable = "ssse3", enable = "sse2")]
+        fn lane(&self, x: __m128i) -> __m128i {
+            let nibble = _mm_set1_epi8(0x0f);
+            let lo = _mm_shuffle_epi8(self.lo, _mm_and_si128(x, nibble));
+            let hi = _mm_shuffle_epi8(self.hi, _mm_and_si128(_mm_srli_epi64(x, 4), nibble));
+            _mm_xor_si128(lo, hi)
+        }
     }
 }
 
@@ -334,6 +438,7 @@ mod gfni {
         _mm512_maskz_loadu_epi8, _mm512_set1_epi64, _mm512_setzero_si512, _mm512_storeu_si512,
         _mm512_xor_si512,
     };
+    use std::mem::MaybeUninit;
 
     /// Rows accumulated in registers per pass over the sources.
     const TILE: usize = 4;
@@ -352,15 +457,19 @@ mod gfni {
     }
 
     /// `rows[i] = Σ_j mats[i·n + j] · srcs[j]` over GF(256), `mats` holding
-    /// each coefficient as its [`super::affine`] matrix. The rows go in
-    /// tiles of up to [`TILE`], each tile one pass over the sources
-    /// ([`tile_pass`]).
+    /// each coefficient as its [`super::affine`] matrix, into unwritten
+    /// rows, returned written. The rows go in tiles of up to [`TILE`], each
+    /// tile one pass over the sources ([`tile_pass`]).
     ///
     /// # Safety
     /// The CPU must support `gfni`, `avx512bw` and `avx512f` (ask
     /// [`available`]). Any slices are fine.
     #[target_feature(enable = "gfni", enable = "avx512bw", enable = "avx512f")]
-    pub(super) unsafe fn rows_into(rows: &mut [&mut [u8]], srcs: &[&[u8]], mats: &[u64]) {
+    pub(super) unsafe fn rows_into<'o>(
+        mut rows: Vec<&'o mut [MaybeUninit<u8>]>,
+        srcs: &[&[u8]],
+        mats: &[u64],
+    ) -> Vec<&'o mut [u8]> {
         let n = srcs.len();
         for (t, tile) in rows.chunks_mut(TILE).enumerate() {
             // Coefficient `(t·TILE + r, j)` broadcast to a register once:
@@ -384,12 +493,19 @@ mod gfni {
                 }
             }
         }
+        let rows = rows.into_iter().map(|row| {
+            // SAFETY: `tile_pass` stored every byte of every row of its
+            // tile (its contract), and every row was in one tile.
+            unsafe { row.assume_init_mut() }
+        });
+        rows.collect()
     }
 
     /// The first `R` rows of `tile` (the rows are `R` long at most) from
     /// the sources, in 64-byte blocks: per block, each source's block is
     /// loaded once, takes one affine product per row, and each row's block
-    /// is stored once. A block that a slice holds whole is loaded or stored
+    /// is stored once: every byte of every row is stored, none is read. A
+    /// block that a slice holds whole is loaded or stored
     /// plainly; the last, partial block of a slice goes through a masked
     /// load or store, and a source that has ended contributes nothing, so
     /// no byte outside a slice is touched and tails need no second kernel.
@@ -398,7 +514,7 @@ mod gfni {
     /// The CPU must support `gfni`, `avx512bw` and `avx512f`.
     #[target_feature(enable = "gfni", enable = "avx512bw", enable = "avx512f")]
     unsafe fn tile_pass<const R: usize>(
-        tile: &mut [&mut [u8]],
+        tile: &mut [&mut [MaybeUninit<u8>]],
         srcs: &[&[u8]],
         coeffs: &[[__m512i; TILE]],
     ) {
@@ -508,13 +624,12 @@ mod tests {
         let full: Vec<u8> = (0..130u8).map(|i| i.wrapping_mul(29) ^ 0xa5).collect();
         let srcs: [&[u8]; 3] = [&full, &full[..77], &[]];
         let coeffs = [1u8, 2, 3, 0x53, 0, 0xff];
-        for kernel in [
-            rows_into as fn(&mut [&mut [u8]], &[&[u8]], &[u8]),
-            rows_into_per_row,
-        ] {
-            let (mut a, mut b) = ([0xAAu8; 130], [0xAAu8; 130]);
-            kernel(&mut [&mut a, &mut b], &srcs, &coeffs);
-            for (i, row) in [a, b].iter().enumerate() {
+        type Kernel =
+            for<'o> fn(Vec<&'o mut [MaybeUninit<u8>]>, &[&[u8]], &[u8]) -> Vec<&'o mut [u8]>;
+        for kernel in [rows_into as Kernel, rows_into_per_row] {
+            let (mut a, mut b) = ([MaybeUninit::new(0xAA); 130], [MaybeUninit::new(0xAA); 130]);
+            let rows = kernel(vec![&mut a, &mut b], &srcs, &coeffs);
+            for (i, row) in rows.iter().enumerate() {
                 for (k, got) in row.iter().enumerate() {
                     let want = (0..3).fold(0, |acc, j| {
                         let s = srcs[j].get(k).copied().unwrap_or(0);

@@ -29,12 +29,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
-use cluster::{Pool, PoolBuf};
+use cluster::{Pool, PoolBuf, Unfilled};
 use parking_lot::Mutex;
 use simmpi::{Comm, MpiError};
 use telemetry::Event;
 
-use crate::codec::{Code, CodecError};
+use crate::codec::{written, Code, CodecError};
 use crate::mode::RedundancyMode;
 use crate::placement::{comm_node_map, Placement, PlacementError};
 
@@ -298,14 +298,14 @@ fn code_of(mode: RedundancyMode, s: usize) -> Option<Code> {
 /// [`RedundancyGroup::exchange`]).
 ///
 /// Each frame is built once, in the buffer that goes on the wire, taken
-/// from the cluster's `pool` as its previous user left it (fresh on a
-/// miss) and handed back to it when the last holder drops the frame: the
-/// header, then the shard written straight behind it, every byte — one
-/// copy of the payload's slice and its padding for a data shard
+/// unwritten from the cluster's `pool` (recycled, or fresh on a miss) and
+/// handed back to it when the last holder drops the frame: the header,
+/// then the shard written straight behind it, every byte written once —
+/// one copy of the payload's slice and its padding for a data shard
 /// ([`Code::shard_into`]), and every parity shard in one pass over the
-/// payload ([`Code::parity_into`]). `pub` for the redundancy bench and
-/// the wire-format test, which hold it to `header ++ rs_encode(..)[index]`
-/// and to [`coded_frames_per_row`].
+/// payload ([`Code::parity_into`], [`PoolBuf::fill_each`]). `pub` for the
+/// redundancy bench and the wire-format test, which hold it to
+/// `header ++ rs_encode(..)[index]` and to [`coded_frames_per_row`].
 pub fn coded_frames(
     pool: &Pool,
     code: Code,
@@ -317,17 +317,14 @@ pub fn coded_frames(
     let data = frames.len().saturating_sub(code.parity_shards()?);
     let (data_frames, parity_frames) = frames.split_at_mut(data);
     for (index, wire) in (1..).zip(data_frames.iter_mut()) {
-        code.shard_into(
-            payload,
-            index,
-            wire.get_mut(HEADER_LEN..).unwrap_or_default(),
-        )?;
+        wire.fill_with(|shard| written(code.shard_into(payload, index, shard)))?;
     }
-    let mut parity: Vec<&mut [u8]> = parity_frames
-        .iter_mut()
-        .map(|wire| wire.get_mut(HEADER_LEN..).unwrap_or_default())
-        .collect();
-    code.parity_into(payload, &mut parity)?;
+    PoolBuf::fill_each(parity_frames, |rows| {
+        match code.parity_into(payload, rows) {
+            Ok(rows) => (rows, Ok(())),
+            Err(e) => (Vec::new(), Err(e)),
+        }
+    })?;
     Ok(frames.into_iter().map(|wire| pool.share(wire)).collect())
 }
 
@@ -344,21 +341,13 @@ pub fn coded_frames_per_row(
 ) -> Result<Vec<Bytes>, CodecError> {
     let mut frames = wire_buffers(pool, code, version, payload)?;
     for (index, wire) in (1..).zip(frames.iter_mut()) {
-        code.shard_into(
-            payload,
-            index,
-            wire.get_mut(HEADER_LEN..).unwrap_or_default(),
-        )?;
+        wire.fill_with(|shard| written(code.shard_into(payload, index, shard)))?;
     }
     Ok(frames.into_iter().map(|wire| pool.share(wire)).collect())
 }
 
 /// One buffer per travelling shard of `payload`, header written; the
 /// shard's bytes are left for the caller to write.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "each buffer is `len` ≥ HEADER_LEN bytes long"
-)]
 fn wire_buffers(
     pool: &Pool,
     code: Code,
@@ -368,10 +357,10 @@ fn wire_buffers(
     let len = HEADER_LEN + code.shard_len(payload.len())?;
     let frames = (1..code.shards()?).map(|index| {
         let mut wire = pool.take(len);
-        wire[..8].copy_from_slice(&version.to_le_bytes());
-        wire[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        wire.put(&version.to_le_bytes());
+        wire.put(&(payload.len() as u64).to_le_bytes());
         // A code has at most 256 shards, so the index fits its byte.
-        wire[16..HEADER_LEN].copy_from_slice(&[index as u8]);
+        wire.put(&[index as u8]);
         wire
     });
     Ok(frames.collect())
@@ -1010,7 +999,7 @@ mod tests {
                 let poisoned: Vec<_> = (fresh.iter())
                     .map(|frame| {
                         let mut buf = pool.take(frame.len());
-                        buf.fill(0xAA);
+                        buf.put(&vec![0xAA; frame.len()]);
                         buf
                     })
                     .collect();

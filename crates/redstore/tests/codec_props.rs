@@ -5,11 +5,17 @@
 //! kernel families (`mul_acc`, `rows_into`) are held to the field's
 //! definition, and the one-pass parity encoder to the per-row one.
 
+use std::mem::MaybeUninit;
+
+use cluster::{Cluster, ClusterConfig};
 use proptest::prelude::*;
 use redstore::codec::{rs_decode, rs_encode, xor_decode, xor_encode, Code, CodecError};
 use redstore::gf256::{
-    mul_acc, mul_acc_portable, mul_bitwise, rows_into, rows_into_per_row, rows_kernel,
+    mul_acc, mul_acc_portable, mul_bitwise, mul_into, rows_into, rows_into_per_row, rows_kernel,
 };
+
+/// A rows kernel: unwritten rows in, the same rows written out.
+type RowsKernel = for<'o> fn(Vec<&'o mut [MaybeUninit<u8>]>, &[&[u8]], &[u8]) -> Vec<&'o mut [u8]>;
 
 /// Deterministic erasure pattern: kill `holes` distinct slots chosen by a
 /// seed, spread over the slot space.
@@ -209,12 +215,13 @@ proptest! {
 // ---------------------------------------------------------------------------
 // The rows kernels. `gf256::rows_into` dispatches to the `gf2p8affineqb`
 // kernel where the CPU has GFNI and AVX-512 and runs `rows_into_per_row`
-// (each row zeroed, then one `mul_acc` pass per source) elsewhere;
-// `Code::parity_into` is the encoder over it. Both kernels must agree with
-// the field's definition (`mul_bitwise`) on every coefficient, around the
-// GFNI kernel's 64-byte block (it masks its loads and stores), at every
-// alignment, with sources shorter than the rows or empty, and on rows that
-// hold garbage before the call (a recycled buffer): every byte is written.
+// (each row its first product by `mul_into`, then one `mul_acc` pass per
+// further source) elsewhere; `Code::parity_into` is the encoder over it.
+// Both kernels must agree with the field's definition (`mul_bitwise`) on
+// every coefficient, around the GFNI kernel's 64-byte block (it masks its
+// loads and stores), at every alignment, with sources shorter than the
+// rows or empty, and on rows that hold garbage before the call (a recycled
+// buffer): every byte is written.
 // ---------------------------------------------------------------------------
 
 /// `TABLE[c][s] = c · s` from the bit-by-bit definition.
@@ -254,15 +261,18 @@ fn check_rows(
         })
         .collect();
     for (name, kernel) in [
-        (
-            "dispatch",
-            rows_into as fn(&mut [&mut [u8]], &[&[u8]], &[u8]),
-        ),
+        ("dispatch", rows_into as RowsKernel),
         ("per_row", rows_into_per_row),
     ] {
-        let mut bufs: Vec<Vec<u8>> = (0..m).map(|_| vec![0xAA; row_off + len]).collect();
-        let mut rows: Vec<&mut [u8]> = bufs.iter_mut().map(|b| &mut b[row_off..]).collect();
-        kernel(&mut rows, srcs, coeffs);
+        let mut bufs: Vec<Vec<MaybeUninit<u8>>> = (0..m)
+            .map(|_| vec![MaybeUninit::new(0xAA); row_off + len])
+            .collect();
+        let rows = kernel(
+            bufs.iter_mut().map(|b| &mut b[row_off..]).collect(),
+            srcs,
+            coeffs,
+        );
+        assert_eq!(rows.len(), m);
         for (i, (got, want)) in rows.iter().zip(&want).enumerate() {
             assert!(
                 got[..] == want[..],
@@ -329,12 +339,13 @@ proptest! {
             let len = code.shard_len(payload.len()).expect("geometry");
             let shards = code.shards().expect("geometry");
             let m = code.parity_shards().expect("geometry");
-            let mut bufs: Vec<Vec<u8>> = (0..m).map(|_| vec![0xAA; len]).collect();
-            let mut parity: Vec<&mut [u8]> = bufs.iter_mut().map(|b| &mut b[..]).collect();
-            code.parity_into(payload, &mut parity).expect("parity");
+            let mut bufs: Vec<Vec<MaybeUninit<u8>>> =
+                (0..m).map(|_| vec![MaybeUninit::new(0xAA); len]).collect();
+            let rows = bufs.iter_mut().map(|b| &mut b[..]).collect();
+            let parity = code.parity_into(payload, rows).expect("parity");
             for (row, got) in parity.iter().enumerate() {
-                let mut want = vec![0x5A; len];
-                code.shard_into(payload, shards - m + row, &mut want).expect("shard");
+                let mut want = vec![MaybeUninit::new(0x5A); len];
+                let want = code.shard_into(payload, shards - m + row, &mut want).expect("shard");
                 assert!(
                     got[..] == want[..],
                     "{code:?}, {} bytes, parity row {row} ({})",
@@ -354,6 +365,95 @@ proptest! {
         for (n, m) in [(252, 4), (128, 128), (2, 2), (3, 2)] {
             for plen in [0, 1, 300, 65_537, 69_999] {
                 check(Code::Rs { n, m }, &data[1..1 + plen]);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The writers into unwritten bytes against their initialised-slice oracles:
+// `mul_into` against the schoolbook product, `shard_into` against slices
+// of a zero-padded copy of the payload (a data shard) or `mul_acc` over
+// zeroed rows (a parity shard), and `decode_with`, into a pool buffer and a
+// `Vec`, against the payload itself. Lengths sit at and around the
+// `pshufb` kernel's 16-byte lanes, the GFNI kernel's 64-byte blocks and
+// the shard boundaries of every `n` up to 5.
+// ---------------------------------------------------------------------------
+
+/// Coefficient of data slice `j` in parity row `row` of a code with `n`
+/// data shards: the parity shard of a one-byte-per-slice payload that is 1
+/// in slice `j` and 0 elsewhere.
+fn coeff(code: Code, n: usize, row: usize, j: usize) -> u8 {
+    let mut unit = vec![0u8; n];
+    unit[j] = 1;
+    let mut out = [MaybeUninit::uninit(); 1];
+    code.shard_into(&unit, n + row, &mut out)
+        .expect("one-byte shard")[0]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+    #[test]
+    fn unwritten_byte_writers_equal_their_initialised_oracles(
+        data in proptest::collection::vec(any::<u8>(), 5 * 130..5 * 130 + 1),
+        seed in any::<usize>(),
+    ) {
+        let table = schoolbook_table();
+        let cluster = Cluster::new(ClusterConfig::default());
+        for len in (0..=2).chain(15..=17).chain(63..=65).chain(127..=129) {
+            let c = (seed.wrapping_add(len * 37) % 256) as u8;
+            let src = &data[len % 7..len % 7 + len];
+            let mut out = vec![MaybeUninit::new(0xAA); len + 3];
+            let got = mul_into(&mut out, &src[..len.saturating_sub(len % 3)], c);
+            let mut want: Vec<u8> = src.iter().map(|s| table[c as usize][*s as usize]).collect();
+            want.truncate(len.saturating_sub(len % 3));
+            want.resize(len + 3, 0);
+            prop_assert_eq!(&got[..], &want[..], "mul_into, len {}, coeff {}", len, c);
+        }
+        for n in 1..=5usize {
+            let m = 1 + seed % 3;
+            for code in [Code::Rs { n, m }, Code::Xor { n }] {
+                let m = code.parity_shards().expect("geometry");
+                for shard_len in (0..=2).chain(15..=17).chain(63..=65).chain([129]) {
+                    for short in 0..n.min(shard_len.max(1)) {
+                        let plen = (n * shard_len).saturating_sub(short);
+                        let payload = &data[..plen];
+                        let len = code.shard_len(plen).expect("geometry");
+                        let mut padded = payload.to_vec();
+                        padded.resize(n * len, 0);
+                        for index in 0..n + m {
+                            let mut out = vec![MaybeUninit::new(0xAA); len];
+                            let got = code.shard_into(payload, index, &mut out).expect("shard");
+                            let want = match index.checked_sub(n) {
+                                None => padded[index * len..][..len].to_vec(),
+                                Some(row) => {
+                                    let mut acc = vec![0u8; len];
+                                    for j in 0..n {
+                                        mul_acc(&mut acc, &padded[j * len..][..len], coeff(code, n, row, j));
+                                    }
+                                    acc
+                                }
+                            };
+                            prop_assert_eq!(&got[..], &want[..], "{:?}, {} bytes, shard {}", code, plen, index);
+                        }
+                        let mut slots: Vec<Option<Vec<u8>>> = (0..n + m)
+                            .map(|index| {
+                                let mut out = vec![MaybeUninit::uninit(); len];
+                                Some(code.shard_into(payload, index, &mut out).expect("shard").to_vec())
+                            })
+                            .collect();
+                        for k in 0..m {
+                            slots[(seed + k * 2 + short) % (n + m)] = None;
+                        }
+                        let pool = cluster.pool();
+                        let pooled = code.decode_with(&slots, plen, |len| pool.take(len)).expect("decode");
+                        prop_assert_eq!(pool.share(pooled), payload.to_vec(), "{:?} into the pool, {} bytes", code, plen);
+                        let mut vec = vec![9u8];
+                        vec.reserve(plen);
+                        let vec = code.decode_with(&slots, plen, |_| vec).expect("decode");
+                        prop_assert_eq!(&vec[1..], payload, "{:?} into a Vec, {} bytes", code, plen);
+                    }
+                }
             }
         }
     }

@@ -46,10 +46,11 @@
 //! class of bug (`crates/chaos/tests/mutant.rs`); never enable it in
 //! normal builds.
 
+use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use cluster::{Pool, PoolBuf};
+use cluster::{Cursor, Pool, PoolBuf, Unfilled};
 
 use crate::region::Protected;
 
@@ -160,22 +161,20 @@ impl Crc32 {
 /// reads the block.
 const COPY_CRC_BLOCK: usize = 16 << 10;
 
-/// Copy `src` into `dst` and return [`crc32`] of the copy, in one pass:
-/// each block is checksummed right after it is written, while it is still
-/// in L1, instead of read back from L3 or memory after the whole copy.
+/// Copy `src` into `dst`, unwritten bytes of the same length, and return
+/// them written together with [`crc32`] of the copy, in one pass: each
+/// block is checksummed right after it is written, while it is still in
+/// L1, instead of read back from L3 or memory after the whole copy. No byte
+/// of `dst` is read or written before its copy ([`Cursor`]).
 ///
 /// # Panics
 /// If the two slices differ in length, as [`slice::copy_from_slice`] does.
-pub fn copy_crc(dst: &mut [u8], src: &[u8]) -> u32 {
+pub fn copy_crc<'d>(dst: &'d mut [MaybeUninit<u8>], src: &[u8]) -> (&'d mut [u8], u32) {
     assert_eq!(dst.len(), src.len(), "copy_crc between different lengths");
-    let blocks = dst
-        .chunks_mut(COPY_CRC_BLOCK)
-        .zip(src.chunks(COPY_CRC_BLOCK));
-    let crc = blocks.fold(Crc32::new(), |crc, (d, s)| {
-        d.copy_from_slice(s);
-        crc.update(d)
-    });
-    crc.finish()
+    let mut out = Cursor::new(dst);
+    let crc =
+        (src.chunks(COPY_CRC_BLOCK)).fold(Crc32::new(), |crc, block| crc.update(out.put(block)));
+    (out.finish(), crc.finish())
 }
 
 /// Which kernel [`crc32`] runs on this host for large inputs:
@@ -514,15 +513,10 @@ pub fn pack(
 ) -> Bytes {
     let plan: Vec<(u32, usize)> = changed.iter().map(|(id, r)| (*id, r.byte_len())).collect();
     let mut builder = FrameBuilder::new(pool, base_version, &plan, unchanged);
-    let filled = changed.iter().enumerate().all(|(i, (_, r))| {
-        let slot = builder.payload_mut(i);
-        let mut crc = None;
-        r.with_bytes(&mut |src| {
-            if src.len() == slot.len() {
-                crc = Some(copy_crc(slot, src));
-            }
-        });
-        crc.map(|crc| builder.set_crc(i, crc)).is_some()
+    let filled = changed.iter().all(|(_, r)| {
+        let mut put = false;
+        r.with_bytes(&mut |src| put = put || builder.put_payload(src));
+        put
     });
     if filled {
         return builder.seal();
@@ -534,9 +528,8 @@ pub fn pack(
         .map(|((id, _), snap)| (*id, snap.len()))
         .collect();
     let mut builder = FrameBuilder::new(pool, base_version, &plan, unchanged);
-    for (i, snap) in snaps.iter().enumerate() {
-        let crc = copy_crc(builder.payload_mut(i), snap);
-        builder.set_crc(i, crc);
+    for snap in &snaps {
+        builder.put_payload(snap);
     }
     builder.seal()
 }
@@ -583,46 +576,40 @@ fn put_u32_at(buf: &mut [u8], at: usize, v: u32) {
     buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
 }
 
-#[expect(
-    clippy::indexing_slicing,
-    reason = "offsets inside the frame FrameBuilder::new sized for them"
-)]
-fn put_u64_at(buf: &mut [u8], at: usize, v: u64) {
-    buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
-}
-
 /// Zero-copy frame assembler — what [`pack`] writes through.
 ///
-/// `FrameBuilder` allocates the finished frame up front from the planned
-/// layout, writes every meta byte, and hands out its `&mut [u8]` payload
-/// slots, so regions are copied *straight into their final location*
-/// ([`crate::Protected::with_bytes`]) with no intermediate `Bytes`
-/// snapshot. [`FrameBuilder::seal`] stamps the meta CRC and freezes; the
-/// output is byte-identical to the copying [`pack_frame`] on the same
-/// content (`builder_output_matches_pack_frame` below holds the two
-/// together).
+/// `FrameBuilder` takes the finished frame's buffer up front, sized from
+/// the planned layout, and writes it front to back exactly once: the head
+/// and every meta byte in [`FrameBuilder::new`] (each CRC field a
+/// placeholder), then each region's bytes *straight into its final
+/// location* ([`FrameBuilder::put_payload`], fed by
+/// [`crate::Protected::with_bytes`]), with no intermediate `Bytes`
+/// snapshot. [`FrameBuilder::seal`] stamps the CRCs into the written meta
+/// and freezes; the output is byte-identical to the copying [`pack_frame`]
+/// on the same content (`builder_output_matches_pack_frame` below holds the
+/// two together).
 ///
-/// The buffer is the cluster pool's (`cluster::pool`): a recycled one,
-/// still holding its previous user's bytes, when the pool has one that
-/// fits, else a fresh one the pool allocates (on huge pages from 2 MiB
-/// up). Either way the sealed frame hands it back to the pool when its last
-/// holder drops it.
+/// The buffer is the cluster pool's (`cluster::pool`): a recycled one when
+/// the pool has one that fits, else a fresh one the pool allocates (on huge
+/// pages from 2 MiB up), unwritten either way. The sealed frame hands it
+/// back to the pool when its last holder drops it.
 pub struct FrameBuilder<'a> {
     pool: &'a Pool,
     buf: PoolBuf,
-    /// Per changed region: offset of its CRC field in the meta table.
-    crc_offsets: Vec<usize>,
-    /// Per changed region: `(payload offset, len)` in `buf`.
-    payload_slots: Vec<(usize, usize)>,
+    /// Per changed region: offset of its CRC field in the meta table, and
+    /// its payload's planned length.
+    slots: Vec<(usize, usize)>,
+    /// Payload slots written so far.
+    next: usize,
     /// End of the meta section (= start of the payload section).
     meta_end: usize,
 }
 
 impl<'a> FrameBuilder<'a> {
     /// Lay out a frame for `changed` regions `(id, byte length)` in frame
-    /// order, plus `unchanged` references, in a buffer from `pool`. Payload
-    /// slots come back holding whatever the buffer held; the caller fills
-    /// every one and records its CRC via [`Self::set_crc`].
+    /// order, plus `unchanged` references, in a buffer from `pool`, and
+    /// write its head and meta. The caller then puts every payload, in
+    /// order ([`Self::put_payload`]).
     pub fn new(
         pool: &'a Pool,
         base_version: Option<u64>,
@@ -636,76 +623,64 @@ impl<'a> FrameBuilder<'a> {
         let meta_len = 16 + 4 * unchanged.len() + 16 * changed.len();
         let payload_len: usize = changed.iter().map(|&(_, len)| len).sum();
         let mut buf = pool.take(8 + meta_len + payload_len);
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "the frame holds at least its 8-byte head"
-        )]
-        buf[..4].copy_from_slice(&MAGIC);
-        let mut w = 8usize;
+        buf.put(&MAGIC);
+        // The meta CRC, stamped by `seal`.
+        buf.put(&[0; 4]);
         // `base_version + 1` so 0 can mean "full"; versions are iteration
         // numbers, nowhere near u64::MAX (saturating keeps this panic-free).
-        put_u64_at(
-            &mut buf,
-            w,
-            match base_version {
-                None => 0,
-                Some(v) => v.saturating_add(1),
-            },
-        );
-        w += 8;
-        put_u32_at(&mut buf, w, changed.len() as u32);
-        w += 4;
-        put_u32_at(&mut buf, w, unchanged.len() as u32);
-        w += 4;
+        let base_ref = base_version.map_or(0, |v| v.saturating_add(1));
+        buf.put(&base_ref.to_le_bytes());
+        buf.put(&(changed.len() as u32).to_le_bytes());
+        buf.put(&(unchanged.len() as u32).to_le_bytes());
         for id in unchanged {
-            put_u32_at(&mut buf, w, *id);
-            w += 4;
+            buf.put(&id.to_le_bytes());
         }
-        let mut crc_offsets = Vec::with_capacity(changed.len());
-        let mut payload_slots = Vec::with_capacity(changed.len());
-        let mut p = 8 + meta_len;
+        let mut slots = Vec::with_capacity(changed.len());
         for &(id, len) in changed {
-            put_u32_at(&mut buf, w, id);
-            w += 4;
-            put_u64_at(&mut buf, w, len as u64);
-            w += 8;
-            crc_offsets.push(w); // CRC written later by `set_crc`
-            w += 4;
-            payload_slots.push((p, len));
-            p += len;
+            buf.put(&id.to_le_bytes());
+            buf.put(&(len as u64).to_le_bytes());
+            // The payload's CRC, stamped by `put_payload`.
+            slots.push((buf.len(), len));
+            buf.put(&[0; 4]);
         }
         FrameBuilder {
             pool,
             buf,
-            crc_offsets,
-            payload_slots,
+            slots,
+            next: 0,
             meta_end: 8 + meta_len,
         }
     }
 
-    /// Payload slot `i`, mutable.
-    pub fn payload_mut(&mut self, i: usize) -> &mut [u8] {
-        // Out-of-range slots yield an empty slice rather than indexing:
-        // the pack path runs during recovery, where a panic kills the rank.
-        let (off, len) = self.payload_slots.get(i).copied().unwrap_or((0, 0));
-        self.buf.get_mut(off..off + len).unwrap_or(&mut [])
-    }
-
-    /// Record the CRC of payload slot `i` in the meta table.
-    pub fn set_crc(&mut self, i: usize, crc: u32) {
-        if let Some(&off) = self.crc_offsets.get(i) {
-            put_u32_at(&mut self.buf, off, crc);
+    /// Copy `src` into the next payload slot, checksumming it as it lands
+    /// ([`copy_crc`]), and record its CRC in the meta table. Writes
+    /// nothing and returns `false` if `src` is not the slot's planned
+    /// length, or every slot is written.
+    pub fn put_payload(&mut self, src: &[u8]) -> bool {
+        let Some(&(crc_at, len)) = self.slots.get(self.next) else {
+            return false;
+        };
+        if src.len() != len {
+            return false;
         }
+        let crc = self.buf.fill_with(|rest| {
+            let slot = rest.get_mut(..len).unwrap_or_default();
+            copy_crc(slot, src)
+        });
+        put_u32_at(&mut self.buf, crc_at, crc);
+        self.next += 1;
+        true
     }
 
-    /// Stamp the meta CRC and freeze the frame, lent from the pool. The
-    /// caller must have filled every payload slot and set every CRC —
-    /// `seal` cannot tell a byte the buffer's previous user left from one
-    /// the caller wrote.
+    /// Stamp the meta CRC and freeze the frame, lent from the pool.
+    ///
+    /// # Panics
+    /// Unless every payload was put: the pool shares no buffer with bytes
+    /// left unwritten.
     pub fn seal(mut self) -> Bytes {
         #[expect(
             clippy::indexing_slicing,
-            reason = "new() sized the frame past meta_end"
+            reason = "new() wrote the frame past meta_end"
         )]
         let crc = crc32(&self.buf[8..self.meta_end]);
         put_u32_at(&mut self.buf, 4, crc);
@@ -951,10 +926,10 @@ mod tests {
 
             let plan: Vec<(u32, usize)> = payloads.iter().map(|(id, p)| (*id, p.len())).collect();
             let mut b = FrameBuilder::new(pool(), base, &plan, unchanged);
-            for (i, (_, p)) in payloads.iter().enumerate() {
-                b.payload_mut(i).copy_from_slice(p);
-                b.set_crc(i, crc32(p));
+            for (_, p) in &payloads {
+                assert!(b.put_payload(p));
             }
+            assert!(!b.put_payload(b""), "every slot is written");
             assert_eq!(&b.seal()[..], &reference[..], "base {base:?}");
         }
     }
@@ -975,9 +950,8 @@ mod tests {
         ];
         let plan: Vec<(u32, usize)> = payloads.iter().map(|(id, p)| (*id, p.len())).collect();
         let mut b = FrameBuilder::new(pool(), None, &plan, &[]);
-        for (i, (_, p)) in payloads.iter().enumerate() {
-            b.payload_mut(i).copy_from_slice(p);
-            b.set_crc(i, crc32(p));
+        for (_, p) in &payloads {
+            assert!(b.put_payload(p));
         }
         assert!(b.seal() == pack_frame(None, &payloads, &[]));
     }
@@ -987,15 +961,11 @@ mod tests {
         // The frame a region serialized into *is* the sealed blob: `seal`
         // moves the buffer into the `Bytes`, it does not copy it.
         let mut b = FrameBuilder::new(pool(), None, &[(1, 4096), (2, 16)], &[]);
-        let slots: Vec<*const u8> = (0..2).map(|i| b.payload_mut(i).as_ptr()).collect();
-        let blob = b.seal();
-        let meta = parse_meta(&blob).expect("well-formed");
-        let sealed: Vec<*const u8> = meta
-            .payloads(&blob)
-            .iter()
-            .map(|(_, p)| p.as_ptr())
-            .collect();
-        assert_eq!(slots, sealed);
+        assert!(b.put_payload(&[1; 4096]));
+        assert!(!b.put_payload(&[2; 15]), "a payload of another length");
+        assert!(b.put_payload(&[2; 16]));
+        let written = b.buf.as_ptr();
+        assert_eq!(b.seal().as_ptr(), written);
     }
 
     #[test]
@@ -1065,7 +1035,7 @@ mod tests {
             let poisoned: Vec<_> = (0..takes)
                 .map(|_| {
                     let mut buf = pool.take(fresh[0].len() + 1);
-                    buf.fill(0xAA);
+                    buf.put(&vec![0xAA; fresh[0].len() + 1]);
                     buf
                 })
                 .collect();

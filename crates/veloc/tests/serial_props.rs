@@ -6,6 +6,7 @@
 //! truncated blob either fails *cleanly* (`None`) or is byte-identical to
 //! the original — `unpack` never panics and never returns wrong data.
 
+use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -80,12 +81,12 @@ fn streamed(data: &[u8], cuts: &[usize]) -> u32 {
     crc.finish()
 }
 
-/// `copy_crc` of `data` into a buffer that held garbage: the checksum, and
-/// whether the copy is exact.
+/// `copy_crc` of `data` into unwritten capacity: the checksum, and
+/// whether the copy it returns is exact.
 fn copied(data: &[u8]) -> (u32, bool) {
-    let mut dst = vec![0xA5; data.len()];
-    let crc = copy_crc(&mut dst, data);
-    (crc, dst == data)
+    let mut dst = vec![MaybeUninit::uninit(); data.len()];
+    let (copy, crc) = copy_crc(&mut dst, data);
+    (crc, copy == data)
 }
 
 /// Deterministic splitmix-style fill: `len` and `seed` shrink cheaply while
@@ -138,6 +139,29 @@ proptest! {
             prop_assert_eq!(streamed(data, &cuts), want, "streamed, cuts {:?}", cuts);
             prop_assert_eq!(copied(data), (want, true), "copy_crc, off {} len {}", off, data.len());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+    /// `copy_crc` into unwritten capacity equals its initialised-slice
+    /// oracle, a plain copy into a written buffer and then `crc32` of it, at
+    /// and around the boundaries of its 16 KiB copy blocks and at any start
+    /// offset of the source.
+    #[test]
+    fn copy_crc_equals_copy_then_crc_at_block_boundaries(
+        seed in any::<u64>(),
+        off in 0usize..64,
+        blocks in 0usize..4,
+        step in 0usize..5,
+    ) {
+        // 0 to 3 blocks, from two bytes short of the boundary to two over.
+        let len = (blocks * (16 << 10) + step).saturating_sub(2);
+        let src = fill(off + len, seed);
+        let src = &src[off..];
+        let mut oracle = vec![0xA5u8; len];
+        oracle.copy_from_slice(src);
+        prop_assert_eq!(copied(src), (crc32(&oracle), true), "len {}", len);
     }
 }
 
@@ -217,9 +241,8 @@ proptest! {
         let plan: Vec<(u32, usize)> = changed.iter().map(|(id, p)| (*id, p.len())).collect();
         let cluster = Cluster::new(ClusterConfig::default());
         let mut b = FrameBuilder::new(cluster.pool(), base, &plan, &unchanged);
-        for (i, (_, p)) in changed.iter().enumerate() {
-            b.payload_mut(i).copy_from_slice(p);
-            b.set_crc(i, crc32(p));
+        for (_, p) in &changed {
+            prop_assert!(b.put_payload(p));
         }
         prop_assert_eq!(b.seal(), pack_v2(base, &changed, &unchanged));
     }

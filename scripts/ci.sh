@@ -77,9 +77,9 @@ doc_budget() { # file bytes
     budgets_ok=0
   fi
 }
-doc_budget DESIGN.md 116378
-doc_budget CHANGES.md 132284
-doc_budget EXPERIMENTS.md 82930
+doc_budget DESIGN.md 118391
+doc_budget CHANGES.md 134557
+doc_budget EXPERIMENTS.md 87641
 [ "$budgets_ok" -eq 1 ]
 end
 
@@ -120,6 +120,10 @@ begin "tier-1: cargo test -q"
 # (raise MC_DFS_CAP alongside the bound or the exhaustiveness assertions
 # will rightly fail on truncation.)
 cargo test -q
+# The checkpoint buffer path once more on the optimised build, where the
+# pool neither poisons nor fills a buffer: every writer into unwritten
+# bytes, and the page-fault test of a fresh buffer (release only).
+cargo test -q --release -p cluster -p veloc -p redstore
 end
 
 begin "chaos: smoke campaign + seeded integrity mutant"
@@ -247,6 +251,9 @@ if cargo miri --version >/dev/null 2>&1; then
   # cfg(miri) mul_acc is the portable row-table loop, whole lanes included,
   # and rows_into the per-row loop over it.
   cargo miri test -p redstore --lib gf256
+  # cluster::pool: the unwritten-capacity cursor, the one place unwritten
+  # bytes become initialised, and PoolBuf's allocation, layout and frees.
+  cargo miri test -p cluster --lib pool
 else
   echo "cargo-miri not installed; skipping (rustup +nightly component add miri)"
 fi
