@@ -71,9 +71,14 @@ pub fn measure(warmup: usize, samples: usize, mut sample: impl FnMut() -> u64) -
 /// Write `target/BENCH_<name>.json` at the workspace root (benches run with
 /// CWD = the package dir): `header` is the document's leading fields, each
 /// of `configs` one `{"name":…}` object, kept one per line because
-/// `scripts/bench_gate.sh` reads single fields out with `sed`.
+/// `scripts/bench_gate.sh` reads single fields out with `sed`. The root is
+/// the one of the checkout cargo runs the bench from (its run-time
+/// `CARGO_MANIFEST_DIR`), so a copied checkout writes into its own tree and
+/// not the one the binary was first built in.
 pub fn write_results(name: &str, header: &str, configs: &[String]) {
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
+    let package = std::env::var("CARGO_MANIFEST_DIR");
+    let package = package.as_deref().unwrap_or(env!("CARGO_MANIFEST_DIR"));
+    let out = std::path::Path::new(package).join("../../target");
     let _unused = std::fs::create_dir_all(&out);
     let path = out.join(format!("BENCH_{name}.json"));
     let json = format!(

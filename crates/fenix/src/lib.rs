@@ -44,7 +44,6 @@
     deny(clippy::disallowed_methods, clippy::iter_over_hash_type)
 )]
 
-pub mod mutant;
 pub mod runtime;
 
 pub use runtime::{

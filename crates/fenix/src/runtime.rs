@@ -238,6 +238,7 @@ impl Fenix {
     /// Join the repair rendezvous for the current epoch with a vote.
     /// Returns `Ok(None)` for normal completion (finalize), or
     /// `Ok(Some(dead))` when a repair must be applied.
+    #[cfg_attr(debug_assertions, track_caller)]
     fn repair_rendezvous(&self, vote: u8) -> MpiResult<Option<Vec<usize>>> {
         let key = RendezvousKey {
             comm: self.world.id(),

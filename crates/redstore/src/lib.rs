@@ -3,7 +3,7 @@
 //! The paper's in-memory recovery story (Fenix IMR, buddy ranks) stops at
 //! single failures: one partner holds one copy, so losing a rank *and* its
 //! buddy — or a whole node that hosts both — is job loss. This crate is
-//! the next redundancy tier (ROADMAP item 2), following ReStore's
+//! the next redundancy tier (DESIGN.md §12), following ReStore's
 //! replicated in-memory storage design (arXiv 2203.01107) and FTHP-MPI's
 //! tunable-redundancy dial (arXiv 2504.09989):
 //!

@@ -378,9 +378,22 @@ impl Comm {
         COLL_BIT | ((kind as u64) << 56) | (seq << 8) | round as u64
     }
 
-    fn coll_begin(&self) {
+    /// Enter a collective of `kind`: advance the tag sequence and, in debug
+    /// builds, show the call to the collective-sequence witness, which
+    /// counts the rank inside the collective until the returned guard
+    /// drops. Release builds keep no witness and return the kind.
+    #[cfg_attr(debug_assertions, track_caller)]
+    fn coll_begin(&self, kind: &'static str) -> impl Sized + '_ {
         self.coll_seq
             .set(self.coll_seq.get().wrapping_add(1) & 0x0000_ffff_ffff_ffff);
+        #[cfg(debug_assertions)]
+        let inside = {
+            let witness = &self.router.witness;
+            witness.enter(self.id, self.epoch, &self.group, self.my_global, kind)
+        };
+        #[cfg(not(debug_assertions))]
+        let inside = kind;
+        inside
     }
 
     fn coll_send(&self, kind: Coll, round: u32, dst: usize, payload: Bytes) -> MpiResult<()> {
@@ -410,9 +423,10 @@ impl Comm {
     }
 
     /// Dissemination barrier.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn barrier(&self) -> MpiResult<()> {
         self.trace_call(MpiOp::Barrier, None, 0);
-        self.coll_begin();
+        let _inside = self.coll_begin("barrier");
         let n = self.size();
         if n <= 1 {
             return Ok(());
@@ -433,10 +447,11 @@ impl Comm {
 
     /// Binomial-tree broadcast of raw bytes from `root`. On non-root ranks
     /// the returned payload replaces `data`'s role.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn bcast_bytes(&self, root: usize, data: Bytes) -> MpiResult<Bytes> {
         self.check_rank(root)?;
         self.trace_call(MpiOp::Bcast, Some(root), data.len());
-        self.coll_begin();
+        let _inside = self.coll_begin("bcast");
         let n = self.size();
         if n <= 1 {
             return Ok(data);
@@ -468,6 +483,7 @@ impl Comm {
 
     /// Typed broadcast: `buf` is the source at root and the destination
     /// elsewhere.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn bcast<T: Pod>(&self, root: usize, buf: &mut [T]) -> MpiResult<()> {
         let payload = if self.my_rank == root {
             pod::to_bytes(buf)
@@ -490,6 +506,7 @@ impl Comm {
     /// Binomial-tree reduction to `root` with a caller-provided combiner.
     /// On return, `buf` at root holds the reduction; elsewhere its content is
     /// unspecified (it is used as scratch).
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn reduce_with<T: Pod + Default>(
         &self,
         root: usize,
@@ -498,7 +515,7 @@ impl Comm {
     ) -> MpiResult<()> {
         self.check_rank(root)?;
         self.trace_call(MpiOp::Reduce, Some(root), std::mem::size_of_val(buf));
-        self.coll_begin();
+        let _inside = self.coll_begin("reduce");
         let n = self.size();
         if n <= 1 {
             return Ok(());
@@ -531,11 +548,13 @@ impl Comm {
     }
 
     /// Reduce with a built-in operator.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn reduce<T: Scalar>(&self, root: usize, buf: &mut [T], op: ReduceOp) -> MpiResult<()> {
         self.reduce_with(root, buf, |acc, src| op.apply(acc, src))
     }
 
     /// Allreduce = reduce to rank 0 + broadcast.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn allreduce<T: Scalar>(&self, buf: &mut [T], op: ReduceOp) -> MpiResult<()> {
         self.trace_call(MpiOp::Allreduce, None, std::mem::size_of_val(buf));
         self.reduce(0, buf, op)?;
@@ -543,6 +562,7 @@ impl Comm {
     }
 
     /// Allreduce with a caller-provided combiner.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn allreduce_with<T: Pod + Default>(
         &self,
         buf: &mut [T],
@@ -554,6 +574,7 @@ impl Comm {
     }
 
     /// Convenience: allreduce a single scalar.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn allreduce_scalar<T: Scalar>(&self, value: T, op: ReduceOp) -> MpiResult<T> {
         let mut buf = [value];
         self.allreduce(&mut buf, op)?;
@@ -562,6 +583,7 @@ impl Comm {
 
     /// Gather equal-sized contributions to `root`. Returns
     /// `Some(concatenated-in-rank-order)` at root, `None` elsewhere.
+    #[cfg_attr(debug_assertions, track_caller)]
     #[expect(
         clippy::indexing_slicing,
         reason = "`out` holds one `data.len()` block for each of the `n` ranks"
@@ -569,7 +591,7 @@ impl Comm {
     pub fn gather<T: Pod + Default>(&self, root: usize, data: &[T]) -> MpiResult<Option<Vec<T>>> {
         self.check_rank(root)?;
         self.trace_call(MpiOp::Gather, Some(root), std::mem::size_of_val(data));
-        self.coll_begin();
+        let _inside = self.coll_begin("gather");
         let n = self.size();
         if self.my_rank == root {
             let mut out = vec![T::default(); data.len() * n];
@@ -595,6 +617,7 @@ impl Comm {
     }
 
     /// Allgather = gather to rank 0 + broadcast.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn allgather<T: Pod + Default>(&self, data: &[T]) -> MpiResult<Vec<T>> {
         self.trace_call(MpiOp::Allgather, None, std::mem::size_of_val(data));
         let gathered = self.gather(0, data)?;
@@ -610,6 +633,7 @@ impl Comm {
     /// `color`; within a color, new ranks are ordered by `(key, old rank)`.
     /// Returns this rank's new communicator. (Unlike MPI there is no
     /// `MPI_UNDEFINED` color — every rank lands in some sub-communicator.)
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn split(&self, color: u64, key: u64) -> MpiResult<Comm> {
         self.trace_call(MpiOp::Split, None, 0);
         // Everyone learns everyone's (color, key).

@@ -51,6 +51,8 @@ pub mod sched;
 pub mod task;
 pub mod ulfm;
 pub mod universe;
+#[cfg(debug_assertions)]
+mod witness;
 
 pub use comm::{Comm, ReduceOp, Tag};
 pub use error::{MpiError, MpiResult};

@@ -46,6 +46,17 @@ pub mod purpose {
     pub const AGREE: u8 = 1;
     pub const SHRINK: u8 = 2;
     pub const FENIX: u8 = 3;
+
+    /// The collective-sequence witness's name for a purpose.
+    #[cfg(debug_assertions)]
+    pub(crate) fn name(purpose: u8) -> &'static str {
+        match purpose {
+            AGREE => "agree",
+            SHRINK => "shrink",
+            FENIX => "fenix repair rendezvous",
+            _ => "rendezvous",
+        }
+    }
 }
 
 /// Outcome of a rendezvous: combined payload plus whether any group member
@@ -206,7 +217,9 @@ impl Router {
     /// folds the contributions (presented in ascending rank order) into the
     /// agreed value. Completes when every group member has contributed or
     /// died. Returns `Killed`/`Aborted` if this rank dies or the job aborts
-    /// while waiting.
+    /// while waiting. The call is one collective on `key`'s communicator
+    /// epoch to the collective-sequence witness.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn rendezvous(
         &self,
         key: RendezvousKey,
@@ -217,6 +230,11 @@ impl Router {
     ) -> MpiResult<RendezvousOutcome> {
         debug_assert!(group.contains(&me), "rank {me} not in rendezvous group");
         parking_lot::assert_no_locks_held();
+        #[cfg(debug_assertions)]
+        let _inside = {
+            let kind = purpose::name(key.purpose);
+            self.witness.enter(key.comm, key.epoch, group, me, kind)
+        };
         let entry = self.rendezvous.entry(key, group.len());
         let mut st = entry.state.lock();
         st.contribs.insert(me, contribution);

@@ -33,6 +33,8 @@ use crate::comm::Group;
 use crate::error::{MpiError, MpiResult};
 use crate::rendezvous::RendezvousTable;
 use crate::sched::{self, Scheduler};
+#[cfg(debug_assertions)]
+use crate::witness::Witness;
 
 /// Identifies a communicator. Derived communicators get deterministic ids so
 /// all ranks agree without communication.
@@ -133,6 +135,8 @@ pub struct Router {
     /// that can unblock a rank routes a wake through it.
     sched: RwLock<Option<Arc<Scheduler>>>,
     pub(crate) counts: RepairCounts,
+    #[cfg(debug_assertions)]
+    pub(crate) witness: Witness,
 }
 
 impl Router {
@@ -149,6 +153,8 @@ impl Router {
             recorders: RwLock::new(vec![Recorder::disabled(); n]),
             sched: RwLock::new(None),
             counts: RepairCounts::default(),
+            #[cfg(debug_assertions)]
+            witness: Witness::new(n),
         })
     }
 
@@ -252,6 +258,8 @@ impl Router {
         self.recorder(rank).emit(Event::RankKilled);
         self.cluster.fail_node_of(rank);
         self.rendezvous.forget(rank);
+        #[cfg(debug_assertions)]
+        self.witness.forget(rank);
         self.wake_all();
     }
 
@@ -268,6 +276,8 @@ impl Router {
             }
             rv.push((comm, epoch));
         }
+        #[cfg(debug_assertions)]
+        self.witness.revoke(comm, epoch);
         self.wake_all();
     }
 
@@ -278,6 +288,8 @@ impl Router {
     /// Abort the job (plain-MPI response to an unrecovered failure).
     pub fn abort(&self) {
         self.aborted.raise();
+        #[cfg(debug_assertions)]
+        self.witness.abort();
         self.wake_all();
     }
 

@@ -83,6 +83,7 @@ impl Comm {
     /// revoked is still delivered to every participant; an agreement that
     /// has not completed by then fails with [`MpiError::Revoked`] on all of
     /// them — never a mix (see the comment in `Router::rendezvous`).
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn agree(&self, seq: u64, flags: u64) -> MpiResult<AgreeOutcome> {
         let key = RendezvousKey {
             comm: self.id(),
@@ -125,6 +126,7 @@ impl Comm {
     /// agree on the dead set and build a new communicator containing only
     /// the survivors, preserving relative rank order. All live members must
     /// call with the same `seq`.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn shrink(&self, seq: u64) -> MpiResult<Comm> {
         let key = RendezvousKey {
             comm: self.id(),

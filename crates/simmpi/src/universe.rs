@@ -184,7 +184,9 @@ impl Universe {
     /// `f` is invoked once per rank. A rank returning `Err` signals failure:
     /// with `abort_on_failure` the remaining ranks are aborted. Panics in
     /// `f` are caught, reported as `Killed`, and treated like failures so
-    /// the job cannot hang.
+    /// the job cannot hang. A run-time witness's panic, and a DES
+    /// deadlock the collective-sequence witness lists, abort the job and
+    /// are re-raised once every rank is done (`debug_assertions` builds).
     pub fn launch<F>(
         cluster: &Cluster,
         config: UniverseConfig,
@@ -211,7 +213,8 @@ impl Universe {
         // to the router so waits become yields, let the dispatcher ask the
         // router whether a parked receive would do anything but yield
         // again, and make deadlock abort the job as a typed outcome instead
-        // of hanging.
+        // of hanging (after the collective-sequence witness listed the ranks
+        // blocked in a collective).
         let sched = match config.backend {
             Backend::Threads => None,
             Backend::Des { seed } => {
@@ -225,7 +228,11 @@ impl Universe {
                 let r = Arc::clone(&router);
                 s.set_ready_probe(move |rank| r.would_run(rank));
                 let r = Arc::clone(&router);
-                s.set_deadlock_hook(move || r.abort());
+                s.set_deadlock_hook(move || {
+                    #[cfg(debug_assertions)]
+                    r.witness.note_deadlock();
+                    r.abort();
+                });
                 Some(s)
             }
         };
@@ -257,7 +264,7 @@ impl Universe {
         let tier_keys_before = tier_keys();
         // One world group for all ranks' handles.
         let world_group = Arc::new(Group::new((0..n).collect()));
-        let lock_order_violation = parking_lot::Mutex::new(None);
+        let witness_violation = parking_lot::Mutex::new(None);
         // One rank's whole life, on whichever engine runs it.
         let run_rank = |rank: usize| -> RankOutcome {
             // Under DES this rank is a cooperative task: its modeled sleeps
@@ -287,12 +294,14 @@ impl Universe {
                 Ok(r) => r,
                 Err(payload) => {
                     // A panicking rank is indistinguishable from a crash:
-                    // mark it dead so peers observe it. A lock-order
-                    // violation is a bug, not a fault: the launch re-raises
+                    // mark it dead so peers observe it. A run-time
+                    // witness's panic is a bug, not a fault: the job aborts,
+                    // so no layer recovers from it, and the launch re-raises
                     // it once every rank is done.
                     router.kill(rank);
-                    if is_lock_order_violation(payload.as_ref()) {
-                        lock_order_violation.lock().get_or_insert(payload);
+                    if is_witness_violation(payload.as_ref()) {
+                        witness_violation.lock().get_or_insert(payload);
+                        router.abort();
                     }
                     Err(MpiError::Killed)
                 }
@@ -347,8 +356,12 @@ impl Universe {
             router.set_sched(None);
             s.clear_hooks();
         }
-        if let Some(payload) = lock_order_violation.into_inner() {
+        if let Some(payload) = witness_violation.into_inner() {
             std::panic::resume_unwind(payload);
+        }
+        #[cfg(debug_assertions)]
+        if let Some(listing) = router.witness.take_deadlock() {
+            std::panic::resume_unwind(Box::new(listing));
         }
         let wall = Duration::from_nanos(clock.now_ns().saturating_sub(start_ns));
 
@@ -404,11 +417,11 @@ impl Universe {
     }
 }
 
-/// Whether a rank's panic is the parking_lot shim's lock-order witness or
-/// its no-blocking scope (`debug_assertions` builds) rather than a crash to
-/// recover from.
-fn is_lock_order_violation(payload: &(dyn std::any::Any + Send)) -> bool {
-    payload
-        .downcast_ref::<String>()
-        .is_some_and(|msg| msg.starts_with("lock-order witness"))
+/// Whether a rank's panic is a run-time witness's (`debug_assertions`
+/// builds) rather than a crash to recover from: the parking_lot shim's
+/// lock-order witness and no-blocking scope, or the collective-sequence
+/// witness.
+fn is_witness_violation(payload: &(dyn std::any::Any + Send)) -> bool {
+    let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
+    msg.starts_with("lock-order witness:") || msg.starts_with("collective witness:")
 }

@@ -5,7 +5,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use cluster::{Cluster, ClusterConfig, TimeScale};
-use simmpi::{FaultPlan, MpiError, MpiResult, RankCtx, ReduceOp, Universe, UniverseConfig};
+use simmpi::{
+    Backend, FaultPlan, MpiError, MpiResult, RankCtx, ReduceOp, Universe, UniverseConfig,
+};
 
 fn cluster(n: usize) -> Cluster {
     let cfg = ClusterConfig {
@@ -60,6 +62,125 @@ fn lock_order_violation_fails_the_launch() {
     });
 }
 
+const ENGINES: [Backend; 2] = [Backend::Threads, Backend::Des { seed: 5 }];
+
+/// The message of the panic a launch of `n` ranks re-raised.
+fn launch_panic<F>(n: usize, backend: Backend, f: F) -> String
+where
+    F: Fn(&mut RankCtx) -> MpiResult<()> + Send + Sync,
+{
+    let config = UniverseConfig {
+        backend,
+        ..UniverseConfig::default()
+    };
+    let launch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_with_faults(n, FaultPlan::none(), config, f)
+    }));
+    let payload = launch.expect_err("the launch re-raises the witness's panic");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default()
+}
+
+/// Only the root enters a barrier, then every rank broadcasts: the
+/// collective-sequence witness sees a barrier and a bcast as the same
+/// collective and fails the launch, naming both call sites and both ranks,
+/// on either engine.
+#[test]
+#[cfg(debug_assertions)]
+fn root_only_barrier_fails_the_launch() {
+    let barrier_at = line!() + 6;
+    let bcast_at = line!() + 8;
+    for backend in ENGINES {
+        let msg = launch_panic(2, backend, |ctx| {
+            let w = ctx.world();
+            if w.rank() == 0 {
+                w.barrier()?;
+            }
+            let mut v = [7u64];
+            w.bcast(0, &mut v)?;
+            Ok(())
+        });
+        assert!(msg.starts_with("collective witness:"), "{backend:?}: {msg}");
+        for site in [
+            format!("rank 0 entered barrier at {}:{barrier_at}:", file!()),
+            format!("rank 1 entered bcast at {}:{bcast_at}:", file!()),
+        ] {
+            assert!(msg.contains(&site), "{backend:?}: {msg}");
+        }
+    }
+}
+
+#[derive(Clone, Copy)]
+enum Role {
+    Leader,
+    Member,
+}
+
+/// After an agreement only the leader gathers: nothing mismatches, the
+/// members finish and the leader waits for them for ever. Under DES the
+/// drained event heap lists the leader's pending gather and its site, and
+/// with no rank dead the listing fails the launch.
+#[test]
+#[cfg(debug_assertions)]
+fn lopsided_commit_fails_the_des_launch_with_the_pending_site() {
+    let allgather_at = line!() + 11;
+    let msg = launch_panic(3, ENGINES[1], |ctx| {
+        let w = ctx.world();
+        let role = if w.rank() == 0 {
+            Role::Leader
+        } else {
+            Role::Member
+        };
+        match role {
+            Role::Leader => {
+                w.agree(1, 0)?;
+                w.allgather(&[1u64])?;
+            }
+            Role::Member => {
+                w.agree(1, 0)?;
+            }
+        }
+        Ok(())
+    });
+    assert!(msg.starts_with("collective witness: deadlock"), "{msg}");
+    assert!(
+        msg.contains(&format!(
+            "rank 0 waits in gather at {}:{allgather_at}:",
+            file!()
+        )),
+        "{msg}"
+    );
+}
+
+/// The clean twin: the root's arm and the others' issue the same kinds
+/// from different sites, so the witness stays silent.
+#[test]
+fn same_kinds_from_different_sites_pass() {
+    for backend in ENGINES {
+        let config = UniverseConfig {
+            backend,
+            ..UniverseConfig::default()
+        };
+        let report = run_with_faults(3, FaultPlan::none(), config, |ctx| {
+            let w = ctx.world();
+            let mut v = [0u64];
+            if w.rank() == 0 {
+                v[0] = 7;
+                w.bcast(0, &mut v)?;
+                w.agree(1, 1)?;
+            } else {
+                w.bcast(0, &mut v)?;
+                w.agree(1, 1)?;
+            }
+            assert_eq!(v, [7]);
+            Ok(())
+        });
+        assert!(report.all_ok(), "{:?}", report.outcomes);
+    }
+}
+
 /// A rank that blocks inside a no-blocking scope fails the launch the
 /// same way, naming where the scope was entered; its peer, waiting for it
 /// in the barrier, sees it fail instead of hanging.
@@ -67,23 +188,16 @@ fn lock_order_violation_fails_the_launch() {
 #[cfg(debug_assertions)]
 fn blocking_in_a_no_blocking_scope_fails_the_launch() {
     let peer_failed = std::sync::atomic::AtomicBool::new(false);
-    let launch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_with_faults(2, FaultPlan::none(), UniverseConfig::default(), |ctx| {
-            let w = ctx.world();
-            if ctx.rank() == 0 {
-                let _scope = parking_lot::no_blocking();
-                w.barrier()?;
-            } else {
-                peer_failed.store(w.barrier().is_err(), Ordering::Relaxed);
-            }
-            Ok(())
-        })
-    }));
-    let payload = launch.expect_err("the launch re-raises the witness's panic");
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_default();
+    let msg = launch_panic(2, Backend::Threads, |ctx| {
+        let w = ctx.world();
+        if ctx.rank() == 0 {
+            let _scope = parking_lot::no_blocking();
+            w.barrier()?;
+        } else {
+            peer_failed.store(w.barrier().is_err(), Ordering::Relaxed);
+        }
+        Ok(())
+    });
     assert!(
         msg.contains("inside the no-blocking scope entered at crates/simmpi/tests/failures.rs"),
         "{msg}"

@@ -1,5 +1,5 @@
-//! The workspace's one JSON value: built and printed by the exporters, the
-//! harness and the linter, parsed back by the CI gate and the linter.
+//! The workspace's one JSON value: built and printed by the exporters and
+//! the harness, parsed back by the CI gate and the pin file's reader.
 //!
 //! The workspace builds offline, so instead of `serde_json` this module
 //! provides the small subset the repo needs: constructing values, printing

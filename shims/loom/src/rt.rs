@@ -29,8 +29,8 @@
 //!
 //! What is *not* modeled: weak memory. The runtime serializes execution, so
 //! it explores interleavings under sequential consistency only. Memory
-//! ordering bugs are covered separately (fences + audit comments, the lint
-//! pass, optional Miri in CI) — see DESIGN.md §9.
+//! ordering bugs are covered separately (fences + audit comments, the
+//! `AbortFlag` type, optional Miri in CI) — see DESIGN.md §9.
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
