@@ -4,10 +4,11 @@
 //! ([`Run::parse`]) and judged pair by pair ([`compare`]).
 //!
 //! Per metric it prints each side's median and quartiles and how many pairs
-//! the change won; ties count for neither side. It ends with one verdict on
-//! the claimed metric, [`CLAIM`], by the rule for a gain measured on a
-//! shared host: the change wins at least nine pairs in ten, and its median
-//! beats the parent's by more than the parent's interquartile range. Under ten pairs
+//! the change won; ties count for neither side. The claimed metric,
+//! [`CLAIM`], and every host metric `BENCHMARK.json` bounds each get a
+//! verdict line by the rule for a gain measured on a shared host: the
+//! change wins at least nine pairs in ten, and its median beats the
+//! parent's by more than the parent's interquartile range. Under ten pairs
 //! a result that meets the rule is only consistent with a gain (a held-out
 //! seed's check), never a claim. Every modelled
 //! number — a metric named `virtual_*` and the `virtual_fingerprint` line
@@ -241,7 +242,8 @@ impl Sides {
 }
 
 /// Judge `pairs` of `(parent, change)` runs, made alternately, on the
-/// `claim`ed metric, and hold each metric in `bounds` to its bound. A
+/// `claim`ed metric and on each host metric in `bounds`, and hold each
+/// metric in `bounds` to its bound. A
 /// metric with a bound is better the way its bound says; otherwise a unit
 /// that is a rate (`…/s`) is better higher, every other metric lower.
 pub fn compare(pairs: &[(Run, Run)], claim: &str, bounds: &[Bound]) -> GateReport {
@@ -306,7 +308,7 @@ pub fn compare(pairs: &[(Run, Run)], claim: &str, bounds: &[Bound]) -> GateRepor
                 ));
             }
         }
-        if name == claim {
+        if name == claim || bound.is_some() {
             let ([pq1, pm, pq3], cm) = (s.parent, s.change[1]);
             let gap = if higher { cm - pm } else { pm - cm };
             let iqr = pq3 - pq1;
@@ -317,7 +319,7 @@ pub fn compare(pairs: &[(Run, Run)], claim: &str, bounds: &[Bound]) -> GateRepor
                 (false, _) => "not shown",
             };
             report.lines.push(format!(
-                "verdict: {claim} {verdict}: change better in {}/{n} pairs (needs 9/10), \
+                "verdict: {name} {verdict}: change better in {}/{n} pairs (needs 9/10), \
                  median gain {gap:.4} {unit} against the parent's IQR {iqr:.4} {unit} \
                  ({pm:.4} -> {cm:.4}, {:+.2} %)",
                 s.wins,
@@ -463,6 +465,36 @@ mod tests {
             crc.contains("higher is better") && crc.contains("better in 9/10"),
             "{crc}"
         );
+    }
+
+    #[test]
+    fn every_bounded_host_metric_gets_a_verdict() {
+        let doc = r#"{"end_to_end": [
+            {"name": "host_pass_s", "unit": "s", "better": "lower", "bound": 0.25},
+            {"name": "virtual_wall_fail_s", "unit": "s", "better": "lower", "bound": 0.02},
+            {"name": "veloc.crc_host_mib_s", "unit": "MiB/s", "better": "higher", "bound": 0.5}
+        ]}"#;
+        let parent = [2.0, 2.1, 2.0, 2.2, 2.1, 2.0, 2.1, 2.05, 2.15, 2.0];
+        let mut change = parent.map(|p| p - 0.2);
+        change[3] = 2.3; // one pair lost
+        let verdicts = |bounds: &[Bound]| {
+            let r = compare(&pairs(&parent, &change), CLAIM, bounds);
+            assert!(r.ok(), "{:?}", r.failures);
+            let found = r.lines.into_iter().filter(|l| l.starts_with("verdict: "));
+            found.collect::<Vec<_>>()
+        };
+        // The claim and the bounded rate, by the same rule; a modelled
+        // metric never gets one, bounded or not.
+        let all = verdicts(&bounds(doc).unwrap());
+        assert_eq!(all.len(), 2, "{all:?}");
+        assert!(all[0].starts_with("verdict: host_pass_s improved: change better in 9/10"));
+        assert!(
+            all[1].starts_with("verdict: veloc.crc_host_mib_s improved: change better in 9/10"),
+            "{}",
+            all[1]
+        );
+        // Without bounds, the claim alone.
+        assert_eq!(verdicts(&[]).len(), 1);
     }
 
     #[test]

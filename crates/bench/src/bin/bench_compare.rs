@@ -134,7 +134,8 @@ fn cmd_check_pins(args: &[String]) -> Result<GateReport, String> {
 }
 
 /// Alternating parent and change logs of `benchmark --workload` runs,
-/// judged pair by pair on [`ab::CLAIM`] and held to the end-to-end bounds
+/// judged pair by pair on [`ab::CLAIM`] and on each bounded host metric,
+/// and held to the end-to-end bounds
 /// of the `--bounds` file, which is only read; an unreadable log or bounds
 /// file is a violation, a missing `--bounds` a usage error.
 fn cmd_ab(args: &[String]) -> Result<GateReport, String> {

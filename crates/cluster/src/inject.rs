@@ -13,6 +13,8 @@
 
 use bytes::Bytes;
 
+use crate::Key;
+
 /// Which checkpoint storage tier a write is headed for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StorageTier {
@@ -37,10 +39,10 @@ impl std::fmt::Display for StorageTier {
 /// from relaunched jobs, so "fire at most once" bookkeeping belongs to the
 /// implementor (the pattern `simmpi`'s kill plan already uses).
 pub trait FaultInjector: Send + Sync {
-    /// Offered the blob about to be written to `path` on `tier`. Return
+    /// Offered the blob about to be written at `key` on `tier`. Return
     /// `Some(corrupted)` to replace it, `None` to leave it untouched.
-    fn corrupt_write(&self, tier: StorageTier, path: &str, blob: &Bytes) -> Option<Bytes> {
-        let _ = (tier, path, blob);
+    fn corrupt_write(&self, tier: StorageTier, key: Key, blob: &Bytes) -> Option<Bytes> {
+        let _ = (tier, key, blob);
         None
     }
 
@@ -70,8 +72,9 @@ mod tests {
     #[test]
     fn default_hooks_are_inert() {
         let n = Noop;
+        let key = crate::Names::default().key("ck/v1/r0");
         assert!(n
-            .corrupt_write(StorageTier::Scratch, "ck/v1/r0", &Bytes::from_static(b"x"))
+            .corrupt_write(StorageTier::Scratch, key, &Bytes::from_static(b"x"))
             .is_none());
         assert!(!n.backend_spawn_fails(0));
         assert!(!n.flush_worker_dies(0, 3));

@@ -18,7 +18,8 @@
 //!   scale with the number of compute ranks, which is what makes disk-based
 //!   checkpointing bottleneck at scale).
 //! * [`scratch::NodeScratch`] — per-node in-memory checkpoint staging, lost
-//!   only when that node dies.
+//!   only when that node dies. Both tiers key their blobs by
+//!   [`blobs::Key`], `(name, version, rank)` over the cluster's [`Names`].
 //! * [`relaunch::RelaunchModel`] — the cost of tearing down and restarting an
 //!   entire MPI job, paid by non-Fenix recovery strategies.
 //! * [`pool::Pool`] — the cluster's one buffer pool: checkpoint frames,
@@ -37,7 +38,7 @@
 )]
 
 pub mod bandwidth;
-mod blobs;
+pub mod blobs;
 pub mod clock;
 pub mod inject;
 pub mod net;
@@ -54,6 +55,7 @@ use std::time::Duration;
 use parking_lot::RwLock;
 
 pub use bandwidth::Governor;
+pub use blobs::{Key, NameId, Names, ToKey};
 pub use clock::Clock;
 pub use inject::{FaultInjector, StorageTier};
 pub use net::Network;
@@ -255,6 +257,8 @@ pub struct Cluster {
     network: Arc<Network>,
     pfs: Arc<ParallelFileSystem>,
     scratch: Arc<NodeScratch>,
+    /// The checkpoint names both tiers key their blobs by.
+    names: Arc<Names>,
     /// Storage-path fault hooks (chaos injection). Shared by every clone so
     /// an injector installed at launch is seen by all layers.
     injector: Arc<RwLock<Option<Arc<dyn FaultInjector>>>>,
@@ -288,18 +292,21 @@ impl Cluster {
             config.time_scale,
             &clock,
         ));
-        let pfs = Arc::new(ParallelFileSystem::with_clock(
+        let names = Arc::new(Names::default());
+        let pfs = Arc::new(ParallelFileSystem::new(
             config.pfs_servers,
             config.pfs_bandwidth,
             config.pfs_latency,
             config.time_scale,
             &clock,
+            &names,
         ));
-        let scratch = Arc::new(NodeScratch::with_clock(
+        let scratch = Arc::new(NodeScratch::new(
             config.nodes,
             config.scratch_bandwidth,
             config.time_scale,
             &clock,
+            &names,
         ));
         Cluster {
             config,
@@ -307,6 +314,7 @@ impl Cluster {
             network,
             pfs,
             scratch,
+            names,
             injector: Arc::new(RwLock::new(None)),
             clock,
             pool: Arc::new(Pool::new()),
@@ -331,6 +339,11 @@ impl Cluster {
 
     pub fn scratch(&self) -> &Arc<NodeScratch> {
         &self.scratch
+    }
+
+    /// The name table both storage tiers intern checkpoint names in.
+    pub fn names(&self) -> &Names {
+        &self.names
     }
 
     pub fn time_scale(&self) -> TimeScale {

@@ -10,16 +10,13 @@
 //! Contents survive simulated job relaunches and node failures — the harness
 //! holds the same `ParallelFileSystem` across `Universe` launches.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 
-use std::sync::Arc;
-
 use crate::bandwidth::Governor;
-use crate::blobs::Blobs;
+use crate::blobs::{Blobs, Key, NameId, Names, ToKey};
 use crate::clock::Clock;
 use crate::TimeScale;
 
@@ -27,33 +24,20 @@ use crate::TimeScale;
 pub struct ParallelFileSystem {
     servers: Vec<Governor>,
     store: Blobs,
+    names: Arc<Names>,
 }
 
 impl ParallelFileSystem {
-    /// `aggregate_bandwidth` is split evenly across `servers` governors.
+    /// `aggregate_bandwidth` is split evenly across `servers` governors,
+    /// each on the shared time source `clock`; blob names are interned in
+    /// `names`.
     pub fn new(
         servers: usize,
         aggregate_bandwidth: f64,
         latency: Duration,
         scale: TimeScale,
-    ) -> Self {
-        Self::with_clock(
-            servers,
-            aggregate_bandwidth,
-            latency,
-            scale,
-            &Arc::new(Clock::wall()),
-        )
-    }
-
-    /// Like [`ParallelFileSystem::new`], with every server governor on the
-    /// given shared time source.
-    pub fn with_clock(
-        servers: usize,
-        aggregate_bandwidth: f64,
-        latency: Duration,
-        scale: TimeScale,
         clock: &Arc<Clock>,
+        names: &Arc<Names>,
     ) -> Self {
         assert!(servers > 0, "need at least one I/O server");
         let per_server = aggregate_bandwidth / servers as f64;
@@ -62,58 +46,50 @@ impl ParallelFileSystem {
                 .map(|_| Governor::with_clock(per_server, latency, scale, Arc::clone(clock)))
                 .collect(),
             store: Blobs::default(),
+            names: Arc::clone(names),
         }
     }
 
-    fn server_idx(&self, path: &str) -> usize {
-        let mut h = DefaultHasher::new();
-        path.hash(&mut h);
-        (h.finish() as usize) % self.servers.len()
-    }
-
-    fn server_for(&self, path: &str) -> &Governor {
-        &self.servers[self.server_idx(path)]
+    /// The server striped to `key`: the same for every key as a hash of
+    /// its `"{name}/v{version}/r{rank}"` path string.
+    fn server_for(&self, key: Key) -> &Governor {
+        &self.servers[self.names.stripe(key, self.servers.len())]
     }
 
     /// Write a blob, paying the modeled transfer time on the responsible
     /// server. Returns the modeled duration.
-    pub fn write(&self, path: &str, data: Bytes) -> Duration {
-        let d = self.server_for(path).transfer(data.len());
-        self.store.insert(path, data);
+    pub fn write(&self, at: impl ToKey, data: Bytes) -> Duration {
+        let key = at.to_key(&self.names);
+        let d = self.server_for(key).transfer(data.len());
+        self.store.insert(key, data);
         d
     }
 
     /// Read a blob, paying the modeled transfer time.
-    pub fn read(&self, path: &str) -> Option<(Bytes, Duration)> {
-        let data = self.store.get(path)?;
-        let d = self.server_for(path).transfer(data.len());
+    pub fn read(&self, at: impl ToKey) -> Option<(Bytes, Duration)> {
+        let key = at.to_key(&self.names);
+        let data = self.store.get(key)?;
+        let d = self.server_for(key).transfer(data.len());
         Some((data, d))
     }
 
     /// Whether a blob exists (metadata query; free).
-    pub fn exists(&self, path: &str) -> bool {
-        self.store.exists(path)
+    pub fn exists(&self, at: impl ToKey) -> bool {
+        self.store.exists(at.to_key(&self.names))
     }
 
     /// Remove a blob. Returns whether it existed.
-    pub fn remove(&self, path: &str) -> bool {
-        self.store.remove(path)
+    pub fn remove(&self, at: impl ToKey) -> bool {
+        self.store.remove(at.to_key(&self.names))
     }
 
-    /// List stored paths with the given prefix (metadata query; free).
-    pub fn list(&self, prefix: &str) -> Vec<String> {
-        self.store.list(prefix)
+    /// Append the versions stored under `name` to `out`, ascending: one
+    /// seek per version, however many ranks stored it (metadata; free).
+    pub fn versions(&self, name: NameId, out: &mut Vec<u64>) {
+        self.store.versions(name, out);
     }
 
-    /// The names directly under directory `dir` (a prefix ending in `/`),
-    /// ascending — `readdir`: `["v1", "v2"]` for `ck/v1/r0`, `ck/v1/r1`,
-    /// `ck/v2/r0` under `"ck/"`. One seek per name, however many paths each
-    /// holds (metadata query; free).
-    pub fn children(&self, dir: &str) -> Vec<String> {
-        self.store.children(dir)
-    }
-
-    /// Stored keys touched by metadata queries so far (`list`, `children`,
+    /// Stored keys touched by metadata queries so far (`versions`,
     /// `exists`) — a work count, for linearity tests and telemetry.
     pub fn keys_examined(&self) -> u64 {
         self.store.keys_examined()
@@ -130,21 +106,24 @@ impl ParallelFileSystem {
     }
 }
 
-impl std::fmt::Debug for ParallelFileSystem {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParallelFileSystem")
-            .field("servers", &self.servers.len())
-            .field("blobs", &self.store.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn pfs_at(servers: usize, scale: TimeScale) -> ParallelFileSystem {
+        let clock = Arc::new(Clock::wall());
+        ParallelFileSystem::new(
+            servers,
+            1.0e9,
+            Duration::ZERO,
+            scale,
+            &clock,
+            &Arc::default(),
+        )
+    }
+
     fn pfs() -> ParallelFileSystem {
-        ParallelFileSystem::new(2, 1.0e9, Duration::ZERO, TimeScale::instant())
+        pfs_at(2, TimeScale::instant())
     }
 
     #[test]
@@ -158,15 +137,6 @@ mod tests {
     #[test]
     fn read_missing_is_none() {
         assert!(pfs().read("nope").is_none());
-    }
-
-    #[test]
-    fn list_filters_by_prefix() {
-        let p = pfs();
-        p.write("ckpt/1/r0", Bytes::new());
-        p.write("ckpt/1/r1", Bytes::new());
-        p.write("other", Bytes::new());
-        assert_eq!(p.list("ckpt/1/"), vec!["ckpt/1/r0", "ckpt/1/r1"]);
     }
 
     #[test]
@@ -191,7 +161,7 @@ mod tests {
     #[test]
     fn aggregate_bandwidth_is_fixed() {
         // One server at 1 GB/s: two 100 MB writes to the same stripe queue.
-        let p = ParallelFileSystem::new(1, 1.0e9, Duration::ZERO, TimeScale::realtime());
+        let p = pfs_at(1, TimeScale::realtime());
         let d1 = p.write("a", Bytes::from(vec![0u8; 50_000_000]));
         let d2 = p.write("a", Bytes::from(vec![0u8; 50_000_000]));
         assert!(d2 >= d1, "second write should observe queueing");

@@ -6,20 +6,20 @@
 //! nodes and even a full job relaunch (the node keeps running; only the
 //! processes die), but are lost when their own node fails.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 
-use std::sync::Arc;
-
 use crate::bandwidth::Governor;
-use crate::blobs::Blobs;
+use crate::blobs::{Blobs, NameId, Names, ToKey};
 use crate::clock::Clock;
 use crate::TimeScale;
 
 /// Per-node in-memory blob store with memory-speed bandwidth accounting.
 pub struct NodeScratch {
     nodes: Vec<NodeStore>,
+    names: Arc<Names>,
 }
 
 struct NodeStore {
@@ -28,13 +28,15 @@ struct NodeStore {
 }
 
 impl NodeScratch {
-    pub fn new(nodes: usize, bandwidth: f64, scale: TimeScale) -> Self {
-        Self::with_clock(nodes, bandwidth, scale, &Arc::new(Clock::wall()))
-    }
-
-    /// Like [`NodeScratch::new`], with every node governor on the given
-    /// shared time source.
-    pub fn with_clock(nodes: usize, bandwidth: f64, scale: TimeScale, clock: &Arc<Clock>) -> Self {
+    /// One store per node, each behind a governor on the shared time source
+    /// `clock`; blob names are interned in `names`.
+    pub fn new(
+        nodes: usize,
+        bandwidth: f64,
+        scale: TimeScale,
+        clock: &Arc<Clock>,
+        names: &Arc<Names>,
+    ) -> Self {
         NodeScratch {
             nodes: (0..nodes)
                 .map(|_| NodeStore {
@@ -42,6 +44,7 @@ impl NodeScratch {
                     blobs: Blobs::default(),
                 })
                 .collect(),
+            names: Arc::clone(names),
         }
     }
 
@@ -50,38 +53,32 @@ impl NodeScratch {
     }
 
     /// Store a blob on `node`, paying the modeled memory-copy time.
-    pub fn write(&self, node: usize, path: &str, data: Bytes) -> Duration {
+    pub fn write(&self, node: usize, at: impl ToKey, data: Bytes) -> Duration {
         let n = self.node(node);
         let d = n.gov.transfer(data.len());
-        n.blobs.insert(path, data);
+        n.blobs.insert(at.to_key(&self.names), data);
         d
     }
 
     /// Read a blob from `node`.
-    pub fn read(&self, node: usize, path: &str) -> Option<(Bytes, Duration)> {
+    pub fn read(&self, node: usize, at: impl ToKey) -> Option<(Bytes, Duration)> {
         let n = self.node(node);
-        let data = n.blobs.get(path)?;
+        let data = n.blobs.get(at.to_key(&self.names))?;
         let d = n.gov.transfer(data.len());
         Some((data, d))
     }
 
-    pub fn exists(&self, node: usize, path: &str) -> bool {
-        self.node(node).blobs.exists(path)
+    pub fn exists(&self, node: usize, at: impl ToKey) -> bool {
+        self.node(node).blobs.exists(at.to_key(&self.names))
     }
 
-    pub fn remove(&self, node: usize, path: &str) -> bool {
-        self.node(node).blobs.remove(path)
+    pub fn remove(&self, node: usize, at: impl ToKey) -> bool {
+        self.node(node).blobs.remove(at.to_key(&self.names))
     }
 
-    /// List blobs on `node` with the given prefix.
-    pub fn list(&self, node: usize, prefix: &str) -> Vec<String> {
-        self.node(node).blobs.list(prefix)
-    }
-
-    /// The names directly under directory `dir` on `node` — see
-    /// [`crate::ParallelFileSystem::children`].
-    pub fn children(&self, node: usize, dir: &str) -> Vec<String> {
-        self.node(node).blobs.children(dir)
+    /// [`crate::ParallelFileSystem::versions`] on `node`.
+    pub fn versions(&self, node: usize, name: NameId, out: &mut Vec<u64>) {
+        self.node(node).blobs.versions(name, out);
     }
 
     /// Stored keys touched by metadata queries so far, over all nodes.
@@ -94,23 +91,15 @@ impl NodeScratch {
         self.node(node).blobs.clear();
     }
 
+    pub fn stored_bytes(&self, node: usize) -> usize {
+        self.node(node).blobs.bytes()
+    }
+
     /// Drop everything (between harness experiments).
     pub fn clear(&self) {
         for n in &self.nodes {
             n.blobs.clear();
         }
-    }
-
-    pub fn stored_bytes(&self, node: usize) -> usize {
-        self.node(node).blobs.bytes()
-    }
-}
-
-impl std::fmt::Debug for NodeScratch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NodeScratch")
-            .field("nodes", &self.nodes.len())
-            .finish()
     }
 }
 
@@ -119,7 +108,8 @@ mod tests {
     use super::*;
 
     fn scratch(nodes: usize) -> NodeScratch {
-        NodeScratch::new(nodes, 1.0e12, TimeScale::instant())
+        let clock = Arc::new(Clock::wall());
+        NodeScratch::new(nodes, 1.0e12, TimeScale::instant(), &clock, &Arc::default())
     }
 
     #[test]
@@ -138,15 +128,6 @@ mod tests {
         s.purge_node(0);
         assert!(!s.exists(0, "x"));
         assert!(s.exists(1, "x"));
-    }
-
-    #[test]
-    fn list_is_sorted_and_filtered() {
-        let s = scratch(1);
-        s.write(0, "v2", Bytes::new());
-        s.write(0, "v1", Bytes::new());
-        s.write(0, "w1", Bytes::new());
-        assert_eq!(s.list(0, "v"), vec!["v1", "v2"]);
     }
 
     #[test]

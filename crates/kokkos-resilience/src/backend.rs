@@ -286,7 +286,10 @@ mod tests {
             MpiError::Revoked
         );
         assert_eq!(
-            veloc_err(VelocError::Corrupt { path: "p".into() }),
+            veloc_err(VelocError::Corrupt {
+                name: "p".into(),
+                version: 1
+            }),
             MpiError::Aborted
         );
     }

@@ -1,7 +1,6 @@
 //! The resilience context: region detection, recovery, and backend driving.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use cluster::Cluster;
@@ -105,7 +104,7 @@ struct Restart {
 /// Per-region cached metadata (cleared by [`Context::reset`]).
 struct RegionMeta {
     /// The region's checkpoint name, `"{context}.{label}"`.
-    name: String,
+    name: Arc<str>,
     stats: RegionStats,
     /// `(veloc region id, handle)` for each checkpointed view, in detection
     /// order — identical on every rank because the region code is.
@@ -118,7 +117,11 @@ pub struct Context {
     data: Box<dyn DataBackend>,
     name: String,
     filter: CheckpointFilter,
-    aliases: RefCell<HashSet<String>>,
+    /// A handful of labels: a scan, not a set.
+    aliases: RefCell<Vec<String>>,
+    /// Each label's checkpoint name, `"{context}.{label}"`, formatted once
+    /// and kept across resets.
+    qualified: RefCell<ByLabel<Arc<str>>>,
     regions: RefCell<ByLabel<RegionMeta>>,
     restarts: RefCell<ByLabel<Restart>>,
     scope: RefCell<RecoveryScope>,
@@ -142,7 +145,8 @@ impl Context {
             data,
             name: config.name,
             filter: config.filter,
-            aliases: RefCell::new(config.aliases.into_iter().collect()),
+            aliases: RefCell::new(config.aliases),
+            qualified: RefCell::default(),
             regions: RefCell::default(),
             restarts: RefCell::default(),
             scope: RefCell::new(RecoveryScope::All),
@@ -185,7 +189,11 @@ impl Context {
 
     /// Declare a view label as an alias (not checkpointed).
     pub fn mark_alias(&self, view_label: impl Into<String>) {
-        self.aliases.borrow_mut().insert(view_label.into());
+        let label = view_label.into();
+        let mut aliases = self.aliases.borrow_mut();
+        if !aliases.contains(&label) {
+            aliases.push(label);
+        }
     }
 
     /// Limit which ranks restore on the next recovery (partial rollback).
@@ -193,8 +201,13 @@ impl Context {
         *self.scope.borrow_mut() = scope;
     }
 
-    fn qualified(&self, label: &str) -> String {
-        format!("{}.{}", self.name, label)
+    fn qualified(&self, label: &str) -> Arc<str> {
+        if let Some(name) = self.qualified.borrow().get(label) {
+            return Arc::clone(name);
+        }
+        let name: Arc<str> = format!("{}.{}", self.name, label).into();
+        self.qualified.borrow_mut().insert(label, Arc::clone(&name));
+        name
     }
 
     /// Best restartable version of a region across the communicator.
@@ -289,7 +302,7 @@ impl Context {
         let mut seen_allocs = Vec::new();
         let mut next_id = 0u32;
         for rec in session.into_records() {
-            let class = if aliases.contains(&rec.meta.label) {
+            let class = if aliases.iter().any(|a| **a == *rec.meta.label) {
                 ViewClass::Alias
             } else if seen_allocs.contains(&rec.meta.alloc_id) {
                 ViewClass::Skipped

@@ -70,7 +70,7 @@ mod tests {
         ViewMeta {
             view_id: id,
             alloc_id: id,
-            label: format!("v{id}"),
+            label: format!("v{id}").into(),
             extents: [bytes, 1, 1],
             rank: 1,
             bytes,

@@ -245,9 +245,9 @@ mod tests {
         });
         let recs = s.records();
         assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].meta.label, "a");
+        assert_eq!(&*recs[0].meta.label, "a");
         assert!(!recs[0].wrote);
-        assert_eq!(recs[1].meta.label, "b");
+        assert_eq!(&*recs[1].meta.label, "b");
         assert!(recs[1].wrote);
     }
 

@@ -48,7 +48,8 @@ pub struct ViewMeta {
     pub view_id: u64,
     /// Shared by every view object over the same allocation.
     pub alloc_id: u64,
-    pub label: String,
+    /// Shared: a copy of the metadata copies a reference count.
+    pub label: Arc<str>,
     /// Extents; unused trailing dimensions are 1.
     pub extents: [usize; 3],
     /// Number of meaningful dimensions (1..=3).
@@ -100,16 +101,16 @@ impl<T: Pod> Clone for View<T> {
 
 impl<T: Pod + Default> View<T> {
     /// A zero-initialized 1-D view.
-    pub fn new_1d(label: impl Into<String>, n: usize) -> Self {
+    pub fn new_1d(label: impl Into<Arc<str>>, n: usize) -> Self {
         Self::with_extents(label, [n, 1, 1], 1)
     }
 
     /// A zero-initialized 2-D view (row-major: index `i * ny + j`).
-    pub fn new_2d(label: impl Into<String>, nx: usize, ny: usize) -> Self {
+    pub fn new_2d(label: impl Into<Arc<str>>, nx: usize, ny: usize) -> Self {
         Self::with_extents(label, [nx, ny, 1], 2)
     }
 
-    fn with_extents(label: impl Into<String>, extents: [usize; 3], rank: usize) -> Self {
+    fn with_extents(label: impl Into<Arc<str>>, extents: [usize; 3], rank: usize) -> Self {
         let len: usize = extents.iter().product();
         Self::from_vec_extents(label, vec![T::default(); len], extents, rank)
     }
@@ -117,13 +118,13 @@ impl<T: Pod + Default> View<T> {
 
 impl<T: Pod> View<T> {
     /// Wrap an existing vector as a 1-D view.
-    pub fn from_vec(label: impl Into<String>, data: Vec<T>) -> Self {
+    pub fn from_vec(label: impl Into<Arc<str>>, data: Vec<T>) -> Self {
         let n = data.len();
         Self::from_vec_extents(label, data, [n, 1, 1], 1)
     }
 
     fn from_vec_extents(
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
         data: Vec<T>,
         extents: [usize; 3],
         rank: usize,
@@ -156,7 +157,7 @@ impl<T: Pod> View<T> {
     /// A new view *object* (fresh `view_id`, same `alloc_id`) over this
     /// view's allocation — the stand-in for a Kokkos view copied into
     /// another lambda or struct.
-    pub fn duplicate_handle(&self, label: impl Into<String>) -> Self {
+    pub fn duplicate_handle(&self, label: impl Into<Arc<str>>) -> Self {
         let mut meta = self.inner.meta.clone();
         meta.view_id = fresh_id();
         meta.label = label.into();

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use cluster::{Cluster, ClusterConfig, TimeScale};
+use cluster::{Cluster, ClusterConfig, Key, TimeScale};
 use modelcheck::Explorer;
 use simmpi::fault::{BackendFault, FaultSchedule};
 use telemetry::Recorder;
@@ -24,6 +24,11 @@ fn cluster(nodes: usize) -> Cluster {
     Cluster::new(cfg)
 }
 
+/// Checkpoint rank 0's `version` under the name `ck`.
+fn ck(c: &Cluster, version: u64) -> Key {
+    Key::new(c.names().intern("ck"), version, 0)
+}
+
 /// Enqueue a flush, wait for it, tear the backend down. Under every
 /// schedule the blob lands on the PFS before `wait` returns and nothing is
 /// outstanding afterwards.
@@ -35,10 +40,8 @@ fn flush_wait_teardown_is_clean() {
             let c = cluster(1);
             let b = ActiveBackend::spawn(c.clone(), 0).expect("no spawn fault injected");
             b.enqueue_flush(
-                "ck/v1/r0".into(),
+                ck(&c, 1),
                 Bytes::from_static(b"payload"),
-                "ck",
-                1,
                 Recorder::disabled(),
             );
             b.wait();
@@ -63,13 +66,7 @@ fn drop_drains_in_flight_flush_under_all_schedules() {
             let c = cluster(1);
             {
                 let b = ActiveBackend::spawn(c.clone(), 0).expect("no spawn fault injected");
-                b.enqueue_flush(
-                    "ck/v1/r0".into(),
-                    Bytes::from_static(b"x"),
-                    "ck",
-                    1,
-                    Recorder::disabled(),
-                );
+                b.enqueue_flush(ck(&c, 1), Bytes::from_static(b"x"), Recorder::disabled());
             }
             assert!(
                 c.pfs().exists("ck/v1/r0"),
@@ -97,13 +94,7 @@ fn worker_death_never_strands_a_flush() {
                 c.set_injector(Some(Arc::new(schedule)));
                 let b = ActiveBackend::spawn(c.clone(), 0).expect("no spawn fault injected");
                 let enqueue = |v: u64| {
-                    b.enqueue_flush(
-                        format!("ck/v{v}/r0"),
-                        Bytes::from_static(b"x"),
-                        "ck",
-                        v,
-                        Recorder::disabled(),
-                    );
+                    b.enqueue_flush(ck(&c, v), Bytes::from_static(b"x"), Recorder::disabled());
                 };
                 enqueue(1);
                 if wait_between {
@@ -119,7 +110,7 @@ fn worker_death_never_strands_a_flush() {
                 b.wait();
                 for v in [1, 2] {
                     assert!(
-                        c.pfs().exists(&format!("ck/v{v}/r0")),
+                        c.pfs().exists(ck(&c, v)),
                         "wait returned before v{v} landed"
                     );
                 }

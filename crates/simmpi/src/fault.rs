@@ -23,7 +23,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use bytes::Bytes;
-use cluster::{FaultInjector, StorageTier};
+use cluster::{FaultInjector, Key, StorageTier};
 
 /// One scheduled failure.
 #[derive(Debug)]
@@ -87,16 +87,16 @@ impl CorruptTier {
 
 /// One scheduled checkpoint-blob corruption.
 ///
-/// Checkpoint paths have the shape `"{name}/v{version}/r{rank}"` on both
-/// tiers; a corruption matches on the `(version, rank)` coordinates so it
-/// is independent of the region naming a particular strategy uses. Each
-/// entry fires at most once per tier.
+/// A checkpoint's key is `(name, version, rank)` on both tiers; a
+/// corruption matches on the `(version, rank)` of the key alone, so it is
+/// independent of the region naming a particular strategy uses. Each entry
+/// fires at most once per tier.
 #[derive(Debug)]
 pub struct Corruption {
     pub tier: CorruptTier,
-    /// Checkpoint version to damage (`/v{version}/` path segment).
+    /// Checkpoint version to damage.
     pub version: u64,
-    /// Logical rank whose blob is damaged (`/r{rank}` path suffix).
+    /// Logical rank whose blob is damaged.
     pub rank: usize,
     pub kind: CorruptKind,
     fired_scratch: AtomicBool,
@@ -124,12 +124,6 @@ impl Corruption {
 
     pub fn has_fired(&self) -> bool {
         self.fired_scratch.load(Ordering::Acquire) || self.fired_pfs.load(Ordering::Acquire)
-    }
-
-    fn matches_path(&self, path: &str) -> bool {
-        let vseg = format!("/v{}/", self.version);
-        let rsuffix = format!("/r{}", self.rank);
-        path.contains(&vseg) && path.ends_with(&rsuffix)
     }
 
     fn apply(&self, blob: &Bytes) -> Bytes {
@@ -297,11 +291,11 @@ impl FaultSchedule {
 }
 
 impl FaultInjector for FaultSchedule {
-    fn corrupt_write(&self, tier: StorageTier, path: &str, blob: &Bytes) -> Option<Bytes> {
+    fn corrupt_write(&self, tier: StorageTier, key: Key, blob: &Bytes) -> Option<Bytes> {
         let mut out: Option<Bytes> = None;
         for c in &self.corruptions {
             if c.tier.matches(tier)
-                && c.matches_path(path)
+                && key.at == Some((c.version, c.rank))
                 && c.fired_slot(tier)
                     .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
@@ -354,6 +348,11 @@ impl FaultInjector for FaultSchedule {
 mod tests {
     use super::*;
 
+    /// Checkpoint `rank` of `version` under the name `ck`.
+    fn ck(version: u64, rank: usize) -> Key {
+        Key::new(cluster::Names::default().intern("ck"), version, rank)
+    }
+
     #[test]
     fn fires_exactly_once() {
         let plan = FaultPlan::kill_at(2, "iter", 10);
@@ -404,24 +403,28 @@ mod tests {
         let blob = Bytes::from_static(b"hello");
         // Wrong coordinates: untouched.
         assert!(plan
-            .corrupt_write(StorageTier::Scratch, "ck/v3/r1", &blob)
+            .corrupt_write(StorageTier::Scratch, ck(3, 1), &blob)
             .is_none());
         assert!(plan
-            .corrupt_write(StorageTier::Scratch, "ck/v4/r2", &blob)
+            .corrupt_write(StorageTier::Scratch, ck(4, 2), &blob)
+            .is_none());
+        let not_a_checkpoint = cluster::Names::default().key("ck/v4/r1/");
+        assert!(plan
+            .corrupt_write(StorageTier::Scratch, not_a_checkpoint, &blob)
             .is_none());
         // First matching write on each tier is corrupted, later ones not.
         let c = plan
-            .corrupt_write(StorageTier::Scratch, "ck/v4/r1", &blob)
+            .corrupt_write(StorageTier::Scratch, ck(4, 1), &blob)
             .expect("matched");
         assert_eq!(c[4], b'o' ^ 0xFF);
         assert!(plan
-            .corrupt_write(StorageTier::Scratch, "ck/v4/r1", &blob)
+            .corrupt_write(StorageTier::Scratch, ck(4, 1), &blob)
             .is_none());
         assert!(plan
-            .corrupt_write(StorageTier::Pfs, "ck/v4/r1", &blob)
+            .corrupt_write(StorageTier::Pfs, ck(4, 1), &blob)
             .is_some());
         assert!(plan
-            .corrupt_write(StorageTier::Pfs, "ck/v4/r1", &blob)
+            .corrupt_write(StorageTier::Pfs, ck(4, 1), &blob)
             .is_none());
         assert!(plan.corruptions()[0].has_fired());
     }
@@ -436,12 +439,12 @@ mod tests {
         );
         let blob = Bytes::from_static(b"abcdef");
         let c = plan
-            .corrupt_write(StorageTier::Pfs, "ck/v1/r0", &blob)
+            .corrupt_write(StorageTier::Pfs, ck(1, 0), &blob)
             .expect("matched");
         assert_eq!(&c[..], b"ab");
         // Scratch tier was not requested.
         assert!(plan
-            .corrupt_write(StorageTier::Scratch, "ck/v1/r0", &blob)
+            .corrupt_write(StorageTier::Scratch, ck(1, 0), &blob)
             .is_none());
     }
 
@@ -455,7 +458,7 @@ mod tests {
         );
         let blob = Bytes::from_static(b"abcdef");
         let c = plan
-            .corrupt_write(StorageTier::Scratch, "ck/v2/r0", &blob)
+            .corrupt_write(StorageTier::Scratch, ck(2, 0), &blob)
             .expect("matched");
         assert_eq!(c[0], b'a');
         assert_eq!(c[1], b'b' ^ 0xFF);
@@ -469,7 +472,7 @@ mod tests {
         );
         let short = Bytes::from_static(b"xy");
         let c = plan
-            .corrupt_write(StorageTier::Scratch, "ck/v3/r0", &short)
+            .corrupt_write(StorageTier::Scratch, ck(3, 0), &short)
             .expect("matched");
         assert_eq!(c[1], b'y' ^ 0xFF);
     }

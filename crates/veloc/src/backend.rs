@@ -25,7 +25,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use cluster::{Cluster, StorageTier};
+use cluster::{Cluster, Key, StorageTier};
 use loom::thread::JoinHandle;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use telemetry::{Event, Recorder};
@@ -34,12 +34,9 @@ use crate::client::VelocError;
 
 /// One checkpoint blob on its way scratch→PFS.
 pub(crate) struct FlushJob {
-    /// `"{name}/v{version}/r{rank}"`.
-    pub(crate) path: String,
-    /// The checkpoint name's length: the prefix of `path` it occupies.
-    pub(crate) name_len: usize,
+    /// The checkpoint's `(name, version, rank)`.
+    pub(crate) key: Key,
     pub(crate) blob: Bytes,
-    pub(crate) version: u64,
     /// Stamps the completion ([`Event::FlushDone`]) when the blob lands.
     pub(crate) rec: Recorder,
 }
@@ -55,13 +52,13 @@ pub(crate) fn flush(cluster: &Cluster, rank: usize, job: FlushJob) {
     let bytes = job.blob.len();
     let blob = cluster
         .injector()
-        .and_then(|inj| inj.corrupt_write(StorageTier::Pfs, &job.path, &job.blob))
+        .and_then(|inj| inj.corrupt_write(StorageTier::Pfs, job.key, &job.blob))
         .unwrap_or(job.blob);
     cluster.network().egress(rank, bytes);
-    cluster.pfs().write(&job.path, blob);
+    cluster.pfs().write(job.key, blob);
     job.rec.emit_with(|| Event::FlushDone {
-        name: job.path.get(..job.name_len).unwrap_or_default().to_owned(),
-        version: job.version,
+        name: cluster.names().name(job.key.name),
+        version: job.key.at.map_or(0, |(v, _)| v),
         bytes: bytes as u64,
     });
 }
@@ -189,29 +186,15 @@ impl ActiveBackend {
         })
     }
 
-    /// Hand an asynchronous flush of `blob` to `path` on the PFS to the
+    /// Hand an asynchronous flush of `blob` to `key` on the PFS to the
     /// worker, once the slot is free. `rec` lets the worker stamp the
     /// completion ([`Event::FlushDone`]) at the time the blob actually lands
     /// on the PFS.
     ///
     /// If the worker no longer takes jobs, the flush runs inline here
     /// instead — degraded latency, never a lost checkpoint.
-    pub fn enqueue_flush(
-        &self,
-        path: String,
-        blob: Bytes,
-        name: &str,
-        version: u64,
-        rec: Recorder,
-    ) {
-        debug_assert!(path.starts_with(name), "{path} is not under {name}");
-        let job = FlushJob {
-            path,
-            name_len: name.len(),
-            blob,
-            version,
-            rec,
-        };
+    pub fn enqueue_flush(&self, key: Key, blob: Bytes, rec: Recorder) {
+        let job = FlushJob { key, blob, rec };
         let mut slot = self.shared.wait_until(self.shared.slot.lock(), |s| {
             s.queued.is_none() || s.worker != Worker::Running
         });
@@ -290,17 +273,16 @@ mod tests {
         drop(b);
     }
 
+    fn key(c: &Cluster, version: u64, rank: usize) -> Key {
+        Key::new(c.names().intern("ck"), version, rank)
+    }
+
     #[test]
     fn flush_lands_on_pfs() {
         let c = cluster();
         let b = ActiveBackend::spawn(c.clone(), 0).unwrap();
-        b.enqueue_flush(
-            "ck/v1/r0".into(),
-            Bytes::from_static(b"data"),
-            "ck",
-            1,
-            Recorder::disabled(),
-        );
+        let data = Bytes::from_static(b"data");
+        b.enqueue_flush(key(&c, 1, 0), data, Recorder::disabled());
         b.wait();
         assert_eq!(&c.pfs().read("ck/v1/r0").unwrap().0[..], b"data");
     }
@@ -310,17 +292,12 @@ mod tests {
         let c = cluster();
         let b = ActiveBackend::spawn(c.clone(), 0).unwrap();
         for v in 0..10 {
-            b.enqueue_flush(
-                format!("ck/v{v}/r0"),
-                Bytes::from(vec![0u8; 100]),
-                "ck",
-                v,
-                Recorder::disabled(),
-            );
+            let data = Bytes::from(vec![0u8; 100]);
+            b.enqueue_flush(key(&c, v, 0), data, Recorder::disabled());
         }
         b.wait();
         assert_eq!(b.outstanding(), 0);
-        assert_eq!(c.pfs().list("ck/").len(), 10);
+        assert!((0..10).all(|v| c.pfs().exists(key(&c, v, 0))));
     }
 
     #[test]
@@ -328,25 +305,15 @@ mod tests {
         let c = cluster();
         {
             let b = ActiveBackend::spawn(c.clone(), 1).unwrap();
-            b.enqueue_flush(
-                "ck/v1/r1".into(),
-                Bytes::from_static(b"x"),
-                "ck",
-                1,
-                Recorder::disabled(),
-            );
+            let data = Bytes::from_static(b"x");
+            b.enqueue_flush(key(&c, 1, 1), data, Recorder::disabled());
         }
         assert!(c.pfs().exists("ck/v1/r1"), "drop must drain, not discard");
     }
 
-    fn job(path: &str, blob: Bytes, version: u64) -> FlushJob {
-        FlushJob {
-            path: path.to_owned(),
-            name_len: "ck".len(),
-            blob,
-            version,
-            rec: Recorder::disabled(),
-        }
+    fn job(key: Key, blob: Bytes) -> FlushJob {
+        let rec = Recorder::disabled();
+        FlushJob { key, blob, rec }
     }
 
     #[test]
@@ -371,13 +338,13 @@ mod tests {
             let (c, _guard) = virtual_cluster();
             for (v, blob) in blobs.iter().enumerate() {
                 c.network().egress(1, blob.len());
-                c.pfs().write(&format!("ck/v{v}/r1"), blob.clone());
+                c.pfs().write(key(&c, v as u64, 1), blob.clone());
             }
             c.clock().now_ns()
         };
         let (c, _guard) = virtual_cluster();
         for (v, blob) in blobs.iter().enumerate() {
-            flush(&c, 1, job(&format!("ck/v{v}/r1"), blob.clone(), v as u64));
+            flush(&c, 1, job(key(&c, v as u64, 1), blob.clone()));
         }
         assert!(by_hand > 0);
         assert_eq!(c.clock().now_ns(), by_hand);
@@ -395,14 +362,10 @@ mod tests {
         );
         c.set_injector(Some(Arc::new(schedule)));
         for v in 1..=5u64 {
-            flush(
-                &c,
-                0,
-                job(&format!("ck/v{v}/r0"), Bytes::from(vec![v as u8; 32]), v),
-            );
+            flush(&c, 0, job(key(&c, v, 0), Bytes::from(vec![v as u8; 32])));
         }
         for v in 1..=5u64 {
-            let (blob, _) = c.pfs().read(&format!("ck/v{v}/r0")).expect("all five land");
+            let (blob, _) = c.pfs().read(key(&c, v, 0)).expect("all five land");
             let expect = if v == 3 { 2 } else { 32 };
             assert_eq!(&blob[..], &vec![v as u8; expect][..], "version {v}");
         }
@@ -416,10 +379,8 @@ mod tests {
         let b = ActiveBackend::spawn(c.clone(), 0).unwrap();
         let enqueue = |v: u64| {
             b.enqueue_flush(
-                format!("ck/v{v}/r0"),
+                key(&c, v, 0),
                 Bytes::from(vec![v as u8; 16]),
-                "ck",
-                v,
                 Recorder::disabled(),
             )
         };

@@ -15,11 +15,10 @@
 //! is central to the paper's recovery-cost results.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use cluster::Cluster;
+use cluster::{Cluster, Key, NameId};
 use parking_lot::Mutex;
 use simmpi::{Comm, MpiError, ReduceOp};
 use telemetry::{Event, Recorder};
@@ -84,8 +83,8 @@ pub struct RestartReport {
 pub enum VelocError {
     /// No checkpoint with the requested name/version is reachable.
     NotFound { name: String, version: u64 },
-    /// The stored blob failed to deserialize.
-    Corrupt { path: String },
+    /// The stored blob of `name`/`version` failed to deserialize.
+    Corrupt { name: String, version: u64 },
     /// A stored region id has no matching protected region.
     UnknownRegion { id: u32 },
     /// An MPI error during collective agreement.
@@ -101,7 +100,9 @@ impl std::fmt::Display for VelocError {
             VelocError::NotFound { name, version } => {
                 write!(f, "checkpoint {name} v{version} not found")
             }
-            VelocError::Corrupt { path } => write!(f, "corrupt checkpoint blob at {path}"),
+            VelocError::Corrupt { name, version } => {
+                write!(f, "corrupt checkpoint blob {name} v{version}")
+            }
             VelocError::UnknownRegion { id } => write!(f, "no protected region with id {id}"),
             VelocError::Mpi(e) => write!(f, "MPI error during restart agreement: {e}"),
             VelocError::BackendSpawn { reason } => {
@@ -136,7 +137,7 @@ pub struct Client {
     /// for the base a delta would reference (logical-rank change, context
     /// reset).
     /// One entry per checkpoint name, a handful at most: found by a scan.
-    chains: Mutex<Vec<(String, ChainState)>>,
+    chains: Mutex<Vec<(NameId, ChainState)>>,
     /// `None` when flushing synchronously — either by configuration or
     /// because the backend thread could not be spawned (see `spawn_error`).
     backend: Option<ActiveBackend>,
@@ -236,8 +237,9 @@ impl Client {
         self.cluster.topology().node_of(self.physical_rank)
     }
 
-    fn path(&self, name: &str, version: u64) -> String {
-        format!("{name}/v{version}/r{}", self.logical_rank())
+    fn key(&self, name: &str, version: u64) -> Key {
+        let name = self.cluster.names().intern(name);
+        Key::new(name, version, self.logical_rank())
     }
 
     // ---- protection -------------------------------------------------------
@@ -344,7 +346,8 @@ impl Client {
             Some(_) => handles.iter().map(|(_, r)| r.byte_len()).sum(),
             None => 0,
         };
-        let (base, depth, unchanged) = self.plan_delta(name, version, &gens);
+        let key = self.key(name, version);
+        let (base, depth, unchanged) = self.plan_delta(key.name, version, &gens);
         let unchanged: Vec<u32> = match unchanged {
             Some(flags) => {
                 let mut ids = Vec::new();
@@ -372,17 +375,14 @@ impl Client {
                 metrics.counter(telemetry::names::VELOC_DELTA_FRAMES).inc();
             }
         }
-        let path = self.path(name, version);
         // Chaos corruption hook: the scratch copy may be damaged on its way
         // down. Borrows the blob, so the common path never copies.
         let scratch_blob = self
             .cluster
             .injector()
-            .and_then(|inj| inj.corrupt_write(cluster::StorageTier::Scratch, &path, &blob))
+            .and_then(|inj| inj.corrupt_write(cluster::StorageTier::Scratch, key, &blob))
             .unwrap_or_else(|| blob.clone());
-        self.cluster
-            .scratch()
-            .write(self.node(), &path, scratch_blob);
+        self.cluster.scratch().write(self.node(), key, scratch_blob);
         // Commit the stamps only after the blob exists on scratch: this
         // version is now a legitimate base for the next delta.
         let chain = ChainState {
@@ -391,9 +391,9 @@ impl Client {
             depth,
         };
         let mut chains = self.chains.lock();
-        match chains.iter_mut().find(|(n, _)| n == name) {
+        match chains.iter_mut().find(|(n, _)| *n == key.name) {
             Some((_, state)) => *state = chain,
-            None => chains.push((name.to_owned(), chain)),
+            None => chains.push((key.name, chain)),
         }
         drop(chains);
         rec.emit_with(|| Event::CheckpointLocal {
@@ -406,15 +406,9 @@ impl Client {
                 name: name.to_owned(),
                 version,
             });
-            backend.enqueue_flush(path, blob, name, version, rec);
+            backend.enqueue_flush(key, blob, rec);
         } else {
-            let job = FlushJob {
-                path,
-                name_len: name.len(),
-                blob,
-                version,
-                rec,
-            };
+            let job = FlushJob { key, blob, rec };
             backend::flush(&self.cluster, self.physical_rank, job);
         }
         Ok(())
@@ -432,12 +426,12 @@ impl Client {
     /// stamp, chain at [`MAX_DELTA_DEPTH`] — degrades to a full frame.
     fn plan_delta(
         &self,
-        name: &str,
+        name: NameId,
         version: u64,
         gens: &[(u32, Option<u64>)],
     ) -> (Option<u64>, usize, Option<Vec<bool>>) {
         let chains = self.chains.lock();
-        let Some((_, committed)) = chains.iter().find(|(n, _)| n == name) else {
+        let Some((_, committed)) = chains.iter().find(|(n, _)| *n == name) else {
             return (None, 0, None);
         };
         let ids_match = committed.gens.len() == gens.len()
@@ -479,31 +473,21 @@ impl Client {
     // ---- restart ----------------------------------------------------------
 
     /// Versions of `name` reachable *by this rank* (scratch or PFS),
-    /// ascending, each once. Reads each tier's `"{name}/"` directory — one
-    /// seek per stored version — and keeps the versions whose
-    /// `"{name}/v{version}/r{rank}"` path exists, so the cost does not depend
-    /// on how many other ranks checkpointed under the same name.
+    /// ascending, each once. Scans each tier's versions of `name` — one
+    /// seek per stored version — and keeps those whose key for this rank
+    /// exists, so the cost does not depend on how many other ranks
+    /// checkpointed under the same name.
     fn versions(&self, name: &str) -> Vec<u64> {
-        let dir = format!("{name}/");
-        let mut versions: Vec<u64> = self
-            .cluster
+        let name = self.cluster.names().intern(name);
+        let mut versions = Vec::new();
+        self.cluster
             .scratch()
-            .children(self.node(), &dir)
-            .into_iter()
-            .chain(self.cluster.pfs().children(&dir))
-            .filter_map(|child| child.strip_prefix('v')?.parse().ok())
-            .collect();
+            .versions(self.node(), name, &mut versions);
+        self.cluster.pfs().versions(name, &mut versions);
         versions.sort_unstable();
         versions.dedup();
-        // One path buffer for every probe: `"{name}/v{version}/r{rank}"`.
         let rank = self.logical_rank();
-        let mut path = dir;
-        let dir_len = path.len();
-        versions.retain(|&v| {
-            path.truncate(dir_len);
-            // Writing into a `String` cannot fail.
-            write!(path, "v{v}/r{rank}").is_ok() && self.available_at(&path)
-        });
+        versions.retain(|&v| self.available_at(Key::new(name, v, rank)));
         versions
     }
 
@@ -513,15 +497,10 @@ impl Client {
         self.versions(name).last().copied()
     }
 
-    /// Whether checkpoint `name`/`version` is reachable by this rank.
-    pub fn version_available(&self, name: &str, version: u64) -> bool {
-        self.available_at(&self.path(name, version))
-    }
-
-    /// Whether a checkpoint is stored at `path` on this rank's scratch or
-    /// on the PFS.
-    fn available_at(&self, path: &str) -> bool {
-        self.cluster.scratch().exists(self.node(), path) || self.cluster.pfs().exists(path)
+    /// Whether a checkpoint is stored at `key` on this rank's scratch or on
+    /// the PFS.
+    fn available_at(&self, key: Key) -> bool {
+        self.cluster.scratch().exists(self.node(), key) || self.cluster.pfs().exists(key)
     }
 
     /// Book `bytes` of payload as submitted to read-side checksum
@@ -540,23 +519,42 @@ impl Client {
     /// With `checksum` the copy's payloads must verify too (an *intact*
     /// copy); without, shape and meta CRC alone decide.
     fn read_meta(&self, name: &str, version: u64, checksum: bool) -> Option<serial::FrameMeta> {
-        let path = self.path(name, version);
-        let accept = |blob: Bytes| {
-            let meta = serial::parse_meta(&blob)?;
+        let accept = |blob: &Bytes| {
+            let meta = serial::parse_meta(blob)?;
             if checksum {
                 self.note_verified(meta.payload_bytes());
-                if !meta.verify_payloads(&blob) {
+                if !meta.verify_payloads(blob) {
                     return None;
                 }
             }
             Some(meta)
         };
-        let scratch = self.cluster.scratch().read(self.node(), &path);
-        if let Some(meta) = scratch.and_then(|(blob, _)| accept(blob)) {
-            return Some(meta);
+        let (_, read) = self.read_either(self.key(name, version), accept);
+        read.map(|(_, meta, _)| meta)
+    }
+
+    /// Read `key` from this rank's scratch and, unless `accept` takes that
+    /// copy, from the PFS: whether either tier holds a copy, and the copy
+    /// taken with what `accept` made of it and whether it is scratch's.
+    fn read_either<T>(
+        &self,
+        key: Key,
+        mut accept: impl FnMut(&Bytes) -> Option<T>,
+    ) -> (bool, Option<(Bytes, T, bool)>) {
+        let mut present = false;
+        for from_scratch in [true, false] {
+            let read = match from_scratch {
+                true => self.cluster.scratch().read(self.node(), key),
+                false => self.cluster.pfs().read(key),
+            };
+            if let Some((blob, _)) = read {
+                present = true;
+                if let Some(taken) = accept(&blob) {
+                    return (true, Some((blob, taken, from_scratch)));
+                }
+            }
         }
-        let (blob, _) = self.cluster.pfs().read(&path)?;
-        accept(blob)
+        (present, None)
     }
 
     /// Walk `version`'s base chain down to its full frame through
@@ -704,7 +702,7 @@ impl Client {
 
     fn restart_inner(&self, name: &str, version: u64) -> Result<RestartReport, VelocError> {
         struct WalkedFrame {
-            path: String,
+            version: u64,
             blob: Bytes,
             meta: serial::FrameMeta,
             /// Whether `blob` came from scratch (a PFS copy may still exist
@@ -715,6 +713,10 @@ impl Client {
 
         let clock = self.cluster.clock();
         let t0 = clock.now_ns();
+        let corrupt = |version| VelocError::Corrupt {
+            name: name.to_owned(),
+            version,
+        };
 
         // Stage 1 — chain walk by meta only. Each frame's *shape* (magic,
         // counts, extents, meta CRC) is validated here, which is all the
@@ -725,23 +727,7 @@ impl Client {
         let mut frames: Vec<WalkedFrame> = Vec::new();
         let mut v = version;
         loop {
-            let path = self.path(name, v);
-            let mut present = false;
-            let mut picked: Option<(Bytes, serial::FrameMeta, bool)> = None;
-            if let Some((blob, _)) = self.cluster.scratch().read(self.node(), &path) {
-                present = true;
-                if let Some(meta) = serial::parse_meta(&blob) {
-                    picked = Some((blob, meta, true));
-                }
-            }
-            if picked.is_none() {
-                if let Some((blob, _)) = self.cluster.pfs().read(&path) {
-                    present = true;
-                    if let Some(meta) = serial::parse_meta(&blob) {
-                        picked = Some((blob, meta, false));
-                    }
-                }
-            }
+            let (present, picked) = self.read_either(self.key(name, v), serial::parse_meta);
             if !present && frames.is_empty() {
                 return Err(VelocError::NotFound {
                     name: name.to_owned(),
@@ -751,11 +737,11 @@ impl Client {
             // A missing *base* of a chain already entered is corruption of
             // the chain, not absence of the checkpoint.
             let Some((blob, meta, from_scratch)) = picked else {
-                return Err(VelocError::Corrupt { path });
+                return Err(corrupt(v));
             };
             let base = meta.base_version;
             frames.push(WalkedFrame {
-                path,
+                version: v,
                 blob,
                 meta,
                 from_scratch,
@@ -765,11 +751,7 @@ impl Client {
                 Some(base) if base < v => v = base,
                 // A forward/self reference can only come from corruption;
                 // refuse rather than loop.
-                Some(_) => {
-                    return Err(VelocError::Corrupt {
-                        path: self.path(name, v),
-                    })
-                }
+                Some(_) => return Err(corrupt(v)),
             }
         }
         let t_read = clock.now_ns();
@@ -785,11 +767,10 @@ impl Client {
             // frames that actually fail pay the remote read, preserving
             // the modeled cost of the common path.
             if !f.from_scratch {
-                return Err(VelocError::Corrupt {
-                    path: f.path.clone(),
-                });
+                return Err(corrupt(f.version));
             }
-            let fallback = self.cluster.pfs().read(&f.path).and_then(|(blob, _)| {
+            let key = self.key(name, f.version);
+            let fallback = self.cluster.pfs().read(key).and_then(|(blob, _)| {
                 let meta = serial::parse_meta(&blob)?;
                 // The replacement must describe the same frame: same chain
                 // reference and same region sets, else the walk above (and
@@ -809,11 +790,7 @@ impl Client {
                     f.meta = meta;
                     f.from_scratch = false;
                 }
-                None => {
-                    return Err(VelocError::Corrupt {
-                        path: f.path.clone(),
-                    })
-                }
+                None => return Err(corrupt(f.version)),
             }
         }
         let t_verify = clock.now_ns();
@@ -826,9 +803,7 @@ impl Client {
         let Some(newest) = frames.first() else {
             // Unreachable — stage 1 errors out before leaving `frames`
             // empty — but the recovery path must stay panic-free.
-            return Err(VelocError::Corrupt {
-                path: self.path(name, version),
-            });
+            return Err(corrupt(version));
         };
         let expected: BTreeSet<u32> = newest
             .meta
@@ -846,9 +821,7 @@ impl Client {
         if payloads.len() != expected.len() {
             // An unchanged id whose payload never appeared anywhere down
             // the chain: the chain is inconsistent.
-            return Err(VelocError::Corrupt {
-                path: self.path(name, version),
-            });
+            return Err(corrupt(version));
         }
         let regions = self.regions.lock();
         let mut report = RestartReport {
@@ -974,14 +947,14 @@ mod tests {
                 ctx.world().barrier()?;
                 if ctx.rank() == 1 {
                     // Damage rank 1's only copies of version 1.
-                    let path = cl.path("ck", 1);
-                    let (blob, _) = ctx.cluster().pfs().read(&path).expect("flushed");
+                    let key = cl.key("ck", 1);
+                    let (blob, _) = ctx.cluster().pfs().read(key).expect("flushed");
                     let mut raw = blob.to_vec();
                     let last = raw.len() - 1;
                     raw[last] ^= 0xFF;
                     let bad = Bytes::from(raw);
-                    ctx.cluster().scratch().write(cl.node(), &path, bad.clone());
-                    ctx.cluster().pfs().write(&path, bad);
+                    ctx.cluster().scratch().write(cl.node(), key, bad.clone());
+                    ctx.cluster().pfs().write(key, bad);
                 }
                 ctx.world().barrier()?;
                 let agreed = cl
@@ -1130,7 +1103,7 @@ mod tests {
     fn scratch_frame(c: &Cluster, name: &str, version: u64) -> serial::Frame {
         let (blob, _) = c
             .scratch()
-            .read(0, &format!("{name}/v{version}/r0"))
+            .read(0, format!("{name}/v{version}/r0"))
             .expect("scratch blob present");
         serial::unpack(&blob).expect("intact frame")
     }
@@ -1272,28 +1245,12 @@ mod tests {
         assert_eq!(f2.unchanged, vec![1]);
     }
 
-    /// The answer `versions` replaced, kept as its oracle: list every rank's
-    /// path under `"{name}/"` on both tiers and keep this rank's by suffix.
-    fn versions_by_listing(cl: &Client, name: &str) -> Vec<u64> {
-        let suffix = format!("/r{}", cl.logical_rank());
-        let prefix = format!("{name}/");
-        let mut versions: Vec<u64> = cl
-            .cluster
-            .scratch()
-            .list(cl.node(), &prefix)
-            .iter()
-            .chain(cl.cluster.pfs().list(&prefix).iter())
-            .filter_map(|p| {
-                p.strip_prefix(name)?
-                    .strip_prefix("/v")?
-                    .strip_suffix(&suffix)?
-                    .parse()
-                    .ok()
-            })
-            .collect();
-        versions.sort_unstable();
-        versions.dedup();
-        versions
+    /// The oracle of `versions`: list every key of this rank in the range
+    /// the test writes and keep those either tier holds.
+    fn versions_by_probing(cl: &Client, name: &str) -> Vec<u64> {
+        (0..25)
+            .filter(|&v| cl.available_at(cl.key(name, v)))
+            .collect()
     }
 
     /// Look-alikes on every path component: one name is a prefix of another,
@@ -1343,7 +1300,7 @@ mod tests {
             for rank in RANKS {
                 cl.set_rank(rank);
                 for name in NAMES {
-                    let expected = versions_by_listing(&cl, name);
+                    let expected = versions_by_probing(&cl, name);
                     proptest::prop_assert_eq!(cl.versions(name), expected.clone(), "{} r{}", name, rank);
                     proptest::prop_assert_eq!(cl.latest_version(name), expected.last().copied());
                 }

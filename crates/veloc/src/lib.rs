@@ -17,11 +17,12 @@
 //!   one that is current. "Collective VeloC" is that same reduction called
 //!   over the world communicator of a job that is relaunched whole.
 //!
-//! Checkpoints live under `"{name}/v{version}/r{rank}"` in both tiers;
-//! restart prefers scratch (fast, node-local) and falls back to the
-//! filesystem — which is why in the paper "other ranks are able to restore
-//! using locally-available checkpoint files" while only the replacement
-//! rank pays a remote read.
+//! Both tiers store a checkpoint under the key `(name, version, rank)`
+//! ([`cluster::Key`]): VeloC's `"{name}/v{version}/r{rank}"` file with the
+//! name interned. Restart prefers scratch (fast, node-local) and falls back
+//! to the filesystem — which is why in the paper "other ranks are able to
+//! restore using locally-available checkpoint files" while only the
+//! replacement rank pays a remote read.
 
 //!
 //! Checkpoints are *incremental* where the data layer's dirty tracking

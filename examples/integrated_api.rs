@@ -90,12 +90,12 @@ fn main() {
     );
 
     println!(
-        "\nvictims: {:?}; PFS blobs written: {}",
+        "\nvictims: {:?}; PFS bytes written: {}",
         report.killed_ranks(),
-        cluster.pfs().list("").len()
+        cluster.pfs().stored_bytes()
     );
     assert_eq!(
-        cluster.pfs().list("demo").len(),
+        cluster.pfs().stored_bytes(),
         0,
         "IMR backend keeps checkpoints out of the filesystem"
     );

@@ -8,19 +8,22 @@
 # Defaults: 10 pairs, seed 7, heatdis_inmem. `--workload` takes a comma
 # list; the two builds are made once and serve every workload in it, one
 # after another, each with its own verdict. Every run is as long as
-# BENCHMARK.json's run_seconds, with tracing off. The parent is built
-# offline from its committed files, extracted with `git archive` under
-# target/ab/parent (no worktree is registered, so nothing is left in .git);
-# the change is this checkout, uncommitted edits included. Pair i runs the
-# parent first when i is even and the change first when it is odd. The
-# logs land in target/ab/<workload>-seed<S>/.
+# BENCHMARK.json's run_seconds, with tracing off. Both sides are built
+# offline in sibling trees of the same depth: the parent from its committed
+# files, extracted with `git archive` under target/ab/parent (no worktree
+# is registered, so nothing is left in .git), and the change from this
+# checkout's files (`git ls-files -co --exclude-standard`, uncommitted
+# edits included) copied under target/ab/change. Pair i runs the parent
+# first when i is even and the change first when it is odd. The logs land
+# in target/ab/<workload>-seed<S>/.
 #
 # `bench_compare ab` prints each metric's medians, quartiles and pair wins,
 # the same for the logs' uncalibrated raw_pass_s (information only), then
-# one verdict line on host_pass_s: improved when the change wins at
-# least 9 pairs in 10 and its median beats the parent's by more than the
-# parent's interquartile range (with fewer than 10 pairs, only consistent
-# with a gain). It fails a workload on any run that failed its own checks,
+# a verdict line on host_pass_s and on every other host metric
+# BENCHMARK.json bounds: improved when the change wins at least 9 pairs in
+# 10 and its median beats the parent's by more than the parent's
+# interquartile range (with fewer than 10 pairs, only consistent with a
+# gain). It fails a workload on any run that failed its own checks,
 # on any difference in a virtual_* metric or the virtual_fingerprint, which
 # are functions of the seed, and on any end-to-end metric whose median is
 # worse than the parent's by more than its BENCHMARK.json bound (read, never
@@ -53,22 +56,21 @@ done
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9][0-9]*\).*/\1/p' BENCHMARK.json)
 rev=$(git rev-parse --verify "${parent_rev}^{commit}")
 
-# Building rewrites the package's lock file; put it back on the way out.
-mkdir -p target
-cp benchmark/Cargo.lock target/ab-Cargo.lock
-trap 'mv target/ab-Cargo.lock benchmark/Cargo.lock' EXIT
-
 parent_tree=target/ab/parent
-echo "== ab: building the parent ${rev} in ${parent_tree} =="
-rm -rf "$parent_tree"
-mkdir -p "$parent_tree"
-git archive "$rev" | tar -x -C "$parent_tree"
+change_tree=target/ab/change
 build() { # tree
   cargo build --release --offline --quiet --manifest-path "$1/benchmark/Cargo.toml"
 }
+echo "== ab: building the parent ${rev} in ${parent_tree} =="
+rm -rf "$parent_tree" "$change_tree"
+mkdir -p "$parent_tree" "$change_tree"
+git archive "$rev" | tar -x -C "$parent_tree"
 build "$parent_tree"
-echo "== ab: building the change (this checkout) =="
-build .
+echo "== ab: building the change (this checkout's files) in ${change_tree} =="
+git ls-files -z -co --exclude-standard \
+  | while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done \
+  | tar --null -T - -cf - | tar -x -C "$change_tree"
+build "$change_tree"
 
 run() { # tree workload log
   (cd "$1" && benchmark/target/release/benchmark \
@@ -92,7 +94,7 @@ for workload in "${list[@]}"; do
       if [ "$side" = parent ]; then
         run "$parent_tree" "$workload" "$out/pair$i-parent.log"
       else
-        run . "$workload" "$out/pair$i-change.log"
+        run "$change_tree" "$workload" "$out/pair$i-change.log"
       fi
     done
     logs+=("$out/pair$i-parent.log" "$out/pair$i-change.log")

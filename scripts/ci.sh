@@ -76,9 +76,9 @@ doc_budget() { # file bytes
     budgets_ok=0
   fi
 }
-doc_budget DESIGN.md 117791
-doc_budget CHANGES.md 136973
-doc_budget EXPERIMENTS.md 87641
+doc_budget DESIGN.md 117912
+doc_budget CHANGES.md 139340
+doc_budget EXPERIMENTS.md 89917
 [ "$budgets_ok" -eq 1 ]
 end
 
