@@ -22,10 +22,10 @@
 //!   [`blobs::Key`], `(name, version, rank)` over the cluster's [`Names`].
 //! * [`relaunch::RelaunchModel`] — the cost of tearing down and restarting an
 //!   entire MPI job, paid by non-Fenix recovery strategies.
-//! * [`pool::Pool`] — the cluster's one buffer pool: checkpoint frames,
-//!   wire shards and decoded payloads allocated on huge pages and recycled
-//!   within the run that allocated them (host memory only; it models
-//!   nothing).
+//! * [`pool::POOL`] — the process's one buffer pool: checkpoint frames,
+//!   wire shards, decoded payloads and view storage, allocated on huge
+//!   pages and recycled from one run to the next (host memory only; it
+//!   models nothing).
 //!
 //! Modeled durations are converted to real sleeps through a [`TimeScale`] so
 //! whole experiments finish in seconds.
@@ -265,8 +265,6 @@ pub struct Cluster {
     /// Time source shared by every governor: wall by default, one virtual
     /// clock for the whole cluster when `config.virtual_time` is set.
     clock: Arc<Clock>,
-    /// Checkpoint buffers recycled within this cluster's runs.
-    pool: Arc<Pool>,
 }
 
 impl Cluster {
@@ -317,7 +315,6 @@ impl Cluster {
             names,
             injector: Arc::new(RwLock::new(None)),
             clock,
-            pool: Arc::new(Pool::new()),
         }
     }
 
@@ -356,10 +353,9 @@ impl Cluster {
         &self.clock
     }
 
-    /// The cluster's buffer pool, shared by every clone of this cluster and
-    /// freed with the last one.
-    pub fn pool(&self) -> &Pool {
-        &self.pool
+    /// The buffer pool: the process's one, [`pool::POOL`].
+    pub fn pool(&self) -> &'static Pool {
+        &pool::POOL
     }
 
     /// Install (or replace) the storage-path fault injector. The slot is

@@ -1,15 +1,17 @@
-//! The cluster's buffer pool: the one allocation path of every large
-//! checkpoint buffer, recycled within one run.
+//! The process's buffer pool: the one allocation path of every large
+//! checkpoint buffer and of every view's storage, recycled across runs.
 //!
 //! A peer-memory checkpoint builds a frame and its wire shards at every
 //! version, and drops the previous version's once the next one commits; a
-//! recovering rank decodes its payload into one more. [`Pool::take`] always
-//! returns a [`PoolBuf`]: one that has come back, or on a miss a fresh one
-//! the pool allocates itself. A fresh buffer of at least [`HUGE_PAGE`] bytes
-//! is 2 MiB-aligned, and every whole 2 MiB span inside it is advised onto
-//! transparent huge pages ([`fresh_plan`]) before its first byte is
-//! written, so it faults in one page per 2 MiB, on the writer's first store
-//! into each; a smaller one is a plain allocation. Neither is filled: a release build writes no byte of a fresh
+//! recovering rank decodes its payload into one more; every `kokkos::View`
+//! keeps its elements in one. [`Pool::take`] always returns a [`PoolBuf`]:
+//! one that has come back, or on a miss a fresh one the pool allocates
+//! itself. A fresh buffer of at least [`HUGE_PAGE`] bytes is 2 MiB-aligned,
+//! and every whole 2 MiB span inside it is advised onto transparent huge
+//! pages ([`fresh_plan`]) before its first byte is written, so it faults in
+//! one page per 2 MiB, on the writer's first store into each; a smaller one
+//! is aligned to [`MIN_ALIGN`], enough for any element type a view holds.
+//! Neither is filled: a release build writes no byte of a fresh
 //! or recycled buffer before its user does, so each checkpoint byte is
 //! written once.
 //!
@@ -21,25 +23,22 @@
 //! it is written ([`assert_all_written`]). Debug builds still fill every
 //! buffer the pool hands out, fresh or recycled, with [`POISON`], so a
 //! kernel that claims a byte it never stored reads `0xA5` in every
-//! debug-build suite rather than a zero or a stale payload byte. The
-//! owner behind a shared buffer hands it back when the last handle drops.
-//! Only buffers of at least [`MIN_POOLED`] bytes come back; smaller ones
-//! cost less to allocate than to lock the pool for.
+//! debug-build suite rather than a zero or a stale payload byte.
 //!
-//! The pool has one owner, the [`crate::Cluster`], and no setting. A lent
-//! buffer reaches its pool through a `Weak`, so a buffer is recycled only
-//! inside the run that allocated it, and one that outlives its cluster is
-//! freed. It never retains more bytes than are outstanding (lent and still
-//! held): a buffer coming back past that bound evicts the oldest it
-//! retains, so when a run lets go of everything the pool is empty, and
-//! when frame sizes drift between versions the stale sizes age out.
+//! There is one pool per process, [`POOL`], and no setting. A buffer of at
+//! least [`MIN_POOLED`] bytes is outstanding from its `take` until its last
+//! owner (the `PoolBuf`, or its last [`Bytes`] handle) drops it, and then
+//! comes back, so the next run's frames and grids are the last run's and
+//! fault in no page again; smaller ones are freed. Retained plus
+//! outstanding bytes never pass the most ever outstanding at once: a miss
+//! that would first evicts the oldest retained, so stale sizes age out.
 
 use std::alloc::{self, Layout};
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::ops::{Deref, DerefMut, Range};
 use std::ptr::NonNull;
-use std::sync::{Arc, Weak};
+use std::sync::LazyLock;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -51,6 +50,11 @@ const MIN_POOLED: usize = 64 << 10;
 /// alignment of every fresh buffer at least this long.
 const HUGE_PAGE: usize = 2 << 20;
 
+/// The alignment of every shorter buffer, in bytes: any view element
+/// type's, and the C heap's own, so a small buffer is a plain `malloc` (64
+/// made each 2 KiB `heatdis_scale` frame a `posix_memalign`: 3 % a pass).
+pub const MIN_ALIGN: usize = 16;
+
 /// What every buffer the pool hands out holds in a debug build: every
 /// byte a writer fails to overwrite reads `0xA5` rather than a zero or a
 /// stale payload byte.
@@ -60,9 +64,13 @@ const POISON: u8 = 0xA5;
 /// prefix advised onto huge pages. At least [`HUGE_PAGE`] bytes, it is
 /// aligned to one and the advice covers every whole span inside `[0, len)`
 /// and not a byte past it, so nothing is reserved that the writer does not
-/// write. Under that it is a plain byte allocation, advised nowhere.
+/// write. Under that it is aligned to [`MIN_ALIGN`] and advised nowhere.
 fn fresh_plan(len: usize) -> (Layout, Range<usize>) {
-    let align = if len >= HUGE_PAGE { HUGE_PAGE } else { 1 };
+    let align = if len >= HUGE_PAGE {
+        HUGE_PAGE
+    } else {
+        MIN_ALIGN
+    };
     let layout = Layout::from_size_align(len, align).unwrap_or_else(|_| {
         panic!("a pool buffer of {len} bytes exceeds the address space");
     });
@@ -153,8 +161,8 @@ fn tiled<'p>(start: *const u8, room: usize, pieces: impl IntoIterator<Item = &'p
 /// Unwritten bytes, written front to back: the one place where memory no
 /// byte of which is known to be initialised becomes `[u8]`.
 ///
-/// A piece joins the written prefix either by a copy ([`Cursor::put`],
-/// [`Cursor::put_bytes`]) or as the `&mut [u8]` a writer made of the
+/// A piece joins the written prefix either by a copy or fill
+/// ([`Cursor::put`], [`Cursor::put_bytes`]) or as the `&mut [u8]` a writer made of the
 /// `&mut [MaybeUninit<u8>]` it was lent ([`Cursor::put_with`],
 /// [`Cursor::put_pieces`]), which must start where the written bytes end
 /// ([`tiled`]). [`Cursor::finish`] returns the whole buffer as bytes once
@@ -191,18 +199,17 @@ impl<'a> Cursor<'a> {
         dst.write_copy_of_slice(src)
     }
 
-    /// Write `n` copies of `byte` next.
+    /// Write `n` copies of `byte` next, in one fill.
     ///
     /// # Panics
     /// If `n` is more than what remains.
     pub fn put_bytes(&mut self, byte: u8, n: usize) {
-        let block = [byte; 256];
-        let mut left = n;
-        while left > 0 {
-            let k = left.min(block.len());
-            self.put(block.get(..k).unwrap_or_default());
-            left -= k;
-        }
+        let (at, remaining) = (self.written, self.remaining());
+        let Some(dst) = self.buf.get_mut(at..at + n) else {
+            panic!("{n} bytes put where {remaining} remain");
+        };
+        dst.fill(MaybeUninit::new(byte));
+        self.written = at + n;
     }
 
     /// Lend `write` the unwritten rest; the piece of it `write` returns,
@@ -238,11 +245,11 @@ impl<'a> Cursor<'a> {
     pub fn finish(self) -> &'a mut [u8] {
         assert_all_written(self.written, self.buf.len());
         // SAFETY: `assert_all_written` just held: `written` is the whole
-        // length. `written` grows only by a piece `put` copied in or by the
-        // pieces a writer returned as `&mut [u8]` (initialised bytes), each
-        // checked by `tiled` to start where the written bytes ended, and
-        // nothing hands out the written prefix as `MaybeUninit` again. So
-        // every byte is initialised.
+        // length. `written` grows only by a piece `put` copied in, a run
+        // `put_bytes` filled, or the pieces a writer returned as `&mut
+        // [u8]` (initialised bytes), each checked by `tiled` to start where
+        // the written bytes ended, and nothing hands out the written prefix
+        // as `MaybeUninit` again. So every byte is initialised.
         unsafe { self.buf.assume_init_mut() }
     }
 }
@@ -280,20 +287,25 @@ impl Unfilled for Vec<u8> {
 /// allocation, which it frees with the [`Layout`] it was allocated with —
 /// a `Vec<u8>` would free a 2 MiB-aligned block as a byte-aligned one.
 /// Its bytes are unwritten capacity ([`Unfilled`]) until a writer writes
-/// them, front to back; it reads as the bytes written so far.
+/// them, front to back; it reads as the bytes written so far. Taken at
+/// [`MIN_POOLED`] bytes or more, it goes back to its pool when it drops.
 pub struct PoolBuf {
-    /// The allocation; dangling when the layout's size is zero.
+    /// The allocation; dangling (and [`MIN_ALIGN`]-aligned) when the
+    /// layout's size is zero.
     ptr: NonNull<u8>,
     len: usize,
     /// Bytes `[0, written)` are initialised: `written` grows only by what
     /// a [`Cursor`] holds written.
     written: usize,
     layout: Layout,
+    /// Where it goes when it drops; none (freed) if small or in the pool.
+    pool: Option<&'static Pool>,
 }
 
 // SAFETY: a `PoolBuf` owns its allocation outright, as a `Vec<u8>` does,
 // and no other handle to it exists; moving it to another thread moves that
-// ownership, and the global allocator frees from any thread.
+// ownership, and the global allocator frees from any thread. `pool` is a
+// shared reference to a `Sync` pool.
 unsafe impl Send for PoolBuf {}
 
 // SAFETY: through `&PoolBuf` only `&[u8]` is reachable, and a shared byte
@@ -302,8 +314,7 @@ unsafe impl Sync for PoolBuf {}
 
 impl PoolBuf {
     /// A new allocation of `len` bytes by [`fresh_plan`], advised before
-    /// its first write. A release build writes nothing into it; a debug
-    /// one fills it with [`POISON`].
+    /// its first write, in no pool. Nothing is written into it.
     fn fresh(len: usize) -> PoolBuf {
         let (layout, advised) = fresh_plan(len);
         if len == 0 {
@@ -320,11 +331,11 @@ impl PoolBuf {
             len,
             written: 0,
             layout,
+            pool: None,
         };
         if let Some(spans) = buf.unwritten().get_mut(advised) {
             advise_huge_pages(spans);
         }
-        buf.poison();
         buf
     }
 
@@ -348,9 +359,7 @@ impl PoolBuf {
     /// In a debug build, fill the unwritten bytes with [`POISON`].
     fn poison(&mut self) {
         if cfg!(debug_assertions) {
-            for chunk in self.unwritten().chunks_mut(4096) {
-                chunk.write_copy_of_slice(&[POISON; 4096][..chunk.len()]);
-            }
+            self.unwritten().fill(MaybeUninit::new(POISON));
         }
     }
 
@@ -404,14 +413,18 @@ impl Unfilled for PoolBuf {
     }
 }
 
-/// The empty buffer: no allocation.
+/// The empty buffer: no allocation, in no pool.
 impl Default for PoolBuf {
     fn default() -> Self {
+        #[repr(align(16))]
+        struct Aligned;
+        const _: () = assert!(std::mem::align_of::<Aligned>() == MIN_ALIGN);
         PoolBuf {
-            ptr: NonNull::dangling(),
+            ptr: NonNull::<Aligned>::dangling().cast(),
             len: 0,
             written: 0,
-            layout: Layout::new::<()>(),
+            layout: Layout::new::<[Aligned; 0]>(),
+            pool: None,
         }
     }
 }
@@ -442,6 +455,10 @@ impl AsRef<[u8]> for PoolBuf {
 
 impl Drop for PoolBuf {
     fn drop(&mut self) {
+        if let Some(pool) = self.pool.take() {
+            // Moved whole, in no pool, into the pool; `self` is left empty.
+            return pool.give_back(std::mem::take(self));
+        }
         if self.layout.size() == 0 {
             return;
         }
@@ -452,7 +469,7 @@ impl Drop for PoolBuf {
     }
 }
 
-/// What the pool has done so far ([`Pool::stats`]).
+/// What a pool has done so far ([`Pool::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Requests served from a recycled buffer.
@@ -461,132 +478,112 @@ pub struct PoolStats {
     pub misses: u64,
     /// Capacity of the buffers waiting to be reused.
     pub retained_bytes: usize,
-    /// Capacity of the buffers [`Pool::share`] lent that are still held.
+    /// Capacity of the pooled buffers taken and not yet back.
     pub outstanding_bytes: usize,
+    /// The most bytes ever outstanding at once: retained plus outstanding.
+    pub high_water_bytes: usize,
 }
 
 #[derive(Default)]
 struct State {
-    /// Returned buffers, oldest first.
+    /// Returned buffers, oldest first, in no pool.
     free: VecDeque<PoolBuf>,
     stats: PoolStats,
 }
 
 impl State {
-    /// Take `buf` back, then evict the oldest buffers until the retained
-    /// bytes are no more than the outstanding ones. Returns the evicted
-    /// buffers, for the caller to free outside the lock.
-    fn give_back(&mut self, buf: PoolBuf) -> Vec<PoolBuf> {
-        let stats = &mut self.stats;
-        stats.outstanding_bytes = stats.outstanding_bytes.saturating_sub(buf.capacity());
-        stats.retained_bytes += buf.capacity();
+    /// Take back an outstanding buffer: retained plus outstanding holds.
+    fn give_back(&mut self, buf: PoolBuf) {
+        self.stats.outstanding_bytes -= buf.capacity();
+        self.stats.retained_bytes += buf.capacity();
         self.free.push_back(buf);
-        let mut evicted = Vec::new();
-        while self.stats.retained_bytes > self.stats.outstanding_bytes {
-            let Some(old) = self.free.pop_front() else {
-                break;
-            };
-            self.stats.retained_bytes -= old.capacity();
-            evicted.push(old);
-        }
-        evicted
     }
 
-    /// The smallest retained buffer that fits `len`, removed: its capacity
-    /// is at least `len` and under twice it.
-    fn reuse(&mut self, len: usize) -> Option<PoolBuf> {
+    /// Lend the smallest retained buffer that fits `len` (capacity at
+    /// least `len` and under twice it). On a miss, count `len` fresh bytes
+    /// outstanding and evict the oldest buffers until retained plus
+    /// outstanding is within the high water, for the caller to free.
+    fn lend(&mut self, len: usize) -> Result<PoolBuf, Vec<PoolBuf>> {
         let fits = |b: &PoolBuf| b.capacity() >= len && b.capacity() / 2 < len;
         let best = (self.free.iter().enumerate())
             .filter(|(_, b)| fits(b))
             .min_by_key(|(_, b)| b.capacity())
             .map(|(i, _)| i);
-        let Some(buf) = best.and_then(|i| self.free.remove(i)) else {
-            self.stats.misses += 1;
-            return None;
-        };
-        self.stats.hits += 1;
-        self.stats.retained_bytes -= buf.capacity();
-        Some(buf)
+        let stats = &mut self.stats;
+        if let Some(buf) = best.and_then(|i| self.free.remove(i)) {
+            stats.hits += 1;
+            stats.retained_bytes -= buf.capacity();
+            stats.outstanding_bytes += buf.capacity();
+            return Ok(buf);
+        }
+        stats.misses += 1;
+        stats.outstanding_bytes += len;
+        stats.high_water_bytes = stats.high_water_bytes.max(stats.outstanding_bytes);
+        let mut evicted = Vec::new();
+        while stats.retained_bytes + stats.outstanding_bytes > stats.high_water_bytes {
+            let Some(old) = self.free.pop_front() else {
+                break;
+            };
+            stats.retained_bytes -= old.capacity();
+            evicted.push(old);
+        }
+        Err(evicted)
     }
 }
 
-/// The buffer pool of one cluster ([`crate::Cluster::pool`]).
+/// A buffer pool: the process's one is [`POOL`]. A test that counts its
+/// requests exactly keeps a `static` one of its own.
+#[derive(Default)]
 pub struct Pool {
-    state: Arc<Mutex<State>>,
+    state: Mutex<State>,
 }
+
+/// The process's buffer pool ([`crate::Cluster::pool`]).
+pub static POOL: LazyLock<Pool> = LazyLock::new(Pool::default);
 
 impl Pool {
-    pub(crate) fn new() -> Self {
-        Pool {
-            state: Arc::new(Mutex::new(State::default())),
-        }
-    }
-
     /// A buffer of `len` bytes, none of them written. At least
     /// [`MIN_POOLED`] long, it is the smallest retained one that fits
     /// (capacity at least `len` and under twice it); failing that, and for
     /// any shorter request, it is fresh ([`fresh_plan`]). A release build
     /// writes no byte of it; a debug one fills it with [`POISON`]. The
     /// caller writes every byte before it shares the buffer.
-    pub fn take(&self, len: usize) -> PoolBuf {
-        let reused = (len >= MIN_POOLED)
-            .then(|| self.state.lock().reuse(len))
-            .flatten();
-        let Some(mut buf) = reused else {
-            return PoolBuf::fresh(len);
+    pub fn take(&'static self, len: usize) -> PoolBuf {
+        let mut buf = if len < MIN_POOLED {
+            PoolBuf::fresh(len)
+        } else {
+            // Bound to a name, the evicted buffers are freed after the
+            // lock is released, and before the fresh one is allocated.
+            let lent = self.state.lock().lend(len);
+            let mut buf = lent.unwrap_or_else(|evicted| {
+                drop(evicted);
+                PoolBuf::fresh(len)
+            });
+            (buf.len, buf.written, buf.pool) = (len, 0, Some(self));
+            buf
         };
-        buf.len = len;
-        buf.written = 0;
         buf.poison();
         buf
     }
 
-    /// Freeze `buf` into [`Bytes`] that hand it back to this pool when the
-    /// last handle drops. A buffer under [`MIN_POOLED`] is frozen as it is
-    /// and freed with its last handle.
+    /// Freeze `buf` into [`Bytes`] that own it: it goes back to its pool
+    /// (or, under [`MIN_POOLED`], is freed) when the last handle drops.
     ///
     /// # Panics
     /// Unless every byte of `buf` is written ([`assert_all_written`]).
     pub fn share(&self, buf: PoolBuf) -> Bytes {
         assert_all_written(buf.written, buf.len);
-        if buf.capacity() < MIN_POOLED {
-            return Bytes::from_owner(buf);
-        }
-        self.state.lock().stats.outstanding_bytes += buf.capacity();
-        Bytes::from_owner(Lent {
-            buf,
-            pool: Arc::downgrade(&self.state),
-        })
+        Bytes::from_owner(buf)
     }
 
-    /// Hits, misses, and the bytes retained and outstanding right now.
+    /// Hits, misses, the bytes retained and outstanding right now, and the
+    /// high water.
     pub fn stats(&self) -> PoolStats {
         self.state.lock().stats
     }
-}
 
-/// The owner behind a lent buffer's [`Bytes`].
-struct Lent {
-    buf: PoolBuf,
-    pool: Weak<Mutex<State>>,
-}
-
-impl AsRef<[u8]> for Lent {
-    fn as_ref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl Drop for Lent {
-    fn drop(&mut self) {
-        // A cluster that is gone takes its pool with it: the buffer is
-        // simply freed.
-        if let Some(state) = self.pool.upgrade() {
-            // Bound to a name, the evicted buffers outlive the guard and are
-            // freed after the lock is released.
-            let evicted = state.lock().give_back(std::mem::take(&mut self.buf));
-            drop(evicted);
-        }
+    fn give_back(&self, buf: PoolBuf) {
+        self.state.lock().give_back(buf);
     }
 }
 
@@ -617,15 +614,24 @@ mod tests {
         unsafe { buf.unwritten().assume_init_ref().to_vec() }
     }
 
-    fn filled(pool: &Pool, len: usize, byte: u8) -> Bytes {
+    /// A buffer taken from `pool`, checked unwritten (poisoned, in a debug
+    /// build, fresh or recycled), filled with `byte` and shared.
+    fn filled(pool: &'static Pool, len: usize, byte: u8) -> Bytes {
         let mut buf = pool.take(len);
-        assert_eq!(
-            (buf.len, buf.len()),
-            (len, 0),
-            "taken: `len` bytes, none written"
-        );
+        assert_eq!((buf.len, buf.len()), (len, 0), "`len` bytes, none written");
+        if cfg!(debug_assertions) {
+            assert!(leftover(&mut buf).iter().all(|b| *b == POISON));
+        }
         buf.put(&vec![byte; len]);
         pool.share(buf)
+    }
+
+    /// The pool's bound: what it holds never passes its high water.
+    fn assert_bounded(s: PoolStats) {
+        assert!(
+            s.retained_bytes + s.outstanding_bytes <= s.high_water_bytes,
+            "{s:?}"
+        );
     }
 
     fn live() -> [usize; 2] {
@@ -634,65 +640,61 @@ mod tests {
 
     #[test]
     fn a_dropped_buffer_serves_the_next_request_unzeroed() {
-        let pool = Pool::new();
-        // The next version is lent before the previous one is dropped, so
-        // the returned buffer is within the retention bound.
-        let first = filled(&pool, MIB, 0xAA);
+        static POOL: LazyLock<Pool> = LazyLock::new(Pool::default);
+        let first = filled(&POOL, MIB, 0xAA);
         let at = first.as_ptr();
-        let next = filled(&pool, MIB, 0xBB);
         drop(first);
-        let mut again = pool.take(MIB);
-        assert_eq!(
-            again.ptr.as_ptr().cast_const(),
-            at,
-            "the returned buffer is reused"
-        );
+        let mut again = POOL.take(MIB);
+        assert_eq!(again.ptr.as_ptr().cast_const(), at, "reused");
         assert_eq!((again.len, again.len()), (MIB, 0));
         assert!(leftover(&mut again).iter().all(|b| *b == unwritten(0xAA)));
-        let stats = pool.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 2));
-        drop(next);
-        // With nothing outstanding, nothing is retained.
-        assert_eq!(pool.stats().retained_bytes, 0);
+        // A buffer never shared comes back too.
+        drop(again);
+        let s = POOL.stats();
+        assert_eq!((s.hits, s.misses, s.high_water_bytes), (1, 1, MIB));
+        assert_eq!((s.retained_bytes, s.outstanding_bytes), (MIB, 0));
     }
 
     #[test]
     fn small_buffers_stay_out_of_the_pool() {
-        let pool = Pool::new();
-        let small = filled(&pool, MIN_POOLED - 1, 0);
+        static POOL: LazyLock<Pool> = LazyLock::new(Pool::default);
+        let small = filled(&POOL, MIN_POOLED - 1, 0);
         assert_eq!(small.len(), MIN_POOLED - 1);
         drop(small);
-        drop(filled(&pool, 2048, 1));
-        assert!(pool.take(0).is_empty());
-        assert_eq!(pool.stats(), PoolStats::default());
+        drop(filled(&POOL, 2048, 1));
+        assert!(POOL.take(0).is_empty());
+        assert_eq!(POOL.stats(), PoolStats::default());
     }
 
     #[test]
     // Megabytes written and read a byte at a time are minutes under Miri.
     #[cfg_attr(miri, ignore)]
     fn only_a_buffer_under_twice_the_request_fits() {
-        let pool = Pool::new();
-        // A retained buffer is bounded by what is outstanding, so keep one
-        // of the same size lent while the other waits.
-        let held = filled(&pool, 4 * MIB, 2);
-        drop(filled(&pool, 4 * MIB, 3));
-        drop(pool.take(MIB));
-        assert_eq!(pool.stats().misses, 3, "4 MiB is too large for 1 MiB");
-        let mut taken = pool.take(3 * MIB);
+        static POOL: LazyLock<Pool> = LazyLock::new(Pool::default);
+        // Three 4 MiB buffers out at once set the high water at 12 MiB.
+        let held = filled(&POOL, 4 * MIB, 2);
+        drop((filled(&POOL, 4 * MIB, 3), filled(&POOL, 4 * MIB, 4)));
+        // 4 MiB is too large for 1 MiB: a miss, and 5 MiB outstanding
+        // beside 8 retained passes the bound, so the older 4 MiB goes.
+        drop(POOL.take(MIB));
+        let s = POOL.stats();
+        assert_eq!((s.misses, s.retained_bytes), (4, 4 * MIB + MIB), "{s:?}");
+        let mut taken = POOL.take(3 * MIB);
         // Shorter than its previous user: the request's length, and only
         // bytes that user wrote.
         assert_eq!(taken.len, 3 * MIB);
-        assert!(leftover(&mut taken).iter().all(|b| *b == unwritten(3)));
-        let s = pool.stats();
-        assert_eq!((s.hits, s.misses, s.retained_bytes), (1, 3, 0), "{s:?}");
+        assert!(leftover(&mut taken).iter().all(|b| *b == unwritten(4)));
+        let s = POOL.stats();
+        assert_eq!((s.hits, s.misses, s.retained_bytes), (1, 4, MIB), "{s:?}");
+        assert_bounded(s);
         drop(held);
     }
 
     #[test]
     fn the_advice_covers_every_whole_huge_page_and_no_byte_past_len() {
         for (len, align, advised) in [
-            (0, 1, 0),
-            (HUGE_PAGE - 1, 1, 0),
+            (0, MIN_ALIGN, 0),
+            (HUGE_PAGE - 1, MIN_ALIGN, 0),
             (HUGE_PAGE, HUGE_PAGE, HUGE_PAGE),
             (HUGE_PAGE + 17, HUGE_PAGE, HUGE_PAGE),
             (16 * MIB + 40, HUGE_PAGE, 16 * MIB),
@@ -704,37 +706,29 @@ mod tests {
     }
 
     #[test]
-    // Megabytes written and read a byte at a time are minutes under Miri.
-    #[cfg_attr(miri, ignore)]
     fn a_fresh_buffer_of_a_huge_page_or_more_is_aligned_to_one() {
-        let pool = Pool::new();
         for len in [HUGE_PAGE, HUGE_PAGE + 17, 16 * MIB + 40] {
             let before = live();
-            let mut buf = pool.take(len);
+            let buf = PoolBuf::fresh(len);
             assert_eq!(buf.ptr.as_ptr() as usize % HUGE_PAGE, 0, "{len}");
-            assert_eq!((buf.len, buf.capacity()), (len, len));
-            assert_eq!(buf.layout.align(), HUGE_PAGE);
+            assert_eq!((buf.capacity(), buf.layout.align()), (len, HUGE_PAGE));
             assert_eq!(live(), [before[0], before[1] + len]);
-            if cfg!(debug_assertions) {
-                assert!(leftover(&mut buf).iter().all(|b| *b == POISON), "{len}");
-            }
             drop(buf);
-            assert_eq!(live(), before);
+            assert_eq!(live(), before, "freed by the layout it was allocated with");
         }
     }
 
     #[test]
     fn a_fresh_buffer_under_a_huge_page_is_plain() {
-        let pool = Pool::new();
-        for len in [1, MIN_POOLED, MIB, HUGE_PAGE - 1] {
+        for len in [0, 1, 8, MIN_POOLED, MIB, HUGE_PAGE - 1] {
             let before = live();
-            let mut buf = pool.take(len);
-            assert_eq!((buf.layout.align(), buf.capacity()), (1, len), "{len}");
+            let buf = PoolBuf::fresh(len);
+            assert_eq!(buf.ptr.as_ptr() as usize % MIN_ALIGN, 0, "{len}");
+            assert_eq!((buf.layout.align(), buf.capacity()), (MIN_ALIGN, len));
             assert!(fresh_plan(len).1.is_empty(), "{len} is advised nowhere");
             assert_eq!(live(), [before[0] + len, before[1]]);
-            if cfg!(debug_assertions) {
-                assert!(leftover(&mut buf).iter().all(|b| *b == POISON), "{len}");
-            }
+            drop(buf);
+            assert_eq!(live(), before);
         }
     }
 
@@ -769,15 +763,15 @@ mod tests {
     /// (which glibc always maps fresh, far above its mmap threshold) faults
     /// in a handful of pages at most, the allocator's header. Writing it
     /// then faults it in, one huge page per 2 MiB where the kernel honours
-    /// the advice.
+    /// the advice; taken again, it faults in nothing more.
     #[test]
     #[cfg(all(target_os = "linux", not(debug_assertions), not(miri)))]
     fn taking_a_fresh_buffer_faults_in_nothing_until_it_is_written() {
-        let pool = Pool::new();
+        static POOL: LazyLock<Pool> = LazyLock::new(Pool::default);
         let len = 64 * MIB;
         let block = vec![7u8; MIB];
         let before = minor_faults();
-        let mut buf = pool.take(len);
+        let mut buf = POOL.take(len);
         let taken = minor_faults() - before;
         assert!(taken <= 4, "taking {len} bytes faulted {taken} pages");
         let before = minor_faults();
@@ -793,16 +787,26 @@ mod tests {
                 "writing {len} bytes faulted {written} pages, not {huge} huge ones"
             );
         }
-        assert_eq!(pool.share(buf).len(), len);
+        assert_eq!(POOL.share(buf).len(), len);
+        let before = minor_faults();
+        let mut again = POOL.take(len);
+        for _ in 0..len / MIB {
+            again.put(&block);
+        }
+        let rewritten = minor_faults() - before;
+        assert!(
+            rewritten <= 4,
+            "rewriting a recycled buffer faulted {rewritten}"
+        );
     }
 
     #[test]
     #[should_panic(expected = "65535 of 65536 bytes written")]
     fn a_buffer_is_shared_only_once_every_byte_is_written() {
-        let pool = Pool::new();
-        let mut buf = pool.take(MIN_POOLED);
+        static POOL: LazyLock<Pool> = LazyLock::new(Pool::default);
+        let mut buf = POOL.take(MIN_POOLED);
         buf.put(&[1; MIN_POOLED - 1]);
-        drop(pool.share(buf));
+        drop(POOL.share(buf));
     }
 
     #[test]
@@ -846,13 +850,13 @@ mod tests {
 
     #[test]
     fn a_vec_and_a_pool_buffer_fill_front_to_back() {
+        static POOL: LazyLock<Pool> = LazyLock::new(Pool::default);
         let mut v = Vec::with_capacity(8);
         v.push(1u8);
         let n = v.fill_with(|rest| (rest[..3].write_copy_of_slice(&[2, 3, 4]), 3));
         assert_eq!((n, &v[..]), (3, &[1, 2, 3, 4][..]));
 
-        let pool = Pool::new();
-        let mut bufs = vec![pool.take(MIN_POOLED), pool.take(4)];
+        let mut bufs = vec![POOL.take(MIN_POOLED), POOL.take(4)];
         bufs[1].put(&[5]);
         PoolBuf::fill_each(&mut bufs, |rests| {
             let pieces = (rests.into_iter().zip([7u8, 6]))
@@ -861,42 +865,34 @@ mod tests {
             (pieces, ())
         });
         assert_eq!(&bufs[1][..], [5, 6, 6, 6]);
-        let shared: Vec<Bytes> = bufs.into_iter().map(|b| pool.share(b)).collect();
+        let shared: Vec<Bytes> = bufs.into_iter().map(|b| POOL.share(b)).collect();
         assert!(shared[0].iter().all(|b| *b == 7));
     }
 
     #[test]
     fn bytes_that_outlive_their_cluster_drop_cleanly() {
-        let before = live();
         let cluster = Cluster::new(ClusterConfig::default());
-        let lent = filled(cluster.pool(), MIB, 7);
-        let huge = filled(cluster.pool(), HUGE_PAGE + 17, 8);
-        assert_eq!(huge.as_ptr() as usize % HUGE_PAGE, 0);
-        let weak = Arc::downgrade(&cluster.pool().state);
-        drop(cluster);
-        assert!(weak.upgrade().is_none(), "the pool went with the cluster");
-        assert_eq!((lent.len(), huge.len()), (MIB, HUGE_PAGE + 17));
-        assert!(lent.iter().all(|b| *b == 7));
-        assert!(huge.iter().all(|b| *b == 8));
-        assert_eq!(live(), [before[0] + MIB, before[1] + HUGE_PAGE + 17]);
-        // Each is freed, by the layout it was allocated with, with its
-        // last handle.
-        drop(huge);
-        assert_eq!(live(), [before[0] + MIB, before[1]]);
-        drop(lent);
-        assert_eq!(live(), before);
+        assert!(std::ptr::eq(cluster.pool(), &*POOL));
+        let other = Cluster::new(ClusterConfig::default());
+        assert!(std::ptr::eq(other.pool(), cluster.pool()));
+        // Bytes outlive the cluster they were taken through.
+        let lent = filled(cluster.pool(), HUGE_PAGE + 17, 8);
+        drop((cluster, other));
+        assert_eq!(lent.as_ptr() as usize % HUGE_PAGE, 0);
+        assert!(lent.iter().all(|b| *b == 8));
     }
 
-    /// The retention bound, over a run whose frame sizes drift between
+    /// The retention bound, over runs whose frame sizes drift between
     /// versions (MiniMD's do: atoms migrate between ranks). Each version
     /// lends a few buffers, holds them while the next version is built,
-    /// then drops them; whatever the interleaving, the pool retains no
-    /// more than is outstanding, and nothing once the run lets go.
+    /// then drops them; whatever the interleaving, retained plus
+    /// outstanding never passes the most ever outstanding at once, and
+    /// once a run lets go nothing is outstanding.
     #[test]
     // Megabytes written and read a byte at a time are minutes under Miri.
     #[cfg_attr(miri, ignore)]
-    fn retained_never_exceeds_outstanding_as_sizes_drift() {
-        let pool = Pool::new();
+    fn pooled_bytes_never_pass_the_high_water_as_sizes_drift() {
+        static POOL: LazyLock<Pool> = LazyLock::new(Pool::default);
         let mut x = 0x9e37_79b9_u64;
         let mut draw = |below: u64| {
             x ^= x << 13;
@@ -904,26 +900,32 @@ mod tests {
             x ^= x << 17;
             x % below
         };
-        let mut live: VecDeque<Vec<Bytes>> = VecDeque::new();
-        for _version in 0..200 {
-            let base = MIN_POOLED + draw(3 * MIB as u64) as usize;
-            let frames = (0..1 + draw(4))
-                .map(|_| filled(&pool, base + draw(4096) as usize, 1))
-                .collect();
-            live.push_back(frames);
-            while live.len() > 1 + draw(3) as usize {
-                let mut old = live.pop_front().unwrap_or_default();
-                while let Some(frame) = old.pop() {
-                    drop(frame);
-                    let s = pool.stats();
-                    assert!(s.retained_bytes <= s.outstanding_bytes, "{s:?}");
+        let mut peak = 0;
+        for _run in 0..3 {
+            let mut live: VecDeque<Vec<Bytes>> = VecDeque::new();
+            for _version in 0..70 {
+                let base = MIN_POOLED + draw(3 * MIB as u64) as usize;
+                let frames = (0..1 + draw(4))
+                    .map(|_| filled(&POOL, base + draw(4096) as usize, 1))
+                    .collect();
+                live.push_back(frames);
+                let s = POOL.stats();
+                assert_bounded(s);
+                peak = peak.max(s.outstanding_bytes);
+                while live.len() > 1 + draw(3) as usize {
+                    let mut old = live.pop_front().unwrap_or_default();
+                    while let Some(frame) = old.pop() {
+                        drop(frame);
+                        assert_bounded(POOL.stats());
+                    }
                 }
             }
+            live.clear();
+            let s = POOL.stats();
+            assert_eq!(s.outstanding_bytes, 0, "{s:?}");
+            assert_eq!(s.high_water_bytes, peak, "the most ever outstanding");
         }
-        let s = pool.stats();
-        assert!(s.hits > 0, "drifting sizes still reuse: {s:?}");
-        live.clear();
-        let s = pool.stats();
-        assert_eq!((s.retained_bytes, s.outstanding_bytes), (0, 0), "{s:?}");
+        let s = POOL.stats();
+        assert!(s.hits > s.misses, "drifting sizes still reuse: {s:?}");
     }
 }

@@ -114,7 +114,7 @@ fn protected(views: &RegionViews) -> Vec<(u32, Arc<dyn Protected>)> {
 /// Pack `views` into one self-contained checkpoint frame — what the
 /// peer-memory tiers store (they keep whole versions, never delta chains) —
 /// in a buffer from the cluster's `pool`.
-pub fn pack_views(pool: &Pool, views: &RegionViews) -> Bytes {
+pub fn pack_views(pool: &'static Pool, views: &RegionViews) -> Bytes {
     veloc::serial::pack(pool, None, &protected(views), &[])
 }
 
@@ -376,21 +376,20 @@ mod tests {
         let comm = simmpi::Comm::from_group(router, 1, 0, vec![0], 0);
         backend.checkpoint(&comm, "bk", 1, &region).unwrap();
         backend.wait();
-        let blob = pack_views(c.pool(), &region);
+        // A pool of this test's own: the tests beside it take from the
+        // process's.
+        static POOL: std::sync::LazyLock<Pool> = std::sync::LazyLock::new(Pool::default);
+        let blob = pack_views(&POOL, &region);
         assert_eq!(counted.1.load(Relaxed), 0);
         assert_eq!(counted.2.load(Relaxed), 2, "one lend per writer");
         let at = blob.as_ptr();
-        // Held, it keeps the pool's bound above one frame.
-        let held = pack_views(c.pool(), &region);
         drop(blob);
-        let hits = c.pool().stats().hits;
-        let again = pack_views(c.pool(), &region);
-        assert_eq!((c.pool().stats().hits, again.as_ptr()), (hits + 1, at));
+        let again = pack_views(&POOL, &region);
+        assert_eq!((POOL.stats().hits, again.as_ptr()), (1, at));
         assert_eq!(counted.1.load(Relaxed), 0);
         counted.0.fill(0);
         unpack_views(&region, &again).unwrap();
         assert_eq!(*counted.0.read_uncaptured(), data);
-        drop(held);
     }
 
     #[test]

@@ -8,12 +8,21 @@
 //! allocation* — the situation Kokkos Resilience must detect to avoid
 //! checkpointing one buffer twice (the "skipped" views in the paper's
 //! Figure 7).
+//!
+//! A view's elements live in one buffer of the process's pool
+//! (`cluster::pool::POOL`), at every size: it is zeroed (or copied into)
+//! when the view is built, and goes back to the pool when the view's last
+//! clone and last duplicate handle drop, so the next run's views of the
+//! same size reuse it without faulting a page in again.
 
+use std::marker::PhantomData;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::RwLock;
+use cluster::{pool::POOL, Cursor, PoolBuf, Unfilled};
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use simmpi::pod::{self, Pod};
 
 use crate::capture;
@@ -69,12 +78,64 @@ impl ViewMeta {
 }
 
 struct Storage<T> {
-    data: RwLock<Vec<T>>,
+    /// The elements' bytes, every one written: a pool buffer aligned for
+    /// any `Pod` element type.
+    data: RwLock<PoolBuf>,
     /// Last write stamp. Re-stamped *before* the write lock is acquired,
     /// so a concurrent checkpoint that reads the stamp first and the data
     /// second can only err toward "dirty" (it re-sends an unchanged
     /// region), never toward "clean" (skipping a changed one).
     generation: AtomicU64,
+    elems: PhantomData<T>,
+}
+
+impl<T: Pod> Storage<T> {
+    /// Storage for `len` elements, written by `init` into a pool buffer.
+    fn new(len: usize, init: impl FnOnce(&mut Cursor<'_>)) -> Self {
+        let mut buf = POOL.take(std::mem::size_of::<T>() * len);
+        buf.fill_with(|rest| {
+            let mut out = Cursor::new(rest);
+            init(&mut out);
+            (out.finish(), ())
+        });
+        Storage {
+            data: RwLock::new(buf),
+            generation: AtomicU64::new(fresh_gen()),
+            elems: PhantomData,
+        }
+    }
+}
+
+/// Read access to a view's elements ([`View::read`]).
+pub struct ViewRead<'a, T> {
+    guard: RwLockReadGuard<'a, PoolBuf>,
+    elems: PhantomData<&'a [T]>,
+}
+
+impl<T: Pod> Deref for ViewRead<'_, T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        pod::cast_slice(&self.guard)
+    }
+}
+
+/// Write access to a view's elements ([`View::write`]).
+pub struct ViewWrite<'a, T> {
+    guard: RwLockWriteGuard<'a, PoolBuf>,
+    elems: PhantomData<&'a mut [T]>,
+}
+
+impl<T: Pod> Deref for ViewWrite<'_, T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        pod::cast_slice(&self.guard)
+    }
+}
+
+impl<T: Pod> DerefMut for ViewWrite<'_, T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        pod::cast_slice_mut(&mut self.guard)
+    }
 }
 
 struct Inner<T: Pod> {
@@ -99,7 +160,7 @@ impl<T: Pod> Clone for View<T> {
     }
 }
 
-impl<T: Pod + Default> View<T> {
+impl<T: Pod> View<T> {
     /// A zero-initialized 1-D view.
     pub fn new_1d(label: impl Into<Arc<str>>, n: usize) -> Self {
         Self::with_extents(label, [n, 1, 1], 1)
@@ -110,32 +171,31 @@ impl<T: Pod + Default> View<T> {
         Self::with_extents(label, [nx, ny, 1], 2)
     }
 
+    /// A view of `extents` (zero: every element's bytes are zero, one
+    /// fill pass).
     fn with_extents(label: impl Into<Arc<str>>, extents: [usize; 3], rank: usize) -> Self {
-        let len: usize = extents.iter().product();
-        Self::from_vec_extents(label, vec![T::default(); len], extents, rank)
+        let len = extents.iter().product();
+        let storage = Storage::new(len, |out| out.put_bytes(0, out.remaining()));
+        Self::over(label, storage, extents, rank)
     }
-}
 
-impl<T: Pod> View<T> {
-    /// Wrap an existing vector as a 1-D view.
+    /// A 1-D view holding a copy of `data`.
     pub fn from_vec(label: impl Into<Arc<str>>, data: Vec<T>) -> Self {
         let n = data.len();
-        Self::from_vec_extents(label, data, [n, 1, 1], 1)
+        let storage = Storage::new(n, |out| {
+            out.put(pod::as_bytes(&data));
+        });
+        Self::over(label, storage, [n, 1, 1], 1)
     }
 
-    fn from_vec_extents(
+    fn over(
         label: impl Into<Arc<str>>,
-        data: Vec<T>,
+        storage: Storage<T>,
         extents: [usize; 3],
         rank: usize,
     ) -> Self {
-        assert_eq!(
-            data.len(),
-            extents.iter().product::<usize>(),
-            "data length must match extents"
-        );
         let alloc_id = fresh_id();
-        let bytes = std::mem::size_of::<T>() * data.len();
+        let bytes = std::mem::size_of::<T>() * extents.iter().product::<usize>();
         View {
             inner: Arc::new(Inner {
                 meta: ViewMeta {
@@ -146,10 +206,7 @@ impl<T: Pod> View<T> {
                     rank,
                     bytes,
                 },
-                storage: Arc::new(Storage {
-                    data: RwLock::new(data),
-                    generation: AtomicU64::new(fresh_gen()),
-                }),
+                storage: Arc::new(storage),
             }),
         }
     }
@@ -204,37 +261,39 @@ impl<T: Pod> View<T> {
 
     /// Lock the data for reading. If a capture session is active on this
     /// thread, the access is recorded (read mode).
-    pub fn read(&self) -> parking_lot::RwLockReadGuard<'_, Vec<T>> {
+    pub fn read(&self) -> ViewRead<'_, T> {
         capture::record_access(self, false);
-        self.inner.storage.data.read()
+        self.read_uncaptured()
     }
 
     /// Lock the data for writing. If a capture session is active on this
     /// thread, the access is recorded (write mode).
-    pub fn write(&self) -> parking_lot::RwLockWriteGuard<'_, Vec<T>> {
+    pub fn write(&self) -> ViewWrite<'_, T> {
         capture::record_access(self, true);
-        self.inner
-            .storage
-            .generation
-            .store(fresh_gen(), Ordering::Relaxed);
-        self.inner.storage.data.write()
+        self.write_uncaptured()
     }
 
     /// Read access that bypasses capture recording (used by checkpoint
     /// internals so snapshotting does not record itself).
-    pub fn read_uncaptured(&self) -> parking_lot::RwLockReadGuard<'_, Vec<T>> {
-        self.inner.storage.data.read()
+    pub fn read_uncaptured(&self) -> ViewRead<'_, T> {
+        ViewRead {
+            guard: self.inner.storage.data.read(),
+            elems: PhantomData,
+        }
     }
 
     /// Write access that bypasses capture recording (still re-stamps the
     /// generation — `restore_bytes` and `fill` mutate the allocation, so a
     /// checkpoint after a rollback must treat the region as dirty).
-    pub fn write_uncaptured(&self) -> parking_lot::RwLockWriteGuard<'_, Vec<T>> {
+    pub fn write_uncaptured(&self) -> ViewWrite<'_, T> {
         self.inner
             .storage
             .generation
             .store(fresh_gen(), Ordering::Relaxed);
-        self.inner.storage.data.write()
+        ViewWrite {
+            guard: self.inner.storage.data.write(),
+            elems: PhantomData,
+        }
     }
 
     /// Current dirty-tracking stamp of the allocation (shared by every
@@ -395,6 +454,72 @@ mod tests {
             dup.generation(),
             "duplicate handles share the allocation stamp"
         );
+    }
+
+    /// The address of a view's first element.
+    fn at<T: Pod>(v: &View<T>) -> usize {
+        v.read_uncaptured().as_ptr() as usize
+    }
+
+    /// Held by each test that takes pooled buffers: one's miss could evict
+    /// the buffer another has just given back.
+    static POOLED: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn pooled() -> std::sync::MutexGuard<'static, ()> {
+        POOLED.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Take a pool buffer of `len` bytes, fill it with `byte` and give it
+    /// back; returns its address. No other test's buffer fits a length
+    /// the caller passes here, so the next request of it takes this one.
+    fn recycle(len: usize, byte: u8) -> usize {
+        let mut buf = POOL.take(len);
+        buf.put(&vec![byte; len]);
+        let shared = POOL.share(buf);
+        shared.as_ptr() as usize
+    }
+
+    #[test]
+    fn a_view_over_a_recycled_buffer_reads_zero() {
+        let _pooled = pooled();
+        let n = (11 << 20) / 8 + 5;
+        let was = recycle(8 * n, 0xFF);
+        let v: View<f64> = View::new_1d("z", n);
+        assert_eq!(at(&v), was, "the view took the recycled buffer");
+        assert!(v.read().iter().all(|x| x.to_bits() == 0));
+        let w = View::from_vec("w", vec![7u64; n]);
+        assert!(w.read().iter().all(|&x| x == 7));
+    }
+
+    #[test]
+    fn views_are_aligned_at_every_size() {
+        let _pooled = pooled();
+        let below = cluster::pool::MIN_ALIGN;
+        for n in [0, 1, 3, 7, 100, 8191, 8193, (2 << 20) / 8 + 1] {
+            let f: View<f64> = View::new_2d("f", n, 1);
+            let u = View::from_vec("u", vec![1u64; n]);
+            for addr in [at(&f), at(&u)] {
+                assert_eq!(addr % below, 0, "{n} elements at {addr:#x}");
+            }
+            assert_eq!((f.read().len(), u.read().len()), (n, n));
+        }
+    }
+
+    #[test]
+    fn a_duplicate_handle_keeps_the_buffer_until_it_drops_too() {
+        let _pooled = pooled();
+        let len = (5 << 20) + 24;
+        let v: View<u64> = View::new_1d("v", len / 8);
+        let d = v.duplicate_handle("d");
+        let was = at(&v);
+        drop(v);
+        // Still held by `d`: a buffer of the same size is another one.
+        let other = POOL.take(len);
+        assert_ne!(other.as_ptr() as usize, was);
+        d.write()[0] = 3;
+        drop(d);
+        let again = POOL.take(len);
+        assert_eq!(again.as_ptr() as usize, was, "back with its last handle");
     }
 
     #[test]

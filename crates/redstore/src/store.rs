@@ -307,7 +307,7 @@ fn code_of(mode: RedundancyMode, s: usize) -> Option<Code> {
 /// redundancy bench and the wire-format test, which hold it to
 /// `header ++ rs_encode(..)[index]` and to [`coded_frames_per_row`].
 pub fn coded_frames(
-    pool: &Pool,
+    pool: &'static Pool,
     code: Code,
     version: u64,
     payload: &[u8],
@@ -334,7 +334,7 @@ pub fn coded_frames(
 /// bench times it against (`wire_rs4_2_reference`, in the same pooled
 /// buffers). No production path calls it.
 pub fn coded_frames_per_row(
-    pool: &Pool,
+    pool: &'static Pool,
     code: Code,
     version: u64,
     payload: &[u8],
@@ -349,7 +349,7 @@ pub fn coded_frames_per_row(
 /// One buffer per travelling shard of `payload`, header written; the
 /// shard's bytes are left for the caller to write.
 fn wire_buffers(
-    pool: &Pool,
+    pool: &'static Pool,
     code: Code,
     version: u64,
     payload: &[u8],
@@ -411,7 +411,7 @@ fn check_frame(frame: &[u8], code: Code, version: u64, index: usize) -> Result<u
 /// the same original length. The payload is decoded into a buffer from the
 /// cluster's `pool`, which it goes back to when its last holder drops it.
 fn reconstruct(
-    pool: &Pool,
+    pool: &'static Pool,
     code: Code,
     version: u64,
     frames: &[(usize, Bytes)],
@@ -988,14 +988,15 @@ mod tests {
     /// padding to `rs_encode`'s.)
     #[test]
     fn frames_built_in_a_poisoned_recycled_buffer_equal_fresh_ones() {
-        let cluster = cluster();
-        let pool = cluster.pool();
+        // A pool of this test's own, so that its hits are this test's.
+        static POOL: std::sync::LazyLock<Pool> = std::sync::LazyLock::new(Pool::default);
+        let pool = &POOL;
         for code in [RS22, Code::Rs { n: 3, m: 2 }, Code::Xor { n: 3 }] {
             for len in [3 << 18, (3 << 18) + 1, (1 << 20) - 1] {
                 let p = payload(len);
                 let fresh = coded_frames(pool, code, 9, &p).expect("frames");
                 // Lend and return one poisoned buffer per frame while the
-                // fresh frames stay outstanding, so the pool retains them.
+                // fresh frames stay outstanding.
                 let poisoned: Vec<_> = (fresh.iter())
                     .map(|frame| {
                         let mut buf = pool.take(frame.len());

@@ -84,7 +84,7 @@ impl RankApp for RingState {
             let mut d = self.data.write();
             let len = d.len();
             let mut delta: f64 = 0.0;
-            let snapshot: Vec<f64> = d.clone();
+            let snapshot: Vec<f64> = d.to_vec();
             for i in 0..len {
                 let l = if i == 0 {
                     from_left[0]

@@ -51,6 +51,38 @@ pub fn as_bytes<T: Pod>(slice: &[T]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(slice.as_ptr().cast::<u8>(), std::mem::size_of_val(slice)) }
 }
 
+/// The number of whole `T`s in `bytes`. Panics unless `bytes` starts at an
+/// address aligned for `T` and holds a whole number of them.
+fn whole<T: Pod>(bytes: &[u8]) -> usize {
+    let sz = std::mem::size_of::<T>();
+    assert!(
+        bytes.as_ptr().cast::<T>().is_aligned() && bytes.len().is_multiple_of(sz),
+        "{} bytes at {:p} are not a whole, aligned slice of {sz}-byte elements",
+        bytes.len(),
+        bytes.as_ptr()
+    );
+    bytes.len() / sz
+}
+
+/// View bytes as the typed slice they hold (zero copy). Panics unless
+/// they are aligned for `T` and a whole number of `T`s long.
+pub fn cast_slice<T: Pod>(bytes: &[u8]) -> &[T] {
+    let n = whole::<T>(bytes);
+    // SAFETY: `whole` checked the start is aligned for T and the length is
+    // `n` whole Ts; T is Pod, so every byte pattern is a valid value, and
+    // the borrow of `bytes` carries over.
+    unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<T>(), n) }
+}
+
+/// [`cast_slice`], mutably: writing any T leaves valid bytes behind.
+pub fn cast_slice_mut<T: Pod>(bytes: &mut [u8]) -> &mut [T] {
+    let n = whole::<T>(bytes);
+    // SAFETY: as in `cast_slice`; the unique borrow of `bytes` carries
+    // over, and a T (Pod, no padding) written through it leaves every byte
+    // initialised.
+    unsafe { std::slice::from_raw_parts_mut(bytes.as_mut_ptr().cast::<T>(), n) }
+}
+
 /// Copy a typed slice into an owned byte payload.
 pub fn to_bytes<T: Pod>(slice: &[T]) -> Bytes {
     Bytes::copy_from_slice(as_bytes(slice))
@@ -104,6 +136,21 @@ mod tests {
         let xs = vec![1u32, 2, 3, u32::MAX];
         let b = to_bytes(&xs);
         assert_eq!(vec_from_bytes::<u32>(&b), xs);
+    }
+
+    #[test]
+    fn cast_slice_views_aligned_bytes_as_elements() {
+        let xs = [1.5f64, -2.0, 3.25];
+        let bytes = as_bytes(&xs);
+        assert_eq!(cast_slice::<f64>(bytes), xs);
+        assert_eq!(cast_slice::<u32>(&as_bytes(&xs)[8..16]).len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a whole, aligned slice")]
+    fn cast_slice_refuses_a_misaligned_start() {
+        let xs = [0u64; 2];
+        cast_slice::<u64>(&as_bytes(&xs)[1..9]);
     }
 
     #[test]

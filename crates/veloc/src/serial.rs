@@ -506,7 +506,7 @@ impl Frame {
 /// move. The frame's buffer comes from, and goes back to, the cluster's
 /// `pool` ([`FrameBuilder`]).
 pub fn pack(
-    pool: &Pool,
+    pool: &'static Pool,
     base_version: Option<u64>,
     changed: &[(u32, Arc<dyn Protected>)],
     unchanged: &[u32],
@@ -589,12 +589,12 @@ fn put_u32_at(buf: &mut [u8], at: usize, v: u32) {
 /// on the same content (`builder_output_matches_pack_frame` below holds the
 /// two together).
 ///
-/// The buffer is the cluster pool's (`cluster::pool`): a recycled one when
+/// The buffer is the process pool's (`cluster::pool`): a recycled one when
 /// the pool has one that fits, else a fresh one the pool allocates (on huge
 /// pages from 2 MiB up), unwritten either way. The sealed frame hands it
 /// back to the pool when its last holder drops it.
-pub struct FrameBuilder<'a> {
-    pool: &'a Pool,
+pub struct FrameBuilder {
+    pool: &'static Pool,
     buf: PoolBuf,
     /// Per changed region: offset of its CRC field in the meta table, and
     /// its payload's planned length.
@@ -605,13 +605,13 @@ pub struct FrameBuilder<'a> {
     meta_end: usize,
 }
 
-impl<'a> FrameBuilder<'a> {
+impl FrameBuilder {
     /// Lay out a frame for `changed` regions `(id, byte length)` in frame
     /// order, plus `unchanged` references, in a buffer from `pool`, and
     /// write its head and meta. The caller then puts every payload, in
     /// order ([`Self::put_payload`]).
     pub fn new(
-        pool: &'a Pool,
+        pool: &'static Pool,
         base_version: Option<u64>,
         changed: &[(u32, usize)],
         unchanged: &[u32],
@@ -998,8 +998,9 @@ mod tests {
     /// snapshots after a region grew or shrank.
     #[test]
     fn a_frame_packed_in_a_poisoned_recycled_buffer_equals_a_fresh_one() {
-        let cluster = Cluster::new(ClusterConfig::default());
-        let pool = cluster.pool();
+        // A pool of this test's own, so that its hits are this test's.
+        static POOL: std::sync::LazyLock<Pool> = std::sync::LazyLock::new(Pool::default);
+        let pool = &POOL;
         let regions: Vec<(u32, Arc<dyn Protected>)> = [(3u32, 300_001usize), (8, 77)]
             .into_iter()
             .map(|(id, len)| {
@@ -1028,10 +1029,9 @@ mod tests {
             let fresh: Vec<Bytes> = (0..=takes)
                 .map(|_| pack(pool, base, &regions, unchanged))
                 .collect();
-            // Lend and return one poisoned buffer per take while one more
-            // fresh frame stays outstanding, so the pool retains them all
-            // though each is one byte over the frame, to fit a plan one
-            // byte longer too.
+            // Lend and return one poisoned buffer per take while the fresh
+            // frames stay outstanding; each is one byte over the frame, to
+            // fit a plan one byte longer too.
             let poisoned: Vec<_> = (0..takes)
                 .map(|_| {
                     let mut buf = pool.take(fresh[0].len() + 1);
