@@ -5,9 +5,7 @@
 //! fixed here: neither method takes one, so no caller can write a
 //! `Relaxed` access to the flag.
 
-// loom facade: a std atomic in production, a schedule point under
-// modelcheck (crates/modelcheck/tests/rendezvous.rs).
-use loom::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A flag that is raised once and never lowered.
 #[derive(Debug, Default)]

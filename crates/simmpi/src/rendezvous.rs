@@ -427,6 +427,23 @@ mod tests {
     }
 
     #[test]
+    fn a_dead_contributor_is_struck_at_publication() {
+        // Rank 1 contributes, then finds itself dead and never picks up:
+        // publication must strike it from who still has to, or the entry
+        // is never retired.
+        let r = router(2);
+        let group = vec![0usize, 1];
+        r.kill(1);
+        let victim = r.rendezvous(key(6), 1, &group, contrib(5), sum_combine);
+        assert_eq!(victim, Err(MpiError::Killed));
+        let out = r
+            .rendezvous(key(6), 0, &group, contrib(7), sum_combine)
+            .unwrap();
+        assert_eq!(out.failures_observed, vec![1]);
+        assert_eq!(r.rendezvous.in_flight(), 0, "entry retired");
+    }
+
+    #[test]
     fn own_death_while_waiting_returns_killed() {
         let r = router(2);
         let group = vec![0usize, 1];

@@ -503,7 +503,7 @@ impl Router {
     }
 
     /// Number of agreement operations currently in flight in the rendezvous
-    /// table (observability for tests and the modelcheck suite).
+    /// table (observability for tests and telemetry).
     pub fn agreements_in_flight(&self) -> usize {
         self.rendezvous.in_flight()
     }

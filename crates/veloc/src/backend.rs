@@ -7,7 +7,7 @@
 //! application only blocks on the backend in `checkpoint_wait` (at the next
 //! checkpoint call) and at finalize — exactly VeloC's contract. So a client
 //! never has more than one flush in flight, and the hand-off between client
-//! and worker is one slot under one lock.
+//! and worker is a zero-capacity channel.
 //!
 //! Failure posture: the backend is an *optimization*, never a correctness
 //! dependency. If the worker thread cannot be spawned, [`ActiveBackend::spawn`]
@@ -16,18 +16,13 @@
 //! flush is performed inline on the caller. A checkpoint acknowledged to the
 //! application is flushed eventually in every one of those paths — and by
 //! the same routine, [`flush`], whoever calls it.
-//!
-//! Concurrency: thread creation goes through `loom::thread` and the slot's
-//! mutex and condvar through the model-aware shims, so the whole
-//! enqueue → flush → wait → drop lifecycle, worker death included, is
-//! explored by `crates/modelcheck/tests/veloc_flush.rs`.
 
-use std::sync::Arc;
+use std::cell::Cell;
+use std::sync::mpsc::{self, Receiver, SendError, Sender, SyncSender};
+use std::thread::JoinHandle;
 
 use bytes::Bytes;
 use cluster::{Cluster, Key, StorageTier};
-use loom::thread::JoinHandle;
-use parking_lot::{Condvar, Mutex, MutexGuard};
 use telemetry::{Event, Recorder};
 
 use crate::client::VelocError;
@@ -63,88 +58,43 @@ pub(crate) fn flush(cluster: &Cluster, rank: usize, job: FlushJob) {
     });
 }
 
-/// Where the worker is in its life.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Worker {
-    /// Takes each job handed to the slot.
-    Running,
-    /// Lands the job still in the slot, if any, then exits; told so by
-    /// `Drop`, or by its own scheduled death. Later enqueues flush inline.
-    Stopping,
-    /// Exited.
-    Dead,
-}
-
-/// Everything the client and the worker share, under one lock.
-struct Slot {
-    /// The next flush, handed from `enqueue_flush` to the worker.
-    queued: Option<FlushJob>,
-    /// The worker holds a job it has taken and not yet landed.
-    flushing: bool,
-    worker: Worker,
-}
-
-struct Shared {
-    slot: Mutex<Slot>,
-    /// Signalled on every change of the slot.
-    changed: Condvar,
-}
-
-impl Shared {
-    /// Hold `slot` until `ready` is true of it.
-    fn wait_until<'a>(
-        &self,
-        mut slot: MutexGuard<'a, Slot>,
-        ready: impl Fn(&Slot) -> bool,
-    ) -> MutexGuard<'a, Slot> {
-        while !ready(&slot) {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the checkpoint drain barrier and the one-slot hand-off"
-            )]
-            self.changed.wait(&mut slot);
-        }
-        slot
-    }
-}
-
-/// The worker thread: take the queued job, land it, repeat until stopped.
-/// A scheduled death is consulted between jobs only, and it stops the
-/// worker in the same critical section that clears `flushing` — so no
-/// `wait` can see the worker idle and still running once it has died, and
-/// a job handed over before that section is still landed.
-fn work(cluster: &Cluster, rank: usize, shared: &Shared) {
-    let mut completed = 0u64;
-    let mut slot = shared.slot.lock();
-    loop {
-        slot = shared.wait_until(slot, |s| s.queued.is_some() || s.worker != Worker::Running);
-        let Some(job) = slot.queued.take() else {
-            // Nobody waits on this: the worker was already not `Running`.
-            slot.worker = Worker::Dead;
-            return;
-        };
-        slot.flushing = true;
-        shared.changed.notify_all();
-        drop(slot);
+/// The worker thread: land each job it receives, acknowledge it, repeat
+/// until the sender is dropped or its scheduled death. The death is
+/// consulted only after a received job has landed and been acknowledged,
+/// and the worker then exits without receiving another: a job handed over
+/// later finds the receiver gone and comes back to the caller.
+fn work(cluster: &Cluster, rank: usize, jobs: Receiver<FlushJob>, acks: Sender<()>) {
+    for (completed, job) in (1u64..).zip(jobs) {
         flush(cluster, rank, job);
-        completed += 1;
+        // `ActiveBackend` holds the receiver until it has joined this thread.
+        if acks.send(()).is_err() {
+            return;
+        }
         let dies = cluster
             .injector()
             .is_some_and(|inj| inj.flush_worker_dies(rank, completed));
-        slot = shared.slot.lock();
-        slot.flushing = false;
         if dies {
-            slot.worker = Worker::Stopping;
+            return;
         }
-        shared.changed.notify_all();
     }
 }
 
 /// Handle to the background flush thread.
-pub struct ActiveBackend {
+///
+/// Jobs go to the worker over a zero-capacity channel: `send` returns only
+/// once the worker has received the job, and hands it back if the worker has
+/// exited. So a job is either held by the worker, which lands it before it
+/// exits, or by the caller, which flushes it inline — never stranded in
+/// between.
+pub(crate) struct ActiveBackend {
     cluster: Cluster,
     rank: usize,
-    shared: Arc<Shared>,
+    /// `None` only while `Drop` runs: dropping it ends the worker's loop.
+    jobs: Option<SyncSender<FlushJob>>,
+    /// One acknowledgement per landed job.
+    acks: Receiver<()>,
+    /// Jobs handed to the worker whose acknowledgement `wait` has not taken.
+    unacked: Cell<usize>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -155,7 +105,7 @@ impl ActiveBackend {
     /// resilience stack operates in, and a fault the chaos injector
     /// schedules deliberately); the error is recoverable and the caller is
     /// expected to fall back to synchronous flushing.
-    pub fn spawn(cluster: Cluster, rank: usize) -> Result<Self, VelocError> {
+    pub(crate) fn spawn(cluster: Cluster, rank: usize) -> Result<Self, VelocError> {
         if let Some(inj) = cluster.injector() {
             if inj.backend_spawn_fails(rank) {
                 return Err(VelocError::BackendSpawn {
@@ -163,95 +113,91 @@ impl ActiveBackend {
                 });
             }
         }
-        let shared = Arc::new(Shared {
-            slot: Mutex::new(Slot {
-                queued: None,
-                flushing: false,
-                worker: Worker::Running,
-            }),
-            changed: Condvar::new(),
-        });
-        let (cluster2, shared2) = (cluster.clone(), Arc::clone(&shared));
-        let handle = loom::thread::Builder::new()
+        let (jobs, job_rx) = mpsc::sync_channel(0);
+        let (ack_tx, acks) = mpsc::channel();
+        let worker_cluster = cluster.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the co-located flush worker is a host thread by design"
+        )]
+        let handle = std::thread::Builder::new()
             .name(format!("veloc-backend-{rank}"))
-            .spawn(move || work(&cluster2, rank, &shared2))
+            .spawn(move || work(&worker_cluster, rank, job_rx, ack_tx))
             .map_err(|e| VelocError::BackendSpawn {
                 reason: e.to_string(),
             })?;
         Ok(ActiveBackend {
             cluster,
             rank,
-            shared,
+            jobs: Some(jobs),
+            acks,
+            unacked: Cell::new(0),
             handle: Some(handle),
         })
     }
 
     /// Hand an asynchronous flush of `blob` to `key` on the PFS to the
-    /// worker, once the slot is free. `rec` lets the worker stamp the
-    /// completion ([`Event::FlushDone`]) at the time the blob actually lands
-    /// on the PFS.
+    /// worker, blocking until it takes the job. `rec` lets the worker stamp
+    /// the completion ([`Event::FlushDone`]) at the time the blob actually
+    /// lands on the PFS.
     ///
-    /// If the worker no longer takes jobs, the flush runs inline here
-    /// instead — degraded latency, never a lost checkpoint.
-    pub fn enqueue_flush(&self, key: Key, blob: Bytes, rec: Recorder) {
+    /// If the worker has exited, the flush runs inline here instead —
+    /// degraded latency, never a lost checkpoint.
+    pub(crate) fn enqueue_flush(&self, key: Key, blob: Bytes, rec: Recorder) {
+        parking_lot::assert_no_locks_held();
         let job = FlushJob { key, blob, rec };
-        let mut slot = self.shared.wait_until(self.shared.slot.lock(), |s| {
-            s.queued.is_none() || s.worker != Worker::Running
-        });
-        if slot.worker == Worker::Running {
-            slot.queued = Some(job);
-            self.shared.changed.notify_all();
-        } else {
-            drop(slot);
-            flush(&self.cluster, self.rank, job);
+        let Some(jobs) = &self.jobs else {
+            return flush(&self.cluster, self.rank, job);
+        };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the zero-capacity hand-off to the flush worker"
+        )]
+        match jobs.send(job) {
+            Ok(()) => self.unacked.set(self.unacked.get() + 1),
+            Err(SendError(job)) => flush(&self.cluster, self.rank, job),
         }
     }
 
-    /// Number of flushes not yet completed: at most the queued one plus the
-    /// one the worker holds.
-    pub fn outstanding(&self) -> usize {
-        let slot = self.shared.slot.lock();
-        usize::from(slot.queued.is_some()) + usize::from(slot.flushing)
+    /// Number of flushes handed over and not yet waited for.
+    #[cfg(test)]
+    pub(crate) fn outstanding(&self) -> usize {
+        self.unacked.get()
     }
 
     /// Block until every handed-over flush has landed (VeloC
     /// `checkpoint_wait`).
-    pub fn wait(&self) {
-        let idle = self.shared.wait_until(self.shared.slot.lock(), |s| {
-            s.queued.is_none() && !s.flushing
-        });
-        drop(idle);
+    pub(crate) fn wait(&self) {
+        parking_lot::assert_no_locks_held();
+        while self.unacked.get() > 0 {
+            #[expect(clippy::disallowed_methods, reason = "the checkpoint drain barrier")]
+            let acked = self.acks.recv();
+            // The worker acknowledges every job it receives before it can
+            // exit, so a closed channel means it panicked.
+            debug_assert!(acked.is_ok(), "flush worker exited with a job unlanded");
+            self.unacked.set(self.unacked.get() - 1);
+        }
     }
 }
 
 impl Drop for ActiveBackend {
     fn drop(&mut self) {
-        // Stop the worker; it lands whatever is still in the slot first, so
-        // a dropped client never loses an acknowledged checkpoint.
-        {
-            let mut slot = self.shared.slot.lock();
-            if slot.worker == Worker::Running {
-                slot.worker = Worker::Stopping;
-            }
-            self.shared.changed.notify_all();
-        }
-        // The worker exits only as `Dead`, with nothing left in the slot; a
-        // panic or any other exit is a bug, stated as an invariant instead
-        // of silently swallowed.
+        // Closing the channel ends the worker's loop; it has landed every
+        // job it received, so a dropped client loses no acknowledged
+        // checkpoint. A worker panic is a bug, stated as an invariant.
+        drop(self.jobs.take());
+        #[expect(clippy::disallowed_methods, reason = "teardown joins the flush worker")]
         let joined = self.handle.take().is_none_or(|h| h.join().is_ok());
-        let slot = self.shared.slot.lock();
-        debug_assert!(
-            joined && slot.worker == Worker::Dead && slot.queued.is_none(),
-            "flush worker died abnormally (panic or early exit)"
-        );
+        debug_assert!(joined, "flush worker panicked");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster::{ClusterConfig, TimeScale};
+    use cluster::{ClusterConfig, FaultInjector, TimeScale};
     use simmpi::fault::{BackendFault, CorruptKind, CorruptTier, FaultSchedule};
+    use std::sync::Arc;
     use std::time::Duration;
 
     fn cluster() -> Cluster {
@@ -268,8 +214,8 @@ mod tests {
         let c = cluster();
         let b = ActiveBackend::spawn(c, 0).unwrap();
         b.wait();
-        // Drop stops and joins; the in-drop invariant (worker alive until
-        // told to stop) is checked under debug assertions here.
+        // Drop closes the channel and joins; a worker panic would fail the
+        // debug assertion there.
         drop(b);
     }
 
@@ -300,9 +246,84 @@ mod tests {
         assert!((0..10).all(|v| c.pfs().exists(key(&c, v, 0))));
     }
 
+    /// How long a [`Hold`] keeps the worker when nobody opens it. The
+    /// protocol never needs the opening, so this only bounds a test's time.
+    const HOLD: Duration = Duration::from_millis(100);
+
+    /// Holds the worker at one hook until the test opens it or [`HOLD`]
+    /// passes, so a test can look at the backend while the worker is
+    /// parked at a chosen point of its loop.
+    struct Hold {
+        /// Hold inside the PFS write, before the blob lands.
+        mid_flush: bool,
+        /// Hold inside the death check after this many flushes, then die.
+        die_after: Option<u64>,
+        open: std::sync::Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl Hold {
+        /// Install on `c`; the returned sender opens the hold.
+        fn install(c: &Cluster, mid_flush: bool, die_after: Option<u64>) -> mpsc::Sender<()> {
+            let (open, rx) = mpsc::channel();
+            let rx = std::sync::Mutex::new(rx);
+            let hold = Hold {
+                mid_flush,
+                die_after,
+                open: rx,
+            };
+            c.set_injector(Some(Arc::new(hold)));
+            open
+        }
+
+        fn hold(&self) {
+            // Opened, timed out, or the test has ended: go on either way.
+            self.open.lock().unwrap().recv_timeout(HOLD).unwrap_or(());
+        }
+    }
+
+    impl FaultInjector for Hold {
+        fn corrupt_write(&self, tier: StorageTier, _: Key, _: &Bytes) -> Option<Bytes> {
+            if self.mid_flush && tier == StorageTier::Pfs {
+                self.hold();
+            }
+            None
+        }
+
+        fn flush_worker_dies(&self, _: usize, completed: u64) -> bool {
+            let dies = self.die_after == Some(completed);
+            if dies {
+                self.hold();
+            }
+            dies
+        }
+    }
+
+    #[test]
+    fn wait_returns_only_after_the_blob_lands() {
+        // The worker is held inside the PFS write: a `wait` that returns
+        // without its acknowledgement, or a worker that acknowledges before
+        // the write, finds nothing on the PFS here.
+        let c = cluster();
+        let _open = Hold::install(&c, true, None);
+        let b = ActiveBackend::spawn(c.clone(), 0).unwrap();
+        b.enqueue_flush(
+            key(&c, 1, 0),
+            Bytes::from_static(b"x"),
+            Recorder::disabled(),
+        );
+        b.wait();
+        assert!(
+            c.pfs().exists("ck/v1/r0"),
+            "wait returned before the blob landed"
+        );
+    }
+
     #[test]
     fn drop_drains_outstanding_flushes() {
+        // The worker is held inside the PFS write as the backend drops: only
+        // a drop that joins it finds the blob landed afterwards.
         let c = cluster();
+        let _open = Hold::install(&c, true, None);
         {
             let b = ActiveBackend::spawn(c.clone(), 1).unwrap();
             let data = Bytes::from_static(b"x");
@@ -373,9 +394,13 @@ mod tests {
 
     #[test]
     fn worker_death_lands_the_backlog_then_degrades_to_inline() {
+        // The worker dies after its first flush, held in its death check
+        // until the second job's hand-off has returned (or `HOLD` passed).
+        // A worker that consults its death before landing the job it
+        // received, or a buffered hand-off that takes the job while the
+        // worker dies, strands job 2 here.
         let c = cluster();
-        let schedule = FaultSchedule::none().and_backend(BackendFault::worker_death(0, 1));
-        c.set_injector(Some(Arc::new(schedule)));
+        let open = Hold::install(&c, false, Some(1));
         let b = ActiveBackend::spawn(c.clone(), 0).unwrap();
         let enqueue = |v: u64| {
             b.enqueue_flush(
@@ -387,18 +412,23 @@ mod tests {
         enqueue(1);
         b.wait();
         assert!(c.pfs().exists("ck/v1/r0"), "the dying worker lost nothing");
-        // `wait` saw the worker idle after its one flush, and the worker
-        // stops in the section that makes it idle: this flush runs here.
+        // The hand-off blocks until the held worker exits, then flushes here.
         enqueue(2);
+        open.send(()).unwrap();
+        b.wait();
+        assert!(c.pfs().exists("ck/v2/r0"), "a job handed over at the death");
+        enqueue(3);
         assert_eq!(b.outstanding(), 0, "a post-death enqueue flushes inline");
-        assert!(c.pfs().exists("ck/v2/r0"));
-        drop(b); // the teardown invariant accepts the scheduled death
+        assert!(c.pfs().exists("ck/v3/r0"));
+        drop(b); // the join accepts the scheduled death
     }
 
     #[test]
     fn spawn_failure_is_recoverable() {
-        loom::thread::fail_next_spawn();
-        match ActiveBackend::spawn(cluster(), 0) {
+        let c = cluster();
+        let schedule = FaultSchedule::none().and_backend(BackendFault::spawn_fail(0));
+        c.set_injector(Some(Arc::new(schedule)));
+        match ActiveBackend::spawn(c, 0) {
             Err(VelocError::BackendSpawn { reason }) => {
                 assert!(reason.contains("injected"), "got: {reason}");
             }

@@ -867,6 +867,7 @@ mod tests {
     use super::*;
     use crate::region::VecRegion;
     use cluster::{ClusterConfig, TimeScale};
+    use simmpi::fault::{BackendFault, FaultSchedule};
 
     fn cluster(n: usize) -> Cluster {
         let cfg = ClusterConfig {
@@ -1099,6 +1100,32 @@ mod tests {
         assert!(c.pfs().exists("ck/v2/r0"));
     }
 
+    #[test]
+    fn restart_after_the_drain_restores_the_newest_checkpoint() {
+        // Version 2 is taken while version 1's flush is still in flight on
+        // a 20 ms PFS; after the drain, restart brings back version 2.
+        let c = Cluster::new(ClusterConfig {
+            nodes: 1,
+            ranks_per_node: 1,
+            pfs_latency: std::time::Duration::from_millis(20),
+            time_scale: TimeScale::realtime(),
+            ..ClusterConfig::default()
+        });
+        let cl = client(&c, 0);
+        assert!(cl.async_flush_active());
+        let r = VecRegion::new(vec![1u64]);
+        cl.protect(0, Arc::new(r.clone()));
+        cl.checkpoint("ck", 1).unwrap();
+        *r.lock() = vec![2u64];
+        cl.checkpoint("ck", 2).unwrap();
+        cl.checkpoint_wait();
+        assert_eq!(cl.latest_version("ck"), Some(2));
+        *r.lock() = vec![0u64];
+        cl.restart("ck", 2).unwrap();
+        assert_eq!(*r.lock(), vec![2u64]);
+        cl.finalize();
+    }
+
     /// Decode the frame this rank's scratch holds for `name`/`version`.
     fn scratch_frame(c: &Cluster, name: &str, version: u64) -> serial::Frame {
         let (blob, _) = c
@@ -1323,7 +1350,8 @@ mod tests {
     #[test]
     fn backend_spawn_failure_degrades_to_sync_flush() {
         let c = cluster(1);
-        loom::thread::fail_next_spawn();
+        let schedule = FaultSchedule::none().and_backend(BackendFault::spawn_fail(0));
+        c.set_injector(Some(Arc::new(schedule)));
         let cl = client(&c, 0);
         // Async was requested but the backend could not start: the client
         // comes up anyway, reports why, and flushes inline from now on.

@@ -55,6 +55,5 @@ pub mod client;
 pub mod region;
 pub mod serial;
 
-pub use backend::ActiveBackend;
 pub use client::{Client, Config, RestartReport, VelocError, MAX_DELTA_DEPTH};
 pub use region::{Protected, VecRegion};

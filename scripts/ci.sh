@@ -76,8 +76,8 @@ doc_budget() { # file bytes
     budgets_ok=0
   fi
 }
-doc_budget DESIGN.md 119603
-doc_budget CHANGES.md 141454
+doc_budget DESIGN.md 118235
+doc_budget CHANGES.md 143238
 doc_budget EXPERIMENTS.md 95363
 [ "$budgets_ok" -eq 1 ]
 end
@@ -103,12 +103,7 @@ begin "tier-1: cargo test -q"
 # Every suite of every member, at its in-tree defaults, on the debug build:
 # every lock runs under the parking_lot shim's lock-order witness, which the
 # `--release` stages below compile out. The later stages
-# only add what needs a feature, `--release` or an env knob. The modelcheck
-# protocol suites (veloc flush and simmpi rendezvous)
-# honour env overrides for deeper sweeps here, e.g.:
-#   MC_PREEMPTION_BOUND=3 MC_DFS_CAP=500000 MC_RANDOM_EXECUTIONS=2000 scripts/ci.sh
-# (raise MC_DFS_CAP alongside the bound or the exhaustiveness assertions
-# will rightly fail on truncation.)
+# only add what needs a feature, `--release` or an env knob.
 cargo test -q
 # The checkpoint buffer path once more on the optimised build, where the
 # pool neither poisons nor fills a buffer: every writer into unwritten

@@ -6,28 +6,6 @@
 //! them: locks are non-poisoning (a panicked holder does not wedge peers)
 //! and `Condvar::wait` takes the guard by `&mut`.
 //!
-//! # Model-awareness
-//!
-//! These primitives double as the interception layer for the workspace's
-//! deterministic model checker (`shims/loom` + `crates/modelcheck`). Inside
-//! a model run ([`loom::rt::is_modeled`]), acquisition is decided by a
-//! *model gate* — a lazily allocated atomic owned by the lock — through
-//! [`loom::rt::block_until`], so every acquire and every condvar wait is a
-//! schedule point the explorer controls, and blocked tasks are visible to
-//! its deadlock detector. The `std` primitive underneath is still taken
-//! (uncontended, since the gate serializes model tasks), which keeps the
-//! data protected even if uncontrolled threads coexist with a model run.
-//! Outside a model run, the gate is never allocated and each operation adds
-//! one thread-local read to the plain `std` path.
-//!
-//! Model condvars use an *epoch* counter instead of real parking: `notify_*`
-//! bumps the epoch and a modeled `wait` blocks until the epoch moves. A
-//! notify is itself a schedule point, so one issued after its mutex was
-//! unlocked can be overtaken in that window, as on a real machine. Both
-//! `notify_one` and `notify_all` wake every modeled waiter — a legal
-//! spurious wakeup under the condvar contract, and one the explorer
-//! exploits to exercise waiter re-check loops.
-//!
 //! # Lock-order witness
 //!
 //! Under `debug_assertions` (every `cargo test`, never `--release`) the
@@ -56,35 +34,12 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-
-use loom::rt;
 
 mod witness;
 pub use witness::{assert_may_block, assert_no_locks_held, no_blocking, NoBlocking};
 
-/// Acquire a mutex-style model gate. Returns `None` when the calling thread
-/// is not (or no longer) part of a model run.
-fn gate_acquire(gate: &Arc<AtomicBool>) -> Option<Arc<AtomicBool>> {
-    loop {
-        let g = Arc::clone(gate);
-        match rt::block_until(Box::new(move || !g.load(Ordering::Relaxed)), false) {
-            rt::Wake::Detached => return None,
-            _ => {
-                // We hold the token here, and this swap performs no model
-                // yield, so gate checks are atomic w.r.t. other tasks.
-                if !gate.swap(true, Ordering::Relaxed) {
-                    return Some(Arc::clone(gate));
-                }
-            }
-        }
-    }
-}
-
 /// Non-poisoning mutex with the parking_lot API.
 pub struct Mutex<T: ?Sized> {
-    gate: OnceLock<Arc<AtomicBool>>,
     class: witness::Class,
     inner: std::sync::Mutex<T>,
 }
@@ -93,7 +48,6 @@ impl<T> Mutex<T> {
     #[cfg_attr(debug_assertions, track_caller)]
     pub const fn new(value: T) -> Self {
         Mutex {
-            gate: OnceLock::new(),
             class: witness::Class::here(),
             inner: std::sync::Mutex::new(value),
         }
@@ -105,55 +59,26 @@ impl<T> Mutex<T> {
 }
 
 impl<T: ?Sized> Mutex<T> {
-    fn gate(&self) -> &Arc<AtomicBool> {
-        self.gate.get_or_init(|| Arc::new(AtomicBool::new(false)))
-    }
-
-    fn model_acquire(&self) -> Option<Arc<AtomicBool>> {
-        if !rt::is_modeled() {
-            return None;
-        }
-        gate_acquire(self.gate())
-    }
-
     #[cfg_attr(debug_assertions, track_caller)]
     pub fn lock(&self) -> MutexGuard<'_, T> {
         let held = self.class.lock(true);
-        let gate = self.model_acquire();
         MutexGuard {
             lock: self,
             inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
-            gate,
             _held: held,
         }
     }
 
     #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let gate = if rt::is_modeled() {
-            rt::yield_point();
-            let gate = self.gate();
-            if gate.swap(true, Ordering::Relaxed) {
-                return None; // a model task holds it
-            }
-            Some(Arc::clone(gate))
-        } else {
-            None
-        };
         let inner = match self.inner.try_lock() {
             Ok(g) => g,
             Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                if let Some(g) = gate {
-                    g.store(false, Ordering::Relaxed);
-                }
-                return None;
-            }
+            Err(std::sync::TryLockError::WouldBlock) => return None,
         };
         Some(MutexGuard {
             lock: self,
             inner: Some(inner),
-            gate,
             _held: self.class.lock(false),
         })
     }
@@ -180,24 +105,11 @@ impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
 }
 
 /// Guard for [`Mutex`]. The inner `Option` lets [`Condvar::wait`] move the
-/// std guard out and back through a `&mut` borrow; `gate` records model
-/// ownership so drop and condvar release go through the scheduler.
+/// std guard out and back through a `&mut` borrow.
 pub struct MutexGuard<'a, T: ?Sized> {
     lock: &'a Mutex<T>,
     inner: Option<std::sync::MutexGuard<'a, T>>,
-    gate: Option<Arc<AtomicBool>>,
     _held: witness::Held,
-}
-
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
-        // Release the std lock before the model gate so a promoted model
-        // waiter finds both free.
-        drop(self.inner.take());
-        if let Some(g) = self.gate.take() {
-            g.store(false, Ordering::Relaxed);
-        }
-    }
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
@@ -213,16 +125,8 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// Reader/writer model gate: at most one writer, else any number of readers.
-#[derive(Default)]
-struct RwGate {
-    writer: AtomicBool,
-    readers: AtomicUsize,
-}
-
 /// Non-poisoning reader-writer lock with the parking_lot API.
 pub struct RwLock<T: ?Sized> {
-    gate: OnceLock<Arc<RwGate>>,
     class: witness::Class,
     inner: std::sync::RwLock<T>,
 }
@@ -231,7 +135,6 @@ impl<T> RwLock<T> {
     #[cfg_attr(debug_assertions, track_caller)]
     pub const fn new(value: T) -> Self {
         RwLock {
-            gate: OnceLock::new(),
             class: witness::Class::here(),
             inner: std::sync::RwLock::new(value),
         }
@@ -243,33 +146,11 @@ impl<T> RwLock<T> {
 }
 
 impl<T: ?Sized> RwLock<T> {
-    fn gate(&self) -> &Arc<RwGate> {
-        self.gate.get_or_init(|| Arc::new(RwGate::default()))
-    }
-
     #[cfg_attr(debug_assertions, track_caller)]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
         let held = self.class.lock(true);
-        let mut model = None;
-        if rt::is_modeled() {
-            let gate = Arc::clone(self.gate());
-            loop {
-                let g = Arc::clone(&gate);
-                match rt::block_until(Box::new(move || !g.writer.load(Ordering::Relaxed)), false) {
-                    rt::Wake::Detached => break,
-                    _ => {
-                        if !gate.writer.load(Ordering::Relaxed) {
-                            gate.readers.fetch_add(1, Ordering::Relaxed);
-                            model = Some(gate);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
         RwLockReadGuard {
-            inner: Some(self.inner.read().unwrap_or_else(|e| e.into_inner())),
-            gate: model,
+            inner: self.inner.read().unwrap_or_else(|e| e.into_inner()),
             _held: held,
         }
     }
@@ -277,33 +158,8 @@ impl<T: ?Sized> RwLock<T> {
     #[cfg_attr(debug_assertions, track_caller)]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         let held = self.class.lock(true);
-        let mut model = None;
-        if rt::is_modeled() {
-            let gate = Arc::clone(self.gate());
-            loop {
-                let g = Arc::clone(&gate);
-                match rt::block_until(
-                    Box::new(move || {
-                        !g.writer.load(Ordering::Relaxed) && g.readers.load(Ordering::Relaxed) == 0
-                    }),
-                    false,
-                ) {
-                    rt::Wake::Detached => break,
-                    _ => {
-                        if !gate.writer.load(Ordering::Relaxed)
-                            && gate.readers.load(Ordering::Relaxed) == 0
-                        {
-                            gate.writer.store(true, Ordering::Relaxed);
-                            model = Some(gate);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
         RwLockWriteGuard {
-            inner: Some(self.inner.write().unwrap_or_else(|e| e.into_inner())),
-            gate: model,
+            inner: self.inner.write().unwrap_or_else(|e| e.into_inner()),
             _held: held,
         }
     }
@@ -327,52 +183,32 @@ impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
 }
 
 pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: Option<std::sync::RwLockReadGuard<'a, T>>,
-    gate: Option<Arc<RwGate>>,
+    inner: std::sync::RwLockReadGuard<'a, T>,
     _held: witness::Held,
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        drop(self.inner.take());
-        if let Some(g) = self.gate.take() {
-            g.readers.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
 }
 
 impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
+        &self.inner
     }
 }
 
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: Option<std::sync::RwLockWriteGuard<'a, T>>,
-    gate: Option<Arc<RwGate>>,
+    inner: std::sync::RwLockWriteGuard<'a, T>,
     _held: witness::Held,
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        drop(self.inner.take());
-        if let Some(g) = self.gate.take() {
-            g.writer.store(false, Ordering::Relaxed);
-        }
-    }
 }
 
 impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
+        &self.inner
     }
 }
 
 impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present")
+        &mut self.inner
     }
 }
 
@@ -381,19 +217,13 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
 #[derive(Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
-    epoch: OnceLock<Arc<AtomicU64>>,
 }
 
 impl Condvar {
     pub const fn new() -> Self {
         Condvar {
             inner: std::sync::Condvar::new(),
-            epoch: OnceLock::new(),
         }
-    }
-
-    fn epoch(&self) -> &Arc<AtomicU64> {
-        self.epoch.get_or_init(|| Arc::new(AtomicU64::new(0)))
     }
 
     /// Shared wait body; returns whether the wait timed out.
@@ -404,24 +234,6 @@ impl Condvar {
         timeout: Option<std::time::Duration>,
     ) -> bool {
         guard.lock.class.assert_waits_holding_only_this();
-        if guard.gate.is_some() && rt::is_modeled() {
-            let lock = guard.lock;
-            let epoch = Arc::clone(self.epoch());
-            let e0 = epoch.load(Ordering::Relaxed);
-            // Release: std lock first, then the model gate (mirrors drop).
-            drop(guard.inner.take());
-            if let Some(g) = guard.gate.take() {
-                g.store(false, Ordering::Relaxed);
-            }
-            let ep = Arc::clone(&epoch);
-            let wake = rt::block_until(
-                Box::new(move || ep.load(Ordering::Relaxed) != e0),
-                timeout.is_some(),
-            );
-            guard.gate = lock.model_acquire();
-            guard.inner = Some(lock.inner.lock().unwrap_or_else(|e| e.into_inner()));
-            return wake == rt::Wake::TimedOut;
-        }
         let inner = guard.inner.take().expect("guard present");
         match timeout {
             None => {
@@ -457,18 +269,10 @@ impl Condvar {
     }
 
     pub fn notify_one(&self) {
-        rt::yield_point();
-        if let Some(e) = self.epoch.get() {
-            e.fetch_add(1, Ordering::Relaxed);
-        }
         self.inner.notify_one();
     }
 
     pub fn notify_all(&self) {
-        rt::yield_point();
-        if let Some(e) = self.epoch.get() {
-            e.fetch_add(1, Ordering::Relaxed);
-        }
         self.inner.notify_all();
     }
 }
