@@ -92,10 +92,10 @@ impl IterativeApp for Heatdis {
         self.mode
     }
 
-    fn alias_labels(&self) -> Vec<String> {
+    fn alias_labels(&self) -> &'static [&'static str] {
         // The swap buffer holds no independent state; checkpoints stay at
         // half the application data under automatic capture too.
-        vec!["heat_scratch".into()]
+        &["heat_scratch"]
     }
 
     fn init_rank(&self, _ctx: &RankCtx, comm: &Comm) -> Box<dyn RankApp> {

@@ -75,8 +75,8 @@ impl IterativeApp for MiniMd {
         self.mode
     }
 
-    fn alias_labels(&self) -> Vec<String> {
-        ALIAS_LABELS.iter().map(|s| s.to_string()).collect()
+    fn alias_labels(&self) -> &'static [&'static str] {
+        &ALIAS_LABELS
     }
 
     /// Checkpoints must land so that the resume step (`version + 1`) is a

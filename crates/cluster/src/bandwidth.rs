@@ -36,6 +36,8 @@ struct State {
     /// Clock time (nanoseconds on `Governor::clock`, pre-scaling) at which
     /// the channel next becomes free.
     next_free_ns: Option<u64>,
+    /// Bytes reserved on the channel so far.
+    bytes: u64,
 }
 
 impl Governor {
@@ -52,7 +54,10 @@ impl Governor {
         Governor {
             rate,
             latency,
-            state: Mutex::new(State { next_free_ns: None }),
+            state: Mutex::new(State {
+                next_free_ns: None,
+                bytes: 0,
+            }),
             scale,
             clock,
         }
@@ -66,6 +71,12 @@ impl Governor {
     /// The configured rate in bytes per modeled second.
     pub fn rate(&self) -> f64 {
         self.rate
+    }
+
+    /// Bytes reserved on this channel so far: what the model has charged
+    /// it, for tests that pin a protocol's traffic.
+    pub fn bytes_reserved(&self) -> u64 {
+        self.state.lock().bytes
     }
 
     /// Modeled serialization time of `bytes` on an otherwise idle channel.
@@ -92,6 +103,7 @@ impl Governor {
         };
         let done_ns = start_ns.saturating_add(service_ns);
         st.next_free_ns = Some(done_ns);
+        st.bytes = st.bytes.saturating_add(bytes as u64);
         let real_wait = Duration::from_nanos(done_ns - now_ns);
         // Convert the real wait back to modeled units for the caller.
         if self.scale.0 > 0.0 {

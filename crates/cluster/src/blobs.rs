@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -59,21 +60,49 @@ impl<S: AsRef<str>> ToKey for S {
 /// id its index. A cluster sees a handful of names (one per checkpoint
 /// region), so a scan finds one sooner than a map would.
 #[derive(Default)]
-pub struct Names(RwLock<Vec<String>>);
+pub struct Names(RwLock<Vec<Arc<str>>>);
 
 impl Names {
     /// The id of `name`, interned on first sight.
     pub fn intern(&self, name: &str) -> NameId {
-        let find = |names: &[String]| names.iter().position(|n| n == name);
+        NameId(self.find_or_push(|n| n == name, || name.into()).0 as u32)
+    }
+
+    /// `"{scope}.{label}"`, interned on first sight: the one copy every
+    /// rank of the cluster shares. A name already in the table is found by
+    /// comparing its two parts, so looking it up formats nothing.
+    pub fn qualified(&self, scope: &str, label: &str) -> Arc<str> {
+        let at = scope.len();
+        let is = |n: &str| {
+            n.len() == at + 1 + label.len()
+                && n.starts_with(scope)
+                && n.get(at..=at) == Some(".")
+                && n.ends_with(label)
+        };
+        self.find_or_push(is, || format!("{scope}.{label}").into())
+            .1
+    }
+
+    /// The index and the name of the first name `is` holds for, pushing
+    /// `make()` when there is none.
+    fn find_or_push(
+        &self,
+        is: impl Fn(&str) -> bool,
+        make: impl FnOnce() -> Arc<str>,
+    ) -> (usize, Arc<str>) {
+        let find = |names: &[Arc<str>]| {
+            let at = names.iter().position(|n| is(n))?;
+            Some((at, Arc::clone(names.get(at)?)))
+        };
         let found = find(&self.0.read());
-        let at = found.unwrap_or_else(|| {
+        found.unwrap_or_else(|| {
             let mut names = self.0.write();
             find(&names).unwrap_or_else(|| {
-                names.push(name.to_owned());
-                names.len() - 1
+                let name = make();
+                names.push(Arc::clone(&name));
+                (names.len() - 1, name)
             })
-        });
-        NameId(at as u32)
+        })
     }
 
     /// The name `id` was interned from.
@@ -81,7 +110,7 @@ impl Names {
         self.0
             .read()
             .get(id.0 as usize)
-            .cloned()
+            .map(|n| n.to_string())
             .unwrap_or_default()
     }
 
@@ -112,7 +141,7 @@ impl Names {
         }
         let mut h = Feed(DefaultHasher::new());
         let names = self.0.read();
-        let name = names.get(key.name.0 as usize).map_or("", |n| n);
+        let name = names.get(key.name.0 as usize).map_or("", |n| &**n);
         let _infallible = match key.at {
             Some((v, r)) => write!(h, "{name}/v{v}/r{r}"),
             None => h.write_str(name),
@@ -196,6 +225,26 @@ mod tests {
     use std::hash::Hash;
 
     use super::*;
+
+    #[test]
+    fn a_qualified_name_is_interned_once_and_found_by_its_parts() {
+        let names = Names::default();
+        let id = names.intern("app.loop");
+        let a = names.qualified("app", "loop");
+        assert_eq!(&*a, "app.loop");
+        assert!(Arc::ptr_eq(&a, &names.qualified("app", "loop")));
+        assert_eq!(names.intern(&a), id, "the same table entry");
+        // Parts that only concatenate to the name do not match it.
+        for (scope, label) in [
+            ("ap", "p.loop"),
+            ("app.", "loop"),
+            ("app", "lo"),
+            ("a", "loop"),
+        ] {
+            assert_ne!(&*names.qualified(scope, label), "app.loop");
+        }
+        assert_eq!(&*names.qualified("app.x", "y"), "app.x.y");
+    }
 
     #[test]
     fn a_key_stripes_as_its_formatted_path_hashed() {

@@ -68,6 +68,11 @@ impl Network {
         self.nics.len()
     }
 
+    /// Rank `rank`'s NIC.
+    pub fn nic(&self, rank: usize) -> Option<&Governor> {
+        self.nics.get(rank)
+    }
+
     /// Reserve a rank-to-rank transfer and return its modeled completion
     /// time. Does not sleep.
     pub fn reserve_transfer(&self, src: usize, dst: usize, bytes: usize) -> Duration {

@@ -1,7 +1,6 @@
 //! The Fenix run loop: spare-rank management, repair, and role tracking.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashSet, VecDeque};
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
@@ -91,17 +90,21 @@ pub struct Fenix {
     /// Global ranks currently filling the resilient communicator's slots:
     /// the group of the current resilient communicator, shared by all ranks.
     active_group: RefCell<Arc<Group>>,
-    /// Unconsumed spares, lowest first.
-    spare_pool: RefCell<VecDeque<usize>>,
-    /// Resilient-communicator ranks replaced in the most recent repair
-    /// (needed by IMR restore and partial-rollback logic).
-    last_recovered: RefCell<Vec<usize>>,
+    /// The first world rank that may still be an unconsumed spare: the
+    /// spares are the world ranks from here on that are not known dead,
+    /// lowest first, and a repair consumes them from the front.
+    next_spare: Cell<usize>,
+    /// The group before the most recent repair, and whether that repair
+    /// found a spare for every dead slot: its dead members' slots are the
+    /// ranks it replaced ([`Self::recovered_ranks`]).
+    last_repair: RefCell<Option<(Arc<Group>, bool)>>,
     /// Failures already handled by earlier repairs. The rendezvous reports
     /// the *full* dead history; only previously unseen failures (or explicit
     /// repair votes) trigger another repair — otherwise a finalize after a
     /// recovery would re-repair forever. Updated only from agreed rendezvous
-    /// outcomes, so it stays identical on every rank.
-    known_dead: RefCell<HashSet<usize>>,
+    /// outcomes, so it stays identical on every rank; the list itself is
+    /// the outcome's, shared by every rank.
+    known_dead: RefCell<Option<Arc<[usize]>>>,
     /// Application recovery callbacks (`Fenix_Callback_register`), invoked
     /// after every repair, before the body re-runs.
     callbacks: RefCell<Vec<RecoveryCallback>>,
@@ -153,11 +156,30 @@ impl Fenix {
             config,
             repair_count: Cell::new(0),
             active_group: RefCell::new(active),
-            spare_pool: RefCell::new((n_active..n).map(|r| world.global_of(r)).collect()),
-            last_recovered: RefCell::new(Vec::new()),
-            known_dead: RefCell::new(HashSet::new()),
+            next_spare: Cell::new(n_active),
+            last_repair: RefCell::new(None),
+            known_dead: RefCell::new(None),
             callbacks: RefCell::new(Vec::new()),
         }
+    }
+
+    /// The unconsumed spares not in `dead`, lowest first: `(world rank,
+    /// global rank)`.
+    fn spares<'a>(
+        &'a self,
+        dead: &'a [usize],
+    ) -> impl Iterator<Item = (usize, usize)> + Clone + 'a {
+        (self.next_spare.get()..self.world.size())
+            .map(|r| (r, self.world.global_of(r)))
+            .filter(|(_, g)| !dead.contains(g))
+    }
+
+    /// The dead ranks every repair so far agreed on.
+    fn known_dead(&self) -> Arc<[usize]> {
+        self.known_dead
+            .borrow()
+            .clone()
+            .unwrap_or_else(|| Arc::new([]))
     }
 
     /// Register a recovery callback (`Fenix_Callback_register`): invoked on
@@ -169,16 +191,19 @@ impl Fenix {
     }
 
     fn fire_callbacks(&self) {
+        if self.callbacks.borrow().is_empty() {
+            return;
+        }
         let info = RepairInfo {
             repair_count: self.repair_count.get(),
             failed_global: {
-                let mut v: Vec<usize> = self.known_dead.borrow().iter().copied().collect();
+                let mut v = self.known_dead().to_vec();
                 v.sort_unstable();
                 v
             },
-            recovered_ranks: self.last_recovered.borrow().clone(),
+            recovered_ranks: self.recovered_ranks(),
             resilient_size: self.active_group.borrow().len(),
-            spares_remaining: self.spare_pool.borrow().len(),
+            spares_remaining: self.spares_remaining(),
         };
         let rec = self.recorder();
         for (i, cb) in self.callbacks.borrow_mut().iter_mut().enumerate() {
@@ -196,13 +221,22 @@ impl Fenix {
 
     /// Spares not yet consumed.
     pub fn spares_remaining(&self) -> usize {
-        self.spare_pool.borrow().len()
+        self.spares(&self.known_dead()).count()
     }
 
     /// Resilient-communicator ranks that were replaced by spares in the most
-    /// recent repair.
+    /// recent repair, ascending. Empty when that repair ran out of spares
+    /// (rank ids shifted, so the replaced slots are stale).
     pub fn recovered_ranks(&self) -> Vec<usize> {
-        self.last_recovered.borrow().clone()
+        let last = self.last_repair.borrow();
+        let Some((old, true)) = last.as_ref() else {
+            return Vec::new();
+        };
+        let mut slots: Vec<usize> = (self.known_dead().iter())
+            .filter_map(|&g| old.rank_of(g))
+            .collect();
+        slots.sort_unstable();
+        slots
     }
 
     /// The size of the current resilient communicator.
@@ -239,7 +273,7 @@ impl Fenix {
     /// Returns `Ok(None)` for normal completion (finalize), or
     /// `Ok(Some(dead))` when a repair must be applied.
     #[cfg_attr(debug_assertions, track_caller)]
-    fn repair_rendezvous(&self, vote: u8) -> MpiResult<Option<Vec<usize>>> {
+    fn repair_rendezvous(&self, vote: u8) -> MpiResult<Option<Arc<[usize]>>> {
         let key = RendezvousKey {
             comm: self.world.id(),
             epoch: self.world.epoch(),
@@ -268,6 +302,7 @@ impl Fenix {
         let repair_voted = outcome.value.first() == Some(&VOTE_REPAIR);
         let any_new_dead = {
             let known = self.known_dead.borrow();
+            let known = known.as_deref().unwrap_or_default();
             outcome.failures_observed.iter().any(|r| !known.contains(r))
         };
         if repair_voted || any_new_dead {
@@ -282,7 +317,7 @@ impl Fenix {
 
     /// Apply a repair given the agreed dead set (full history of dead global
     /// ranks — deterministic and identical on every rank).
-    fn apply_repair(&self, dead: &[usize]) -> MpiResult<()> {
+    fn apply_repair(&self, dead: &Arc<[usize]>) -> MpiResult<()> {
         let rec = self.recorder();
         rec.emit_with(|| Event::RepairBegin {
             epoch: self.repair_count.get(),
@@ -291,18 +326,12 @@ impl Fenix {
         let new_id = resilient_comm_id(&self.world, self.repair_count.get() + 1);
 
         {
-            let mut spares = self.spare_pool.borrow_mut();
-            spares.retain(|g| !dead.contains(g));
             let old = Arc::clone(&self.active_group.borrow());
-            // Slots held by a dead rank, lowest first, each paired with the
-            // spare that takes it (`None` once the pool is dry).
-            let mut dead_slots: Vec<usize> = dead.iter().filter_map(|&g| old.rank_of(g)).collect();
-            dead_slots.sort_unstable();
-            let swaps: Vec<(usize, Option<usize>)> = dead_slots
-                .into_iter()
-                .map(|slot| (slot, spares.pop_front()))
-                .collect();
-            let exhausted = swaps.iter().any(|(_, spare)| spare.is_none());
+            // Slots held by a dead rank, each taken by the next spare
+            // (lowest slot first) while the spares last.
+            let dead_slots = || dead.iter().filter_map(|&g| old.rank_of(g));
+            let (slots, spares) = (dead_slots().count(), self.spares(dead));
+            let exhausted = slots > spares.clone().count();
             if exhausted && self.config.on_exhaustion == ExhaustPolicy::Abort {
                 self.router().abort();
                 return Err(MpiError::Aborted);
@@ -311,8 +340,10 @@ impl Fenix {
             // the first one builds it and all of them hold its copy.
             let group = self.router().share_group(new_id, 0, || {
                 let mut members = old.to_vec();
-                for &(slot, spare) in &swaps {
-                    if let (Some(member), Some(spare)) = (members.get_mut(slot), spare) {
+                let mut slots: Vec<usize> = dead_slots().collect();
+                slots.sort_unstable();
+                for (slot, (_, spare)) in slots.into_iter().zip(spares.clone()) {
+                    if let Some(member) = members.get_mut(slot) {
                         *member = spare;
                     }
                 }
@@ -322,16 +353,14 @@ impl Fenix {
                 }
                 members
             });
-            *self.last_recovered.borrow_mut() = if exhausted {
-                // Rank ids shifted; recovered slots are stale.
-                Vec::new()
-            } else {
-                swaps.iter().map(|&(slot, _)| slot).collect()
-            };
+            if let Some((last, _)) = spares.take(slots).last() {
+                self.next_spare.set(last + 1);
+            }
+            *self.last_repair.borrow_mut() = Some((old, !exhausted));
             *self.active_group.borrow_mut() = group;
         }
 
-        self.known_dead.borrow_mut().extend(dead.iter().copied());
+        *self.known_dead.borrow_mut() = Some(Arc::clone(dead));
         self.repair_count.set(self.repair_count.get() + 1);
         // Stale traffic on the retired communicator must not accumulate.
         self.router()
@@ -339,7 +368,7 @@ impl Fenix {
         rec.emit_with(|| Event::RepairEnd {
             epoch: self.repair_count.get(),
             survivors: self.active_group.borrow().len() as u64,
-            spares_left: self.spare_pool.borrow().len() as u64,
+            spares_left: self.spares_remaining() as u64,
         });
         Ok(())
     }

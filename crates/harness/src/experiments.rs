@@ -357,7 +357,7 @@ pub fn fig7_stats_traced(cell_sizes: &[usize], telemetry: Option<Telemetry>) -> 
                         ctx.cluster(),
                         comm.clone(),
                         ContextConfig {
-                            name: format!("fig7-{n}"),
+                            name: format!("fig7-{n}").into(),
                             filter: CheckpointFilter::Never,
                             aliases: app.alias_labels(),
                         },

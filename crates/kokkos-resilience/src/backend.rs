@@ -157,48 +157,55 @@ fn veloc_err(e: VelocError) -> MpiError {
 /// One protected view: its id, the view, and its VeloC adapter.
 type Adapter = (u32, Arc<dyn Checkpointable>, Arc<dyn Protected>);
 
+/// The views a [`VelocBackend`] protected last.
+#[derive(Default)]
+struct Adapters {
+    /// Each view with its adapter, as VeloC holds them.
+    held: Vec<Adapter>,
+    /// Whether VeloC's protection table is `held` (a reset clears it).
+    registered: bool,
+}
+
 /// The VeloC-based backend.
 pub struct VelocBackend {
     client: Client,
-    /// The views protected last, with their adapters. A region protects
-    /// the same views at every checkpoint, and handing VeloC the adapters
-    /// it already holds allocates nothing.
-    adapters: Mutex<Vec<Adapter>>,
+    /// A region protects the same views at every checkpoint: when they are
+    /// the ones held, VeloC's table already is right and nothing is done.
+    /// A reset keeps them, so a survivor's re-detected views, the same
+    /// objects, are registered again without new adapters.
+    adapters: Mutex<Adapters>,
 }
 
 impl VelocBackend {
     pub fn new(cluster: &Cluster, physical_rank: usize) -> Self {
         VelocBackend {
             client: Client::init(cluster.clone(), physical_rank, VelocConfig::default()),
-            adapters: Mutex::new(Vec::new()),
+            adapters: Mutex::default(),
         }
     }
 
     fn protect(&self, views: &RegionViews) {
         let mut adapters = self.adapters.lock();
-        let same = adapters.len() == views.len()
-            && adapters
-                .iter()
-                .zip(views)
+        let Adapters { held, registered } = &mut *adapters;
+        let same = held.len() == views.len()
+            && (held.iter().zip(views))
                 .all(|((a, held, _), (id, view))| a == id && Arc::ptr_eq(held, view));
-        if !same {
-            *adapters = views
-                .iter()
-                .map(|(id, view)| {
-                    let region: Arc<dyn Protected> = Arc::new(ViewRegion(Arc::clone(view)));
-                    (*id, Arc::clone(view), region)
-                })
-                .collect();
+        if same && *registered {
+            return;
         }
-        let entries = adapters
-            .iter()
-            .map(|(id, _, region)| (*id, Arc::clone(region)))
-            .collect();
-        drop(adapters);
+        if !same {
+            held.clear();
+            held.extend(views.iter().map(|(id, view)| {
+                let region: Arc<dyn Protected> = Arc::new(ViewRegion(Arc::clone(view)));
+                (*id, Arc::clone(view), region)
+            }));
+        }
         // Replace the whole protection table atomically; the adapters
         // forward each view's allocation stamp, so re-registering the same
         // views keeps their delta chains alive.
-        self.client.protect_exact(entries);
+        self.client
+            .protect_exact(held.iter().map(|(id, _, region)| (*id, Arc::clone(region))));
+        *registered = true;
     }
 }
 
@@ -248,7 +255,7 @@ impl DataBackend for VelocBackend {
 
     fn clear(&self) {
         self.client.checkpoint_wait();
-        self.adapters.lock().clear();
+        self.adapters.lock().registered = false;
         self.client.clear_protected();
         // A context reset means recovery may roll this rank back; any
         // remembered delta base is a base it can no longer assume it holds.

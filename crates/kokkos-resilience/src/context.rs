@@ -36,10 +36,10 @@ impl RecoveryScope {
 #[derive(Clone, Debug)]
 pub struct ContextConfig {
     /// Base name for checkpoint sets (combined with each region label).
-    pub name: String,
+    pub name: Arc<str>,
     pub filter: CheckpointFilter,
     /// View labels excluded from checkpointing as user-declared aliases.
-    pub aliases: Vec<String>,
+    pub aliases: &'static [&'static str],
 }
 
 impl Default for ContextConfig {
@@ -47,7 +47,7 @@ impl Default for ContextConfig {
         ContextConfig {
             name: "kr".into(),
             filter: CheckpointFilter::Always,
-            aliases: Vec::new(),
+            aliases: &[],
         }
     }
 }
@@ -64,66 +64,51 @@ pub struct CheckpointOutcome {
     pub checkpointed: bool,
 }
 
-/// A few values keyed by region label. A context sees one label per
-/// checkpoint region (one, for every application here), so a scan that
-/// compares a string or two beats a map that hashes it first, and a label
-/// is copied only when it is new.
-struct ByLabel<V>(Vec<(String, V)>);
-
-impl<V> Default for ByLabel<V> {
-    fn default() -> Self {
-        ByLabel(Vec::new())
-    }
-}
-
-impl<V> ByLabel<V> {
-    fn get(&self, label: &str) -> Option<&V> {
-        self.0.iter().find(|(l, _)| l == label).map(|(_, v)| v)
-    }
-
-    fn get_mut(&mut self, label: &str) -> Option<&mut V> {
-        self.0.iter_mut().find(|(l, _)| l == label).map(|(_, v)| v)
-    }
-
-    fn insert(&mut self, label: &str, value: V) {
-        match self.get_mut(label) {
-            Some(slot) => *slot = value,
-            None => self.0.push((label.to_owned(), value)),
-        }
-    }
-}
-
 /// A label's restart agreement: the best restartable version agreed across
 /// the communicator, and whether the label's next region execution must
 /// restore it.
+#[derive(Default)]
 struct Restart {
     agreed: Option<u64>,
     pending: bool,
 }
 
-/// Per-region cached metadata (cleared by [`Context::reset`]).
+/// A region's detection: what its first execution captured. A reset
+/// clears it and keeps its tables, so re-detecting after a repair
+/// allocates nothing.
+#[derive(Default)]
 struct RegionMeta {
-    /// The region's checkpoint name, `"{context}.{label}"`.
-    name: Arc<str>,
+    detected: bool,
     stats: RegionStats,
     /// `(veloc region id, handle)` for each checkpointed view, in detection
     /// order — identical on every rank because the region code is.
     checkpointed: Vec<(u32, Arc<dyn Checkpointable>)>,
 }
 
+/// Everything a context keeps for one region label. A context sees one
+/// label per checkpoint region (one, for every application here), so the
+/// labels are found by a scan.
+struct Label {
+    /// The region's checkpoint name, `"{context}.{label}"`: interned in
+    /// the cluster's name table, one copy for every rank.
+    name: Arc<str>,
+    /// What the region's first execution records into.
+    session: CaptureSession,
+    region: RegionMeta,
+    restart: Restart,
+}
+
 /// A per-rank Kokkos Resilience context (`KokkosResilience::make_context`).
 pub struct Context {
     comm: RefCell<Comm>,
     data: Box<dyn DataBackend>,
-    name: String,
+    name: Arc<str>,
     filter: CheckpointFilter,
-    /// A handful of labels: a scan, not a set.
-    aliases: RefCell<Vec<String>>,
-    /// Each label's checkpoint name, `"{context}.{label}"`, formatted once
-    /// and kept across resets.
-    qualified: RefCell<ByLabel<Arc<str>>>,
-    regions: RefCell<ByLabel<RegionMeta>>,
-    restarts: RefCell<ByLabel<Restart>>,
+    /// The configured aliases, and those marked since ([`Self::mark_alias`]).
+    aliases: &'static [&'static str],
+    marked: RefCell<Vec<String>>,
+    /// Per label, kept across resets.
+    labels: RefCell<Vec<Label>>,
     scope: RefCell<RecoveryScope>,
     recorder: RefCell<Recorder>,
 }
@@ -145,10 +130,9 @@ impl Context {
             data,
             name: config.name,
             filter: config.filter,
-            aliases: RefCell::new(config.aliases),
-            qualified: RefCell::default(),
-            regions: RefCell::default(),
-            restarts: RefCell::default(),
+            aliases: config.aliases,
+            marked: RefCell::default(),
+            labels: RefCell::default(),
             scope: RefCell::new(RecoveryScope::All),
             recorder: RefCell::new(Recorder::disabled()),
         }
@@ -181,8 +165,13 @@ impl Context {
             self.data.clear();
             self.data.set_rank(new_comm.rank());
             *self.comm.borrow_mut() = new_comm;
-            self.regions.borrow_mut().0.clear();
-            self.restarts.borrow_mut().0.clear();
+            for label in self.labels.borrow_mut().iter_mut() {
+                let region = &mut label.region;
+                region.detected = false;
+                region.stats.views.clear();
+                region.checkpointed.clear();
+                label.restart = Restart::default();
+            }
             *self.scope.borrow_mut() = RecoveryScope::All;
         });
     }
@@ -190,10 +179,14 @@ impl Context {
     /// Declare a view label as an alias (not checkpointed).
     pub fn mark_alias(&self, view_label: impl Into<String>) {
         let label = view_label.into();
-        let mut aliases = self.aliases.borrow_mut();
-        if !aliases.contains(&label) {
-            aliases.push(label);
+        if self.is_alias(&label) {
+            return;
         }
+        self.marked.borrow_mut().push(label);
+    }
+
+    fn is_alias(&self, view_label: &str) -> bool {
+        self.aliases.contains(&view_label) || self.marked.borrow().iter().any(|a| a == view_label)
     }
 
     /// Limit which ranks restore on the next recovery (partial rollback).
@@ -201,13 +194,28 @@ impl Context {
         *self.scope.borrow_mut() = scope;
     }
 
-    fn qualified(&self, label: &str) -> Arc<str> {
-        if let Some(name) = self.qualified.borrow().get(label) {
-            return Arc::clone(name);
+    /// The index of `label` in `labels`, added on first sight.
+    fn label(&self, label: &str) -> usize {
+        let mut labels = self.labels.borrow_mut();
+        // Every name is `"{context}.{label}"`: the label is what follows.
+        let at = self.name.len() + 1;
+        if let Some(i) = labels.iter().position(|l| l.name.get(at..) == Some(label)) {
+            return i;
         }
-        let name: Arc<str> = format!("{}.{}", self.name, label).into();
-        self.qualified.borrow_mut().insert(label, Arc::clone(&name));
-        name
+        let comm = self.comm.borrow();
+        let name = comm.router().cluster().names().qualified(&self.name, label);
+        labels.push(Label {
+            name,
+            session: CaptureSession::new(),
+            region: RegionMeta::default(),
+            restart: Restart::default(),
+        });
+        labels.len() - 1
+    }
+
+    /// `f` of the entry at `at`, an index [`Self::label`] returned.
+    fn at<R>(&self, at: usize, f: impl FnOnce(&mut Label) -> R) -> Option<R> {
+        self.labels.borrow_mut().get_mut(at).map(f)
     }
 
     /// Best restartable version of a region across the communicator.
@@ -261,30 +269,37 @@ impl Context {
     /// run. Collective, like [`Self::latest_version`]; overwrites any
     /// previously armed recovery version for `label`.
     pub fn latest_version_below(&self, label: &str, bound: u64) -> MpiResult<Option<u64>> {
-        let name = self.qualified(label);
+        let at = self.label(label);
+        let Some(name) = self.at(at, |l| Arc::clone(&l.name)) else {
+            return Err(MpiError::Aborted);
+        };
         let comm = self.comm.borrow();
         let agreed = self.data.latest_agreed_below(&comm, &name, bound)?;
-        self.restarts.borrow_mut().insert(
-            label,
-            Restart {
+        self.at(at, |l| {
+            l.restart = Restart {
                 agreed,
                 pending: agreed.is_some(),
-            },
-        );
+            }
+        });
         Ok(agreed)
+    }
+
+    /// `f` of `label`'s detection, if its region has been detected.
+    fn detected<R>(&self, label: &str, f: impl FnOnce(&RegionMeta) -> R) -> Option<R> {
+        let labels = self.labels.borrow();
+        let at = self.name.len() + 1;
+        let l = labels.iter().find(|l| l.name.get(at..) == Some(label))?;
+        l.region.detected.then(|| f(&l.region))
     }
 
     /// Classification statistics for a detected region (Figure 7).
     pub fn region_stats(&self, label: &str) -> Option<RegionStats> {
-        self.regions.borrow().get(label).map(|m| m.stats.clone())
+        self.detected(label, |m| m.stats.clone())
     }
 
     /// Bytes a checkpoint of this region serializes.
     pub fn checkpoint_bytes(&self, label: &str) -> usize {
-        self.regions
-            .borrow()
-            .get(label)
-            .map(|m| m.stats.bytes(ViewClass::Checkpointed))
+        self.detected(label, |m| m.stats.bytes(ViewClass::Checkpointed))
             .unwrap_or(0)
     }
 
@@ -294,37 +309,33 @@ impl Context {
         self.data.wait();
     }
 
-    fn detect(&self, label: &str, session: CaptureSession) {
-        let aliases = self.aliases.borrow();
-        let mut stats = RegionStats::default();
-        let mut checkpointed = Vec::new();
-        // A region touches a handful of allocations: a scan, not a set.
-        let mut seen_allocs = Vec::new();
+    /// Classify what `label`'s session recorded into its region tables.
+    fn detect(&self, label: &mut Label) {
+        let region = &mut label.region;
+        region.stats.views.clear();
+        region.checkpointed.clear();
         let mut next_id = 0u32;
-        for rec in session.into_records() {
-            let class = if aliases.iter().any(|a| **a == *rec.meta.label) {
+        label.session.drain(|rec| {
+            let views = &mut region.stats.views;
+            // A region touches a handful of allocations: a scan, not a set.
+            let class = if self.is_alias(&rec.meta.label) {
                 ViewClass::Alias
-            } else if seen_allocs.contains(&rec.meta.alloc_id) {
+            } else if views
+                .iter()
+                .any(|v| v.class == ViewClass::Checkpointed && v.meta.alloc_id == rec.meta.alloc_id)
+            {
                 ViewClass::Skipped
             } else {
-                seen_allocs.push(rec.meta.alloc_id);
-                checkpointed.push((next_id, rec.handle));
+                region.checkpointed.push((next_id, rec.handle));
                 next_id += 1;
                 ViewClass::Checkpointed
             };
-            stats.views.push(ViewStat {
+            views.push(ViewStat {
                 meta: rec.meta,
                 class,
             });
-        }
-        self.regions.borrow_mut().insert(
-            label,
-            RegionMeta {
-                name: self.qualified(label),
-                stats,
-                checkpointed,
-            },
-        );
+        });
+        region.detected = true;
     }
 
     /// Execute a checkpoint region (`KokkosResilience::checkpoint` of
@@ -347,7 +358,13 @@ impl Context {
     where
         F: FnMut() -> MpiResult<()>,
     {
-        let first = self.regions.borrow().get(label).is_none();
+        let at = self.label(label);
+        // The session to detect the region's views with, on its first
+        // execution.
+        let session = self
+            .at(at, |l| (!l.region.detected).then(|| l.session.clone()))
+            .flatten();
+        let first = session.is_some();
         let mut executions = 0u32;
         let rec = self.recorder.borrow();
         rec.emit_with(|| Event::RegionEnter {
@@ -355,48 +372,49 @@ impl Context {
             iteration,
         });
 
-        if first {
-            let session = CaptureSession::new();
+        if let Some(session) = session {
             let result = session.record(&mut body);
+            if result.is_err() {
+                // What an aborted execution saw is no detection.
+                session.clear();
+            }
             result?;
             executions += 1;
-            self.detect(label, session);
+            self.at(at, |l| self.detect(l));
             rec.emit_with(|| Event::RegionCapture {
                 label: label.to_owned(),
                 views: self
-                    .regions
-                    .borrow()
-                    .get(label)
-                    .map_or(0, |m| m.checkpointed.len() as u64),
+                    .detected(label, |m| m.checkpointed.len() as u64)
+                    .unwrap_or(0),
                 bytes: self.checkpoint_bytes(label) as u64,
             });
         }
 
         let pending = self
-            .restarts
-            .borrow_mut()
-            .get_mut(label)
-            .is_some_and(|r| std::mem::take(&mut r.pending));
+            .at(at, |l| {
+                std::mem::take(&mut l.restart.pending).then_some(l.restart.agreed)
+            })
+            .flatten();
         let mut restored = false;
-        if pending {
+        if let Some(agreed) = pending {
             // Pending recovery implies an agreed version; both facts come
             // from the same collective agreement, so a mismatch is a
             // protocol violation — identical on every rank, and surfaced
             // through the error channel rather than a panic.
-            let Some(version) = self.restarts.borrow().get(label).and_then(|r| r.agreed) else {
+            let Some(version) = agreed else {
                 return Err(MpiError::Aborted);
             };
             if self.scope.borrow().includes(self.comm.borrow().rank()) {
-                let regions = self.regions.borrow();
+                let labels = self.labels.borrow();
                 // Detection precedes restore on every path; a missing region
                 // here is the same class of protocol violation as above.
-                let Some(meta) = regions.get(label) else {
+                let Some(l) = labels.get(at).filter(|l| l.region.detected) else {
                     return Err(MpiError::Aborted);
                 };
                 let comm = self.comm.borrow();
                 rec.time(Phase::DataRecovery, || {
                     self.data
-                        .restore(&comm, &meta.name, version, &meta.checkpointed)
+                        .restore(&comm, &l.name, version, &l.region.checkpointed)
                 })?;
                 rec.emit_with(|| Event::RegionRestore {
                     label: label.to_owned(),
@@ -415,15 +433,15 @@ impl Context {
 
         let mut checkpointed = false;
         if self.filter.should_checkpoint(iteration) {
-            let regions = self.regions.borrow();
-            let Some(meta) = regions.get(label) else {
+            let labels = self.labels.borrow();
+            let Some(l) = labels.get(at).filter(|l| l.region.detected) else {
                 // Detection precedes checkpoint; see the restore arm above.
                 return Err(MpiError::Aborted);
             };
             let comm = self.comm.borrow();
             rec.time(Phase::CheckpointFn, || {
                 self.data
-                    .checkpoint(&comm, &meta.name, iteration, &meta.checkpointed)
+                    .checkpoint(&comm, &l.name, iteration, &l.region.checkpointed)
             })?;
             rec.emit_with(|| Event::RegionCommit {
                 label: label.to_owned(),
@@ -445,7 +463,15 @@ impl std::fmt::Debug for Context {
         f.debug_struct("Context")
             .field("name", &self.name)
             .field("rank", &self.comm_rank())
-            .field("regions", &self.regions.borrow().0.len())
+            .field(
+                "regions",
+                &self
+                    .labels
+                    .borrow()
+                    .iter()
+                    .filter(|l| l.region.detected)
+                    .count(),
+            )
             .finish()
     }
 }

@@ -29,7 +29,7 @@ fn config(name: &str, filter: CheckpointFilter) -> ContextConfig {
     ContextConfig {
         name: name.into(),
         filter,
-        aliases: Vec::new(),
+        aliases: &[],
     }
 }
 

@@ -20,7 +20,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use simmpi::pod::{self, Pod};
 
-use crate::view::{View, ViewMeta};
+use crate::view::{Inner, View, ViewMeta};
 
 /// Type-erased checkpointable data handle.
 pub trait Checkpointable: Send + Sync {
@@ -79,6 +79,34 @@ impl<T: Pod> Checkpointable for View<T> {
     }
 }
 
+/// A view object's handle ([`View::handle`]): the same behaviour as the
+/// view's own, reached without a `View` around it.
+impl<T: Pod> Checkpointable for Inner<T> {
+    fn meta(&self) -> ViewMeta {
+        self.meta.clone()
+    }
+
+    fn byte_len(&self) -> usize {
+        self.meta.bytes
+    }
+
+    fn snapshot(&self) -> Bytes {
+        pod::to_bytes(&self.read_uncaptured())
+    }
+
+    fn restore(&self, data: &[u8]) {
+        pod::copy_from_bytes(&mut self.write_uncaptured(), data);
+    }
+
+    fn generation(&self) -> Option<u64> {
+        Some(Inner::generation(self))
+    }
+
+    fn with_bytes(&self, f: &mut dyn FnMut(&[u8])) {
+        f(pod::as_bytes(&self.read_uncaptured()));
+    }
+}
+
 /// One view a session saw: its metadata at the first access, whether any
 /// access wrote, and a handle to it.
 #[derive(Clone)]
@@ -103,26 +131,35 @@ impl std::fmt::Debug for CaptureRecord {
 /// [`CaptureSession::end`] on one rank.
 #[derive(Clone, Default)]
 pub struct CaptureSession {
-    records: Arc<Mutex<Vec<CaptureRecord>>>,
+    inner: Arc<Session>,
+}
+
+#[derive(Default)]
+struct Session {
+    records: Mutex<Vec<CaptureRecord>>,
+    /// The session that was innermost when this one began: active sessions
+    /// form a list from the innermost out, so beginning one allocates
+    /// nothing.
+    outer: Mutex<Option<CaptureSession>>,
 }
 
 thread_local! {
-    static ACTIVE: RefCell<Vec<CaptureSession>> = const { RefCell::new(Vec::new()) };
+    /// The innermost active session.
+    static ACTIVE: RefCell<Option<CaptureSession>> = const { RefCell::new(None) };
 }
 
 /// The active sessions belong to the rank, not the thread: under the DES
-/// engine many ranks take turns on one thread, and each keeps its own.
+/// engine many ranks take turns on one thread, and each keeps its own. The
+/// innermost session's shared state moves out and back as it is, so a
+/// task switch inside a capture allocates nothing.
 static ACTIVE_PER_TASK: simmpi::task::TaskLocal = simmpi::task::TaskLocal {
     take: || {
-        ACTIVE.with(|a| {
-            let mut active = a.borrow_mut();
-            (!active.is_empty())
-                .then(|| Box::new(std::mem::take(&mut *active)) as Box<dyn std::any::Any>)
-        })
+        let innermost = ACTIVE.with(|a| a.borrow_mut().take())?;
+        Some(innermost.inner as simmpi::task::TaskValue)
     },
-    restore: |sessions| {
-        if let Ok(sessions) = sessions.downcast::<Vec<CaptureSession>>() {
-            ACTIVE.with(|a| *a.borrow_mut() = *sessions);
+    restore: |value| {
+        if let Ok(inner) = value.downcast::<Session>() {
+            ACTIVE.with(|a| *a.borrow_mut() = Some(CaptureSession { inner }));
         }
     },
 };
@@ -137,14 +174,21 @@ impl CaptureSession {
     /// to outer sessions as well so nested regions compose).
     pub fn begin(&self) {
         simmpi::task::register(&ACTIVE_PER_TASK);
-        ACTIVE.with(|a| a.borrow_mut().push(self.clone()));
+        ACTIVE.with(|a| {
+            let mut active = a.borrow_mut();
+            *self.inner.outer.lock() = active.take();
+            *active = Some(self.clone());
+        });
     }
 
     /// Deactivate the innermost session. Panics if no session is active.
     pub fn end(&self) {
         ACTIVE.with(|a| {
-            let popped = a.borrow_mut().pop();
-            assert!(popped.is_some(), "no active capture session to end");
+            let mut active = a.borrow_mut();
+            let Some(popped) = active.take() else {
+                panic!("no active capture session to end");
+            };
+            *active = popped.inner.outer.lock().take();
         });
     }
 
@@ -166,7 +210,7 @@ impl CaptureSession {
     /// Repeated accesses fold into the first one's record as they happen,
     /// so a view is copied into the session once.
     pub fn records(&self) -> Vec<CaptureRecord> {
-        self.records.lock().clone()
+        self.inner.records.lock().clone()
     }
 
     /// [`Self::records`]: the views the session saw, each once.
@@ -176,28 +220,34 @@ impl CaptureSession {
 
     /// [`Self::records`], moved out of the session rather than copied.
     pub fn into_records(self) -> Vec<CaptureRecord> {
-        std::mem::take(&mut *self.records.lock())
+        std::mem::take(&mut *self.inner.records.lock())
+    }
+
+    /// Hand each record to `f`, in [`Self::records`] order, and leave the
+    /// session empty with its table kept for the next recording.
+    pub fn drain(&self, f: impl FnMut(CaptureRecord)) {
+        self.inner.records.lock().drain(..).for_each(f);
     }
 
     pub fn is_empty(&self) -> bool {
-        self.records.lock().is_empty()
+        self.inner.records.lock().is_empty()
     }
 
     pub fn clear(&self) {
-        self.records.lock().clear();
+        self.inner.records.lock().clear();
     }
 
     /// Note an access to `view`: a new record on its first access, its
     /// write flag folded in on every later one.
     fn note<T: Pod>(&self, view: &View<T>, wrote: bool) {
-        let mut records = self.records.lock();
+        let mut records = self.inner.records.lock();
         let id = View::meta(view).view_id;
         match records.iter_mut().find(|r| r.meta.view_id == id) {
             Some(seen) => seen.wrote |= wrote,
             None => records.push(CaptureRecord {
                 meta: View::meta(view).clone(),
                 wrote,
-                handle: Arc::new(view.clone()),
+                handle: view.handle(),
             }),
         }
     }
@@ -205,21 +255,17 @@ impl CaptureSession {
 
 /// Whether any capture session is active on this thread.
 pub fn capturing() -> bool {
-    ACTIVE.with(|a| !a.borrow().is_empty())
+    ACTIVE.with(|a| a.borrow().is_some())
 }
 
 /// Record a view access into every active session on this thread.
 /// Called by `View::read`/`View::write`; cheap when no session is active.
 pub fn record_access<T: Pod>(view: &View<T>, wrote: bool) {
-    ACTIVE.with(|a| {
-        let sessions = a.borrow();
-        if sessions.is_empty() {
-            return;
-        }
-        for s in sessions.iter() {
-            s.note(view, wrote);
-        }
-    });
+    let mut next = ACTIVE.with(|a| a.borrow().clone());
+    while let Some(session) = next {
+        session.note(view, wrote);
+        next = session.inner.outer.lock().clone();
+    }
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use cluster::{pool::POOL, Cursor, PoolBuf, Unfilled};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use simmpi::pod::{self, Pod};
 
-use crate::capture;
+use crate::capture::{self, Checkpointable};
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -138,9 +138,35 @@ impl<T: Pod> DerefMut for ViewWrite<'_, T> {
     }
 }
 
-struct Inner<T: Pod> {
-    meta: ViewMeta,
+/// A view object: what every clone of a [`View`] shares, and what a
+/// capture hands out as the view's [`Checkpointable`](crate::capture::Checkpointable)
+/// handle ([`View::handle`]) without a box of its own.
+pub(crate) struct Inner<T: Pod> {
+    pub(crate) meta: ViewMeta,
     storage: Arc<Storage<T>>,
+}
+
+impl<T: Pod> Inner<T> {
+    pub(crate) fn read_uncaptured(&self) -> ViewRead<'_, T> {
+        ViewRead {
+            guard: self.storage.data.read(),
+            elems: PhantomData,
+        }
+    }
+
+    pub(crate) fn write_uncaptured(&self) -> ViewWrite<'_, T> {
+        self.storage
+            .generation
+            .store(fresh_gen(), Ordering::Relaxed);
+        ViewWrite {
+            guard: self.storage.data.write(),
+            elems: PhantomData,
+        }
+    }
+
+    pub(crate) fn generation(&self) -> u64 {
+        self.storage.generation.load(Ordering::Relaxed)
+    }
 }
 
 /// A labelled, shared, shape-aware array of POD elements.
@@ -276,24 +302,14 @@ impl<T: Pod> View<T> {
     /// Read access that bypasses capture recording (used by checkpoint
     /// internals so snapshotting does not record itself).
     pub fn read_uncaptured(&self) -> ViewRead<'_, T> {
-        ViewRead {
-            guard: self.inner.storage.data.read(),
-            elems: PhantomData,
-        }
+        self.inner.read_uncaptured()
     }
 
     /// Write access that bypasses capture recording (still re-stamps the
     /// generation — `restore_bytes` and `fill` mutate the allocation, so a
     /// checkpoint after a rollback must treat the region as dirty).
     pub fn write_uncaptured(&self) -> ViewWrite<'_, T> {
-        self.inner
-            .storage
-            .generation
-            .store(fresh_gen(), Ordering::Relaxed);
-        ViewWrite {
-            guard: self.inner.storage.data.write(),
-            elems: PhantomData,
-        }
+        self.inner.write_uncaptured()
     }
 
     /// Current dirty-tracking stamp of the allocation (shared by every
@@ -301,7 +317,14 @@ impl<T: Pod> View<T> {
     /// write path touched the data in between; see [`fresh_gen`]'s
     /// uniqueness note for why equality is sufficient.
     pub fn generation(&self) -> u64 {
-        self.inner.storage.generation.load(Ordering::Relaxed)
+        self.inner.generation()
+    }
+
+    /// This view object as a type-erased checkpoint handle: the shared
+    /// state every clone holds, so taking one allocates nothing, and every
+    /// handle of one view object is the same pointer.
+    pub fn handle(&self) -> Arc<dyn Checkpointable> {
+        Arc::clone(&self.inner) as Arc<dyn Checkpointable>
     }
 
     /// Serialize the current contents (no capture recording).

@@ -55,8 +55,8 @@ pub trait IterativeApp: Send + Sync {
     /// View labels the application declares as aliases (swap space that
     /// must not be checkpointed). Forwarded to the Kokkos Resilience
     /// context under KR strategies.
-    fn alias_labels(&self) -> Vec<String> {
-        Vec::new()
+    fn alias_labels(&self) -> &'static [&'static str] {
+        &[]
     }
 
     /// The checkpoint filter for a requested checkpoint count. The default

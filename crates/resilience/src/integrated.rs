@@ -15,6 +15,8 @@
 //! it, so every chaos schedule, determinism test and benchmark workload
 //! exercises the function a library user calls.
 
+use std::sync::Arc;
+
 use fenix::{ExhaustPolicy, Fenix, FenixConfig, Role, RunSummary};
 use kokkos_resilience::{
     CheckpointFilter, CheckpointOutcome, Context, ContextConfig, DataBackend, RecoveryScope,
@@ -58,13 +60,13 @@ impl IntegratedBackend {
 #[derive(Clone, Debug)]
 pub struct IntegratedConfig {
     /// Checkpoint-set namespace.
-    pub name: String,
+    pub name: Arc<str>,
     /// Spare ranks held out of the resilient communicator.
     pub spares: usize,
     pub filter: CheckpointFilter,
     pub backend: IntegratedBackend,
     /// View labels excluded as aliases.
-    pub aliases: Vec<String>,
+    pub aliases: &'static [&'static str],
     pub on_exhaustion: ExhaustPolicy,
     /// Partial rollback: only replacement ranks restore checkpoint data
     /// (requires a convergence-tolerant application; VeloC backend only).
@@ -78,7 +80,7 @@ impl Default for IntegratedConfig {
             spares: 1,
             filter: CheckpointFilter::Always,
             backend: IntegratedBackend::Veloc,
-            aliases: Vec::new(),
+            aliases: &[],
             on_exhaustion: ExhaustPolicy::Abort,
             partial_rollback: false,
         }
@@ -180,9 +182,9 @@ where
         let kr: &Context = kr_slot.get_or_insert_with(|| {
             let kr = ctx.recorder().time(Phase::ResilienceInit, || {
                 let kr_config = ContextConfig {
-                    name: config.name.clone(),
+                    name: Arc::clone(&config.name),
                     filter: config.filter.clone(),
-                    aliases: config.aliases.clone(),
+                    aliases: config.aliases,
                 };
                 Context::with_backend(comm.clone(), kr_config, config.backend.tier(ctx))
             });

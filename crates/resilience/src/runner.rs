@@ -71,7 +71,7 @@ struct Run<'a> {
     app: &'a dyn IterativeApp,
     shared: &'a SharedState,
     bk: Bookkeeper,
-    name: String,
+    name: Arc<str>,
     mode: RunMode,
     filter: CheckpointFilter,
     /// Application state surviving Fenix re-entries (created lazily: spares
@@ -98,7 +98,7 @@ pub fn run_rank(
         app,
         shared,
         bk: Bookkeeper::new(Arc::clone(ctx.profile())),
-        name: app.name().to_owned(),
+        name: app.name().into(),
         mode: app.mode(),
         filter: app.checkpoint_filter(checkpoints),
         state: RefCell::new(None),
@@ -156,7 +156,7 @@ pub fn run_rank(
                     ctx.cluster(),
                     world.clone(),
                     ContextConfig {
-                        name: run.name.clone(),
+                        name: Arc::clone(&run.name),
                         filter: run.filter.clone(),
                         aliases: app.alias_labels(),
                     },
@@ -170,7 +170,7 @@ pub fn run_rank(
         Strategy::FenixKokkosResilience | Strategy::PartialRollback => {
             // The paper's integrated system, through the public entry point.
             let config = IntegratedConfig {
-                name: run.name.clone(),
+                name: Arc::clone(&run.name),
                 spares,
                 filter: run.filter.clone(),
                 backend: IntegratedBackend::Veloc,
@@ -343,7 +343,7 @@ impl Run<'_> {
     /// over the world under plain MPI, over the resilient communicator
     /// inside Fenix) or peer memory.
     fn manual(&self, comm: &Comm, role: Option<Role>, tier: &dyn DataBackend) -> MpiResult<()> {
-        let (bk, name) = (&self.bk, self.name.as_str());
+        let (bk, name) = (&self.bk, &*self.name);
         // Paper: update the cached rank id after a repair. The rank may have
         // just been rolled back or replaced, so whatever the tier remembered
         // from before this entry is void.

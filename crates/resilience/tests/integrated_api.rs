@@ -85,7 +85,7 @@ fn run_configured(
                 spares,
                 filter: filter.clone(),
                 backend: backend.clone(),
-                aliases: vec![],
+                aliases: &[],
                 on_exhaustion: fenix::ExhaustPolicy::Abort,
                 partial_rollback: false,
             };

@@ -97,6 +97,40 @@ impl ReduceOp {
     }
 }
 
+/// A short collective contribution stored in the allocation of the
+/// [`Bytes`] that carries it, 8-aligned like every `Pod`'s elements.
+struct Inline {
+    len: usize,
+    words: [u64; 8],
+}
+
+impl Inline {
+    /// `bytes` inline, if they fit.
+    fn new(bytes: &[u8]) -> Option<Self> {
+        let mut words = [0u64; 8];
+        if bytes.len() > std::mem::size_of_val(&words) {
+            return None;
+        }
+        for (word, chunk) in words.iter_mut().zip(bytes.chunks(8)) {
+            let mut b = [0u8; 8];
+            b.iter_mut().zip(chunk).for_each(|(b, c)| *b = *c);
+            *word = u64::from_ne_bytes(b);
+        }
+        Some(Inline {
+            len: bytes.len(),
+            words,
+        })
+    }
+}
+
+impl AsRef<[u8]> for Inline {
+    fn as_ref(&self) -> &[u8] {
+        pod::as_bytes(&self.words)
+            .get(..self.len)
+            .unwrap_or_default()
+    }
+}
+
 /// A communicator's ordered member list — comm rank → global rank — with
 /// the reverse index. Dereferences to the member slice. The world group and
 /// Fenix's resilient group are one instance shared by every member's handle
@@ -396,6 +430,26 @@ impl Comm {
         inside
     }
 
+    /// `data`'s bytes as a collective contribution, written once, aligned
+    /// for any `Pod` so that a receiver reads the elements in place
+    /// ([`pod::cast_slice`]): up to [`Inline`]'s capacity (a scalar, a
+    /// short vector) into the handle's own allocation, longer into a
+    /// buffer of the cluster's pool. Empty data is [`Bytes::new`], which
+    /// allocates nothing.
+    fn payload<T: Pod>(&self, data: &[T]) -> Bytes {
+        let bytes = pod::as_bytes(data);
+        if bytes.is_empty() {
+            return Bytes::new();
+        }
+        if let Some(inline) = Inline::new(bytes) {
+            return Bytes::from_owner(inline);
+        }
+        let pool = self.router.cluster().pool();
+        let mut buf = pool.take(bytes.len());
+        buf.put(bytes);
+        pool.share(buf)
+    }
+
     fn coll_send(&self, kind: Coll, round: u32, dst: usize, payload: Bytes) -> MpiResult<()> {
         self.check_rank(dst)?;
         self.router.send(
@@ -486,7 +540,7 @@ impl Comm {
     #[cfg_attr(debug_assertions, track_caller)]
     pub fn bcast<T: Pod>(&self, root: usize, buf: &mut [T]) -> MpiResult<()> {
         let payload = if self.my_rank == root {
-            pod::to_bytes(buf)
+            self.payload(buf)
         } else {
             Bytes::new()
         };
@@ -507,7 +561,7 @@ impl Comm {
     /// On return, `buf` at root holds the reduction; elsewhere its content is
     /// unspecified (it is used as scratch).
     #[cfg_attr(debug_assertions, track_caller)]
-    pub fn reduce_with<T: Pod + Default>(
+    pub fn reduce_with<T: Pod>(
         &self,
         root: usize,
         buf: &mut [T],
@@ -521,12 +575,11 @@ impl Comm {
             return Ok(());
         }
         let vr = (self.my_rank + n - root) % n;
-        let mut recv_buf = vec![T::default(); buf.len()];
         let mut mask = 1usize;
         while mask < n {
             if vr & mask != 0 {
                 let dst = (vr - mask + root) % n;
-                self.coll_send(Coll::Reduce, mask as u32, dst, pod::to_bytes(buf))?;
+                self.coll_send(Coll::Reduce, mask as u32, dst, self.payload(buf))?;
                 break;
             }
             let peer = vr + mask;
@@ -539,8 +592,8 @@ impl Comm {
                         got: payload.len(),
                     });
                 }
-                pod::copy_from_bytes(&mut recv_buf, &payload);
-                combine(buf, &recv_buf);
+                // A child's contribution is a `payload`: read in place.
+                combine(buf, pod::cast_slice(&payload));
             }
             mask <<= 1;
         }
@@ -563,7 +616,7 @@ impl Comm {
 
     /// Allreduce with a caller-provided combiner.
     #[cfg_attr(debug_assertions, track_caller)]
-    pub fn allreduce_with<T: Pod + Default>(
+    pub fn allreduce_with<T: Pod>(
         &self,
         buf: &mut [T],
         combine: impl Fn(&mut [T], &[T]),
@@ -611,7 +664,7 @@ impl Comm {
             }
             Ok(Some(out))
         } else {
-            self.coll_send(Coll::Gather, self.my_rank as u32, root, pod::to_bytes(data))?;
+            self.coll_send(Coll::Gather, self.my_rank as u32, root, self.payload(data))?;
             Ok(None)
         }
     }

@@ -64,7 +64,8 @@ pub mod purpose {
 #[derive(Clone, Debug, PartialEq)]
 pub struct RendezvousOutcome {
     pub value: Bytes,
-    pub failures_observed: Vec<usize>,
+    /// One list for every participant: picking the outcome up copies none.
+    pub failures_observed: Arc<[usize]>,
 }
 
 /// Hashes the rendezvous maps' integer keys — rank numbers and operation
@@ -399,7 +400,7 @@ mod tests {
         for h in handles {
             let out = h.join().unwrap().unwrap();
             assert_eq!(u64::from_le_bytes(out.value[..8].try_into().unwrap()), 20);
-            assert_eq!(out.failures_observed, vec![2]);
+            assert_eq!(*out.failures_observed, [2]);
         }
         assert_eq!(r.rendezvous.in_flight(), 0, "entry retired");
     }
@@ -421,7 +422,7 @@ mod tests {
         r.kill(2); // the missing participant dies; waiters must complete
         for h in handles {
             let out = h.join().unwrap().unwrap();
-            assert_eq!(out.failures_observed, vec![2]);
+            assert_eq!(*out.failures_observed, [2]);
         }
         assert_eq!(r.rendezvous.in_flight(), 0, "entry retired");
     }
@@ -439,7 +440,7 @@ mod tests {
         let out = r
             .rendezvous(key(6), 0, &group, contrib(7), sum_combine)
             .unwrap();
-        assert_eq!(out.failures_observed, vec![1]);
+        assert_eq!(*out.failures_observed, [1]);
         assert_eq!(r.rendezvous.in_flight(), 0, "entry retired");
     }
 

@@ -25,7 +25,7 @@ use std::ffi::{c_int, c_void};
 use std::io;
 use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
@@ -200,15 +200,20 @@ pub(crate) unsafe extern "C" fn switch(save: *mut *mut u8, to: *mut u8, arg: *co
     )
 }
 
+/// A task's value of a [`TaskLocal`] while it is switched away. It is
+/// shared, so a layer keeps its thread-local in this form and a switch
+/// moves a pointer: no value is boxed per switch.
+pub type TaskValue = Arc<dyn Any + Send + Sync>;
+
 /// A thread-local that belongs to the rank task running on the thread, not
 /// to the thread: the DES engine moves it out when the task switches away
 /// and back when it resumes, so each task sees only its own value.
 pub struct TaskLocal {
     /// Move the thread's value out, leaving the empty value; `None` when
     /// it already is empty.
-    pub take: fn() -> Option<Box<dyn Any>>,
+    pub take: fn() -> Option<TaskValue>,
     /// Put back a value `take` returned.
-    pub restore: fn(Box<dyn Any>),
+    pub restore: fn(TaskValue),
 }
 
 const MAX_TASK_LOCALS: usize = 4;
@@ -237,7 +242,7 @@ pub fn register(key: &'static TaskLocal) {
 /// One task's thread-locals while it is switched away.
 pub(crate) struct TaskLocals {
     sleeper: Option<cluster::VirtualSleeper>,
-    values: [Option<Box<dyn Any>>; MAX_TASK_LOCALS],
+    values: [Option<TaskValue>; MAX_TASK_LOCALS],
 }
 
 impl TaskLocals {
@@ -317,18 +322,23 @@ mod tests {
     #[test]
     fn task_locals_move_out_and_back() {
         thread_local! {
-            static V: Cell<u32> = const { Cell::new(0) };
+            static V: std::cell::RefCell<Option<Arc<u32>>> = const { std::cell::RefCell::new(None) };
         }
         static KEY: TaskLocal = TaskLocal {
-            take: || Some(Box::new(V.with(|v| v.replace(0)))),
-            restore: |b| V.with(|v| v.set(b.downcast::<u32>().map_or(0, |b| *b))),
+            take: || V.with(|v| v.borrow_mut().take()).map(|v| v as TaskValue),
+            restore: |b| V.with(|v| *v.borrow_mut() = b.downcast::<u32>().ok()),
         };
         register(&KEY);
         register(&KEY);
-        V.with(|v| v.set(7));
+        let seven = Arc::new(7u32);
+        V.with(|v| *v.borrow_mut() = Some(Arc::clone(&seven)));
         let saved = TaskLocals::take();
-        assert_eq!(V.with(Cell::get), 0);
+        assert_eq!(V.with(|v| v.borrow().clone()), None);
         saved.restore();
-        assert_eq!(V.with(Cell::get), 7);
+        let back = V.with(|v| v.borrow().clone());
+        assert!(
+            back.is_some_and(|b| Arc::ptr_eq(&b, &seven)),
+            "the same value, not a copy"
+        );
     }
 }

@@ -113,7 +113,7 @@ impl Comm {
         })?;
         let agreed = AgreeOutcome {
             flags,
-            failed: outcome.failures_observed,
+            failed: outcome.failures_observed.to_vec(),
         };
         self.router().recorder(self.my_global()).emit(Event::Agree {
             seq,

@@ -275,3 +275,69 @@ fn two_splits_with_the_same_colors_keep_their_own_groups() {
     });
     assert!(report.all_ok(), "{:?}", report.outcomes);
 }
+
+#[test]
+fn collective_costs_are_pinned_on_des() {
+    // The modelled cost of one fixed collective sequence on 64 ranks over
+    // 8 nodes, each collective with 1 element and with 300: the virtual
+    // wall and the bytes every NIC was charged. A change to how a
+    // collective builds its payloads must leave both exactly as they are.
+    const NODES: usize = 8;
+    const PER_NODE: usize = 8;
+    let cluster = Cluster::new(ClusterConfig {
+        nodes: NODES,
+        ranks_per_node: PER_NODE,
+        virtual_time: true,
+        ..ClusterConfig::default()
+    });
+    let n = NODES * PER_NODE;
+    let report = Universe::launch(
+        &cluster,
+        UniverseConfig {
+            backend: simmpi::Backend::Des { seed: 1 },
+            ..UniverseConfig::default()
+        },
+        Arc::new(FaultPlan::none()),
+        |ctx| {
+            let w = ctx.world();
+            let me = w.rank() as u64;
+            for len in [1usize, 300] {
+                w.barrier()?;
+                let mut b: Vec<u64> = (0..len as u64).map(|i| i * 7 + me).collect();
+                w.bcast(3, &mut b)?;
+                assert!(b.iter().enumerate().all(|(i, &x)| x == i as u64 * 7 + 3));
+                let mut r: Vec<u64> = (0..len as u64).map(|i| i + me).collect();
+                w.reduce(5, &mut r, ReduceOp::Sum)?;
+                if w.rank() == 5 {
+                    let base = (n * (n - 1) / 2) as u64;
+                    assert!(r
+                        .iter()
+                        .enumerate()
+                        .all(|(i, &x)| x == base + (i * n) as u64));
+                }
+                let mut a = vec![me; len];
+                w.allreduce(&mut a, ReduceOp::Max)?;
+                assert!(a.iter().all(|&x| x == n as u64 - 1));
+                let g = w.gather(7, &vec![me; len])?;
+                if let Some(g) = g {
+                    assert!(g
+                        .chunks(len)
+                        .enumerate()
+                        .all(|(r, c)| c.iter().all(|&x| x == r as u64)));
+                }
+            }
+            Ok(())
+        },
+    );
+    assert!(report.all_ok(), "{:?}", report.outcomes);
+    let nic_bytes: Vec<u64> = (0..n)
+        .map(|r| cluster.network().nic(r).map_or(0, |g| g.bytes_reserved()))
+        .collect();
+    let total: u64 = nic_bytes.iter().sum();
+    let busiest = nic_bytes.iter().copied().max().unwrap_or(0);
+    assert_eq!(
+        (report.wall.as_nanos(), total, busiest),
+        (334_769, 558_656, 142_072),
+        "virtual wall ns, NIC bytes in total, busiest NIC's bytes"
+    );
+}

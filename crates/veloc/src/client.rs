@@ -14,7 +14,6 @@
 //! pays a remote read while survivors restore from scratch. This asymmetry
 //! is central to the paper's recovery-cost results.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -43,6 +42,37 @@ struct ChainState {
     gens: Vec<(u32, Option<u64>)>,
     /// Delta-chain length ending at `version` (0 = full frame).
     depth: usize,
+}
+
+/// A frame of a restart's chain walk.
+struct WalkedFrame {
+    version: u64,
+    blob: Bytes,
+    meta: serial::FrameMeta,
+    /// Whether `blob` came from scratch (a PFS copy may still exist as a
+    /// verification-failure fallback) or already from PFS (no further tier
+    /// to fall back to).
+    from_scratch: bool,
+}
+
+/// What a checkpoint or a restart fills and empties again: kept by the
+/// client between calls, so that neither allocates once these have grown
+/// to the protection table's size. A call takes them out of their mutex
+/// and puts them back (a tier read or write may yield to another rank,
+/// with no lock held).
+#[derive(Default)]
+struct Tables {
+    /// A checkpoint's regions to pack, ascending by id.
+    handles: Vec<(u32, Arc<dyn Protected>)>,
+    /// Each protected region's stamp at the checkpoint, ascending by id:
+    /// swapped with the committed [`ChainState::gens`] on commit.
+    gens: Vec<(u32, Option<u64>)>,
+    /// Ids a delta frame carries as unchanged, ascending.
+    unchanged: Vec<u32>,
+    /// A restart probe's versions of a name.
+    versions: Vec<u64>,
+    /// A restart's chain, newest frame first.
+    frames: Vec<WalkedFrame>,
 }
 
 /// Client configuration.
@@ -138,6 +168,7 @@ pub struct Client {
     /// reset).
     /// One entry per checkpoint name, a handful at most: found by a scan.
     chains: Mutex<Vec<(NameId, ChainState)>>,
+    tables: Mutex<Tables>,
     /// `None` when flushing synchronously — either by configuration or
     /// because the backend thread could not be spawned (see `spawn_error`).
     backend: Option<ActiveBackend>,
@@ -175,6 +206,7 @@ impl Client {
             logical_rank: Mutex::new(physical_rank),
             regions: Mutex::new(Vec::new()),
             chains: Mutex::new(Vec::new()),
+            tables: Mutex::default(),
             backend,
             spawn_error,
             recorder: Mutex::new(Recorder::disabled()),
@@ -277,27 +309,31 @@ impl Client {
 
     /// Replace the whole protection table in one call — equivalent to
     /// [`Self::clear_protected`] followed by [`Self::protect`] for each
-    /// entry, in one lock acquisition. Kokkos Resilience re-registers
-    /// every captured view before each checkpoint; routing that through
-    /// here keeps re-registration cheap and delta-friendly.
-    pub fn protect_exact(&self, mut entries: Vec<(u32, Arc<dyn Protected>)>) {
+    /// entry, in one lock acquisition, into the table's own storage.
+    /// Kokkos Resilience registers a region's views again after each
+    /// reset; routing that through here keeps it cheap and delta-friendly.
+    pub fn protect_exact(&self, entries: impl IntoIterator<Item = (u32, Arc<dyn Protected>)>) {
         let rec = self.recorder();
-        for (id, region) in &entries {
+        let mut regions = self.regions.lock();
+        regions.clear();
+        for (id, region) in entries {
             rec.emit_with(|| Event::Protect {
                 name: id.to_string(),
                 bytes: region.byte_len() as u64,
             });
+            regions.push((id, region));
         }
         // Ascending by id; of two entries under one id the later wins.
-        entries.sort_by_key(|(id, _)| *id);
-        entries.dedup_by(|later, kept| {
+        if !regions.is_sorted_by_key(|(id, _)| *id) {
+            regions.sort_by_key(|(id, _)| *id);
+        }
+        regions.dedup_by(|later, kept| {
             let same = later.0 == kept.0;
             if same {
                 std::mem::swap(later, kept);
             }
             same
         });
-        *self.regions.lock() = entries;
     }
 
     /// Number of protected regions.
@@ -327,6 +363,7 @@ impl Client {
             version,
         });
         self.checkpoint_wait();
+        let mut t = self.take_tables();
         // One pass over the protection table, under its lock: each
         // region's handle and stamp, ascending by id. The pack runs outside
         // it, so a concurrent `protect` from another thread never stalls
@@ -335,35 +372,21 @@ impl Client {
         // means a racing write is either fully visible in the snapshot or
         // re-stamps afterwards and dirties the next checkpoint — never
         // silently skipped.
-        let mut handles = Vec::new();
-        let mut gens = Vec::new();
         for (id, region) in self.regions.lock().iter() {
             let id = *id;
-            gens.push((id, region.generation()));
-            handles.push((id, Arc::clone(region)));
+            t.gens.push((id, region.generation()));
+            t.handles.push((id, Arc::clone(region)));
         }
         let protected: usize = match rec.metrics() {
-            Some(_) => handles.iter().map(|(_, r)| r.byte_len()).sum(),
+            Some(_) => t.handles.iter().map(|(_, r)| r.byte_len()).sum(),
             None => 0,
         };
         let key = self.key(name, version);
-        let (base, depth, unchanged) = self.plan_delta(key.name, version, &gens);
-        let unchanged: Vec<u32> = match unchanged {
-            Some(flags) => {
-                let mut ids = Vec::new();
-                let mut flags = flags.into_iter();
-                handles.retain(|(id, _)| {
-                    let same = flags.next().unwrap_or(false);
-                    if same {
-                        ids.push(*id);
-                    }
-                    !same
-                });
-                ids
-            }
-            None => Vec::new(),
-        };
-        let blob = serial::pack(self.cluster.pool(), base, &handles, &unchanged);
+        let (base, depth) = self.plan_delta(key.name, version, &t.gens, &mut t.unchanged);
+        let unchanged = &t.unchanged;
+        t.handles
+            .retain(|(id, _)| unchanged.binary_search(id).is_err());
+        let blob = serial::pack(self.cluster.pool(), base, &t.handles, &t.unchanged);
         if let Some(metrics) = rec.metrics() {
             metrics
                 .counter(telemetry::names::VELOC_BYTES_PROTECTED)
@@ -384,18 +407,26 @@ impl Client {
             .unwrap_or_else(|| blob.clone());
         self.cluster.scratch().write(self.node(), key, scratch_blob);
         // Commit the stamps only after the blob exists on scratch: this
-        // version is now a legitimate base for the next delta.
-        let chain = ChainState {
-            version,
-            gens,
-            depth,
-        };
+        // version is now a legitimate base for the next delta. The stamps
+        // move into the chain; the chain's old ones come back as the next
+        // checkpoint's table.
         let mut chains = self.chains.lock();
         match chains.iter_mut().find(|(n, _)| *n == key.name) {
-            Some((_, state)) => *state = chain,
-            None => chains.push((key.name, chain)),
+            Some((_, state)) => {
+                (state.version, state.depth) = (version, depth);
+                std::mem::swap(&mut state.gens, &mut t.gens);
+            }
+            None => chains.push((
+                key.name,
+                ChainState {
+                    version,
+                    gens: std::mem::take(&mut t.gens),
+                    depth,
+                },
+            )),
         }
         drop(chains);
+        self.put_tables(t);
         rec.emit_with(|| Event::CheckpointLocal {
             name: name.to_owned(),
             version,
@@ -414,10 +445,26 @@ impl Client {
         Ok(())
     }
 
+    /// The client's [`Tables`], empty, for one call: taken out of their
+    /// mutex, so none is held while the call reads or writes a tier.
+    fn take_tables(&self) -> Tables {
+        std::mem::take(&mut *self.tables.lock())
+    }
+
+    /// Empty `t` and keep it, storage and all, for the next call.
+    fn put_tables(&self, mut t: Tables) {
+        t.handles.clear();
+        t.gens.clear();
+        t.unchanged.clear();
+        t.versions.clear();
+        t.frames.clear();
+        *self.tables.lock() = t;
+    }
+
     /// Decide the delta plan for the next checkpoint of `name`: the base
-    /// version to reference (`None` = full frame), the resulting chain
-    /// depth, and, for a delta, which of `gens` (ascending by id) to carry
-    /// as unchanged.
+    /// version to reference (`None` = full frame) and the resulting chain
+    /// depth; for a delta, `unchanged` gets the ids of `gens` (ascending)
+    /// to carry as unchanged.
     ///
     /// A region counts as unchanged only under the strictest reading: the
     /// committed state is for an older version of the same name, the region
@@ -429,10 +476,11 @@ impl Client {
         name: NameId,
         version: u64,
         gens: &[(u32, Option<u64>)],
-    ) -> (Option<u64>, usize, Option<Vec<bool>>) {
+        unchanged: &mut Vec<u32>,
+    ) -> (Option<u64>, usize) {
         let chains = self.chains.lock();
         let Some((_, committed)) = chains.iter().find(|(n, _)| *n == name) else {
-            return (None, 0, None);
+            return (None, 0);
         };
         let ids_match = committed.gens.len() == gens.len()
             && committed
@@ -441,24 +489,19 @@ impl Client {
                 .zip(gens)
                 .all(|((a, _), (b, _))| a == b);
         if committed.version >= version || committed.depth >= MAX_DELTA_DEPTH || !ids_match {
-            return (None, 0, None);
+            return (None, 0);
         }
-        let unchanged: Vec<bool> = committed
-            .gens
-            .iter()
-            .zip(gens)
-            .map(|((_, c), (_, g))| g.is_some() && c == g)
-            .collect();
-        if !unchanged.contains(&true) {
+        let same = committed.gens.iter().zip(gens);
+        unchanged.extend(
+            same.filter(|((_, c), (_, g))| g.is_some() && c == g)
+                .map(|(_, (id, _))| *id),
+        );
+        if unchanged.is_empty() {
             // Nothing to reference: a delta frame would only add a chain
             // dependency without saving a byte.
-            return (None, 0, None);
+            return (None, 0);
         }
-        (
-            Some(committed.version),
-            committed.depth + 1,
-            Some(unchanged),
-        )
+        (Some(committed.version), committed.depth + 1)
     }
 
     /// Block until all asynchronous flushes complete. A no-op when flushing
@@ -472,29 +515,37 @@ impl Client {
 
     // ---- restart ----------------------------------------------------------
 
-    /// Versions of `name` reachable *by this rank* (scratch or PFS),
-    /// ascending, each once. Scans each tier's versions of `name` — one
-    /// seek per stored version — and keeps those whose key for this rank
-    /// exists, so the cost does not depend on how many other ranks
-    /// checkpointed under the same name.
-    fn versions(&self, name: &str) -> Vec<u64> {
+    /// Fill `versions` with the versions of `name` reachable *by this
+    /// rank* (scratch or PFS), ascending, each once. Scans each tier's
+    /// versions of `name` — one seek per stored version — and keeps those
+    /// whose key for this rank exists, so the cost does not depend on how
+    /// many other ranks checkpointed under the same name.
+    fn versions_into(&self, name: &str, versions: &mut Vec<u64>) {
         let name = self.cluster.names().intern(name);
-        let mut versions = Vec::new();
-        self.cluster
-            .scratch()
-            .versions(self.node(), name, &mut versions);
-        self.cluster.pfs().versions(name, &mut versions);
+        versions.clear();
+        self.cluster.scratch().versions(self.node(), name, versions);
+        self.cluster.pfs().versions(name, versions);
         versions.sort_unstable();
         versions.dedup();
         let rank = self.logical_rank();
         versions.retain(|&v| self.available_at(Key::new(name, v, rank)));
+    }
+
+    #[cfg(test)]
+    fn versions(&self, name: &str) -> Vec<u64> {
+        let mut versions = Vec::new();
+        self.versions_into(name, &mut versions);
         versions
     }
 
     /// Latest version of `name` reachable *by this rank* (scratch or PFS).
     /// This is the local half of the paper's manual best-version reduction.
     pub fn latest_version(&self, name: &str) -> Option<u64> {
-        self.versions(name).last().copied()
+        let mut t = self.take_tables();
+        self.versions_into(name, &mut t.versions);
+        let latest = t.versions.last().copied();
+        self.put_tables(t);
+        latest
     }
 
     /// Whether a checkpoint is stored at `key` on this rank's scratch or on
@@ -590,11 +641,13 @@ impl Client {
     /// holds an intact copy. This is the local half of the degraded
     /// agreement: a corrupt newest version must not wedge restart.
     pub fn latest_intact_version(&self, name: &str, bound: u64) -> Option<u64> {
-        self.versions(name)
-            .into_iter()
-            .rev()
+        let mut t = self.take_tables();
+        self.versions_into(name, &mut t.versions);
+        let latest = (t.versions.iter().rev().copied())
             .filter(|&v| v <= bound)
-            .find(|&v| self.version_intact(name, v))
+            .find(|&v| self.version_intact(name, v));
+        self.put_tables(t);
+        latest
     }
 
     /// Agree on the newest version of `name`, at or below `bound`, that is
@@ -701,16 +754,19 @@ impl Client {
     }
 
     fn restart_inner(&self, name: &str, version: u64) -> Result<RestartReport, VelocError> {
-        struct WalkedFrame {
-            version: u64,
-            blob: Bytes,
-            meta: serial::FrameMeta,
-            /// Whether `blob` came from scratch (a PFS copy may still exist
-            /// as a verification-failure fallback) or already from PFS (no
-            /// further tier to fall back to).
-            from_scratch: bool,
-        }
+        let mut t = self.take_tables();
+        let out = self.restart_with(name, version, &mut t);
+        self.put_tables(t);
+        out
+    }
 
+    /// [`Self::restart_inner`] into the client's tables `t`.
+    fn restart_with(
+        &self,
+        name: &str,
+        version: u64,
+        t: &mut Tables,
+    ) -> Result<RestartReport, VelocError> {
         let clock = self.cluster.clock();
         let t0 = clock.now_ns();
         let corrupt = |version| VelocError::Corrupt {
@@ -724,7 +780,7 @@ impl Client {
         // checksums are deferred to stage 2. Every frame degrades tier by
         // tier independently: a corrupt scratch copy must not mask an
         // intact PFS copy of the same version.
-        let mut frames: Vec<WalkedFrame> = Vec::new();
+        let frames = &mut t.frames;
         let mut v = version;
         loop {
             let (present, picked) = self.read_either(self.key(name, v), serial::parse_meta);
@@ -776,7 +832,7 @@ impl Client {
                 // reference and same region sets, else the walk above (and
                 // any newer frame's first-occurrence claims) would not hold.
                 let same_shape = meta.base_version == f.meta.base_version
-                    && meta.unchanged == f.meta.unchanged
+                    && meta.unchanged().eq(f.meta.unchanged())
                     && meta.changed_ids().eq(f.meta.changed_ids());
                 if !same_shape {
                     return None;
@@ -805,36 +861,37 @@ impl Client {
             // empty — but the recovery path must stay panic-free.
             return Err(corrupt(version));
         };
-        let expected: BTreeSet<u32> = newest
-            .meta
-            .changed_ids()
-            .chain(newest.meta.unchanged.iter().copied())
-            .collect();
-        let mut payloads: BTreeMap<u32, Bytes> = BTreeMap::new();
-        for f in &frames {
-            for (id, payload) in f.meta.payloads(&f.blob) {
-                if expected.contains(&id) {
-                    payloads.entry(id).or_insert(payload);
-                }
-            }
-        }
-        if payloads.len() != expected.len() {
+        // Which regions the requested version restores, and the newest
+        // payload of each: its first occurrence down the chain.
+        let expected = || newest.meta.changed_ids().chain(newest.meta.unchanged());
+        let payload_of = |id: u32| {
+            (frames.iter())
+                .find_map(|f| f.meta.payloads(&f.blob).find(|(p, _)| *p == id))
+                .map(|(_, payload)| payload)
+        };
+        if expected().any(|id| payload_of(id).is_none()) {
             // An unchanged id whose payload never appeared anywhere down
             // the chain: the chain is inconsistent.
             return Err(corrupt(version));
         }
         let regions = self.regions.lock();
+        let unknown =
+            expected().filter(|id| regions.binary_search_by_key(id, |(id, _)| *id).is_err());
+        if let Some(id) = unknown.min() {
+            return Err(VelocError::UnknownRegion { id });
+        }
         let mut report = RestartReport {
             frames_walked: frames.len(),
             ..RestartReport::default()
         };
-        for (id, payload) in payloads {
-            let region = regions
-                .binary_search_by_key(&id, |(id, _)| *id)
-                .ok()
-                .and_then(|i| regions.get(i))
-                .map(|(_, region)| region)
-                .ok_or(VelocError::UnknownRegion { id })?;
+        // In id order: the protection table's.
+        for (id, region) in regions.iter() {
+            if !expected().any(|e| e == *id) {
+                continue;
+            }
+            let Some(payload) = payload_of(*id) else {
+                return Err(corrupt(version));
+            };
             region.restore(&payload);
             report.regions += 1;
             report.bytes_restored += payload.len() as u64;

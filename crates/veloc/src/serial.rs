@@ -46,6 +46,7 @@
 //! class of bug (`crates/chaos/tests/mutant.rs`); never enable it in
 //! normal builds.
 
+use std::borrow::Borrow;
 use std::mem::MaybeUninit;
 use std::sync::Arc;
 
@@ -511,8 +512,8 @@ pub fn pack(
     changed: &[(u32, Arc<dyn Protected>)],
     unchanged: &[u32],
 ) -> Bytes {
-    let plan: Vec<(u32, usize)> = changed.iter().map(|(id, r)| (*id, r.byte_len())).collect();
-    let mut builder = FrameBuilder::new(pool, base_version, &plan, unchanged);
+    let plan = changed.iter().map(|(id, r)| (*id, r.byte_len()));
+    let mut builder = FrameBuilder::new(pool, base_version, plan, unchanged);
     let filled = changed.iter().all(|(_, r)| {
         let mut put = false;
         r.with_bytes(&mut |src| put = put || builder.put_payload(src));
@@ -522,12 +523,11 @@ pub fn pack(
         return builder.seal();
     }
     let snaps: Vec<Bytes> = changed.iter().map(|(_, r)| r.snapshot()).collect();
-    let plan: Vec<(u32, usize)> = changed
+    let plan = changed
         .iter()
         .zip(&snaps)
-        .map(|((id, _), snap)| (*id, snap.len()))
-        .collect();
-    let mut builder = FrameBuilder::new(pool, base_version, &plan, unchanged);
+        .map(|((id, _), snap)| (*id, snap.len()));
+    let mut builder = FrameBuilder::new(pool, base_version, plan, unchanged);
     for snap in &snaps {
         builder.put_payload(snap);
     }
@@ -596,9 +596,12 @@ fn put_u32_at(buf: &mut [u8], at: usize, v: u32) {
 pub struct FrameBuilder {
     pool: &'static Pool,
     buf: PoolBuf,
-    /// Per changed region: offset of its CRC field in the meta table, and
-    /// its payload's planned length.
-    slots: Vec<(usize, usize)>,
+    /// Offset of the first changed region's meta entry, `(id, len, crc)`;
+    /// the entries follow it 16 bytes apart, and each payload slot is sized
+    /// by its entry's `len`.
+    entries: usize,
+    /// Changed regions: payload slots to write.
+    slots: usize,
     /// Payload slots written so far.
     next: usize,
     /// End of the meta section (= start of the payload section).
@@ -609,19 +612,27 @@ impl FrameBuilder {
     /// Lay out a frame for `changed` regions `(id, byte length)` in frame
     /// order, plus `unchanged` references, in a buffer from `pool`, and
     /// write its head and meta. The caller then puts every payload, in
-    /// order ([`Self::put_payload`]).
-    pub fn new(
+    /// order ([`Self::put_payload`]). `changed` is walked twice (sizes,
+    /// then meta) and collected nowhere.
+    pub fn new<P>(
         pool: &'static Pool,
         base_version: Option<u64>,
-        changed: &[(u32, usize)],
+        changed: P,
         unchanged: &[u32],
-    ) -> Self {
+    ) -> Self
+    where
+        P: IntoIterator,
+        P::IntoIter: Clone,
+        P::Item: Borrow<(u32, usize)>,
+    {
+        let changed = changed.into_iter();
+        let (count, payload_len) =
+            (changed.clone()).fold((0, 0), |(n, sum), c| (n + 1, sum + c.borrow().1));
         debug_assert!(
             base_version.is_some() || unchanged.is_empty(),
             "a full frame cannot reference unchanged regions"
         );
-        let meta_len = 16 + 4 * unchanged.len() + 16 * changed.len();
-        let payload_len: usize = changed.iter().map(|&(_, len)| len).sum();
+        let meta_len = 16 + 4 * unchanged.len() + 16 * count;
         let mut buf = pool.take(8 + meta_len + payload_len);
         buf.put(&MAGIC);
         // The meta CRC, stamped by `seal`.
@@ -630,23 +641,24 @@ impl FrameBuilder {
         // numbers, nowhere near u64::MAX (saturating keeps this panic-free).
         let base_ref = base_version.map_or(0, |v| v.saturating_add(1));
         buf.put(&base_ref.to_le_bytes());
-        buf.put(&(changed.len() as u32).to_le_bytes());
+        buf.put(&(count as u32).to_le_bytes());
         buf.put(&(unchanged.len() as u32).to_le_bytes());
         for id in unchanged {
             buf.put(&id.to_le_bytes());
         }
-        let mut slots = Vec::with_capacity(changed.len());
-        for &(id, len) in changed {
+        let entries = buf.len();
+        for c in changed {
+            let &(id, len) = c.borrow();
             buf.put(&id.to_le_bytes());
             buf.put(&(len as u64).to_le_bytes());
             // The payload's CRC, stamped by `put_payload`.
-            slots.push((buf.len(), len));
             buf.put(&[0; 4]);
         }
         FrameBuilder {
             pool,
             buf,
-            slots,
+            entries,
+            slots: count,
             next: 0,
             meta_end: 8 + meta_len,
         }
@@ -657,9 +669,15 @@ impl FrameBuilder {
     /// nothing and returns `false` if `src` is not the slot's planned
     /// length, or every slot is written.
     pub fn put_payload(&mut self, src: &[u8]) -> bool {
-        let Some(&(crc_at, len)) = self.slots.get(self.next) else {
+        let entry = self.entries + 16 * self.next;
+        let planned = self
+            .buf
+            .get(entry + 4..entry + 12)
+            .and_then(|b| b.try_into().ok());
+        let Some(len) = planned.filter(|_| self.next < self.slots) else {
             return false;
         };
+        let (len, crc_at) = (u64::from_le_bytes(len) as usize, entry + 12);
         if src.len() != len {
             return false;
         }
@@ -700,18 +718,45 @@ impl FrameBuilder {
 pub struct FrameMeta {
     /// `None` for a self-contained full frame; `Some(v)` for a delta.
     pub base_version: Option<u64>,
-    /// Regions unchanged since `base_version` (ids only).
-    pub unchanged: Vec<u32>,
-    /// Changed regions in frame order: `(id, payload offset in blob, len,
-    /// stored payload CRC)`.
-    entries: Vec<(u32, usize, usize, u32)>,
+    /// The meta table's unchanged ids, 4 bytes each: a slice of the blob,
+    /// as everything here is, so a parse allocates nothing.
+    unchanged: Bytes,
+    /// The meta table's changed-region entries, `(id, len, payload CRC)`
+    /// in 16 bytes each, in frame order.
+    entries: Bytes,
+    /// Offset of the first payload in the blob.
+    payloads_at: usize,
+    payload_bytes: usize,
+}
+
+/// The little-endian `u32` at `at` of `b` (0 past its end).
+fn le_u32(b: &[u8], at: usize) -> u32 {
+    let word = b.get(at..at + 4).and_then(|w| w.try_into().ok());
+    u32::from_le_bytes(word.unwrap_or([0; 4]))
 }
 
 impl FrameMeta {
     /// Total changed-payload bytes this frame carries — the work
     /// [`Self::verify_payloads`] will checksum.
     pub fn payload_bytes(&self) -> usize {
-        self.entries.iter().map(|&(_, _, len, _)| len).sum()
+        self.payload_bytes
+    }
+
+    /// Ids of the regions unchanged since `base_version`.
+    pub fn unchanged(&self) -> impl Iterator<Item = u32> + '_ {
+        self.unchanged.chunks_exact(4).map(|w| le_u32(w, 0))
+    }
+
+    /// Changed regions in frame order: `(id, payload offset in blob, len,
+    /// stored payload CRC)`.
+    fn entries(&self) -> impl Iterator<Item = (u32, usize, usize, u32)> + '_ {
+        let mut at = self.payloads_at;
+        self.entries.chunks_exact(16).map(move |e| {
+            let len = (u64::from(le_u32(e, 4)) | (u64::from(le_u32(e, 8)) << 32)) as usize;
+            let off = at;
+            at += len;
+            (le_u32(e, 0), off, len, le_u32(e, 12))
+        })
     }
 
     /// Verify the payload checksums against `blob` — which must be the
@@ -726,24 +771,21 @@ impl FrameMeta {
             true
         }
         #[cfg(not(feature = "chaos-mutants"))]
-        self.entries
-            .iter()
-            .all(|&(_, off, len, crc)| blob.get(off..off + len).is_some_and(|p| crc32(p) == crc))
+        self.entries()
+            .all(|(_, off, len, crc)| blob.get(off..off + len).is_some_and(|p| crc32(p) == crc))
     }
 
     /// Ids of the changed regions, in frame order.
     pub fn changed_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.entries.iter().map(|&(id, ..)| id)
+        self.entries().map(|(id, ..)| id)
     }
 
     /// Zero-copy payload views `(id, bytes)` in frame order. Slices of the
     /// blob's allocation — no payload is copied. Only meaningful after
     /// [`Self::verify_payloads`] passed on the same blob.
-    pub fn payloads(&self, blob: &Bytes) -> Vec<(u32, Bytes)> {
-        self.entries
-            .iter()
-            .map(|&(id, off, len, _)| (id, blob.slice(off..off + len)))
-            .collect()
+    pub fn payloads<'a>(&'a self, blob: &'a Bytes) -> impl Iterator<Item = (u32, Bytes)> + 'a {
+        self.entries()
+            .map(|(id, off, len, _)| (id, blob.slice(off..off + len)))
     }
 }
 
@@ -751,69 +793,56 @@ impl FrameMeta {
 /// All structural checks run here — magic, counts, payload extents,
 /// trailing garbage, and the meta CRC — so a `Some` return means the
 /// frame's *shape* and chain reference are trustworthy; only the payload
-/// checksums remain. Returns `None` on anything malformed.
+/// checksums remain. Returns `None` on anything malformed. Allocates
+/// nothing: the meta it returns reads the blob's own meta table.
 pub fn parse_meta(blob: &Bytes) -> Option<FrameMeta> {
     if blob.get(..4)? != MAGIC.as_slice() {
         return None;
     }
     let stored_crc = u32::from_le_bytes(blob.get(4..8)?.try_into().ok()?);
     let body = blob.get(8..)?;
-    let mut off = 0usize;
-    let take = |off: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = body.get(*off..*off + n)?;
-        *off += n;
-        Some(s)
-    };
-    let base_ref = u64::from_le_bytes(take(&mut off, 8)?.try_into().ok()?);
-    let changed_count = u32::from_le_bytes(take(&mut off, 4)?.try_into().ok()?) as usize;
-    let unchanged_count = u32::from_le_bytes(take(&mut off, 4)?.try_into().ok()?) as usize;
-    // Guard against absurd counts from corrupt headers before allocating.
+    let base_ref = u64::from_le_bytes(body.get(..8)?.try_into().ok()?);
+    let changed_count = u32::from_le_bytes(body.get(8..12)?.try_into().ok()?) as usize;
+    let unchanged_count = u32::from_le_bytes(body.get(12..16)?.try_into().ok()?) as usize;
+    // Guard against absurd counts from corrupt headers before slicing.
     let meta_need = changed_count
         .saturating_mul(16)
         .saturating_add(unchanged_count.saturating_mul(4));
     if meta_need > body.len() {
         return None;
     }
-    let mut unchanged = Vec::with_capacity(unchanged_count);
-    for _ in 0..unchanged_count {
-        unchanged.push(u32::from_le_bytes(take(&mut off, 4)?.try_into().ok()?));
-    }
-    let mut raw_entries = Vec::with_capacity(changed_count);
-    for _ in 0..changed_count {
-        let id = u32::from_le_bytes(take(&mut off, 4)?.try_into().ok()?);
-        let len = u64::from_le_bytes(take(&mut off, 8)?.try_into().ok()?) as usize;
-        let crc = u32::from_le_bytes(take(&mut off, 4)?.try_into().ok()?);
-        raw_entries.push((id, len, crc));
-    }
+    let (unchanged_end, meta_end) = (16 + 4 * unchanged_count, 16 + meta_need);
     // The seeded chaos mutant skips the meta check here and the payload
     // checks in `FrameMeta::verify_payloads`, re-enabling the
     // garbage-restore path the CRCs exist to close.
     #[cfg(not(feature = "chaos-mutants"))]
-    if crc32(body.get(..off)?) != stored_crc {
+    if crc32(body.get(..meta_end)?) != stored_crc {
         return None;
     }
     #[cfg(feature = "chaos-mutants")]
     let _ = stored_crc;
 
-    let mut entries = Vec::with_capacity(changed_count);
-    for (id, len, crc) in raw_entries {
+    let mut off = meta_end;
+    for entry in body.get(unchanged_end..meta_end)?.chunks_exact(16) {
+        let len = u64::from_le_bytes(entry.get(4..12)?.try_into().ok()?) as usize;
         if len > body.len() || off.checked_add(len)? > body.len() {
             return None;
         }
-        entries.push((id, 8 + off, len, crc));
         off += len;
     }
     if off != body.len() {
         return None; // trailing garbage
     }
     let base_version = base_ref.checked_sub(1);
-    if base_version.is_none() && !unchanged.is_empty() {
+    if base_version.is_none() && unchanged_count != 0 {
         return None; // a full frame cannot reference unchanged regions
     }
     Some(FrameMeta {
         base_version,
-        unchanged,
-        entries,
+        unchanged: blob.slice(8 + 16..8 + unchanged_end),
+        entries: blob.slice(8 + unchanged_end..8 + meta_end),
+        payloads_at: 8 + meta_end,
+        payload_bytes: off - meta_end,
     })
 }
 
@@ -831,8 +860,8 @@ pub fn unpack(blob: &Bytes) -> Option<Frame> {
     }
     Some(Frame {
         base_version: meta.base_version,
-        changed: meta.payloads(blob),
-        unchanged: meta.unchanged,
+        changed: meta.payloads(blob).collect(),
+        unchanged: meta.unchanged().collect(),
     })
 }
 
@@ -960,7 +989,7 @@ mod tests {
     fn seal_hands_over_the_builders_buffer() {
         // The frame a region serialized into *is* the sealed blob: `seal`
         // moves the buffer into the `Bytes`, it does not copy it.
-        let mut b = FrameBuilder::new(pool(), None, &[(1, 4096), (2, 16)], &[]);
+        let mut b = FrameBuilder::new(pool(), None, [(1, 4096), (2, 16)], &[]);
         assert!(b.put_payload(&[1; 4096]));
         assert!(!b.put_payload(&[2; 15]), "a payload of another length");
         assert!(b.put_payload(&[2; 16]));
@@ -1097,8 +1126,8 @@ mod tests {
             assert!(meta.verify_payloads(blob));
             let frame = unpack(blob).unwrap();
             assert_eq!(meta.base_version, frame.base_version);
-            assert_eq!(meta.unchanged, frame.unchanged);
-            assert_eq!(meta.payloads(blob), frame.changed);
+            assert_eq!(meta.unchanged().collect::<Vec<_>>(), frame.unchanged);
+            assert_eq!(meta.payloads(blob).collect::<Vec<_>>(), frame.changed);
             assert_eq!(
                 meta.payload_bytes(),
                 frame.changed.iter().map(|(_, p)| p.len()).sum::<usize>()

@@ -40,7 +40,7 @@ fn main() {
                 backend: IntegratedBackend::Redstore {
                     mode: Some(RedundancyMode::Replicate { k: 2 }),
                 },
-                aliases: vec![],
+                aliases: &[],
                 on_exhaustion: ExhaustPolicy::Abort,
                 partial_rollback: false,
             };

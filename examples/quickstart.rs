@@ -51,7 +51,7 @@ fn main() {
                         ContextConfig {
                             name: "quickstart".into(),
                             filter: CheckpointFilter::EveryN(5),
-                            aliases: vec![],
+                            aliases: &[],
                         },
                     ));
                 } else {

@@ -77,7 +77,7 @@ doc_budget() { # file bytes
   fi
 }
 doc_budget DESIGN.md 118235
-doc_budget CHANGES.md 143238
+doc_budget CHANGES.md 145874
 doc_budget EXPERIMENTS.md 95363
 [ "$budgets_ok" -eq 1 ]
 end
@@ -110,6 +110,9 @@ cargo test -q
 # bytes, views zeroing a recycled buffer, and the page-fault test of a
 # fresh buffer (release only).
 cargo test -q --release -p cluster -p veloc -p redstore -p kokkos
+# The resilience layers' allocation count on the optimised build, which the
+# benchmark runs; debug builds add the witnesses' own allocations.
+cargo test -q --release -p apps --test alloc_budget
 end
 
 begin "chaos: smoke campaign + seeded integrity mutant"

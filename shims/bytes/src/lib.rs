@@ -15,6 +15,8 @@
 //!   `From<&'static [u8]>` (borrowed bytes have to be moved into owned
 //!   storage), and [`Bytes::to_vec`] on the way out.
 //! * **share** — `clone` and [`Bytes::slice`] bump a reference count.
+//! * **nothing** — an empty buffer ([`Bytes::new`], or an empty `Vec`)
+//!   has no owner, so it allocates nothing and its clones count nothing.
 
 // No host clock, threads or blocking waits (clippy.toml) and no hash-order
 // iteration on a rank's path (DESIGN.md §10).
@@ -34,16 +36,20 @@ type Owner = dyn AsRef<[u8]> + Send + Sync;
 /// A cheaply cloneable slice of an immutable, shared byte buffer.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<Owner>,
+    /// `None` for the empty buffer of [`Bytes::new`].
+    data: Option<Arc<Owner>>,
     off: usize,
     len: usize,
 }
 
 impl Bytes {
-    /// The empty buffer. Allocates the shared header (a few words), no
-    /// payload storage.
-    pub fn new() -> Self {
-        Bytes::from(Vec::new())
+    /// The empty buffer. Allocates nothing.
+    pub const fn new() -> Self {
+        Bytes {
+            data: None,
+            off: 0,
+            len: 0,
+        }
     }
 
     /// Copy a static slice into a new shared buffer — one copy; unlike the
@@ -69,7 +75,7 @@ impl Bytes {
     {
         let len = owner.as_ref().len();
         Bytes {
-            data: Arc::new(owner),
+            data: Some(Arc::new(owner)),
             off: 0,
             len,
         }
@@ -101,7 +107,7 @@ impl Bytes {
             self.len
         );
         Bytes {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             off: self.off + start,
             len: end - start,
         }
@@ -121,7 +127,10 @@ impl Default for Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &(*self.data).as_ref()[self.off..self.off + self.len]
+        match &self.data {
+            Some(owner) => &(**owner).as_ref()[self.off..self.off + self.len],
+            None => &[],
+        }
     }
 }
 
@@ -131,12 +140,16 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
-/// Takes ownership of the `Vec`'s buffer: O(1), the bytes do not move.
+/// Takes ownership of the `Vec`'s buffer: O(1), the bytes do not move. An
+/// empty `Vec` becomes [`Bytes::new`].
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
+        if v.is_empty() {
+            return Bytes::new();
+        }
         let len = v.len();
         Bytes {
-            data: Arc::new(v),
+            data: Some(Arc::new(v)),
             off: 0,
             len,
         }
@@ -207,7 +220,10 @@ mod tests {
         assert_eq!(s.len(), 3);
         let c = b.clone();
         assert_eq!(c, b);
-        assert!(Arc::ptr_eq(&c.data, &s.data));
+        let (Some(c), Some(s)) = (&c.data, &s.data) else {
+            panic!("a non-empty buffer has an owner");
+        };
+        assert!(Arc::ptr_eq(c, s));
     }
 
     #[test]
@@ -273,6 +289,9 @@ mod tests {
     #[test]
     fn empty_and_static() {
         assert!(Bytes::new().is_empty());
+        assert!(Bytes::new().data.is_none(), "the empty buffer has no owner");
+        assert!(Bytes::from(Vec::with_capacity(8)).data.is_none());
+        assert_eq!(&Bytes::new().slice(..)[..], b"");
         assert_eq!(&Bytes::from_static(b"abc")[..], b"abc");
     }
 

@@ -57,7 +57,7 @@ fn figure4_pattern_survives_two_failures() {
                             ContextConfig {
                                 name: "fig4".into(),
                                 filter: CheckpointFilter::EveryN(4),
-                                aliases: vec![],
+                                aliases: &[],
                             },
                         ));
                     } else {
