@@ -29,6 +29,13 @@
 //! with a warning when the two differ by more than 10 %, and each side's
 //! median resilience work E = Nf + Fail − 2·Ref in raw seconds, read from
 //! every pass's raw seconds and `host_resilience_ratio`.
+//!
+//! When the two sides' median slow-downs differ by more than the parent's
+//! interquartile range of them, the mix itself ran differently, and each
+//! calibrated metric ([`CALIBRATED`]) with a verdict is cross-checked: it
+//! is judged again, by the same rule, on its raw seconds, printed beside
+//! it, and a gain stands only when both verdicts show it. Bounds stay on
+//! the calibrated metric.
 
 use telemetry::Json;
 
@@ -41,6 +48,17 @@ pub const CLAIM: &str = "host_pass_s";
 /// The uncalibrated pass seconds a log prints beside its metrics, on its
 /// `samples raw_pass_s:` line.
 pub const RAW: &str = "raw_pass_s";
+
+/// Each pass's calibration slow-down: raw seconds per reported second.
+const SLOWDOWN: &str = "slowdown";
+
+/// The host metrics made of raw seconds over the calibration slow-down.
+/// Per pass, a sample times its pass's slow-down is its raw reading: the
+/// pass's raw seconds exactly for `host_pass_s`, and for the fail run's
+/// seconds the raw time at the pass's mean slow-down. `setup_s` is
+/// calibrated by the warm-up pass's slow-down, which no log prints, so it
+/// has no raw reading, and a cross-check of it never shows a gain.
+pub const CALIBRATED: [&str; 3] = ["host_pass_s", "host_fail_run_s", "setup_s"];
 
 /// How far one end-to-end metric may get worse: its `bound`, a fraction
 /// of the parent's median, and which way is better.
@@ -85,6 +103,8 @@ pub struct Run {
     raw_pass_s: Option<f64>,
     /// Every pass's calibration slow-down.
     slowdowns: Vec<f64>,
+    /// The raw reading of each [`CALIBRATED`] metric that has one.
+    raw_calibrated: Vec<(&'static str, f64)>,
     /// Every pass's resilience work E, in raw seconds.
     resilience_e: Vec<f64>,
 }
@@ -114,11 +134,29 @@ impl Run {
             .zip(samples(log, "host_resilience_ratio"))
             .map(|(raw, r)| 2.0 * raw / (1.0 + 2.0 * r) * (r - 1.0))
             .collect();
+        let slowdowns = groups(log, SLOWDOWN);
+        let raw_calibrated = CALIBRATED
+            .into_iter()
+            .filter_map(|name| {
+                let (calibrated, slowdowns) = (groups(log, name)?, slowdowns.as_ref()?);
+                let shaped = calibrated.len() == slowdowns.len()
+                    && calibrated
+                        .iter()
+                        .zip(slowdowns)
+                        .all(|(c, s)| c.len() == s.len());
+                let raw = calibrated
+                    .iter()
+                    .zip(slowdowns)
+                    .map(|(c, s)| c.iter().zip(s).map(|(c, s)| c * s).collect::<Vec<_>>());
+                shaped.then(|| (name, run_value(&raw.collect::<Vec<_>>())))
+            })
+            .collect();
         Ok(Run {
             metrics,
             fingerprint: fingerprint.to_owned(),
-            raw_pass_s: raw_pass_s(log),
-            slowdowns: samples(log, "slowdown"),
+            raw_pass_s: groups(log, RAW).map(|g| run_value(&g)),
+            slowdowns: samples(log, SLOWDOWN),
+            raw_calibrated,
             resilience_e,
         })
     }
@@ -127,27 +165,37 @@ impl Run {
         let found = self.metrics.iter().find(|(n, ..)| n == name);
         found.map(|&(_, v, _)| v)
     }
+
+    fn raw(&self, name: &str) -> Option<f64> {
+        let found = self.raw_calibrated.iter().find(|(n, _)| *n == name);
+        found.map(|&(_, v)| v)
+    }
 }
 
-/// A run's [`RAW`] seconds from its `samples raw_pass_s: a b | c d` line,
-/// one group per scenario, by the benchmark's rule for a run's value: the
-/// mean over scenarios of each scenario's median.
-fn raw_pass_s(log: &str) -> Option<f64> {
+/// The groups of a log's `samples NAME: a b | c d` line, one per
+/// scenario; `None` without the line, or when a value does not parse or a
+/// group is empty.
+fn groups(log: &str, name: &str) -> Option<Vec<Vec<f64>>> {
     let line = log.lines().find_map(|l| {
         let rest = l.trim_start().strip_prefix("samples ")?;
-        rest.strip_prefix(RAW)?.strip_prefix(':')
+        rest.strip_prefix(name)?.strip_prefix(':')
     })?;
-    let medians = line
-        .split('|')
+    line.split('|')
         .map(|group| {
             let v: Vec<f64> = group
                 .split_whitespace()
                 .map(|x| x.parse().ok())
                 .collect::<Option<_>>()?;
-            (!v.is_empty()).then(|| quartiles(&v)[1])
+            (!v.is_empty()).then_some(v)
         })
-        .collect::<Option<Vec<f64>>>()?;
-    Some(medians.iter().sum::<f64>() / medians.len() as f64)
+        .collect()
+}
+
+/// A run's value from its samples' groups, by the benchmark's rule: the
+/// mean over scenarios of each scenario's median.
+fn run_value(groups: &[Vec<f64>]) -> f64 {
+    let medians = groups.iter().map(|g| quartiles(g)[1]);
+    medians.sum::<f64>() / groups.len() as f64
 }
 
 /// Every value of a log's `samples NAME: a b | c d` line, in order.
@@ -228,6 +276,21 @@ impl Sides {
         }
     }
 
+    /// The gain rule's verdict, the median gain and the parent's
+    /// interquartile range it is held against.
+    fn verdict(&self, higher: bool) -> (&'static str, f64, f64) {
+        let ([pq1, pm, pq3], cm) = (self.parent, self.change[1]);
+        let gap = if higher { cm - pm } else { pm - cm };
+        let iqr = pq3 - pq1;
+        let won = 10 * self.wins >= 9 * self.n;
+        let verdict = match (won && gap > iqr, self.n >= 10) {
+            (true, true) => "improved",
+            (true, false) => "consistent with a gain (a claim needs 10 pairs)",
+            (false, _) => NOT_SHOWN,
+        };
+        (verdict, gap, iqr)
+    }
+
     fn summary(&self) -> String {
         let ([pq1, pm, pq3], [cq1, cm, cq3]) = (self.parent, self.change);
         format!(
@@ -240,6 +303,9 @@ impl Sides {
         )
     }
 }
+
+/// The verdict of a metric whose pairs do not show a gain.
+const NOT_SHOWN: &str = "not shown";
 
 /// Judge `pairs` of `(parent, change)` runs, made alternately, on the
 /// `claim`ed metric and on each host metric in `bounds`, and hold each
@@ -256,6 +322,17 @@ pub fn compare(pairs: &[(Run, Run)], claim: &str, bounds: &[Bound]) -> GateRepor
     report
         .lines
         .push(format!("{n} pairs, parent and change alternating"));
+    let pooled = |side: &dyn Fn(&(Run, Run)) -> &Vec<f64>| {
+        let all: Vec<f64> = pairs.iter().flat_map(|p| side(p).iter().copied()).collect();
+        (!all.is_empty()).then(|| quartiles(&all))
+    };
+    let slowdown = (pooled(&|p| &p.0.slowdowns), pooled(&|p| &p.1.slowdowns));
+    // The mix ran differently on the two sides: calibrated gains need
+    // their raw seconds' consent.
+    let cross_check = match slowdown {
+        (Some([pq1, p, pq3]), Some([_, c, _])) => (c - p).abs() > pq3 - pq1,
+        _ => false,
+    };
     let mut mismatches = 0;
     for (name, _, unit) in &first.metrics {
         let values: Option<Vec<(f64, f64)>> = pairs
@@ -309,15 +386,36 @@ pub fn compare(pairs: &[(Run, Run)], claim: &str, bounds: &[Bound]) -> GateRepor
             }
         }
         if name == claim || bound.is_some() {
-            let ([pq1, pm, pq3], cm) = (s.parent, s.change[1]);
-            let gap = if higher { cm - pm } else { pm - cm };
-            let iqr = pq3 - pq1;
-            let won = 10 * s.wins >= 9 * n;
-            let verdict = match (won && gap > iqr, n >= 10) {
-                (true, true) => "improved",
-                (true, false) => "consistent with a gain (a claim needs 10 pairs)",
-                (false, _) => "not shown",
-            };
+            let (mut verdict, gap, iqr) = s.verdict(higher);
+            if cross_check && CALIBRATED.contains(&name.as_str()) && verdict != NOT_SHOWN {
+                let raw: Option<Vec<(f64, f64)>> = pairs
+                    .iter()
+                    .map(|(p, c)| Some((p.raw(name)?, c.raw(name)?)))
+                    .collect();
+                let raw_verdict = match raw {
+                    Some(raw) => {
+                        let r = Sides::of(&raw, higher);
+                        let (raw_verdict, gap, iqr) = r.verdict(higher);
+                        report.lines.push(format!(
+                            "{name} raw [{unit}, cross-check]: {}; {raw_verdict}: median gain \
+                             {gap:.4} {unit} against the parent's IQR {iqr:.4} {unit}",
+                            r.summary()
+                        ));
+                        raw_verdict
+                    }
+                    None => {
+                        report
+                            .lines
+                            .push(format!("{name} raw: no raw reading in the logs"));
+                        NOT_SHOWN
+                    }
+                };
+                if raw_verdict == NOT_SHOWN {
+                    verdict = "not shown (the calibration mix ran differently on the two \
+                               sides, and the raw seconds do not show the gain)";
+                }
+            }
+            let (pm, cm) = (s.parent[1], s.change[1]);
             report.lines.push(format!(
                 "verdict: {name} {verdict}: change better in {}/{n} pairs (needs 9/10), \
                  median gain {gap:.4} {unit} against the parent's IQR {iqr:.4} {unit} \
@@ -338,16 +436,8 @@ pub fn compare(pairs: &[(Run, Run)], claim: &str, bounds: &[Bound]) -> GateRepor
         ),
         None => format!("{RAW}: missing from a log (information only)"),
     });
-    let median_of = |side: &dyn Fn(&(Run, Run)) -> &Vec<f64>| {
-        let all: Vec<f64> = pairs.iter().flat_map(|p| side(p).iter().copied()).collect();
-        (!all.is_empty()).then(|| quartiles(&all)[1])
-    };
-    let slowdown = (
-        median_of(&|p| &p.0.slowdowns),
-        median_of(&|p| &p.1.slowdowns),
-    );
     report.lines.push(match slowdown {
-        (Some(p), Some(c)) => {
+        (Some([pq1, p, pq3]), Some([_, c, _])) => {
             let differ = (c - p) / p * 100.0;
             let mut line = format!(
                 "slowdown [calibration mix, information only]: parent median {p:.4}, change median {c:.4}"
@@ -358,14 +448,21 @@ pub fn compare(pairs: &[(Run, Run)], claim: &str, bounds: &[Bound]) -> GateRepor
                      move with the mix as well as with the change (compare {RAW})"
                 ));
             }
+            if cross_check {
+                line.push_str(&format!(
+                    "; the medians differ by more than the parent's IQR {:.4}: calibrated \
+                     gains were cross-checked on raw seconds",
+                    pq3 - pq1
+                ));
+            }
             line
         }
         _ => "slowdown: missing from a log (information only)".to_owned(),
     });
     report.lines.push(
         match (
-            median_of(&|p| &p.0.resilience_e),
-            median_of(&|p| &p.1.resilience_e),
+            pooled(&|p| &p.0.resilience_e).map(|q| q[1]),
+            pooled(&|p| &p.1.resilience_e).map(|q| q[1]),
         ) {
             (Some(p), Some(c)) => format!(
                 "resilience work E = Nf + Fail - 2 Ref [s, raw, information only]: \
@@ -597,6 +694,126 @@ mod tests {
             slow.contains("warning: the medians differ by -20.0 %"),
             "{slow}"
         );
+    }
+
+    /// A one-pass run with the samples lines the cross-check reads: its
+    /// calibrated pass seconds, the slow-down around them, and a setup.
+    fn calibrated(pass_s: f64, slowdown: f64, setup_s: f64) -> Run {
+        Run::parse(&format!(
+            "    samples host_pass_s: {pass_s}\n    samples slowdown: {slowdown}\n\
+             \x20   samples raw_pass_s: {}\n    virtual_fingerprint 00ff\n\
+             {{\"correct\": true, \"attempted\": 3, \"failed\": 0, \"metrics\": {{\
+             \"host_pass_s\": {{\"value\": {pass_s}, \"unit\": \"s\"}}, \
+             \"setup_s\": {{\"value\": {setup_s}, \"unit\": \"s\"}}}}}}\n",
+            pass_s * slowdown
+        ))
+        .unwrap()
+    }
+
+    /// Ten pairs: the parent's pass seconds spread a little, the change's
+    /// `gain` lower; each side's slow-down from its function of the pair.
+    fn shifted(
+        gain: f64,
+        parent_slowdown: impl Fn(f64) -> f64,
+        change_slowdown: f64,
+        setups: (f64, f64),
+    ) -> Vec<(Run, Run)> {
+        (0..10)
+            .map(|i| {
+                let (i, p) = (f64::from(i), 2.0 + f64::from(i) * 0.01);
+                (
+                    calibrated(p, parent_slowdown(i), setups.0),
+                    calibrated(p - gain, change_slowdown, setups.1),
+                )
+            })
+            .collect()
+    }
+
+    fn line<'a>(r: &'a GateReport, prefix: &str) -> Option<&'a str> {
+        r.lines
+            .iter()
+            .find(|l| l.starts_with(prefix))
+            .map(String::as_str)
+    }
+
+    #[test]
+    fn a_slowdown_shift_inside_the_parents_spread_is_not_cross_checked() {
+        // Parent slow-downs 1.40 .. 1.58 (IQR ~0.1); the change's 1.5 sits
+        // inside them, and its raw seconds would read no gain at all.
+        let p = shifted(0.3, |i| 1.4 + 0.02 * i, 1.5, (1.0, 1.0));
+        let r = compare(&p, CLAIM, &[]);
+        assert!(r.ok(), "{:?}", r.failures);
+        assert!(verdict(&r).starts_with("verdict: host_pass_s improved"));
+        assert!(line(&r, "host_pass_s raw").is_none());
+        assert!(!line(&r, "slowdown").unwrap().contains("cross-checked"));
+    }
+
+    #[test]
+    fn past_the_parents_spread_a_gain_the_raw_seconds_share_stands() {
+        // The change's mix ran faster (1.3 against 1.5), and its raw
+        // seconds are lower still: 2.1 × 1.3 against 2.4 × 1.5.
+        let r = compare(&shifted(0.3, |_| 1.5, 1.3, (1.0, 1.0)), CLAIM, &[]);
+        assert!(r.ok(), "{:?}", r.failures);
+        assert!(verdict(&r).starts_with("verdict: host_pass_s improved: change better in 10/10"));
+        assert_eq!(
+            line(&r, "host_pass_s raw"),
+            Some(
+                "host_pass_s raw [s, cross-check]: parent 3.0675 (q1 3.0263, q3 3.1087), \
+                 change 2.2685 (q1 2.2328, q3 2.3042), -26.05 %, change better in 10/10 pairs, \
+                 worse in 0; improved: median gain 0.7990 s against the parent's IQR 0.0825 s"
+            )
+        );
+        assert!(line(&r, "slowdown")
+            .unwrap()
+            .contains("cross-checked on raw seconds"));
+    }
+
+    #[test]
+    fn past_the_parents_spread_a_gain_the_raw_seconds_lack_is_not_shown() {
+        // Calibrated 0.2 s faster, but the mix ran slower (1.8 against
+        // 1.5): raw, the change is 8 % slower in every pair.
+        let b = [Bound {
+            name: CLAIM.into(),
+            bound: 0.05,
+            higher: false,
+        }];
+        let r = compare(&shifted(0.2, |_| 1.5, 1.8, (1.0, 1.0)), CLAIM, &b);
+        assert!(
+            verdict(&r).starts_with(
+                "verdict: host_pass_s not shown (the calibration mix ran differently on the \
+                 two sides, and the raw seconds do not show the gain): change better in 10/10"
+            ),
+            "{}",
+            verdict(&r)
+        );
+        assert!(line(&r, "host_pass_s raw")
+            .unwrap()
+            .contains("worse in 10; not shown"));
+        // The bound stays on the calibrated metric, which got better.
+        assert!(r.ok(), "{:?}", r.failures);
+    }
+
+    #[test]
+    fn past_the_parents_spread_a_gain_without_a_raw_reading_is_not_shown() {
+        let b = bounds(
+            r#"{"end_to_end": [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]}"#,
+        )
+        .unwrap();
+        // Setup halved, and the pass seconds level.
+        let r = compare(&shifted(0.0, |_| 1.5, 1.3, (1.0, 0.5)), CLAIM, &b);
+        assert!(r.ok(), "{:?}", r.failures);
+        assert_eq!(
+            line(&r, "setup_s raw"),
+            Some("setup_s raw: no raw reading in the logs")
+        );
+        let setup = line(&r, "verdict: setup_s").unwrap();
+        assert!(
+            setup.starts_with("verdict: setup_s not shown (the calibration mix"),
+            "{setup}"
+        );
+        // The same halving with the mix level on both sides stands.
+        let r = compare(&shifted(0.0, |_| 1.5, 1.5, (1.0, 0.5)), CLAIM, &b);
+        assert!(line(&r, "verdict: setup_s improved").is_some());
     }
 
     #[test]

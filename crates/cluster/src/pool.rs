@@ -38,7 +38,7 @@ use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::ops::{Deref, DerefMut, Range};
 use std::ptr::NonNull;
-use std::sync::LazyLock;
+use std::sync::{Arc, LazyLock};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -283,23 +283,35 @@ impl Unfilled for Vec<u8> {
     }
 }
 
-/// A buffer from [`Pool::take`]: `len` bytes at the start of one
-/// allocation, which it frees with the [`Layout`] it was allocated with —
-/// a `Vec<u8>` would free a 2 MiB-aligned block as a byte-aligned one.
+/// A buffer from [`Pool::take`]: `len` bytes of one allocation ([`Store`]).
 /// Its bytes are unwritten capacity ([`Unfilled`]) until a writer writes
 /// them, front to back; it reads as the bytes written so far. Taken at
 /// [`MIN_POOLED`] bytes or more, it goes back to its pool when it drops.
 pub struct PoolBuf {
-    /// The allocation; dangling (and [`MIN_ALIGN`]-aligned) when the
-    /// layout's size is zero.
+    /// The first byte; dangling (and [`MIN_ALIGN`]-aligned) when the
+    /// store holds none.
     ptr: NonNull<u8>,
     len: usize,
     /// Bytes `[0, written)` are initialised: `written` grows only by what
     /// a [`Cursor`] holds written.
     written: usize,
-    layout: Layout,
+    store: Store,
     /// Where it goes when it drops; none (freed) if small or in the pool.
     pool: Option<&'static Pool>,
+}
+
+/// What holds a [`PoolBuf`]'s bytes.
+enum Store {
+    /// An allocation at `ptr` of exactly this layout, freed with it (a
+    /// `Vec<u8>` would free a 2 MiB-aligned block as a byte-aligned one):
+    /// a buffer of a pooled size, or none at all when its size is zero.
+    Raw(Layout),
+    /// A reference-counted slice that only this buffer holds, `ptr` the
+    /// first [`MIN_ALIGN`]-aligned byte in it, every byte around the
+    /// buffer's `len` already written: a buffer under [`MIN_POOLED`], which
+    /// [`Pool::share`] hands on as it is, so the frame and its handle are
+    /// one allocation.
+    Counted(Arc<[MaybeUninit<u8>]>),
 }
 
 // SAFETY: a `PoolBuf` owns its allocation outright, as a `Vec<u8>` does,
@@ -330,7 +342,7 @@ impl PoolBuf {
             ptr,
             len,
             written: 0,
-            layout,
+            store: Store::Raw(layout),
             pool: None,
         };
         if let Some(spans) = buf.unwritten().get_mut(advised) {
@@ -339,9 +351,41 @@ impl PoolBuf {
         buf
     }
 
+    /// A new buffer of `len` bytes under [`MIN_POOLED`], in no pool: a
+    /// counted slice of `len` bytes plus what aligns their start to
+    /// [`MIN_ALIGN`] (the slice's own alignment is a word's), that padding
+    /// written. Nothing of the `len` bytes is written.
+    fn counted(len: usize) -> PoolBuf {
+        const PAD: usize = MIN_ALIGN - std::mem::align_of::<usize>();
+        if len == 0 {
+            return PoolBuf::default();
+        }
+        let mut slice = Arc::<[u8]>::new_uninit_slice(len + PAD);
+        // A new slice has one holder: this never falls back.
+        let Some(bytes) = Arc::get_mut(&mut slice) else {
+            return PoolBuf::fresh(len);
+        };
+        let front = bytes.as_ptr().align_offset(MIN_ALIGN).min(PAD);
+        let (head, rest) = bytes.split_at_mut(front);
+        head.fill(MaybeUninit::new(0));
+        let (body, tail) = rest.split_at_mut(len);
+        tail.fill(MaybeUninit::new(0));
+        let ptr = NonNull::from(body).cast::<u8>();
+        PoolBuf {
+            ptr,
+            len,
+            written: 0,
+            store: Store::Counted(slice),
+            pool: None,
+        }
+    }
+
     /// The bytes of its allocation: the most it can be taken for again.
     fn capacity(&self) -> usize {
-        self.layout.size()
+        match &self.store {
+            Store::Raw(layout) => layout.size(),
+            Store::Counted(_) => self.len,
+        }
     }
 
     /// Bytes `[written, len)`.
@@ -423,7 +467,7 @@ impl Default for PoolBuf {
             ptr: NonNull::<Aligned>::dangling().cast(),
             len: 0,
             written: 0,
-            layout: Layout::new::<[Aligned; 0]>(),
+            store: Store::Raw(Layout::new::<[Aligned; 0]>()),
             pool: None,
         }
     }
@@ -432,10 +476,10 @@ impl Default for PoolBuf {
 impl Deref for PoolBuf {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        // SAFETY: `ptr` is valid for `layout.size() >= len >= written`
-        // bytes (or dangling, aligned and `written == 0`), the first
-        // `written` of them initialised (`PoolBuf::written`), and `&self`
-        // keeps them from being written.
+        // SAFETY: `ptr` is valid for `len >= written` bytes of its store
+        // (or dangling, aligned and `written == 0`), the first `written`
+        // of them initialised (`PoolBuf::written`), and `&self` keeps them
+        // from being written.
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.written) }
     }
 }
@@ -459,13 +503,17 @@ impl Drop for PoolBuf {
             // Moved whole, in no pool, into the pool; `self` is left empty.
             return pool.give_back(std::mem::take(self));
         }
-        if self.layout.size() == 0 {
+        // A counted slice frees itself with its last holder.
+        let Store::Raw(layout) = self.store else {
+            return;
+        };
+        if layout.size() == 0 {
             return;
         }
-        track(self.layout, false);
+        track(layout, false);
         // SAFETY: `ptr` was allocated by the global allocator with exactly
         // `layout` (`PoolBuf::fresh`) and is freed only here, once.
-        unsafe { alloc::dealloc(self.ptr.as_ptr(), self.layout) };
+        unsafe { alloc::dealloc(self.ptr.as_ptr(), layout) };
     }
 }
 
@@ -550,7 +598,7 @@ impl Pool {
     /// caller writes every byte before it shares the buffer.
     pub fn take(&'static self, len: usize) -> PoolBuf {
         let mut buf = if len < MIN_POOLED {
-            PoolBuf::fresh(len)
+            PoolBuf::counted(len)
         } else {
             // Bound to a name, the evicted buffers are freed after the
             // lock is released, and before the fresh one is allocated.
@@ -567,13 +615,31 @@ impl Pool {
     }
 
     /// Freeze `buf` into [`Bytes`] that own it: it goes back to its pool
-    /// (or, under [`MIN_POOLED`], is freed) when the last handle drops.
+    /// when the last handle drops. One under [`MIN_POOLED`] is handed on
+    /// as its counted slice, which allocates nothing, and is freed then.
     ///
     /// # Panics
     /// Unless every byte of `buf` is written ([`assert_all_written`]).
-    pub fn share(&self, buf: PoolBuf) -> Bytes {
+    pub fn share(&self, mut buf: PoolBuf) -> Bytes {
         assert_all_written(buf.written, buf.len);
-        Bytes::from_owner(buf)
+        if buf.len == 0 {
+            return Bytes::new();
+        }
+        match std::mem::replace(&mut buf.store, Store::Raw(Layout::new::<()>())) {
+            Store::Counted(slice) => {
+                let at = buf.ptr.as_ptr() as usize - slice.as_ptr() as usize;
+                // SAFETY: every byte of the slice is written: the padding
+                // around the buffer by `PoolBuf::counted`, the buffer's own
+                // `len` bytes by its writers (`assert_all_written`). `buf`
+                // is left holding a zero-size store: its drop frees nothing.
+                let slice = unsafe { slice.assume_init() };
+                Bytes::from(slice).slice(at..at + buf.len)
+            }
+            raw => {
+                buf.store = raw;
+                Bytes::from_owner(buf)
+            }
+        }
     }
 
     /// Hits, misses, the bytes retained and outstanding right now, and the
@@ -634,6 +700,14 @@ mod tests {
         );
     }
 
+    /// The alignment a fresh buffer was allocated with.
+    fn raw_align(buf: &PoolBuf) -> usize {
+        match &buf.store {
+            Store::Raw(layout) => layout.align(),
+            Store::Counted(_) => panic!("a fresh buffer is a raw allocation"),
+        }
+    }
+
     fn live() -> [usize; 2] {
         LIVE.with(|live| live.get())
     }
@@ -653,6 +727,24 @@ mod tests {
         let s = POOL.stats();
         assert_eq!((s.hits, s.misses, s.high_water_bytes), (1, 1, MIB));
         assert_eq!((s.retained_bytes, s.outstanding_bytes), (MIB, 0));
+    }
+
+    #[test]
+    fn a_small_buffer_is_shared_in_place_and_aligned() {
+        static POOL: LazyLock<Pool> = LazyLock::new(Pool::default);
+        for len in [1, 7, 8, 2048, MIN_POOLED - 1] {
+            let mut buf = POOL.take(len);
+            let at = buf.ptr.as_ptr().cast_const();
+            assert_eq!(at as usize % MIN_ALIGN, 0, "{len}");
+            let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            buf.put(&data);
+            let shared = POOL.share(buf);
+            assert_eq!(shared.as_ptr(), at, "{len}: shared where it was written");
+            assert_eq!(&shared[..], &data[..]);
+            assert_eq!(&shared.slice(1..)[..], &data[1..]);
+        }
+        assert!(POOL.share(POOL.take(0)).is_empty());
+        assert_eq!(POOL.stats(), PoolStats::default());
     }
 
     #[test]
@@ -711,7 +803,7 @@ mod tests {
             let before = live();
             let buf = PoolBuf::fresh(len);
             assert_eq!(buf.ptr.as_ptr() as usize % HUGE_PAGE, 0, "{len}");
-            assert_eq!((buf.capacity(), buf.layout.align()), (len, HUGE_PAGE));
+            assert_eq!((buf.capacity(), raw_align(&buf)), (len, HUGE_PAGE));
             assert_eq!(live(), [before[0], before[1] + len]);
             drop(buf);
             assert_eq!(live(), before, "freed by the layout it was allocated with");
@@ -724,7 +816,7 @@ mod tests {
             let before = live();
             let buf = PoolBuf::fresh(len);
             assert_eq!(buf.ptr.as_ptr() as usize % MIN_ALIGN, 0, "{len}");
-            assert_eq!((buf.layout.align(), buf.capacity()), (MIN_ALIGN, len));
+            assert_eq!((raw_align(&buf), buf.capacity()), (MIN_ALIGN, len));
             assert!(fresh_plan(len).1.is_empty(), "{len} is advised nowhere");
             assert_eq!(live(), [before[0] + len, before[1]]);
             drop(buf);

@@ -309,13 +309,12 @@ impl Context {
         self.data.wait();
     }
 
-    /// Classify what `label`'s session recorded into its region tables.
-    fn detect(&self, label: &mut Label) {
-        let region = &mut label.region;
+    /// Classify what `session` recorded into `region`'s tables.
+    fn detect(&self, region: &mut RegionMeta, session: &CaptureSession) {
         region.stats.views.clear();
         region.checkpointed.clear();
         let mut next_id = 0u32;
-        label.session.drain(|rec| {
+        session.drain(|rec| {
             let views = &mut region.stats.views;
             // A region touches a handful of allocations: a scan, not a set.
             let class = if self.is_alias(&rec.meta.label) {
@@ -360,9 +359,19 @@ impl Context {
     {
         let at = self.label(label);
         // The session to detect the region's views with, on its first
-        // execution.
+        // execution: the label's own, or a fresh one for a region entered
+        // inside a first execution under its own label, whose session is
+        // still recording for the outer execution.
         let session = self
-            .at(at, |l| (!l.region.detected).then(|| l.session.clone()))
+            .at(at, |l| {
+                (!l.region.detected).then(|| {
+                    if l.session.is_active() {
+                        CaptureSession::new()
+                    } else {
+                        l.session.clone()
+                    }
+                })
+            })
             .flatten();
         let first = session.is_some();
         let mut executions = 0u32;
@@ -380,7 +389,7 @@ impl Context {
             }
             result?;
             executions += 1;
-            self.at(at, |l| self.detect(l));
+            self.at(at, |l| self.detect(&mut l.region, &session));
             rec.emit_with(|| Event::RegionCapture {
                 label: label.to_owned(),
                 views: self

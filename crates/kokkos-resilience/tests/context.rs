@@ -69,6 +69,36 @@ fn detection_classifies_views() {
 }
 
 #[test]
+fn a_region_entered_under_its_own_label_during_detection_detects_every_view() {
+    let c = cluster(1);
+    let report = launch(&c, |ctx| {
+        let kr = Context::new(
+            ctx.cluster(),
+            ctx.world().clone(),
+            config("nest", CheckpointFilter::Never),
+        );
+        let x: View<f64> = View::new_1d("x", 10);
+        let y: View<f64> = View::new_1d("y", 20);
+        let z: View<f64> = View::new_1d("z", 30);
+        kr.checkpoint("loop", 0, || {
+            let _ = x.write();
+            kr.checkpoint("loop", 0, || {
+                let _ = y.write();
+                Ok(())
+            })?;
+            let _ = z.write();
+            Ok(())
+        })?;
+        // The outer execution saw all three views, the inner one's too.
+        let stats = kr.region_stats("loop").expect("region detected");
+        assert_eq!(stats.count(ViewClass::Checkpointed), 3);
+        assert_eq!(kr.checkpoint_bytes("loop"), 8 * 60);
+        Ok(())
+    });
+    assert!(report.all_ok());
+}
+
+#[test]
 fn checkpoint_and_recover_across_contexts() {
     // Simulates a relaunch: first "job" checkpoints, second starts from the
     // latest version and recovers the data.

@@ -137,10 +137,18 @@ pub struct CaptureSession {
 #[derive(Default)]
 struct Session {
     records: Mutex<Vec<CaptureRecord>>,
-    /// The session that was innermost when this one began: active sessions
-    /// form a list from the innermost out, so beginning one allocates
-    /// nothing.
-    outer: Mutex<Option<CaptureSession>>,
+    link: Mutex<Link>,
+}
+
+/// Where an active session sits among the active ones: they form a list
+/// from the innermost out, so beginning one allocates nothing.
+#[derive(Default)]
+struct Link {
+    /// The session that was innermost when this one began.
+    outer: Option<CaptureSession>,
+    /// Times the session began again while already active: it stays where
+    /// it is in the list, and each `end` of one of these takes one back.
+    reentries: usize,
 }
 
 thread_local! {
@@ -172,24 +180,57 @@ impl CaptureSession {
     /// Activate this session on the current thread (sessions nest; the
     /// innermost active session receives the records, and records propagate
     /// to outer sessions as well so nested regions compose).
+    /// A session that is already active (a region re-entered under its own
+    /// label) is not linked a second time: that would make it its own
+    /// outer session.
     pub fn begin(&self) {
         simmpi::task::register(&ACTIVE_PER_TASK);
         ACTIVE.with(|a| {
             let mut active = a.borrow_mut();
-            *self.inner.outer.lock() = active.take();
+            if self.is_active_in(active.as_ref()) {
+                self.inner.link.lock().reentries += 1;
+                return;
+            }
+            self.inner.link.lock().outer = active.take();
             *active = Some(self.clone());
         });
     }
 
-    /// Deactivate the innermost session. Panics if no session is active.
+    /// Deactivate this session's latest `begin`: a re-entry's count, else
+    /// the innermost session. Panics if no session is active.
     pub fn end(&self) {
+        {
+            let mut link = self.inner.link.lock();
+            if link.reentries > 0 {
+                link.reentries -= 1;
+                return;
+            }
+        }
         ACTIVE.with(|a| {
             let mut active = a.borrow_mut();
             let Some(popped) = active.take() else {
                 panic!("no active capture session to end");
             };
-            *active = popped.inner.outer.lock().take();
+            *active = popped.inner.link.lock().outer.take();
         });
+    }
+
+    /// Whether this session is active on this thread.
+    pub fn is_active(&self) -> bool {
+        ACTIVE.with(|a| self.is_active_in(a.borrow().as_ref()))
+    }
+
+    /// Whether this session is in the list of active sessions that starts
+    /// at `innermost`.
+    fn is_active_in(&self, innermost: Option<&CaptureSession>) -> bool {
+        let mut next = innermost.cloned();
+        while let Some(session) = next {
+            if Arc::ptr_eq(&session.inner, &self.inner) {
+                return true;
+            }
+            next = session.inner.link.lock().outer.clone();
+        }
+        false
     }
 
     /// Run a closure with this session active, ending it even on panic.
@@ -264,7 +305,7 @@ pub fn record_access<T: Pod>(view: &View<T>, wrote: bool) {
     let mut next = ACTIVE.with(|a| a.borrow().clone());
     while let Some(session) = next {
         session.note(view, wrote);
-        next = session.inner.outer.lock().clone();
+        next = session.inner.link.lock().outer.clone();
     }
 }
 
@@ -349,6 +390,31 @@ mod tests {
         });
         assert_eq!(outer.records().len(), 1);
         assert_eq!(inner.records().len(), 1);
+    }
+
+    #[test]
+    fn a_session_nested_in_itself_records_once_and_ends_in_order() {
+        let v: View<f64> = View::new_1d("a", 4);
+        let w: View<f64> = View::new_1d("b", 4);
+        let outer = CaptureSession::new();
+        let inner = CaptureSession::new();
+        outer.record(|| {
+            inner.record(|| {
+                outer.record(|| {
+                    outer.record(|| {
+                        let _ = v.read();
+                    });
+                });
+                assert!(capturing(), "the re-entries' ends leave both active");
+                let _ = w.write();
+            });
+            let _ = v.write();
+        });
+        assert!(!capturing());
+        assert_eq!(inner.records().len(), 2);
+        let recs = outer.records();
+        assert_eq!(recs.len(), 2);
+        assert!(recs[0].wrote && recs[1].wrote);
     }
 
     #[test]

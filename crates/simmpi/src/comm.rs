@@ -97,40 +97,6 @@ impl ReduceOp {
     }
 }
 
-/// A short collective contribution stored in the allocation of the
-/// [`Bytes`] that carries it, 8-aligned like every `Pod`'s elements.
-struct Inline {
-    len: usize,
-    words: [u64; 8],
-}
-
-impl Inline {
-    /// `bytes` inline, if they fit.
-    fn new(bytes: &[u8]) -> Option<Self> {
-        let mut words = [0u64; 8];
-        if bytes.len() > std::mem::size_of_val(&words) {
-            return None;
-        }
-        for (word, chunk) in words.iter_mut().zip(bytes.chunks(8)) {
-            let mut b = [0u8; 8];
-            b.iter_mut().zip(chunk).for_each(|(b, c)| *b = *c);
-            *word = u64::from_ne_bytes(b);
-        }
-        Some(Inline {
-            len: bytes.len(),
-            words,
-        })
-    }
-}
-
-impl AsRef<[u8]> for Inline {
-    fn as_ref(&self) -> &[u8] {
-        pod::as_bytes(&self.words)
-            .get(..self.len)
-            .unwrap_or_default()
-    }
-}
-
 /// A communicator's ordered member list — comm rank → global rank — with
 /// the reverse index. Dereferences to the member slice. The world group and
 /// Fenix's resilient group are one instance shared by every member's handle
@@ -432,17 +398,13 @@ impl Comm {
 
     /// `data`'s bytes as a collective contribution, written once, aligned
     /// for any `Pod` so that a receiver reads the elements in place
-    /// ([`pod::cast_slice`]): up to [`Inline`]'s capacity (a scalar, a
-    /// short vector) into the handle's own allocation, longer into a
-    /// buffer of the cluster's pool. Empty data is [`Bytes::new`], which
-    /// allocates nothing.
+    /// ([`pod::cast_slice`]): up to [`Bytes::INLINE`] bytes (a scalar,
+    /// every contribution of a resilience layer) in the handle itself,
+    /// which allocates nothing, longer into a buffer of the cluster's pool.
     fn payload<T: Pod>(&self, data: &[T]) -> Bytes {
         let bytes = pod::as_bytes(data);
-        if bytes.is_empty() {
-            return Bytes::new();
-        }
-        if let Some(inline) = Inline::new(bytes) {
-            return Bytes::from_owner(inline);
+        if bytes.len() <= Bytes::INLINE {
+            return Bytes::copy_from_slice(bytes);
         }
         let pool = self.router.cluster().pool();
         let mut buf = pool.take(bytes.len());

@@ -67,6 +67,10 @@ fn whole<T: Pod>(bytes: &[u8]) -> usize {
 /// View bytes as the typed slice they hold (zero copy). Panics unless
 /// they are aligned for `T` and a whole number of `T`s long.
 pub fn cast_slice<T: Pod>(bytes: &[u8]) -> &[T] {
+    if bytes.is_empty() && !bytes.as_ptr().cast::<T>().is_aligned() {
+        // Empty bytes may sit anywhere (an empty `Bytes` owns no storage).
+        return &[];
+    }
     let n = whole::<T>(bytes);
     // SAFETY: `whole` checked the start is aligned for T and the length is
     // `n` whole Ts; T is Pod, so every byte pattern is a valid value, and
@@ -76,6 +80,9 @@ pub fn cast_slice<T: Pod>(bytes: &[u8]) -> &[T] {
 
 /// [`cast_slice`], mutably: writing any T leaves valid bytes behind.
 pub fn cast_slice_mut<T: Pod>(bytes: &mut [u8]) -> &mut [T] {
+    if bytes.is_empty() && !bytes.as_ptr().cast::<T>().is_aligned() {
+        return &mut [];
+    }
     let n = whole::<T>(bytes);
     // SAFETY: as in `cast_slice`; the unique borrow of `bytes` carries
     // over, and a T (Pod, no padding) written through it leaves every byte
@@ -151,6 +158,14 @@ mod tests {
     fn cast_slice_refuses_a_misaligned_start() {
         let xs = [0u64; 2];
         cast_slice::<u64>(&as_bytes(&xs)[1..9]);
+    }
+
+    #[test]
+    fn empty_bytes_cast_at_any_address() {
+        let xs = [0u64; 2];
+        let odd = &as_bytes(&xs)[1..1];
+        assert!(cast_slice::<f64>(odd).is_empty());
+        assert!(cast_slice::<u64>(&[]).is_empty());
     }
 
     #[test]

@@ -151,6 +151,23 @@ fn reduce_to_nonzero_root() {
 }
 
 #[test]
+fn collectives_over_an_empty_slice_complete() {
+    for n in [1, 2, 5] {
+        let report = run(n, |ctx| {
+            let w = ctx.world();
+            let mut empty: [f64; 0] = [];
+            w.reduce(n - 1, &mut empty, ReduceOp::Sum)?;
+            w.allreduce(&mut empty, ReduceOp::Max)?;
+            w.bcast(0, &mut empty)?;
+            let gathered = w.gather(0, &empty)?;
+            assert_eq!(gathered.map(|g| g.len()), (w.rank() == 0).then_some(0));
+            Ok(())
+        });
+        assert!(report.all_ok(), "empty collectives failed at n={n}");
+    }
+}
+
+#[test]
 fn gather_preserves_rank_order() {
     let n = 4;
     let report = run(n, |ctx| {

@@ -55,6 +55,10 @@ struct WalkedFrame {
     from_scratch: bool,
 }
 
+/// A protected region at a checkpoint: its id and handle, as
+/// [`serial::pack`] takes them, and its dirty-tracking stamp.
+type Stamped = ((u32, Arc<dyn Protected>), Option<u64>);
+
 /// What a checkpoint or a restart fills and empties again: kept by the
 /// client between calls, so that neither allocates once these have grown
 /// to the protection table's size. A call takes them out of their mutex
@@ -62,11 +66,9 @@ struct WalkedFrame {
 /// with no lock held).
 #[derive(Default)]
 struct Tables {
-    /// A checkpoint's regions to pack, ascending by id.
-    handles: Vec<(u32, Arc<dyn Protected>)>,
-    /// Each protected region's stamp at the checkpoint, ascending by id:
-    /// swapped with the committed [`ChainState::gens`] on commit.
-    gens: Vec<(u32, Option<u64>)>,
+    /// A checkpoint's protected regions, each with its stamp at the
+    /// checkpoint, ascending by id.
+    regions: Vec<Stamped>,
     /// Ids a delta frame carries as unchanged, ascending.
     unchanged: Vec<u32>,
     /// A restart probe's versions of a name.
@@ -373,20 +375,19 @@ impl Client {
         // re-stamps afterwards and dirties the next checkpoint — never
         // silently skipped.
         for (id, region) in self.regions.lock().iter() {
-            let id = *id;
-            t.gens.push((id, region.generation()));
-            t.handles.push((id, Arc::clone(region)));
+            t.regions
+                .push(((*id, Arc::clone(region)), region.generation()));
         }
         let protected: usize = match rec.metrics() {
-            Some(_) => t.handles.iter().map(|(_, r)| r.byte_len()).sum(),
+            Some(_) => t.regions.iter().map(|((_, r), _)| r.byte_len()).sum(),
             None => 0,
         };
         let key = self.key(name, version);
-        let (base, depth) = self.plan_delta(key.name, version, &t.gens, &mut t.unchanged);
+        let (base, depth) = self.plan_delta(key.name, version, &t.regions, &mut t.unchanged);
         let unchanged = &t.unchanged;
-        t.handles
-            .retain(|(id, _)| unchanged.binary_search(id).is_err());
-        let blob = serial::pack(self.cluster.pool(), base, &t.handles, &t.unchanged);
+        let changed = (t.regions.iter().map(|(region, _)| region))
+            .filter(|(id, _)| unchanged.binary_search(id).is_err());
+        let blob = serial::pack(self.cluster.pool(), base, changed, unchanged);
         if let Some(metrics) = rec.metrics() {
             metrics
                 .counter(telemetry::names::VELOC_BYTES_PROTECTED)
@@ -407,20 +408,21 @@ impl Client {
             .unwrap_or_else(|| blob.clone());
         self.cluster.scratch().write(self.node(), key, scratch_blob);
         // Commit the stamps only after the blob exists on scratch: this
-        // version is now a legitimate base for the next delta. The stamps
-        // move into the chain; the chain's old ones come back as the next
-        // checkpoint's table.
+        // version is now a legitimate base for the next delta. They are
+        // copied into the chain's table, which keeps its storage.
+        let stamps = t.regions.iter().map(|((id, _), gen)| (*id, *gen));
         let mut chains = self.chains.lock();
         match chains.iter_mut().find(|(n, _)| *n == key.name) {
             Some((_, state)) => {
                 (state.version, state.depth) = (version, depth);
-                std::mem::swap(&mut state.gens, &mut t.gens);
+                state.gens.clear();
+                state.gens.extend(stamps);
             }
             None => chains.push((
                 key.name,
                 ChainState {
                     version,
-                    gens: std::mem::take(&mut t.gens),
+                    gens: stamps.collect(),
                     depth,
                 },
             )),
@@ -453,8 +455,7 @@ impl Client {
 
     /// Empty `t` and keep it, storage and all, for the next call.
     fn put_tables(&self, mut t: Tables) {
-        t.handles.clear();
-        t.gens.clear();
+        t.regions.clear();
         t.unchanged.clear();
         t.versions.clear();
         t.frames.clear();
@@ -475,26 +476,27 @@ impl Client {
         &self,
         name: NameId,
         version: u64,
-        gens: &[(u32, Option<u64>)],
+        regions: &[Stamped],
         unchanged: &mut Vec<u32>,
     ) -> (Option<u64>, usize) {
         let chains = self.chains.lock();
         let Some((_, committed)) = chains.iter().find(|(n, _)| *n == name) else {
             return (None, 0);
         };
-        let ids_match = committed.gens.len() == gens.len()
+        let gens = regions.iter().map(|((id, _), gen)| (*id, *gen));
+        let ids_match = committed.gens.len() == regions.len()
             && committed
                 .gens
                 .iter()
-                .zip(gens)
-                .all(|((a, _), (b, _))| a == b);
+                .zip(gens.clone())
+                .all(|((a, _), (b, _))| *a == b);
         if committed.version >= version || committed.depth >= MAX_DELTA_DEPTH || !ids_match {
             return (None, 0);
         }
         let same = committed.gens.iter().zip(gens);
         unchanged.extend(
             same.filter(|((_, c), (_, g))| g.is_some() && c == g)
-                .map(|(_, (id, _))| *id),
+                .map(|(_, (id, _))| id),
         );
         if unchanged.is_empty() {
             // Nothing to reference: a delta frame would only add a chain

@@ -506,15 +506,20 @@ impl Frame {
 /// frame is then planned again from owned snapshots, whose lengths cannot
 /// move. The frame's buffer comes from, and goes back to, the cluster's
 /// `pool` ([`FrameBuilder`]).
-pub fn pack(
+pub fn pack<'a, C>(
     pool: &'static Pool,
     base_version: Option<u64>,
-    changed: &[(u32, Arc<dyn Protected>)],
+    changed: C,
     unchanged: &[u32],
-) -> Bytes {
-    let plan = changed.iter().map(|(id, r)| (*id, r.byte_len()));
+) -> Bytes
+where
+    C: IntoIterator<Item = &'a (u32, Arc<dyn Protected>)>,
+    C::IntoIter: Clone,
+{
+    let changed = changed.into_iter();
+    let plan = changed.clone().map(|(id, r)| (*id, r.byte_len()));
     let mut builder = FrameBuilder::new(pool, base_version, plan, unchanged);
-    let filled = changed.iter().all(|(_, r)| {
+    let filled = changed.clone().all(|(_, r)| {
         let mut put = false;
         r.with_bytes(&mut |src| put = put || builder.put_payload(src));
         put
@@ -522,11 +527,8 @@ pub fn pack(
     if filled {
         return builder.seal();
     }
-    let snaps: Vec<Bytes> = changed.iter().map(|(_, r)| r.snapshot()).collect();
-    let plan = changed
-        .iter()
-        .zip(&snaps)
-        .map(|((id, _), snap)| (*id, snap.len()));
+    let snaps: Vec<Bytes> = changed.clone().map(|(_, r)| r.snapshot()).collect();
+    let plan = changed.zip(&snaps).map(|((id, _), snap)| (*id, snap.len()));
     let mut builder = FrameBuilder::new(pool, base_version, plan, unchanged);
     for snap in &snaps {
         builder.put_payload(snap);

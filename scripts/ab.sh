@@ -24,7 +24,11 @@
 # BENCHMARK.json bounds: improved when the change wins at least 9 pairs in
 # 10 and its median beats the parent's by more than the parent's
 # interquartile range (with fewer than 10 pairs, only consistent with a
-# gain). It fails a workload on any run that failed its own checks,
+# gain). When the two sides' median calibration slow-downs differ by more
+# than the parent's interquartile range of them, each calibrated host
+# metric's verdict is cross-checked on its raw seconds, printed beside it,
+# and a gain stands only when both show it (bounds stay on the calibrated
+# metric). It fails a workload on any run that failed its own checks,
 # on any difference in a virtual_* metric or the virtual_fingerprint, which
 # are functions of the seed, and on any end-to-end metric whose median is
 # worse than the parent's by more than its BENCHMARK.json bound (read, never

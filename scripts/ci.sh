@@ -76,9 +76,9 @@ doc_budget() { # file bytes
     budgets_ok=0
   fi
 }
-doc_budget DESIGN.md 118235
-doc_budget CHANGES.md 145874
-doc_budget EXPERIMENTS.md 95363
+doc_budget DESIGN.md 119575
+doc_budget CHANGES.md 145788
+doc_budget EXPERIMENTS.md 97996
 [ "$budgets_ok" -eq 1 ]
 end
 

@@ -10,13 +10,17 @@
 //!   `FromIterator<u8>` (the collected `Vec` is the buffer),
 //!   [`BytesMut::freeze`] and [`Bytes::from_owner`]. The bytes stay where
 //!   the owner had them; only the few words of the shared header are
-//!   allocated.
+//!   allocated. `From<Arc<[u8]>>` allocates nothing: the slice's own
+//!   reference count is the handle's.
 //! * **copy once** — [`Bytes::copy_from_slice`], [`Bytes::from_static`] and
 //!   `From<&'static [u8]>` (borrowed bytes have to be moved into owned
 //!   storage), and [`Bytes::to_vec`] on the way out.
 //! * **share** — `clone` and [`Bytes::slice`] bump a reference count.
-//! * **nothing** — an empty buffer ([`Bytes::new`], or an empty `Vec`)
-//!   has no owner, so it allocates nothing and its clones count nothing.
+//! * **nothing** — an empty buffer ([`Bytes::new`], or an empty `Vec`),
+//!   and a copied one of at most [`Bytes::INLINE`] bytes (a scalar
+//!   reduction's contribution), has no owner: its bytes are held in the
+//!   handle, 8-aligned, so it allocates nothing and its clones and slices
+//!   copy at most that much.
 
 // No host clock, threads or blocking waits (clippy.toml) and no hash-order
 // iteration on a rank's path (DESIGN.md §10).
@@ -36,19 +40,62 @@ type Owner = dyn AsRef<[u8]> + Send + Sync;
 /// A cheaply cloneable slice of an immutable, shared byte buffer.
 #[derive(Clone)]
 pub struct Bytes {
-    /// `None` for the empty buffer of [`Bytes::new`].
-    data: Option<Arc<Owner>>,
-    off: usize,
-    len: usize,
+    repr: Repr,
 }
 
+#[derive(Clone)]
+enum Repr {
+    /// Bytes `off..off + len` of a shared owner's.
+    Shared {
+        owner: Arc<Owner>,
+        off: usize,
+        len: usize,
+    },
+    /// Bytes `off..off + len` of a reference-counted slice.
+    Slice {
+        data: Arc<[u8]>,
+        off: usize,
+        len: usize,
+    },
+    /// The first `len` bytes of `bytes`.
+    Inline { len: u8, bytes: Aligned },
+}
+
+/// [`Bytes::INLINE`] bytes, 8-aligned like a `u64` or `f64` they may hold.
+#[derive(Clone, Copy)]
+#[repr(align(8))]
+struct Aligned([u8; Bytes::INLINE]);
+
 impl Bytes {
+    /// The most bytes a handle holds itself, with no owner.
+    pub const INLINE: usize = 16;
+
     /// The empty buffer. Allocates nothing.
     pub const fn new() -> Self {
         Bytes {
-            data: None,
-            off: 0,
-            len: 0,
+            repr: Repr::Inline {
+                len: 0,
+                bytes: Aligned([0; Bytes::INLINE]),
+            },
+        }
+    }
+
+    /// `data` held in the handle, if it fits.
+    fn inline(data: &[u8]) -> Option<Self> {
+        let len = u8::try_from(data.len())
+            .ok()
+            .filter(|&n| usize::from(n) <= Bytes::INLINE)?;
+        let mut bytes = Aligned([0; Bytes::INLINE]);
+        bytes.0.iter_mut().zip(data).for_each(|(b, d)| *b = *d);
+        Some(Bytes {
+            repr: Repr::Inline { len, bytes },
+        })
+    }
+
+    /// Share `owner`'s bytes `off..off + len`.
+    fn shared(owner: Arc<Owner>, off: usize, len: usize) -> Self {
+        Bytes {
+            repr: Repr::Shared { owner, off, len },
         }
     }
 
@@ -58,9 +105,10 @@ impl Bytes {
         Bytes::copy_from_slice(bytes)
     }
 
-    /// Copy a slice into a new shared buffer — one copy.
+    /// Copy a slice into a new shared buffer — one copy; into the handle
+    /// itself when it is at most [`Self::INLINE`] bytes.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
+        Bytes::inline(data).unwrap_or_else(|| Bytes::from(data.to_vec()))
     }
 
     /// Share `owner`'s bytes without copying them: O(1). `owner` is dropped
@@ -74,19 +122,18 @@ impl Bytes {
         T: AsRef<[u8]> + Send + Sync + 'static,
     {
         let len = owner.as_ref().len();
-        Bytes {
-            data: Some(Arc::new(owner)),
-            off: 0,
-            len,
-        }
+        Bytes::shared(Arc::new(owner), 0, len)
     }
 
     pub fn len(&self) -> usize {
-        self.len
+        match self.repr {
+            Repr::Shared { len, .. } | Repr::Slice { len, .. } => len,
+            Repr::Inline { len, .. } => usize::from(len),
+        }
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// A sub-slice sharing this buffer's storage.
@@ -99,17 +146,25 @@ impl Bytes {
         let end = match range.end_bound() {
             Bound::Included(&n) => n + 1,
             Bound::Excluded(&n) => n,
-            Bound::Unbounded => self.len,
+            Bound::Unbounded => self.len(),
         };
         assert!(
-            start <= end && end <= self.len,
+            start <= end && end <= self.len(),
             "slice {start}..{end} out of bounds for Bytes of length {}",
-            self.len
+            self.len()
         );
-        Bytes {
-            data: self.data.clone(),
-            off: self.off + start,
-            len: end - start,
+        match &self.repr {
+            Repr::Shared { owner, off, .. } => {
+                Bytes::shared(Arc::clone(owner), off + start, end - start)
+            }
+            Repr::Slice { data, off, .. } => Bytes {
+                repr: Repr::Slice {
+                    data: Arc::clone(data),
+                    off: off + start,
+                    len: end - start,
+                },
+            },
+            Repr::Inline { .. } => Bytes::inline(&self[start..end]).unwrap_or_default(),
         }
     }
 
@@ -127,9 +182,10 @@ impl Default for Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        match &self.data {
-            Some(owner) => &(**owner).as_ref()[self.off..self.off + self.len],
-            None => &[],
+        match &self.repr {
+            Repr::Shared { owner, off, len } => &(**owner).as_ref()[*off..off + len],
+            Repr::Slice { data, off, len } => &data[*off..off + len],
+            Repr::Inline { len, bytes } => &bytes.0[..usize::from(*len)],
         }
     }
 }
@@ -148,10 +204,16 @@ impl From<Vec<u8>> for Bytes {
             return Bytes::new();
         }
         let len = v.len();
+        Bytes::shared(Arc::new(v), 0, len)
+    }
+}
+
+/// Shares the slice as it is: O(1), and no allocation.
+impl From<Arc<[u8]>> for Bytes {
+    fn from(data: Arc<[u8]>) -> Self {
+        let len = data.len();
         Bytes {
-            data: Some(Arc::new(v)),
-            off: 0,
-            len,
+            repr: Repr::Slice { data, off: 0, len },
         }
     }
 }
@@ -204,7 +266,7 @@ impl Hash for Bytes {
 
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Bytes(len={})", self.len)
+        write!(f, "Bytes(len={})", self.len())
     }
 }
 
@@ -220,10 +282,35 @@ mod tests {
         assert_eq!(s.len(), 3);
         let c = b.clone();
         assert_eq!(c, b);
-        let (Some(c), Some(s)) = (&c.data, &s.data) else {
-            panic!("a non-empty buffer has an owner");
+        let (Repr::Shared { owner: c, .. }, Repr::Shared { owner: s, .. }) = (&c.repr, &s.repr)
+        else {
+            panic!("a buffer from a Vec has an owner");
         };
         assert!(Arc::ptr_eq(c, s));
+    }
+
+    #[test]
+    fn short_copies_are_held_in_the_handle_aligned() {
+        let inline = |b: &Bytes| matches!(b.repr, Repr::Inline { .. });
+        for n in 0..=Bytes::INLINE + 1 {
+            let data: Vec<u8> = (1..=n as u8).collect();
+            let b = Bytes::copy_from_slice(&data);
+            assert_eq!(&b[..], &data[..]);
+            assert_eq!(inline(&b), n <= Bytes::INLINE, "{n} bytes");
+            assert!(b.as_ptr().cast::<u64>().is_aligned());
+            if n >= 4 {
+                let s = b.slice(1..n - 1);
+                assert_eq!(&s[..], &data[1..n - 1]);
+                assert!(s.as_ptr().cast::<u64>().is_aligned() || !inline(&s));
+            }
+            assert_eq!(b.clone(), b);
+        }
+        // The inline bytes take no room of their own: a shared handle's
+        // fat pointer, offset, length and variant tag are larger.
+        assert_eq!(
+            std::mem::size_of::<Bytes>(),
+            5 * std::mem::size_of::<usize>()
+        );
     }
 
     #[test]
@@ -279,6 +366,19 @@ mod tests {
     }
 
     #[test]
+    fn a_counted_slice_is_shared_as_it_is() {
+        let data: Arc<[u8]> = Arc::from(&[5u8, 6, 7, 8][..]);
+        let at = data.as_ptr();
+        let b = Bytes::from(Arc::clone(&data));
+        let s = b.slice(1..3);
+        assert_eq!((b.as_ptr(), &s[..]), (at, &[6u8, 7][..]));
+        assert_eq!(s.as_ptr(), at.wrapping_add(1));
+        assert_eq!(Arc::strong_count(&data), 3);
+        drop((b, s));
+        assert_eq!(Arc::strong_count(&data), 1);
+    }
+
+    #[test]
     fn open_ranges() {
         let b = Bytes::from(vec![9u8; 4]);
         assert_eq!(b.slice(..).len(), 4);
@@ -289,8 +389,9 @@ mod tests {
     #[test]
     fn empty_and_static() {
         assert!(Bytes::new().is_empty());
-        assert!(Bytes::new().data.is_none(), "the empty buffer has no owner");
-        assert!(Bytes::from(Vec::with_capacity(8)).data.is_none());
+        let ownerless = |b: Bytes| matches!(b.repr, Repr::Inline { len: 0, .. });
+        assert!(ownerless(Bytes::new()), "the empty buffer has no owner");
+        assert!(ownerless(Bytes::from(Vec::with_capacity(8))));
         assert_eq!(&Bytes::new().slice(..)[..], b"");
         assert_eq!(&Bytes::from_static(b"abc")[..], b"abc");
     }
