@@ -390,10 +390,10 @@ impl PoolBuf {
 
     /// Bytes `[written, len)`.
     fn unwritten(&mut self) -> &mut [MaybeUninit<u8>] {
-        // SAFETY: the allocation is valid for `layout.size() >= len` bytes
-        // (or `ptr` is dangling and aligned and `len` is zero), `written <=
-        // len`, `&mut self` makes the borrow unique, and `MaybeUninit`
-        // claims nothing about the bytes.
+        // SAFETY: `ptr` is valid for `len` bytes of its store, which this
+        // buffer alone holds (or it is dangling and aligned and `len` is
+        // zero), `written <= len`, `&mut self` makes the borrow unique, and
+        // `MaybeUninit` claims nothing about the bytes.
         unsafe {
             let at = self.ptr.as_ptr().add(self.written);
             std::slice::from_raw_parts_mut(at.cast(), self.len - self.written)

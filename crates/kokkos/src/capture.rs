@@ -180,6 +180,7 @@ impl CaptureSession {
     /// Activate this session on the current thread (sessions nest; the
     /// innermost active session receives the records, and records propagate
     /// to outer sessions as well so nested regions compose).
+    ///
     /// A session that is already active (a region re-entered under its own
     /// label) is not linked a second time: that would make it its own
     /// outer session.

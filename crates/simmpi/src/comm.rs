@@ -398,9 +398,10 @@ impl Comm {
 
     /// `data`'s bytes as a collective contribution, written once, aligned
     /// for any `Pod` so that a receiver reads the elements in place
-    /// ([`pod::cast_slice`]): up to [`Bytes::INLINE`] bytes (a scalar,
-    /// every contribution of a resilience layer) in the handle itself,
-    /// which allocates nothing, longer into a buffer of the cluster's pool.
+    /// ([`pod::cast_slice`]): up to [`Bytes::INLINE`] bytes (a scalar, as
+    /// is every collective the resilience layers add to `heatdis_scale`)
+    /// in the handle itself, which allocates nothing, longer into a
+    /// buffer of the cluster's pool.
     fn payload<T: Pod>(&self, data: &[T]) -> Bytes {
         let bytes = pod::as_bytes(data);
         if bytes.len() <= Bytes::INLINE {
